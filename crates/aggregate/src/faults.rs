@@ -52,7 +52,6 @@ pub const SITES: &[&str] = &[
     "unions::scan",
     "parallel::worker",
     "vectorized::morsel",
-    "vectorized::radix_partition",
     "vectorized::rle_run",
     "pipesort::pipeline",
     "service::admit",

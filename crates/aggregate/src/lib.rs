@@ -44,9 +44,7 @@ pub use accumulator::{Accumulator, AggKind, AggregateFunction, Retract};
 pub use error::{AggError, AggResult};
 pub use registry::{builtin, builtins, Registry};
 pub use udf::UdaBuilder;
-pub use vectorized::{
-    update_i64_fused, update_i64_gather_fused, FusedOp, Kernel, KernelCell, Validity,
-};
+pub use vectorized::{update_i64_fused, FusedOp, Kernel, KernelCell, Validity};
 
 use std::sync::Arc;
 

@@ -151,7 +151,7 @@ pub struct KernelCell {
 }
 
 /// One lane's operation in the fused row-major morsel update
-/// ([`update_i64_fused`] / [`update_i64_gather_fused`]). Fusion applies
+/// ([`update_i64_fused`]). Fusion applies
 /// when every lane of a plan reads the same fully-valid `i64` column (the
 /// counting lanes read nothing): one pass over the morsel updates all of a
 /// row's adjacent lane cells while their cache lines are hot, instead of
@@ -206,25 +206,6 @@ fn apply_fused(c: &mut KernelCell, op: FusedOp, v: i64) {
 pub fn update_i64_fused(cells: &mut [KernelCell], ops: &[FusedOp], slots: &[u32], vals: &[i64]) {
     let stride = ops.len();
     for (&s, &v) in slots.iter().zip(vals) {
-        let base = s as usize * stride;
-        for (c, op) in cells[base..base + stride].iter_mut().zip(ops) {
-            apply_fused(c, *op, v);
-        }
-    }
-}
-
-/// [`update_i64_fused`] with gathered values: row `j` reads
-/// `vals[idxs[j]]` — the radix phase-2 replay of a partition's rows.
-pub fn update_i64_gather_fused(
-    cells: &mut [KernelCell],
-    ops: &[FusedOp],
-    slots: &[u32],
-    idxs: &[u32],
-    vals: &[i64],
-) {
-    let stride = ops.len();
-    for (&s, &ri) in slots.iter().zip(idxs) {
-        let v = vals[ri as usize];
         let base = s as usize * stride;
         for (c, op) in cells[base..base + stride].iter_mut().zip(ops) {
             apply_fused(c, *op, v);
@@ -411,144 +392,6 @@ impl Kernel {
                     c.n += 1;
                 }),
             },
-        }
-    }
-
-    /// Gather-update for radix phase 2: `idxs[k]` is an absolute row index
-    /// into the whole-column `vals`, with group slot `slots[k]`; `valid`
-    /// is the whole-column word array (`None` = all valid). This is the
-    /// scatter loop after partitioning, where rows are no longer
-    /// contiguous.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn update_i64_gather(
-        self,
-        cells: &mut [KernelCell],
-        stride: usize,
-        lane: usize,
-        slots: &[u32],
-        idxs: &[u32],
-        vals: &[i64],
-        valid: Option<&[u64]>,
-    ) {
-        let bit = |i: usize| match valid {
-            None => true,
-            Some(words) => words[i / 64] >> (i % 64) & 1 == 1,
-        };
-        match self {
-            Kernel::CountStar => Kernel::update_star(cells, stride, lane, slots),
-            Kernel::Count => {
-                for (&s, &i) in slots.iter().zip(idxs) {
-                    if bit(i as usize) {
-                        cells[s as usize * stride + lane].n += 1;
-                    }
-                }
-            }
-            Kernel::Sum => {
-                for (&s, &i) in slots.iter().zip(idxs) {
-                    if bit(i as usize) {
-                        let c = &mut cells[s as usize * stride + lane];
-                        c.acc_i += vals[i as usize];
-                        c.n += 1;
-                    }
-                }
-            }
-            Kernel::Min => {
-                for (&s, &i) in slots.iter().zip(idxs) {
-                    if bit(i as usize) {
-                        let c = &mut cells[s as usize * stride + lane];
-                        let v = vals[i as usize];
-                        if c.n == 0 || v < c.acc_i {
-                            c.acc_i = v;
-                        }
-                        c.n += 1;
-                    }
-                }
-            }
-            Kernel::Max => {
-                for (&s, &i) in slots.iter().zip(idxs) {
-                    if bit(i as usize) {
-                        let c = &mut cells[s as usize * stride + lane];
-                        let v = vals[i as usize];
-                        if c.n == 0 || v > c.acc_i {
-                            c.acc_i = v;
-                        }
-                        c.n += 1;
-                    }
-                }
-            }
-            Kernel::Avg => {
-                for (&s, &i) in slots.iter().zip(idxs) {
-                    if bit(i as usize) {
-                        let c = &mut cells[s as usize * stride + lane];
-                        c.acc_f += vals[i as usize] as f64;
-                        c.n += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// `f64` twin of [`Kernel::update_i64_gather`].
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn update_f64_gather(
-        self,
-        cells: &mut [KernelCell],
-        stride: usize,
-        lane: usize,
-        slots: &[u32],
-        idxs: &[u32],
-        vals: &[f64],
-        valid: Option<&[u64]>,
-    ) {
-        use std::cmp::Ordering;
-        let bit = |i: usize| match valid {
-            None => true,
-            Some(words) => words[i / 64] >> (i % 64) & 1 == 1,
-        };
-        match self {
-            Kernel::CountStar => Kernel::update_star(cells, stride, lane, slots),
-            Kernel::Count => {
-                for (&s, &i) in slots.iter().zip(idxs) {
-                    if bit(i as usize) {
-                        cells[s as usize * stride + lane].n += 1;
-                    }
-                }
-            }
-            Kernel::Sum | Kernel::Avg => {
-                for (&s, &i) in slots.iter().zip(idxs) {
-                    if bit(i as usize) {
-                        let c = &mut cells[s as usize * stride + lane];
-                        c.acc_f += vals[i as usize];
-                        c.n += 1;
-                    }
-                }
-            }
-            Kernel::Min => {
-                for (&s, &i) in slots.iter().zip(idxs) {
-                    if bit(i as usize) {
-                        let c = &mut cells[s as usize * stride + lane];
-                        let v = vals[i as usize];
-                        if c.n == 0 || v.total_cmp(&c.acc_f) == Ordering::Less {
-                            c.acc_f = v;
-                        }
-                        c.n += 1;
-                    }
-                }
-            }
-            Kernel::Max => {
-                for (&s, &i) in slots.iter().zip(idxs) {
-                    if bit(i as usize) {
-                        let c = &mut cells[s as usize * stride + lane];
-                        let v = vals[i as usize];
-                        if c.n == 0 || v.total_cmp(&c.acc_f) == Ordering::Greater {
-                            c.acc_f = v;
-                        }
-                        c.n += 1;
-                    }
-                }
-            }
         }
     }
 
@@ -1073,55 +916,6 @@ mod tests {
                 Validity::Words(all_set.words()),
             );
             assert_eq!(dense, masked, "{k:?} f64");
-        }
-    }
-
-    /// Gather updates match the contiguous morsel updates when fed an
-    /// identity index permutation, with and without a validity mask.
-    #[test]
-    fn gather_matches_contiguous() {
-        let n = 100usize;
-        let vals_i: Vec<i64> = (0..n as i64).map(|i| i % 13 - 6).collect();
-        let vals_f: Vec<f64> = vals_i.iter().map(|&i| i as f64 + 0.5).collect();
-        let valid: Vec<bool> = (0..n).map(|i| i % 7 != 3).collect();
-        let b = bitmap(&valid);
-        let slots: Vec<u32> = (0..n as u32).map(|i| i % 4).collect();
-        let idxs: Vec<u32> = (0..n as u32).collect();
-        for k in ALL_KERNELS {
-            for mask in [false, true] {
-                let mut want = vec![KernelCell::default(); 4];
-                let validity = if mask {
-                    Validity::Words(b.words())
-                } else {
-                    Validity::All
-                };
-                k.update_i64(&mut want, 1, 0, &slots, &vals_i, validity);
-                let mut got = vec![KernelCell::default(); 4];
-                k.update_i64_gather(
-                    &mut got,
-                    1,
-                    0,
-                    &slots,
-                    &idxs,
-                    &vals_i,
-                    mask.then(|| b.words()),
-                );
-                assert_eq!(got, want, "{k:?} i64 mask={mask}");
-
-                let mut want = vec![KernelCell::default(); 4];
-                k.update_f64(&mut want, 1, 0, &slots, &vals_f, validity);
-                let mut got = vec![KernelCell::default(); 4];
-                k.update_f64_gather(
-                    &mut got,
-                    1,
-                    0,
-                    &slots,
-                    &idxs,
-                    &vals_f,
-                    mask.then(|| b.words()),
-                );
-                assert_eq!(got, want, "{k:?} f64 mask={mask}");
-            }
         }
     }
 

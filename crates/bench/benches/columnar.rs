@@ -1,38 +1,30 @@
 //! Columnar measure batches + vectorized kernels, measured.
 //!
 //! The same all-kernel cube query (SUM/AVG/MIN/MAX/COUNT/COUNT(*) over a
-//! numeric measure, 4 integer dimensions) through three engines:
+//! numeric measure, 4 integer dimensions) through both paths:
 //!
-//! * **vectorized** — typed column vectors scanned in morsels by the
-//!   monomorphized kernels;
-//! * **row_path** — the encoded-key arena driving Init/Iter per row;
-//! * **row_keys** — the `Row`-keyed fallback hash path.
+//! * **vectorized** — the engine's kernel lanes: typed column vectors
+//!   scanned in morsels by the monomorphized kernels;
+//! * **row_keys** — the `Row`-keyed reference hash path.
 //!
-//! Acceptance target (EXPERIMENTS.md, BENCH_pr3.json): vectorized ≥ 2×
-//! over row_path on the 100k-row workload. Morsel-parallel scaling rides
-//! on the same plan via `Algorithm::Parallel`.
+//! Morsel-parallel scaling rides on the same plan via
+//! `Algorithm::Parallel`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use datacube::{Algorithm, CubeQuery};
+use datacube::Algorithm;
 use dc_bench::{kernel_query, wide_table};
 
-#[allow(clippy::type_complexity)]
-fn variants() -> [(&'static str, fn(CubeQuery) -> CubeQuery); 3] {
-    [
-        ("vectorized", |q| q),
-        ("row_path", |q| q.vectorized(false)),
-        ("row_keys", |q| q.vectorized(false).encoded_keys(false)),
-    ]
-}
+/// `(axis name, encoded_keys)`.
+const VARIANTS: [(&str, bool); 2] = [("vectorized", true), ("row_keys", false)];
 
 fn bench_kernels_vs_row(c: &mut Criterion) {
     let mut group = c.benchmark_group("columnar_kernels_vs_row");
     group.sample_size(10);
     for rows in [20_000usize, 100_000] {
         let t = wide_table(rows, 4, 10);
-        for (name, configure) in variants() {
+        for (name, encoded) in VARIANTS {
             group.bench_with_input(BenchmarkId::new(name, rows), &t, |b, t| {
-                let q = configure(kernel_query(4));
+                let q = kernel_query(4).encoded_keys(encoded);
                 b.iter(|| q.cube(t).unwrap());
             });
         }
@@ -45,12 +37,14 @@ fn bench_morsel_parallel(c: &mut Criterion) {
     group.sample_size(10);
     let t = wide_table(100_000, 4, 10);
     for threads in [1usize, 2, 4] {
-        for (name, configure) in variants().into_iter().take(2) {
+        for (name, encoded) in VARIANTS {
             group.bench_with_input(
                 BenchmarkId::new(format!("{name}_t{threads}"), 100_000),
                 &t,
                 |b, t| {
-                    let q = configure(kernel_query(4)).algorithm(Algorithm::Parallel { threads });
+                    let q = kernel_query(4)
+                        .encoded_keys(encoded)
+                        .algorithm(Algorithm::Parallel { threads });
                     b.iter(|| q.cube(t).unwrap());
                 },
             );

@@ -1,6 +1,6 @@
 //! `cube_bench`: the PR-level acceptance harness, writing `BENCH_pr*.json`.
 //!
-//! Five workloads, timed with `std::time::Instant` (criterion's report
+//! Six workloads, timed with `std::time::Instant` (criterion's report
 //! machinery is deliberately avoided so the binary can run in CI and
 //! emit one machine-readable file):
 //!
@@ -8,14 +8,9 @@
 //!   with packed-`u64` keys on vs the `Row`-key fallback;
 //! * **columnar_wide** — the columnar workload: a 100k-row, 4-dimension
 //!   numeric cube with every built-in kernel in the select list, run
-//!   through the vectorized kernel engine, the encoded row-at-a-time
-//!   arena path (`vectorized(false)`), and the plain `Row`-key path;
-//! * **radix_wide_key** — a 200k-row, 2-dimension cube whose packed key
-//!   is 20 bits wide: radix-partitioned grouping (`.radix(true)`) vs the
-//!   single shared hash map (`.radix(false)`);
+//!   through the engine's kernel lanes and the plain `Row`-key path;
 //! * **rle_sorted** — a 100k-row sorted table with a piecewise-constant
-//!   measure: the run-length-compressed scan (`.rle(true)`) vs the plain
-//!   morsel scan (`.rle(false)`);
+//!   measure, where the run-folding scan engages by sample;
 //! * **service_concurrent** — sustained throughput through the shared
 //!   `Engine` service: 1 vs 8 concurrent sessions, each alternating a
 //!   cheap single-set GROUP BY with a full 2-dimension CUBE under the
@@ -47,7 +42,7 @@
 //! verify.sh.
 
 use datacube::CubeQuery;
-use dc_bench::{kernel_query, radix_table, sales_query, sales_table, sorted_table, wide_table};
+use dc_bench::{kernel_query, sales_query, sales_table, sorted_table, wide_table};
 use dc_relation::Table;
 use dc_sql::{Engine, ServiceConfig};
 use std::sync::Arc;
@@ -288,10 +283,10 @@ fn main() {
             json_path = it.next().expect("--json requires a path").clone();
         }
     }
-    let (sales_rows, wide_rows, radix_rows, rle_rows, iters) = if smoke {
-        (2_000, 5_000, 5_000, 5_000, 1)
+    let (sales_rows, wide_rows, rle_rows, iters) = if smoke {
+        (2_000, 5_000, 5_000, 1)
     } else {
-        (50_000, 100_000, 200_000, 100_000, 5)
+        (50_000, 100_000, 100_000, 5)
     };
     let (service_rows, service_queries) = if smoke || cache_smoke || ingest_smoke {
         (5_000, 4)
@@ -350,16 +345,10 @@ fn main() {
         );
     }
 
-    // ---- Columnar: vectorized kernels vs the row-at-a-time paths -----
+    // ---- Columnar: kernel lanes vs the Row-keyed reference path ------
     let wide = wide_table(wide_rows, 4, 10);
-    #[allow(clippy::type_complexity)]
-    let variants: [(&str, fn(CubeQuery) -> CubeQuery); 3] = [
-        ("vectorized", |q| q),
-        ("row_path", |q| q.vectorized(false)),
-        ("row_keys", |q| q.vectorized(false).encoded_keys(false)),
-    ];
-    for (algorithm, configure) in variants {
-        let q = configure(kernel_query(4));
+    for (algorithm, encoded) in [("vectorized", true), ("row_keys", false)] {
+        let q = kernel_query(4).encoded_keys(encoded);
         records.push(Record {
             workload: "columnar_wide",
             rows: wide_rows,
@@ -373,39 +362,19 @@ fn main() {
         );
     }
 
-    // ---- Radix: partitioned grouping vs one shared hash map ----------
-    let radix = radix_table(radix_rows, 1_000);
-    for (algorithm, on) in [("radix", true), ("hash", false)] {
-        let q = kernel_query(2).radix(on);
-        records.push(Record {
-            workload: "radix_wide_key",
-            rows: radix_rows,
-            dims: 2,
-            algorithm,
-            ns_per_op: time_cube(&q, &radix, iters),
-        });
-        eprintln!(
-            "radix_wide_key/{algorithm}: {} ns/op",
-            records.last().unwrap().ns_per_op
-        );
-    }
-
-    // ---- RLE: run-folding scan vs the plain morsel scan --------------
+    // ---- RLE: the run-folding scan engages on sorted input ----------
     let sorted = sorted_table(rle_rows, 64);
-    for (algorithm, on) in [("rle", true), ("plain", false)] {
-        let q = kernel_query(1).rle(on);
-        records.push(Record {
-            workload: "rle_sorted",
-            rows: rle_rows,
-            dims: 1,
-            algorithm,
-            ns_per_op: time_cube(&q, &sorted, iters),
-        });
-        eprintln!(
-            "rle_sorted/{algorithm}: {} ns/op",
-            records.last().unwrap().ns_per_op
-        );
-    }
+    records.push(Record {
+        workload: "rle_sorted",
+        rows: rle_rows,
+        dims: 1,
+        algorithm: "rle",
+        ns_per_op: time_cube(&kernel_query(1), &sorted, iters),
+    });
+    eprintln!(
+        "rle_sorted/rle: {} ns/op",
+        records.last().unwrap().ns_per_op
+    );
 
     // ---- Service: concurrent sessions through the shared engine ------
     let service = wide_table(service_rows, 2, 16);

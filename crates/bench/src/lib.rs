@@ -75,31 +75,6 @@ pub fn wide_table(rows: usize, n_dims: usize, cardinality: usize) -> Table {
     t
 }
 
-/// A two-dimension integer table whose packed key is wider than 16 bits
-/// (cardinality 1000 per dimension → 2 × 10-bit widths), sized so the
-/// vectorized engine's radix partitioning auto-engages: the
-/// `radix_wide_key` workload of `cube_bench`.
-pub fn radix_table(rows: usize, cardinality: usize) -> Table {
-    use dc_relation::{DataType, Row, Schema, Value};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let schema = Schema::from_pairs(&[
-        ("d0", DataType::Int),
-        ("d1", DataType::Int),
-        ("units", DataType::Int),
-    ]);
-    let mut rng = StdRng::seed_from_u64(0x9ad1);
-    let mut t = Table::empty(schema);
-    for _ in 0..rows {
-        t.push_unchecked(Row::new(vec![
-            Value::Int(rng.gen_range(0..cardinality.max(1)) as i64),
-            Value::Int(rng.gen_range(0..cardinality.max(1)) as i64),
-            Value::Int(rng.gen_range(1..=100)),
-        ]));
-    }
-    t
-}
-
 /// A sorted single-dimension table with a piecewise-constant measure:
 /// every `run` consecutive rows share one `(d0, units)` pair, so the RLE
 /// scan folds each run with one slot lookup and one `n × value` kernel
@@ -162,10 +137,6 @@ mod tests {
         let w = wide_table(50, 5, 3);
         assert_eq!(w.schema().len(), 6);
         let cube = wide_query(5).cube(&w).unwrap();
-        assert!(!cube.is_empty());
-        let r = radix_table(64, 1000);
-        assert_eq!(r.len(), 64);
-        let cube = wide_query(2).cube(&r).unwrap();
         assert!(!cube.is_empty());
         let s = sorted_table(64, 8);
         // 8 groups of 8 rows, plus the grand total.

@@ -215,13 +215,12 @@ mod tests {
             &ctx,
         )
         .unwrap();
-        let b = naive::run(
+        let b = naive::run_row_path(
             t.rows(),
             &dims,
             &aggs,
             &lattice,
             &mut ExecStats::default(),
-            true,
             &ctx,
         )
         .unwrap();

@@ -1,0 +1,1409 @@
+//! The execution engine: one arena pipeline over packed `u64` keys (see
+//! [`crate::encode`] for the key layout).
+//!
+//! §5 has one skeleton — scan into cells, fold super-aggregates with
+//! `Iter_super`, `Final` — and this module is that skeleton, written once:
+//!
+//! 1. **Scan.** Workers pull [`MORSEL_ROWS`]-row morsels from a shared
+//!    atomic cursor (Leis et al.'s morsel-driven scheduling: a worker stuck
+//!    on a skewed range simply pulls fewer morsels) and fold each row into
+//!    one [`Arena`] per target grouping set, the set's cell located by
+//!    `key & mask`. The serial scan is the one-worker case of the same
+//!    loop. Every morsel boundary polls [`ExecContext::checkpoint`].
+//! 2. **Coalesce.** Worker arenas merge by *adopting* a first-seen cell's
+//!    lanes outright and folding collisions with `Iter_super`.
+//! 3. **Cascade.** Each remaining grouping set is folded from a parent
+//!    set's arena, one lattice level at a time; sets of one level never
+//!    depend on each other, so a level's sets are farmed across workers.
+//! 4. **Materialize.** Cells are ranked by collation-remapped keys (a plain
+//!    `u64` sort in decoded-`Row` order), decoded once, and finalized.
+//!
+//! The hash-based algorithms are [`Shape`]s over step 1, and the only axis
+//! inside the pipeline is the accumulator kind ([`Lanes`]): POD kernel
+//! cells when every aggregate kernelizes ([`KernelLanes`]), boxed
+//! [`Accumulator`]s under [`exec::guard`] otherwise ([`BoxedLanes`]).
+//!
+//! [`ExecStats`] accounting matches the `Row`-keyed reference path exactly:
+//! `rows_scanned` per row per pass, `iter_calls` per (row, cell, aggregate),
+//! `merge_calls` per (parent cell, aggregate) in the cascade and per
+//! collision in the coalesce, `final_calls` per (output cell, aggregate).
+
+use super::from_core::{choose_largest, ParentChoice};
+use super::Shape;
+use crate::encode::EncodedInput;
+use crate::error::CubeResult;
+use crate::exec::{self, ExecContext};
+use crate::groupby::ExecStats;
+use crate::lattice::{GroupingSet, Lattice};
+use crate::spec::BoundAgg;
+use dc_aggregate::{Accumulator, FusedOp, Kernel, KernelCell, Validity};
+use dc_relation::{Bitmap, Column, ColumnData, FxHashMap, RleIndex, Row, Schema, Table, Value};
+use std::sync::atomic::AtomicUsize;
+use std::sync::Arc;
+
+/// Rows per morsel: two checkpoint intervals, so morsel-grained polling
+/// is at worst 2x coarser than the row paths' `tick`, while the slot
+/// buffer (4 bytes/row) stays comfortably in L1. A multiple of 64, so a
+/// morsel's validity bits start on a word boundary and kernels can take
+/// whole-word [`Validity::Words`] slices.
+pub(crate) const MORSEL_ROWS: usize = 2 * exec::CHECKPOINT_INTERVAL;
+
+/// Widest packed key a dense slot table may cover: `2^16` entries is a
+/// 256 KiB `u32` table — safely cache-resident next to the cells it
+/// indexes, and far cheaper than a hash probe per row.
+const DENSE_SLOT_BITS: u32 = 16;
+
+/// The run-folding scan requires the sampled mean key-run length to reach
+/// this many rows — below it, per-run dispatch overhead eats the savings.
+const RLE_MIN_RUN: usize = 4;
+
+/// Below this many cells the cascade and the materializer run on one
+/// worker — thread spawn costs more than the work it would spread.
+const PARALLEL_MIN_CELLS: usize = 1 << 10;
+
+/// Cells per materialize task: big enough that a chunk's decode work
+/// dwarfs the cursor fetch, small enough that the final chunks of a
+/// skewed set still spread across workers.
+const EMIT_CHUNK_CELLS: usize = 4096;
+
+/// The accumulator kind of one query: how a cell's aggregate lanes are
+/// initialized, folded, merged and finalized. A cell is `width()` adjacent
+/// `Cell`s of an [`Arena`], one per aggregate in select-list order.
+pub(crate) trait Lanes: Sync {
+    type Cell: Send + Sync;
+
+    /// Aggregates per cell.
+    fn width(&self) -> usize;
+
+    /// The paper's Init(): append one fresh cell to `cells`.
+    fn open(&self, cells: &mut Vec<Self::Cell>) -> CubeResult<()>;
+
+    /// Iter() over one morsel: row `base + j` folds into the cell at slot
+    /// `slots[j]` of `cells`.
+    fn fold_morsel(&self, cells: &mut [Self::Cell], slots: &[u32], base: usize) -> CubeResult<()>;
+
+    /// Iter() over rows `start..end`, all of which belong to `cell`.
+    fn fold_run(&self, cell: &mut [Self::Cell], start: usize, end: usize) -> CubeResult<()>;
+
+    /// The paper's Iter_super(): fold cell `src` into cell `dst`.
+    fn fold_super(&self, dst: &mut [Self::Cell], src: &[Self::Cell]) -> CubeResult<()>;
+
+    /// Final(): append the cell's aggregate values to `out`.
+    fn finals(&self, cell: &[Self::Cell], out: &mut Vec<Value>) -> CubeResult<()>;
+
+    /// The cell's scratchpads as `Accumulator::state` tuples, one per
+    /// aggregate — what a cached view stores.
+    fn states(&self, cell: &[Self::Cell]) -> CubeResult<Vec<Vec<Value>>>;
+}
+
+/// The generic lane store: one boxed [`Accumulator`] per aggregate, every
+/// callback under [`exec::guard`] (a UDA may panic in any of them).
+pub(crate) struct BoxedLanes<'a> {
+    pub(crate) rows: &'a [Row],
+    pub(crate) aggs: &'a [BoundAgg],
+}
+
+impl Lanes for BoxedLanes<'_> {
+    type Cell = Box<dyn Accumulator>;
+
+    fn width(&self) -> usize {
+        self.aggs.len()
+    }
+
+    #[inline]
+    fn open(&self, cells: &mut Vec<Self::Cell>) -> CubeResult<()> {
+        for a in self.aggs {
+            cells.push(exec::guard(a.func.name(), || a.func.init())?);
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn fold_morsel(&self, cells: &mut [Self::Cell], slots: &[u32], base: usize) -> CubeResult<()> {
+        let w = self.aggs.len();
+        // cube-lint: allow(checkpoint, bounded by one morsel; the scan checkpoints per morsel)
+        for (row, &slot) in self.rows[base..].iter().zip(slots) {
+            let accs = &mut cells[slot as usize * w..(slot as usize + 1) * w];
+            for (acc, agg) in accs.iter_mut().zip(self.aggs) {
+                exec::guard(agg.func.name(), || acc.iter(agg.input_value(row)))?;
+            }
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn fold_run(&self, accs: &mut [Self::Cell], start: usize, end: usize) -> CubeResult<()> {
+        // cube-lint: allow(checkpoint, a run never crosses its morsel; the scan checkpoints per morsel)
+        for row in &self.rows[start..end] {
+            for (acc, agg) in accs.iter_mut().zip(self.aggs) {
+                exec::guard(agg.func.name(), || acc.iter(agg.input_value(row)))?;
+            }
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn fold_super(&self, dst: &mut [Self::Cell], src: &[Self::Cell]) -> CubeResult<()> {
+        for ((acc, pacc), agg) in dst.iter_mut().zip(src).zip(self.aggs) {
+            exec::guard(agg.func.name(), || acc.merge(&pacc.state()))?;
+        }
+        Ok(())
+    }
+
+    fn finals(&self, accs: &[Self::Cell], out: &mut Vec<Value>) -> CubeResult<()> {
+        for (acc, agg) in accs.iter().zip(self.aggs) {
+            out.push(exec::guard(agg.func.name(), || acc.final_value())?);
+        }
+        Ok(())
+    }
+
+    fn states(&self, accs: &[Self::Cell]) -> CubeResult<Vec<Vec<Value>>> {
+        accs.iter()
+            .zip(self.aggs)
+            .map(|(acc, agg)| exec::guard(agg.func.name(), || acc.state()))
+            .collect()
+    }
+}
+
+/// One aggregate's typed input. Lanes over the same measure column share
+/// one extracted vector (`SUM(units)` and `AVG(units)` in one select list
+/// extract `units` once, not twice).
+enum LaneInput {
+    /// No column to read — COUNT(*) and COUNT over the unit input count
+    /// rows, not values.
+    Star,
+    /// An `i64` measure column with its validity bitmap.
+    Ints(Arc<(Vec<i64>, Bitmap)>),
+    /// An `f64` measure column with its validity bitmap.
+    Floats(Arc<(Vec<f64>, Bitmap)>),
+}
+
+/// One aggregate compiled to a kernel over a typed column.
+struct Lane {
+    kernel: Kernel,
+    input: LaneInput,
+    /// Whether the measure column has no NULLs — computed once at plan
+    /// time so every morsel takes the branch-free [`Validity::All`] path
+    /// instead of re-deriving it.
+    all_valid: bool,
+    /// Run-length index over the measure column, attached only when the
+    /// run-folding scan engages and the column actually compresses.
+    /// Enables the `n × value` constant-run fold.
+    rle: Option<Arc<RleIndex>>,
+}
+
+impl Lane {
+    fn float_input(&self) -> bool {
+        matches!(self.input, LaneInput::Floats(..))
+    }
+}
+
+/// A qualified fused row-major scan: every lane is fully valid and reads
+/// either nothing (counting lanes) or one shared `i64` column, so one
+/// pass per morsel updates all of a row's adjacent lane cells while their
+/// cache lines are hot instead of re-touching them per lane-major pass.
+struct FusedScan {
+    col: Arc<(Vec<i64>, Bitmap)>,
+    ops: Vec<FusedOp>,
+}
+
+/// The kernel lane store: every aggregate is one of the built-in
+/// distributive/algebraic kernels over a primitive column, its state a
+/// 24-byte POD [`KernelCell`]. The kernels are engine-owned and run no
+/// user code, so nothing here needs the panic guard.
+pub(crate) struct KernelLanes {
+    lanes: Vec<Lane>,
+    fused: Option<FusedScan>,
+}
+
+impl KernelLanes {
+    /// Try to compile every aggregate to a kernel lane. `None` — an
+    /// aggregate without a kernel (holistic, user-defined, PRODUCT, ...)
+    /// or a measure column that is not purely `Int`/`NULL` or
+    /// `Float`/`NULL` — gives the whole query boxed lanes. `rle` says the
+    /// run-folding scan will run, so compressible measure columns get
+    /// their run indexes built here, once.
+    pub(crate) fn plan(rows: &[Row], aggs: &[BoundAgg], rle: bool) -> Option<KernelLanes> {
+        if aggs.is_empty() {
+            return None;
+        }
+        // One extraction per distinct measure column, shared across lanes.
+        enum Extracted {
+            Ints(Arc<(Vec<i64>, Bitmap)>),
+            Floats(Arc<(Vec<f64>, Bitmap)>),
+        }
+        let mut columns: FxHashMap<usize, Option<Extracted>> = FxHashMap::default();
+        let mut lanes = Vec::with_capacity(aggs.len());
+        for a in aggs {
+            let kernel = a.func.kernel()?;
+            let input = match a.input {
+                // The unit input is a constant non-NULL value: only the
+                // counting kernels read nothing and stay correct.
+                None => match kernel {
+                    Kernel::Count | Kernel::CountStar => LaneInput::Star,
+                    _ => return None,
+                },
+                Some(idx) => match kernel {
+                    Kernel::CountStar => LaneInput::Star,
+                    _ => {
+                        let extracted = columns.entry(idx).or_insert_with(|| {
+                            if let Some(col) = Column::try_ints(rows, idx) {
+                                let ColumnData::Int(vals) = col.data else {
+                                    // cube-lint: allow(panic, try_ints only ever builds Int column data)
+                                    unreachable!()
+                                };
+                                Some(Extracted::Ints(Arc::new((vals, col.validity))))
+                            } else if let Some(col) = Column::try_floats(rows, idx) {
+                                let ColumnData::Float(vals) = col.data else {
+                                    // cube-lint: allow(panic, try_floats only ever builds Float column data)
+                                    unreachable!()
+                                };
+                                Some(Extracted::Floats(Arc::new((vals, col.validity))))
+                            } else {
+                                None
+                            }
+                        });
+                        match extracted {
+                            Some(Extracted::Ints(c)) => LaneInput::Ints(Arc::clone(c)),
+                            Some(Extracted::Floats(c)) => LaneInput::Floats(Arc::clone(c)),
+                            None => return None,
+                        }
+                    }
+                },
+            };
+            let all_valid = match &input {
+                LaneInput::Star => true,
+                LaneInput::Ints(c) => c.1.all_valid(),
+                LaneInput::Floats(c) => c.1.all_valid(),
+            };
+            lanes.push(Lane {
+                kernel,
+                input,
+                all_valid,
+                rle: None,
+            });
+        }
+        let mut plan = KernelLanes {
+            fused: fused_ints(&lanes),
+            lanes,
+        };
+        if rle {
+            plan.attach_rle();
+        }
+        Some(plan)
+    }
+
+    /// Build per-measure [`RleIndex`]es, deduplicated across lanes sharing
+    /// one extracted column and kept only where the column compresses.
+    fn attach_rle(&mut self) {
+        let mut cache: Vec<(usize, Option<Arc<RleIndex>>)> = Vec::new();
+        for lane in &mut self.lanes {
+            let (ptr, built) = match &lane.input {
+                LaneInput::Star => continue,
+                LaneInput::Ints(col) => (
+                    Arc::as_ptr(col) as usize,
+                    RleIndex::from_i64(&col.0, &col.1),
+                ),
+                LaneInput::Floats(col) => (
+                    Arc::as_ptr(col) as usize,
+                    RleIndex::from_f64(&col.0, &col.1),
+                ),
+            };
+            lane.rle = match cache.iter().find(|(p, _)| *p == ptr) {
+                Some((_, idx)) => idx.clone(),
+                None => {
+                    let idx = built.is_beneficial().then(|| Arc::new(built));
+                    cache.push((ptr, idx.clone()));
+                    idx
+                }
+            };
+        }
+    }
+}
+
+/// The fused scan for these lanes, if they qualify (see [`FusedScan`]).
+fn fused_ints(lanes: &[Lane]) -> Option<FusedScan> {
+    let mut col: Option<&Arc<(Vec<i64>, Bitmap)>> = None;
+    let mut ops = Vec::with_capacity(lanes.len());
+    for lane in lanes {
+        if !lane.all_valid {
+            return None;
+        }
+        match &lane.input {
+            LaneInput::Star => ops.push(FusedOp::Star),
+            LaneInput::Ints(c) => {
+                match col {
+                    None => col = Some(c),
+                    Some(prev) if Arc::ptr_eq(prev, c) => {}
+                    Some(_) => return None,
+                }
+                ops.push(match lane.kernel {
+                    // All-valid COUNT(x) counts every row, same as *.
+                    Kernel::Count | Kernel::CountStar => FusedOp::Star,
+                    Kernel::Sum => FusedOp::Sum,
+                    Kernel::Min => FusedOp::Min,
+                    Kernel::Max => FusedOp::Max,
+                    Kernel::Avg => FusedOp::Avg,
+                });
+            }
+            LaneInput::Floats(_) => return None,
+        }
+    }
+    Some(FusedScan {
+        col: Arc::clone(col?),
+        ops,
+    })
+}
+
+/// The validity words for morsel rows `[base, base + n)`: morsels start
+/// on 64-row boundaries, so this is a whole-word slice of the column's
+/// bitmap (tail bits past the column end are zero by construction).
+fn morsel_validity(bitmap: &Bitmap, all_valid: bool, base: usize, n: usize) -> Validity<'_> {
+    if all_valid {
+        Validity::All
+    } else {
+        Validity::Words(&bitmap.words()[base / 64..(base + n).div_ceil(64)])
+    }
+}
+
+impl Lanes for KernelLanes {
+    type Cell = KernelCell;
+
+    fn width(&self) -> usize {
+        self.lanes.len()
+    }
+
+    #[inline]
+    fn open(&self, cells: &mut Vec<KernelCell>) -> CubeResult<()> {
+        cells.resize(cells.len() + self.lanes.len(), KernelCell::default());
+        Ok(())
+    }
+
+    #[inline]
+    fn fold_morsel(&self, cells: &mut [KernelCell], slots: &[u32], base: usize) -> CubeResult<()> {
+        debug_assert_eq!(base % 64, 0);
+        let n = slots.len();
+        let stride = self.lanes.len();
+        if let Some(f) = &self.fused {
+            dc_aggregate::update_i64_fused(cells, &f.ops, slots, &f.col.0[base..base + n]);
+            return Ok(());
+        }
+        for (l, lane) in self.lanes.iter().enumerate() {
+            match &lane.input {
+                LaneInput::Star => Kernel::update_star(cells, stride, l, slots),
+                LaneInput::Ints(col) => lane.kernel.update_i64(
+                    cells,
+                    stride,
+                    l,
+                    slots,
+                    &col.0[base..base + n],
+                    morsel_validity(&col.1, lane.all_valid, base, n),
+                ),
+                LaneInput::Floats(col) => lane.kernel.update_f64(
+                    cells,
+                    stride,
+                    l,
+                    slots,
+                    &col.0[base..base + n],
+                    morsel_validity(&col.1, lane.all_valid, base, n),
+                ),
+            }
+        }
+        Ok(())
+    }
+
+    /// One kernel call per lane: `n × value` when the measure is constant
+    /// over the run, a register-reduction fold when it is merely fully
+    /// valid, a masked fold otherwise. Row order within the run matches
+    /// the per-row scan.
+    #[inline]
+    fn fold_run(&self, pods: &mut [KernelCell], s: usize, e: usize) -> CubeResult<()> {
+        let len = (e - s) as i64;
+        for (lane, pod) in self.lanes.iter().zip(pods) {
+            let constant = || lane.rle.as_ref().is_some_and(|r| r.constant_over(s, e));
+            match &lane.input {
+                LaneInput::Star => Kernel::fold_star(pod, len),
+                LaneInput::Ints(col) if !lane.all_valid => {
+                    lane.kernel
+                        .fold_i64_masked(pod, &col.0, col.1.words(), s, e)
+                }
+                LaneInput::Ints(col) if constant() => {
+                    lane.kernel.fold_repeat_i64(pod, col.0[s], len)
+                }
+                LaneInput::Ints(col) => lane.kernel.fold_i64(pod, &col.0[s..e]),
+                LaneInput::Floats(col) if !lane.all_valid => {
+                    lane.kernel
+                        .fold_f64_masked(pod, &col.0, col.1.words(), s, e)
+                }
+                LaneInput::Floats(col) if constant() => {
+                    lane.kernel.fold_repeat_f64(pod, col.0[s], len)
+                }
+                LaneInput::Floats(col) => lane.kernel.fold_f64(pod, &col.0[s..e]),
+            }
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn fold_super(&self, dst: &mut [KernelCell], src: &[KernelCell]) -> CubeResult<()> {
+        for ((lane, dst), src) in self.lanes.iter().zip(dst).zip(src) {
+            // cube-lint: allow(guard, engine-owned POD kernel, runs no user code)
+            lane.kernel.merge(dst, src, lane.float_input());
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn finals(&self, pods: &[KernelCell], out: &mut Vec<Value>) -> CubeResult<()> {
+        for (lane, pod) in self.lanes.iter().zip(pods) {
+            // cube-lint: allow(guard, engine-owned POD kernel, runs no user code)
+            out.push(lane.kernel.final_value(pod, lane.float_input()));
+        }
+        Ok(())
+    }
+
+    fn states(&self, pods: &[KernelCell]) -> CubeResult<Vec<Vec<Value>>> {
+        Ok(self
+            .lanes
+            .iter()
+            .zip(pods)
+            .map(|(lane, pod)| lane.kernel.state(pod, lane.float_input()))
+            .collect())
+    }
+}
+
+/// How an [`Arena`] resolves a packed key to a cell slot.
+enum SlotIndex {
+    /// General case: one Fx hash map over full keys.
+    Map(FxHashMap<u64, u32>),
+    /// Small key spaces: `table[key]` holds `slot + 1` (0 = empty) over
+    /// all `2^key_bits` possible keys — the §5 dense-array idea applied
+    /// to slot resolution.
+    Dense(Vec<u32>),
+}
+
+/// Flat cell storage for one grouping set: the index resolves a packed
+/// key to a cell slot, `keys[slot]` remembers the key for decoding, and
+/// cell `i`'s lanes occupy `cells[i*width..(i+1)*width]` — no per-cell
+/// allocation, sequential merges in the cascade. Slots are assigned in
+/// first-touch order, so iteration over `keys` is deterministic.
+pub(crate) struct Arena<C> {
+    index: SlotIndex,
+    keys: Vec<u64>,
+    cells: Vec<C>,
+    width: usize,
+}
+
+impl<C> Arena<C> {
+    /// Pick dense slot resolution when the key space is at most
+    /// [`DENSE_SLOT_BITS`] wide *and* small relative to the expected
+    /// input (`hint` rows/cells) — a giant mostly-empty table loses to
+    /// the hash map on allocation and cache footprint alone. Otherwise a
+    /// hash map pre-sized for `capacity` cells (0: grow on demand — a scan
+    /// cannot know its cell count).
+    fn new(width: usize, key_bits: u32, hint: usize, capacity: usize) -> Self {
+        let index = if key_bits <= DENSE_SLOT_BITS && (1usize << key_bits) <= (64 * hint).max(1024)
+        {
+            SlotIndex::Dense(vec![0u32; 1usize << key_bits])
+        } else {
+            SlotIndex::Map(FxHashMap::with_capacity_and_hasher(
+                capacity,
+                Default::default(),
+            ))
+        };
+        Arena {
+            index,
+            keys: Vec::with_capacity(capacity),
+            cells: Vec::with_capacity(capacity * width),
+            width,
+        }
+    }
+
+    fn n_cells(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn cell(&self, slot: usize) -> &[C] {
+        &self.cells[slot * self.width..(slot + 1) * self.width]
+    }
+
+    /// Look `key` up, claiming the next slot for it on first touch.
+    /// Returns `(slot, fresh)`; a fresh slot's lanes are the caller's to
+    /// append.
+    #[inline]
+    fn probe(&mut self, key: u64) -> (u32, bool) {
+        let next = self.keys.len() as u32;
+        let slot = match &mut self.index {
+            SlotIndex::Map(map) => *map.entry(key).or_insert(next),
+            SlotIndex::Dense(table) => {
+                let t = &mut table[key as usize];
+                if *t == 0 {
+                    *t = next + 1;
+                }
+                *t - 1
+            }
+        };
+        let fresh = slot == next;
+        if fresh {
+            self.keys.push(key);
+        }
+        (slot, fresh)
+    }
+
+    /// The cell slot for `key`; a fresh cell charges the budget and runs
+    /// the Init() burst.
+    #[inline]
+    fn slot<L: Lanes<Cell = C>>(
+        &mut self,
+        key: u64,
+        lanes: &L,
+        ctx: &ExecContext,
+    ) -> CubeResult<u32> {
+        let (slot, fresh) = self.probe(key);
+        if fresh {
+            ctx.charge_cells(1)?;
+            lanes.open(&mut self.cells)?;
+        }
+        Ok(slot)
+    }
+
+    /// Resolve one morsel of keys, each projected through `mask`, to
+    /// slots appended to `slot_buf`. For dense arenas the index `match`
+    /// (and its bounds state) is hoisted out of the per-row loop; other
+    /// arenas fall back to [`Self::slot`].
+    #[inline]
+    fn slots_for<L: Lanes<Cell = C>>(
+        &mut self,
+        morsel_keys: &[u64],
+        mask: u64,
+        slot_buf: &mut Vec<u32>,
+        lanes: &L,
+        ctx: &ExecContext,
+    ) -> CubeResult<()> {
+        if let SlotIndex::Dense(table) = &mut self.index {
+            // cube-lint: allow(checkpoint, bounded by one morsel; the scan checkpoints per morsel)
+            for &key in morsel_keys {
+                let key = key & mask;
+                let t = &mut table[key as usize];
+                if *t == 0 {
+                    ctx.charge_cells(1)?;
+                    self.keys.push(key);
+                    *t = self.keys.len() as u32;
+                    lanes.open(&mut self.cells)?;
+                }
+                slot_buf.push(*t - 1);
+            }
+            return Ok(());
+        }
+        // cube-lint: allow(checkpoint, bounded by one morsel; the scan checkpoints per morsel)
+        for &key in morsel_keys {
+            let slot = self.slot(key & mask, lanes, ctx)?;
+            slot_buf.push(slot);
+        }
+        Ok(())
+    }
+}
+
+/// Should the run-folding scan run? Decided from the data alone: the
+/// leading keys must sample to runs of at least [`RLE_MIN_RUN`] rows
+/// (sorted or low-cardinality key streams).
+fn rle_engages(keys: &[u64]) -> bool {
+    let sample = &keys[..keys.len().min(4096)];
+    if sample.is_empty() {
+        return false;
+    }
+    let runs = 1 + sample.windows(2).filter(|w| w[0] != w[1]).count();
+    sample.len() / runs >= RLE_MIN_RUN
+}
+
+/// What every stage of one query shares: the packed keys, the lane store,
+/// whether the run-folding scan engaged, and the governance context.
+struct Pipeline<'a, L: Lanes> {
+    enc: &'a EncodedInput,
+    lanes: &'a L,
+    rle: bool,
+    ctx: &'a ExecContext,
+}
+
+impl<L: Lanes> Pipeline<'_, L> {
+    /// Scan morsel `[base, end)` into one arena per mask: resolve every
+    /// row's slot (charging fresh cells), then fold the morsel's rows.
+    fn scan_morsel(
+        &self,
+        arenas: &mut [Arena<L::Cell>],
+        masks: &[u64],
+        slot_buf: &mut Vec<u32>,
+        base: usize,
+        end: usize,
+        stats: &mut ExecStats,
+    ) -> CubeResult<()> {
+        exec::failpoint("vectorized::morsel")?;
+        self.ctx.checkpoint()?;
+        let keys = &self.enc.keys[base..end];
+        for (arena, &mask) in arenas.iter_mut().zip(masks) {
+            slot_buf.clear();
+            if let Err(e) = arena.slots_for(keys, mask, slot_buf, self.lanes, self.ctx) {
+                // On a mid-morsel budget trip, the slots resolved so far
+                // are the rows actually scanned — surface that partial
+                // progress in the error stats.
+                stats.rows_scanned += slot_buf.len() as u64;
+                return Err(e);
+            }
+            self.lanes.fold_morsel(&mut arena.cells, slot_buf, base)?;
+            stats.iter_calls += (keys.len() * self.lanes.width()) as u64;
+        }
+        stats.rows_scanned += keys.len() as u64;
+        stats.morsels_processed += 1;
+        Ok(())
+    }
+
+    /// Scan morsel `[base, end)` run-at-a-time: detect maximal key runs
+    /// and fold each run's rows into its cell with one slot resolution
+    /// (and, for kernel lanes, one kernel call). Row order within and
+    /// across runs matches the plain scan.
+    fn scan_morsel_rle(
+        &self,
+        arenas: &mut [Arena<L::Cell>],
+        masks: &[u64],
+        base: usize,
+        end: usize,
+        stats: &mut ExecStats,
+    ) -> CubeResult<()> {
+        exec::failpoint("vectorized::rle_run")?;
+        self.ctx.checkpoint()?;
+        let keys = &self.enc.keys;
+        let w = self.lanes.width();
+        let mut s = base;
+        while s < end {
+            let key = keys[s];
+            let mut e = s + 1;
+            while e < end && keys[e] == key {
+                e += 1;
+            }
+            for (arena, &mask) in arenas.iter_mut().zip(masks) {
+                let slot = arena.slot(key & mask, self.lanes, self.ctx)? as usize;
+                self.lanes
+                    .fold_run(&mut arena.cells[slot * w..(slot + 1) * w], s, e)?;
+                stats.iter_calls += ((e - s) * w) as u64;
+            }
+            stats.rows_scanned += (e - s) as u64;
+            stats.rle_runs += 1;
+            s = e;
+        }
+        stats.morsels_processed += 1;
+        Ok(())
+    }
+
+    /// One pass over the base rows: `workers` workers pull morsels from a
+    /// shared cursor and fold every row into one arena per mask; the
+    /// worker arenas then coalesce. Returns the arenas in mask order.
+    fn scan(
+        &self,
+        masks: &[u64],
+        workers: usize,
+        stats: &mut ExecStats,
+    ) -> CubeResult<Vec<Arena<L::Cell>>> {
+        let n_rows = self.enc.keys.len();
+        let key_bits = self.enc.encoder.total_bits();
+        let width = self.lanes.width();
+        let cursor = AtomicUsize::new(0);
+        let mut parts = exec::run_workers(workers, "parallel::worker", stats, |local| {
+            exec::failpoint("parallel::worker")?;
+            let mut arenas: Vec<Arena<L::Cell>> = masks
+                .iter()
+                .map(|_| Arena::new(width, key_bits, n_rows.div_ceil(workers), 0))
+                .collect();
+            let mut slot_buf = Vec::with_capacity(MORSEL_ROWS.min(n_rows));
+            loop {
+                let base = exec::claim(&cursor, MORSEL_ROWS);
+                if base >= n_rows {
+                    break;
+                }
+                let end = (base + MORSEL_ROWS).min(n_rows);
+                if self.rle {
+                    self.scan_morsel_rle(&mut arenas, masks, base, end, local)?;
+                } else {
+                    self.scan_morsel(&mut arenas, masks, &mut slot_buf, base, end, local)?;
+                }
+            }
+            Ok(arenas)
+        })?;
+        if parts.len() == 1 {
+            return Ok(parts.remove(0));
+        }
+        // Coalesce: the first worker to produce a cell has its lanes
+        // adopted outright — they are already exactly the cell's state,
+        // and were charged by the worker that created them — and later
+        // workers' lanes for the same cell fold in by Iter_super.
+        let mut merged: Vec<Arena<L::Cell>> = masks
+            .iter()
+            .map(|_| Arena::new(width, key_bits, n_rows, 0))
+            .collect();
+        let mut lanes_buf: Vec<L::Cell> = Vec::with_capacity(width);
+        for part in parts {
+            for (core, arena) in merged.iter_mut().zip(part) {
+                let mut cells = arena.cells.into_iter();
+                for (i, &key) in arena.keys.iter().enumerate() {
+                    self.ctx.tick(i)?;
+                    lanes_buf.extend(cells.by_ref().take(width));
+                    let (slot, fresh) = core.probe(key);
+                    if fresh {
+                        core.cells.append(&mut lanes_buf);
+                    } else {
+                        let slot = slot as usize;
+                        self.lanes.fold_super(
+                            &mut core.cells[slot * width..(slot + 1) * width],
+                            &lanes_buf,
+                        )?;
+                        stats.merge_calls += width as u64;
+                        lanes_buf.clear();
+                    }
+                }
+            }
+        }
+        Ok(merged)
+    }
+
+    /// [`Self::scan`] into a single mask's arena.
+    fn scan_one(
+        &self,
+        mask: u64,
+        workers: usize,
+        stats: &mut ExecStats,
+    ) -> CubeResult<Arena<L::Cell>> {
+        let mut arenas = self.scan(&[mask], workers, stats)?;
+        // cube-lint: allow(panic, scan returns one arena per mask and one mask was passed)
+        Ok(arenas.pop().expect("one arena per mask"))
+    }
+
+    /// Build one child set by folding a parent arena through the set's
+    /// mask — one `Iter_super` per (parent cell, aggregate). Children
+    /// shrink, but rarely below half the parent, so a map-indexed child is
+    /// pre-sized to that.
+    fn merged_child(&self, parent: &Arena<L::Cell>, mask: u64) -> CubeResult<Arena<L::Cell>> {
+        let w = self.lanes.width();
+        let hint = parent.n_cells() / 2 + 1;
+        let mut child = Arena::new(w, self.enc.encoder.total_bits(), hint, hint);
+        for (pslot, &pkey) in parent.keys.iter().enumerate() {
+            self.ctx.tick(pslot)?;
+            let cslot = child.slot(pkey & mask, self.lanes, self.ctx)? as usize;
+            self.lanes.fold_super(
+                &mut child.cells[cslot * w..(cslot + 1) * w],
+                parent.cell(pslot),
+            )?;
+        }
+        Ok(child)
+    }
+
+    /// The cascade over arenas, parallel by lattice level.
+    ///
+    /// Correctness of the parallel schedule: a set's cascade parent is
+    /// always a strict superset, hence of strictly greater arity, hence
+    /// materialized in an *earlier* level — so all sets of one level only
+    /// read arenas from previous levels and can run concurrently. Parent
+    /// *selection* is also unchanged from the serial `Row`-keyed cascade:
+    /// that one consults the materialized-so-far list, but same-level
+    /// entries can never qualify (a strict superset of equal arity cannot
+    /// exist), so selecting per level sees the same candidates. Within a
+    /// level, workers pull `(set, parent)` tasks from a shared cursor — a
+    /// set with a huge parent arena occupies one worker while the rest
+    /// drain the level.
+    fn cascade(
+        &self,
+        core: Arena<L::Cell>,
+        lattice: &Lattice,
+        choice: ParentChoice,
+        stats: &mut ExecStats,
+    ) -> CubeResult<Vec<(GroupingSet, Arena<L::Cell>)>> {
+        let encoder = &self.enc.encoder;
+        let core_set = lattice.core();
+        // The C_i come straight off the symbol tables — no per-key scan
+        // over the core.
+        let cardinalities = encoder.cardinalities();
+        let workers = if core.n_cells() >= PARALLEL_MIN_CELLS {
+            exec::worker_count()
+        } else {
+            1
+        };
+
+        let mut done: FxHashMap<GroupingSet, Arena<L::Cell>> = FxHashMap::default();
+        let mut order: Vec<GroupingSet> = Vec::with_capacity(lattice.sets().len());
+        done.insert(core_set, core);
+        order.push(core_set);
+
+        // Walk the lattice in runs of equal arity (it is ordered
+        // core-first, decreasing arity).
+        let sets: Vec<GroupingSet> = lattice
+            .sets()
+            .iter()
+            .copied()
+            .filter(|&s| s != core_set)
+            .collect();
+        for level in sets.chunk_by(|a, b| a.len() == b.len()) {
+            let tasks: Vec<(GroupingSet, GroupingSet)> = level
+                .iter()
+                .map(|&set| {
+                    let parent = match choice {
+                        ParentChoice::AlwaysCore => core_set,
+                        ParentChoice::SmallestCardinality => {
+                            lattice.choose_parent(set, &cardinalities, &order)
+                        }
+                        ParentChoice::LargestCardinality => {
+                            choose_largest(lattice, set, &cardinalities, &order)
+                        }
+                    };
+                    (set, parent)
+                })
+                .collect();
+            let cursor = AtomicUsize::new(0);
+            let built =
+                exec::run_workers(workers.min(tasks.len()), "cascade::level", stats, |local| {
+                    exec::failpoint("cascade::level")?;
+                    let mut built = Vec::new();
+                    while let Some(&(set, parent)) = tasks.get(exec::claim(&cursor, 1)) {
+                        self.ctx.checkpoint()?;
+                        let parent = &done[&parent];
+                        built.push((set, self.merged_child(parent, encoder.set_mask(set))?));
+                        local.merge_calls += (parent.n_cells() * self.lanes.width()) as u64;
+                    }
+                    Ok(built)
+                })?;
+            for (set, arena) in built.into_iter().flatten() {
+                done.insert(set, arena);
+                order.push(set);
+            }
+        }
+
+        Ok(lattice
+            .sets()
+            .iter()
+            // cube-lint: allow(panic, the cascade above materializes each lattice set exactly once)
+            .map(|s| (*s, done.remove(s).expect("every set materialized")))
+            .collect())
+    }
+
+    /// Run the plan shape: which masks each pass over the base rows folds
+    /// into, and whether the cascade derives the rest.
+    fn group(
+        &self,
+        lattice: &Lattice,
+        shape: Shape,
+        stats: &mut ExecStats,
+    ) -> CubeResult<Vec<(GroupingSet, Arena<L::Cell>)>> {
+        let encoder = &self.enc.encoder;
+        let mut shape = shape;
+        if let (Shape::FromCore { threads: None, .. }, Some(budget)) =
+            (shape, self.ctx.cell_budget())
+        {
+            if projected_lattice_cells(&encoder.cardinalities(), lattice) > budget {
+                // Degradation rung 2: the cascade would hold the whole
+                // lattice's cells live at once. Stream one grouping set at
+                // a time instead — only cells that actually exist are
+                // charged, so a sparse cube whose §3 estimate is
+                // pessimistic still completes; a genuinely dense one trips
+                // the budget mid-scan.
+                stats.degraded_to_streaming = true;
+                shape = Shape::PerSet;
+            }
+        }
+        match shape {
+            Shape::EverySet => {
+                exec::failpoint("naive::scan")?;
+                let masks: Vec<u64> = lattice
+                    .sets()
+                    .iter()
+                    .map(|&s| encoder.set_mask(s))
+                    .collect();
+                let arenas = self.scan(&masks, 1, stats)?;
+                Ok(lattice.sets().iter().copied().zip(arenas).collect())
+            }
+            Shape::PerSet => {
+                exec::failpoint("unions::scan")?;
+                lattice
+                    .sets()
+                    .iter()
+                    .map(|&set| Ok((set, self.scan_one(encoder.set_mask(set), 1, stats)?)))
+                    .collect()
+            }
+            Shape::FromCore { threads, choice } => {
+                exec::failpoint("core::scan")?;
+                let workers = match threads {
+                    None => 1,
+                    Some(t) => {
+                        let t = t.clamp(1, self.enc.keys.len().max(1));
+                        stats.threads_used = stats.threads_used.max(t as u32);
+                        t
+                    }
+                };
+                let core = self.scan_one(encoder.set_mask(lattice.core()), workers, stats)?;
+                self.cascade(core, lattice, choice, stats)
+            }
+        }
+    }
+
+    /// Group with the plan shape, keep the requested sets, materialize.
+    fn execute(
+        &self,
+        lattice: &Lattice,
+        shape: Shape,
+        keep: Option<&[GroupingSet]>,
+        schema: Schema,
+        stats: &mut ExecStats,
+    ) -> CubeResult<Table> {
+        let mut sets = self.group(lattice, shape, stats)?;
+        if let Some(keep) = keep {
+            sets.retain(|(s, _)| keep.contains(s));
+        }
+        self.materialize(&sets, schema, stats)
+    }
+
+    /// The materializer: sets in the order given, each set's rows sorted
+    /// by key with `ALL` collating last, one `Final()` per (cell,
+    /// aggregate).
+    fn materialize(
+        &self,
+        sets: &[(GroupingSet, Arena<L::Cell>)],
+        schema: Schema,
+        stats: &mut ExecStats,
+    ) -> CubeResult<Table> {
+        exec::failpoint("materialize")?;
+        let encoder = &self.enc.encoder;
+        let w = self.lanes.width();
+        let nd = encoder.n_dims();
+        // Sort each set by collation-remapped keys — a plain `u64` sort in
+        // decoded-`Row` order — and invert to a slot -> output-rank map.
+        // Rows are then *emitted in slot order* — keys and cells stream
+        // sequentially instead of one gather cache miss per cell — and
+        // each decoded row scatters to its ranked position.
+        // Decode-then-compare-`Row`s costs ~10× more on large results.
+        let collator = encoder.collator();
+        let mut ranks: Vec<Vec<u32>> = Vec::with_capacity(sets.len());
+        let mut bases: Vec<usize> = Vec::with_capacity(sets.len());
+        let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
+        let mut total = 0usize;
+        let mut order: Vec<(u64, u32)> = Vec::new();
+        for (si, (_, arena)) in sets.iter().enumerate() {
+            self.ctx.checkpoint()?;
+            order.clear();
+            order.extend(
+                arena
+                    .keys
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, &key)| (collator.sort_key(key), slot as u32)),
+            );
+            order.sort_unstable_by_key(|c| c.0);
+            let mut rank: Vec<u32> = vec![0; order.len()];
+            for (i, &(_, slot)) in order.iter().enumerate() {
+                rank[slot as usize] = i as u32;
+            }
+            ranks.push(rank);
+            bases.push(total);
+            total += arena.n_cells();
+            tasks.extend(
+                (0..arena.n_cells())
+                    .step_by(EMIT_CHUNK_CELLS)
+                    .map(|lo| (si, lo, (lo + EMIT_CHUNK_CELLS).min(arena.n_cells()))),
+            );
+        }
+
+        // Workers pull fixed slot chunks from a cursor (decode cost is
+        // uniform per cell, and chunks keep the sequential-read layout),
+        // then one pass scatters the built rows — cheap `Row` moves — into
+        // final positions.
+        let workers = if total >= PARALLEL_MIN_CELLS {
+            exec::worker_count().min(tasks.len())
+        } else {
+            1
+        };
+        let cursor = AtomicUsize::new(0);
+        let emitted = exec::run_workers(workers, "materialize", stats, |local| {
+            let mut out: Vec<(usize, Row)> = Vec::new();
+            while let Some(&(si, lo, hi)) = tasks.get(exec::claim(&cursor, 1)) {
+                let arena = &sets[si].1;
+                let cells = arena.keys[lo..hi].iter().zip(&ranks[si][lo..hi]);
+                for (slot, (&key, &rank)) in (lo..hi).zip(cells) {
+                    self.ctx.tick(slot)?;
+                    let mut vals = Vec::with_capacity(nd + w);
+                    encoder.append_key(key, &mut vals);
+                    self.lanes.finals(arena.cell(slot), &mut vals)?;
+                    out.push((bases[si] + rank as usize, Row::new(vals)));
+                }
+                local.final_calls += ((hi - lo) * w) as u64;
+            }
+            Ok(out)
+        })?;
+        let mut rows: Vec<Row> = vec![Row::new(Vec::new()); total];
+        // cube-lint: allow(checkpoint, plain Row moves; the workers polled per cell while decoding)
+        for (idx, row) in emitted.into_iter().flatten() {
+            rows[idx] = row;
+        }
+        Ok(Table::from_validated_rows(schema, rows))
+    }
+
+    /// The core GROUP BY's cells as `(key, per-aggregate state)` pairs,
+    /// sorted by key.
+    fn core_states(&self, stats: &mut ExecStats) -> CubeResult<Vec<(Row, Vec<Vec<Value>>)>> {
+        exec::failpoint("core::scan")?;
+        let core = self.scan_one(u64::MAX, 1, stats)?;
+        let collator = self.enc.encoder.collator();
+        let mut order: Vec<(u64, usize)> = core
+            .keys
+            .iter()
+            .enumerate()
+            .map(|(slot, &key)| (collator.sort_key(key), slot))
+            .collect();
+        order.sort_unstable_by_key(|c| c.0);
+        let mut cells = Vec::with_capacity(order.len());
+        for (i, &(_, slot)) in order.iter().enumerate() {
+            self.ctx.tick(i)?;
+            cells.push((
+                self.enc.encoder.decode_key(core.keys[slot]),
+                self.lanes.states(core.cell(slot))?,
+            ));
+        }
+        Ok(cells)
+    }
+}
+
+/// §3's size estimate summed over the lattice: each grouping set projects
+/// to `Π C_d` over its member dimensions (an `ALL` coordinate contributes
+/// a factor of 1). Saturating: an overflowing estimate is "too big".
+fn projected_lattice_cells(cardinalities: &[usize], lattice: &Lattice) -> u64 {
+    let mut total = 0u64;
+    for set in lattice.sets() {
+        let mut cells = 1u64;
+        for (d, &c) in cardinalities.iter().enumerate() {
+            if set.contains(d) {
+                cells = cells.saturating_mul(c.max(1) as u64);
+            }
+        }
+        total = total.saturating_add(cells);
+    }
+    total
+}
+
+/// Execute `lattice` over encoded input with the given plan shape and
+/// materialize the sets in `keep` (all of them when `None`). The lane kind
+/// is decided here, from the select list: kernel lanes when every
+/// aggregate compiles to one, boxed lanes otherwise.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn execute(
+    enc: &EncodedInput,
+    rows: &[Row],
+    aggs: &[BoundAgg],
+    lattice: &Lattice,
+    shape: Shape,
+    keep: Option<&[GroupingSet]>,
+    schema: Schema,
+    stats: &mut ExecStats,
+    ctx: &ExecContext,
+) -> CubeResult<Table> {
+    let rle = rle_engages(&enc.keys);
+    match KernelLanes::plan(rows, aggs, rle) {
+        Some(lanes) => {
+            // Recorded before the scan so partial stats on a budget trip
+            // already say which lanes were running.
+            stats.vectorized_kernels_used = stats.vectorized_kernels_used.max(lanes.width() as u64);
+            let lanes = &lanes;
+            Pipeline {
+                enc,
+                lanes,
+                rle,
+                ctx,
+            }
+            .execute(lattice, shape, keep, schema, stats)
+        }
+        None => {
+            let lanes = &BoxedLanes { rows, aggs };
+            Pipeline {
+                enc,
+                lanes,
+                rle,
+                ctx,
+            }
+            .execute(lattice, shape, keep, schema, stats)
+        }
+    }
+}
+
+/// The core GROUP BY over all dimensions as sorted `(key, states)` cells —
+/// the scan a cached view is built from.
+pub(crate) fn core_states(
+    enc: &EncodedInput,
+    rows: &[Row],
+    aggs: &[BoundAgg],
+    stats: &mut ExecStats,
+    ctx: &ExecContext,
+) -> CubeResult<Vec<(Row, Vec<Vec<Value>>)>> {
+    let rle = rle_engages(&enc.keys);
+    match KernelLanes::plan(rows, aggs, rle) {
+        Some(lanes) => {
+            let lanes = &lanes;
+            Pipeline {
+                enc,
+                lanes,
+                rle,
+                ctx,
+            }
+            .core_states(stats)
+        }
+        None => {
+            let lanes = &BoxedLanes { rows, aggs };
+            Pipeline {
+                enc,
+                lanes,
+                rle,
+                ctx,
+            }
+            .core_states(stats)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::algorithm::{from_core, naive};
+    use crate::encode::encode;
+    use crate::groupby::{materialize, result_schema};
+    use crate::spec::{AggSpec, BoundDimension, Dimension};
+    use dc_aggregate::builtin;
+    use dc_relation::{row, DataType};
+
+    fn sales() -> Table {
+        let schema = Schema::from_pairs(&[
+            ("model", DataType::Str),
+            ("year", DataType::Int),
+            ("units", DataType::Int),
+            ("price", DataType::Float),
+        ]);
+        let mut t = Table::empty(schema);
+        for (m, y, u, p) in [
+            ("Chevy", 1994, 50, 1.5),
+            ("Chevy", 1995, 85, 2.25),
+            ("Ford", 1994, 50, 0.5),
+            ("Ford", 1995, 75, 4.0),
+            ("Ford", 1995, 10, 0.25),
+        ] {
+            t.push(row![m, y, u, p]).unwrap();
+        }
+        t.push(Row::new(vec![
+            Value::str("Ford"),
+            Value::Int(1994),
+            Value::Null,
+            Value::Null,
+        ]))
+        .unwrap();
+        t
+    }
+
+    fn bind(t: &Table, aggs: &[(&str, &str)]) -> (Vec<BoundDimension>, Vec<BoundAgg>, Schema) {
+        let dims: Vec<BoundDimension> = ["model", "year"]
+            .iter()
+            .map(|d| Dimension::column(d).bind(t.schema()).unwrap())
+            .collect();
+        let specs: Vec<AggSpec> = aggs
+            .iter()
+            .map(|(f, col)| AggSpec::new(builtin(f).unwrap(), col).with_name(format!("{f}_{col}")))
+            .collect();
+        let bound: Vec<BoundAgg> = specs.iter().map(|a| a.bind(t.schema()).unwrap()).collect();
+        let types: Vec<DataType> = specs
+            .iter()
+            .map(|a| a.output_type(t.schema()).unwrap())
+            .collect();
+        let schema = result_schema(&dims, &bound, &types).unwrap();
+        (dims, bound, schema)
+    }
+
+    const KERNEL_AGGS: [(&str, &str); 5] = [
+        ("SUM", "units"),
+        ("AVG", "price"),
+        ("COUNT", "units"),
+        ("MIN", "price"),
+        ("MAX", "units"),
+    ];
+    // VARIANCE has no kernel: one such aggregate gives every lane a box.
+    const BOXED_AGGS: [(&str, &str); 2] = [("SUM", "units"), ("VARIANCE", "price")];
+
+    const FROM_CORE: Shape = Shape::FromCore {
+        threads: None,
+        choice: ParentChoice::SmallestCardinality,
+    };
+
+    fn run_engine(t: &Table, aggs: &[(&str, &str)], shape: Shape) -> (Table, ExecStats) {
+        let (dims, aggs, schema) = bind(t, aggs);
+        let enc = encode(t.rows(), &dims).unwrap();
+        let lattice = Lattice::cube(2).unwrap();
+        let mut stats = ExecStats::default();
+        let ctx = ExecContext::unlimited();
+        let out = execute(
+            &enc,
+            t.rows(),
+            &aggs,
+            &lattice,
+            shape,
+            None,
+            schema,
+            &mut stats,
+            &ctx,
+        )
+        .unwrap();
+        (out, stats)
+    }
+
+    #[test]
+    fn lane_kind_follows_the_select_list() {
+        let t = sales();
+        let (_, aggs, _) = bind(&t, &KERNEL_AGGS);
+        assert_eq!(
+            KernelLanes::plan(t.rows(), &aggs, false).unwrap().width(),
+            5
+        );
+        // A holistic aggregate, an algebraic one without a kernel, or a
+        // string measure anywhere gives the whole query boxed lanes.
+        for reject in [("MEDIAN", "units"), ("VARIANCE", "price"), ("MIN", "model")] {
+            let (_, aggs, _) = bind(&t, &[("SUM", "units"), reject]);
+            assert!(
+                KernelLanes::plan(t.rows(), &aggs, false).is_none(),
+                "{reject:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn both_lane_kinds_match_the_row_path_cells_and_counters() {
+        let t = sales();
+        let lattice = Lattice::cube(2).unwrap();
+        let ctx = ExecContext::unlimited();
+        for (aggs, kernels) in [(&KERNEL_AGGS[..], 5), (&BOXED_AGGS[..], 0)] {
+            let (got, stats) = run_engine(&t, aggs, FROM_CORE);
+            assert_eq!(stats.vectorized_kernels_used, kernels);
+            assert_eq!(stats.morsels_processed, 1);
+
+            let (dims, bound, schema) = bind(&t, aggs);
+            let mut want_stats = ExecStats::default();
+            let maps =
+                from_core::run_row_path(t.rows(), &dims, &bound, &lattice, &mut want_stats, &ctx)
+                    .unwrap();
+            let want = materialize(schema, maps, &bound, &mut want_stats, &ctx).unwrap();
+            assert_eq!(got.rows(), want.rows(), "{kernels} kernel lanes");
+            assert_eq!(
+                (
+                    stats.rows_scanned,
+                    stats.iter_calls,
+                    stats.merge_calls,
+                    stats.final_calls
+                ),
+                (
+                    want_stats.rows_scanned,
+                    want_stats.iter_calls,
+                    want_stats.merge_calls,
+                    want_stats.final_calls
+                ),
+                "{kernels} kernel lanes"
+            );
+        }
+    }
+
+    #[test]
+    fn every_shape_agrees_and_counts_its_own_work() {
+        let t = sales();
+        let lattice = Lattice::cube(2).unwrap();
+        let ctx = ExecContext::unlimited();
+        for aggs in [&KERNEL_AGGS[..], &BOXED_AGGS[..]] {
+            let (want, from_core_stats) = run_engine(&t, aggs, FROM_CORE);
+            let w = aggs.len() as u64;
+            assert_eq!(from_core_stats.iter_calls, 6 * w);
+
+            let (every, s) = run_engine(&t, aggs, Shape::EverySet);
+            assert_eq!(every.rows(), want.rows());
+            // One scan, T × 2^N × |aggs| Iter() calls, no merges — and
+            // exactly the Row-keyed 2^N algorithm's counters.
+            assert_eq!(
+                (s.rows_scanned, s.iter_calls, s.merge_calls),
+                (6, 6 * 4 * w, 0)
+            );
+            let (dims, bound, _) = bind(&t, aggs);
+            let mut row_stats = ExecStats::default();
+            naive::run_row_path(t.rows(), &dims, &bound, &lattice, &mut row_stats, &ctx).unwrap();
+            assert_eq!(s.iter_calls, row_stats.iter_calls);
+
+            let (per_set, s) = run_engine(&t, aggs, Shape::PerSet);
+            assert_eq!(per_set.rows(), want.rows());
+            assert_eq!((s.rows_scanned, s.merge_calls), (6 * 4, 0));
+
+            for threads in [1, 4] {
+                let shape = Shape::FromCore {
+                    threads: Some(threads),
+                    choice: ParentChoice::SmallestCardinality,
+                };
+                let (par, s) = run_engine(&t, aggs, shape);
+                assert_eq!(par.rows(), want.rows(), "{threads} threads");
+                assert_eq!(s.threads_used, threads as u32);
+                // Six rows are one morsel: one worker scans it and the
+                // coalesce adopts every cell — no merges beyond the
+                // cascade's own.
+                assert_eq!(s.merge_calls, from_core_stats.merge_calls);
+            }
+        }
+    }
+
+    #[test]
+    fn key_runs_engage_the_run_folding_scan_for_both_lane_kinds() {
+        let schema = Schema::from_pairs(&[
+            ("model", DataType::Str),
+            ("year", DataType::Int),
+            ("units", DataType::Int),
+            ("price", DataType::Float),
+        ]);
+        let mut sorted = Table::empty(schema);
+        for (m, y) in [("Chevy", 1994), ("Chevy", 1995), ("Ford", 1994)] {
+            for i in 0..6 {
+                sorted.push(row![m, y, 10 + i, 0.5 * i as f64]).unwrap();
+            }
+        }
+        let mut interleaved = Table::empty(sorted.schema().clone());
+        for i in 0..6 {
+            for r in sorted.rows().iter().skip(i).step_by(6) {
+                interleaved.push_unchecked(r.clone());
+            }
+        }
+        for aggs in [&KERNEL_AGGS[..], &BOXED_AGGS[..]] {
+            let (folded, s) = run_engine(&sorted, aggs, FROM_CORE);
+            assert_eq!(s.rle_runs, 3, "three runs of six rows");
+            let (plain, p) = run_engine(&interleaved, aggs, FROM_CORE);
+            assert_eq!(p.rle_runs, 0, "run length 1 keeps the per-row scan");
+            assert_eq!(folded.rows(), plain.rows());
+            assert_eq!(
+                (s.rows_scanned, s.iter_calls),
+                (p.rows_scanned, p.iter_calls)
+            );
+        }
+    }
+
+    #[test]
+    fn dense_and_map_indexes_assign_the_same_slots() {
+        let lanes = BoxedLanes {
+            rows: &[],
+            aggs: &[],
+        };
+        let ctx = ExecContext::unlimited();
+        // 8 key bits with a 1024-row hint fits the dense table; a 40-bit
+        // key space never does.
+        let mut dense = Arena::new(0, 8, 1024, 0);
+        let mut map = Arena::new(0, 40, 1024, 0);
+        assert!(matches!(dense.index, SlotIndex::Dense(_)));
+        assert!(matches!(map.index, SlotIndex::Map(_)));
+        let keys = [7u64, 3, 7, 200, 3, 0];
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        dense
+            .slots_for(&keys, u64::MAX, &mut a, &lanes, &ctx)
+            .unwrap();
+        map.slots_for(&keys, u64::MAX, &mut b, &lanes, &ctx)
+            .unwrap();
+        assert_eq!(a, [0, 1, 0, 2, 1, 3]);
+        assert_eq!(a, b);
+        assert_eq!(dense.keys, map.keys);
+    }
+}

@@ -14,12 +14,9 @@
 //! nothing — `Algorithm::Auto` routes them to the 2^N algorithm instead,
 //! and benchmark C10 shows why.
 
-use super::PathOpts;
 use crate::error::CubeResult;
 use crate::exec::{self, ExecContext};
-use crate::groupby::{
-    compute_core, core_cardinalities, project_key, ExecStats, GroupMap, Grouped, SetMaps,
-};
+use crate::groupby::{compute_core, core_cardinalities, project_key, ExecStats, GroupMap, SetMaps};
 use crate::lattice::{GroupingSet, Lattice};
 use crate::spec::{BoundAgg, BoundDimension};
 use dc_relation::Row;
@@ -35,95 +32,6 @@ pub enum ParentChoice {
     LargestCardinality,
     /// Always cascade directly from the core (no intermediate reuse).
     AlwaysCore,
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run(
-    rows: &[Row],
-    dims: &[BoundDimension],
-    aggs: &[BoundAgg],
-    lattice: &Lattice,
-    stats: &mut ExecStats,
-    opts: PathOpts,
-    ctx: &ExecContext,
-) -> CubeResult<Grouped> {
-    run_with_choice(
-        rows,
-        dims,
-        aggs,
-        lattice,
-        ParentChoice::SmallestCardinality,
-        stats,
-        opts,
-        ctx,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_with_choice(
-    rows: &[Row],
-    dims: &[BoundDimension],
-    aggs: &[BoundAgg],
-    lattice: &Lattice,
-    choice: ParentChoice,
-    stats: &mut ExecStats,
-    opts: PathOpts,
-    ctx: &ExecContext,
-) -> CubeResult<Grouped> {
-    if opts.encoded {
-        if let Some(enc) = crate::encode::encode(rows, dims) {
-            stats.encoded_keys = true;
-            if let Some(budget) = ctx.cell_budget() {
-                let projected = projected_lattice_cells(&enc.encoder.cardinalities(), lattice);
-                if projected > budget {
-                    // Degradation rung 2: the cascade would hold the whole
-                    // lattice's cells live at once. Stream one grouping
-                    // set at a time instead — only cells that actually
-                    // exist are charged, so a sparse cube whose §3
-                    // estimate is pessimistic still completes; a genuinely
-                    // dense one trips the budget mid-scan.
-                    stats.degraded_to_streaming = true;
-                    return super::encoded::unions(&enc, rows, aggs, lattice, stats, ctx)
-                        .map(Grouped::Rows);
-                }
-            }
-            if opts.vectorize {
-                if let Some(plan) = super::vectorized::plan(rows, aggs) {
-                    return super::vectorized::from_core(
-                        &enc,
-                        plan,
-                        rows.len(),
-                        lattice,
-                        choice,
-                        opts,
-                        stats,
-                        ctx,
-                    )
-                    .map(Grouped::Kernels);
-                }
-            }
-            return super::encoded::from_core(&enc, rows, aggs, lattice, choice, stats, ctx)
-                .map(Grouped::Rows);
-        }
-    }
-    run_with_choice_row_path(rows, dims, aggs, lattice, choice, stats, ctx).map(Grouped::Rows)
-}
-
-/// §3's size estimate summed over the lattice: each grouping set projects
-/// to `Π C_d` over its member dimensions (an `ALL` coordinate contributes
-/// a factor of 1). Saturating: an overflowing estimate is "too big".
-pub(crate) fn projected_lattice_cells(cardinalities: &[usize], lattice: &Lattice) -> u64 {
-    let mut total = 0u64;
-    for set in lattice.sets() {
-        let mut cells = 1u64;
-        for (d, &c) in cardinalities.iter().enumerate() {
-            if set.contains(d) {
-                cells = cells.saturating_mul(c.max(1) as u64);
-            }
-        }
-        total = total.saturating_add(cells);
-    }
-    total
 }
 
 /// The `Row`-keyed path: fallback when keys don't pack, and the reference
@@ -300,29 +208,13 @@ mod tests {
         let lattice = Lattice::cube(3).unwrap();
         let ctx = ExecContext::unlimited();
         let mut s1 = ExecStats::default();
-        let a = run(
-            t.rows(),
-            &dims,
-            &aggs,
-            &lattice,
-            &mut s1,
-            PathOpts::new(true, true),
-            &ctx,
-        )
-        .unwrap()
-        .into_set_maps(&aggs)
-        .unwrap();
+        let a = run_row_path(t.rows(), &dims, &aggs, &lattice, &mut s1, &ctx).unwrap();
         let mut s2 = ExecStats::default();
-        let b = naive::run(t.rows(), &dims, &aggs, &lattice, &mut s2, true, &ctx).unwrap();
+        let b = naive::run_row_path(t.rows(), &dims, &aggs, &lattice, &mut s2, &ctx).unwrap();
         assert_eq!(finals(a), finals(b));
-        // And it does it in ONE scan with T iters, vs T × 2^N — the
-        // vectorized kernel path keeps the row path's work accounting.
+        // And it does it in ONE scan with T iters, vs T × 2^N.
         assert_eq!(s1.rows_scanned, 8);
         assert_eq!(s1.iter_calls, 8);
-        assert!(
-            s1.vectorized_kernels_used > 0,
-            "SUM over Int units kernelizes"
-        );
         assert_eq!(s2.iter_calls, 8 * 8);
     }
 
@@ -333,35 +225,29 @@ mod tests {
         let ctx = ExecContext::unlimited();
         let mut base = ExecStats::default();
         let expected = finals(
-            run_with_choice(
+            run_with_choice_row_path(
                 t.rows(),
                 &dims,
                 &aggs,
                 &lattice,
                 ParentChoice::SmallestCardinality,
                 &mut base,
-                PathOpts::new(true, true),
                 &ctx,
             )
-            .unwrap()
-            .into_set_maps(&aggs)
             .unwrap(),
         );
         for choice in [ParentChoice::LargestCardinality, ParentChoice::AlwaysCore] {
             let mut stats = ExecStats::default();
             let got = finals(
-                run_with_choice(
+                run_with_choice_row_path(
                     t.rows(),
                     &dims,
                     &aggs,
                     &lattice,
                     choice,
                     &mut stats,
-                    PathOpts::new(true, true),
                     &ctx,
                 )
-                .unwrap()
-                .into_set_maps(&aggs)
                 .unwrap(),
             );
             assert_eq!(got, expected, "{choice:?} must produce identical cells");
@@ -378,17 +264,14 @@ mod tests {
             .bind(t.schema())
             .unwrap()];
         let lattice = Lattice::cube(3).unwrap();
-        let maps = run(
+        let maps = run_row_path(
             t.rows(),
             &dims,
             &aggs,
             &lattice,
             &mut ExecStats::default(),
-            PathOpts::new(true, true),
             &ExecContext::unlimited(),
         )
-        .unwrap()
-        .into_set_maps(&aggs)
         .unwrap();
         let (_, grand) = maps.iter().find(|(s, _)| s.is_empty()).unwrap();
         let key = Row::new(vec![Value::All, Value::All, Value::All]);
@@ -400,17 +283,14 @@ mod tests {
     fn works_on_rollup_lattices() {
         let (t, dims, aggs) = setup();
         let lattice = Lattice::rollup(3).unwrap();
-        let maps = run(
+        let maps = run_row_path(
             t.rows(),
             &dims,
             &aggs,
             &lattice,
             &mut ExecStats::default(),
-            PathOpts::new(true, true),
             &ExecContext::unlimited(),
         )
-        .unwrap()
-        .into_set_maps(&aggs)
         .unwrap();
         assert_eq!(maps.len(), 4);
         // Each rollup level's sub-totals sum to the grand total.

@@ -15,24 +15,6 @@ use crate::lattice::Lattice;
 use crate::spec::{BoundAgg, BoundDimension};
 use dc_relation::Row;
 
-pub(crate) fn run(
-    rows: &[Row],
-    dims: &[BoundDimension],
-    aggs: &[BoundAgg],
-    lattice: &Lattice,
-    stats: &mut ExecStats,
-    encoded: bool,
-    ctx: &ExecContext,
-) -> CubeResult<SetMaps> {
-    if encoded {
-        if let Some(enc) = crate::encode::encode(rows, dims) {
-            stats.encoded_keys = true;
-            return super::encoded::naive(&enc, rows, aggs, lattice, stats, ctx);
-        }
-    }
-    run_row_path(rows, dims, aggs, lattice, stats, ctx)
-}
-
 /// The `Row`-keyed path: fallback when keys don't pack, and the reference
 /// the encoded engine is property-tested against.
 pub(crate) fn run_row_path(
@@ -100,7 +82,7 @@ mod tests {
         let lattice = Lattice::cube(2).unwrap();
         let mut stats = ExecStats::default();
         let ctx = ExecContext::unlimited();
-        let maps = run(t.rows(), &dims, &aggs, &lattice, &mut stats, true, &ctx).unwrap();
+        let maps = run_row_path(t.rows(), &dims, &aggs, &lattice, &mut stats, &ctx).unwrap();
         // T × 2^N × |aggs| = 3 × 4 × 1 Iter calls — the paper's cost formula.
         assert_eq!(stats.iter_calls, 12);
         assert_eq!(stats.rows_scanned, 3);

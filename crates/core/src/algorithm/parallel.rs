@@ -10,50 +10,13 @@
 //! merging (the same `Iter_super` as the cascade), and the cascade then
 //! produces the super-aggregates.
 
-use super::PathOpts;
 use crate::algorithm::from_core::{cascade, ParentChoice};
 use crate::error::CubeResult;
 use crate::exec::{self, ExecContext};
-use crate::groupby::{compute_core, ExecStats, GroupMap, Grouped, SetMaps};
+use crate::groupby::{compute_core, ExecStats, GroupMap, SetMaps};
 use crate::lattice::Lattice;
 use crate::spec::{BoundAgg, BoundDimension};
 use dc_relation::Row;
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run(
-    rows: &[Row],
-    dims: &[BoundDimension],
-    aggs: &[BoundAgg],
-    lattice: &Lattice,
-    threads: usize,
-    stats: &mut ExecStats,
-    opts: PathOpts,
-    ctx: &ExecContext,
-) -> CubeResult<Grouped> {
-    if opts.encoded {
-        if let Some(enc) = crate::encode::encode(rows, dims) {
-            stats.encoded_keys = true;
-            if opts.vectorize {
-                if let Some(plan) = super::vectorized::plan(rows, aggs) {
-                    return super::vectorized::parallel(
-                        &enc,
-                        plan,
-                        rows.len(),
-                        lattice,
-                        threads,
-                        opts,
-                        stats,
-                        ctx,
-                    )
-                    .map(Grouped::Kernels);
-                }
-            }
-            return super::encoded::parallel(&enc, rows, aggs, lattice, threads, stats, ctx)
-                .map(Grouped::Rows);
-        }
-    }
-    run_row_path(rows, dims, aggs, lattice, threads, stats, ctx).map(Grouped::Rows)
-}
 
 /// The `Row`-keyed path: fallback when keys don't pack, and the reference
 /// the encoded engine is property-tested against.
@@ -174,29 +137,25 @@ mod tests {
         let (t, dims, aggs) = setup(101);
         let lattice = Lattice::cube(2).unwrap();
         let ctx = ExecContext::unlimited();
-        let expected = naive::run(
+        let expected = naive::run_row_path(
             t.rows(),
             &dims,
             &aggs,
             &lattice,
             &mut ExecStats::default(),
-            true,
             &ctx,
         )
         .unwrap();
         for threads in [1, 2, 4, 7] {
-            let got = run(
+            let got = run_row_path(
                 t.rows(),
                 &dims,
                 &aggs,
                 &lattice,
                 threads,
                 &mut ExecStats::default(),
-                PathOpts::new(true, true),
                 &ctx,
             )
-            .unwrap()
-            .into_set_maps(&aggs)
             .unwrap();
             for (set, map) in &expected {
                 let (_, gmap) = got.iter().find(|(s, _)| s == set).unwrap();
@@ -218,18 +177,15 @@ mod tests {
     fn more_threads_than_rows_is_fine() {
         let (t, dims, aggs) = setup(3);
         let lattice = Lattice::cube(2).unwrap();
-        let maps = run(
+        let maps = run_row_path(
             t.rows(),
             &dims,
             &aggs,
             &lattice,
             16,
             &mut ExecStats::default(),
-            PathOpts::new(true, true),
             &ExecContext::unlimited(),
         )
-        .unwrap()
-        .into_set_maps(&aggs)
         .unwrap();
         let (_, grand) = maps.iter().find(|(s, _)| s.is_empty()).unwrap();
         let key = Row::new(vec![Value::All, Value::All]);
@@ -240,18 +196,15 @@ mod tests {
     fn empty_input() {
         let (t, dims, aggs) = setup(0);
         let lattice = Lattice::cube(2).unwrap();
-        let maps = run(
+        let maps = run_row_path(
             t.rows(),
             &dims,
             &aggs,
             &lattice,
             4,
             &mut ExecStats::default(),
-            PathOpts::new(true, true),
             &ExecContext::unlimited(),
         )
-        .unwrap()
-        .into_set_maps(&aggs)
         .unwrap();
         assert!(maps.iter().all(|(_, m)| m.is_empty()));
     }

@@ -317,13 +317,12 @@ mod tests {
         let ctx = ExecContext::unlimited();
         let mut s1 = ExecStats::default();
         let pipe = run(t.rows(), &dims, &aggs, &lattice, &mut s1, &ctx).unwrap();
-        let reference = naive::run(
+        let reference = naive::run_row_path(
             t.rows(),
             &dims,
             &aggs,
             &lattice,
             &mut ExecStats::default(),
-            true,
             &ctx,
         )
         .unwrap();

@@ -194,13 +194,12 @@ mod tests {
         )
         .unwrap();
         let mut s2 = ExecStats::default();
-        let naive = naive::run(
+        let naive = naive::run_row_path(
             t.rows(),
             &dims,
             &aggs,
             &lattice,
             &mut s2,
-            true,
             &ExecContext::unlimited(),
         )
         .unwrap();

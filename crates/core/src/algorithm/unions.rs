@@ -14,24 +14,6 @@ use crate::lattice::Lattice;
 use crate::spec::{BoundAgg, BoundDimension};
 use dc_relation::Row;
 
-pub(crate) fn run(
-    rows: &[Row],
-    dims: &[BoundDimension],
-    aggs: &[BoundAgg],
-    lattice: &Lattice,
-    stats: &mut ExecStats,
-    encoded: bool,
-    ctx: &ExecContext,
-) -> CubeResult<SetMaps> {
-    if encoded {
-        if let Some(enc) = crate::encode::encode(rows, dims) {
-            stats.encoded_keys = true;
-            return super::encoded::unions(&enc, rows, aggs, lattice, stats, ctx);
-        }
-    }
-    run_row_path(rows, dims, aggs, lattice, stats, ctx)
-}
-
 /// The `Row`-keyed path: fallback when keys don't pack, and the reference
 /// the encoded engine is property-tested against.
 pub(crate) fn run_row_path(
@@ -75,13 +57,12 @@ mod tests {
             .unwrap()];
         let lattice = Lattice::cube(1).unwrap();
         let mut stats = ExecStats::default();
-        run(
+        run_row_path(
             t.rows(),
             &dims,
             &aggs,
             &lattice,
             &mut stats,
-            true,
             &ExecContext::unlimited(),
         )
         .unwrap();

@@ -22,7 +22,7 @@
 
 use crate::error::{CubeError, CubeResult};
 use crate::exec::{self, ExecContext};
-use crate::groupby::{self, ExecStats, GroupMap};
+use crate::groupby::ExecStats;
 use crate::lattice::GroupingSet;
 use crate::spec::{AggSpec, Dimension};
 use dc_aggregate::{Accumulator, AggRef};
@@ -89,12 +89,25 @@ impl std::fmt::Debug for CachedView {
 }
 
 impl CachedView {
-    /// Materialize the view: one governed core scan of `table` grouped by
+    /// Materialize the view with no execution limits: see
+    /// [`CachedView::build_within`].
+    pub fn build(table: &Table, dims: &[Dimension], aggs: &[AggSpec]) -> CubeResult<CachedView> {
+        CachedView::build_within(table, dims, aggs, &ExecContext::unlimited())
+    }
+
+    /// Materialize the view: the engine's core scan of `table` grouped by
     /// all of `dims`, keeping each cell's scratchpads as state tuples.
+    /// `ctx` governs the scan — a populate-on-miss build runs under its
+    /// statement's deadline, cancel token and cell budget.
     ///
     /// Fails with [`CubeError::Unsupported`] if any aggregate is not
     /// [`rewritable`] — callers probe legality *before* paying the scan.
-    pub fn build(table: &Table, dims: &[Dimension], aggs: &[AggSpec]) -> CubeResult<CachedView> {
+    pub fn build_within(
+        table: &Table,
+        dims: &[Dimension],
+        aggs: &[AggSpec],
+        ctx: &ExecContext,
+    ) -> CubeResult<CachedView> {
         if dims.len() > GroupingSet::MAX_DIMS {
             return Err(CubeError::BadSpec(format!(
                 "{} dimensions exceeds the {}-dimension limit",
@@ -124,19 +137,13 @@ impl CachedView {
             .iter()
             .map(|a| a.output_type(schema))
             .collect::<CubeResult<Vec<_>>>()?;
-        let mut stats = ExecStats::default();
-        let ctx = ExecContext::unlimited();
-        let core: GroupMap = groupby::compute_core(table.rows(), &bdims, &baggs, &mut stats, &ctx)?;
-        let mut cells: Vec<(Row, Vec<Vec<Value>>)> = Vec::with_capacity(core.len());
-        for (key, accs) in core {
-            let states = accs
-                .iter()
-                .zip(baggs.iter())
-                .map(|(acc, a)| exec::guard(a.func.name(), || acc.state()))
-                .collect::<CubeResult<Vec<_>>>()?;
-            cells.push((key, states));
-        }
-        cells.sort_by(|a, b| a.0.cmp(&b.0));
+        let cells = crate::algorithm::core_states(
+            table.rows(),
+            &bdims,
+            &baggs,
+            &mut ExecStats::default(),
+            ctx,
+        )?;
         Ok(CachedView {
             dim_names: bdims.iter().map(|d| d.name.clone()).collect(),
             dim_types: bdims.iter().map(|d| d.dtype).collect(),

@@ -224,8 +224,7 @@ impl KeyEncoder {
 
     /// Total packed key width in bits (`Σ widths`, `<= 64` whenever
     /// encoding succeeded). Every packed key is `< 1 << total_bits()`,
-    /// which is what lets the vectorized engine size dense slot tables
-    /// and pick radix partition counts.
+    /// which is what lets the engine size dense slot tables.
     pub fn total_bits(&self) -> u32 {
         self.widths.iter().sum()
     }

@@ -32,8 +32,8 @@ use crate::error::{CubeError, CubeResult, Resource};
 use crate::groupby::ExecStats;
 use crate::spec::BoundAgg;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Rows/cells between cooperative checkpoints ([`ExecContext::tick`]).
@@ -318,6 +318,77 @@ pub(crate) fn guarded_init(
     aggs.iter()
         .map(|a| guard(a.func.name(), || a.func.init()))
         .collect()
+}
+
+/// Hardware threads available to the cascade and the materializer. Read
+/// once per process: on Linux `available_parallelism` re-reads the cgroup
+/// files on every call.
+pub(crate) fn worker_count() -> usize {
+    static COUNT: OnceLock<usize> = OnceLock::new();
+    *COUNT.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
+/// Claim the next `stride` indices of a shared work cursor (row morsels,
+/// cascade tasks, emit chunks); the caller stops once the claim passes the
+/// end of its work list.
+#[inline]
+pub(crate) fn claim(cursor: &AtomicUsize, stride: usize) -> usize {
+    // cube-lint: allow(atomic, work-claim counter: each claimed range is consumed only by the claiming thread, over data made visible by the scoped spawn)
+    cursor.fetch_add(stride, Ordering::Relaxed)
+}
+
+/// Run `work` on `n` workers — inline when `n` is 1, scoped threads
+/// otherwise — each with its own [`ExecStats`]. Every worker is joined and
+/// every worker's stats are folded into `stats` before the first error
+/// surfaces: an early return would drop the remaining handles, let a second
+/// panicking worker unwind through the scope, and lose the scan progress a
+/// budget trip reports. A worker panic becomes `AggPanicked(site, ..)`.
+pub(crate) fn run_workers<T: Send>(
+    n: usize,
+    site: &str,
+    stats: &mut ExecStats,
+    work: impl Fn(&mut ExecStats) -> CubeResult<T> + Sync,
+) -> CubeResult<Vec<T>> {
+    type Outcome<T> = (CubeResult<T>, ExecStats);
+    let outcomes: Vec<Outcome<T>> = if n <= 1 {
+        let mut local = ExecStats::default();
+        let result = guard(site, || work(&mut local)).and_then(|r| r);
+        vec![(result, local)]
+    } else {
+        let lost = |p: Box<dyn std::any::Any + Send>| -> Outcome<T> {
+            (Err(panic_error(site, p.as_ref())), ExecStats::default())
+        };
+        crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = (0..n)
+                .map(|_| {
+                    scope.spawn(|_| {
+                        let mut local = ExecStats::default();
+                        let result = work(&mut local);
+                        (result, local)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(lost))
+                .collect()
+        })
+        .unwrap_or_else(|p| vec![lost(p)])
+    };
+    let mut failed = None;
+    let mut done = Vec::with_capacity(outcomes.len());
+    for (result, local) in outcomes {
+        stats.add(&local);
+        match result {
+            Ok(t) => done.push(t),
+            Err(e) => failed = failed.or(Some(e)),
+        }
+    }
+    failed.map_or(Ok(done), Err)
 }
 
 /// Test-support failpoint (see `dc_aggregate::faults`). With the `faults`

@@ -53,8 +53,9 @@ pub struct ExecStats {
     /// Worker threads the parallel paths actually used after clamping to
     /// the partition count (0 for serial algorithms).
     pub threads_used: u32,
-    /// Whether the packed-u64 encoded-key engine carried this query
-    /// (false under the `Row`-key fallback: >64 key bits or >16 dims).
+    /// Whether the packed-u64 arena engine carried this query (false on
+    /// the `Row`-keyed path: >64 key bits, >16 dims, or
+    /// `encoded_keys(false)`).
     pub encoded_keys: bool,
     /// The dense-array plan projected more cells than the budget allowed
     /// and the query was re-run on the sparse hash-based path.
@@ -63,16 +64,12 @@ pub struct ExecStats {
     /// the query fell back to per-grouping-set streaming scans.
     pub degraded_to_streaming: bool,
     /// Number of aggregate lanes the vectorized columnar kernels carried
-    /// (0 when the query ran the Init/Iter/Final row path — holistic or
-    /// user-defined aggregates, or non-primitive measure columns).
+    /// (0 when the query ran boxed Init/Iter/Final accumulators — holistic
+    /// or user-defined aggregates, or non-primitive measure columns).
     pub vectorized_kernels_used: u64,
-    /// Fixed-size row-range morsels pulled by scan workers (0 for the
-    /// pre-split `Row`-keyed paths).
+    /// Fixed-size row-range morsels pulled by scan workers (0 on the
+    /// `Row`-keyed path and the sort/array algorithms).
     pub morsels_processed: u64,
-    /// Partitions used by radix-partitioned grouping (0 when the core
-    /// scan ran the single hash map or the RLE path instead; `u32` — the
-    /// scatter clamps to 4096 partitions).
-    pub radix_partitions: u32,
     /// Key runs folded by the run-length scan (0 when the per-row morsel
     /// scan ran instead).
     pub rle_runs: u64,
@@ -113,7 +110,6 @@ impl ExecStats {
             .vectorized_kernels_used
             .max(other.vectorized_kernels_used);
         self.morsels_processed += other.morsels_processed;
-        self.radix_partitions = self.radix_partitions.max(other.radix_partitions);
         self.rle_runs += other.rle_runs;
         self.queue_wait_ms += other.queue_wait_ms;
         self.granted_cells = self.granted_cells.max(other.granted_cells);
@@ -141,30 +137,6 @@ pub(crate) type GroupMap = FxHashMap<Row, Vec<Box<dyn Accumulator>>>;
 
 /// Cells for a whole family of grouping sets.
 pub(crate) type SetMaps = Vec<(GroupingSet, GroupMap)>;
-
-/// The grouped (pre-materialization) result of a cube run, in whichever
-/// representation the engine that produced it uses. The operator layer
-/// filters sets and materializes through this enum so the vectorized
-/// engine never has to hydrate its POD cells into boxed accumulators.
-pub(crate) enum Grouped {
-    /// Row-path cells: boxed accumulators keyed by decoded `Row`s.
-    Rows(SetMaps),
-    /// Kernel-path cells: flat arenas of POD cells plus the plan and key
-    /// encoder needed to finalize them directly.
-    Kernels(crate::algorithm::vectorized::KernelSets),
-}
-
-#[cfg(test)]
-impl Grouped {
-    /// Collapse to the row-path representation so tests can compare
-    /// engines cell by cell regardless of which one ran.
-    pub(crate) fn into_set_maps(self, aggs: &[BoundAgg]) -> CubeResult<SetMaps> {
-        match self {
-            Grouped::Rows(maps) => Ok(maps),
-            Grouped::Kernels(k) => k.into_set_maps(aggs),
-        }
-    }
-}
 
 /// Evaluate all dimensions of one row — the full cube coordinate.
 #[inline]

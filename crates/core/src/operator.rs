@@ -12,10 +12,10 @@
 //! set's rows sorted by key with `ALL` collating last — the layout of the
 //! paper's Table 5.a.
 
-use crate::algorithm::{self, Algorithm};
+use crate::algorithm::{self, Algorithm, ParentChoice};
 use crate::error::{CubeError, CubeResult};
 use crate::exec::{self, ExecContext, ExecLimits};
-use crate::groupby::{materialize, result_schema, ExecStats, Grouped};
+use crate::groupby::{result_schema, ExecStats};
 use crate::lattice::{GroupingSet, Lattice};
 use crate::spec::{AggSpec, CompoundSpec, Dimension};
 use dc_relation::{Table, Value};
@@ -51,9 +51,6 @@ pub struct CubeQuery {
     aggs: Vec<AggSpec>,
     algorithm: Algorithm,
     encoded: bool,
-    vectorized: bool,
-    radix: Option<bool>,
-    rle: Option<bool>,
     limits: ExecLimits,
 }
 
@@ -70,9 +67,6 @@ impl CubeQuery {
             aggs: Vec::new(),
             algorithm: Algorithm::Auto,
             encoded: true,
-            vectorized: true,
-            radix: None,
-            rle: None,
             limits: ExecLimits::none(),
         }
     }
@@ -101,64 +95,17 @@ impl CubeQuery {
         self
     }
 
-    /// Enable or disable the encoded-key engine (default **on**): packed
-    /// `u64` group keys over dictionary-encoded dimensions, flat
-    /// accumulator arenas, and a parallel from-core cascade. Queries whose
-    /// coordinates do not pack into 64 bits fall back to `Row` keys
-    /// automatically; results and [`ExecStats`] are identical either way,
-    /// so this switch exists for benchmarking and property testing.
+    /// Enable or disable the arena engine (default **on**): packed `u64`
+    /// group keys over dictionary-encoded dimensions, flat cell arenas,
+    /// vectorized kernels where every aggregate has one, and a parallel
+    /// from-core cascade. Queries whose coordinates do not pack into 64
+    /// bits fall back to the `Row`-keyed reference path automatically, and
+    /// `false` forces it; results and [`ExecStats`] work counters are
+    /// identical either way, so this switch exists for benchmarking and
+    /// differential testing.
     pub fn encoded_keys(mut self, encoded: bool) -> Self {
         self.encoded = encoded;
         self
-    }
-
-    /// Enable or disable the vectorized kernel engine (default **on**):
-    /// when every aggregate in the select list maps to a built-in kernel
-    /// (COUNT, COUNT(*), SUM, MIN, MAX, AVG) and every measure column
-    /// extracts as a typed vector, the from-core and parallel paths scan
-    /// columnar batches in morsels instead of driving the Init/Iter/Final
-    /// protocol row by row. Holistic and user-defined aggregates — or any
-    /// measure that fails typed extraction — transparently fall back to
-    /// the row path; results and [`ExecStats`] work counters are
-    /// identical, and `ExecStats::vectorized_kernels_used` reports
-    /// whether the kernels actually ran.
-    pub fn vectorized(mut self, vectorized: bool) -> Self {
-        self.vectorized = vectorized;
-        self
-    }
-
-    /// Force (`true`) or suppress (`false`) radix-partitioned grouping in
-    /// the vectorized engine. By default the engine decides per query:
-    /// radix engages on large inputs whose packed key space overflows one
-    /// dense slot table. Only consulted where the kernel engine runs;
-    /// results are identical either way, and
-    /// `ExecStats::radix_partitions` reports the partition count actually
-    /// used.
-    pub fn radix(mut self, radix: bool) -> Self {
-        self.radix = Some(radix);
-        self
-    }
-
-    /// Force (`true`) or suppress (`false`) the run-length-compressed
-    /// scan in the vectorized engine. By default the engine decides per
-    /// query: RLE engages on large inputs whose leading key stream
-    /// samples to long runs (sorted or low-cardinality dimensions). Only
-    /// consulted where the kernel engine runs; results are identical
-    /// either way, and `ExecStats::rle_runs` reports the runs folded.
-    pub fn rle(mut self, rle: bool) -> Self {
-        self.rle = Some(rle);
-        self
-    }
-
-    /// This query's execution-path switches, in the form the algorithm
-    /// layer consumes.
-    fn path_opts(&self) -> crate::algorithm::PathOpts {
-        crate::algorithm::PathOpts {
-            encoded: self.encoded,
-            vectorize: self.vectorized,
-            radix: self.radix,
-            rle: self.rle,
-        }
     }
 
     /// Attach execution limits: cell/memory budgets, a wall-clock timeout,
@@ -181,7 +128,7 @@ impl CubeQuery {
     /// CUBE with work counters.
     pub fn cube_with_stats(&self, table: &Table) -> CubeResult<(Table, ExecStats)> {
         let lattice = Lattice::cube(self.dims.len())?;
-        self.execute(table, &lattice)
+        self.execute(table, &lattice, None)
     }
 
     /// CUBE via the from-core cascade with an explicit parent-selection
@@ -191,64 +138,10 @@ impl CubeQuery {
     pub fn cube_with_parent_choice(
         &self,
         table: &Table,
-        choice: crate::algorithm::ParentChoice,
+        choice: ParentChoice,
     ) -> CubeResult<(Table, ExecStats)> {
-        if self.aggs.is_empty() {
-            return Err(CubeError::BadSpec(
-                "at least one aggregate is required".into(),
-            ));
-        }
         let lattice = Lattice::cube(self.dims.len())?;
-        let schema = table.schema();
-        let dims: Vec<_> = self
-            .dims
-            .iter()
-            .map(|d| d.bind(schema))
-            .collect::<CubeResult<_>>()?;
-        let aggs: Vec<_> = self
-            .aggs
-            .iter()
-            .map(|a| a.bind(schema))
-            .collect::<CubeResult<_>>()?;
-        let agg_types: Vec<_> = self
-            .aggs
-            .iter()
-            .map(|a| a.output_type(schema))
-            .collect::<CubeResult<_>>()?;
-        let ctx = ExecContext::new(
-            &self.limits,
-            exec::estimate_bytes_per_cell(dims.len(), aggs.len()),
-        );
-        let mut stats = ExecStats::default();
-        let run = exec::guard("query", || {
-            crate::algorithm::from_core::run_with_choice(
-                table.rows(),
-                &dims,
-                &aggs,
-                &lattice,
-                choice,
-                &mut stats,
-                self.path_opts(),
-                &ctx,
-            )
-        });
-        let grouped = match run {
-            Ok(Ok(grouped)) => grouped,
-            Ok(Err(e)) | Err(e) => return Err(e.with_partial_stats(stats)),
-        };
-        let out_schema = crate::groupby::result_schema(&dims, &aggs, &agg_types)?;
-        let out = match grouped {
-            Grouped::Rows(maps) => exec::guard("query", || {
-                crate::groupby::materialize(out_schema, maps, &aggs, &mut stats, &ctx)
-            }),
-            Grouped::Kernels(k) => {
-                exec::guard("query", || k.materialize(out_schema, &mut stats, &ctx))
-            }
-        };
-        match out {
-            Ok(Ok(out)) => Ok((out, stats)),
-            Ok(Err(e)) | Err(e) => Err(e.with_partial_stats(stats)),
-        }
+        self.execute_filtered(table, &lattice, None, Algorithm::FromCore, choice)
     }
 
     /// `GROUP BY ROLLUP`: the N+1 prefix grouping sets.
@@ -259,13 +152,13 @@ impl CubeQuery {
     /// ROLLUP with work counters.
     pub fn rollup_with_stats(&self, table: &Table) -> CubeResult<(Table, ExecStats)> {
         let lattice = Lattice::rollup(self.dims.len())?;
-        self.execute(table, &lattice)
+        self.execute(table, &lattice, None)
     }
 
     /// Plain `GROUP BY`: the single full grouping set (Figure 2).
     pub fn group_by(&self, table: &Table) -> CubeResult<Table> {
         let lattice = Lattice::new(self.dims.len(), vec![GroupingSet::full(self.dims.len())])?;
-        Ok(self.execute(table, &lattice)?.0)
+        Ok(self.execute(table, &lattice, None)?.0)
     }
 
     /// `GROUP BY GROUPING SETS (...)`: an explicit family, each set given
@@ -287,7 +180,7 @@ impl CubeQuery {
             .map(|s| GroupingSet::from_dims(s))
             .collect::<CubeResult<_>>()?;
         let lattice = Lattice::new(self.dims.len(), requested.clone())?;
-        self.execute_filtered(table, &lattice, Some(&requested))
+        self.execute(table, &lattice, Some(&requested))
     }
 
     /// The §3.1 compound form: `GROUP BY g ROLLUP r CUBE c`. The spec's
@@ -304,21 +197,22 @@ impl CubeQuery {
     ) -> CubeResult<(Table, ExecStats)> {
         let query = CubeQuery {
             dims: spec.dimensions(),
-            aggs: self.aggs.clone(),
-            algorithm: self.algorithm,
-            encoded: self.encoded,
-            vectorized: self.vectorized,
-            radix: self.radix,
-            rle: self.rle,
-            limits: self.limits.clone(),
+            ..self.clone()
         };
         let sets = spec.grouping_sets()?;
         let lattice = Lattice::new(query.dims.len(), sets.clone())?;
-        query.execute_filtered(table, &lattice, Some(&sets))
+        query.execute(table, &lattice, Some(&sets))
     }
 
-    fn execute(&self, table: &Table, lattice: &Lattice) -> CubeResult<(Table, ExecStats)> {
-        self.execute_filtered(table, lattice, None)
+    /// Execute with this query's algorithm and the paper's parent rule.
+    fn execute(
+        &self,
+        table: &Table,
+        lattice: &Lattice,
+        keep: Option<&[GroupingSet]>,
+    ) -> CubeResult<(Table, ExecStats)> {
+        let choice = ParentChoice::SmallestCardinality;
+        self.execute_filtered(table, lattice, keep, self.algorithm, choice)
     }
 
     fn execute_filtered(
@@ -326,6 +220,8 @@ impl CubeQuery {
         table: &Table,
         lattice: &Lattice,
         keep: Option<&[GroupingSet]>,
+        algorithm: Algorithm,
+        choice: ParentChoice,
     ) -> CubeResult<(Table, ExecStats)> {
         if self.aggs.is_empty() {
             return Err(CubeError::BadSpec(
@@ -348,6 +244,7 @@ impl CubeQuery {
             .iter()
             .map(|a| a.output_type(schema))
             .collect::<CubeResult<_>>()?;
+        let out_schema = result_schema(&dims, &aggs, &agg_types)?;
 
         let ctx = ExecContext::new(
             &self.limits,
@@ -359,36 +256,20 @@ impl CubeQuery {
         // a typed error instead of unwinding into the caller.
         let run = exec::guard("query", || {
             algorithm::run(
-                self.algorithm,
+                algorithm,
                 table.rows(),
                 &dims,
                 &aggs,
                 lattice,
+                choice,
+                self.encoded,
+                keep,
+                out_schema,
                 &mut stats,
-                self.path_opts(),
                 &ctx,
             )
         });
-        let mut grouped = match run {
-            Ok(Ok(grouped)) => grouped,
-            Ok(Err(e)) | Err(e) => return Err(e.with_partial_stats(stats)),
-        };
-        if let Some(keep) = keep {
-            match &mut grouped {
-                Grouped::Rows(maps) => maps.retain(|(s, _)| keep.contains(s)),
-                Grouped::Kernels(k) => k.sets.retain(|(s, _)| keep.contains(s)),
-            }
-        }
-        let out_schema = result_schema(&dims, &aggs, &agg_types)?;
-        let out = match grouped {
-            Grouped::Rows(maps) => exec::guard("query", || {
-                materialize(out_schema, maps, &aggs, &mut stats, &ctx)
-            }),
-            Grouped::Kernels(k) => {
-                exec::guard("query", || k.materialize(out_schema, &mut stats, &ctx))
-            }
-        };
-        match out {
+        match run {
             Ok(Ok(out)) => Ok((out, stats)),
             Ok(Err(e)) | Err(e) => Err(e.with_partial_stats(stats)),
         }

@@ -18,7 +18,7 @@
 //!   random query specs (compound `GROUP BY g ROLLUP r CUBE c`, holistic
 //!   MEDIAN/MODE, user-defined aggregates, budget/cancel settings).
 //! * [`runner`] — executes each case through every applicable algorithm ×
-//!   {encoded on/off} × {vectorized on/off} × {1,4,16} threads and diffs
+//!   {encoded keys on/off} × {1,4,16} threads and diffs
 //!   the canonicalized results against the model (sorted rows,
 //!   ULP-tolerant float compare).
 //! * [`shrink`] — greedily minimizes a failing case (rows, aggregates,

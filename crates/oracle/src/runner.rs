@@ -1,13 +1,13 @@
 //! The equivalence runner: every applicable engine path for a case.
 //!
 //! Hash-based algorithms (Auto, 2^N, union-of-GROUP-BYs, from-core,
-//! parallel at 1/4/16 threads) run under all four {encoded} × {vectorized}
-//! flag combinations, plus three forced radix/RLE overrides inside the
-//! vectorized engine (radix-vs-hash and RLE-vs-plain are execution axes
-//! of their own); the sort- and array-based algorithms have their own
-//! key machinery (the flags are documented no-ops) and run once each,
-//! gated on the lattice shapes they support — Sort on ROLLUP lattices,
-//! Array and PipeSort on full cubes.
+//! parallel at 1/4/16 threads) run on the arena engine and on the
+//! `Row`-keyed reference path (`encoded_keys` on/off; lane kind and the
+//! run-folding scan are the engine's own decisions, taken from the case's
+//! select list and key stream); the sort- and array-based algorithms have
+//! their own key machinery (the switch is a documented no-op) and run once
+//! each, gated on the lattice shapes they support — Sort on ROLLUP
+//! lattices, Array and PipeSort on full cubes.
 //!
 //! Ungoverned runs must match the model exactly (up to float tolerance).
 //! Governed runs may instead fail with the matching typed error
@@ -31,11 +31,6 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 pub struct Combo {
     pub algorithm: Algorithm,
     pub encoded: bool,
-    pub vectorized: bool,
-    /// Vectorized-engine radix-grouping override (`None` = auto-detect).
-    pub radix: Option<bool>,
-    /// Vectorized-engine RLE-scan override (`None` = auto-detect).
-    pub rle: Option<bool>,
 }
 
 /// All configurations applicable to a query kind.
@@ -49,59 +44,21 @@ pub fn combos(query: &QueryKind) -> Vec<Combo> {
         Algorithm::Parallel { threads: 4 },
         Algorithm::Parallel { threads: 16 },
     ];
-    let mut all = Vec::with_capacity(51);
+    let mut all = Vec::with_capacity(16);
     for algorithm in hash_algorithms {
         for encoded in [true, false] {
-            for vectorized in [true, false] {
-                all.push(Combo {
-                    algorithm,
-                    encoded,
-                    vectorized,
-                    radix: None,
-                    rle: None,
-                });
-            }
-        }
-        // The radix-vs-hash and RLE-vs-plain axes live inside the
-        // vectorized engine, so they are exercised only where it can run
-        // (encoded + vectorized): force each on, force each off, and
-        // force both on (RLE must win) against the auto-detecting base
-        // combo above.
-        for (radix, rle) in [
-            (Some(true), Some(false)),
-            (Some(false), Some(true)),
-            (Some(true), Some(true)),
-        ] {
-            all.push(Combo {
-                algorithm,
-                encoded: true,
-                vectorized: true,
-                radix,
-                rle,
-            });
+            all.push(Combo { algorithm, encoded });
         }
     }
-    match query {
-        QueryKind::Rollup => all.push(Combo {
-            algorithm: Algorithm::Sort,
-            encoded: true,
-            vectorized: true,
-            radix: None,
-            rle: None,
-        }),
-        QueryKind::Cube => {
-            for algorithm in [Algorithm::Array, Algorithm::PipeSort] {
-                all.push(Combo {
-                    algorithm,
-                    encoded: true,
-                    vectorized: true,
-                    radix: None,
-                    rle: None,
-                });
-            }
-        }
-        _ => {}
-    }
+    let zoo: &[Algorithm] = match query {
+        QueryKind::Rollup => &[Algorithm::Sort],
+        QueryKind::Cube => &[Algorithm::Array, Algorithm::PipeSort],
+        _ => &[],
+    };
+    all.extend(zoo.iter().map(|&algorithm| Combo {
+        algorithm,
+        encoded: true,
+    }));
     all
 }
 
@@ -110,14 +67,7 @@ pub fn run_engine(case: &Case, combo: &Combo) -> CubeResult<Table> {
     let mut q = CubeQuery::new()
         .algorithm(combo.algorithm)
         .encoded_keys(combo.encoded)
-        .vectorized(combo.vectorized)
         .limits(case.gov.limits());
-    if let Some(radix) = combo.radix {
-        q = q.radix(radix);
-    }
-    if let Some(rle) = combo.rle {
-        q = q.rle(rle);
-    }
     for (i, desc) in case.aggs.iter().enumerate() {
         q = q.aggregate(desc.spec(i));
     }
@@ -392,12 +342,11 @@ mod tests {
         assert!(cube.iter().any(|c| c.algorithm == Algorithm::Array));
         assert!(cube.iter().any(|c| c.algorithm == Algorithm::PipeSort));
         assert!(!cube.iter().any(|c| c.algorithm == Algorithm::Sort));
-        // 7 hash algorithms × (4 flag combos + 3 forced radix/rle
-        // combos), plus the dense pair.
-        assert_eq!(cube.len(), 51);
-        assert!(cube
-            .iter()
-            .any(|c| c.radix == Some(true) && c.rle == Some(true)));
+        // 7 hash algorithms × `encoded_keys` on/off, plus Sort on ROLLUP
+        // or the dense pair on CUBE.
+        assert_eq!(combos(&QueryKind::GroupBy).len(), 14);
+        assert_eq!(rollup.len(), 15);
+        assert_eq!(cube.len(), 16);
         assert!(cube
             .iter()
             .any(|c| c.algorithm == Algorithm::Parallel { threads: 16 }));

@@ -183,7 +183,10 @@ pub(crate) struct QueryRuntime {
     pub(crate) snap: CatalogSnapshot,
     pub(crate) limits: ExecLimits,
     pub(crate) threads: u64,
-    pub(crate) vectorized: bool,
+    /// The statement's wall-clock deadline (`limits.timeout` is what was
+    /// left of it when execution started; work that starts later, like the
+    /// populate-on-miss view build, re-derives its share from this).
+    pub(crate) deadline: Option<std::time::Instant>,
     /// The engine's lattice cache, when the session has `CUBE_CACHE ON`
     /// (`None` both when the option is off and for EXPLAIN, which must
     /// not touch traffic counters).
@@ -739,8 +742,7 @@ impl QueryRuntime {
         let mut query = agg_specs
             .iter()
             .fold(CubeQuery::new(), |q, spec| q.aggregate(spec.clone()))
-            .limits(self.limits.clone())
-            .vectorized(self.vectorized);
+            .limits(self.limits.clone());
         if self.threads > 0 {
             query = query.algorithm(Algorithm::Parallel {
                 threads: self.threads as usize,
@@ -799,28 +801,39 @@ impl QueryRuntime {
         };
 
         // Cache miss on an eligible statement: materialize its finest
-        // grouping as a new view for future ancestors. Best-effort —
-        // population is budget-gated and its errors never fail the query
-        // (the answer above is already correct from the base scan).
-        if !from_cache {
-            if let (Some(plan), Some(cache)) = (&cache_plan, &self.cache) {
-                let vdims: Vec<Dimension> = plan.dim_keys.iter().map(Dimension::column).collect();
-                let vaggs: Vec<AggSpec> = agg_specs
-                    .iter()
-                    .map(|s| match &s.input {
-                        Some(col) => AggSpec::new(Arc::clone(&s.func), &**col),
-                        None => AggSpec::star(Arc::clone(&s.func)),
-                    })
-                    .collect();
-                if let Ok(view) = datacube::CachedView::build(&working, &vdims, &vaggs) {
-                    let _ = cache.populate(
-                        &plan.table,
-                        plan.version,
-                        plan.dim_keys.clone(),
-                        plan.agg_keys.clone(),
-                        view,
-                    );
-                }
+        // grouping as a new view for future ancestors. Best-effort — the
+        // build runs under the statement's remaining deadline, cancel
+        // token and cell budget, population is budget-gated, and neither's
+        // errors fail the query (the answer above is already correct from
+        // the base scan).
+        let populating = self
+            .cache
+            .as_ref()
+            .filter(|c| !from_cache && c.is_enabled());
+        if let (Some(plan), Some(cache)) = (&cache_plan, populating) {
+            let vdims: Vec<Dimension> = plan.dim_keys.iter().map(Dimension::column).collect();
+            let vaggs: Vec<AggSpec> = agg_specs
+                .iter()
+                .map(|s| match &s.input {
+                    Some(col) => AggSpec::new(Arc::clone(&s.func), &**col),
+                    None => AggSpec::star(Arc::clone(&s.func)),
+                })
+                .collect();
+            let mut limits = self.limits.clone();
+            if let Some(deadline) = self.deadline {
+                let left = deadline.saturating_duration_since(std::time::Instant::now());
+                limits = limits.timeout(left);
+            }
+            let bpc = datacube::exec::estimate_bytes_per_cell(vdims.len(), vaggs.len());
+            let ctx = datacube::ExecContext::new(&limits, bpc);
+            if let Ok(view) = datacube::CachedView::build_within(&working, &vdims, &vaggs, &ctx) {
+                let _ = cache.populate(
+                    &plan.table,
+                    plan.version,
+                    plan.dim_keys.clone(),
+                    plan.agg_keys.clone(),
+                    view,
+                );
             }
         }
 

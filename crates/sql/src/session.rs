@@ -40,15 +40,13 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Session-level execution governance, applied to every aggregation
-/// query. `0` means "no limit" / "default" throughout (`vectorized`
-/// defaults to on; `SET VECTORIZED = 0` turns it off).
+/// query. `0` means "no limit" / "default" throughout.
 #[derive(Debug, Clone)]
 pub(crate) struct SessionOptions {
     pub(crate) max_cells: u64,
     pub(crate) max_memory_bytes: u64,
     pub(crate) timeout_ms: u64,
     pub(crate) threads: u64,
-    pub(crate) vectorized: bool,
     /// `SET CUBE_CACHE {ON|OFF}` — whether this session's statements may
     /// be answered from (and populate) the engine's lattice cache.
     pub(crate) cube_cache: bool,
@@ -62,7 +60,6 @@ impl Default for SessionOptions {
             max_memory_bytes: 0,
             timeout_ms: 0,
             threads: 0,
-            vectorized: true,
             cube_cache: true,
             cancel: None,
         }
@@ -144,7 +141,7 @@ impl Session {
                     snap: self.catalog.snapshot(),
                     limits: opts.limits(None, 0),
                     threads: opts.threads,
-                    vectorized: opts.vectorized,
+                    deadline: None,
                     // EXPLAIN must not perturb cache traffic counters.
                     cache: None,
                     cache_touch: std::cell::Cell::new((false, 0)),
@@ -187,7 +184,7 @@ impl Session {
             snap,
             limits: opts.limits(deadline, permit.granted_cells()),
             threads: opts.threads,
-            vectorized: opts.vectorized,
+            deadline,
             cache: opts.cube_cache.then(|| Arc::clone(&self.cache)),
             cache_touch: std::cell::Cell::new((false, 0)),
         };
@@ -448,10 +445,10 @@ impl Session {
 
     /// Set one session execution option. Recognized names
     /// (case-insensitive): `MAX_CELLS`, `MAX_MEMORY_BYTES`, `TIMEOUT_MS`,
-    /// `THREADS`, `VECTORIZED`, `CUBE_CACHE`. `0` resets the option to
-    /// unlimited/default — except `VECTORIZED` and `CUBE_CACHE`, where `0`
-    /// disables the feature and any non-zero value re-enables it (both
-    /// default on; the SQL form also accepts `SET CUBE_CACHE {ON|OFF}`).
+    /// `THREADS`, `CUBE_CACHE`. `0` resets the option to
+    /// unlimited/default — except `CUBE_CACHE`, where `0` disables the
+    /// cache and any non-zero value re-enables it (default on; the SQL
+    /// form also accepts `SET CUBE_CACHE {ON|OFF}`).
     /// Also the programmatic form of the `SET` statement. Scoped to this
     /// session: other sessions of the same engine are unaffected.
     pub fn set_option(&self, name: &str, value: i64) -> SqlResult<()> {
@@ -467,12 +464,11 @@ impl Session {
             "MAX_MEMORY_BYTES" => opts.max_memory_bytes = value,
             "TIMEOUT_MS" => opts.timeout_ms = value,
             "THREADS" => opts.threads = value,
-            "VECTORIZED" => opts.vectorized = value != 0,
             "CUBE_CACHE" => opts.cube_cache = value != 0,
             other => {
                 return Err(SqlError::Plan(format!(
                     "unknown option: {other} (expected MAX_CELLS, MAX_MEMORY_BYTES, \
-                     TIMEOUT_MS, THREADS, VECTORIZED, or CUBE_CACHE)"
+                     TIMEOUT_MS, THREADS, or CUBE_CACHE)"
                 )))
             }
         }

@@ -748,6 +748,12 @@ fn set_rejects_unknown_or_negative_options() {
         e.execute("SET NO_SUCH_OPTION = 1"),
         Err(SqlError::Plan(_))
     ));
+    // A retired knob is unknown like any other: lane kind is the engine's
+    // decision, not a session option.
+    assert!(matches!(
+        e.execute("SET VECTORIZED = 0"),
+        Err(SqlError::Plan(m)) if m.contains("unknown option: VECTORIZED")
+    ));
     assert!(matches!(
         e.execute("SET MAX_CELLS = -1"),
         Err(SqlError::Plan(_))

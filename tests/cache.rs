@@ -5,7 +5,7 @@
 
 use datacube::maintain::MaterializedCube;
 use datacube::{AggSpec, Dimension};
-use dc_aggregate::builtin;
+use dc_aggregate::{builtin, AggKind, UdaBuilder};
 use dc_relation::{row, DataType, Row, Schema, Table, Value};
 use dc_sql::{Engine, ServiceConfig};
 
@@ -266,6 +266,49 @@ fn set_cube_cache_off_is_per_session() {
     off.execute("SET CUBE_CACHE ON").unwrap();
     off.execute(sql).unwrap();
     assert!(off.last_admission().answered_from_cache);
+}
+
+/// With the engine-wide switch off, a cache-eligible statement neither
+/// touches the cache's counters nor pays for a view build it would only
+/// throw away: its UDA sees each base row exactly once.
+#[test]
+fn disabled_cache_neither_builds_nor_counts() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    let iter_calls = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&iter_calls);
+    let counted_sum = UdaBuilder::new("CSUM", AggKind::Algebraic, || 0i64)
+        .iter(move |s, v| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            *s += v.as_i64().unwrap_or(0);
+        })
+        .state(|s| vec![Value::Int(*s)])
+        .merge(|s, st| *s += st[0].as_i64().unwrap_or(0))
+        .finalize(|s| Value::Int(*s))
+        .build()
+        .unwrap();
+    let mut engine = engine_with_sales();
+    engine.register_aggregate(counted_sum).unwrap();
+    engine.cube_cache().set_enabled(false);
+    let before = engine.cube_cache().counters();
+
+    let sql = "SELECT model, year, CSUM(units) AS s FROM sales GROUP BY CUBE model, year";
+    for _ in 0..2 {
+        engine.execute(sql).unwrap();
+        assert!(!engine.session().last_admission().answered_from_cache);
+    }
+    assert_eq!(
+        iter_calls.load(Ordering::SeqCst),
+        2 * sales().len(),
+        "one scan per statement, no discarded view build"
+    );
+    let after = engine.cube_cache().counters();
+    assert_eq!((after.entries, after.cells), (0, 0), "{after:?}");
+    assert_eq!(
+        (after.misses, after.hits, after.evictions),
+        (before.misses, before.hits, before.evictions),
+        "{after:?}"
+    );
 }
 
 /// WHERE clauses, joins, and computed dimensions disqualify a statement

@@ -5,7 +5,8 @@
 //! The full fuzzer lives in `crates/oracle` (see README / DESIGN.md);
 //! these tests replay its minimal witnesses and the §3.4 NULL-vs-ALL
 //! discriminator through *every* execution path — each algorithm crossed
-//! with the encoded-key and vectorized toggles and several thread counts.
+//! with the encoded-key toggle and several thread counts; the cases pick
+//! select lists that land on both of the engine's lane kinds.
 
 use std::sync::Arc;
 
@@ -13,10 +14,10 @@ use datacube::{AggSpec, Algorithm, CompoundSpec, CubeQuery, Dimension};
 use dc_aggregate::{builtin, AggKind, AggregateFunction, UdaBuilder};
 use dc_relation::{DataType, Date, Row, Schema, Table, Value};
 
-/// Every (algorithm, encoded, vectorized) combination that accepts an
+/// Every (algorithm, encoded) combination that accepts an
 /// arbitrary lattice. Sort/Array/PipeSort are shape-restricted and are
 /// exercised separately where their shapes apply.
-fn hash_combos() -> Vec<(Algorithm, bool, bool)> {
+fn hash_combos() -> Vec<(Algorithm, bool)> {
     let algorithms = [
         Algorithm::Auto,
         Algorithm::TwoToTheN,
@@ -29,19 +30,14 @@ fn hash_combos() -> Vec<(Algorithm, bool, bool)> {
     let mut combos = Vec::new();
     for algorithm in algorithms {
         for encoded in [false, true] {
-            for vectorized in [false, true] {
-                combos.push((algorithm, encoded, vectorized));
-            }
+            combos.push((algorithm, encoded));
         }
     }
     combos
 }
 
-fn query(algorithm: Algorithm, encoded: bool, vectorized: bool) -> CubeQuery {
-    CubeQuery::new()
-        .algorithm(algorithm)
-        .encoded_keys(encoded)
-        .vectorized(vectorized)
+fn query(algorithm: Algorithm, encoded: bool) -> CubeQuery {
+    CubeQuery::new().algorithm(algorithm).encoded_keys(encoded)
 }
 
 /// A holistic UDA built without `state()`/`merge()` — its `Iter_super` is
@@ -86,24 +82,20 @@ fn merge_less_uda_super_aggregates_survive_every_hash_path() {
         .group_by(vec![Dimension::column("d0")])
         .cube(vec![Dimension::column("d1")]);
 
-    for (algorithm, encoded, vectorized) in hash_combos() {
-        let q = query(algorithm, encoded, vectorized)
+    for (algorithm, encoded) in hash_combos() {
+        let q = query(algorithm, encoded)
             .dimensions(spec.dimensions())
             .aggregate(AggSpec::new(merge_less_min(), "d0").with_name("a0"));
         let got = q
             .compound(&t, &spec)
-            .unwrap_or_else(|e| panic!("{algorithm:?} enc={encoded} vec={vectorized}: {e}"));
+            .unwrap_or_else(|e| panic!("{algorithm:?} enc={encoded}: {e}"));
         let rows = got.canonical_rows(2);
-        assert_eq!(
-            rows.len(),
-            2,
-            "{algorithm:?} enc={encoded} vec={vectorized}"
-        );
+        assert_eq!(rows.len(), 2, "{algorithm:?} enc={encoded}");
         for row in &rows {
             assert_eq!(
                 row[2],
                 Value::Float(1.5),
-                "{algorithm:?} enc={encoded} vec={vectorized}: \
+                "{algorithm:?} enc={encoded}: \
                  merge-less UDA lost its state in row {row:?}"
             );
         }
@@ -129,7 +121,7 @@ fn merge_less_uda_survives_sort_array_and_pipesort() {
 
     // Reference: the scan-based 2^N algorithm, correct by construction.
     let reference = |run: &dyn Fn(&CubeQuery) -> Table| -> Vec<Row> {
-        run(&query(Algorithm::TwoToTheN, false, false)
+        run(&query(Algorithm::TwoToTheN, false)
             .dimensions(dims.clone())
             .aggregate(agg()))
         .canonical_rows(2)
@@ -137,7 +129,7 @@ fn merge_less_uda_survives_sort_array_and_pipesort() {
 
     let cube_ref = reference(&|q| q.cube(&t).unwrap());
     for algorithm in [Algorithm::Array, Algorithm::PipeSort] {
-        let got = query(algorithm, true, true)
+        let got = query(algorithm, true)
             .dimensions(dims.clone())
             .aggregate(agg())
             .cube(&t)
@@ -146,7 +138,7 @@ fn merge_less_uda_survives_sort_array_and_pipesort() {
     }
 
     let rollup_ref = reference(&|q| q.rollup(&t).unwrap());
-    let got = query(Algorithm::Sort, true, true)
+    let got = query(Algorithm::Sort, true)
         .dimensions(dims.clone())
         .aggregate(agg())
         .rollup(&t)
@@ -185,16 +177,16 @@ fn null_groups_and_all_rows_stay_distinguishable_on_every_path() {
 
     let mut all_combos = hash_combos();
     for algorithm in [Algorithm::Array, Algorithm::PipeSort] {
-        all_combos.push((algorithm, true, true));
+        all_combos.push((algorithm, true));
     }
-    for (algorithm, encoded, vectorized) in all_combos {
-        let got = query(algorithm, encoded, vectorized)
+    for (algorithm, encoded) in all_combos {
+        let got = query(algorithm, encoded)
             .dimensions(dims.clone())
             .aggregate(AggSpec::new(builtin("SUM").unwrap(), "units").with_name("s"))
             .cube(&t)
-            .unwrap_or_else(|e| panic!("{algorithm:?} enc={encoded} vec={vectorized}: {e}"));
+            .unwrap_or_else(|e| panic!("{algorithm:?} enc={encoded}: {e}"));
         let rows = got.canonical_rows(2);
-        let tag = format!("{algorithm:?} enc={encoded} vec={vectorized}");
+        let tag = format!("{algorithm:?} enc={encoded}");
 
         // 3 core groups + 2 color slabs + 2 size slabs + grand total.
         assert_eq!(rows.len(), 8, "{tag}");
@@ -257,18 +249,18 @@ fn vectorized_zero_row_cube_is_empty_everywhere() {
     let t = Table::empty(schema);
     let dims = vec![Dimension::column("a"), Dimension::column("b")];
 
-    for (algorithm, encoded, vectorized) in hash_combos() {
-        let got = query(algorithm, encoded, vectorized)
+    for (algorithm, encoded) in hash_combos() {
+        let got = query(algorithm, encoded)
             .dimensions(dims.clone())
             .aggregate(AggSpec::new(builtin("SUM").unwrap(), "m").with_name("s"))
             .aggregate(AggSpec::new(builtin("COUNT").unwrap(), "m").with_name("n"))
             .aggregate(AggSpec::star(builtin("COUNT(*)").unwrap()).with_name("rows"))
             .cube(&t)
-            .unwrap_or_else(|e| panic!("{algorithm:?} enc={encoded} vec={vectorized}: {e}"));
+            .unwrap_or_else(|e| panic!("{algorithm:?} enc={encoded}: {e}"));
         assert_eq!(
             got.len(),
             0,
-            "{algorithm:?} enc={encoded} vec={vectorized}: empty input grew rows"
+            "{algorithm:?} enc={encoded}: empty input grew rows"
         );
     }
 }
@@ -286,17 +278,17 @@ fn vectorized_all_null_measure_count_vs_count_star() {
     }
     let dims = vec![Dimension::column("a")];
 
-    for (algorithm, encoded, vectorized) in hash_combos() {
-        let got = query(algorithm, encoded, vectorized)
+    for (algorithm, encoded) in hash_combos() {
+        let got = query(algorithm, encoded)
             .dimensions(dims.clone())
             .aggregate(AggSpec::new(builtin("COUNT").unwrap(), "m").with_name("n"))
             .aggregate(AggSpec::star(builtin("COUNT(*)").unwrap()).with_name("rows"))
             .aggregate(AggSpec::new(builtin("SUM").unwrap(), "m").with_name("s"))
             .aggregate(AggSpec::new(builtin("MIN").unwrap(), "m").with_name("lo"))
             .cube(&t)
-            .unwrap_or_else(|e| panic!("{algorithm:?} enc={encoded} vec={vectorized}: {e}"));
+            .unwrap_or_else(|e| panic!("{algorithm:?} enc={encoded}: {e}"));
         let rows = got.canonical_rows(1);
-        let tag = format!("{algorithm:?} enc={encoded} vec={vectorized}");
+        let tag = format!("{algorithm:?} enc={encoded}");
         assert_eq!(rows.len(), 3, "{tag}"); // x, y, grand total
 
         for row in &rows {

@@ -52,6 +52,19 @@ fn diagonal(n: i64) -> Table {
     t
 }
 
+/// `grid(nx, ny)` with every (x, y) pair repeated `len` times in a row —
+/// key runs long enough that the run-folding scan engages by sample.
+fn runs(nx: i64, ny: i64, len: usize) -> Table {
+    let g = grid(nx, ny);
+    let mut t = Table::empty(g.schema().clone());
+    for row in g.rows() {
+        for _ in 0..len {
+            t.push_unchecked(row.clone());
+        }
+    }
+    t
+}
+
 fn xy_dims() -> Vec<Dimension> {
     vec![Dimension::column("x"), Dimension::column("y")]
 }
@@ -520,55 +533,66 @@ fn cancellation_is_observed_between_morsels() {
 }
 
 #[test]
-fn cell_budget_trips_inside_the_radix_build() {
-    // Force the radix path (the 14-bit grid key would not auto-engage)
-    // and give it a quarter of the cells the core needs: the per-slot
-    // charge inside partition aggregation must unwind with partial stats
-    // that prove the radix build was running.
-    let t = grid(64, 64);
+fn cancellation_is_observed_inside_the_rle_scan() {
+    // Runs of 8 equal keys: the scan samples them and folds run-at-a-time.
+    let t = runs(32, 16, 8);
+    let token = CancelToken::new();
+    token.cancel();
     let err = CubeQuery::new()
         .dimensions(xy_dims())
         .aggregate(sum_units())
-        .algorithm(Algorithm::Parallel { threads: 2 })
-        .radix(true)
-        .limits(ExecLimits::none().max_cells(256))
+        .limits(ExecLimits::none().cancel_token(token))
         .cube_with_stats(&t)
         .unwrap_err();
     match err {
-        CubeError::ResourceExhausted {
-            resource, stats, ..
-        } => {
-            assert_eq!(resource, Resource::Cells);
+        CubeError::Cancelled { stats } => {
             assert_eq!(stats.vectorized_kernels_used, 1);
-            assert!(stats.radix_partitions > 0, "partial stats: {stats:?}");
-            assert!(stats.rows_scanned > 0, "partial stats: {stats:?}");
+            assert_eq!(stats.rle_runs, 0, "cancelled before the first run");
         }
-        other => panic!("expected ResourceExhausted, got {other:?}"),
+        other => panic!("expected Cancelled, got {other:?}"),
     }
 }
 
+/// The populate-on-miss view build runs under the statement's deadline:
+/// a build that cannot finish in what the query left of `TIMEOUT_MS` is
+/// dropped, and the already-answered query still returns its result.
 #[test]
-fn cancellation_is_observed_inside_rle_and_radix_scans() {
-    let t = grid(64, 64);
-    for force in ["rle", "radix"] {
-        let token = CancelToken::new();
-        token.cancel();
-        let mut q = CubeQuery::new()
-            .dimensions(xy_dims())
-            .aggregate(sum_units())
-            .limits(ExecLimits::none().cancel_token(token));
-        q = if force == "rle" {
-            q.rle(true)
-        } else {
-            q.radix(true)
-        };
-        match q.cube_with_stats(&t).unwrap_err() {
-            CubeError::Cancelled { stats } => {
-                assert_eq!(stats.vectorized_kernels_used, 1, "{force}");
+fn view_build_past_the_statement_deadline_is_dropped_not_failed() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    let t = grid(4, 3);
+    let n_rows = t.len();
+    // The query's scan makes the first `n_rows` Iter() calls; the first
+    // call after that belongs to the view build, and stalls it past the
+    // deadline.
+    let calls = Arc::new(AtomicUsize::new(0));
+    let slow_after_query = UdaBuilder::new("SLOWSUM", AggKind::Algebraic, || 0i64)
+        .iter(move |s, v| {
+            if calls.fetch_add(1, Ordering::SeqCst) == n_rows {
+                std::thread::sleep(Duration::from_millis(700));
             }
-            other => panic!("{force}: expected Cancelled, got {other:?}"),
-        }
-    }
+            *s += v.as_i64().unwrap_or(0);
+        })
+        .state(|s| vec![Value::Int(*s)])
+        .merge(|s, st| *s += st[0].as_i64().unwrap_or(0))
+        .finalize(|s| Value::Int(*s))
+        .build()
+        .unwrap();
+    let mut engine = dc_sql::Engine::new();
+    engine.register_table("g", t).unwrap();
+    engine.register_aggregate(slow_after_query).unwrap();
+    engine.execute("SET TIMEOUT_MS = 500").unwrap();
+    let out = engine
+        .execute("SELECT x, SLOWSUM(units) AS s FROM g GROUP BY x")
+        .unwrap();
+    assert_eq!(out.len(), 4, "the query itself met its deadline");
+    let counters = engine.cube_cache().counters();
+    assert_eq!(counters.misses, 1, "the statement was cache-eligible");
+    assert_eq!(
+        (counters.entries, counters.cells),
+        (0, 0),
+        "no view installed"
+    );
 }
 
 // ------------------------------------------------- fault injection ----
@@ -581,7 +605,7 @@ mod faults_suite {
     /// Every named failpoint site across the engine, including the
     /// service layer's (`service::*`, exercised separately below — they
     /// sit on the SQL session/server path, not the core cube path).
-    const SITES: [&str; 26] = [
+    const SITES: [&str; 25] = [
         "uda::init",
         "uda::iter",
         "uda::merge",
@@ -595,7 +619,6 @@ mod faults_suite {
         "pipesort::pipeline",
         "array::sweep",
         "vectorized::morsel",
-        "vectorized::radix_partition",
         "vectorized::rle_run",
         "materialize",
         "service::admit",
@@ -764,6 +787,11 @@ mod faults_suite {
             ("naive::scan", Algorithm::TwoToTheN),
             ("unions::scan", Algorithm::UnionGroupBys),
             ("materialize", Algorithm::FromCore),
+            // The UDA gives these plans boxed lanes: the morsel, worker
+            // and cascade sites sit on the one scan both lane kinds share.
+            ("vectorized::morsel", Algorithm::FromCore),
+            ("parallel::worker", Algorithm::Parallel { threads: 2 }),
+            ("cascade::level", Algorithm::FromCore),
         ] {
             arm(site, Fault::TripBudget);
             let result = cube_under_fault(&t, alg);
@@ -818,78 +846,17 @@ mod faults_suite {
         });
     }
 
-    /// The radix scatter/aggregate loops sit on their own failpoint.
-    /// Grid keys are narrow, so radix must be forced — and both fault
-    /// flavors must surface as typed errors carrying partial stats that
-    /// prove the radix path (not the plain morsel scan) was running.
+    /// The run-folding scan sits on its own failpoint, for both lane
+    /// kinds. It engages by sample: `runs` repeats every grid key 8 times
+    /// in a row. Both fault flavors unwind with typed errors.
     #[test]
-    fn radix_partition_site_fires_when_radix_is_forced() {
-        let t = grid(16, 8);
+    fn rle_run_site_fires_when_key_runs_engage_it() {
+        let t = runs(16, 8, 8);
         let run = |alg: Algorithm| {
             CubeQuery::new()
                 .dimensions(xy_dims())
                 .aggregate(sum_units())
                 .algorithm(alg)
-                .radix(true)
-                .cube_with_stats(&t)
-        };
-        silent_panics(|| {
-            let _cleanup = Disarm;
-            for alg in [Algorithm::FromCore, Algorithm::Parallel { threads: 4 }] {
-                // Unfaulted first: the forced radix path must agree with
-                // the default plan and report its partition count.
-                let (table, stats) = run(alg).unwrap();
-                let (want, _) = CubeQuery::new()
-                    .dimensions(xy_dims())
-                    .aggregate(sum_units())
-                    .algorithm(alg)
-                    .cube_with_stats(&t)
-                    .unwrap();
-                assert_eq!(table.rows(), want.rows(), "{alg:?}: radix changed cells");
-                assert!(stats.radix_partitions > 0, "{alg:?}: {stats:?}");
-
-                arm("vectorized::radix_partition", Fault::TripBudget);
-                let result = run(alg);
-                disarm_all();
-                match result {
-                    Err(CubeError::ResourceExhausted { stats, .. }) => {
-                        assert_eq!(stats.vectorized_kernels_used, 1, "{alg:?}");
-                        assert!(
-                            stats.radix_partitions > 0,
-                            "{alg:?}: fault must have fired inside the radix build"
-                        );
-                    }
-                    other => panic!("{alg:?} TripBudget: {other:?}"),
-                }
-
-                arm(
-                    "vectorized::radix_partition",
-                    Fault::Panic("radix down".into()),
-                );
-                let result = run(alg);
-                disarm_all();
-                match result {
-                    Err(CubeError::AggPanicked { message, .. }) => {
-                        assert!(message.contains("radix down"), "{alg:?}: {message}");
-                    }
-                    other => panic!("{alg:?} Panic: {other:?}"),
-                }
-            }
-        });
-    }
-
-    /// The RLE run-fold scan sits on its own failpoint; grid keys have
-    /// run length 1, so the scan must be forced. Fault flavors plus a
-    /// real cell budget and cancellation all unwind with typed errors.
-    #[test]
-    fn rle_run_site_fires_when_rle_is_forced() {
-        let t = grid(16, 8);
-        let run = |alg: Algorithm| {
-            CubeQuery::new()
-                .dimensions(xy_dims())
-                .aggregate(sum_units())
-                .algorithm(alg)
-                .rle(true)
                 .cube_with_stats(&t)
         };
         silent_panics(|| {
@@ -900,10 +867,20 @@ mod faults_suite {
                     .dimensions(xy_dims())
                     .aggregate(sum_units())
                     .algorithm(alg)
+                    .encoded_keys(false)
                     .cube_with_stats(&t)
                     .unwrap();
                 assert_eq!(table.rows(), want.rows(), "{alg:?}: rle changed cells");
-                assert!(stats.rle_runs > 0, "{alg:?}: {stats:?}");
+                assert_eq!(stats.rle_runs, 16 * 8, "{alg:?}: {stats:?}");
+
+                // Boxed lanes fold the same runs.
+                arm("vectorized::rle_run", Fault::TripBudget);
+                let boxed = cube_under_fault(&t, alg);
+                disarm_all();
+                assert!(
+                    matches!(boxed, Err(CubeError::ResourceExhausted { .. })),
+                    "{alg:?} boxed lanes: {boxed:?}"
+                );
 
                 arm("vectorized::rle_run", Fault::TripBudget);
                 let result = run(alg);

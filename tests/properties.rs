@@ -8,7 +8,7 @@ use datacube::{
     AggSpec, Algorithm, CompoundSpec, CubeQuery, DeltaBatch, Dimension, ExecContext,
     MaterializedCube,
 };
-use dc_aggregate::builtin;
+use dc_aggregate::{builtin, AggKind, UdaBuilder};
 use dc_relation::{DataType, Date, Row, Schema, Table, Value};
 use proptest::prelude::*;
 
@@ -256,45 +256,64 @@ proptest! {
         prop_assert_eq!(recubed.rows(), cube.rows());
     }
 
-    /// The encoded-key engine (packed u64 coordinates, Fx hash, flat
+    /// The arena engine (packed u64 coordinates, Fx hash, flat cell
     /// arenas) is an invisible drop-in for the Row-key path: identical
-    /// result tables AND identical Iter()/Final() call counts, for every
-    /// algorithm that routes through it, on random relations with mixed
-    /// Str/Int/Date dimensions including NULLs.
+    /// result tables AND identical work counters, for every algorithm
+    /// that routes through it and for both of its lane kinds — an
+    /// all-kernel select list, and lists where one non-kernel aggregate
+    /// (an algebraic built-in without a kernel, a user-defined aggregate)
+    /// gives the whole query boxed accumulators — on random relations
+    /// with mixed Str/Int/Date dimensions including NULLs.
     #[test]
     fn encoded_engine_matches_row_path(
         (n_dims, t) in arb_mixed_table(5, 80),
     ) {
-        for alg in [
-            Algorithm::TwoToTheN,
-            Algorithm::FromCore,
-            Algorithm::UnionGroupBys,
-            Algorithm::Parallel { threads: 2 },
-        ] {
-            let query = |encoded: bool| {
-                CubeQuery::new()
-                    .dimensions(mixed_dims(n_dims))
-                    .aggregate(AggSpec::new(builtin("SUM").unwrap(), "units").with_name("s"))
-                    .aggregate(AggSpec::new(builtin("COUNT").unwrap(), "units").with_name("n"))
-                    .algorithm(alg)
-                    .encoded_keys(encoded)
-                    .cube_with_stats(&t)
-                    .unwrap()
-            };
-            let (enc_table, enc_stats) = query(true);
-            let (row_table, row_stats) = query(false);
-            prop_assert_eq!(
-                enc_table.rows(), row_table.rows(),
-                "tables diverge under {:?} with {} dims", alg, n_dims
-            );
-            prop_assert_eq!(
-                enc_stats.iter_calls, row_stats.iter_calls,
-                "iter_calls diverge under {:?}", alg
-            );
-            prop_assert_eq!(
-                enc_stats.final_calls, row_stats.final_calls,
-                "final_calls diverge under {:?}", alg
-            );
+        let sum = || AggSpec::new(builtin("SUM").unwrap(), "units").with_name("s");
+        let usum = UdaBuilder::new("USUM", AggKind::Algebraic, || 0i64)
+            .iter(|s, v| *s += v.as_i64().unwrap_or(0))
+            .state(|s| vec![Value::Int(*s)])
+            .merge(|s, st| *s += st[0].as_i64().unwrap_or(0))
+            .finalize(|s| Value::Int(*s))
+            .build()
+            .unwrap();
+        // (select list, kernel lanes the engine should report)
+        let select_lists = [
+            (vec![sum(), count_units()], 2),
+            (vec![sum(), AggSpec::new(builtin("VARIANCE").unwrap(), "units").with_name("v")], 0),
+            (vec![sum(), AggSpec::new(usum, "units").with_name("u")], 0),
+        ];
+        for (aggs, kernel_lanes) in &select_lists {
+            for alg in [
+                Algorithm::TwoToTheN,
+                Algorithm::FromCore,
+                Algorithm::UnionGroupBys,
+                Algorithm::Parallel { threads: 2 },
+            ] {
+                let query = |encoded: bool| {
+                    aggs.iter()
+                        .fold(CubeQuery::new(), |q, a| q.aggregate(a.clone()))
+                        .dimensions(mixed_dims(n_dims))
+                        .algorithm(alg)
+                        .encoded_keys(encoded)
+                        .cube_with_stats(&t)
+                        .unwrap()
+                };
+                let (enc_table, enc_stats) = query(true);
+                let (row_table, row_stats) = query(false);
+                let tag = format!("{alg:?}, {n_dims} dims, {kernel_lanes} kernel lanes");
+                prop_assert_eq!(enc_table.rows(), row_table.rows(), "tables diverge: {}", tag);
+                prop_assert_eq!(enc_stats.vectorized_kernels_used, *kernel_lanes, "{}", tag);
+                prop_assert_eq!(row_stats.vectorized_kernels_used, 0, "{}", tag);
+                prop_assert_eq!(enc_stats.rows_scanned, row_stats.rows_scanned, "{}", tag);
+                prop_assert_eq!(enc_stats.iter_calls, row_stats.iter_calls, "{}", tag);
+                prop_assert_eq!(enc_stats.final_calls, row_stats.final_calls, "{}", tag);
+                // Coalesce merges depend on how rows were split across
+                // workers (morsels vs contiguous chunks); every serial
+                // plan's merge count is the cascade's alone.
+                if !matches!(alg, Algorithm::Parallel { .. }) {
+                    prop_assert_eq!(enc_stats.merge_calls, row_stats.merge_calls, "{}", tag);
+                }
+            }
         }
     }
 
@@ -365,12 +384,12 @@ fn arb_nullable_table(max_rows: usize) -> impl Strategy<Value = Table> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The vectorized kernels compute exactly what the row-path
+    /// The engine's kernel lanes compute exactly what the row-path
     /// Init/Iter/Final protocol computes — every built-in
     /// distributive/algebraic aggregate, NULLs in dimensions and
     /// measures, serial and parallel — with identical work counters.
     #[test]
-    fn vectorized_kernels_match_row_path(t in arb_nullable_table(120)) {
+    fn kernel_lanes_match_row_path(t in arb_nullable_table(120)) {
         let kernel_aggs = [
             AggSpec::new(builtin("COUNT").unwrap(), "units").with_name("n"),
             AggSpec::star(builtin("COUNT(*)").unwrap()).with_name("rows"),
@@ -381,13 +400,13 @@ proptest! {
             AggSpec::new(builtin("AVG").unwrap(), "price").with_name("avg"),
         ];
         for alg in [Algorithm::FromCore, Algorithm::Parallel { threads: 2 }] {
-            let query = |vectorized: bool| {
+            let query = |encoded: bool| {
                 kernel_aggs
                     .iter()
                     .fold(CubeQuery::new(), |q, a| q.aggregate(a.clone()))
                     .dimensions(vec![Dimension::column("d0"), Dimension::column("d1")])
                     .algorithm(alg)
-                    .vectorized(vectorized)
+                    .encoded_keys(encoded)
                     .cube_with_stats(&t)
                     .unwrap()
             };
@@ -408,25 +427,6 @@ proptest! {
                 "rows_scanned diverge under {:?}", alg
             );
         }
-    }
-
-    /// One non-kernel aggregate in the select list sends the whole query
-    /// down the row path — transparently: results match the vectorized
-    /// form of the kernel-only part and `vectorized_kernels_used` stays 0.
-    #[test]
-    fn non_kernel_aggregate_falls_back_to_row_path(t in arb_nullable_table(80)) {
-        let query = CubeQuery::new()
-            .dimensions(vec![Dimension::column("d0"), Dimension::column("d1")])
-            .aggregate(AggSpec::new(builtin("SUM").unwrap(), "units").with_name("s"))
-            .aggregate(AggSpec::new(builtin("PRODUCT").unwrap(), "d1").with_name("p"))
-            .algorithm(Algorithm::FromCore);
-        let (on, on_stats) = query.clone().vectorized(true).cube_with_stats(&t).unwrap();
-        let (off, off_stats) = query.vectorized(false).cube_with_stats(&t).unwrap();
-        // PRODUCT has no kernel, so `vectorized(true)` is a no-op here.
-        prop_assert_eq!(on_stats.vectorized_kernels_used, 0);
-        prop_assert_eq!(off_stats.vectorized_kernels_used, 0);
-        prop_assert_eq!(on.rows(), off.rows());
-        prop_assert_eq!(on_stats.iter_calls, off_stats.iter_calls);
     }
 }
 

@@ -30,12 +30,19 @@ fn big_table() -> Table {
     t
 }
 
-fn sum_query(threads: usize, vectorized: bool) -> CubeQuery {
-    CubeQuery::new()
+/// `SUM(units)` under `Parallel { threads }`. With `kernel_lanes` the
+/// select list is all-kernel; without, a VARIANCE (no kernel) rides along
+/// and gives the whole query boxed accumulator lanes.
+fn sum_query(threads: usize, kernel_lanes: bool) -> CubeQuery {
+    let query = CubeQuery::new()
         .dimensions(vec![Dimension::column("model"), Dimension::column("year")])
         .aggregate(AggSpec::new(builtin("SUM").unwrap(), "units").with_name("s"))
-        .algorithm(Algorithm::Parallel { threads })
-        .vectorized(vectorized)
+        .algorithm(Algorithm::Parallel { threads });
+    if kernel_lanes {
+        query
+    } else {
+        query.aggregate(AggSpec::new(builtin("VARIANCE").unwrap(), "units").with_name("v"))
+    }
 }
 
 fn grand_total(cube: &Table) -> i64 {
@@ -52,10 +59,11 @@ fn grand_total(cube: &Table) -> i64 {
 #[test]
 fn parallel_morsel_claims_are_exact_under_contention() {
     let t = big_table();
-    let serial = sum_query(1, false).cube(&t).unwrap();
+    let serial = [false, true].map(|kernel_lanes| sum_query(1, kernel_lanes).cube(&t).unwrap());
     for round in 0..8 {
         for &threads in &[2usize, 4, 8] {
-            let cube = sum_query(threads, round % 2 == 0).cube(&t).unwrap();
+            let kernel_lanes = round % 2 == 0;
+            let cube = sum_query(threads, kernel_lanes).cube(&t).unwrap();
             assert_eq!(
                 grand_total(&cube),
                 ROWS as i64,
@@ -63,7 +71,7 @@ fn parallel_morsel_claims_are_exact_under_contention() {
             );
             assert_eq!(
                 cube.rows(),
-                serial.rows(),
+                serial[kernel_lanes as usize].rows(),
                 "parallel result diverged at threads={threads} round={round}"
             );
         }
@@ -76,7 +84,7 @@ fn parallel_morsel_claims_are_exact_under_contention() {
 fn cancellation_race_is_all_or_nothing() {
     let t = big_table();
     for delay_us in [0u64, 20, 50, 100, 400, 2_000] {
-        for vectorized in [false, true] {
+        for kernel_lanes in [false, true] {
             let token = CancelToken::new();
             let canceller = {
                 let token = token.clone();
@@ -85,7 +93,7 @@ fn cancellation_race_is_all_or_nothing() {
                     token.cancel();
                 })
             };
-            let result = sum_query(4, vectorized)
+            let result = sum_query(4, kernel_lanes)
                 .limits(ExecLimits::none().cancel_token(token))
                 .cube(&t);
             canceller.join().unwrap();

@@ -33,11 +33,17 @@ if [ "${LINT_NIGHTLY:-0}" = "1" ]; then
     fi
 fi
 
+# One test thread: the fault registry is process-global, and the suite's
+# gate only serializes the tests that arm faults — an ungated test running
+# beside them would walk into their armed sites.
 echo "== fault-injection suite (--features faults) =="
-cargo test -q --features faults --test governance
+cargo test -q --features faults --test governance -- --test-threads=1
 
-echo "== cube_bench smoke (vectorized + encoded workloads wire up) =="
+echo "== cube_bench smoke (kernel-lane + Row-key workloads wire up) =="
 cargo run -q --release -p dc-bench --bin cube_bench -- --smoke
+
+echo "== dc_benchmark smoke (the pinned surface benchmark/ calls still builds and answers) =="
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 
 echo "== dc-serve smoke (TCP round trip, admission shed, malformed query survival) =="
 cargo run -q --release -p dc-sql --bin dc_serve -- --smoke
