@@ -21,9 +21,9 @@
 //!   dictionary-encoded dimensions, partition-parallel aggregation, and
 //!   PipeSort-style shared sorts over the symmetric chain decomposition
 //!   (the paper's \[ADGNRS\] citation);
-//! * partial-cube materialization per the paper's \[HRU\] citation
-//!   ([`subcube`]): greedy view selection and on-demand answering from
-//!   the cheapest materialized ancestor;
+//! * partial-cube selection per the paper's \[HRU\] citation
+//!   ([`subcube`]): greedy view selection over estimated or measured node
+//!   sizes;
 //! * cube [`addressing`] (§4): cell lookup, percent-of-total, the
 //!   `index()` financial function, and the `ALL()` set function of §3.3;
 //! * [`pivot`]: cross-tab and pivot-table rendering (Tables 4 and 6);
@@ -31,16 +31,18 @@
 //!   go NULL on super-aggregate rows;
 //! * dimension [`hierarchy`] support (§3.6): calendar and geographic
 //!   granularity lattices for star/snowflake designs;
-//! * incremental [`maintain`]: materialized cubes updated by
-//!   insert/delete/update with §6's taxonomy (SUM is algebraic for
-//!   DELETE; MAX is delete-holistic and triggers recomputation).
+//! * the materialized store ([`maintain`]): grouping-set cells kept
+//!   between statements — updated by insert/delete/update with §6's
+//!   taxonomy (SUM is algebraic for DELETE; MAX is delete-holistic and
+//!   triggers recomputation), and answering any grouping set from the
+//!   smallest usable materialized node (a full cube, an HRU selection and
+//!   a lattice-cache view are the same structure).
 //!
 //! See DESIGN.md in the repository root for the paper-to-module map and
 //! EXPERIMENTS.md for the regenerated tables and figures.
 
 pub mod addressing;
 pub mod algorithm;
-pub mod cache;
 pub mod decoration;
 pub(crate) mod encode;
 pub mod error;
@@ -55,12 +57,13 @@ pub mod spec;
 pub mod subcube;
 
 pub use algorithm::{Algorithm, ParentChoice};
-pub use cache::{rewritable, AncestorRequest, CachedView};
 pub use error::{CubeError, CubeResult, Resource};
 pub use exec::{CancelToken, ExecContext, ExecLimits};
 pub use groupby::{AdmissionVerdict, ExecStats};
 pub use lattice::{cube_sets, rollup_sets, GroupingSet, Lattice};
-pub use maintain::{DeltaBatch, MaintainStats, MaterializedCube};
+pub use maintain::{
+    rewritable, AncestorRequest, CachedView, DeltaBatch, MaintainStats, MaterializedCube,
+};
 pub use operator::{dense_cube_cardinality, rows_in_set, CubeQuery};
 pub use spec::{AggSpec, CompoundSpec, Dimension};
-pub use subcube::{greedy_select, PartialCube, SizeModel};
+pub use subcube::{greedy_select, SizeModel};

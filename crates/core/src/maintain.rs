@@ -1,59 +1,107 @@
-//! Maintaining materialized cubes (§6) — batched, sharded, governed.
+//! The materialized store (§6): the one structure that keeps grouping-set
+//! cells between statements.
 //!
 //! "We have been surprised that some customers use these operators to
 //! compute and store the cube. These customers then define triggers on the
 //! underlying tables so that when the tables change, the cube is
-//! dynamically updated." [`MaterializedCube`] is that pattern grown into a
-//! write path: changes accumulate in a columnar [`DeltaBatch`] and are
-//! folded into the cube one *grouping-set pass per batch* instead of one
-//! lock acquisition per row, and the §6 asymmetry —
+//! dynamically updated." [`MaterializedCube`] is that pattern: a family of
+//! grouping sets containing the core, kept current by
+//! [`MaterializedCube::apply`] and read by [`MaterializedCube::answer`].
+//! A maintained cube ([`MaterializedCube::cube`]), an HRU partial selection
+//! ([`MaterializedCube::with_lattice`] over
+//! [`crate::subcube::greedy_select`]'s picks) and a lattice-cache view
+//! ([`MaterializedCube::build`], exported as [`CachedView`]) are the same
+//! store with different families. DESIGN.md "Materialized store" has the
+//! long form of what follows.
 //!
-//! > "max is a distributive \[function\] for SELECT and INSERT, but it is
-//! > holistic for DELETE."
+//! **Cells** hold live accumulators plus a support count — not final
+//! values (an average of averages is wrong) and not `state()` tuples (a
+//! user-defined aggregate built without `state()`/`merge()` has none, and
+//! a maintained cube must still carry it).
 //!
-//! — is handled by *coalescing*: every cell whose scratchpad cannot absorb
-//! a retraction ([`dc_aggregate::Retract::Recompute`]) is rebuilt at most
-//! once per batch, from the post-batch base, no matter how many deleted
-//! champions hit it. [`MaintainStats`] counts both paths so the C9
-//! benchmark can show the cost cliff.
+//! **Reading.** A requested set is answered from the smallest materialized
+//! node that is *usable* for it (`usable`, the one ancestor test): its own
+//! node directly, a finer one by projecting and merging scratchpads.
 //!
-//! Concurrency shape:
+//! **Writing.** A [`DeltaBatch`] folds in one grouping-set pass. It first
+//! *stages* replacement scratchpads — existing state merged in by
+//! Iter_super, deletes retracted, inserts iterated — with every fallible
+//! call (governance ticks, budget charges, guarded UDA callbacks, fault
+//! injection) confined to that phase; only then does the infallible
+//! *install* swap the staged cells in and splice the base rows, so any
+//! failure leaves the store exactly at its pre-batch state and version.
+//! §6's asymmetry — "max is a distributive \[function\] for SELECT and
+//! INSERT, but it is holistic for DELETE" — is handled by *coalescing*: a
+//! cell whose scratchpad cannot absorb a retraction
+//! ([`dc_aggregate::Retract::Recompute`]) is rebuilt at most once per
+//! batch, from the post-batch base. That needs the base rows, so only the
+//! constructors that keep them (`cube`, `rollup`, `with_lattice`) accept
+//! deletes; a `build` view keeps none.
 //!
-//! * cells are sharded by a hash of `(grouping set, projected key)` across
-//!   [`SHARD_COUNT`] maps, each behind its own `parking_lot::RwLock`, so
-//!   batch writers touching disjoint shard subsets proceed in parallel and
-//!   single-cell readers ([`MaterializedCube::cell`]) never wait on an
-//!   unrelated shard;
-//! * a batch takes every shard lock it needs *in ascending shard order*
-//!   and holds them from staging through install — two-phase locking, so
-//!   no deadlock and no torn batch;
-//! * an outer gate serializes what must be serialized: insert-only batches
-//!   of mergeable aggregates share it (`read`), batches containing deletes
-//!   or non-mergeable aggregates take it exclusively (`write`), and a full
-//!   snapshot ([`MaterializedCube::to_table`]) takes it exclusively so a
-//!   reader never observes half a batch.
-//!
-//! Atomicity: a batch first *stages* replacement scratchpads — folding
-//! batch rows into fresh accumulators and merging existing cell state via
-//! Iter_super — with every fallible call (governance ticks, budget
-//! charges, guarded UDA callbacks, fault injection) confined to that
-//! phase; only then does the infallible *install* phase swap the staged
-//! cells in and splice the base rows. A cancellation, budget trip,
-//! deadline, or panicking aggregate anywhere in a batch therefore leaves
-//! the cube exactly at its pre-batch state and version.
+//! **Locks** (order: gate → shards ascending → meta). Cells are sharded by
+//! a hash of `(grouping set, key)` across [`SHARD_COUNT`] maps. A batch
+//! write-locks the shards it touches, ascending, from staging through
+//! install (two-phase: no deadlock, no torn batch). A whole-store reader
+//! (`answer`, `to_table`, `absorb`) read-locks *every* shard in the same
+//! order — against two-phase writers that is a whole-batch snapshot, and
+//! readers share it; [`MaterializedCube::cell`] reads one shard. The gate
+//! only orders writers: insert-only batches of mergeable aggregates share
+//! it, batches that rescan the base take it exclusively.
 
 use crate::error::{CubeError, CubeResult};
 use crate::exec::{self, ExecContext};
-use crate::groupby::{full_key, project_key, result_schema};
+use crate::groupby::{full_key, project_key, ExecStats};
 use crate::lattice::{GroupingSet, Lattice};
 use crate::spec::{AggSpec, BoundAgg, BoundDimension, Dimension};
-use dc_aggregate::{Accumulator, Retract};
-use dc_relation::{FxHashMap, Row, Schema, Table, Value};
+use dc_aggregate::{Accumulator, AggRef, Retract};
+use dc_relation::{ColumnDef, DataType, FxHashMap, RelError, Row, Schema, Table, Value};
 use parking_lot::RwLock;
+use std::sync::RwLockReadGuard;
 
 /// Number of cell-map shards. A power of two so routing is a mask; 16 is
 /// comfortably above the writer parallelism the service layer admits.
 pub const SHARD_COUNT: usize = 16;
+
+/// Whether a query using this aggregate may legally be answered from a
+/// *coarser-than-exact* materialized node's scratchpads.
+///
+/// The criterion is the paper's §5 taxonomy plus the Iter_super
+/// availability probe: the scratchpad must have a constant size bound
+/// (distributive or algebraic — holistic state is the whole multiset,
+/// so caching it buys nothing over the base table) and `merge` must
+/// genuinely fold sub-aggregate state (a UDA built without
+/// `state()`/`merge()` would silently drop data).
+pub fn rewritable(func: &AggRef) -> bool {
+    func.kind().bounded_state() && func.mergeable()
+}
+
+/// *Usability* of materialized node `node` for answering grouping set
+/// `query` ("A Cube Algebra with Comparative Operations", arXiv
+/// 2203.09390: one cube is usable for another when it is at least as fine
+/// and the measures can be re-aggregated): the node groups by a superset
+/// of the query's dimensions, and by exactly those dimensions unless every
+/// requested aggregate is [`rewritable`]. The one ancestor test — the
+/// store's node choice and the SQL cache's lookup both go through it.
+fn usable(query: GroupingSet, node: GroupingSet, rewritable: bool) -> bool {
+    query == node || (rewritable && query.subset_of(node))
+}
+
+/// How a query maps onto the [`MaterializedCube`] it wants answered from.
+///
+/// All indices are *store* positions: `dim_map[i]` is the store dimension
+/// backing query dimension `i`, `agg_map[k]` the store aggregate backing
+/// query aggregate `k`. Grouping sets are over the query's dimensions.
+pub struct AncestorRequest<'a> {
+    pub dim_map: &'a [usize],
+    pub dim_names: &'a [&'a str],
+    pub agg_map: &'a [usize],
+    pub agg_names: &'a [&'a str],
+    pub sets: &'a [GroupingSet],
+}
+
+/// A lattice-cache view: the store materialized at the core only, with no
+/// base rows ([`MaterializedCube::build`]).
+pub type CachedView = MaterializedCube;
 
 /// Work counters for maintenance operations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -83,8 +131,8 @@ impl MaintainStats {
     }
 }
 
-/// A columnar buffer of pending inserts and deletes — the unit of
-/// maintenance work. Accumulate changes with [`DeltaBatch::insert`] /
+/// A buffer of pending inserts and deletes — the unit of maintenance
+/// work. Accumulate changes with [`DeltaBatch::insert`] /
 /// [`DeltaBatch::delete`], then fold the whole batch into a cube with
 /// [`MaterializedCube::apply`].
 ///
@@ -94,9 +142,7 @@ impl MaintainStats {
 /// the whole batch is rejected before any state changes.
 #[derive(Default)]
 pub struct DeltaBatch {
-    /// Insert buffer, one column vector per base column.
-    cols: Vec<Vec<Value>>,
-    n_inserts: usize,
+    inserts: Vec<Row>,
     deletes: Vec<Row>,
 }
 
@@ -105,23 +151,19 @@ impl DeltaBatch {
         DeltaBatch::default()
     }
 
+    /// A batch of rows taken as they are; `apply` validates them.
+    fn of(inserts: Vec<Row>, deletes: Vec<Row>) -> Self {
+        DeltaBatch { inserts, deletes }
+    }
+
     /// Queue a row for insertion. The first insert fixes the batch's
     /// arity; later rows must match it (full schema validation happens at
     /// [`MaterializedCube::apply`]).
     pub fn insert(&mut self, row: Row) -> CubeResult<()> {
-        if self.cols.is_empty() {
-            self.cols = (0..row.len()).map(|_| Vec::new()).collect();
+        if let Some(first) = self.inserts.first() {
+            arity(first.len(), &row)?;
         }
-        if row.len() != self.cols.len() {
-            return Err(CubeError::Rel(dc_relation::RelError::ArityMismatch {
-                expected: self.cols.len(),
-                got: row.len(),
-            }));
-        }
-        for (col, v) in self.cols.iter_mut().zip(row.0) {
-            col.push(v);
-        }
-        self.n_inserts += 1;
+        self.inserts.push(row);
         Ok(())
     }
 
@@ -132,7 +174,7 @@ impl DeltaBatch {
 
     /// Number of queued inserts.
     pub fn insert_count(&self) -> usize {
-        self.n_inserts
+        self.inserts.len()
     }
 
     /// Number of queued deletes.
@@ -142,43 +184,60 @@ impl DeltaBatch {
 
     /// Total queued operations.
     pub fn len(&self) -> usize {
-        self.n_inserts + self.deletes.len()
+        self.inserts.len() + self.deletes.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Materialize insert `i` back into row form.
-    fn insert_row(&self, i: usize) -> Row {
-        Row::new(self.cols.iter().map(|c| c[i].clone()).collect())
-    }
-
     /// Validate every queued row against the cube's base schema.
     fn validate(&self, schema: &Schema) -> CubeResult<()> {
-        if self.n_inserts > 0 && self.cols.len() != schema.len() {
-            return Err(CubeError::Rel(dc_relation::RelError::ArityMismatch {
-                expected: schema.len(),
-                got: self.cols.len(),
-            }));
-        }
-        for (col, def) in self.cols.iter().zip(schema.columns().iter()) {
-            for v in col.iter() {
+        for row in &self.inserts {
+            arity(schema.len(), row)?;
+            for (v, def) in row.iter().zip(schema.columns()) {
                 def.check(v)?;
             }
         }
-        for row in &self.deletes {
-            if row.len() != schema.len() {
-                return Err(CubeError::Rel(dc_relation::RelError::ArityMismatch {
-                    expected: schema.len(),
-                    got: row.len(),
-                }));
+        self.deletes.iter().try_for_each(|r| arity(schema.len(), r))
+    }
+
+    /// Cancel matching insert/delete pairs and return the survivors.
+    fn annihilate(&self) -> (Vec<&Row>, Vec<&Row>) {
+        if self.deletes.is_empty() || self.inserts.is_empty() {
+            return (self.inserts.iter().collect(), self.deletes.iter().collect());
+        }
+        let mut del_count: FxHashMap<&Row, usize> = FxHashMap::default();
+        for d in &self.deletes {
+            *del_count.entry(d).or_insert(0) += 1;
+        }
+        let mut ins_rows = Vec::with_capacity(self.inserts.len());
+        for row in &self.inserts {
+            match del_count.get_mut(row) {
+                Some(c) if *c > 0 => *c -= 1,
+                _ => ins_rows.push(row),
             }
         }
-        Ok(())
+        let del_rows = del_count
+            .into_iter()
+            .flat_map(|(row, count)| std::iter::repeat_n(row, count))
+            .collect();
+        (ins_rows, del_rows)
     }
 }
 
+fn arity(expected: usize, row: &Row) -> CubeResult<()> {
+    if row.len() == expected {
+        return Ok(());
+    }
+    Err(CubeError::Rel(RelError::ArityMismatch {
+        expected,
+        got: row.len(),
+    }))
+}
+
+/// The one cell format: live scratchpads plus the number of base rows
+/// behind them.
 struct Cell {
     accs: Vec<Box<dyn Accumulator>>,
     /// Base rows contributing to this cell; when it reaches zero the cell
@@ -186,16 +245,20 @@ struct Cell {
     support: u64,
 }
 
-/// One shard of the cell store: for each grouping set, the cells whose
-/// `(set, key)` hash routes here.
+/// One shard of the cell store: for each materialized grouping set, the
+/// cells whose `(set, key)` hash routes here.
 struct Shard {
     maps: Vec<FxHashMap<Row, Cell>>,
 }
 
 /// Base rows, counters, and the maintenance version, behind their own
 /// lock so shard writers and metadata readers do not contend.
+#[derive(Clone, Default)]
 struct Meta {
+    /// The base table, when the constructor keeps it (empty otherwise).
     base: Vec<Row>,
+    /// Base rows the cells summarize, kept or not.
+    rows: u64,
     stats: MaintainStats,
     /// Monotone maintenance version: bumped per maintained row, so derived
     /// structures (the SQL layer's lattice cache keys results by table
@@ -215,20 +278,6 @@ fn shard_of(set_idx: usize, key: &Row) -> usize {
     (h.finish() as usize) & (SHARD_COUNT - 1)
 }
 
-/// What a batch resolved one touched cell into during staging. Installing
-/// these is pure pointer/arithmetic work — no fallible calls.
-enum StagedOp {
-    New {
-        accs: Vec<Box<dyn Accumulator>>,
-        support: u64,
-    },
-    Replace {
-        accs: Vec<Box<dyn Accumulator>>,
-        support: u64,
-    },
-    Remove,
-}
-
 /// Per-cell slice of a batch: which batch inserts and deletes project onto
 /// this `(set, key)`.
 #[derive(Default)]
@@ -237,23 +286,49 @@ struct GroupDelta {
     del: Vec<u32>,
 }
 
-/// A cube kept up to date under INSERT / DELETE / UPDATE, batch-first.
+/// The post-annihilation batch plus the base it lands on — what staging a
+/// touched cell reads.
+struct Staging<'a> {
+    ins_rows: &'a [&'a Row],
+    del_rows: &'a [&'a Row],
+    base: &'a [Row],
+    /// `deleted[i]`: base row `i` leaves with this batch (empty when the
+    /// batch deletes nothing).
+    deleted: &'a [bool],
+}
+
+/// Grouping-set cells kept current under INSERT / DELETE / UPDATE and
+/// answering grouping-set families from their smallest usable node.
 pub struct MaterializedCube {
     base_schema: Schema,
-    result_schema: Schema,
     dims: Vec<BoundDimension>,
     aggs: Vec<BoundAgg>,
+    agg_types: Vec<DataType>,
+    /// The materialized family: cascade-ordered, core first.
     sets: Vec<GroupingSet>,
     /// Every aggregate supports Iter_super, so existing cells can be
     /// reconstructed from their `state()` during staging. When false, any
     /// touch of an existing cell falls back to a rebuild from base.
     all_mergeable: bool,
+    /// Whether `meta.base` holds the base rows (deletes and non-mergeable
+    /// aggregates need them; a cache view does not pay for them).
+    keeps_base: bool,
     /// The batch gate: insert-only mergeable batches share it, batches
-    /// with deletes (or non-mergeable aggregates) and full snapshots take
-    /// it exclusively. Lock order: gate → shards (ascending) → meta.
+    /// that rescan the base take it exclusively. Lock order: gate →
+    /// shards (ascending) → meta.
     gate: RwLock<()>,
     shards: Vec<RwLock<Shard>>,
     meta: RwLock<Meta>,
+}
+
+impl std::fmt::Debug for MaterializedCube {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MaterializedCube")
+            .field("sets", &self.sets)
+            .field("cells", &self.cell_count())
+            .field("base_rows", &self.base_row_count())
+            .finish()
+    }
 }
 
 impl MaterializedCube {
@@ -269,12 +344,57 @@ impl MaterializedCube {
         Self::with_lattice(table, dims, aggs, lattice)
     }
 
-    /// Materialize an explicit grouping-set family.
+    /// Materialize an explicit grouping-set family (a [`Lattice`] always
+    /// contains the core), keeping the base rows so the store accepts
+    /// deletes. With [`crate::subcube::greedy_select`]'s picks this is the
+    /// HRU partial cube.
     pub fn with_lattice(
         table: &Table,
         dims: Vec<Dimension>,
         aggs: Vec<AggSpec>,
         lattice: Lattice,
+    ) -> CubeResult<Self> {
+        let ctx = ExecContext::unlimited();
+        Self::materialize(table, &dims, &aggs, lattice.sets(), true, &ctx)
+    }
+
+    /// A lattice-cache view with no execution limits: see
+    /// [`MaterializedCube::build_within`].
+    pub fn build(table: &Table, dims: &[Dimension], aggs: &[AggSpec]) -> CubeResult<Self> {
+        Self::build_within(table, dims, aggs, &ExecContext::unlimited())
+    }
+
+    /// A lattice-cache view: the core GROUP BY over `dims` only, and no
+    /// copy of the base rows. `ctx` governs the scan — a populate-on-miss
+    /// build runs under its statement's deadline, cancel token and cell
+    /// budget.
+    ///
+    /// Fails with [`CubeError::Unsupported`] if any aggregate is not
+    /// [`rewritable`] — callers probe legality *before* paying the scan.
+    pub fn build_within(
+        table: &Table,
+        dims: &[Dimension],
+        aggs: &[AggSpec],
+        ctx: &ExecContext,
+    ) -> CubeResult<Self> {
+        if let Some(a) = aggs.iter().find(|a| !rewritable(&a.func)) {
+            return Err(CubeError::Unsupported(format!(
+                "{} cannot be answered from cached ancestor state \
+                 (holistic or non-mergeable)",
+                a.func.name()
+            )));
+        }
+        let core = Lattice::new(dims.len(), Vec::new())?;
+        Self::materialize(table, dims, aggs, core.sets(), false, ctx)
+    }
+
+    fn materialize(
+        table: &Table,
+        dims: &[Dimension],
+        aggs: &[AggSpec],
+        sets: &[GroupingSet],
+        keeps_base: bool,
+        ctx: &ExecContext,
     ) -> CubeResult<Self> {
         if aggs.is_empty() {
             return Err(CubeError::BadSpec(
@@ -282,70 +402,324 @@ impl MaterializedCube {
             ));
         }
         let schema = table.schema();
-        let bdims: Vec<BoundDimension> = dims
-            .iter()
-            .map(|d| d.bind(schema))
-            .collect::<CubeResult<_>>()?;
-        let baggs: Vec<BoundAgg> = aggs
-            .iter()
-            .map(|a| a.bind(schema))
-            .collect::<CubeResult<_>>()?;
-        let agg_types: Vec<_> = aggs
-            .iter()
-            .map(|a| a.output_type(schema))
-            .collect::<CubeResult<_>>()?;
-        let result_schema = result_schema(&bdims, &baggs, &agg_types)?;
-        let sets: Vec<GroupingSet> = lattice.sets().to_vec();
-        let all_mergeable = baggs.iter().all(|a| a.func.mergeable());
-
-        let cube = MaterializedCube {
-            base_schema: schema.clone(),
-            result_schema,
-            dims: bdims,
-            aggs: baggs,
-            all_mergeable,
-            gate: RwLock::new(()),
-            shards: (0..SHARD_COUNT)
-                .map(|_| {
-                    RwLock::new(Shard {
-                        maps: sets.iter().map(|_| FxHashMap::default()).collect(),
-                    })
-                })
-                .collect(),
-            sets,
-            meta: RwLock::new(Meta {
-                base: Vec::new(),
-                stats: MaintainStats::default(),
-                version: 0,
-            }),
+        let bind = |a: &AggSpec| -> CubeResult<(BoundAgg, DataType)> {
+            Ok((a.bind(schema)?, a.output_type(schema)?))
         };
-        // Initial population is one batch fold — the same path every later
-        // batch takes.
-        let mut batch = DeltaBatch::new();
-        for row in table.rows() {
-            batch.insert(row.clone())?;
+        let (aggs, agg_types): (Vec<BoundAgg>, Vec<DataType>) = aggs
+            .iter()
+            .map(bind)
+            .collect::<CubeResult<Vec<_>>>()?
+            .into_iter()
+            .unzip();
+        let mut cube = MaterializedCube {
+            base_schema: schema.clone(),
+            dims: dims
+                .iter()
+                .map(|d| d.bind(schema))
+                .collect::<CubeResult<_>>()?,
+            all_mergeable: aggs.iter().all(|a| a.func.mergeable()),
+            aggs,
+            agg_types,
+            sets: sets.to_vec(),
+            keeps_base,
+            gate: RwLock::new(()),
+            shards: Vec::new(),
+            meta: RwLock::new(Meta::default()),
+        };
+        if !cube.all_mergeable {
+            // No Iter_super to project with: fold the rows through the
+            // batch path, which Iter()s every set's cells directly.
+            cube.install(Vec::new());
+            cube.apply(&DeltaBatch::of(table.rows().to_vec(), Vec::new()), ctx)?;
+            // Initial population is not "maintenance": reset the counters.
+            let meta = cube.meta.get_mut();
+            (meta.stats, meta.version) = (MaintainStats::default(), 0);
+            return Ok(cube);
         }
-        cube.apply(&batch, &ExecContext::unlimited())?;
-        // Initial population is not "maintenance": reset the counters.
-        let mut meta = cube.meta.write();
-        meta.stats = MaintainStats::default();
-        meta.version = 0;
-        drop(meta);
+
+        // The engine's core scan, with a COUNT(*) lane for the support.
+        let mut scan = cube.aggs.clone();
+        scan.push(BoundAgg {
+            func: std::sync::Arc::new(dc_aggregate::distributive::CountStar),
+            input: None,
+            output: "support".into(),
+        });
+        let mut stats = ExecStats::default();
+        let states =
+            crate::algorithm::core_states(table.rows(), &cube.dims, &scan, &mut stats, ctx)?;
+        let mut core = FxHashMap::default();
+        for (i, (key, mut states)) in states.into_iter().enumerate() {
+            ctx.tick(i)?;
+            let support = states.pop().and_then(|s| s.first().and_then(Value::as_i64));
+            let mut accs = exec::guarded_init(&cube.aggs)?;
+            for ((acc, agg), state) in accs.iter_mut().zip(&cube.aggs).zip(&states) {
+                exec::guard(agg.func.name(), || acc.merge(state))?;
+            }
+            let support = support.unwrap_or(0) as u64;
+            core.insert(key, Cell { accs, support });
+        }
+        // Every other materialized set by Iter_super from its smallest
+        // already-built ancestor (the core at worst).
+        let mut nodes = vec![core];
+        let every_agg: Vec<usize> = (0..cube.aggs.len()).collect();
+        for (si, &set) in cube.sets.iter().enumerate().skip(1) {
+            let parent = (0..si)
+                .filter(|&m| set.subset_of(cube.sets[m]))
+                .min_by_key(|&m| nodes[m].len())
+                .unwrap_or(0);
+            let project = |key: &Row| project_key(key, set);
+            let node = cube.project_merge(nodes[parent].iter(), project, &every_agg, ctx)?;
+            nodes.push(node);
+        }
+        cube.install(nodes);
+        let meta = cube.meta.get_mut();
+        meta.rows = table.len() as u64;
+        if keeps_base {
+            meta.base = table.rows().to_vec();
+        }
         Ok(cube)
+    }
+
+    /// Route fully built per-set cell maps into (fresh) shards.
+    fn install(&mut self, nodes: Vec<FxHashMap<Row, Cell>>) {
+        let empty = || Shard {
+            maps: self.sets.iter().map(|_| FxHashMap::default()).collect(),
+        };
+        let mut shards: Vec<Shard> = (0..SHARD_COUNT).map(|_| empty()).collect();
+        for (si, node) in nodes.into_iter().enumerate() {
+            for (key, cell) in node {
+                shards[shard_of(si, &key)].maps[si].insert(key, cell);
+            }
+        }
+        self.shards = shards.into_iter().map(RwLock::new).collect();
+    }
+
+    /// The one project-merge loop: fold `cells` by Iter_super into the
+    /// cells of a coarser (or equal) grouping, keyed by `project(key)`,
+    /// carrying the aggregates `agg_map` names. Fresh cells charge `ctx`.
+    fn project_merge<'c>(
+        &self,
+        cells: impl Iterator<Item = (&'c Row, &'c Cell)>,
+        project: impl Fn(&Row) -> Row,
+        agg_map: &[usize],
+        ctx: &ExecContext,
+    ) -> CubeResult<FxHashMap<Row, Cell>> {
+        use std::collections::hash_map::Entry;
+        let mut out: FxHashMap<Row, Cell> = FxHashMap::default();
+        for (i, (key, cell)) in cells.enumerate() {
+            ctx.tick(i)?;
+            let merged = match out.entry(project(key)) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    ctx.charge_cells(1)?;
+                    let funcs = agg_map.iter().map(|&a| &self.aggs[a].func);
+                    let accs = funcs.map(|f| exec::guard(f.name(), || f.init()));
+                    let accs = accs.collect::<CubeResult<_>>()?;
+                    e.insert(Cell { accs, support: 0 })
+                }
+            };
+            merged.support += cell.support;
+            for (acc, &a) in merged.accs.iter_mut().zip(agg_map) {
+                let from = &cell.accs[a];
+                exec::guard(self.aggs[a].func.name(), || acc.merge(&from.state()))?;
+            }
+        }
+        Ok(out)
+    }
+
+    /// Whether some materialized node is [`usable`] for the finest
+    /// grouping a request over these maps can ask for — the lookup test a
+    /// cache policy applies before calling [`MaterializedCube::answer`].
+    pub fn can_answer(&self, dim_map: &[usize], agg_map: &[usize]) -> bool {
+        let Ok(query) = GroupingSet::from_dims(dim_map) else {
+            return false;
+        };
+        if !self.in_range(dim_map, agg_map) {
+            return false;
+        }
+        let mergeable = self.all_rewritable(agg_map);
+        self.sets.iter().any(|&m| usable(query, m, mergeable))
+    }
+
+    fn in_range(&self, dim_map: &[usize], agg_map: &[usize]) -> bool {
+        dim_map.iter().all(|&d| d < self.dims.len()) && agg_map.iter().all(|&a| a < self.aggs.len())
+    }
+
+    fn all_rewritable(&self, agg_map: &[usize]) -> bool {
+        agg_map.iter().all(|&a| rewritable(&self.aggs[a].func))
+    }
+
+    /// Answer a grouping-set family by Iter_super (Figure 8): each
+    /// requested set is read from the minimum-cell materialized node that
+    /// is [`usable`] for it — directly when that node is the set itself,
+    /// otherwise by projecting the node's cells onto the set and merging
+    /// scratchpads per projected key — and finalized. A set no node is
+    /// usable for is [`CubeError::Unsupported`].
+    ///
+    /// Output is bit-identical to the operator's: sets ordered from the
+    /// core down (length descending, then bitmask ascending, deduplicated)
+    /// and each set's rows sorted by key. Every output cell charges `ctx`,
+    /// the *query's* context, so a governed session cannot exceed its
+    /// grant just because the answer came from the store.
+    pub fn answer(&self, req: &AncestorRequest<'_>, ctx: &ExecContext) -> CubeResult<Table> {
+        exec::failpoint("cache::rewrite")?;
+        let paired =
+            req.dim_names.len() == req.dim_map.len() && req.agg_names.len() == req.agg_map.len();
+        if !paired || !self.in_range(req.dim_map, req.agg_map) {
+            return Err(CubeError::BadSpec(format!(
+                "ancestor request does not fit the store: every name needs an index, within \
+                 its {} dimensions and {} aggregates",
+                self.dims.len(),
+                self.aggs.len()
+            )));
+        }
+        let mut sets: Vec<GroupingSet> = req.sets.to_vec();
+        sets.sort_by(|a, b| b.len().cmp(&a.len()).then(a.bits().cmp(&b.bits())));
+        sets.dedup();
+        let dims = req.dim_names.iter().zip(req.dim_map);
+        let mut cols: Vec<ColumnDef> = dims
+            .map(|(name, &d)| ColumnDef::with_all(name, self.dims[d].dtype))
+            .collect();
+        for (name, &a) in req.agg_names.iter().zip(req.agg_map) {
+            cols.push(ColumnDef::new(name, self.agg_types[a]));
+        }
+        let mut out = Table::empty(Schema::new(cols)?);
+        let mergeable = self.all_rewritable(req.agg_map);
+
+        let shards: Vec<RwLockReadGuard<'_, Shard>> =
+            self.shards.iter().map(|s| s.read()).collect();
+        let cells_of = |si: usize| shards.iter().flat_map(move |s| s.maps[si].iter());
+        let size_of = |si: usize| shards.iter().map(|s| s.maps[si].len()).sum::<usize>();
+        for set in sets {
+            ctx.checkpoint()?;
+            let members: Vec<usize> = (0..req.dim_map.len())
+                .filter(|&q| set.contains(q))
+                .map(|q| req.dim_map[q])
+                .collect();
+            let query = GroupingSet::from_dims(&members)?;
+            let node = (0..self.sets.len())
+                .filter(|&si| usable(query, self.sets[si], mergeable))
+                .min_by_key(|&si| (size_of(si), self.sets[si] != query))
+                .ok_or_else(|| {
+                    CubeError::Unsupported(format!(
+                        "no materialized grouping set can answer {query}: it is not \
+                         materialized itself, and a coarser answer needs a materialized \
+                         superset and distributive or algebraic, mergeable aggregates"
+                    ))
+                })?;
+            let exact = self.sets[node] == query;
+            let project = |key: &Row| {
+                let member = |(q, &d): (usize, &usize)| match set.contains(q) {
+                    true => key[d].clone(),
+                    false => Value::All,
+                };
+                Row::new(req.dim_map.iter().enumerate().map(member).collect())
+            };
+            // (projected key, scratchpads): the stored ones, in store
+            // order, when the node is the set itself; merged ones, in
+            // request order, otherwise.
+            let merged: Vec<Cell>;
+            let mut rows: Vec<(Row, &[Box<dyn Accumulator>])> = Vec::new();
+            if exact {
+                for (i, (key, cell)) in cells_of(node).enumerate() {
+                    ctx.tick(i)?;
+                    ctx.charge_cells(1)?;
+                    rows.push((project(key), &cell.accs));
+                }
+            } else {
+                // cube-lint: allow(foreign, Iter_super must read the node's cells while the snapshot pins them; every callback is individually catch_unwind-guarded and the read guards cannot be poisoned)
+                let cells = self.project_merge(cells_of(node), project, req.agg_map, ctx)?;
+                let (keys, cells): (Vec<Row>, Vec<Cell>) = cells.into_iter().unzip();
+                merged = cells;
+                rows.extend(keys.into_iter().zip(merged.iter().map(|c| &c.accs[..])));
+            }
+            rows.sort_by(|a, b| a.0.cmp(&b.0));
+            for (i, (key, accs)) in rows.into_iter().enumerate() {
+                ctx.tick(i)?;
+                let mut vals = key.0;
+                for (k, &a) in req.agg_map.iter().enumerate() {
+                    let acc = &accs[if exact { a } else { k }];
+                    // cube-lint: allow(foreign, Final() must read the cell while the snapshot pins it; the guard turns a UDA panic into AggPanicked after the read guards unwind cleanly)
+                    vals.push(exec::guard(self.aggs[a].func.name(), || acc.final_value())?);
+                }
+                out.push_unchecked(Row::new(vals));
+            }
+        }
+        Ok(out)
+    }
+
+    /// Snapshot the store as a relation (same canonical order as
+    /// [`crate::CubeQuery::cube`]): [`MaterializedCube::answer`] over every
+    /// materialized set, so the snapshot reflects whole batches only.
+    /// Errors with `AggPanicked` if a user-defined aggregate panics in
+    /// Final().
+    pub fn to_table(&self) -> CubeResult<Table> {
+        let dim_map: Vec<usize> = (0..self.dims.len()).collect();
+        let agg_map: Vec<usize> = (0..self.aggs.len()).collect();
+        let dim_names: Vec<&str> = self.dims.iter().map(|d| &*d.name).collect();
+        let agg_names: Vec<&str> = self.aggs.iter().map(|a| &*a.output).collect();
+        let req = AncestorRequest {
+            dim_map: &dim_map,
+            dim_names: &dim_names,
+            agg_map: &agg_map,
+            agg_names: &agg_names,
+            sets: &self.sets,
+        };
+        self.answer(&req, &ExecContext::unlimited())
+    }
+
+    /// The store `delta`'s rows would have produced had they been in the
+    /// table all along, as a *new* store: the cells are deep-copied and the
+    /// insert-only batch applied to the private copy, so a reader holding
+    /// the old `Arc` keeps its snapshot. Deletes are not absorbed this way
+    /// — callers holding a base-less view invalidate it instead.
+    pub fn absorb(&self, delta: &Table) -> CubeResult<Self> {
+        exec::failpoint("cache::absorb")?;
+        if !self.all_mergeable {
+            return Err(CubeError::Unsupported(
+                "cells of a non-mergeable aggregate cannot be copied".into(),
+            ));
+        }
+        let ctx = ExecContext::unlimited();
+        let every_agg: Vec<usize> = (0..self.aggs.len()).collect();
+        let shards: Vec<RwLockReadGuard<'_, Shard>> =
+            self.shards.iter().map(|s| s.read()).collect();
+        let mut nodes = Vec::with_capacity(self.sets.len());
+        for si in 0..self.sets.len() {
+            let cells = shards.iter().flat_map(|s| s.maps[si].iter());
+            // cube-lint: allow(foreign, the copy must read state() while the snapshot pins the cells; every callback is individually catch_unwind-guarded and the read guards cannot be poisoned)
+            nodes.push(self.project_merge(cells, Row::clone, &every_agg, &ctx)?);
+        }
+        let mut copy = MaterializedCube {
+            base_schema: self.base_schema.clone(),
+            dims: self.dims.clone(),
+            aggs: self.aggs.clone(),
+            agg_types: self.agg_types.clone(),
+            sets: self.sets.clone(),
+            all_mergeable: self.all_mergeable,
+            keeps_base: self.keeps_base,
+            gate: RwLock::new(()),
+            shards: Vec::new(),
+            meta: RwLock::new(self.meta.read().clone()),
+        };
+        drop(shards);
+        copy.install(nodes);
+        copy.apply(&DeltaBatch::of(delta.rows().to_vec(), Vec::new()), &ctx)?;
+        Ok(copy)
     }
 
     /// Trigger path for `INSERT`: a batch of one.
     pub fn insert(&self, row: Row) -> CubeResult<()> {
-        let mut batch = DeltaBatch::new();
-        batch.insert(row)?;
-        self.apply(&batch, &ExecContext::unlimited())
+        self.apply(
+            &DeltaBatch::of(vec![row], Vec::new()),
+            &ExecContext::unlimited(),
+        )
     }
 
     /// Trigger path for `DELETE`: a batch of one. Errors if the row is
     /// not present in the base table.
     pub fn delete(&self, row: &Row) -> CubeResult<()> {
-        let mut batch = DeltaBatch::new();
-        batch.delete(row.clone());
+        let batch = DeltaBatch::of(Vec::new(), vec![row.clone()]);
         self.apply(&batch, &ExecContext::unlimited())
     }
 
@@ -361,12 +735,11 @@ impl MaterializedCube {
     /// All-or-nothing: on any error the cube is bit-for-bit at its
     /// pre-batch state and version. The panic guard wraps the whole fold,
     /// so a panicking user-defined aggregate surfaces as a typed
-    /// [`CubeError::AggPanicked`], never an unwind into the caller.
+    /// [`CubeError::AggPanicked`], never an unwind into the caller. A
+    /// batch that needs base rows (it deletes) on a store that keeps none
+    /// is [`CubeError::Unsupported`].
     pub fn apply(&self, batch: &DeltaBatch, ctx: &ExecContext) -> CubeResult<()> {
-        match exec::guard("maintain", || self.apply_inner(batch, ctx)) {
-            Ok(result) => result,
-            Err(e) => Err(e),
-        }
+        exec::guard("maintain", || self.apply_inner(batch, ctx)).and_then(|r| r)
     }
 
     fn apply_inner(&self, batch: &DeltaBatch, ctx: &ExecContext) -> CubeResult<()> {
@@ -376,8 +749,8 @@ impl MaterializedCube {
         batch.validate(&self.base_schema)?;
 
         // Annihilate insert/delete pairs: the batch is a multiset delta.
-        let (ins_rows, del_rows) = annihilate(batch);
-        let stats_delta = MaintainStats {
+        let (ins_rows, del_rows) = batch.annihilate();
+        let mut stats = MaintainStats {
             inserts: batch.insert_count() as u64,
             deletes: batch.delete_count() as u64,
             batches: 1,
@@ -389,39 +762,39 @@ impl MaterializedCube {
         // they hold the gate exclusively. Insert-only mergeable batches
         // share it and serialize only on the shards they actually touch.
         let exclusive = !del_rows.is_empty() || !self.all_mergeable;
-        let _gate_shared;
-        let _gate_excl;
+        if exclusive && !self.keeps_base {
+            return Err(CubeError::Unsupported(
+                "this store keeps no base rows, so it cannot apply deletes".into(),
+            ));
+        }
+        let (_gate_shared, _gate_excl);
         if exclusive {
-            _gate_excl = Some(self.gate.write());
-            _gate_shared = None;
+            _gate_excl = self.gate.write();
         } else {
-            _gate_excl = None;
-            _gate_shared = Some(self.gate.read());
+            _gate_shared = self.gate.read();
         }
 
         // Resolve deletes against the base multiset before touching
         // anything: a batch with an unmatched delete is rejected whole.
-        let deleted_idx: Vec<usize> = if del_rows.is_empty() {
-            Vec::new()
-        } else {
+        // `deleted[i]`: base row `i` leaves with this batch.
+        let mut deleted: Vec<bool> = Vec::new();
+        if !del_rows.is_empty() {
             let meta = self.meta.read();
             let mut positions: FxHashMap<&Row, Vec<usize>> = FxHashMap::default();
             for (i, brow) in meta.base.iter().enumerate() {
                 ctx.tick(i)?;
                 positions.entry(brow).or_default().push(i);
             }
-            let mut idx = Vec::with_capacity(del_rows.len());
+            deleted = vec![false; meta.base.len()];
             for row in &del_rows {
-                let pos = positions.get_mut(row).and_then(|v| v.pop());
-                match pos {
-                    Some(p) => idx.push(p),
+                match positions.get_mut(row).and_then(Vec::pop) {
+                    Some(p) => deleted[p] = true,
                     None => {
                         return Err(CubeError::BadSpec(format!("row not in base table: {row}")))
                     }
                 }
             }
-            idx
-        };
+        }
 
         // --- Fold stage: one grouping-set pass over the whole batch. ---
         exec::failpoint("maintain::batch_fold")?;
@@ -458,207 +831,154 @@ impl MaterializedCube {
             shard_ids.iter().map(|&s| self.shards[s].write()).collect();
 
         // --- Staging: every fallible call happens here, pre-mutation. ---
-        let mut deleted_mask = Vec::new();
-        let mut staged: Vec<(usize, usize, Row, StagedOp)> = Vec::new();
-        let mut stage_stats = MaintainStats::default();
+        // A staged `None` removes the cell (its support reached zero).
+        let mut staged: Vec<(usize, usize, Row, Option<Cell>)> = Vec::new();
         {
             let meta = self.meta.read();
-            if !deleted_idx.is_empty() {
-                deleted_mask = vec![false; meta.base.len()];
-                for &i in &deleted_idx {
-                    deleted_mask[i] = true;
-                }
-            }
+            let staging = Staging {
+                ins_rows: &ins_rows,
+                del_rows: &del_rows,
+                base: &meta.base,
+                deleted: &deleted,
+            };
             for (gpos, (_, cells)) in shard_ids.iter().zip(guards.iter()).enumerate() {
                 ctx.checkpoint()?;
                 for (si, key, delta) in by_shard.get(&shard_ids[gpos]).into_iter().flatten() {
                     // cube-lint: allow(foreign, two-phase by design: staging must fold against the pre-install cells, so UDA calls run under the shard set; every callback is individually catch_unwind-guarded, so a panic surfaces as AggPanicked without poisoning the guards)
-                    let op = self.stage_group(
+                    let cell = self.stage_group(
                         &cells.maps[*si],
-                        *si,
+                        self.sets[*si],
                         key,
                         delta,
-                        &ins_rows,
-                        &del_rows,
-                        &meta.base,
-                        &deleted_mask,
+                        &staging,
                         ctx,
-                        &mut stage_stats,
+                        &mut stats,
                     )?;
-                    if let Some(op) = op {
-                        staged.push((gpos, *si, key.clone(), op));
-                    }
+                    staged.push((gpos, *si, key.clone(), cell));
                 }
             }
         }
 
         // --- Install: infallible. Swap staged cells in, splice the base.
-        for (gpos, si, key, op) in staged {
+        for (gpos, si, key, cell) in staged {
             let map = &mut guards[gpos].maps[si];
-            match op {
-                StagedOp::New { accs, support } | StagedOp::Replace { accs, support } => {
-                    map.insert(key, Cell { accs, support });
-                }
-                StagedOp::Remove => {
-                    map.remove(&key);
-                }
-            }
+            match cell {
+                Some(cell) => map.insert(key, cell),
+                None => map.remove(&key),
+            };
         }
         let mut meta = self.meta.write();
-        if !deleted_idx.is_empty() {
-            let mut idx = deleted_idx;
-            idx.sort_unstable_by(|a, b| b.cmp(a));
-            for i in idx {
-                meta.base.swap_remove(i);
-            }
+        let mut leaves = deleted.iter();
+        meta.base
+            .retain(|_| !leaves.next().copied().unwrap_or(false));
+        if self.keeps_base {
+            meta.base.extend(ins_rows.iter().map(|&r| r.clone()));
         }
-        meta.base.extend(ins_rows);
-        meta.stats.add(&stats_delta);
-        meta.stats.add(&stage_stats);
-        meta.version += stats_delta.inserts + stats_delta.deletes;
+        meta.rows += ins_rows.len() as u64;
+        meta.rows -= del_rows.len() as u64;
+        meta.stats.add(&stats);
+        meta.version += batch.len() as u64;
         Ok(())
     }
 
-    /// Resolve one touched `(set, key)` cell into a staged operation.
-    /// Pure with respect to cube state: reads the existing cell, never
-    /// mutates it. `None` means the group annihilated (no surviving ops).
+    /// Resolve one touched `(set, key)` cell into its replacement (`None`:
+    /// the cell's support reached zero and it goes). Pure with respect to
+    /// cube state: reads the existing cell, never mutates it.
     #[allow(clippy::too_many_arguments)]
     fn stage_group(
         &self,
         map: &FxHashMap<Row, Cell>,
-        si: usize,
+        set: GroupingSet,
         key: &Row,
         delta: &GroupDelta,
-        ins_rows: &[Row],
-        del_rows: &[Row],
-        base: &[Row],
-        deleted_mask: &[bool],
+        staging: &Staging<'_>,
         ctx: &ExecContext,
         stats: &mut MaintainStats,
-    ) -> CubeResult<Option<StagedOp>> {
-        if delta.ins.is_empty() && delta.del.is_empty() {
+    ) -> CubeResult<Option<Cell>> {
+        let inserts = || delta.ins.iter().map(|&i| staging.ins_rows[i as usize]);
+        let Some(cell) = map.get(key) else {
+            if !delta.del.is_empty() {
+                return Err(CubeError::BadSpec(format!(
+                    "corrupt cube: no cell for deleted row in {set}"
+                )));
+            }
+            ctx.charge_cells(1)?;
+            let mut accs = exec::guarded_init(&self.aggs)?;
+            self.fold_rows(&mut accs, inserts(), ctx)?;
+            stats.cells_updated += 1;
+            let support = delta.ins.len() as u64;
+            return Ok(Some(Cell { accs, support }));
+        };
+        let d = delta.del.len() as u64;
+        if d > cell.support {
+            return Err(CubeError::BadSpec(format!(
+                "corrupt cube: cell support underflow in {set}"
+            )));
+        }
+        let support = cell.support - d + delta.ins.len() as u64;
+        if support == 0 {
+            stats.cells_updated += 1;
             return Ok(None);
         }
-        let set = self.sets[si];
-        match map.get(key) {
-            None => {
-                if !delta.del.is_empty() {
-                    return Err(CubeError::BadSpec(format!(
-                        "corrupt cube: no cell for deleted row in {set}"
-                    )));
-                }
-                ctx.charge_cells(1)?;
-                let mut accs = exec::guarded_init(&self.aggs)?;
-                self.fold_rows(
-                    &mut accs,
-                    delta.ins.iter().map(|&i| &ins_rows[i as usize]),
-                    ctx,
-                )?;
+        let accs = match self.stage_incremental(cell, delta, staging, ctx)? {
+            Some(accs) => {
                 stats.cells_updated += 1;
-                Ok(Some(StagedOp::New {
-                    accs,
-                    support: delta.ins.len() as u64,
-                }))
+                accs
             }
-            Some(cell) => {
-                let d = delta.del.len() as u64;
-                if d > cell.support {
-                    return Err(CubeError::BadSpec(format!(
-                        "corrupt cube: cell support underflow in {set}"
-                    )));
-                }
-                let support = cell.support - d + delta.ins.len() as u64;
-                if support == 0 {
-                    stats.cells_updated += 1;
-                    return Ok(Some(StagedOp::Remove));
-                }
-                if self.all_mergeable {
-                    if let Some(accs) =
-                        self.stage_incremental(cell, delta, ins_rows, del_rows, ctx)?
-                    {
-                        stats.cells_updated += 1;
-                        return Ok(Some(StagedOp::Replace { accs, support }));
+            // The delete-holistic (or non-mergeable) path: rebuild the
+            // cell once, from the post-batch base — however many batch
+            // rows hit it.
+            None => {
+                exec::failpoint("maintain::recompute")?;
+                let mut accs = exec::guarded_init(&self.aggs)?;
+                for (i, brow) in staging.base.iter().enumerate() {
+                    ctx.tick(i)?;
+                    if staging.deleted.get(i).copied().unwrap_or(false) {
+                        continue;
+                    }
+                    stats.rows_rescanned += 1;
+                    if project_key(&full_key(&self.dims, brow), set) == *key {
+                        self.fold_rows(&mut accs, std::iter::once(brow), ctx)?;
                     }
                 }
-                // The delete-holistic (or non-mergeable) path: rebuild the
-                // cell once, from the post-batch base — however many batch
-                // rows hit it.
-                let accs =
-                    self.rebuild_cell(set, key, delta, ins_rows, base, deleted_mask, ctx, stats)?;
+                self.fold_rows(&mut accs, inserts(), ctx)?;
                 stats.cells_recomputed += 1;
-                Ok(Some(StagedOp::Replace { accs, support }))
+                accs
             }
-        }
+        };
+        Ok(Some(Cell { accs, support }))
     }
 
     /// Try the cheap path for an existing cell: reconstruct its
     /// scratchpads from `state()` via Iter_super, retract the batch
-    /// deletes, fold the batch inserts. `None` if any retraction demands a
-    /// recompute.
+    /// deletes, fold the batch inserts. `None` if the aggregates cannot
+    /// merge or any retraction demands a recompute.
     fn stage_incremental(
         &self,
         cell: &Cell,
         delta: &GroupDelta,
-        ins_rows: &[Row],
-        del_rows: &[Row],
+        staging: &Staging<'_>,
         ctx: &ExecContext,
     ) -> CubeResult<Option<Vec<Box<dyn Accumulator>>>> {
+        if !self.all_mergeable {
+            return Ok(None);
+        }
         let mut accs = exec::guarded_init(&self.aggs)?;
         for ((acc, old), agg) in accs.iter_mut().zip(cell.accs.iter()).zip(self.aggs.iter()) {
-            let state = exec::guard(agg.func.name(), || old.state())?;
-            exec::guard(agg.func.name(), || acc.merge(&state))?;
+            exec::guard(agg.func.name(), || acc.merge(&old.state()))?;
         }
         for &i in &delta.del {
             ctx.checkpoint()?;
             for (acc, agg) in accs.iter_mut().zip(self.aggs.iter()) {
-                match acc.retract(agg.input_value(&del_rows[i as usize])) {
+                match acc.retract(agg.input_value(staging.del_rows[i as usize])) {
                     Retract::Applied => {}
                     Retract::Recompute | Retract::Unsupported => return Ok(None),
                 }
             }
         }
-        self.fold_rows(
-            &mut accs,
-            delta.ins.iter().map(|&i| &ins_rows[i as usize]),
-            ctx,
-        )?;
+        let inserts = delta.ins.iter().map(|&i| staging.ins_rows[i as usize]);
+        self.fold_rows(&mut accs, inserts, ctx)?;
         Ok(Some(accs))
-    }
-
-    /// Rebuild one cell's scratchpads from the post-batch base: surviving
-    /// base rows plus the batch inserts that project onto `key`.
-    #[allow(clippy::too_many_arguments)]
-    fn rebuild_cell(
-        &self,
-        set: GroupingSet,
-        key: &Row,
-        delta: &GroupDelta,
-        ins_rows: &[Row],
-        base: &[Row],
-        deleted_mask: &[bool],
-        ctx: &ExecContext,
-        stats: &mut MaintainStats,
-    ) -> CubeResult<Vec<Box<dyn Accumulator>>> {
-        exec::failpoint("maintain::recompute")?;
-        let mut accs = exec::guarded_init(&self.aggs)?;
-        for (i, brow) in base.iter().enumerate() {
-            ctx.tick(i)?;
-            if deleted_mask.get(i).copied().unwrap_or(false) {
-                continue;
-            }
-            stats.rows_rescanned += 1;
-            if project_key(&full_key(&self.dims, brow), set) == *key {
-                for (acc, agg) in accs.iter_mut().zip(self.aggs.iter()) {
-                    exec::guard(agg.func.name(), || acc.iter(agg.input_value(brow)))?;
-                }
-            }
-        }
-        self.fold_rows(
-            &mut accs,
-            delta.ins.iter().map(|&i| &ins_rows[i as usize]),
-            ctx,
-        )?;
-        Ok(accs)
     }
 
     /// Fold rows into scratchpads, every Iter under the panic guard.
@@ -681,13 +1001,10 @@ impl MaterializedCube {
     /// aggregated). `None` when the cell is not materialized or an
     /// aggregate's Final() panics (the panic is contained, not propagated).
     pub fn cell(&self, coordinate: &[Value]) -> Option<Vec<Value>> {
-        let mask = coordinate
-            .iter()
-            .enumerate()
-            .fold(
-                GroupingSet::EMPTY,
-                |m, (d, v)| if v.is_all() { m } else { m.with(d) },
-            );
+        let grouped: Vec<usize> = (0..coordinate.len())
+            .filter(|&d| !coordinate[d].is_all())
+            .collect();
+        let mask = GroupingSet::from_dims(&grouped).ok()?;
         let si = self.sets.iter().position(|s| *s == mask)?;
         let key = Row::new(coordinate.to_vec());
         let shard = self.shards[shard_of(si, &key)].read();
@@ -700,38 +1017,15 @@ impl MaterializedCube {
             .collect()
     }
 
-    /// Snapshot the cube as a relation (same canonical order as
-    /// [`crate::CubeQuery::cube`]). Takes the batch gate exclusively, so
-    /// the snapshot reflects whole batches only — never a torn one.
-    /// Errors with `AggPanicked` if a user-defined aggregate panics in
-    /// Final().
-    pub fn to_table(&self) -> CubeResult<Table> {
-        let _gate = self.gate.write();
-        let shards: Vec<std::sync::RwLockReadGuard<'_, Shard>> =
-            self.shards.iter().map(|s| s.read()).collect();
-        let mut out = Table::empty(self.result_schema.clone());
-        for si in 0..self.sets.len() {
-            let mut keys: Vec<&Row> = shards.iter().flat_map(|s| s.maps[si].keys()).collect();
-            keys.sort();
-            for key in keys {
-                let cell = shards
-                    .iter()
-                    .find_map(|s| s.maps[si].get(key))
-                    .ok_or_else(|| CubeError::BadSpec("corrupt cube: key without cell".into()))?;
-                let mut vals = key.values().to_vec();
-                for (a, agg) in cell.accs.iter().zip(self.aggs.iter()) {
-                    // cube-lint: allow(foreign, the snapshot holds the gate exactly so no batch can run mid-read; Final() is guarded and a panic propagates as AggPanicked after the guards unwind cleanly)
-                    vals.push(exec::guard(agg.func.name(), || a.final_value())?);
-                }
-                out.push_unchecked(Row::new(vals));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Current base-table contents.
+    /// Current base-table contents (empty for a store that keeps none).
     pub fn base_rows(&self) -> Vec<Row> {
         self.meta.read().base.clone()
+    }
+
+    /// Base-table rows the cells summarize — the scan a hit saves —
+    /// whether or not the store keeps the rows themselves.
+    pub fn base_row_count(&self) -> u64 {
+        self.meta.read().rows
     }
 
     /// Maintenance work counters since construction.
@@ -739,12 +1033,24 @@ impl MaterializedCube {
         self.meta.read().stats
     }
 
-    /// Number of materialized cells across all grouping sets.
-    pub fn cell_count(&self) -> usize {
-        self.shards
+    /// Cells per materialized grouping set, in cascade order (core first)
+    /// — the measured node sizes HRU selection and node choice rank by.
+    pub fn node_sizes(&self) -> Vec<(GroupingSet, u64)> {
+        let shards: Vec<RwLockReadGuard<'_, Shard>> =
+            self.shards.iter().map(|s| s.read()).collect();
+        let cells = |si: usize| shards.iter().map(|s| s.maps[si].len() as u64).sum();
+        self.sets
             .iter()
-            .map(|s| s.read().maps.iter().map(|m| m.len()).sum::<usize>())
-            .sum()
+            .enumerate()
+            .map(|(si, &set)| (set, cells(si)))
+            .collect()
+    }
+
+    /// Number of materialized cells across all grouping sets — for a
+    /// core-only view its cardinality, the quantity smallest-ancestor
+    /// lookup and benefit-per-cell eviction rank by.
+    pub fn cell_count(&self) -> u64 {
+        self.node_sizes().iter().map(|&(_, n)| n).sum()
     }
 
     /// Maintenance version: 0 at construction, +1 per maintained row (an
@@ -754,34 +1060,6 @@ impl MaterializedCube {
     pub fn version(&self) -> u64 {
         self.meta.read().version
     }
-}
-
-/// Cancel matching insert/delete pairs inside one batch and return the
-/// survivors as row vectors.
-fn annihilate(batch: &DeltaBatch) -> (Vec<Row>, Vec<Row>) {
-    if batch.deletes.is_empty() || batch.n_inserts == 0 {
-        let ins = (0..batch.n_inserts).map(|i| batch.insert_row(i)).collect();
-        return (ins, batch.deletes.clone());
-    }
-    let mut del_count: FxHashMap<&Row, usize> = FxHashMap::default();
-    for d in &batch.deletes {
-        *del_count.entry(d).or_insert(0) += 1;
-    }
-    let mut ins_rows = Vec::with_capacity(batch.n_inserts);
-    for i in 0..batch.n_inserts {
-        let row = batch.insert_row(i);
-        match del_count.get_mut(&row) {
-            Some(c) if *c > 0 => *c -= 1,
-            _ => ins_rows.push(row),
-        }
-    }
-    let mut del_rows = Vec::new();
-    for (row, count) in del_count {
-        for _ in 0..count {
-            del_rows.push(row.clone());
-        }
-    }
-    (ins_rows, del_rows)
 }
 
 #[cfg(test)]
@@ -1232,5 +1510,261 @@ mod more_tests {
         mat.delete(&row!["a", 100]).unwrap();
         mat.insert(row!["a", 100]).unwrap();
         assert_eq!(mat.to_table().unwrap().rows(), before.rows());
+    }
+}
+
+#[cfg(test)]
+mod view_tests {
+    use super::*;
+    use crate::operator::CubeQuery;
+    use dc_aggregate::builtin;
+    use dc_relation::row;
+    use std::sync::Arc;
+
+    fn sales() -> Table {
+        let schema = Schema::from_pairs(&[
+            ("model", DataType::Str),
+            ("year", DataType::Int),
+            ("units", DataType::Int),
+        ]);
+        Table::new(
+            schema,
+            vec![
+                row!["Chevy", 1994, 50],
+                row!["Chevy", 1994, 40],
+                row!["Chevy", 1995, 85],
+                row!["Ford", 1994, 60],
+                row!["Ford", Value::Null, 10],
+            ],
+        )
+        .unwrap()
+    }
+
+    fn dims(names: &[&str]) -> Vec<Dimension> {
+        names.iter().map(Dimension::column).collect()
+    }
+
+    fn specs() -> Vec<AggSpec> {
+        vec![
+            AggSpec::new(builtin("SUM").unwrap(), "units").with_name("s"),
+            AggSpec::new(builtin("AVG").unwrap(), "units").with_name("a"),
+        ]
+    }
+
+    /// The full 2-D request over `sets`, identity maps.
+    fn full_request(sets: &[GroupingSet]) -> AncestorRequest<'_> {
+        AncestorRequest {
+            dim_map: &[0, 1],
+            dim_names: &["model", "year"],
+            agg_map: &[0, 1],
+            agg_names: &["s", "a"],
+            sets,
+        }
+    }
+
+    #[test]
+    fn rewritable_follows_taxonomy() {
+        assert!(rewritable(&builtin("SUM").unwrap()));
+        assert!(rewritable(&builtin("AVG").unwrap())); // algebraic: OK here
+        assert!(rewritable(&builtin("VARIANCE").unwrap()));
+        assert!(!rewritable(&builtin("MEDIAN").unwrap()));
+        assert!(!rewritable(&builtin("COUNT DISTINCT").unwrap()));
+    }
+
+    #[test]
+    fn build_rejects_holistic() {
+        let t = sales();
+        let holistic = vec![AggSpec::new(builtin("MEDIAN").unwrap(), "units")];
+        let err = CachedView::build(&t, &dims(&["model"]), &holistic).unwrap_err();
+        assert!(matches!(err, CubeError::Unsupported(_)));
+    }
+
+    /// The decisive case for scratchpad (vs final-value) cells: a full
+    /// CUBE with an algebraic AVG answered from the two-dimensional core
+    /// must equal the operator's answer exactly, including the ALL rows.
+    #[test]
+    fn cube_from_ancestor_matches_operator() {
+        let t = sales();
+        let view = CachedView::build(&t, &dims(&["model", "year"]), &specs()).unwrap();
+        let sets = crate::lattice::cube_sets(2).unwrap();
+        let got = view
+            .answer(&full_request(&sets), &ExecContext::unlimited())
+            .unwrap();
+        let expected = CubeQuery::new()
+            .dimensions(dims(&["model", "year"]))
+            .aggregate(specs()[0].clone())
+            .aggregate(specs()[1].clone())
+            .cube(&t)
+            .unwrap();
+        assert_eq!(got.rows(), expected.rows());
+        // A view is the core alone and keeps no copy of the base rows.
+        assert_eq!(view.node_sizes(), [(GroupingSet::full(2), 4)]);
+        assert!(view.base_rows().is_empty());
+        assert_eq!(view.base_row_count(), 5);
+    }
+
+    /// A coarser query (GROUP BY year) answered from the (model, year)
+    /// ancestor, with the query's own column order and names. NULL keys
+    /// stay NULL — only dropped dimensions become ALL.
+    #[test]
+    fn subset_query_projects_and_renames() {
+        let t = sales();
+        let view = CachedView::build(&t, &dims(&["model", "year"]), &specs()).unwrap();
+        let got = view
+            .answer(
+                &AncestorRequest {
+                    dim_map: &[1],
+                    dim_names: &["year"],
+                    agg_map: &[0],
+                    agg_names: &["total"],
+                    sets: &[GroupingSet::full(1)],
+                },
+                &ExecContext::unlimited(),
+            )
+            .unwrap();
+        let expected = CubeQuery::new()
+            .dimensions(dims(&["year"]))
+            .aggregate(specs()[0].clone().with_name("total"))
+            .group_by(&t)
+            .unwrap();
+        assert_eq!(got.rows(), expected.rows());
+        assert_eq!(got.schema().column("total").unwrap().dtype, DataType::Int);
+    }
+
+    #[test]
+    fn answer_charges_the_callers_budget() {
+        let t = sales();
+        let view = CachedView::build(&t, &dims(&["model", "year"]), &specs()).unwrap();
+        let ctx = ExecContext::new(&crate::exec::ExecLimits::none().max_cells(2), 1);
+        for set in [GroupingSet::full(2), GroupingSet::from_bits(0b01)] {
+            let err = view.answer(&full_request(&[set]), &ctx).unwrap_err();
+            assert!(matches!(err, CubeError::ResourceExhausted { .. }), "{set}");
+        }
+    }
+
+    /// The usability rule: a holistic aggregate answers from the node that
+    /// *is* the requested set and from no other; a rewritable one beside
+    /// it answers from any materialized superset.
+    #[test]
+    fn holistic_aggregates_answer_only_from_their_exact_node() {
+        let t = sales();
+        let aggs = vec![
+            AggSpec::new(builtin("MEDIAN").unwrap(), "units").with_name("med"),
+            specs()[0].clone(),
+        ];
+        let lattice = Lattice::new(2, vec![GroupingSet::from_bits(0b01)]).unwrap();
+        let store =
+            MaterializedCube::with_lattice(&t, dims(&["model", "year"]), aggs.clone(), lattice)
+                .unwrap();
+        let ctx = ExecContext::unlimited();
+        let ask = |agg_map: &[usize], set: GroupingSet| {
+            let names: Vec<&str> = agg_map.iter().map(|&a| &*aggs[a].output).collect();
+            let req = AncestorRequest {
+                dim_map: &[0, 1],
+                dim_names: &["model", "year"],
+                agg_map,
+                agg_names: &names,
+                sets: &[set],
+            };
+            store.answer(&req, &ctx)
+        };
+        // {model} is materialized: MEDIAN reads its own cells.
+        let by_model = ask(&[0, 1], GroupingSet::from_bits(0b01)).unwrap();
+        assert_eq!(by_model.rows()[0], row!["Chevy", Value::All, 50, 175]);
+        // {year} and {} are not: typed refusal for MEDIAN, an answer for SUM.
+        for set in [GroupingSet::from_bits(0b10), GroupingSet::EMPTY] {
+            let err = ask(&[0, 1], set).unwrap_err();
+            assert!(matches!(err, CubeError::Unsupported(_)), "{set}: {err}");
+            assert!(ask(&[1], set).is_ok(), "{set}");
+        }
+        assert!(store.can_answer(&[0], &[0]));
+        assert!(!store.can_answer(&[1], &[0]));
+        assert!(store.can_answer(&[1], &[1]));
+    }
+
+    /// Absorbing a delta must be indistinguishable from rebuilding over
+    /// the concatenated table — same cells, same answers, same count —
+    /// and must leave a reader of the old store on its snapshot.
+    #[test]
+    fn absorb_equals_rebuild_over_union_and_spares_the_old_snapshot() {
+        let t = sales();
+        let view = Arc::new(CachedView::build(&t, &dims(&["model", "year"]), &specs()).unwrap());
+        let reader = Arc::clone(&view);
+        let before = view.to_table().unwrap();
+        let delta = Table::new(
+            t.schema().clone(),
+            vec![
+                row!["Ford", 1995, 20],        // brand-new cell
+                row!["Chevy", 1994, 5],        // merges into an existing cell
+                row!["Ford", Value::Null, 30], // NULL key merges too
+            ],
+        )
+        .unwrap();
+        let absorbed = view.absorb(&delta).unwrap();
+
+        let mut union_rows = t.rows().to_vec();
+        union_rows.extend(delta.rows().iter().cloned());
+        let union = Table::new(t.schema().clone(), union_rows).unwrap();
+        let rebuilt = CachedView::build(&union, &dims(&["model", "year"]), &specs()).unwrap();
+
+        let sets = crate::lattice::cube_sets(2).unwrap();
+        let ctx = ExecContext::unlimited();
+        assert_eq!(
+            absorbed.answer(&full_request(&sets), &ctx).unwrap().rows(),
+            rebuilt.answer(&full_request(&sets), &ctx).unwrap().rows()
+        );
+        assert_eq!(absorbed.cell_count(), rebuilt.cell_count());
+        assert_eq!(absorbed.base_row_count(), rebuilt.base_row_count());
+
+        // The Arc taken before the absorb still answers pre-insert totals.
+        assert_eq!(reader.to_table().unwrap().rows(), before.rows());
+        let total = reader.answer(&full_request(&[GroupingSet::EMPTY]), &ctx);
+        assert_eq!(total.unwrap().rows()[0][2], Value::Int(245));
+    }
+
+    /// A view keeps no base rows, so a batch that needs them (it deletes)
+    /// is refused whole — its inserts included — and nothing moves.
+    #[test]
+    fn delete_on_a_base_less_store_is_unsupported_and_changes_nothing() {
+        let t = sales();
+        let view = CachedView::build(&t, &dims(&["model", "year"]), &specs()).unwrap();
+        let before = view.to_table().unwrap();
+        let mut batch = DeltaBatch::new();
+        batch.insert(row!["Dodge", 2001, 7]).unwrap();
+        batch.delete(row!["Ford", 1994, 60]);
+        let err = view.apply(&batch, &ExecContext::unlimited()).unwrap_err();
+        assert!(matches!(err, CubeError::Unsupported(_)), "got {err}");
+        assert_eq!(view.to_table().unwrap(), before);
+        assert_eq!((view.version(), view.base_row_count()), (0, 5));
+    }
+
+    #[test]
+    fn bad_maps_are_rejected() {
+        let t = sales();
+        let view = CachedView::build(&t, &dims(&["model"]), &specs()).unwrap();
+        let ctx = ExecContext::unlimited();
+        let bad_dim = AncestorRequest {
+            dim_map: &[7],
+            dim_names: &["model"],
+            agg_map: &[0],
+            agg_names: &["s"],
+            sets: &[GroupingSet::full(1)],
+        };
+        assert!(matches!(
+            view.answer(&bad_dim, &ctx),
+            Err(CubeError::BadSpec(_))
+        ));
+        let bad_agg = AncestorRequest {
+            dim_map: &[0],
+            dim_names: &["model"],
+            agg_map: &[9],
+            agg_names: &["s"],
+            sets: &[GroupingSet::full(1)],
+        };
+        assert!(matches!(
+            view.answer(&bad_agg, &ctx),
+            Err(CubeError::BadSpec(_))
+        ));
+        assert!(!view.can_answer(&[7], &[0]) && !view.can_answer(&[0], &[9]));
     }
 }

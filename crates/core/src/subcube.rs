@@ -10,16 +10,15 @@
 //! reduces the total cost of answering every set, and is provably within
 //! (1 − 1/e) of optimal.
 //!
-//! [`greedy_select`] implements the algorithm over estimated view sizes;
-//! [`PartialCube`] materializes a selection and answers arbitrary
-//! grouping-set queries from the cheapest materialized ancestor.
+//! [`greedy_select`] implements the algorithm over estimated view sizes.
+//! Materializing a selection and answering arbitrary grouping sets from
+//! the cheapest materialized ancestor is the store's job:
+//! `MaterializedCube::with_lattice(.., Lattice::new(n, selection)?)` then
+//! [`MaterializedCube::answer`].
 
-use crate::error::{CubeError, CubeResult};
-use crate::groupby::ExecStats;
+use crate::error::CubeResult;
 use crate::lattice::{cube_sets, GroupingSet};
-use crate::spec::{AggSpec, Dimension};
-use crate::CubeQuery;
-use dc_relation::{Row, Table, Value};
+use crate::maintain::MaterializedCube;
 use std::collections::HashMap;
 
 /// Estimated row count of each grouping set, the quantity HRU's benefit
@@ -46,22 +45,21 @@ impl SizeModel {
         Ok(SizeModel { sizes })
     }
 
-    /// Exact sizes measured from a computed cube relation (useful in
-    /// tests and when the cube is cheap enough to census).
-    pub fn measured(cube: &Table, n_dims: usize) -> CubeResult<Self> {
-        let mut sizes: HashMap<GroupingSet, u64> = HashMap::new();
-        for row in cube.rows() {
-            let mut mask = GroupingSet::EMPTY;
-            for d in 0..n_dims {
-                if !row[d].is_all() {
-                    mask = mask.with(d);
-                }
-            }
-            *sizes.entry(mask).or_insert(0) += 1;
-        }
-        for set in cube_sets(n_dims)? {
-            sizes.entry(set).or_insert(1);
-        }
+    /// Exact sizes read off a materialized store's nodes (a full
+    /// `MaterializedCube::cube` is a census). A set the store does not
+    /// materialize gets the size of its smallest materialized superset —
+    /// what answering it reads, and an upper bound on its own size.
+    pub fn measured(store: &MaterializedCube) -> CubeResult<Self> {
+        let nodes = store.node_sizes();
+        let n_dims = nodes.first().map_or(0, |(core, _)| core.len());
+        let size = |set: GroupingSet| {
+            let supersets = nodes.iter().filter(|(m, _)| set.subset_of(*m));
+            supersets.map(|&(_, cells)| cells).min().unwrap_or(1).max(1)
+        };
+        let sizes = cube_sets(n_dims)?
+            .into_iter()
+            .map(|s| (s, size(s)))
+            .collect();
         Ok(SizeModel { sizes })
     }
 
@@ -70,20 +68,18 @@ impl SizeModel {
     }
 }
 
-/// Cost of answering every grouping set given `materialized` views: each
-/// set reads the smallest materialized superset (HRU's linear cost
-/// model). The core must be in `materialized`.
+/// What answering `set` reads given `materialized` views: the smallest
+/// materialized superset (HRU's linear cost model).
+fn cheapest(set: GroupingSet, materialized: &[GroupingSet], model: &SizeModel) -> u64 {
+    let supersets = materialized.iter().filter(|m| set.subset_of(**m));
+    supersets.map(|&m| model.size(m)).min().unwrap_or(u64::MAX)
+}
+
+/// Cost of answering every grouping set given `materialized` views. The
+/// core must be in `materialized`.
 pub fn total_cost(sets: &[GroupingSet], materialized: &[GroupingSet], model: &SizeModel) -> u64 {
-    sets.iter()
-        .map(|&s| {
-            materialized
-                .iter()
-                .filter(|m| s.subset_of(**m))
-                .map(|&m| model.size(m))
-                .min()
-                .unwrap_or(u64::MAX)
-        })
-        .sum()
+    let cost = |&s: &GroupingSet| cheapest(s, materialized, model);
+    sets.iter().map(cost).sum()
 }
 
 /// One greedy pick: the view (with its benefit) that most reduces total
@@ -101,19 +97,8 @@ fn best_candidate(
         // Benefit of v: for every set w ⊆ v, the saving over its current
         // cheapest ancestor.
         let v_size = model.size(v);
-        let mut benefit = 0u64;
-        for &w in sets {
-            if !w.subset_of(v) {
-                continue;
-            }
-            let current = materialized
-                .iter()
-                .filter(|m| w.subset_of(**m))
-                .map(|&m| model.size(m))
-                .min()
-                .unwrap_or(u64::MAX);
-            benefit += current.saturating_sub(v_size);
-        }
+        let saving = |&w: &GroupingSet| cheapest(w, materialized, model).saturating_sub(v_size);
+        let benefit: u64 = sets.iter().filter(|w| w.subset_of(v)).map(saving).sum();
         match best {
             Some((_, b)) if b >= benefit => {}
             _ => best = Some((v, benefit)),
@@ -146,165 +131,12 @@ pub fn greedy_select(
     Ok((materialized, cost))
 }
 
-/// A cube materialized only at the selected grouping sets; any other set
-/// is answered on demand by aggregating the cheapest materialized
-/// ancestor (sound for distributive and algebraic aggregates — the same
-/// Iter_super property the cascade relies on).
-pub struct PartialCube {
-    dims: Vec<Dimension>,
-    aggs: Vec<AggSpec>,
-    n_dims: usize,
-    model: SizeModel,
-    /// Materialized views: set → its relation (dims + agg columns).
-    views: HashMap<GroupingSet, Table>,
-    stats: ExecStats,
-}
-
-impl PartialCube {
-    /// Materialize `selection` (must include the core) over `table`.
-    pub fn materialize(
-        table: &Table,
-        dims: Vec<Dimension>,
-        aggs: Vec<AggSpec>,
-        selection: &[GroupingSet],
-    ) -> CubeResult<Self> {
-        let n_dims = dims.len();
-        let core = GroupingSet::full(n_dims);
-        if !selection.contains(&core) {
-            return Err(CubeError::BadSpec(
-                "a partial cube must materialize the core grouping set".into(),
-            ));
-        }
-        let query = CubeQuery::new().dimensions(dims.clone());
-        let query = aggs.iter().fold(query, |q, a| q.aggregate(a.clone()));
-        let sets: Vec<Vec<usize>> = selection.iter().map(|s| s.dims()).collect();
-        let all = query.grouping_sets(table, &sets)?;
-
-        // Split the one relation into per-set views.
-        let mut views: HashMap<GroupingSet, Table> = selection
-            .iter()
-            .map(|&s| (s, Table::empty(all.schema().clone())))
-            .collect();
-        for row in all.rows() {
-            let mut mask = GroupingSet::EMPTY;
-            for d in 0..n_dims {
-                if !row[d].is_all() {
-                    mask = mask.with(d);
-                }
-            }
-            views
-                .get_mut(&mask)
-                // cube-lint: allow(panic, views holds one table per selected grouping set)
-                .expect("row belongs to a selected set")
-                .push_unchecked(row.clone());
-        }
-        let model = SizeModel::measured(&all, n_dims)?;
-        Ok(PartialCube {
-            dims,
-            aggs,
-            n_dims,
-            model,
-            views,
-            stats: ExecStats::default(),
-        })
-    }
-
-    /// Answer one grouping set: directly if materialized, otherwise by
-    /// re-aggregating the smallest materialized superset.
-    pub fn query(&mut self, set: GroupingSet) -> CubeResult<Table> {
-        if let Some(v) = self.views.get(&set) {
-            return Ok(v.clone());
-        }
-        let ancestor = self
-            .views
-            .keys()
-            .copied()
-            .filter(|m| set.subset_of(*m))
-            .min_by_key(|&m| self.model.size(m))
-            .ok_or_else(|| CubeError::BadSpec(format!("no materialized ancestor covers {set}")))?;
-        let source = &self.views[&ancestor];
-        self.stats.rows_scanned += source.len() as u64;
-
-        // Re-aggregate the ancestor: group by the surviving dimensions,
-        // folding each aggregate column with its own function's merge...
-        // but the view stores *final* values, so this only works for
-        // functions whose final value is a valid input (distributive). To
-        // stay correct for algebraic functions too, recompute through the
-        // operator over the ancestor's rows reinterpreted as base data is
-        // NOT sound for AVG — so we restrict to distributive aggregates
-        // here and document it.
-        for a in &self.aggs {
-            if !a.func.kind().bounded_state() || a.func.kind() == dc_aggregate::AggKind::Algebraic {
-                return Err(CubeError::Unsupported(format!(
-                    "answering unmaterialized sets from final values requires \
-                     distributive aggregates; {} is {:?} (materialize it, or \
-                     store scratchpads)",
-                    a.func.name(),
-                    a.func.kind()
-                )));
-            }
-        }
-        let dim_names: Vec<String> = self.dims.iter().map(|d| d.name.to_string()).collect();
-        let surviving: Vec<Dimension> = set
-            .dims()
-            .iter()
-            .map(|&d| Dimension::column(&dim_names[d]))
-            .collect();
-        let reagg_specs: Vec<AggSpec> = self
-            .aggs
-            .iter()
-            .map(|a| {
-                // G = F for SUM/MIN/MAX; G = SUM for COUNT (§5).
-                let func = if a.func.name() == "COUNT" || a.func.name() == "COUNT(*)" {
-                    // cube-lint: allow(panic, SUM is a static built-in; covered by registry tests)
-                    dc_aggregate::builtin("SUM").expect("SUM is built in")
-                } else {
-                    a.func.clone()
-                };
-                AggSpec::new(func, &*a.output).with_name(&*a.output)
-            })
-            .collect();
-        let q = CubeQuery::new().dimensions(surviving);
-        let q = reagg_specs.into_iter().fold(q, |q, s| q.aggregate(s));
-        let grouped = q.group_by(source)?;
-
-        // Re-expand to the full dimension arity with ALL in dropped slots.
-        let mut out = Table::empty(self.views[&ancestor].schema().clone());
-        for row in grouped.rows() {
-            let mut vals = Vec::with_capacity(self.n_dims + self.aggs.len());
-            let mut it = row.values().iter();
-            for d in 0..self.n_dims {
-                if set.contains(d) {
-                    // cube-lint: allow(panic, grouped schema has one column per surviving dim)
-                    vals.push(it.next().expect("surviving dim present").clone());
-                } else {
-                    vals.push(Value::All);
-                }
-            }
-            vals.extend(it.cloned());
-            out.push_unchecked(Row::new(vals));
-        }
-        Ok(out)
-    }
-
-    /// Rows read answering on-demand queries so far.
-    pub fn stats(&self) -> ExecStats {
-        self.stats
-    }
-
-    /// The materialized sets.
-    pub fn materialized(&self) -> Vec<GroupingSet> {
-        let mut v: Vec<GroupingSet> = self.views.keys().copied().collect();
-        v.sort_by(|a, b| b.len().cmp(&a.len()).then(a.bits().cmp(&b.bits())));
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AggSpec, AncestorRequest, CubeQuery, Dimension, ExecContext, Lattice};
     use dc_aggregate::builtin;
-    use dc_relation::{row, DataType, Schema};
+    use dc_relation::{row, DataType, Schema, Table, Value};
 
     fn sum_units() -> AggSpec {
         AggSpec::new(builtin("SUM").unwrap(), "units").with_name("units")
@@ -433,65 +265,91 @@ mod tests {
         }
     }
 
-    #[test]
-    fn partial_cube_answers_match_full_cube() {
-        let t = base();
-        let full = CubeQuery::new()
-            .dimensions(dims())
-            .aggregate(sum_units())
-            .cube(&t)
-            .unwrap();
-        // Materialize only the core and {model}.
-        let selection = vec![GroupingSet::full(3), GroupingSet::from_dims(&[0]).unwrap()];
-        let mut pc = PartialCube::materialize(&t, dims(), vec![sum_units()], &selection).unwrap();
+    /// Materialize `selection` and answer one grouping set from it.
+    fn partial(aggs: Vec<AggSpec>, selection: &[GroupingSet]) -> MaterializedCube {
+        let lattice = Lattice::new(3, selection.to_vec()).unwrap();
+        MaterializedCube::with_lattice(&base(), dims(), aggs, lattice).unwrap()
+    }
 
-        for set in cube_sets(3).unwrap() {
-            let mut got = pc.query(set).unwrap();
-            got.sort_by_indices(&[0, 1, 2]);
-            let want = full.filter(|r| (0..3).all(|d| (r[d] != Value::All) == set.contains(d)));
-            assert_eq!(got.rows(), want.rows(), "grouping set {set}");
-        }
-        assert!(
-            pc.stats().rows_scanned > 0,
-            "on-demand sets re-scan ancestors"
-        );
+    fn answer(store: &MaterializedCube, aggs: &[&str], set: GroupingSet) -> CubeResult<Table> {
+        let agg_map: Vec<usize> = (0..aggs.len()).collect();
+        let req = AncestorRequest {
+            dim_map: &[0, 1, 2],
+            dim_names: &["model", "year", "color"],
+            agg_map: &agg_map,
+            agg_names: aggs,
+            sets: &[set],
+        };
+        store.answer(&req, &ExecContext::unlimited())
     }
 
     #[test]
-    fn materialized_sets_answer_without_scanning() {
-        let t = base();
-        let selection = vec![GroupingSet::full(3)];
-        let mut pc = PartialCube::materialize(&t, dims(), vec![sum_units()], &selection).unwrap();
-        pc.query(GroupingSet::full(3)).unwrap();
-        assert_eq!(pc.stats().rows_scanned, 0);
+    fn partial_selection_answers_match_full_cube() {
+        let full = CubeQuery::new()
+            .dimensions(dims())
+            .aggregate(sum_units())
+            .cube(&base())
+            .unwrap();
+        // Materialize only the core and {model}.
+        let selection = [GroupingSet::full(3), GroupingSet::from_dims(&[0]).unwrap()];
+        let store = partial(vec![sum_units()], &selection);
+        for set in cube_sets(3).unwrap() {
+            let got = answer(&store, &["units"], set).unwrap();
+            let want = full.filter(|r| (0..3).all(|d| (r[d] != Value::All) == set.contains(d)));
+            assert_eq!(got.rows(), want.rows(), "grouping set {set}");
+        }
+    }
+
+    #[test]
+    fn measured_sizes_come_from_the_store() {
+        let model_only = GroupingSet::from_dims(&[0]).unwrap();
+        let store = partial(vec![sum_units()], &[GroupingSet::full(3), model_only]);
+        let model = SizeModel::measured(&store).unwrap();
+        assert_eq!(model.size(GroupingSet::full(3)), 5);
+        assert_eq!(model.size(model_only), 2);
+        // Unmaterialized: the smallest materialized superset it reads.
+        assert_eq!(model.size(GroupingSet::EMPTY), 2);
+        assert_eq!(model.size(GroupingSet::from_dims(&[1]).unwrap()), 5);
     }
 
     #[test]
     fn count_reaggregates_as_sum() {
         // §5: "G = SUM() for the COUNT() function."
-        let t = base();
         let count = AggSpec::new(builtin("COUNT").unwrap(), "units").with_name("n");
-        let selection = vec![GroupingSet::full(3)];
-        let mut pc = PartialCube::materialize(&t, dims(), vec![count.clone()], &selection).unwrap();
-        let grand = pc.query(GroupingSet::EMPTY).unwrap();
+        let store = partial(vec![count], &[GroupingSet::full(3)]);
+        let grand = answer(&store, &["n"], GroupingSet::EMPTY).unwrap();
         assert_eq!(grand.rows()[0][3], Value::Int(5));
     }
 
     #[test]
-    fn algebraic_on_demand_is_rejected() {
-        let t = base();
-        let avg = AggSpec::new(builtin("AVG").unwrap(), "units").with_name("avg");
-        let selection = vec![GroupingSet::full(3)];
-        let mut pc = PartialCube::materialize(&t, dims(), vec![avg], &selection).unwrap();
-        // AVG of AVGs is wrong; the module must refuse rather than lie.
-        let err = pc.query(GroupingSet::EMPTY);
-        assert!(matches!(err, Err(CubeError::Unsupported(_))));
+    fn algebraic_on_demand_answers() {
+        // Cells are scratchpads, not final values, so AVG and VARIANCE
+        // re-derive exactly from a coarser node: no AVG of AVGs.
+        let aggs = vec![
+            AggSpec::new(builtin("AVG").unwrap(), "units").with_name("avg"),
+            AggSpec::new(builtin("VARIANCE").unwrap(), "units").with_name("var"),
+        ];
+        let want = CubeQuery::new()
+            .dimensions(dims())
+            .aggregate(aggs[0].clone())
+            .aggregate(aggs[1].clone())
+            .grouping_sets(&base(), &[vec![1], vec![]])
+            .unwrap();
+        let store = partial(aggs, &[GroupingSet::full(3)]);
+        let year = GroupingSet::from_dims(&[1]).unwrap();
+        let mut got = answer(&store, &["avg", "var"], year)
+            .unwrap()
+            .rows()
+            .to_vec();
+        let grand = answer(&store, &["avg", "var"], GroupingSet::EMPTY).unwrap();
+        got.extend(grand.rows().iter().cloned());
+        assert_eq!(got, want.rows());
     }
 
     #[test]
-    fn requires_the_core() {
-        let t = base();
-        let err = PartialCube::materialize(&t, dims(), vec![sum_units()], &[GroupingSet::EMPTY]);
-        assert!(matches!(err, Err(CubeError::BadSpec(_))));
+    fn a_selection_always_materializes_the_core() {
+        let store = partial(vec![sum_units()], &[GroupingSet::EMPTY]);
+        let nodes: Vec<GroupingSet> = store.node_sizes().iter().map(|n| n.0).collect();
+        assert_eq!(nodes, [GroupingSet::full(3), GroupingSet::EMPTY]);
     }
 }

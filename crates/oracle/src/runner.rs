@@ -19,9 +19,9 @@ use crate::diff::diff_tables;
 use crate::gen::{Case, Gov, QueryKind};
 use crate::model::model_result;
 use datacube::{
-    cube_sets, rewritable, rollup_sets, AggSpec, Algorithm, AncestorRequest, CachedView,
-    CompoundSpec, CubeError, CubeQuery, CubeResult, DeltaBatch, Dimension, ExecContext,
-    GroupingSet, Lattice, MaterializedCube,
+    cube_sets, greedy_select, rewritable, rollup_sets, AggSpec, Algorithm, AncestorRequest,
+    CachedView, CompoundSpec, CubeError, CubeQuery, CubeResult, DeltaBatch, Dimension, ExecContext,
+    GroupingSet, Lattice, MaterializedCube, SizeModel,
 };
 use dc_relation::{DataType, Date, Row, Schema, Table, Value};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -71,9 +71,7 @@ pub fn run_engine(case: &Case, combo: &Combo) -> CubeResult<Table> {
     for (i, desc) in case.aggs.iter().enumerate() {
         q = q.aggregate(desc.spec(i));
     }
-    let dims: Vec<Dimension> = (0..case.n_dims)
-        .map(|d| Dimension::column(format!("d{d}")))
-        .collect();
+    let dims = case_dims(case);
     match &case.query {
         QueryKind::GroupBy => q.dimensions(dims).group_by(&case.table),
         QueryKind::Rollup => q.dimensions(dims).rollup(&case.table),
@@ -116,67 +114,102 @@ pub fn check_case(case: &Case) -> Result<(), String> {
     Ok(())
 }
 
-/// The lattice-cache path axis: when every aggregate of the case is
-/// rewrite-legal (distributive/algebraic and mergeable), answering the
-/// case's grouping-set family from a `CachedView` over the full dimension
-/// set must reproduce the model exactly — this is the SQL engine's
-/// ancestor-rewrite path with the ancestor pinned to the core cuboid.
-/// When any aggregate is holistic or non-mergeable, the view build must
-/// refuse with the typed fallthrough error instead of caching it.
-fn check_cache_path(case: &Case, names: &[String], expected: &[Row]) -> Result<(), String> {
-    let dims: Vec<Dimension> = (0..case.n_dims)
+fn case_dims(case: &Case) -> Vec<Dimension> {
+    (0..case.n_dims)
         .map(|d| Dimension::column(format!("d{d}")))
-        .collect();
-    let specs: Vec<AggSpec> = case
-        .aggs
-        .iter()
-        .enumerate()
-        .map(|(i, desc)| desc.spec(i))
-        .collect();
-    let legal = specs.iter().all(|s| rewritable(&s.func));
-    let built = CachedView::build(&case.table, &dims, &specs);
-    if !legal {
-        return match built {
-            Err(CubeError::Unsupported(_)) => Ok(()),
-            Ok(_) => Err("cache axis: non-rewritable aggregate was accepted for caching".into()),
-            Err(e) => Err(format!("cache axis: wrong refusal for holistic case: {e}")),
-        };
-    }
-    let view = built.map_err(|e| format!("cache axis: view build failed: {e}"))?;
-    let sets: Vec<GroupingSet> = match &case.query {
-        QueryKind::GroupBy => vec![GroupingSet::full(case.n_dims)],
-        QueryKind::Rollup => rollup_sets(case.n_dims).map_err(|e| format!("cache axis: {e}"))?,
-        QueryKind::Cube => cube_sets(case.n_dims).map_err(|e| format!("cache axis: {e}"))?,
-        QueryKind::GroupingSets(sets) => sets
-            .iter()
-            .map(|s| GroupingSet::from_dims(s))
-            .collect::<CubeResult<_>>()
-            .map_err(|e| format!("cache axis: {e}"))?,
+        .collect()
+}
+
+fn case_specs(case: &Case) -> Vec<AggSpec> {
+    let specs = case.aggs.iter().enumerate();
+    specs.map(|(i, desc)| desc.spec(i)).collect()
+}
+
+/// The case's grouping-set family over its `n_dims` dimensions.
+fn family(case: &Case, dims: &[Dimension]) -> CubeResult<Vec<GroupingSet>> {
+    match &case.query {
+        QueryKind::GroupBy => Ok(vec![GroupingSet::full(case.n_dims)]),
+        QueryKind::Rollup => rollup_sets(case.n_dims),
+        QueryKind::Cube => cube_sets(case.n_dims),
+        QueryKind::GroupingSets(sets) => sets.iter().map(|s| GroupingSet::from_dims(s)).collect(),
         QueryKind::Compound { g, r } => CompoundSpec::new()
             .group_by(dims[..*g].to_vec())
             .rollup(dims[*g..g + r].to_vec())
             .cube(dims[g + r..].to_vec())
-            .grouping_sets()
-            .map_err(|e| format!("cache axis: {e}"))?,
-    };
+            .grouping_sets(),
+    }
+}
+
+/// The materialized-store read axis, on two stores.
+///
+/// *One node* — the SQL engine's ancestor rewrite with the ancestor pinned
+/// to the core cuboid: when every aggregate of the case is rewrite-legal
+/// (distributive/algebraic and mergeable), answering the case's family
+/// from a `CachedView` over the full dimension set must reproduce the
+/// model exactly; when any aggregate is holistic or non-mergeable, the
+/// view build must refuse with the typed fallthrough error instead.
+///
+/// *Several nodes* — an HRU `greedy_select` selection materialized with
+/// `with_lattice`: the same family must reproduce the model from whichever
+/// nodes the store picks (AVG and VARIANCE included), and a case with a
+/// holistic or non-mergeable aggregate must answer exactly when every
+/// requested set is itself materialized and refuse with `Unsupported`
+/// otherwise — never answer it from a coarser node.
+fn check_cache_path(case: &Case, names: &[String], expected: &[Row]) -> Result<(), String> {
+    let axis = |e: CubeError| format!("cache axis: {e}");
+    let (dims, specs) = (case_dims(case), case_specs(case));
+    let sets = family(case, &dims).map_err(axis)?;
     let dim_map: Vec<usize> = (0..case.n_dims).collect();
     let dim_names: Vec<String> = (0..case.n_dims).map(|d| format!("d{d}")).collect();
     let dim_name_refs: Vec<&str> = dim_names.iter().map(String::as_str).collect();
     let agg_map: Vec<usize> = (0..specs.len()).collect();
     let agg_names: Vec<&str> = specs.iter().map(|s| &*s.output).collect();
-    let table = view
-        .answer(
-            &AncestorRequest {
-                dim_map: &dim_map,
-                dim_names: &dim_name_refs,
-                agg_map: &agg_map,
-                agg_names: &agg_names,
-                sets: &sets,
-            },
-            &ExecContext::unlimited(),
-        )
-        .map_err(|e| format!("cache axis: answer failed: {e}"))?;
-    diff_tables(names, expected, &table, case.n_dims).map_err(|m| format!("cache axis: {m}"))
+    let request = AncestorRequest {
+        dim_map: &dim_map,
+        dim_names: &dim_name_refs,
+        agg_map: &agg_map,
+        agg_names: &agg_names,
+        sets: &sets,
+    };
+    let matches_model = |table: &Table| {
+        diff_tables(names, expected, table, case.n_dims).map_err(|m| format!("cache axis: {m}"))
+    };
+    let ctx = ExecContext::unlimited();
+
+    let legal = specs.iter().all(|s| rewritable(&s.func));
+    match CachedView::build(&case.table, &dims, &specs) {
+        Ok(view) if legal => {
+            let answered = view.answer(&request, &ctx);
+            matches_model(&answered.map_err(|e| format!("cache axis: answer failed: {e}"))?)?
+        }
+        Ok(_) => {
+            return Err("cache axis: non-rewritable aggregate was accepted for caching".into())
+        }
+        Err(CubeError::Unsupported(_)) if !legal => {}
+        Err(e) => return Err(format!("cache axis: view build failed: {e}")),
+    }
+
+    let distinct = |d: usize| {
+        let values: std::collections::HashSet<&Value> =
+            case.table.rows().iter().map(|r| &r[d]).collect();
+        values.len()
+    };
+    let cards: Vec<usize> = (0..case.n_dims).map(distinct).collect();
+    let model = SizeModel::independent(&cards, case.table.len() as u64).map_err(axis)?;
+    let (selection, _) = greedy_select(case.n_dims, 2, &model).map_err(axis)?;
+    let lattice = Lattice::new(case.n_dims, selection.clone()).map_err(axis)?;
+    let store =
+        MaterializedCube::with_lattice(&case.table, dims, specs.clone(), lattice).map_err(axis)?;
+    let answerable = legal || sets.iter().all(|s| selection.contains(s));
+    match store.answer(&request, &ctx) {
+        Ok(table) if answerable => matches_model(&table),
+        Ok(_) => Err(format!(
+            "cache axis: selection {selection:?} answered a non-rewritable aggregate \
+             from a node that is not the requested set"
+        )),
+        Err(CubeError::Unsupported(_)) if !answerable => Ok(()),
+        Err(e) => Err(format!("cache axis: selection {selection:?}: {e}")),
+    }
 }
 
 /// A schema-conformant random value for maintenance deltas. Ranges mirror
@@ -217,33 +250,8 @@ fn sample_row(schema: &Schema, rng: &mut StdRng) -> Row {
 /// live rows (including NULL- and NaN-keyed ones), inserts mix fresh rows
 /// with duplicates of existing keys to stress support counting.
 fn check_maintenance(case: &Case) -> Result<(), String> {
-    let dims: Vec<Dimension> = (0..case.n_dims)
-        .map(|d| Dimension::column(format!("d{d}")))
-        .collect();
-    let specs: Vec<AggSpec> = case
-        .aggs
-        .iter()
-        .enumerate()
-        .map(|(i, desc)| desc.spec(i))
-        .collect();
-    let raw_sets: Vec<GroupingSet> = match &case.query {
-        QueryKind::GroupBy => vec![GroupingSet::full(case.n_dims)],
-        QueryKind::Rollup => {
-            rollup_sets(case.n_dims).map_err(|e| format!("maintenance axis: {e}"))?
-        }
-        QueryKind::Cube => cube_sets(case.n_dims).map_err(|e| format!("maintenance axis: {e}"))?,
-        QueryKind::GroupingSets(sets) => sets
-            .iter()
-            .map(|s| GroupingSet::from_dims(s))
-            .collect::<CubeResult<_>>()
-            .map_err(|e| format!("maintenance axis: {e}"))?,
-        QueryKind::Compound { g, r } => CompoundSpec::new()
-            .group_by(dims[..*g].to_vec())
-            .rollup(dims[*g..g + r].to_vec())
-            .cube(dims[g + r..].to_vec())
-            .grouping_sets()
-            .map_err(|e| format!("maintenance axis: {e}"))?,
-    };
+    let (dims, specs) = (case_dims(case), case_specs(case));
+    let raw_sets = family(case, &dims).map_err(|e| format!("maintenance axis: {e}"))?;
     // The lattice normalizes the family (dedup + core): mirror it in the
     // recompute query so both sides answer the same grouping sets.
     let lattice =

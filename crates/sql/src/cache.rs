@@ -1,10 +1,11 @@
 //! The lattice cache: materialized ancestor views shared by every
 //! session of one engine, with greedy benefit-per-cell retention.
 //!
-//! Each entry is a [`CachedView`] — the core GROUP BY of some dimension
-//! set over a registered table, stored as mergeable scratchpad state
-//! (see `datacube::cache`). A query whose dimensions and aggregates are
-//! subsets of an entry's is answered by re-aggregating the entry's
+//! This module is a *policy* — what to keep, keyed how, under which
+//! budget — over `Arc<`[`CachedView`]`>`, the materialized store of
+//! `datacube::maintain` built at the core GROUP BY of some dimension set
+//! over a registered table. A query the store's usability test accepts
+//! ([`CachedView::can_answer`]) is answered by re-aggregating the entry's
 //! cells instead of scanning base rows; [`CubeCache::lookup`] picks the
 //! *minimum-cardinality* such ancestor, the same smallest-parent rule
 //! the in-query cascade uses.
@@ -26,7 +27,7 @@
 //! entries eagerly to return their reservation.
 
 use crate::admission::{failpoint, AdmissionController};
-use datacube::{CachedView, CubeResult};
+use datacube::{CachedView, CubeResult, GroupingSet};
 use dc_relation::Table;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -43,7 +44,8 @@ struct CacheEntry {
     version: u64,
     /// Dimension keys (output column names), view order.
     dims: Vec<String>,
-    /// Aggregate keys (`"SUM(units)"`, `"COUNT(*)"`, ...), view order.
+    /// Aggregate keys — each call's canonical text, parameters included
+    /// (`"SUM(units)"`, `"COUNT(*)"`, `"MAXN(v, 2)"`), view order.
     aggs: Vec<String>,
     view: Arc<CachedView>,
     /// Core cells the entry pins (≥ 1 so benefit division is safe).
@@ -58,7 +60,7 @@ impl CacheEntry {
     /// the cells pinned, scaled by observed traffic.
     fn benefit(&self) -> u64 {
         self.traffic
-            .saturating_mul(self.view.base_rows().saturating_sub(self.cells))
+            .saturating_mul(self.view.base_row_count().saturating_sub(self.cells))
             / self.cells
     }
 }
@@ -260,35 +262,33 @@ impl CubeCache {
                 true
             }
         });
+        // Query position → view position, when the view holds them all
+        // and its usability test accepts the request.
+        let positions = |of: &[String], within: &[String]| -> Option<Vec<usize>> {
+            let pos = |x| within.iter().position(|y| y == x);
+            of.iter().map(pos).collect()
+        };
         let best = entries
             .iter_mut()
-            .filter(|e| {
-                e.table == key
-                    && e.version == version
-                    && dims.iter().all(|d| e.dims.contains(d))
-                    && aggs.iter().all(|a| e.aggs.contains(a))
+            .filter(|e| e.table == key && e.version == version)
+            .filter_map(|e| {
+                let dim_map = positions(dims, &e.dims)?;
+                let agg_map = positions(aggs, &e.aggs)?;
+                e.view
+                    .can_answer(&dim_map, &agg_map)
+                    .then_some((e, dim_map, agg_map))
             })
-            .min_by_key(|e| e.cells);
+            .min_by_key(|(e, ..)| e.cells);
         match best {
-            Some(entry) => {
+            Some((entry, dim_map, agg_map)) => {
                 entry.traffic = entry.traffic.saturating_add(1);
                 // cube-lint: allow(atomic, monotone hit counter; the entry mutation happens under the entries mutex)
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                let dim_map = dims
-                    .iter()
-                    // cube-lint: allow(panic, the candidate filter above requires every queried dim)
-                    .map(|d| entry.dims.iter().position(|x| x == d).expect("filtered"))
-                    .collect();
-                let agg_map = aggs
-                    .iter()
-                    // cube-lint: allow(panic, the candidate filter above requires every queried agg)
-                    .map(|a| entry.aggs.iter().position(|x| x == a).expect("filtered"))
-                    .collect();
                 Ok(Some(CacheHit {
                     view: Arc::clone(&entry.view),
                     dim_map,
                     agg_map,
-                    ancestor_bits: entry.view.ancestor_bits(),
+                    ancestor_bits: GroupingSet::full(entry.dims.len()).bits(),
                 }))
             }
             None => {
@@ -540,7 +540,7 @@ mod tests {
         // new cell for Dodge, a merged cell for Chevy, no invalidation.
         let hit = cache.lookup("t", 2, &d, &a).unwrap().unwrap();
         assert_eq!(hit.view.cell_count(), 3);
-        assert_eq!(hit.view.base_rows(), 5);
+        assert_eq!(hit.view.base_row_count(), 5);
         assert_eq!(cache.counters().entries, 1);
     }
 

@@ -466,6 +466,7 @@ impl QueryRuntime {
         stmt: &SelectStmt,
         clause: &GroupByClause,
         group_exprs: &[&GroupExpr],
+        agg_calls: &[Expr],
         agg_specs: &[AggSpec],
         arg_columns: &HashMap<String, String>,
     ) -> Option<CachePlan> {
@@ -489,13 +490,9 @@ impl QueryRuntime {
         if !agg_specs.iter().all(|s| datacube::rewritable(&s.func)) {
             return None;
         }
-        let agg_keys: Vec<String> = agg_specs
-            .iter()
-            .map(|s| match &s.input {
-                Some(col) => format!("{}({})", s.func.name(), col),
-                None => s.func.name().to_string(),
-            })
-            .collect();
+        // The call's canonical text, so a parameter is part of the
+        // identity: MAXN(v, 2) must never be answered from MAXN(v, 3).
+        let agg_keys: Vec<String> = agg_calls.iter().map(Expr::canonical).collect();
         let sets: Vec<GroupingSet> = match &clause.grouping_sets {
             Some(sets) => {
                 let index_of = |g: &GroupExpr| {
@@ -690,7 +687,14 @@ impl QueryRuntime {
         // If the statement is a plain scan of a registered table with
         // plain-column dimensions and rewrite-legal aggregates, try to
         // answer it from a materialized subcube instead of the base rows.
-        let cache_plan = self.plan_cache(stmt, clause, &group_exprs, &agg_specs, &arg_columns);
+        let cache_plan = self.plan_cache(
+            stmt,
+            clause,
+            &group_exprs,
+            &agg_calls,
+            &agg_specs,
+            &arg_columns,
+        );
         let mut cached_answer: Option<Table> = None;
         if let (Some(plan), Some(cache)) = (&cache_plan, &self.cache) {
             if let Some(hit) =

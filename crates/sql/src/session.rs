@@ -162,24 +162,33 @@ impl Session {
         }
     }
 
-    /// The governed SELECT path: estimate → admit → execute → release.
-    fn exec_select_governed(&self, stmt: &SelectStmt) -> SqlResult<Table> {
-        let opts = self.options();
-        let snap = self.catalog.snapshot();
-        let cost = estimate_cost(stmt, &snap);
-        // The deadline is fixed *before* admission: a statement that
-        // spends its whole TIMEOUT_MS in the queue gets (almost) none of
-        // it for execution, exactly as a caller-side timer would observe.
+    /// Fix the statement's deadline and pass admission. The deadline is
+    /// fixed *before* admission: a statement that spends its whole
+    /// TIMEOUT_MS in the queue gets (almost) none of it for execution,
+    /// exactly as a caller-side timer would observe.
+    fn admit(
+        &self,
+        cost: &QueryCost,
+        opts: &SessionOptions,
+    ) -> SqlResult<(Option<Instant>, Permit)> {
         let deadline =
             (opts.timeout_ms > 0).then(|| Instant::now() + Duration::from_millis(opts.timeout_ms));
         let permit = self
             .admission
-            .admit(&cost, deadline, opts.cancel.as_ref())
+            .admit(cost, deadline, opts.cancel.as_ref())
             .map_err(|e| {
                 self.record_admission(&admission_stats_of(&e));
                 SqlError::Cube(e)
             })?;
         self.record_permit(&permit);
+        Ok((deadline, permit))
+    }
+
+    /// The governed SELECT path: estimate → admit → execute → release.
+    fn exec_select_governed(&self, stmt: &SelectStmt) -> SqlResult<Table> {
+        let opts = self.options();
+        let snap = self.catalog.snapshot();
+        let (deadline, permit) = self.admit(&estimate_cost(stmt, &snap), &opts)?;
         let runtime = QueryRuntime {
             snap,
             limits: opts.limits(deadline, permit.granted_cells()),
@@ -200,175 +209,128 @@ impl Session {
         result
     }
 
-    /// The governed INSERT path: one statement is one delta batch.
-    /// Admission prices the batch like a one-set aggregation over its own
-    /// rows, so a flood of fat batches queues (or sheds) behind the same
-    /// controller as queries — the batch budget of the issue text.
+    /// The governed write path, shared by INSERT, DELETE and UPDATE: one
+    /// statement is one delta batch under one admission permit (priced as
+    /// a one-set aggregation over `cost_rows`, so a flood of fat batches
+    /// queues or sheds behind the same controller as queries).
     ///
-    /// Publication is optimistic: build the enlarged table against a
-    /// snapshot, then compare-and-swap it in by catalog version; losing a
-    /// race to a concurrent writer just means rebasing the (already
-    /// evaluated) rows on a fresh snapshot. Readers therefore see whole
-    /// batches only — a torn batch would require observing a table that
-    /// was never published. On success, retained cache views absorb the
-    /// delta instead of being invalidated.
-    fn exec_insert_governed(&self, table: &str, rows: &[Vec<Expr>]) -> SqlResult<Table> {
+    /// Publication is optimistic: `next` builds the statement's image of
+    /// the table against a snapshot, and it is compare-and-swapped in by
+    /// catalog version; losing a race to a concurrent writer just means
+    /// rebuilding on a fresh snapshot. Readers therefore see whole batches
+    /// only — a torn batch would require observing a table that was never
+    /// published. `Table::new` re-validates every row against the schema,
+    /// so a bad literal or a type-changing assignment rejects the whole
+    /// batch before publication.
+    ///
+    /// On success retained cache views absorb a pure insert delta; a
+    /// statement that retracts (DELETE, UPDATE — §6: "max is ... holistic
+    /// for DELETE") invalidates them instead.
+    fn exec_write_governed(
+        &self,
+        table: &str,
+        verb: &str,
+        cost_rows: u64,
+        mut next: impl FnMut(&Table, &CatalogSnapshot, &ExecContext) -> SqlResult<Written>,
+    ) -> SqlResult<Table> {
         let opts = self.options();
         let cost = QueryCost {
-            rows: rows.len() as u64,
+            rows: cost_rows,
             sets: 1,
-            cells: rows.len() as u64,
+            cells: cost_rows,
         };
-        let deadline =
-            (opts.timeout_ms > 0).then(|| Instant::now() + Duration::from_millis(opts.timeout_ms));
-        let permit = self
-            .admission
-            .admit(&cost, deadline, opts.cancel.as_ref())
-            .map_err(|e| {
-                self.record_admission(&admission_stats_of(&e));
-                SqlError::Cube(e)
-            })?;
-        self.record_permit(&permit);
+        let (deadline, permit) = self.admit(&cost, &opts)?;
         let ctx = ExecContext::new(&opts.limits(deadline, permit.granted_cells()), 1);
-
-        // Evaluate the literal rows once, against an empty scope: column
-        // references have nothing to bind to and error in planning terms.
-        let empty_schema = Schema::new(vec![])?;
-        let snap = self.catalog.snapshot();
-        let ectx = EvalContext::base(&empty_schema, &snap.scalars);
-        let scratch = Row::new(vec![]);
-        let mut new_rows = Vec::with_capacity(rows.len());
-        for (i, exprs) in rows.iter().enumerate() {
-            ctx.tick(i).map_err(SqlError::Cube)?;
-            let vals = exprs
-                .iter()
-                .map(|e| eval(e, &scratch, &ectx))
-                .collect::<SqlResult<Vec<Value>>>()?;
-            new_rows.push(Row::new(vals));
-        }
-
         loop {
             ctx.checkpoint().map_err(SqlError::Cube)?;
             let snap = self.catalog.snapshot();
             let old = snap.table(table)?;
             let expected = snap.table_version(table);
-            let mut next = old.rows().to_vec();
-            next.extend(new_rows.iter().cloned());
-            // Table::new re-validates every row against the schema, so a
-            // bad literal rejects the whole batch before publication.
-            let published = Table::new(old.schema().clone(), next)?;
+            let written = next(&old, &snap, &ctx)?;
+            if written.count == 0 && written.inserted.is_none() {
+                // Nothing matched: no republish, no version bump, caches
+                // stay warm.
+                return dml_result(table, verb, 0);
+            }
+            let published = Table::new(old.schema().clone(), written.rows)?;
             let swapped = self
                 .catalog
                 .with_write(|c| c.replace_if_version(table, expected, published))?;
             if let Some(new_version) = swapped {
-                let delta = Table::new(old.schema().clone(), new_rows)?;
-                self.cache.apply_delta(table, new_version, &delta);
-                return dml_result(table, "inserted", delta.len() as i64);
+                match written.inserted {
+                    Some(rows) => {
+                        let delta = Table::new(old.schema().clone(), rows)?;
+                        self.cache.apply_delta(table, new_version, &delta);
+                    }
+                    None => self.cache.invalidate_table(table),
+                }
+                return dml_result(table, verb, written.count);
             }
         }
     }
 
-    /// The governed DELETE path: matching rows form one delete batch.
-    /// Same optimistic republish as INSERT; retraction is the holistic
-    /// direction (§6: "max is ... holistic for DELETE"), so cached views
-    /// fall back to version-bump invalidation rather than absorbing.
-    fn exec_delete_governed(&self, table: &str, predicate: Option<&Expr>) -> SqlResult<Table> {
-        let opts = self.options();
-        let snap = self.catalog.snapshot();
-        let scan_rows = snap.table(table).map(|t| t.len() as u64).unwrap_or(0);
-        let cost = QueryCost {
-            rows: scan_rows,
-            sets: 1,
-            cells: scan_rows,
-        };
-        let deadline =
-            (opts.timeout_ms > 0).then(|| Instant::now() + Duration::from_millis(opts.timeout_ms));
-        let permit = self
-            .admission
-            .admit(&cost, deadline, opts.cancel.as_ref())
-            .map_err(|e| {
-                self.record_admission(&admission_stats_of(&e));
-                SqlError::Cube(e)
-            })?;
-        self.record_permit(&permit);
-        let ctx = ExecContext::new(&opts.limits(deadline, permit.granted_cells()), 1);
+    /// INSERT: the literal rows, appended. They are evaluated against an
+    /// empty scope: column references have nothing to bind to and error in
+    /// planning terms.
+    fn exec_insert_governed(&self, table: &str, rows: &[Vec<Expr>]) -> SqlResult<Table> {
+        let empty_schema = Schema::new(vec![])?;
+        let scratch = Row::new(vec![]);
+        self.exec_write_governed(table, "inserted", rows.len() as u64, |old, snap, ctx| {
+            let ectx = EvalContext::base(&empty_schema, &snap.scalars);
+            let mut inserted = Vec::with_capacity(rows.len());
+            for (i, exprs) in rows.iter().enumerate() {
+                ctx.tick(i).map_err(SqlError::Cube)?;
+                let vals = exprs.iter().map(|e| eval(e, &scratch, &ectx));
+                inserted.push(Row::new(vals.collect::<SqlResult<Vec<Value>>>()?));
+            }
+            let mut next = old.rows().to_vec();
+            next.extend(inserted.iter().cloned());
+            Ok(Written {
+                rows: next,
+                count: inserted.len() as i64,
+                inserted: Some(inserted),
+            })
+        })
+    }
 
-        loop {
-            ctx.checkpoint().map_err(SqlError::Cube)?;
-            let snap = self.catalog.snapshot();
-            let old = snap.table(table)?;
-            let expected = snap.table_version(table);
+    /// Rows of `table` in the current snapshot — what a DELETE or UPDATE
+    /// scans, and so what admission prices it at (0 for an unknown table:
+    /// the statement fails in planning anyway).
+    fn scan_rows(&self, table: &str) -> u64 {
+        let snap = self.catalog.snapshot();
+        snap.table(table).map(|t| t.len() as u64).unwrap_or(0)
+    }
+
+    /// DELETE: every row the predicate does not select.
+    fn exec_delete_governed(&self, table: &str, predicate: Option<&Expr>) -> SqlResult<Table> {
+        self.exec_write_governed(table, "deleted", self.scan_rows(table), |old, snap, ctx| {
             let ectx = EvalContext::base(old.schema(), &snap.scalars);
             let mut kept = Vec::with_capacity(old.len());
-            let mut deleted = 0i64;
             for (i, row) in old.rows().iter().enumerate() {
                 ctx.tick(i).map_err(SqlError::Cube)?;
-                let matches = match predicate {
-                    None => true,
-                    // SQL semantics: NULL (and ALL) predicates keep the row.
-                    Some(p) => eval(p, row, &ectx)? == Value::Bool(true),
-                };
-                if matches {
-                    deleted += 1;
-                } else {
+                if !selects(predicate, row, &ectx)? {
                     kept.push(row.clone());
                 }
             }
-            if deleted == 0 {
-                // Nothing matched: no republish, no version bump, caches
-                // stay warm.
-                return dml_result(table, "deleted", 0);
-            }
-            let published = Table::new(old.schema().clone(), kept)?;
-            let swapped = self
-                .catalog
-                .with_write(|c| c.replace_if_version(table, expected, published))?;
-            if swapped.is_some() {
-                self.cache.invalidate_table(table);
-                return dml_result(table, "deleted", deleted);
-            }
-        }
+            Ok(Written {
+                count: (old.len() - kept.len()) as i64,
+                rows: kept,
+                inserted: None,
+            })
+        })
     }
 
-    /// The governed UPDATE path: sugar for delete-plus-insert. Matching
-    /// rows are retracted and their rewritten images appended, as one
-    /// batch under a *single* admission permit — an UPDATE can never be
-    /// half-admitted, and readers see old images or new images, never a
-    /// mix. Assignment expressions see the old row (SQL semantics), so
-    /// `SET qty = qty + 1` works. Rewriting retracts old cell values, the
-    /// holistic direction, so cached views are invalidated rather than
-    /// absorbed, exactly as DELETE does.
+    /// UPDATE: sugar for delete-plus-insert in one batch — an UPDATE can
+    /// never be half-admitted, and readers see old images or new images,
+    /// never a mix. Assignment expressions see the old row (SQL
+    /// semantics), so `SET qty = qty + 1` works.
     fn exec_update_governed(
         &self,
         table: &str,
         sets: &[(String, Expr)],
         predicate: Option<&Expr>,
     ) -> SqlResult<Table> {
-        let opts = self.options();
-        let snap = self.catalog.snapshot();
-        let scan_rows = snap.table(table).map(|t| t.len() as u64).unwrap_or(0);
-        let cost = QueryCost {
-            rows: scan_rows,
-            sets: 1,
-            cells: scan_rows,
-        };
-        let deadline =
-            (opts.timeout_ms > 0).then(|| Instant::now() + Duration::from_millis(opts.timeout_ms));
-        let permit = self
-            .admission
-            .admit(&cost, deadline, opts.cancel.as_ref())
-            .map_err(|e| {
-                self.record_admission(&admission_stats_of(&e));
-                SqlError::Cube(e)
-            })?;
-        self.record_permit(&permit);
-        let ctx = ExecContext::new(&opts.limits(deadline, permit.granted_cells()), 1);
-
-        loop {
-            ctx.checkpoint().map_err(SqlError::Cube)?;
-            let snap = self.catalog.snapshot();
-            let old = snap.table(table)?;
-            let expected = snap.table_version(table);
+        self.exec_write_governed(table, "updated", self.scan_rows(table), |old, snap, ctx| {
             // Resolve assignment targets once per attempt: a bad column
             // name rejects the statement before any row is touched.
             let targets = sets
@@ -380,13 +342,7 @@ impl Session {
             let mut updated = 0i64;
             for (i, row) in old.rows().iter().enumerate() {
                 ctx.tick(i).map_err(SqlError::Cube)?;
-                let matches = match predicate {
-                    None => true,
-                    // SQL semantics: NULL (and ALL) predicates keep the
-                    // row unchanged.
-                    Some(p) => eval(p, row, &ectx)? == Value::Bool(true),
-                };
-                if !matches {
+                if !selects(predicate, row, &ectx)? {
                     next.push(row.clone());
                     continue;
                 }
@@ -400,23 +356,12 @@ impl Session {
                 }
                 next.push(Row::new(vals));
             }
-            if updated == 0 {
-                // Nothing matched: no republish, no version bump, caches
-                // stay warm.
-                return dml_result(table, "updated", 0);
-            }
-            // Table::new re-validates every rewritten row against the
-            // schema, so a type-changing assignment rejects the batch
-            // before publication.
-            let published = Table::new(old.schema().clone(), next)?;
-            let swapped = self
-                .catalog
-                .with_write(|c| c.replace_if_version(table, expected, published))?;
-            if swapped.is_some() {
-                self.cache.invalidate_table(table);
-                return dml_result(table, "updated", updated);
-            }
-        }
+            Ok(Written {
+                rows: next,
+                count: updated,
+                inserted: None,
+            })
+        })
     }
 
     fn options(&self) -> SessionOptions {
@@ -496,6 +441,24 @@ impl Session {
             Value::Int(value),
         ]));
         Ok(out)
+    }
+}
+
+/// One attempt of a governed write against a snapshot: the rows of the
+/// table it would publish, how many rows the statement touched (the ack),
+/// and — for a pure INSERT — the appended rows cached views can absorb.
+struct Written {
+    rows: Vec<Row>,
+    count: i64,
+    inserted: Option<Vec<Row>>,
+}
+
+/// Whether a DELETE/UPDATE predicate selects `row`. SQL semantics: NULL
+/// (and ALL) predicates leave the row alone; no predicate selects all.
+fn selects(predicate: Option<&Expr>, row: &Row, ectx: &EvalContext<'_>) -> SqlResult<bool> {
+    match predicate {
+        None => Ok(true),
+        Some(p) => Ok(eval(p, row, ectx)? == Value::Bool(true)),
     }
 }
 

@@ -4,8 +4,9 @@
 //!
 //! Run with `cargo run --example partial_cube`.
 
-use datacube::{cube_sets, greedy_select, GroupingSet, PartialCube, SizeModel};
-use datacube::{AggSpec, Dimension};
+use datacube::subcube::total_cost;
+use datacube::{cube_sets, greedy_select, GroupingSet, Lattice, MaterializedCube, SizeModel};
+use datacube::{AggSpec, AncestorRequest, Dimension, ExecContext};
 use dc_aggregate::builtin;
 use dc_warehouse::sales::{synthetic_sales, SalesParams};
 
@@ -42,26 +43,36 @@ fn main() {
         );
     }
 
-    // Materialize the k=2 selection and answer every grouping set.
+    // Materialize the k=2 selection and answer every grouping set — AVG
+    // included: cells are scratchpads, so a coarser node re-derives it.
+    let avg = AggSpec::new(builtin("AVG").unwrap(), "units").with_name("avg_units");
     let (selection, _) = greedy_select(3, 2, &model).unwrap();
-    let mut pc = PartialCube::materialize(&table, dims, vec![sum], &selection).unwrap();
-    println!(
-        "\nmaterialized sets: {:?}",
-        pc.materialized()
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-    );
-    for set in cube_sets(3).unwrap() {
-        let answer = pc.query(set).unwrap();
-        println!("  answered {set:<10} -> {} rows", answer.len());
+    let lattice = Lattice::new(3, selection.clone()).unwrap();
+    let store = MaterializedCube::with_lattice(&table, dims, vec![sum, avg], lattice).unwrap();
+    println!("\nmaterialized sets (cells):");
+    for (set, cells) in store.node_sizes() {
+        println!("  {set:<10} {cells}");
     }
+    let answer = |set: GroupingSet| {
+        let req = AncestorRequest {
+            dim_map: &[0, 1, 2],
+            dim_names: &["model", "year", "color"],
+            agg_map: &[0, 1],
+            agg_names: &["units", "avg_units"],
+            sets: &[set],
+        };
+        store.answer(&req, &ExecContext::unlimited()).unwrap()
+    };
+    let sets = cube_sets(3).unwrap();
+    for &set in &sets {
+        println!("  answered {set:<10} -> {} rows", answer(set).len());
+    }
+    let measured = SizeModel::measured(&store).unwrap();
     println!(
-        "rows re-scanned for the unmaterialized sets: {}",
-        pc.stats().rows_scanned
+        "cells read to answer all 8 sets from the selection: {}",
+        total_cost(&sets, &selection, &measured)
     );
 
     // The grand total, straight off the partial cube.
-    let grand = pc.query(GroupingSet::EMPTY).unwrap();
-    println!("grand total row: {}", grand.rows()[0]);
+    println!("grand total row: {}", answer(GroupingSet::EMPTY).rows()[0]);
 }

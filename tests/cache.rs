@@ -330,3 +330,43 @@ fn filtered_queries_bypass_the_cache() {
         .unwrap();
     assert_eq!(chevy[1], Value::Int(90));
 }
+
+/// A parameterized aggregate's parameter is part of its identity: the
+/// cached `MAXN(v, 2)` view must never answer `MAXN(v, 3)` (it would
+/// return the 2nd largest), nor the other way round, nor for `MINN`.
+#[test]
+fn parameterized_aggregates_are_keyed_by_their_parameter() {
+    let schema = Schema::from_pairs(&[("k", DataType::Str), ("v", DataType::Int)]);
+    let rows = vec![
+        row!["a", 1],
+        row!["a", 2],
+        row!["a", 3],
+        row!["a", 4],
+        row!["b", 10],
+        row!["b", 20],
+        row!["b", 30],
+    ];
+    let statement = |f: &str, n: u8| format!("SELECT k, {f}(v, {n}) AS x FROM t GROUP BY k");
+    for f in ["MAXN", "MINN"] {
+        for (first, second) in [(2, 3), (3, 2)] {
+            let mut engine = Engine::with_service(ServiceConfig::default());
+            let table = Table::new(schema.clone(), rows.clone()).unwrap();
+            engine.register_table("t", table).unwrap();
+            let reference = engine.session();
+            reference.execute("SET CUBE_CACHE OFF").unwrap();
+
+            let session = engine.session();
+            session.execute(&statement(f, first)).unwrap();
+            let cached = session.execute(&statement(f, second)).unwrap();
+            assert!(
+                !session.last_admission().answered_from_cache,
+                "{f}(v, {second}) was answered from the {f}(v, {first}) view"
+            );
+            let scanned = reference.execute(&statement(f, second)).unwrap();
+            assert_eq!(cached.rows(), scanned.rows(), "{f}: {first} then {second}");
+            // The same call does hit its own view.
+            session.execute(&statement(f, second)).unwrap();
+            assert!(session.last_admission().answered_from_cache);
+        }
+    }
+}
