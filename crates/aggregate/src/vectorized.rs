@@ -11,17 +11,17 @@
 //!
 //! A kernel's accumulator is a fixed 24-byte [`KernelCell`]; the engine
 //! stores one flat `Vec<KernelCell>` per grouping set (stride = number of
-//! kernel lanes). At materialization time each cell is rehydrated into the
-//! aggregate's ordinary accumulator via [`Kernel::state`] +
-//! `Accumulator::merge`, so Final() and output typing are exactly the row
-//! path's — the kernels are an execution detail, not a semantic fork.
+//! kernel lanes). A cell finalizes directly ([`Kernel::final_value`]) to
+//! byte-for-byte what the aggregate's ordinary accumulator would return,
+//! and renders as that accumulator's state tuple ([`Kernel::state`]) for a
+//! materialized store to merge — the kernels are an execution detail, not a
+//! semantic fork.
 //!
 //! An aggregate opts in by returning `Some(Kernel)` from
 //! [`AggregateFunction::kernel`](crate::AggregateFunction::kernel); holistic
 //! and user-defined aggregates keep the default `None` and the engine falls
 //! back to Init/Iter/Final for the whole query.
 
-use crate::accumulator::Accumulator;
 use dc_relation::Value;
 
 /// Morsel-relative validity for one kernel update: either every row is
@@ -120,7 +120,7 @@ fn count_valid_range(words: &[u64], start: usize, end: usize) -> i64 {
 
 /// The vectorized kernels. Each corresponds to one built-in aggregate whose
 /// [`state`](Kernel::state) tuple matches that aggregate's row-path
-/// accumulator, so rehydration via `merge` is exact.
+/// accumulator, so a store can `merge` a kernel cell into one exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// COUNT(x): rows with a present value.
@@ -670,7 +670,7 @@ impl Kernel {
     }
 
     /// Render a cell as the state tuple of the corresponding row-path
-    /// accumulator, so `init(); acc.merge(&state)` rehydrates it exactly.
+    /// accumulator: `init(); acc.merge(&state)` reproduces it exactly.
     pub fn state(self, cell: &KernelCell, float_input: bool) -> Vec<Value> {
         match self {
             Kernel::Count | Kernel::CountStar => vec![Value::Int(cell.n)],
@@ -693,14 +693,9 @@ impl Kernel {
         }
     }
 
-    /// Rehydrate a cell into a freshly Init()ed row-path accumulator.
-    pub fn rehydrate(self, acc: &mut dyn Accumulator, cell: &KernelCell, float_input: bool) {
-        acc.merge(&self.state(cell, float_input));
-    }
-
     /// Final() straight from the cell — byte-for-byte what the row-path
     /// accumulator's `final_value` would return after the same inputs, so
-    /// materialization can skip rehydration entirely. (SUM over a pure
+    /// materialization never builds one. (SUM over a pure
     /// `Float` column matches `SumAcc`: its `int_sum` stays 0, so the
     /// float total alone is the answer.)
     pub fn final_value(self, cell: &KernelCell, float_input: bool) -> Value {
@@ -753,13 +748,12 @@ mod tests {
             want.iter(&if *ok { Value::Int(*v) } else { Value::Null });
         }
         let mut got = f.init();
-        kernel.rehydrate(got.as_mut(), &cells[0], false);
+        got.merge(&kernel.state(&cells[0], false));
         assert_eq!(
             got.final_value(),
             want.final_value(),
-            "{name} over {vals:?}"
+            "{name} state over {vals:?}"
         );
-        // The direct final matches the rehydrated accumulator's.
         assert_eq!(
             kernel.final_value(&cells[0], false),
             want.final_value(),
@@ -1018,7 +1012,7 @@ mod tests {
         Kernel::Sum.update_f64(&mut cells, 1, 0, &[0, 0], &vals, Validity::All);
         let f = builtin("SUM").unwrap();
         let mut got = f.init();
-        Kernel::Sum.rehydrate(got.as_mut(), &cells[0], true);
+        got.merge(&Kernel::Sum.state(&cells[0], true));
         assert_eq!(got.final_value(), Value::Float(3.75));
     }
 }

@@ -75,24 +75,6 @@ pub fn wide_table(rows: usize, n_dims: usize, cardinality: usize) -> Table {
     t
 }
 
-/// A sorted single-dimension table with a piecewise-constant measure:
-/// every `run` consecutive rows share one `(d0, units)` pair, so the RLE
-/// scan folds each run with one slot lookup and one `n × value` kernel
-/// call — the `rle_sorted` workload of `cube_bench`.
-pub fn sorted_table(rows: usize, run: usize) -> Table {
-    use dc_relation::{DataType, Row, Schema, Value};
-    let schema = Schema::from_pairs(&[("d0", DataType::Int), ("units", DataType::Int)]);
-    let mut t = Table::empty(schema);
-    for i in 0..rows {
-        let group = (i / run.max(1)) as i64;
-        t.push_unchecked(Row::new(vec![
-            Value::Int(group),
-            Value::Int((group % 7) * 10 + 1),
-        ]));
-    }
-    t
-}
-
 /// Query over all dimensions of a [`wide_table`].
 pub fn wide_query(n_dims: usize) -> CubeQuery {
     CubeQuery::new()
@@ -138,9 +120,5 @@ mod tests {
         assert_eq!(w.schema().len(), 6);
         let cube = wide_query(5).cube(&w).unwrap();
         assert!(!cube.is_empty());
-        let s = sorted_table(64, 8);
-        // 8 groups of 8 rows, plus the grand total.
-        let cube = wide_query(1).cube(&s).unwrap();
-        assert_eq!(cube.len(), 9);
     }
 }

@@ -170,7 +170,7 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::naive;
+    use crate::algorithm::{reference, Shape};
     use crate::spec::{AggSpec, Dimension};
     use dc_aggregate::builtin;
     use dc_relation::{row, DataType, Schema, Table};
@@ -215,7 +215,8 @@ mod tests {
             &ctx,
         )
         .unwrap();
-        let b = naive::run_row_path(
+        let b = reference::set_maps(
+            Shape::EverySet,
             t.rows(),
             &dims,
             &aggs,

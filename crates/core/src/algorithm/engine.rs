@@ -1,5 +1,5 @@
-//! The execution engine: one arena pipeline over packed `u64` keys (see
-//! [`crate::encode`] for the key layout).
+//! The execution engine: one arena pipeline over packed keys (see
+//! [`crate::encode`] for the key layout), carrying every hash-based query.
 //!
 //! §5 has one skeleton — scan into cells, fold super-aggregates with
 //! `Iter_super`, `Final` — and this module is that skeleton, written once:
@@ -16,26 +16,29 @@
 //!    set's arena, one lattice level at a time; sets of one level never
 //!    depend on each other, so a level's sets are farmed across workers.
 //! 4. **Materialize.** Cells are ranked by collation-remapped keys (a plain
-//!    `u64` sort in decoded-`Row` order), decoded once, and finalized.
+//!    integer sort in decoded-`Row` order), decoded once, and finalized.
 //!
-//! The hash-based algorithms are [`Shape`]s over step 1, and the only axis
-//! inside the pipeline is the accumulator kind ([`Lanes`]): POD kernel
-//! cells when every aggregate kernelizes ([`KernelLanes`]), boxed
-//! [`Accumulator`]s under [`exec::guard`] otherwise ([`BoxedLanes`]).
+//! The hash-based algorithms are [`Shape`]s over step 1. The pipeline is
+//! generic over two things, both decided from the query's data and never
+//! by a caller: the key width ([`PackedKey`]: one `u64` when the
+//! coordinate's fields fit 64 bits, a [`crate::encode::WideKey`]
+//! otherwise) and the accumulator kind ([`Lanes`]): POD kernel cells when
+//! every aggregate kernelizes ([`KernelLanes`]), boxed [`Accumulator`]s
+//! under [`exec::guard`] otherwise ([`BoxedLanes`]).
 //!
-//! [`ExecStats`] accounting matches the `Row`-keyed reference path exactly:
+//! [`ExecStats`] accounting matches the `Row`-keyed [`super::reference`]
+//! algorithms exactly:
 //! `rows_scanned` per row per pass, `iter_calls` per (row, cell, aggregate),
 //! `merge_calls` per (parent cell, aggregate) in the cascade and per
 //! collision in the coalesce, `final_calls` per (output cell, aggregate).
 
-use super::from_core::{choose_largest, ParentChoice};
-use super::Shape;
-use crate::encode::EncodedInput;
+use super::{ParentChoice, Shape};
+use crate::encode::{encode, Encoded, EncodedInput, PackedKey};
 use crate::error::CubeResult;
 use crate::exec::{self, ExecContext};
 use crate::groupby::ExecStats;
 use crate::lattice::{GroupingSet, Lattice};
-use crate::spec::BoundAgg;
+use crate::spec::{BoundAgg, BoundDimension};
 use dc_aggregate::{Accumulator, FusedOp, Kernel, KernelCell, Validity};
 use dc_relation::{Bitmap, Column, ColumnData, FxHashMap, RleIndex, Row, Schema, Table, Value};
 use std::sync::atomic::AtomicUsize;
@@ -473,12 +476,12 @@ impl Lanes for KernelLanes {
 }
 
 /// How an [`Arena`] resolves a packed key to a cell slot.
-enum SlotIndex {
+enum SlotIndex<K> {
     /// General case: one Fx hash map over full keys.
-    Map(FxHashMap<u64, u32>),
-    /// Small key spaces: `table[key]` holds `slot + 1` (0 = empty) over
-    /// all `2^key_bits` possible keys — the §5 dense-array idea applied
-    /// to slot resolution.
+    Map(FxHashMap<K, u32>),
+    /// Small integer key spaces: `table[key]` holds `slot + 1` (0 = empty)
+    /// over all `2^key_bits` possible keys — the §5 dense-array idea
+    /// applied to slot resolution.
     Dense(Vec<u32>),
 }
 
@@ -487,29 +490,30 @@ enum SlotIndex {
 /// cell `i`'s lanes occupy `cells[i*width..(i+1)*width]` — no per-cell
 /// allocation, sequential merges in the cascade. Slots are assigned in
 /// first-touch order, so iteration over `keys` is deterministic.
-pub(crate) struct Arena<C> {
-    index: SlotIndex,
-    keys: Vec<u64>,
+pub(crate) struct Arena<K, C> {
+    index: SlotIndex<K>,
+    keys: Vec<K>,
     cells: Vec<C>,
     width: usize,
 }
 
-impl<C> Arena<C> {
-    /// Pick dense slot resolution when the key space is at most
-    /// [`DENSE_SLOT_BITS`] wide *and* small relative to the expected
-    /// input (`hint` rows/cells) — a giant mostly-empty table loses to
-    /// the hash map on allocation and cache footprint alone. Otherwise a
-    /// hash map pre-sized for `capacity` cells (0: grow on demand — a scan
-    /// cannot know its cell count).
-    fn new(width: usize, key_bits: u32, hint: usize, capacity: usize) -> Self {
-        let index = if key_bits <= DENSE_SLOT_BITS && (1usize << key_bits) <= (64 * hint).max(1024)
-        {
-            SlotIndex::Dense(vec![0u32; 1usize << key_bits])
-        } else {
-            SlotIndex::Map(FxHashMap::with_capacity_and_hasher(
+impl<K: PackedKey, C> Arena<K, C> {
+    /// Pick dense slot resolution when the keys are integers
+    /// (`dense_bits`, see [`crate::encode::KeyEncoder::dense_bits`]) over a
+    /// key space at most [`DENSE_SLOT_BITS`] wide *and* small relative to
+    /// the expected input (`hint` rows/cells) — a giant mostly-empty table
+    /// loses to the hash map on allocation and cache footprint alone.
+    /// Otherwise a hash map pre-sized for `capacity` cells (0: grow on
+    /// demand — a scan cannot know its cell count).
+    fn new(width: usize, dense_bits: Option<u32>, hint: usize, capacity: usize) -> Self {
+        let index = match dense_bits {
+            Some(bits) if bits <= DENSE_SLOT_BITS && (1usize << bits) <= (64 * hint).max(1024) => {
+                SlotIndex::Dense(vec![0u32; 1usize << bits])
+            }
+            _ => SlotIndex::Map(FxHashMap::with_capacity_and_hasher(
                 capacity,
                 Default::default(),
-            ))
+            )),
         };
         Arena {
             index,
@@ -531,12 +535,12 @@ impl<C> Arena<C> {
     /// Returns `(slot, fresh)`; a fresh slot's lanes are the caller's to
     /// append.
     #[inline]
-    fn probe(&mut self, key: u64) -> (u32, bool) {
+    fn probe(&mut self, key: K) -> (u32, bool) {
         let next = self.keys.len() as u32;
         let slot = match &mut self.index {
             SlotIndex::Map(map) => *map.entry(key).or_insert(next),
             SlotIndex::Dense(table) => {
-                let t = &mut table[key as usize];
+                let t = &mut table[key.dense_index()];
                 if *t == 0 {
                     *t = next + 1;
                 }
@@ -555,7 +559,7 @@ impl<C> Arena<C> {
     #[inline]
     fn slot<L: Lanes<Cell = C>>(
         &mut self,
-        key: u64,
+        key: K,
         lanes: &L,
         ctx: &ExecContext,
     ) -> CubeResult<u32> {
@@ -574,8 +578,8 @@ impl<C> Arena<C> {
     #[inline]
     fn slots_for<L: Lanes<Cell = C>>(
         &mut self,
-        morsel_keys: &[u64],
-        mask: u64,
+        morsel_keys: &[K],
+        mask: K,
         slot_buf: &mut Vec<u32>,
         lanes: &L,
         ctx: &ExecContext,
@@ -583,8 +587,8 @@ impl<C> Arena<C> {
         if let SlotIndex::Dense(table) = &mut self.index {
             // cube-lint: allow(checkpoint, bounded by one morsel; the scan checkpoints per morsel)
             for &key in morsel_keys {
-                let key = key & mask;
-                let t = &mut table[key as usize];
+                let key = key.and(mask);
+                let t = &mut table[key.dense_index()];
                 if *t == 0 {
                     ctx.charge_cells(1)?;
                     self.keys.push(key);
@@ -597,17 +601,20 @@ impl<C> Arena<C> {
         }
         // cube-lint: allow(checkpoint, bounded by one morsel; the scan checkpoints per morsel)
         for &key in morsel_keys {
-            let slot = self.slot(key & mask, lanes, ctx)?;
+            let slot = self.slot(key.and(mask), lanes, ctx)?;
             slot_buf.push(slot);
         }
         Ok(())
     }
 }
 
+/// One arena per grouping set, in lattice order.
+type SetArenas<K, C> = Vec<(GroupingSet, Arena<K, C>)>;
+
 /// Should the run-folding scan run? Decided from the data alone: the
 /// leading keys must sample to runs of at least [`RLE_MIN_RUN`] rows
 /// (sorted or low-cardinality key streams).
-fn rle_engages(keys: &[u64]) -> bool {
+fn rle_engages<K: PackedKey>(keys: &[K]) -> bool {
     let sample = &keys[..keys.len().min(4096)];
     if sample.is_empty() {
         return false;
@@ -618,20 +625,20 @@ fn rle_engages(keys: &[u64]) -> bool {
 
 /// What every stage of one query shares: the packed keys, the lane store,
 /// whether the run-folding scan engaged, and the governance context.
-struct Pipeline<'a, L: Lanes> {
-    enc: &'a EncodedInput,
+struct Pipeline<'a, K: PackedKey, L: Lanes> {
+    enc: &'a EncodedInput<K>,
     lanes: &'a L,
     rle: bool,
     ctx: &'a ExecContext,
 }
 
-impl<L: Lanes> Pipeline<'_, L> {
+impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
     /// Scan morsel `[base, end)` into one arena per mask: resolve every
     /// row's slot (charging fresh cells), then fold the morsel's rows.
     fn scan_morsel(
         &self,
-        arenas: &mut [Arena<L::Cell>],
-        masks: &[u64],
+        arenas: &mut [Arena<K, L::Cell>],
+        masks: &[K],
         slot_buf: &mut Vec<u32>,
         base: usize,
         end: usize,
@@ -663,8 +670,8 @@ impl<L: Lanes> Pipeline<'_, L> {
     /// across runs matches the plain scan.
     fn scan_morsel_rle(
         &self,
-        arenas: &mut [Arena<L::Cell>],
-        masks: &[u64],
+        arenas: &mut [Arena<K, L::Cell>],
+        masks: &[K],
         base: usize,
         end: usize,
         stats: &mut ExecStats,
@@ -681,7 +688,7 @@ impl<L: Lanes> Pipeline<'_, L> {
                 e += 1;
             }
             for (arena, &mask) in arenas.iter_mut().zip(masks) {
-                let slot = arena.slot(key & mask, self.lanes, self.ctx)? as usize;
+                let slot = arena.slot(key.and(mask), self.lanes, self.ctx)? as usize;
                 self.lanes
                     .fold_run(&mut arena.cells[slot * w..(slot + 1) * w], s, e)?;
                 stats.iter_calls += ((e - s) * w) as u64;
@@ -699,19 +706,19 @@ impl<L: Lanes> Pipeline<'_, L> {
     /// worker arenas then coalesce. Returns the arenas in mask order.
     fn scan(
         &self,
-        masks: &[u64],
+        masks: &[K],
         workers: usize,
         stats: &mut ExecStats,
-    ) -> CubeResult<Vec<Arena<L::Cell>>> {
+    ) -> CubeResult<Vec<Arena<K, L::Cell>>> {
         let n_rows = self.enc.keys.len();
-        let key_bits = self.enc.encoder.total_bits();
+        let dense_bits = self.enc.encoder.dense_bits();
         let width = self.lanes.width();
         let cursor = AtomicUsize::new(0);
         let mut parts = exec::run_workers(workers, "parallel::worker", stats, |local| {
             exec::failpoint("parallel::worker")?;
-            let mut arenas: Vec<Arena<L::Cell>> = masks
+            let mut arenas: Vec<Arena<K, L::Cell>> = masks
                 .iter()
-                .map(|_| Arena::new(width, key_bits, n_rows.div_ceil(workers), 0))
+                .map(|_| Arena::new(width, dense_bits, n_rows.div_ceil(workers), 0))
                 .collect();
             let mut slot_buf = Vec::with_capacity(MORSEL_ROWS.min(n_rows));
             loop {
@@ -735,9 +742,9 @@ impl<L: Lanes> Pipeline<'_, L> {
         // adopted outright — they are already exactly the cell's state,
         // and were charged by the worker that created them — and later
         // workers' lanes for the same cell fold in by Iter_super.
-        let mut merged: Vec<Arena<L::Cell>> = masks
+        let mut merged: Vec<Arena<K, L::Cell>> = masks
             .iter()
-            .map(|_| Arena::new(width, key_bits, n_rows, 0))
+            .map(|_| Arena::new(width, dense_bits, n_rows, 0))
             .collect();
         let mut lanes_buf: Vec<L::Cell> = Vec::with_capacity(width);
         for part in parts {
@@ -767,10 +774,10 @@ impl<L: Lanes> Pipeline<'_, L> {
     /// [`Self::scan`] into a single mask's arena.
     fn scan_one(
         &self,
-        mask: u64,
+        mask: K,
         workers: usize,
         stats: &mut ExecStats,
-    ) -> CubeResult<Arena<L::Cell>> {
+    ) -> CubeResult<Arena<K, L::Cell>> {
         let mut arenas = self.scan(&[mask], workers, stats)?;
         // cube-lint: allow(panic, scan returns one arena per mask and one mask was passed)
         Ok(arenas.pop().expect("one arena per mask"))
@@ -780,13 +787,13 @@ impl<L: Lanes> Pipeline<'_, L> {
     /// mask — one `Iter_super` per (parent cell, aggregate). Children
     /// shrink, but rarely below half the parent, so a map-indexed child is
     /// pre-sized to that.
-    fn merged_child(&self, parent: &Arena<L::Cell>, mask: u64) -> CubeResult<Arena<L::Cell>> {
+    fn merged_child(&self, parent: &Arena<K, L::Cell>, mask: K) -> CubeResult<Arena<K, L::Cell>> {
         let w = self.lanes.width();
         let hint = parent.n_cells() / 2 + 1;
-        let mut child = Arena::new(w, self.enc.encoder.total_bits(), hint, hint);
+        let mut child = Arena::new(w, self.enc.encoder.dense_bits(), hint, hint);
         for (pslot, &pkey) in parent.keys.iter().enumerate() {
             self.ctx.tick(pslot)?;
-            let cslot = child.slot(pkey & mask, self.lanes, self.ctx)? as usize;
+            let cslot = child.slot(pkey.and(mask), self.lanes, self.ctx)? as usize;
             self.lanes.fold_super(
                 &mut child.cells[cslot * w..(cslot + 1) * w],
                 parent.cell(pslot),
@@ -810,11 +817,11 @@ impl<L: Lanes> Pipeline<'_, L> {
     /// drain the level.
     fn cascade(
         &self,
-        core: Arena<L::Cell>,
+        core: Arena<K, L::Cell>,
         lattice: &Lattice,
         choice: ParentChoice,
         stats: &mut ExecStats,
-    ) -> CubeResult<Vec<(GroupingSet, Arena<L::Cell>)>> {
+    ) -> CubeResult<SetArenas<K, L::Cell>> {
         let encoder = &self.enc.encoder;
         let core_set = lattice.core();
         // The C_i come straight off the symbol tables — no per-key scan
@@ -826,7 +833,7 @@ impl<L: Lanes> Pipeline<'_, L> {
             1
         };
 
-        let mut done: FxHashMap<GroupingSet, Arena<L::Cell>> = FxHashMap::default();
+        let mut done: FxHashMap<GroupingSet, Arena<K, L::Cell>> = FxHashMap::default();
         let mut order: Vec<GroupingSet> = Vec::with_capacity(lattice.sets().len());
         done.insert(core_set, core);
         order.push(core_set);
@@ -842,18 +849,7 @@ impl<L: Lanes> Pipeline<'_, L> {
         for level in sets.chunk_by(|a, b| a.len() == b.len()) {
             let tasks: Vec<(GroupingSet, GroupingSet)> = level
                 .iter()
-                .map(|&set| {
-                    let parent = match choice {
-                        ParentChoice::AlwaysCore => core_set,
-                        ParentChoice::SmallestCardinality => {
-                            lattice.choose_parent(set, &cardinalities, &order)
-                        }
-                        ParentChoice::LargestCardinality => {
-                            choose_largest(lattice, set, &cardinalities, &order)
-                        }
-                    };
-                    (set, parent)
-                })
+                .map(|&set| (set, choice.parent(lattice, set, &cardinalities, &order)))
                 .collect();
             let cursor = AtomicUsize::new(0);
             let built =
@@ -889,7 +885,7 @@ impl<L: Lanes> Pipeline<'_, L> {
         lattice: &Lattice,
         shape: Shape,
         stats: &mut ExecStats,
-    ) -> CubeResult<Vec<(GroupingSet, Arena<L::Cell>)>> {
+    ) -> CubeResult<SetArenas<K, L::Cell>> {
         let encoder = &self.enc.encoder;
         let mut shape = shape;
         if let (Shape::FromCore { threads: None, .. }, Some(budget)) =
@@ -909,7 +905,7 @@ impl<L: Lanes> Pipeline<'_, L> {
         match shape {
             Shape::EverySet => {
                 exec::failpoint("naive::scan")?;
-                let masks: Vec<u64> = lattice
+                let masks: Vec<K> = lattice
                     .sets()
                     .iter()
                     .map(|&s| encoder.set_mask(s))
@@ -962,7 +958,7 @@ impl<L: Lanes> Pipeline<'_, L> {
     /// aggregate).
     fn materialize(
         &self,
-        sets: &[(GroupingSet, Arena<L::Cell>)],
+        sets: &[(GroupingSet, Arena<K, L::Cell>)],
         schema: Schema,
         stats: &mut ExecStats,
     ) -> CubeResult<Table> {
@@ -970,7 +966,7 @@ impl<L: Lanes> Pipeline<'_, L> {
         let encoder = &self.enc.encoder;
         let w = self.lanes.width();
         let nd = encoder.n_dims();
-        // Sort each set by collation-remapped keys — a plain `u64` sort in
+        // Sort each set by collation-remapped keys — a plain integer sort in
         // decoded-`Row` order — and invert to a slot -> output-rank map.
         // Rows are then *emitted in slot order* — keys and cells stream
         // sequentially instead of one gather cache miss per cell — and
@@ -981,7 +977,7 @@ impl<L: Lanes> Pipeline<'_, L> {
         let mut bases: Vec<usize> = Vec::with_capacity(sets.len());
         let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
         let mut total = 0usize;
-        let mut order: Vec<(u64, u32)> = Vec::new();
+        let mut order: Vec<(K, u32)> = Vec::new();
         for (si, (_, arena)) in sets.iter().enumerate() {
             self.ctx.checkpoint()?;
             order.clear();
@@ -1045,9 +1041,14 @@ impl<L: Lanes> Pipeline<'_, L> {
     /// sorted by key.
     fn core_states(&self, stats: &mut ExecStats) -> CubeResult<Vec<(Row, Vec<Vec<Value>>)>> {
         exec::failpoint("core::scan")?;
-        let core = self.scan_one(u64::MAX, 1, stats)?;
-        let collator = self.enc.encoder.collator();
-        let mut order: Vec<(u64, usize)> = core
+        let encoder = &self.enc.encoder;
+        let core = self.scan_one(
+            encoder.set_mask(GroupingSet::full(encoder.n_dims())),
+            1,
+            stats,
+        )?;
+        let collator = encoder.collator();
+        let mut order: Vec<(K, usize)> = core
             .keys
             .iter()
             .enumerate()
@@ -1083,14 +1084,116 @@ fn projected_lattice_cells(cardinalities: &[usize], lattice: &Lattice) -> u64 {
     total
 }
 
-/// Execute `lattice` over encoded input with the given plan shape and
-/// materialize the sets in `keep` (all of them when `None`). The lane kind
-/// is decided here, from the select list: kernel lanes when every
-/// aggregate compiles to one, boxed lanes otherwise.
+/// One job for the pipeline, written once for every key width and lane
+/// kind [`dispatch`] may pick.
+trait Job {
+    type Out;
+
+    fn run<K: PackedKey, L: Lanes>(
+        self,
+        pipeline: Pipeline<'_, K, L>,
+        stats: &mut ExecStats,
+    ) -> CubeResult<Self::Out>;
+}
+
+/// Encode the input and run `job` on the pipeline its data selects: the key
+/// width from the field widths [`encode`] computes, the lane kind from the
+/// select list (kernel lanes when every aggregate compiles to one).
+fn dispatch<J: Job>(
+    rows: &[Row],
+    dims: &[BoundDimension],
+    aggs: &[BoundAgg],
+    stats: &mut ExecStats,
+    ctx: &ExecContext,
+    job: J,
+) -> CubeResult<J::Out> {
+    match encode(rows, dims) {
+        Encoded::Narrow(enc) => dispatch_lanes(&enc, rows, aggs, stats, ctx, job),
+        Encoded::Wide(enc) => dispatch_lanes(&enc, rows, aggs, stats, ctx, job),
+    }
+}
+
+fn dispatch_lanes<K: PackedKey, J: Job>(
+    enc: &EncodedInput<K>,
+    rows: &[Row],
+    aggs: &[BoundAgg],
+    stats: &mut ExecStats,
+    ctx: &ExecContext,
+    job: J,
+) -> CubeResult<J::Out> {
+    let rle = rle_engages(&enc.keys);
+    match KernelLanes::plan(rows, aggs, rle) {
+        Some(lanes) => {
+            // Recorded before the scan so partial stats on a budget trip
+            // already say which lanes were running.
+            stats.vectorized_kernels_used = stats.vectorized_kernels_used.max(lanes.width() as u64);
+            let lanes = &lanes;
+            job.run(
+                Pipeline {
+                    enc,
+                    lanes,
+                    rle,
+                    ctx,
+                },
+                stats,
+            )
+        }
+        None => {
+            let lanes = &BoxedLanes { rows, aggs };
+            job.run(
+                Pipeline {
+                    enc,
+                    lanes,
+                    rle,
+                    ctx,
+                },
+                stats,
+            )
+        }
+    }
+}
+
+/// [`execute`] as a [`Job`].
+struct Execute<'a> {
+    lattice: &'a Lattice,
+    shape: Shape,
+    keep: Option<&'a [GroupingSet]>,
+    schema: Schema,
+}
+
+impl Job for Execute<'_> {
+    type Out = Table;
+
+    fn run<K: PackedKey, L: Lanes>(
+        self,
+        pipeline: Pipeline<'_, K, L>,
+        stats: &mut ExecStats,
+    ) -> CubeResult<Table> {
+        pipeline.execute(self.lattice, self.shape, self.keep, self.schema, stats)
+    }
+}
+
+/// [`core_states`] as a [`Job`].
+struct CoreStates;
+
+impl Job for CoreStates {
+    type Out = Vec<(Row, Vec<Vec<Value>>)>;
+
+    fn run<K: PackedKey, L: Lanes>(
+        self,
+        pipeline: Pipeline<'_, K, L>,
+        stats: &mut ExecStats,
+    ) -> CubeResult<Self::Out> {
+        pipeline.core_states(stats)
+    }
+}
+
+/// Execute `lattice` over the base rows with the given plan shape and
+/// materialize the sets in `keep` (all of them when `None`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute(
-    enc: &EncodedInput,
     rows: &[Row],
+    dims: &[BoundDimension],
     aggs: &[BoundAgg],
     lattice: &Lattice,
     shape: Shape,
@@ -1099,75 +1202,35 @@ pub(crate) fn execute(
     stats: &mut ExecStats,
     ctx: &ExecContext,
 ) -> CubeResult<Table> {
-    let rle = rle_engages(&enc.keys);
-    match KernelLanes::plan(rows, aggs, rle) {
-        Some(lanes) => {
-            // Recorded before the scan so partial stats on a budget trip
-            // already say which lanes were running.
-            stats.vectorized_kernels_used = stats.vectorized_kernels_used.max(lanes.width() as u64);
-            let lanes = &lanes;
-            Pipeline {
-                enc,
-                lanes,
-                rle,
-                ctx,
-            }
-            .execute(lattice, shape, keep, schema, stats)
-        }
-        None => {
-            let lanes = &BoxedLanes { rows, aggs };
-            Pipeline {
-                enc,
-                lanes,
-                rle,
-                ctx,
-            }
-            .execute(lattice, shape, keep, schema, stats)
-        }
-    }
+    let job = Execute {
+        lattice,
+        shape,
+        keep,
+        schema,
+    };
+    dispatch(rows, dims, aggs, stats, ctx, job)
 }
 
-/// The core GROUP BY over all dimensions as sorted `(key, states)` cells —
-/// the scan a cached view is built from.
+/// The core GROUP BY over all of `dims` as `(key, per-aggregate state)`
+/// cells sorted by key — the scan a cached view is built from.
 pub(crate) fn core_states(
-    enc: &EncodedInput,
     rows: &[Row],
+    dims: &[BoundDimension],
     aggs: &[BoundAgg],
     stats: &mut ExecStats,
     ctx: &ExecContext,
 ) -> CubeResult<Vec<(Row, Vec<Vec<Value>>)>> {
-    let rle = rle_engages(&enc.keys);
-    match KernelLanes::plan(rows, aggs, rle) {
-        Some(lanes) => {
-            let lanes = &lanes;
-            Pipeline {
-                enc,
-                lanes,
-                rle,
-                ctx,
-            }
-            .core_states(stats)
-        }
-        None => {
-            let lanes = &BoxedLanes { rows, aggs };
-            Pipeline {
-                enc,
-                lanes,
-                rle,
-                ctx,
-            }
-            .core_states(stats)
-        }
-    }
+    dispatch(rows, dims, aggs, stats, ctx, CoreStates)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::{from_core, naive};
-    use crate::encode::encode;
+    use crate::algorithm::fixtures::FROM_CORE;
+    use crate::algorithm::reference;
+    use crate::encode::{encode_as, WideKey};
     use crate::groupby::{materialize, result_schema};
-    use crate::spec::{AggSpec, BoundDimension, Dimension};
+    use crate::spec::{AggSpec, Dimension};
     use dc_aggregate::builtin;
     use dc_relation::{row, DataType};
 
@@ -1226,20 +1289,14 @@ mod tests {
     // VARIANCE has no kernel: one such aggregate gives every lane a box.
     const BOXED_AGGS: [(&str, &str); 2] = [("SUM", "units"), ("VARIANCE", "price")];
 
-    const FROM_CORE: Shape = Shape::FromCore {
-        threads: None,
-        choice: ParentChoice::SmallestCardinality,
-    };
-
     fn run_engine(t: &Table, aggs: &[(&str, &str)], shape: Shape) -> (Table, ExecStats) {
         let (dims, aggs, schema) = bind(t, aggs);
-        let enc = encode(t.rows(), &dims).unwrap();
         let lattice = Lattice::cube(2).unwrap();
         let mut stats = ExecStats::default();
         let ctx = ExecContext::unlimited();
         let out = execute(
-            &enc,
             t.rows(),
+            &dims,
             &aggs,
             &lattice,
             shape,
@@ -1249,6 +1306,28 @@ mod tests {
             &ctx,
         )
         .unwrap();
+        (out, stats)
+    }
+
+    /// [`run_engine`] with the key width forced to `K` instead of chosen
+    /// from the field widths.
+    fn run_keyed<K: PackedKey>(
+        t: &Table,
+        aggs: &[(&str, &str)],
+        shape: Shape,
+    ) -> (Table, ExecStats) {
+        let (dims, aggs, schema) = bind(t, aggs);
+        let lattice = Lattice::cube(2).unwrap();
+        let job = Execute {
+            lattice: &lattice,
+            shape,
+            keep: None,
+            schema,
+        };
+        let enc = encode_as::<K>(t.rows(), &dims);
+        let mut stats = ExecStats::default();
+        let ctx = ExecContext::unlimited();
+        let out = dispatch_lanes(&enc, t.rows(), &aggs, &mut stats, &ctx, job).unwrap();
         (out, stats)
     }
 
@@ -1283,9 +1362,17 @@ mod tests {
 
             let (dims, bound, schema) = bind(&t, aggs);
             let mut want_stats = ExecStats::default();
-            let maps =
-                from_core::run_row_path(t.rows(), &dims, &bound, &lattice, &mut want_stats, &ctx)
-                    .unwrap();
+            let rows = t.rows();
+            let maps = reference::set_maps(
+                FROM_CORE,
+                rows,
+                &dims,
+                &bound,
+                &lattice,
+                &mut want_stats,
+                &ctx,
+            )
+            .unwrap();
             let want = materialize(schema, maps, &bound, &mut want_stats, &ctx).unwrap();
             assert_eq!(got.rows(), want.rows(), "{kernels} kernel lanes");
             assert_eq!(
@@ -1326,7 +1413,17 @@ mod tests {
             );
             let (dims, bound, _) = bind(&t, aggs);
             let mut row_stats = ExecStats::default();
-            naive::run_row_path(t.rows(), &dims, &bound, &lattice, &mut row_stats, &ctx).unwrap();
+            let every = Shape::EverySet;
+            reference::set_maps(
+                every,
+                t.rows(),
+                &dims,
+                &bound,
+                &lattice,
+                &mut row_stats,
+                &ctx,
+            )
+            .unwrap();
             assert_eq!(s.iter_calls, row_stats.iter_calls);
 
             let (per_set, s) = run_engine(&t, aggs, Shape::PerSet);
@@ -1382,6 +1479,52 @@ mod tests {
         }
     }
 
+    /// One table that packs both ways, through both key instantiations ×
+    /// both lane kinds × every shape: the key width changes neither a cell
+    /// nor a work counter. The sorted copy engages the run-folding scan.
+    #[test]
+    fn both_key_widths_give_identical_tables_and_counters() {
+        let plain = sales();
+        let mut sorted = Table::empty(plain.schema().clone());
+        for r in plain.rows() {
+            for _ in 0..RLE_MIN_RUN {
+                sorted.push_unchecked(r.clone());
+            }
+        }
+        let parallel = Shape::FromCore {
+            threads: Some(3),
+            choice: ParentChoice::SmallestCardinality,
+        };
+        // Six rows, two of them adjacent on (Ford, 1995): five key runs.
+        for (t, runs) in [(&plain, 0), (&sorted, 5)] {
+            for (aggs, kernels) in [(&KERNEL_AGGS[..], 5), (&BOXED_AGGS[..], 0)] {
+                for shape in [FROM_CORE, Shape::EverySet, Shape::PerSet, parallel] {
+                    let (narrow, n) = run_keyed::<u64>(t, aggs, shape);
+                    let (wide, w) = run_keyed::<WideKey>(t, aggs, shape);
+                    let tag = format!("{shape:?}, {kernels} kernel lanes, {runs} runs");
+                    assert_eq!(narrow.rows(), wide.rows(), "{tag}");
+                    let counters = |s: &ExecStats| {
+                        (
+                            s.rows_scanned,
+                            s.iter_calls,
+                            s.merge_calls,
+                            s.final_calls,
+                            s.morsels_processed,
+                            s.rle_runs,
+                        )
+                    };
+                    assert_eq!(counters(&n), counters(&w), "{tag}");
+                    assert_eq!(n.vectorized_kernels_used, kernels, "{tag}");
+                    assert_eq!(w.vectorized_kernels_used, kernels, "{tag}");
+                    assert!(n.morsels_processed > 0, "{tag}");
+                    if matches!(shape, Shape::FromCore { .. }) {
+                        assert_eq!(n.rle_runs, runs, "{tag}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn dense_and_map_indexes_assign_the_same_slots() {
         let lanes = BoxedLanes {
@@ -1391,8 +1534,8 @@ mod tests {
         let ctx = ExecContext::unlimited();
         // 8 key bits with a 1024-row hint fits the dense table; a 40-bit
         // key space never does.
-        let mut dense = Arena::new(0, 8, 1024, 0);
-        let mut map = Arena::new(0, 40, 1024, 0);
+        let mut dense = Arena::new(0, Some(8), 1024, 0);
+        let mut map = Arena::new(0, Some(40), 1024, 0);
         assert!(matches!(dense.index, SlotIndex::Dense(_)));
         assert!(matches!(map.index, SlotIndex::Map(_)));
         let keys = [7u64, 3, 7, 200, 3, 0];

@@ -15,27 +15,33 @@
 //! | [`Algorithm::Array`] | dense N-dimensional array over symbol tables | `T` Iters + array sweeps |
 //! | [`Algorithm::Parallel`] | "use parallelism to aggregate each partition and then coalesce" | `T/P` Iters per thread + merges |
 //! | [`Algorithm::PipeSort`] | the \[ADGNRS\] shared-sort idea | `C(N, N/2)` sorts, `T` Iters each |
+//!
+//! The four hash-based algorithms are one scan: each is a [`Shape`] of the
+//! arena [`engine`], which carries every such query whatever its key width.
+//! Sort, Array and PipeSort are distinct algorithms with their own key
+//! machinery, selectable by name. [`reference`] holds the `Row`-keyed
+//! originals of the hash-based four, kept as the model the engine is
+//! tested against; nothing on the serving path calls it.
 
 pub(crate) mod array;
 pub(crate) mod engine;
-pub(crate) mod from_core;
-pub(crate) mod naive;
-pub(crate) mod parallel;
 pub(crate) mod pipesort;
+#[doc(hidden)]
+pub mod reference;
 pub(crate) mod sort;
-pub(crate) mod unions;
 
 pub use array::MAX_CELLS;
-pub use from_core::ParentChoice;
 pub use pipesort::symmetric_chains;
+
+pub(crate) use engine::core_states;
 
 use crate::error::{CubeError, CubeResult, Resource};
 use crate::exec::ExecContext;
 use crate::groupby::{materialize, ExecStats, SetMaps};
 use crate::lattice::{rollup_sets, GroupingSet, Lattice};
 use crate::spec::{BoundAgg, BoundDimension};
-use dc_aggregate::AggKind;
-use dc_relation::{Row, Schema, Table, Value};
+use dc_aggregate::{AggKind, AggregateFunction};
+use dc_relation::{Row, Schema, Table};
 
 /// Selects how a cube / rollup / grouping-sets query is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,6 +77,46 @@ pub enum Algorithm {
     Parallel { threads: usize },
 }
 
+/// How the cascade picks each set's parent — ablated by benchmark C6.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParentChoice {
+    /// The paper's rule: aggregate away the smallest-cardinality dimension.
+    SmallestCardinality,
+    /// Adversarial ablation: aggregate away the largest-cardinality
+    /// dimension.
+    LargestCardinality,
+    /// Always cascade directly from the core (no intermediate reuse).
+    AlwaysCore,
+}
+
+impl ParentChoice {
+    /// The already-`materialized` set `set` is folded from.
+    pub(crate) fn parent(
+        self,
+        lattice: &Lattice,
+        set: GroupingSet,
+        cardinalities: &[usize],
+        materialized: &[GroupingSet],
+    ) -> GroupingSet {
+        match self {
+            ParentChoice::AlwaysCore => lattice.core(),
+            ParentChoice::SmallestCardinality => {
+                lattice.choose_parent(set, cardinalities, materialized)
+            }
+            ParentChoice::LargestCardinality => set
+                .parents(lattice.n_dims())
+                .into_iter()
+                .filter(|p| materialized.contains(p))
+                .max_by_key(|p| {
+                    let added = p.bits() & !set.bits();
+                    let d = added.trailing_zeros() as usize;
+                    cardinalities.get(d).copied().unwrap_or(0)
+                })
+                .unwrap_or_else(|| lattice.core()),
+        }
+    }
+}
+
 /// What a hash-based algorithm asks of the one grouping scan: which
 /// grouping sets each pass over the base rows folds into, and whether a
 /// cascade derives the rest.
@@ -90,16 +136,72 @@ pub(crate) enum Shape {
     },
 }
 
+/// What an [`Algorithm`] resolves to for one select list.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Plan {
+    /// A hash-based algorithm: this shape of the engine's scan.
+    Hash(Shape),
+    Sort,
+    Array,
+    PipeSort,
+}
+
+/// Resolve `algorithm` for a select list of `funcs`.
+///
+/// A UDA built without state()/merge() has a no-op Iter_super: any plan
+/// that folds sub-aggregate scratchpads (from-core cascade, sort frame
+/// closes, array slab sweeps, PipeSort chain hand-offs, parallel
+/// coalescing) would silently drop its data. Such functions are still
+/// legal — they just pin execution to the scan-per-cell 2^N shape.
+pub(crate) fn resolve<'a>(
+    algorithm: Algorithm,
+    funcs: impl Iterator<Item = &'a dyn AggregateFunction> + Clone,
+    choice: ParentChoice,
+) -> Plan {
+    let from_core = |threads| Shape::FromCore { threads, choice };
+    match algorithm {
+        Algorithm::TwoToTheN => Plan::Hash(Shape::EverySet),
+        Algorithm::UnionGroupBys => Plan::Hash(Shape::PerSet),
+        _ if !funcs.clone().all(|f| f.mergeable()) => Plan::Hash(Shape::EverySet),
+        // §5: "We know of no more efficient way of computing
+        // super-aggregates of holistic functions".
+        Algorithm::Auto if funcs.clone().any(|f| f.kind() == AggKind::Holistic) => {
+            Plan::Hash(Shape::EverySet)
+        }
+        Algorithm::Auto | Algorithm::FromCore => Plan::Hash(from_core(None)),
+        Algorithm::Parallel { threads } => Plan::Hash(from_core(Some(threads))),
+        Algorithm::Sort => Plan::Sort,
+        Algorithm::Array => Plan::Array,
+        Algorithm::PipeSort => Plan::PipeSort,
+    }
+}
+
+/// The plan `algorithm` runs for a select list of `funcs`, as one line of
+/// text: exactly the resolution [`CubeQuery`](crate::CubeQuery) execution
+/// performs, for EXPLAIN to print instead of restating the rule.
+pub fn describe_plan(algorithm: Algorithm, funcs: &[&dyn AggregateFunction]) -> String {
+    let choice = ParentChoice::SmallestCardinality;
+    match resolve(algorithm, funcs.iter().copied(), choice) {
+        Plan::Hash(Shape::EverySet) => "2^N (one scan, every row into every grouping set)".into(),
+        Plan::Hash(Shape::PerSet) => "union of GROUP BYs (one scan per grouping set)".into(),
+        Plan::Hash(Shape::FromCore { threads: None, .. }) => {
+            "from-core cascade (Iter_super, smallest-Ci parent)".into()
+        }
+        Plan::Hash(Shape::FromCore {
+            threads: Some(t), ..
+        }) => format!("parallel from-core cascade ({t} scan workers, coalesce, Iter_super)"),
+        Plan::Sort => "sort-based ROLLUP".into(),
+        Plan::Array => "dense array".into(),
+        Plan::PipeSort => "PipeSort shared sorts".into(),
+    }
+}
+
 /// Execute the lattice with the chosen algorithm and materialize the sets
 /// in `keep` (all of them when `None`).
 ///
 /// The hash-based algorithms (2^N, unions, from-core, parallel) are
-/// [`Shape`]s over one grouping scan. With `encoded_keys` they run on the
-/// arena [`engine`] over packed `u64` keys, falling back to the `Row`-keyed
-/// reference path when the coordinate does not pack (see
-/// [`crate::encode`]); without it they run the reference path directly.
-/// The sort- and array-based algorithms have their own key machinery and
-/// ignore the switch. Results are identical either way.
+/// [`Shape`]s over the [`engine`]'s one grouping scan; the sort- and
+/// array-based algorithms run their own key machinery.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run(
     algorithm: Algorithm,
@@ -108,7 +210,6 @@ pub(crate) fn run(
     aggs: &[BoundAgg],
     lattice: &Lattice,
     choice: ParentChoice,
-    encoded_keys: bool,
     keep: Option<&[GroupingSet]>,
     schema: Schema,
     stats: &mut ExecStats,
@@ -120,58 +221,18 @@ pub(crate) fn run(
         }
         materialize(schema, maps, aggs, stats, ctx)
     };
-    // A UDA built without state()/merge() has a no-op Iter_super: any plan
-    // that folds sub-aggregate scratchpads (from-core cascade, sort frame
-    // closes, array slab sweeps, PipeSort chain hand-offs, parallel
-    // coalescing) would silently drop its data. Such functions are still
-    // legal — they just pin execution to the scan-per-cell 2^N shape, after
-    // each algorithm's own shape checks so error behavior is unchanged.
-    let mergeable = aggs.iter().all(|a| a.func.mergeable());
-    let from_core = Shape::FromCore {
-        threads: None,
-        choice,
-    };
-    let shape = match algorithm {
-        Algorithm::TwoToTheN => Shape::EverySet,
-        Algorithm::UnionGroupBys => Shape::PerSet,
-        Algorithm::Parallel { threads: 0 } => {
-            return Err(CubeError::BadSpec("Parallel requires threads >= 1".into()))
-        }
-        Algorithm::Sort if lattice.sets() != rollup_sets(lattice.n_dims())?.as_slice() => {
-            return Err(CubeError::Unsupported(
-                "the sort algorithm applies only to ROLLUP lattices".into(),
-            ))
-        }
-        Algorithm::Array if !lattice.is_full_cube() => {
-            return Err(CubeError::Unsupported(
-                "the dense array algorithm computes full cubes only".into(),
-            ))
-        }
-        Algorithm::PipeSort if !lattice.is_full_cube() => {
-            return Err(CubeError::Unsupported(
-                "PipeSort computes full cubes only".into(),
-            ))
-        }
-        _ if !mergeable => Shape::EverySet,
-        // §5: "We know of no more efficient way of computing
-        // super-aggregates of holistic functions".
-        Algorithm::Auto if aggs.iter().any(|a| a.func.kind() == AggKind::Holistic) => {
-            Shape::EverySet
-        }
-        Algorithm::Auto | Algorithm::FromCore => from_core,
-        Algorithm::Parallel { threads } => Shape::FromCore {
-            threads: Some(threads),
-            choice,
-        },
-        Algorithm::Sort => {
+    check_applies(algorithm, lattice)?;
+    let shape = match resolve(algorithm, aggs.iter().map(|a| &*a.func), choice) {
+        Plan::Hash(shape) => shape,
+        Plan::Sort => {
             let maps = sort::run(rows, dims, aggs, lattice, stats, ctx)?;
             return finish(maps, schema, stats);
         }
-        Algorithm::PipeSort => {
+        Plan::PipeSort => {
             let maps = pipesort::run(rows, dims, aggs, lattice, stats, ctx)?;
             return finish(maps, schema, stats);
         }
-        Algorithm::Array => match array::run(rows, dims, aggs, lattice, stats, ctx) {
+        Plan::Array => match array::run(rows, dims, aggs, lattice, stats, ctx) {
             // Degradation rung 1: the dense array's *projected* size is
             // checked before anything is materialized, so a cell/memory
             // trip here is free to retry on the sparse hash-based path
@@ -181,56 +242,299 @@ pub(crate) fn run(
                 ..
             }) => {
                 stats.degraded_dense_to_sparse = true;
-                from_core
+                Shape::FromCore {
+                    threads: None,
+                    choice,
+                }
             }
             other => return finish(other?, schema, stats),
         },
     };
-    if encoded_keys {
-        if let Some(enc) = crate::encode::encode(rows, dims) {
-            stats.encoded_keys = true;
-            return engine::execute(&enc, rows, aggs, lattice, shape, keep, schema, stats, ctx);
-        }
-    }
-    let maps = match shape {
-        Shape::EverySet => naive::run_row_path(rows, dims, aggs, lattice, stats, ctx),
-        Shape::PerSet => unions::run_row_path(rows, dims, aggs, lattice, stats, ctx),
-        Shape::FromCore {
-            threads: None,
-            choice,
-        } => from_core::run_with_choice_row_path(rows, dims, aggs, lattice, choice, stats, ctx),
-        Shape::FromCore {
-            threads: Some(threads),
-            ..
-        } => parallel::run_row_path(rows, dims, aggs, lattice, threads, stats, ctx),
-    }?;
-    finish(maps, schema, stats)
+    engine::execute(rows, dims, aggs, lattice, shape, keep, schema, stats, ctx)
 }
 
-/// The core GROUP BY over all of `dims` as `(key, per-aggregate state)`
-/// cells sorted by key — what a cached view stores. Runs the engine's core
-/// scan, or the `Row`-keyed one when the coordinate does not pack.
-pub(crate) fn core_states(
-    rows: &[Row],
-    dims: &[BoundDimension],
-    aggs: &[BoundAgg],
-    stats: &mut ExecStats,
-    ctx: &ExecContext,
-) -> CubeResult<Vec<(Row, Vec<Vec<Value>>)>> {
-    if let Some(enc) = crate::encode::encode(rows, dims) {
-        return engine::core_states(&enc, rows, aggs, stats, ctx);
+/// Each algorithm's own applicability checks, made before the select list
+/// is looked at so error behavior does not depend on it.
+fn check_applies(algorithm: Algorithm, lattice: &Lattice) -> CubeResult<()> {
+    match algorithm {
+        Algorithm::Parallel { threads: 0 } => {
+            Err(CubeError::BadSpec("Parallel requires threads >= 1".into()))
+        }
+        Algorithm::Sort if lattice.sets() != rollup_sets(lattice.n_dims())?.as_slice() => Err(
+            CubeError::Unsupported("the sort algorithm applies only to ROLLUP lattices".into()),
+        ),
+        Algorithm::Array if !lattice.is_full_cube() => Err(CubeError::Unsupported(
+            "the dense array algorithm computes full cubes only".into(),
+        )),
+        Algorithm::PipeSort if !lattice.is_full_cube() => Err(CubeError::Unsupported(
+            "PipeSort computes full cubes only".into(),
+        )),
+        _ => Ok(()),
     }
-    let core = crate::groupby::compute_core(rows, dims, aggs, stats, ctx)?;
-    let mut cells = Vec::with_capacity(core.len());
-    for (i, (key, accs)) in core.into_iter().enumerate() {
-        ctx.tick(i)?;
-        let states = accs
+}
+
+// The unit tests of the four `reference` algorithms, one module per
+// algorithm under the path each has had since it was a file of its own:
+// test names are how the suite's floor follows a test from PR to PR.
+
+#[cfg(test)]
+mod fixtures {
+    use crate::spec::{AggSpec, BoundAgg, BoundDimension, Dimension};
+    use dc_aggregate::builtin;
+    use dc_relation::{DataType, Schema, Table};
+
+    pub(super) use super::{reference::set_maps, ParentChoice, Shape};
+    pub(super) use crate::exec::ExecContext;
+    pub(super) use crate::groupby::{ExecStats, SetMaps};
+    pub(super) use crate::lattice::{GroupingSet, Lattice};
+    pub(super) use dc_relation::{row, Row, Value};
+
+    pub(super) const FROM_CORE: Shape = Shape::FromCore {
+        threads: None,
+        choice: ParentChoice::SmallestCardinality,
+    };
+
+    /// An empty `(dims..., units)` table with its bound dimensions and
+    /// `aggs` bound over `units`.
+    pub(super) fn setup(
+        dims: &[(&str, DataType)],
+        aggs: &[&str],
+    ) -> (Table, Vec<BoundDimension>, Vec<BoundAgg>) {
+        let mut cols = dims.to_vec();
+        cols.push(("units", DataType::Int));
+        let t = Table::empty(Schema::from_pairs(&cols));
+        let dims = dims
             .iter()
-            .zip(aggs)
-            .map(|(acc, a)| crate::exec::guard(a.func.name(), || acc.state()))
-            .collect::<CubeResult<Vec<_>>>()?;
-        cells.push((key, states));
+            .map(|(d, _)| Dimension::column(d).bind(t.schema()).unwrap())
+            .collect();
+        let aggs = aggs
+            .iter()
+            .map(|f| {
+                AggSpec::new(builtin(f).unwrap(), "units")
+                    .bind(t.schema())
+                    .unwrap()
+            })
+            .collect();
+        (t, dims, aggs)
     }
-    cells.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok(cells)
+
+    /// The paper's 2 models × 2 years × 2 colors sales rows (510 units).
+    pub(super) fn sales_3d(aggs: &[&str]) -> (Table, Vec<BoundDimension>, Vec<BoundAgg>) {
+        let dims = [
+            ("model", DataType::Str),
+            ("year", DataType::Int),
+            ("color", DataType::Str),
+        ];
+        let (mut t, dims, aggs) = setup(&dims, aggs);
+        for (m, y, c, u) in [
+            ("Chevy", 1994, "black", 50),
+            ("Chevy", 1994, "white", 40),
+            ("Chevy", 1995, "black", 85),
+            ("Chevy", 1995, "white", 115),
+            ("Ford", 1994, "black", 50),
+            ("Ford", 1994, "white", 10),
+            ("Ford", 1995, "black", 85),
+            ("Ford", 1995, "white", 75),
+        ] {
+            t.push(row![m, y, c, u]).unwrap();
+        }
+        (t, dims, aggs)
+    }
+}
+
+#[cfg(test)]
+mod naive {
+    mod tests {
+        use super::super::fixtures::*;
+        use dc_relation::DataType;
+
+        #[test]
+        fn touches_every_set_per_row() {
+            let dims = [("model", DataType::Str), ("year", DataType::Int)];
+            let (mut t, dims, aggs) = setup(&dims, &["SUM"]);
+            for (m, y, u) in [("Chevy", 1994, 50), ("Chevy", 1995, 85), ("Ford", 1994, 60)] {
+                t.push(row![m, y, u]).unwrap();
+            }
+            let lattice = Lattice::cube(2).unwrap();
+            let mut stats = ExecStats::default();
+            let ctx = ExecContext::unlimited();
+            let every = Shape::EverySet;
+            let maps = set_maps(every, t.rows(), &dims, &aggs, &lattice, &mut stats, &ctx).unwrap();
+            // T × 2^N × |aggs| = 3 × 4 × 1 Iter calls — the paper's cost formula.
+            assert_eq!(stats.iter_calls, 12);
+            assert_eq!(stats.rows_scanned, 3);
+            // Grand total cell.
+            let (_, empty_map) = maps.iter().find(|(s, _)| *s == GroupingSet::EMPTY).unwrap();
+            let key = Row::new(vec![Value::All, Value::All]);
+            assert_eq!(empty_map[&key][0].final_value(), Value::Int(195));
+        }
+    }
+}
+
+#[cfg(test)]
+mod unions {
+    mod tests {
+        use super::super::fixtures::*;
+        use dc_relation::DataType;
+
+        #[test]
+        fn one_scan_per_grouping_set() {
+            let (mut t, dims, aggs) = setup(&[("model", DataType::Str)], &["SUM"]);
+            t.push(row!["Chevy", 50]).unwrap();
+            t.push(row!["Ford", 60]).unwrap();
+            let lattice = Lattice::cube(1).unwrap();
+            let mut stats = ExecStats::default();
+            let ctx = ExecContext::unlimited();
+            let per_set = Shape::PerSet;
+            set_maps(per_set, t.rows(), &dims, &aggs, &lattice, &mut stats, &ctx).unwrap();
+            // 2 sets × 2 rows: each set re-scans the base table.
+            assert_eq!(stats.rows_scanned, 4);
+        }
+    }
+}
+
+#[cfg(test)]
+mod from_core {
+    mod tests {
+        use super::super::fixtures::*;
+
+        fn run(shape: Shape, aggs: &[&str], lattice: &Lattice) -> (SetMaps, ExecStats) {
+            let (t, dims, aggs) = sales_3d(aggs);
+            let mut stats = ExecStats::default();
+            let ctx = ExecContext::unlimited();
+            let maps = set_maps(shape, t.rows(), &dims, &aggs, lattice, &mut stats, &ctx).unwrap();
+            (maps, stats)
+        }
+
+        // Consumes the maps so keys move instead of cloning per final value.
+        fn finals(maps: SetMaps) -> Vec<(GroupingSet, Vec<(Row, Value)>)> {
+            maps.into_iter()
+                .map(|(s, m)| {
+                    let mut cells: Vec<(Row, Value)> = m
+                        .into_iter()
+                        .map(|(k, a)| (k, a[0].final_value()))
+                        .collect();
+                    cells.sort();
+                    (s, cells)
+                })
+                .collect()
+        }
+
+        #[test]
+        fn matches_the_2n_algorithm() {
+            let lattice = Lattice::cube(3).unwrap();
+            let (a, s1) = run(FROM_CORE, &["SUM"], &lattice);
+            let (b, s2) = run(Shape::EverySet, &["SUM"], &lattice);
+            assert_eq!(finals(a), finals(b));
+            // And it does it in ONE scan with T iters, vs T × 2^N.
+            assert_eq!(s1.rows_scanned, 8);
+            assert_eq!(s1.iter_calls, 8);
+            assert_eq!(s2.iter_calls, 8 * 8);
+        }
+
+        #[test]
+        fn parent_choices_agree_on_results() {
+            let lattice = Lattice::cube(3).unwrap();
+            let expected = finals(run(FROM_CORE, &["SUM"], &lattice).0);
+            for choice in [ParentChoice::LargestCardinality, ParentChoice::AlwaysCore] {
+                let shape = Shape::FromCore {
+                    threads: None,
+                    choice,
+                };
+                let got = finals(run(shape, &["SUM"], &lattice).0);
+                assert_eq!(got, expected, "{choice:?} must produce identical cells");
+            }
+        }
+
+        #[test]
+        fn algebraic_cascade_gives_exact_average() {
+            // Figure 8's scenario: AVG super-aggregates need the (sum, count)
+            // scratchpads, not the averaged results.
+            let (maps, _) = run(FROM_CORE, &["AVG"], &Lattice::cube(3).unwrap());
+            let (_, grand) = maps.iter().find(|(s, _)| s.is_empty()).unwrap();
+            let key = Row::new(vec![Value::All, Value::All, Value::All]);
+            // Mean of the 8 unit values = 510 / 8.
+            assert_eq!(grand[&key][0].final_value(), Value::Float(510.0 / 8.0));
+        }
+
+        #[test]
+        fn works_on_rollup_lattices() {
+            let (maps, _) = run(FROM_CORE, &["SUM"], &Lattice::rollup(3).unwrap());
+            assert_eq!(maps.len(), 4);
+            // Each rollup level's sub-totals sum to the grand total.
+            for (_, map) in &maps {
+                let total: i64 = map
+                    .values()
+                    .map(|a| a[0].final_value().as_i64().unwrap())
+                    .sum();
+                assert_eq!(total, 510);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod parallel {
+    mod tests {
+        use super::super::fixtures::*;
+        use dc_relation::DataType;
+
+        fn run(n_rows: usize, shape: Shape) -> SetMaps {
+            let dims = [("model", DataType::Str), ("year", DataType::Int)];
+            let (mut t, dims, aggs) = setup(&dims, &["SUM", "AVG"]);
+            let models = ["Chevy", "Ford", "Dodge"];
+            for i in 0..n_rows {
+                t.push(row![
+                    models[i % 3],
+                    1990 + (i % 5) as i64,
+                    (i * 7 % 100) as i64
+                ])
+                .unwrap();
+            }
+            let lattice = Lattice::cube(2).unwrap();
+            let (mut stats, ctx) = (ExecStats::default(), ExecContext::unlimited());
+            set_maps(shape, t.rows(), &dims, &aggs, &lattice, &mut stats, &ctx).unwrap()
+        }
+
+        fn threads(threads: usize) -> Shape {
+            Shape::FromCore {
+                threads: Some(threads),
+                choice: ParentChoice::SmallestCardinality,
+            }
+        }
+
+        #[test]
+        fn matches_naive_across_thread_counts() {
+            let expected = run(101, Shape::EverySet);
+            for n in [1, 2, 4, 7] {
+                let got = run(101, threads(n));
+                for (set, map) in &expected {
+                    let (_, gmap) = got.iter().find(|(s, _)| s == set).unwrap();
+                    assert_eq!(gmap.len(), map.len(), "{n} threads, set {set}");
+                    for (k, accs) in map {
+                        for (i, acc) in accs.iter().enumerate() {
+                            assert_eq!(
+                                gmap[k][i].final_value(),
+                                acc.final_value(),
+                                "{n} threads, {k}, agg {i}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn more_threads_than_rows_is_fine() {
+            let maps = run(3, threads(16));
+            let (_, grand) = maps.iter().find(|(s, _)| s.is_empty()).unwrap();
+            let key = Row::new(vec![Value::All, Value::All]);
+            assert_eq!(grand[&key][0].final_value(), Value::Int(7 + 14));
+        }
+
+        #[test]
+        fn empty_input() {
+            assert!(run(0, threads(4)).iter().all(|(_, m)| m.is_empty()));
+        }
+    }
 }

@@ -236,7 +236,7 @@ fn pipeline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::naive;
+    use crate::algorithm::{reference, Shape};
     use crate::spec::{AggSpec, Dimension};
     use dc_aggregate::builtin;
     use dc_relation::{row, DataType, Schema, Table};
@@ -317,7 +317,8 @@ mod tests {
         let ctx = ExecContext::unlimited();
         let mut s1 = ExecStats::default();
         let pipe = run(t.rows(), &dims, &aggs, &lattice, &mut s1, &ctx).unwrap();
-        let reference = naive::run_row_path(
+        let reference = reference::set_maps(
+            Shape::EverySet,
             t.rows(),
             &dims,
             &aggs,

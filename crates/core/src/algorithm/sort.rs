@@ -138,7 +138,7 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::naive;
+    use crate::algorithm::{reference, Shape};
     use crate::spec::{AggSpec, Dimension};
     use dc_aggregate::builtin;
     use dc_relation::{row, DataType, Schema, Table};
@@ -194,7 +194,8 @@ mod tests {
         )
         .unwrap();
         let mut s2 = ExecStats::default();
-        let naive = naive::run_row_path(
+        let naive = reference::set_maps(
+            Shape::EverySet,
             t.rows(),
             &dims,
             &aggs,

@@ -1,63 +1,178 @@
-//! Packed `u64` group keys — the encoded-key execution engine's front end.
+//! Packed group keys — the execution engine's front end.
 //!
 //! §5 of the paper quotes Graefe's tip: "If the aggregation values are
 //! large strings, it may be wise to keep a hashed symbol table that maps
 //! each string to an integer so that the aggregate values are small."
 //! This module takes that one step further: every dimension value is
 //! interned through a [`SymbolTable`] and the whole N-dimensional
-//! coordinate is packed into a *single* `u64`, one bit field per
-//! dimension.
+//! coordinate becomes one small `Copy` key, one field per dimension:
 //!
-//! Packing layout (low bits = dimension 0):
-//!
-//! * dimension `d` with cardinality `C_d` gets `width_d` bits, enough to
-//!   hold `C_d + 1` distinct field values;
 //! * field value `0` is reserved for the paper's `ALL` pseudo-value, and
-//!   interned code `c` is stored as `c + 1`.
+//!   interned code `c` is stored as `c + 1`;
+//! * dimension `d` with cardinality `C_d` needs `width_d` bits, enough to
+//!   hold the `C_d + 1` distinct field values.
 //!
 //! Reserving `0` for `ALL` is what makes the engine fast: projecting a
 //! full coordinate onto a grouping set — replacing every dropped
-//! dimension by `ALL` — is a single `key & set_mask(set)` AND, because
+//! dimension by `ALL` — is a single `key.and(set_mask(set))`, because
 //! masking a field to zero *is* setting it to `ALL`. Group-by then runs
-//! over `u64` keys with the Fx hash instead of cloning `Row`s through
+//! over these keys with the Fx hash instead of cloning `Row`s through
 //! SipHash.
 //!
-//! The encoding is total or absent: [`encode`] returns `None` when the
-//! widths do not fit in 64 bits or there are more than
-//! [`MAX_PACKED_DIMS`] dimensions, and callers fall back to the `Row`-key
-//! path. Results are identical either way.
+//! Packing is total, in one of two widths ([`PackedKey`]) chosen from the
+//! data: when `Σ width_d <= 64` the fields are bit ranges of a single
+//! `u64` (low bits = dimension 0); otherwise each field takes its own
+//! `u32` lane of a [`WideKey`]. Every coordinate a [`Lattice`] accepts
+//! (at most [`GroupingSet::MAX_DIMS`] dimensions, any cardinalities) gets
+//! one or the other, and the engine is generic over which.
+//!
+//! [`Lattice`]: crate::lattice::Lattice
 
+use crate::lattice::GroupingSet;
 use crate::spec::BoundDimension;
 use dc_relation::{Row, SymbolTable, Value};
+use std::hash::Hash;
+use std::marker::PhantomData;
 
-/// Upper bound on packable dimensions. Beyond this, even 2-valued
-/// dimensions leave too little headroom per field for real cardinalities,
-/// and the fallback path handles the (paper-scale: N ≤ 20) remainder.
-pub(crate) const MAX_PACKED_DIMS: usize = 16;
+/// Where one dimension's field sits inside a `u64` key. A [`WideKey`]
+/// gives every dimension its own lane and reads neither number.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Field {
+    shift: u32,
+    width: u32,
+}
 
-/// Per-dimension symbol tables plus the bit layout of the packed key.
-#[derive(Clone)]
-pub(crate) struct KeyEncoder {
+impl Field {
+    /// All-ones over the field's width (1..=32 bits: interned codes are
+    /// `u32`).
+    fn ones(self) -> u32 {
+        u32::MAX >> (u32::BITS - self.width)
+    }
+}
+
+/// A packed cube coordinate: `fields.len()` field values (`0` = `ALL`,
+/// `code + 1` otherwise) in one `Copy` value whose `Eq`/`Hash` identify a
+/// cell and whose `Ord`, over collation ranks, is the output order.
+pub(crate) trait PackedKey: Copy + Eq + Ord + Hash + Send + Sync + 'static {
+    /// Whether a key is one integer below `1 << Σ widths`, so a small key
+    /// space can index a dense slot table directly.
+    const DENSE: bool;
+
+    /// Build a key holding `value(d)` in dimension `d`'s field.
+    fn pack(fields: &[Field], value: impl FnMut(usize) -> u32) -> Self;
+
+    /// Dimension `d`'s field value.
+    fn field(self, d: usize, field: Field) -> u32;
+
+    /// Field-wise AND. With a [`KeyEncoder::set_mask`] operand this is the
+    /// projection onto a grouping set: members keep their field, dropped
+    /// dimensions zero out — which *is* the `ALL` code. The paper's
+    /// "replace dropped dimensions with ALL" becomes one instruction.
+    fn and(self, mask: Self) -> Self;
+
+    /// The key as a dense slot-table index (only when [`Self::DENSE`]).
+    fn dense_index(self) -> usize;
+}
+
+impl PackedKey for u64 {
+    const DENSE: bool = true;
+
+    #[inline]
+    fn pack(fields: &[Field], mut value: impl FnMut(usize) -> u32) -> u64 {
+        let mut key = 0u64;
+        for (d, f) in fields.iter().enumerate() {
+            key |= (value(d) as u64) << f.shift;
+        }
+        key
+    }
+
+    #[inline]
+    fn field(self, _d: usize, f: Field) -> u32 {
+        ((self >> f.shift) & ((1u64 << f.width) - 1)) as u32
+    }
+
+    #[inline]
+    fn and(self, mask: u64) -> u64 {
+        self & mask
+    }
+
+    #[inline]
+    fn dense_index(self) -> usize {
+        self as usize
+    }
+}
+
+/// The key for coordinates whose fields do not fit 64 bits: one `u32`
+/// lane per dimension, unused lanes zero. Lane-wise AND is the set
+/// projection, the derived `Hash`/`Eq` give the slot map and run
+/// detection, and the derived `Ord` — lexicographic from dimension 0 —
+/// over per-dimension ranks is the collation key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub(crate) struct WideKey([u32; GroupingSet::MAX_DIMS]);
+
+impl PackedKey for WideKey {
+    const DENSE: bool = false;
+
+    #[inline]
+    fn pack(fields: &[Field], mut value: impl FnMut(usize) -> u32) -> WideKey {
+        let mut lanes = [0u32; GroupingSet::MAX_DIMS];
+        for (d, lane) in lanes.iter_mut().enumerate().take(fields.len()) {
+            *lane = value(d);
+        }
+        WideKey(lanes)
+    }
+
+    #[inline]
+    fn field(self, d: usize, _f: Field) -> u32 {
+        self.0[d]
+    }
+
+    #[inline]
+    fn and(self, mask: WideKey) -> WideKey {
+        let mut lanes = self.0;
+        for (lane, m) in lanes.iter_mut().zip(mask.0) {
+            *lane &= m;
+        }
+        WideKey(lanes)
+    }
+
+    /// Out of every table's range: no arena indexes wide keys densely.
+    fn dense_index(self) -> usize {
+        usize::MAX
+    }
+}
+
+/// Per-dimension symbol tables plus the field layout of the packed key.
+pub(crate) struct KeyEncoder<K> {
     symbols: Vec<SymbolTable>,
-    shifts: Vec<u32>,
-    widths: Vec<u32>,
+    fields: Vec<Field>,
+    key: PhantomData<K>,
 }
 
 /// A fully encoded input: the encoder and one packed full-coordinate key
 /// per base row (parallel to the row slice it was built from).
-pub(crate) struct EncodedInput {
-    pub encoder: KeyEncoder,
-    pub keys: Vec<u64>,
+pub(crate) struct EncodedInput<K> {
+    pub encoder: KeyEncoder<K>,
+    pub keys: Vec<K>,
 }
 
-/// Dictionary-encode and pack every row's cube coordinate. One pass
-/// interns each dimension value; the widths are then known and a second
-/// pass over the (already interned) codes packs the keys. Returns `None`
-/// when the coordinate does not fit — caller falls back to `Row` keys.
-pub(crate) fn encode(rows: &[Row], dims: &[BoundDimension]) -> Option<EncodedInput> {
-    if dims.len() > MAX_PACKED_DIMS {
-        return None;
-    }
+/// [`encode`]'s answer: the input packed at the width its fields need.
+pub(crate) enum Encoded {
+    Narrow(EncodedInput<u64>),
+    Wide(EncodedInput<WideKey>),
+}
+
+/// The interned input: per-dimension symbol tables, the row-major codes,
+/// and the field layout the cardinalities call for.
+struct Interned {
+    symbols: Vec<SymbolTable>,
+    codes: Vec<u32>,
+    fields: Vec<Field>,
+}
+
+/// Dictionary-encode every row's cube coordinate: one pass interns each
+/// dimension value, after which the field widths are known.
+fn intern(rows: &[Row], dims: &[BoundDimension]) -> Interned {
     let n = dims.len();
     let mut symbols: Vec<SymbolTable> = (0..n).map(|_| SymbolTable::new()).collect();
     let mut codes: Vec<u32> = Vec::with_capacity(rows.len() * n);
@@ -72,75 +187,91 @@ pub(crate) fn encode(rows: &[Row], dims: &[BoundDimension]) -> Option<EncodedInp
             codes.push(code);
         }
     }
-
     // width_d = bits for field values 0..=C_d (code c stored as c + 1,
     // 0 reserved for ALL); at least one bit even for an empty input so
     // every dimension owns a field.
-    let widths: Vec<u32> = symbols
-        .iter()
-        .map(|t| (u32::BITS - (t.cardinality() as u32).leading_zeros()).max(1))
-        .collect();
-    if widths.iter().sum::<u32>() > u64::BITS {
-        return None;
-    }
-    let mut shifts = Vec::with_capacity(n);
     let mut shift = 0u32;
-    for &w in &widths {
-        shifts.push(shift);
-        shift += w;
-    }
-
-    let encoder = KeyEncoder {
+    let fields = symbols
+        .iter()
+        .map(|t| {
+            let width = (u32::BITS - (t.cardinality() as u32).leading_zeros()).max(1);
+            let field = Field { shift, width };
+            shift += width;
+            field
+        })
+        .collect();
+    Interned {
         symbols,
-        shifts,
-        widths,
-    };
-    // A zero-dimension coordinate packs to the empty key 0 — one per row,
-    // so the grand-total cell still sees every row.
-    let keys = if n == 0 {
-        vec![0u64; rows.len()]
-    } else {
-        codes
-            .chunks_exact(n)
-            .map(|coord| {
-                let mut key = 0u64;
-                for (d, &c) in coord.iter().enumerate() {
-                    key |= (c as u64 + 1) << encoder.shifts[d];
-                }
-                key
-            })
-            .collect()
-    };
-    Some(EncodedInput { encoder, keys })
+        codes,
+        fields,
+    }
 }
 
-impl KeyEncoder {
+/// Pack the interned codes into keys of type `K`: a second pass over the
+/// codes, no `Value` touched again.
+fn pack<K: PackedKey>(interned: Interned, n_rows: usize) -> EncodedInput<K> {
+    let Interned {
+        symbols,
+        codes,
+        fields,
+    } = interned;
+    // A zero-dimension coordinate packs to the empty key — one per row,
+    // so the grand-total cell still sees every row.
+    let keys = if fields.is_empty() {
+        vec![K::pack(&fields, |_| 0); n_rows]
+    } else {
+        codes
+            .chunks_exact(fields.len())
+            .map(|coord| K::pack(&fields, |d| coord[d] + 1))
+            .collect()
+    };
+    let encoder = KeyEncoder {
+        symbols,
+        fields,
+        key: PhantomData,
+    };
+    EncodedInput { encoder, keys }
+}
+
+/// Dictionary-encode and pack every row's cube coordinate. The key width
+/// follows from the field widths alone: one `u64` when they sum to at
+/// most 64 bits, a [`WideKey`] otherwise.
+pub(crate) fn encode(rows: &[Row], dims: &[BoundDimension]) -> Encoded {
+    let interned = intern(rows, dims);
+    if interned.fields.iter().map(|f| f.width).sum::<u32>() <= u64::BITS {
+        Encoded::Narrow(pack(interned, rows.len()))
+    } else {
+        Encoded::Wide(pack(interned, rows.len()))
+    }
+}
+
+/// Pack at a caller-chosen width regardless of the field widths, so a test
+/// can run one small table through both key instantiations.
+#[cfg(test)]
+pub(crate) fn encode_as<K: PackedKey>(rows: &[Row], dims: &[BoundDimension]) -> EncodedInput<K> {
+    pack(intern(rows, dims), rows.len())
+}
+
+impl<K: PackedKey> KeyEncoder<K> {
     pub fn n_dims(&self) -> usize {
-        self.widths.len()
+        self.fields.len()
     }
 
-    /// The AND mask that projects a full key onto `set`: members keep
-    /// their field, dropped dimensions zero out — which *is* the `ALL`
-    /// code. The paper's "replace dropped dimensions with ALL" becomes
-    /// one instruction.
-    pub fn set_mask(&self, set: crate::lattice::GroupingSet) -> u64 {
-        let mut mask = 0u64;
-        for d in 0..self.n_dims() {
+    /// The mask that projects a full key onto `set` (see
+    /// [`PackedKey::and`]): all-ones in member fields, zero elsewhere.
+    pub fn set_mask(&self, set: GroupingSet) -> K {
+        K::pack(&self.fields, |d| {
             if set.contains(d) {
-                let field = if self.widths[d] == u64::BITS {
-                    u64::MAX
-                } else {
-                    (1u64 << self.widths[d]) - 1
-                };
-                mask |= field << self.shifts[d];
+                self.fields[d].ones()
+            } else {
+                0
             }
-        }
-        mask
+        })
     }
 
-    /// Decode a packed key back to the `Row` form the `Row`-key engine
-    /// produces: field 0 → `ALL`, field `c + 1` → the interned value `c`.
-    pub fn decode_key(&self, key: u64) -> Row {
+    /// Decode a packed key back to `Row` form: field 0 → `ALL`, field
+    /// `c + 1` → the interned value `c`.
+    pub fn decode_key(&self, key: K) -> Row {
         let mut vals = Vec::with_capacity(self.n_dims());
         self.append_key(key, &mut vals);
         Row::new(vals)
@@ -149,17 +280,12 @@ impl KeyEncoder {
     /// [`decode_key`](Self::decode_key) into a caller-owned buffer, so
     /// materialization can size one allocation for dimensions *and*
     /// aggregate values.
-    pub fn append_key(&self, key: u64, out: &mut Vec<Value>) {
-        for d in 0..self.n_dims() {
-            let field = if self.widths[d] == u64::BITS {
-                key >> self.shifts[d]
-            } else {
-                (key >> self.shifts[d]) & ((1u64 << self.widths[d]) - 1)
-            };
-            out.push(match field {
+    pub fn append_key(&self, key: K, out: &mut Vec<Value>) {
+        for (d, &f) in self.fields.iter().enumerate() {
+            out.push(match key.field(d, f) {
                 0 => Value::All,
                 c => self.symbols[d]
-                    .decode((c - 1) as u32)
+                    .decode(c - 1)
                     // cube-lint: allow(panic, keys were packed from this very symbol table)
                     .expect("packed field within interned range")
                     .clone(),
@@ -168,14 +294,14 @@ impl KeyEncoder {
     }
 
     /// Build the collation map for packed keys: `collator.sort_key(k)` is
-    /// a `u64` whose natural order equals the decoded-`Row` order the
+    /// a key whose natural order equals the decoded-`Row` order the
     /// materializer must emit (dimension 0 most significant, interned
     /// values in `Value` order, `ALL` collating last). Sorting cells by
     /// these remapped keys replaces the decode-then-compare-`Row`s sort —
     /// the dominant cost of materializing large results — with a plain
-    /// `u64` sort; each key is then decoded exactly once, in output
+    /// integer sort; each key is then decoded exactly once, in output
     /// order. Cost: one `Value` sort per symbol table, paid once.
-    pub fn collator(&self) -> KeyCollator {
+    pub fn collator(&self) -> KeyCollator<K> {
         let mut tables = Vec::with_capacity(self.n_dims());
         for symbols in &self.symbols {
             let c = symbols.cardinality();
@@ -189,44 +315,54 @@ impl KeyEncoder {
             });
             // ranks[field]: field 0 is ALL (rank C, last); field c + 1 is
             // code c (its position in Value order).
-            let mut ranks = vec![0u64; c + 1];
-            ranks[0] = c as u64;
+            let mut ranks = vec![0u32; c + 1];
+            ranks[0] = c as u32;
             for (pos, &code) in order.iter().enumerate() {
-                ranks[code as usize + 1] = pos as u64;
+                ranks[code as usize + 1] = pos as u32;
             }
             tables.push(ranks);
         }
         // Dimension 0 takes the most significant field: Row comparison is
         // lexicographic from dimension 0.
-        let total: u32 = self.widths.iter().sum();
-        let mut out_shifts = Vec::with_capacity(self.n_dims());
+        let total = self.total_bits();
         let mut used = 0u32;
-        for &w in &self.widths {
-            used += w;
-            out_shifts.push(total - used);
-        }
+        let out = self
+            .fields
+            .iter()
+            .map(|f| {
+                used += f.width;
+                Field {
+                    shift: total - used,
+                    width: f.width,
+                }
+            })
+            .collect();
         KeyCollator {
-            shifts: self.shifts.clone(),
-            widths: self.widths.clone(),
-            out_shifts,
+            fields: self.fields.clone(),
+            out,
             tables,
+            key: PhantomData,
         }
     }
 
     /// Distinct-value count per dimension, read off the symbol tables
-    /// built during encoding. Exactly the `C_i` the `Row`-key path scans
-    /// the core's keys for: every base row contributes its full
-    /// coordinate to the core, so the distinct values per dimension among
-    /// core keys equal those among base rows.
+    /// built during encoding: the `C_i` of the paper's cardinality formula,
+    /// which drive smallest-parent selection. Every base row contributes
+    /// its full coordinate to the core, so the distinct values per
+    /// dimension among core keys equal those among base rows.
     pub fn cardinalities(&self) -> Vec<usize> {
         self.symbols.iter().map(|t| t.cardinality()).collect()
     }
 
-    /// Total packed key width in bits (`Σ widths`, `<= 64` whenever
-    /// encoding succeeded). Every packed key is `< 1 << total_bits()`,
-    /// which is what lets the engine size dense slot tables.
+    /// Total field width in bits (`Σ widths`).
     pub fn total_bits(&self) -> u32 {
-        self.widths.iter().sum()
+        self.fields.iter().map(|f| f.width).sum()
+    }
+
+    /// The key-space width when keys may index a dense slot table: every
+    /// [`PackedKey::DENSE`] key is `< 1 << total_bits()`.
+    pub fn dense_bits(&self) -> Option<u32> {
+        K::DENSE.then(|| self.total_bits())
     }
 }
 
@@ -234,27 +370,20 @@ impl KeyEncoder {
 /// `sort_key` is a strictly monotone map from packed keys (within one
 /// grouping set) to the decoded-`Row` collation order: distinct keys in a
 /// set differ in some member field, and member fields map to distinct
-/// ranks in disjoint bit ranges.
-pub(crate) struct KeyCollator {
-    shifts: Vec<u32>,
-    widths: Vec<u32>,
-    out_shifts: Vec<u32>,
-    tables: Vec<Vec<u64>>,
+/// ranks in disjoint fields.
+pub(crate) struct KeyCollator<K> {
+    fields: Vec<Field>,
+    out: Vec<Field>,
+    tables: Vec<Vec<u32>>,
+    key: PhantomData<K>,
 }
 
-impl KeyCollator {
+impl<K: PackedKey> KeyCollator<K> {
     #[inline]
-    pub fn sort_key(&self, key: u64) -> u64 {
-        let mut out = 0u64;
-        for d in 0..self.tables.len() {
-            let field = if self.widths[d] == u64::BITS {
-                key >> self.shifts[d]
-            } else {
-                (key >> self.shifts[d]) & ((1u64 << self.widths[d]) - 1)
-            };
-            out |= self.tables[d][field as usize] << self.out_shifts[d];
-        }
-        out
+    pub fn sort_key(&self, key: K) -> K {
+        K::pack(&self.out, |d| {
+            self.tables[d][key.field(d, self.fields[d]) as usize]
+        })
     }
 }
 
@@ -270,6 +399,14 @@ mod tests {
             .iter()
             .map(|d| Dimension::column(d).bind(t.schema()).unwrap())
             .collect()
+    }
+
+    /// The input packed at the width `encode` picks, which must be `u64`.
+    fn narrow(rows: &[Row], dims: &[BoundDimension]) -> EncodedInput<u64> {
+        match encode(rows, dims) {
+            Encoded::Narrow(enc) => enc,
+            Encoded::Wide(_) => panic!("expected a u64 key"),
+        }
     }
 
     fn sales() -> Table {
@@ -293,7 +430,7 @@ mod tests {
     fn packs_and_decodes_round_trip() {
         let t = sales();
         let dims = bind_dims(&t, &["model", "year"]);
-        let enc = encode(t.rows(), &dims).unwrap();
+        let enc = narrow(t.rows(), &dims);
         assert_eq!(enc.keys.len(), 3);
         for (row, &key) in t.rows().iter().zip(&enc.keys) {
             let decoded = enc.encoder.decode_key(key);
@@ -308,10 +445,10 @@ mod tests {
     fn masking_projects_to_all() {
         let t = sales();
         let dims = bind_dims(&t, &["model", "year"]);
-        let enc = encode(t.rows(), &dims).unwrap();
+        let enc = narrow(t.rows(), &dims);
         let year_only = GroupingSet::from_dims(&[1]).unwrap();
         let mask = enc.encoder.set_mask(year_only);
-        let projected = enc.encoder.decode_key(enc.keys[0] & mask);
+        let projected = enc.encoder.decode_key(enc.keys[0].and(mask));
         assert_eq!(projected[0], Value::All);
         assert_eq!(projected[1], Value::Int(1994));
         // The empty set's mask wipes the whole key → the grand-total cell.
@@ -335,7 +472,7 @@ mod tests {
         )
         .unwrap();
         let dims = bind_dims(&t, &["a", "b"]);
-        let enc = encode(t.rows(), &dims).unwrap();
+        let enc = narrow(t.rows(), &dims);
         let mut keys = enc.keys.clone();
         keys.sort_unstable();
         keys.dedup();
@@ -343,41 +480,93 @@ mod tests {
         assert_eq!(enc.encoder.decode_key(enc.keys[1])[0], Value::Null);
     }
 
-    #[test]
-    fn falls_back_when_widths_overflow() {
-        // 11 dimensions × cardinality 100 → 7 bits each = 77 > 64.
-        let n = 11;
-        let names: Vec<String> = (0..n).map(|d| format!("d{d}")).collect();
-        let mut cols: Vec<(&str, DataType)> =
-            names.iter().map(|s| (s.as_str(), DataType::Int)).collect();
-        cols.push(("units", DataType::Int));
-        let schema = Schema::from_pairs(&cols);
-        let mut t = Table::empty(schema);
-        for i in 0..100i64 {
-            let mut vals: Vec<Value> = (0..n).map(|_| Value::Int(i)).collect();
-            vals.push(Value::Int(1));
-            t.push_unchecked(Row::new(vals));
-        }
-        let dims: Vec<BoundDimension> = names
-            .iter()
-            .map(|d| Dimension::column(d).bind(t.schema()).unwrap())
-            .collect();
-        assert!(encode(t.rows(), &dims).is_none());
-    }
-
-    #[test]
-    fn falls_back_beyond_max_packed_dims() {
-        let n = MAX_PACKED_DIMS + 1;
+    /// `n` Int dimensions `d0..`, each holding `i` in row `i` of `card`.
+    fn diagonal(n: usize, card: i64) -> (Table, Vec<BoundDimension>) {
         let names: Vec<String> = (0..n).map(|d| format!("d{d}")).collect();
         let cols: Vec<(&str, DataType)> =
             names.iter().map(|s| (s.as_str(), DataType::Int)).collect();
-        let schema = Schema::from_pairs(&cols);
-        let t = Table::new(schema, vec![Row::new(vec![Value::Int(0); n])]).unwrap();
-        let dims: Vec<BoundDimension> = names
+        let mut t = Table::empty(Schema::from_pairs(&cols));
+        for i in 0..card {
+            t.push_unchecked(Row::new(vec![Value::Int(i); n]));
+        }
+        let dims = names
             .iter()
             .map(|d| Dimension::column(d).bind(t.schema()).unwrap())
             .collect();
-        assert!(encode(t.rows(), &dims).is_none());
+        (t, dims)
+    }
+
+    #[test]
+    fn falls_back_when_widths_overflow() {
+        // 11 dimensions × cardinality 100 → 7 bits each = 77 > 64: the
+        // coordinate falls back from one `u64` to the wide key, which
+        // projects, decodes and collates exactly like the narrow one.
+        let (t, dims) = diagonal(11, 100);
+        let Encoded::Wide(enc) = encode(t.rows(), &dims) else {
+            panic!("77 key bits cannot pack into a u64");
+        };
+        assert_eq!(enc.encoder.total_bits(), 77);
+        assert_eq!(enc.encoder.dense_bits(), None);
+        for (row, &key) in t.rows().iter().zip(&enc.keys) {
+            assert_eq!(&enc.encoder.decode_key(key), row);
+        }
+        let set = GroupingSet::from_dims(&[0, 10]).unwrap();
+        let projected = enc
+            .encoder
+            .decode_key(enc.keys[7].and(enc.encoder.set_mask(set)));
+        for d in 0..11 {
+            let want = if set.contains(d) {
+                Value::Int(7)
+            } else {
+                Value::All
+            };
+            assert_eq!(projected[d], want, "dimension {d}");
+        }
+        // Collation: interned values in `Value` order, `ALL` last.
+        let collator = enc.encoder.collator();
+        let grand = enc.keys[0].and(enc.encoder.set_mask(GroupingSet::EMPTY));
+        assert!(collator.sort_key(enc.keys[3]) < collator.sort_key(enc.keys[4]));
+        assert!(collator.sort_key(enc.keys[99]) < collator.sort_key(grand));
+    }
+
+    #[test]
+    fn the_width_follows_the_fields_not_the_dimension_count() {
+        // Every arity a lattice accepts packs: 20 two-valued dimensions
+        // need 2 bits each and fit one u64; 20 dimensions of 15 values
+        // (4 bits each, 80 in all) take the wide key.
+        let (t, dims) = diagonal(GroupingSet::MAX_DIMS, 2);
+        assert_eq!(narrow(t.rows(), &dims).encoder.total_bits(), 40);
+        let (t, dims) = diagonal(GroupingSet::MAX_DIMS, 15);
+        assert!(matches!(encode(t.rows(), &dims), Encoded::Wide(_)));
+    }
+
+    #[test]
+    fn both_widths_order_and_project_alike() {
+        let t = sales();
+        let dims = bind_dims(&t, &["model", "year"]);
+        let narrow = encode_as::<u64>(t.rows(), &dims);
+        let wide = encode_as::<WideKey>(t.rows(), &dims);
+        let (nc, wc) = (narrow.encoder.collator(), wide.encoder.collator());
+        for set in crate::lattice::cube_sets(2).unwrap() {
+            let project = |i: usize| {
+                (
+                    narrow.keys[i].and(narrow.encoder.set_mask(set)),
+                    wide.keys[i].and(wide.encoder.set_mask(set)),
+                )
+            };
+            for i in 0..3 {
+                let (n, w) = project(i);
+                assert_eq!(narrow.encoder.decode_key(n), wide.encoder.decode_key(w));
+                for j in 0..3 {
+                    let (n2, w2) = project(j);
+                    assert_eq!(
+                        nc.sort_key(n).cmp(&nc.sort_key(n2)),
+                        wc.sort_key(w).cmp(&wc.sort_key(w2)),
+                        "{set} rows {i},{j}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -385,7 +574,7 @@ mod tests {
         // A plain aggregate (GROUP BY over no columns) must keep one key
         // per row so the grand-total cell sees the whole input.
         let t = sales();
-        let enc = encode(t.rows(), &[]).unwrap();
+        let enc = narrow(t.rows(), &[]);
         assert_eq!(enc.keys, vec![0, 0, 0]);
         assert_eq!(enc.encoder.decode_key(0), Row::new(vec![]));
     }
@@ -395,7 +584,7 @@ mod tests {
         let t = sales();
         let empty = Table::empty(t.schema().clone());
         let dims = bind_dims(&t, &["model", "year"]);
-        let enc = encode(empty.rows(), &dims).unwrap();
+        let enc = narrow(empty.rows(), &dims);
         assert!(enc.keys.is_empty());
         assert_eq!(enc.encoder.cardinalities(), vec![0, 0]);
     }

@@ -53,10 +53,6 @@ pub struct ExecStats {
     /// Worker threads the parallel paths actually used after clamping to
     /// the partition count (0 for serial algorithms).
     pub threads_used: u32,
-    /// Whether the packed-u64 arena engine carried this query (false on
-    /// the `Row`-keyed path: >64 key bits, >16 dims, or
-    /// `encoded_keys(false)`).
-    pub encoded_keys: bool,
     /// The dense-array plan projected more cells than the budget allowed
     /// and the query was re-run on the sparse hash-based path.
     pub degraded_dense_to_sparse: bool,
@@ -67,8 +63,8 @@ pub struct ExecStats {
     /// (0 when the query ran boxed Init/Iter/Final accumulators — holistic
     /// or user-defined aggregates, or non-primitive measure columns).
     pub vectorized_kernels_used: u64,
-    /// Fixed-size row-range morsels pulled by scan workers (0 on the
-    /// `Row`-keyed path and the sort/array algorithms).
+    /// Fixed-size row-range morsels pulled by the engine's scan workers
+    /// (0 for the sort/array algorithms, which do not scan by morsel).
     pub morsels_processed: u64,
     /// Key runs folded by the run-length scan (0 when the per-row morsel
     /// scan ran instead).
@@ -103,7 +99,6 @@ impl ExecStats {
         self.final_calls += other.final_calls;
         self.sorts += other.sorts;
         self.threads_used = self.threads_used.max(other.threads_used);
-        self.encoded_keys |= other.encoded_keys;
         self.degraded_dense_to_sparse |= other.degraded_dense_to_sparse;
         self.degraded_to_streaming |= other.degraded_to_streaming;
         self.vectorized_kernels_used = self
@@ -211,9 +206,9 @@ pub(crate) fn compute_core(
 
 /// Distinct-value count per dimension, read off the core's keys. These are
 /// the `C_i` of the paper's cardinality formula and drive smallest-parent
-/// selection. Only the `Row`-key fallback pays this scan — the encoded
-/// engine reads the same counts off the symbol tables built during
-/// encoding ([`crate::encode::KeyEncoder::cardinalities`]).
+/// selection. Only the `Row`-keyed reference pays this scan — the engine
+/// reads the same counts off the symbol tables built during encoding
+/// ([`crate::encode::KeyEncoder::cardinalities`]).
 pub(crate) fn core_cardinalities(core: &GroupMap, n_dims: usize) -> Vec<usize> {
     let mut seen: Vec<dc_relation::FxHashSet<&Value>> = (0..n_dims)
         .map(|_| dc_relation::FxHashSet::default())

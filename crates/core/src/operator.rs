@@ -17,8 +17,8 @@ use crate::error::{CubeError, CubeResult};
 use crate::exec::{self, ExecContext, ExecLimits};
 use crate::groupby::{result_schema, ExecStats};
 use crate::lattice::{GroupingSet, Lattice};
-use crate::spec::{AggSpec, CompoundSpec, Dimension};
-use dc_relation::{Table, Value};
+use crate::spec::{AggSpec, BoundAgg, BoundDimension, CompoundSpec, Dimension};
+use dc_relation::{Schema, Table, Value};
 
 /// A cube/rollup query: dimensions + aggregates + algorithm choice.
 ///
@@ -50,7 +50,6 @@ pub struct CubeQuery {
     dims: Vec<Dimension>,
     aggs: Vec<AggSpec>,
     algorithm: Algorithm,
-    encoded: bool,
     limits: ExecLimits,
 }
 
@@ -66,7 +65,6 @@ impl CubeQuery {
             dims: Vec::new(),
             aggs: Vec::new(),
             algorithm: Algorithm::Auto,
-            encoded: true,
             limits: ExecLimits::none(),
         }
     }
@@ -92,19 +90,6 @@ impl CubeQuery {
     /// Choose the execution algorithm (default [`Algorithm::Auto`]).
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
         self.algorithm = algorithm;
-        self
-    }
-
-    /// Enable or disable the arena engine (default **on**): packed `u64`
-    /// group keys over dictionary-encoded dimensions, flat cell arenas,
-    /// vectorized kernels where every aggregate has one, and a parallel
-    /// from-core cascade. Queries whose coordinates do not pack into 64
-    /// bits fall back to the `Row`-keyed reference path automatically, and
-    /// `false` forces it; results and [`ExecStats`] work counters are
-    /// identical either way, so this switch exists for benchmarking and
-    /// differential testing.
-    pub fn encoded_keys(mut self, encoded: bool) -> Self {
-        self.encoded = encoded;
         self
     }
 
@@ -223,6 +208,32 @@ impl CubeQuery {
         algorithm: Algorithm,
         choice: ParentChoice,
     ) -> CubeResult<(Table, ExecStats)> {
+        self.run_bound(table, |dims, aggs, out_schema, stats, ctx| {
+            let rows = table.rows();
+            algorithm::run(
+                algorithm, rows, dims, aggs, lattice, choice, keep, out_schema, stats, ctx,
+            )
+        })
+    }
+
+    pub(crate) fn selected_algorithm(&self) -> Algorithm {
+        self.algorithm
+    }
+
+    /// Bind dimensions and aggregates against `table`, then run `body`
+    /// (bound dimensions, bound aggregates, result schema, stats, context)
+    /// under this query's limits; an error carries the stats so far.
+    pub(crate) fn run_bound(
+        &self,
+        table: &Table,
+        body: impl FnOnce(
+            &[BoundDimension],
+            &[BoundAgg],
+            Schema,
+            &mut ExecStats,
+            &ExecContext,
+        ) -> CubeResult<Table>,
+    ) -> CubeResult<(Table, ExecStats)> {
         if self.aggs.is_empty() {
             return Err(CubeError::BadSpec(
                 "at least one aggregate is required".into(),
@@ -254,21 +265,7 @@ impl CubeQuery {
         // Outer safety net: `exec::guard` already isolates each UDA
         // callback, but a panic in the engine itself must also surface as
         // a typed error instead of unwinding into the caller.
-        let run = exec::guard("query", || {
-            algorithm::run(
-                algorithm,
-                table.rows(),
-                &dims,
-                &aggs,
-                lattice,
-                choice,
-                self.encoded,
-                keep,
-                out_schema,
-                &mut stats,
-                &ctx,
-            )
-        });
+        let run = exec::guard("query", || body(&dims, &aggs, out_schema, &mut stats, &ctx));
         match run {
             Ok(Ok(out)) => Ok((out, stats)),
             Ok(Err(e)) | Err(e) => Err(e.with_partial_stats(stats)),

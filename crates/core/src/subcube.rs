@@ -35,11 +35,11 @@ impl SizeModel {
         let n = cardinalities.len();
         let mut sizes = HashMap::new();
         for set in cube_sets(n)? {
-            let product: u64 = set
-                .dims()
-                .iter()
-                .map(|&d| cardinalities[d].max(1) as u64)
-                .product();
+            // Saturating: a dozen high-cardinality dimensions overflow u64
+            // long before the row-count cap applies.
+            let product = (set.dims().iter()).fold(1u64, |p, &d| {
+                p.saturating_mul(cardinalities[d].max(1) as u64)
+            });
             sizes.insert(set, product.min(base_rows).max(1));
         }
         Ok(SizeModel { sizes })
@@ -176,6 +176,9 @@ mod tests {
         assert_eq!(m.size(GroupingSet::full(3)), 5_000); // 10^6 capped
         assert_eq!(m.size(GroupingSet::from_dims(&[0]).unwrap()), 100);
         assert_eq!(m.size(GroupingSet::EMPTY), 1);
+        // 200^10 overflows u64; the estimate saturates, then caps.
+        let m = SizeModel::independent(&[200; 10], 5_000).unwrap();
+        assert_eq!(m.size(GroupingSet::full(10)), 5_000);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! NULL-vs-ALL distinction), NaN and ±0.0 as group keys *and* as measures,
 //! `i64::MIN`/`i64::MAX` dimension values, empty and single-row tables,
 //! duplicate keys, high-cardinality string dims next to two-value dims,
-//! Bool and Date dimensions. Query specs cover all five spec families
+//! Bool and Date dimensions, and — every [`WIDE_EVERY`]-th seed — ten
+//! high-cardinality dimensions whose packed coordinate needs more than 64
+//! bits. Query specs cover all five spec families
 //! including the §3.1 compound algebra, holistic aggregates, user-defined
 //! aggregates (with and without an Iter_super), and governance settings.
 
@@ -207,19 +209,25 @@ pub fn any_min() -> AggRef {
 /// Per-dimension column archetype.
 #[derive(Clone, Copy, Debug)]
 enum DimArch {
-    Str { card: usize },
+    Str {
+        card: usize,
+    },
     IntSmall,
+    /// Thousands of distinct values hugging both ends of the `i64` range.
+    IntWide,
     IntExtreme,
     FloatSpecial,
     Bool,
-    Date { card: usize },
+    Date {
+        card: usize,
+    },
 }
 
 impl DimArch {
     fn dtype(self) -> DataType {
         match self {
             DimArch::Str { .. } => DataType::Str,
-            DimArch::IntSmall | DimArch::IntExtreme => DataType::Int,
+            DimArch::IntSmall | DimArch::IntWide | DimArch::IntExtreme => DataType::Int,
             DimArch::FloatSpecial => DataType::Float,
             DimArch::Bool => DataType::Bool,
             DimArch::Date { .. } => DataType::Date,
@@ -230,6 +238,14 @@ impl DimArch {
         match self {
             DimArch::Str { card } => Value::str(format!("s{}", rng.gen_range(0..card))),
             DimArch::IntSmall => Value::Int(rng.gen_range(-3i64..=3)),
+            DimArch::IntWide => {
+                let offset = rng.gen_range(0i64..2048);
+                Value::Int(if rng.gen_bool(0.5) {
+                    i64::MIN + offset
+                } else {
+                    i64::MAX - offset
+                })
+            }
             DimArch::IntExtreme => {
                 const POOL: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
                 Value::Int(POOL[rng.gen_range(0..POOL.len())])
@@ -341,14 +357,42 @@ fn agg_pool(n_dims: usize, dim_types: &[DimArch]) -> Vec<AggDesc> {
     pool
 }
 
+/// One seed in this many generates the wide-coordinate flavour: ten
+/// dimensions of 64+ distinct values each (NULL among them) need 7+ bits
+/// apiece, so the field widths sum past 64 and the engine must pack the
+/// coordinate into its wide key. Ten, not more: the cache axis runs HRU
+/// selection over all 2^N lattice nodes. Chosen by the seed, not drawn from
+/// the stream, so every other seed generates the case it always has.
+pub const WIDE_EVERY: u64 = 16;
+
 /// Generate the case for a seed. Pure: same seed, same case.
 pub fn gen_case(seed: u64) -> Case {
     let mut rng = StdRng::seed_from_u64(seed);
+    let wide = seed % WIDE_EVERY == WIDE_EVERY - 1;
 
     const DIM_COUNTS: [usize; 10] = [0, 1, 1, 2, 2, 2, 3, 3, 3, 4];
-    let n_dims = DIM_COUNTS[rng.gen_range(0..DIM_COUNTS.len())];
-    let archs: Vec<DimArch> = (0..n_dims).map(|_| pick_arch(&mut rng)).collect();
-    let dim_null_p: Vec<f64> = (0..n_dims).map(|_| pick_null_p(&mut rng)).collect();
+    let n_dims = if wide {
+        10
+    } else {
+        DIM_COUNTS[rng.gen_range(0..DIM_COUNTS.len())]
+    };
+    let archs: Vec<DimArch> = if wide {
+        let wide_arch = |_| {
+            if rng.gen_bool(0.5) {
+                DimArch::Str { card: 4096 }
+            } else {
+                DimArch::IntWide
+            }
+        };
+        (0..n_dims).map(wide_arch).collect()
+    } else {
+        (0..n_dims).map(|_| pick_arch(&mut rng)).collect()
+    };
+    let dim_null_p: Vec<f64> = if wide {
+        (0..n_dims).map(|d| [0.0, 0.1][d % 2]).collect()
+    } else {
+        (0..n_dims).map(|_| pick_null_p(&mut rng)).collect()
+    };
     let measure_null_p: Vec<f64> = (0..4).map(|_| pick_null_p(&mut rng)).collect();
 
     let mut pairs: Vec<(String, DataType)> = archs
@@ -364,6 +408,9 @@ pub fn gen_case(seed: u64) -> Case {
     let schema = Schema::from_pairs(&pair_refs);
 
     let n_rows = match rng.gen_range(0u32..100) {
+        // Enough rows that a tenth of them being NULL still leaves every
+        // dimension 64+ distinct values.
+        _ if wide => rng.gen_range(90usize..=120),
         0..=7 => 0,
         8..=15 => 1,
         16..=23 => 2,
@@ -427,6 +474,9 @@ pub fn gen_case(seed: u64) -> Case {
     let query = match rng.gen_range(0u32..10) {
         0 | 1 => QueryKind::GroupBy,
         2 | 3 => QueryKind::Rollup,
+        // A full cube over 10+ dimensions is 1024+ grouping sets: the wide
+        // flavour keeps its CUBE blocks to two dimensions.
+        4..=6 if wide => QueryKind::Rollup,
         4..=6 => QueryKind::Cube,
         7 => {
             let n_sets = rng.gen_range(1usize..=3);
@@ -434,6 +484,14 @@ pub fn gen_case(seed: u64) -> Case {
                 .map(|_| (0..n_dims).filter(|_| rng.gen_bool(0.5)).collect())
                 .collect();
             QueryKind::GroupingSets(sets)
+        }
+        _ if wide => {
+            let c = rng.gen_range(0usize..=2);
+            let g = rng.gen_range(0..=n_dims - c);
+            QueryKind::Compound {
+                g,
+                r: n_dims - c - g,
+            }
         }
         _ => {
             let g = rng.gen_range(0..=n_dims);

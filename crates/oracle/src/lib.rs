@@ -18,9 +18,8 @@
 //!   random query specs (compound `GROUP BY g ROLLUP r CUBE c`, holistic
 //!   MEDIAN/MODE, user-defined aggregates, budget/cancel settings).
 //! * [`runner`] — executes each case through every applicable algorithm ×
-//!   {encoded keys on/off} × {1,4,16} threads and diffs
-//!   the canonicalized results against the model (sorted rows,
-//!   ULP-tolerant float compare).
+//!   {1,4,16} threads and diffs the canonicalized results against the
+//!   model (sorted rows, ULP-tolerant float compare).
 //! * [`shrink`] — greedily minimizes a failing case (rows, aggregates,
 //!   dimensions, governance) while preserving the failure, and the fuzz
 //!   driver prints the shrunken case together with its replayable seed.
@@ -37,7 +36,7 @@ pub mod shrink;
 
 pub use gen::{gen_case, AggDesc, Case, Gov, QueryKind};
 pub use model::{model_masks, model_result};
-pub use runner::{check_case, combos, run_engine, Combo};
+pub use runner::{check_case, combos, run_engine};
 pub use shrink::shrink;
 
 /// Drive `cases` seeded cases starting at `base_seed`: generate, run

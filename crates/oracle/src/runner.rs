@@ -1,13 +1,13 @@
 //! The equivalence runner: every applicable engine path for a case.
 //!
 //! Hash-based algorithms (Auto, 2^N, union-of-GROUP-BYs, from-core,
-//! parallel at 1/4/16 threads) run on the arena engine and on the
-//! `Row`-keyed reference path (`encoded_keys` on/off; lane kind and the
-//! run-folding scan are the engine's own decisions, taken from the case's
-//! select list and key stream); the sort- and array-based algorithms have
-//! their own key machinery (the switch is a documented no-op) and run once
-//! each, gated on the lattice shapes they support — Sort on ROLLUP
-//! lattices, Array and PipeSort on full cubes.
+//! parallel at 1/4/16 threads) run on the arena engine; key width, lane
+//! kind and the run-folding scan are the engine's own decisions, taken
+//! from the case's dimension cardinalities, select list and key stream, so
+//! the generator's flavours — not a switch — are what reach each of them.
+//! The sort- and array-based algorithms run once each, gated on the
+//! lattice shapes they support — Sort on ROLLUP lattices, Array and
+//! PipeSort on full cubes.
 //!
 //! Ungoverned runs must match the model exactly (up to float tolerance).
 //! Governed runs may instead fail with the matching typed error
@@ -26,16 +26,9 @@ use datacube::{
 use dc_relation::{DataType, Date, Row, Schema, Table, Value};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// One engine configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct Combo {
-    pub algorithm: Algorithm,
-    pub encoded: bool,
-}
-
-/// All configurations applicable to a query kind.
-pub fn combos(query: &QueryKind) -> Vec<Combo> {
-    let hash_algorithms = [
+/// All engine configurations applicable to a query kind.
+pub fn combos(query: &QueryKind) -> Vec<Algorithm> {
+    let mut algorithms = vec![
         Algorithm::Auto,
         Algorithm::TwoToTheN,
         Algorithm::UnionGroupBys,
@@ -44,29 +37,18 @@ pub fn combos(query: &QueryKind) -> Vec<Combo> {
         Algorithm::Parallel { threads: 4 },
         Algorithm::Parallel { threads: 16 },
     ];
-    let mut all = Vec::with_capacity(16);
-    for algorithm in hash_algorithms {
-        for encoded in [true, false] {
-            all.push(Combo { algorithm, encoded });
-        }
-    }
-    let zoo: &[Algorithm] = match query {
+    algorithms.extend_from_slice(match query {
         QueryKind::Rollup => &[Algorithm::Sort],
         QueryKind::Cube => &[Algorithm::Array, Algorithm::PipeSort],
         _ => &[],
-    };
-    all.extend(zoo.iter().map(|&algorithm| Combo {
-        algorithm,
-        encoded: true,
-    }));
-    all
+    });
+    algorithms
 }
 
 /// Execute the case's query through one engine configuration.
-pub fn run_engine(case: &Case, combo: &Combo) -> CubeResult<Table> {
+pub fn run_engine(case: &Case, algorithm: Algorithm) -> CubeResult<Table> {
     let mut q = CubeQuery::new()
-        .algorithm(combo.algorithm)
-        .encoded_keys(combo.encoded)
+        .algorithm(algorithm)
         .limits(case.gov.limits());
     for (i, desc) in case.aggs.iter().enumerate() {
         q = q.aggregate(desc.spec(i));
@@ -92,7 +74,7 @@ pub fn run_engine(case: &Case, combo: &Combo) -> CubeResult<Table> {
 pub fn check_case(case: &Case) -> Result<(), String> {
     let (names, expected) = model_result(case);
     for combo in combos(&case.query) {
-        match run_engine(case, &combo) {
+        match run_engine(case, combo) {
             Ok(table) => diff_tables(&names, &expected, &table, case.n_dims)
                 .map_err(|m| format!("{combo:?}: {m}"))?,
             Err(err) => {
@@ -329,7 +311,7 @@ fn check_maintenance(case: &Case) -> Result<(), String> {
     diff_tables(&names, &expected, &maintained, case.n_dims)
         .map_err(|m| format!("maintenance axis: maintained cube: {m}"))?;
     for combo in combos(&final_case.query) {
-        let table = run_engine(&final_case, &combo)
+        let table = run_engine(&final_case, combo)
             .map_err(|e| format!("maintenance axis: recompute {combo:?}: {e}"))?;
         diff_tables(&names, &expected, &table, case.n_dims)
             .map_err(|m| format!("maintenance axis: recompute {combo:?}: {m}"))?;
@@ -344,19 +326,39 @@ mod tests {
     #[test]
     fn sort_only_offered_for_rollup_and_dense_only_for_cube() {
         let rollup = combos(&QueryKind::Rollup);
-        assert!(rollup.iter().any(|c| c.algorithm == Algorithm::Sort));
-        assert!(!rollup.iter().any(|c| c.algorithm == Algorithm::Array));
+        assert!(rollup.contains(&Algorithm::Sort));
+        assert!(!rollup.contains(&Algorithm::Array));
         let cube = combos(&QueryKind::Cube);
-        assert!(cube.iter().any(|c| c.algorithm == Algorithm::Array));
-        assert!(cube.iter().any(|c| c.algorithm == Algorithm::PipeSort));
-        assert!(!cube.iter().any(|c| c.algorithm == Algorithm::Sort));
-        // 7 hash algorithms × `encoded_keys` on/off, plus Sort on ROLLUP
-        // or the dense pair on CUBE.
-        assert_eq!(combos(&QueryKind::GroupBy).len(), 14);
-        assert_eq!(rollup.len(), 15);
-        assert_eq!(cube.len(), 16);
-        assert!(cube
-            .iter()
-            .any(|c| c.algorithm == Algorithm::Parallel { threads: 16 }));
+        assert!(cube.contains(&Algorithm::Array));
+        assert!(cube.contains(&Algorithm::PipeSort));
+        assert!(!cube.contains(&Algorithm::Sort));
+        // 7 hash algorithms, plus Sort on ROLLUP or the dense pair on CUBE.
+        assert_eq!(combos(&QueryKind::GroupBy).len(), 7);
+        assert_eq!(rollup.len(), 8);
+        assert_eq!(cube.len(), 9);
+        assert!(cube.contains(&Algorithm::Parallel { threads: 16 }));
+    }
+
+    /// The 200-seed smoke (`tests/fuzz.rs`) reaches the engine's wide key:
+    /// at least ten of its cases have dimension cardinalities whose field
+    /// widths (bits for `C_d + 1` values, as `datacube`'s encoder lays
+    /// them out) sum past 64, NULL dimension values among them.
+    #[test]
+    fn the_smoke_reaches_the_wide_key() {
+        let key_bits = |case: &Case| -> u32 {
+            let width = |d: usize| {
+                let values: std::collections::HashSet<&Value> =
+                    case.table.rows().iter().map(|r| &r[d]).collect();
+                (u32::BITS - (values.len() as u32).leading_zeros()).max(1)
+            };
+            (0..case.n_dims).map(width).sum()
+        };
+        let smoke = (0..200u64).map(|i| crate::gen_case(0xDA7A_C0BE + i));
+        let wide: Vec<Case> = smoke.filter(|c| key_bits(c) > 64).collect();
+        assert!(wide.len() >= 10, "only {} wide cases", wide.len());
+        let has_null_dim =
+            |c: &Case| (c.table.rows().iter()).any(|r| (0..c.n_dims).any(|d| r[d].is_null()));
+        assert!(wide.iter().all(has_null_dim));
+        assert!(wide.iter().all(|c| combos(&c.query).len() <= 8));
     }
 }

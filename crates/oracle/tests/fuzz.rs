@@ -2,7 +2,7 @@
 //!
 //! `differential_smoke_200_cases` is the bounded run verify.sh executes on
 //! every change: 200 fixed-seed cases, each checked through every
-//! algorithm × {encoded keys} × thread-count combination.
+//! algorithm × thread-count combination.
 //!
 //! `differential_fuzz_extended` is the long-running campaign, ignored by
 //! default. Run it with

@@ -218,6 +218,17 @@ impl QueryRuntime {
             || matches!(name.to_uppercase().as_str(), "MAXN" | "MINN" | "PERCENTILE")
     }
 
+    /// The cube algorithm this session's statements run: `SET THREADS`
+    /// selects partition-parallel aggregation.
+    fn algorithm(&self) -> Algorithm {
+        match self.threads {
+            0 => Algorithm::Auto,
+            threads => Algorithm::Parallel {
+                threads: threads as usize,
+            },
+        }
+    }
+
     /// `EXPLAIN SELECT ...`: a one-column relation describing the plan —
     /// which tables are scanned, the grouping-set lattice, and how each
     /// aggregate's §5 taxonomy routes it (cascade vs 2^N).
@@ -260,7 +271,7 @@ impl QueryRuntime {
             if let Some(h) = &sel.having {
                 collect_aggregates(h, &is_agg, &mut calls);
             }
-            let mut any_holistic = false;
+            let mut funcs = Vec::with_capacity(calls.len());
             for call in &calls {
                 if let Expr::Func {
                     name,
@@ -268,28 +279,24 @@ impl QueryRuntime {
                     args,
                 } = call
                 {
-                    let kind = if *distinct {
-                        self.snap.aggs.get("COUNT DISTINCT")?.kind()
+                    let func = if *distinct {
+                        self.snap.aggs.get("COUNT DISTINCT")?
                     } else if matches!(args.first(), Some(Expr::Star)) {
-                        self.snap.aggs.get("COUNT(*)")?.kind()
+                        self.snap.aggs.get("COUNT(*)")?
                     } else if let Some(param) = parameterized_aggregate(name, args)? {
-                        param.kind()
+                        param
                     } else {
-                        self.snap.aggs.get(name)?.kind()
+                        self.snap.aggs.get(name)?
                     };
-                    any_holistic |= kind == dc_aggregate::AggKind::Holistic;
+                    let kind = func.kind();
                     lines.push(format!("    aggregate fn: {} [{kind:?}]", call.canonical()));
+                    funcs.push(func);
                 }
             }
-            if !calls.is_empty() {
-                lines.push(format!(
-                    "    algorithm: {}",
-                    if any_holistic {
-                        "2^N (holistic aggregate present, §5)"
-                    } else {
-                        "from-core cascade (Iter_super, smallest-Ci parent)"
-                    }
-                ));
+            if !funcs.is_empty() {
+                let funcs: Vec<_> = funcs.iter().map(|f| &**f).collect();
+                let plan = datacube::algorithm::describe_plan(self.algorithm(), &funcs);
+                lines.push(format!("    algorithm: {plan}"));
             }
             if sel.having.is_some() {
                 lines.push("  filter: HAVING over the cube relation".into());
@@ -743,15 +750,11 @@ impl QueryRuntime {
         // Session governance: the effective limits (session budgets, the
         // remaining deadline share, and the admission grant) plus the
         // thread count apply to every cube run of this statement.
-        let mut query = agg_specs
+        let query = agg_specs
             .iter()
             .fold(CubeQuery::new(), |q, spec| q.aggregate(spec.clone()))
-            .limits(self.limits.clone());
-        if self.threads > 0 {
-            query = query.algorithm(Algorithm::Parallel {
-                threads: self.threads as usize,
-            });
-        }
+            .limits(self.limits.clone())
+            .algorithm(self.algorithm());
 
         let mut cube = if let Some(answered) = cached_answer {
             answered
@@ -1760,6 +1763,58 @@ mod tests {
         assert_eq!(total, Some(Value::Int(67)));
         session.execute(q).unwrap();
         assert!(session.last_admission().answered_from_cache);
+    }
+
+    /// The per-statement costs of the write path are per statement, not
+    /// per row: one 256-row INSERT is one version bump and one absorb into
+    /// each live view; 256 one-row INSERTs are 256 of each. A view stays
+    /// warm only by absorbing exactly the delta of every bump (an entry
+    /// not at `version - 1` is dropped), so "still a hit" counts absorbs.
+    #[test]
+    fn insert_costs_one_bump_and_one_absorb_per_statement() {
+        let engine = Engine::with_service(crate::ServiceConfig::default());
+        let schema = Schema::from_pairs(&[("d0", DataType::Int), ("units", DataType::Int)]);
+        let catalog = engine.service_parts().0;
+        catalog
+            .with_write(|c| c.register_table("t", Table::empty(schema)))
+            .unwrap();
+        let version = || catalog.snapshot().table_version("t");
+        let session = engine.session();
+        // Two live views: different select lists populate separately.
+        let views = [
+            "SELECT d0, SUM(units) AS s FROM t GROUP BY CUBE d0",
+            "SELECT d0, MAX(units) AS m FROM t GROUP BY CUBE d0",
+        ];
+        session.execute("INSERT INTO t VALUES (0, 1)").unwrap();
+        for q in views {
+            session.execute(q).unwrap();
+        }
+        let populated = engine.cube_cache().counters();
+        assert_eq!(populated.entries, 2, "{populated:?}");
+
+        let values = |n: usize| -> String {
+            let rows: Vec<String> = (0..n).map(|i| format!("({}, 1)", i % 16)).collect();
+            rows.join(", ")
+        };
+        let before = version();
+        session
+            .execute(&format!("INSERT INTO t VALUES {}", values(256)))
+            .unwrap();
+        assert_eq!(version(), before + 1);
+        for _ in 0..256 {
+            session.execute("INSERT INTO t VALUES (3, 1)").unwrap();
+        }
+        assert_eq!(version(), before + 1 + 256);
+
+        for q in views {
+            let out = session.execute(q).unwrap();
+            assert!(session.last_admission().answered_from_cache, "{q}");
+            let total = out.rows().iter().find(|r| r[0].is_all()).unwrap();
+            let want = if q.contains("SUM") { 1 + 256 + 256 } else { 1 };
+            assert_eq!(total[1], Value::Int(want), "{q}");
+        }
+        let after = engine.cube_cache().counters();
+        assert_eq!((after.entries, after.misses), (2, populated.misses));
     }
 
     #[test]

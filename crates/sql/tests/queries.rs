@@ -591,6 +591,60 @@ fn explain_without_holistic_uses_cascade() {
     assert!(plan.contains("grouping sets: 4"), "{plan}");
 }
 
+/// SUM under another name, declaring that it has no Iter_super — the
+/// property a UDA built without `state()`/`merge()` has, here on a
+/// function that is not holistic.
+struct SumWithoutSuper(dc_aggregate::AggRef);
+
+impl dc_aggregate::AggregateFunction for SumWithoutSuper {
+    fn name(&self) -> &str {
+        "SUM_NOSUPER"
+    }
+    fn kind(&self) -> dc_aggregate::AggKind {
+        self.0.kind()
+    }
+    fn init(&self) -> Box<dyn dc_aggregate::Accumulator> {
+        self.0.init()
+    }
+    fn mergeable(&self) -> bool {
+        false
+    }
+}
+
+/// EXPLAIN prints the plan the statement would run, not a restatement of
+/// the selection rule: a function without Iter_super is pinned to the 2^N
+/// shape whatever its kind, and `SET THREADS` selects the parallel cascade
+/// — for holistic aggregates too, which then coalesce whole multisets.
+#[test]
+fn explain_follows_mergeability_and_set_threads() {
+    let mut e = engine();
+    let sum = dc_aggregate::builtin("SUM").unwrap();
+    e.register_aggregate(std::sync::Arc::new(SumWithoutSuper(sum)))
+        .unwrap();
+    let algorithm_of = |e: &Engine, call: &str| -> String {
+        let sql = format!("EXPLAIN SELECT Model, {call} FROM Sales GROUP BY CUBE Model, Year");
+        let out = e.execute(&sql).unwrap();
+        let line = out.rows().iter().map(|r| r[0].to_string());
+        line.filter(|l| l.contains("algorithm:")).collect()
+    };
+    let starts = |line: String, want: &str| {
+        assert!(line.trim_start().starts_with(want), "{line:?} vs {want:?}");
+    };
+
+    starts(
+        algorithm_of(&e, "SUM(Sales)"),
+        "algorithm: from-core cascade",
+    );
+    starts(algorithm_of(&e, "MEDIAN(Sales)"), "algorithm: 2^N");
+    starts(algorithm_of(&e, "SUM_NOSUPER(Sales)"), "algorithm: 2^N");
+
+    e.execute("SET THREADS = 4").unwrap();
+    let parallel = "algorithm: parallel from-core cascade (4 scan workers";
+    starts(algorithm_of(&e, "SUM(Sales)"), parallel);
+    starts(algorithm_of(&e, "MEDIAN(Sales)"), parallel);
+    starts(algorithm_of(&e, "SUM_NOSUPER(Sales)"), "algorithm: 2^N");
+}
+
 #[test]
 fn ordered_aggregates_over_base_rows() {
     // §1.2's Red Brick functions on a plain selection.

@@ -8,6 +8,8 @@ use datacube::{AggSpec, Dimension};
 use dc_aggregate::{builtin, AggKind, UdaBuilder};
 use dc_relation::{row, DataType, Row, Schema, Table, Value};
 use dc_sql::{Engine, ServiceConfig};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// The paper's Table 4 shape: model × year × color with unit counts.
 fn sales() -> Table {
@@ -268,13 +270,9 @@ fn set_cube_cache_off_is_per_session() {
     assert!(off.last_admission().answered_from_cache);
 }
 
-/// With the engine-wide switch off, a cache-eligible statement neither
-/// touches the cache's counters nor pays for a view build it would only
-/// throw away: its UDA sees each base row exactly once.
-#[test]
-fn disabled_cache_neither_builds_nor_counts() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+/// An engine over `sales` with `CSUM`, a rewritable SUM that counts its
+/// Iter() calls — one per base row a statement scans.
+fn engine_counting_scans() -> (Engine, Arc<AtomicUsize>) {
     let iter_calls = Arc::new(AtomicUsize::new(0));
     let seen = Arc::clone(&iter_calls);
     let counted_sum = UdaBuilder::new("CSUM", AggKind::Algebraic, || 0i64)
@@ -289,6 +287,40 @@ fn disabled_cache_neither_builds_nor_counts() {
         .unwrap();
     let mut engine = engine_with_sales();
     engine.register_aggregate(counted_sum).unwrap();
+    (engine, iter_calls)
+}
+
+/// A repeated dashboard statement is answered from the cached view: it
+/// scans zero base rows and says where its answer came from.
+#[test]
+fn cache_hit_scans_no_base_rows() {
+    let (engine, iter_calls) = engine_counting_scans();
+    let session = engine.session();
+    let sql = "SELECT model, year, CSUM(units) AS s FROM sales GROUP BY CUBE model, year";
+    let first = session.execute(sql).unwrap();
+    assert!(!session.last_admission().answered_from_cache);
+    let scanned = iter_calls.load(Ordering::SeqCst);
+    assert!(scanned >= sales().len(), "the miss scans the base table");
+    for _ in 0..3 {
+        let again = session.execute(sql).unwrap();
+        assert_eq!(again.rows(), first.rows());
+        assert!(session.last_admission().answered_from_cache);
+    }
+    assert_eq!(
+        iter_calls.load(Ordering::SeqCst),
+        scanned,
+        "a hit scans nothing"
+    );
+    let counters = engine.cube_cache().counters();
+    assert_eq!((counters.misses, counters.hits), (1, 3), "{counters:?}");
+}
+
+/// With the engine-wide switch off, a cache-eligible statement neither
+/// touches the cache's counters nor pays for a view build it would only
+/// throw away: its UDA sees each base row exactly once.
+#[test]
+fn disabled_cache_neither_builds_nor_counts() {
+    let (engine, iter_calls) = engine_counting_scans();
     engine.cube_cache().set_enabled(false);
     let before = engine.cube_cache().counters();
 

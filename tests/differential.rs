@@ -4,19 +4,23 @@
 //!
 //! The full fuzzer lives in `crates/oracle` (see README / DESIGN.md);
 //! these tests replay its minimal witnesses and the §3.4 NULL-vs-ALL
-//! discriminator through *every* execution path — each algorithm crossed
-//! with the encoded-key toggle and several thread counts; the cases pick
-//! select lists that land on both of the engine's lane kinds.
+//! discriminator through *every* execution path — each algorithm at
+//! several thread counts, on the engine and on the `Row`-keyed reference;
+//! the cases pick select lists that land on both of the engine's lane
+//! kinds.
 
 use std::sync::Arc;
 
-use datacube::{AggSpec, Algorithm, CompoundSpec, CubeQuery, Dimension};
+use datacube::algorithm::reference;
+use datacube::{
+    AggSpec, Algorithm, CompoundSpec, CubeQuery, CubeResult, Dimension, GroupingSet, Lattice,
+};
 use dc_aggregate::{builtin, AggKind, AggregateFunction, UdaBuilder};
 use dc_relation::{DataType, Date, Row, Schema, Table, Value};
 
-/// Every (algorithm, encoded) combination that accepts an
-/// arbitrary lattice. Sort/Array/PipeSort are shape-restricted and are
-/// exercised separately where their shapes apply.
+/// Every (algorithm, engine-or-reference) combination that accepts an
+/// arbitrary lattice; `true` is the engine. Sort/Array/PipeSort are
+/// shape-restricted and are exercised separately where their shapes apply.
 fn hash_combos() -> Vec<(Algorithm, bool)> {
     let algorithms = [
         Algorithm::Auto,
@@ -29,15 +33,47 @@ fn hash_combos() -> Vec<(Algorithm, bool)> {
     ];
     let mut combos = Vec::new();
     for algorithm in algorithms {
-        for encoded in [false, true] {
-            combos.push((algorithm, encoded));
+        for engine in [false, true] {
+            combos.push((algorithm, engine));
         }
     }
     combos
 }
 
-fn query(algorithm: Algorithm, encoded: bool) -> CubeQuery {
-    CubeQuery::new().algorithm(algorithm).encoded_keys(encoded)
+/// The grouping-set family a case computes over its `n` dimensions.
+enum Family<'a> {
+    Cube(usize),
+    Rollup(usize),
+    Compound(&'a CompoundSpec),
+}
+
+/// Run `q` with `algorithm` on the engine (through the query's own
+/// operators) or on the reference (same lattice, same kept sets).
+fn run(
+    (algorithm, engine): (Algorithm, bool),
+    q: CubeQuery,
+    t: &Table,
+    family: Family,
+) -> CubeResult<Table> {
+    let q = q.algorithm(algorithm);
+    if engine {
+        return match family {
+            Family::Cube(_) => q.cube(t),
+            Family::Rollup(_) => q.rollup(t),
+            Family::Compound(spec) => q.compound(t, spec),
+        };
+    }
+    let sets: Vec<GroupingSet>;
+    let (lattice, keep) = match family {
+        Family::Cube(n) => (Lattice::cube(n)?, None),
+        Family::Rollup(n) => (Lattice::rollup(n)?, None),
+        Family::Compound(spec) => {
+            sets = spec.grouping_sets()?;
+            let n = spec.dimensions().len();
+            (Lattice::new(n, sets.clone())?, Some(sets.as_slice()))
+        }
+    };
+    Ok(reference::run(&q, t, &lattice, keep)?.0)
 }
 
 /// A holistic UDA built without `state()`/`merge()` — its `Iter_super` is
@@ -82,21 +118,19 @@ fn merge_less_uda_super_aggregates_survive_every_hash_path() {
         .group_by(vec![Dimension::column("d0")])
         .cube(vec![Dimension::column("d1")]);
 
-    for (algorithm, encoded) in hash_combos() {
-        let q = query(algorithm, encoded)
+    for combo in hash_combos() {
+        let q = CubeQuery::new()
             .dimensions(spec.dimensions())
             .aggregate(AggSpec::new(merge_less_min(), "d0").with_name("a0"));
-        let got = q
-            .compound(&t, &spec)
-            .unwrap_or_else(|e| panic!("{algorithm:?} enc={encoded}: {e}"));
+        let got =
+            run(combo, q, &t, Family::Compound(&spec)).unwrap_or_else(|e| panic!("{combo:?}: {e}"));
         let rows = got.canonical_rows(2);
-        assert_eq!(rows.len(), 2, "{algorithm:?} enc={encoded}");
+        assert_eq!(rows.len(), 2, "{combo:?}");
         for row in &rows {
             assert_eq!(
                 row[2],
                 Value::Float(1.5),
-                "{algorithm:?} enc={encoded}: \
-                 merge-less UDA lost its state in row {row:?}"
+                "{combo:?}: merge-less UDA lost its state in row {row:?}"
             );
         }
     }
@@ -119,30 +153,23 @@ fn merge_less_uda_survives_sort_array_and_pipesort() {
     let dims = vec![Dimension::column("a"), Dimension::column("b")];
     let agg = || AggSpec::new(merge_less_min(), "m").with_name("lo");
 
+    let q = || CubeQuery::new().dimensions(dims.clone()).aggregate(agg());
     // Reference: the scan-based 2^N algorithm, correct by construction.
-    let reference = |run: &dyn Fn(&CubeQuery) -> Table| -> Vec<Row> {
-        run(&query(Algorithm::TwoToTheN, false)
-            .dimensions(dims.clone())
-            .aggregate(agg()))
-        .canonical_rows(2)
+    let two_to_the_n = |family: Family| -> Vec<Row> {
+        run((Algorithm::TwoToTheN, false), q(), &t, family)
+            .unwrap()
+            .canonical_rows(2)
     };
 
-    let cube_ref = reference(&|q| q.cube(&t).unwrap());
+    let cube_ref = two_to_the_n(Family::Cube(2));
     for algorithm in [Algorithm::Array, Algorithm::PipeSort] {
-        let got = query(algorithm, true)
-            .dimensions(dims.clone())
-            .aggregate(agg())
-            .cube(&t)
+        let got = run((algorithm, true), q(), &t, Family::Cube(2))
             .unwrap_or_else(|e| panic!("{algorithm:?}: {e}"));
         assert_eq!(got.canonical_rows(2), cube_ref, "{algorithm:?} cube");
     }
 
-    let rollup_ref = reference(&|q| q.rollup(&t).unwrap());
-    let got = query(Algorithm::Sort, true)
-        .dimensions(dims.clone())
-        .aggregate(agg())
-        .rollup(&t)
-        .unwrap();
+    let got = run((Algorithm::Sort, true), q(), &t, Family::Rollup(2)).unwrap();
+    let rollup_ref = two_to_the_n(Family::Rollup(2));
     assert_eq!(got.canonical_rows(2), rollup_ref, "Sort rollup");
 }
 
@@ -179,14 +206,13 @@ fn null_groups_and_all_rows_stay_distinguishable_on_every_path() {
     for algorithm in [Algorithm::Array, Algorithm::PipeSort] {
         all_combos.push((algorithm, true));
     }
-    for (algorithm, encoded) in all_combos {
-        let got = query(algorithm, encoded)
+    for combo in all_combos {
+        let q = CubeQuery::new()
             .dimensions(dims.clone())
-            .aggregate(AggSpec::new(builtin("SUM").unwrap(), "units").with_name("s"))
-            .cube(&t)
-            .unwrap_or_else(|e| panic!("{algorithm:?} enc={encoded}: {e}"));
+            .aggregate(AggSpec::new(builtin("SUM").unwrap(), "units").with_name("s"));
+        let got = run(combo, q, &t, Family::Cube(2)).unwrap_or_else(|e| panic!("{combo:?}: {e}"));
         let rows = got.canonical_rows(2);
-        let tag = format!("{algorithm:?} enc={encoded}");
+        let tag = format!("{combo:?}");
 
         // 3 core groups + 2 color slabs + 2 size slabs + grand total.
         assert_eq!(rows.len(), 8, "{tag}");
@@ -249,19 +275,14 @@ fn vectorized_zero_row_cube_is_empty_everywhere() {
     let t = Table::empty(schema);
     let dims = vec![Dimension::column("a"), Dimension::column("b")];
 
-    for (algorithm, encoded) in hash_combos() {
-        let got = query(algorithm, encoded)
+    for combo in hash_combos() {
+        let q = CubeQuery::new()
             .dimensions(dims.clone())
             .aggregate(AggSpec::new(builtin("SUM").unwrap(), "m").with_name("s"))
             .aggregate(AggSpec::new(builtin("COUNT").unwrap(), "m").with_name("n"))
-            .aggregate(AggSpec::star(builtin("COUNT(*)").unwrap()).with_name("rows"))
-            .cube(&t)
-            .unwrap_or_else(|e| panic!("{algorithm:?} enc={encoded}: {e}"));
-        assert_eq!(
-            got.len(),
-            0,
-            "{algorithm:?} enc={encoded}: empty input grew rows"
-        );
+            .aggregate(AggSpec::star(builtin("COUNT(*)").unwrap()).with_name("rows"));
+        let got = run(combo, q, &t, Family::Cube(2)).unwrap_or_else(|e| panic!("{combo:?}: {e}"));
+        assert_eq!(got.len(), 0, "{combo:?}: empty input grew rows");
     }
 }
 
@@ -278,17 +299,16 @@ fn vectorized_all_null_measure_count_vs_count_star() {
     }
     let dims = vec![Dimension::column("a")];
 
-    for (algorithm, encoded) in hash_combos() {
-        let got = query(algorithm, encoded)
+    for combo in hash_combos() {
+        let q = CubeQuery::new()
             .dimensions(dims.clone())
             .aggregate(AggSpec::new(builtin("COUNT").unwrap(), "m").with_name("n"))
             .aggregate(AggSpec::star(builtin("COUNT(*)").unwrap()).with_name("rows"))
             .aggregate(AggSpec::new(builtin("SUM").unwrap(), "m").with_name("s"))
-            .aggregate(AggSpec::new(builtin("MIN").unwrap(), "m").with_name("lo"))
-            .cube(&t)
-            .unwrap_or_else(|e| panic!("{algorithm:?} enc={encoded}: {e}"));
+            .aggregate(AggSpec::new(builtin("MIN").unwrap(), "m").with_name("lo"));
+        let got = run(combo, q, &t, Family::Cube(1)).unwrap_or_else(|e| panic!("{combo:?}: {e}"));
         let rows = got.canonical_rows(1);
-        let tag = format!("{algorithm:?} enc={encoded}");
+        let tag = format!("{combo:?}");
         assert_eq!(rows.len(), 3, "{tag}"); // x, y, grand total
 
         for row in &rows {

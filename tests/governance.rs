@@ -7,8 +7,9 @@
 //! wedged thread scope, and attaches the partial [`ExecStats`] to budget
 //! and cancellation errors.
 
+use datacube::algorithm::reference;
 use datacube::{
-    AggSpec, Algorithm, CancelToken, CubeError, CubeQuery, Dimension, ExecLimits, Resource,
+    AggSpec, Algorithm, CancelToken, CubeError, CubeQuery, Dimension, ExecLimits, Lattice, Resource,
 };
 use dc_aggregate::{builtin, AggKind, UdaBuilder};
 use dc_relation::{DataType, Row, Schema, Table, Value};
@@ -63,6 +64,25 @@ fn runs(nx: i64, ny: i64, len: usize) -> Table {
         }
     }
     t
+}
+
+/// 11 dimensions `d0..d10` of 40 values each — 6 bits apiece, 66 in all,
+/// so the coordinate packs into the engine's wide key, not a `u64` — over
+/// `n` rows with 1600 distinct coordinates (fewer when `n` is).
+fn wide(n: i64) -> (Table, Vec<Dimension>) {
+    let names: Vec<String> = (0..11).map(|d| format!("d{d}")).collect();
+    let mut cols: Vec<(&str, DataType)> =
+        names.iter().map(|s| (s.as_str(), DataType::Int)).collect();
+    cols.push(("units", DataType::Int));
+    let mut t = Table::empty(Schema::from_pairs(&cols));
+    for i in 0..n {
+        let mut vals = vec![Value::Int(i % 40), Value::Int(i / 40 % 40)];
+        vals.extend((2..11).map(|d| Value::Int((i + d) % 40)));
+        vals.push(Value::Int(1));
+        t.push_unchecked(Row::new(vals));
+    }
+    let dims = names.iter().map(Dimension::column).collect();
+    (t, dims)
 }
 
 fn xy_dims() -> Vec<Dimension> {
@@ -305,7 +325,6 @@ fn no_degradation_within_budget() {
         .unwrap();
     assert!(!stats.degraded_dense_to_sparse);
     assert!(!stats.degraded_to_streaming);
-    assert!(stats.encoded_keys);
 }
 
 // ---------------------------------------------------- panic isolation --
@@ -432,41 +451,26 @@ fn stats_record_clamped_thread_count() {
 }
 
 #[test]
-fn stats_record_encoded_key_fallback() {
-    // 11 dimensions × cardinality 40 → 6 bits each = 66 > 64: the packed
-    // u64 encoding fails and the engine falls back to Row keys, recorded
-    // as `encoded_keys: false`.
-    let n = 11usize;
-    let names: Vec<String> = (0..n).map(|d| format!("d{d}")).collect();
-    let mut cols: Vec<(&str, DataType)> =
-        names.iter().map(|s| (s.as_str(), DataType::Int)).collect();
-    cols.push(("units", DataType::Int));
-    let schema = Schema::from_pairs(&cols);
-    let mut t = Table::empty(schema);
-    for i in 0..40i64 {
-        let mut vals: Vec<Value> = (0..n).map(|_| Value::Int(i)).collect();
-        vals.push(Value::Int(1));
-        t.push_unchecked(Row::new(vals));
-    }
-    let dims: Vec<Dimension> = names
-        .iter()
-        .map(String::as_str)
-        .map(Dimension::column)
-        .collect();
-    let (_, stats) = CubeQuery::new()
-        .dimensions(dims)
-        .aggregate(sum_units())
-        .rollup_with_stats(&t)
-        .unwrap();
-    assert!(!stats.encoded_keys, "11 wide dims cannot pack into u64");
-
-    // The 2-dimensional case packs fine.
-    let (_, stats) = CubeQuery::new()
-        .dimensions(xy_dims())
-        .aggregate(sum_units())
-        .cube_with_stats(&grid(4, 4))
-        .unwrap();
-    assert!(stats.encoded_keys);
+fn wide_keys_run_the_engine() {
+    // 66 key bits do not fit a u64: the same engine carries the query on
+    // its wide key — morsels, kernels and all — and computes exactly what
+    // the Row-keyed reference does.
+    let (t, dims) = wide(40);
+    let query = CubeQuery::new().dimensions(dims).aggregate(sum_units());
+    let (rollup, stats) = query.rollup_with_stats(&t).unwrap();
+    assert!(stats.morsels_processed > 0, "{stats:?}");
+    assert_eq!(stats.vectorized_kernels_used, 1);
+    let (want, want_stats) =
+        reference::run(&query, &t, &Lattice::rollup(11).unwrap(), None).unwrap();
+    assert_eq!(rollup.rows(), want.rows());
+    assert_eq!(
+        (stats.rows_scanned, stats.iter_calls, stats.merge_calls),
+        (
+            want_stats.rows_scanned,
+            want_stats.iter_calls,
+            want_stats.merge_calls
+        )
+    );
 }
 
 // ------------------------------------- governance in the morsel loop --
@@ -479,34 +483,37 @@ fn cell_budget_trips_inside_the_vectorized_morsel_loop() {
     // both that kernels ran and how far the scan got. The parallel
     // algorithm is the one plan without the projected-size pre-check
     // (degradation rung 2), so the trip genuinely happens inside a
-    // worker's morsel loop.
-    let t = grid(64, 64);
-    let err = CubeQuery::new()
-        .dimensions(xy_dims())
-        .aggregate(sum_units())
-        .aggregate(AggSpec::star(builtin("COUNT(*)").unwrap()).with_name("n"))
-        .algorithm(Algorithm::Parallel { threads: 2 })
-        .limits(ExecLimits::none().max_cells(256))
-        .cube_with_stats(&t)
-        .unwrap_err();
-    match err {
-        CubeError::ResourceExhausted {
-            resource,
-            limit,
-            observed,
-            stats,
-        } => {
-            assert_eq!(resource, Resource::Cells);
-            assert_eq!(limit, 256);
-            assert!(observed > limit);
-            assert_eq!(stats.vectorized_kernels_used, 2, "kernels were running");
-            assert!(stats.rows_scanned > 0, "partial stats missing: {stats:?}");
-            assert!(
-                stats.rows_scanned < t.len() as u64,
-                "budget should trip mid-scan"
-            );
+    // worker's morsel loop — on either key width: `wide` has the same row
+    // count over 1600 distinct 66-bit coordinates.
+    let (wide_t, wide_dims) = wide(4096);
+    for (t, dims) in [(grid(64, 64), xy_dims()), (wide_t, wide_dims)] {
+        let err = CubeQuery::new()
+            .dimensions(dims)
+            .aggregate(sum_units())
+            .aggregate(AggSpec::star(builtin("COUNT(*)").unwrap()).with_name("n"))
+            .algorithm(Algorithm::Parallel { threads: 2 })
+            .limits(ExecLimits::none().max_cells(256))
+            .cube_with_stats(&t)
+            .unwrap_err();
+        match err {
+            CubeError::ResourceExhausted {
+                resource,
+                limit,
+                observed,
+                stats,
+            } => {
+                assert_eq!(resource, Resource::Cells);
+                assert_eq!(limit, 256);
+                assert!(observed > limit);
+                assert_eq!(stats.vectorized_kernels_used, 2, "kernels were running");
+                assert!(stats.rows_scanned > 0, "partial stats missing: {stats:?}");
+                assert!(
+                    stats.rows_scanned < t.len() as u64,
+                    "budget should trip mid-scan"
+                );
+            }
+            other => panic!("expected ResourceExhausted, got {other:?}"),
         }
-        other => panic!("expected ResourceExhausted, got {other:?}"),
     }
 }
 
@@ -803,6 +810,41 @@ mod faults_suite {
         }
     }
 
+    /// The engine's own sites sit on code written once for both key
+    /// widths; on the wide instantiation (`wide`: 66 key bits) both fault
+    /// flavors still unwind typed, for both lane kinds.
+    #[test]
+    fn engine_sites_unwind_typed_on_wide_keys() {
+        let (t, dims) = wide(400);
+        silent_panics(|| {
+            let _cleanup = Disarm;
+            for site in ["vectorized::morsel", "cascade::level", "materialize"] {
+                for agg in [sum_units(), uda_sum()] {
+                    let query = CubeQuery::new().dimensions(dims.clone()).aggregate(agg);
+                    arm(site, Fault::TripBudget);
+                    let result = query.rollup(&t);
+                    disarm_all();
+                    assert!(
+                        matches!(result, Err(CubeError::ResourceExhausted { .. })),
+                        "{site} TripBudget: {result:?}"
+                    );
+
+                    arm(site, Fault::Panic("wide down".into()));
+                    let result = query.rollup(&t);
+                    disarm_all();
+                    match result {
+                        Err(CubeError::AggPanicked { message, .. }) => {
+                            assert!(message.contains("wide down"), "{site}: {message}");
+                        }
+                        other => panic!("{site} Panic: {other:?}"),
+                    }
+                    // Ten prefixes of 400 coordinates, 40 values of d0, the total.
+                    assert_eq!(query.rollup(&t).unwrap().len(), 4041, "{site}");
+                }
+            }
+        });
+    }
+
     /// `cube_under_fault` aggregates through a UDA, which never
     /// kernelizes — so the vectorized morsel site needs its own probe
     /// with a built-in aggregate. Both fault flavors must surface as
@@ -863,13 +905,12 @@ mod faults_suite {
             let _cleanup = Disarm;
             for alg in [Algorithm::FromCore, Algorithm::Parallel { threads: 4 }] {
                 let (table, stats) = run(alg).unwrap();
-                let (want, _) = CubeQuery::new()
+                let query = CubeQuery::new()
                     .dimensions(xy_dims())
                     .aggregate(sum_units())
-                    .algorithm(alg)
-                    .encoded_keys(false)
-                    .cube_with_stats(&t)
-                    .unwrap();
+                    .algorithm(alg);
+                let (want, _) =
+                    reference::run(&query, &t, &Lattice::cube(2).unwrap(), None).unwrap();
                 assert_eq!(table.rows(), want.rows(), "{alg:?}: rle changed cells");
                 assert_eq!(stats.rle_runs, 16 * 8, "{alg:?}: {stats:?}");
 

@@ -4,13 +4,20 @@
 //! cubes stay dense enough to be interesting) and check the paper's
 //! algebraic claims hold for *every* input, not just the examples.
 
+use datacube::algorithm::reference;
 use datacube::{
-    AggSpec, Algorithm, CompoundSpec, CubeQuery, DeltaBatch, Dimension, ExecContext,
-    MaterializedCube,
+    AggSpec, Algorithm, CompoundSpec, CubeQuery, DeltaBatch, Dimension, ExecContext, ExecStats,
+    Lattice, MaterializedCube,
 };
 use dc_aggregate::{builtin, AggKind, UdaBuilder};
 use dc_relation::{DataType, Date, Row, Schema, Table, Value};
 use proptest::prelude::*;
+
+/// `query`'s cube over its `n_dims` dimensions, computed by the `Row`-keyed
+/// reference algorithms instead of the engine.
+fn reference_cube(query: &CubeQuery, t: &Table, n_dims: usize) -> (Table, ExecStats) {
+    reference::run(query, t, &Lattice::cube(n_dims).unwrap(), None).unwrap()
+}
 
 fn schema3() -> Schema {
     Schema::from_pairs(&[
@@ -289,17 +296,13 @@ proptest! {
                 Algorithm::UnionGroupBys,
                 Algorithm::Parallel { threads: 2 },
             ] {
-                let query = |encoded: bool| {
-                    aggs.iter()
-                        .fold(CubeQuery::new(), |q, a| q.aggregate(a.clone()))
-                        .dimensions(mixed_dims(n_dims))
-                        .algorithm(alg)
-                        .encoded_keys(encoded)
-                        .cube_with_stats(&t)
-                        .unwrap()
-                };
-                let (enc_table, enc_stats) = query(true);
-                let (row_table, row_stats) = query(false);
+                let query = aggs
+                    .iter()
+                    .fold(CubeQuery::new(), |q, a| q.aggregate(a.clone()))
+                    .dimensions(mixed_dims(n_dims))
+                    .algorithm(alg);
+                let (enc_table, enc_stats) = query.cube_with_stats(&t).unwrap();
+                let (row_table, row_stats) = reference_cube(&query, &t, n_dims);
                 let tag = format!("{alg:?}, {n_dims} dims, {kernel_lanes} kernel lanes");
                 prop_assert_eq!(enc_table.rows(), row_table.rows(), "tables diverge: {}", tag);
                 prop_assert_eq!(enc_stats.vectorized_kernels_used, *kernel_lanes, "{}", tag);
@@ -400,18 +403,13 @@ proptest! {
             AggSpec::new(builtin("AVG").unwrap(), "price").with_name("avg"),
         ];
         for alg in [Algorithm::FromCore, Algorithm::Parallel { threads: 2 }] {
-            let query = |encoded: bool| {
-                kernel_aggs
-                    .iter()
-                    .fold(CubeQuery::new(), |q, a| q.aggregate(a.clone()))
-                    .dimensions(vec![Dimension::column("d0"), Dimension::column("d1")])
-                    .algorithm(alg)
-                    .encoded_keys(encoded)
-                    .cube_with_stats(&t)
-                    .unwrap()
-            };
-            let (vec_table, vec_stats) = query(true);
-            let (row_table, row_stats) = query(false);
+            let query = kernel_aggs
+                .iter()
+                .fold(CubeQuery::new(), |q, a| q.aggregate(a.clone()))
+                .dimensions(vec![Dimension::column("d0"), Dimension::column("d1")])
+                .algorithm(alg);
+            let (vec_table, vec_stats) = query.cube_with_stats(&t).unwrap();
+            let (row_table, row_stats) = reference_cube(&query, &t, 2);
             prop_assert_eq!(
                 vec_table.rows(), row_table.rows(),
                 "tables diverge under {:?}", alg
