@@ -170,7 +170,7 @@ impl AggSpec {
     }
 
     /// The output column's declared type, given the input schema.
-    pub(crate) fn output_type(&self, schema: &Schema) -> CubeResult<DataType> {
+    pub fn output_type(&self, schema: &Schema) -> CubeResult<DataType> {
         let input_ty = match &self.input {
             Some(col) => schema.column(col)?.dtype,
             None => DataType::Int,

@@ -56,6 +56,12 @@ impl Table {
         &self.rows
     }
 
+    /// The rows, by value: for a consumer that reorders or truncates them
+    /// and would otherwise copy every one.
+    pub fn into_rows(self) -> Vec<Row> {
+        self.rows
+    }
+
     pub fn len(&self) -> usize {
         self.rows.len()
     }

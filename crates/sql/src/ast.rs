@@ -304,31 +304,49 @@ impl Expr {
         }
     }
 
+    /// The direct sub-expressions, in source order. A scalar subquery is
+    /// a statement of its own, not a sub-expression.
+    pub(crate) fn children(&self) -> Vec<&Expr> {
+        match self {
+            Expr::Column { .. } | Expr::Literal(_) | Expr::Star | Expr::ScalarSubquery(_) => vec![],
+            Expr::Func { args, .. } => args.iter().collect(),
+            Expr::Grouping(e) | Expr::Not(e) | Expr::Neg(e) | Expr::IsNull { expr: e, .. } => {
+                vec![e]
+            }
+            Expr::Binary { lhs, rhs, .. } => vec![lhs, rhs],
+            Expr::Between {
+                expr, low, high, ..
+            } => vec![expr, low, high],
+            Expr::InList { expr, list, .. } => std::iter::once(&**expr).chain(list).collect(),
+        }
+    }
+
+    /// [`Self::children`], for rewriting in place.
+    pub(crate) fn children_mut(&mut self) -> Vec<&mut Expr> {
+        match self {
+            Expr::Column { .. } | Expr::Literal(_) | Expr::Star | Expr::ScalarSubquery(_) => vec![],
+            Expr::Func { args, .. } => args.iter_mut().collect(),
+            Expr::Grouping(e) | Expr::Not(e) | Expr::Neg(e) | Expr::IsNull { expr: e, .. } => {
+                vec![e]
+            }
+            Expr::Binary { lhs, rhs, .. } => vec![lhs, rhs],
+            Expr::Between {
+                expr, low, high, ..
+            } => vec![expr, low, high],
+            Expr::InList { expr, list, .. } => std::iter::once(&mut **expr).chain(list).collect(),
+        }
+    }
+
     /// Does this expression (transitively) contain an aggregate call or
     /// `GROUPING()`? Used to classify select items.
     pub fn contains_aggregate(&self, is_aggregate: &dyn Fn(&str) -> bool) -> bool {
         match self {
-            Expr::Func { name, args, .. } => {
-                is_aggregate(name) || args.iter().any(|a| a.contains_aggregate(is_aggregate))
-            }
             Expr::Grouping(_) => true,
-            Expr::Binary { lhs, rhs, .. } => {
-                lhs.contains_aggregate(is_aggregate) || rhs.contains_aggregate(is_aggregate)
-            }
-            Expr::Not(e) | Expr::Neg(e) => e.contains_aggregate(is_aggregate),
-            Expr::IsNull { expr, .. } => expr.contains_aggregate(is_aggregate),
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                expr.contains_aggregate(is_aggregate)
-                    || low.contains_aggregate(is_aggregate)
-                    || high.contains_aggregate(is_aggregate)
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate(is_aggregate)
-                    || list.iter().any(|e| e.contains_aggregate(is_aggregate))
-            }
-            _ => false,
+            Expr::Func { name, .. } if is_aggregate(name) => true,
+            _ => self
+                .children()
+                .iter()
+                .any(|c| c.contains_aggregate(is_aggregate)),
         }
     }
 }

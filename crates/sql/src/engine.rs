@@ -1,4 +1,5 @@
-//! The query engine: shared catalog, planner, and executor.
+#![deny(clippy::too_many_lines)]
+//! The query engine: shared catalog and executor.
 //!
 //! Aggregation queries are planned onto [`datacube::CubeQuery`], so a SQL
 //! `GROUP BY a ROLLUP b CUBE c` runs through exactly the operator algebra
@@ -21,12 +22,12 @@ use crate::ast::*;
 use crate::cache::CubeCache;
 use crate::catalog::{CatalogSnapshot, SharedCatalog};
 use crate::error::{SqlError, SqlResult};
-use crate::eval::{eval, infer_type, EvalContext};
+use crate::eval::{eval, EvalContext};
+use crate::plan::{self, branches, AggregatePlan, Bound, Output, Source};
 use crate::scalar::ScalarFn;
 use crate::session::Session;
 use datacube::{
-    AggSpec, Algorithm, AncestorRequest, CancelToken, CompoundSpec, CubeQuery, Dimension,
-    ExecLimits, GroupingSet,
+    AggSpec, Algorithm, AncestorRequest, CancelToken, CubeQuery, Dimension, ExecLimits,
 };
 use dc_aggregate::AggRef;
 use dc_relation::{ColumnDef, DataType, Row, Schema, Table, Value};
@@ -191,33 +192,27 @@ pub(crate) struct QueryRuntime {
     /// (`None` both when the option is off and for EXPLAIN, which must
     /// not touch traffic counters).
     pub(crate) cache: Option<Arc<CubeCache>>,
-    /// Set by `exec_aggregate` when a statement was answered by
-    /// re-aggregating a materialized ancestor: `(hit, ancestor_bits)`.
-    /// The session folds this into its last-statement [`ExecStats`].
-    pub(crate) cache_touch: std::cell::Cell<(bool, u32)>,
 }
 
-/// How one aggregate statement maps onto the lattice cache, when it is
-/// eligible at all. `dim_keys`/`agg_keys` are the canonical base-column
-/// names the cache indexes views by ([`crate::cache::CubeCache`]); `sets`
-/// is the statement's grouping-set family over the query's dimension
-/// order, ready for [`datacube::CachedView::answer`].
-struct CachePlan {
-    table: String,
+/// How one aggregate block maps onto the lattice cache, when it is
+/// eligible at all: the canonical base-column and call names the cache
+/// indexes views by ([`crate::cache::CubeCache`]).
+struct CacheKey<'a> {
+    cache: &'a CubeCache,
+    table: &'a str,
     version: u64,
-    dim_keys: Vec<String>,
-    agg_keys: Vec<String>,
-    sets: Vec<GroupingSet>,
+    dims: Vec<String>,
+    aggs: Vec<String>,
+}
+
+/// A §3.5 decoration, checked: the determinant dimensions (cube-relation
+/// columns) and the value each of their combinations determines.
+struct Decoration {
+    dims: Vec<usize>,
+    map: HashMap<Row, Value>,
 }
 
 impl QueryRuntime {
-    /// Is `name` an aggregate in this snapshot (registry built-ins, UDAs,
-    /// or the parameterized MAXN/MINN/PERCENTILE family)?
-    fn is_aggregate_name(&self, name: &str) -> bool {
-        self.snap.aggs.get(name).is_ok()
-            || matches!(name.to_uppercase().as_str(), "MAXN" | "MINN" | "PERCENTILE")
-    }
-
     /// The cube algorithm this session's statements run: `SET THREADS`
     /// selects partition-parallel aggregation.
     fn algorithm(&self) -> Algorithm {
@@ -229,14 +224,15 @@ impl QueryRuntime {
         }
     }
 
-    /// `EXPLAIN SELECT ...`: a one-column relation describing the plan —
-    /// which tables are scanned, the grouping-set lattice, and how each
-    /// aggregate's §5 taxonomy routes it (cascade vs 2^N).
+    /// `EXPLAIN SELECT ...`: the bound plan of every UNION branch,
+    /// rendered as a one-column relation — which tables are scanned, the
+    /// grouping-set family, and how each aggregate's §5 taxonomy routes it
+    /// (cascade vs 2^N). A statement execution would reject at planning is
+    /// rejected here with the same error.
     pub(crate) fn explain_select(&self, stmt: &SelectStmt) -> SqlResult<Table> {
         let mut lines: Vec<String> = Vec::new();
-        let mut cursor = Some(stmt);
-        let mut block = 0;
-        while let Some(sel) = cursor {
+        for (block, (_, sel)) in branches(stmt).enumerate() {
+            let bound = self.bind(sel)?;
             if block > 0 {
                 lines.push(format!("UNION branch {block}:"));
             }
@@ -244,65 +240,9 @@ impl QueryRuntime {
             if sel.where_clause.is_some() {
                 lines.push("  filter: WHERE (three-valued; unknown rows dropped)".into());
             }
-            if let Some(g) = &sel.group_by {
-                let n_sets = if let Some(sets) = &g.grouping_sets {
-                    lines.push(format!(
-                        "  aggregate: GROUPING SETS over {} dimension(s)",
-                        g.all_exprs().len()
-                    ));
-                    sets.len()
-                } else {
-                    let (p, r, c) = (g.plain.len(), g.rollup.len(), g.cube.len());
-                    lines.push(format!(
-                        "  aggregate: GROUP BY {p} dim(s), ROLLUP {r}, CUBE {c}"
-                    ));
-                    (r + 1) << c
-                };
-                lines.push(format!("    grouping sets: {n_sets}"));
-                for g in g.all_exprs() {
-                    lines.push(format!("    dimension: {}", g.output_name()));
-                }
+            if let Bound::Aggregate(plan) = &bound {
+                self.explain_aggregate(sel, plan, &mut lines);
             }
-            let is_agg = |n: &str| self.is_aggregate_name(n);
-            let mut calls = Vec::new();
-            for it in &sel.items {
-                collect_aggregates(&it.expr, &is_agg, &mut calls);
-            }
-            if let Some(h) = &sel.having {
-                collect_aggregates(h, &is_agg, &mut calls);
-            }
-            let mut funcs = Vec::with_capacity(calls.len());
-            for call in &calls {
-                if let Expr::Func {
-                    name,
-                    distinct,
-                    args,
-                } = call
-                {
-                    let func = if *distinct {
-                        self.snap.aggs.get("COUNT DISTINCT")?
-                    } else if matches!(args.first(), Some(Expr::Star)) {
-                        self.snap.aggs.get("COUNT(*)")?
-                    } else if let Some(param) = parameterized_aggregate(name, args)? {
-                        param
-                    } else {
-                        self.snap.aggs.get(name)?
-                    };
-                    let kind = func.kind();
-                    lines.push(format!("    aggregate fn: {} [{kind:?}]", call.canonical()));
-                    funcs.push(func);
-                }
-            }
-            if !funcs.is_empty() {
-                let funcs: Vec<_> = funcs.iter().map(|f| &**f).collect();
-                let plan = datacube::algorithm::describe_plan(self.algorithm(), &funcs);
-                lines.push(format!("    algorithm: {plan}"));
-            }
-            if sel.having.is_some() {
-                lines.push("  filter: HAVING over the cube relation".into());
-            }
-            cursor = sel.union.as_ref().map(|(_, rhs)| rhs.as_ref());
-            block += 1;
         }
         if !stmt.order_by.is_empty() {
             lines.push(format!("  sort: ORDER BY {} key(s)", stmt.order_by.len()));
@@ -311,769 +251,337 @@ impl QueryRuntime {
             lines.push(format!("  limit: {n}"));
         }
         let schema = Schema::new(vec![ColumnDef::new("plan", DataType::Str)])?;
-        let mut out = Table::empty(schema);
-        for l in lines {
-            out.push_unchecked(Row::new(vec![Value::str(l)]));
+        let rows = lines.into_iter().map(|l| Row::new(vec![Value::str(l)]));
+        Ok(Table::from_validated_rows(schema, rows.collect()))
+    }
+
+    fn explain_aggregate(&self, sel: &SelectStmt, plan: &AggregatePlan, lines: &mut Vec<String>) {
+        if let Some(g) = &sel.group_by {
+            lines.push(match &g.grouping_sets {
+                Some(_) => format!(
+                    "  aggregate: GROUPING SETS over {} dimension(s)",
+                    plan.dims.len()
+                ),
+                None => format!(
+                    "  aggregate: GROUP BY {} dim(s), ROLLUP {}, CUBE {}",
+                    g.plain.len(),
+                    g.rollup.len(),
+                    g.cube.len()
+                ),
+            });
+            lines.push(format!("    grouping sets: {}", plan.sets.len()));
+            for d in &plan.dims {
+                lines.push(format!("    dimension: {}", d.dimension.name));
+            }
         }
-        Ok(out)
+        for a in &plan.aggs {
+            let kind = a.spec.func.kind();
+            lines.push(format!("    aggregate fn: {} [{kind:?}]", a.call.canonical));
+        }
+        let funcs: Vec<_> = plan.aggs.iter().map(|a| &*a.spec.func).collect();
+        let algorithm = datacube::algorithm::describe_plan(self.algorithm(), &funcs);
+        lines.push(format!("    algorithm: {algorithm}"));
+        if plan.having.is_some() {
+            lines.push("  filter: HAVING over the cube relation".into());
+        }
     }
 
     // ---------------------------------------------------------- executor --
 
-    pub(crate) fn exec_select(&self, stmt: &SelectStmt) -> SqlResult<Table> {
-        let mut result = self.exec_single(stmt)?;
-        let mut cursor = &stmt.union;
-        while let Some((all, rhs)) = cursor {
-            let r = self.exec_single(rhs)?;
-            result = if *all {
-                result.union_all(&r)?
-            } else {
-                result.union(&r)?
-            };
-            cursor = &rhs.union;
+    /// Run a statement, replacing its scalar subqueries by their values
+    /// on the way. Also reports the grouping-set bits of the materialized
+    /// ancestor that answered it, when the lattice cache did (the last such
+    /// block of a UNION).
+    pub(crate) fn exec_select(&self, stmt: &mut SelectStmt) -> SqlResult<(Table, Option<u32>)> {
+        // A subquery is a statement of its own, run before the block around
+        // it is bound: its value is a literal of that block's plan.
+        let mut cursor = Some(&mut *stmt);
+        while let Some(sel) = cursor {
+            let items = sel.items.iter_mut().map(|it| &mut it.expr);
+            for e in items.chain(&mut sel.where_clause).chain(&mut sel.having) {
+                self.resolve_subqueries(e)?;
+            }
+            cursor = sel.union.as_mut().map(|(_, rhs)| &mut **rhs);
         }
-        self.apply_order_limit(result, stmt)
+        // Every UNION branch is bound before the first one reads a row, so
+        // a planning error anywhere in the statement costs no scan.
+        let bound = branches(stmt)
+            .map(|(_, sel)| self.bind(sel))
+            .collect::<SqlResult<Vec<_>>>()?;
+        let mut result: Option<Table> = None;
+        let mut ancestor = None;
+        for ((all, sel), bound) in branches(stmt).zip(&bound) {
+            let (table, served) = self.exec_block(sel, bound)?;
+            ancestor = served.or(ancestor);
+            result = Some(match result {
+                None => table,
+                Some(so_far) if all => so_far.union_all(&table)?,
+                Some(so_far) => so_far.union(&table)?,
+            });
+        }
+        let result = result.ok_or_else(|| SqlError::Plan("internal: empty statement".into()))?;
+        Ok((order_and_limit(result, stmt)?, ancestor))
     }
 
-    fn exec_single(&self, stmt: &SelectStmt) -> SqlResult<Table> {
-        let base = self.resolve_from(&stmt.from)?;
+    /// Bind one block against the schema of its FROM relation.
+    fn bind(&self, sel: &SelectStmt) -> SqlResult<Bound> {
+        let from = self.relation_of(&sel.from, false)?;
+        plan::bind(sel, from.schema(), &self.snap)
+    }
 
-        // Resolve scalar subqueries everywhere up front (uncorrelated).
-        let items: Vec<SelectItem> = stmt
-            .items
-            .iter()
-            .map(|it| {
-                Ok(SelectItem {
-                    expr: self.resolve_subqueries(&it.expr)?,
-                    alias: it.alias.clone(),
-                })
-            })
-            .collect::<SqlResult<_>>()?;
-        let where_clause = stmt
-            .where_clause
-            .as_ref()
-            .map(|e| self.resolve_subqueries(e))
-            .transpose()?;
-        let having = stmt
-            .having
-            .as_ref()
-            .map(|e| self.resolve_subqueries(e))
-            .transpose()?;
-
-        // WHERE.
-        let filtered = match &where_clause {
-            Some(pred) => {
-                let ctx = EvalContext::base(base.schema(), &self.snap.scalars);
-                // Validate once so unknown columns error instead of
-                // silently filtering everything.
-                if let Some(first) = base.rows().first() {
-                    eval(pred, first, &ctx)?;
-                } else {
-                    infer_type(pred, base.schema(), &self.snap.scalars, &HashMap::new())?;
-                }
-                let mut kept = Table::empty(base.schema().clone());
-                for row in base.rows() {
-                    if eval(pred, row, &ctx)? == Value::Bool(true) {
-                        kept.push_unchecked(row.clone());
-                    }
-                }
-                Arc::new(kept)
-            }
-            None => base,
+    /// One bound block: scan, WHERE, then the aggregate pipeline or the
+    /// plain select list.
+    fn exec_block(&self, sel: &SelectStmt, bound: &Bound) -> SqlResult<(Table, Option<u32>)> {
+        let base = self.relation_of(&sel.from, true)?;
+        let ctx = EvalContext::base(base.schema(), &self.snap.scalars);
+        let input = match &sel.where_clause {
+            Some(pred) => Arc::new(keep_rows(&base, pred, &ctx)?),
+            None => Arc::clone(&base),
         };
-
-        let is_agg = |n: &str| self.is_aggregate_name(n);
-        let has_aggregates = items.iter().any(|it| it.expr.contains_aggregate(&is_agg))
-            || having
-                .as_ref()
-                .is_some_and(|h| h.contains_aggregate(&is_agg));
-
-        if stmt.group_by.is_some() || has_aggregates {
-            self.exec_aggregate(stmt, &items, having.as_ref(), filtered)
-        } else {
-            if having.is_some() {
-                return Err(SqlError::Plan(
-                    "HAVING requires GROUP BY or aggregates".into(),
-                ));
-            }
-            self.exec_projection(&items, filtered)
+        match bound {
+            Bound::Aggregate(plan) => self.exec_aggregate(plan, sel, input),
+            Bound::Projection(outputs) => Ok((
+                project_outputs(outputs, &input, &ctx, &HashMap::new())?,
+                None,
+            )),
         }
     }
 
-    /// Plain projection (no aggregation).
-    fn exec_projection(&self, items: &[SelectItem], input: Arc<Table>) -> SqlResult<Table> {
-        // SELECT * expands to all input columns.
-        if items.len() == 1 && items[0].expr == Expr::Star {
-            return Ok(Arc::try_unwrap(input).unwrap_or_else(|shared| (*shared).clone()));
-        }
-        let ctx = EvalContext::base(input.schema(), &self.snap.scalars);
-        // Each item is either a per-row expression or an ordered aggregate
-        // over the column of its argument (§1.2's Red Brick functions work
-        // directly on ordered selections too).
-        let mut kinds: Vec<Option<OrderedKind>> = Vec::with_capacity(items.len());
-        let mut exprs: Vec<Expr> = Vec::with_capacity(items.len());
-        let mut types = Vec::with_capacity(items.len());
-        for it in items {
-            if it.expr == Expr::Star {
-                return Err(SqlError::Plan("'*' must be the only select item".into()));
-            }
-            if let Some((kind, arg)) = ordered_aggregate(&it.expr)? {
-                types.push(kind.output_type());
-                kinds.push(Some(kind));
-                exprs.push(arg);
-            } else {
-                types.push(infer_type(
-                    &it.expr,
-                    input.schema(),
-                    &self.snap.scalars,
-                    &HashMap::new(),
-                )?);
-                kinds.push(None);
-                exprs.push(it.expr.clone());
-            }
-        }
-        let names = uniquify(items.iter().map(SelectItem::output_name).collect());
-        let cols = names
-            .into_iter()
-            .zip(types)
-            .map(|(n, t)| ColumnDef::new(n, t))
-            .collect();
-        let schema = Schema::new(cols)?;
-
-        let mut columns: Vec<Vec<Value>> = exprs
-            .iter()
-            .map(|_| Vec::with_capacity(input.len()))
-            .collect();
-        for row in input.rows() {
-            for (e, col) in exprs.iter().zip(columns.iter_mut()) {
-                col.push(eval(e, row, &ctx)?);
-            }
-        }
-        for (kind, col) in kinds.iter().zip(columns.iter_mut()) {
-            if let Some(k) = kind {
-                *col = k.apply(col)?;
-            }
-        }
-        let mut out = Table::empty(schema);
-        for i in 0..input.len() {
-            out.push_unchecked(Row::new(columns.iter().map(|c| c[i].clone()).collect()));
-        }
-        Ok(out)
-    }
-
-    /// Decide whether this aggregate statement can be served by (and feed)
-    /// the lattice cache. `None` disqualifies it: no cache attached, a
-    /// join or WHERE clause (cached views cover whole base tables only),
-    /// computed dimensions or aggregate arguments (views are keyed by base
-    /// column names), an aggregate outside the rewrite-legal set (see
-    /// [`datacube::rewritable`]), or a lattice wider than
-    /// [`GroupingSet::MAX_DIMS`].
-    fn plan_cache(
-        &self,
-        stmt: &SelectStmt,
-        clause: &GroupByClause,
-        group_exprs: &[&GroupExpr],
-        agg_calls: &[Expr],
-        agg_specs: &[AggSpec],
-        arg_columns: &HashMap<String, String>,
-    ) -> Option<CachePlan> {
-        self.cache.as_ref()?;
-        let TableRef::Named(table) = &stmt.from else {
-            return None;
-        };
-        if stmt.where_clause.is_some() || !arg_columns.is_empty() {
-            return None;
-        }
-        let dim_keys: Vec<String> = group_exprs
-            .iter()
-            .map(|g| match &g.expr {
-                Expr::Column {
-                    qualifier: None,
-                    name,
-                } => Some(name.clone()),
-                _ => None,
-            })
-            .collect::<Option<_>>()?;
-        if !agg_specs.iter().all(|s| datacube::rewritable(&s.func)) {
-            return None;
-        }
-        // The call's canonical text, so a parameter is part of the
-        // identity: MAXN(v, 2) must never be answered from MAXN(v, 3).
-        let agg_keys: Vec<String> = agg_calls.iter().map(Expr::canonical).collect();
-        let sets: Vec<GroupingSet> = match &clause.grouping_sets {
-            Some(sets) => {
-                let index_of = |g: &GroupExpr| {
-                    group_exprs
-                        .iter()
-                        .position(|e| e.output_name() == g.output_name())
-                };
-                let mut out = Vec::with_capacity(sets.len());
-                for s in sets {
-                    let idxs: Vec<usize> = s.iter().map(index_of).collect::<Option<_>>()?;
-                    out.push(GroupingSet::from_dims(&idxs).ok()?);
-                }
-                out
-            }
-            None => {
-                // Only the block *lengths* drive the compound expansion, so
-                // placeholder dimensions reproduce the statement's lattice.
-                let ph = |n: usize| {
-                    (0..n)
-                        .map(|i| Dimension::column(format!("d{i}")))
-                        .collect::<Vec<_>>()
-                };
-                CompoundSpec::new()
-                    .group_by(ph(clause.plain.len()))
-                    .rollup(ph(clause.rollup.len()))
-                    .cube(ph(clause.cube.len()))
-                    .grouping_sets()
-                    .ok()?
-            }
-        };
-        Some(CachePlan {
-            table: table.clone(),
-            version: self.snap.table_version(table),
-            dim_keys,
-            agg_keys,
-            sets,
-        })
-    }
-
-    /// The aggregation pipeline: working table → CubeQuery → select-list
-    /// evaluation over the cube relation.
+    /// The aggregation pipeline over a bound block: widen → lookup-or-cube
+    /// (→ populate) → project. Each stage reads the plan; none re-derives
+    /// anything from the statement text.
     fn exec_aggregate(
         &self,
-        stmt: &SelectStmt,
-        items: &[SelectItem],
-        having: Option<&Expr>,
+        plan: &AggregatePlan,
+        sel: &SelectStmt,
         input: Arc<Table>,
-    ) -> SqlResult<Table> {
-        let empty_clause = GroupByClause::default();
-        let clause = stmt.group_by.as_ref().unwrap_or(&empty_clause);
-
-        // ---- dimensions ------------------------------------------------
-        let group_exprs: Vec<&GroupExpr> = clause.all_exprs();
-        let mut dim_names: Vec<String> = Vec::new();
-        let mut dim_types: Vec<DataType> = Vec::new();
-        for g in &group_exprs {
-            let name = g.output_name();
-            if dim_names.contains(&name) {
-                return Err(SqlError::Plan(format!("duplicate grouping column: {name}")));
-            }
-            dim_types.push(infer_type(
-                &g.expr,
-                input.schema(),
-                &self.snap.scalars,
-                &HashMap::new(),
-            )?);
-            dim_names.push(name);
-        }
-
-        // ---- aggregates -------------------------------------------------
-        let is_agg = |n: &str| self.is_aggregate_name(n);
-        let mut agg_calls: Vec<Expr> = Vec::new();
-        for it in items {
-            collect_aggregates(&it.expr, &is_agg, &mut agg_calls);
-        }
-        if let Some(h) = having {
-            collect_aggregates(h, &is_agg, &mut agg_calls);
-        }
-
-        // ---- working table: computed aggregate arguments -----------------
-        // Shared with the snapshot until a computed argument forces a
-        // widened copy — plain-column statements (and cache hits) never
-        // materialize a private copy of the base rows.
-        let mut working = Arc::clone(&input);
-        let mut arg_columns: HashMap<String, String> = HashMap::new(); // canonical → col
-        for (k, call) in agg_calls.iter().enumerate() {
-            let Expr::Func { args, .. } = call else {
-                // cube-lint: allow(panic, collect_aggregates only collects Func expressions)
-                unreachable!()
-            };
-            let arg = args.first();
-            match arg {
-                None => {
-                    return Err(SqlError::Plan(format!(
-                        "aggregate needs an argument: {}",
-                        call.canonical()
-                    )))
+    ) -> SqlResult<(Table, Option<u32>)> {
+        let working = self.widen(plan, input)?;
+        let key = self.cache_key(plan, sel);
+        let hit = key.as_ref().map(|key| self.lookup(plan, key));
+        let (mut cube, ancestor) = match hit.transpose()?.flatten() {
+            Some((answered, bits)) => (answered, Some(bits)),
+            None => {
+                let cube = self.cube(plan, &working)?;
+                if let Some(key) = &key {
+                    self.populate(plan, key, &working);
                 }
-                Some(Expr::Star) | Some(Expr::Column { .. }) => {}
-                Some(expr) => {
-                    let canon = expr.canonical();
-                    if let std::collections::hash_map::Entry::Vacant(e) = arg_columns.entry(canon) {
-                        let col_name = format!("__arg{k}");
-                        let ty =
-                            infer_type(expr, input.schema(), &self.snap.scalars, &HashMap::new())?;
-                        let ctx = EvalContext::base(input.schema(), &self.snap.scalars);
-                        let mut schema = working.schema().clone();
-                        schema.push(ColumnDef::new(&col_name, ty))?;
-                        let mut next = Table::empty(schema);
-                        for (row, orig) in working.rows().iter().zip(input.rows()) {
-                            let v = eval(expr, orig, &ctx)?;
-                            next.push_unchecked(Row::new(
-                                row.values().iter().cloned().chain([v]).collect(),
-                            ));
-                        }
-                        working = Arc::new(next);
-                        e.insert(col_name);
-                    }
-                }
-            }
-        }
-
-        let mut agg_specs: Vec<AggSpec> = Vec::new();
-        for (k, call) in agg_calls.iter().enumerate() {
-            let Expr::Func {
-                name,
-                distinct,
-                args,
-            } = call
-            else {
-                // cube-lint: allow(panic, collect_aggregates only collects Func expressions)
-                unreachable!()
-            };
-            let out_name = format!("__agg{k}");
-            let spec = match (args.first(), *distinct) {
-                (Some(Expr::Star), false) if name.eq_ignore_ascii_case("count") => {
-                    AggSpec::star(self.snap.aggs.get("COUNT(*)")?).with_name(&out_name)
-                }
-                (Some(Expr::Star), _) => {
-                    return Err(SqlError::Plan(format!(
-                        "'*' is only valid in COUNT(*): {}",
-                        call.canonical()
-                    )))
-                }
-                (Some(arg), dist) => {
-                    let func = if dist {
-                        if !name.eq_ignore_ascii_case("count") {
-                            return Err(SqlError::Plan(format!(
-                                "DISTINCT is only supported on COUNT: {}",
-                                call.canonical()
-                            )));
-                        }
-                        if args.len() != 1 {
-                            return Err(SqlError::Plan(format!(
-                                "COUNT(DISTINCT ...) takes one argument: {}",
-                                call.canonical()
-                            )));
-                        }
-                        self.snap.aggs.get("COUNT DISTINCT")?
-                    } else if let Some(param) = parameterized_aggregate(name, args)? {
-                        param
-                    } else {
-                        if args.len() != 1 {
-                            return Err(SqlError::Plan(format!(
-                                "aggregates take one argument: {}",
-                                call.canonical()
-                            )));
-                        }
-                        self.snap.aggs.get(name)?
-                    };
-                    let input_col: String = match arg {
-                        Expr::Column { name, .. } => {
-                            working.schema().index_of(name)?; // validate
-                            name.clone()
-                        }
-                        other => arg_columns[&other.canonical()].clone(),
-                    };
-                    AggSpec::new(func, input_col).with_name(&out_name)
-                }
-                // cube-lint: allow(panic, the argument-less case errored in the arg pass above)
-                (None, _) => unreachable!("checked above"),
-            };
-            agg_specs.push(spec);
-        }
-        if agg_specs.is_empty() {
-            return Err(SqlError::Plan(
-                "GROUP BY queries need at least one aggregate in the select list".into(),
-            ));
-        }
-
-        // ---- lattice cache: ancestor rewrite ------------------------------
-        // If the statement is a plain scan of a registered table with
-        // plain-column dimensions and rewrite-legal aggregates, try to
-        // answer it from a materialized subcube instead of the base rows.
-        let cache_plan = self.plan_cache(
-            stmt,
-            clause,
-            &group_exprs,
-            &agg_calls,
-            &agg_specs,
-            &arg_columns,
-        );
-        let mut cached_answer: Option<Table> = None;
-        if let (Some(plan), Some(cache)) = (&cache_plan, &self.cache) {
-            if let Some(hit) =
-                cache.lookup(&plan.table, plan.version, &plan.dim_keys, &plan.agg_keys)?
-            {
-                let bpc =
-                    datacube::exec::estimate_bytes_per_cell(group_exprs.len(), agg_specs.len());
-                let ctx = datacube::ExecContext::new(&self.limits, bpc);
-                let dim_name_refs: Vec<&str> = dim_names.iter().map(String::as_str).collect();
-                let agg_name_refs: Vec<&str> = agg_specs.iter().map(|s| &*s.output).collect();
-                let answered = hit.view.answer(
-                    &AncestorRequest {
-                        dim_map: &hit.dim_map,
-                        dim_names: &dim_name_refs,
-                        agg_map: &hit.agg_map,
-                        agg_names: &agg_name_refs,
-                        sets: &plan.sets,
-                    },
-                    &ctx,
-                )?;
-                self.cache_touch.set((true, hit.ancestor_bits));
-                cached_answer = Some(answered);
-            }
-        }
-        let from_cache = cached_answer.is_some();
-
-        // ---- run the cube operator ---------------------------------------
-        let make_dim = |g: &GroupExpr, name: &str, ty: DataType| -> Dimension {
-            match &g.expr {
-                Expr::Column {
-                    name: col,
-                    qualifier: None,
-                } if col == name => Dimension::column(col),
-                expr => {
-                    let expr = expr.clone();
-                    let schema = working.schema().clone();
-                    let scalars = self.snap.scalars.clone();
-                    Dimension::computed(name, ty, move |row: &Row| {
-                        let ctx = EvalContext::base(&schema, &scalars);
-                        eval(&expr, row, &ctx).unwrap_or(Value::Null)
-                    })
-                }
+                (cube, None)
             }
         };
-
-        // Session governance: the effective limits (session budgets, the
-        // remaining deadline share, and the admission grant) plus the
-        // thread count apply to every cube run of this statement.
-        let query = agg_specs
-            .iter()
-            .fold(CubeQuery::new(), |q, spec| q.aggregate(spec.clone()))
-            .limits(self.limits.clone())
-            .algorithm(self.algorithm());
-
-        let mut cube = if let Some(answered) = cached_answer {
-            answered
-        } else if let Some(sets) = &clause.grouping_sets {
-            let dims: Vec<Dimension> = group_exprs
-                .iter()
-                .zip(dim_names.iter().zip(dim_types.iter()))
-                .map(|(g, (n, t))| make_dim(g, n, *t))
-                .collect();
-            let index_of = |g: &GroupExpr| {
-                dim_names
-                    .iter()
-                    .position(|n| *n == g.output_name())
-                    .ok_or_else(|| {
-                        SqlError::Plan(format!(
-                            "GROUPING SETS references an expression not in the \
-                             dimension list: {}",
-                            g.output_name()
-                        ))
-                    })
-            };
-            let set_indices: Vec<Vec<usize>> = sets
-                .iter()
-                .map(|s| s.iter().map(index_of).collect())
-                .collect::<SqlResult<_>>()?;
-            query
-                .dimensions(dims)
-                .grouping_sets(&working, &set_indices)?
-        } else {
-            let mut name_iter = dim_names.iter().zip(dim_types.iter());
-            let mut block = |exprs: &[GroupExpr]| -> SqlResult<Vec<Dimension>> {
-                exprs
-                    .iter()
-                    .map(|g| {
-                        let (n, t) = name_iter.next().ok_or_else(|| {
-                            SqlError::Plan(format!(
-                                "internal: no registered dimension name for group \
-                                 expression {}",
-                                g.expr.canonical()
-                            ))
-                        })?;
-                        Ok(make_dim(g, n, *t))
-                    })
-                    .collect()
-            };
-            let spec = CompoundSpec::new()
-                .group_by(block(&clause.plain)?)
-                .rollup(block(&clause.rollup)?)
-                .cube(block(&clause.cube)?);
-            query.compound(&working, &spec)?
-        };
-
-        // Cache miss on an eligible statement: materialize its finest
-        // grouping as a new view for future ancestors. Best-effort — the
-        // build runs under the statement's remaining deadline, cancel
-        // token and cell budget, population is budget-gated, and neither's
-        // errors fail the query (the answer above is already correct from
-        // the base scan).
-        let populating = self
-            .cache
-            .as_ref()
-            .filter(|c| !from_cache && c.is_enabled());
-        if let (Some(plan), Some(cache)) = (&cache_plan, populating) {
-            let vdims: Vec<Dimension> = plan.dim_keys.iter().map(Dimension::column).collect();
-            let vaggs: Vec<AggSpec> = agg_specs
-                .iter()
-                .map(|s| match &s.input {
-                    Some(col) => AggSpec::new(Arc::clone(&s.func), &**col),
-                    None => AggSpec::star(Arc::clone(&s.func)),
-                })
-                .collect();
-            let mut limits = self.limits.clone();
-            if let Some(deadline) = self.deadline {
-                let left = deadline.saturating_duration_since(std::time::Instant::now());
-                limits = limits.timeout(left);
-            }
-            let bpc = datacube::exec::estimate_bytes_per_cell(vdims.len(), vaggs.len());
-            let ctx = datacube::ExecContext::new(&limits, bpc);
-            if let Ok(view) = datacube::CachedView::build_within(&working, &vdims, &vaggs, &ctx) {
-                let _ = cache.populate(
-                    &plan.table,
-                    plan.version,
-                    plan.dim_keys.clone(),
-                    plan.agg_keys.clone(),
-                    view,
-                );
-            }
-        }
-
         // Global aggregate over an empty table: SQL returns one row of
         // empty-set aggregates (COUNT = 0, SUM = NULL, ...).
-        if group_exprs.is_empty() && cube.is_empty() {
-            let vals: Vec<Value> = agg_specs
+        if plan.dims.is_empty() && cube.is_empty() {
+            let vals: Vec<Value> = plan
+                .aggs
                 .iter()
-                .map(|s| datacube::exec::guard(s.func.name(), || s.func.init().final_value()))
+                .map(|a| {
+                    datacube::exec::guard(a.spec.func.name(), || a.spec.func.init().final_value())
+                })
                 .collect::<Result<_, _>>()?;
             cube.push_unchecked(Row::new(vals));
         }
+        Ok((self.project_cube(plan, cube, &working)?, ancestor))
+    }
 
-        // ---- result context ----------------------------------------------
-        let mut subs: HashMap<String, usize> = HashMap::new();
-        let mut sub_types: HashMap<String, DataType> = HashMap::new();
-        for (i, (g, ty)) in group_exprs.iter().zip(dim_types.iter()).enumerate() {
-            subs.insert(g.expr.canonical(), i);
-            sub_types.insert(g.expr.canonical(), *ty);
-            if let Some(a) = &g.alias {
-                subs.insert(a.clone(), i);
-                sub_types.insert(a.clone(), *ty);
+    /// Append the plan's computed aggregate arguments to the input, one
+    /// pass over the rows. Shared with the snapshot when there are none —
+    /// plain-column statements (and cache hits) never materialize a private
+    /// copy of the base rows.
+    fn widen(&self, plan: &AggregatePlan, input: Arc<Table>) -> SqlResult<Arc<Table>> {
+        if plan.computed.is_empty() {
+            return Ok(input);
+        }
+        let ctx = EvalContext::base(input.schema(), &self.snap.scalars);
+        let mut schema = input.schema().clone();
+        for (def, _) in &plan.computed {
+            schema.push(def.clone())?;
+        }
+        let mut widened = Table::empty(schema);
+        for row in input.rows() {
+            let mut vals = row.values().to_vec();
+            for (_, expr) in &plan.computed {
+                vals.push(eval(expr, row, &ctx)?);
             }
+            widened.push_unchecked(Row::new(vals));
         }
-        let n_dims = group_exprs.len();
-        for (k, call) in agg_calls.iter().enumerate() {
-            let idx = n_dims + k;
-            subs.insert(call.canonical(), idx);
-            sub_types.insert(call.canonical(), cube.schema().column_at(idx).dtype);
-        }
-        let cube_schema = cube.schema().clone();
-        let result_ctx = EvalContext {
-            schema: &cube_schema,
-            scalars: &self.snap.scalars,
-            substitutions: subs,
+        Ok(Arc::new(widened))
+    }
+
+    /// Decide whether this block can be served by (and feed) the lattice
+    /// cache. `None` disqualifies it: no cache attached, a join or WHERE
+    /// clause (cached views cover whole base tables only), computed
+    /// dimensions or aggregate arguments (views are keyed by base column
+    /// names), or an aggregate outside the rewrite-legal set (see
+    /// [`datacube::rewritable`]).
+    fn cache_key<'a>(&'a self, plan: &AggregatePlan, sel: &'a SelectStmt) -> Option<CacheKey<'a>> {
+        let cache = self.cache.as_deref()?;
+        let TableRef::Named(table) = &sel.from else {
+            return None;
         };
+        if sel.where_clause.is_some() || !plan.computed.is_empty() {
+            return None;
+        }
+        if !plan.aggs.iter().all(|a| datacube::rewritable(&a.spec.func)) {
+            return None;
+        }
+        Some(CacheKey {
+            cache,
+            table,
+            version: self.snap.table_version(table),
+            dims: plan
+                .dims
+                .iter()
+                .map(|d| d.column.clone())
+                .collect::<Option<_>>()?,
+            aggs: plan.aggs.iter().map(|a| a.call.canonical.clone()).collect(),
+        })
+    }
 
-        // HAVING over the cube relation.
-        let cube = match having {
-            Some(pred) => {
-                let mut kept = Table::empty(cube.schema().clone());
-                for row in cube.rows() {
-                    if eval(pred, row, &result_ctx)? == Value::Bool(true) {
-                        kept.push_unchecked(row.clone());
-                    }
-                }
-                kept
-            }
+    /// Ancestor rewrite: answer the plan's family from a materialized
+    /// subcube instead of the base rows, and say which one served.
+    fn lookup(&self, plan: &AggregatePlan, key: &CacheKey) -> SqlResult<Option<(Table, u32)>> {
+        let Some(hit) = (key.cache).lookup(key.table, key.version, &key.dims, &key.aggs)? else {
+            return Ok(None);
+        };
+        let bpc = datacube::exec::estimate_bytes_per_cell(plan.dims.len(), plan.aggs.len());
+        let ctx = datacube::ExecContext::new(&self.limits, bpc);
+        let dim_names: Vec<&str> = plan.dims.iter().map(|d| &*d.dimension.name).collect();
+        let agg_names: Vec<&str> = plan.aggs.iter().map(|a| &*a.spec.output).collect();
+        let answered = hit.view.answer(
+            &AncestorRequest {
+                dim_map: &hit.dim_map,
+                dim_names: &dim_names,
+                agg_map: &hit.agg_map,
+                agg_names: &agg_names,
+                sets: &plan.sets,
+            },
+            &ctx,
+        )?;
+        Ok(Some((answered, hit.ancestor_bits)))
+    }
+
+    /// Run the cube operator over the plan's family. Session governance —
+    /// the effective limits (session budgets, the remaining deadline share,
+    /// the admission grant) and the thread count — applies to the run.
+    fn cube(&self, plan: &AggregatePlan, working: &Table) -> SqlResult<Table> {
+        let sets: Vec<Vec<usize>> = plan.sets.iter().map(|s| s.dims()).collect();
+        let query = plan
+            .aggs
+            .iter()
+            .fold(CubeQuery::new(), |q, a| q.aggregate(a.spec.clone()))
+            .dimensions(plan.dims.iter().map(|d| d.dimension.clone()).collect())
+            .limits(self.limits.clone())
+            .algorithm(self.algorithm());
+        Ok(query.grouping_sets(working, &sets)?)
+    }
+
+    /// Cache miss on an eligible block: materialize its finest grouping as
+    /// a new view for future ancestors. Best-effort — the build runs under
+    /// the statement's remaining deadline, cancel token and cell budget,
+    /// population is budget-gated, and neither's errors fail the query (the
+    /// cube's answer is already correct from the base scan).
+    fn populate(&self, plan: &AggregatePlan, key: &CacheKey, working: &Table) {
+        if !key.cache.is_enabled() {
+            return;
+        }
+        let vdims: Vec<Dimension> = key.dims.iter().map(Dimension::column).collect();
+        let vaggs: Vec<AggSpec> = plan
+            .aggs
+            .iter()
+            .map(|a| match &a.spec.input {
+                Some(col) => AggSpec::new(Arc::clone(&a.spec.func), &**col),
+                None => AggSpec::star(Arc::clone(&a.spec.func)),
+            })
+            .collect();
+        let mut limits = self.limits.clone();
+        if let Some(deadline) = self.deadline {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            limits = limits.timeout(left);
+        }
+        let bpc = datacube::exec::estimate_bytes_per_cell(vdims.len(), vaggs.len());
+        let ctx = datacube::ExecContext::new(&limits, bpc);
+        if let Ok(view) = datacube::CachedView::build_within(working, &vdims, &vaggs, &ctx) {
+            let (dims, aggs) = (key.dims.clone(), key.aggs.clone());
+            let _ = (key.cache).populate(key.table, key.version, dims, aggs, view);
+        }
+    }
+
+    /// HAVING, the §3.5 decoration checks, then the select list — all over
+    /// the cube relation.
+    fn project_cube(&self, plan: &AggregatePlan, cube: Table, working: &Table) -> SqlResult<Table> {
+        let ctx = EvalContext {
+            schema: &cube.schema().clone(),
+            scalars: &self.snap.scalars,
+            substitutions: plan.substitutions.clone(),
+        };
+        let cube = match &plan.having {
+            Some(pred) => keep_rows(&cube, pred, &ctx)?,
             None => cube,
         };
-
-        // ---- select list over the cube relation ---------------------------
-        enum ItemPlan {
-            Eval(Expr, DataType),
-            /// §3.5 decoration: determinant dim indices + value lookup.
-            Decoration {
-                dims: Vec<usize>,
-                map: HashMap<Row, Value>,
-                ty: DataType,
-            },
-            /// Red Brick ordered aggregate over the result column of `arg`
-            /// (§1.2), applied in the relation's canonical order — which
-            /// for ROLLUP is exactly the sequential order the paper says
-            /// cumulative operators need.
-            Ordered {
-                arg: Expr,
-                kind: OrderedKind,
-            },
-        }
-
-        let mut plans: Vec<(String, ItemPlan)> = Vec::new();
-        for it in items {
-            if it.expr == Expr::Star {
-                return Err(SqlError::Plan(
-                    "SELECT * cannot be combined with GROUP BY".into(),
-                ));
-            }
-            let name = it.output_name();
-            if let Some((kind, arg)) = ordered_aggregate(&it.expr)? {
-                // Validate the argument against the result context.
-                infer_type(&arg, cube.schema(), &self.snap.scalars, &sub_types)?;
-                plans.push((name, ItemPlan::Ordered { arg, kind }));
-                continue;
-            }
-            // Resolvable in the result context (dimension, aggregate, or an
-            // expression over them)?
-            let resolvable = infer_type(&it.expr, cube.schema(), &self.snap.scalars, &sub_types);
-            match resolvable {
-                Ok(ty) => plans.push((name, ItemPlan::Eval(it.expr.clone(), ty))),
-                Err(_) => {
-                    // Decoration path: a base column functionally dependent
-                    // on the grouping columns (§3.5).
-                    let Expr::Column { name: col, .. } = &it.expr else {
-                        return Err(SqlError::Plan(format!(
-                            "select item is neither a grouping expression, an \
-                             aggregate, nor a decoration: {}",
-                            it.expr.canonical()
-                        )));
-                    };
-                    let plan = self.plan_decoration(col, &group_exprs, &dim_names, &working)?;
-                    let ty = working.schema().column(col)?.dtype;
-                    plans.push((
-                        name,
-                        ItemPlan::Decoration {
-                            dims: plan.0,
-                            map: plan.1,
-                            ty,
-                        },
-                    ));
-                }
+        let mut decorations = HashMap::new();
+        for out in &plan.outputs {
+            if let Source::Decoration(col) = &out.source {
+                decorations.insert(col.as_str(), self.check_decoration(col, plan, working)?);
             }
         }
-
-        let unique_names = uniquify(plans.iter().map(|(n, _)| n.clone()).collect());
-        let schema = Schema::new(
-            unique_names
-                .iter()
-                .zip(plans.iter())
-                .map(|(n, (_, p))| {
-                    let ty = match p {
-                        ItemPlan::Eval(_, t) => *t,
-                        ItemPlan::Decoration { ty, .. } => *ty,
-                        ItemPlan::Ordered { kind, .. } => kind.output_type(),
-                    };
-                    // Output grouping columns keep ALL-permission.
-                    ColumnDef {
-                        name: n.as_str().into(),
-                        dtype: ty,
-                        all_allowed: true,
-                    }
-                })
-                .collect(),
-        )?;
-
-        // Pass 1: per-row values (ordered aggregates collect their input
-        // column here).
-        let mut columns: Vec<Vec<Value>> = plans
-            .iter()
-            .map(|_| Vec::with_capacity(cube.len()))
-            .collect();
-        for row in cube.rows() {
-            for ((_, p), col) in plans.iter().zip(columns.iter_mut()) {
-                col.push(match p {
-                    ItemPlan::Eval(e, _) => eval(e, row, &result_ctx)?,
-                    ItemPlan::Decoration { dims, map, .. } => {
-                        if dims.iter().any(|&d| row[d].is_all() || row[d].is_null()) {
-                            Value::Null
-                        } else {
-                            let key = Row::new(dims.iter().map(|&d| row[d].clone()).collect());
-                            map.get(&key).cloned().unwrap_or(Value::Null)
-                        }
-                    }
-                    ItemPlan::Ordered { arg, .. } => eval(arg, row, &result_ctx)?,
-                });
-            }
-        }
-        // Pass 2: ordered aggregates transform their whole column.
-        for ((_, p), col) in plans.iter().zip(columns.iter_mut()) {
-            if let ItemPlan::Ordered { kind, .. } = p {
-                *col = kind.apply(col)?;
-            }
-        }
-
-        let mut out = Table::empty(schema);
-        for i in 0..cube.len() {
-            out.push_unchecked(Row::new(columns.iter().map(|c| c[i].clone()).collect()));
-        }
-        Ok(out)
+        project_outputs(&plan.outputs, &cube, &ctx, &decorations)
     }
 
     /// Find a determinant set of grouping columns for a decoration and
     /// build the lookup map. Prefers a single determining dimension
     /// (Table 7: nation alone determines continent), falling back to the
     /// full dimension list.
-    #[allow(clippy::type_complexity)]
-    fn plan_decoration(
+    fn check_decoration(
         &self,
         col: &str,
-        group_exprs: &[&GroupExpr],
-        dim_names: &[String],
+        plan: &AggregatePlan,
         working: &Table,
-    ) -> SqlResult<(Vec<usize>, HashMap<Row, Value>)> {
-        let col_idx = working.schema().index_of(col).map_err(|_| {
-            SqlError::Plan(format!(
-                "select item '{col}' is neither a grouping column, an aggregate, \
-                 nor a base column"
-            ))
-        })?;
+    ) -> SqlResult<Decoration> {
+        let col_idx = working.schema().index_of(col)?;
         // Evaluate dimension values per base row once.
         let ctx = EvalContext::base(working.schema(), &self.snap.scalars);
-        let mut dim_vals: Vec<Vec<Value>> = Vec::with_capacity(group_exprs.len());
-        for g in group_exprs {
+        let mut dim_vals: Vec<Vec<Value>> = Vec::with_capacity(plan.dims.len());
+        for d in &plan.dims {
             let mut col_vals = Vec::with_capacity(working.len());
             for row in working.rows() {
-                col_vals.push(eval(&g.expr, row, &ctx)?);
+                col_vals.push(eval(&d.expr, row, &ctx)?);
             }
             dim_vals.push(col_vals);
         }
-        // Candidate determinant sets: each single dim, then all dims.
-        let mut candidates: Vec<Vec<usize>> = (0..group_exprs.len()).map(|i| vec![i]).collect();
-        candidates.push((0..group_exprs.len()).collect());
-        'cand: for dims in candidates {
-            if dims.is_empty() {
-                continue;
-            }
+        // The value each combination of `dims` determines, if it does.
+        let determined_by = |dims: &[usize]| {
             let mut map: HashMap<Row, Value> = HashMap::new();
             for (r, row) in working.rows().iter().enumerate() {
                 let key = Row::new(dims.iter().map(|&d| dim_vals[d][r].clone()).collect());
-                let val = row[col_idx].clone();
-                match map.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        if *e.get() != val {
-                            continue 'cand; // FD violated; try next candidate
-                        }
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(val);
-                    }
+                if *map.entry(key).or_insert_with(|| row[col_idx].clone()) != row[col_idx] {
+                    return None; // FD violated
                 }
             }
-            return Ok((dims, map));
+            Some(map)
+        };
+        // Candidate determinant sets: each single dim, then all dims.
+        let n = plan.dims.len();
+        let singles = (0..n).map(|i| vec![i]);
+        for dims in singles.chain((n > 1).then(|| (0..n).collect())) {
+            if let Some(map) = determined_by(&dims) {
+                return Ok(Decoration { dims, map });
+            }
         }
+        let names: Vec<&str> = plan.dims.iter().map(|d| &*d.dimension.name).collect();
         Err(SqlError::Plan(format!(
             "decoration column '{col}' is not functionally dependent on the \
              grouping columns (§3.5 requires the FD); add it to GROUP BY \
              ({})",
-            dim_names.join(", ")
+            names.join(", ")
         )))
     }
 
     // ----------------------------------------------------------- helpers --
 
-    fn resolve_from(&self, from: &TableRef) -> SqlResult<Arc<Table>> {
+    /// The FROM relation — or, with `scan` off, a relation of its shape:
+    /// joins run over empty tables, so binding touches no row.
+    fn relation_of(&self, from: &TableRef, scan: bool) -> SqlResult<Arc<Table>> {
         match from {
             // A named scan shares the snapshot's table — no row copies.
             // Every consumer below holds the Arc for the statement's
@@ -1081,254 +589,138 @@ impl QueryRuntime {
             // an in-flight read (it publishes a new Arc instead).
             TableRef::Named(name) => self.snap.table(name),
             TableRef::JoinUsing { left, right, using } => {
-                let l = self.resolve_from(left)?;
-                let r = self.resolve_from(right)?;
+                let side = |from: &TableRef| -> SqlResult<Arc<Table>> {
+                    let table = self.relation_of(from, scan)?;
+                    Ok(match scan {
+                        true => table,
+                        false => Arc::new(Table::empty(table.schema().clone())),
+                    })
+                };
+                let (l, r) = (side(left)?, side(right)?);
                 Ok(Arc::new(join_using(&l, &r, using)?))
             }
         }
     }
 
-    /// Replace uncorrelated scalar subqueries with their computed value.
-    fn resolve_subqueries(&self, expr: &Expr) -> SqlResult<Expr> {
-        Ok(match expr {
-            Expr::ScalarSubquery(stmt) => {
-                let result = self.exec_select(stmt)?;
-                if result.schema().len() != 1 {
-                    return Err(SqlError::Plan(
-                        "scalar subquery must return exactly one column".into(),
-                    ));
-                }
-                let v = match result.len() {
-                    0 => Value::Null,
-                    1 => result.rows()[0][0].clone(),
-                    n => return Err(SqlError::Plan(format!("scalar subquery returned {n} rows"))),
-                };
-                Expr::Literal(v)
-            }
-            Expr::Binary { op, lhs, rhs } => Expr::Binary {
-                op: *op,
-                lhs: Box::new(self.resolve_subqueries(lhs)?),
-                rhs: Box::new(self.resolve_subqueries(rhs)?),
-            },
-            Expr::Not(e) => Expr::Not(Box::new(self.resolve_subqueries(e)?)),
-            Expr::Neg(e) => Expr::Neg(Box::new(self.resolve_subqueries(e)?)),
-            Expr::IsNull { expr, negated } => Expr::IsNull {
-                expr: Box::new(self.resolve_subqueries(expr)?),
-                negated: *negated,
-            },
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => Expr::Between {
-                expr: Box::new(self.resolve_subqueries(expr)?),
-                low: Box::new(self.resolve_subqueries(low)?),
-                high: Box::new(self.resolve_subqueries(high)?),
-                negated: *negated,
-            },
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => Expr::InList {
-                expr: Box::new(self.resolve_subqueries(expr)?),
-                list: list
-                    .iter()
-                    .map(|e| self.resolve_subqueries(e))
-                    .collect::<SqlResult<_>>()?,
-                negated: *negated,
-            },
-            Expr::Func {
-                name,
-                distinct,
-                args,
-            } => Expr::Func {
-                name: name.clone(),
-                distinct: *distinct,
-                args: args
-                    .iter()
-                    .map(|e| self.resolve_subqueries(e))
-                    .collect::<SqlResult<_>>()?,
-            },
-            other => other.clone(),
-        })
+    fn resolve_subqueries(&self, expr: &mut Expr) -> SqlResult<()> {
+        let Expr::ScalarSubquery(stmt) = expr else {
+            let mut children = expr.children_mut().into_iter();
+            return children.try_for_each(|c| self.resolve_subqueries(c));
+        };
+        let (result, _) = self.exec_select(stmt)?;
+        if result.schema().len() != 1 {
+            return Err(SqlError::Plan(
+                "scalar subquery must return exactly one column".into(),
+            ));
+        }
+        *expr = Expr::Literal(match result.len() {
+            0 => Value::Null,
+            1 => result.rows()[0][0].clone(),
+            n => return Err(SqlError::Plan(format!("scalar subquery returned {n} rows"))),
+        });
+        Ok(())
     }
+}
 
-    fn apply_order_limit(&self, table: Table, stmt: &SelectStmt) -> SqlResult<Table> {
-        let mut rows: Vec<Row> = table.rows().to_vec();
-        if !stmt.order_by.is_empty() {
-            // Resolve each key to an output column index.
-            let mut keys: Vec<(usize, bool)> = Vec::new();
-            for k in &stmt.order_by {
-                let idx = match &k.expr {
-                    Expr::Literal(Value::Int(n)) if *n >= 1 => {
-                        let i = (*n - 1) as usize;
-                        if i >= table.schema().len() {
-                            return Err(SqlError::Plan(format!(
-                                "ORDER BY ordinal {n} out of range"
-                            )));
-                        }
-                        i
-                    }
-                    other => {
-                        let name = other.canonical();
-                        table.schema().index_of(&name).map_err(|_| {
-                            SqlError::Plan(format!("ORDER BY key '{name}' is not an output column"))
-                        })?
-                    }
-                };
-                keys.push((idx, k.descending));
-            }
-            rows.sort_by(|a, b| {
-                for &(i, desc) in &keys {
-                    let ord = a[i].cmp(&b[i]);
-                    let ord = if desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
+/// The rows of `table` a predicate accepts. SQL semantics: a NULL (or
+/// ALL) verdict drops the row.
+fn keep_rows(table: &Table, pred: &Expr, ctx: &EvalContext) -> SqlResult<Table> {
+    let mut kept = Table::empty(table.schema().clone());
+    for row in table.rows() {
+        if eval(pred, row, ctx)? == Value::Bool(true) {
+            kept.push_unchecked(row.clone());
+        }
+    }
+    Ok(kept)
+}
+
+/// The one select-list projector, column-wise: every output's value per
+/// input row, then ordered aggregates over their whole column (§1.2's Red
+/// Brick functions work on plain selections and on cube relations alike),
+/// then rows.
+fn project_outputs(
+    outputs: &[Output],
+    input: &Table,
+    ctx: &EvalContext,
+    decorations: &HashMap<&str, Decoration>,
+) -> SqlResult<Table> {
+    let mut columns: Vec<Vec<Value>> = outputs
+        .iter()
+        .map(|_| Vec::with_capacity(input.len()))
+        .collect();
+    for row in input.rows() {
+        for (out, col) in outputs.iter().zip(columns.iter_mut()) {
+            col.push(match &out.source {
+                Source::Column(i) => row[*i].clone(),
+                Source::Expr(e) | Source::Ordered { arg: e, .. } => eval(e, row, ctx)?,
+                Source::Decoration(name) => {
+                    let Decoration { dims, map } = &decorations[name.as_str()];
+                    if dims.iter().any(|&d| row[d].is_all() || row[d].is_null()) {
+                        Value::Null
+                    } else {
+                        let key = Row::new(dims.iter().map(|&d| row[d].clone()).collect());
+                        map.get(&key).cloned().unwrap_or(Value::Null)
                     }
                 }
-                std::cmp::Ordering::Equal
             });
         }
-        if let Some(n) = stmt.limit {
-            rows.truncate(n);
-        }
-        Ok(Table::from_validated_rows(table.schema().clone(), rows))
     }
+    for (out, col) in outputs.iter().zip(columns.iter_mut()) {
+        if let Source::Ordered { kind, .. } = &out.source {
+            *col = kind.apply(col)?;
+        }
+    }
+    let schema = Schema::new(outputs.iter().map(|o| o.def.clone()).collect())?;
+    let mut columns: Vec<_> = columns.into_iter().map(Vec::into_iter).collect();
+    let rows =
+        (0..input.len()).map(|_| Row::new(columns.iter_mut().filter_map(Iterator::next).collect()));
+    Ok(Table::from_validated_rows(schema, rows.collect()))
 }
 
-/// Parameterized aggregates constructed per call site: `MAXN(x, n)`,
-/// `MINN(x, n)` (the paper's algebraic examples), and `PERCENTILE(x, p)`
-/// (holistic). The parameter must be a literal, since it configures the
-/// function itself rather than feeding it data.
-fn parameterized_aggregate(name: &str, args: &[Expr]) -> SqlResult<Option<AggRef>> {
-    let upper = name.to_uppercase();
-    let make = |f: AggRef| Ok(Some(f));
-    match upper.as_str() {
-        "MAXN" | "MINN" => {
-            let n = match args.get(1) {
-                Some(Expr::Literal(Value::Int(n))) if *n >= 1 => *n as usize,
-                // cube-lint: allow(wildcard, scrutinee is Option<Expr>; this is the user-error arm)
-                _ => {
-                    return Err(SqlError::Plan(format!(
-                        "{upper} requires a positive integer literal as its second argument"
-                    )))
+/// ORDER BY and LIMIT over the statement's result, taken by value: a
+/// statement with neither returns it untouched.
+fn order_and_limit(table: Table, stmt: &SelectStmt) -> SqlResult<Table> {
+    if stmt.order_by.is_empty() && stmt.limit.is_none() {
+        return Ok(table);
+    }
+    // Resolve each key to an output column index.
+    let mut keys: Vec<(usize, bool)> = Vec::new();
+    for k in &stmt.order_by {
+        let idx = match &k.expr {
+            Expr::Literal(Value::Int(n)) if *n >= 1 => {
+                let i = (*n - 1) as usize;
+                if i >= table.schema().len() {
+                    return Err(SqlError::Plan(format!("ORDER BY ordinal {n} out of range")));
                 }
-            };
-            if args.len() != 2 {
-                return Err(SqlError::Plan(format!("{upper} takes 2 arguments")));
+                i
             }
-            if upper == "MAXN" {
-                make(std::sync::Arc::new(dc_aggregate::algebraic::MaxN(n)))
-            } else {
-                make(std::sync::Arc::new(dc_aggregate::algebraic::MinN(n)))
+            other => {
+                let name = other.canonical();
+                table.schema().index_of(&name).map_err(|_| {
+                    SqlError::Plan(format!("ORDER BY key '{name}' is not an output column"))
+                })?
             }
-        }
-        "PERCENTILE" => {
-            let p = match args.get(1) {
-                Some(Expr::Literal(Value::Float(p))) if *p > 0.0 && *p <= 1.0 => *p,
-                // cube-lint: allow(wildcard, scrutinee is Option<Expr>; this is the user-error arm)
-                _ => {
-                    return Err(SqlError::Plan(
-                        "PERCENTILE requires a literal fraction in (0, 1] as its \
-                         second argument"
-                            .into(),
-                    ))
+        };
+        keys.push((idx, k.descending));
+    }
+    let schema = table.schema().clone();
+    let mut rows = table.into_rows();
+    if !keys.is_empty() {
+        rows.sort_by(|a, b| {
+            for &(i, desc) in &keys {
+                let ord = a[i].cmp(&b[i]);
+                let ord = if desc { ord.reverse() } else { ord };
+                if ord != std::cmp::Ordering::Equal {
+                    return ord;
                 }
-            };
-            if args.len() != 2 {
-                return Err(SqlError::Plan("PERCENTILE takes 2 arguments".into()));
             }
-            make(std::sync::Arc::new(dc_aggregate::holistic::Percentile(p)))
-        }
-        _ => Ok(None),
+            std::cmp::Ordering::Equal
+        });
     }
-}
-
-/// The Red Brick ordered aggregates (§1.2), recognized at the top level of
-/// a select item: `RANK(x)`, `N_TILE(x, n)`, `RATIO_TO_TOTAL(x)`,
-/// `CUMULATIVE(x)`, `RUNNING_SUM(x, n)`, `RUNNING_AVG(x, n)`. They map a
-/// whole output column to a column, evaluated in the result's order — the
-/// paper's "ROLLUP and CUBE must be ordered for cumulative operators to
-/// apply".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OrderedKind {
-    Rank,
-    NTile(usize),
-    RatioToTotal,
-    Cumulative,
-    RunningSum(usize),
-    RunningAvg(usize),
-}
-
-impl OrderedKind {
-    fn output_type(self) -> DataType {
-        match self {
-            OrderedKind::Rank | OrderedKind::NTile(_) => DataType::Int,
-            _ => DataType::Float,
-        }
+    if let Some(n) = stmt.limit {
+        rows.truncate(n);
     }
-
-    fn apply(self, values: &[Value]) -> SqlResult<Vec<Value>> {
-        use dc_aggregate::ordered;
-        Ok(match self {
-            OrderedKind::Rank => ordered::rank(values),
-            OrderedKind::NTile(n) => ordered::n_tile(values, n)?,
-            OrderedKind::RatioToTotal => ordered::ratio_to_total(values),
-            OrderedKind::Cumulative => ordered::cumulative(values),
-            OrderedKind::RunningSum(n) => ordered::running_sum(values, n)?,
-            OrderedKind::RunningAvg(n) => ordered::running_average(values, n)?,
-        })
-    }
-}
-
-/// Recognize an ordered-aggregate call; returns its kind and argument
-/// expression.
-fn ordered_aggregate(expr: &Expr) -> SqlResult<Option<(OrderedKind, Expr)>> {
-    let Expr::Func {
-        name,
-        distinct,
-        args,
-    } = expr
-    else {
-        return Ok(None);
-    };
-    let upper = name.to_uppercase();
-    let needs_n = matches!(upper.as_str(), "N_TILE" | "RUNNING_SUM" | "RUNNING_AVG");
-    let kind = match upper.as_str() {
-        "RANK" => OrderedKind::Rank,
-        "RATIO_TO_TOTAL" => OrderedKind::RatioToTotal,
-        "CUMULATIVE" => OrderedKind::Cumulative,
-        "N_TILE" | "RUNNING_SUM" | "RUNNING_AVG" => {
-            let n = match args.get(1) {
-                Some(Expr::Literal(Value::Int(n))) if *n >= 1 => *n as usize,
-                // cube-lint: allow(wildcard, scrutinee is Option<Expr>; this is the user-error arm)
-                _ => {
-                    return Err(SqlError::Plan(format!(
-                        "{upper} requires a positive integer literal as its second argument"
-                    )))
-                }
-            };
-            match upper.as_str() {
-                "N_TILE" => OrderedKind::NTile(n),
-                "RUNNING_SUM" => OrderedKind::RunningSum(n),
-                _ => OrderedKind::RunningAvg(n),
-            }
-        }
-        _ => return Ok(None),
-    };
-    if *distinct {
-        return Err(SqlError::Plan(format!("DISTINCT is not valid in {upper}")));
-    }
-    let expected_args = if needs_n { 2 } else { 1 };
-    if args.len() != expected_args {
-        return Err(SqlError::Plan(format!(
-            "{upper} takes {expected_args} argument(s), got {}",
-            args.len()
-        )));
-    }
-    Ok(Some((kind, args[0].clone())))
+    Ok(Table::from_validated_rows(schema, rows))
 }
 
 /// Human-readable FROM description for EXPLAIN.
@@ -1389,64 +781,10 @@ fn join_using(left: &Table, right: &Table, using: &[String]) -> SqlResult<Table>
     Ok(out)
 }
 
-/// Make output column names unique the way SQL result sets allow duplicate
-/// labels but our schemas do not: repeated names get `_2`, `_3`, ...
-fn uniquify(names: Vec<String>) -> Vec<String> {
-    let mut seen: HashMap<String, usize> = HashMap::new();
-    names
-        .into_iter()
-        .map(|n| {
-            let count = seen.entry(n.clone()).or_insert(0);
-            *count += 1;
-            if *count == 1 {
-                n
-            } else {
-                format!("{n}_{count}")
-            }
-        })
-        .collect()
-}
-
-/// Collect maximal aggregate calls, deduplicated by canonical text.
-fn collect_aggregates(expr: &Expr, is_agg: &dyn Fn(&str) -> bool, out: &mut Vec<Expr>) {
-    match expr {
-        Expr::Func { name, distinct, .. }
-            if (is_agg(name) || (*distinct && name.eq_ignore_ascii_case("count")))
-                && !out.iter().any(|e| e.canonical() == expr.canonical()) =>
-        {
-            out.push(expr.clone());
-        }
-        Expr::Func { args, .. } => {
-            for a in args {
-                collect_aggregates(a, is_agg, out);
-            }
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            collect_aggregates(lhs, is_agg, out);
-            collect_aggregates(rhs, is_agg, out);
-        }
-        Expr::Not(e) | Expr::Neg(e) => collect_aggregates(e, is_agg, out),
-        Expr::IsNull { expr, .. } => collect_aggregates(expr, is_agg, out),
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_aggregates(expr, is_agg, out);
-            collect_aggregates(low, is_agg, out);
-            collect_aggregates(high, is_agg, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_aggregates(expr, is_agg, out);
-            for e in list {
-                collect_aggregates(e, is_agg, out);
-            }
-        }
-        _ => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{collect_aggregates, ordered_aggregate, uniquify, OrderedKind};
     use dc_relation::row;
 
     #[test]
@@ -1556,7 +894,7 @@ mod tests {
         collect_aggregates(&rank, &is_agg, &mut out);
         collect_aggregates(&sum, &is_agg, &mut out);
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].canonical(), "SUM(x)");
+        assert_eq!(out[0].canonical, "SUM(x)");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::ast::{BinOp, Expr};
 use crate::error::{SqlError, SqlResult};
-use crate::scalar::ScalarRegistry;
+use crate::scalar::{ScalarFn, ScalarRegistry};
 use dc_relation::{DataType, Row, Schema, Value};
 use std::collections::HashMap;
 
@@ -72,17 +72,7 @@ pub fn eval(expr: &Expr, row: &Row, ctx: &EvalContext) -> SqlResult<Value> {
         Expr::Literal(v) => Ok(v.clone()),
         Expr::Star => Err(SqlError::Plan("'*' is only valid in COUNT(*)".into())),
         Expr::Func { name, args, .. } => {
-            let f = ctx.scalars.get(name).ok_or_else(|| {
-                SqlError::Plan(format!("unknown function in this context: {name}"))
-            })?;
-            if args.len() != f.arity {
-                return Err(SqlError::Plan(format!(
-                    "{} takes {} argument(s), got {}",
-                    f.name,
-                    f.arity,
-                    args.len()
-                )));
-            }
+            let f = scalar(ctx.scalars, name, args.len())?;
             let vals: Vec<Value> = args
                 .iter()
                 .map(|a| eval(a, row, ctx))
@@ -230,59 +220,73 @@ fn kleene_or(l: &Value, r: &Value) -> Value {
     }
 }
 
-/// Infer an expression's output type against a context (the same
-/// resolution rules as [`eval`], but over types). `aggregate_type` maps an
-/// already-substituted canonical text to its column's declared type.
-pub fn infer_type(
-    expr: &Expr,
-    schema: &Schema,
-    scalars: &ScalarRegistry,
-    substitution_types: &HashMap<String, DataType>,
-) -> SqlResult<DataType> {
-    if let Some(t) = substitution_types.get(&expr.canonical()) {
-        return Ok(*t);
+/// Infer an expression's output type against a context — and, on the way,
+/// check that [`eval`] would resolve every column and function in it (the
+/// same resolution rules, but over the schema's types and no row): what
+/// lets a statement be rejected when it is bound rather than at its first
+/// row.
+pub fn infer_type(expr: &Expr, ctx: &EvalContext) -> SqlResult<DataType> {
+    let column_type = |i: usize| ctx.schema.column_at(i).dtype;
+    if let Some(&i) = ctx.substitutions.get(&expr.canonical()) {
+        return Ok(column_type(i));
     }
     match expr {
-        Expr::Column { name, .. } => {
-            if let Some(t) = substitution_types.get(name) {
-                return Ok(*t);
-            }
-            Ok(schema.column(name)?.dtype)
-        }
+        Expr::Column { qualifier, name } => ctx
+            .resolve_column(qualifier.as_deref(), name)
+            .map(column_type)
+            .ok_or_else(|| SqlError::Plan(format!("unknown column: {}", expr.canonical()))),
         Expr::Literal(v) => Ok(v.dtype().unwrap_or(DataType::Str)),
-        Expr::Star => Ok(DataType::Int),
-        Expr::Func { name, .. } => scalars
-            .get(name)
-            .map(|f| f.ret)
-            .ok_or_else(|| SqlError::Plan(format!("unknown function: {name}"))),
+        Expr::Star => Err(SqlError::Plan("'*' is only valid in COUNT(*)".into())),
+        Expr::Func { name, args, .. } => {
+            let f = scalar(ctx.scalars, name, args.len())?;
+            for a in args {
+                infer_type(a, ctx)?;
+            }
+            Ok(f.ret)
+        }
         Expr::Grouping(_)
         | Expr::Not(_)
         | Expr::IsNull { .. }
         | Expr::Between { .. }
-        | Expr::InList { .. } => Ok(DataType::Bool),
-        Expr::Neg(e) => infer_type(e, schema, scalars, substitution_types),
-        Expr::Binary { op, lhs, rhs } => match op {
-            BinOp::And
-            | BinOp::Or
-            | BinOp::Eq
-            | BinOp::Neq
-            | BinOp::Lt
-            | BinOp::Lte
-            | BinOp::Gt
-            | BinOp::Gte => Ok(DataType::Bool),
-            BinOp::Div => Ok(DataType::Float),
-            _ => {
-                let l = infer_type(lhs, schema, scalars, substitution_types)?;
-                let r = infer_type(rhs, schema, scalars, substitution_types)?;
-                Ok(if l == DataType::Int && r == DataType::Int {
-                    DataType::Int
-                } else {
-                    DataType::Float
-                })
+        | Expr::InList { .. } => {
+            for child in expr.children() {
+                infer_type(child, ctx)?;
             }
-        },
+            Ok(DataType::Bool)
+        }
+        Expr::Neg(e) => infer_type(e, ctx),
+        Expr::Binary { op, lhs, rhs } => {
+            let (l, r) = (infer_type(lhs, ctx)?, infer_type(rhs, ctx)?);
+            Ok(match op {
+                BinOp::And
+                | BinOp::Or
+                | BinOp::Eq
+                | BinOp::Neq
+                | BinOp::Lt
+                | BinOp::Lte
+                | BinOp::Gt
+                | BinOp::Gte => DataType::Bool,
+                BinOp::Div => DataType::Float,
+                _ if l == DataType::Int && r == DataType::Int => DataType::Int,
+                _ => DataType::Float,
+            })
+        }
         Expr::ScalarSubquery(_) => Ok(DataType::Float),
     }
+}
+
+/// The scalar function a call denotes, arity checked.
+fn scalar<'a>(scalars: &'a ScalarRegistry, name: &str, n_args: usize) -> SqlResult<&'a ScalarFn> {
+    let f = scalars
+        .get(name)
+        .ok_or_else(|| SqlError::Plan(format!("unknown function in this context: {name}")))?;
+    if n_args != f.arity {
+        return Err(SqlError::Plan(format!(
+            "{} takes {} argument(s), got {n_args}",
+            f.name, f.arity
+        )));
+    }
+    Ok(f)
 }
 
 #[cfg(test)]
@@ -416,8 +420,8 @@ mod tests {
     #[test]
     fn type_inference() {
         let (schema, scalars) = ctx_fixture();
-        let subs = HashMap::new();
-        let t = |e: &Expr| infer_type(e, &schema, &scalars, &subs).unwrap();
+        let ctx = EvalContext::base(&schema, &scalars);
+        let t = |e: &Expr| infer_type(e, &ctx).unwrap();
         assert_eq!(t(&Expr::col("model")), DataType::Str);
         assert_eq!(t(&Expr::col("units")), DataType::Int);
         let div = Expr::Binary {

@@ -45,6 +45,7 @@ pub mod engine;
 pub mod error;
 pub mod eval;
 pub mod parser;
+mod plan;
 pub mod scalar;
 pub mod server;
 pub mod session;

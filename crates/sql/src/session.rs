@@ -34,6 +34,7 @@ use crate::engine::QueryRuntime;
 use crate::error::{SqlError, SqlResult};
 use crate::eval::{eval, EvalContext};
 use crate::parser::parse;
+use crate::plan::{branches, set_count};
 use datacube::{CancelToken, ExecContext, ExecLimits, ExecStats};
 use dc_relation::{ColumnDef, DataType, Row, Schema, Table, Value};
 use std::sync::{Arc, Mutex};
@@ -132,7 +133,7 @@ impl Session {
 
     fn execute_inner(&self, sql: &str) -> SqlResult<Table> {
         match parse(sql)? {
-            Statement::Select(stmt) => self.exec_select_governed(&stmt),
+            Statement::Select(mut stmt) => self.exec_select_governed(&mut stmt),
             Statement::Explain(stmt) => {
                 // EXPLAIN is metadata-only: no scan, no cube, no
                 // admission — it must work even on an overloaded engine.
@@ -144,7 +145,6 @@ impl Session {
                     deadline: None,
                     // EXPLAIN must not perturb cache traffic counters.
                     cache: None,
-                    cache_touch: std::cell::Cell::new((false, 0)),
                 };
                 runtime.explain_select(&stmt)
             }
@@ -185,7 +185,7 @@ impl Session {
     }
 
     /// The governed SELECT path: estimate → admit → execute → release.
-    fn exec_select_governed(&self, stmt: &SelectStmt) -> SqlResult<Table> {
+    fn exec_select_governed(&self, stmt: &mut SelectStmt) -> SqlResult<Table> {
         let opts = self.options();
         let snap = self.catalog.snapshot();
         let (deadline, permit) = self.admit(&estimate_cost(stmt, &snap), &opts)?;
@@ -195,18 +195,16 @@ impl Session {
             threads: opts.threads,
             deadline,
             cache: opts.cube_cache.then(|| Arc::clone(&self.cache)),
-            cache_touch: std::cell::Cell::new((false, 0)),
         };
         // `permit` is still alive here: the reservation covers the whole
         // execution and is released when it drops at scope end.
-        let result = runtime.exec_select(stmt);
-        let (hit, bits) = runtime.cache_touch.get();
-        if hit {
+        let (result, ancestor) = runtime.exec_select(stmt)?;
+        if let Some(bits) = ancestor {
             let mut last = self.last.lock().unwrap_or_else(|p| p.into_inner());
             last.answered_from_cache = true;
             last.cache_ancestor_bits = bits;
         }
-        result
+        Ok(result)
     }
 
     /// The governed write path, shared by INSERT, DELETE and UPDATE: one
@@ -504,23 +502,12 @@ pub(crate) fn estimate_cost(stmt: &SelectStmt, snap: &CatalogSnapshot) -> QueryC
     let mut max_rows = 0u64;
     let mut max_sets = 1u64;
     let mut cells = 0u64;
-    let mut cursor = Some(stmt);
-    while let Some(sel) = cursor {
+    for (_, sel) in branches(stmt) {
         let rows = from_rows(&sel.from, snap);
-        let sets = match &sel.group_by {
-            Some(g) => match &g.grouping_sets {
-                Some(sets) => sets.len() as u64,
-                None => {
-                    let cube_bits = (g.cube.len() as u32).min(40);
-                    ((g.rollup.len() as u64) + 1).saturating_mul(1u64 << cube_bits)
-                }
-            },
-            None => 1,
-        };
+        let sets = sel.group_by.as_ref().map_or(1, set_count);
         max_rows = max_rows.max(rows);
         max_sets = max_sets.max(sets);
         cells = cells.saturating_add(sets.saturating_mul(rows.saturating_add(1)));
-        cursor = sel.union.as_ref().map(|(_, rhs)| rhs.as_ref());
     }
     QueryCost {
         rows: max_rows,

@@ -572,12 +572,14 @@ fn explain_describes_the_plan() {
     assert!(plan.contains("HAVING"), "{plan}");
     assert!(plan.contains("sort: ORDER BY 1 key(s)"), "{plan}");
     assert!(plan.contains("limit: 5"), "{plan}");
-    // Nothing was executed: EXPLAIN of a query on a bad column still
-    // parses but fails at describe time only if the aggregate is unknown.
-    let err = engine().execute("EXPLAIN SELECT NOPEFN(Sales) FROM Sales GROUP BY Model");
-    assert!(
-        err.is_ok(),
-        "scalar calls are not described, only aggregates"
+    // EXPLAIN renders the bound plan, so a statement execution rejects at
+    // planning is rejected by EXPLAIN with the same error.
+    let sql = "SELECT NOPEFN(Sales) FROM Sales GROUP BY Model";
+    let err = engine().execute(&format!("EXPLAIN {sql}")).unwrap_err();
+    assert!(matches!(err, SqlError::Plan(_)), "{err}");
+    assert_eq!(
+        err.to_string(),
+        engine().execute(sql).unwrap_err().to_string()
     );
 }
 
@@ -874,4 +876,266 @@ fn set_timeout_expires_long_query() {
         .execute("SELECT Model, SUM(Sales) FROM Sales GROUP BY CUBE Model")
         .unwrap();
     assert_eq!(out.len(), 3);
+}
+
+/// A `nation → continent` table for the §3.5 decoration cases.
+fn observations() -> Table {
+    let schema = Schema::from_pairs(&[
+        ("nation", DataType::Str),
+        ("continent", DataType::Str),
+        ("temp", DataType::Int),
+    ]);
+    let rows = vec![
+        row!["USA", "North America", 28],
+        row!["Mexico", "North America", 41],
+        row!["Japan", "Asia", 48],
+    ];
+    Table::new(schema, rows).unwrap()
+}
+
+/// The N of every "grouping sets: N" line of an EXPLAIN result, one per
+/// aggregate block.
+fn explained_sets(plan: &Table) -> Vec<usize> {
+    let line = |r: &Row| r[0].to_string();
+    plan.rows()
+        .iter()
+        .filter_map(|r| line(r).trim().strip_prefix("grouping sets: ")?.parse().ok())
+        .collect()
+}
+
+/// EXPLAIN is a rendering of the plan execution runs: a statement that
+/// cannot be planned fails both ways with the same text, and one that can
+/// reports exactly the grouping sets the result then contains (counted as
+/// distinct ALL patterns over the leading `dims` columns; every branch of
+/// a UNION contributes its own sets).
+#[test]
+fn explain_and_execute_agree() {
+    let mut e = engine();
+    e.register_table("obs", observations()).unwrap();
+    // (statement, leading dimension columns of its result)
+    let cases: &[(&str, usize)] = &[
+        // Rejected at planning.
+        ("SELECT MODEL, SUM(Sales) FROM Sales GROUP BY Model", 0),
+        ("SELECT Model, SUM(*) FROM Sales GROUP BY Model", 0),
+        (
+            "SELECT Model, SUM(DISTINCT Sales) FROM Sales GROUP BY Model",
+            0,
+        ),
+        ("SELECT Model, SUM(nope) FROM Sales GROUP BY Model", 0),
+        (
+            "SELECT Model, SUM(Sales, Sales) FROM Sales GROUP BY Model",
+            0,
+        ),
+        (
+            "SELECT Model, SUM(Sales) FROM Sales GROUP BY Model, Model",
+            0,
+        ),
+        ("SELECT Model FROM Sales GROUP BY Model", 0),
+        ("SELECT Model, SUM(Sales) FROM nope GROUP BY Model", 0),
+        (
+            "SELECT Model, SUM(Sales) > nope FROM Sales GROUP BY Model",
+            0,
+        ),
+        (
+            "SELECT Model, SUM(Sales) FROM Sales GROUP BY Model HAVING nope > 1",
+            0,
+        ),
+        ("SELECT Model FROM Sales WHERE nope = 1", 0),
+        (
+            "SELECT x, Year, SUM(Sales) FROM Sales
+             GROUP BY GROUPING SETS ((Model AS x), (Model AS y, Year))",
+            0,
+        ),
+        // Planned: "grouping sets: N" is what the result contains.
+        (
+            "SELECT Model, Year, Color, SUM(Sales) FROM Sales
+             GROUP BY Model ROLLUP Year CUBE Color",
+            3,
+        ),
+        (
+            "SELECT Model, Year, SUM(Sales) FROM Sales
+             GROUP BY GROUPING SETS ((Model), (Model), (Year, Model), ())",
+            2,
+        ),
+        (
+            "SELECT m, Year, SUM(Sales) FROM Sales
+             GROUP BY GROUPING SETS ((Model AS m), (Model, Year))",
+            2,
+        ),
+        (
+            "SELECT Model, Year, SUM(Sales) FROM Sales
+             GROUP BY CUBE Model, Year HAVING COUNT(*) > 0",
+            2,
+        ),
+        (
+            "SELECT nation, continent, MAX(temp) FROM obs GROUP BY CUBE nation",
+            1,
+        ),
+        (
+            "SELECT Model, Year, SUM(Sales) AS s FROM Sales GROUP BY Model, Year
+             UNION ALL SELECT Model, Year, SUM(Sales) AS s FROM Sales
+             GROUP BY GROUPING SETS ((Model), (Year), ())",
+            2,
+        ),
+        ("SET THREADS = 2", 0),
+        (
+            "SELECT Model, Year, MEDIAN(Sales) FROM Sales GROUP BY ROLLUP Model, Year",
+            2,
+        ),
+    ];
+    for &(sql, dims) in cases {
+        if sql.starts_with("SET") {
+            e.execute(sql).unwrap();
+            continue;
+        }
+        let explained = e.execute(&format!("EXPLAIN {sql}"));
+        let (plan, out) = match (explained, e.execute(sql)) {
+            (Err(a), Err(b)) => {
+                assert_eq!(a.to_string(), b.to_string(), "{sql}");
+                continue;
+            }
+            (Ok(plan), Ok(out)) => (plan, out),
+            (a, b) => panic!("{sql}: EXPLAIN gave {a:?}, execution gave {b:?}"),
+        };
+        let sets: usize = explained_sets(&plan).iter().sum();
+        let patterns: std::collections::HashSet<Vec<bool>> = out
+            .rows()
+            .iter()
+            .map(|r| (0..dims).map(|d| r[d].is_all()).collect())
+            .collect();
+        assert_eq!(sets, patterns.len(), "{sql}");
+    }
+}
+
+/// A statement that cannot be planned costs no work: no `Iter()` call on
+/// the aggregate it names, no cache lookup, no view build. Only what the
+/// data decides (the §3.5 FD check) still fails at execution time.
+#[test]
+fn planning_errors_cost_no_work() {
+    use dc_aggregate::{AggKind, UdaBuilder};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    let iters = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&iters);
+    let cnt = UdaBuilder::new("CNT", AggKind::Distributive, || 0i64)
+        .iter(move |s, _| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            *s += 1;
+        })
+        .state(|s| vec![Value::Int(*s)])
+        .merge(|s, st| *s += st[0].as_i64().unwrap_or(0))
+        .finalize(|s| Value::Int(*s))
+        .build()
+        .unwrap();
+    let mut e = Engine::new();
+    e.register_aggregate(cnt).unwrap();
+    let schema = Schema::from_pairs(&[("a", DataType::Int), ("v", DataType::Int)]);
+    let rows = (0..32).map(|i| row![i % 4, i]).collect();
+    e.register_table("t", Table::new(schema, rows).unwrap())
+        .unwrap();
+
+    let untouched = e.cube_cache().counters();
+    for sql in [
+        "SELECT A, CNT(v) FROM t GROUP BY a",
+        "SELECT a, CNT(*) FROM t GROUP BY a",
+        "SELECT a, CNT(DISTINCT v) FROM t GROUP BY a",
+        "SELECT a, CNT(v, v) FROM t GROUP BY a",
+        "SELECT a, CNT(v) FROM t GROUP BY a, a",
+        "SELECT a FROM t GROUP BY a",
+        "SELECT a, CNT(v) FROM t GROUP BY CUBE a UNION ALL SELECT A, CNT(v) FROM t GROUP BY a",
+    ] {
+        for _ in 0..2 {
+            let err = e.execute(sql).unwrap_err();
+            assert!(matches!(err, SqlError::Plan(_)), "{sql}: {err}");
+        }
+        assert_eq!(iters.load(Ordering::SeqCst), 0, "{sql}");
+        assert_eq!(e.cube_cache().counters(), untouched, "{sql}");
+    }
+    // The same statement, planned: the counters do move.
+    e.execute("SELECT a, CNT(v) FROM t GROUP BY a").unwrap();
+    assert!(iters.load(Ordering::SeqCst) >= 32);
+    assert_ne!(e.cube_cache().counters(), untouched);
+}
+
+/// GROUPING SETS keys its dimensions by expression, not by output name: an
+/// alias given once names the dimension wherever the expression recurs,
+/// and a repeated set is one set.
+#[test]
+fn grouping_sets_key_dimensions_by_expression() {
+    let e = engine();
+    let aliased = e
+        .execute(
+            "SELECT m, Year, SUM(Sales) AS s FROM Sales
+             GROUP BY GROUPING SETS ((Model), (Model AS m, Year))",
+        )
+        .unwrap();
+    assert_eq!(aliased.schema().names(), vec!["m", "Year", "s"]);
+    assert_eq!(aliased.len(), 2 + 4);
+
+    let repeated = "SELECT Model, SUM(Sales) FROM Sales GROUP BY GROUPING SETS ((Model), (Model))";
+    assert_eq!(e.execute(repeated).unwrap().len(), 2);
+
+    let err = e
+        .execute(
+            "SELECT x, SUM(Sales) FROM Sales
+             GROUP BY GROUPING SETS ((Model AS x), (Model AS y, Year))",
+        )
+        .unwrap_err();
+    let text = err.to_string();
+    assert!(matches!(err, SqlError::Plan(_)), "{text}");
+    assert!(text.contains("x") && text.contains("y"), "{text}");
+}
+
+/// The saturating set count admission prices a statement by, before it is
+/// bound, equals the size of the family binding then enumerates (what
+/// EXPLAIN prints). Over an empty table the granted reservation is
+/// `sets × (0 + 1)`, so the grant *is* admission's count.
+#[test]
+fn admission_set_count_is_the_family_size() {
+    let mut e = Engine::with_service(dc_sql::ServiceConfig {
+        global_cells: 1 << 40,
+        ..Default::default()
+    });
+    let schema = Schema::from_pairs(&[
+        ("a", DataType::Int),
+        ("b", DataType::Int),
+        ("c", DataType::Int),
+        ("v", DataType::Int),
+    ]);
+    e.register_table("t", Table::empty(schema)).unwrap();
+    // Every way to put each of a, b, c in no block, GROUP BY, ROLLUP or CUBE.
+    let mut clauses: Vec<String> = Vec::new();
+    for assignment in 1..4usize.pow(3) {
+        let block = |which: usize, kw: &str| {
+            let cols: Vec<&str> = ["a", "b", "c"]
+                .into_iter()
+                .enumerate()
+                .filter(|(i, _)| assignment / 4usize.pow(*i as u32) % 4 == which)
+                .map(|(_, c)| c)
+                .collect();
+            match cols.is_empty() {
+                true => String::new(),
+                false => format!(" {kw} {}", cols.join(", ")),
+            }
+        };
+        clauses.push(block(1, "") + &block(2, "ROLLUP") + &block(3, "CUBE"));
+    }
+    clauses.extend(
+        [
+            " GROUPING SETS ((a), (b), ())",
+            " GROUPING SETS ((a), (a), (a, b), (b, a))",
+            " GROUPING SETS ((a AS x, b), (b, a), (c))",
+            " GROUPING SETS (())",
+        ]
+        .map(String::from),
+    );
+    let session = e.session();
+    for clause in &clauses {
+        let sql = format!("SELECT SUM(v) FROM t GROUP BY{clause}");
+        let plan = session.execute(&format!("EXPLAIN {sql}")).unwrap();
+        let family = explained_sets(&plan)[0] as u64;
+        session.execute(&sql).unwrap();
+        assert_eq!(session.last_admission().granted_cells, family, "{sql}");
+    }
 }
