@@ -5,7 +5,7 @@
 //! MostFrequent() (also called the Mode()), and Rank() are common
 //! examples." These accumulators keep the whole multiset — their `state()`
 //! grows with the input, which is precisely what makes them holistic and
-//! why the cube cascade gives them no shortcut (benchmark C10). The paper
+//! why the cube cascade gives them no shortcut (claim C10). The paper
 //! observes (§6) that practitioners usually *approximate* such functions;
 //! we compute them exactly and let the benchmarks show the cost.
 

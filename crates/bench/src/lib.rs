@@ -1,8 +1,8 @@
-//! Shared fixtures for the benchmark harness.
+//! Shared fixtures for the paper's analytic claims.
 //!
-//! Every Criterion bench and the `paper_tables` binary draw their data
-//! from here so the experiment index in DESIGN.md has one place to point
-//! at. Everything is deterministic per seed.
+//! `tests/paper_claims.rs` draws its data from here, so the experiment
+//! index in DESIGN.md has one place to point at. Everything is
+//! deterministic per seed.
 
 use datacube::{AggSpec, CubeQuery, Dimension};
 use dc_relation::Table;
@@ -20,11 +20,6 @@ pub fn sales_dims() -> Vec<Dimension> {
 /// `SUM(units)` — the workhorse distributive aggregate.
 pub fn sum_units() -> AggSpec {
     AggSpec::new(dc_aggregate::builtin("SUM").unwrap(), "units").with_name("units")
-}
-
-/// `AVG(units)` — the algebraic representative (Figure 8 / F8).
-pub fn avg_units() -> AggSpec {
-    AggSpec::new(dc_aggregate::builtin("AVG").unwrap(), "units").with_name("avg_units")
 }
 
 /// `MEDIAN(units)` — the holistic representative (C10).
@@ -86,24 +81,36 @@ pub fn wide_query(n_dims: usize) -> CubeQuery {
         .aggregate(sum_units())
 }
 
-/// The columnar workload's select list: every built-in kernel over the
-/// `units` measure of a [`wide_table`], so the whole query vectorizes.
-pub fn kernel_query(n_dims: usize) -> CubeQuery {
-    let agg = |name: &str| {
-        AggSpec::new(dc_aggregate::builtin(name).unwrap(), "units").with_name(name.to_lowercase())
-    };
+/// C6's workload: deliberately skewed cardinalities (2 × 16 × 512), so
+/// cascading through the wrong parent merges many more cells.
+pub fn skewed_table(rows: usize) -> Table {
+    use dc_relation::{DataType, Row, Schema, Value};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let schema = Schema::from_pairs(&[
+        ("tiny", DataType::Int), // C = 2
+        ("mid", DataType::Int),  // C = 16
+        ("huge", DataType::Int), // C = 512
+        ("units", DataType::Int),
+    ]);
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut t = Table::empty(schema);
+    for _ in 0..rows {
+        t.push_unchecked(Row::new(vec![
+            Value::Int(rng.gen_range(0..2)),
+            Value::Int(rng.gen_range(0..16)),
+            Value::Int(rng.gen_range(0..512)),
+            Value::Int(rng.gen_range(1..=100)),
+        ]));
+    }
+    t
+}
+
+/// `SUM(units)` over all three dimensions of a [`skewed_table`].
+pub fn skewed_query() -> CubeQuery {
     CubeQuery::new()
-        .dimensions(
-            (0..n_dims)
-                .map(|d| Dimension::column(format!("d{d}")))
-                .collect(),
-        )
-        .aggregate(agg("SUM"))
-        .aggregate(agg("AVG"))
-        .aggregate(agg("MIN"))
-        .aggregate(agg("MAX"))
-        .aggregate(agg("COUNT"))
-        .aggregate(AggSpec::star(dc_aggregate::builtin("COUNT(*)").unwrap()).with_name("rows"))
+        .dimensions(["tiny", "mid", "huge"].map(Dimension::column).to_vec())
+        .aggregate(sum_units())
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! dimension of the core").
 //!
 //! Full-cube lattices only; sparse cores waste array cells, which is the
-//! trade-off benchmark C7 measures against the hash-based algorithms.
+//! trade-off EXPERIMENTS.md C7 describes against the hash-based algorithms.
 
 use crate::error::{CubeError, CubeResult, Resource};
 use crate::exec::{self, ExecContext};
@@ -58,8 +58,8 @@ pub(crate) fn run(
     // Array geometry: dimension i has C_i real slots plus slot C_i = ALL.
     let sizes: Vec<usize> = symbols.iter().map(|t| t.cardinality() + 1).collect();
     // Projected size is checked up front — the array never materializes
-    // over-budget, and the dispatcher can degrade to a sparse algorithm on
-    // this error knowing nothing was charged to the shared cell counter.
+    // over-budget, and the refusal charges nothing to the shared cell
+    // counter.
     let effective = (MAX_CELLS as u64).min(ctx.cell_budget().unwrap_or(u64::MAX));
     let mut cells: usize = 1;
     for &s in &sizes {

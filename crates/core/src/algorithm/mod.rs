@@ -11,39 +11,38 @@
 //! | [`Algorithm::TwoToTheN`] | "the 2^N-algorithm" | `T × 2^N` Iter() calls, 1 scan |
 //! | [`Algorithm::UnionGroupBys`] | §2's 64-way UNION | `2^N` scans, `T × 2^N` Iters |
 //! | [`Algorithm::FromCore`] | "compute the super-aggregates from the core" | `T` Iters + cell merges |
-//! | [`Algorithm::Sort`] | "sort the table ... then compute" (ROLLUP) | 1 sort + `T × N` Iters |
-//! | [`Algorithm::Array`] | dense N-dimensional array over symbol tables | `T` Iters + array sweeps |
 //! | [`Algorithm::Parallel`] | "use parallelism to aggregate each partition and then coalesce" | `T/P` Iters per thread + merges |
-//! | [`Algorithm::PipeSort`] | the \[ADGNRS\] shared-sort idea | `C(N, N/2)` sorts, `T` Iters each |
+//! | [`repro::Repro::Sort`] | "sort the table ... then compute" (ROLLUP) | 1 sort + `T` Iters |
+//! | [`repro::Repro::Array`] | dense N-dimensional array over symbol tables | `T` Iters + array sweeps |
+//! | [`repro::Repro::PipeSort`] | the \[ADGNRS\] shared-sort idea | `C(N, N/2)` sorts, `T` Iters each |
 //!
-//! The four hash-based algorithms are one scan: each is a [`Shape`] of the
-//! arena [`engine`], which carries every such query whatever its key width.
-//! Sort, Array and PipeSort are distinct algorithms with their own key
-//! machinery, selectable by name. [`reference`] holds the `Row`-keyed
-//! originals of the hash-based four, kept as the model the engine is
-//! tested against; nothing on the serving path calls it.
+//! [`Algorithm`] is the product: each variant is a [`Shape`] of the arena
+//! [`engine`]'s one grouping scan, which carries every query whatever its
+//! key width. [`repro`] is the reproduction: Sort, Array and PipeSort with
+//! their own key machinery, and the `Row`-keyed originals of the
+//! hash-based four kept as the model the engine is tested against — one
+//! `#[doc(hidden)]` entry, nothing on the serving path calls it.
 
 pub(crate) mod array;
 pub(crate) mod engine;
 pub(crate) mod pipesort;
+pub(crate) mod reference;
 #[doc(hidden)]
-pub mod reference;
+pub mod repro;
 pub(crate) mod sort;
-
-pub use array::MAX_CELLS;
-pub use pipesort::symmetric_chains;
 
 pub(crate) use engine::core_states;
 
-use crate::error::{CubeError, CubeResult, Resource};
+use crate::error::{CubeError, CubeResult};
 use crate::exec::ExecContext;
-use crate::groupby::{materialize, ExecStats, SetMaps};
-use crate::lattice::{rollup_sets, GroupingSet, Lattice};
+use crate::groupby::ExecStats;
+use crate::lattice::{GroupingSet, Lattice};
 use crate::spec::{BoundAgg, BoundDimension};
 use dc_aggregate::{AggKind, AggregateFunction};
 use dc_relation::{Row, Schema, Table};
 
-/// Selects how a cube / rollup / grouping-sets query is executed.
+/// Selects how a cube / rollup / grouping-sets query is executed: the
+/// shapes of the one arena engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Algorithm {
     /// Pick automatically: holistic aggregates force the 2^N algorithm
@@ -62,22 +61,12 @@ pub enum Algorithm {
     /// merging scratchpads, dropping the smallest-cardinality dimension
     /// first.
     FromCore,
-    /// Sort-based single-pass ROLLUP (rollup lattices only).
-    Sort,
-    /// Dense N-dimensional array over dictionary-encoded dimensions
-    /// (full-cube lattices only; falls back with an error when the array
-    /// would exceed [`array::MAX_CELLS`]).
-    Array,
-    /// PipeSort-style shared sorts (the paper's \[ADGNRS\] reference):
-    /// cover the lattice with C(N, N/2) symmetric chains, one sorted
-    /// scan each (full-cube lattices only).
-    PipeSort,
     /// Partition the input across threads, aggregate each partition's
     /// core, coalesce by merging, then cascade.
     Parallel { threads: usize },
 }
 
-/// How the cascade picks each set's parent — ablated by benchmark C6.
+/// How the cascade picks each set's parent — ablated by claim C6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParentChoice {
     /// The paper's rule: aggregate away the smallest-cardinality dimension.
@@ -136,43 +125,27 @@ pub(crate) enum Shape {
     },
 }
 
-/// What an [`Algorithm`] resolves to for one select list.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Plan {
-    /// A hash-based algorithm: this shape of the engine's scan.
-    Hash(Shape),
-    Sort,
-    Array,
-    PipeSort,
-}
-
 /// Resolve `algorithm` for a select list of `funcs`.
 ///
 /// A UDA built without state()/merge() has a no-op Iter_super: any plan
-/// that folds sub-aggregate scratchpads (from-core cascade, sort frame
-/// closes, array slab sweeps, PipeSort chain hand-offs, parallel
+/// that folds sub-aggregate scratchpads (from-core cascade, parallel
 /// coalescing) would silently drop its data. Such functions are still
 /// legal — they just pin execution to the scan-per-cell 2^N shape.
 pub(crate) fn resolve<'a>(
     algorithm: Algorithm,
     funcs: impl Iterator<Item = &'a dyn AggregateFunction> + Clone,
     choice: ParentChoice,
-) -> Plan {
+) -> Shape {
     let from_core = |threads| Shape::FromCore { threads, choice };
     match algorithm {
-        Algorithm::TwoToTheN => Plan::Hash(Shape::EverySet),
-        Algorithm::UnionGroupBys => Plan::Hash(Shape::PerSet),
-        _ if !funcs.clone().all(|f| f.mergeable()) => Plan::Hash(Shape::EverySet),
+        Algorithm::TwoToTheN => Shape::EverySet,
+        Algorithm::UnionGroupBys => Shape::PerSet,
+        _ if !funcs.clone().all(|f| f.mergeable()) => Shape::EverySet,
         // §5: "We know of no more efficient way of computing
         // super-aggregates of holistic functions".
-        Algorithm::Auto if funcs.clone().any(|f| f.kind() == AggKind::Holistic) => {
-            Plan::Hash(Shape::EverySet)
-        }
-        Algorithm::Auto | Algorithm::FromCore => Plan::Hash(from_core(None)),
-        Algorithm::Parallel { threads } => Plan::Hash(from_core(Some(threads))),
-        Algorithm::Sort => Plan::Sort,
-        Algorithm::Array => Plan::Array,
-        Algorithm::PipeSort => Plan::PipeSort,
+        Algorithm::Auto if funcs.clone().any(|f| f.kind() == AggKind::Holistic) => Shape::EverySet,
+        Algorithm::Auto | Algorithm::FromCore => from_core(None),
+        Algorithm::Parallel { threads } => from_core(Some(threads)),
     }
 }
 
@@ -182,26 +155,20 @@ pub(crate) fn resolve<'a>(
 pub fn describe_plan(algorithm: Algorithm, funcs: &[&dyn AggregateFunction]) -> String {
     let choice = ParentChoice::SmallestCardinality;
     match resolve(algorithm, funcs.iter().copied(), choice) {
-        Plan::Hash(Shape::EverySet) => "2^N (one scan, every row into every grouping set)".into(),
-        Plan::Hash(Shape::PerSet) => "union of GROUP BYs (one scan per grouping set)".into(),
-        Plan::Hash(Shape::FromCore { threads: None, .. }) => {
+        Shape::EverySet => "2^N (one scan, every row into every grouping set)".into(),
+        Shape::PerSet => "union of GROUP BYs (one scan per grouping set)".into(),
+        Shape::FromCore { threads: None, .. } => {
             "from-core cascade (Iter_super, smallest-Ci parent)".into()
         }
-        Plan::Hash(Shape::FromCore {
+        Shape::FromCore {
             threads: Some(t), ..
-        }) => format!("parallel from-core cascade ({t} scan workers, coalesce, Iter_super)"),
-        Plan::Sort => "sort-based ROLLUP".into(),
-        Plan::Array => "dense array".into(),
-        Plan::PipeSort => "PipeSort shared sorts".into(),
+        } => format!("parallel from-core cascade ({t} scan workers, coalesce, Iter_super)"),
     }
 }
 
 /// Execute the lattice with the chosen algorithm and materialize the sets
-/// in `keep` (all of them when `None`).
-///
-/// The hash-based algorithms (2^N, unions, from-core, parallel) are
-/// [`Shape`]s over the [`engine`]'s one grouping scan; the sort- and
-/// array-based algorithms run their own key machinery.
+/// in `keep` (all of them when `None`): resolve the [`Shape`], then the
+/// [`engine`]'s one grouping scan.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run(
     algorithm: Algorithm,
@@ -215,60 +182,18 @@ pub(crate) fn run(
     stats: &mut ExecStats,
     ctx: &ExecContext,
 ) -> CubeResult<Table> {
-    let finish = |mut maps: SetMaps, schema: Schema, stats: &mut ExecStats| {
-        if let Some(keep) = keep {
-            maps.retain(|(s, _)| keep.contains(s));
-        }
-        materialize(schema, maps, aggs, stats, ctx)
-    };
-    check_applies(algorithm, lattice)?;
-    let shape = match resolve(algorithm, aggs.iter().map(|a| &*a.func), choice) {
-        Plan::Hash(shape) => shape,
-        Plan::Sort => {
-            let maps = sort::run(rows, dims, aggs, lattice, stats, ctx)?;
-            return finish(maps, schema, stats);
-        }
-        Plan::PipeSort => {
-            let maps = pipesort::run(rows, dims, aggs, lattice, stats, ctx)?;
-            return finish(maps, schema, stats);
-        }
-        Plan::Array => match array::run(rows, dims, aggs, lattice, stats, ctx) {
-            // Degradation rung 1: the dense array's *projected* size is
-            // checked before anything is materialized, so a cell/memory
-            // trip here is free to retry on the sparse hash-based path
-            // (which only pays for cells that actually exist).
-            Err(CubeError::ResourceExhausted {
-                resource: Resource::Cells | Resource::MemoryBytes,
-                ..
-            }) => {
-                stats.degraded_dense_to_sparse = true;
-                Shape::FromCore {
-                    threads: None,
-                    choice,
-                }
-            }
-            other => return finish(other?, schema, stats),
-        },
-    };
+    check_applies(algorithm)?;
+    let shape = resolve(algorithm, aggs.iter().map(|a| &*a.func), choice);
     engine::execute(rows, dims, aggs, lattice, shape, keep, schema, stats, ctx)
 }
 
-/// Each algorithm's own applicability checks, made before the select list
-/// is looked at so error behavior does not depend on it.
-fn check_applies(algorithm: Algorithm, lattice: &Lattice) -> CubeResult<()> {
+/// The one applicability check an [`Algorithm`] has, made before the
+/// select list is looked at so error behavior does not depend on it.
+fn check_applies(algorithm: Algorithm) -> CubeResult<()> {
     match algorithm {
         Algorithm::Parallel { threads: 0 } => {
             Err(CubeError::BadSpec("Parallel requires threads >= 1".into()))
         }
-        Algorithm::Sort if lattice.sets() != rollup_sets(lattice.n_dims())?.as_slice() => Err(
-            CubeError::Unsupported("the sort algorithm applies only to ROLLUP lattices".into()),
-        ),
-        Algorithm::Array if !lattice.is_full_cube() => Err(CubeError::Unsupported(
-            "the dense array algorithm computes full cubes only".into(),
-        )),
-        Algorithm::PipeSort if !lattice.is_full_cube() => Err(CubeError::Unsupported(
-            "PipeSort computes full cubes only".into(),
-        )),
         _ => Ok(()),
     }
 }

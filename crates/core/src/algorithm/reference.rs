@@ -7,49 +7,20 @@
 //! of one scan. No query reaches them: they stay as the model the engine
 //! is tested against — same cells, same [`ExecStats`] work counters — and
 //! keep their checkpoints, panic guards and fault sites, so a test can
-//! also compare how the two unwind. [`run`] is the one way in from outside
-//! the crate.
+//! also compare how the two unwind. [`repro::run`](super::repro::run) is
+//! the one way in from outside the crate.
 
-use super::{ParentChoice, Plan, Shape};
-use crate::error::{CubeError, CubeResult};
+use super::{ParentChoice, Shape};
+use crate::error::CubeResult;
 use crate::exec::{self, ExecContext};
 use crate::groupby::{
-    compute_core, core_cardinalities, full_key, materialize, project_key, update_cell, ExecStats,
-    GroupMap, SetMaps,
+    compute_core, core_cardinalities, full_key, project_key, update_cell, ExecStats, GroupMap,
+    SetMaps,
 };
 use crate::lattice::{GroupingSet, Lattice};
-use crate::operator::CubeQuery;
 use crate::spec::{BoundAgg, BoundDimension};
-use dc_relation::{Row, Table};
+use dc_relation::Row;
 use std::collections::HashMap;
-
-/// Run `query` over `lattice` on the reference algorithms and materialize
-/// the sets in `keep` (all of them when `None`): what the query's own
-/// operators compute, through none of the engine's code. Only the
-/// hash-based [`Algorithm`](super::Algorithm)s have a reference.
-#[doc(hidden)]
-pub fn run(
-    query: &CubeQuery,
-    table: &Table,
-    lattice: &Lattice,
-    keep: Option<&[GroupingSet]>,
-) -> CubeResult<(Table, ExecStats)> {
-    query.run_bound(table, |dims, aggs, schema, stats, ctx| {
-        super::check_applies(query.selected_algorithm(), lattice)?;
-        let funcs = aggs.iter().map(|a| &*a.func);
-        let choice = ParentChoice::SmallestCardinality;
-        let Plan::Hash(shape) = super::resolve(query.selected_algorithm(), funcs, choice) else {
-            return Err(CubeError::Unsupported(
-                "only the hash-based algorithms have a Row-keyed reference".into(),
-            ));
-        };
-        let mut maps = set_maps(shape, table.rows(), dims, aggs, lattice, stats, ctx)?;
-        if let Some(keep) = keep {
-            maps.retain(|(s, _)| keep.contains(s));
-        }
-        materialize(schema, maps, aggs, stats, ctx)
-    })
-}
 
 /// The cells of every grouping set of `lattice`, computed the way `shape`
 /// names.
@@ -159,7 +130,7 @@ fn union_group_bys(
 /// scratchpads are closed under merging; holistic aggregates technically
 /// merge here too (their scratchpad is the whole multiset) but gain
 /// nothing — `Algorithm::Auto` routes them to the 2^N algorithm instead,
-/// and benchmark C10 shows why.
+/// and claim C10 (EXPERIMENTS.md) says why.
 fn cascade(
     core: GroupMap,
     aggs: &[BoundAgg],

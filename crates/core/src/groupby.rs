@@ -46,16 +46,14 @@ pub struct ExecStats {
     pub merge_calls: u64,
     /// Final() calls — one per output cell per aggregate.
     pub final_calls: u64,
-    /// Sort passes performed (`u32`: at most one per grouping set, and
-    /// with the rest of the narrowed fields it keeps `ExecStats` — and so
-    /// `CubeError` — within clippy's 128-byte `Result` threshold).
+    /// Sort passes performed — 0 on the engine, which hashes; counted by
+    /// `repro`'s Sort and PipeSort (`u32`: at most one per grouping set,
+    /// and with the rest of the narrowed fields it keeps `ExecStats` — and
+    /// so `CubeError` — within clippy's 128-byte `Result` threshold).
     pub sorts: u32,
     /// Worker threads the parallel paths actually used after clamping to
     /// the partition count (0 for serial algorithms).
     pub threads_used: u32,
-    /// The dense-array plan projected more cells than the budget allowed
-    /// and the query was re-run on the sparse hash-based path.
-    pub degraded_dense_to_sparse: bool,
     /// The cascade's projected lattice size exceeded the cell budget and
     /// the query fell back to per-grouping-set streaming scans.
     pub degraded_to_streaming: bool,
@@ -64,7 +62,7 @@ pub struct ExecStats {
     /// or user-defined aggregates, or non-primitive measure columns).
     pub vectorized_kernels_used: u64,
     /// Fixed-size row-range morsels pulled by the engine's scan workers
-    /// (0 for the sort/array algorithms, which do not scan by morsel).
+    /// (0 under `repro`, whose algorithms do not scan by morsel).
     pub morsels_processed: u64,
     /// Key runs folded by the run-length scan (0 when the per-row morsel
     /// scan ran instead).
@@ -99,7 +97,6 @@ impl ExecStats {
         self.final_calls += other.final_calls;
         self.sorts += other.sorts;
         self.threads_used = self.threads_used.max(other.threads_used);
-        self.degraded_dense_to_sparse |= other.degraded_dense_to_sparse;
         self.degraded_to_streaming |= other.degraded_to_streaming;
         self.vectorized_kernels_used = self
             .vectorized_kernels_used

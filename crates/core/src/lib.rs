@@ -14,13 +14,16 @@
 //! * the operators — [`CubeQuery::cube`], [`CubeQuery::rollup`],
 //!   [`CubeQuery::group_by`], [`CubeQuery::grouping_sets`], and the §3.1
 //!   compound algebra [`CompoundSpec`];
-//! * the grouping-set [`lattice`] and every §5 computation strategy
-//!   ([`Algorithm`]): the 2^N algorithm, union-of-GROUP-BYs, the
-//!   from-core scratchpad cascade with smallest-cardinality parent
-//!   selection, sort-based ROLLUP, the dense N-dimensional array over
-//!   dictionary-encoded dimensions, partition-parallel aggregation, and
+//! * the grouping-set [`lattice`] and the §5 computation strategies a
+//!   query can select ([`Algorithm`], five shapes of one arena engine):
+//!   the 2^N algorithm, union-of-GROUP-BYs, the from-core scratchpad
+//!   cascade with smallest-cardinality parent selection, and
+//!   partition-parallel aggregation; the rest of §5 — sort-based ROLLUP,
+//!   the dense N-dimensional array over dictionary-encoded dimensions,
 //!   PipeSort-style shared sorts over the symmetric chain decomposition
-//!   (the paper's \[ADGNRS\] citation);
+//!   (the paper's \[ADGNRS\] citation) and the `Row`-keyed originals of
+//!   the hash-based four — is the reproduction, behind the hidden
+//!   `algorithm::repro::run` that tests and the claim assertions call;
 //! * partial-cube selection per the paper's \[HRU\] citation
 //!   ([`subcube`]): greedy view selection over estimated or measured node
 //!   sizes;

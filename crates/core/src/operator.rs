@@ -97,9 +97,8 @@ impl CubeQuery {
     /// and/or a [`crate::exec::CancelToken`]. Default is unlimited.
     /// Exceeding a budget returns `CubeError::ResourceExhausted` (or
     /// `Cancelled`) carrying the [`ExecStats`] accumulated so far; where a
-    /// cheaper plan fits the budget the engine degrades instead (dense
-    /// array → sparse hash, cascade → per-set streaming) and flags the
-    /// switch in the stats.
+    /// cheaper plan fits the budget the engine degrades instead (cascade →
+    /// per-set streaming) and flags the switch in the stats.
     pub fn limits(mut self, limits: ExecLimits) -> Self {
         self.limits = limits;
         self
@@ -118,7 +117,7 @@ impl CubeQuery {
 
     /// CUBE via the from-core cascade with an explicit parent-selection
     /// policy — the ablation hook for the paper's "pick the * with the
-    /// smallest Cᵢ" rule (benchmark C6). Results are identical across
+    /// smallest Cᵢ" rule (claim C6). Results are identical across
     /// policies; only the merge work differs.
     pub fn cube_with_parent_choice(
         &self,
@@ -276,8 +275,11 @@ impl CubeQuery {
 /// The cardinality of a full cube per §3: `Π(C_i + 1)` *if the core were
 /// dense*. The actual result of [`CubeQuery::cube`] can be smaller when
 /// the core is sparse — only cells backed by data are materialized.
+/// Saturates at `usize::MAX` rather than overflowing.
 pub fn dense_cube_cardinality(cardinalities: &[usize]) -> usize {
-    cardinalities.iter().map(|c| c + 1).product()
+    cardinalities
+        .iter()
+        .fold(1, |cells, c| cells.saturating_mul(c.saturating_add(1)))
 }
 
 /// Count rows of a cube result that belong to a given grouping set (i.e.
@@ -293,6 +295,7 @@ pub fn rows_in_set(cube: &Table, n_dims: usize, set: GroupingSet) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::repro::{self, Repro};
     use crate::spec::{AggSpec, Dimension};
     use dc_aggregate::builtin;
     use dc_relation::{row, DataType, Row, Schema};
@@ -343,6 +346,9 @@ mod tests {
             .unwrap();
         assert_eq!(cube.len(), 48);
         assert_eq!(dense_cube_cardinality(&[2, 3, 3]), 48);
+        // `C + 1` and the product both saturate instead of overflowing.
+        assert_eq!(dense_cube_cardinality(&[usize::MAX]), usize::MAX);
+        assert_eq!(dense_cube_cardinality(&[1 << 40; 12]), usize::MAX);
     }
 
     #[test]
@@ -366,21 +372,20 @@ mod tests {
             .algorithm(Algorithm::TwoToTheN)
             .cube(&sales)
             .unwrap();
+        let query = CubeQuery::new().dimensions(dims3()).aggregate(sum_units());
         for alg in [
             Algorithm::Auto,
             Algorithm::UnionGroupBys,
             Algorithm::FromCore,
-            Algorithm::Array,
             Algorithm::Parallel { threads: 3 },
-            Algorithm::PipeSort,
         ] {
-            let got = CubeQuery::new()
-                .dimensions(dims3())
-                .aggregate(sum_units())
-                .algorithm(alg)
-                .cube(&sales)
-                .unwrap();
+            let got = query.clone().algorithm(alg).cube(&sales).unwrap();
             assert_eq!(got.rows(), reference.rows(), "{alg:?}");
+        }
+        let lattice = Lattice::cube(3).unwrap();
+        for which in [Repro::Reference, Repro::Array, Repro::PipeSort] {
+            let (got, _) = repro::run(which, &query, &sales, &lattice, None).unwrap();
+            assert_eq!(got.rows(), reference.rows(), "{which:?}");
         }
     }
 
@@ -392,12 +397,9 @@ mod tests {
             .aggregate(sum_units())
             .rollup(&sales)
             .unwrap();
-        let sorted = CubeQuery::new()
-            .dimensions(dims3())
-            .aggregate(sum_units())
-            .algorithm(Algorithm::Sort)
-            .rollup(&sales)
-            .unwrap();
+        let query = CubeQuery::new().dimensions(dims3()).aggregate(sum_units());
+        let lattice = Lattice::rollup(3).unwrap();
+        let (sorted, _) = repro::run(Repro::Sort, &query, &sales, &lattice, None).unwrap();
         assert_eq!(sorted.rows(), reference.rows());
     }
 

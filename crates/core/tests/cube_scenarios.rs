@@ -2,6 +2,7 @@
 //! unit tests exercise in isolation.
 
 use datacube::addressing::CubeView;
+use datacube::algorithm::repro::{self, Repro};
 use datacube::decoration::decorate;
 use datacube::hierarchy::calendar;
 use datacube::maintain::MaterializedCube;
@@ -114,19 +115,15 @@ fn uda_through_all_algorithms() {
         .algorithm(Algorithm::TwoToTheN)
         .cube(&t)
         .unwrap();
-    for alg in [
-        Algorithm::FromCore,
-        Algorithm::Array,
-        Algorithm::PipeSort,
-        Algorithm::Parallel { threads: 2 },
-    ] {
-        let got = CubeQuery::new()
-            .dimensions(dims3())
-            .aggregate(spec.clone())
-            .algorithm(alg)
-            .cube(&t)
-            .unwrap();
+    let query = CubeQuery::new().dimensions(dims3()).aggregate(spec);
+    for alg in [Algorithm::FromCore, Algorithm::Parallel { threads: 2 }] {
+        let got = query.clone().algorithm(alg).cube(&t).unwrap();
         assert_eq!(got.rows(), reference.rows(), "{alg:?}");
+    }
+    let lattice = Lattice::cube(3).unwrap();
+    for which in [Repro::Array, Repro::PipeSort] {
+        let (got, _) = repro::run(which, &query, &t, &lattice, None).unwrap();
+        assert_eq!(got.rows(), reference.rows(), "{which:?}");
     }
 }
 

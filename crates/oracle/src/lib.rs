@@ -36,7 +36,7 @@ pub mod shrink;
 
 pub use gen::{gen_case, AggDesc, Case, Gov, QueryKind};
 pub use model::{model_masks, model_result};
-pub use runner::{check_case, combos, run_engine};
+pub use runner::{check_case, combos, run_engine, Combo};
 pub use shrink::shrink;
 
 /// Drive `cases` seeded cases starting at `base_seed`: generate, run

@@ -5,9 +5,9 @@
 //! kind and the run-folding scan are the engine's own decisions, taken
 //! from the case's dimension cardinalities, select list and key stream, so
 //! the generator's flavours — not a switch — are what reach each of them.
-//! The sort- and array-based algorithms run once each, gated on the
-//! lattice shapes they support — Sort on ROLLUP lattices, Array and
-//! PipeSort on full cubes.
+//! The reproduction algorithms (`datacube::algorithm::repro`) run once
+//! each, gated on the lattice shapes they support — Sort on ROLLUP
+//! lattices, Array and PipeSort on full cubes.
 //!
 //! Ungoverned runs must match the model exactly (up to float tolerance).
 //! Governed runs may instead fail with the matching typed error
@@ -18,6 +18,7 @@
 use crate::diff::diff_tables;
 use crate::gen::{Case, Gov, QueryKind};
 use crate::model::model_result;
+use datacube::algorithm::repro::{self, Repro};
 use datacube::{
     cube_sets, greedy_select, rewritable, rollup_sets, AggSpec, Algorithm, AncestorRequest,
     CachedView, CompoundSpec, CubeError, CubeQuery, CubeResult, DeltaBatch, Dimension, ExecContext,
@@ -26,9 +27,17 @@ use datacube::{
 use dc_relation::{DataType, Date, Row, Schema, Table, Value};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// All engine configurations applicable to a query kind.
-pub fn combos(query: &QueryKind) -> Vec<Algorithm> {
-    let mut algorithms = vec![
+/// One execution path for a case: the engine under an [`Algorithm`], or
+/// a reproduction algorithm.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Combo {
+    Engine(Algorithm),
+    Repro(Repro),
+}
+
+/// All execution paths applicable to a query kind.
+pub fn combos(query: &QueryKind) -> Vec<Combo> {
+    let mut combos: Vec<Combo> = [
         Algorithm::Auto,
         Algorithm::TwoToTheN,
         Algorithm::UnionGroupBys,
@@ -36,24 +45,33 @@ pub fn combos(query: &QueryKind) -> Vec<Algorithm> {
         Algorithm::Parallel { threads: 1 },
         Algorithm::Parallel { threads: 4 },
         Algorithm::Parallel { threads: 16 },
-    ];
-    algorithms.extend_from_slice(match query {
-        QueryKind::Rollup => &[Algorithm::Sort],
-        QueryKind::Cube => &[Algorithm::Array, Algorithm::PipeSort],
+    ]
+    .map(Combo::Engine)
+    .to_vec();
+    combos.extend_from_slice(match query {
+        QueryKind::Rollup => &[Combo::Repro(Repro::Sort)],
+        QueryKind::Cube => &[Combo::Repro(Repro::Array), Combo::Repro(Repro::PipeSort)],
         _ => &[],
     });
-    algorithms
+    combos
 }
 
-/// Execute the case's query through one engine configuration.
-pub fn run_engine(case: &Case, algorithm: Algorithm) -> CubeResult<Table> {
-    let mut q = CubeQuery::new()
-        .algorithm(algorithm)
-        .limits(case.gov.limits());
+/// Execute the case's query through one execution path.
+pub fn run_engine(case: &Case, combo: Combo) -> CubeResult<Table> {
+    let mut q = CubeQuery::new().limits(case.gov.limits());
     for (i, desc) in case.aggs.iter().enumerate() {
         q = q.aggregate(desc.spec(i));
     }
     let dims = case_dims(case);
+    let q = match combo {
+        Combo::Engine(algorithm) => q.algorithm(algorithm),
+        Combo::Repro(which) => {
+            let sets = family(case, &dims)?;
+            let lattice = Lattice::new(case.n_dims, sets.clone())?;
+            let q = q.dimensions(dims);
+            return Ok(repro::run(which, &q, &case.table, &lattice, Some(&sets))?.0);
+        }
+    };
     match &case.query {
         QueryKind::GroupBy => q.dimensions(dims).group_by(&case.table),
         QueryKind::Rollup => q.dimensions(dims).rollup(&case.table),
@@ -326,17 +344,40 @@ mod tests {
     #[test]
     fn sort_only_offered_for_rollup_and_dense_only_for_cube() {
         let rollup = combos(&QueryKind::Rollup);
-        assert!(rollup.contains(&Algorithm::Sort));
-        assert!(!rollup.contains(&Algorithm::Array));
+        assert!(rollup.contains(&Combo::Repro(Repro::Sort)));
+        assert!(!rollup.contains(&Combo::Repro(Repro::Array)));
         let cube = combos(&QueryKind::Cube);
-        assert!(cube.contains(&Algorithm::Array));
-        assert!(cube.contains(&Algorithm::PipeSort));
-        assert!(!cube.contains(&Algorithm::Sort));
-        // 7 hash algorithms, plus Sort on ROLLUP or the dense pair on CUBE.
+        assert!(cube.contains(&Combo::Repro(Repro::Array)));
+        assert!(cube.contains(&Combo::Repro(Repro::PipeSort)));
+        assert!(!cube.contains(&Combo::Repro(Repro::Sort)));
+        // 7 engine algorithms, plus Sort on ROLLUP or the dense pair on CUBE.
         assert_eq!(combos(&QueryKind::GroupBy).len(), 7);
         assert_eq!(rollup.len(), 8);
         assert_eq!(cube.len(), 9);
-        assert!(cube.contains(&Algorithm::Parallel { threads: 16 }));
+        assert!(cube.contains(&Combo::Engine(Algorithm::Parallel { threads: 16 })));
+    }
+
+    /// The 200-seed smoke still diffs every reproduction algorithm against
+    /// the model: each of Sort, Array and PipeSort is a combo of several
+    /// ungoverned cases — where a typed refusal is not an acceptable
+    /// outcome — and answers them as the model does.
+    #[test]
+    fn the_smoke_reaches_every_repro_algorithm() {
+        let smoke: Vec<Case> = (0..200u64)
+            .map(|i| crate::gen_case(0xDA7A_C0BE + i))
+            .filter(|c| matches!(c.gov, Gov::None))
+            .collect();
+        for which in [Repro::Sort, Repro::Array, Repro::PipeSort] {
+            let combo = Combo::Repro(which);
+            let reached = (smoke.iter()).filter(|c| combos(&c.query).contains(&combo));
+            let agrees = |c: &&Case| {
+                let (names, expected) = model_result(c);
+                run_engine(c, combo)
+                    .is_ok_and(|t| diff_tables(&names, &expected, &t, c.n_dims).is_ok())
+            };
+            let answered = reached.filter(agrees).count();
+            assert!(answered >= 5, "{which:?} answered {answered} smoke cases");
+        }
     }
 
     /// The 200-seed smoke (`tests/fuzz.rs`) reaches the engine's wide key:

@@ -5,23 +5,28 @@
 //! The full fuzzer lives in `crates/oracle` (see README / DESIGN.md);
 //! these tests replay its minimal witnesses and the §3.4 NULL-vs-ALL
 //! discriminator through *every* execution path — each algorithm at
-//! several thread counts, on the engine and on the `Row`-keyed reference;
-//! the cases pick select lists that land on both of the engine's lane
-//! kinds.
+//! several thread counts, on the engine and on the `Row`-keyed reference,
+//! plus `repro`'s Sort, Array and PipeSort where their lattice shapes
+//! apply; the cases pick select lists that land on both of the engine's
+//! lane kinds.
 
 use std::sync::Arc;
 
-use datacube::algorithm::reference;
+use datacube::algorithm::repro::{self, Repro};
 use datacube::{
     AggSpec, Algorithm, CompoundSpec, CubeQuery, CubeResult, Dimension, GroupingSet, Lattice,
 };
 use dc_aggregate::{builtin, AggKind, AggregateFunction, UdaBuilder};
 use dc_relation::{DataType, Date, Row, Schema, Table, Value};
 
+/// One execution path: the engine under an [`Algorithm`] (`None`), or a
+/// `repro` algorithm run on the same query.
+type Combo = (Algorithm, Option<Repro>);
+
 /// Every (algorithm, engine-or-reference) combination that accepts an
-/// arbitrary lattice; `true` is the engine. Sort/Array/PipeSort are
-/// shape-restricted and are exercised separately where their shapes apply.
-fn hash_combos() -> Vec<(Algorithm, bool)> {
+/// arbitrary lattice. Sort/Array/PipeSort are shape-restricted and are
+/// exercised separately where their shapes apply.
+fn hash_combos() -> Vec<Combo> {
     let algorithms = [
         Algorithm::Auto,
         Algorithm::TwoToTheN,
@@ -33,8 +38,8 @@ fn hash_combos() -> Vec<(Algorithm, bool)> {
     ];
     let mut combos = Vec::new();
     for algorithm in algorithms {
-        for engine in [false, true] {
-            combos.push((algorithm, engine));
+        for path in [Some(Repro::Reference), None] {
+            combos.push((algorithm, path));
         }
     }
     combos
@@ -48,21 +53,16 @@ enum Family<'a> {
 }
 
 /// Run `q` with `algorithm` on the engine (through the query's own
-/// operators) or on the reference (same lattice, same kept sets).
-fn run(
-    (algorithm, engine): (Algorithm, bool),
-    q: CubeQuery,
-    t: &Table,
-    family: Family,
-) -> CubeResult<Table> {
+/// operators) or on a `repro` algorithm (same lattice, same kept sets).
+fn run((algorithm, path): Combo, q: CubeQuery, t: &Table, family: Family) -> CubeResult<Table> {
     let q = q.algorithm(algorithm);
-    if engine {
+    let Some(which) = path else {
         return match family {
             Family::Cube(_) => q.cube(t),
             Family::Rollup(_) => q.rollup(t),
             Family::Compound(spec) => q.compound(t, spec),
         };
-    }
+    };
     let sets: Vec<GroupingSet>;
     let (lattice, keep) = match family {
         Family::Cube(n) => (Lattice::cube(n)?, None),
@@ -73,7 +73,7 @@ fn run(
             (Lattice::new(n, sets.clone())?, Some(sets.as_slice()))
         }
     };
-    Ok(reference::run(&q, t, &lattice, keep)?.0)
+    Ok(repro::run(which, &q, t, &lattice, keep)?.0)
 }
 
 /// A holistic UDA built without `state()`/`merge()` — its `Iter_super` is
@@ -154,21 +154,22 @@ fn merge_less_uda_survives_sort_array_and_pipesort() {
     let agg = || AggSpec::new(merge_less_min(), "m").with_name("lo");
 
     let q = || CubeQuery::new().dimensions(dims.clone()).aggregate(agg());
-    // Reference: the scan-based 2^N algorithm, correct by construction.
+    // Baseline: the engine's scan-based 2^N shape, correct by construction.
     let two_to_the_n = |family: Family| -> Vec<Row> {
-        run((Algorithm::TwoToTheN, false), q(), &t, family)
+        run((Algorithm::TwoToTheN, None), q(), &t, family)
             .unwrap()
             .canonical_rows(2)
     };
 
     let cube_ref = two_to_the_n(Family::Cube(2));
-    for algorithm in [Algorithm::Array, Algorithm::PipeSort] {
-        let got = run((algorithm, true), q(), &t, Family::Cube(2))
-            .unwrap_or_else(|e| panic!("{algorithm:?}: {e}"));
-        assert_eq!(got.canonical_rows(2), cube_ref, "{algorithm:?} cube");
+    for which in [Repro::Array, Repro::PipeSort] {
+        let got = run((Algorithm::Auto, Some(which)), q(), &t, Family::Cube(2))
+            .unwrap_or_else(|e| panic!("{which:?}: {e}"));
+        assert_eq!(got.canonical_rows(2), cube_ref, "{which:?} cube");
     }
 
-    let got = run((Algorithm::Sort, true), q(), &t, Family::Rollup(2)).unwrap();
+    let sort = (Algorithm::Auto, Some(Repro::Sort));
+    let got = run(sort, q(), &t, Family::Rollup(2)).unwrap();
     let rollup_ref = two_to_the_n(Family::Rollup(2));
     assert_eq!(got.canonical_rows(2), rollup_ref, "Sort rollup");
 }
@@ -203,8 +204,8 @@ fn null_groups_and_all_rows_stay_distinguishable_on_every_path() {
     };
 
     let mut all_combos = hash_combos();
-    for algorithm in [Algorithm::Array, Algorithm::PipeSort] {
-        all_combos.push((algorithm, true));
+    for which in [Repro::Array, Repro::PipeSort] {
+        all_combos.push((Algorithm::Auto, Some(which)));
     }
     for combo in all_combos {
         let q = CubeQuery::new()

@@ -7,9 +7,10 @@
 //! wedged thread scope, and attaches the partial [`ExecStats`] to budget
 //! and cancellation errors.
 
-use datacube::algorithm::reference;
+use datacube::algorithm::repro::{self, Repro};
 use datacube::{
-    AggSpec, Algorithm, CancelToken, CubeError, CubeQuery, Dimension, ExecLimits, Lattice, Resource,
+    AggSpec, Algorithm, CancelToken, CubeError, CubeQuery, CubeResult, Dimension, ExecLimits,
+    Lattice, Resource,
 };
 use dc_aggregate::{builtin, AggKind, UdaBuilder};
 use dc_relation::{DataType, Row, Schema, Table, Value};
@@ -91,6 +92,16 @@ fn xy_dims() -> Vec<Dimension> {
 
 fn sum_units() -> AggSpec {
     AggSpec::new(builtin("SUM").unwrap(), "units").with_name("s")
+}
+
+/// `query` over `(x, y)` on a `repro` algorithm — ROLLUP for Sort, the
+/// full cube for the others — under the query's own limits.
+fn run_repro(which: Repro, query: &CubeQuery, t: &Table) -> CubeResult<Table> {
+    let lattice = match which {
+        Repro::Sort => Lattice::rollup(2),
+        _ => Lattice::cube(2),
+    };
+    Ok(repro::run(which, query, t, &lattice.unwrap(), None)?.0)
 }
 
 static PANIC_GATE: Mutex<()> = Mutex::new(());
@@ -228,65 +239,58 @@ fn expired_deadline_stops_the_query() {
 #[test]
 fn budgets_apply_across_every_algorithm() {
     let t = grid(64, 64);
+    let query = CubeQuery::new()
+        .dimensions(xy_dims())
+        .aggregate(sum_units())
+        .limits(ExecLimits::none().max_cells(16));
     for alg in [
         Algorithm::TwoToTheN,
         Algorithm::UnionGroupBys,
         Algorithm::FromCore,
-        Algorithm::PipeSort,
         Algorithm::Parallel { threads: 4 },
     ] {
-        let err = CubeQuery::new()
-            .dimensions(xy_dims())
-            .aggregate(sum_units())
-            .algorithm(alg)
-            .limits(ExecLimits::none().max_cells(16))
-            .cube(&t)
-            .unwrap_err();
+        let err = query.clone().algorithm(alg).cube(&t).unwrap_err();
         assert!(
             matches!(err, CubeError::ResourceExhausted { .. }),
             "{alg:?} returned {err:?}"
         );
     }
-    // Sort is rollup-only; same budget, same trip.
-    let err = CubeQuery::new()
-        .dimensions(xy_dims())
-        .aggregate(sum_units())
-        .algorithm(Algorithm::Sort)
-        .limits(ExecLimits::none().max_cells(16))
-        .rollup(&t)
-        .unwrap_err();
-    assert!(
-        matches!(err, CubeError::ResourceExhausted { .. }),
-        "sort: {err:?}"
-    );
+    // Same budget, same trip on the reproduction algorithms (Sort is
+    // rollup-only).
+    for which in [Repro::PipeSort, Repro::Sort] {
+        let err = run_repro(which, &query, &t).unwrap_err();
+        assert!(
+            matches!(err, CubeError::ResourceExhausted { .. }),
+            "{which:?} returned {err:?}"
+        );
+    }
 }
 
 // ------------------------------------------------------- degradation --
 
 #[test]
-fn dense_array_degrades_to_sparse_then_streaming() {
+fn array_over_budget_is_refused_typed_before_allocating() {
     // (50+1)^2 = 2601 projected dense cells against a 200-cell budget:
-    // the array refuses up front, the dispatcher falls back to the hash
-    // cascade, whose own projection also exceeds the budget, landing on
-    // per-set streaming — which fits, because only 151 cells have data.
+    // the array refuses up front, typed, with nothing charged. The same
+    // query on the engine projects its cascade over the budget too and
+    // lands on per-set streaming — which fits, because only 151 cells
+    // have data.
     let t = diagonal(50);
-    let unlimited = CubeQuery::new()
+    let query = CubeQuery::new()
         .dimensions(xy_dims())
-        .aggregate(sum_units())
-        .algorithm(Algorithm::Array)
-        .cube(&t)
-        .unwrap();
-    let (cube, stats) = CubeQuery::new()
-        .dimensions(xy_dims())
-        .aggregate(sum_units())
-        .algorithm(Algorithm::Array)
-        .limits(ExecLimits::none().max_cells(200))
-        .cube_with_stats(&t)
-        .unwrap();
-    assert!(
-        stats.degraded_dense_to_sparse,
-        "array → sparse flag missing: {stats:?}"
-    );
+        .aggregate(sum_units());
+    let unlimited = run_repro(Repro::Array, &query, &t).unwrap();
+    let budgeted = query.limits(ExecLimits::none().max_cells(200));
+    match run_repro(Repro::Array, &budgeted, &t).unwrap_err() {
+        CubeError::ResourceExhausted {
+            resource: Resource::Cells,
+            limit,
+            observed,
+            ..
+        } => assert_eq!((limit, observed), (200, 2601)),
+        other => panic!("expected a cell refusal, got {other:?}"),
+    }
+    let (cube, stats) = budgeted.cube_with_stats(&t).unwrap();
     assert!(
         stats.degraded_to_streaming,
         "cascade → streaming flag missing: {stats:?}"
@@ -310,7 +314,6 @@ fn cascade_degrades_to_streaming_only() {
         .cube_with_stats(&t)
         .unwrap();
     assert!(stats.degraded_to_streaming);
-    assert!(!stats.degraded_dense_to_sparse);
     assert_eq!(cube.len(), 151);
 }
 
@@ -323,7 +326,6 @@ fn no_degradation_within_budget() {
         .limits(ExecLimits::none().max_cells(10_000))
         .cube_with_stats(&t)
         .unwrap();
-    assert!(!stats.degraded_dense_to_sparse);
     assert!(!stats.degraded_to_streaming);
 }
 
@@ -361,26 +363,25 @@ fn uda_panics_become_typed_errors_serial_and_parallel() {
         ]));
     }
     silent_panics(|| {
-        for alg in [
+        let query = CubeQuery::new()
+            .dimensions(xy_dims())
+            .aggregate(panicky_sum());
+        let engine = [
             Algorithm::TwoToTheN,
             Algorithm::UnionGroupBys,
             Algorithm::FromCore,
-            Algorithm::Array,
-            Algorithm::PipeSort,
             Algorithm::Parallel { threads: 4 },
-        ] {
-            let err = CubeQuery::new()
-                .dimensions(xy_dims())
-                .aggregate(panicky_sum())
-                .algorithm(alg)
-                .cube(&t)
-                .unwrap_err();
-            match err {
+        ]
+        .map(|alg| (format!("{alg:?}"), query.clone().algorithm(alg).cube(&t)));
+        let repro = [Repro::Array, Repro::PipeSort]
+            .map(|which| (format!("{which:?}"), run_repro(which, &query, &t)));
+        for (path, result) in engine.into_iter().chain(repro) {
+            match result.unwrap_err() {
                 CubeError::AggPanicked { agg, message } => {
-                    assert_eq!(agg, "BADSUM", "{alg:?}");
-                    assert!(message.contains("cannot digest 13"), "{alg:?}: {message}");
+                    assert_eq!(agg, "BADSUM", "{path}");
+                    assert!(message.contains("cannot digest 13"), "{path}: {message}");
                 }
-                other => panic!("{alg:?}: expected AggPanicked, got {other:?}"),
+                other => panic!("{path}: expected AggPanicked, got {other:?}"),
             }
         }
     });
@@ -460,8 +461,8 @@ fn wide_keys_run_the_engine() {
     let (rollup, stats) = query.rollup_with_stats(&t).unwrap();
     assert!(stats.morsels_processed > 0, "{stats:?}");
     assert_eq!(stats.vectorized_kernels_used, 1);
-    let (want, want_stats) =
-        reference::run(&query, &t, &Lattice::rollup(11).unwrap(), None).unwrap();
+    let rollup_11 = Lattice::rollup(11).unwrap();
+    let (want, want_stats) = repro::run(Repro::Reference, &query, &t, &rollup_11, None).unwrap();
     assert_eq!(rollup.rows(), want.rows());
     assert_eq!(
         (stats.rows_scanned, stats.iter_calls, stats.merge_calls),
@@ -661,12 +662,24 @@ mod faults_suite {
         AggSpec::new(f, "units").with_name("g")
     }
 
-    fn cube_under_fault(t: &Table, alg: Algorithm) -> Result<Table, CubeError> {
-        CubeQuery::new()
-            .dimensions(xy_dims())
-            .aggregate(uda_sum())
-            .algorithm(alg)
-            .cube(t)
+    /// One way to compute the faulted query: the engine under an
+    /// algorithm, or a `repro` algorithm.
+    #[derive(Debug, Clone, Copy)]
+    enum Path {
+        Engine(Algorithm),
+        Repro(Repro),
+    }
+
+    fn under_fault(t: &Table, path: Path) -> CubeResult<Table> {
+        let query = CubeQuery::new().dimensions(xy_dims()).aggregate(uda_sum());
+        match path {
+            Path::Engine(alg) => query.algorithm(alg).cube(t),
+            Path::Repro(which) => run_repro(which, &query, t),
+        }
+    }
+
+    fn cube_under_fault(t: &Table, alg: Algorithm) -> CubeResult<Table> {
+        under_fault(t, Path::Engine(alg))
     }
 
     /// The tentpole property: with a fault armed at every site in turn,
@@ -676,15 +689,15 @@ mod faults_suite {
     #[test]
     fn every_site_every_algorithm_returns_ok_or_typed_error() {
         let t = grid(6, 5);
-        let algorithms = [
-            Algorithm::TwoToTheN,
-            Algorithm::UnionGroupBys,
-            Algorithm::FromCore,
-            Algorithm::Array,
-            Algorithm::PipeSort,
-            Algorithm::Parallel { threads: 1 },
-            Algorithm::Parallel { threads: 4 },
-            Algorithm::Parallel { threads: 16 },
+        let paths = [
+            Path::Engine(Algorithm::TwoToTheN),
+            Path::Engine(Algorithm::UnionGroupBys),
+            Path::Engine(Algorithm::FromCore),
+            Path::Repro(Repro::Array),
+            Path::Repro(Repro::PipeSort),
+            Path::Engine(Algorithm::Parallel { threads: 1 }),
+            Path::Engine(Algorithm::Parallel { threads: 4 }),
+            Path::Engine(Algorithm::Parallel { threads: 16 }),
         ];
         // Failures are collected and asserted after the panic hook is
         // restored — asserting inside the silenced region would swallow
@@ -699,12 +712,12 @@ mod faults_suite {
                     Fault::Panic(format!("injected at {site}")),
                     Fault::TripBudget,
                 ] {
-                    for alg in algorithms {
+                    for alg in paths {
                         if std::env::var_os("GOVERNANCE_TRACE").is_some() {
                             eprintln!("combo: {site} {fault:?} {alg:?}");
                         }
                         arm(site, fault.clone());
-                        let result = cube_under_fault(&t, alg);
+                        let result = under_fault(&t, alg);
                         disarm_all();
                         match result {
                             Ok(table) if table.rows() != reference.rows() => {
@@ -725,11 +738,7 @@ mod faults_suite {
                     }
                     // The rollup-only sort algorithm.
                     arm(site, fault.clone());
-                    let result = CubeQuery::new()
-                        .dimensions(xy_dims())
-                        .aggregate(uda_sum())
-                        .algorithm(Algorithm::Sort)
-                        .rollup(&t);
+                    let result = under_fault(&t, Path::Repro(Repro::Sort));
                     disarm_all();
                     if !matches!(
                         result,
@@ -909,8 +918,7 @@ mod faults_suite {
                     .dimensions(xy_dims())
                     .aggregate(sum_units())
                     .algorithm(alg);
-                let (want, _) =
-                    reference::run(&query, &t, &Lattice::cube(2).unwrap(), None).unwrap();
+                let want = run_repro(Repro::Reference, &query, &t).unwrap();
                 assert_eq!(table.rows(), want.rows(), "{alg:?}: rle changed cells");
                 assert_eq!(stats.rle_runs, 16 * 8, "{alg:?}: {stats:?}");
 

@@ -2,9 +2,10 @@
 //! reports, exercised together the way the examples use them.
 
 use datacube::addressing::CubeView;
+use datacube::algorithm::repro::{self, Repro};
 use datacube::maintain::MaterializedCube;
 use datacube::pivot::cross_tab;
-use datacube::{AggSpec, Algorithm, CubeQuery, Dimension, GroupingSet};
+use datacube::{AggSpec, Algorithm, CubeQuery, Dimension, GroupingSet, Lattice};
 use dc_aggregate::builtin;
 use dc_relation::{DataType, Row, Table, Value};
 use dc_sql::scalar::ScalarFn;
@@ -72,20 +73,19 @@ fn algorithms_agree_on_synthetic_data() {
         .algorithm(Algorithm::TwoToTheN)
         .cube(&table)
         .unwrap();
+    let query = CubeQuery::new().dimensions(dims3()).aggregate(sum_units());
     for alg in [
         Algorithm::FromCore,
         Algorithm::UnionGroupBys,
-        Algorithm::Array,
         Algorithm::Parallel { threads: 4 },
-        Algorithm::PipeSort,
     ] {
-        let got = CubeQuery::new()
-            .dimensions(dims3())
-            .aggregate(sum_units())
-            .algorithm(alg)
-            .cube(&table)
-            .unwrap();
+        let got = query.clone().algorithm(alg).cube(&table).unwrap();
         assert_eq!(got.rows(), reference.rows(), "{alg:?} diverged");
+    }
+    let lattice = Lattice::cube(3).unwrap();
+    for which in [Repro::Array, Repro::PipeSort] {
+        let (got, _) = repro::run(which, &query, &table, &lattice, None).unwrap();
+        assert_eq!(got.rows(), reference.rows(), "{which:?} diverged");
     }
 }
 

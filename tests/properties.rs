@@ -4,7 +4,7 @@
 //! cubes stay dense enough to be interesting) and check the paper's
 //! algebraic claims hold for *every* input, not just the examples.
 
-use datacube::algorithm::reference;
+use datacube::algorithm::repro::{self, Repro};
 use datacube::{
     AggSpec, Algorithm, CompoundSpec, CubeQuery, DeltaBatch, Dimension, ExecContext, ExecStats,
     Lattice, MaterializedCube,
@@ -16,7 +16,12 @@ use proptest::prelude::*;
 /// `query`'s cube over its `n_dims` dimensions, computed by the `Row`-keyed
 /// reference algorithms instead of the engine.
 fn reference_cube(query: &CubeQuery, t: &Table, n_dims: usize) -> (Table, ExecStats) {
-    reference::run(query, t, &Lattice::cube(n_dims).unwrap(), None).unwrap()
+    repro_cube(Repro::Reference, query, t, n_dims)
+}
+
+/// The same cube on any `repro` algorithm that computes full cubes.
+fn repro_cube(which: Repro, query: &CubeQuery, t: &Table, n_dims: usize) -> (Table, ExecStats) {
+    repro::run(which, query, t, &Lattice::cube(n_dims).unwrap(), None).unwrap()
 }
 
 fn schema3() -> Schema {
@@ -126,37 +131,28 @@ proptest! {
             .algorithm(Algorithm::TwoToTheN)
             .cube(&t)
             .unwrap();
+        let query = CubeQuery::new().dimensions(dims()).aggregate(sum_units());
         for alg in [
             Algorithm::FromCore,
             Algorithm::UnionGroupBys,
-            Algorithm::Array,
             Algorithm::Parallel { threads: 3 },
-            Algorithm::PipeSort,
         ] {
-            let got = CubeQuery::new()
-                .dimensions(dims())
-                .aggregate(sum_units())
-                .algorithm(alg)
-                .cube(&t)
-                .unwrap();
+            let got = query.clone().algorithm(alg).cube(&t).unwrap();
             prop_assert_eq!(got.rows(), reference.rows(), "algorithm {:?}", alg);
+        }
+        for which in [Repro::Array, Repro::PipeSort] {
+            let (got, _) = repro_cube(which, &query, &t, 3);
+            prop_assert_eq!(got.rows(), reference.rows(), "algorithm {:?}", which);
         }
     }
 
     /// Sort-based rollup equals the hash rollup on every input.
     #[test]
     fn sort_rollup_equivalent(t in arb_table(120)) {
-        let a = CubeQuery::new()
-            .dimensions(dims())
-            .aggregate(sum_units())
-            .algorithm(Algorithm::Sort)
-            .rollup(&t)
-            .unwrap();
-        let b = CubeQuery::new()
-            .dimensions(dims())
-            .aggregate(sum_units())
-            .rollup(&t)
-            .unwrap();
+        let query = CubeQuery::new().dimensions(dims()).aggregate(sum_units());
+        let lattice = Lattice::rollup(3).unwrap();
+        let (a, _) = repro::run(Repro::Sort, &query, &t, &lattice, None).unwrap();
+        let b = query.rollup(&t).unwrap();
         prop_assert_eq!(a.rows(), b.rows());
     }
 

@@ -21,8 +21,8 @@ echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 # checkpoint/guard scope every file of crates/core/src/algorithm/, so the
-# test-only reference.rs stays governed like the engine it is diffed against.
-echo "== cube_lint (workspace invariants: checkpoint, guard, faults, panic, wildcard, lockorder, foreign, atomic, commit; algorithm/* incl. reference.rs) =="
+# algorithms behind repro stay governed like the engine they are diffed against.
+echo "== cube_lint (workspace invariants: checkpoint, guard, faults, panic, wildcard, lockorder, foreign, atomic, commit; algorithm/* incl. repro) =="
 cargo run -q --release -p cube-lint --bin cube_lint -- --root . --json /tmp/lint.json
 
 if [ "${LINT_NIGHTLY:-0}" = "1" ]; then
