@@ -62,7 +62,7 @@ pub const SITES: &[&str] = &[
     "cache::evict",
     "cache::absorb",
     "maintain::batch_fold",
-    "maintain::shard_lock",
+    "maintain::lock",
     "maintain::recompute",
 ];
 
@@ -160,7 +160,7 @@ mod tests {
         for site in [
             "cache::absorb",
             "maintain::batch_fold",
-            "maintain::shard_lock",
+            "maintain::lock",
             "maintain::recompute",
         ] {
             assert!(SITES.contains(&site), "{site} missing from SITES");

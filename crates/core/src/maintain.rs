@@ -38,15 +38,14 @@
 //! constructors that keep them (`cube`, `rollup`, `with_lattice`) accept
 //! deletes; a `build` view keeps none.
 //!
-//! **Locks** (order: gate → shards ascending → meta). Cells are sharded by
-//! a hash of `(grouping set, key)` across [`SHARD_COUNT`] maps. A batch
-//! write-locks the shards it touches, ascending, from staging through
-//! install (two-phase: no deadlock, no torn batch). A whole-store reader
-//! (`answer`, `to_table`, `absorb`) read-locks *every* shard in the same
-//! order — against two-phase writers that is a whole-batch snapshot, and
-//! readers share it; [`MaterializedCube::cell`] reads one shard. The gate
-//! only orders writers: insert-only batches of mergeable aggregates share
-//! it, batches that rescan the base take it exclusively.
+//! **Lock.** Everything a batch changes — the cells, the kept base rows,
+//! the counters, the version — is one `State` behind one `RwLock`. A batch
+//! takes it for writing from staging through install; every reader takes
+//! it for reading, so a reader sees whole batches only and readers share.
+//! Only the batch-local grouping of rows by `(set, key)` runs outside it.
+//! Dividing the cells among several locks would buy nothing: every cube
+//! and rollup family contains the empty grouping set, so every non-empty
+//! batch rewrites the `(ALL, …, ALL)` cell and any two writers meet there.
 
 use crate::error::{CubeError, CubeResult};
 use crate::exec::{self, ExecContext};
@@ -56,11 +55,6 @@ use crate::spec::{AggSpec, BoundAgg, BoundDimension, Dimension};
 use dc_aggregate::{Accumulator, AggRef, Retract};
 use dc_relation::{ColumnDef, DataType, FxHashMap, RelError, Row, Schema, Table, Value};
 use parking_lot::RwLock;
-use std::sync::RwLockReadGuard;
-
-/// Number of cell-map shards. A power of two so routing is a mask; 16 is
-/// comfortably above the writer parallelism the service layer admits.
-pub const SHARD_COUNT: usize = 16;
 
 /// Whether a query using this aggregate may legally be answered from a
 /// *coarser-than-exact* materialized node's scratchpads.
@@ -245,16 +239,11 @@ struct Cell {
     support: u64,
 }
 
-/// One shard of the cell store: for each materialized grouping set, the
-/// cells whose `(set, key)` hash routes here.
-struct Shard {
-    maps: Vec<FxHashMap<Row, Cell>>,
-}
-
-/// Base rows, counters, and the maintenance version, behind their own
-/// lock so shard writers and metadata readers do not contend.
-#[derive(Clone, Default)]
-struct Meta {
+/// Everything a batch changes, behind the store's one lock.
+#[derive(Default)]
+struct State {
+    /// The cells of each materialized grouping set, parallel to `sets`.
+    nodes: Vec<FxHashMap<Row, Cell>>,
     /// The base table, when the constructor keeps it (empty otherwise).
     base: Vec<Row>,
     /// Base rows the cells summarize, kept or not.
@@ -264,18 +253,6 @@ struct Meta {
     /// structures (the SQL layer's lattice cache keys results by table
     /// version) can detect staleness without diffing.
     version: u64,
-}
-
-/// Route a cell to its shard by hashing the grouping-set index and the
-/// projected key. `DefaultHasher` (not Fx) on purpose: the cell maps
-/// themselves already use Fx, and routing with an independent hash keeps
-/// one pathological key distribution from collapsing both levels at once.
-fn shard_of(set_idx: usize, key: &Row) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    set_idx.hash(&mut h);
-    key.hash(&mut h);
-    (h.finish() as usize) & (SHARD_COUNT - 1)
 }
 
 /// Per-cell slice of a batch: which batch inserts and deletes project onto
@@ -310,15 +287,13 @@ pub struct MaterializedCube {
     /// reconstructed from their `state()` during staging. When false, any
     /// touch of an existing cell falls back to a rebuild from base.
     all_mergeable: bool,
-    /// Whether `meta.base` holds the base rows (deletes and non-mergeable
-    /// aggregates need them; a cache view does not pay for them).
+    /// Whether `State::base` holds the base rows (deletes and
+    /// non-mergeable aggregates need them; a cache view does not pay for
+    /// them).
     keeps_base: bool,
-    /// The batch gate: insert-only mergeable batches share it, batches
-    /// that rescan the base take it exclusively. Lock order: gate →
-    /// shards (ascending) → meta.
-    gate: RwLock<()>,
-    shards: Vec<RwLock<Shard>>,
-    meta: RwLock<Meta>,
+    /// The one lock: written from staging through install, read by every
+    /// reader.
+    store: RwLock<State>,
 }
 
 impl std::fmt::Debug for MaterializedCube {
@@ -422,18 +397,18 @@ impl MaterializedCube {
             agg_types,
             sets: sets.to_vec(),
             keeps_base,
-            gate: RwLock::new(()),
-            shards: Vec::new(),
-            meta: RwLock::new(Meta::default()),
+            store: RwLock::new(State {
+                nodes: sets.iter().map(|_| FxHashMap::default()).collect(),
+                ..State::default()
+            }),
         };
         if !cube.all_mergeable {
             // No Iter_super to project with: fold the rows through the
             // batch path, which Iter()s every set's cells directly.
-            cube.install(Vec::new());
             cube.apply(&DeltaBatch::of(table.rows().to_vec(), Vec::new()), ctx)?;
             // Initial population is not "maintenance": reset the counters.
-            let meta = cube.meta.get_mut();
-            (meta.stats, meta.version) = (MaintainStats::default(), 0);
+            let state = cube.store.get_mut();
+            (state.stats, state.version) = (MaintainStats::default(), 0);
             return Ok(cube);
         }
 
@@ -471,27 +446,13 @@ impl MaterializedCube {
             let node = cube.project_merge(nodes[parent].iter(), project, &every_agg, ctx)?;
             nodes.push(node);
         }
-        cube.install(nodes);
-        let meta = cube.meta.get_mut();
-        meta.rows = table.len() as u64;
+        let state = cube.store.get_mut();
+        state.nodes = nodes;
+        state.rows = table.len() as u64;
         if keeps_base {
-            meta.base = table.rows().to_vec();
+            state.base = table.rows().to_vec();
         }
         Ok(cube)
-    }
-
-    /// Route fully built per-set cell maps into (fresh) shards.
-    fn install(&mut self, nodes: Vec<FxHashMap<Row, Cell>>) {
-        let empty = || Shard {
-            maps: self.sets.iter().map(|_| FxHashMap::default()).collect(),
-        };
-        let mut shards: Vec<Shard> = (0..SHARD_COUNT).map(|_| empty()).collect();
-        for (si, node) in nodes.into_iter().enumerate() {
-            for (key, cell) in node {
-                shards[shard_of(si, &key)].maps[si].insert(key, cell);
-            }
-        }
-        self.shards = shards.into_iter().map(RwLock::new).collect();
     }
 
     /// The one project-merge loop: fold `cells` by Iter_super into the
@@ -586,10 +547,8 @@ impl MaterializedCube {
         let mut out = Table::empty(Schema::new(cols)?);
         let mergeable = self.all_rewritable(req.agg_map);
 
-        let shards: Vec<RwLockReadGuard<'_, Shard>> =
-            self.shards.iter().map(|s| s.read()).collect();
-        let cells_of = |si: usize| shards.iter().flat_map(move |s| s.maps[si].iter());
-        let size_of = |si: usize| shards.iter().map(|s| s.maps[si].len()).sum::<usize>();
+        let state = self.store.read();
+        let nodes = &state.nodes;
         for set in sets {
             ctx.checkpoint()?;
             let members: Vec<usize> = (0..req.dim_map.len())
@@ -599,7 +558,7 @@ impl MaterializedCube {
             let query = GroupingSet::from_dims(&members)?;
             let node = (0..self.sets.len())
                 .filter(|&si| usable(query, self.sets[si], mergeable))
-                .min_by_key(|&si| (size_of(si), self.sets[si] != query))
+                .min_by_key(|&si| (nodes[si].len(), self.sets[si] != query))
                 .ok_or_else(|| {
                     CubeError::Unsupported(format!(
                         "no materialized grouping set can answer {query}: it is not \
@@ -621,14 +580,14 @@ impl MaterializedCube {
             let merged: Vec<Cell>;
             let mut rows: Vec<(Row, &[Box<dyn Accumulator>])> = Vec::new();
             if exact {
-                for (i, (key, cell)) in cells_of(node).enumerate() {
+                for (i, (key, cell)) in nodes[node].iter().enumerate() {
                     ctx.tick(i)?;
                     ctx.charge_cells(1)?;
                     rows.push((project(key), &cell.accs));
                 }
             } else {
                 // cube-lint: allow(foreign, Iter_super must read the node's cells while the snapshot pins them; every callback is individually catch_unwind-guarded and the read guards cannot be poisoned)
-                let cells = self.project_merge(cells_of(node), project, req.agg_map, ctx)?;
+                let cells = self.project_merge(nodes[node].iter(), project, req.agg_map, ctx)?;
                 let (keys, cells): (Vec<Row>, Vec<Cell>) = cells.into_iter().unzip();
                 merged = cells;
                 rows.extend(keys.into_iter().zip(merged.iter().map(|c| &c.accs[..])));
@@ -682,15 +641,13 @@ impl MaterializedCube {
         }
         let ctx = ExecContext::unlimited();
         let every_agg: Vec<usize> = (0..self.aggs.len()).collect();
-        let shards: Vec<RwLockReadGuard<'_, Shard>> =
-            self.shards.iter().map(|s| s.read()).collect();
+        let state = self.store.read();
         let mut nodes = Vec::with_capacity(self.sets.len());
-        for si in 0..self.sets.len() {
-            let cells = shards.iter().flat_map(|s| s.maps[si].iter());
-            // cube-lint: allow(foreign, the copy must read state() while the snapshot pins the cells; every callback is individually catch_unwind-guarded and the read guards cannot be poisoned)
-            nodes.push(self.project_merge(cells, Row::clone, &every_agg, &ctx)?);
+        for node in &state.nodes {
+            // cube-lint: allow(foreign, the copy must read state() while the snapshot pins the cells; every callback is individually catch_unwind-guarded and the read guard cannot be poisoned)
+            nodes.push(self.project_merge(node.iter(), Row::clone, &every_agg, &ctx)?);
         }
-        let mut copy = MaterializedCube {
+        let copy = MaterializedCube {
             base_schema: self.base_schema.clone(),
             dims: self.dims.clone(),
             aggs: self.aggs.clone(),
@@ -698,12 +655,15 @@ impl MaterializedCube {
             sets: self.sets.clone(),
             all_mergeable: self.all_mergeable,
             keeps_base: self.keeps_base,
-            gate: RwLock::new(()),
-            shards: Vec::new(),
-            meta: RwLock::new(self.meta.read().clone()),
+            store: RwLock::new(State {
+                nodes,
+                base: state.base.clone(),
+                rows: state.rows,
+                stats: state.stats,
+                version: state.version,
+            }),
         };
-        drop(shards);
-        copy.install(nodes);
+        drop(state);
         copy.apply(&DeltaBatch::of(delta.rows().to_vec(), Vec::new()), &ctx)?;
         Ok(copy)
     }
@@ -723,10 +683,11 @@ impl MaterializedCube {
         self.apply(&batch, &ExecContext::unlimited())
     }
 
-    /// `UPDATE` "is just delete plus insert" (§6).
+    /// `UPDATE` "is just delete plus insert" (§6) — in one batch, so a bad
+    /// new image leaves the old one in place.
     pub fn update(&self, old: &Row, new: Row) -> CubeResult<()> {
-        self.delete(old)?;
-        self.insert(new)
+        let batch = DeltaBatch::of(vec![new], vec![old.clone()]);
+        self.apply(&batch, &ExecContext::unlimited())
     }
 
     /// Fold a whole [`DeltaBatch`] into the cube under `ctx`'s governance
@@ -758,45 +719,15 @@ impl MaterializedCube {
         };
 
         // Deletes retract and may rebuild from base; non-mergeable
-        // aggregates rebuild on any touch. Both need a stable base, so
-        // they hold the gate exclusively. Insert-only mergeable batches
-        // share it and serialize only on the shards they actually touch.
-        let exclusive = !del_rows.is_empty() || !self.all_mergeable;
-        if exclusive && !self.keeps_base {
+        // aggregates rebuild on any touch. Both need the base rows.
+        if (!del_rows.is_empty() || !self.all_mergeable) && !self.keeps_base {
             return Err(CubeError::Unsupported(
                 "this store keeps no base rows, so it cannot apply deletes".into(),
             ));
         }
-        let (_gate_shared, _gate_excl);
-        if exclusive {
-            _gate_excl = self.gate.write();
-        } else {
-            _gate_shared = self.gate.read();
-        }
 
-        // Resolve deletes against the base multiset before touching
-        // anything: a batch with an unmatched delete is rejected whole.
-        // `deleted[i]`: base row `i` leaves with this batch.
-        let mut deleted: Vec<bool> = Vec::new();
-        if !del_rows.is_empty() {
-            let meta = self.meta.read();
-            let mut positions: FxHashMap<&Row, Vec<usize>> = FxHashMap::default();
-            for (i, brow) in meta.base.iter().enumerate() {
-                ctx.tick(i)?;
-                positions.entry(brow).or_default().push(i);
-            }
-            deleted = vec![false; meta.base.len()];
-            for row in &del_rows {
-                match positions.get_mut(row).and_then(Vec::pop) {
-                    Some(p) => deleted[p] = true,
-                    None => {
-                        return Err(CubeError::BadSpec(format!("row not in base table: {row}")))
-                    }
-                }
-            }
-        }
-
-        // --- Fold stage: one grouping-set pass over the whole batch. ---
+        // --- Fold stage: one grouping-set pass over the whole batch. It
+        // reads only the immutable description, so it runs unlocked. ---
         exec::failpoint("maintain::batch_fold")?;
         let ins_full: Vec<Row> = ins_rows.iter().map(|r| full_key(&self.dims, r)).collect();
         let del_full: Vec<Row> = del_rows.iter().map(|r| full_key(&self.dims, r)).collect();
@@ -815,69 +746,65 @@ impl MaterializedCube {
             }
         }
 
-        // Organize touched cells by shard and take the shard locks in
-        // ascending order (two-phase locking: held through install).
-        let mut by_shard: std::collections::BTreeMap<usize, Vec<(usize, Row, GroupDelta)>> =
-            std::collections::BTreeMap::new();
-        for ((si, key), delta) in groups {
-            by_shard
-                .entry(shard_of(si, &key))
-                .or_default()
-                .push((si, key, delta));
-        }
-        exec::failpoint("maintain::shard_lock")?;
-        let shard_ids: Vec<usize> = by_shard.keys().copied().collect();
-        let mut guards: Vec<std::sync::RwLockWriteGuard<'_, Shard>> =
-            shard_ids.iter().map(|&s| self.shards[s].write()).collect();
+        exec::failpoint("maintain::lock")?;
+        let mut state = self.store.write();
 
-        // --- Staging: every fallible call happens here, pre-mutation. ---
-        // A staged `None` removes the cell (its support reached zero).
-        let mut staged: Vec<(usize, usize, Row, Option<Cell>)> = Vec::new();
-        {
-            let meta = self.meta.read();
-            let staging = Staging {
-                ins_rows: &ins_rows,
-                del_rows: &del_rows,
-                base: &meta.base,
-                deleted: &deleted,
-            };
-            for (gpos, (_, cells)) in shard_ids.iter().zip(guards.iter()).enumerate() {
-                ctx.checkpoint()?;
-                for (si, key, delta) in by_shard.get(&shard_ids[gpos]).into_iter().flatten() {
-                    // cube-lint: allow(foreign, two-phase by design: staging must fold against the pre-install cells, so UDA calls run under the shard set; every callback is individually catch_unwind-guarded, so a panic surfaces as AggPanicked without poisoning the guards)
-                    let cell = self.stage_group(
-                        &cells.maps[*si],
-                        self.sets[*si],
-                        key,
-                        delta,
-                        &staging,
-                        ctx,
-                        &mut stats,
-                    )?;
-                    staged.push((gpos, *si, key.clone(), cell));
+        // Resolve deletes against the base multiset before touching
+        // anything: a batch with an unmatched delete is rejected whole.
+        // `deleted[i]`: base row `i` leaves with this batch.
+        let mut deleted: Vec<bool> = Vec::new();
+        if !del_rows.is_empty() {
+            let mut positions: FxHashMap<&Row, Vec<usize>> = FxHashMap::default();
+            for (i, brow) in state.base.iter().enumerate() {
+                ctx.tick(i)?;
+                positions.entry(brow).or_default().push(i);
+            }
+            deleted = vec![false; state.base.len()];
+            for row in &del_rows {
+                match positions.get_mut(row).and_then(Vec::pop) {
+                    Some(p) => deleted[p] = true,
+                    None => {
+                        return Err(CubeError::BadSpec(format!("row not in base table: {row}")))
+                    }
                 }
             }
         }
 
+        // --- Staging: every fallible call happens here, pre-mutation. ---
+        // A staged `None` removes the cell (its support reached zero).
+        let staging = Staging {
+            ins_rows: &ins_rows,
+            del_rows: &del_rows,
+            base: &state.base,
+            deleted: &deleted,
+        };
+        let mut staged: Vec<(usize, Row, Option<Cell>)> = Vec::with_capacity(groups.len());
+        for (i, ((si, key), delta)) in groups.into_iter().enumerate() {
+            ctx.tick(i)?;
+            let (node, set) = (&state.nodes[si], self.sets[si]);
+            // cube-lint: allow(foreign, staging must fold against the pre-install cells, so UDA calls run under the write lock; every callback is individually catch_unwind-guarded, so a panic surfaces as AggPanicked without poisoning the guard)
+            let cell = self.stage_group(node, set, &key, &delta, &staging, ctx, &mut stats)?;
+            staged.push((si, key, cell));
+        }
+
         // --- Install: infallible. Swap staged cells in, splice the base.
-        for (gpos, si, key, cell) in staged {
-            let map = &mut guards[gpos].maps[si];
+        for (si, key, cell) in staged {
             match cell {
-                Some(cell) => map.insert(key, cell),
-                None => map.remove(&key),
+                Some(cell) => state.nodes[si].insert(key, cell),
+                None => state.nodes[si].remove(&key),
             };
         }
-        let mut meta = self.meta.write();
         let mut leaves = deleted.iter();
-        meta.base
+        state
+            .base
             .retain(|_| !leaves.next().copied().unwrap_or(false));
         if self.keeps_base {
-            meta.base.extend(ins_rows.iter().map(|&r| r.clone()));
+            state.base.extend(ins_rows.iter().map(|&r| r.clone()));
         }
-        meta.rows += ins_rows.len() as u64;
-        meta.rows -= del_rows.len() as u64;
-        meta.stats.add(&stats);
-        meta.version += batch.len() as u64;
+        state.rows += ins_rows.len() as u64;
+        state.rows -= del_rows.len() as u64;
+        state.stats.add(&stats);
+        state.version += batch.len() as u64;
         Ok(())
     }
 
@@ -1007,43 +934,38 @@ impl MaterializedCube {
         let mask = GroupingSet::from_dims(&grouped).ok()?;
         let si = self.sets.iter().position(|s| *s == mask)?;
         let key = Row::new(coordinate.to_vec());
-        let shard = self.shards[shard_of(si, &key)].read();
-        let cell = shard.maps[si].get(&key)?;
+        let state = self.store.read();
+        let cell = state.nodes[si].get(&key)?;
         cell.accs
             .iter()
             .zip(self.aggs.iter())
-            // cube-lint: allow(foreign, Final() must read the cell while its shard read-lock pins it; the guard converts a UDA panic into None and the read guard cannot be poisoned by it)
+            // cube-lint: allow(foreign, Final() must read the cell while the read lock pins it; the guard converts a UDA panic into None and the read guard cannot be poisoned by it)
             .map(|(a, agg)| exec::guard(agg.func.name(), || a.final_value()).ok())
             .collect()
     }
 
     /// Current base-table contents (empty for a store that keeps none).
     pub fn base_rows(&self) -> Vec<Row> {
-        self.meta.read().base.clone()
+        self.store.read().base.clone()
     }
 
     /// Base-table rows the cells summarize — the scan a hit saves —
     /// whether or not the store keeps the rows themselves.
     pub fn base_row_count(&self) -> u64 {
-        self.meta.read().rows
+        self.store.read().rows
     }
 
     /// Maintenance work counters since construction.
     pub fn stats(&self) -> MaintainStats {
-        self.meta.read().stats
+        self.store.read().stats
     }
 
     /// Cells per materialized grouping set, in cascade order (core first)
     /// — the measured node sizes HRU selection and node choice rank by.
     pub fn node_sizes(&self) -> Vec<(GroupingSet, u64)> {
-        let shards: Vec<RwLockReadGuard<'_, Shard>> =
-            self.shards.iter().map(|s| s.read()).collect();
-        let cells = |si: usize| shards.iter().map(|s| s.maps[si].len() as u64).sum();
-        self.sets
-            .iter()
-            .enumerate()
-            .map(|(si, &set)| (set, cells(si)))
-            .collect()
+        let state = self.store.read();
+        let sizes = state.nodes.iter().map(|node| node.len() as u64);
+        self.sets.iter().copied().zip(sizes).collect()
     }
 
     /// Number of materialized cells across all grouping sets — for a
@@ -1058,7 +980,7 @@ impl MaterializedCube {
     /// maintained cube under a new version invalidates any cached ancestor
     /// views keyed to the old one.
     pub fn version(&self) -> u64 {
-        self.meta.read().version
+        self.store.read().version
     }
 }
 
@@ -1217,6 +1139,30 @@ mod tests {
     }
 
     #[test]
+    fn update_with_a_bad_image_changes_nothing() {
+        let t = Table::new(
+            base().schema().clone(),
+            vec![row!["Chevy", 1994, 50], row!["Ford", 1994, 60]],
+        )
+        .unwrap();
+        let mat = MaterializedCube::cube(&t, dims(), vec![sum_spec()]).unwrap();
+        let snapshot = || {
+            let cells = mat.to_table().unwrap();
+            (cells, mat.base_rows(), mat.version(), mat.stats())
+        };
+        let before = snapshot();
+        // The new image is a column short: the delete must not commit.
+        assert!(mat
+            .update(&row!["Chevy", 1994, 50], row!["Chevy", 1994])
+            .is_err());
+        assert_eq!(snapshot(), before);
+        assert_eq!(
+            mat.cell(&[Value::All, Value::All]),
+            Some(vec![Value::Int(110)])
+        );
+    }
+
+    #[test]
     fn delete_of_absent_row_errors() {
         let t = base();
         let mat = MaterializedCube::cube(&t, dims(), vec![sum_spec()]).unwrap();
@@ -1248,30 +1194,61 @@ mod tests {
         );
     }
 
+    /// Readers see whole batches only: in every snapshot taken while two
+    /// writers apply multi-row batches, the grand total equals the sum of
+    /// that same snapshot's core cells.
     #[test]
     fn concurrent_reads_during_maintenance() {
-        use std::sync::Arc;
-        let t = base();
-        let mat = Arc::new(MaterializedCube::cube(&t, dims(), vec![sum_spec()]).unwrap());
-        let readers: Vec<_> = (0..4)
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{Arc, Barrier};
+        let mat = Arc::new(MaterializedCube::cube(&base(), dims(), vec![sum_spec()]).unwrap());
+        let start = Arc::new(Barrier::new(4));
+        let writing = Arc::new(AtomicBool::new(true));
+        let readers: Vec<_> = (0..2)
             .map(|_| {
-                let m = Arc::clone(&mat);
+                let (m, start, writing) = (mat.clone(), start.clone(), writing.clone());
                 std::thread::spawn(move || {
-                    for _ in 0..100 {
-                        // Total must always be a consistent multiple state.
-                        let v = m.cell(&[Value::All, Value::All]);
-                        assert!(v.is_some());
+                    start.wait();
+                    let mut snapshots = 0;
+                    // At least one snapshot after the writers are done,
+                    // however the threads were scheduled.
+                    while writing.load(Ordering::SeqCst) || snapshots == 0 {
+                        let snap = m.to_table().unwrap();
+                        let units = |r: &Row| r[2].as_i64().unwrap();
+                        let core = snap
+                            .rows()
+                            .iter()
+                            .filter(|r| !r[0].is_all() && !r[1].is_all());
+                        let total = snap.rows().iter().find(|r| r[0].is_all() && r[1].is_all());
+                        assert_eq!(core.map(units).sum::<i64>(), units(total.unwrap()));
+                        snapshots += 1;
                     }
                 })
             })
             .collect();
-        for i in 0..50 {
-            mat.insert(row!["Dodge", 1994, i]).unwrap();
+        let writers: Vec<_> = (0..2)
+            .map(|w| {
+                let (m, start) = (mat.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for b in 0..25 {
+                        let mut batch = DeltaBatch::new();
+                        for i in 0..8i64 {
+                            batch.insert(row![format!("W{w}"), 2000 + i, b]).unwrap();
+                        }
+                        m.apply(&batch, &ExecContext::unlimited()).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
         }
+        writing.store(false, Ordering::SeqCst);
         for r in readers {
             r.join().unwrap();
         }
-        assert_eq!(mat.base_rows().len(), 53);
+        assert_eq!(mat.base_rows().len(), 3 + 2 * 25 * 8);
     }
 
     // ---------------------------------------------------- batch path --

@@ -13,10 +13,10 @@ use crate::{FileReport, Finding, Rule};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Locks under which reaching foreign (UDA/closure) code is an R7
-/// violation: the shard/gate pair that serializes cell maintenance, and
-/// the catalog lock every reader shares.
+/// violation: the store lock that serializes cell maintenance, and the
+/// catalog lock every reader shares.
 fn sensitive(kind: &LockKind) -> bool {
-    matches!(kind, LockKind::Shard | LockKind::Gate | LockKind::Catalog)
+    matches!(kind, LockKind::Store | LockKind::Catalog)
 }
 
 /// Run the inter-procedural R6/R7 checks over a set of file reports.
@@ -103,11 +103,6 @@ pub fn check_lock_discipline(reports: &[&FileReport]) -> Vec<Finding> {
                 }
                 for to in &acquires[c] {
                     for from in &call.held {
-                        if from == to && *from == LockKind::Shard {
-                            // Shard-under-shard ordering is R6's ascending
-                            // check, handled with index information.
-                            continue;
-                        }
                         edges.entry((from.clone(), to.clone())).or_insert((
                             i,
                             call.line,
@@ -139,14 +134,7 @@ pub fn check_lock_discipline(reports: &[&FileReport]) -> Vec<Finding> {
         }
     };
 
-    // ---- R6a: per-function shard-order findings ---------------------
-    for (i, f) in fns.iter().enumerate() {
-        for (line, msg) in &f.order_findings {
-            push(i, *line, Rule::LockOrder, msg.clone());
-        }
-    }
-
-    // ---- R6b: hierarchy inversions and re-acquisition ---------------
+    // ---- R6a: hierarchy inversions and re-acquisition ---------------
     for ((from, to), (i, line, via)) in &edges {
         if from == to {
             push(
@@ -167,14 +155,14 @@ pub fn check_lock_discipline(reports: &[&FileReport]) -> Vec<Finding> {
                     format!(
                         "lock-order inversion: {to} is acquired while {from} is held, \
                          against the documented hierarchy \
-                         (catalog → cache → gate → shard[i asc] → meta): {via}"
+                         (catalog → cache → store): {via}"
                     ),
                 );
             }
         }
     }
 
-    // ---- R6c: cycles in the lock graph ------------------------------
+    // ---- R6b: cycles in the lock graph ------------------------------
     // DFS over distinct-kind edges; each back-edge is one reported cycle.
     let mut adj: BTreeMap<&LockKind, Vec<&LockKind>> = BTreeMap::new();
     for (from, to) in edges.keys() {

@@ -28,12 +28,12 @@
 //!   destructure `Value`, so adding a `Value` variant fails loudly.
 //! * **R6 `lockorder`** — the inter-procedural lock graph (built from
 //!   per-function acquisition summaries in [`locks`], propagated through
-//!   direct calls in [`callgraph`]) must be acyclic and respect the
-//!   documented hierarchy (catalog → cache → gate → shard[i asc] →
-//!   meta); multi-shard acquisitions must be provably ascending.
+//!   direct calls in [`callgraph`]) must be acyclic, never re-acquire a
+//!   lock already held, and respect the documented hierarchy (catalog →
+//!   cache → store).
 //! * **R7 `foreign`** — no `exec::guard`/`guarded_init`/`catch_unwind`
-//!   or raw accumulator callback reachable while a shard, gate, or
-//!   catalog lock is held.
+//!   or raw accumulator callback reachable while a store or catalog
+//!   lock is held.
 //! * **R8 `atomic`** — every `Ordering::Relaxed` needs a stronger
 //!   ordering or a reasoned suppression.
 //! * **R9 `commit`** — a catalog version commit

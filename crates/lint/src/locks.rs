@@ -5,16 +5,14 @@
 //! checker. It recognises the engine's concrete locking idioms:
 //!
 //! * zero-argument `.read()` / `.write()` / `.lock()` calls are lock
-//!   acquisitions, classified by receiver field name (`gate`, `shards`,
-//!   `meta`, `entries`, …) into a [`LockKind`];
+//!   acquisitions, classified by receiver field name (`store`, `entries`,
+//!   `catalog`, …) into a [`LockKind`];
 //! * a guard bound by `let` (or assigned to a variable pre-declared with
 //!   a bare `let g;`) is held to the end of the binding's block, or to an
 //!   explicit `drop(g)`; an unbound guard is held to the end of its
 //!   statement;
 //! * `catalog.with_write(|c| …)` runs its closure under the catalog
-//!   write lock, so the argument span counts as a held region;
-//! * shard acquisitions record their index expression so R6 can decide
-//!   whether a multi-shard acquisition is provably ascending.
+//!   write lock, so the argument span counts as a held region.
 //!
 //! The per-function [`FnSummary`] this module produces is the input to
 //! [`crate::callgraph`], which propagates acquisitions through direct
@@ -25,16 +23,15 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// The engine's lock universe. Ranked kinds participate in the
-/// documented hierarchy (catalog → cache → gate → shard[i asc] → meta);
-/// `Named` covers session-local and fixture mutexes, which join cycle
-/// detection but not the rank check.
+/// documented hierarchy (catalog → cache → store); `Named` covers
+/// session-local and fixture mutexes, which join cycle detection but not
+/// the rank check.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LockKind {
     Catalog,
     Cache,
-    Gate,
-    Shard,
-    Meta,
+    /// A materialized store's one lock (`MaterializedCube::store`).
+    Store,
     Admission,
     Named(String),
 }
@@ -47,9 +44,7 @@ impl LockKind {
         match self {
             LockKind::Catalog => Some(0),
             LockKind::Cache => Some(1),
-            LockKind::Gate => Some(2),
-            LockKind::Shard => Some(3),
-            LockKind::Meta => Some(4),
+            LockKind::Store => Some(2),
             LockKind::Admission | LockKind::Named(_) => None,
         }
     }
@@ -60,9 +55,7 @@ impl fmt::Display for LockKind {
         match self {
             LockKind::Catalog => write!(f, "catalog"),
             LockKind::Cache => write!(f, "cache"),
-            LockKind::Gate => write!(f, "gate"),
-            LockKind::Shard => write!(f, "shard"),
-            LockKind::Meta => write!(f, "meta"),
+            LockKind::Store => write!(f, "store"),
             LockKind::Admission => write!(f, "admission"),
             LockKind::Named(n) => write!(f, "`{n}`"),
         }
@@ -74,9 +67,7 @@ impl fmt::Display for LockKind {
 /// code (and future locks) still participate in cycle detection.
 fn lock_kind(receiver: &str, path: &str) -> LockKind {
     match receiver {
-        "gate" => LockKind::Gate,
-        "shards" => LockKind::Shard,
-        "meta" => LockKind::Meta,
+        "store" => LockKind::Store,
         "entries" => LockKind::Cache,
         "state" => LockKind::Admission,
         "catalog" => LockKind::Catalog,
@@ -99,31 +90,6 @@ pub struct Acq {
     pub tok: usize,
     /// Last token index at which the guard is (lexically) held.
     pub span_end: usize,
-    /// For shard locks: the index expression classification.
-    pub index: Option<ShardIndex>,
-    /// True when one statement acquires *several* shard guards at once
-    /// (a `.map(…).collect()` / `push` over an iteration source).
-    pub multi: bool,
-    /// For `multi` acquisitions: the order was proven ascending
-    /// (BTreeMap keys, sorted vec, range, or the shard vec itself).
-    pub proven_ascending: bool,
-}
-
-/// Classification of a shard-lock index expression.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardIndex {
-    Literal(u64),
-    Var(String),
-    Computed(String),
-}
-
-impl fmt::Display for ShardIndex {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShardIndex::Literal(n) => write!(f, "{n}"),
-            ShardIndex::Var(v) | ShardIndex::Computed(v) => write!(f, "{v}"),
-        }
-    }
 }
 
 /// A direct call observed in a function body, with the locks held at
@@ -175,8 +141,6 @@ pub struct FnSummary {
     pub edges: Vec<LockEdge>,
     pub calls: Vec<CallEvent>,
     pub foreign: Vec<ForeignEvent>,
-    /// R6 shard-order problems local to this function: (line, message).
-    pub order_findings: Vec<(u32, String)>,
 }
 
 /// Wrappers that execute user (UDA/closure) code: their presence under a
@@ -434,25 +398,6 @@ fn enclosing_blocks(toks: &[Tok], open: usize, close: usize) -> Vec<usize> {
     encl
 }
 
-fn stmt_text(toks: &[Tok], s: usize, e: usize) -> String {
-    toks[s..=e.min(toks.len() - 1)]
-        .iter()
-        .map(|t| t.text.as_str())
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-/// Does `toks[s..=e]` contain ident `a` immediately followed by `.` and
-/// an ident starting with `b_prefix`?
-fn has_method_on(toks: &[Tok], s: usize, e: usize, recv: &str, method_prefix: &str) -> bool {
-    (s..e.saturating_sub(1)).any(|k| {
-        toks[k].is_ident(recv)
-            && toks[k + 1].is_punct('.')
-            && toks[k + 2].kind == TokKind::Ident
-            && toks[k + 2].text.starts_with(method_prefix)
-    })
-}
-
 #[allow(clippy::too_many_arguments)]
 fn scan_fn_body(
     path: &Path,
@@ -505,9 +450,6 @@ fn scan_fn_body(
                 line: t.line,
                 tok: i,
                 span_end,
-                index: None,
-                multi: false,
-                proven_ascending: true,
             });
             i += 1;
             continue;
@@ -521,16 +463,9 @@ fn scan_fn_body(
         let stmt_e = statement_end(toks, close_of, open_of, close, stmt_s, i);
 
         // Receiver: `expr . read ( )` — the token before the dot.
-        let mut recv_idx = i - 2;
-        let mut index_span: Option<(usize, usize)> = None;
-        if toks[recv_idx].is_punct(']') {
-            if let Some(o) = open_of[recv_idx] {
-                index_span = Some((o + 1, recv_idx - 1));
-                recv_idx = o.saturating_sub(1);
-            }
-        }
+        let recv_idx = i - 2;
         let recv_tok = &toks[recv_idx];
-        let mut receiver = match recv_tok.kind {
+        let receiver = match recv_tok.kind {
             TokKind::Ident | TokKind::Num => recv_tok.text.clone(),
             TokKind::Punct if recv_tok.is_punct(')') => {
                 // `registry().lock()` — name the call.
@@ -541,53 +476,7 @@ fn scan_fn_body(
             }
             _ => "?".into(),
         };
-
-        // Closure-parameter receiver: `src.iter().map(|s| s.read())` —
-        // resolve through the iteration source so the guard is typed by
-        // what is being iterated, and Vec order proves ascending.
-        let mut via_vec_iter = false;
-        if index_span.is_none() {
-            let is_closure_param = (stmt_s..i).any(|k| {
-                toks[k].is_punct('|')
-                    && (toks[k + 1].is_ident(&receiver)
-                        || (toks[k + 1].is_punct('&') && toks[k + 2].is_ident(&receiver)))
-            });
-            if is_closure_param {
-                // Find `X . iter` before the closure.
-                let mut source = None;
-                for k in stmt_s..i.saturating_sub(2) {
-                    if toks[k].kind == TokKind::Ident
-                        && toks[k + 1].is_punct('.')
-                        && toks[k + 2].is_ident("iter")
-                    {
-                        source = Some(toks[k].text.clone());
-                    }
-                }
-                if let Some(src) = source {
-                    via_vec_iter = src == "shards";
-                    receiver = src;
-                }
-            }
-        }
-
         let kind = lock_kind(&receiver, &path_str);
-
-        // Index classification for shard locks.
-        let index = index_span.map(|(a, b)| {
-            if a > b {
-                ShardIndex::Computed(String::new())
-            } else if a == b && toks[a].kind == TokKind::Num {
-                toks[a]
-                    .text
-                    .parse::<u64>()
-                    .map(ShardIndex::Literal)
-                    .unwrap_or_else(|_| ShardIndex::Computed(stmt_text(toks, a, b)))
-            } else if a == b && toks[a].kind == TokKind::Ident {
-                ShardIndex::Var(toks[a].text.clone())
-            } else {
-                ShardIndex::Computed(stmt_text(toks, a, b))
-            }
-        });
 
         // Binding analysis → held span.
         let s0 = &toks[stmt_s];
@@ -643,48 +532,16 @@ fn scan_fn_body(
             }
         }
 
-        // Multi-shard acquisition: the guards escape an iteration.
-        let multi = kind == LockKind::Shard
-            && (stmt_s..=stmt_e).any(|k| {
-                toks[k].is_ident("collect")
-                    || toks[k].is_ident("push")
-                    || toks[k].is_ident("extend")
-            });
-        let proven = if multi {
-            prove_ascending(toks, open, stmt_s, stmt_e, &index, via_vec_iter)
-        } else {
-            via_vec_iter
-        };
-
         acquires.push(Acq {
             kind,
             line: t.line,
             tok: i,
             span_end,
-            index,
-            multi,
-            proven_ascending: proven,
         });
         i += 1;
     }
 
-    // ---- Pass B: order findings and nested edges --------------------
-    let mut order_findings: Vec<(u32, String)> = Vec::new();
-    for a in &acquires {
-        if a.kind == LockKind::Shard && a.multi && !a.proven_ascending {
-            order_findings.push((
-                a.line,
-                format!(
-                    "shard locks are collected here in an order not provably ascending \
-                     (index `{}`) — route the indexes through a BTreeMap / sorted vec / \
-                     range so the fixed-order invariant is checkable, or annotate \
-                     `cube-lint: allow(lockorder, reason)`",
-                    a.index.as_ref().map(|x| x.to_string()).unwrap_or_default()
-                ),
-            ));
-        }
-    }
-
+    // ---- Pass B: nested edges ----------------------------------------
     let mut edges: Vec<LockEdge> = Vec::new();
     for a in &acquires {
         for b in &acquires {
@@ -697,34 +554,12 @@ fn scan_fn_body(
                 if a.kind == b.kind && block_close(a.tok) < b.tok {
                     continue;
                 }
-                if a.kind == LockKind::Shard && b.kind == LockKind::Shard {
-                    // Two distinct shard-lock sites with overlapping guards:
-                    // ascending is provable only for literal index pairs.
-                    match (&a.index, &b.index) {
-                        (Some(ShardIndex::Literal(x)), Some(ShardIndex::Literal(y))) if x < y => {}
-                        _ if a.multi || b.multi => {
-                            // The collected set is one (already checked) site.
-                        }
-                        (ax, bx) => order_findings.push((
-                            b.line,
-                            format!(
-                                "shard `{}` is locked while shard `{}` is still held — \
-                                 not provably ascending; acquire all shards in one \
-                                 ascending pass or annotate \
-                                 `cube-lint: allow(lockorder, reason)`",
-                                bx.as_ref().map(|x| x.to_string()).unwrap_or_default(),
-                                ax.as_ref().map(|x| x.to_string()).unwrap_or_default(),
-                            ),
-                        )),
-                    }
-                } else {
-                    edges.push(LockEdge {
-                        from: a.kind.clone(),
-                        to: b.kind.clone(),
-                        line: b.line,
-                        via: String::new(),
-                    });
-                }
+                edges.push(LockEdge {
+                    from: a.kind.clone(),
+                    to: b.kind.clone(),
+                    line: b.line,
+                    via: String::new(),
+                });
             }
         }
     }
@@ -828,106 +663,5 @@ fn scan_fn_body(
         edges,
         calls,
         foreign,
-        order_findings,
     }
-}
-
-/// Can the iteration feeding a multi-shard acquisition be proven
-/// ascending? Accepted proofs, checked lexically within the function:
-/// a `..` range in the statement, iterating `shards` itself, an index
-/// source whose `let` mentions `BTreeMap` (or whose `.keys()` receiver
-/// does), or a source that was `.sort*()`-ed before use.
-fn prove_ascending(
-    toks: &[Tok],
-    body_open: usize,
-    stmt_s: usize,
-    stmt_e: usize,
-    _index: &Option<ShardIndex>,
-    via_vec_iter: bool,
-) -> bool {
-    if via_vec_iter {
-        return true;
-    }
-    let in_stmt = |pat: &str| (stmt_s..=stmt_e).any(|k| toks[k].is_ident(pat));
-    // Range iteration: `(0..N)` or `for s in 0..N`.
-    if (stmt_s..stmt_e).any(|k| toks[k].is_punct('.') && toks[k + 1].is_punct('.')) {
-        return true;
-    }
-    if has_method_on(toks, stmt_s, stmt_e, "shards", "iter") {
-        return true;
-    }
-    if in_stmt("BTreeMap") {
-        return true;
-    }
-    // Find the iteration source: `X . iter` (or `X . keys`) in the stmt.
-    let mut source: Option<String> = None;
-    for k in stmt_s..stmt_e.saturating_sub(2) {
-        if toks[k].kind == TokKind::Ident
-            && toks[k + 1].is_punct('.')
-            && (toks[k + 2].text.starts_with("iter") || toks[k + 2].is_ident("keys"))
-        {
-            source = Some(toks[k].text.clone());
-            break;
-        }
-    }
-    let Some(src) = source else { return false };
-    source_is_ordered(toks, body_open, stmt_s, &src, 0)
-}
-
-/// Is `src`'s definition (or mutation history) before `stmt_s` provably
-/// ascending? Follows one level of `.keys()` indirection.
-fn source_is_ordered(toks: &[Tok], body_open: usize, stmt_s: usize, src: &str, depth: u8) -> bool {
-    if depth > 2 {
-        return false;
-    }
-    // `src.sort()` / `src.sort_unstable()` anywhere before use.
-    if has_method_on(toks, body_open, stmt_s, src, "sort") {
-        return true;
-    }
-    // `let src … = …;` definitions.
-    for k in body_open + 1..stmt_s {
-        if !toks[k].is_ident("let") {
-            continue;
-        }
-        let mut m = k + 1;
-        if toks[m].is_ident("mut") {
-            m += 1;
-        }
-        if !toks[m].is_ident(src) {
-            continue;
-        }
-        // Statement extent: to the next `;` at this level (lexically —
-        // good enough for a `let`).
-        let mut e = m;
-        let mut depth_brk = 0i32;
-        while e < stmt_s {
-            let t = &toks[e];
-            if t.kind == TokKind::Punct {
-                match t.text.as_str() {
-                    "(" | "[" | "{" => depth_brk += 1,
-                    ")" | "]" | "}" => depth_brk -= 1,
-                    ";" if depth_brk <= 0 => break,
-                    _ => {}
-                }
-            }
-            e += 1;
-        }
-        if (k..e).any(|x| toks[x].is_ident("BTreeMap") || toks[x].text.starts_with("sort")) {
-            return true;
-        }
-        if (k..e).any(|x| toks[x].is_punct('.') && x + 1 < e && toks[x + 1].is_punct('.')) {
-            return true; // built from a range
-        }
-        // `let src = Y.keys()…` — recurse into Y.
-        for x in k..e.saturating_sub(2) {
-            if toks[x].kind == TokKind::Ident
-                && toks[x + 1].is_punct('.')
-                && toks[x + 2].is_ident("keys")
-                && source_is_ordered(toks, body_open, k, &toks[x].text, depth + 1)
-            {
-                return true;
-            }
-        }
-    }
-    false
 }

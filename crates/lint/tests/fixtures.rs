@@ -184,18 +184,18 @@ fn r6_lockorder_fixture() {
         .into_iter()
         .filter(|(r, _)| *r == Rule::LockOrder)
         .collect();
-    // Fires: the unprovable HashMap-keyed collect, the descending
-    // literal pair, the catalog-under-shard inversion, and the meta
-    // re-acquisition. The BTreeMap/range/iter/sorted proofs, the single
-    // computed-index lock, the annotated inversion, the hoisted if/else
-    // alternative, and the test module stay silent.
+    // Fires: cache-under-store (an inversion, and the back edge of the
+    // cache → store → cache cycle), the catalog-under-store inversion, and
+    // the store re-acquisition. Store-under-cache, the annotated
+    // inversion, the hoisted if/else alternative, and the test module
+    // stay silent.
     assert_eq!(
         lockorder,
         vec![
-            (Rule::LockOrder, 11),
-            (Rule::LockOrder, 46),
-            (Rule::LockOrder, 67),
-            (Rule::LockOrder, 74),
+            (Rule::LockOrder, 17),
+            (Rule::LockOrder, 17),
+            (Rule::LockOrder, 24),
+            (Rule::LockOrder, 31),
         ],
         "unexpected findings: {:#?}",
         check_lock_discipline(&[&report])
@@ -209,8 +209,8 @@ fn r7_foreign_fixture() {
         .into_iter()
         .filter(|(r, _)| *r == Rule::Foreign)
         .collect();
-    // Fires: the guard wrapper under a shard read-lock, the raw merge
-    // under the gate, and the transitive reach through the helper. The
+    // Fires: the guard wrapper under the store read-lock, the raw merge
+    // under the catalog lock, and the transitive reach through the helper. The
     // unlocked guard, the cache-mutex absorb, the annotated call, and
     // zero-arg slice `.iter()` stay silent.
     assert_eq!(

@@ -2,15 +2,15 @@
 // test data for cube_lint — never compiled.
 
 impl Cube {
-    // FIRE: a guard wrapper runs while a shard read-lock is held.
-    pub fn final_under_shard(&self) -> Option<Value> {
-        let shard = self.shards[0].read();
-        guard("MAX", || shard.cell.final_value()).ok()
+    // FIRE: a guard wrapper runs while the store read-lock is held.
+    pub fn final_under_store(&self) -> Option<Value> {
+        let state = self.store.read();
+        guard("MAX", || state.cell.final_value()).ok()
     }
 
-    // FIRE: a raw accumulator callback under the gate.
-    pub fn merge_under_gate(&self, st: &[Value]) {
-        let _g = self.gate.write();
+    // FIRE: a raw accumulator callback under the catalog lock.
+    pub fn merge_under_catalog(&self, st: &[Value]) {
+        let _g = self.catalog.write();
         self.acc.merge(st);
     }
 
@@ -27,11 +27,11 @@ impl Cube {
     }
 
     // FIRE (transitive): the helper reaches a guard; calling it under a
-    // shard lock is flagged at the call site.
-    pub fn stage_under_shard(&self) {
-        let shard = self.shards[0].write();
+    // store lock is flagged at the call site.
+    pub fn stage_under_store(&self) {
+        let state = self.store.write();
         self.helper_that_guards();
-        consume(shard);
+        consume(state);
     }
 
     fn helper_that_guards(&self) {
@@ -40,17 +40,17 @@ impl Cube {
 
     // ALLOW: an annotated staging call is accepted.
     pub fn allowed_stage(&self) {
-        let shard = self.shards[0].write();
-        // cube-lint: allow(foreign, fixture demonstrating the two-phase staging suppression)
+        let state = self.store.write();
+        // cube-lint: allow(foreign, fixture demonstrating the staging suppression)
         self.helper_that_guards();
-        consume(shard);
+        consume(state);
     }
 
     // PASS (edge): zero-argument `.iter()` under a lock is slice
     // iteration, not the accumulator callback.
     pub fn slice_iter_under_lock(&self) {
-        let shard = self.shards[0].read();
-        for x in shard.rows.iter() {
+        let state = self.store.read();
+        for x in state.rows.iter() {
             consume(x);
         }
     }

@@ -1,102 +1,58 @@
-// R6 fixture: shard-order provability, hierarchy inversions, and
-// re-acquisition. Lexical test data for cube_lint — never compiled.
+// R6 fixture: hierarchy inversions, a cycle, and re-acquisition.
+// Lexical test data for cube_lint — never compiled.
 
 impl Cube {
-    // FIRE: guards collected over an index source with no order proof
-    // (HashMap keys iterate in arbitrary order).
-    pub fn collect_unproven(&self, by_shard: HashMap<usize, Vec<Work>>) {
-        let mut by = HashMap::new();
-        by.extend(by_shard);
-        let ids: Vec<usize> = by.keys().copied().collect();
-        let guards: Vec<Guard> = ids.iter().map(|&s| self.shards[s].write()).collect();
-        consume(guards);
+    // PASS: store under cache follows the documented hierarchy
+    // (catalog → cache → store).
+    pub fn store_under_cache(&self) {
+        let entries = self.entries.lock();
+        let state = self.store.read();
+        consume((entries, state));
     }
 
-    // PASS: the BTreeMap-keys chain proves ascending order.
-    pub fn collect_btree(&self) {
-        let mut by_shard: BTreeMap<usize, Vec<Work>> = BTreeMap::new();
-        by_shard.entry(0).or_default();
-        let ids: Vec<usize> = by_shard.keys().copied().collect();
-        let guards: Vec<Guard> = ids.iter().map(|&s| self.shards[s].write()).collect();
-        consume(guards);
+    // FIRE (twice): cache under store inverts it, and with the function
+    // above closes the cycle cache → store → cache.
+    pub fn cache_under_store(&self) {
+        let state = self.store.write();
+        let entries = self.entries.lock();
+        consume((state, entries));
     }
 
-    // PASS: a range is ascending by construction.
-    pub fn collect_range(&self) {
-        let guards: Vec<Guard> = (0..SHARD_COUNT).map(|s| self.shards[s].write()).collect();
-        consume(guards);
-    }
-
-    // PASS: iterating the shard vector itself is index order.
-    pub fn collect_all(&self) {
-        let guards: Vec<Guard> = self.shards.iter().map(|s| s.read()).collect();
-        consume(guards);
-    }
-
-    // PASS (edge): an explicitly sorted source is ascending.
-    pub fn collect_sorted(&self, mut ids: Vec<usize>) {
-        ids.sort_unstable();
-        let guards: Vec<Guard> = ids.iter().map(|&s| self.shards[s].write()).collect();
-        consume(guards);
-    }
-
-    // FIRE: two shard locks held together with descending literals.
-    pub fn literal_descending(&self) {
-        let hi = self.shards[3].write();
-        let lo = self.shards[1].write();
-        consume((hi, lo));
-    }
-
-    // PASS: ascending literal pair.
-    pub fn literal_ascending(&self) {
-        let lo = self.shards[1].write();
-        let hi = self.shards[3].write();
-        consume((lo, hi));
-    }
-
-    // PASS (edge): a single computed-index lock holds one shard at a
-    // time — nothing to order.
-    pub fn single_computed(&self, si: usize, key: &Row) -> Option<Cell> {
-        let shard = self.shards[shard_of(si, key)].read();
-        shard.get(key)
-    }
-
-    // FIRE: catalog under shard inverts the documented hierarchy.
+    // FIRE: catalog under store inverts it too.
     pub fn inversion(&self) {
-        let shard = self.shards[0].write();
+        let state = self.store.write();
         let cat = self.catalog.write();
-        consume((shard, cat));
+        consume((state, cat));
     }
 
-    // FIRE: the meta lock re-acquired while already held.
+    // FIRE: the store lock re-acquired while already held.
     pub fn reentrant(&self) {
-        let a = self.meta.write();
-        let b = self.meta.read();
+        let a = self.store.write();
+        let b = self.store.read();
         consume((a, b));
     }
 
-    // ALLOW: an annotated inversion is accepted (meta → cache, a
+    // ALLOW: an annotated inversion is accepted (cache → catalog, a
     // kind-pair no other function in this fixture uses, so the edge's
     // single witness is the annotated line).
     pub fn allowed_inversion(&self) {
-        let meta = self.meta.write();
+        let entries = self.entries.lock();
         // cube-lint: allow(lockorder, fixture demonstrating a reasoned suppression)
-        let stats = self.entries.lock();
-        consume((meta, stats));
+        let cat = self.catalog.read();
+        consume((entries, cat));
     }
 
     // PASS (edge): the hoisted-guard if/else idiom binds alternatives,
-    // not nested acquisitions.
+    // not a re-acquisition.
     pub fn hoisted_alternative(&self, exclusive: bool) {
         let _excl;
         let _shared;
         if exclusive {
-            _excl = Some(self.gate.write());
+            _excl = Some(self.store.write());
         } else {
-            _shared = Some(self.gate.read());
+            _shared = Some(self.store.read());
         }
-        let meta = self.meta.read();
-        consume(meta);
+        consume(self.rows);
     }
 }
 
@@ -104,9 +60,9 @@ impl Cube {
 mod tests {
     // PASS (edge): test code is exempt even when it misorders locks.
     #[test]
-    fn test_only_descending() {
-        let hi = cube.shards[9].write();
-        let lo = cube.shards[2].write();
-        consume((hi, lo));
+    fn test_only_inversion() {
+        let state = cube.store.write();
+        let cat = cube.catalog.write();
+        consume((state, cat));
     }
 }

@@ -1023,6 +1023,26 @@ mod tests {
         assert_eq!(engine.table("sales").unwrap().len(), 3);
     }
 
+    /// An UPDATE whose new image breaks the schema is rejected before the
+    /// swap: the table keeps its version and the cache keeps its entries.
+    #[test]
+    fn rejected_update_image_leaves_version_and_cache_untouched() {
+        let engine = write_engine();
+        let (catalog, _, cache) = engine.service_parts();
+        let q = "SELECT model, SUM(units) AS s FROM sales GROUP BY CUBE model";
+        engine.execute(q).unwrap(); // populate one view
+        let version = catalog.snapshot().table_version("sales");
+        let entries = cache.counters().entries;
+        assert_eq!(entries, 1);
+
+        assert!(engine
+            .execute("UPDATE sales SET units = 'oops' WHERE model = 'Ford'")
+            .is_err());
+        assert_eq!(catalog.snapshot().table_version("sales"), version);
+        assert_eq!(cache.counters().entries, entries);
+        assert_eq!(grand_total(&engine), 195);
+    }
+
     #[test]
     fn insert_validates_rows_before_publishing() {
         let engine = write_engine();

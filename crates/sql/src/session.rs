@@ -217,9 +217,11 @@ impl Session {
     /// catalog version; losing a race to a concurrent writer just means
     /// rebuilding on a fresh snapshot. Readers therefore see whole batches
     /// only — a torn batch would require observing a table that was never
-    /// published. `Table::new` re-validates every row against the schema,
-    /// so a bad literal or a type-changing assignment rejects the whole
-    /// batch before publication.
+    /// published. `next` checks what the statement brings in — INSERT rows,
+    /// UPDATE images — against the schema, so a bad literal or a
+    /// type-changing assignment rejects the whole batch before
+    /// publication; rows kept from the snapshot were checked when they
+    /// were published and are not checked again.
     ///
     /// On success retained cache views absorb a pure insert delta; a
     /// statement that retracts (DELETE, UPDATE — §6: "max is ... holistic
@@ -250,16 +252,13 @@ impl Session {
                 // stay warm.
                 return dml_result(table, verb, 0);
             }
-            let published = Table::new(old.schema().clone(), written.rows)?;
+            let published = Table::from_validated_rows(old.schema().clone(), written.rows);
             let swapped = self
                 .catalog
                 .with_write(|c| c.replace_if_version(table, expected, published))?;
             if let Some(new_version) = swapped {
-                match written.inserted {
-                    Some(rows) => {
-                        let delta = Table::new(old.schema().clone(), rows)?;
-                        self.cache.apply_delta(table, new_version, &delta);
-                    }
+                match &written.inserted {
+                    Some(delta) => self.cache.apply_delta(table, new_version, delta),
                     None => self.cache.invalidate_table(table),
                 }
                 return dml_result(table, verb, written.count);
@@ -281,8 +280,9 @@ impl Session {
                 let vals = exprs.iter().map(|e| eval(e, &scratch, &ectx));
                 inserted.push(Row::new(vals.collect::<SqlResult<Vec<Value>>>()?));
             }
+            let inserted = Table::new(old.schema().clone(), inserted)?;
             let mut next = old.rows().to_vec();
-            next.extend(inserted.iter().cloned());
+            next.extend(inserted.rows().iter().cloned());
             Ok(Written {
                 rows: next,
                 count: inserted.len() as i64,
@@ -351,6 +351,7 @@ impl Session {
                 let mut vals = row.values().to_vec();
                 for &(idx, expr) in &targets {
                     vals[idx] = eval(expr, row, &ectx)?;
+                    old.schema().column_at(idx).check(&vals[idx])?;
                 }
                 next.push(Row::new(vals));
             }
@@ -443,12 +444,13 @@ impl Session {
 }
 
 /// One attempt of a governed write against a snapshot: the rows of the
-/// table it would publish, how many rows the statement touched (the ack),
-/// and — for a pure INSERT — the appended rows cached views can absorb.
+/// table it would publish (already checked against its schema), how many
+/// rows the statement touched (the ack), and — for a pure INSERT — the
+/// appended rows as the delta cached views can absorb.
 struct Written {
     rows: Vec<Row>,
     count: i64,
-    inserted: Option<Vec<Row>>,
+    inserted: Option<Table>,
 }
 
 /// Whether a DELETE/UPDATE predicate selects `row`. SQL semantics: NULL

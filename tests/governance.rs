@@ -637,7 +637,7 @@ mod faults_suite {
         "cache::evict",
         "cache::absorb",
         "maintain::batch_fold",
-        "maintain::shard_lock",
+        "maintain::lock",
         "maintain::recompute",
     ];
 
@@ -1197,7 +1197,7 @@ mod faults_suite {
         batch
     }
 
-    /// Every maintenance failpoint — batch fold, shard lock, deferred
+    /// Every maintenance failpoint — batch fold, the lock, deferred
     /// recompute — unwinds as a typed error for both fault flavours, the
     /// cube is bit-identical to its pre-batch state (version included),
     /// and the same batch applies cleanly once the fault is disarmed.
@@ -1208,7 +1208,7 @@ mod faults_suite {
             let _cleanup = Disarm;
             for site in [
                 "maintain::batch_fold",
-                "maintain::shard_lock",
+                "maintain::lock",
                 "maintain::recompute",
             ] {
                 for fault in [Fault::TripBudget, Fault::Panic(format!("{site} down"))] {

@@ -573,22 +573,20 @@ fn sql_ingest_race_exposes_only_whole_batches() {
     );
 }
 
-/// Loom-free lock-order torture: two writers submit delta batches whose
-/// rows are enumerated in *opposite* key orders, so the raw input order
-/// nominates overlapping shard sets adversarially on every round, while
-/// a reader pulls point cells and whole snapshots through the gate. The
-/// engine's fixed-order (ascending-shard-id) locking must make this
-/// deadlock-free: everything has to finish inside the watchdog budget,
-/// and the final SUM must be exact — a lost batch or a torn fold shows
-/// up as a wrong cell, not a flaky hang.
+/// Loom-free lock torture: two writers submit delta batches whose rows
+/// are enumerated in *opposite* key orders while a reader pulls point
+/// cells and whole snapshots. Every batch takes the store's one lock, so
+/// there is no order to get wrong: everything has to finish inside the
+/// watchdog budget, and the final SUM must be exact — a lost batch or a
+/// torn fold shows up as a wrong cell, not a flaky hang.
 #[test]
-fn adversarial_shard_order_writers_never_deadlock() {
+fn opposed_order_writers_never_deadlock_or_lose_a_batch() {
     use datacube::DeltaBatch;
     use datacube::ExecContext;
     use std::sync::mpsc;
     use std::time::Duration;
 
-    const KEYS: i64 = 64; // spans the 16-way shard map several times over
+    const KEYS: i64 = 64;
     const ROUNDS: usize = 40;
 
     let schema = Schema::from_pairs(&[("k", DataType::Int), ("units", DataType::Int)]);
@@ -632,7 +630,7 @@ fn adversarial_shard_order_writers_never_deadlock() {
     }
     drop(done_tx);
 
-    // Watchdog: a lock-order deadlock presents as a hang, so every
+    // Watchdog: a deadlock presents as a hang, so every
     // worker must report inside the deadline budget.
     for _ in 0..3 {
         done_rx

@@ -25,6 +25,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cube_lint (workspace invariants: checkpoint, guard, faults, panic, wildcard, lockorder, foreign, atomic, commit; algorithm/* incl. repro) =="
 cargo run -q --release -p cube-lint --bin cube_lint -- --root . --json /tmp/lint.json
 
+# ROADMAP item 9 wants fewer than 60 reasoned suppressions in the linted
+# code; the count may only fall. When it does, lower the number here.
+echo "== cube_lint suppression ratchet =="
+max_allows=87
+allows=$(grep -r --include='*.rs' 'cube-lint: allow(' crates | grep -v '^crates/lint/' | wc -l)
+if [ "$allows" -gt "$max_allows" ]; then
+    echo "$allows 'cube-lint: allow(...)' lines outside crates/lint, over the recorded $max_allows" >&2
+    exit 1
+fi
+echo "$allows suppression lines (recorded ceiling: $max_allows)."
+
 if [ "${LINT_NIGHTLY:-0}" = "1" ]; then
     # Opt-in deep memory-model pass: only meaningful where a nightly
     # toolchain with miri is installed; silently skipped otherwise.
