@@ -13,9 +13,10 @@
 //! stores one flat `Vec<KernelCell>` per grouping set (stride = number of
 //! kernel lanes). A cell finalizes directly ([`Kernel::final_value`]) to
 //! byte-for-byte what the aggregate's ordinary accumulator would return,
-//! and renders as that accumulator's state tuple ([`Kernel::state`]) for a
-//! materialized store to merge — the kernels are an execution detail, not a
-//! semantic fork.
+//! retracts a deleted input the way that accumulator would
+//! ([`Kernel::retract_i64`]), and renders as its state tuple
+//! ([`Kernel::state`]) when a materialized store widens to boxed
+//! accumulators — the kernels are an execution detail, not a semantic fork.
 //!
 //! An aggregate opts in by returning `Some(Kernel)` from
 //! [`AggregateFunction::kernel`](crate::AggregateFunction::kernel); holistic
@@ -667,6 +668,39 @@ impl Kernel {
                 }
             }
         }
+    }
+
+    /// §6 DELETE of one valid `i64` input (any value for the counting
+    /// kernels): the inverse of folding it in. `false` when the cell
+    /// cannot answer without its base rows — the value is the extremum
+    /// itself ("max is ... holistic for DELETE"), or the cell is empty.
+    pub fn retract_i64(self, cell: &mut KernelCell, v: i64) -> bool {
+        match self {
+            Kernel::Min | Kernel::Max if cell.n == 0 => return false,
+            Kernel::Min if v <= cell.acc_i => return false,
+            Kernel::Max if v >= cell.acc_i => return false,
+            Kernel::Sum => cell.acc_i -= v,
+            Kernel::Avg => cell.acc_f -= v as f64,
+            Kernel::Count | Kernel::CountStar | Kernel::Min | Kernel::Max => {}
+        }
+        cell.n -= 1;
+        true
+    }
+
+    /// The `f64` twin of [`Kernel::retract_i64`]; subtraction cannot walk
+    /// back a non-finite value or sum either.
+    pub fn retract_f64(self, cell: &mut KernelCell, v: f64) -> bool {
+        use std::cmp::Ordering::{Greater, Less};
+        match self {
+            Kernel::Min | Kernel::Max if cell.n == 0 => return false,
+            Kernel::Min if v.total_cmp(&cell.acc_f) != Greater => return false,
+            Kernel::Max if v.total_cmp(&cell.acc_f) != Less => return false,
+            Kernel::Sum | Kernel::Avg if !v.is_finite() || !cell.acc_f.is_finite() => return false,
+            Kernel::Sum | Kernel::Avg => cell.acc_f -= v,
+            Kernel::Count | Kernel::CountStar | Kernel::Min | Kernel::Max => {}
+        }
+        cell.n -= 1;
+        true
     }
 
     /// Render a cell as the state tuple of the corresponding row-path

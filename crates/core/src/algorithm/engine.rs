@@ -18,6 +18,11 @@
 //! 4. **Materialize.** Cells are ranked by collation-remapped keys (a plain
 //!    integer sort in decoded-`Row` order), decoded once, and finalized.
 //!
+//! A materialized store ([`crate::maintain`]) keeps steps 1–3's arenas as
+//! its cells ([`Stored`]), answers through `merged_child` and step 4, and
+//! folds a batch with step 1 and step 2's adopt-or-Iter_super
+//! ([`Arena::coalesce`]).
+//!
 //! The hash-based algorithms are [`Shape`]s over step 1. The pipeline is
 //! generic over two things, both decided from the query's data and never
 //! by a caller: the key width ([`PackedKey`]: one `u64` when the
@@ -33,14 +38,15 @@
 //! collision in the coalesce, `final_calls` per (output cell, aggregate).
 
 use super::{ParentChoice, Shape};
-use crate::encode::{encode, Encoded, EncodedInput, PackedKey};
-use crate::error::CubeResult;
+use crate::encode::{encode, Encoded, EncodedInput, KeyEncoder, PackedKey};
+use crate::error::{CubeError, CubeResult};
 use crate::exec::{self, ExecContext};
 use crate::groupby::ExecStats;
 use crate::lattice::{GroupingSet, Lattice};
+use crate::maintain::{Nodes, Store};
 use crate::spec::{BoundAgg, BoundDimension};
-use dc_aggregate::{Accumulator, FusedOp, Kernel, KernelCell, Validity};
-use dc_relation::{Bitmap, Column, ColumnData, FxHashMap, RleIndex, Row, Schema, Table, Value};
+use dc_aggregate::{Accumulator, FusedOp, Kernel, KernelCell, Retract, Validity};
+use dc_relation::{Bitmap, Column, FxHashMap, RleIndex, Row, Schema, Table, Value};
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
@@ -73,7 +79,7 @@ const EMIT_CHUNK_CELLS: usize = 4096;
 /// initialized, folded, merged and finalized. A cell is `width()` adjacent
 /// `Cell`s of an [`Arena`], one per aggregate in select-list order.
 pub(crate) trait Lanes: Sync {
-    type Cell: Send + Sync;
+    type Cell: Stored;
 
     /// Aggregates per cell.
     fn width(&self) -> usize;
@@ -91,12 +97,57 @@ pub(crate) trait Lanes: Sync {
     /// The paper's Iter_super(): fold cell `src` into cell `dst`.
     fn fold_super(&self, dst: &mut [Self::Cell], src: &[Self::Cell]) -> CubeResult<()>;
 
-    /// Final(): append the cell's aggregate values to `out`.
-    fn finals(&self, cell: &[Self::Cell], out: &mut Vec<Value>) -> CubeResult<()>;
+    /// Final(): append the values of the cell's `lanes`, in that order, to
+    /// `out`.
+    fn finals(&self, cell: &[Self::Cell], lanes: &[usize], out: &mut Vec<Value>) -> CubeResult<()>;
 
-    /// The cell's scratchpads as `Accumulator::state` tuples, one per
-    /// aggregate — what a cached view stores.
-    fn states(&self, cell: &[Self::Cell]) -> CubeResult<Vec<Vec<Value>>>;
+    /// §6 DELETE: take input row `row` back out of `cell`. `false` when
+    /// some lane cannot without the cell's base rows.
+    fn retract(&self, cell: &mut [Self::Cell], row: usize) -> CubeResult<bool>;
+
+    /// What a store keeps of these lanes to get lanes over other rows
+    /// that make cells of the same kind.
+    fn spec(&self) -> <Self::Cell as Stored>::Spec;
+}
+
+/// A lane cell a materialized store keeps: how to get lanes over a batch
+/// of rows whose cells merge into the store's, and how to copy cells.
+pub(crate) trait Stored: Sized + Send + Sync + 'static {
+    type Spec: Clone + Send + Sync;
+    type Lanes<'a>: Lanes<Cell = Self>;
+
+    /// Lanes over `rows` that make cells of the store's kind — `None` when
+    /// the rows' measures do not compile to the store's kernels. Over no
+    /// rows, the store's own lanes: merge and Final() only.
+    fn lanes<'a>(
+        spec: &'a Self::Spec,
+        aggs: &'a [BoundAgg],
+        rows: &'a [Row],
+    ) -> Option<Self::Lanes<'a>>;
+
+    /// A copy of `cells`: Init() and Iter_super per cell.
+    fn copy(lanes: &Self::Lanes<'_>, cells: &[Self], ctx: &ExecContext) -> CubeResult<Vec<Self>> {
+        let mut out = Vec::with_capacity(cells.len());
+        for (i, cell) in cells.chunks(lanes.width()).enumerate() {
+            ctx.tick(i)?;
+            lanes.open(&mut out)?;
+            let at = out.len() - cell.len();
+            lanes.fold_super(&mut out[at..], cell)?;
+        }
+        Ok(out)
+    }
+
+    /// A copy of `cells` as boxed accumulators, for a store whose lanes
+    /// widen. Only kernel cells do: [`Stored::lanes`] never refuses rows
+    /// for boxed ones.
+    fn boxed(
+        _: &Self::Lanes<'_>,
+        _: &[BoundAgg],
+        _: &[Self],
+        _: &ExecContext,
+    ) -> CubeResult<Vec<Box<dyn Accumulator>>> {
+        Err(CubeError::Unsupported("boxed lanes do not widen".into()))
+    }
 }
 
 /// The generic lane store: one boxed [`Accumulator`] per aggregate, every
@@ -104,6 +155,15 @@ pub(crate) trait Lanes: Sync {
 pub(crate) struct BoxedLanes<'a> {
     pub(crate) rows: &'a [Row],
     pub(crate) aggs: &'a [BoundAgg],
+}
+
+impl Stored for Box<dyn Accumulator> {
+    type Spec = ();
+    type Lanes<'a> = BoxedLanes<'a>;
+
+    fn lanes<'a>(_: &'a (), aggs: &'a [BoundAgg], rows: &'a [Row]) -> Option<BoxedLanes<'a>> {
+        Some(BoxedLanes { rows, aggs })
+    }
 }
 
 impl Lanes for BoxedLanes<'_> {
@@ -153,24 +213,31 @@ impl Lanes for BoxedLanes<'_> {
         Ok(())
     }
 
-    fn finals(&self, accs: &[Self::Cell], out: &mut Vec<Value>) -> CubeResult<()> {
-        for (acc, agg) in accs.iter().zip(self.aggs) {
-            out.push(exec::guard(agg.func.name(), || acc.final_value())?);
+    fn finals(&self, accs: &[Self::Cell], lanes: &[usize], out: &mut Vec<Value>) -> CubeResult<()> {
+        for &l in lanes {
+            let acc = &accs[l];
+            out.push(exec::guard(self.aggs[l].func.name(), || acc.final_value())?);
         }
         Ok(())
     }
 
-    fn states(&self, accs: &[Self::Cell]) -> CubeResult<Vec<Vec<Value>>> {
-        accs.iter()
-            .zip(self.aggs)
-            .map(|(acc, agg)| exec::guard(agg.func.name(), || acc.state()))
-            .collect()
+    fn retract(&self, accs: &mut [Self::Cell], row: usize) -> CubeResult<bool> {
+        for (acc, agg) in accs.iter_mut().zip(self.aggs) {
+            let v = agg.input_value(&self.rows[row]);
+            if exec::guard(agg.func.name(), || acc.retract(v))? != Retract::Applied {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
+
+    fn spec(&self) {}
 }
 
 /// One aggregate's typed input. Lanes over the same measure column share
 /// one extracted vector (`SUM(units)` and `AVG(units)` in one select list
 /// extract `units` once, not twice).
+#[derive(Clone)]
 enum LaneInput {
     /// No column to read — COUNT(*) and COUNT over the unit input count
     /// rows, not values.
@@ -185,6 +252,9 @@ enum LaneInput {
 struct Lane {
     kernel: Kernel,
     input: LaneInput,
+    /// Which accumulator of the cell holds the value ([`Kernel::merge`]):
+    /// the input's type, or a store's where the two cannot differ.
+    float: bool,
     /// Whether the measure column has no NULLs — computed once at plan
     /// time so every morsel takes the branch-free [`Validity::All`] path
     /// instead of re-deriving it.
@@ -193,12 +263,6 @@ struct Lane {
     /// run-folding scan engages and the column actually compresses.
     /// Enables the `n × value` constant-run fold.
     rle: Option<Arc<RleIndex>>,
-}
-
-impl Lane {
-    fn float_input(&self) -> bool {
-        matches!(self.input, LaneInput::Floats(..))
-    }
 }
 
 /// A qualified fused row-major scan: every lane is fully valid and reads
@@ -231,11 +295,7 @@ impl KernelLanes {
             return None;
         }
         // One extraction per distinct measure column, shared across lanes.
-        enum Extracted {
-            Ints(Arc<(Vec<i64>, Bitmap)>),
-            Floats(Arc<(Vec<f64>, Bitmap)>),
-        }
-        let mut columns: FxHashMap<usize, Option<Extracted>> = FxHashMap::default();
+        let mut columns: FxHashMap<usize, Option<LaneInput>> = FxHashMap::default();
         let mut lanes = Vec::with_capacity(aggs.len());
         for a in aggs {
             let kernel = a.func.kernel()?;
@@ -246,33 +306,17 @@ impl KernelLanes {
                     Kernel::Count | Kernel::CountStar => LaneInput::Star,
                     _ => return None,
                 },
-                Some(idx) => match kernel {
-                    Kernel::CountStar => LaneInput::Star,
-                    _ => {
-                        let extracted = columns.entry(idx).or_insert_with(|| {
-                            if let Some(col) = Column::try_ints(rows, idx) {
-                                let ColumnData::Int(vals) = col.data else {
-                                    // cube-lint: allow(panic, try_ints only ever builds Int column data)
-                                    unreachable!()
-                                };
-                                Some(Extracted::Ints(Arc::new((vals, col.validity))))
-                            } else if let Some(col) = Column::try_floats(rows, idx) {
-                                let ColumnData::Float(vals) = col.data else {
-                                    // cube-lint: allow(panic, try_floats only ever builds Float column data)
-                                    unreachable!()
-                                };
-                                Some(Extracted::Floats(Arc::new((vals, col.validity))))
-                            } else {
-                                None
-                            }
-                        });
-                        match extracted {
-                            Some(Extracted::Ints(c)) => LaneInput::Ints(Arc::clone(c)),
-                            Some(Extracted::Floats(c)) => LaneInput::Floats(Arc::clone(c)),
-                            None => return None,
-                        }
-                    }
-                },
+                Some(_) if kernel == Kernel::CountStar => LaneInput::Star,
+                Some(idx) => columns
+                    .entry(idx)
+                    .or_insert_with(|| {
+                        let ints =
+                            Column::try_ints(rows, idx).map(|c| LaneInput::Ints(Arc::new(c)));
+                        ints.or_else(|| {
+                            Column::try_floats(rows, idx).map(|c| LaneInput::Floats(Arc::new(c)))
+                        })
+                    })
+                    .clone()?,
             };
             let all_valid = match &input {
                 LaneInput::Star => true,
@@ -281,6 +325,7 @@ impl KernelLanes {
             };
             lanes.push(Lane {
                 kernel,
+                float: matches!(input, LaneInput::Floats(_)),
                 input,
                 all_valid,
                 rle: None,
@@ -321,6 +366,60 @@ impl KernelLanes {
                 }
             };
         }
+    }
+
+    /// These lanes with a store's value flags, so their cells merge into
+    /// its cells — `None` where the two differ over an input that has a
+    /// value to fold. (So a store's rows hold one value type per measure,
+    /// and lanes over any of them conform.)
+    fn conform(mut self, floats: &[bool]) -> Option<KernelLanes> {
+        for (lane, &float) in self.lanes.iter_mut().zip(floats) {
+            let moot = match &lane.input {
+                LaneInput::Star => true,
+                LaneInput::Ints(c) => c.1.count_valid() == 0,
+                LaneInput::Floats(c) => c.1.count_valid() == 0,
+            };
+            if lane.float != float && !moot {
+                return None;
+            }
+            lane.float = float;
+        }
+        Some(self)
+    }
+}
+
+impl Stored for KernelCell {
+    /// Each lane's value flag: a store pins no column of its input.
+    type Spec = Vec<bool>;
+    type Lanes<'a> = KernelLanes;
+
+    fn lanes(spec: &Vec<bool>, aggs: &[BoundAgg], rows: &[Row]) -> Option<KernelLanes> {
+        KernelLanes::plan(rows, aggs, false)?.conform(spec)
+    }
+
+    /// A POD copy.
+    fn copy(_: &KernelLanes, cells: &[Self], _: &ExecContext) -> CubeResult<Vec<Self>> {
+        Ok(cells.to_vec())
+    }
+
+    /// Each lane through its accumulator's state tuple.
+    fn boxed(
+        lanes: &KernelLanes,
+        aggs: &[BoundAgg],
+        cells: &[Self],
+        ctx: &ExecContext,
+    ) -> CubeResult<Vec<Box<dyn Accumulator>>> {
+        let mut out = Vec::with_capacity(cells.len());
+        for (i, pods) in cells.chunks(lanes.width()).enumerate() {
+            ctx.tick(i)?;
+            for ((pod, lane), agg) in pods.iter().zip(&lanes.lanes).zip(aggs) {
+                let mut acc = exec::guard(agg.func.name(), || agg.func.init())?;
+                let state = lane.kernel.state(pod, lane.float);
+                exec::guard(agg.func.name(), || acc.merge(&state))?;
+                out.push(acc);
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -451,31 +550,44 @@ impl Lanes for KernelLanes {
     fn fold_super(&self, dst: &mut [KernelCell], src: &[KernelCell]) -> CubeResult<()> {
         for ((lane, dst), src) in self.lanes.iter().zip(dst).zip(src) {
             // cube-lint: allow(guard, engine-owned POD kernel, runs no user code)
-            lane.kernel.merge(dst, src, lane.float_input());
+            lane.kernel.merge(dst, src, lane.float);
         }
         Ok(())
     }
 
     #[inline]
-    fn finals(&self, pods: &[KernelCell], out: &mut Vec<Value>) -> CubeResult<()> {
-        for (lane, pod) in self.lanes.iter().zip(pods) {
+    fn finals(&self, pods: &[KernelCell], lanes: &[usize], out: &mut Vec<Value>) -> CubeResult<()> {
+        for &l in lanes {
+            let lane = &self.lanes[l];
             // cube-lint: allow(guard, engine-owned POD kernel, runs no user code)
-            out.push(lane.kernel.final_value(pod, lane.float_input()));
+            out.push(lane.kernel.final_value(&pods[l], lane.float));
         }
         Ok(())
     }
 
-    fn states(&self, pods: &[KernelCell]) -> CubeResult<Vec<Vec<Value>>> {
-        Ok(self
-            .lanes
-            .iter()
-            .zip(pods)
-            .map(|(lane, pod)| lane.kernel.state(pod, lane.float_input()))
-            .collect())
+    fn retract(&self, pods: &mut [KernelCell], row: usize) -> CubeResult<bool> {
+        for (lane, pod) in self.lanes.iter().zip(pods) {
+            let kept = match &lane.input {
+                LaneInput::Star => lane.kernel.retract_i64(pod, 0),
+                LaneInput::Ints(c) if c.1.get(row) => lane.kernel.retract_i64(pod, c.0[row]),
+                LaneInput::Floats(c) if c.1.get(row) => lane.kernel.retract_f64(pod, c.0[row]),
+                // A NULL input folded nothing in.
+                LaneInput::Ints(_) | LaneInput::Floats(_) => true,
+            };
+            if !kept {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    fn spec(&self) -> Vec<bool> {
+        self.lanes.iter().map(|l| l.float).collect()
     }
 }
 
 /// How an [`Arena`] resolves a packed key to a cell slot.
+#[derive(Clone)]
 enum SlotIndex<K> {
     /// General case: one Fx hash map over full keys.
     Map(FxHashMap<K, u32>),
@@ -492,8 +604,8 @@ enum SlotIndex<K> {
 /// first-touch order, so iteration over `keys` is deterministic.
 pub(crate) struct Arena<K, C> {
     index: SlotIndex<K>,
-    keys: Vec<K>,
-    cells: Vec<C>,
+    pub(crate) keys: Vec<K>,
+    pub(crate) cells: Vec<C>,
     width: usize,
 }
 
@@ -523,12 +635,82 @@ impl<K: PackedKey, C> Arena<K, C> {
         }
     }
 
-    fn n_cells(&self) -> usize {
+    pub(crate) fn n_cells(&self) -> usize {
         self.keys.len()
     }
 
-    fn cell(&self, slot: usize) -> &[C] {
+    pub(crate) fn cell_at(&self, slot: usize) -> &[C] {
         &self.cells[slot * self.width..(slot + 1) * self.width]
+    }
+
+    /// The slot of `key`'s cell, if it has one.
+    pub(crate) fn find(&self, key: K) -> Option<usize> {
+        match &self.index {
+            SlotIndex::Map(map) => map.get(&key).map(|&s| s as usize),
+            SlotIndex::Dense(table) => table[key.dense_index()].checked_sub(1).map(|s| s as usize),
+        }
+    }
+
+    /// These keys and slots over other cells (`cells` in slot order).
+    pub(crate) fn with_cells<D>(&self, cells: Vec<D>) -> Arena<K, D> {
+        Arena {
+            index: self.index.clone(),
+            keys: self.keys.clone(),
+            cells,
+            width: self.width,
+        }
+    }
+
+    /// The cells `keep` accepts, under `rekey`ed keys (`rekey` injective).
+    pub(crate) fn rebuilt<J: PackedKey>(
+        self,
+        dense_bits: Option<u32>,
+        rekey: impl Fn(K) -> J,
+        keep: impl Fn(usize) -> bool,
+    ) -> Arena<J, C> {
+        let (n, w) = (self.n_cells(), self.width);
+        let mut out = Arena::new(w, dense_bits, n, n);
+        let mut cells = self.cells.into_iter();
+        for (slot, &key) in self.keys.iter().enumerate() {
+            let lanes = cells.by_ref().take(w);
+            if keep(slot) {
+                out.probe(rekey(key));
+                out.cells.extend(lanes);
+            } else {
+                lanes.for_each(drop);
+            }
+        }
+        out
+    }
+
+    /// Fold `part`'s cells in — the coalesce: a key seen for the first
+    /// time adopts its lanes outright (they already are the cell's state,
+    /// and were charged where they were made), a collision folds in by
+    /// Iter_super. Returns the collisions.
+    pub(crate) fn coalesce<L: Lanes<Cell = C>>(
+        &mut self,
+        part: Arena<K, C>,
+        lanes: &L,
+        ctx: &ExecContext,
+    ) -> CubeResult<u64> {
+        let w = self.width;
+        let mut merged = 0;
+        let mut lanes_buf: Vec<C> = Vec::with_capacity(w);
+        let mut cells = part.cells.into_iter();
+        for (i, &key) in part.keys.iter().enumerate() {
+            ctx.tick(i)?;
+            lanes_buf.extend(cells.by_ref().take(w));
+            let (slot, fresh) = self.probe(key);
+            if fresh {
+                self.cells.append(&mut lanes_buf);
+            } else {
+                let slot = slot as usize;
+                lanes.fold_super(&mut self.cells[slot * w..(slot + 1) * w], &lanes_buf)?;
+                lanes_buf.clear();
+                merged += 1;
+            }
+        }
+        Ok(merged)
     }
 
     /// Look `key` up, claiming the next slot for it on first touch.
@@ -623,13 +805,15 @@ fn rle_engages<K: PackedKey>(keys: &[K]) -> bool {
     sample.len() / runs >= RLE_MIN_RUN
 }
 
-/// What every stage of one query shares: the packed keys, the lane store,
-/// whether the run-folding scan engaged, and the governance context.
-struct Pipeline<'a, K: PackedKey, L: Lanes> {
-    enc: &'a EncodedInput<K>,
-    lanes: &'a L,
-    rle: bool,
-    ctx: &'a ExecContext,
+/// What every stage of one query shares: the key encoder and the packed
+/// keys of the rows being scanned (none for a store's answer), the lane
+/// store, whether the run-folding scan engaged, and the governance context.
+pub(crate) struct Pipeline<'a, K: PackedKey, L: Lanes> {
+    pub(crate) encoder: &'a KeyEncoder<K>,
+    pub(crate) keys: &'a [K],
+    pub(crate) lanes: &'a L,
+    pub(crate) rle: bool,
+    pub(crate) ctx: &'a ExecContext,
 }
 
 impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
@@ -646,7 +830,7 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
     ) -> CubeResult<()> {
         exec::failpoint("vectorized::morsel")?;
         self.ctx.checkpoint()?;
-        let keys = &self.enc.keys[base..end];
+        let keys = &self.keys[base..end];
         for (arena, &mask) in arenas.iter_mut().zip(masks) {
             slot_buf.clear();
             if let Err(e) = arena.slots_for(keys, mask, slot_buf, self.lanes, self.ctx) {
@@ -678,7 +862,7 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
     ) -> CubeResult<()> {
         exec::failpoint("vectorized::rle_run")?;
         self.ctx.checkpoint()?;
-        let keys = &self.enc.keys;
+        let keys = &self.keys;
         let w = self.lanes.width();
         let mut s = base;
         while s < end {
@@ -710,8 +894,8 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
         workers: usize,
         stats: &mut ExecStats,
     ) -> CubeResult<Vec<Arena<K, L::Cell>>> {
-        let n_rows = self.enc.keys.len();
-        let dense_bits = self.enc.encoder.dense_bits();
+        let n_rows = self.keys.len();
+        let dense_bits = self.encoder.dense_bits();
         let width = self.lanes.width();
         let cursor = AtomicUsize::new(0);
         let mut parts = exec::run_workers(workers, "parallel::worker", stats, |local| {
@@ -738,34 +922,14 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
         if parts.len() == 1 {
             return Ok(parts.remove(0));
         }
-        // Coalesce: the first worker to produce a cell has its lanes
-        // adopted outright — they are already exactly the cell's state,
-        // and were charged by the worker that created them — and later
-        // workers' lanes for the same cell fold in by Iter_super.
+        // Coalesce: the worker arenas fold into one per mask.
         let mut merged: Vec<Arena<K, L::Cell>> = masks
             .iter()
             .map(|_| Arena::new(width, dense_bits, n_rows, 0))
             .collect();
-        let mut lanes_buf: Vec<L::Cell> = Vec::with_capacity(width);
         for part in parts {
             for (core, arena) in merged.iter_mut().zip(part) {
-                let mut cells = arena.cells.into_iter();
-                for (i, &key) in arena.keys.iter().enumerate() {
-                    self.ctx.tick(i)?;
-                    lanes_buf.extend(cells.by_ref().take(width));
-                    let (slot, fresh) = core.probe(key);
-                    if fresh {
-                        core.cells.append(&mut lanes_buf);
-                    } else {
-                        let slot = slot as usize;
-                        self.lanes.fold_super(
-                            &mut core.cells[slot * width..(slot + 1) * width],
-                            &lanes_buf,
-                        )?;
-                        stats.merge_calls += width as u64;
-                        lanes_buf.clear();
-                    }
-                }
+                stats.merge_calls += core.coalesce(arena, self.lanes, self.ctx)? * width as u64;
             }
         }
         Ok(merged)
@@ -787,16 +951,20 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
     /// mask — one `Iter_super` per (parent cell, aggregate). Children
     /// shrink, but rarely below half the parent, so a map-indexed child is
     /// pre-sized to that.
-    fn merged_child(&self, parent: &Arena<K, L::Cell>, mask: K) -> CubeResult<Arena<K, L::Cell>> {
+    pub(crate) fn merged_child(
+        &self,
+        parent: &Arena<K, L::Cell>,
+        mask: K,
+    ) -> CubeResult<Arena<K, L::Cell>> {
         let w = self.lanes.width();
         let hint = parent.n_cells() / 2 + 1;
-        let mut child = Arena::new(w, self.enc.encoder.dense_bits(), hint, hint);
+        let mut child = Arena::new(w, self.encoder.dense_bits(), hint, hint);
         for (pslot, &pkey) in parent.keys.iter().enumerate() {
             self.ctx.tick(pslot)?;
             let cslot = child.slot(pkey.and(mask), self.lanes, self.ctx)? as usize;
             self.lanes.fold_super(
                 &mut child.cells[cslot * w..(cslot + 1) * w],
-                parent.cell(pslot),
+                parent.cell_at(pslot),
             )?;
         }
         Ok(child)
@@ -822,7 +990,7 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
         choice: ParentChoice,
         stats: &mut ExecStats,
     ) -> CubeResult<SetArenas<K, L::Cell>> {
-        let encoder = &self.enc.encoder;
+        let encoder = &self.encoder;
         let core_set = lattice.core();
         // The C_i come straight off the symbol tables — no per-key scan
         // over the core.
@@ -880,13 +1048,13 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
 
     /// Run the plan shape: which masks each pass over the base rows folds
     /// into, and whether the cascade derives the rest.
-    fn group(
+    pub(crate) fn group(
         &self,
         lattice: &Lattice,
         shape: Shape,
         stats: &mut ExecStats,
     ) -> CubeResult<SetArenas<K, L::Cell>> {
-        let encoder = &self.enc.encoder;
+        let encoder = &self.encoder;
         let mut shape = shape;
         if let (Shape::FromCore { threads: None, .. }, Some(budget)) =
             (shape, self.ctx.cell_budget())
@@ -926,7 +1094,7 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
                 let workers = match threads {
                     None => 1,
                     Some(t) => {
-                        let t = t.clamp(1, self.enc.keys.len().max(1));
+                        let t = t.clamp(1, self.keys.len().max(1));
                         stats.threads_used = stats.threads_used.max(t as u32);
                         t
                     }
@@ -937,48 +1105,34 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
         }
     }
 
-    /// Group with the plan shape, keep the requested sets, materialize.
-    fn execute(
+    /// The materializer: `arenas` in the order given, each one's rows
+    /// sorted by the key's `dims` in that order with `ALL` collating last,
+    /// emitting those dimensions and then the cell's `lanes`, one `Final()`
+    /// per (cell, lane).
+    pub(crate) fn materialize(
         &self,
-        lattice: &Lattice,
-        shape: Shape,
-        keep: Option<&[GroupingSet]>,
-        schema: Schema,
-        stats: &mut ExecStats,
-    ) -> CubeResult<Table> {
-        let mut sets = self.group(lattice, shape, stats)?;
-        if let Some(keep) = keep {
-            sets.retain(|(s, _)| keep.contains(s));
-        }
-        self.materialize(&sets, schema, stats)
-    }
-
-    /// The materializer: sets in the order given, each set's rows sorted
-    /// by key with `ALL` collating last, one `Final()` per (cell,
-    /// aggregate).
-    fn materialize(
-        &self,
-        sets: &[(GroupingSet, Arena<K, L::Cell>)],
+        arenas: &[&Arena<K, L::Cell>],
+        dims: &[usize],
+        lanes: &[usize],
         schema: Schema,
         stats: &mut ExecStats,
     ) -> CubeResult<Table> {
         exec::failpoint("materialize")?;
-        let encoder = &self.enc.encoder;
-        let w = self.lanes.width();
-        let nd = encoder.n_dims();
+        let encoder = &self.encoder;
+        let width = dims.len() + lanes.len();
         // Sort each set by collation-remapped keys — a plain integer sort in
         // decoded-`Row` order — and invert to a slot -> output-rank map.
         // Rows are then *emitted in slot order* — keys and cells stream
         // sequentially instead of one gather cache miss per cell — and
         // each decoded row scatters to its ranked position.
         // Decode-then-compare-`Row`s costs ~10× more on large results.
-        let collator = encoder.collator();
-        let mut ranks: Vec<Vec<u32>> = Vec::with_capacity(sets.len());
-        let mut bases: Vec<usize> = Vec::with_capacity(sets.len());
+        let collator = encoder.collator(dims);
+        let mut ranks: Vec<Vec<u32>> = Vec::with_capacity(arenas.len());
+        let mut bases: Vec<usize> = Vec::with_capacity(arenas.len());
         let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
         let mut total = 0usize;
         let mut order: Vec<(K, u32)> = Vec::new();
-        for (si, (_, arena)) in sets.iter().enumerate() {
+        for (si, arena) in arenas.iter().enumerate() {
             self.ctx.checkpoint()?;
             order.clear();
             order.extend(
@@ -1016,16 +1170,16 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
         let emitted = exec::run_workers(workers, "materialize", stats, |local| {
             let mut out: Vec<(usize, Row)> = Vec::new();
             while let Some(&(si, lo, hi)) = tasks.get(exec::claim(&cursor, 1)) {
-                let arena = &sets[si].1;
+                let arena = arenas[si];
                 let cells = arena.keys[lo..hi].iter().zip(&ranks[si][lo..hi]);
                 for (slot, (&key, &rank)) in (lo..hi).zip(cells) {
                     self.ctx.tick(slot)?;
-                    let mut vals = Vec::with_capacity(nd + w);
-                    encoder.append_key(key, &mut vals);
-                    self.lanes.finals(arena.cell(slot), &mut vals)?;
+                    let mut vals = Vec::with_capacity(width);
+                    encoder.append_key(key, dims, &mut vals);
+                    self.lanes.finals(arena.cell_at(slot), lanes, &mut vals)?;
                     out.push((bases[si] + rank as usize, Row::new(vals)));
                 }
-                local.final_calls += ((hi - lo) * w) as u64;
+                local.final_calls += ((hi - lo) * lanes.len()) as u64;
             }
             Ok(out)
         })?;
@@ -1035,35 +1189,6 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
             rows[idx] = row;
         }
         Ok(Table::from_validated_rows(schema, rows))
-    }
-
-    /// The core GROUP BY's cells as `(key, per-aggregate state)` pairs,
-    /// sorted by key.
-    fn core_states(&self, stats: &mut ExecStats) -> CubeResult<Vec<(Row, Vec<Vec<Value>>)>> {
-        exec::failpoint("core::scan")?;
-        let encoder = &self.enc.encoder;
-        let core = self.scan_one(
-            encoder.set_mask(GroupingSet::full(encoder.n_dims())),
-            1,
-            stats,
-        )?;
-        let collator = encoder.collator();
-        let mut order: Vec<(K, usize)> = core
-            .keys
-            .iter()
-            .enumerate()
-            .map(|(slot, &key)| (collator.sort_key(key), slot))
-            .collect();
-        order.sort_unstable_by_key(|c| c.0);
-        let mut cells = Vec::with_capacity(order.len());
-        for (i, &(_, slot)) in order.iter().enumerate() {
-            self.ctx.tick(i)?;
-            cells.push((
-                self.enc.encoder.decode_key(core.keys[slot]),
-                self.lanes.states(core.cell(slot))?,
-            ));
-        }
-        Ok(cells)
     }
 }
 
@@ -1084,108 +1209,69 @@ fn projected_lattice_cells(cardinalities: &[usize], lattice: &Lattice) -> u64 {
     total
 }
 
-/// One job for the pipeline, written once for every key width and lane
-/// kind [`dispatch`] may pick.
-trait Job {
-    type Out;
-
-    fn run<K: PackedKey, L: Lanes>(
-        self,
-        pipeline: Pipeline<'_, K, L>,
-        stats: &mut ExecStats,
-    ) -> CubeResult<Self::Out>;
-}
-
-/// Encode the input and run `job` on the pipeline its data selects: the key
-/// width from the field widths [`encode`] computes, the lane kind from the
-/// select list (kernel lanes when every aggregate compiles to one).
-fn dispatch<J: Job>(
+/// Encode the input and group it into every set of `lattice` with the
+/// plan shape, on the pipeline its data selects: the key width from the
+/// field widths [`encode`] computes, the lane kind from the select list
+/// (kernel lanes when every aggregate compiles to one). The arenas come
+/// back as a store's cells.
+pub(crate) fn group(
     rows: &[Row],
     dims: &[BoundDimension],
     aggs: &[BoundAgg],
+    plan: (&Lattice, Shape),
     stats: &mut ExecStats,
     ctx: &ExecContext,
-    job: J,
-) -> CubeResult<J::Out> {
+) -> CubeResult<Arc<dyn Store>> {
     match encode(rows, dims) {
-        Encoded::Narrow(enc) => dispatch_lanes(&enc, rows, aggs, stats, ctx, job),
-        Encoded::Wide(enc) => dispatch_lanes(&enc, rows, aggs, stats, ctx, job),
+        Encoded::Narrow(enc) => group_keyed(enc, rows, aggs, plan, stats, ctx),
+        Encoded::Wide(enc) => group_keyed(enc, rows, aggs, plan, stats, ctx),
     }
 }
 
-fn dispatch_lanes<K: PackedKey, J: Job>(
-    enc: &EncodedInput<K>,
+fn group_keyed<K: PackedKey>(
+    enc: EncodedInput<K>,
     rows: &[Row],
     aggs: &[BoundAgg],
+    plan: (&Lattice, Shape),
     stats: &mut ExecStats,
     ctx: &ExecContext,
-    job: J,
-) -> CubeResult<J::Out> {
+) -> CubeResult<Arc<dyn Store>> {
     let rle = rle_engages(&enc.keys);
     match KernelLanes::plan(rows, aggs, rle) {
         Some(lanes) => {
             // Recorded before the scan so partial stats on a budget trip
             // already say which lanes were running.
             stats.vectorized_kernels_used = stats.vectorized_kernels_used.max(lanes.width() as u64);
-            let lanes = &lanes;
-            job.run(
-                Pipeline {
-                    enc,
-                    lanes,
-                    rle,
-                    ctx,
-                },
-                stats,
-            )
+            keep_arenas(enc, &lanes, rle, plan, stats, ctx)
         }
-        None => {
-            let lanes = &BoxedLanes { rows, aggs };
-            job.run(
-                Pipeline {
-                    enc,
-                    lanes,
-                    rle,
-                    ctx,
-                },
-                stats,
-            )
-        }
+        None => keep_arenas(enc, &BoxedLanes { rows, aggs }, rle, plan, stats, ctx),
     }
 }
 
-/// [`execute`] as a [`Job`].
-struct Execute<'a> {
-    lattice: &'a Lattice,
-    shape: Shape,
-    keep: Option<&'a [GroupingSet]>,
-    schema: Schema,
-}
-
-impl Job for Execute<'_> {
-    type Out = Table;
-
-    fn run<K: PackedKey, L: Lanes>(
-        self,
-        pipeline: Pipeline<'_, K, L>,
-        stats: &mut ExecStats,
-    ) -> CubeResult<Table> {
-        pipeline.execute(self.lattice, self.shape, self.keep, self.schema, stats)
+fn keep_arenas<K: PackedKey, L: Lanes>(
+    enc: EncodedInput<K>,
+    lanes: &L,
+    rle: bool,
+    (lattice, shape): (&Lattice, Shape),
+    stats: &mut ExecStats,
+    ctx: &ExecContext,
+) -> CubeResult<Arc<dyn Store>> {
+    let (encoder, keys) = (&enc.encoder, &enc.keys);
+    let sets = Pipeline {
+        encoder,
+        keys,
+        lanes,
+        rle,
+        ctx,
     }
-}
-
-/// [`core_states`] as a [`Job`].
-struct CoreStates;
-
-impl Job for CoreStates {
-    type Out = Vec<(Row, Vec<Vec<Value>>)>;
-
-    fn run<K: PackedKey, L: Lanes>(
-        self,
-        pipeline: Pipeline<'_, K, L>,
-        stats: &mut ExecStats,
-    ) -> CubeResult<Self::Out> {
-        pipeline.core_states(stats)
-    }
+    .group(lattice, shape, stats)?;
+    let arenas = sets.into_iter().map(|(_, arena)| arena).collect();
+    let spec = lanes.spec();
+    Ok(Arc::new(Nodes {
+        spec,
+        encoder: enc.encoder,
+        arenas,
+    }))
 }
 
 /// Execute `lattice` over the base rows with the given plan shape and
@@ -1202,25 +1288,13 @@ pub(crate) fn execute(
     stats: &mut ExecStats,
     ctx: &ExecContext,
 ) -> CubeResult<Table> {
-    let job = Execute {
-        lattice,
-        shape,
-        keep,
-        schema,
-    };
-    dispatch(rows, dims, aggs, stats, ctx, job)
-}
-
-/// The core GROUP BY over all of `dims` as `(key, per-aggregate state)`
-/// cells sorted by key — the scan a cached view is built from.
-pub(crate) fn core_states(
-    rows: &[Row],
-    dims: &[BoundDimension],
-    aggs: &[BoundAgg],
-    stats: &mut ExecStats,
-    ctx: &ExecContext,
-) -> CubeResult<Vec<(Row, Vec<Vec<Value>>)>> {
-    dispatch(rows, dims, aggs, stats, ctx, CoreStates)
+    let cells = group(rows, dims, aggs, (lattice, shape), stats, ctx)?;
+    let kept = lattice.sets().iter().enumerate();
+    let kept = kept.filter(|(_, s)| keep.is_none_or(|keep| keep.contains(s)));
+    let picks: Vec<(usize, Option<GroupingSet>)> = kept.map(|(i, _)| (i, None)).collect();
+    let (dims, lanes): (Vec<usize>, Vec<usize>) =
+        ((0..dims.len()).collect(), (0..aggs.len()).collect());
+    cells.read_sets(aggs, &picks, &dims, &lanes, schema, stats, ctx)
 }
 
 #[cfg(test)]
@@ -1318,17 +1392,15 @@ mod tests {
     ) -> (Table, ExecStats) {
         let (dims, aggs, schema) = bind(t, aggs);
         let lattice = Lattice::cube(2).unwrap();
-        let job = Execute {
-            lattice: &lattice,
-            shape,
-            keep: None,
-            schema,
-        };
         let enc = encode_as::<K>(t.rows(), &dims);
         let mut stats = ExecStats::default();
         let ctx = ExecContext::unlimited();
-        let out = dispatch_lanes(&enc, t.rows(), &aggs, &mut stats, &ctx, job).unwrap();
-        (out, stats)
+        let plan = (&lattice, shape);
+        let cells = group_keyed(enc, t.rows(), &aggs, plan, &mut stats, &ctx).unwrap();
+        let picks: Vec<_> = (0..lattice.sets().len()).map(|i| (i, None)).collect();
+        let (dims, lanes) = ([0, 1], (0..aggs.len()).collect::<Vec<_>>());
+        let out = cells.read_sets(&aggs, &picks, &dims, &lanes, schema, &mut stats, &ctx);
+        (out.unwrap(), stats)
     }
 
     #[test]

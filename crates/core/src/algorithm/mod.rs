@@ -31,8 +31,6 @@ pub(crate) mod reference;
 pub mod repro;
 pub(crate) mod sort;
 
-pub(crate) use engine::core_states;
-
 use crate::error::{CubeError, CubeResult};
 use crate::exec::ExecContext;
 use crate::groupby::ExecStats;

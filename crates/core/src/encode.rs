@@ -26,6 +26,11 @@
 //! (at most [`GroupingSet::MAX_DIMS`] dimensions, any cardinalities) gets
 //! one or the other, and the engine is generic over which.
 //!
+//! A materialized store keeps its encoder across batches:
+//! [`KeyEncoder::grow`] interns a batch's unseen values, and a `u64` field
+//! that outgrows its width re-lays the key — past 64 bits, as a
+//! [`WideKey`].
+//!
 //! [`Lattice`]: crate::lattice::Lattice
 
 use crate::lattice::GroupingSet;
@@ -142,10 +147,16 @@ impl PackedKey for WideKey {
     }
 }
 
-/// Per-dimension symbol tables plus the field layout of the packed key.
+/// Per-dimension symbol tables — the dictionary — plus the field layout of
+/// the packed key and the collation rank of every field value.
+#[derive(Clone)]
 pub(crate) struct KeyEncoder<K> {
     symbols: Vec<SymbolTable>,
     fields: Vec<Field>,
+    /// `ranks[d][field]`: where dimension `d`'s field value collates —
+    /// interned values in `Value` order, `ALL` (field 0) last. Rebuilt
+    /// whenever the dictionary grows, so no read sorts a `Value`.
+    ranks: Vec<Vec<u32>>,
     key: PhantomData<K>,
 }
 
@@ -162,20 +173,20 @@ pub(crate) enum Encoded {
     Wide(EncodedInput<WideKey>),
 }
 
-/// The interned input: per-dimension symbol tables, the row-major codes,
-/// and the field layout the cardinalities call for.
-struct Interned {
-    symbols: Vec<SymbolTable>,
-    codes: Vec<u32>,
-    fields: Vec<Field>,
+/// Row-major `codes` over `symbols` packed at the width the fields need:
+/// one `u64` key when they sum to at most 64 bits, a [`WideKey`] otherwise.
+fn at_width(symbols: Vec<SymbolTable>, codes: &[u32], n_rows: usize) -> Encoded {
+    if layout(&symbols).iter().map(|f| f.width).sum::<u32>() <= u64::BITS {
+        Encoded::Narrow(KeyEncoder::new(symbols).pack(codes, n_rows))
+    } else {
+        Encoded::Wide(KeyEncoder::new(symbols).pack(codes, n_rows))
+    }
 }
 
-/// Dictionary-encode every row's cube coordinate: one pass interns each
-/// dimension value, after which the field widths are known.
-fn intern(rows: &[Row], dims: &[BoundDimension]) -> Interned {
-    let n = dims.len();
-    let mut symbols: Vec<SymbolTable> = (0..n).map(|_| SymbolTable::new()).collect();
-    let mut codes: Vec<u32> = Vec::with_capacity(rows.len() * n);
+/// Dictionary-encode every row's cube coordinate into `symbols`,
+/// returning the row-major codes.
+fn intern(symbols: &mut [SymbolTable], rows: &[Row], dims: &[BoundDimension]) -> Vec<u32> {
+    let mut codes: Vec<u32> = Vec::with_capacity(rows.len() * dims.len());
     for row in rows {
         for (dim, table) in dims.iter().zip(symbols.iter_mut()) {
             // Borrow plain column values; only computed dimensions pay
@@ -187,11 +198,15 @@ fn intern(rows: &[Row], dims: &[BoundDimension]) -> Interned {
             codes.push(code);
         }
     }
-    // width_d = bits for field values 0..=C_d (code c stored as c + 1,
-    // 0 reserved for ALL); at least one bit even for an empty input so
-    // every dimension owns a field.
+    codes
+}
+
+/// The field layout the cardinalities call for: width_d = bits for field
+/// values 0..=C_d (code c stored as c + 1, 0 reserved for ALL); at least
+/// one bit even for an empty input so every dimension owns a field.
+fn layout(symbols: &[SymbolTable]) -> Vec<Field> {
     let mut shift = 0u32;
-    let fields = symbols
+    symbols
         .iter()
         .map(|t| {
             let width = (u32::BITS - (t.cardinality() as u32).leading_zeros()).max(1);
@@ -199,62 +214,111 @@ fn intern(rows: &[Row], dims: &[BoundDimension]) -> Interned {
             shift += width;
             field
         })
-        .collect();
-    Interned {
-        symbols,
-        codes,
-        fields,
-    }
+        .collect()
 }
 
-/// Pack the interned codes into keys of type `K`: a second pass over the
-/// codes, no `Value` touched again.
-fn pack<K: PackedKey>(interned: Interned, n_rows: usize) -> EncodedInput<K> {
-    let Interned {
-        symbols,
-        codes,
-        fields,
-    } = interned;
-    // A zero-dimension coordinate packs to the empty key — one per row,
-    // so the grand-total cell still sees every row.
-    let keys = if fields.is_empty() {
-        vec![K::pack(&fields, |_| 0); n_rows]
-    } else {
-        codes
-            .chunks_exact(fields.len())
-            .map(|coord| K::pack(&fields, |d| coord[d] + 1))
-            .collect()
+/// Every field value's collation rank: one `Value` sort per symbol table.
+fn ranks(symbols: &[SymbolTable]) -> Vec<Vec<u32>> {
+    let rank = |symbols: &SymbolTable| {
+        let values = symbols.values();
+        let mut order: Vec<u32> = (0..values.len() as u32).collect();
+        order.sort_by(|&a, &b| values[a as usize].cmp(&values[b as usize]));
+        // ranks[field]: field 0 is ALL (rank C, last); field c + 1 is
+        // code c (its position in Value order).
+        let mut ranks = vec![0u32; values.len() + 1];
+        ranks[0] = values.len() as u32;
+        for (pos, &code) in order.iter().enumerate() {
+            ranks[code as usize + 1] = pos as u32;
+        }
+        ranks
     };
-    let encoder = KeyEncoder {
-        symbols,
-        fields,
-        key: PhantomData,
-    };
-    EncodedInput { encoder, keys }
+    symbols.iter().map(rank).collect()
 }
 
-/// Dictionary-encode and pack every row's cube coordinate. The key width
-/// follows from the field widths alone: one `u64` when they sum to at
-/// most 64 bits, a [`WideKey`] otherwise.
+/// Dictionary-encode and pack every row's cube coordinate, at the width
+/// the fields need.
 pub(crate) fn encode(rows: &[Row], dims: &[BoundDimension]) -> Encoded {
-    let interned = intern(rows, dims);
-    if interned.fields.iter().map(|f| f.width).sum::<u32>() <= u64::BITS {
-        Encoded::Narrow(pack(interned, rows.len()))
-    } else {
-        Encoded::Wide(pack(interned, rows.len()))
-    }
+    let mut symbols: Vec<SymbolTable> = dims.iter().map(|_| SymbolTable::new()).collect();
+    let codes = intern(&mut symbols, rows, dims);
+    at_width(symbols, &codes, rows.len())
 }
 
 /// Pack at a caller-chosen width regardless of the field widths, so a test
 /// can run one small table through both key instantiations.
 #[cfg(test)]
 pub(crate) fn encode_as<K: PackedKey>(rows: &[Row], dims: &[BoundDimension]) -> EncodedInput<K> {
-    pack(intern(rows, dims), rows.len())
+    let mut symbols: Vec<SymbolTable> = dims.iter().map(|_| SymbolTable::new()).collect();
+    let codes = intern(&mut symbols, rows, dims);
+    KeyEncoder::new(symbols).pack(&codes, rows.len())
 }
 
 impl<K: PackedKey> KeyEncoder<K> {
-    pub fn n_dims(&self) -> usize {
-        self.fields.len()
+    fn new(symbols: Vec<SymbolTable>) -> Self {
+        KeyEncoder {
+            fields: layout(&symbols),
+            ranks: ranks(&symbols),
+            symbols,
+            key: PhantomData,
+        }
+    }
+
+    /// Pack row-major `codes` into keys: no `Value` touched again.
+    fn pack(self, codes: &[u32], n_rows: usize) -> EncodedInput<K> {
+        // A zero-dimension coordinate packs to the empty key — one per row,
+        // so the grand-total cell still sees every row.
+        let keys = if self.fields.is_empty() {
+            vec![K::pack(&self.fields, |_| 0); n_rows]
+        } else {
+            let coords = codes.chunks_exact(self.fields.len());
+            coords
+                .map(|coord| K::pack(&self.fields, |d| coord[d] + 1))
+                .collect()
+        };
+        EncodedInput {
+            encoder: self,
+            keys,
+        }
+    }
+
+    /// Intern `rows`' coordinates, growing the dictionary and its ranks.
+    /// Keys packed before stay valid unless a `u64` field outgrew its
+    /// width — a `u64` key is its fields' bit ranges — and then the encoder
+    /// the grown dictionary needs comes back (with no keys), at the width
+    /// its fields take now, for the caller to re-key to ([`Self::repack`]).
+    pub fn grow(&mut self, rows: &[Row], dims: &[BoundDimension]) -> Option<Encoded> {
+        let before: usize = self.cardinalities().iter().sum();
+        intern(&mut self.symbols, rows, dims);
+        if self.cardinalities().iter().sum::<usize>() == before {
+            return None;
+        }
+        let fields = layout(&self.symbols);
+        if K::DENSE && fields.iter().map(|f| f.width).sum::<u32>() > self.total_bits() {
+            return Some(at_width(self.symbols.clone(), &[], 0));
+        }
+        self.fields = fields;
+        self.ranks = ranks(&self.symbols);
+        None
+    }
+
+    /// `key`, packed by `from`, in this encoder's layout (same dictionary).
+    pub fn repack<J: PackedKey>(&self, key: J, from: &KeyEncoder<J>) -> K {
+        K::pack(&self.fields, |d| key.field(d, from.fields[d]))
+    }
+
+    /// The keys of rows whose values are all interned.
+    pub fn keys<'r>(
+        &self,
+        rows: impl IntoIterator<Item = &'r Row>,
+        dims: &[BoundDimension],
+    ) -> Option<Vec<K>> {
+        let mut codes = [0u32; GroupingSet::MAX_DIMS];
+        let mut key = |row| {
+            for ((dim, table), code) in dims.iter().zip(&self.symbols).zip(&mut codes) {
+                *code = table.code_of(&dim.eval(row))? + 1;
+            }
+            Some(K::pack(&self.fields, |d| codes[d]))
+        };
+        rows.into_iter().map(&mut key).collect()
     }
 
     /// The mask that projects a full key onto `set` (see
@@ -271,18 +335,19 @@ impl<K: PackedKey> KeyEncoder<K> {
 
     /// Decode a packed key back to `Row` form: field 0 → `ALL`, field
     /// `c + 1` → the interned value `c`.
+    #[cfg(test)]
     pub fn decode_key(&self, key: K) -> Row {
-        let mut vals = Vec::with_capacity(self.n_dims());
-        self.append_key(key, &mut vals);
+        let mut vals = Vec::new();
+        self.append_key(key, &(0..self.fields.len()).collect::<Vec<_>>(), &mut vals);
         Row::new(vals)
     }
 
-    /// [`decode_key`](Self::decode_key) into a caller-owned buffer, so
-    /// materialization can size one allocation for dimensions *and*
-    /// aggregate values.
-    pub fn append_key(&self, key: K, out: &mut Vec<Value>) {
-        for (d, &f) in self.fields.iter().enumerate() {
-            out.push(match key.field(d, f) {
+    /// Decode dimensions `dims` of `key`, in that order, into a
+    /// caller-owned buffer, so materialization can size one allocation
+    /// for dimensions *and* aggregate values.
+    pub fn append_key(&self, key: K, dims: &[usize], out: &mut Vec<Value>) {
+        for &d in dims {
+            out.push(match key.field(d, self.fields[d]) {
                 0 => Value::All,
                 c => self.symbols[d]
                     .decode(c - 1)
@@ -293,55 +358,39 @@ impl<K: PackedKey> KeyEncoder<K> {
         }
     }
 
-    /// Build the collation map for packed keys: `collator.sort_key(k)` is
-    /// a key whose natural order equals the decoded-`Row` order the
-    /// materializer must emit (dimension 0 most significant, interned
-    /// values in `Value` order, `ALL` collating last). Sorting cells by
+    /// The collation map for packed keys by dimensions `order`:
+    /// `collator.sort_key(k)` is a key whose natural order equals the
+    /// order of `k`'s decoded `order` values (the first most significant,
+    /// interned values in `Value` order, `ALL` last). Sorting cells by
     /// these remapped keys replaces the decode-then-compare-`Row`s sort —
     /// the dominant cost of materializing large results — with a plain
     /// integer sort; each key is then decoded exactly once, in output
-    /// order. Cost: one `Value` sort per symbol table, paid once.
-    pub fn collator(&self) -> KeyCollator<K> {
-        let mut tables = Vec::with_capacity(self.n_dims());
-        for symbols in &self.symbols {
-            let c = symbols.cardinality();
-            let mut order: Vec<u32> = (0..c as u32).collect();
-            order.sort_by(|&a, &b| {
-                // cube-lint: allow(panic, codes 0..cardinality are all interned)
-                let va = symbols.decode(a).expect("interned code");
-                // cube-lint: allow(panic, codes 0..cardinality are all interned)
-                let vb = symbols.decode(b).expect("interned code");
-                va.cmp(vb)
-            });
-            // ranks[field]: field 0 is ALL (rank C, last); field c + 1 is
-            // code c (its position in Value order).
-            let mut ranks = vec![0u32; c + 1];
-            ranks[0] = c as u32;
-            for (pos, &code) in order.iter().enumerate() {
-                ranks[code as usize + 1] = pos as u32;
+    /// order.
+    pub fn collator(&self, order: &[usize]) -> KeyCollator<'_, K> {
+        // A repeated dimension adds no order: it packs once.
+        let mut dims: Vec<usize> = Vec::with_capacity(order.len());
+        for &d in order {
+            if !dims.contains(&d) {
+                dims.push(d);
             }
-            tables.push(ranks);
         }
-        // Dimension 0 takes the most significant field: Row comparison is
-        // lexicographic from dimension 0.
-        let total = self.total_bits();
+        let total: u32 = dims.iter().map(|&d| self.fields[d].width).sum();
         let mut used = 0u32;
-        let out = self
-            .fields
+        let out = dims
             .iter()
-            .map(|f| {
-                used += f.width;
+            .map(|&d| {
+                let width = self.fields[d].width;
+                used += width;
                 Field {
                     shift: total - used,
-                    width: f.width,
+                    width,
                 }
             })
             .collect();
         KeyCollator {
-            fields: self.fields.clone(),
+            encoder: self,
+            dims,
             out,
-            tables,
-            key: PhantomData,
         }
     }
 
@@ -368,21 +417,23 @@ impl<K: PackedKey> KeyEncoder<K> {
 
 /// Packed-key → collation-key remapper built by [`KeyEncoder::collator`].
 /// `sort_key` is a strictly monotone map from packed keys (within one
-/// grouping set) to the decoded-`Row` collation order: distinct keys in a
-/// set differ in some member field, and member fields map to distinct
-/// ranks in disjoint fields.
-pub(crate) struct KeyCollator<K> {
-    fields: Vec<Field>,
+/// grouping set whose members are all among its dimensions) to the
+/// decoded collation order: distinct keys in the set differ in some
+/// member field, and member fields map to distinct ranks in disjoint
+/// fields.
+pub(crate) struct KeyCollator<'a, K> {
+    encoder: &'a KeyEncoder<K>,
+    dims: Vec<usize>,
     out: Vec<Field>,
-    tables: Vec<Vec<u32>>,
-    key: PhantomData<K>,
 }
 
-impl<K: PackedKey> KeyCollator<K> {
+impl<K: PackedKey> KeyCollator<'_, K> {
     #[inline]
     pub fn sort_key(&self, key: K) -> K {
-        K::pack(&self.out, |d| {
-            self.tables[d][key.field(d, self.fields[d]) as usize]
+        let e = self.encoder;
+        K::pack(&self.out, |q| {
+            let d = self.dims[q];
+            e.ranks[d][key.field(d, e.fields[d]) as usize]
         })
     }
 }
@@ -523,7 +574,7 @@ mod tests {
             assert_eq!(projected[d], want, "dimension {d}");
         }
         // Collation: interned values in `Value` order, `ALL` last.
-        let collator = enc.encoder.collator();
+        let collator = enc.encoder.collator(&(0..11).collect::<Vec<_>>());
         let grand = enc.keys[0].and(enc.encoder.set_mask(GroupingSet::EMPTY));
         assert!(collator.sort_key(enc.keys[3]) < collator.sort_key(enc.keys[4]));
         assert!(collator.sort_key(enc.keys[99]) < collator.sort_key(grand));
@@ -546,7 +597,10 @@ mod tests {
         let dims = bind_dims(&t, &["model", "year"]);
         let narrow = encode_as::<u64>(t.rows(), &dims);
         let wide = encode_as::<WideKey>(t.rows(), &dims);
-        let (nc, wc) = (narrow.encoder.collator(), wide.encoder.collator());
+        let (nc, wc) = (
+            narrow.encoder.collator(&[0, 1]),
+            wide.encoder.collator(&[0, 1]),
+        );
         for set in crate::lattice::cube_sets(2).unwrap() {
             let project = |i: usize| {
                 (

@@ -14,47 +14,58 @@
 //! store with different families. DESIGN.md "Materialized store" has the
 //! long form of what follows.
 //!
-//! **Cells** hold live accumulators plus a support count — not final
-//! values (an average of averages is wrong) and not `state()` tuples (a
-//! user-defined aggregate built without `state()`/`merge()` has none, and
-//! a maintained cube must still carry it).
+//! **Cells** are the engine's own: one arena per materialized set under
+//! the store's key encoder — its dictionary and field layout — each cell
+//! the select list's lanes plus a COUNT(*) lane for its support. A build
+//! keeps the arenas the engine's scan and cascade made. The format only
+//! widens, and the data decides it: a `u64` key re-lays (past 64 bits as a
+//! `WideKey`) when unseen values outgrow a field, and POD kernel lanes
+//! become boxed accumulators when a batch's measures do not compile to
+//! the store's kernels.
 //!
 //! **Reading.** A requested set is answered from the smallest materialized
 //! node that is *usable* for it (`usable`, the one ancestor test): its own
-//! node directly, a finer one by projecting and merging scratchpads.
+//! node directly, a finer one through the engine's `merged_child`
+//! (mask-AND plus Iter_super); the engine's collation-rank materializer
+//! emits the request's dimensions and aggregates in its order.
 //!
-//! **Writing.** A [`DeltaBatch`] folds in one grouping-set pass. It first
-//! *stages* replacement scratchpads — existing state merged in by
-//! Iter_super, deletes retracted, inserts iterated — with every fallible
-//! call (governance ticks, budget charges, guarded UDA callbacks, fault
-//! injection) confined to that phase; only then does the infallible
-//! *install* swap the staged cells in and splice the base rows, so any
-//! failure leaves the store exactly at its pre-batch state and version.
-//! §6's asymmetry — "max is a distributive \[function\] for SELECT and
-//! INSERT, but it is holistic for DELETE" — is handled by *coalescing*: a
-//! cell whose scratchpad cannot absorb a retraction
-//! ([`dc_aggregate::Retract::Recompute`]) is rebuilt at most once per
-//! batch, from the post-batch base. That needs the base rows, so only the
-//! constructors that keep them (`cube`, `rollup`, `with_lattice`) accept
-//! deletes; a `build` view keeps none.
+//! **Writing.** A [`DeltaBatch`] folds into a fresh copy of the cells (a
+//! POD copy for kernel lanes) that replaces them only once the whole batch
+//! has folded, so any failure — governance tick, budget charge, guarded
+//! UDA callback, fault injection — leaves the store exactly at its
+//! pre-batch state and version. Inserts are encoded with the store's
+//! dictionary, folded by the engine's scan and merged by its coalesce
+//! (adopt a new cell, Iter_super into an old one); deletes retract per
+//! lane. §6's asymmetry — "max is a distributive \[function\] for SELECT
+//! and INSERT, but it is holistic for DELETE" — is handled by
+//! *coalescing*: a cell that cannot take a retraction is rebuilt at most
+//! once per batch, from the post-batch base. That needs the base rows, so
+//! only the constructors that keep them (`cube`, `rollup`, `with_lattice`)
+//! accept deletes; a `build` view keeps none. Without Iter_super (a UDA
+//! built without `state()`/`merge()`) no cell can be folded into, and a
+//! batch re-groups the whole store from the base.
 //!
 //! **Lock.** Everything a batch changes — the cells, the kept base rows,
 //! the counters, the version — is one `State` behind one `RwLock`. A batch
-//! takes it for writing from staging through install; every reader takes
-//! it for reading, so a reader sees whole batches only and readers share.
-//! Only the batch-local grouping of rows by `(set, key)` runs outside it.
+//! takes it for writing from resolving its deletes through install; every
+//! reader takes it for reading, so a reader sees whole batches only and
+//! readers share. Only validation and annihilation run outside it.
 //! Dividing the cells among several locks would buy nothing: every cube
 //! and rollup family contains the empty grouping set, so every non-empty
 //! batch rewrites the `(ALL, …, ALL)` cell and any two writers meet there.
 
+use crate::algorithm::engine::{self, Arena, Lanes, Pipeline, Stored};
+use crate::algorithm::{resolve, Algorithm, ParentChoice, Shape};
+use crate::encode::{Encoded, KeyEncoder, PackedKey};
 use crate::error::{CubeError, CubeResult};
 use crate::exec::{self, ExecContext};
-use crate::groupby::{full_key, project_key, ExecStats};
+use crate::groupby::ExecStats;
 use crate::lattice::{GroupingSet, Lattice};
 use crate::spec::{AggSpec, BoundAgg, BoundDimension, Dimension};
-use dc_aggregate::{Accumulator, AggRef, Retract};
+use dc_aggregate::{distributive::CountStar, AggRef};
 use dc_relation::{ColumnDef, DataType, FxHashMap, RelError, Row, Schema, Table, Value};
 use parking_lot::RwLock;
+use std::sync::Arc;
 
 /// Whether a query using this aggregate may legally be answered from a
 /// *coarser-than-exact* materialized node's scratchpads.
@@ -105,7 +116,9 @@ pub struct MaintainStats {
     /// Delta batches applied (a legacy single-row insert/delete counts as
     /// a batch of one).
     pub batches: u64,
-    /// Cell scratchpad updates applied in place (the cheap path).
+    /// Cell scratchpad updates applied in place (the cheap path): one per
+    /// cell a batch's inserts fold into, one per cell its deletes retract
+    /// from or empty.
     pub cells_updated: u64,
     /// Cells that had to be recomputed from base rows (the delete-holistic
     /// path), coalesced to at most one rebuild per cell per batch.
@@ -197,9 +210,9 @@ impl DeltaBatch {
     }
 
     /// Cancel matching insert/delete pairs and return the survivors.
-    fn annihilate(&self) -> (Vec<&Row>, Vec<&Row>) {
+    fn annihilate(&self) -> (Vec<Row>, Vec<Row>) {
         if self.deletes.is_empty() || self.inserts.is_empty() {
-            return (self.inserts.iter().collect(), self.deletes.iter().collect());
+            return (self.inserts.clone(), self.deletes.clone());
         }
         let mut del_count: FxHashMap<&Row, usize> = FxHashMap::default();
         for d in &self.deletes {
@@ -209,12 +222,12 @@ impl DeltaBatch {
         for row in &self.inserts {
             match del_count.get_mut(row) {
                 Some(c) if *c > 0 => *c -= 1,
-                _ => ins_rows.push(row),
+                _ => ins_rows.push(row.clone()),
             }
         }
         let del_rows = del_count
             .into_iter()
-            .flat_map(|(row, count)| std::iter::repeat_n(row, count))
+            .flat_map(|(row, count)| std::iter::repeat_n(row.clone(), count))
             .collect();
         (ins_rows, del_rows)
     }
@@ -230,20 +243,325 @@ fn arity(expected: usize, row: &Row) -> CubeResult<()> {
     }))
 }
 
-/// The one cell format: live scratchpads plus the number of base rows
-/// behind them.
-struct Cell {
-    accs: Vec<Box<dyn Accumulator>>,
-    /// Base rows contributing to this cell; when it reaches zero the cell
-    /// disappears from the cube (sparse representation, §5).
-    support: u64,
+/// A store's cells at whatever key width and lane kind the data has taken
+/// them to: what the store asks of them, width-blind.
+pub(crate) trait Store: Send + Sync {
+    /// Cells per materialized set.
+    fn sizes(&self) -> Vec<u64>;
+
+    /// The key and cell types, and the dictionary's cardinalities.
+    #[cfg(test)]
+    fn format(&self) -> (String, Vec<usize>);
+
+    /// Each `(node, onto)` of `picks` — set `node`'s cells, merged onto
+    /// set `onto` when there is one — as rows of dimensions `dims` and
+    /// lanes `lanes`, sorted by the dimensions in that order.
+    #[allow(clippy::too_many_arguments)]
+    fn read_sets(
+        &self,
+        aggs: &[BoundAgg],
+        picks: &[(usize, Option<GroupingSet>)],
+        dims: &[usize],
+        lanes: &[usize],
+        schema: Schema,
+        stats: &mut ExecStats,
+        ctx: &ExecContext,
+    ) -> CubeResult<Table>;
+
+    /// New cells: these with `batch` folded in. These stay as they are.
+    fn fold_batch(
+        &self,
+        cube: &MaterializedCube,
+        batch: &Batch<'_>,
+        ctx: &ExecContext,
+        stats: &mut MaintainStats,
+    ) -> CubeResult<Arc<dyn Store>>;
+}
+
+/// The cells in the engine's format: one arena per materialized set,
+/// parallel to the lattice, under the store's key encoder.
+pub(crate) struct Nodes<K, C: Stored> {
+    pub(crate) spec: C::Spec,
+    pub(crate) encoder: KeyEncoder<K>,
+    pub(crate) arenas: Vec<Arena<K, C>>,
+}
+
+/// A batch after annihilation, and the base it lands on.
+pub(crate) struct Batch<'a> {
+    ins: &'a [Row],
+    del: &'a [Row],
+    base: &'a [Row],
+    /// `deleted[i]`: base row `i` leaves with this batch (empty when the
+    /// batch deletes nothing).
+    deleted: &'a [bool],
+}
+
+impl Batch<'_> {
+    /// The rows after the batch: the base rows that stay, then the inserts.
+    fn live(&self) -> impl Iterator<Item = &Row> + '_ {
+        let deleted = |i: usize| self.deleted.get(i).copied().unwrap_or(false);
+        let staying = self
+            .base
+            .iter()
+            .enumerate()
+            .filter(move |&(i, _)| !deleted(i));
+        staying.map(|(_, r)| r).chain(self.ins)
+    }
+}
+
+fn corrupt(what: &str) -> CubeError {
+    CubeError::BadSpec(format!("corrupt cube: {what}"))
+}
+
+/// The base rows behind a cell: its support lane's count.
+fn support<L: Lanes>(lanes: &L, cell: &[L::Cell]) -> CubeResult<u64> {
+    let mut count = Vec::with_capacity(1);
+    lanes.finals(cell, &[lanes.width() - 1], &mut count)?;
+    Ok(count.first().and_then(Value::as_i64).unwrap_or(0) as u64)
+}
+
+impl<K: PackedKey, C: Stored> Nodes<K, C> {
+    /// The same keys over cells `cells` makes of each arena's.
+    fn converted<D: Stored>(
+        &self,
+        spec: D::Spec,
+        cells: impl Fn(&[C]) -> CubeResult<Vec<D>>,
+    ) -> CubeResult<Nodes<K, D>> {
+        let arenas = self
+            .arenas
+            .iter()
+            .map(|a| Ok(a.with_cells(cells(&a.cells)?)));
+        Ok(Nodes {
+            spec,
+            encoder: self.encoder.clone(),
+            arenas: arenas.collect::<CubeResult<_>>()?,
+        })
+    }
+
+    /// Grow the dictionary by the batch's inserts — re-keyed when a `u64`
+    /// field outgrew its width — then fold the batch in.
+    fn grown(
+        mut self,
+        cube: &MaterializedCube,
+        b: &Batch<'_>,
+        ctx: &ExecContext,
+        stats: &mut MaintainStats,
+    ) -> CubeResult<Arc<dyn Store>> {
+        match self.encoder.grow(b.ins, &cube.dims) {
+            None => self.folded(cube, b, ctx, stats),
+            Some(Encoded::Narrow(e)) => self.rekeyed(e.encoder).folded(cube, b, ctx, stats),
+            Some(Encoded::Wide(e)) => self.rekeyed(e.encoder).folded(cube, b, ctx, stats),
+        }
+    }
+
+    fn rekeyed<J: PackedKey>(self, encoder: KeyEncoder<J>) -> Nodes<J, C> {
+        let Nodes {
+            spec,
+            encoder: old,
+            arenas,
+        } = self;
+        let dense = encoder.dense_bits();
+        let arenas = arenas
+            .into_iter()
+            .map(|a| a.rebuilt(dense, |k| encoder.repack(k, &old), |_| true));
+        Nodes {
+            spec,
+            arenas: arenas.collect(),
+            encoder,
+        }
+    }
+
+    /// Fold the batch into these (fresh) cells: inserts merged, deletes
+    /// retracted, cells that cannot take a retraction rebuilt from the
+    /// post-batch base, emptied cells dropped.
+    fn folded(
+        mut self,
+        cube: &MaterializedCube,
+        b: &Batch<'_>,
+        ctx: &ExecContext,
+        stats: &mut MaintainStats,
+    ) -> CubeResult<Arc<dyn Store>> {
+        let (sets, dims) = (cube.lattice.sets(), &cube.dims);
+        let (spec, aggs) = (&self.spec.clone(), &cube.aggs);
+        let (unlaned, unkeyed) = (
+            || corrupt("rows the lanes reject"),
+            || corrupt("unseen values"),
+        );
+        let lanes = C::lanes(spec, aggs, &[]).ok_or_else(unlaned)?;
+        let w = lanes.width();
+
+        // Inserts: the engine's scan folds them into one arena per set,
+        // and each merges by the coalesce's adopt-or-Iter_super.
+        let ins = C::lanes(spec, aggs, b.ins).ok_or_else(unlaned)?;
+        let ins_keys = self.encoder.keys(b.ins, dims).ok_or_else(unkeyed)?;
+        let scan = Pipeline {
+            encoder: &self.encoder,
+            keys: &ins_keys,
+            lanes: &ins,
+            rle: false,
+            ctx,
+        };
+        let parts = scan.group(&cube.lattice, cube.shape, &mut ExecStats::default())?;
+        for (arena, (_, part)) in self.arenas.iter_mut().zip(parts) {
+            stats.cells_updated += part.n_cells() as u64;
+            arena.coalesce(part, &lanes, ctx)?;
+        }
+
+        // Deletes: a cell's retract together; the last of its support
+        // empties it.
+        let del = C::lanes(spec, aggs, b.del).ok_or_else(unlaned)?;
+        let del_keys = self.encoder.keys(b.del, dims).ok_or_else(unkeyed)?;
+        let (mut rebuild, mut emptied) = (Vec::new(), Vec::new());
+        for (si, arena) in self.arenas.iter_mut().enumerate() {
+            let mask = self.encoder.set_mask(sets[si]);
+            let hit = |(row, key): (usize, &K)| Some((arena.find(key.and(mask))?, row));
+            let hits = del_keys
+                .iter()
+                .enumerate()
+                .map(hit)
+                .collect::<Option<Vec<_>>>();
+            let mut hits = hits.ok_or_else(|| corrupt("no cell for a deleted row"))?;
+            hits.sort_unstable();
+            for group in hits.chunk_by(|a, b| a.0 == b.0) {
+                ctx.checkpoint()?;
+                let slot = group[0].0;
+                let cell = &mut arena.cells[slot * w..(slot + 1) * w];
+                let left = support(&lanes, cell)?.checked_sub(group.len() as u64);
+                let mut kept = left.ok_or_else(|| corrupt("cell support underflow"))? > 0;
+                if !kept {
+                    emptied.push((si, slot));
+                    stats.cells_updated += 1;
+                    continue;
+                }
+                for &(_, row) in group {
+                    kept = kept && del.retract(cell, row)?;
+                }
+                if kept {
+                    stats.cells_updated += 1;
+                } else {
+                    rebuild.push((si, slot));
+                }
+            }
+        }
+
+        // The delete-holistic path: each cell rebuilt once, from the rows
+        // that stay in the base and the inserts.
+        if !rebuild.is_empty() {
+            exec::failpoint("maintain::recompute")?;
+            let live: Vec<&Row> = b.live().collect();
+            let live_keys = self
+                .encoder
+                .keys(live.iter().copied(), dims)
+                .ok_or_else(unkeyed)?;
+            let (mut rows, mut ends) = (Vec::new(), Vec::with_capacity(rebuild.len()));
+            for &(si, slot) in &rebuild {
+                let (key, mask) = (self.arenas[si].keys[slot], self.encoder.set_mask(sets[si]));
+                for (i, (k, row)) in live_keys.iter().zip(&live).enumerate() {
+                    ctx.tick(i)?;
+                    if k.and(mask) == key {
+                        rows.push((*row).clone());
+                    }
+                }
+                ends.push(rows.len());
+                stats.rows_rescanned += (live.len() - b.ins.len()) as u64;
+            }
+            let rebuilt = C::lanes(spec, aggs, &rows).ok_or_else(unlaned)?;
+            let (mut start, mut fresh) = (0, Vec::with_capacity(w));
+            for (&(si, slot), &end) in rebuild.iter().zip(&ends) {
+                rebuilt.open(&mut fresh)?;
+                rebuilt.fold_run(&mut fresh, start, end)?;
+                self.arenas[si]
+                    .cells
+                    .splice(slot * w..(slot + 1) * w, fresh.drain(..));
+                start = end;
+            }
+            stats.cells_recomputed += rebuild.len() as u64;
+        }
+        if !emptied.is_empty() {
+            emptied.sort_unstable();
+            let dense = self.encoder.dense_bits();
+            let arenas = self.arenas.into_iter().enumerate();
+            let kept = |(si, a): (usize, Arena<K, C>)| {
+                a.rebuilt(
+                    dense,
+                    |k| k,
+                    |slot| emptied.binary_search(&(si, slot)).is_err(),
+                )
+            };
+            self.arenas = arenas.map(kept).collect();
+        }
+        Ok(Arc::new(self))
+    }
+}
+
+impl<K: PackedKey, C: Stored> Store for Nodes<K, C> {
+    fn sizes(&self) -> Vec<u64> {
+        self.arenas.iter().map(|a| a.n_cells() as u64).collect()
+    }
+
+    #[cfg(test)]
+    fn format(&self) -> (String, Vec<usize>) {
+        let types = [std::any::type_name::<K>(), std::any::type_name::<C>()];
+        (types.join(" "), self.encoder.cardinalities())
+    }
+
+    fn read_sets(
+        &self,
+        aggs: &[BoundAgg],
+        picks: &[(usize, Option<GroupingSet>)],
+        dims: &[usize],
+        lanes: &[usize],
+        schema: Schema,
+        stats: &mut ExecStats,
+        ctx: &ExecContext,
+    ) -> CubeResult<Table> {
+        let stored = C::lanes(&self.spec, aggs, &[]).ok_or_else(|| corrupt("lanes"))?;
+        let pipeline = Pipeline {
+            encoder: &self.encoder,
+            keys: &[],
+            lanes: &stored,
+            rle: false,
+            ctx,
+        };
+        let merge = |&(node, onto): &(usize, Option<GroupingSet>)| {
+            ctx.checkpoint()?;
+            let onto = onto.map(|set| self.encoder.set_mask(set));
+            let parent = &self.arenas[node];
+            onto.map(|mask| pipeline.merged_child(parent, mask))
+                .transpose()
+        };
+        let merged = picks.iter().map(merge).collect::<CubeResult<Vec<_>>>()?;
+        let read = picks.iter().zip(&merged);
+        let arenas: Vec<&Arena<K, C>> = read
+            .map(|(&(node, _), child)| child.as_ref().unwrap_or(&self.arenas[node]))
+            .collect();
+        pipeline.materialize(&arenas, dims, lanes, schema, stats)
+    }
+
+    fn fold_batch(
+        &self,
+        cube: &MaterializedCube,
+        b: &Batch<'_>,
+        ctx: &ExecContext,
+        stats: &mut MaintainStats,
+    ) -> CubeResult<Arc<dyn Store>> {
+        let lanes = C::lanes(&self.spec, &cube.aggs, &[]).ok_or_else(|| corrupt("lanes"))?;
+        if C::lanes(&self.spec, &cube.aggs, b.ins).is_some() {
+            let copy = self.converted(self.spec.clone(), |cells| C::copy(&lanes, cells, ctx))?;
+            return copy.grown(cube, b, ctx, stats);
+        }
+        // The inserts' measures do not compile to the store's kernels: the
+        // lanes widen to boxed accumulators.
+        let boxed = self.converted((), |cells| C::boxed(&lanes, &cube.aggs, cells, ctx))?;
+        boxed.grown(cube, b, ctx, stats)
+    }
 }
 
 /// Everything a batch changes, behind the store's one lock.
-#[derive(Default)]
 struct State {
-    /// The cells of each materialized grouping set, parallel to `sets`.
-    nodes: Vec<FxHashMap<Row, Cell>>,
+    /// The cells, shared with an `absorb`ed copy until either folds a
+    /// batch into new ones.
+    cells: Arc<dyn Store>,
     /// The base table, when the constructor keeps it (empty otherwise).
     base: Vec<Row>,
     /// Base rows the cells summarize, kept or not.
@@ -255,51 +573,36 @@ struct State {
     version: u64,
 }
 
-/// Per-cell slice of a batch: which batch inserts and deletes project onto
-/// this `(set, key)`.
-#[derive(Default)]
-struct GroupDelta {
-    ins: Vec<u32>,
-    del: Vec<u32>,
-}
-
-/// The post-annihilation batch plus the base it lands on — what staging a
-/// touched cell reads.
-struct Staging<'a> {
-    ins_rows: &'a [&'a Row],
-    del_rows: &'a [&'a Row],
-    base: &'a [Row],
-    /// `deleted[i]`: base row `i` leaves with this batch (empty when the
-    /// batch deletes nothing).
-    deleted: &'a [bool],
-}
-
 /// Grouping-set cells kept current under INSERT / DELETE / UPDATE and
 /// answering grouping-set families from their smallest usable node.
 pub struct MaterializedCube {
     base_schema: Schema,
     dims: Vec<BoundDimension>,
+    /// The select list's aggregates, then the COUNT(*) support lane.
     aggs: Vec<BoundAgg>,
+    /// The select list's output types.
     agg_types: Vec<DataType>,
     /// The materialized family: cascade-ordered, core first.
-    sets: Vec<GroupingSet>,
-    /// Every aggregate supports Iter_super, so existing cells can be
-    /// reconstructed from their `state()` during staging. When false, any
-    /// touch of an existing cell falls back to a rebuild from base.
+    lattice: Lattice,
+    /// How the engine groups rows into the family: the 2^N scan for a
+    /// holistic aggregate or one without Iter_super, the cascade otherwise.
+    shape: Shape,
+    /// Every aggregate supports Iter_super, so a batch folds into the
+    /// cells. When false, a batch re-groups the store from the base.
     all_mergeable: bool,
     /// Whether `State::base` holds the base rows (deletes and
     /// non-mergeable aggregates need them; a cache view does not pay for
     /// them).
     keeps_base: bool,
-    /// The one lock: written from staging through install, read by every
-    /// reader.
+    /// The one lock: written from delete resolution through install, read
+    /// by every reader.
     store: RwLock<State>,
 }
 
 impl std::fmt::Debug for MaterializedCube {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MaterializedCube")
-            .field("sets", &self.sets)
+            .field("sets", &self.lattice.sets())
             .field("cells", &self.cell_count())
             .field("base_rows", &self.base_row_count())
             .finish()
@@ -330,7 +633,7 @@ impl MaterializedCube {
         lattice: Lattice,
     ) -> CubeResult<Self> {
         let ctx = ExecContext::unlimited();
-        Self::materialize(table, &dims, &aggs, lattice.sets(), true, &ctx)
+        Self::grouped(table, &dims, &aggs, lattice, true, &ctx)
     }
 
     /// A lattice-cache view with no execution limits: see
@@ -360,14 +663,16 @@ impl MaterializedCube {
             )));
         }
         let core = Lattice::new(dims.len(), Vec::new())?;
-        Self::materialize(table, dims, aggs, core.sets(), false, ctx)
+        Self::grouped(table, dims, aggs, core, false, ctx)
     }
 
-    fn materialize(
+    /// Group `table` into every set of `lattice` with the engine and keep
+    /// its arenas as the cells.
+    fn grouped(
         table: &Table,
         dims: &[Dimension],
         aggs: &[AggSpec],
-        sets: &[GroupingSet],
+        lattice: Lattice,
         keeps_base: bool,
         ctx: &ExecContext,
     ) -> CubeResult<Self> {
@@ -380,112 +685,57 @@ impl MaterializedCube {
         let bind = |a: &AggSpec| -> CubeResult<(BoundAgg, DataType)> {
             Ok((a.bind(schema)?, a.output_type(schema)?))
         };
-        let (aggs, agg_types): (Vec<BoundAgg>, Vec<DataType>) = aggs
+        let (mut aggs, agg_types): (Vec<BoundAgg>, Vec<DataType>) = aggs
             .iter()
             .map(bind)
             .collect::<CubeResult<Vec<_>>>()?
             .into_iter()
             .unzip();
-        let mut cube = MaterializedCube {
-            base_schema: schema.clone(),
-            dims: dims
-                .iter()
-                .map(|d| d.bind(schema))
-                .collect::<CubeResult<_>>()?,
-            all_mergeable: aggs.iter().all(|a| a.func.mergeable()),
-            aggs,
-            agg_types,
-            sets: sets.to_vec(),
-            keeps_base,
-            store: RwLock::new(State {
-                nodes: sets.iter().map(|_| FxHashMap::default()).collect(),
-                ..State::default()
-            }),
-        };
-        if !cube.all_mergeable {
-            // No Iter_super to project with: fold the rows through the
-            // batch path, which Iter()s every set's cells directly.
-            cube.apply(&DeltaBatch::of(table.rows().to_vec(), Vec::new()), ctx)?;
-            // Initial population is not "maintenance": reset the counters.
-            let state = cube.store.get_mut();
-            (state.stats, state.version) = (MaintainStats::default(), 0);
-            return Ok(cube);
-        }
-
-        // The engine's core scan, with a COUNT(*) lane for the support.
-        let mut scan = cube.aggs.clone();
-        scan.push(BoundAgg {
-            func: std::sync::Arc::new(dc_aggregate::distributive::CountStar),
+        let funcs = aggs.iter().map(|a| &*a.func);
+        let shape = resolve(Algorithm::Auto, funcs, ParentChoice::SmallestCardinality);
+        let all_mergeable = aggs.iter().all(|a| a.func.mergeable());
+        aggs.push(BoundAgg {
+            func: Arc::new(CountStar),
             input: None,
             output: "support".into(),
         });
+        let dims = dims
+            .iter()
+            .map(|d| d.bind(schema))
+            .collect::<CubeResult<Vec<_>>>()?;
         let mut stats = ExecStats::default();
-        let states =
-            crate::algorithm::core_states(table.rows(), &cube.dims, &scan, &mut stats, ctx)?;
-        let mut core = FxHashMap::default();
-        for (i, (key, mut states)) in states.into_iter().enumerate() {
-            ctx.tick(i)?;
-            let support = states.pop().and_then(|s| s.first().and_then(Value::as_i64));
-            let mut accs = exec::guarded_init(&cube.aggs)?;
-            for ((acc, agg), state) in accs.iter_mut().zip(&cube.aggs).zip(&states) {
-                exec::guard(agg.func.name(), || acc.merge(state))?;
-            }
-            let support = support.unwrap_or(0) as u64;
-            core.insert(key, Cell { accs, support });
-        }
-        // Every other materialized set by Iter_super from its smallest
-        // already-built ancestor (the core at worst).
-        let mut nodes = vec![core];
-        let every_agg: Vec<usize> = (0..cube.aggs.len()).collect();
-        for (si, &set) in cube.sets.iter().enumerate().skip(1) {
-            let parent = (0..si)
-                .filter(|&m| set.subset_of(cube.sets[m]))
-                .min_by_key(|&m| nodes[m].len())
-                .unwrap_or(0);
-            let project = |key: &Row| project_key(key, set);
-            let node = cube.project_merge(nodes[parent].iter(), project, &every_agg, ctx)?;
-            nodes.push(node);
-        }
-        let state = cube.store.get_mut();
-        state.nodes = nodes;
-        state.rows = table.len() as u64;
-        if keeps_base {
-            state.base = table.rows().to_vec();
-        }
-        Ok(cube)
-    }
-
-    /// The one project-merge loop: fold `cells` by Iter_super into the
-    /// cells of a coarser (or equal) grouping, keyed by `project(key)`,
-    /// carrying the aggregates `agg_map` names. Fresh cells charge `ctx`.
-    fn project_merge<'c>(
-        &self,
-        cells: impl Iterator<Item = (&'c Row, &'c Cell)>,
-        project: impl Fn(&Row) -> Row,
-        agg_map: &[usize],
-        ctx: &ExecContext,
-    ) -> CubeResult<FxHashMap<Row, Cell>> {
-        use std::collections::hash_map::Entry;
-        let mut out: FxHashMap<Row, Cell> = FxHashMap::default();
-        for (i, (key, cell)) in cells.enumerate() {
-            ctx.tick(i)?;
-            let merged = match out.entry(project(key)) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => {
-                    ctx.charge_cells(1)?;
-                    let funcs = agg_map.iter().map(|&a| &self.aggs[a].func);
-                    let accs = funcs.map(|f| exec::guard(f.name(), || f.init()));
-                    let accs = accs.collect::<CubeResult<_>>()?;
-                    e.insert(Cell { accs, support: 0 })
-                }
-            };
-            merged.support += cell.support;
-            for (acc, &a) in merged.accs.iter_mut().zip(agg_map) {
-                let from = &cell.accs[a];
-                exec::guard(self.aggs[a].func.name(), || acc.merge(&from.state()))?;
-            }
-        }
-        Ok(out)
+        let cells = engine::group(
+            table.rows(),
+            &dims,
+            &aggs,
+            (&lattice, shape),
+            &mut stats,
+            ctx,
+        )?;
+        // A store that finishes past the deadline is not kept.
+        ctx.checkpoint()?;
+        let state = State {
+            cells,
+            base: if keeps_base {
+                table.rows().to_vec()
+            } else {
+                Vec::new()
+            },
+            rows: table.len() as u64,
+            stats: MaintainStats::default(),
+            version: 0,
+        };
+        Ok(MaterializedCube {
+            base_schema: schema.clone(),
+            dims,
+            aggs,
+            agg_types,
+            lattice,
+            shape,
+            all_mergeable,
+            keeps_base,
+            store: RwLock::new(state),
+        })
     }
 
     /// Whether some materialized node is [`usable`] for the finest
@@ -499,11 +749,15 @@ impl MaterializedCube {
             return false;
         }
         let mergeable = self.all_rewritable(agg_map);
-        self.sets.iter().any(|&m| usable(query, m, mergeable))
+        self.lattice
+            .sets()
+            .iter()
+            .any(|&m| usable(query, m, mergeable))
     }
 
     fn in_range(&self, dim_map: &[usize], agg_map: &[usize]) -> bool {
-        dim_map.iter().all(|&d| d < self.dims.len()) && agg_map.iter().all(|&a| a < self.aggs.len())
+        dim_map.iter().all(|&d| d < self.dims.len())
+            && agg_map.iter().all(|&a| a < self.agg_types.len())
     }
 
     fn all_rewritable(&self, agg_map: &[usize]) -> bool {
@@ -515,7 +769,8 @@ impl MaterializedCube {
     /// is [`usable`] for it — directly when that node is the set itself,
     /// otherwise by projecting the node's cells onto the set and merging
     /// scratchpads per projected key — and finalized. A set no node is
-    /// usable for is [`CubeError::Unsupported`].
+    /// usable for is [`CubeError::Unsupported`]; a set naming a dimension
+    /// the request does not map is [`CubeError::BadSpec`].
     ///
     /// Output is bit-identical to the operator's: sets ordered from the
     /// core down (length descending, then bitmask ascending, deduplicated)
@@ -526,12 +781,14 @@ impl MaterializedCube {
         exec::failpoint("cache::rewrite")?;
         let paired =
             req.dim_names.len() == req.dim_map.len() && req.agg_names.len() == req.agg_map.len();
-        if !paired || !self.in_range(req.dim_map, req.agg_map) {
+        let within = |s: &GroupingSet| s.subset_of(GroupingSet::full(req.dim_map.len()));
+        if !paired || !self.in_range(req.dim_map, req.agg_map) || !req.sets.iter().all(within) {
             return Err(CubeError::BadSpec(format!(
                 "ancestor request does not fit the store: every name needs an index, within \
-                 its {} dimensions and {} aggregates",
+                 its {} dimensions and {} aggregates, and every set only the request's \
+                 dimensions",
                 self.dims.len(),
-                self.aggs.len()
+                self.agg_types.len()
             )));
         }
         let mut sets: Vec<GroupingSet> = req.sets.to_vec();
@@ -544,21 +801,18 @@ impl MaterializedCube {
         for (name, &a) in req.agg_names.iter().zip(req.agg_map) {
             cols.push(ColumnDef::new(name, self.agg_types[a]));
         }
-        let mut out = Table::empty(Schema::new(cols)?);
+        let schema = Schema::new(cols)?;
         let mergeable = self.all_rewritable(req.agg_map);
 
         let state = self.store.read();
-        let nodes = &state.nodes;
-        for set in sets {
-            ctx.checkpoint()?;
-            let members: Vec<usize> = (0..req.dim_map.len())
-                .filter(|&q| set.contains(q))
-                .map(|q| req.dim_map[q])
-                .collect();
-            let query = GroupingSet::from_dims(&members)?;
-            let node = (0..self.sets.len())
-                .filter(|&si| usable(query, self.sets[si], mergeable))
-                .min_by_key(|&si| (nodes[si].len(), self.sets[si] != query))
+        let (sizes, nodes) = (state.cells.sizes(), self.lattice.sets());
+        let pick = |set: &GroupingSet| {
+            let members = (0..req.dim_map.len()).filter(|&q| set.contains(q));
+            let query =
+                GroupingSet::from_dims(&members.map(|q| req.dim_map[q]).collect::<Vec<_>>())?;
+            let node = (0..nodes.len())
+                .filter(|&si| usable(query, nodes[si], mergeable))
+                .min_by_key(|&si| (sizes[si], nodes[si] != query))
                 .ok_or_else(|| {
                     CubeError::Unsupported(format!(
                         "no materialized grouping set can answer {query}: it is not \
@@ -566,45 +820,17 @@ impl MaterializedCube {
                          superset and distributive or algebraic, mergeable aggregates"
                     ))
                 })?;
-            let exact = self.sets[node] == query;
-            let project = |key: &Row| {
-                let member = |(q, &d): (usize, &usize)| match set.contains(q) {
-                    true => key[d].clone(),
-                    false => Value::All,
-                };
-                Row::new(req.dim_map.iter().enumerate().map(member).collect())
-            };
-            // (projected key, scratchpads): the stored ones, in store
-            // order, when the node is the set itself; merged ones, in
-            // request order, otherwise.
-            let merged: Vec<Cell>;
-            let mut rows: Vec<(Row, &[Box<dyn Accumulator>])> = Vec::new();
-            if exact {
-                for (i, (key, cell)) in nodes[node].iter().enumerate() {
-                    ctx.tick(i)?;
-                    ctx.charge_cells(1)?;
-                    rows.push((project(key), &cell.accs));
-                }
-            } else {
-                // cube-lint: allow(foreign, Iter_super must read the node's cells while the snapshot pins them; every callback is individually catch_unwind-guarded and the read guards cannot be poisoned)
-                let cells = self.project_merge(nodes[node].iter(), project, req.agg_map, ctx)?;
-                let (keys, cells): (Vec<Row>, Vec<Cell>) = cells.into_iter().unzip();
-                merged = cells;
-                rows.extend(keys.into_iter().zip(merged.iter().map(|c| &c.accs[..])));
+            // The node's own cells are read as they are, and charged here.
+            if nodes[node] == query {
+                ctx.charge_cells(sizes[node])?;
             }
-            rows.sort_by(|a, b| a.0.cmp(&b.0));
-            for (i, (key, accs)) in rows.into_iter().enumerate() {
-                ctx.tick(i)?;
-                let mut vals = key.0;
-                for (k, &a) in req.agg_map.iter().enumerate() {
-                    let acc = &accs[if exact { a } else { k }];
-                    // cube-lint: allow(foreign, Final() must read the cell while the snapshot pins it; the guard turns a UDA panic into AggPanicked after the read guards unwind cleanly)
-                    vals.push(exec::guard(self.aggs[a].func.name(), || acc.final_value())?);
-                }
-                out.push_unchecked(Row::new(vals));
-            }
-        }
-        Ok(out)
+            Ok((node, (nodes[node] != query).then_some(query)))
+        };
+        let picks = sets.iter().map(pick).collect::<CubeResult<Vec<_>>>()?;
+        let (cells, aggs, dims, lanes) = (&state.cells, &self.aggs, req.dim_map, req.agg_map);
+        let mut stats = ExecStats::default();
+        // cube-lint: allow(foreign, Iter_super and Final() must read the cells while the snapshot pins them; every callback is individually catch_unwind-guarded and the read guard cannot be poisoned)
+        cells.read_sets(aggs, &picks, dims, lanes, schema, &mut stats, ctx)
     }
 
     /// Snapshot the store as a relation (same canonical order as
@@ -613,50 +839,46 @@ impl MaterializedCube {
     /// Errors with `AggPanicked` if a user-defined aggregate panics in
     /// Final().
     pub fn to_table(&self) -> CubeResult<Table> {
+        self.answer_sets(self.lattice.sets())
+    }
+
+    /// [`MaterializedCube::answer`] over `sets` of every dimension and
+    /// aggregate, under their own names.
+    fn answer_sets(&self, sets: &[GroupingSet]) -> CubeResult<Table> {
+        let n = self.agg_types.len();
         let dim_map: Vec<usize> = (0..self.dims.len()).collect();
-        let agg_map: Vec<usize> = (0..self.aggs.len()).collect();
+        let agg_map: Vec<usize> = (0..n).collect();
         let dim_names: Vec<&str> = self.dims.iter().map(|d| &*d.name).collect();
-        let agg_names: Vec<&str> = self.aggs.iter().map(|a| &*a.output).collect();
+        let agg_names: Vec<&str> = self.aggs[..n].iter().map(|a| &*a.output).collect();
         let req = AncestorRequest {
             dim_map: &dim_map,
             dim_names: &dim_names,
             agg_map: &agg_map,
             agg_names: &agg_names,
-            sets: &self.sets,
+            sets,
         };
         self.answer(&req, &ExecContext::unlimited())
     }
 
     /// The store `delta`'s rows would have produced had they been in the
-    /// table all along, as a *new* store: the cells are deep-copied and the
-    /// insert-only batch applied to the private copy, so a reader holding
+    /// table all along, as a *new* store: it shares the cells until the
+    /// insert-only batch folds into a copy of them, so a reader holding
     /// the old `Arc` keeps its snapshot. Deletes are not absorbed this way
     /// — callers holding a base-less view invalidate it instead.
     pub fn absorb(&self, delta: &Table) -> CubeResult<Self> {
         exec::failpoint("cache::absorb")?;
-        if !self.all_mergeable {
-            return Err(CubeError::Unsupported(
-                "cells of a non-mergeable aggregate cannot be copied".into(),
-            ));
-        }
-        let ctx = ExecContext::unlimited();
-        let every_agg: Vec<usize> = (0..self.aggs.len()).collect();
         let state = self.store.read();
-        let mut nodes = Vec::with_capacity(self.sets.len());
-        for node in &state.nodes {
-            // cube-lint: allow(foreign, the copy must read state() while the snapshot pins the cells; every callback is individually catch_unwind-guarded and the read guard cannot be poisoned)
-            nodes.push(self.project_merge(node.iter(), Row::clone, &every_agg, &ctx)?);
-        }
         let copy = MaterializedCube {
             base_schema: self.base_schema.clone(),
             dims: self.dims.clone(),
             aggs: self.aggs.clone(),
             agg_types: self.agg_types.clone(),
-            sets: self.sets.clone(),
+            lattice: self.lattice.clone(),
+            shape: self.shape,
             all_mergeable: self.all_mergeable,
             keeps_base: self.keeps_base,
             store: RwLock::new(State {
-                nodes,
+                cells: Arc::clone(&state.cells),
                 base: state.base.clone(),
                 rows: state.rows,
                 stats: state.stats,
@@ -664,6 +886,7 @@ impl MaterializedCube {
             }),
         };
         drop(state);
+        let ctx = ExecContext::unlimited();
         copy.apply(&DeltaBatch::of(delta.rows().to_vec(), Vec::new()), &ctx)?;
         Ok(copy)
     }
@@ -710,7 +933,7 @@ impl MaterializedCube {
         batch.validate(&self.base_schema)?;
 
         // Annihilate insert/delete pairs: the batch is a multiset delta.
-        let (ins_rows, del_rows) = batch.annihilate();
+        let (ins, del) = batch.annihilate();
         let mut stats = MaintainStats {
             inserts: batch.insert_count() as u64,
             deletes: batch.delete_count() as u64,
@@ -720,32 +943,13 @@ impl MaterializedCube {
 
         // Deletes retract and may rebuild from base; non-mergeable
         // aggregates rebuild on any touch. Both need the base rows.
-        if (!del_rows.is_empty() || !self.all_mergeable) && !self.keeps_base {
+        if (!del.is_empty() || !self.all_mergeable) && !self.keeps_base {
             return Err(CubeError::Unsupported(
                 "this store keeps no base rows, so it cannot apply deletes".into(),
             ));
         }
 
-        // --- Fold stage: one grouping-set pass over the whole batch. It
-        // reads only the immutable description, so it runs unlocked. ---
         exec::failpoint("maintain::batch_fold")?;
-        let ins_full: Vec<Row> = ins_rows.iter().map(|r| full_key(&self.dims, r)).collect();
-        let del_full: Vec<Row> = del_rows.iter().map(|r| full_key(&self.dims, r)).collect();
-        let mut groups: FxHashMap<(usize, Row), GroupDelta> = FxHashMap::default();
-        for (si, set) in self.sets.iter().enumerate() {
-            ctx.checkpoint()?;
-            for (i, full) in ins_full.iter().enumerate() {
-                ctx.tick(i)?;
-                let key = project_key(full, *set);
-                groups.entry((si, key)).or_default().ins.push(i as u32);
-            }
-            for (i, full) in del_full.iter().enumerate() {
-                ctx.tick(i)?;
-                let key = project_key(full, *set);
-                groups.entry((si, key)).or_default().del.push(i as u32);
-            }
-        }
-
         exec::failpoint("maintain::lock")?;
         let mut state = self.store.write();
 
@@ -753,14 +957,14 @@ impl MaterializedCube {
         // anything: a batch with an unmatched delete is rejected whole.
         // `deleted[i]`: base row `i` leaves with this batch.
         let mut deleted: Vec<bool> = Vec::new();
-        if !del_rows.is_empty() {
+        if !del.is_empty() {
             let mut positions: FxHashMap<&Row, Vec<usize>> = FxHashMap::default();
             for (i, brow) in state.base.iter().enumerate() {
                 ctx.tick(i)?;
                 positions.entry(brow).or_default().push(i);
             }
             deleted = vec![false; state.base.len()];
-            for row in &del_rows {
+            for row in &del {
                 match positions.get_mut(row).and_then(Vec::pop) {
                     Some(p) => deleted[p] = true,
                     None => {
@@ -770,157 +974,41 @@ impl MaterializedCube {
             }
         }
 
-        // --- Staging: every fallible call happens here, pre-mutation. ---
-        // A staged `None` removes the cell (its support reached zero).
-        let staging = Staging {
-            ins_rows: &ins_rows,
-            del_rows: &del_rows,
+        // Fold into new cells; the old ones stay until the install.
+        let b = Batch {
+            ins: &ins,
+            del: &del,
             base: &state.base,
             deleted: &deleted,
         };
-        let mut staged: Vec<(usize, Row, Option<Cell>)> = Vec::with_capacity(groups.len());
-        for (i, ((si, key), delta)) in groups.into_iter().enumerate() {
-            ctx.tick(i)?;
-            let (node, set) = (&state.nodes[si], self.sets[si]);
-            // cube-lint: allow(foreign, staging must fold against the pre-install cells, so UDA calls run under the write lock; every callback is individually catch_unwind-guarded, so a panic surfaces as AggPanicked without poisoning the guard)
-            let cell = self.stage_group(node, set, &key, &delta, &staging, ctx, &mut stats)?;
-            staged.push((si, key, cell));
-        }
+        let cells = if self.all_mergeable {
+            // cube-lint: allow(foreign, the batch must fold against the pre-install cells, so UDA calls run under the write lock; every callback is individually catch_unwind-guarded, so a panic surfaces as AggPanicked without poisoning the guard)
+            state.cells.fold_batch(self, &b, ctx, &mut stats)?
+        } else {
+            // No Iter_super to fold a touched cell with: re-group the
+            // store from the post-batch base.
+            let post: Vec<Row> = b.live().cloned().collect();
+            stats.rows_rescanned += post.len() as u64;
+            let (plan, mut exec_stats) = ((&self.lattice, self.shape), ExecStats::default());
+            // cube-lint: allow(foreign, the re-grouped cells must replace the old ones under the write lock; every UDA callback is individually catch_unwind-guarded)
+            let cells = engine::group(&post, &self.dims, &self.aggs, plan, &mut exec_stats, ctx)?;
+            stats.cells_recomputed += cells.sizes().iter().sum::<u64>();
+            cells
+        };
 
-        // --- Install: infallible. Swap staged cells in, splice the base.
-        for (si, key, cell) in staged {
-            match cell {
-                Some(cell) => state.nodes[si].insert(key, cell),
-                None => state.nodes[si].remove(&key),
-            };
-        }
+        // --- Install: infallible. Swap the cells in, splice the base.
+        state.cells = cells;
         let mut leaves = deleted.iter();
         state
             .base
             .retain(|_| !leaves.next().copied().unwrap_or(false));
+        state.rows += ins.len() as u64;
+        state.rows -= del.len() as u64;
         if self.keeps_base {
-            state.base.extend(ins_rows.iter().map(|&r| r.clone()));
+            state.base.extend(ins);
         }
-        state.rows += ins_rows.len() as u64;
-        state.rows -= del_rows.len() as u64;
         state.stats.add(&stats);
         state.version += batch.len() as u64;
-        Ok(())
-    }
-
-    /// Resolve one touched `(set, key)` cell into its replacement (`None`:
-    /// the cell's support reached zero and it goes). Pure with respect to
-    /// cube state: reads the existing cell, never mutates it.
-    #[allow(clippy::too_many_arguments)]
-    fn stage_group(
-        &self,
-        map: &FxHashMap<Row, Cell>,
-        set: GroupingSet,
-        key: &Row,
-        delta: &GroupDelta,
-        staging: &Staging<'_>,
-        ctx: &ExecContext,
-        stats: &mut MaintainStats,
-    ) -> CubeResult<Option<Cell>> {
-        let inserts = || delta.ins.iter().map(|&i| staging.ins_rows[i as usize]);
-        let Some(cell) = map.get(key) else {
-            if !delta.del.is_empty() {
-                return Err(CubeError::BadSpec(format!(
-                    "corrupt cube: no cell for deleted row in {set}"
-                )));
-            }
-            ctx.charge_cells(1)?;
-            let mut accs = exec::guarded_init(&self.aggs)?;
-            self.fold_rows(&mut accs, inserts(), ctx)?;
-            stats.cells_updated += 1;
-            let support = delta.ins.len() as u64;
-            return Ok(Some(Cell { accs, support }));
-        };
-        let d = delta.del.len() as u64;
-        if d > cell.support {
-            return Err(CubeError::BadSpec(format!(
-                "corrupt cube: cell support underflow in {set}"
-            )));
-        }
-        let support = cell.support - d + delta.ins.len() as u64;
-        if support == 0 {
-            stats.cells_updated += 1;
-            return Ok(None);
-        }
-        let accs = match self.stage_incremental(cell, delta, staging, ctx)? {
-            Some(accs) => {
-                stats.cells_updated += 1;
-                accs
-            }
-            // The delete-holistic (or non-mergeable) path: rebuild the
-            // cell once, from the post-batch base — however many batch
-            // rows hit it.
-            None => {
-                exec::failpoint("maintain::recompute")?;
-                let mut accs = exec::guarded_init(&self.aggs)?;
-                for (i, brow) in staging.base.iter().enumerate() {
-                    ctx.tick(i)?;
-                    if staging.deleted.get(i).copied().unwrap_or(false) {
-                        continue;
-                    }
-                    stats.rows_rescanned += 1;
-                    if project_key(&full_key(&self.dims, brow), set) == *key {
-                        self.fold_rows(&mut accs, std::iter::once(brow), ctx)?;
-                    }
-                }
-                self.fold_rows(&mut accs, inserts(), ctx)?;
-                stats.cells_recomputed += 1;
-                accs
-            }
-        };
-        Ok(Some(Cell { accs, support }))
-    }
-
-    /// Try the cheap path for an existing cell: reconstruct its
-    /// scratchpads from `state()` via Iter_super, retract the batch
-    /// deletes, fold the batch inserts. `None` if the aggregates cannot
-    /// merge or any retraction demands a recompute.
-    fn stage_incremental(
-        &self,
-        cell: &Cell,
-        delta: &GroupDelta,
-        staging: &Staging<'_>,
-        ctx: &ExecContext,
-    ) -> CubeResult<Option<Vec<Box<dyn Accumulator>>>> {
-        if !self.all_mergeable {
-            return Ok(None);
-        }
-        let mut accs = exec::guarded_init(&self.aggs)?;
-        for ((acc, old), agg) in accs.iter_mut().zip(cell.accs.iter()).zip(self.aggs.iter()) {
-            exec::guard(agg.func.name(), || acc.merge(&old.state()))?;
-        }
-        for &i in &delta.del {
-            ctx.checkpoint()?;
-            for (acc, agg) in accs.iter_mut().zip(self.aggs.iter()) {
-                match acc.retract(agg.input_value(staging.del_rows[i as usize])) {
-                    Retract::Applied => {}
-                    Retract::Recompute | Retract::Unsupported => return Ok(None),
-                }
-            }
-        }
-        let inserts = delta.ins.iter().map(|&i| staging.ins_rows[i as usize]);
-        self.fold_rows(&mut accs, inserts, ctx)?;
-        Ok(Some(accs))
-    }
-
-    /// Fold rows into scratchpads, every Iter under the panic guard.
-    fn fold_rows<'r>(
-        &self,
-        accs: &mut [Box<dyn Accumulator>],
-        rows: impl Iterator<Item = &'r Row>,
-        ctx: &ExecContext,
-    ) -> CubeResult<()> {
-        for (i, row) in rows.enumerate() {
-            ctx.tick(i)?;
-            for (acc, agg) in accs.iter_mut().zip(self.aggs.iter()) {
-                exec::guard(agg.func.name(), || acc.iter(agg.input_value(row)))?;
-            }
-        }
         Ok(())
     }
 
@@ -931,17 +1019,17 @@ impl MaterializedCube {
         let grouped: Vec<usize> = (0..coordinate.len())
             .filter(|&d| !coordinate[d].is_all())
             .collect();
-        let mask = GroupingSet::from_dims(&grouped).ok()?;
-        let si = self.sets.iter().position(|s| *s == mask)?;
-        let key = Row::new(coordinate.to_vec());
-        let state = self.store.read();
-        let cell = state.nodes[si].get(&key)?;
-        cell.accs
+        let set = GroupingSet::from_dims(&grouped).ok()?;
+        let n = self.dims.len();
+        if coordinate.len() != n || !self.lattice.sets().contains(&set) {
+            return None;
+        }
+        let cells = self.answer_sets(&[set]).ok()?;
+        let row = cells
+            .rows()
             .iter()
-            .zip(self.aggs.iter())
-            // cube-lint: allow(foreign, Final() must read the cell while the read lock pins it; the guard converts a UDA panic into None and the read guard cannot be poisoned by it)
-            .map(|(a, agg)| exec::guard(agg.func.name(), || a.final_value()).ok())
-            .collect()
+            .find(|r| r.values()[..n] == *coordinate)?;
+        Some(row.values()[n..].to_vec())
     }
 
     /// Current base-table contents (empty for a store that keeps none).
@@ -963,9 +1051,8 @@ impl MaterializedCube {
     /// Cells per materialized grouping set, in cascade order (core first)
     /// — the measured node sizes HRU selection and node choice rank by.
     pub fn node_sizes(&self) -> Vec<(GroupingSet, u64)> {
-        let state = self.store.read();
-        let sizes = state.nodes.iter().map(|node| node.len() as u64);
-        self.sets.iter().copied().zip(sizes).collect()
+        let sizes = self.store.read().cells.sizes();
+        self.lattice.sets().iter().copied().zip(sizes).collect()
     }
 
     /// Number of materialized cells across all grouping sets — for a
@@ -1408,6 +1495,119 @@ mod tests {
         assert_eq!(mat.to_table().unwrap().rows(), expected.rows());
         assert_eq!(mat.base_rows().len(), 3 + 4 * 8 * 16);
     }
+
+    // ----------------------------------------------------- widening --
+
+    /// The key and cell types the store has reached, and its dictionary's
+    /// cardinalities.
+    fn format(mat: &MaterializedCube) -> (String, Vec<usize>) {
+        mat.store.read().cells.format()
+    }
+
+    /// `got` must be the cube of `table`, as a store built over it and
+    /// as the operator computes it.
+    fn assert_rebuilds(got: &Table, table: &Table, dims: &[Dimension], aggs: &[AggSpec]) {
+        let rebuilt = MaterializedCube::cube(table, dims.to_vec(), aggs.to_vec()).unwrap();
+        assert_eq!(got.rows(), rebuilt.to_table().unwrap().rows());
+        let query = CubeQuery::new().dimensions(dims.to_vec());
+        let query = aggs.iter().fold(query, |q, a| q.aggregate(a.clone()));
+        assert_eq!(got.rows(), query.cube(table).unwrap().rows());
+    }
+
+    fn assert_maintained(mat: &MaterializedCube, dims: &[Dimension], aggs: &[AggSpec]) {
+        let table = Table::new(mat.base_schema.clone(), mat.base_rows()).unwrap();
+        assert_rebuilds(&mat.to_table().unwrap(), &table, dims, aggs);
+    }
+
+    /// A store over one row has one-bit fields. Unseen values first
+    /// outgrow one field, which re-lays the `u64` key, then push the
+    /// fields past 64 bits, which moves the store to the wide key.
+    #[test]
+    fn unseen_values_widen_a_field_then_the_key() {
+        let names: Vec<String> = (0..6).map(|d| format!("d{d}")).collect();
+        let mut cols: Vec<(&str, DataType)> = names.iter().map(|n| (&**n, DataType::Int)).collect();
+        cols.push(("units", DataType::Int));
+        let row = |v: i64, units: i64| {
+            let coordinate = (0..6).map(|_| Value::Int(v));
+            Row::new(coordinate.chain([Value::Int(units)]).collect())
+        };
+        let t = Table::new(Schema::from_pairs(&cols), vec![row(0, 1)]).unwrap();
+        let dims: Vec<Dimension> = names.iter().map(Dimension::column).collect();
+        let aggs = [sum_spec(), max_spec()];
+        let mat = MaterializedCube::cube(&t, dims.clone(), aggs.to_vec()).unwrap();
+        assert!(format(&mat).0.starts_with("u64 "));
+
+        let apply = |rows: Vec<Row>, deletes: Vec<Row>| {
+            let batch = DeltaBatch::of(rows, deletes);
+            mat.apply(&batch, &ExecContext::unlimited()).unwrap();
+        };
+        // Three unseen d0 values: d0 needs three bits, the key one u64.
+        let unseen_d0 = |v| {
+            let mut r = row(0, v);
+            r[0] = Value::Int(v);
+            r
+        };
+        apply((1..4).map(unseen_d0).collect(), vec![]);
+        let (key, cards) = format(&mat);
+        assert!(key.starts_with("u64 "), "{key}");
+        assert_eq!(cards, [4, 1, 1, 1, 1, 1]);
+        assert_maintained(&mat, &dims, &aggs);
+
+        // 1 100 unseen values in every dimension: 6 × 11 bits pass 64.
+        apply((10..1110).map(|v| row(v, v % 7)).collect(), vec![]);
+        assert!(format(&mat).0.contains("WideKey"));
+        assert_maintained(&mat, &dims, &aggs);
+        // Deletes, a MAX champion among them, on the wide key.
+        apply(vec![], vec![row(0, 1), row(1096, 4), row(1105, 6)]);
+        assert!(mat.stats().cells_recomputed > 0);
+        assert_maintained(&mat, &dims, &aggs);
+    }
+
+    /// `DataType::accepts` lets an `Int` into a `Float` column; the batch's
+    /// measures then compile to no kernel, so the store's kernel lanes
+    /// widen to boxed accumulators.
+    #[test]
+    fn an_int_in_a_float_column_widens_kernel_lanes_to_boxes() {
+        let schema = Schema::from_pairs(&[("k", DataType::Str), ("price", DataType::Float)]);
+        let t = Table::new(schema, vec![row!["a", 1.5], row!["b", 2.25]]).unwrap();
+        let dims = [Dimension::column("k")];
+        let spec = |f: &str| AggSpec::new(builtin(f).unwrap(), "price").with_name(f.to_lowercase());
+        let aggs = ["SUM", "MIN", "AVG"].map(spec);
+        let mat = MaterializedCube::cube(&t, dims.to_vec(), aggs.to_vec()).unwrap();
+        assert!(format(&mat).0.ends_with("KernelCell"));
+        mat.insert(row!["a", 3]).unwrap();
+        assert!(format(&mat).0.contains("Accumulator"));
+        assert_maintained(&mat, &dims, &aggs);
+        mat.delete(&row!["a", 1.5]).unwrap();
+        assert_maintained(&mat, &dims, &aggs);
+    }
+
+    /// `absorb` grows a private copy of the dictionary: the old `Arc`'s
+    /// answers and dictionary stay as they were.
+    #[test]
+    fn absorb_with_unseen_values_spares_the_old_dictionary() {
+        let t = base();
+        let view = std::sync::Arc::new(CachedView::build(&t, &dims(), &[sum_spec()]).unwrap());
+        let (before, (_, cards)) = (view.to_table().unwrap(), format(&view));
+        let delta = vec![row!["Dodge", 2001, 7], row!["Ford", 1999, 1]];
+        let absorbed = view
+            .absorb(&Table::new(t.schema().clone(), delta.clone()).unwrap())
+            .unwrap();
+        assert_eq!(format(&absorbed).1, [3, 4]);
+        assert_eq!((view.to_table().unwrap(), format(&view).1), (before, cards));
+
+        let table = Table::new(t.schema().clone(), [t.rows(), &delta].concat()).unwrap();
+        let sets = crate::lattice::cube_sets(2).unwrap();
+        let req = AncestorRequest {
+            dim_map: &[0, 1],
+            dim_names: &["model", "year"],
+            agg_map: &[0],
+            agg_names: &["units"],
+            sets: &sets,
+        };
+        let got = absorbed.answer(&req, &ExecContext::unlimited()).unwrap();
+        assert_rebuilds(&got, &table, &dims(), &[sum_spec()]);
+    }
 }
 
 #[cfg(test)]
@@ -1743,5 +1943,18 @@ mod view_tests {
             Err(CubeError::BadSpec(_))
         ));
         assert!(!view.can_answer(&[7], &[0]) && !view.can_answer(&[0], &[9]));
+        // A set bit past the request's dimensions names nothing: refused,
+        // not answered as a second copy of the set below it.
+        let stray = AncestorRequest {
+            dim_map: &[0],
+            dim_names: &["model"],
+            agg_map: &[0],
+            agg_names: &["s"],
+            sets: &[GroupingSet::full(1), GroupingSet::from_bits(0b100001)],
+        };
+        assert!(matches!(
+            view.answer(&stray, &ctx),
+            Err(CubeError::BadSpec(_))
+        ));
     }
 }

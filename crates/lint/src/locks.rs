@@ -546,14 +546,6 @@ fn scan_fn_body(
     for a in &acquires {
         for b in &acquires {
             if b.tok > a.tok && b.tok <= a.span_end {
-                // The hoisted-guard idiom `let g; if x { g = l.write() }
-                // else { g = l.read() }` binds the same lock in sibling
-                // branches: the second site is an alternative, not a
-                // nested acquisition. Same kind + acquisition block
-                // already closed before `b` ⇒ skip.
-                if a.kind == b.kind && block_close(a.tok) < b.tok {
-                    continue;
-                }
                 edges.push(LockEdge {
                     from: a.kind.clone(),
                     to: b.kind.clone(),

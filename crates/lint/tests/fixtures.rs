@@ -187,8 +187,7 @@ fn r6_lockorder_fixture() {
     // Fires: cache-under-store (an inversion, and the back edge of the
     // cache → store → cache cycle), the catalog-under-store inversion, and
     // the store re-acquisition. Store-under-cache, the annotated
-    // inversion, the hoisted if/else alternative, and the test module
-    // stay silent.
+    // inversion and the test module stay silent.
     assert_eq!(
         lockorder,
         vec![

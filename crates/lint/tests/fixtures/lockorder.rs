@@ -41,19 +41,6 @@ impl Cube {
         let cat = self.catalog.read();
         consume((entries, cat));
     }
-
-    // PASS (edge): the hoisted-guard if/else idiom binds alternatives,
-    // not a re-acquisition.
-    pub fn hoisted_alternative(&self, exclusive: bool) {
-        let _excl;
-        let _shared;
-        if exclusive {
-            _excl = Some(self.store.write());
-        } else {
-            _shared = Some(self.store.read());
-        }
-        consume(self.rows);
-    }
 }
 
 #[cfg(test)]

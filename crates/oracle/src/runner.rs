@@ -16,7 +16,7 @@
 //! budget — is a divergence.
 
 use crate::diff::diff_tables;
-use crate::gen::{Case, Gov, QueryKind};
+use crate::gen::{Case, Gov, QueryKind, WIDE_EVERY};
 use crate::model::model_result;
 use datacube::algorithm::repro::{self, Repro};
 use datacube::{
@@ -241,46 +241,71 @@ fn sample_row(schema: &Schema, rng: &mut StdRng) -> Row {
     )
 }
 
-/// The maintenance axis (§6): a seeded interleaving of insert / delete /
-/// update batches applied to a `MaterializedCube` over the case's lattice
-/// must leave the cube cell-for-cell equal to a from-scratch recompute of
-/// the final table — checked against the model *and* against every engine
-/// configuration, so the batched delta path cannot drift from any compute
-/// path. A shadow multiset tracks ground truth; deletes and updates pick
-/// live rows (including NULL- and NaN-keyed ones), inserts mix fresh rows
-/// with duplicates of existing keys to stress support counting.
-fn check_maintenance(case: &Case) -> Result<(), String> {
-    let (dims, specs) = (case_dims(case), case_specs(case));
-    let raw_sets = family(case, &dims).map_err(|e| format!("maintenance axis: {e}"))?;
-    // The lattice normalizes the family (dedup + core): mirror it in the
-    // recompute query so both sides answer the same grouping sets.
-    let lattice =
-        Lattice::new(case.n_dims, raw_sets).map_err(|e| format!("maintenance axis: {e}"))?;
-    let set_dims: Vec<Vec<usize>> = lattice.sets().iter().map(|s| s.dims()).collect();
-    let cube = MaterializedCube::with_lattice(&case.table, dims, specs, lattice)
-        .map_err(|e| format!("maintenance axis: build: {e}"))?;
+/// One seed in this many replays the maintenance axis from the case's
+/// first row — the rest of the table is its first batch — and gives its
+/// sampled inserts dimension values no case generates, so the store's
+/// dictionary grows: fields outgrow their widths, and a wide-flavour case
+/// (every [`WIDE_EVERY`]-th seed, all of them in this subset) moves from a
+/// `u64` key to the wide key. Chosen by the seed, not drawn from the
+/// stream, so every other seed replays the batches it always has.
+const FRESH_EVERY: u64 = 4;
+const _: () = assert!(WIDE_EVERY.is_multiple_of(FRESH_EVERY));
 
+/// The `k`-th value of `dtype` that no generated case holds (a `Bool`
+/// has none to offer).
+fn fresh_value(dtype: DataType, k: u32) -> Value {
+    match dtype {
+        DataType::Str => Value::str(format!("fresh{k}")),
+        DataType::Int => Value::Int(1_000_000 + i64::from(k)),
+        DataType::Float => Value::Float(1000.5 + f64::from(k)),
+        DataType::Bool => Value::Bool(k.is_multiple_of(2)),
+        DataType::Date => Value::Date(
+            Date::new(2030, 1 + (k % 12) as u8, 1 + (k / 12 % 28) as u8)
+                .expect("fresh dates are valid"),
+        ),
+    }
+}
+
+/// The maintenance axis's replay of a case: the rows the store is built
+/// over, its batches of `(inserts, deletes)` in order, and the table they
+/// leave.
+struct Replay {
+    initial: Vec<Row>,
+    batches: Vec<(Vec<Row>, Vec<Row>)>,
+    last: Vec<Row>,
+}
+
+fn maintenance_replay(case: &Case) -> Replay {
     let mut rng = StdRng::seed_from_u64(case.seed ^ 0x4D41_494E_5441_494E);
-    let mut shadow: Vec<Row> = case.table.rows().to_vec();
+    let fresh = case.seed % FRESH_EVERY == FRESH_EVERY - 1;
+    let rows = case.table.rows();
+    let split = if fresh { rows.len().min(1) } else { rows.len() };
+    let mut batches = vec![(rows[split..].to_vec(), Vec::new())];
+    let mut shadow: Vec<Row> = rows.to_vec();
     let schema = case.table.schema();
+    let mut k = 0u32;
     for _ in 0..rng.gen_range(2usize..=4) {
-        let mut batch = DeltaBatch::new();
+        let (mut ins, mut del) = (Vec::new(), Vec::new());
         for _ in 0..rng.gen_range(1usize..=8) {
             match rng.gen_range(0u32..4) {
                 0 | 1 => {
                     let row = if !shadow.is_empty() && rng.gen_bool(0.4) {
                         shadow[rng.gen_range(0..shadow.len())].clone()
                     } else {
-                        sample_row(schema, &mut rng)
+                        let mut row = sample_row(schema, &mut rng);
+                        if fresh {
+                            for d in 0..case.n_dims {
+                                row[d] = fresh_value(schema.column_at(d).dtype, k);
+                                k += 1;
+                            }
+                        }
+                        row
                     };
                     shadow.push(row.clone());
-                    batch
-                        .insert(row)
-                        .map_err(|e| format!("maintenance axis: insert: {e}"))?;
+                    ins.push(row);
                 }
                 2 if !shadow.is_empty() => {
-                    let row = shadow.swap_remove(rng.gen_range(0..shadow.len()));
-                    batch.delete(row);
+                    del.push(shadow.swap_remove(rng.gen_range(0..shadow.len())));
                 }
                 3 if !shadow.is_empty() => {
                     // §6's "update is delete plus insert", in one batch.
@@ -290,20 +315,58 @@ fn check_maintenance(case: &Case) -> Result<(), String> {
                     vals[c] = sample_value(schema.column_at(c).dtype, &mut rng);
                     let new = Row::new(vals);
                     shadow.push(new.clone());
-                    batch.delete(old);
-                    batch
-                        .insert(new)
-                        .map_err(|e| format!("maintenance axis: update: {e}"))?;
+                    del.push(old);
+                    ins.push(new);
                 }
                 _ => {}
             }
         }
-        if batch.is_empty() {
-            continue;
+        batches.push((ins, del));
+    }
+    batches.retain(|(ins, del)| !ins.is_empty() || !del.is_empty());
+    Replay {
+        initial: rows[..split].to_vec(),
+        batches,
+        last: shadow,
+    }
+}
+
+/// The maintenance axis (§6): a seeded interleaving of insert / delete /
+/// update batches applied to a `MaterializedCube` over the case's lattice
+/// must leave the cube cell-for-cell equal to a from-scratch recompute of
+/// the final table — checked against the model *and* against every engine
+/// configuration, so the batched delta path cannot drift from any compute
+/// path. A shadow multiset tracks ground truth; deletes and updates pick
+/// live rows (including NULL- and NaN-keyed ones), inserts mix fresh rows
+/// with duplicates of existing keys to stress support counting. On the
+/// [`FRESH_EVERY`] subset the store starts from one row and its
+/// dictionary grows.
+fn check_maintenance(case: &Case) -> Result<(), String> {
+    let (dims, specs) = (case_dims(case), case_specs(case));
+    let raw_sets = family(case, &dims).map_err(|e| format!("maintenance axis: {e}"))?;
+    // The lattice normalizes the family (dedup + core): mirror it in the
+    // recompute query so both sides answer the same grouping sets.
+    let lattice =
+        Lattice::new(case.n_dims, raw_sets).map_err(|e| format!("maintenance axis: {e}"))?;
+    let set_dims: Vec<Vec<usize>> = lattice.sets().iter().map(|s| s.dims()).collect();
+    let replay = maintenance_replay(case);
+    let schema = case.table.schema();
+    let initial = Table::new(schema.clone(), replay.initial)
+        .map_err(|e| format!("maintenance axis: initial table: {e}"))?;
+    let cube = MaterializedCube::with_lattice(&initial, dims, specs, lattice)
+        .map_err(|e| format!("maintenance axis: build: {e}"))?;
+    for (ins, del) in replay.batches {
+        let mut batch = DeltaBatch::new();
+        for row in ins {
+            batch
+                .insert(row)
+                .map_err(|e| format!("maintenance axis: insert: {e}"))?;
         }
+        del.into_iter().for_each(|row| batch.delete(row));
         cube.apply(&batch, &ExecContext::unlimited())
             .map_err(|e| format!("maintenance axis: apply: {e}"))?;
     }
+    let shadow = replay.last;
     if cube.base_rows().len() != shadow.len() {
         return Err(format!(
             "maintenance axis: cube tracks {} base rows, shadow has {}",
@@ -380,20 +443,48 @@ mod tests {
         }
     }
 
+    /// Field widths as `datacube`'s encoder lays them out: bits for the
+    /// `C_d + 1` field values of each dimension over `rows`.
+    fn key_widths(rows: &[Row], n_dims: usize) -> Vec<u32> {
+        let width = |d: usize| {
+            let values: std::collections::HashSet<&Value> = rows.iter().map(|r| &r[d]).collect();
+            (u32::BITS - (values.len() as u32).leading_zeros()).max(1)
+        };
+        (0..n_dims).map(width).collect()
+    }
+
+    /// The 200-seed smoke's maintenance axis grows store dictionaries: on
+    /// the fresh-value seeds, fields outgrow the widths the store was
+    /// built with, and wide-flavour cases move from a `u64` key (fields
+    /// within 64 bits) into the wide key.
+    #[test]
+    fn the_smoke_reaches_dictionary_growth() {
+        let (mut outgrown, mut widened) = (0, 0);
+        for case in (0..200u64).map(|i| crate::gen_case(0xDA7A_C0BE + i)) {
+            let replay = maintenance_replay(&case);
+            let inserted = replay.batches.iter().flat_map(|(ins, _)| ins);
+            let seen: Vec<Row> = replay.initial.iter().chain(inserted).cloned().collect();
+            let before = key_widths(&replay.initial, case.n_dims);
+            let after = key_widths(&seen, case.n_dims);
+            outgrown += usize::from(before != after);
+            let bits = |w: &[u32]| w.iter().sum::<u32>();
+            widened += usize::from(bits(&before) <= 64 && bits(&after) > 64);
+        }
+        assert!(
+            outgrown >= 100,
+            "fields outgrew their widths in {outgrown} cases"
+        );
+        assert!(widened >= 10, "{widened} cases moved into the wide key");
+    }
+
     /// The 200-seed smoke (`tests/fuzz.rs`) reaches the engine's wide key:
     /// at least ten of its cases have dimension cardinalities whose field
     /// widths (bits for `C_d + 1` values, as `datacube`'s encoder lays
     /// them out) sum past 64, NULL dimension values among them.
     #[test]
     fn the_smoke_reaches_the_wide_key() {
-        let key_bits = |case: &Case| -> u32 {
-            let width = |d: usize| {
-                let values: std::collections::HashSet<&Value> =
-                    case.table.rows().iter().map(|r| &r[d]).collect();
-                (u32::BITS - (values.len() as u32).leading_zeros()).max(1)
-            };
-            (0..case.n_dims).map(width).sum()
-        };
+        let key_bits =
+            |case: &Case| -> u32 { key_widths(case.table.rows(), case.n_dims).iter().sum() };
         let smoke = (0..200u64).map(|i| crate::gen_case(0xDA7A_C0BE + i));
         let wide: Vec<Case> = smoke.filter(|c| key_bits(c) > 64).collect();
         assert!(wide.len() >= 10, "only {} wide cases", wide.len());

@@ -160,10 +160,10 @@ pub struct Column {
 }
 
 impl Column {
-    /// Extract column `idx` as an `i64` vector. Returns `None` if any row
-    /// holds something other than `Int` or `NULL` — the caller then falls
-    /// back to a dictionary column or the row path.
-    pub fn try_ints(rows: &[Row], idx: usize) -> Option<Column> {
+    /// Extract column `idx` as an `i64` vector and its validity. Returns
+    /// `None` if any row holds something other than `Int` or `NULL` — the
+    /// caller then falls back to a dictionary column or the row path.
+    pub fn try_ints(rows: &[Row], idx: usize) -> Option<(Vec<i64>, Bitmap)> {
         let mut vals = Vec::with_capacity(rows.len());
         let mut validity = BitmapBuilder::with_capacity(rows.len());
         for row in rows {
@@ -181,15 +181,12 @@ impl Column {
                 }
             }
         }
-        Some(Column {
-            data: ColumnData::Int(vals),
-            validity: validity.finish(),
-        })
+        Some((vals, validity.finish()))
     }
 
     /// Extract column `idx` as an `f64` vector (`Float` or `NULL` rows
     /// only), mirroring [`Column::try_ints`].
-    pub fn try_floats(rows: &[Row], idx: usize) -> Option<Column> {
+    pub fn try_floats(rows: &[Row], idx: usize) -> Option<(Vec<f64>, Bitmap)> {
         let mut vals = Vec::with_capacity(rows.len());
         let mut validity = BitmapBuilder::with_capacity(rows.len());
         for row in rows {
@@ -207,10 +204,7 @@ impl Column {
                 }
             }
         }
-        Some(Column {
-            data: ColumnData::Float(vals),
-            validity: validity.finish(),
-        })
+        Some((vals, validity.finish()))
     }
 
     /// Dictionary-encode column `idx`: every non-`NULL` value is interned
@@ -242,12 +236,16 @@ impl Column {
     /// (including `Int`/`Float` columns that turn out to hold `ALL` tokens,
     /// which only appear in cube interiors).
     pub fn from_rows(rows: &[Row], idx: usize, dtype: DataType) -> Column {
-        match dtype {
-            DataType::Int => Column::try_ints(rows, idx).unwrap_or_else(|| Column::dict(rows, idx)),
+        let typed = match dtype {
+            DataType::Int => Column::try_ints(rows, idx).map(|(v, b)| (ColumnData::Int(v), b)),
             DataType::Float => {
-                Column::try_floats(rows, idx).unwrap_or_else(|| Column::dict(rows, idx))
+                Column::try_floats(rows, idx).map(|(v, b)| (ColumnData::Float(v), b))
             }
-            _ => Column::dict(rows, idx),
+            _ => None,
+        };
+        match typed {
+            Some((data, validity)) => Column { data, validity },
+            None => Column::dict(rows, idx),
         }
     }
 

@@ -85,7 +85,7 @@ impl SymbolTable {
     }
 
     /// Code for `v` if already interned.
-    pub fn lookup(&self, v: &Value) -> Option<u32> {
+    pub fn code_of(&self, v: &Value) -> Option<u32> {
         if let Some(i) = int_lane_key(v) {
             let off = i.wrapping_sub(self.int_lo);
             if !self.int_codes.is_empty() && (0..INT_WINDOW).contains(&off) {
@@ -148,7 +148,7 @@ mod tests {
         assert_eq!((a, b, a2), (0, 1, 0));
         assert_eq!(t.cardinality(), 2);
         assert_eq!(t.decode(1), Some(&Value::str("Ford")));
-        assert_eq!(t.lookup(&Value::str("Dodge")), None);
+        assert_eq!(t.code_of(&Value::str("Dodge")), None);
     }
 
     #[test]
@@ -164,19 +164,19 @@ mod tests {
     fn int_fast_lane_coalesces_with_equal_floats() {
         // Int(5) == Float(5.0) under Value's Eq, so the integer fast
         // lane must hand them the same code — whether the Int or the
-        // Float arrives first, and likewise via lookup.
+        // Float arrives first, and likewise via code_of.
         let mut t = SymbolTable::new();
         let a = t.intern(&Value::Int(5));
         let b = t.intern(&Value::Float(5.0));
         assert_eq!(a, b);
         assert_eq!(t.cardinality(), 1);
-        assert_eq!(t.lookup(&Value::Float(5.0)), Some(a));
+        assert_eq!(t.code_of(&Value::Float(5.0)), Some(a));
 
         let mut t = SymbolTable::new();
         let a = t.intern(&Value::Float(7.0));
         let b = t.intern(&Value::Int(7));
         assert_eq!(a, b);
-        assert_eq!(t.lookup(&Value::Int(7)), Some(a));
+        assert_eq!(t.code_of(&Value::Int(7)), Some(a));
 
         // Values far outside the window spill to the hash lane but must
         // still coalesce across the Int/Float boundary.
@@ -192,8 +192,8 @@ mod tests {
         let neg = t.intern(&Value::Float(-0.0));
         assert_ne!(zero, neg);
         assert_eq!(t.cardinality(), 2);
-        assert_eq!(t.lookup(&Value::Float(0.0)), Some(zero));
-        assert_eq!(t.lookup(&Value::Float(-0.0)), Some(neg));
+        assert_eq!(t.code_of(&Value::Float(0.0)), Some(zero));
+        assert_eq!(t.code_of(&Value::Float(-0.0)), Some(neg));
 
         // A non-integral float never takes the lane and never collides.
         let mut t = SymbolTable::new();

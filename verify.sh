@@ -28,7 +28,7 @@ cargo run -q --release -p cube-lint --bin cube_lint -- --root . --json /tmp/lint
 # ROADMAP item 9 wants fewer than 60 reasoned suppressions in the linted
 # code; the count may only fall. When it does, lower the number here.
 echo "== cube_lint suppression ratchet =="
-max_allows=87
+max_allows=81
 allows=$(grep -r --include='*.rs' 'cube-lint: allow(' crates | grep -v '^crates/lint/' | wc -l)
 if [ "$allows" -gt "$max_allows" ]; then
     echo "$allows 'cube-lint: allow(...)' lines outside crates/lint, over the recorded $max_allows" >&2
