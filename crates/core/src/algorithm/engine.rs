@@ -1169,15 +1169,18 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
         let cursor = AtomicUsize::new(0);
         let emitted = exec::run_workers(workers, "materialize", stats, |local| {
             let mut out: Vec<(usize, Row)> = Vec::new();
+            // One scratch row per worker; each output row is one
+            // allocation, copied out of it.
+            let mut vals = Vec::with_capacity(width);
             while let Some(&(si, lo, hi)) = tasks.get(exec::claim(&cursor, 1)) {
                 let arena = arenas[si];
                 let cells = arena.keys[lo..hi].iter().zip(&ranks[si][lo..hi]);
                 for (slot, (&key, &rank)) in (lo..hi).zip(cells) {
                     self.ctx.tick(slot)?;
-                    let mut vals = Vec::with_capacity(width);
+                    vals.clear();
                     encoder.append_key(key, dims, &mut vals);
                     self.lanes.finals(arena.cell_at(slot), lanes, &mut vals)?;
-                    out.push((bases[si] + rank as usize, Row::new(vals)));
+                    out.push((bases[si] + rank as usize, Row::from(&vals[..])));
                 }
                 local.final_calls += ((hi - lo) * lanes.len()) as u64;
             }

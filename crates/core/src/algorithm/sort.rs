@@ -74,10 +74,13 @@ pub(crate) fn run(
                 }
             }
             // Emit: the first `level` dims keep their values, the rest ALL.
-            let mut key_vals = prefix.0;
-            key_vals.extend(std::iter::repeat_n(Value::All, n - level));
+            let key: Row = prefix
+                .iter()
+                .cloned()
+                .chain(std::iter::repeat_n(Value::All, n - level))
+                .collect();
             let map_idx = n - level; // maps are ordered core (level n) first
-            maps[map_idx].1.insert(Row::new(key_vals), accs);
+            maps[map_idx].1.insert(key, accs);
         }
         Ok(())
     };

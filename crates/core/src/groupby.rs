@@ -253,7 +253,8 @@ pub(crate) fn materialize(
         cells.sort_by(|a, b| a.0.cmp(&b.0));
         for (i, (key, accs)) in cells.into_iter().enumerate() {
             ctx.tick(i)?;
-            let mut vals = key.0;
+            let mut vals = Vec::with_capacity(key.len() + accs.len());
+            vals.extend_from_slice(key.values());
             for (acc, agg) in accs.iter().zip(aggs.iter()) {
                 vals.push(exec::guard(agg.func.name(), || acc.final_value())?);
                 stats.final_calls += 1;

@@ -16,8 +16,10 @@
 //! supported here; see [`Value::is_all`] and the conversion helpers on
 //! [`Table`].
 //!
-//! Everything is deliberately simple and allocation-conscious: rows are
-//! `Vec<Value>`, strings are interned `Arc<str>`, and dimensions can be
+//! Everything is deliberately simple and allocation-conscious: a
+//! [`Value`] is 16 bytes, with strings behind a shared `Arc<Box<str>>`
+//! handle; a [`Row`] is a shared `Arc<[Value]>`, so copying a table's row
+//! list copies handles, not values; and dimensions can be
 //! dictionary-encoded through [`dictionary::SymbolTable`] (Graefe's hashed
 //! symbol-table tip quoted in §5 of the paper).
 //!

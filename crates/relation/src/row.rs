@@ -3,16 +3,22 @@
 use crate::value::Value;
 use std::fmt;
 use std::ops::{Index, IndexMut};
+use std::sync::Arc;
 
-/// One tuple. A thin wrapper over `Vec<Value>` that keeps construction
-/// ergonomic (`row![...]`, `From<Vec<Value>>`) and gives rows grouping-key
+/// One tuple: an immutable, shared slice of values. Cloning a row is a
+/// reference-count increment, so copying a table's row list (a write
+/// publishing a new snapshot, a filter, a sort) copies 16-byte handles,
+/// not values. Construction stays ergonomic (`row![...]`,
+/// `From<Vec<Value>>`, `collect()`), and rows get grouping-key
 /// `Eq`/`Ord`/`Hash` for free via `Value`'s semantics.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Row(pub Vec<Value>);
+pub struct Row(Arc<[Value]>);
+
+const _: () = assert!(std::mem::size_of::<Row>() == 16);
 
 impl Row {
     pub fn new(values: Vec<Value>) -> Self {
-        Row(values)
+        Row(values.into())
     }
 
     pub fn len(&self) -> usize {
@@ -33,13 +39,7 @@ impl Row {
 
     /// Project this row onto the given column indices, cloning values.
     pub fn project(&self, indices: &[usize]) -> Row {
-        Row(indices.iter().map(|&i| self.0[i].clone()).collect())
-    }
-
-    /// Append a value, returning the extended row (used by decorators).
-    pub fn extended(mut self, v: Value) -> Row {
-        self.0.push(v);
-        self
+        indices.iter().map(|&i| self.0[i].clone()).collect()
     }
 
     pub fn iter(&self) -> std::slice::Iter<'_, Value> {
@@ -54,23 +54,30 @@ impl Index<usize> for Row {
     }
 }
 
+/// Copy-on-write: a row shared with another clone is copied whole before
+/// the first write through it, so `row[i] = v` costs O(arity) once.
 impl IndexMut<usize> for Row {
     fn index_mut(&mut self, idx: usize) -> &mut Value {
-        &mut self.0[idx]
+        &mut Arc::make_mut(&mut self.0)[idx]
     }
 }
 
 impl From<Vec<Value>> for Row {
     fn from(v: Vec<Value>) -> Self {
-        Row(v)
+        Row::new(v)
     }
 }
 
-impl IntoIterator for Row {
-    type Item = Value;
-    type IntoIter = std::vec::IntoIter<Value>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter()
+/// A row cloned out of a scratch buffer: one allocation, exactly sized.
+impl From<&[Value]> for Row {
+    fn from(values: &[Value]) -> Self {
+        Row(values.into())
+    }
+}
+
+impl FromIterator<Value> for Row {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
+        Row(iter.into_iter().collect())
     }
 }
 

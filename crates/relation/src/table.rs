@@ -29,13 +29,13 @@ impl Table {
         }
     }
 
-    /// Build a table, validating every row against the schema.
+    /// Build a table, validating every row against the schema. The rows
+    /// are kept in the `Vec` they came in, not copied.
     pub fn new(schema: Schema, rows: Vec<Row>) -> RelResult<Self> {
-        let mut t = Table::empty(schema);
-        for row in rows {
-            t.push(row)?;
+        for row in &rows {
+            check_row(&schema, row)?;
         }
-        Ok(t)
+        Ok(Table { schema, rows })
     }
 
     /// Build a table without per-row validation.
@@ -72,15 +72,7 @@ impl Table {
 
     /// Append one row, validating arity and column types.
     pub fn push(&mut self, row: Row) -> RelResult<()> {
-        if row.len() != self.schema.len() {
-            return Err(RelError::ArityMismatch {
-                expected: self.schema.len(),
-                got: row.len(),
-            });
-        }
-        for (col, v) in self.schema.columns().iter().zip(row.iter()) {
-            col.check(v)?;
-        }
+        check_row(&self.schema, &row)?;
         self.rows.push(row);
         Ok(())
     }
@@ -294,6 +286,20 @@ impl Table {
             .collect();
         Ok(Table::from_validated_rows(schema, rows))
     }
+}
+
+/// Validate a row's arity and column types against `schema`.
+fn check_row(schema: &Schema, row: &Row) -> RelResult<()> {
+    if row.len() != schema.len() {
+        return Err(RelError::ArityMismatch {
+            expected: schema.len(),
+            got: row.len(),
+        });
+    }
+    for (col, v) in schema.columns().iter().zip(row.iter()) {
+        col.check(v)?;
+    }
+    Ok(())
 }
 
 /// Sort a bag of rows into canonical relation order: lexicographic on the

@@ -32,14 +32,20 @@ pub enum Value {
     Bool(bool),
     Int(i64),
     Float(f64),
-    Str(Arc<str>),
+    /// A string behind a thin, shared handle: one pointer, so a `Value` is
+    /// 16 bytes, and cloning it is a reference-count increment.
+    Str(Arc<Box<str>>),
     Date(Date),
 }
 
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
+
 impl Value {
-    /// Intern a string value.
+    /// A string value. Each call allocates its own handle; code that
+    /// produces the same string many times (a CSV column, a dictionary)
+    /// clones one `Value` instead.
     pub fn str(s: impl AsRef<str>) -> Self {
-        Value::Str(Arc::from(s.as_ref()))
+        Value::Str(Arc::new(Box::from(s.as_ref())))
     }
 
     /// The paper's `GROUPING()` predicate: true iff this is an `ALL` value
@@ -321,7 +327,7 @@ impl From<&str> for Value {
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(Arc::from(v.as_str()))
+        Value::Str(Arc::new(v.into_boxed_str()))
     }
 }
 

@@ -18,14 +18,19 @@
 //! ephemeral port with a deliberately tiny budget, prove that a cheap
 //! GROUP BY succeeds while a 3-dimension CUBE is shed with a typed
 //! `RESOURCE_EXHAUSTED` frame and a retry hint, that a parse error
-//! leaves the connection usable, then shut down cleanly. Exit code 0 on
-//! success.
+//! leaves the connection usable, that 50 sequential statements on one
+//! default-options connection take under a second (no transport stall),
+//! then shut down cleanly. Exit code 0 on success.
 
 use dc_relation::{row, DataType, Schema, Table};
 use dc_sql::wire::{self, Response};
 use dc_sql::{serve, Engine, ServerConfig, ServiceConfig};
 use std::net::TcpStream;
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
+
+/// Statements `--smoke` times back to back on one connection.
+const STALL_PROBE_STATEMENTS: usize = 50;
 
 struct Args {
     addr: String,
@@ -234,11 +239,30 @@ fn smoke() -> Result<(), String> {
         return Err("post-delete group by: expected 2 models".to_string());
     }
 
+    // 7. Small replies do not stall: 50 sequential statements on this
+    //    default-options connection take well under a second. A frame
+    //    sent as two writes waits ~40 ms per statement for a delayed ACK.
+    let started = Instant::now();
+    for _ in 0..STALL_PROBE_STATEMENTS {
+        expect_table(
+            &ask(&mut conn, "SELECT COUNT(*) AS n FROM Sales")?,
+            "stall probe",
+        )?;
+    }
+    let took = started.elapsed();
+    if took >= Duration::from_secs(1) {
+        return Err(format!(
+            "{STALL_PROBE_STATEMENTS} sequential statements took {took:?} (limit 1 s): \
+             the transport is stalling"
+        ));
+    }
+
     drop(conn);
     handle.shutdown();
     eprintln!(
         "dc_serve --smoke: OK (cheap lane served, cube shed typed, errors survived, \
-         cache hit observed, insert/delete round-tripped)"
+         cache hit observed, insert/delete round-tripped, \
+         {STALL_PROBE_STATEMENTS} statements in {took:?})"
     );
     Ok(())
 }

@@ -644,6 +644,16 @@ fn project_outputs(
     ctx: &EvalContext,
     decorations: &HashMap<&str, Decoration>,
 ) -> SqlResult<Table> {
+    let schema = Schema::new(outputs.iter().map(|o| o.def.clone()).collect())?;
+    // A select list that is the input's own columns in order (a cube's
+    // dimensions then its aggregates, or `SELECT *`) shares the input's
+    // rows instead of transposing and rebuilding them.
+    let identity = outputs.len() == input.schema().len()
+        && (outputs.iter().enumerate())
+            .all(|(i, o)| matches!(o.source, Source::Column(c) if c == i));
+    if identity {
+        return Ok(Table::from_validated_rows(schema, input.rows().to_vec()));
+    }
     let mut columns: Vec<Vec<Value>> = outputs
         .iter()
         .map(|_| Vec::with_capacity(input.len()))
@@ -670,7 +680,6 @@ fn project_outputs(
             *col = kind.apply(col)?;
         }
     }
-    let schema = Schema::new(outputs.iter().map(|o| o.def.clone()).collect())?;
     let mut columns: Vec<_> = columns.into_iter().map(Vec::into_iter).collect();
     let rows =
         (0..input.len()).map(|_| Row::new(columns.iter_mut().filter_map(Iterator::next).collect()));

@@ -780,7 +780,7 @@ mod tests {
         assert_eq!(table, "sales");
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].len(), 3);
-        assert_eq!(rows[0][0], Expr::Literal(Value::Str("Ford".into())));
+        assert_eq!(rows[0][0], Expr::Literal(Value::str("Ford")));
         // Negative literals come through the unary-minus expression path.
         assert!(matches!(rows[1][2], Expr::Neg(_)));
     }

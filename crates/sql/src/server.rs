@@ -183,6 +183,9 @@ fn handle_connection(
     shutdown: Arc<AtomicBool>,
     max_frame_len: u32,
 ) {
+    // Replies go out as one write each; with Nagle off, the last segment
+    // of a multi-segment reply does not wait for the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     // Short read timeouts so blocked reads notice shutdown promptly.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     loop {

@@ -23,7 +23,13 @@
 //!
 //! Framing is a big-endian `u32` byte length followed by that many bytes.
 //! Cell text is escaped so tabs/newlines in string values cannot corrupt
-//! the tabular body: `\t` → `\\t`, `\n` → `\\n`, `\\` → `\\\\`.
+//! the tabular body: `\t` → `\\t`, `\n` → `\\n`, `\r` → `\\r`,
+//! `\\` → `\\\\`.
+//!
+//! A frame leaves in one `write_all` of one buffer, prefix and payload
+//! together. Two writes would put the payload behind Nagle's algorithm:
+//! the first segment (the prefix) is unacknowledged, so the kernel holds
+//! the second until the peer's delayed ACK fires, ~40 ms later.
 
 use crate::error::SqlError;
 use dc_relation::Table;
@@ -33,12 +39,14 @@ use std::io::{self, Read, Write};
 /// malicious length prefix must not trigger a giant allocation.
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame, as one write.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -117,17 +125,20 @@ fn read_exact_or_eof(
     Ok(true)
 }
 
-fn escape_cell(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\\' => out.push_str("\\\\"),
-            c => out.push(c),
-        }
+/// Append `s` to `out` with the cell escapes applied.
+fn escape_cell_into(out: &mut Vec<u8>, s: &str) {
+    let mut rest = s;
+    while let Some(at) = rest.find(['\t', '\n', '\r', '\\']) {
+        out.extend_from_slice(&rest.as_bytes()[..at]);
+        out.extend_from_slice(match rest.as_bytes()[at] {
+            b'\t' => b"\\t",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            _ => b"\\\\",
+        });
+        rest = &rest[at + 1..];
     }
-    out
+    out.extend_from_slice(rest.as_bytes());
 }
 
 fn unescape_cell(s: &str) -> String {
@@ -138,6 +149,7 @@ fn unescape_cell(s: &str) -> String {
             match chars.next() {
                 Some('t') => out.push('\t'),
                 Some('n') => out.push('\n'),
+                Some('r') => out.push('\r'),
                 Some('\\') => out.push('\\'),
                 Some(other) => {
                     out.push('\\');
@@ -154,22 +166,33 @@ fn unescape_cell(s: &str) -> String {
 
 /// Encode a successful result table as a response payload.
 pub fn encode_table(t: &Table) -> Vec<u8> {
-    let mut out = String::new();
-    out.push_str(&format!("OK {} {}\n", t.len(), t.schema().len()));
-    let header: Vec<String> = t.schema().names().iter().map(|n| escape_cell(n)).collect();
-    out.push_str(&header.join("\t"));
-    out.push('\n');
+    let mut out = Vec::new();
+    // Writes into a `Vec` cannot fail.
+    let _ = writeln!(out, "OK {} {}", t.len(), t.schema().len());
+    for (i, col) in t.schema().columns().iter().enumerate() {
+        if i > 0 {
+            out.push(b'\t');
+        }
+        escape_cell_into(&mut out, &col.name);
+    }
+    out.push(b'\n');
     // cube-lint: allow(checkpoint, serializing an already-computed result; no budget applies)
     for row in t.rows() {
-        let cells: Vec<String> = row
-            .values()
-            .iter()
-            .map(|v| escape_cell(&v.to_string()))
-            .collect();
-        out.push_str(&cells.join("\t"));
-        out.push('\n');
+        for (i, v) in row.iter().enumerate() {
+            if i > 0 {
+                out.push(b'\t');
+            }
+            // Only strings can hold a tab, newline, CR or backslash.
+            match v.as_str() {
+                Some(s) => escape_cell_into(&mut out, s),
+                None => {
+                    let _ = write!(out, "{v}");
+                }
+            }
+        }
+        out.push(b'\n');
     }
-    out.into_bytes()
+    out
 }
 
 /// The wire error code for a [`SqlError`] plus its retry-after hint.
@@ -229,7 +252,9 @@ pub fn decode_response(payload: &[u8]) -> io::Result<Response> {
                 .and_then(|s| s.parse().ok())
                 .ok_or_else(|| bad("missing row count"))?;
             let _cols = parts.next();
-            let mut lines = body.lines();
+            // Rows end in `\n` alone: `str::lines` would also strip a
+            // `\r` before it, which is cell text, not line structure.
+            let mut lines = body.strip_suffix('\n').unwrap_or(body).split('\n');
             let columns: Vec<String> = lines
                 .next()
                 .ok_or_else(|| bad("missing header"))?
@@ -239,7 +264,9 @@ pub fn decode_response(payload: &[u8]) -> io::Result<Response> {
             let mut out_rows = Vec::with_capacity(rows);
             // cube-lint: allow(checkpoint, client-side decode of a bounded frame)
             for line in lines {
-                out_rows.push(line.split('\t').map(unescape_cell).collect());
+                let mut cells = Vec::with_capacity(columns.len());
+                cells.extend(line.split('\t').map(unescape_cell));
+                out_rows.push(cells);
             }
             if out_rows.len() != rows {
                 return Err(bad("row count mismatch"));
@@ -346,6 +373,51 @@ mod tests {
     }
 
     use dc_relation::Row;
+
+    #[test]
+    fn carriage_return_in_the_last_column_survives() {
+        let schema = Schema::from_pairs(&[("n", DataType::Int), ("s", DataType::Str)]);
+        let t = dc_relation::Table::new(
+            schema,
+            vec![
+                Row::new(vec![Value::Int(1), Value::str("dos\r")]),
+                Row::new(vec![Value::Int(2), Value::str("back\\slash")]),
+            ],
+        )
+        .unwrap();
+        let payload = encode_table(&t);
+        assert_eq!(payload, b"OK 2 2\nn\ts\n1\tdos\\r\n2\tback\\\\slash\n");
+        let cells = |row: [&str; 2]| row.map(String::from).to_vec();
+        assert_eq!(
+            decode_response(&payload).unwrap(),
+            Response::Table {
+                columns: cells(["n", "s"]),
+                rows: vec![cells(["1", "dos\r"]), cells(["2", "back\\slash"])],
+            }
+        );
+    }
+
+    /// Counts `write` calls: a frame split over two would stall behind
+    /// Nagle's algorithm on a default-options socket.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let mut w = Writes::default();
+        write_frame(&mut w, b"SELECT 1").unwrap();
+        assert_eq!(w.0, vec![b"\0\0\0\x08SELECT 1".to_vec()]);
+    }
 
     #[test]
     fn errors_carry_code_and_retry_hint() {

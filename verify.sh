@@ -55,7 +55,7 @@ cargo test -q --features faults --test governance -- --test-threads=1
 echo "== dc_benchmark smoke (the pinned surface benchmark/ calls still builds and answers) =="
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 
-echo "== dc-serve smoke (TCP round trip, admission shed, malformed query survival) =="
+echo "== dc-serve smoke (TCP round trip, admission shed, malformed query survival, 50 statements on one connection in < 1 s) =="
 cargo run -q --release -p dc-sql --bin dc_serve -- --smoke
 
 echo "== paper_tables vs golden =="
