@@ -829,7 +829,10 @@ impl MaterializedCube {
         let picks = sets.iter().map(pick).collect::<CubeResult<Vec<_>>>()?;
         let (cells, aggs, dims, lanes) = (&state.cells, &self.aggs, req.dim_map, req.agg_map);
         let mut stats = ExecStats::default();
-        // cube-lint: allow(foreign, Iter_super and Final() must read the cells while the snapshot pins them; every callback is individually catch_unwind-guarded and the read guard cannot be poisoned)
+        // UDA callbacks run under the store's read lock by design:
+        // Iter_super and Final() must read the cells while the snapshot
+        // pins them. Every callback is individually catch_unwind-guarded,
+        // and a read guard cannot be poisoned.
         cells.read_sets(aggs, &picks, dims, lanes, schema, &mut stats, ctx)
     }
 
@@ -982,7 +985,10 @@ impl MaterializedCube {
             deleted: &deleted,
         };
         let cells = if self.all_mergeable {
-            // cube-lint: allow(foreign, the batch must fold against the pre-install cells, so UDA calls run under the write lock; every callback is individually catch_unwind-guarded, so a panic surfaces as AggPanicked without poisoning the guard)
+            // UDA callbacks run under the write lock by design: the batch
+            // must fold against the pre-install cells. Every callback is
+            // individually catch_unwind-guarded, so a panic surfaces as
+            // AggPanicked without poisoning the guard.
             state.cells.fold_batch(self, &b, ctx, &mut stats)?
         } else {
             // No Iter_super to fold a touched cell with: re-group the
@@ -990,7 +996,9 @@ impl MaterializedCube {
             let post: Vec<Row> = b.live().cloned().collect();
             stats.rows_rescanned += post.len() as u64;
             let (plan, mut exec_stats) = ((&self.lattice, self.shape), ExecStats::default());
-            // cube-lint: allow(foreign, the re-grouped cells must replace the old ones under the write lock; every UDA callback is individually catch_unwind-guarded)
+            // UDA callbacks run under the write lock by design: the
+            // re-grouped cells must replace the old ones under it. Every
+            // callback is individually catch_unwind-guarded.
             let cells = engine::group(&post, &self.dims, &self.aggs, plan, &mut exec_stats, ctx)?;
             stats.cells_recomputed += cells.sizes().iter().sum::<u64>();
             cells

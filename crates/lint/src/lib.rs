@@ -26,19 +26,12 @@
 //!   `todo!`/`unimplemented!` in non-test library code.
 //! * **R5 `wildcard`** — no `_` match arms in matches whose patterns
 //!   destructure `Value`, so adding a `Value` variant fails loudly.
-//! * **R6 `lockorder`** — the inter-procedural lock graph (built from
-//!   per-function acquisition summaries in [`locks`], propagated through
-//!   direct calls in [`callgraph`]) must be acyclic, never re-acquire a
-//!   lock already held, and respect the documented hierarchy (catalog →
-//!   cache → store).
-//! * **R7 `foreign`** — no `exec::guard`/`guarded_init`/`catch_unwind`
-//!   or raw accumulator callback reachable while a store or catalog
-//!   lock is held.
 //! * **R8 `atomic`** — every `Ordering::Relaxed` needs a stronger
 //!   ordering or a reasoned suppression.
-//! * **R9 `commit`** — a catalog version commit
-//!   (`replace_if_version`/`update_table`) must be followed in the same
-//!   function by the cache call that propagates it.
+//!
+//! Lock discipline is not a rule: each engine lock is a private field of
+//! one type, and which lock can be taken under which follows from field
+//! ownership and the crate graph (DESIGN.md, "The four locks").
 //!
 //! Any finding can be suppressed with a justified annotation on the same
 //! line or the line above:
@@ -48,14 +41,12 @@
 //! ```
 //!
 //! The annotation *requires* a reason — `allow(panic)` alone does not
-//! parse and the finding stands.
+//! parse and the finding stands. An annotation that suppresses nothing
+//! (its rule does not apply to the file, or the code it excused is gone)
+//! is itself a finding under the rule it names.
 
-mod callgraph;
 pub mod lexer;
-pub mod locks;
 mod rules;
-
-pub use callgraph::check_lock_discipline;
 
 use lexer::{tokenize, Tok};
 use std::collections::{BTreeMap, BTreeSet};
@@ -71,13 +62,19 @@ pub enum Rule {
     Faults,
     Panic,
     Wildcard,
-    LockOrder,
-    Foreign,
     Atomic,
-    Commit,
 }
 
 impl Rule {
+    const ALL: [Rule; 6] = [
+        Rule::Checkpoint,
+        Rule::Guard,
+        Rule::Faults,
+        Rule::Panic,
+        Rule::Wildcard,
+        Rule::Atomic,
+    ];
+
     pub fn code(self) -> &'static str {
         match self {
             Rule::Checkpoint => "checkpoint",
@@ -85,10 +82,7 @@ impl Rule {
             Rule::Faults => "faults",
             Rule::Panic => "panic",
             Rule::Wildcard => "wildcard",
-            Rule::LockOrder => "lockorder",
-            Rule::Foreign => "foreign",
             Rule::Atomic => "atomic",
-            Rule::Commit => "commit",
         }
     }
 }
@@ -184,10 +178,9 @@ impl FileClass {
 /// `// cube-lint: allow(rule, reason)` annotations, by line.
 #[derive(Debug, Default)]
 pub struct Allows {
-    /// line -> set of rule codes allowed there.
-    by_line: BTreeMap<u32, BTreeSet<String>>,
-    /// Annotations that never matched a finding (for future use; also
-    /// catches `allow(panic)` written without a reason).
+    /// (line, rule) -> whether the annotation has suppressed a finding.
+    by_line: BTreeMap<(u32, Rule), bool>,
+    /// Annotations that do not parse: no reason, or no such rule.
     pub malformed: Vec<(u32, String)>,
 }
 
@@ -210,12 +203,17 @@ impl Allows {
                     if let Some(end) = body.find(')') {
                         let inner = &body[..end];
                         match inner.split_once(',') {
-                            Some((rule, reason)) if !reason.trim().is_empty() => {
-                                allows
-                                    .by_line
-                                    .entry(line)
-                                    .or_default()
-                                    .insert(rule.trim().to_string());
+                            Some((code, reason)) if !reason.trim().is_empty() => {
+                                let code = code.trim();
+                                match Rule::ALL.into_iter().find(|r| r.code() == code) {
+                                    Some(rule) => {
+                                        allows.by_line.insert((line, rule), false);
+                                    }
+                                    None => allows.malformed.push((
+                                        line,
+                                        format!("allow({code}, …) names no cube_lint rule"),
+                                    )),
+                                }
                             }
                             _ => {
                                 allows.malformed.push((
@@ -236,14 +234,23 @@ impl Allows {
     }
 
     /// Is `rule` allowed at `line`? An annotation covers its own line and
-    /// the line directly below it (annotation-above style).
-    pub fn allowed(&self, rule: Rule, line: u32) -> bool {
-        let hit = |l: u32| {
+    /// the line directly below it (annotation-above style). A hit marks
+    /// the annotation used.
+    pub fn allowed(&mut self, rule: Rule, line: u32) -> bool {
+        [line, line.saturating_sub(1)].into_iter().any(|l| {
             self.by_line
-                .get(&l)
-                .is_some_and(|set| set.contains(rule.code()))
-        };
-        hit(line) || (line > 0 && hit(line - 1))
+                .get_mut(&(l, rule))
+                .map(|used| *used = true)
+                .is_some()
+        })
+    }
+
+    /// The annotations no finding has used, as `(line, rule)`.
+    pub fn unused(&self) -> impl Iterator<Item = (u32, Rule)> + '_ {
+        self.by_line
+            .iter()
+            .filter(|(_, used)| !**used)
+            .map(|(&key, _)| key)
     }
 }
 
@@ -252,9 +259,6 @@ impl Allows {
 #[derive(Debug, Default)]
 pub struct FileReport {
     pub findings: Vec<Finding>,
-    /// The path the file was linted under (workspace-relative), so the
-    /// cross-file passes can attribute findings and suppressions.
-    pub path: PathBuf,
     /// Site names declared in the `SITES` const (registry file only),
     /// with the line of each declaration.
     pub declared_sites: Vec<(String, u32)>,
@@ -262,34 +266,28 @@ pub struct FileReport {
     pub sites_decl_line: Option<u32>,
     /// Site names referenced at injection points in this file.
     pub referenced_sites: Vec<(String, u32)>,
-    /// Per-function lock summaries for the R6/R7 call-graph pass.
-    pub fns: Vec<locks::FnSummary>,
-    /// The file's suppression annotations, re-consulted by the
-    /// workspace-level passes (which run after `lint_source` returns).
-    pub allows: Allows,
 }
 
 /// Lint one file's source. `path` is used only for diagnostics.
 pub fn lint_source(path: &Path, src: &str, class: FileClass) -> FileReport {
     let toks = tokenize(src);
-    let allows = Allows::parse(src);
+    let mut allows = Allows::parse(src);
     let test_mask = rules::test_region_mask(&toks);
     let ctx = rules::RuleCtx {
-        path,
         toks: &toks,
         test_mask: &test_mask,
-        class,
     };
 
     let mut report = FileReport::default();
+    let finding = |rule: Rule, line: u32, message: String| Finding {
+        file: path.to_path_buf(),
+        line,
+        rule,
+        message,
+    };
     let mut push = |rule: Rule, line: u32, message: String| {
         if !allows.allowed(rule, line) {
-            report.findings.push(Finding {
-                file: path.to_path_buf(),
-                line,
-                rule,
-                message,
-            });
+            report.findings.push(finding(rule, line, message));
         }
     };
 
@@ -301,18 +299,27 @@ pub fn lint_source(path: &Path, src: &str, class: FileClass) -> FileReport {
     }
     rules::r4_panic(&ctx, &mut push);
     rules::r5_wildcard(&ctx, &mut push);
-    callgraph::r8_atomic(&ctx, &mut push);
-    callgraph::r9_commit(&ctx, &mut push);
+    rules::r8_atomic(&ctx, &mut push);
 
     // A malformed annotation is itself a finding: silent typos must not
     // silently re-enable what the author meant to suppress.
     for (line, msg) in &allows.malformed {
-        report.findings.push(Finding {
-            file: path.to_path_buf(),
-            line: *line,
-            rule: Rule::Panic,
-            message: msg.clone(),
-        });
+        report
+            .findings
+            .push(finding(Rule::Panic, *line, msg.clone()));
+    }
+    // So is one that suppresses nothing: it would excuse whatever code
+    // later moves under it, unreviewed.
+    for (line, rule) in allows.unused() {
+        let code = rule.code();
+        report.findings.push(finding(
+            rule,
+            line,
+            format!(
+                "allow({code}, …) suppresses nothing: no [{code}] finding on this line \
+                 or the next — delete it"
+            ),
+        ));
     }
 
     if class.faults_registry {
@@ -322,9 +329,6 @@ pub fn lint_source(path: &Path, src: &str, class: FileClass) -> FileReport {
     } else {
         report.referenced_sites = rules::r3_referenced_sites(&ctx);
     }
-    report.fns = locks::scan_functions(path, &toks, &test_mask);
-    report.path = path.to_path_buf();
-    report.allows = allows;
     report
 }
 
@@ -408,7 +412,6 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     let mut sites_decl_line = None;
     let mut registry_path = root.join("crates/aggregate/src/faults.rs");
     let mut referenced: Vec<(PathBuf, String, u32)> = Vec::new();
-    let mut reports: Vec<FileReport> = Vec::new();
 
     for file in &files {
         let src = std::fs::read_to_string(file)
@@ -425,7 +428,6 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
         for (name, line) in &report.referenced_sites {
             referenced.push((rel.clone(), name.clone(), *line));
         }
-        reports.push(report);
     }
     findings.extend(check_fault_sites(
         &registry_path,
@@ -433,8 +435,6 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
         sites_decl_line,
         &referenced,
     ));
-    let report_refs: Vec<&FileReport> = reports.iter().collect();
-    findings.extend(callgraph::check_lock_discipline(&report_refs));
     findings.sort();
     Ok(findings)
 }

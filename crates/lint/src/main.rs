@@ -12,8 +12,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const RULES: &str =
-    "checkpoint, guard, faults, panic, wildcard, lockorder, foreign, atomic, commit";
+const RULES: &str = "checkpoint, guard, faults, panic, wildcard, atomic";
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");

@@ -1,20 +1,15 @@
-//! The five rule passes. Each is a token-stream walk; see the crate docs
+//! The six rule passes. Each is a token-stream walk; see the crate docs
 //! for what the rules mean and `DESIGN.md` ("Enforced invariants") for why
 //! they exist.
 
 use crate::lexer::{Tok, TokKind};
-use crate::{bracket_matches, FileClass, Rule};
-use std::path::Path;
+use crate::{bracket_matches, Rule};
 
 /// Shared per-file context handed to every rule.
 pub(crate) struct RuleCtx<'a> {
-    #[allow(dead_code)]
-    pub path: &'a Path,
     pub toks: &'a [Tok],
     /// `true` for tokens inside `#[cfg(test)]` / `#[test]` items.
     pub test_mask: &'a [bool],
-    #[allow(dead_code)]
-    pub class: FileClass,
 }
 
 /// Mark every token that lives inside a test-only item: an item annotated
@@ -480,4 +475,32 @@ fn wildcard_in_pattern(pattern: &[Tok]) -> Option<u32> {
         }
     }
     None
+}
+
+/// R8: every `Ordering::Relaxed` in non-test code needs a stronger
+/// ordering or a reasoned suppression. Relaxed is correct for monotone
+/// counters — and silently wrong for anything on the publish path
+/// (catalog version, admission budget, shutdown flag), so the burden of
+/// proof sits in the annotation.
+pub(crate) fn r8_atomic(ctx: &RuleCtx, push: &mut dyn FnMut(Rule, u32, String)) {
+    let toks = ctx.toks;
+    for i in 0..toks.len().saturating_sub(3) {
+        if ctx.test_mask[i] {
+            continue;
+        }
+        if toks[i].is_ident("Ordering")
+            && toks[i + 1].is_punct(':')
+            && toks[i + 2].is_punct(':')
+            && toks[i + 3].is_ident("Relaxed")
+        {
+            push(
+                Rule::Atomic,
+                toks[i + 3].line,
+                "`Ordering::Relaxed` — relaxed loads/stores may reorder against the \
+                 data they publish; use Acquire/Release/SeqCst, or annotate \
+                 `cube-lint: allow(atomic, reason)` if this atomic publishes nothing"
+                    .into(),
+            );
+        }
+    }
 }

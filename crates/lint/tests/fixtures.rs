@@ -8,9 +8,7 @@
 //! Fixture `.rs` files are data, not code: they are never compiled, so
 //! they can hold violations the real workspace is forbidden to contain.
 
-use cube_lint::{
-    check_fault_sites, check_lock_discipline, lint_source, render_json, FileClass, FileReport, Rule,
-};
+use cube_lint::{check_fault_sites, lint_source, render_json, FileClass, FileReport, Rule};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -60,10 +58,17 @@ fn r1_checkpoint_fixture() {
 
 #[test]
 fn r1_is_scoped_to_algorithm_files() {
-    // The same source with `algorithm: false` produces nothing: R1 only
-    // applies to `crates/core/src/algorithm/` and `groupby.rs`.
+    // The same source with `algorithm: false` fires no loop: R1 only
+    // applies to `crates/core/src/algorithm/` and `groupby.rs`. What is
+    // left is the loop's annotation, which now suppresses nothing.
     let report = lint_fixture("checkpoint.rs", FileClass::default());
-    assert_eq!(rule_lines(&report), vec![], "{:#?}", report.findings);
+    assert_eq!(
+        rule_lines(&report),
+        vec![(Rule::Checkpoint, 41)],
+        "{:#?}",
+        report.findings
+    );
+    assert!(report.findings[0].message.contains("suppresses nothing"));
 }
 
 #[test]
@@ -94,7 +99,13 @@ fn r2_is_skipped_inside_the_aggregate_crate() {
             ..FileClass::default()
         },
     );
-    assert_eq!(rule_lines(&report), vec![], "{:#?}", report.findings);
+    // Only the kernel merge's annotation is left, suppressing nothing.
+    assert_eq!(
+        rule_lines(&report),
+        vec![(Rule::Guard, 25)],
+        "{:#?}",
+        report.findings
+    );
 }
 
 #[test]
@@ -153,18 +164,7 @@ fn r5_wildcard_fixture() {
     );
 }
 
-/// The (rule, line) pairs the cross-procedural pass produces for one
-/// fixture, analyzed in isolation.
-fn discipline_lines(report: &FileReport) -> Vec<(Rule, u32)> {
-    let mut v: Vec<(Rule, u32)> = check_lock_discipline(&[report])
-        .iter()
-        .map(|f| (f.rule, f.line))
-        .collect();
-    v.sort();
-    v
-}
-
-/// Per-file findings of one rule only (R8/R9 fixtures also trip other
+/// Per-file findings of one rule only (the R8 fixture also trips other
 /// per-file rules by construction; those are asserted elsewhere).
 fn rule_lines_of(report: &FileReport, rule: Rule) -> Vec<(Rule, u32)> {
     let mut v: Vec<(Rule, u32)> = report
@@ -175,49 +175,6 @@ fn rule_lines_of(report: &FileReport, rule: Rule) -> Vec<(Rule, u32)> {
         .collect();
     v.sort();
     v
-}
-
-#[test]
-fn r6_lockorder_fixture() {
-    let report = lint_fixture("lockorder.rs", FileClass::default());
-    let lockorder: Vec<(Rule, u32)> = discipline_lines(&report)
-        .into_iter()
-        .filter(|(r, _)| *r == Rule::LockOrder)
-        .collect();
-    // Fires: cache-under-store (an inversion, and the back edge of the
-    // cache → store → cache cycle), the catalog-under-store inversion, and
-    // the store re-acquisition. Store-under-cache, the annotated
-    // inversion and the test module stay silent.
-    assert_eq!(
-        lockorder,
-        vec![
-            (Rule::LockOrder, 17),
-            (Rule::LockOrder, 17),
-            (Rule::LockOrder, 24),
-            (Rule::LockOrder, 31),
-        ],
-        "unexpected findings: {:#?}",
-        check_lock_discipline(&[&report])
-    );
-}
-
-#[test]
-fn r7_foreign_fixture() {
-    let report = lint_fixture("foreign.rs", FileClass::default());
-    let foreign: Vec<(Rule, u32)> = discipline_lines(&report)
-        .into_iter()
-        .filter(|(r, _)| *r == Rule::Foreign)
-        .collect();
-    // Fires: the guard wrapper under the store read-lock, the raw merge
-    // under the catalog lock, and the transitive reach through the helper. The
-    // unlocked guard, the cache-mutex absorb, the annotated call, and
-    // zero-arg slice `.iter()` stay silent.
-    assert_eq!(
-        foreign,
-        vec![(Rule::Foreign, 8), (Rule::Foreign, 14), (Rule::Foreign, 33)],
-        "unexpected findings: {:#?}",
-        check_lock_discipline(&[&report])
-    );
 }
 
 #[test]
@@ -235,33 +192,33 @@ fn r8_atomic_fixture() {
 }
 
 #[test]
-fn r9_commit_fixture() {
-    let report = lint_fixture("commit.rs", FileClass::default());
-    // Fires: the silent commit and the propagate-*before*-commit. The
-    // absorb and invalidate pairings, the annotated commit, plain table
-    // registration, and test code stay silent.
+fn unused_allow_fixture() {
+    let report = lint_fixture("unused.rs", FileClass::default());
+    // Unused: the annotation over code that no longer fires (14), the one
+    // two lines above its unwrap (19, which fires at 21), the one naming
+    // a rule that does not fire there (25, its unwrap fires at 26), and
+    // the one in test code (35). The unknown rule is malformed (29). The
+    // two annotations that excuse an unwrap stay silent.
     assert_eq!(
-        rule_lines_of(&report, Rule::Commit),
-        vec![(Rule::Commit, 8), (Rule::Commit, 31)],
+        rule_lines(&report),
+        vec![
+            (Rule::Panic, 14),
+            (Rule::Panic, 19),
+            (Rule::Panic, 21),
+            (Rule::Panic, 26),
+            (Rule::Panic, 29),
+            (Rule::Panic, 35),
+            (Rule::Wildcard, 25),
+        ],
         "unexpected findings: {:#?}",
         report.findings
     );
-}
-
-#[test]
-fn r9_is_skipped_in_catalog_and_cache() {
-    // The same source under a catalog.rs / cache.rs path is the
-    // mechanism, not a caller: adjacency does not apply.
-    let src = std::fs::read_to_string(fixture_dir().join("commit.rs")).unwrap();
-    for name in ["catalog.rs", "cache.rs"] {
-        let report = lint_source(Path::new(name), &src, FileClass::default());
-        assert_eq!(
-            rule_lines_of(&report, Rule::Commit),
-            vec![],
-            "{name}: {:#?}",
-            report.findings
-        );
-    }
+    let message = |line| {
+        let f = report.findings.iter().find(|f| f.line == line).unwrap();
+        f.message.clone()
+    };
+    assert!(message(14).contains("suppresses nothing"));
+    assert!(message(29).contains("names no cube_lint rule"));
 }
 
 #[test]
@@ -422,33 +379,8 @@ fn cli_mini_workspace_reports_every_rule_and_exits_nonzero() {
 }
 
 #[test]
-fn cli_ws2_reports_the_seeded_lock_cycle() {
-    let ws = fixture_dir().join("ws2");
-    let ws_arg = ws.to_string_lossy().into_owned();
-    let (code, stdout, stderr) = run_lint(&["--root", &ws_arg]);
-    assert_eq!(code, Some(1), "stdout: {stdout}\nstderr: {stderr}");
-
-    // Exactly the two seeded findings: the transitive journal
-    // re-acquisition (alpha → beta → gamma) at alpha's call into beta,
-    // and the journal → wal → journal cycle at beta's call into gamma.
-    let expected = [
-        (r"crates/sql/src/lib.rs", 19, "lockorder", "re-acquired"),
-        (r"crates/sql/src/lib.rs", 25, "lockorder", "cycle"),
-    ];
-    for (file, line, rule, needle) in expected {
-        let prefix = format!("{file}:{line}: [{rule}]");
-        let hit = stdout
-            .lines()
-            .find(|l| l.contains(&prefix))
-            .unwrap_or_else(|| panic!("expected `{prefix}` in: {stdout}"));
-        assert!(hit.contains(needle), "expected `{needle}` in: {hit}");
-    }
-    assert!(stderr.contains("2 finding(s)"), "stderr: {stderr}");
-}
-
-#[test]
 fn cli_json_to_file_keeps_human_output() {
-    let ws = fixture_dir().join("ws2");
+    let ws = fixture_dir().join("ws");
     let ws_arg = ws.to_string_lossy().into_owned();
     let out = std::env::temp_dir().join(format!("cube-lint-test-{}.json", std::process::id()));
     let out_arg = out.to_string_lossy().into_owned();
@@ -456,14 +388,13 @@ fn cli_json_to_file_keeps_human_output() {
     let (code, stdout, stderr) = run_lint(&["--root", &ws_arg, "--json", &out_arg]);
     assert_eq!(code, Some(1), "stdout: {stdout}\nstderr: {stderr}");
     // The human diagnostics still go to stdout…
-    assert!(stdout.contains("[lockorder]"), "stdout: {stdout}");
+    assert!(stdout.contains("[checkpoint]"), "stdout: {stdout}");
     // …while the file holds the machine-readable report.
     let json = std::fs::read_to_string(&out).expect("json report file");
     std::fs::remove_file(&out).ok();
     assert!(json.starts_with('[') && json.trim_end().ends_with(']'));
-    assert!(json.contains(r#""rule":"lockorder""#), "json: {json}");
-    assert!(json.contains(r#""line":19"#), "json: {json}");
-    assert!(json.contains(r#""line":25"#), "json: {json}");
+    assert!(json.contains(r#""rule":"checkpoint""#), "json: {json}");
+    assert!(json.contains(r#""line":6"#), "json: {json}");
 }
 
 #[test]

@@ -68,6 +68,26 @@ pub(crate) fn failpoint(_site: &str) -> CubeResult<()> {
     Ok(())
 }
 
+/// A monotone telemetry counter (the admission and cache counters). No
+/// reader infers other state from its value — the state it counts lives
+/// under its owner's mutex — so it needs no ordering, and its relaxed
+/// one is the only one in this crate.
+#[derive(Debug, Default)]
+pub(crate) struct Counter(AtomicU64);
+
+// cube-lint: allow(atomic, a telemetry count publishes no other memory)
+const TELEMETRY: Ordering = Ordering::Relaxed;
+
+impl Counter {
+    pub(crate) fn incr(&self) {
+        self.0.fetch_add(1, TELEMETRY);
+    }
+
+    pub(crate) fn get(&self) -> u64 {
+        self.0.load(TELEMETRY)
+    }
+}
+
 /// Service-level limits shared by every session of one engine. The
 /// default is fully unlimited — a library `Engine` behaves exactly as it
 /// did before the service layer existed.
@@ -138,9 +158,9 @@ pub struct AdmissionController {
     state: Mutex<AdmState>,
     cv: Condvar,
     /// Monotone counters for observability and the stress suites.
-    admitted: AtomicU64,
-    queued: AtomicU64,
-    shed: AtomicU64,
+    admitted: Counter,
+    queued: Counter,
+    shed: Counter,
 }
 
 /// Aggregate counters since the controller was built.
@@ -250,9 +270,9 @@ impl AdmissionController {
             cfg,
             state: Mutex::new(AdmState::default()),
             cv: Condvar::new(),
-            admitted: AtomicU64::new(0),
-            queued: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
+            admitted: Counter::default(),
+            queued: Counter::default(),
+            shed: Counter::default(),
         })
     }
 
@@ -262,12 +282,9 @@ impl AdmissionController {
 
     pub fn counters(&self) -> AdmissionCounters {
         AdmissionCounters {
-            // cube-lint: allow(atomic, telemetry read of a monotone counter; admission state itself is mutex-guarded)
-            admitted: self.admitted.load(Ordering::Relaxed),
-            // cube-lint: allow(atomic, telemetry read of a monotone counter; admission state itself is mutex-guarded)
-            queued: self.queued.load(Ordering::Relaxed),
-            // cube-lint: allow(atomic, telemetry read of a monotone counter; admission state itself is mutex-guarded)
-            shed: self.shed.load(Ordering::Relaxed),
+            admitted: self.admitted.get(),
+            queued: self.queued.get(),
+            shed: self.shed.get(),
         }
     }
 
@@ -332,8 +349,7 @@ impl AdmissionController {
     }
 
     fn shed_error(&self, st: &AdmState, waited: Duration, retry_after_ms: u32) -> CubeError {
-        // cube-lint: allow(atomic, monotone shed counter; the shed decision was made under the state mutex)
-        self.shed.fetch_add(1, Ordering::Relaxed);
+        self.shed.incr();
         let stats = ExecStats {
             admission: AdmissionVerdict::Shed,
             retry_after_ms,
@@ -397,8 +413,7 @@ impl AdmissionController {
         if self.cfg.is_unlimited() {
             // No admission governance: hand out a free permit without
             // touching the lock at all.
-            // cube-lint: allow(atomic, monotone telemetry counter; the ungoverned path hands out free permits by design and publishes no state)
-            self.admitted.fetch_add(1, Ordering::Relaxed);
+            self.admitted.incr();
             return Ok(Permit {
                 ctrl: Arc::clone(self),
                 heavy: false,
@@ -415,8 +430,7 @@ impl AdmissionController {
         // never be admitted: shed now, with no retry hint (retrying is
         // pointless until the budget is resized or the query shrinks).
         if self.cfg.global_cells > 0 && heavy && need > self.cfg.global_cells {
-            // cube-lint: allow(atomic, monotone shed counter; the oversized-query rejection reads only immutable config)
-            self.shed.fetch_add(1, Ordering::Relaxed);
+            self.shed.incr();
             return Err(CubeError::ResourceExhausted {
                 resource: Resource::Cells,
                 limit: self.cfg.global_cells,
@@ -442,14 +456,12 @@ impl AdmissionController {
                     st.heavy_running += 1;
                 }
                 st.cells_out = st.cells_out.saturating_add(need);
-                // cube-lint: allow(atomic, monotone telemetry counter incremented under the state mutex; cells_out itself is mutex-guarded)
-                self.admitted.fetch_add(1, Ordering::Relaxed);
+                self.admitted.incr();
                 let waited = started.elapsed();
                 let verdict = if queued_guard.is_none() {
                     AdmissionVerdict::Admitted
                 } else {
-                    // cube-lint: allow(atomic, monotone telemetry counter incremented under the state mutex; cells_out itself is mutex-guarded)
-                    self.queued.fetch_add(1, Ordering::Relaxed);
+                    self.queued.incr();
                     AdmissionVerdict::Queued
                 };
                 return Ok(Permit {

@@ -21,12 +21,13 @@
 //! reserve simply declines to materialize.
 //!
 //! Invalidation is by construction: entries are keyed by
-//! `(table, catalog version)`, and [`crate::Catalog::update_table`]
-//! bumps the version, so a republished table can never be served stale
-//! cells. [`CubeCache::invalidate_table`] additionally drops the dead
-//! entries eagerly to return their reservation.
+//! `(table, catalog version)`, and every republish bumps the version, so
+//! a republished table can never be served stale cells. The catalog's
+//! one publish path then calls [`CubeCache::apply_delta`] or
+//! [`CubeCache::invalidate_table`], which drops the dead entries eagerly
+//! to return their reservation.
 
-use crate::admission::{failpoint, AdmissionController};
+use crate::admission::{failpoint, AdmissionController, Counter};
 use datacube::{CachedView, CubeResult, GroupingSet};
 use dc_relation::Table;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -93,9 +94,9 @@ pub struct CubeCache {
     budget_cells: AtomicU64,
     admission: Arc<AdmissionController>,
     entries: Mutex<Vec<CacheEntry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
 }
 
 impl CubeCache {
@@ -105,9 +106,9 @@ impl CubeCache {
             budget_cells: AtomicU64::new(DEFAULT_BUDGET_CELLS),
             admission,
             entries: Mutex::new(Vec::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            hits: Counter::default(),
+            misses: Counter::default(),
+            evictions: Counter::default(),
         })
     }
 
@@ -138,14 +139,11 @@ impl CubeCache {
     pub fn counters(&self) -> CacheCounters {
         let entries = self.lock();
         CacheCounters {
-            // cube-lint: allow(atomic, telemetry read of a monotone counter; entry state is read under the entries mutex)
-            hits: self.hits.load(Ordering::Relaxed),
-            // cube-lint: allow(atomic, telemetry read of a monotone counter; entry state is read under the entries mutex)
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
             entries: entries.len() as u64,
             cells: entries.iter().map(|e| e.cells).sum(),
-            // cube-lint: allow(atomic, telemetry read of a monotone counter; entry state is read under the entries mutex)
-            evictions: self.evictions.load(Ordering::Relaxed),
+            evictions: self.evictions.get(),
         }
     }
 
@@ -282,8 +280,7 @@ impl CubeCache {
         match best {
             Some((entry, dim_map, agg_map)) => {
                 entry.traffic = entry.traffic.saturating_add(1);
-                // cube-lint: allow(atomic, monotone hit counter; the entry mutation happens under the entries mutex)
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.hits.incr();
                 Ok(Some(CacheHit {
                     view: Arc::clone(&entry.view),
                     dim_map,
@@ -292,8 +289,7 @@ impl CubeCache {
                 }))
             }
             None => {
-                // cube-lint: allow(atomic, monotone miss counter; lookup state is read under the entries mutex)
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.misses.incr();
                 Ok(None)
             }
         }
@@ -365,8 +361,7 @@ impl CubeCache {
                 .expect("non-empty");
             let evicted = entries.swap_remove(victim);
             self.admission.release_cache_cells(evicted.cells);
-            // cube-lint: allow(atomic, monotone eviction counter; the eviction itself happens under the entries mutex)
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.evictions.incr();
             total -= evicted.cells;
         }
         Ok(())

@@ -17,19 +17,39 @@
 //! invariants cannot be torn mid-update (each registration is a single
 //! `insert`), so the poison flag carries no information for us.
 
+use crate::cache::CubeCache;
 use crate::error::{SqlError, SqlResult};
 use crate::scalar::{self, ScalarFn, ScalarRegistry};
 use dc_aggregate::{AggRef, Registry};
 use dc_relation::Table;
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, RwLockWriteGuard};
 
-/// The mutable name→object maps, guarded by [`SharedCatalog`].
+/// The mutable name→object maps, guarded by [`SharedCatalog`]. Every
+/// mutator is private to this module: registration goes through
+/// [`SharedCatalog`]'s `register_*` methods and a new version of a table
+/// only through `SharedCatalog::publish`, so no code outside the catalog
+/// runs under its lock and no version is committed that the cache does
+/// not hear about.
+///
+/// ```compile_fail,E0624
+/// // A table's contents change only through the publish path.
+/// let mut c = dc_sql::Catalog::new();
+/// let t = dc_relation::Table::empty(dc_relation::Schema::new(vec![]).unwrap());
+/// c.replace_if_version("t", Some(1), t);
+/// ```
+///
+/// ```compile_fail,E0599
+/// // Nor is there an unconditional republish that skips the cache.
+/// let mut c = dc_sql::Catalog::new();
+/// let t = dc_relation::Table::empty(dc_relation::Schema::new(vec![]).unwrap());
+/// c.update_table("t", t);
+/// ```
 pub struct Catalog {
     tables: HashMap<String, Arc<Table>>,
-    /// Per-table version, bumped by [`Catalog::update_table`]. Cached
-    /// subcube views are keyed by `(name, version)`, so republishing a
-    /// table under the same name makes every stale view unreachable.
+    /// Per-table version, bumped by every publish. Cached subcube views
+    /// are keyed by `(name, version)`, so republishing a table under the
+    /// same name makes every stale view unreachable.
     versions: HashMap<String, u64>,
     aggs: Registry,
     scalars: ScalarRegistry,
@@ -47,9 +67,8 @@ impl Catalog {
         }
     }
 
-    /// Register a base table (case-insensitive name).
-    pub fn register_table(&mut self, name: impl AsRef<str>, table: Table) -> SqlResult<()> {
-        let key = name.as_ref().to_uppercase();
+    fn register_table(&mut self, name: &str, table: Table) -> SqlResult<()> {
+        let key = name.to_uppercase();
         if self.tables.contains_key(&key) {
             return Err(SqlError::Plan(format!("table already registered: {key}")));
         }
@@ -58,55 +77,29 @@ impl Catalog {
         Ok(())
     }
 
-    /// Replace a registered table's contents, bumping its version — the
-    /// maintenance path: a `MaterializedCube` (or any writer) republishes
-    /// its current state under the same name, and every cached view keyed
-    /// to the old version becomes unreachable.
-    pub fn update_table(&mut self, name: impl AsRef<str>, table: Table) -> SqlResult<()> {
-        let key = name.as_ref().to_uppercase();
-        if !self.tables.contains_key(&key) {
-            return Err(SqlError::Plan(format!("unknown table: {key}")));
-        }
-        *self.versions.entry(key.clone()).or_insert(0) += 1;
-        self.tables.insert(key, Arc::new(table));
-        Ok(())
-    }
-
-    /// Compare-and-swap republish for the SQL write path: replace the
-    /// table's contents only if its version is still `expected`, and
-    /// return the new version on success. `Ok(None)` means another writer
-    /// won the race — the caller re-reads a fresh snapshot, rebases its
-    /// delta, and retries; no torn state is possible because the whole
-    /// swap happens under the catalog write lock.
-    pub fn replace_if_version(
+    /// Swap in a registered table's new contents and bump its version.
+    /// With `expected`, this is a compare-and-swap: `Ok(None)` means
+    /// another writer won the race — the caller re-reads a fresh
+    /// snapshot, rebases its delta, and retries; no torn state is
+    /// possible because the whole swap happens under the write lock.
+    fn replace_if_version(
         &mut self,
-        name: impl AsRef<str>,
-        expected: u64,
+        name: &str,
+        expected: Option<u64>,
         table: Table,
     ) -> SqlResult<Option<u64>> {
-        let key = name.as_ref().to_uppercase();
+        let key = name.to_uppercase();
         if !self.tables.contains_key(&key) {
             return Err(SqlError::Plan(format!("unknown table: {key}")));
         }
         let version = self.versions.entry(key.clone()).or_insert(0);
-        if *version != expected {
+        if expected.is_some_and(|v| v != *version) {
             return Ok(None);
         }
         *version += 1;
         let new_version = *version;
         self.tables.insert(key, Arc::new(table));
         Ok(Some(new_version))
-    }
-
-    /// Register a user-defined aggregate (the §1.2 extension mechanism).
-    pub fn register_aggregate(&mut self, f: AggRef) -> SqlResult<()> {
-        self.aggs.register(f)?;
-        Ok(())
-    }
-
-    /// Register a scalar function (e.g. the paper's `Nation(lat, lon)`).
-    pub fn register_scalar(&mut self, f: ScalarFn) -> SqlResult<()> {
-        self.scalars.register(f)
     }
 }
 
@@ -149,6 +142,16 @@ impl CatalogSnapshot {
 }
 
 /// The `Arc`-shared, lock-guarded catalog handed to every [`crate::Session`].
+///
+/// Its lock is a leaf: each method below holds it for one map update or
+/// clone and takes no other lock inside it, and no caller-supplied
+/// closure runs under it.
+///
+/// ```compile_fail,E0599
+/// // There is no way to run arbitrary code under the catalog lock.
+/// let shared = dc_sql::SharedCatalog::new();
+/// shared.with_write(|_| ());
+/// ```
 #[derive(Clone)]
 pub struct SharedCatalog(Arc<RwLock<Catalog>>);
 
@@ -157,10 +160,48 @@ impl SharedCatalog {
         SharedCatalog(Arc::new(RwLock::new(Catalog::new())))
     }
 
-    /// Run `f` with the write lock held (registration path).
-    pub fn with_write<T>(&self, f: impl FnOnce(&mut Catalog) -> T) -> T {
-        let mut guard = self.0.write().unwrap_or_else(|p| p.into_inner());
-        f(&mut guard)
+    fn write(&self) -> RwLockWriteGuard<'_, Catalog> {
+        self.0.write().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Register a base table (case-insensitive name).
+    pub(crate) fn register_table(&self, name: impl AsRef<str>, table: Table) -> SqlResult<()> {
+        self.write().register_table(name.as_ref(), table)
+    }
+
+    /// Register a user-defined aggregate (the §1.2 extension mechanism).
+    pub(crate) fn register_aggregate(&self, f: AggRef) -> SqlResult<()> {
+        self.write().aggs.register(f)?;
+        Ok(())
+    }
+
+    /// Register a scalar function (e.g. the paper's `Nation(lat, lon)`).
+    pub(crate) fn register_scalar(&self, f: ScalarFn) -> SqlResult<()> {
+        self.write().scalars.register(f)
+    }
+
+    /// The one way a table gets a new version: swap `image` in (only if
+    /// the version is still `expected`, when given), then tell `cache`.
+    /// A pure insert passes its rows as `delta` and retained views absorb
+    /// them (§6); anything else invalidates the table's views. The write
+    /// lock is held for the swap only, so the cache's lock is never taken
+    /// under it. `Ok(None)` is a lost race: nothing changed.
+    pub(crate) fn publish(
+        &self,
+        cache: &CubeCache,
+        table: &str,
+        expected: Option<u64>,
+        image: Table,
+        delta: Option<&Table>,
+    ) -> SqlResult<Option<u64>> {
+        let swapped = self.write().replace_if_version(table, expected, image)?;
+        if let Some(version) = swapped {
+            match delta {
+                Some(delta) => cache.apply_delta(table, version, delta),
+                None => cache.invalidate_table(table),
+            }
+        }
+        Ok(swapped)
     }
 
     /// Snapshot the catalog for one statement's execution. The read lock
@@ -185,6 +226,8 @@ impl Default for SharedCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::{AdmissionController, ServiceConfig};
+    use datacube::{AggSpec, CachedView, Dimension};
     use dc_relation::{row, DataType, Schema};
 
     fn small() -> Table {
@@ -195,13 +238,9 @@ mod tests {
     #[test]
     fn snapshot_is_isolated_from_later_registration() {
         let shared = SharedCatalog::new();
-        shared
-            .with_write(|c| c.register_table("a", small()))
-            .unwrap();
+        shared.register_table("a", small()).unwrap();
         let snap = shared.snapshot();
-        shared
-            .with_write(|c| c.register_table("b", small()))
-            .unwrap();
+        shared.register_table("b", small()).unwrap();
         // The old snapshot does not see table B; a fresh one does.
         assert!(snap.table("b").is_err());
         assert!(shared.snapshot().table("b").is_ok());
@@ -211,36 +250,66 @@ mod tests {
     #[test]
     fn duplicate_table_registration_is_a_typed_error() {
         let shared = SharedCatalog::new();
-        shared
-            .with_write(|c| c.register_table("t", small()))
-            .unwrap();
-        let err = shared
-            .with_write(|c| c.register_table("T", small()))
-            .unwrap_err();
+        shared.register_table("t", small()).unwrap();
+        let err = shared.register_table("T", small()).unwrap_err();
         assert!(matches!(err, SqlError::Plan(_)));
     }
 
     #[test]
     fn replace_if_version_detects_races() {
-        let shared = SharedCatalog::new();
-        shared
-            .with_write(|c| c.register_table("t", small()))
-            .unwrap();
+        let mut c = Catalog::new();
+        c.register_table("t", small()).unwrap();
         // Version 1 → CAS at 1 succeeds and returns 2.
-        let v = shared
-            .with_write(|c| c.replace_if_version("t", 1, small()))
-            .unwrap();
+        let v = c.replace_if_version("t", Some(1), small()).unwrap();
         assert_eq!(v, Some(2));
         // A writer still holding the old version loses the race.
-        let stale = shared
-            .with_write(|c| c.replace_if_version("T", 1, small()))
-            .unwrap();
+        let stale = c.replace_if_version("T", Some(1), small()).unwrap();
         assert_eq!(stale, None);
-        assert_eq!(shared.snapshot().table_version("t"), 2);
+        assert_eq!(c.versions["T"], 2);
+        // An unconditional republish always wins.
+        assert_eq!(c.replace_if_version("t", None, small()).unwrap(), Some(3));
         // Unknown tables are a typed error, not a silent miss.
-        assert!(shared
-            .with_write(|c| c.replace_if_version("nope", 1, small()))
-            .is_err());
+        assert!(c.replace_if_version("nope", Some(1), small()).is_err());
+    }
+
+    #[test]
+    fn publish_propagates_only_what_it_commits() {
+        let shared = SharedCatalog::new();
+        shared.register_table("t", small()).unwrap();
+        let cache = CubeCache::new(AdmissionController::new(ServiceConfig::default()));
+        let (dims, aggs) = (vec!["k".to_string()], vec!["SUM(k)".to_string()]);
+        let populate = |version: u64| {
+            let snap = shared.snapshot();
+            let d = [Dimension::column("k")];
+            let a = [AggSpec::new(dc_aggregate::builtin("SUM").unwrap(), "k")];
+            let view = CachedView::build(&snap.table("t").unwrap(), &d, &a).unwrap();
+            cache
+                .populate("t", version, dims.clone(), aggs.clone(), view)
+                .unwrap();
+        };
+        populate(1);
+        let grown = || Table::new(small().schema().clone(), vec![row![1], row![2], row![3]]);
+        let delta = Table::new(small().schema().clone(), vec![row![3]]).unwrap();
+
+        // A lost CAS changes nothing: version, entry and counters stay.
+        let before = cache.counters();
+        let lost = shared.publish(&cache, "t", Some(7), grown().unwrap(), Some(&delta));
+        assert_eq!(lost.unwrap(), None);
+        assert_eq!(shared.snapshot().table_version("t"), 1);
+        assert_eq!(cache.counters(), before);
+
+        // A won INSERT absorbs: the next read at the new version hits.
+        let won = shared.publish(&cache, "t", Some(1), grown().unwrap(), Some(&delta));
+        assert_eq!(won.unwrap(), Some(2));
+        let hit = cache.lookup("t", 2, &dims, &aggs).unwrap().unwrap();
+        assert_eq!(hit.view.cell_count(), 3);
+        assert_eq!(cache.counters().hits, before.hits + 1);
+
+        // A won DELETE invalidates: the table's entries are gone.
+        let deleted = shared.publish(&cache, "t", Some(2), small(), None).unwrap();
+        assert_eq!(deleted, Some(3));
+        assert_eq!(cache.counters().entries, 0);
+        assert!(cache.lookup("t", 3, &dims, &aggs).unwrap().is_none());
     }
 
     #[test]
@@ -249,12 +318,11 @@ mod tests {
         let clone = shared.clone();
         // Poison the lock by panicking while holding it.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            clone.with_write(|_| panic!("poison"));
+            let _guard = clone.write();
+            panic!("poison");
         }));
         // The catalog is still usable.
-        shared
-            .with_write(|c| c.register_table("t", small()))
-            .unwrap();
+        shared.register_table("t", small()).unwrap();
         assert!(shared.snapshot().table("t").is_ok());
     }
 }

@@ -130,7 +130,7 @@ impl Engine {
 
     /// Register a base table (case-insensitive name).
     pub fn register_table(&mut self, name: impl AsRef<str>, table: Table) -> SqlResult<()> {
-        self.catalog.with_write(|c| c.register_table(name, table))
+        self.catalog.register_table(name, table)
     }
 
     /// Replace a registered table's contents under the same name — the
@@ -138,20 +138,19 @@ impl Engine {
     /// catalog version and eagerly invalidates cached subcube views, so a
     /// query admitted after this call can never see a stale cell.
     pub fn update_table(&self, name: impl AsRef<str>, table: Table) -> SqlResult<()> {
-        let name = name.as_ref();
-        self.catalog.with_write(|c| c.update_table(name, table))?;
-        self.cache.invalidate_table(name);
+        self.catalog
+            .publish(&self.cache, name.as_ref(), None, table, None)?;
         Ok(())
     }
 
     /// Register a user-defined aggregate (the §1.2 extension mechanism).
     pub fn register_aggregate(&mut self, f: AggRef) -> SqlResult<()> {
-        self.catalog.with_write(|c| c.register_aggregate(f))
+        self.catalog.register_aggregate(f)
     }
 
     /// Register a scalar function (e.g. the paper's `Nation(lat, lon)`).
     pub fn register_scalar(&mut self, f: ScalarFn) -> SqlResult<()> {
-        self.catalog.with_write(|c| c.register_scalar(f))
+        self.catalog.register_scalar(f)
     }
 
     /// A registered table, by name.
@@ -1085,11 +1084,7 @@ mod tests {
             vec![row!["Chevy", 1994, 50], row!["Ford", 1994, 60]],
         )
         .unwrap();
-        engine
-            .service_parts()
-            .0
-            .with_write(|c| c.register_table("sales", t))
-            .unwrap();
+        engine.service_parts().0.register_table("sales", t).unwrap();
 
         let session = engine.session();
         let q = "SELECT model, year, SUM(units) AS s FROM sales GROUP BY CUBE model, year";
@@ -1142,9 +1137,7 @@ mod tests {
         let engine = Engine::with_service(crate::ServiceConfig::default());
         let schema = Schema::from_pairs(&[("d0", DataType::Int), ("units", DataType::Int)]);
         let catalog = engine.service_parts().0;
-        catalog
-            .with_write(|c| c.register_table("t", Table::empty(schema)))
-            .unwrap();
+        catalog.register_table("t", Table::empty(schema)).unwrap();
         let version = || catalog.snapshot().table_version("t");
         let session = engine.session();
         // Two live views: different select lists populate separately.
@@ -1192,7 +1185,7 @@ mod tests {
         engine
             .service_parts()
             .0
-            .with_write(|c| c.register_table("t", Table::empty(schema)))
+            .register_table("t", Table::empty(schema))
             .unwrap();
         let writers: Vec<_> = (0..4)
             .map(|w| {

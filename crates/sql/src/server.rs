@@ -262,7 +262,6 @@ mod tests {
                 assert_eq!(columns, vec!["model", "total"]);
                 assert_eq!(rows.len(), 3); // Chevy, Ford, ALL
             }
-            // cube-lint: allow(wildcard, scrutinee is Response, not Value)
             other => panic!("expected table, got {other:?}"),
         }
 
@@ -305,7 +304,6 @@ mod tests {
                 assert_eq!(code, "RESOURCE_EXHAUSTED");
                 assert!(retry_after_ms > 0);
             }
-            // cube-lint: allow(wildcard, scrutinee is Response, not Value)
             other => panic!("expected shed frame, got {other:?}"),
         }
         handle.shutdown();

@@ -223,9 +223,10 @@ impl Session {
     /// publication; rows kept from the snapshot were checked when they
     /// were published and are not checked again.
     ///
-    /// On success retained cache views absorb a pure insert delta; a
-    /// statement that retracts (DELETE, UPDATE — §6: "max is ... holistic
-    /// for DELETE") invalidates them instead.
+    /// On success [`SharedCatalog::publish`] has the retained cache views
+    /// absorb a pure insert delta; a statement that retracts (DELETE,
+    /// UPDATE — §6: "max is ... holistic for DELETE") invalidates them
+    /// instead.
     fn exec_write_governed(
         &self,
         table: &str,
@@ -252,15 +253,12 @@ impl Session {
                 // stay warm.
                 return dml_result(table, verb, 0);
             }
-            let published = Table::from_validated_rows(old.schema().clone(), written.rows);
-            let swapped = self
-                .catalog
-                .with_write(|c| c.replace_if_version(table, expected, published))?;
-            if let Some(new_version) = swapped {
-                match &written.inserted {
-                    Some(delta) => self.cache.apply_delta(table, new_version, delta),
-                    None => self.cache.invalidate_table(table),
-                }
+            let image = Table::from_validated_rows(old.schema().clone(), written.rows);
+            let delta = written.inserted.as_ref();
+            let published =
+                self.catalog
+                    .publish(&self.cache, table, Some(expected), image, delta)?;
+            if published.is_some() {
                 return dml_result(table, verb, written.count);
             }
         }
@@ -521,21 +519,18 @@ pub(crate) fn estimate_cost(stmt: &SelectStmt, snap: &CatalogSnapshot) -> QueryC
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::Catalog;
     use dc_relation::row;
 
     fn snapshot_with(rows: i64) -> CatalogSnapshot {
         let shared = SharedCatalog::new();
+        let schema = Schema::from_pairs(&[
+            ("a", DataType::Int),
+            ("b", DataType::Int),
+            ("c", DataType::Int),
+        ]);
+        let data: Vec<Row> = (0..rows).map(|i| row![i, i % 3, 1i64]).collect();
         shared
-            .with_write(|c: &mut Catalog| {
-                let schema = Schema::from_pairs(&[
-                    ("a", DataType::Int),
-                    ("b", DataType::Int),
-                    ("c", DataType::Int),
-                ]);
-                let data: Vec<Row> = (0..rows).map(|i| row![i, i % 3, 1i64]).collect();
-                c.register_table("t", Table::new(schema, data).unwrap())
-            })
+            .register_table("t", Table::new(schema, data).unwrap())
             .unwrap();
         shared.snapshot()
     }

@@ -176,7 +176,6 @@ pub fn encode_table(t: &Table) -> Vec<u8> {
         escape_cell_into(&mut out, &col.name);
     }
     out.push(b'\n');
-    // cube-lint: allow(checkpoint, serializing an already-computed result; no budget applies)
     for row in t.rows() {
         for (i, v) in row.iter().enumerate() {
             if i > 0 {
@@ -262,7 +261,6 @@ pub fn decode_response(payload: &[u8]) -> io::Result<Response> {
                 .map(unescape_cell)
                 .collect();
             let mut out_rows = Vec::with_capacity(rows);
-            // cube-lint: allow(checkpoint, client-side decode of a bounded frame)
             for line in lines {
                 let mut cells = Vec::with_capacity(columns.len());
                 cells.extend(line.split('\t').map(unescape_cell));
@@ -285,7 +283,6 @@ pub fn decode_response(payload: &[u8]) -> io::Result<Response> {
                 message: body.to_string(),
             })
         }
-        // cube-lint: allow(wildcard, scrutinee is Option<&str>, not Value)
         _ => Err(bad("unknown status word")),
     }
 }
@@ -366,7 +363,6 @@ mod tests {
                 assert_eq!(rows[0][0], "tab\there");
                 assert_eq!(rows[1][0], "line\nbreak");
             }
-            // cube-lint: allow(wildcard, scrutinee is Response, not Value)
             other => panic!("expected table, got {other:?}"),
         }
         let _ = row![1]; // keep the macro import exercised
@@ -441,7 +437,6 @@ mod tests {
                 assert_eq!(code, "RESOURCE_EXHAUSTED");
                 assert_eq!(retry_after_ms, 75);
             }
-            // cube-lint: allow(wildcard, scrutinee is Response, not Value)
             other => panic!("expected error, got {other:?}"),
         }
 

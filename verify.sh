@@ -22,13 +22,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # checkpoint/guard scope every file of crates/core/src/algorithm/, so the
 # algorithms behind repro stay governed like the engine they are diffed against.
-echo "== cube_lint (workspace invariants: checkpoint, guard, faults, panic, wildcard, lockorder, foreign, atomic, commit; algorithm/* incl. repro) =="
+echo "== cube_lint (workspace invariants: checkpoint, guard, faults, panic, wildcard, atomic; unused allows; algorithm/* incl. repro) =="
 cargo run -q --release -p cube-lint --bin cube_lint -- --root . --json /tmp/lint.json
 
 # ROADMAP item 9 wants fewer than 60 reasoned suppressions in the linted
 # code; the count may only fall. When it does, lower the number here.
 echo "== cube_lint suppression ratchet =="
-max_allows=81
+max_allows=58
 allows=$(grep -r --include='*.rs' 'cube-lint: allow(' crates | grep -v '^crates/lint/' | wc -l)
 if [ "$allows" -gt "$max_allows" ]; then
     echo "$allows 'cube-lint: allow(...)' lines outside crates/lint, over the recorded $max_allows" >&2
