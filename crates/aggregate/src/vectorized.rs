@@ -5,9 +5,9 @@
 //! and one `Value` match per (row, aggregate). The built-ins that dominate
 //! real cube workloads — COUNT, SUM, MIN, MAX, AVG — are all distributive
 //! or algebraic with tiny POD state, so they can instead run as
-//! *monomorphized kernels* over the primitive column slices of a
-//! [`ColumnarBatch`](dc relation columnar batch): one tight loop per
-//! (kernel, column-type) pair, null-aware via the validity [`Bitmap`].
+//! *monomorphized kernels* over primitive column slices — a table's
+//! [`dc_relation::TypedColumn`]s: one tight loop per (kernel, column-type)
+//! pair, null-aware via the validity [`dc_relation::Bitmap`].
 //!
 //! A kernel's accumulator is a fixed 24-byte [`KernelCell`]; the engine
 //! stores one flat `Vec<KernelCell>` per grouping set (stride = number of

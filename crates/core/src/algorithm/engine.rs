@@ -46,7 +46,7 @@ use crate::lattice::{GroupingSet, Lattice};
 use crate::maintain::{Nodes, Store};
 use crate::spec::{BoundAgg, BoundDimension};
 use dc_aggregate::{Accumulator, FusedOp, Kernel, KernelCell, Retract, Validity};
-use dc_relation::{Bitmap, Column, FxHashMap, RleIndex, Row, Schema, Table, Value};
+use dc_relation::{Bitmap, FxHashMap, RleIndex, Row, Schema, Table, TypedColumn, Value};
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
@@ -283,39 +283,57 @@ pub(crate) struct KernelLanes {
     fused: Option<FusedScan>,
 }
 
-impl KernelLanes {
-    /// Try to compile every aggregate to a kernel lane. `None` — an
-    /// aggregate without a kernel (holistic, user-defined, PRODUCT, ...)
-    /// or a measure column that is not purely `Int`/`NULL` or
-    /// `Float`/`NULL` — gives the whole query boxed lanes. `rle` says the
-    /// run-folding scan will run, so compressible measure columns get
-    /// their run indexes built here, once.
-    pub(crate) fn plan(rows: &[Row], aggs: &[BoundAgg], rle: bool) -> Option<KernelLanes> {
-        if aggs.is_empty() {
-            return None;
+impl From<TypedColumn> for LaneInput {
+    fn from(column: TypedColumn) -> LaneInput {
+        match column {
+            TypedColumn::Ints(c) => LaneInput::Ints(c),
+            TypedColumn::Floats(c) => LaneInput::Floats(c),
         }
+    }
+}
+
+/// Each aggregate's kernel and the measure column it reads (`None`: it
+/// counts rows). `None` when some aggregate has no kernel — holistic,
+/// user-defined, PRODUCT, ... — and the whole query takes boxed lanes.
+fn kernel_inputs(aggs: &[BoundAgg]) -> Option<Vec<(Kernel, Option<usize>)>> {
+    if aggs.is_empty() {
+        return None;
+    }
+    let input = |a: &BoundAgg| {
+        let kernel = a.func.kernel()?;
+        match (a.input, kernel) {
+            (Some(_), Kernel::CountStar) => Some((kernel, None)),
+            (Some(idx), _) => Some((kernel, Some(idx))),
+            // The unit input is a constant non-NULL value: only the
+            // counting kernels read nothing and stay correct.
+            (None, Kernel::Count | Kernel::CountStar) => Some((kernel, None)),
+            (None, _) => None,
+        }
+    };
+    aggs.iter().map(input).collect()
+}
+
+impl KernelLanes {
+    /// Try to compile every aggregate to a kernel lane over the measure
+    /// columns `typed` gives. `None` — an aggregate without a kernel, or a
+    /// measure column that is not purely `Int`/`NULL` or `Float`/`NULL` —
+    /// gives the whole query boxed lanes. `rle` says the run-folding scan
+    /// will run, so compressible measure columns get their run indexes
+    /// built here, once.
+    pub(crate) fn plan(
+        aggs: &[BoundAgg],
+        rle: bool,
+        typed: impl Fn(usize) -> Option<TypedColumn>,
+    ) -> Option<KernelLanes> {
         // One extraction per distinct measure column, shared across lanes.
         let mut columns: FxHashMap<usize, Option<LaneInput>> = FxHashMap::default();
         let mut lanes = Vec::with_capacity(aggs.len());
-        for a in aggs {
-            let kernel = a.func.kernel()?;
-            let input = match a.input {
-                // The unit input is a constant non-NULL value: only the
-                // counting kernels read nothing and stay correct.
-                None => match kernel {
-                    Kernel::Count | Kernel::CountStar => LaneInput::Star,
-                    _ => return None,
-                },
-                Some(_) if kernel == Kernel::CountStar => LaneInput::Star,
+        for (kernel, input) in kernel_inputs(aggs)? {
+            let input = match input {
+                None => LaneInput::Star,
                 Some(idx) => columns
                     .entry(idx)
-                    .or_insert_with(|| {
-                        let ints =
-                            Column::try_ints(rows, idx).map(|c| LaneInput::Ints(Arc::new(c)));
-                        ints.or_else(|| {
-                            Column::try_floats(rows, idx).map(|c| LaneInput::Floats(Arc::new(c)))
-                        })
-                    })
+                    .or_insert_with(|| typed(idx).map(LaneInput::from))
                     .clone()?,
             };
             let all_valid = match &input {
@@ -394,7 +412,8 @@ impl Stored for KernelCell {
     type Lanes<'a> = KernelLanes;
 
     fn lanes(spec: &Vec<bool>, aggs: &[BoundAgg], rows: &[Row]) -> Option<KernelLanes> {
-        KernelLanes::plan(rows, aggs, false)?.conform(spec)
+        let typed = |idx| TypedColumn::from_rows(rows, idx);
+        KernelLanes::plan(aggs, false, typed)?.conform(spec)
     }
 
     /// A POD copy.
@@ -1212,42 +1231,51 @@ fn projected_lattice_cells(cardinalities: &[usize], lattice: &Lattice) -> u64 {
     total
 }
 
-/// Encode the input and group it into every set of `lattice` with the
+/// Encode the table and group it into every set of `lattice` with the
 /// plan shape, on the pipeline its data selects: the key width from the
 /// field widths [`encode`] computes, the lane kind from the select list
-/// (kernel lanes when every aggregate compiles to one). The arenas come
-/// back as a store's cells.
+/// (kernel lanes when every aggregate compiles to one). Dimension codes
+/// and measure columns come from the table's image; a cold image builds
+/// all of them in one pass over the rows. The arenas come back as a
+/// store's cells.
 pub(crate) fn group(
-    rows: &[Row],
+    table: &Table,
     dims: &[BoundDimension],
     aggs: &[BoundAgg],
     plan: (&Lattice, Shape),
     stats: &mut ExecStats,
     ctx: &ExecContext,
 ) -> CubeResult<Arc<dyn Store>> {
-    match encode(rows, dims) {
-        Encoded::Narrow(enc) => group_keyed(enc, rows, aggs, plan, stats, ctx),
-        Encoded::Wide(enc) => group_keyed(enc, rows, aggs, plan, stats, ctx),
+    let codes: Vec<usize> = dims.iter().filter_map(|d| d.column_index()).collect();
+    let measures = kernel_inputs(aggs).into_iter().flatten();
+    let measures: Vec<usize> = measures.filter_map(|(_, column)| column).collect();
+    table.warm(&codes, &measures);
+    match encode(table, dims) {
+        Encoded::Narrow(enc) => group_keyed(enc, table, aggs, plan, stats, ctx),
+        Encoded::Wide(enc) => group_keyed(enc, table, aggs, plan, stats, ctx),
     }
 }
 
 fn group_keyed<K: PackedKey>(
     enc: EncodedInput<K>,
-    rows: &[Row],
+    table: &Table,
     aggs: &[BoundAgg],
     plan: (&Lattice, Shape),
     stats: &mut ExecStats,
     ctx: &ExecContext,
 ) -> CubeResult<Arc<dyn Store>> {
     let rle = rle_engages(&enc.keys);
-    match KernelLanes::plan(rows, aggs, rle) {
+    match KernelLanes::plan(aggs, rle, |idx| table.typed(idx)) {
         Some(lanes) => {
             // Recorded before the scan so partial stats on a budget trip
             // already say which lanes were running.
             stats.vectorized_kernels_used = stats.vectorized_kernels_used.max(lanes.width() as u64);
             keep_arenas(enc, &lanes, rle, plan, stats, ctx)
         }
-        None => keep_arenas(enc, &BoxedLanes { rows, aggs }, rle, plan, stats, ctx),
+        None => {
+            let rows = table.rows();
+            keep_arenas(enc, &BoxedLanes { rows, aggs }, rle, plan, stats, ctx)
+        }
     }
 }
 
@@ -1277,11 +1305,11 @@ fn keep_arenas<K: PackedKey, L: Lanes>(
     }))
 }
 
-/// Execute `lattice` over the base rows with the given plan shape and
+/// Execute `lattice` over the table with the given plan shape and
 /// materialize the sets in `keep` (all of them when `None`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute(
-    rows: &[Row],
+    table: &Table,
     dims: &[BoundDimension],
     aggs: &[BoundAgg],
     lattice: &Lattice,
@@ -1291,7 +1319,7 @@ pub(crate) fn execute(
     stats: &mut ExecStats,
     ctx: &ExecContext,
 ) -> CubeResult<Table> {
-    let cells = group(rows, dims, aggs, (lattice, shape), stats, ctx)?;
+    let cells = group(table, dims, aggs, (lattice, shape), stats, ctx)?;
     let kept = lattice.sets().iter().enumerate();
     let kept = kept.filter(|(_, s)| keep.is_none_or(|keep| keep.contains(s)));
     let picks: Vec<(usize, Option<GroupingSet>)> = kept.map(|(i, _)| (i, None)).collect();
@@ -1310,6 +1338,7 @@ mod tests {
     use crate::spec::{AggSpec, Dimension};
     use dc_aggregate::builtin;
     use dc_relation::{row, DataType};
+    use proptest::strategy::Strategy;
 
     fn sales() -> Table {
         let schema = Schema::from_pairs(&[
@@ -1366,21 +1395,16 @@ mod tests {
     // VARIANCE has no kernel: one such aggregate gives every lane a box.
     const BOXED_AGGS: [(&str, &str); 2] = [("SUM", "units"), ("VARIANCE", "price")];
 
+    /// One statement's answer and counters.
+    type Run = fn(&Table, &[(&str, &str)], Shape) -> (Table, ExecStats);
+
     fn run_engine(t: &Table, aggs: &[(&str, &str)], shape: Shape) -> (Table, ExecStats) {
         let (dims, aggs, schema) = bind(t, aggs);
         let lattice = Lattice::cube(2).unwrap();
         let mut stats = ExecStats::default();
         let ctx = ExecContext::unlimited();
         let out = execute(
-            t.rows(),
-            &dims,
-            &aggs,
-            &lattice,
-            shape,
-            None,
-            schema,
-            &mut stats,
-            &ctx,
+            t, &dims, &aggs, &lattice, shape, None, schema, &mut stats, &ctx,
         )
         .unwrap();
         (out, stats)
@@ -1395,11 +1419,11 @@ mod tests {
     ) -> (Table, ExecStats) {
         let (dims, aggs, schema) = bind(t, aggs);
         let lattice = Lattice::cube(2).unwrap();
-        let enc = encode_as::<K>(t.rows(), &dims);
+        let enc = encode_as::<K>(t, &dims);
         let mut stats = ExecStats::default();
         let ctx = ExecContext::unlimited();
         let plan = (&lattice, shape);
-        let cells = group_keyed(enc, t.rows(), &aggs, plan, &mut stats, &ctx).unwrap();
+        let cells = group_keyed(enc, t, &aggs, plan, &mut stats, &ctx).unwrap();
         let picks: Vec<_> = (0..lattice.sets().len()).map(|i| (i, None)).collect();
         let (dims, lanes) = ([0, 1], (0..aggs.len()).collect::<Vec<_>>());
         let out = cells.read_sets(&aggs, &picks, &dims, &lanes, schema, &mut stats, &ctx);
@@ -1410,16 +1434,14 @@ mod tests {
     fn lane_kind_follows_the_select_list() {
         let t = sales();
         let (_, aggs, _) = bind(&t, &KERNEL_AGGS);
-        assert_eq!(
-            KernelLanes::plan(t.rows(), &aggs, false).unwrap().width(),
-            5
-        );
+        let typed = |idx| t.typed(idx);
+        assert_eq!(KernelLanes::plan(&aggs, false, typed).unwrap().width(), 5);
         // A holistic aggregate, an algebraic one without a kernel, or a
         // string measure anywhere gives the whole query boxed lanes.
         for reject in [("MEDIAN", "units"), ("VARIANCE", "price"), ("MIN", "model")] {
             let (_, aggs, _) = bind(&t, &[("SUM", "units"), reject]);
             assert!(
-                KernelLanes::plan(t.rows(), &aggs, false).is_none(),
+                KernelLanes::plan(&aggs, false, typed).is_none(),
                 "{reject:?}"
             );
         }
@@ -1594,6 +1616,77 @@ mod tests {
                     assert!(n.morsels_processed > 0, "{tag}");
                     if matches!(shape, Shape::FromCore { .. }) {
                         assert_eq!(n.rle_runs, runs, "{tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Rows over `sales()`'s schema: a `Str` model, a year that mixes
+    /// `Int(5)` with `Float(5.0)` (one symbol) and `i64::MAX`, NULLs in
+    /// every column. Each row repeats 1–5 times, so some tables engage
+    /// the run-folding scan.
+    fn arb_sales() -> impl Strategy<Value = Table> {
+        let row = (0usize..4, 0usize..5, 0i64..30, 0usize..5);
+        (proptest::collection::vec(row, 0..80), 1usize..6).prop_map(|(raw, repeat)| {
+            let mut t = Table::empty(sales().schema().clone());
+            for (m, y, u, p) in raw {
+                let model = ["Chevy", "Ford", "Dodge"]
+                    .get(m)
+                    .map_or(Value::Null, Value::str);
+                let year = [
+                    Value::Null,
+                    Value::Int(5),
+                    Value::Float(5.0),
+                    Value::Int(1994),
+                    Value::Int(i64::MAX),
+                ][y]
+                    .clone();
+                let units = if u % 6 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(u)
+                };
+                let price = if p == 0 {
+                    Value::Null
+                } else {
+                    Value::Float(p as f64 / 4.0)
+                };
+                for _ in 0..repeat {
+                    t.push_unchecked(Row::new(vec![
+                        model.clone(),
+                        year.clone(),
+                        units.clone(),
+                        price.clone(),
+                    ]));
+                }
+            }
+            t
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The image changes neither a cell nor a counter: over both key
+        /// widths, both lane kinds and every shape, a statement over a warm
+        /// image (the table already scanned) gives exactly what one over a
+        /// fresh copy of the rows does.
+        #[test]
+        fn a_warm_image_and_a_fresh_table_give_identical_tables_and_counters(t in arb_sales()) {
+            let fresh = || Table::from_validated_rows(t.schema().clone(), t.rows().to_vec());
+            let parallel = Shape::FromCore {
+                threads: Some(2),
+                choice: ParentChoice::SmallestCardinality,
+            };
+            for aggs in [&KERNEL_AGGS[..], &BOXED_AGGS[..]] {
+                for shape in [FROM_CORE, Shape::EverySet, Shape::PerSet, parallel] {
+                    let runs: [Run; 3] = [run_engine, run_keyed::<u64>, run_keyed::<WideKey>];
+                    for run in runs {
+                        run(&t, aggs, shape);
+                        let warm = run(&t, aggs, shape);
+                        let cold = run(&fresh(), aggs, shape);
+                        proptest::prop_assert_eq!(&warm, &cold, "{:?}", shape);
                     }
                 }
             }

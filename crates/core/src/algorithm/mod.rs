@@ -16,8 +16,8 @@
 //! | [`repro::Repro::Array`] | dense N-dimensional array over symbol tables | `T` Iters + array sweeps |
 //! | [`repro::Repro::PipeSort`] | the \[ADGNRS\] shared-sort idea | `C(N, N/2)` sorts, `T` Iters each |
 //!
-//! [`Algorithm`] is the product: each variant is a [`Shape`] of the arena
-//! [`engine`]'s one grouping scan, which carries every query whatever its
+//! [`Algorithm`] is the product: each variant is a `Shape` of the arena
+//! `engine`'s one grouping scan, which carries every query whatever its
 //! key width. [`repro`] is the reproduction: Sort, Array and PipeSort with
 //! their own key machinery, and the `Row`-keyed originals of the
 //! hash-based four kept as the model the engine is tested against — one
@@ -37,7 +37,7 @@ use crate::groupby::ExecStats;
 use crate::lattice::{GroupingSet, Lattice};
 use crate::spec::{BoundAgg, BoundDimension};
 use dc_aggregate::{AggKind, AggregateFunction};
-use dc_relation::{Row, Schema, Table};
+use dc_relation::{Schema, Table};
 
 /// Selects how a cube / rollup / grouping-sets query is executed: the
 /// shapes of the one arena engine.
@@ -170,7 +170,7 @@ pub fn describe_plan(algorithm: Algorithm, funcs: &[&dyn AggregateFunction]) -> 
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run(
     algorithm: Algorithm,
-    rows: &[Row],
+    table: &Table,
     dims: &[BoundDimension],
     aggs: &[BoundAgg],
     lattice: &Lattice,
@@ -182,7 +182,7 @@ pub(crate) fn run(
 ) -> CubeResult<Table> {
     check_applies(algorithm)?;
     let shape = resolve(algorithm, aggs.iter().map(|a| &*a.func), choice);
-    engine::execute(rows, dims, aggs, lattice, shape, keep, schema, stats, ctx)
+    engine::execute(table, dims, aggs, lattice, shape, keep, schema, stats, ctx)
 }
 
 /// The one applicability check an [`Algorithm`] has, made before the

@@ -2,7 +2,7 @@
 //! served query selects, behind one entry.
 //!
 //! [`Repro::Reference`] is the `Row`-keyed originals of the four hash-based
-//! algorithms ([`reference`]) — the model the arena engine is tested
+//! algorithms (`algorithm/reference.rs`) — the model the arena engine is tested
 //! against, same cells and same [`ExecStats`] work counters. Sort, Array
 //! and PipeSort are distinct algorithms with their own key machinery, kept
 //! for the paper's cost claims (one sort per ROLLUP, `Π(Cᵢ + 1)` array

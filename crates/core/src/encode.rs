@@ -5,7 +5,10 @@
 //! each string to an integer so that the aggregate values are small."
 //! This module takes that one step further: every dimension value is
 //! interned through a [`SymbolTable`] and the whole N-dimensional
-//! coordinate becomes one small `Copy` key, one field per dimension:
+//! coordinate becomes one small `Copy` key, one field per dimension. A
+//! plain column's codes and symbol table are the table's columnar image
+//! ([`dc_relation::image`]), built once per table; only a computed
+//! dimension is interned here, per statement. The fields:
 //!
 //! * field value `0` is reserved for the paper's `ALL` pseudo-value, and
 //!   interned code `c` is stored as `c + 1`;
@@ -35,9 +38,10 @@
 
 use crate::lattice::GroupingSet;
 use crate::spec::BoundDimension;
-use dc_relation::{Row, SymbolTable, Value};
+use dc_relation::{CodeColumn, Codes, Row, SymbolTable, Table, Value};
 use std::hash::Hash;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// Where one dimension's field sits inside a `u64` key. A [`WideKey`]
 /// gives every dimension its own lane and reads neither number.
@@ -66,6 +70,9 @@ pub(crate) trait PackedKey: Copy + Eq + Ord + Hash + Send + Sync + 'static {
     /// Build a key holding `value(d)` in dimension `d`'s field.
     fn pack(fields: &[Field], value: impl FnMut(usize) -> u32) -> Self;
 
+    /// Set dimension `d`'s field, zero so far, to `value`.
+    fn set_field(&mut self, d: usize, field: Field, value: u32);
+
     /// Dimension `d`'s field value.
     fn field(self, d: usize, field: Field) -> u32;
 
@@ -89,6 +96,11 @@ impl PackedKey for u64 {
             key |= (value(d) as u64) << f.shift;
         }
         key
+    }
+
+    #[inline]
+    fn set_field(&mut self, _d: usize, f: Field, value: u32) {
+        *self |= (value as u64) << f.shift;
     }
 
     #[inline]
@@ -128,6 +140,11 @@ impl PackedKey for WideKey {
     }
 
     #[inline]
+    fn set_field(&mut self, d: usize, _f: Field, value: u32) {
+        self.0[d] = value;
+    }
+
+    #[inline]
     fn field(self, d: usize, _f: Field) -> u32 {
         self.0[d]
     }
@@ -151,7 +168,8 @@ impl PackedKey for WideKey {
 /// the packed key and the collation rank of every field value.
 #[derive(Clone)]
 pub(crate) struct KeyEncoder<K> {
-    symbols: Vec<SymbolTable>,
+    /// Shared with the table images the keys were packed from.
+    symbols: Vec<Arc<SymbolTable>>,
     fields: Vec<Field>,
     /// `ranks[d][field]`: where dimension `d`'s field value collates —
     /// interned values in `Value` order, `ALL` (field 0) last. Rebuilt
@@ -173,38 +191,55 @@ pub(crate) enum Encoded {
     Wide(EncodedInput<WideKey>),
 }
 
-/// Row-major `codes` over `symbols` packed at the width the fields need:
-/// one `u64` key when they sum to at most 64 bits, a [`WideKey`] otherwise.
-fn at_width(symbols: Vec<SymbolTable>, codes: &[u32], n_rows: usize) -> Encoded {
+/// `columns` (one code per row each) over `symbols` packed at the width
+/// the fields need: one `u64` key when they sum to at most 64 bits, a
+/// [`WideKey`] otherwise.
+fn at_width(symbols: Vec<Arc<SymbolTable>>, columns: &[&Codes], n_rows: usize) -> Encoded {
     if layout(&symbols).iter().map(|f| f.width).sum::<u32>() <= u64::BITS {
-        Encoded::Narrow(KeyEncoder::new(symbols).pack(codes, n_rows))
+        Encoded::Narrow(KeyEncoder::new(symbols).pack(columns, n_rows))
     } else {
-        Encoded::Wide(KeyEncoder::new(symbols).pack(codes, n_rows))
+        Encoded::Wide(KeyEncoder::new(symbols).pack(columns, n_rows))
     }
 }
 
-/// Dictionary-encode every row's cube coordinate into `symbols`,
-/// returning the row-major codes.
-fn intern(symbols: &mut [SymbolTable], rows: &[Row], dims: &[BoundDimension]) -> Vec<u32> {
-    let mut codes: Vec<u32> = Vec::with_capacity(rows.len() * dims.len());
-    for row in rows {
-        for (dim, table) in dims.iter().zip(symbols.iter_mut()) {
-            // Borrow plain column values; only computed dimensions pay
-            // for an owned evaluation.
-            let code = match dim.column_index() {
-                Some(i) => table.intern(&row[i]),
-                None => table.intern(&dim.eval(row)),
-            };
-            codes.push(code);
-        }
+/// Every dimension's codes over `table`'s rows: a plain column's are the
+/// table image's (shared, built at most once per table); a computed
+/// dimension's are interned here, row by row.
+fn dim_codes(table: &Table, dims: &[BoundDimension]) -> Vec<Arc<CodeColumn>> {
+    let computed = |dim: &BoundDimension| {
+        let mut symbols = SymbolTable::new();
+        let rows = table.rows().iter();
+        let codes = rows.map(|row| symbols.intern(&dim.eval(row))).collect();
+        Arc::new(CodeColumn {
+            codes,
+            symbols: Arc::new(symbols),
+        })
+    };
+    dims.iter()
+        .map(|dim| match dim.column_index() {
+            Some(i) => table.codes(i),
+            None => computed(dim),
+        })
+        .collect()
+}
+
+/// `dims`' dictionaries and each one's codes.
+fn split(columns: &[Arc<CodeColumn>]) -> (Vec<Arc<SymbolTable>>, Vec<&Codes>) {
+    let symbols = columns.iter().map(|c| Arc::clone(&c.symbols)).collect();
+    (symbols, columns.iter().map(|c| &c.codes).collect())
+}
+
+/// Set dimension `d`'s field of every key to its row's code + 1.
+fn set_fields<K: PackedKey, C: Copy + Into<u32>>(keys: &mut [K], d: usize, f: Field, codes: &[C]) {
+    for (key, &code) in keys.iter_mut().zip(codes) {
+        key.set_field(d, f, code.into() + 1);
     }
-    codes
 }
 
 /// The field layout the cardinalities call for: width_d = bits for field
 /// values 0..=C_d (code c stored as c + 1, 0 reserved for ALL); at least
 /// one bit even for an empty input so every dimension owns a field.
-fn layout(symbols: &[SymbolTable]) -> Vec<Field> {
+fn layout(symbols: &[Arc<SymbolTable>]) -> Vec<Field> {
     let mut shift = 0u32;
     symbols
         .iter()
@@ -218,8 +253,8 @@ fn layout(symbols: &[SymbolTable]) -> Vec<Field> {
 }
 
 /// Every field value's collation rank: one `Value` sort per symbol table.
-fn ranks(symbols: &[SymbolTable]) -> Vec<Vec<u32>> {
-    let rank = |symbols: &SymbolTable| {
+fn ranks(symbols: &[Arc<SymbolTable>]) -> Vec<Vec<u32>> {
+    let rank = |symbols: &Arc<SymbolTable>| {
         let values = symbols.values();
         let mut order: Vec<u32> = (0..values.len() as u32).collect();
         order.sort_by(|&a, &b| values[a as usize].cmp(&values[b as usize]));
@@ -235,25 +270,25 @@ fn ranks(symbols: &[SymbolTable]) -> Vec<Vec<u32>> {
     symbols.iter().map(rank).collect()
 }
 
-/// Dictionary-encode and pack every row's cube coordinate, at the width
-/// the fields need.
-pub(crate) fn encode(rows: &[Row], dims: &[BoundDimension]) -> Encoded {
-    let mut symbols: Vec<SymbolTable> = dims.iter().map(|_| SymbolTable::new()).collect();
-    let codes = intern(&mut symbols, rows, dims);
-    at_width(symbols, &codes, rows.len())
+/// Pack every row's cube coordinate from the dimensions' codes, at the
+/// width the fields need.
+pub(crate) fn encode(table: &Table, dims: &[BoundDimension]) -> Encoded {
+    let columns = dim_codes(table, dims);
+    let (symbols, codes) = split(&columns);
+    at_width(symbols, &codes, table.len())
 }
 
 /// Pack at a caller-chosen width regardless of the field widths, so a test
 /// can run one small table through both key instantiations.
 #[cfg(test)]
-pub(crate) fn encode_as<K: PackedKey>(rows: &[Row], dims: &[BoundDimension]) -> EncodedInput<K> {
-    let mut symbols: Vec<SymbolTable> = dims.iter().map(|_| SymbolTable::new()).collect();
-    let codes = intern(&mut symbols, rows, dims);
-    KeyEncoder::new(symbols).pack(&codes, rows.len())
+pub(crate) fn encode_as<K: PackedKey>(table: &Table, dims: &[BoundDimension]) -> EncodedInput<K> {
+    let columns = dim_codes(table, dims);
+    let (symbols, codes) = split(&columns);
+    KeyEncoder::new(symbols).pack(&codes, table.len())
 }
 
 impl<K: PackedKey> KeyEncoder<K> {
-    fn new(symbols: Vec<SymbolTable>) -> Self {
+    fn new(symbols: Vec<Arc<SymbolTable>>) -> Self {
         KeyEncoder {
             fields: layout(&symbols),
             ranks: ranks(&symbols),
@@ -262,18 +297,19 @@ impl<K: PackedKey> KeyEncoder<K> {
         }
     }
 
-    /// Pack row-major `codes` into keys: no `Value` touched again.
-    fn pack(self, codes: &[u32], n_rows: usize) -> EncodedInput<K> {
-        // A zero-dimension coordinate packs to the empty key — one per row,
-        // so the grand-total cell still sees every row.
-        let keys = if self.fields.is_empty() {
-            vec![K::pack(&self.fields, |_| 0); n_rows]
-        } else {
-            let coords = codes.chunks_exact(self.fields.len());
-            coords
-                .map(|coord| K::pack(&self.fields, |d| coord[d] + 1))
-                .collect()
-        };
+    /// Pack one key per row from each dimension's codes, a column at a
+    /// time: no `Value` touched again. A zero-dimension coordinate packs
+    /// to the empty key — one per row, so the grand-total cell still sees
+    /// every row.
+    fn pack(self, columns: &[&Codes], n_rows: usize) -> EncodedInput<K> {
+        let mut keys = vec![K::pack(&self.fields, |_| 0); n_rows];
+        for (d, (codes, &f)) in columns.iter().zip(&self.fields).enumerate() {
+            match codes {
+                Codes::U8(c) => set_fields(&mut keys, d, f, c),
+                Codes::U16(c) => set_fields(&mut keys, d, f, c),
+                Codes::U32(c) => set_fields(&mut keys, d, f, c),
+            }
+        }
         EncodedInput {
             encoder: self,
             keys,
@@ -281,13 +317,29 @@ impl<K: PackedKey> KeyEncoder<K> {
     }
 
     /// Intern `rows`' coordinates, growing the dictionary and its ranks.
-    /// Keys packed before stay valid unless a `u64` field outgrew its
-    /// width — a `u64` key is its fields' bit ranges — and then the encoder
-    /// the grown dictionary needs comes back (with no keys), at the width
-    /// its fields take now, for the caller to re-key to ([`Self::repack`]).
+    /// A symbol table shared with a table image is copied on its first
+    /// unseen value. Keys packed before stay valid unless a `u64` field
+    /// outgrew its width — a `u64` key is its fields' bit ranges — and
+    /// then the encoder the grown dictionary needs comes back (with no
+    /// keys), at the width its fields take now, for the caller to re-key
+    /// to ([`Self::repack`]).
     pub fn grow(&mut self, rows: &[Row], dims: &[BoundDimension]) -> Option<Encoded> {
         let before: usize = self.cardinalities().iter().sum();
-        intern(&mut self.symbols, rows, dims);
+        let intern = |symbols: &mut Arc<SymbolTable>, v: &Value| {
+            if symbols.code_of(v).is_none() {
+                Arc::make_mut(symbols).intern(v);
+            }
+        };
+        for row in rows {
+            for (dim, symbols) in dims.iter().zip(&mut self.symbols) {
+                // Borrow plain column values; only computed dimensions
+                // pay for an owned evaluation.
+                match dim.column_index() {
+                    Some(i) => intern(symbols, &row[i]),
+                    None => intern(symbols, &dim.eval(row)),
+                }
+            }
+        }
         if self.cardinalities().iter().sum::<usize>() == before {
             return None;
         }
@@ -443,7 +495,7 @@ mod tests {
     use super::*;
     use crate::lattice::GroupingSet;
     use crate::spec::Dimension;
-    use dc_relation::{row, DataType, Schema, Table};
+    use dc_relation::{row, DataType, Schema};
 
     fn bind_dims(t: &Table, names: &[&str]) -> Vec<BoundDimension> {
         names
@@ -453,8 +505,8 @@ mod tests {
     }
 
     /// The input packed at the width `encode` picks, which must be `u64`.
-    fn narrow(rows: &[Row], dims: &[BoundDimension]) -> EncodedInput<u64> {
-        match encode(rows, dims) {
+    fn narrow(t: &Table, dims: &[BoundDimension]) -> EncodedInput<u64> {
+        match encode(t, dims) {
             Encoded::Narrow(enc) => enc,
             Encoded::Wide(_) => panic!("expected a u64 key"),
         }
@@ -481,7 +533,7 @@ mod tests {
     fn packs_and_decodes_round_trip() {
         let t = sales();
         let dims = bind_dims(&t, &["model", "year"]);
-        let enc = narrow(t.rows(), &dims);
+        let enc = narrow(&t, &dims);
         assert_eq!(enc.keys.len(), 3);
         for (row, &key) in t.rows().iter().zip(&enc.keys) {
             let decoded = enc.encoder.decode_key(key);
@@ -496,7 +548,7 @@ mod tests {
     fn masking_projects_to_all() {
         let t = sales();
         let dims = bind_dims(&t, &["model", "year"]);
-        let enc = narrow(t.rows(), &dims);
+        let enc = narrow(&t, &dims);
         let year_only = GroupingSet::from_dims(&[1]).unwrap();
         let mask = enc.encoder.set_mask(year_only);
         let projected = enc.encoder.decode_key(enc.keys[0].and(mask));
@@ -523,7 +575,7 @@ mod tests {
         )
         .unwrap();
         let dims = bind_dims(&t, &["a", "b"]);
-        let enc = narrow(t.rows(), &dims);
+        let enc = narrow(&t, &dims);
         let mut keys = enc.keys.clone();
         keys.sort_unstable();
         keys.dedup();
@@ -553,7 +605,7 @@ mod tests {
         // coordinate falls back from one `u64` to the wide key, which
         // projects, decodes and collates exactly like the narrow one.
         let (t, dims) = diagonal(11, 100);
-        let Encoded::Wide(enc) = encode(t.rows(), &dims) else {
+        let Encoded::Wide(enc) = encode(&t, &dims) else {
             panic!("77 key bits cannot pack into a u64");
         };
         assert_eq!(enc.encoder.total_bits(), 77);
@@ -586,17 +638,17 @@ mod tests {
         // need 2 bits each and fit one u64; 20 dimensions of 15 values
         // (4 bits each, 80 in all) take the wide key.
         let (t, dims) = diagonal(GroupingSet::MAX_DIMS, 2);
-        assert_eq!(narrow(t.rows(), &dims).encoder.total_bits(), 40);
+        assert_eq!(narrow(&t, &dims).encoder.total_bits(), 40);
         let (t, dims) = diagonal(GroupingSet::MAX_DIMS, 15);
-        assert!(matches!(encode(t.rows(), &dims), Encoded::Wide(_)));
+        assert!(matches!(encode(&t, &dims), Encoded::Wide(_)));
     }
 
     #[test]
     fn both_widths_order_and_project_alike() {
         let t = sales();
         let dims = bind_dims(&t, &["model", "year"]);
-        let narrow = encode_as::<u64>(t.rows(), &dims);
-        let wide = encode_as::<WideKey>(t.rows(), &dims);
+        let narrow = encode_as::<u64>(&t, &dims);
+        let wide = encode_as::<WideKey>(&t, &dims);
         let (nc, wc) = (
             narrow.encoder.collator(&[0, 1]),
             wide.encoder.collator(&[0, 1]),
@@ -628,7 +680,7 @@ mod tests {
         // A plain aggregate (GROUP BY over no columns) must keep one key
         // per row so the grand-total cell sees the whole input.
         let t = sales();
-        let enc = narrow(t.rows(), &[]);
+        let enc = narrow(&t, &[]);
         assert_eq!(enc.keys, vec![0, 0, 0]);
         assert_eq!(enc.encoder.decode_key(0), Row::new(vec![]));
     }
@@ -638,7 +690,7 @@ mod tests {
         let t = sales();
         let empty = Table::empty(t.schema().clone());
         let dims = bind_dims(&t, &["model", "year"]);
-        let enc = narrow(empty.rows(), &dims);
+        let enc = narrow(&empty, &dims);
         assert!(enc.keys.is_empty());
         assert_eq!(enc.encoder.cardinalities(), vec![0, 0]);
     }

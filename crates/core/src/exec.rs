@@ -20,7 +20,7 @@
 //!   Init / Iter / Iter_super / Final) in `catch_unwind`, converting
 //!   panics into `CubeError::AggPanicked` instead of tearing down thread
 //!   scopes or the whole process.
-//! * [`failpoint`] is the hook for the `faults` test feature: named sites
+//! * `failpoint` is the hook for the `faults` test feature: named sites
 //!   across the algorithms where tests inject panics, stalls, and budget
 //!   trips (see `dc_aggregate::faults`).
 //!

@@ -704,14 +704,7 @@ impl MaterializedCube {
             .map(|d| d.bind(schema))
             .collect::<CubeResult<Vec<_>>>()?;
         let mut stats = ExecStats::default();
-        let cells = engine::group(
-            table.rows(),
-            &dims,
-            &aggs,
-            (&lattice, shape),
-            &mut stats,
-            ctx,
-        )?;
+        let cells = engine::group(table, &dims, &aggs, (&lattice, shape), &mut stats, ctx)?;
         // A store that finishes past the deadline is not kept.
         ctx.checkpoint()?;
         let state = State {
@@ -738,7 +731,7 @@ impl MaterializedCube {
         })
     }
 
-    /// Whether some materialized node is [`usable`] for the finest
+    /// Whether some materialized node is `usable` for the finest
     /// grouping a request over these maps can ask for — the lookup test a
     /// cache policy applies before calling [`MaterializedCube::answer`].
     pub fn can_answer(&self, dim_map: &[usize], agg_map: &[usize]) -> bool {
@@ -766,7 +759,7 @@ impl MaterializedCube {
 
     /// Answer a grouping-set family by Iter_super (Figure 8): each
     /// requested set is read from the minimum-cell materialized node that
-    /// is [`usable`] for it — directly when that node is the set itself,
+    /// is `usable` for it — directly when that node is the set itself,
     /// otherwise by projecting the node's cells onto the set and merging
     /// scratchpads per projected key — and finalized. A set no node is
     /// usable for is [`CubeError::Unsupported`]; a set naming a dimension
@@ -993,7 +986,8 @@ impl MaterializedCube {
         } else {
             // No Iter_super to fold a touched cell with: re-group the
             // store from the post-batch base.
-            let post: Vec<Row> = b.live().cloned().collect();
+            let post = b.live().cloned().collect();
+            let post = Table::from_validated_rows(self.base_schema.clone(), post);
             stats.rows_rescanned += post.len() as u64;
             let (plan, mut exec_stats) = ((&self.lattice, self.shape), ExecStats::default());
             // UDA callbacks run under the write lock by design: the

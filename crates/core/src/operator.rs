@@ -208,9 +208,8 @@ impl CubeQuery {
         choice: ParentChoice,
     ) -> CubeResult<(Table, ExecStats)> {
         self.run_bound(table, |dims, aggs, out_schema, stats, ctx| {
-            let rows = table.rows();
             algorithm::run(
-                algorithm, rows, dims, aggs, lattice, choice, keep, out_schema, stats, ctx,
+                algorithm, table, dims, aggs, lattice, choice, keep, out_schema, stats, ctx,
             )
         })
     }

@@ -235,3 +235,52 @@ fn row_level_algebra_inclusions() {
         assert!(cube_set.contains(r));
     }
 }
+
+/// Two statements that make the first scan of one shared table race to
+/// build its columnar image; both get the answer a private copy gives,
+/// and the same work counters.
+#[test]
+fn two_threads_making_the_first_scan_of_one_table_agree() {
+    let schema = Schema::from_pairs(&[
+        ("model", DataType::Str),
+        ("year", DataType::Int),
+        ("units", DataType::Int),
+    ]);
+    let models = [Value::str("Chevy"), Value::str("Ford"), Value::Null];
+    let rows: Vec<Row> = (0..20_000i64)
+        .map(|i| {
+            let year = if i % 11 == 0 {
+                Value::Null
+            } else {
+                Value::Int(1990 + i % 7)
+            };
+            Row::new(vec![
+                models[(i % 3) as usize].clone(),
+                year,
+                Value::Int(i % 101),
+            ])
+        })
+        .collect();
+    let query = CubeQuery::new()
+        .dimensions(vec![Dimension::column("model"), Dimension::column("year")])
+        .aggregate(sum_units())
+        .aggregate(AggSpec::new(builtin("MAX").unwrap(), "units").with_name("top"));
+    let private = Table::new(schema.clone(), rows.clone()).unwrap();
+    let want = query.cube_with_stats(&private).unwrap();
+
+    let shared = std::sync::Arc::new(Table::new(schema, rows).unwrap());
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        let scans: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    query.cube_with_stats(&shared).unwrap()
+                })
+            })
+            .collect();
+        for scan in scans {
+            assert_eq!(scan.join().unwrap(), want);
+        }
+    });
+}

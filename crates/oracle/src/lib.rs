@@ -20,7 +20,7 @@
 //! * [`runner`] — executes each case through every applicable algorithm ×
 //!   {1,4,16} threads and diffs the canonicalized results against the
 //!   model (sorted rows, ULP-tolerant float compare).
-//! * [`shrink`] — greedily minimizes a failing case (rows, aggregates,
+//! * [`shrink`](mod@shrink) — greedily minimizes a failing case (rows, aggregates,
 //!   dimensions, governance) while preserving the failure, and the fuzz
 //!   driver prints the shrunken case together with its replayable seed.
 //!

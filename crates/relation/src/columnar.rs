@@ -1,12 +1,13 @@
-//! Columnar batches: typed column vectors with validity bitmaps.
+//! Typed column vectors with validity bitmaps.
 //!
 //! The paper's §5 discussion of dense cross-tab arrays assumes the data can
 //! be touched as typed arrays rather than polymorphic records; modern OLAP
 //! engines make the same move by storing each column as a primitive vector
-//! plus a validity bitmap. [`ColumnarBatch`] is that representation for a
-//! [`Table`]: `i64` / `f64` measure vectors and dictionary-code `u32`
-//! vectors for everything else, reusing [`SymbolTable`] (Graefe's hashed
-//! symbol table, §5) for the dictionary.
+//! plus a validity bitmap. [`Column`] is that representation for one
+//! column of rows: an `i64` / `f64` vector, or dictionary codes into a
+//! [`SymbolTable`] (Graefe's hashed symbol table, §5) for everything else.
+//! A table's own columnar image, which the engine scans, is
+//! [`crate::image`].
 //!
 //! Layout per column (row `i`):
 //!
@@ -23,7 +24,6 @@
 use crate::dictionary::SymbolTable;
 use crate::row::Row;
 use crate::schema::DataType;
-use crate::table::Table;
 use crate::value::Value;
 
 /// A packed validity bitmap: one bit per row, `true` = value present.
@@ -164,47 +164,13 @@ impl Column {
     /// `None` if any row holds something other than `Int` or `NULL` — the
     /// caller then falls back to a dictionary column or the row path.
     pub fn try_ints(rows: &[Row], idx: usize) -> Option<(Vec<i64>, Bitmap)> {
-        let mut vals = Vec::with_capacity(rows.len());
-        let mut validity = BitmapBuilder::with_capacity(rows.len());
-        for row in rows {
-            match &row[idx] {
-                Value::Int(i) => {
-                    vals.push(*i);
-                    validity.append(true);
-                }
-                Value::Null => {
-                    vals.push(0);
-                    validity.append(false);
-                }
-                Value::All | Value::Bool(_) | Value::Float(_) | Value::Str(_) | Value::Date(_) => {
-                    return None
-                }
-            }
-        }
-        Some((vals, validity.finish()))
+        crate::image::ints(rows, idx)
     }
 
     /// Extract column `idx` as an `f64` vector (`Float` or `NULL` rows
     /// only), mirroring [`Column::try_ints`].
     pub fn try_floats(rows: &[Row], idx: usize) -> Option<(Vec<f64>, Bitmap)> {
-        let mut vals = Vec::with_capacity(rows.len());
-        let mut validity = BitmapBuilder::with_capacity(rows.len());
-        for row in rows {
-            match &row[idx] {
-                Value::Float(f) => {
-                    vals.push(*f);
-                    validity.append(true);
-                }
-                Value::Null => {
-                    vals.push(0.0);
-                    validity.append(false);
-                }
-                Value::All | Value::Bool(_) | Value::Int(_) | Value::Str(_) | Value::Date(_) => {
-                    return None
-                }
-            }
-        }
-        Some((vals, validity.finish()))
+        crate::image::floats(rows, idx)
     }
 
     /// Dictionary-encode column `idx`: every non-`NULL` value is interned
@@ -395,41 +361,12 @@ impl RleIndex {
     }
 }
 
-/// A table converted to columnar form: one [`Column`] per schema column.
-#[derive(Debug, Clone)]
-pub struct ColumnarBatch {
-    pub columns: Vec<Column>,
-    pub n_rows: usize,
-}
-
-impl ColumnarBatch {
-    /// Convert a [`Table`] column by column, using the schema's declared
-    /// types to pick primitive vs dictionary representations.
-    pub fn from_table(table: &Table) -> ColumnarBatch {
-        let rows = table.rows();
-        let columns = table
-            .schema()
-            .columns()
-            .iter()
-            .enumerate()
-            .map(|(idx, col)| Column::from_rows(rows, idx, col.dtype))
-            .collect();
-        ColumnarBatch {
-            columns,
-            n_rows: rows.len(),
-        }
-    }
-
-    pub fn column(&self, idx: usize) -> &Column {
-        &self.columns[idx]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::row;
     use crate::schema::Schema;
+    use crate::table::Table;
 
     fn sales() -> Table {
         let schema = Schema::from_pairs(&[
@@ -448,6 +385,13 @@ mod tests {
         t
     }
 
+    /// Every column of `t` in the representation its declared type picks.
+    fn columns(t: &Table) -> Vec<Column> {
+        let cols = t.schema().columns().iter().enumerate();
+        cols.map(|(i, c)| Column::from_rows(t.rows(), i, c.dtype))
+            .collect()
+    }
+
     #[test]
     fn bitmap_packs_bits() {
         let mut b = Bitmap::new();
@@ -464,23 +408,23 @@ mod tests {
 
     #[test]
     fn from_table_picks_typed_columns() {
-        let batch = ColumnarBatch::from_table(&sales());
-        assert_eq!(batch.n_rows, 4);
-        assert!(matches!(batch.column(0).data, ColumnData::Dict { .. }));
-        assert!(matches!(batch.column(1).data, ColumnData::Int(_)));
-        assert!(matches!(batch.column(2).data, ColumnData::Float(_)));
+        let cols = columns(&sales());
+        assert!(cols.iter().all(|c| c.len() == 4));
+        assert!(matches!(cols[0].data, ColumnData::Dict { .. }));
+        assert!(matches!(cols[1].data, ColumnData::Int(_)));
+        assert!(matches!(cols[2].data, ColumnData::Float(_)));
     }
 
     #[test]
     fn nulls_become_invalid_bits() {
-        let batch = ColumnarBatch::from_table(&sales());
-        for col in &batch.columns {
+        let cols = columns(&sales());
+        for col in &cols {
             assert_eq!(col.len(), 4);
             assert!(col.validity.get(0));
             assert!(!col.validity.get(2), "NULL row must be invalid");
             assert!(col.validity.get(3));
         }
-        let ColumnData::Int(years) = &batch.column(1).data else {
+        let ColumnData::Int(years) = &cols[1].data else {
             panic!("year should be Int")
         };
         assert_eq!(years[2], 0, "NULL slot holds the zero filler");
@@ -489,9 +433,9 @@ mod tests {
     #[test]
     fn values_round_trip() {
         let t = sales();
-        let batch = ColumnarBatch::from_table(&t);
+        let cols = columns(&t);
         for (i, row) in t.rows().iter().enumerate() {
-            for (j, col) in batch.columns.iter().enumerate() {
+            for (j, col) in cols.iter().enumerate() {
                 assert_eq!(col.value(i), row[j], "row {i} col {j}");
             }
         }
@@ -603,8 +547,8 @@ mod tests {
 
     #[test]
     fn validity_words_expose_packed_bits() {
-        let batch = ColumnarBatch::from_table(&sales());
-        let words = batch.column(1).validity_words();
+        let cols = columns(&sales());
+        let words = cols[1].validity_words();
         assert_eq!(words.len(), 1);
         assert_eq!(words[0], 0b1011, "row 2 is the NULL row");
     }

@@ -116,27 +116,10 @@ impl SymbolTable {
     }
 }
 
-/// Dictionary-encode several columns of rows at once: returns one
-/// [`SymbolTable`] per column and the coded rows. The coded form is what the
-/// dense-array cube indexes with.
-pub fn encode_columns(rows: &[crate::Row], indices: &[usize]) -> (Vec<SymbolTable>, Vec<Vec<u32>>) {
-    let mut tables: Vec<SymbolTable> = indices.iter().map(|_| SymbolTable::new()).collect();
-    let coded = rows
-        .iter()
-        .map(|row| {
-            indices
-                .iter()
-                .zip(tables.iter_mut())
-                .map(|(&i, t)| t.intern(&row[i]))
-                .collect()
-        })
-        .collect();
-    (tables, coded)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image::CodeColumn;
     use crate::row;
 
     #[test]
@@ -209,9 +192,16 @@ mod tests {
             row!["Chevy", 1995, "white"],
             row!["Ford", 1994, "black"],
         ];
-        let (tables, coded) = encode_columns(&rows, &[0, 2]);
-        assert_eq!(tables[0].cardinality(), 2); // Chevy, Ford
-        assert_eq!(tables[1].cardinality(), 2); // black, white
-        assert_eq!(coded, vec![vec![0, 0], vec![0, 1], vec![1, 0]]);
+        let (model, color) = (
+            CodeColumn::from_rows(&rows, 0),
+            CodeColumn::from_rows(&rows, 2),
+        );
+        assert_eq!(model.symbols.cardinality(), 2); // Chevy, Ford
+        assert_eq!(color.symbols.cardinality(), 2); // black, white
+        let codes = |c: &CodeColumn| c.codes.iter().collect::<Vec<_>>();
+        assert_eq!(
+            (codes(&model), codes(&color)),
+            (vec![0, 0, 1], vec![0, 1, 0])
+        );
     }
 }

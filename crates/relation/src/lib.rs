@@ -19,9 +19,10 @@
 //! Everything is deliberately simple and allocation-conscious: a
 //! [`Value`] is 16 bytes, with strings behind a shared `Arc<Box<str>>`
 //! handle; a [`Row`] is a shared `Arc<[Value]>`, so copying a table's row
-//! list copies handles, not values; and dimensions can be
-//! dictionary-encoded through [`dictionary::SymbolTable`] (Graefe's hashed
-//! symbol-table tip quoted in §5 of the paper).
+//! list copies handles, not values; and a table keeps a lazily built
+//! columnar [`image`] of itself — per-column dictionary codes through
+//! [`dictionary::SymbolTable`] (Graefe's hashed symbol-table tip quoted in
+//! §5 of the paper) and typed measure vectors — that every scan shares.
 //!
 //! [Gray et al. 1996 data cube paper]:
 //!     https://doi.org/10.1109/ICDE.1996.492099
@@ -33,16 +34,18 @@ pub mod dictionary;
 pub mod display;
 pub mod error;
 pub mod fx;
+pub mod image;
 pub mod row;
 pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use columnar::{Bitmap, BitmapBuilder, Column, ColumnData, ColumnarBatch, RleIndex};
+pub use columnar::{Bitmap, BitmapBuilder, Column, ColumnData, RleIndex};
 pub use date::Date;
 pub use dictionary::SymbolTable;
 pub use error::{RelError, RelResult};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use image::{CodeColumn, Codes, TypedColumn};
 pub use row::Row;
 pub use schema::{ColumnDef, DataType, Schema};
 pub use table::Table;

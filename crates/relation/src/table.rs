@@ -2,31 +2,36 @@
 //! cube algorithms are built from: project, filter, sort, union, distinct.
 
 use crate::error::{RelError, RelResult};
+use crate::image::{CodeColumn, Image, TypedColumn};
 use crate::row::Row;
 use crate::schema::{ColumnDef, DataType, Schema};
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A bag (multiset) of rows under a schema.
 ///
 /// `Table` is the unit of data flow throughout the reproduction: base data,
 /// GROUP BY cores, and cube results are all `Table`s — the paper's central
 /// point being precisely that *cubes are relations*.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A table also keeps a columnar image of itself ([`crate::image`]),
+/// built on first scan: clones share it, `PartialEq` and `Debug` ignore
+/// it, and every `&mut self` method (`push`, `push_unchecked`,
+/// `sort_by_indices`) drops it.
+#[derive(Clone)]
 pub struct Table {
     schema: Schema,
     rows: Vec<Row>,
+    image: OnceLock<Arc<Image>>,
 }
 
 impl Table {
     /// An empty table under `schema`.
     pub fn empty(schema: Schema) -> Self {
-        Table {
-            schema,
-            rows: Vec::new(),
-        }
+        Table::from_validated_rows(schema, Vec::new())
     }
 
     /// Build a table, validating every row against the schema. The rows
@@ -35,7 +40,7 @@ impl Table {
         for row in &rows {
             check_row(&schema, row)?;
         }
-        Ok(Table { schema, rows })
+        Ok(Table::from_validated_rows(schema, rows))
     }
 
     /// Build a table without per-row validation.
@@ -45,7 +50,11 @@ impl Table {
     /// arity so corruption is caught in tests.
     pub fn from_validated_rows(schema: Schema, rows: Vec<Row>) -> Self {
         debug_assert!(rows.iter().all(|r| r.len() == schema.len()));
-        Table { schema, rows }
+        Table {
+            schema,
+            rows,
+            image: OnceLock::new(),
+        }
     }
 
     pub fn schema(&self) -> &Schema {
@@ -73,7 +82,7 @@ impl Table {
     /// Append one row, validating arity and column types.
     pub fn push(&mut self, row: Row) -> RelResult<()> {
         check_row(&self.schema, &row)?;
-        self.rows.push(row);
+        self.push_unchecked(row);
         Ok(())
     }
 
@@ -81,7 +90,34 @@ impl Table {
     /// builds.
     pub fn push_unchecked(&mut self, row: Row) {
         debug_assert_eq!(row.len(), self.schema.len());
+        self.image.take();
         self.rows.push(row);
+    }
+
+    fn image(&self) -> &Image {
+        self.image
+            .get_or_init(|| Arc::new(Image::new(self.schema.len())))
+    }
+
+    /// Column `idx` dictionary-encoded, from the image (encoded now if it
+    /// is not there yet).
+    pub fn codes(&self, idx: usize) -> Arc<CodeColumn> {
+        self.image().codes(&self.rows, idx)
+    }
+
+    /// Column `idx` as `i64` or `f64` values with validity, from the image
+    /// (extracted now if it is not there yet); `None` when the column
+    /// holds anything but one numeric type and `NULL`.
+    pub fn typed(&self, idx: usize) -> Option<TypedColumn> {
+        self.image().typed(&self.rows, idx)
+    }
+
+    /// Build, in one pass over the rows, the image's codes of columns
+    /// `codes` and typed forms of columns `typed` that it lacks, so a
+    /// statement that reads several columns of a cold table reads its rows
+    /// once.
+    pub fn warm(&self, codes: &[usize], typed: &[usize]) {
+        self.image().warm(&self.rows, codes, typed);
     }
 
     /// Column values by name, in row order.
@@ -102,10 +138,8 @@ impl Table {
     /// predicate returns plain `bool`; three-valued logic is resolved by the
     /// caller, e.g. the SQL layer maps unknown to `false`).
     pub fn filter(&self, pred: impl Fn(&Row) -> bool) -> Table {
-        Table {
-            schema: self.schema.clone(),
-            rows: self.rows.iter().filter(|r| pred(r)).cloned().collect(),
-        }
+        let rows = self.rows.iter().filter(|r| pred(r)).cloned().collect();
+        Table::from_validated_rows(self.schema.clone(), rows)
     }
 
     /// Sort by the named columns, ascending, using the grouping total order
@@ -114,15 +148,13 @@ impl Table {
         let indices = self.schema.indices_of(names)?;
         let mut rows = self.rows.clone();
         rows.sort_by(|a, b| Self::cmp_on(a, b, &indices));
-        Ok(Table {
-            schema: self.schema.clone(),
-            rows,
-        })
+        Ok(Table::from_validated_rows(self.schema.clone(), rows))
     }
 
     /// Sort in place by precomputed column indices (hot path for the
     /// sort-based ROLLUP algorithm).
     pub fn sort_by_indices(&mut self, indices: &[usize]) {
+        self.image.take();
         self.rows.sort_by(|a, b| Self::cmp_on(a, b, indices));
     }
 
@@ -155,10 +187,7 @@ impl Table {
         self.schema.union_compatible(&other.schema)?;
         let mut rows = self.rows.clone();
         rows.extend(other.rows.iter().cloned());
-        Ok(Table {
-            schema: self.schema.clone(),
-            rows,
-        })
+        Ok(Table::from_validated_rows(self.schema.clone(), rows))
     }
 
     /// Set union (SQL `UNION`): union-all then duplicate elimination.
@@ -176,10 +205,7 @@ impl Table {
             .filter(|r| seen.insert((*r).clone()))
             .cloned()
             .collect();
-        Table {
-            schema: self.schema.clone(),
-            rows,
-        }
+        Table::from_validated_rows(self.schema.clone(), rows)
     }
 
     /// Rows in `self` that do not appear in `other` (bag difference by
@@ -188,15 +214,11 @@ impl Table {
     pub fn difference(&self, other: &Table) -> RelResult<Table> {
         self.schema.union_compatible(&other.schema)?;
         let there: HashSet<&Row> = other.rows.iter().collect();
-        Ok(Table {
-            schema: self.schema.clone(),
-            rows: self
-                .rows
-                .iter()
-                .filter(|r| !there.contains(*r))
-                .cloned()
-                .collect(),
-        })
+        let rows = self.rows.iter().filter(|r| !there.contains(*r)).cloned();
+        Ok(Table::from_validated_rows(
+            self.schema.clone(),
+            rows.collect(),
+        ))
     }
 
     /// Distinct values of the named column, sorted, excluding `NULL` and
@@ -316,6 +338,22 @@ pub fn canonical_sort(rows: &mut [Row], key_cols: usize) {
         }
         a.cmp(b)
     });
+}
+
+/// The relation only: the image is derived from it.
+impl PartialEq for Table {
+    fn eq(&self, other: &Table) -> bool {
+        self.schema == other.schema && self.rows == other.rows
+    }
+}
+
+impl fmt::Debug for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Table")
+            .field("schema", &self.schema)
+            .field("rows", &self.rows)
+            .finish()
+    }
 }
 
 impl fmt::Display for Table {

@@ -14,7 +14,7 @@
 //! [`Engine::session`] mints further sessions — each with private
 //! options and cancel token — that execute against catalog *snapshots*,
 //! so no lock is held while a query runs. The stateless executor is
-//! [`QueryRuntime`]: one per statement, built from a snapshot plus the
+//! `QueryRuntime`: one per statement, built from a snapshot plus the
 //! session's effective limits.
 
 use crate::admission::{AdmissionController, ServiceConfig};

@@ -246,25 +246,33 @@ pub fn decode_response(payload: &[u8]) -> io::Result<Response> {
     let mut parts = head.split(' ');
     match parts.next() {
         Some("OK") => {
-            let rows: usize = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| bad("missing row count"))?;
-            let _cols = parts.next();
+            let mut count = |what: &str| {
+                let n = parts.next().and_then(|s| s.parse::<usize>().ok());
+                n.ok_or_else(|| bad(&format!("missing or malformed {what} count")))
+            };
+            let (rows, cols) = (count("row")?, count("column")?);
+            // Every line holds `cols` tab-separated cells (a zero-column
+            // line is empty); a line that does not is its cell count.
+            let cells = |line: &str| {
+                let mut cells = Vec::with_capacity(cols);
+                if cols > 0 || !line.is_empty() {
+                    cells.extend(line.split('\t').map(unescape_cell));
+                }
+                if cells.len() == cols {
+                    Ok(cells)
+                } else {
+                    Err(cells.len())
+                }
+            };
+            let ragged = |what: &str, got| bad(&format!("{what} has {got} cells, not {cols}"));
             // Rows end in `\n` alone: `str::lines` would also strip a
             // `\r` before it, which is cell text, not line structure.
             let mut lines = body.strip_suffix('\n').unwrap_or(body).split('\n');
-            let columns: Vec<String> = lines
-                .next()
-                .ok_or_else(|| bad("missing header"))?
-                .split('\t')
-                .map(unescape_cell)
-                .collect();
+            let header = lines.next().ok_or_else(|| bad("missing header"))?;
+            let columns = cells(header).map_err(|got| ragged("the header", got))?;
             let mut out_rows = Vec::with_capacity(rows);
-            for line in lines {
-                let mut cells = Vec::with_capacity(columns.len());
-                cells.extend(line.split('\t').map(unescape_cell));
-                out_rows.push(cells);
+            for (i, line) in lines.enumerate() {
+                out_rows.push(cells(line).map_err(|got| ragged(&format!("row {i}"), got))?);
             }
             if out_rows.len() != rows {
                 return Err(bad("row count mismatch"));
@@ -389,6 +397,51 @@ mod tests {
             Response::Table {
                 columns: cells(["n", "s"]),
                 rows: vec![cells(["1", "dos\r"]), cells(["2", "back\\slash"])],
+            }
+        );
+    }
+
+    fn bad_response(payload: &[u8]) -> String {
+        let err = decode_response(payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        err.to_string()
+    }
+
+    #[test]
+    fn ragged_rows_and_bad_column_counts_are_invalid_data() {
+        assert_eq!(
+            bad_response(b"OK 2 2\na\tb\n1\t2\n3\n"),
+            "bad response: row 1 has 1 cells, not 2"
+        );
+        assert_eq!(
+            bad_response(b"OK 1 2\na\tb\n1\t2\t3\n"),
+            "bad response: row 0 has 3 cells, not 2"
+        );
+        assert_eq!(
+            bad_response(b"OK 0 3\na\tb\n"),
+            "bad response: the header has 2 cells, not 3"
+        );
+        for head in ["OK 1", "OK 1 x", "OK 1 -2"] {
+            let payload = format!("{head}\na\n1\n");
+            assert_eq!(
+                bad_response(payload.as_bytes()),
+                "bad response: missing or malformed column count",
+                "{head}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_zero_column_table_round_trips() {
+        let t =
+            dc_relation::Table::new(Schema::new(vec![]).unwrap(), vec![Row::new(vec![])]).unwrap();
+        let payload = encode_table(&t);
+        assert_eq!(payload, b"OK 1 0\n\n\n");
+        assert_eq!(
+            decode_response(&payload).unwrap(),
+            Response::Table {
+                columns: vec![],
+                rows: vec![vec![]],
             }
         );
     }

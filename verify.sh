@@ -20,6 +20,9 @@ cargo test -q -p oracle --release
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (deny warnings: every intra-doc link resolves and is public) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 # checkpoint/guard scope every file of crates/core/src/algorithm/, so the
 # algorithms behind repro stay governed like the engine they are diffed against.
 echo "== cube_lint (workspace invariants: checkpoint, guard, faults, panic, wildcard, atomic; unused allows; algorithm/* incl. repro) =="
