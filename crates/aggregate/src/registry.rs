@@ -28,7 +28,14 @@ impl Registry {
     /// Register a function under its canonical name; duplicate names are an
     /// error so a UDA cannot silently shadow a built-in.
     pub fn register(&mut self, f: AggRef) -> AggResult<()> {
-        let key = f.name().to_uppercase();
+        self.register_as(f.name().to_string(), f)
+    }
+
+    /// [`Registry::register`] under `name`, which the caller read from
+    /// `f.name()` beforehand: a registry behind a lock is then written
+    /// without running any of the function's code under it.
+    pub fn register_as(&mut self, name: String, f: AggRef) -> AggResult<()> {
+        let key = name.to_uppercase();
         if self.map.contains_key(&key) {
             return Err(AggError::DuplicateFunction(key));
         }

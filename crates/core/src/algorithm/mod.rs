@@ -187,7 +187,7 @@ pub(crate) fn run(
 
 /// The one applicability check an [`Algorithm`] has, made before the
 /// select list is looked at so error behavior does not depend on it.
-fn check_applies(algorithm: Algorithm) -> CubeResult<()> {
+pub(crate) fn check_applies(algorithm: Algorithm) -> CubeResult<()> {
     match algorithm {
         Algorithm::Parallel { threads: 0 } => {
             Err(CubeError::BadSpec("Parallel requires threads >= 1".into()))

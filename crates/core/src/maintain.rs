@@ -55,7 +55,7 @@
 //! batch rewrites the `(ALL, …, ALL)` cell and any two writers meet there.
 
 use crate::algorithm::engine::{self, Arena, Lanes, Pipeline, Stored};
-use crate::algorithm::{resolve, Algorithm, ParentChoice, Shape};
+use crate::algorithm::{check_applies, resolve, Algorithm, ParentChoice, Shape};
 use crate::encode::{Encoded, KeyEncoder, PackedKey};
 use crate::error::{CubeError, CubeResult};
 use crate::exec::{self, ExecContext};
@@ -633,19 +633,21 @@ impl MaterializedCube {
         lattice: Lattice,
     ) -> CubeResult<Self> {
         let ctx = ExecContext::unlimited();
-        Self::grouped(table, &dims, &aggs, lattice, true, &ctx)
+        Self::grouped(table, &dims, &aggs, lattice, true, Algorithm::Auto, &ctx)
     }
 
     /// A lattice-cache view with no execution limits: see
     /// [`MaterializedCube::build_within`].
     pub fn build(table: &Table, dims: &[Dimension], aggs: &[AggSpec]) -> CubeResult<Self> {
-        Self::build_within(table, dims, aggs, &ExecContext::unlimited())
+        let ctx = ExecContext::unlimited();
+        Self::build_within(table, dims, aggs, Algorithm::Auto, &ctx)
     }
 
     /// A lattice-cache view: the core GROUP BY over `dims` only, and no
-    /// copy of the base rows. `ctx` governs the scan — a populate-on-miss
-    /// build runs under its statement's deadline, cancel token and cell
-    /// budget.
+    /// copy of the base rows. `algorithm` and `ctx` govern the scan — a
+    /// SQL statement that misses the cache builds its view with its own
+    /// `SET THREADS` plan, deadline, cancel token and cell budget. Later
+    /// batches fold with the `Auto` plan.
     ///
     /// Fails with [`CubeError::Unsupported`] if any aggregate is not
     /// [`rewritable`] — callers probe legality *before* paying the scan.
@@ -653,6 +655,7 @@ impl MaterializedCube {
         table: &Table,
         dims: &[Dimension],
         aggs: &[AggSpec],
+        algorithm: Algorithm,
         ctx: &ExecContext,
     ) -> CubeResult<Self> {
         if let Some(a) = aggs.iter().find(|a| !rewritable(&a.func)) {
@@ -663,19 +666,21 @@ impl MaterializedCube {
             )));
         }
         let core = Lattice::new(dims.len(), Vec::new())?;
-        Self::grouped(table, dims, aggs, core, false, ctx)
+        Self::grouped(table, dims, aggs, core, false, algorithm, ctx)
     }
 
-    /// Group `table` into every set of `lattice` with the engine and keep
-    /// its arenas as the cells.
+    /// Group `table` into every set of `lattice` with the engine, scanning
+    /// under `algorithm`, and keep its arenas as the cells.
     fn grouped(
         table: &Table,
         dims: &[Dimension],
         aggs: &[AggSpec],
         lattice: Lattice,
         keeps_base: bool,
+        algorithm: Algorithm,
         ctx: &ExecContext,
     ) -> CubeResult<Self> {
+        check_applies(algorithm)?;
         if aggs.is_empty() {
             return Err(CubeError::BadSpec(
                 "at least one aggregate is required".into(),
@@ -692,7 +697,8 @@ impl MaterializedCube {
             .into_iter()
             .unzip();
         let funcs = aggs.iter().map(|a| &*a.func);
-        let shape = resolve(Algorithm::Auto, funcs, ParentChoice::SmallestCardinality);
+        let plan = |algorithm| resolve(algorithm, funcs.clone(), ParentChoice::SmallestCardinality);
+        let (shape, scan) = (plan(Algorithm::Auto), plan(algorithm));
         let all_mergeable = aggs.iter().all(|a| a.func.mergeable());
         aggs.push(BoundAgg {
             func: Arc::new(CountStar),
@@ -704,7 +710,7 @@ impl MaterializedCube {
             .map(|d| d.bind(schema))
             .collect::<CubeResult<Vec<_>>>()?;
         let mut stats = ExecStats::default();
-        let cells = engine::group(table, &dims, &aggs, (&lattice, shape), &mut stats, ctx)?;
+        let cells = engine::group(table, &dims, &aggs, (&lattice, scan), &mut stats, ctx)?;
         // A store that finishes past the deadline is not kept.
         ctx.checkpoint()?;
         let state = State {

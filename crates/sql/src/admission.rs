@@ -32,7 +32,8 @@
 //! reservation can never be exceeded by the execution it admits. The
 //! bound is deliberately loose (the true cell count is the §3 product of
 //! dimension cardinalities, unknown before the scan); tightening it with
-//! the encoding symbol tables is future cache work (ROADMAP item 2).
+//! the encoding symbol tables is the one cardinality model of ROADMAP
+//! item 12.
 
 use datacube::{AdmissionVerdict, CancelToken, CubeError, CubeResult, ExecStats, Resource};
 use std::sync::atomic::{AtomicU64, Ordering};

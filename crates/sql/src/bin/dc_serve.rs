@@ -18,7 +18,9 @@
 //! ephemeral port with a deliberately tiny budget, prove that a cheap
 //! GROUP BY succeeds while a 3-dimension CUBE is shed with a typed
 //! `RESOURCE_EXHAUSTED` frame and a retry hint, that a parse error
-//! leaves the connection usable, that 50 sequential statements on one
+//! leaves the connection usable, that a cacheable CUBE replies the same
+//! rows on its cache miss, its hit and with the cache off, that an
+//! INSERT and a DELETE round-trip, that 50 sequential statements on one
 //! default-options connection take under a second (no transport stall),
 //! then shut down cleanly. Exit code 0 on success.
 
@@ -104,19 +106,25 @@ fn demo_table() -> Result<Table, String> {
     Table::new(schema, rows).map_err(|e| format!("demo table: {e}"))
 }
 
+/// An engine under `service` serving the demo table as `Sales`.
+fn demo_engine(service: ServiceConfig) -> Result<Engine, String> {
+    let mut engine = Engine::with_service(service);
+    engine
+        .register_table("Sales", demo_table()?)
+        .map_err(|e| format!("register: {e}"))?;
+    Ok(engine)
+}
+
 fn run() -> Result<(), String> {
     let args = parse_args()?;
     if args.smoke {
         return smoke();
     }
-    let mut engine = Engine::with_service(args.service);
+    let engine = demo_engine(args.service)?;
     engine.cube_cache().set_enabled(args.cube_cache);
     if let Some(cells) = args.cache_cells {
         engine.cube_cache().set_budget_cells(cells);
     }
-    engine
-        .register_table("Sales", demo_table()?)
-        .map_err(|e| format!("register: {e}"))?;
     let handle =
         serve(&engine, &args.addr, args.server).map_err(|e| format!("bind {}: {e}", args.addr))?;
     eprintln!("dc_serve listening on {}", handle.local_addr());
@@ -125,12 +133,54 @@ fn run() -> Result<(), String> {
 }
 
 fn expect_table(resp: &Response, what: &str) -> Result<usize, String> {
+    table_rows(resp, what).map(<[_]>::len)
+}
+
+fn table_rows<'a>(resp: &'a Response, what: &str) -> Result<&'a [Vec<String>], String> {
     match resp {
-        Response::Table { rows, .. } => Ok(rows.len()),
+        Response::Table { rows, .. } => Ok(rows),
         Response::Error { code, message, .. } => {
             Err(format!("{what}: expected table, got ERR {code}: {message}"))
         }
     }
+}
+
+fn ask(conn: &mut TcpStream, sql: &str) -> Result<Response, String> {
+    wire::request(conn, sql).map_err(|e| format!("request failed: {e}"))
+}
+
+/// A cacheable CUBE over the wire: its miss, its hit and its
+/// `SET CUBE_CACHE OFF` reply must match row for row. Served unbudgeted,
+/// because the main smoke's budget sheds every CUBE.
+fn cache_smoke() -> Result<(), String> {
+    const CUBE: &str =
+        "SELECT model, year, SUM(units) AS total FROM Sales GROUP BY CUBE model, year";
+    let engine = demo_engine(ServiceConfig::default())?;
+    let handle =
+        serve(&engine, "127.0.0.1:0", ServerConfig::default()).map_err(|e| format!("bind: {e}"))?;
+    let mut conn = TcpStream::connect(handle.local_addr()).map_err(|e| format!("connect: {e}"))?;
+    let miss = ask(&mut conn, CUBE)?;
+    let hit = ask(&mut conn, CUBE)?;
+    expect_table(&ask(&mut conn, "SET CUBE_CACHE OFF")?, "set cube_cache off")?;
+    let off = ask(&mut conn, CUBE)?;
+    drop(conn);
+    handle.shutdown();
+    let c = engine.cube_cache().counters();
+    if (c.misses, c.hits) != (1, 1) {
+        return Err(format!(
+            "cube cache: expected one miss then one hit, got {c:?}"
+        ));
+    }
+    let rows = table_rows(&miss, "cube miss")?;
+    if rows.len() != 9 {
+        return Err(format!("cube miss: expected 9 rows, got {}", rows.len()));
+    }
+    for (reply, what) in [(&hit, "cube hit"), (&off, "cube with the cache off")] {
+        if table_rows(reply, what)? != rows {
+            return Err(format!("{what}: rows differ from the miss's"));
+        }
+    }
+    Ok(())
 }
 
 /// The verify.sh self-test: overload behaviour end to end over TCP.
@@ -146,18 +196,12 @@ fn smoke() -> Result<(), String> {
         min_grant_cells: 1,
         queue_depth: 2,
     };
-    let mut engine = Engine::with_service(service);
-    engine
-        .register_table("Sales", demo_table()?)
-        .map_err(|e| format!("register: {e}"))?;
+    let engine = demo_engine(service)?;
     let handle =
         serve(&engine, "127.0.0.1:0", ServerConfig::default()).map_err(|e| format!("bind: {e}"))?;
     let addr = handle.local_addr();
 
     let mut conn = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    let ask = |conn: &mut TcpStream, sql: &str| -> Result<Response, String> {
-        wire::request(conn, sql).map_err(|e| format!("request failed: {e}"))
-    };
 
     // 1. Cheap GROUP BY rides the reserved lane, exempt from the budget.
     let resp = ask(
@@ -192,28 +236,9 @@ fn smoke() -> Result<(), String> {
     let resp = ask(&mut conn, "SELECT COUNT(*) AS n FROM Sales GROUP BY model")?;
     expect_table(&resp, "post-error query")?;
 
-    // 5. The repeated cheap query is now a lattice-cache hit (the first
-    //    run materialized the MODEL view) and must return the same rows;
-    //    `SET CUBE_CACHE OFF` parses over the wire and the base-scan
-    //    answer agrees.
-    let resp = ask(
-        &mut conn,
-        "SELECT model, SUM(units) AS total FROM Sales GROUP BY model",
-    )?;
-    if expect_table(&resp, "cached group by")? != 2 {
-        return Err("cached group by: expected 2 rows".to_string());
-    }
-    if engine.cube_cache().counters().hits == 0 {
-        return Err("cube cache: expected at least one hit".to_string());
-    }
-    expect_table(&ask(&mut conn, "SET CUBE_CACHE OFF")?, "set cube_cache off")?;
-    let resp = ask(
-        &mut conn,
-        "SELECT model, SUM(units) AS total FROM Sales GROUP BY model",
-    )?;
-    if expect_table(&resp, "uncached group by")? != 2 {
-        return Err("uncached group by: expected 2 rows".to_string());
-    }
+    // 5. A cacheable CUBE answers alike from its miss, its hit and with
+    //    the cache off.
+    cache_smoke()?;
 
     // 6. The write path works over the wire: INSERT a batch, read the
     //    new total back, DELETE it again.
@@ -261,7 +286,7 @@ fn smoke() -> Result<(), String> {
     handle.shutdown();
     eprintln!(
         "dc_serve --smoke: OK (cheap lane served, cube shed typed, errors survived, \
-         cache hit observed, insert/delete round-tripped, \
+         cache miss, hit and off agreed, insert/delete round-tripped, \
          {STALL_PROBE_STATEMENTS} statements in {took:?})"
     );
     Ok(())

@@ -305,7 +305,7 @@ impl CubeCache {
         version: u64,
         dims: Vec<String>,
         aggs: Vec<String>,
-        view: CachedView,
+        view: Arc<CachedView>,
     ) -> CubeResult<()> {
         if !self.is_enabled() {
             return Ok(());
@@ -331,7 +331,7 @@ impl CubeCache {
             version,
             dims,
             aggs,
-            view: Arc::new(view),
+            view,
             cells,
             traffic: 1,
         });
@@ -406,11 +406,11 @@ mod tests {
         .unwrap()
     }
 
-    fn view_over(dims: &[&str]) -> CachedView {
+    fn view_over(dims: &[&str]) -> Arc<CachedView> {
         let t = sales();
         let d: Vec<Dimension> = dims.iter().map(Dimension::column).collect();
         let a = vec![AggSpec::new(builtin("SUM").unwrap(), "units")];
-        CachedView::build(&t, &d, &a).unwrap()
+        Arc::new(CachedView::build(&t, &d, &a).unwrap())
     }
 
     fn unlimited_cache() -> Arc<CubeCache> {

@@ -170,8 +170,10 @@ impl SharedCatalog {
     }
 
     /// Register a user-defined aggregate (the §1.2 extension mechanism).
+    /// Its `name()` is the function's own code, so it runs before the lock.
     pub(crate) fn register_aggregate(&self, f: AggRef) -> SqlResult<()> {
-        self.write().aggs.register(f)?;
+        let name = f.name().to_string();
+        self.write().aggs.register_as(name, f)?;
         Ok(())
     }
 
@@ -282,7 +284,7 @@ mod tests {
             let snap = shared.snapshot();
             let d = [Dimension::column("k")];
             let a = [AggSpec::new(dc_aggregate::builtin("SUM").unwrap(), "k")];
-            let view = CachedView::build(&snap.table("t").unwrap(), &d, &a).unwrap();
+            let view = Arc::new(CachedView::build(&snap.table("t").unwrap(), &d, &a).unwrap());
             cache
                 .populate("t", version, dims.clone(), aggs.clone(), view)
                 .unwrap();
@@ -310,6 +312,37 @@ mod tests {
         assert_eq!(deleted, Some(3));
         assert_eq!(cache.counters().entries, 0);
         assert!(cache.lookup("t", 3, &dims, &aggs).unwrap().is_none());
+    }
+
+    /// An aggregate whose `name()` reads the catalog it is registered in.
+    struct Peek(SharedCatalog);
+
+    impl dc_aggregate::AggregateFunction for Peek {
+        fn name(&self) -> &str {
+            let _ = self.0.snapshot();
+            "PEEK"
+        }
+        fn kind(&self) -> dc_aggregate::AggKind {
+            dc_aggregate::AggKind::Distributive
+        }
+        fn init(&self) -> Box<dyn dc_aggregate::Accumulator> {
+            dc_aggregate::builtin("SUM").unwrap().init()
+        }
+    }
+
+    /// Registration runs no function code under the write lock: a `name()`
+    /// that snapshots the same catalog would otherwise never return.
+    #[test]
+    fn register_aggregate_reads_the_name_outside_the_lock() {
+        let shared = SharedCatalog::new();
+        let peek = Arc::new(Peek(shared.clone()));
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = done.send(shared.register_aggregate(peek).is_ok());
+        });
+        let registered = finished.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(registered, Ok(true), "registration deadlocked or failed");
+        worker.join().unwrap();
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! and §5 algorithms of the paper. The SELECT list is then computed over
 //! the cube *relation* — which is the paper's point: the cube composes
 //! with projection, HAVING, ORDER BY, UNION, and decoration like any
-//! other table.
+//! other table. A block the lattice cache can serve is answered from a
+//! materialized view instead, folded by §5's Iter_super: a cached
+//! ancestor on a hit, or on a miss the core view its own one scan builds.
 //!
 //! Concurrency shape (see DESIGN.md "Concurrent serving"): the [`Engine`]
 //! owns the [`SharedCatalog`] and the [`AdmissionController`] and embeds
@@ -27,12 +29,14 @@ use crate::plan::{self, branches, AggregatePlan, Bound, Output, Source};
 use crate::scalar::ScalarFn;
 use crate::session::Session;
 use datacube::{
-    AggSpec, Algorithm, AncestorRequest, CancelToken, CubeQuery, Dimension, ExecLimits,
+    AggSpec, Algorithm, AncestorRequest, CachedView, CancelToken, CubeQuery, Dimension,
+    ExecContext, ExecLimits,
 };
 use dc_aggregate::AggRef;
 use dc_relation::{ColumnDef, DataType, Row, Schema, Table, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A SQL engine over an in-memory catalog, shareable across threads.
 ///
@@ -181,12 +185,12 @@ impl Engine {
 /// [`Session`]; holds no locks, so concurrent runtimes never contend.
 pub(crate) struct QueryRuntime {
     pub(crate) snap: CatalogSnapshot,
+    /// The session budgets, admission grant and cancel token, without a
+    /// timeout: each stage takes what is left of `deadline`.
     pub(crate) limits: ExecLimits,
     pub(crate) threads: u64,
-    /// The statement's wall-clock deadline (`limits.timeout` is what was
-    /// left of it when execution started; work that starts later, like the
-    /// populate-on-miss view build, re-derives its share from this).
-    pub(crate) deadline: Option<std::time::Instant>,
+    /// The statement's wall-clock deadline, fixed before admission.
+    pub(crate) deadline: Option<Instant>,
     /// The engine's lattice cache, when the session has `CUBE_CACHE ON`
     /// (`None` both when the option is off and for EXPLAIN, which must
     /// not touch traffic counters).
@@ -195,7 +199,8 @@ pub(crate) struct QueryRuntime {
 
 /// How one aggregate block maps onto the lattice cache, when it is
 /// eligible at all: the canonical base-column and call names the cache
-/// indexes views by ([`crate::cache::CubeCache`]).
+/// indexes views by ([`crate::cache::CubeCache`]). A block with a key is
+/// always answered from a view; one without runs the cube operator.
 struct CacheKey<'a> {
     cache: &'a CubeCache,
     table: &'a str,
@@ -346,9 +351,9 @@ impl QueryRuntime {
         }
     }
 
-    /// The aggregation pipeline over a bound block: widen → lookup-or-cube
-    /// (→ populate) → project. Each stage reads the plan; none re-derives
-    /// anything from the statement text.
+    /// The aggregation pipeline over a bound block: widen → view-or-cube →
+    /// project. Each stage reads the plan; none re-derives anything from
+    /// the statement text.
     fn exec_aggregate(
         &self,
         plan: &AggregatePlan,
@@ -356,17 +361,9 @@ impl QueryRuntime {
         input: Arc<Table>,
     ) -> SqlResult<(Table, Option<u32>)> {
         let working = self.widen(plan, input)?;
-        let key = self.cache_key(plan, sel);
-        let hit = key.as_ref().map(|key| self.lookup(plan, key));
-        let (mut cube, ancestor) = match hit.transpose()?.flatten() {
-            Some((answered, bits)) => (answered, Some(bits)),
-            None => {
-                let cube = self.cube(plan, &working)?;
-                if let Some(key) = &key {
-                    self.populate(plan, key, &working);
-                }
-                (cube, None)
-            }
+        let (mut cube, ancestor) = match self.cache_key(plan, sel) {
+            Some(key) => self.answer_from_view(plan, &key, &working)?,
+            None => (self.cube(plan, &working)?, None),
         };
         // Global aggregate over an empty table: SQL returns one row of
         // empty-set aggregates (COUNT = 0, SUM = NULL, ...).
@@ -407,14 +404,14 @@ impl QueryRuntime {
         Ok(Arc::new(widened))
     }
 
-    /// Decide whether this block can be served by (and feed) the lattice
-    /// cache. `None` disqualifies it: no cache attached, a join or WHERE
-    /// clause (cached views cover whole base tables only), computed
-    /// dimensions or aggregate arguments (views are keyed by base column
-    /// names), or an aggregate outside the rewrite-legal set (see
-    /// [`datacube::rewritable`]).
+    /// Decide whether this block is answered through the lattice cache.
+    /// `None` disqualifies it: no cache attached or the engine-wide switch
+    /// off, a join or WHERE clause (cached views cover whole base tables
+    /// only), computed dimensions or aggregate arguments (views are keyed
+    /// by base column names), or an aggregate outside the rewrite-legal set
+    /// (see [`datacube::rewritable`]).
     fn cache_key<'a>(&'a self, plan: &AggregatePlan, sel: &'a SelectStmt) -> Option<CacheKey<'a>> {
-        let cache = self.cache.as_deref()?;
+        let cache = self.cache.as_deref().filter(|c| c.is_enabled())?;
         let TableRef::Named(table) = &sel.from else {
             return None;
         };
@@ -437,32 +434,47 @@ impl QueryRuntime {
         })
     }
 
-    /// Ancestor rewrite: answer the plan's family from a materialized
-    /// subcube instead of the base rows, and say which one served.
-    fn lookup(&self, plan: &AggregatePlan, key: &CacheKey) -> SqlResult<Option<(Table, u32)>> {
-        let Some(hit) = (key.cache).lookup(key.table, key.version, &key.dims, &key.aggs)? else {
-            return Ok(None);
-        };
+    /// A cacheable block's answer, always folded out of a materialized view
+    /// by Iter_super: on a hit the smallest usable ancestor, which is
+    /// reported; on a miss the block's own core, grouped from the base (the
+    /// statement's one scan) under its plan and limits, then offered to the
+    /// cache. The offer is best-effort: a declined view still answers.
+    fn answer_from_view(
+        &self,
+        plan: &AggregatePlan,
+        key: &CacheKey,
+        base: &Table,
+    ) -> SqlResult<(Table, Option<u32>)> {
         let bpc = datacube::exec::estimate_bytes_per_cell(plan.dims.len(), plan.aggs.len());
-        let ctx = datacube::ExecContext::new(&self.limits, bpc);
+        let ctx = || ExecContext::new(&self.limits(), bpc);
+        let hit = (key.cache).lookup(key.table, key.version, &key.dims, &key.aggs)?;
+        let (view, dim_map, agg_map, ancestor) = match hit {
+            Some(hit) => (hit.view, hit.dim_map, hit.agg_map, Some(hit.ancestor_bits)),
+            None => {
+                let dims: Vec<Dimension> = key.dims.iter().map(Dimension::column).collect();
+                let aggs: Vec<AggSpec> = plan.aggs.iter().map(|a| a.spec.clone()).collect();
+                let built = CachedView::build_within(base, &dims, &aggs, self.algorithm(), &ctx())?;
+                let view = Arc::new(built);
+                let (names, calls) = (key.dims.clone(), key.aggs.clone());
+                let _ = (key.cache).populate(key.table, key.version, names, calls, view.clone());
+                let (n_dims, n_aggs) = (dims.len(), aggs.len());
+                (view, (0..n_dims).collect(), (0..n_aggs).collect(), None)
+            }
+        };
         let dim_names: Vec<&str> = plan.dims.iter().map(|d| &*d.dimension.name).collect();
         let agg_names: Vec<&str> = plan.aggs.iter().map(|a| &*a.spec.output).collect();
-        let answered = hit.view.answer(
-            &AncestorRequest {
-                dim_map: &hit.dim_map,
-                dim_names: &dim_names,
-                agg_map: &hit.agg_map,
-                agg_names: &agg_names,
-                sets: &plan.sets,
-            },
-            &ctx,
-        )?;
-        Ok(Some((answered, hit.ancestor_bits)))
+        let request = AncestorRequest {
+            dim_map: &dim_map,
+            dim_names: &dim_names,
+            agg_map: &agg_map,
+            agg_names: &agg_names,
+            sets: &plan.sets,
+        };
+        Ok((view.answer(&request, &ctx())?, ancestor))
     }
 
-    /// Run the cube operator over the plan's family. Session governance —
-    /// the effective limits (session budgets, the remaining deadline share,
-    /// the admission grant) and the thread count — applies to the run.
+    /// Run the cube operator over the plan's family, under the session's
+    /// governance and thread count.
     fn cube(&self, plan: &AggregatePlan, working: &Table) -> SqlResult<Table> {
         let sets: Vec<Vec<usize>> = plan.sets.iter().map(|s| s.dims()).collect();
         let query = plan
@@ -470,39 +482,19 @@ impl QueryRuntime {
             .iter()
             .fold(CubeQuery::new(), |q, a| q.aggregate(a.spec.clone()))
             .dimensions(plan.dims.iter().map(|d| d.dimension.clone()).collect())
-            .limits(self.limits.clone())
+            .limits(self.limits())
             .algorithm(self.algorithm());
         Ok(query.grouping_sets(working, &sets)?)
     }
 
-    /// Cache miss on an eligible block: materialize its finest grouping as
-    /// a new view for future ancestors. Best-effort — the build runs under
-    /// the statement's remaining deadline, cancel token and cell budget,
-    /// population is budget-gated, and neither's errors fail the query (the
-    /// cube's answer is already correct from the base scan).
-    fn populate(&self, plan: &AggregatePlan, key: &CacheKey, working: &Table) {
-        if !key.cache.is_enabled() {
-            return;
-        }
-        let vdims: Vec<Dimension> = key.dims.iter().map(Dimension::column).collect();
-        let vaggs: Vec<AggSpec> = plan
-            .aggs
-            .iter()
-            .map(|a| match &a.spec.input {
-                Some(col) => AggSpec::new(Arc::clone(&a.spec.func), &**col),
-                None => AggSpec::star(Arc::clone(&a.spec.func)),
-            })
-            .collect();
-        let mut limits = self.limits.clone();
-        if let Some(deadline) = self.deadline {
-            let left = deadline.saturating_duration_since(std::time::Instant::now());
-            limits = limits.timeout(left);
-        }
-        let bpc = datacube::exec::estimate_bytes_per_cell(vdims.len(), vaggs.len());
-        let ctx = datacube::ExecContext::new(&limits, bpc);
-        if let Ok(view) = datacube::CachedView::build_within(working, &vdims, &vaggs, &ctx) {
-            let (dims, aggs) = (key.dims.clone(), key.aggs.clone());
-            let _ = (key.cache).populate(key.table, key.version, dims, aggs, view);
+    /// The limits of a stage starting now (a cube, a view build, an
+    /// answer): its own cell count, and what is left of the statement's
+    /// one deadline, so every stage stops at the same instant.
+    fn limits(&self) -> ExecLimits {
+        let limits = self.limits.clone();
+        match self.deadline {
+            Some(d) => limits.timeout(d.saturating_duration_since(Instant::now())),
+            None => limits,
         }
     }
 

@@ -191,7 +191,7 @@ impl Session {
         let (deadline, permit) = self.admit(&estimate_cost(stmt, &snap), &opts)?;
         let runtime = QueryRuntime {
             snap,
-            limits: opts.limits(deadline, permit.granted_cells()),
+            limits: opts.limits(None, permit.granted_cells()),
             threads: opts.threads,
             deadline,
             cache: opts.cube_cache.then(|| Arc::clone(&self.cache)),

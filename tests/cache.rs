@@ -291,7 +291,9 @@ fn engine_counting_scans() -> (Engine, Arc<AtomicUsize>) {
 }
 
 /// A repeated dashboard statement is answered from the cached view: it
-/// scans zero base rows and says where its answer came from.
+/// scans zero base rows and says where its answer came from. The miss
+/// that built the view scanned the base once, like a cache-off run, and
+/// all three agree row for row.
 #[test]
 fn cache_hit_scans_no_base_rows() {
     let (engine, iter_calls) = engine_counting_scans();
@@ -300,7 +302,7 @@ fn cache_hit_scans_no_base_rows() {
     let first = session.execute(sql).unwrap();
     assert!(!session.last_admission().answered_from_cache);
     let scanned = iter_calls.load(Ordering::SeqCst);
-    assert!(scanned >= sales().len(), "the miss scans the base table");
+    assert_eq!(scanned, sales().len(), "the miss scans the base table once");
     for _ in 0..3 {
         let again = session.execute(sql).unwrap();
         assert_eq!(again.rows(), first.rows());
@@ -311,8 +313,30 @@ fn cache_hit_scans_no_base_rows() {
         scanned,
         "a hit scans nothing"
     );
+    let off = engine.session();
+    off.execute("SET CUBE_CACHE OFF").unwrap();
+    assert_eq!(off.execute(sql).unwrap().rows(), first.rows());
+    assert_eq!(iter_calls.load(Ordering::SeqCst), 2 * scanned);
     let counters = engine.cube_cache().counters();
     assert_eq!((counters.misses, counters.hits), (1, 3), "{counters:?}");
+}
+
+/// A cacheable miss builds its view and answers from it, each under its
+/// own cell count, so it fits exactly the `MAX_CELLS` the direct cube
+/// fits: the cube's cell count admits both, one cell less refuses both.
+#[test]
+fn a_cacheable_miss_fits_the_cell_budget_the_direct_cube_fits() {
+    let sql = "SELECT model, year, SUM(units) AS s FROM sales GROUP BY CUBE model, year";
+    let cells = engine_with_sales().execute(sql).unwrap().len() as i64;
+    for cache in ["ON", "OFF"] {
+        for (budget, fits) in [(cells, true), (cells - 1, false)] {
+            let engine = engine_with_sales();
+            engine.execute(&format!("SET CUBE_CACHE {cache}")).unwrap();
+            engine.set_option("MAX_CELLS", budget).unwrap();
+            let ok = engine.execute(sql).is_ok();
+            assert_eq!(ok, fits, "CUBE_CACHE {cache}, MAX_CELLS {budget}");
+        }
+    }
 }
 
 /// With the engine-wide switch off, a cache-eligible statement neither

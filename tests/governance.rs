@@ -561,22 +561,20 @@ fn cancellation_is_observed_inside_the_rle_scan() {
     }
 }
 
-/// The populate-on-miss view build runs under the statement's deadline:
-/// a build that cannot finish in what the query left of `TIMEOUT_MS` is
-/// dropped, and the already-answered query still returns its result.
+/// A cacheable miss answers from the view it builds, so that build is the
+/// statement's scan and runs under its deadline: a build that outlives
+/// `TIMEOUT_MS` fails the statement typed and installs nothing. Without
+/// the stall the same statement misses, populates, and then hits.
 #[test]
-fn view_build_past_the_statement_deadline_is_dropped_not_failed() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
+fn cacheable_miss_past_the_statement_deadline_fails_typed() {
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    let t = grid(4, 3);
-    let n_rows = t.len();
-    // The query's scan makes the first `n_rows` Iter() calls; the first
-    // call after that belongs to the view build, and stalls it past the
-    // deadline.
-    let calls = Arc::new(AtomicUsize::new(0));
-    let slow_after_query = UdaBuilder::new("SLOWSUM", AggKind::Algebraic, || 0i64)
+    // The first Iter() call stalls the build past the deadline; later
+    // ones do not.
+    let stall = Arc::new(AtomicBool::new(true));
+    let slow_once = UdaBuilder::new("SLOWSUM", AggKind::Algebraic, || 0i64)
         .iter(move |s, v| {
-            if calls.fetch_add(1, Ordering::SeqCst) == n_rows {
+            if stall.swap(false, Ordering::SeqCst) {
                 std::thread::sleep(Duration::from_millis(700));
             }
             *s += v.as_i64().unwrap_or(0);
@@ -587,20 +585,26 @@ fn view_build_past_the_statement_deadline_is_dropped_not_failed() {
         .build()
         .unwrap();
     let mut engine = dc_sql::Engine::new();
-    engine.register_table("g", t).unwrap();
-    engine.register_aggregate(slow_after_query).unwrap();
+    engine.register_table("g", grid(4, 3)).unwrap();
+    engine.register_aggregate(slow_once).unwrap();
     engine.execute("SET TIMEOUT_MS = 500").unwrap();
-    let out = engine
-        .execute("SELECT x, SLOWSUM(units) AS s FROM g GROUP BY x")
-        .unwrap();
-    assert_eq!(out.len(), 4, "the query itself met its deadline");
-    let counters = engine.cube_cache().counters();
-    assert_eq!(counters.misses, 1, "the statement was cache-eligible");
-    assert_eq!(
-        (counters.entries, counters.cells),
-        (0, 0),
-        "no view installed"
-    );
+    let sql = "SELECT x, SLOWSUM(units) AS s FROM g GROUP BY x";
+    match engine.execute(sql).unwrap_err() {
+        dc_sql::SqlError::Cube(CubeError::ResourceExhausted {
+            resource: Resource::TimeMs,
+            ..
+        }) => {}
+        other => panic!("expected ResourceExhausted(TimeMs), got {other:?}"),
+    }
+    let c = engine.cube_cache().counters();
+    assert_eq!((c.misses, c.entries, c.cells), (1, 0, 0), "{c:?}");
+
+    let miss = engine.execute(sql).unwrap();
+    assert_eq!(miss.len(), 4);
+    let c = engine.cube_cache().counters();
+    assert_eq!((c.misses, c.hits, c.entries), (2, 0, 1), "{c:?}");
+    assert_eq!(engine.execute(sql).unwrap().rows(), miss.rows());
+    assert_eq!(engine.cube_cache().counters().hits, 1);
 }
 
 // ------------------------------------------------- fault injection ----
@@ -1110,9 +1114,9 @@ mod faults_suite {
         });
     }
 
-    /// The rewrite failpoint fires only on a cache hit, so populate the
-    /// view first; both fault flavours stay typed and the cached view
-    /// still answers after disarm.
+    /// The rewrite failpoint fires in every answer from a view; populate
+    /// the view first so the faulted runs are hits. Both fault flavours
+    /// stay typed and the cached view still answers after disarm.
     #[test]
     fn cache_rewrite_faults_yield_only_typed_errors() {
         let engine = service_engine(dc_sql::ServiceConfig::default());
