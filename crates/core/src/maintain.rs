@@ -140,13 +140,15 @@ impl MaintainStats {
 
 /// A buffer of pending inserts and deletes — the unit of maintenance
 /// work. Accumulate changes with [`DeltaBatch::insert`] /
-/// [`DeltaBatch::delete`], then fold the whole batch into a cube with
-/// [`MaterializedCube::apply`].
+/// [`DeltaBatch::delete`] (or take them whole with [`DeltaBatch::of`]),
+/// then fold the whole batch into a cube with [`MaterializedCube::apply`]
+/// or into a copy of a view with [`MaterializedCube::absorb_batch`].
 ///
 /// Semantics: a batch is an *unordered multiset delta*. An insert and a
-/// delete of the same row value inside one batch annihilate; surviving
-/// deletes must match rows of the pre-batch base (multiset containment) or
-/// the whole batch is rejected before any state changes.
+/// delete of the same row value inside one batch annihilate; on a store
+/// that keeps its base, surviving deletes must match rows of the
+/// pre-batch base (multiset containment) or the whole batch is rejected
+/// before any state changes.
 #[derive(Default)]
 pub struct DeltaBatch {
     inserts: Vec<Row>,
@@ -158,8 +160,8 @@ impl DeltaBatch {
         DeltaBatch::default()
     }
 
-    /// A batch of rows taken as they are; `apply` validates them.
-    fn of(inserts: Vec<Row>, deletes: Vec<Row>) -> Self {
+    /// A batch of rows taken as they are; folding it validates them.
+    pub fn of(inserts: Vec<Row>, deletes: Vec<Row>) -> Self {
         DeltaBatch { inserts, deletes }
     }
 
@@ -445,8 +447,17 @@ impl<K: PackedKey, C: Stored> Nodes<K, C> {
         }
 
         // The delete-holistic path: each cell rebuilt once, from the rows
-        // that stay in the base and the inserts.
+        // that stay in the base and the inserts. A store without its base
+        // has no rows to rebuild from (`live()` would hold only the
+        // inserts), so the whole batch is refused instead.
         if !rebuild.is_empty() {
+            if !cube.keeps_base {
+                return Err(CubeError::Unsupported(
+                    "this store keeps no base rows to recompute a cell from \
+                     (a deleted MIN/MAX champion, a non-finite value)"
+                        .into(),
+                ));
+            }
             exec::failpoint("maintain::recompute")?;
             let live: Vec<&Row> = b.live().collect();
             let live_keys = self
@@ -590,7 +601,8 @@ pub struct MaterializedCube {
     /// Every aggregate supports Iter_super, so a batch folds into the
     /// cells. When false, a batch re-groups the store from the base.
     all_mergeable: bool,
-    /// Whether `State::base` holds the base rows (deletes and
+    /// Whether `State::base` holds the base rows (resolving deletes,
+    /// recomputing a cell a delete leaves without its champion, and
     /// non-mergeable aggregates need them; a cache view does not pay for
     /// them).
     keeps_base: bool,
@@ -862,12 +874,25 @@ impl MaterializedCube {
         self.answer(&req, &ExecContext::unlimited())
     }
 
-    /// The store `delta`'s rows would have produced had they been in the
-    /// table all along, as a *new* store: it shares the cells until the
-    /// insert-only batch folds into a copy of them, so a reader holding
-    /// the old `Arc` keeps its snapshot. Deletes are not absorbed this way
-    /// — callers holding a base-less view invalidate it instead.
+    /// [`MaterializedCube::absorb_batch`] of an insert-only batch: `delta`'s
+    /// rows.
     pub fn absorb(&self, delta: &Table) -> CubeResult<Self> {
+        self.absorb_batch(&DeltaBatch::of(delta.rows().to_vec(), Vec::new()))
+    }
+
+    /// The store `batch` would leave, as a *new* store: it shares the
+    /// cells until the batch folds into a copy of them, so a reader holding
+    /// the old `Arc` keeps its snapshot.
+    ///
+    /// Deletes retract cell by cell, and the support lane drops a cell
+    /// with its last row. On a store that keeps no base (a cache view) the
+    /// caller vouches that every deleted row is among the rows the store
+    /// summarizes — the SQL catalog does, for the version the view
+    /// reflects — so deletes are not resolved against a base. Such a store
+    /// has no rows to recompute a cell from: a batch that needs one (a
+    /// deleted MIN/MAX champion, a non-finite float) is
+    /// [`CubeError::Unsupported`], and this store is unchanged.
+    pub fn absorb_batch(&self, batch: &DeltaBatch) -> CubeResult<Self> {
         exec::failpoint("cache::absorb")?;
         let state = self.store.read();
         let copy = MaterializedCube {
@@ -889,7 +914,7 @@ impl MaterializedCube {
         };
         drop(state);
         let ctx = ExecContext::unlimited();
-        copy.apply(&DeltaBatch::of(delta.rows().to_vec(), Vec::new()), &ctx)?;
+        exec::guard("maintain", || copy.apply_inner(batch, &ctx, true)).and_then(|r| r)?;
         Ok(copy)
     }
 
@@ -922,13 +947,15 @@ impl MaterializedCube {
     /// pre-batch state and version. The panic guard wraps the whole fold,
     /// so a panicking user-defined aggregate surfaces as a typed
     /// [`CubeError::AggPanicked`], never an unwind into the caller. A
-    /// batch that needs base rows (it deletes) on a store that keeps none
-    /// is [`CubeError::Unsupported`].
+    /// batch that deletes, on a store that keeps no base rows to resolve
+    /// the deletes against, is [`CubeError::Unsupported`].
     pub fn apply(&self, batch: &DeltaBatch, ctx: &ExecContext) -> CubeResult<()> {
-        exec::guard("maintain", || self.apply_inner(batch, ctx)).and_then(|r| r)
+        exec::guard("maintain", || self.apply_inner(batch, ctx, false)).and_then(|r| r)
     }
 
-    fn apply_inner(&self, batch: &DeltaBatch, ctx: &ExecContext) -> CubeResult<()> {
+    /// `vouched`: the caller guarantees the batch's deletes are among the
+    /// summarized rows, so a store without its base folds them unresolved.
+    fn apply_inner(&self, batch: &DeltaBatch, ctx: &ExecContext, vouched: bool) -> CubeResult<()> {
         if batch.is_empty() {
             return Ok(());
         }
@@ -943,9 +970,10 @@ impl MaterializedCube {
             ..MaintainStats::default()
         };
 
-        // Deletes retract and may rebuild from base; non-mergeable
-        // aggregates rebuild on any touch. Both need the base rows.
-        if (!del.is_empty() || !self.all_mergeable) && !self.keeps_base {
+        // Deletes are resolved against the base unless vouched for;
+        // non-mergeable aggregates rebuild on any touch. Both need the base
+        // rows.
+        if ((!del.is_empty() && !vouched) || !self.all_mergeable) && !self.keeps_base {
             return Err(CubeError::Unsupported(
                 "this store keeps no base rows, so it cannot apply deletes".into(),
             ));
@@ -959,7 +987,7 @@ impl MaterializedCube {
         // anything: a batch with an unmatched delete is rejected whole.
         // `deleted[i]`: base row `i` leaves with this batch.
         let mut deleted: Vec<bool> = Vec::new();
-        if !del.is_empty() {
+        if !del.is_empty() && self.keeps_base {
             let mut positions: FxHashMap<&Row, Vec<usize>> = FxHashMap::default();
             for (i, brow) in state.base.iter().enumerate() {
                 ctx.tick(i)?;
@@ -1921,6 +1949,69 @@ mod view_tests {
         assert!(matches!(err, CubeError::Unsupported(_)), "got {err}");
         assert_eq!(view.to_table().unwrap(), before);
         assert_eq!((view.version(), view.base_row_count()), (0, 5));
+    }
+
+    /// A view folds a vouched delete batch cell by cell: the result equals
+    /// a build over the table the batch leaves, the cell whose last row
+    /// leaves is dropped, and the view it was absorbed from is unchanged.
+    #[test]
+    fn absorb_batch_retracts_like_a_rebuild_over_the_difference() {
+        let t = sales();
+        let view = CachedView::build(&t, &dims(&["model", "year"]), &specs()).unwrap();
+        let before = view.to_table().unwrap();
+        let batch = DeltaBatch::of(
+            vec![row!["Dodge", 2001, 7]],
+            vec![row!["Chevy", 1994, 50], row!["Ford", 1994, 60]],
+        );
+        let absorbed = view.absorb_batch(&batch).unwrap();
+
+        let left = vec![
+            row!["Chevy", 1994, 40],
+            row!["Chevy", 1995, 85],
+            row!["Ford", Value::Null, 10],
+            row!["Dodge", 2001, 7],
+        ];
+        let left = Table::new(t.schema().clone(), left).unwrap();
+        let rebuilt = CachedView::build(&left, &dims(&["model", "year"]), &specs()).unwrap();
+        let sets = crate::lattice::cube_sets(2).unwrap();
+        let ctx = ExecContext::unlimited();
+        assert_eq!(
+            absorbed.answer(&full_request(&sets), &ctx).unwrap().rows(),
+            rebuilt.answer(&full_request(&sets), &ctx).unwrap().rows()
+        );
+        // (Ford, 1994) lost its only row; (Dodge, 2001) is new.
+        assert_eq!((absorbed.cell_count(), view.cell_count()), (4, 4));
+        assert_eq!((absorbed.base_row_count(), absorbed.version()), (4, 3));
+        assert_eq!(view.to_table().unwrap(), before);
+    }
+
+    /// A base-less store cannot recompute a MAX whose champion leaves: the
+    /// batch is refused whole, its SUM retraction and insert included,
+    /// and the store's cells, rows and version stay as they were. A delete
+    /// that leaves every champion in place folds.
+    #[test]
+    fn a_base_less_champion_delete_is_unsupported_and_changes_nothing() {
+        let t = sales();
+        let specs = vec![
+            AggSpec::new(builtin("SUM").unwrap(), "units").with_name("s"),
+            AggSpec::new(builtin("MAX").unwrap(), "units").with_name("m"),
+        ];
+        let view = CachedView::build(&t, &dims(&["model", "year"]), &specs).unwrap();
+        let before = view.to_table().unwrap();
+        let champion = DeltaBatch::of(vec![row!["Dodge", 2001, 7]], vec![row!["Chevy", 1994, 50]]);
+        let err = view.absorb_batch(&champion).unwrap_err();
+        assert!(matches!(err, CubeError::Unsupported(_)), "got {err}");
+        assert_eq!(view.to_table().unwrap(), before);
+        assert_eq!((view.version(), view.base_row_count()), (0, 5));
+        assert_eq!((view.cell_count(), view.stats().cells_recomputed), (4, 0));
+
+        let loser = DeltaBatch::of(Vec::new(), vec![row!["Chevy", 1994, 40]]);
+        let absorbed = view.absorb_batch(&loser).unwrap();
+        let total = absorbed.answer_sets(&[GroupingSet::EMPTY]).unwrap();
+        assert_eq!(
+            total.rows()[0].values()[2..],
+            [Value::Int(205), Value::Int(85)]
+        );
     }
 
     #[test]

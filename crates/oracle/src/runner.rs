@@ -340,7 +340,8 @@ fn maintenance_replay(case: &Case) -> Replay {
 /// live rows (including NULL- and NaN-keyed ones), inserts mix fresh rows
 /// with duplicates of existing keys to stress support counting. On the
 /// [`FRESH_EVERY`] subset the store starts from one row and its
-/// dictionary grows.
+/// dictionary grows. The same batches also feed a base-less view
+/// ([`check_view_maintenance`]).
 fn check_maintenance(case: &Case) -> Result<(), String> {
     let (dims, specs) = (case_dims(case), case_specs(case));
     let raw_sets = family(case, &dims).map_err(|e| format!("maintenance axis: {e}"))?;
@@ -350,6 +351,7 @@ fn check_maintenance(case: &Case) -> Result<(), String> {
         Lattice::new(case.n_dims, raw_sets).map_err(|e| format!("maintenance axis: {e}"))?;
     let set_dims: Vec<Vec<usize>> = lattice.sets().iter().map(|s| s.dims()).collect();
     let replay = maintenance_replay(case);
+    check_view_maintenance(case, &replay)?;
     let schema = case.table.schema();
     let initial = Table::new(schema.clone(), replay.initial)
         .map_err(|e| format!("maintenance axis: initial table: {e}"))?;
@@ -400,6 +402,85 @@ fn check_maintenance(case: &Case) -> Result<(), String> {
     Ok(())
 }
 
+/// The maintenance axis's base-less half, the SQL cache's path: a
+/// `CachedView` over the replay's first rows absorbs the same batches
+/// through [`CachedView::absorb_batch`], its deletes vouched for, as the
+/// catalog vouches for a statement's. After each batch the view must
+/// answer the case's family as the model does over the shadow table, or
+/// refuse with `Unsupported` (a cell it cannot recompute without base
+/// rows) and still answer exactly as before the batch. A refused view is
+/// rebuilt over the shadow, as the cache's next miss would rebuild it.
+/// Returns how many batches that delete were absorbed, and how many
+/// were refused.
+fn check_view_maintenance(case: &Case, replay: &Replay) -> Result<(usize, usize), String> {
+    let (dims, specs) = (case_dims(case), case_specs(case));
+    if !specs.iter().all(|s| rewritable(&s.func)) {
+        return Ok((0, 0)); // the cache axis checks that such a view is refused
+    }
+    let axis = |e: CubeError| format!("view maintenance axis: {e}");
+    let sets = family(case, &dims).map_err(axis)?;
+    let dim_map: Vec<usize> = (0..case.n_dims).collect();
+    let dim_names: Vec<String> = (0..case.n_dims).map(|d| format!("d{d}")).collect();
+    let dim_name_refs: Vec<&str> = dim_names.iter().map(String::as_str).collect();
+    let agg_map: Vec<usize> = (0..specs.len()).collect();
+    let agg_names: Vec<&str> = specs.iter().map(|s| &*s.output).collect();
+    let request = AncestorRequest {
+        dim_map: &dim_map,
+        dim_names: &dim_name_refs,
+        agg_map: &agg_map,
+        agg_names: &agg_names,
+        sets: &sets,
+    };
+    let ctx = ExecContext::unlimited();
+    let table = |rows: &[Row]| Table::new(case.table.schema().clone(), rows.to_vec());
+    let build = |rows: &[Row]| {
+        let table = table(rows).map_err(|e| format!("view maintenance axis: table: {e}"))?;
+        CachedView::build(&table, &dims, &specs).map_err(axis)
+    };
+    let mut shadow = replay.initial.clone();
+    let mut view = build(&shadow)?;
+    let (mut retracted, mut refused) = (0, 0);
+    for (i, (ins, del)) in replay.batches.iter().enumerate() {
+        // A batch may delete a row it inserts: inserts land first.
+        shadow.extend(ins.iter().cloned());
+        for row in del {
+            let at = shadow.iter().position(|r| r == row);
+            let at = at.ok_or_else(|| format!("view maintenance axis: {row} not live"))?;
+            shadow.swap_remove(at);
+        }
+        let before = view.answer(&request, &ctx).map_err(axis)?;
+        match view.absorb_batch(&DeltaBatch::of(ins.clone(), del.clone())) {
+            Ok(absorbed) => {
+                let shadow_case = Case {
+                    seed: case.seed,
+                    table: table(&shadow).map_err(|e| format!("view maintenance axis: {e}"))?,
+                    n_dims: case.n_dims,
+                    query: case.query.clone(),
+                    aggs: case.aggs.clone(),
+                    gov: Gov::None,
+                };
+                let (names, expected) = model_result(&shadow_case);
+                let got = absorbed.answer(&request, &ctx).map_err(axis)?;
+                diff_tables(&names, &expected, &got, case.n_dims)
+                    .map_err(|m| format!("view maintenance axis: batch {i}: {m}"))?;
+                view = absorbed;
+                retracted += usize::from(!del.is_empty());
+            }
+            Err(CubeError::Unsupported(_)) => {
+                if view.answer(&request, &ctx).map_err(axis)? != before {
+                    return Err(format!(
+                        "view maintenance axis: batch {i} was refused but moved the view"
+                    ));
+                }
+                view = build(&shadow)?;
+                refused += 1;
+            }
+            Err(e) => return Err(format!("view maintenance axis: batch {i}: {e}")),
+        }
+    }
+    Ok((retracted, refused))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,6 +522,20 @@ mod tests {
             let answered = reached.filter(agrees).count();
             assert!(answered >= 5, "{which:?} answered {answered} smoke cases");
         }
+    }
+
+    /// The 200-seed smoke's base-less maintenance sub-axis is not vacuous:
+    /// views absorb many batches that delete, and refuse some (a deleted
+    /// MIN/MAX champion, a non-finite float) without moving.
+    #[test]
+    fn the_smoke_retracts_into_views_and_refuses_some() {
+        let (mut retracted, mut refused) = (0, 0);
+        for case in (0..200u64).map(|i| crate::gen_case(0xDA7A_C0BE + i)) {
+            let (r, f) = check_view_maintenance(&case, &maintenance_replay(&case)).unwrap();
+            (retracted, refused) = (retracted + r, refused + f);
+        }
+        assert!(retracted >= 100, "{retracted} delete batches absorbed");
+        assert!(refused >= 20, "{refused} batches refused");
     }
 
     /// Field widths as `datacube`'s encoder lays them out: bits for the

@@ -149,9 +149,11 @@ fn ask(conn: &mut TcpStream, sql: &str) -> Result<Response, String> {
     wire::request(conn, sql).map_err(|e| format!("request failed: {e}"))
 }
 
-/// A cacheable CUBE over the wire: its miss, its hit and its
-/// `SET CUBE_CACHE OFF` reply must match row for row. Served unbudgeted,
-/// because the main smoke's budget sheds every CUBE.
+/// A cacheable CUBE over the wire: its miss and its hit must match row
+/// for row; after a DELETE of one model, the next read must be a hit (the
+/// view retracts the deleted rows) and match the `SET CUBE_CACHE OFF`
+/// reply row for row. Served unbudgeted, because the main smoke's budget
+/// sheds every CUBE.
 fn cache_smoke() -> Result<(), String> {
     const CUBE: &str =
         "SELECT model, year, SUM(units) AS total FROM Sales GROUP BY CUBE model, year";
@@ -161,24 +163,36 @@ fn cache_smoke() -> Result<(), String> {
     let mut conn = TcpStream::connect(handle.local_addr()).map_err(|e| format!("connect: {e}"))?;
     let miss = ask(&mut conn, CUBE)?;
     let hit = ask(&mut conn, CUBE)?;
+    let deleted = ask(&mut conn, "DELETE FROM Sales WHERE model = 'Ford'")?;
+    expect_table(&deleted, "delete one model")?;
+    let retracted = ask(&mut conn, CUBE)?;
     expect_table(&ask(&mut conn, "SET CUBE_CACHE OFF")?, "set cube_cache off")?;
     let off = ask(&mut conn, CUBE)?;
     drop(conn);
     handle.shutdown();
     let c = engine.cube_cache().counters();
-    if (c.misses, c.hits) != (1, 1) {
+    if (c.misses, c.hits) != (1, 2) {
         return Err(format!(
-            "cube cache: expected one miss then one hit, got {c:?}"
+            "cube cache: expected one miss then two hits (the second after the DELETE), \
+             got {c:?}"
         ));
     }
     let rows = table_rows(&miss, "cube miss")?;
     if rows.len() != 9 {
         return Err(format!("cube miss: expected 9 rows, got {}", rows.len()));
     }
-    for (reply, what) in [(&hit, "cube hit"), (&off, "cube with the cache off")] {
-        if table_rows(reply, what)? != rows {
-            return Err(format!("{what}: rows differ from the miss's"));
-        }
+    if table_rows(&hit, "cube hit")? != rows {
+        return Err("cube hit: rows differ from the miss's".into());
+    }
+    let rows = table_rows(&retracted, "cube hit after the delete")?;
+    if rows.len() != 6 {
+        return Err(format!(
+            "cube hit after the delete: expected 6 rows, got {}",
+            rows.len()
+        ));
+    }
+    if table_rows(&off, "cube with the cache off")? != rows {
+        return Err("cube hit after the delete: rows differ from the cache-off reply".into());
     }
     Ok(())
 }
@@ -236,8 +250,9 @@ fn smoke() -> Result<(), String> {
     let resp = ask(&mut conn, "SELECT COUNT(*) AS n FROM Sales GROUP BY model")?;
     expect_table(&resp, "post-error query")?;
 
-    // 5. A cacheable CUBE answers alike from its miss, its hit and with
-    //    the cache off.
+    // 5. A cacheable CUBE answers alike from its miss and its hit, and
+    //    after a DELETE alike from its retracted view and with the cache
+    //    off.
     cache_smoke()?;
 
     // 6. The write path works over the wire: INSERT a batch, read the
@@ -286,7 +301,7 @@ fn smoke() -> Result<(), String> {
     handle.shutdown();
     eprintln!(
         "dc_serve --smoke: OK (cheap lane served, cube shed typed, errors survived, \
-         cache miss, hit and off agreed, insert/delete round-tripped, \
+         cache miss, hit, post-delete hit and off agreed, insert/delete round-tripped, \
          {STALL_PROBE_STATEMENTS} statements in {took:?})"
     );
     Ok(())

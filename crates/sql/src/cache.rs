@@ -23,13 +23,13 @@
 //! Invalidation is by construction: entries are keyed by
 //! `(table, catalog version)`, and every republish bumps the version, so
 //! a republished table can never be served stale cells. The catalog's
-//! one publish path then calls [`CubeCache::apply_delta`] or
-//! [`CubeCache::invalidate_table`], which drops the dead entries eagerly
-//! to return their reservation.
+//! one publish path then calls [`CubeCache::apply_delta`], which folds a
+//! statement's inserts and deletes into the entries and re-keys them, or
+//! [`CubeCache::invalidate_table`] for a whole-table replace; both drop
+//! the dead entries eagerly to return their reservation.
 
 use crate::admission::{failpoint, AdmissionController, Counter};
-use datacube::{CachedView, CubeResult, GroupingSet};
-use dc_relation::Table;
+use datacube::{CachedView, CubeResult, DeltaBatch, GroupingSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -172,17 +172,20 @@ impl CubeCache {
         });
     }
 
-    /// Fold a batch of freshly inserted rows into every retained view of
-    /// `table` instead of invalidating them — §6's insert path applied to
-    /// the cache. `new_version` is the catalog version the insert
-    /// republished; entries at `new_version - 1` absorb the delta by
-    /// Iter_super merge and are re-keyed to `new_version`, so the very
-    /// next read hits warm. Anything that cannot absorb — an older
-    /// version, an absorb error (injected fault, panicking UDA), or a
-    /// grown view the admission pool cannot cover — falls back to
-    /// version-bump invalidation: the entry is dropped and its
-    /// reservation returned.
-    pub fn apply_delta(&self, table: &str, new_version: u64, delta: &Table) {
+    /// Fold one statement's batch — inserted rows, deleted rows, or both
+    /// for an UPDATE — into every retained view of `table` instead of
+    /// invalidating them: §6's maintenance applied to the cache.
+    /// `new_version` is the catalog version the statement published;
+    /// entries at `new_version - 1` reflect exactly the rows the statement
+    /// saw, so its deletes are among theirs. They absorb the batch (inserts
+    /// merged by Iter_super, deletes retracted cell by cell) and are
+    /// re-keyed to `new_version`, so the very next read hits warm; a view
+    /// that shrinks returns the cells it no longer pins. Anything else is
+    /// dropped and its reservation returned: an entry at another version,
+    /// or one that cannot absorb — a deleted MIN/MAX champion, an absorb
+    /// error (injected fault, panicking UDA), or a grown view the admission
+    /// pool cannot cover.
+    pub fn apply_delta(&self, table: &str, new_version: u64, delta: &DeltaBatch) {
         if !self.is_enabled() {
             return;
         }
@@ -203,8 +206,9 @@ impl CubeCache {
             // Absorb under the panic guard: a UDA bomb (or injected
             // fault) in the merge degrades to invalidation of this entry,
             // never to failing the already-committed write.
-            let absorbed = datacube::exec::guard("cache::absorb", || entries[i].view.absorb(delta))
-                .and_then(|r| r);
+            let view = &entries[i].view;
+            let absorbed =
+                datacube::exec::guard("cache::absorb", || view.absorb_batch(delta)).and_then(|r| r);
             match absorbed {
                 Ok(absorbed) => {
                     let new_cells = absorbed.cell_count().max(1);
@@ -236,7 +240,10 @@ impl CubeCache {
     /// Find the minimum-cardinality materialized ancestor able to answer
     /// a query over `dims`/`aggs` against `(table, version)`. Records the
     /// hit in the entry's traffic (feeding later eviction decisions) and
-    /// garbage-collects entries for older versions of the same table.
+    /// garbage-collects entries older than `version - 1` of the same
+    /// table. An entry at `version - 1` is spared: the publish that made
+    /// `version` may not have reached [`CubeCache::apply_delta`] yet, and
+    /// that call re-keys or drops it.
     pub fn lookup(
         &self,
         table: &str,
@@ -251,9 +258,10 @@ impl CubeCache {
         let key = table.to_uppercase();
         let mut entries = self.lock();
         // Versions are monotone: anything older than the snapshot we are
-        // serving is dead weight holding budget.
+        // serving, and past the reach of its publish, is dead weight
+        // holding budget.
         entries.retain(|e| {
-            if e.table == key && e.version < version {
+            if e.table == key && e.version < version.saturating_sub(1) {
                 self.admission.release_cache_cells(e.cells);
                 false
             } else {
@@ -454,9 +462,49 @@ mod tests {
         cache
             .populate("t", 1, d.clone(), a.clone(), view_over(&["model"]))
             .unwrap();
-        assert!(cache.lookup("t", 2, &d, &a).unwrap().is_none());
-        // The stale v1 entry was garbage-collected by the v2 lookup.
+        assert!(cache.lookup("t", 3, &d, &a).unwrap().is_none());
+        // The stale v1 entry was garbage-collected by the v3 lookup.
         assert_eq!(cache.counters().entries, 0);
+    }
+
+    /// A reader whose snapshot lands between a publish's catalog swap and
+    /// its `apply_delta` misses, but spares the entry the publish is about
+    /// to re-key: once the delta lands, the same lookup hits.
+    #[test]
+    fn lookup_spares_the_entry_a_publish_is_about_to_rekey() {
+        let cache = unlimited_cache();
+        let (d, a) = keys(&["model"]);
+        cache
+            .populate("t", 1, d.clone(), a.clone(), view_over(&["model"]))
+            .unwrap();
+        assert!(cache.lookup("t", 2, &d, &a).unwrap().is_none());
+        let delta = DeltaBatch::of(vec![], vec![row!["Ford", 1994, 60]]);
+        cache.apply_delta("t", 2, &delta);
+        let hit = cache.lookup("t", 2, &d, &a).unwrap().unwrap();
+        assert_eq!(hit.view.base_row_count(), 2);
+    }
+
+    /// A delete batch re-keys the entry instead of dropping it, and the
+    /// cells its emptied cells pinned go back to the admission pool.
+    #[test]
+    fn apply_delta_retracts_deletes_and_returns_emptied_cells() {
+        let ctrl = AdmissionController::new(ServiceConfig {
+            global_cells: 3,
+            ..ServiceConfig::default()
+        });
+        let cache = CubeCache::new(Arc::clone(&ctrl));
+        let (d, a) = keys(&["model", "year"]);
+        cache
+            .populate("t", 1, d.clone(), a.clone(), view_over(&["model", "year"]))
+            .unwrap();
+        assert!(!ctrl.try_reserve_cache_cells(1), "the view pins the pool");
+        let delta = DeltaBatch::of(vec![], vec![row!["Ford", 1994, 60]]);
+        cache.apply_delta("t", 2, &delta);
+        let hit = cache.lookup("t", 2, &d, &a).unwrap().unwrap();
+        assert_eq!((hit.view.cell_count(), hit.view.base_row_count()), (2, 2));
+        assert_eq!(cache.counters().cells, 2);
+        assert!(ctrl.try_reserve_cache_cells(1), "the emptied cell's share");
+        assert!(!ctrl.try_reserve_cache_cells(1));
     }
 
     #[test]
@@ -525,11 +573,10 @@ mod tests {
         cache
             .populate("t", 1, d.clone(), a.clone(), view_over(&["model"]))
             .unwrap();
-        let delta = Table::new(
-            sales().schema().clone(),
+        let delta = DeltaBatch::of(
             vec![row!["Dodge", 2000, 7], row!["Chevy", 1994, 15]],
-        )
-        .unwrap();
+            vec![],
+        );
         cache.apply_delta("t", 2, &delta);
         // The entry followed the version bump by absorbing the batch: a
         // new cell for Dodge, a merged cell for Chevy, no invalidation.
@@ -552,7 +599,7 @@ mod tests {
         cache
             .populate("t", 1, d.clone(), a.clone(), view_over(&["model"]))
             .unwrap();
-        let delta = Table::new(sales().schema().clone(), vec![row!["Dodge", 2000, 7]]).unwrap();
+        let delta = DeltaBatch::of(vec![row!["Dodge", 2000, 7]], vec![]);
         cache.apply_delta("t", 2, &delta);
         assert!(cache.lookup("t", 2, &d, &a).unwrap().is_none());
         // The reservation was returned with the entry.

@@ -20,6 +20,7 @@
 use crate::cache::CubeCache;
 use crate::error::{SqlError, SqlResult};
 use crate::scalar::{self, ScalarFn, ScalarRegistry};
+use datacube::DeltaBatch;
 use dc_aggregate::{AggRef, Registry};
 use dc_relation::Table;
 use std::collections::HashMap;
@@ -184,8 +185,10 @@ impl SharedCatalog {
 
     /// The one way a table gets a new version: swap `image` in (only if
     /// the version is still `expected`, when given), then tell `cache`.
-    /// A pure insert passes its rows as `delta` and retained views absorb
-    /// them (§6); anything else invalidates the table's views. The write
+    /// A statement passes the rows it inserted and deleted as `delta`, and
+    /// the views retained for `expected` absorb them (§6): the catalog
+    /// vouches that the deleted rows were in that version. A whole-table
+    /// replace passes none and invalidates the table's views. The write
     /// lock is held for the swap only, so the cache's lock is never taken
     /// under it. `Ok(None)` is a lost race: nothing changed.
     pub(crate) fn publish(
@@ -194,7 +197,7 @@ impl SharedCatalog {
         table: &str,
         expected: Option<u64>,
         image: Table,
-        delta: Option<&Table>,
+        delta: Option<&DeltaBatch>,
     ) -> SqlResult<Option<u64>> {
         let swapped = self.write().replace_if_version(table, expected, image)?;
         if let Some(version) = swapped {
@@ -291,7 +294,7 @@ mod tests {
         };
         populate(1);
         let grown = || Table::new(small().schema().clone(), vec![row![1], row![2], row![3]]);
-        let delta = Table::new(small().schema().clone(), vec![row![3]]).unwrap();
+        let delta = DeltaBatch::of(vec![row![3]], Vec::new());
 
         // A lost CAS changes nothing: version, entry and counters stay.
         let before = cache.counters();
@@ -307,11 +310,18 @@ mod tests {
         assert_eq!(hit.view.cell_count(), 3);
         assert_eq!(cache.counters().hits, before.hits + 1);
 
-        // A won DELETE invalidates: the table's entries are gone.
-        let deleted = shared.publish(&cache, "t", Some(2), small(), None).unwrap();
-        assert_eq!(deleted, Some(3));
+        // A won DELETE retracts: the next read hits, one cell fewer.
+        let retract = DeltaBatch::of(Vec::new(), vec![row![3]]);
+        let deleted = shared.publish(&cache, "t", Some(2), small(), Some(&retract));
+        assert_eq!(deleted.unwrap(), Some(3));
+        let hit = cache.lookup("t", 3, &dims, &aggs).unwrap().unwrap();
+        assert_eq!(hit.view.cell_count(), 2);
+
+        // A whole-table replace invalidates: the table's entries are gone.
+        let replaced = shared.publish(&cache, "t", None, small(), None).unwrap();
+        assert_eq!(replaced, Some(4));
         assert_eq!(cache.counters().entries, 0);
-        assert!(cache.lookup("t", 3, &dims, &aggs).unwrap().is_none());
+        assert!(cache.lookup("t", 4, &dims, &aggs).unwrap().is_none());
     }
 
     /// An aggregate whose `name()` reads the catalog it is registered in.

@@ -1063,8 +1063,13 @@ mod tests {
             .is_err());
     }
 
+    /// A cached view stays warm through writes: an INSERT's rows merge
+    /// into it and a DELETE's rows retract from it, so each next read is a
+    /// hit at the new version. A MAX view whose champion is deleted cannot
+    /// be retracted into; it alone is invalidated, and the SUM view beside
+    /// it stays warm.
     #[test]
-    fn insert_absorbs_into_cached_views_delete_invalidates() {
+    fn writes_fold_into_cached_views_and_a_max_champion_delete_invalidates() {
         let engine = Engine::with_service(crate::ServiceConfig::default());
         let schema = Schema::from_pairs(&[
             ("model", DataType::Str),
@@ -1080,9 +1085,14 @@ mod tests {
 
         let session = engine.session();
         let q = "SELECT model, year, SUM(units) AS s FROM sales GROUP BY CUBE model, year";
+        let max = "SELECT model, year, MAX(units) AS m FROM sales GROUP BY CUBE model, year";
         session.execute(q).unwrap(); // miss + populate
         session.execute(q).unwrap();
         assert!(session.last_admission().answered_from_cache);
+        let total = |t: &Table| {
+            let apex = t.rows().iter().find(|r| r[0].is_all() && r[1].is_all());
+            apex.map(|r| r[2].clone())
+        };
 
         // INSERT bumps the version, but the retained view absorbs the
         // delta: the next read hits warm at the *new* version and sees
@@ -1095,28 +1105,36 @@ mod tests {
             session.last_admission().answered_from_cache,
             "cache should absorb an insert-only delta, not invalidate"
         );
-        let total = after
-            .rows()
-            .iter()
-            .find(|r| r[0].is_all() && r[1].is_all())
-            .map(|r| r[2].clone());
-        assert_eq!(total, Some(Value::Int(117)));
+        assert_eq!(total(&after), Some(Value::Int(117)));
 
-        // DELETE is the holistic direction: the view is invalidated, the
-        // next read recomputes (a miss), and the one after hits again.
+        // DELETE retracts SUM cell by cell: still a hit, and the Chevy
+        // cell is gone with its last row.
+        session.execute(max).unwrap(); // the MAX view populates
         session
             .execute("DELETE FROM sales WHERE model = 'Chevy'")
             .unwrap();
         let after = session.execute(q).unwrap();
-        assert!(!session.last_admission().answered_from_cache);
-        let total = after
-            .rows()
-            .iter()
-            .find(|r| r[0].is_all() && r[1].is_all())
-            .map(|r| r[2].clone());
-        assert_eq!(total, Some(Value::Int(67)));
-        session.execute(q).unwrap();
         assert!(session.last_admission().answered_from_cache);
+        assert_eq!(total(&after), Some(Value::Int(67)));
+        assert!(after.rows().iter().all(|r| r[0] != Value::str("Chevy")));
+
+        // Deleting Ford's 60 takes the champion of a cell that keeps a
+        // row: the MAX view is dropped and recomputed, while the SUM view
+        // retracts and stays warm.
+        session
+            .execute("INSERT INTO sales VALUES ('Ford', 1994, 5)")
+            .unwrap();
+        let warm = engine.cube_cache().counters();
+        session
+            .execute("DELETE FROM sales WHERE units = 60")
+            .unwrap();
+        assert_eq!(engine.cube_cache().counters().entries, warm.entries - 1);
+        let after = session.execute(max).unwrap();
+        assert!(!session.last_admission().answered_from_cache);
+        assert_eq!(total(&after), Some(Value::Int(7)));
+        let after = session.execute(q).unwrap();
+        assert!(session.last_admission().answered_from_cache);
+        assert_eq!(total(&after), Some(Value::Int(12)));
     }
 
     /// The per-statement costs of the write path are per statement, not

@@ -35,7 +35,7 @@ use crate::error::{SqlError, SqlResult};
 use crate::eval::{eval, EvalContext};
 use crate::parser::parse;
 use crate::plan::{branches, set_count};
-use datacube::{CancelToken, ExecContext, ExecLimits, ExecStats};
+use datacube::{CancelToken, DeltaBatch, ExecContext, ExecLimits, ExecStats};
 use dc_relation::{ColumnDef, DataType, Row, Schema, Table, Value};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -224,9 +224,9 @@ impl Session {
     /// were published and are not checked again.
     ///
     /// On success [`SharedCatalog::publish`] has the retained cache views
-    /// absorb a pure insert delta; a statement that retracts (DELETE,
-    /// UPDATE — §6: "max is ... holistic for DELETE") invalidates them
-    /// instead.
+    /// absorb the statement's delta: its inserts merge, its deletes
+    /// retract. Only a view that would have to recompute a cell (§6: "max
+    /// is ... holistic for DELETE") is invalidated instead.
     fn exec_write_governed(
         &self,
         table: &str,
@@ -248,13 +248,13 @@ impl Session {
             let old = snap.table(table)?;
             let expected = snap.table_version(table);
             let written = next(&old, &snap, &ctx)?;
-            if written.count == 0 && written.inserted.is_none() {
+            if written.delta.is_empty() {
                 // Nothing matched: no republish, no version bump, caches
                 // stay warm.
                 return dml_result(table, verb, 0);
             }
             let image = Table::from_validated_rows(old.schema().clone(), written.rows);
-            let delta = written.inserted.as_ref();
+            let delta = Some(&written.delta);
             let published =
                 self.catalog
                     .publish(&self.cache, table, Some(expected), image, delta)?;
@@ -278,13 +278,13 @@ impl Session {
                 let vals = exprs.iter().map(|e| eval(e, &scratch, &ectx));
                 inserted.push(Row::new(vals.collect::<SqlResult<Vec<Value>>>()?));
             }
-            let inserted = Table::new(old.schema().clone(), inserted)?;
+            let inserted = Table::new(old.schema().clone(), inserted)?.into_rows();
             let mut next = old.rows().to_vec();
-            next.extend(inserted.rows().iter().cloned());
+            next.extend(inserted.iter().cloned());
             Ok(Written {
                 rows: next,
                 count: inserted.len() as i64,
-                inserted: Some(inserted),
+                delta: DeltaBatch::of(inserted, Vec::new()),
             })
         })
     }
@@ -301,17 +301,19 @@ impl Session {
     fn exec_delete_governed(&self, table: &str, predicate: Option<&Expr>) -> SqlResult<Table> {
         self.exec_write_governed(table, "deleted", self.scan_rows(table), |old, snap, ctx| {
             let ectx = EvalContext::base(old.schema(), &snap.scalars);
-            let mut kept = Vec::with_capacity(old.len());
+            let (mut kept, mut removed) = (Vec::with_capacity(old.len()), Vec::new());
             for (i, row) in old.rows().iter().enumerate() {
                 ctx.tick(i).map_err(SqlError::Cube)?;
-                if !selects(predicate, row, &ectx)? {
+                if selects(predicate, row, &ectx)? {
+                    removed.push(row.clone());
+                } else {
                     kept.push(row.clone());
                 }
             }
             Ok(Written {
-                count: (old.len() - kept.len()) as i64,
+                count: removed.len() as i64,
                 rows: kept,
-                inserted: None,
+                delta: DeltaBatch::of(Vec::new(), removed),
             })
         })
     }
@@ -335,14 +337,13 @@ impl Session {
                 .collect::<Result<Vec<_>, dc_relation::RelError>>()?;
             let ectx = EvalContext::base(old.schema(), &snap.scalars);
             let mut next = Vec::with_capacity(old.len());
-            let mut updated = 0i64;
+            let (mut inserted, mut removed) = (Vec::new(), Vec::new());
             for (i, row) in old.rows().iter().enumerate() {
                 ctx.tick(i).map_err(SqlError::Cube)?;
                 if !selects(predicate, row, &ectx)? {
                     next.push(row.clone());
                     continue;
                 }
-                updated += 1;
                 // Every right-hand side is evaluated against the *old*
                 // row before any assignment lands, so `SET a = b, b = a`
                 // swaps rather than clobbers.
@@ -351,12 +352,15 @@ impl Session {
                     vals[idx] = eval(expr, row, &ectx)?;
                     old.schema().column_at(idx).check(&vals[idx])?;
                 }
-                next.push(Row::new(vals));
+                let new = Row::new(vals);
+                next.push(new.clone());
+                inserted.push(new);
+                removed.push(row.clone());
             }
             Ok(Written {
                 rows: next,
-                count: updated,
-                inserted: None,
+                count: removed.len() as i64,
+                delta: DeltaBatch::of(inserted, removed),
             })
         })
     }
@@ -443,12 +447,12 @@ impl Session {
 
 /// One attempt of a governed write against a snapshot: the rows of the
 /// table it would publish (already checked against its schema), how many
-/// rows the statement touched (the ack), and — for a pure INSERT — the
-/// appended rows as the delta cached views can absorb.
+/// rows the statement touched (the ack), and the rows it inserted and
+/// deleted (both, for an UPDATE) as the batch cached views absorb.
 struct Written {
     rows: Vec<Row>,
     count: i64,
-    inserted: Option<Table>,
+    delta: DeltaBatch,
 }
 
 /// Whether a DELETE/UPDATE predicate selects `row`. SQL semantics: NULL

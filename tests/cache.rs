@@ -5,7 +5,7 @@
 
 use datacube::maintain::MaterializedCube;
 use datacube::{AggSpec, Dimension};
-use dc_aggregate::{builtin, AggKind, UdaBuilder};
+use dc_aggregate::{builtin, AggKind, Retract, UdaBuilder};
 use dc_relation::{row, DataType, Row, Schema, Table, Value};
 use dc_sql::{Engine, ServiceConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -271,7 +271,8 @@ fn set_cube_cache_off_is_per_session() {
 }
 
 /// An engine over `sales` with `CSUM`, a rewritable SUM that counts its
-/// Iter() calls — one per base row a statement scans.
+/// Iter() calls — one per base row a statement scans — and retracts a
+/// deleted value by subtraction.
 fn engine_counting_scans() -> (Engine, Arc<AtomicUsize>) {
     let iter_calls = Arc::new(AtomicUsize::new(0));
     let seen = Arc::clone(&iter_calls);
@@ -283,6 +284,10 @@ fn engine_counting_scans() -> (Engine, Arc<AtomicUsize>) {
         .state(|s| vec![Value::Int(*s)])
         .merge(|s, st| *s += st[0].as_i64().unwrap_or(0))
         .finalize(|s| Value::Int(*s))
+        .retract(|s, v| {
+            *s -= v.as_i64().unwrap_or(0);
+            Retract::Applied
+        })
         .build()
         .unwrap();
     let mut engine = engine_with_sales();
@@ -319,6 +324,32 @@ fn cache_hit_scans_no_base_rows() {
     assert_eq!(iter_calls.load(Ordering::SeqCst), 2 * scanned);
     let counters = engine.cube_cache().counters();
     assert_eq!((counters.misses, counters.hits), (1, 3), "{counters:?}");
+}
+
+/// A DELETE retracts its rows from the warm view: the next read scans no
+/// base row, is a hit, and agrees with a cache-off read of the table the
+/// DELETE left.
+#[test]
+fn a_delete_retracts_into_the_warm_view_and_scans_nothing() {
+    let (engine, iter_calls) = engine_counting_scans();
+    let session = engine.session();
+    let sql = "SELECT model, year, CSUM(units) AS s FROM sales GROUP BY CUBE model, year";
+    session.execute(sql).unwrap();
+    let ack = session.execute("DELETE FROM sales WHERE year = 1994 AND model = 'Ford'");
+    assert_eq!(ack.unwrap().rows()[0][1], Value::Int(2));
+    let scanned = iter_calls.load(Ordering::SeqCst);
+    let after = session.execute(sql).unwrap();
+    assert!(session.last_admission().answered_from_cache);
+    assert_eq!(
+        iter_calls.load(Ordering::SeqCst),
+        scanned,
+        "the read after a DELETE scans nothing"
+    );
+    let off = engine.session();
+    off.execute("SET CUBE_CACHE OFF").unwrap();
+    assert_eq!(off.execute(sql).unwrap().rows(), after.rows());
+    let counters = engine.cube_cache().counters();
+    assert_eq!((counters.misses, counters.hits), (1, 1), "{counters:?}");
 }
 
 /// A cacheable miss builds its view and answers from it, each under its

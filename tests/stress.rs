@@ -573,6 +573,112 @@ fn sql_ingest_race_exposes_only_whole_batches() {
     );
 }
 
+/// Four writer sessions each INSERT whole tagged batches and DELETE them
+/// again by tag two batches later, while eight readers read a SUM through
+/// the lattice cache, whose views retract the deletes. Every batch sums to
+/// exactly `BATCH_SUM`, so a read that observed a torn batch, or cached
+/// cells that retracted part of one, produces a total that is not
+/// `T0 + k * BATCH_SUM` for a whole k between none and every batch the
+/// writers can hold live. Quiesced, the total is exact; one more DELETE
+/// retracts into the warm view, and the next read is a hit that equals a
+/// cache-off read.
+#[test]
+fn sql_delete_race_retracts_only_whole_batches() {
+    use dc_sql::{Engine, ServiceConfig};
+
+    const WRITERS: i64 = 4;
+    const BATCHES: i64 = 8; // per writer
+    const LAG: i64 = 2; // a batch is deleted after this many more land
+    const BATCH_SUM: i64 = 100;
+    const READERS: usize = 8;
+
+    let schema = Schema::from_pairs(&[
+        ("model", DataType::Int),
+        ("tag", DataType::Int),
+        ("units", DataType::Int),
+    ]);
+    let mut t = Table::empty(schema);
+    let mut t0 = 0i64;
+    for i in 0..64i64 {
+        t.push(row![i % MODELS, 0i64, 3i64]).unwrap();
+        t0 += 3;
+    }
+    let mut engine = Engine::with_service(ServiceConfig::default());
+    engine.register_table("churn", t).unwrap();
+    let engine = Arc::new(engine);
+    let sql = "SELECT model, SUM(units) AS s FROM churn GROUP BY model";
+    let total_of = |t: &Table| -> i64 { t.rows().iter().filter_map(|r| r[1].as_i64()).sum() };
+
+    // Seven rows of 10 plus one of 30 under one tag: BATCH_SUM.
+    let insert_sql = |tag: i64| {
+        let mut vals: Vec<String> = (0..7)
+            .map(|i| format!("({}, {tag}, 10)", i % MODELS))
+            .collect();
+        vals.push(format!("(6, {tag}, 30)"));
+        format!("INSERT INTO churn VALUES {}", vals.join(", "))
+    };
+    let delete_sql = |tag: i64| format!("DELETE FROM churn WHERE tag = {tag}");
+    let tag = |w: i64, b: i64| 1 + w * BATCHES + b;
+
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                let session = engine.session();
+                for b in 0..BATCHES {
+                    let ack = session.execute(&insert_sql(tag(w, b))).unwrap();
+                    assert_eq!(ack.rows()[0][1].as_i64(), Some(8), "insert ack");
+                    if b >= LAG {
+                        let ack = session.execute(&delete_sql(tag(w, b - LAG))).unwrap();
+                        assert_eq!(ack.rows()[0][1].as_i64(), Some(8), "delete ack");
+                    }
+                }
+            })
+        })
+        .collect();
+    let readers: Vec<_> = (0..READERS)
+        .map(|_| {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                let session = engine.session();
+                for _ in 0..40 {
+                    let total = total_of(&session.execute(sql).unwrap());
+                    let delta = total - t0;
+                    assert!(
+                        delta >= 0 && delta % BATCH_SUM == 0,
+                        "torn or stale batch visible: total {total} (t0 {t0})"
+                    );
+                    assert!(
+                        delta / BATCH_SUM <= WRITERS * (LAG + 1),
+                        "read reflects more live batches than a writer can hold: {total}"
+                    );
+                }
+            })
+        })
+        .collect();
+    for w in writers {
+        w.join().unwrap();
+    }
+    for r in readers {
+        r.join().unwrap();
+    }
+
+    // Quiesced: each writer's last LAG batches are live.
+    let session = engine.session();
+    let settled = t0 + WRITERS * LAG * BATCH_SUM;
+    assert_eq!(total_of(&session.execute(sql).unwrap()), settled);
+    session.execute(&delete_sql(tag(0, BATCHES - 1))).unwrap();
+    let after = session.execute(sql).unwrap();
+    assert!(
+        session.last_admission().answered_from_cache,
+        "a DELETE should retract into the warm view, not cool it"
+    );
+    assert_eq!(total_of(&after), settled - BATCH_SUM);
+    let off = engine.session();
+    off.execute("SET CUBE_CACHE OFF").unwrap();
+    assert_eq!(off.execute(sql).unwrap().rows(), after.rows());
+}
+
 /// Loom-free lock torture: two writers submit delta batches whose rows
 /// are enumerated in *opposite* key orders while a reader pulls point
 /// cells and whole snapshots. Every batch takes the store's one lock, so
