@@ -29,27 +29,31 @@
 //! (mask-AND plus Iter_super); the engine's collation-rank materializer
 //! emits the request's dimensions and aggregates in its order.
 //!
-//! **Writing.** A [`DeltaBatch`] folds into a fresh copy of the cells (a
-//! POD copy for kernel lanes) that replaces them only once the whole batch
-//! has folded, so any failure — governance tick, budget charge, guarded
-//! UDA callback, fault injection — leaves the store exactly at its
-//! pre-batch state and version. Inserts are encoded with the store's
-//! dictionary, folded by the engine's scan and merged by its coalesce
-//! (adopt a new cell, Iter_super into an old one); deletes retract per
-//! lane. §6's asymmetry — "max is a distributive \[function\] for SELECT
-//! and INSERT, but it is holistic for DELETE" — is handled by
-//! *coalescing*: a cell that cannot take a retraction is rebuilt at most
-//! once per batch, from the post-batch base. That needs the base rows, so
-//! only the constructors that keep them (`cube`, `rollup`, `with_lattice`)
-//! accept deletes; a `build` view keeps none. Without Iter_super (a UDA
-//! built without `state()`/`merge()`) no cell can be folded into, and a
-//! batch re-groups the whole store from the base.
+//! **Writing.** Every store holds its base: the `Arc<Table>` of the rows
+//! its cells summarize, shared with whoever else holds that version (a
+//! SQL view shares the catalog's). A [`DeltaBatch`] folds against the
+//! table it leaves into a fresh copy of the cells (a POD copy for kernel
+//! lanes), and both replace cells and base only once the whole batch has
+//! folded, so any failure — governance tick, budget charge, guarded UDA
+//! callback, fault injection — leaves the store exactly at its pre-batch
+//! state and version. Inserts are encoded with the store's dictionary,
+//! folded by the engine's scan and merged by its coalesce (adopt a new
+//! cell, Iter_super into an old one); deletes retract per lane. §6's
+//! asymmetry — "max is a distributive \[function\] for SELECT and INSERT,
+//! but it is holistic for DELETE" — is handled by *coalescing*: a cell
+//! that cannot take a retraction is recomputed at most once per batch,
+//! from the post-batch table. Without Iter_super (a UDA built without
+//! `state()`/`merge()`) no cell can be folded into, and a batch re-groups
+//! the post-batch table. [`MaterializedCube::apply`] resolves deletes by
+//! value against the base and builds the post-batch table itself;
+//! [`MaterializedCube::absorb_batch`] is handed it by a caller that
+//! already has it, the SQL catalog's just-published version.
 //!
-//! **Lock.** Everything a batch changes — the cells, the kept base rows,
-//! the counters, the version — is one `State` behind one `RwLock`. A batch
-//! takes it for writing from resolving its deletes through install; every
-//! reader takes it for reading, so a reader sees whole batches only and
-//! readers share. Only validation and annihilation run outside it.
+//! **Lock.** Everything a batch changes — the cells, the base, the
+//! counters, the version — is one `State` behind one `RwLock`. `apply`
+//! takes it for writing from resolving its deletes through install;
+//! every reader takes it for reading, so a reader sees whole batches only
+//! and readers share. Only validation and annihilation run outside it.
 //! Dividing the cells among several locks would buy nothing: every cube
 //! and rollup family contains the empty grouping set, so every non-empty
 //! batch rewrites the `(ALL, …, ALL)` cell and any two writers meet there.
@@ -104,8 +108,8 @@ pub struct AncestorRequest<'a> {
     pub sets: &'a [GroupingSet],
 }
 
-/// A lattice-cache view: the store materialized at the core only, with no
-/// base rows ([`MaterializedCube::build`]).
+/// A lattice-cache view: the store materialized at the core only
+/// ([`MaterializedCube::build`]), sharing the table version it reflects.
 pub type CachedView = MaterializedCube;
 
 /// Work counters for maintenance operations.
@@ -145,10 +149,9 @@ impl MaintainStats {
 /// or into a copy of a view with [`MaterializedCube::absorb_batch`].
 ///
 /// Semantics: a batch is an *unordered multiset delta*. An insert and a
-/// delete of the same row value inside one batch annihilate; on a store
-/// that keeps its base, surviving deletes must match rows of the
-/// pre-batch base (multiset containment) or the whole batch is rejected
-/// before any state changes.
+/// delete of the same row value inside one batch annihilate; surviving
+/// deletes must match rows of the pre-batch base (multiset containment)
+/// or `apply` rejects the whole batch before any state changes.
 #[derive(Default)]
 pub struct DeltaBatch {
     inserts: Vec<Row>,
@@ -274,7 +277,7 @@ pub(crate) trait Store: Send + Sync {
     fn fold_batch(
         &self,
         cube: &MaterializedCube,
-        batch: &Batch<'_>,
+        batch: &Batch,
         ctx: &ExecContext,
         stats: &mut MaintainStats,
     ) -> CubeResult<Arc<dyn Store>>;
@@ -288,27 +291,12 @@ pub(crate) struct Nodes<K, C: Stored> {
     pub(crate) arenas: Vec<Arena<K, C>>,
 }
 
-/// A batch after annihilation, and the base it lands on.
-pub(crate) struct Batch<'a> {
-    ins: &'a [Row],
-    del: &'a [Row],
-    base: &'a [Row],
-    /// `deleted[i]`: base row `i` leaves with this batch (empty when the
-    /// batch deletes nothing).
-    deleted: &'a [bool],
-}
-
-impl Batch<'_> {
-    /// The rows after the batch: the base rows that stay, then the inserts.
-    fn live(&self) -> impl Iterator<Item = &Row> + '_ {
-        let deleted = |i: usize| self.deleted.get(i).copied().unwrap_or(false);
-        let staying = self
-            .base
-            .iter()
-            .enumerate()
-            .filter(move |&(i, _)| !deleted(i));
-        staying.map(|(_, r)| r).chain(self.ins)
-    }
+/// A batch after annihilation, and the table it leaves: the rows a cell
+/// that cannot take a retraction is recomputed from, and the next base.
+pub(crate) struct Batch {
+    ins: Vec<Row>,
+    del: Vec<Row>,
+    post: Arc<Table>,
 }
 
 fn corrupt(what: &str) -> CubeError {
@@ -345,11 +333,11 @@ impl<K: PackedKey, C: Stored> Nodes<K, C> {
     fn grown(
         mut self,
         cube: &MaterializedCube,
-        b: &Batch<'_>,
+        b: &Batch,
         ctx: &ExecContext,
         stats: &mut MaintainStats,
     ) -> CubeResult<Arc<dyn Store>> {
-        match self.encoder.grow(b.ins, &cube.dims) {
+        match self.encoder.grow(&b.ins, &cube.dims) {
             None => self.folded(cube, b, ctx, stats),
             Some(Encoded::Narrow(e)) => self.rekeyed(e.encoder).folded(cube, b, ctx, stats),
             Some(Encoded::Wide(e)) => self.rekeyed(e.encoder).folded(cube, b, ctx, stats),
@@ -375,11 +363,11 @@ impl<K: PackedKey, C: Stored> Nodes<K, C> {
 
     /// Fold the batch into these (fresh) cells: inserts merged, deletes
     /// retracted, cells that cannot take a retraction rebuilt from the
-    /// post-batch base, emptied cells dropped.
+    /// post-batch table, emptied cells dropped.
     fn folded(
         mut self,
         cube: &MaterializedCube,
-        b: &Batch<'_>,
+        b: &Batch,
         ctx: &ExecContext,
         stats: &mut MaintainStats,
     ) -> CubeResult<Arc<dyn Store>> {
@@ -394,8 +382,8 @@ impl<K: PackedKey, C: Stored> Nodes<K, C> {
 
         // Inserts: the engine's scan folds them into one arena per set,
         // and each merges by the coalesce's adopt-or-Iter_super.
-        let ins = C::lanes(spec, aggs, b.ins).ok_or_else(unlaned)?;
-        let ins_keys = self.encoder.keys(b.ins, dims).ok_or_else(unkeyed)?;
+        let ins = C::lanes(spec, aggs, &b.ins).ok_or_else(unlaned)?;
+        let ins_keys = self.encoder.keys(&b.ins, dims).ok_or_else(unkeyed)?;
         let scan = Pipeline {
             encoder: &self.encoder,
             keys: &ins_keys,
@@ -411,8 +399,8 @@ impl<K: PackedKey, C: Stored> Nodes<K, C> {
 
         // Deletes: a cell's retract together; the last of its support
         // empties it.
-        let del = C::lanes(spec, aggs, b.del).ok_or_else(unlaned)?;
-        let del_keys = self.encoder.keys(b.del, dims).ok_or_else(unkeyed)?;
+        let del = C::lanes(spec, aggs, &b.del).ok_or_else(unlaned)?;
+        let del_keys = self.encoder.keys(&b.del, dims).ok_or_else(unkeyed)?;
         let (mut rebuild, mut emptied) = (Vec::new(), Vec::new());
         for (si, arena) in self.arenas.iter_mut().enumerate() {
             let mask = self.encoder.set_mask(sets[si]);
@@ -447,34 +435,22 @@ impl<K: PackedKey, C: Stored> Nodes<K, C> {
         }
 
         // The delete-holistic path: each cell rebuilt once, from the rows
-        // that stay in the base and the inserts. A store without its base
-        // has no rows to rebuild from (`live()` would hold only the
-        // inserts), so the whole batch is refused instead.
+        // of the post-batch table under its key.
         if !rebuild.is_empty() {
-            if !cube.keeps_base {
-                return Err(CubeError::Unsupported(
-                    "this store keeps no base rows to recompute a cell from \
-                     (a deleted MIN/MAX champion, a non-finite value)"
-                        .into(),
-                ));
-            }
             exec::failpoint("maintain::recompute")?;
-            let live: Vec<&Row> = b.live().collect();
-            let live_keys = self
-                .encoder
-                .keys(live.iter().copied(), dims)
-                .ok_or_else(unkeyed)?;
+            let post = b.post.rows();
+            let post_keys = self.encoder.keys(post, dims).ok_or_else(unkeyed)?;
             let (mut rows, mut ends) = (Vec::new(), Vec::with_capacity(rebuild.len()));
             for &(si, slot) in &rebuild {
                 let (key, mask) = (self.arenas[si].keys[slot], self.encoder.set_mask(sets[si]));
-                for (i, (k, row)) in live_keys.iter().zip(&live).enumerate() {
+                for (i, (k, row)) in post_keys.iter().zip(post).enumerate() {
                     ctx.tick(i)?;
                     if k.and(mask) == key {
-                        rows.push((*row).clone());
+                        rows.push(row.clone());
                     }
                 }
                 ends.push(rows.len());
-                stats.rows_rescanned += (live.len() - b.ins.len()) as u64;
+                stats.rows_rescanned += (post.len() - b.ins.len()) as u64;
             }
             let rebuilt = C::lanes(spec, aggs, &rows).ok_or_else(unlaned)?;
             let (mut start, mut fresh) = (0, Vec::with_capacity(w));
@@ -552,12 +528,12 @@ impl<K: PackedKey, C: Stored> Store for Nodes<K, C> {
     fn fold_batch(
         &self,
         cube: &MaterializedCube,
-        b: &Batch<'_>,
+        b: &Batch,
         ctx: &ExecContext,
         stats: &mut MaintainStats,
     ) -> CubeResult<Arc<dyn Store>> {
         let lanes = C::lanes(&self.spec, &cube.aggs, &[]).ok_or_else(|| corrupt("lanes"))?;
-        if C::lanes(&self.spec, &cube.aggs, b.ins).is_some() {
+        if C::lanes(&self.spec, &cube.aggs, &b.ins).is_some() {
             let copy = self.converted(self.spec.clone(), |cells| C::copy(&lanes, cells, ctx))?;
             return copy.grown(cube, b, ctx, stats);
         }
@@ -573,10 +549,8 @@ struct State {
     /// The cells, shared with an `absorb`ed copy until either folds a
     /// batch into new ones.
     cells: Arc<dyn Store>,
-    /// The base table, when the constructor keeps it (empty otherwise).
-    base: Vec<Row>,
-    /// Base rows the cells summarize, kept or not.
-    rows: u64,
+    /// The rows the cells summarize.
+    base: Arc<Table>,
     stats: MaintainStats,
     /// Monotone maintenance version: bumped per maintained row, so derived
     /// structures (the SQL layer's lattice cache keys results by table
@@ -599,13 +573,8 @@ pub struct MaterializedCube {
     /// holistic aggregate or one without Iter_super, the cascade otherwise.
     shape: Shape,
     /// Every aggregate supports Iter_super, so a batch folds into the
-    /// cells. When false, a batch re-groups the store from the base.
+    /// cells. When false, a batch re-groups the post-batch table.
     all_mergeable: bool,
-    /// Whether `State::base` holds the base rows (resolving deletes,
-    /// recomputing a cell a delete leaves without its champion, and
-    /// non-mergeable aggregates need them; a cache view does not pay for
-    /// them).
-    keeps_base: bool,
     /// The one lock: written from delete resolution through install, read
     /// by every reader.
     store: RwLock<State>,
@@ -635,36 +604,36 @@ impl MaterializedCube {
     }
 
     /// Materialize an explicit grouping-set family (a [`Lattice`] always
-    /// contains the core), keeping the base rows so the store accepts
-    /// deletes. With [`crate::subcube::greedy_select`]'s picks this is the
-    /// HRU partial cube.
+    /// contains the core). With [`crate::subcube::greedy_select`]'s picks
+    /// this is the HRU partial cube.
     pub fn with_lattice(
         table: &Table,
         dims: Vec<Dimension>,
         aggs: Vec<AggSpec>,
         lattice: Lattice,
     ) -> CubeResult<Self> {
-        let ctx = ExecContext::unlimited();
-        Self::grouped(table, &dims, &aggs, lattice, true, Algorithm::Auto, &ctx)
+        let (table, ctx) = (Arc::new(table.clone()), ExecContext::unlimited());
+        Self::grouped(table, &dims, &aggs, lattice, Algorithm::Auto, &ctx)
     }
 
     /// A lattice-cache view with no execution limits: see
     /// [`MaterializedCube::build_within`].
     pub fn build(table: &Table, dims: &[Dimension], aggs: &[AggSpec]) -> CubeResult<Self> {
-        let ctx = ExecContext::unlimited();
+        let (table, ctx) = (Arc::new(table.clone()), ExecContext::unlimited());
         Self::build_within(table, dims, aggs, Algorithm::Auto, &ctx)
     }
 
-    /// A lattice-cache view: the core GROUP BY over `dims` only, and no
-    /// copy of the base rows. `algorithm` and `ctx` govern the scan — a
-    /// SQL statement that misses the cache builds its view with its own
-    /// `SET THREADS` plan, deadline, cancel token and cell budget. Later
-    /// batches fold with the `Auto` plan.
+    /// A lattice-cache view: the core GROUP BY over `dims` only, holding
+    /// `table` itself — a SQL view shares the catalog's version, no copy.
+    /// `algorithm` and `ctx` govern the scan — a SQL statement that
+    /// misses the cache builds its view with its own `SET THREADS` plan,
+    /// deadline, cancel token and cell budget. Later batches fold with the
+    /// `Auto` plan.
     ///
     /// Fails with [`CubeError::Unsupported`] if any aggregate is not
     /// [`rewritable`] — callers probe legality *before* paying the scan.
     pub fn build_within(
-        table: &Table,
+        table: Arc<Table>,
         dims: &[Dimension],
         aggs: &[AggSpec],
         algorithm: Algorithm,
@@ -678,17 +647,16 @@ impl MaterializedCube {
             )));
         }
         let core = Lattice::new(dims.len(), Vec::new())?;
-        Self::grouped(table, dims, aggs, core, false, algorithm, ctx)
+        Self::grouped(table, dims, aggs, core, algorithm, ctx)
     }
 
     /// Group `table` into every set of `lattice` with the engine, scanning
     /// under `algorithm`, and keep its arenas as the cells.
     fn grouped(
-        table: &Table,
+        table: Arc<Table>,
         dims: &[Dimension],
         aggs: &[AggSpec],
         lattice: Lattice,
-        keeps_base: bool,
         algorithm: Algorithm,
         ctx: &ExecContext,
     ) -> CubeResult<Self> {
@@ -722,20 +690,9 @@ impl MaterializedCube {
             .map(|d| d.bind(schema))
             .collect::<CubeResult<Vec<_>>>()?;
         let mut stats = ExecStats::default();
-        let cells = engine::group(table, &dims, &aggs, (&lattice, scan), &mut stats, ctx)?;
+        let cells = engine::group(&table, &dims, &aggs, (&lattice, scan), &mut stats, ctx)?;
         // A store that finishes past the deadline is not kept.
         ctx.checkpoint()?;
-        let state = State {
-            cells,
-            base: if keeps_base {
-                table.rows().to_vec()
-            } else {
-                Vec::new()
-            },
-            rows: table.len() as u64,
-            stats: MaintainStats::default(),
-            version: 0,
-        };
         Ok(MaterializedCube {
             base_schema: schema.clone(),
             dims,
@@ -744,8 +701,12 @@ impl MaterializedCube {
             lattice,
             shape,
             all_mergeable,
-            keeps_base,
-            store: RwLock::new(state),
+            store: RwLock::new(State {
+                cells,
+                base: table,
+                stats: MaintainStats::default(),
+                version: 0,
+            }),
         })
     }
 
@@ -875,24 +836,27 @@ impl MaterializedCube {
     }
 
     /// [`MaterializedCube::absorb_batch`] of an insert-only batch: `delta`'s
-    /// rows.
+    /// rows, appended to a copy of the base.
     pub fn absorb(&self, delta: &Table) -> CubeResult<Self> {
-        self.absorb_batch(&DeltaBatch::of(delta.rows().to_vec(), Vec::new()))
+        let post = Arc::new(self.base().union_all(delta)?);
+        self.absorb_batch(&DeltaBatch::of(delta.rows().to_vec(), Vec::new()), post)
     }
 
-    /// The store `batch` would leave, as a *new* store: it shares the
-    /// cells until the batch folds into a copy of them, so a reader holding
-    /// the old `Arc` keeps its snapshot.
+    /// The store `batch` would leave, as a *new* store over `post`, the
+    /// table the batch leaves: it shares the cells until the batch folds
+    /// into a copy of them, so a reader holding the old `Arc` keeps its
+    /// snapshot.
     ///
-    /// Deletes retract cell by cell, and the support lane drops a cell
-    /// with its last row. On a store that keeps no base (a cache view) the
-    /// caller vouches that every deleted row is among the rows the store
-    /// summarizes — the SQL catalog does, for the version the view
-    /// reflects — so deletes are not resolved against a base. Such a store
-    /// has no rows to recompute a cell from: a batch that needs one (a
-    /// deleted MIN/MAX champion, a non-finite float) is
-    /// [`CubeError::Unsupported`], and this store is unchanged.
-    pub fn absorb_batch(&self, batch: &DeltaBatch) -> CubeResult<Self> {
+    /// The caller vouches that `post` is this store's base less the
+    /// batch's deletes plus its inserts — the SQL catalog does, handing
+    /// over the version it just published — so deletes are not resolved
+    /// by value. They retract cell by cell, the support lane drops a cell
+    /// with its last row, and a cell that cannot retract (a deleted
+    /// MIN/MAX champion, a non-finite float) is recomputed from `post`. A
+    /// `post` of another schema, or whose length is not the base's plus
+    /// the inserts less the deletes, is [`CubeError::BadSpec`]. This store
+    /// is unchanged either way.
+    pub fn absorb_batch(&self, batch: &DeltaBatch, post: Arc<Table>) -> CubeResult<Self> {
         exec::failpoint("cache::absorb")?;
         let state = self.store.read();
         let copy = MaterializedCube {
@@ -903,18 +867,31 @@ impl MaterializedCube {
             lattice: self.lattice.clone(),
             shape: self.shape,
             all_mergeable: self.all_mergeable,
-            keeps_base: self.keeps_base,
             store: RwLock::new(State {
                 cells: Arc::clone(&state.cells),
-                base: state.base.clone(),
-                rows: state.rows,
+                base: Arc::clone(&state.base),
                 stats: state.stats,
                 version: state.version,
             }),
         };
         drop(state);
-        let ctx = ExecContext::unlimited();
-        exec::guard("maintain", || copy.apply_inner(batch, &ctx, true)).and_then(|r| r)?;
+        let fold = || {
+            batch.validate(&self.base_schema)?;
+            let (ins, del) = batch.annihilate();
+            let (mut state, ctx) = (copy.store.write(), ExecContext::unlimited());
+            let base = state.base.len();
+            if post.schema() != &self.base_schema || base + ins.len() != post.len() + del.len() {
+                return Err(CubeError::BadSpec(format!(
+                    "the post-batch table has {} rows, not the base's {base} plus {} \
+                     inserted less {} deleted, or another schema",
+                    post.len(),
+                    ins.len(),
+                    del.len()
+                )));
+            }
+            copy.fold(&mut state, batch, &Batch { ins, del, post }, &ctx)
+        };
+        exec::guard("maintain", fold).and_then(|r| r)?;
         Ok(copy)
     }
 
@@ -941,59 +918,39 @@ impl MaterializedCube {
     }
 
     /// Fold a whole [`DeltaBatch`] into the cube under `ctx`'s governance
-    /// (budget, deadline, cancellation — all polled inside the fold loop).
+    /// (budget, deadline, cancellation — all polled inside the fold loop):
+    /// its deletes resolved by value against the base, the post-batch
+    /// table built from the base, and the batch folded against it as
+    /// [`MaterializedCube::absorb_batch`] folds.
     ///
     /// All-or-nothing: on any error the cube is bit-for-bit at its
     /// pre-batch state and version. The panic guard wraps the whole fold,
     /// so a panicking user-defined aggregate surfaces as a typed
-    /// [`CubeError::AggPanicked`], never an unwind into the caller. A
-    /// batch that deletes, on a store that keeps no base rows to resolve
-    /// the deletes against, is [`CubeError::Unsupported`].
+    /// [`CubeError::AggPanicked`], never an unwind into the caller.
     pub fn apply(&self, batch: &DeltaBatch, ctx: &ExecContext) -> CubeResult<()> {
-        exec::guard("maintain", || self.apply_inner(batch, ctx, false)).and_then(|r| r)
+        exec::guard("maintain", || self.apply_inner(batch, ctx)).and_then(|r| r)
     }
 
-    /// `vouched`: the caller guarantees the batch's deletes are among the
-    /// summarized rows, so a store without its base folds them unresolved.
-    fn apply_inner(&self, batch: &DeltaBatch, ctx: &ExecContext, vouched: bool) -> CubeResult<()> {
+    fn apply_inner(&self, batch: &DeltaBatch, ctx: &ExecContext) -> CubeResult<()> {
         if batch.is_empty() {
             return Ok(());
         }
         batch.validate(&self.base_schema)?;
-
         // Annihilate insert/delete pairs: the batch is a multiset delta.
         let (ins, del) = batch.annihilate();
-        let mut stats = MaintainStats {
-            inserts: batch.insert_count() as u64,
-            deletes: batch.delete_count() as u64,
-            batches: 1,
-            ..MaintainStats::default()
-        };
-
-        // Deletes are resolved against the base unless vouched for;
-        // non-mergeable aggregates rebuild on any touch. Both need the base
-        // rows.
-        if ((!del.is_empty() && !vouched) || !self.all_mergeable) && !self.keeps_base {
-            return Err(CubeError::Unsupported(
-                "this store keeps no base rows, so it cannot apply deletes".into(),
-            ));
-        }
-
-        exec::failpoint("maintain::batch_fold")?;
         exec::failpoint("maintain::lock")?;
         let mut state = self.store.write();
 
         // Resolve deletes against the base multiset before touching
         // anything: a batch with an unmatched delete is rejected whole.
         // `deleted[i]`: base row `i` leaves with this batch.
-        let mut deleted: Vec<bool> = Vec::new();
-        if !del.is_empty() && self.keeps_base {
+        let mut deleted = vec![false; if del.is_empty() { 0 } else { state.base.len() }];
+        if !del.is_empty() {
             let mut positions: FxHashMap<&Row, Vec<usize>> = FxHashMap::default();
-            for (i, brow) in state.base.iter().enumerate() {
+            for (i, brow) in state.base.rows().iter().enumerate() {
                 ctx.tick(i)?;
                 positions.entry(brow).or_default().push(i);
             }
-            deleted = vec![false; state.base.len()];
             for row in &del {
                 match positions.get_mut(row).and_then(Vec::pop) {
                     Some(p) => deleted[p] = true,
@@ -1004,45 +961,74 @@ impl MaterializedCube {
             }
         }
 
-        // Fold into new cells; the old ones stay until the install.
-        let b = Batch {
-            ins: &ins,
-            del: &del,
-            base: &state.base,
-            deleted: &deleted,
+        // The table the batch leaves. An insert-only batch moves the
+        // base's rows into it when the store holds the only reference to
+        // the base, and takes them back if the fold fails.
+        let n = state.base.len();
+        let mut rows = match Arc::get_mut(&mut state.base) {
+            Some(base) if del.is_empty() => {
+                std::mem::replace(base, Table::empty(self.base_schema.clone())).into_rows()
+            }
+            _ => {
+                let staying = state.base.rows().iter().enumerate();
+                let staying = staying.filter(|&(i, _)| deleted.get(i) != Some(&true));
+                staying.map(|(_, r)| r.clone()).collect()
+            }
+        };
+        rows.extend(ins.iter().cloned());
+        let post = Arc::new(Table::from_validated_rows(self.base_schema.clone(), rows));
+        let b = Batch { ins, del, post };
+        // A failed fold, a panic included, installs nothing; a base whose
+        // rows moved is left empty, so they go back.
+        let fold = || self.fold(&mut state, batch, &b, ctx);
+        let folded = exec::guard("maintain", fold).and_then(|r| r);
+        if folded.is_err() && state.base.len() != n {
+            let mut rows = Arc::unwrap_or_clone(b.post).into_rows();
+            rows.truncate(n);
+            state.base = Arc::new(Table::from_validated_rows(self.base_schema.clone(), rows));
+        }
+        folded
+    }
+
+    /// The one fold every batch takes: `b` into new cells, which replace
+    /// the old ones — and `b.post` the base — only once the whole batch
+    /// has folded.
+    fn fold(
+        &self,
+        state: &mut State,
+        batch: &DeltaBatch,
+        b: &Batch,
+        ctx: &ExecContext,
+    ) -> CubeResult<()> {
+        exec::failpoint("maintain::batch_fold")?;
+        let mut stats = MaintainStats {
+            inserts: batch.insert_count() as u64,
+            deletes: batch.delete_count() as u64,
+            batches: 1,
+            ..MaintainStats::default()
         };
         let cells = if self.all_mergeable {
             // UDA callbacks run under the write lock by design: the batch
             // must fold against the pre-install cells. Every callback is
             // individually catch_unwind-guarded, so a panic surfaces as
             // AggPanicked without poisoning the guard.
-            state.cells.fold_batch(self, &b, ctx, &mut stats)?
+            state.cells.fold_batch(self, b, ctx, &mut stats)?
         } else {
             // No Iter_super to fold a touched cell with: re-group the
-            // store from the post-batch base.
-            let post = b.live().cloned().collect();
-            let post = Table::from_validated_rows(self.base_schema.clone(), post);
-            stats.rows_rescanned += post.len() as u64;
+            // post-batch table.
+            stats.rows_rescanned += b.post.len() as u64;
             let (plan, mut exec_stats) = ((&self.lattice, self.shape), ExecStats::default());
             // UDA callbacks run under the write lock by design: the
             // re-grouped cells must replace the old ones under it. Every
             // callback is individually catch_unwind-guarded.
-            let cells = engine::group(&post, &self.dims, &self.aggs, plan, &mut exec_stats, ctx)?;
+            let cells = engine::group(&b.post, &self.dims, &self.aggs, plan, &mut exec_stats, ctx)?;
             stats.cells_recomputed += cells.sizes().iter().sum::<u64>();
             cells
         };
 
-        // --- Install: infallible. Swap the cells in, splice the base.
+        // --- Install: infallible.
         state.cells = cells;
-        let mut leaves = deleted.iter();
-        state
-            .base
-            .retain(|_| !leaves.next().copied().unwrap_or(false));
-        state.rows += ins.len() as u64;
-        state.rows -= del.len() as u64;
-        if self.keeps_base {
-            state.base.extend(ins);
-        }
+        state.base = Arc::clone(&b.post);
         state.stats.add(&stats);
         state.version += batch.len() as u64;
         Ok(())
@@ -1068,15 +1054,15 @@ impl MaterializedCube {
         Some(row.values()[n..].to_vec())
     }
 
-    /// Current base-table contents (empty for a store that keeps none).
-    pub fn base_rows(&self) -> Vec<Row> {
-        self.store.read().base.clone()
+    /// The table the cells summarize: for a SQL view, the catalog's
+    /// version it reflects, shared.
+    pub fn base(&self) -> Arc<Table> {
+        Arc::clone(&self.store.read().base)
     }
 
-    /// Base-table rows the cells summarize — the scan a hit saves —
-    /// whether or not the store keeps the rows themselves.
+    /// Base-table rows the cells summarize — the scan a hit saves.
     pub fn base_row_count(&self) -> u64 {
-        self.store.read().rows
+        self.store.read().base.len() as u64
     }
 
     /// Maintenance work counters since construction.
@@ -1271,7 +1257,7 @@ mod tests {
         let mat = MaterializedCube::cube(&t, dims(), vec![sum_spec()]).unwrap();
         let snapshot = || {
             let cells = mat.to_table().unwrap();
-            (cells, mat.base_rows(), mat.version(), mat.stats())
+            (cells, mat.base(), mat.version(), mat.stats())
         };
         let before = snapshot();
         // The new image is a column short: the delete must not commit.
@@ -1371,7 +1357,7 @@ mod tests {
         for r in readers {
             r.join().unwrap();
         }
-        assert_eq!(mat.base_rows().len(), 3 + 2 * 25 * 8);
+        assert_eq!(mat.base().len(), 3 + 2 * 25 * 8);
     }
 
     // ---------------------------------------------------- batch path --
@@ -1441,7 +1427,7 @@ mod tests {
         batch.delete(row!["Dodge", 2001, 7]);
         mat.apply(&batch, &ExecContext::unlimited()).unwrap();
         assert_eq!(mat.to_table().unwrap().rows(), before.rows());
-        assert_eq!(mat.base_rows().len(), 3);
+        assert_eq!(mat.base().len(), 3);
     }
 
     #[test]
@@ -1468,10 +1454,24 @@ mod tests {
         for i in 0..100 {
             batch.insert(row!["Ford", 1995, i]).unwrap();
         }
+        let base = mat.base().rows().to_vec();
         let err = mat.apply(&batch, &ctx).unwrap_err();
         assert!(matches!(err, CubeError::Cancelled { .. }), "got {err}");
         assert_eq!(mat.to_table().unwrap().rows(), before.rows());
-        assert_eq!(mat.version(), version);
+        assert_eq!((mat.version(), mat.base().rows()), (version, &base[..]));
+    }
+
+    /// An insert-only batch appends to the base in place only while the
+    /// store holds the sole reference: a base someone else holds keeps
+    /// the rows it had.
+    #[test]
+    fn apply_leaves_a_held_base_as_it_was() {
+        let mat = MaterializedCube::cube(&base(), dims(), vec![sum_spec()]).unwrap();
+        mat.insert(row!["Ford", 1995, 1]).unwrap();
+        let held = mat.base();
+        mat.insert(row!["Ford", 1995, 2]).unwrap();
+        assert_eq!((held.len(), mat.base().len()), (4, 5));
+        assert_eq!(mat.base().rows()[..4], held.rows()[..]);
     }
 
     #[test]
@@ -1522,14 +1522,13 @@ mod tests {
         for w in writers {
             w.join().unwrap();
         }
-        let final_table = Table::new(base().schema().clone(), mat.base_rows()).unwrap();
         let expected = CubeQuery::new()
             .dimensions(dims())
             .aggregate(sum_spec())
-            .cube(&final_table)
+            .cube(&mat.base())
             .unwrap();
         assert_eq!(mat.to_table().unwrap().rows(), expected.rows());
-        assert_eq!(mat.base_rows().len(), 3 + 4 * 8 * 16);
+        assert_eq!(mat.base().len(), 3 + 4 * 8 * 16);
     }
 
     // ----------------------------------------------------- widening --
@@ -1551,8 +1550,7 @@ mod tests {
     }
 
     fn assert_maintained(mat: &MaterializedCube, dims: &[Dimension], aggs: &[AggSpec]) {
-        let table = Table::new(mat.base_schema.clone(), mat.base_rows()).unwrap();
-        assert_rebuilds(&mat.to_table().unwrap(), &table, dims, aggs);
+        assert_rebuilds(&mat.to_table().unwrap(), &mat.base(), dims, aggs);
     }
 
     /// A store over one row has one-bit fields. Unseen values first
@@ -1797,8 +1795,11 @@ mod view_tests {
     /// must equal the operator's answer exactly, including the ALL rows.
     #[test]
     fn cube_from_ancestor_matches_operator() {
-        let t = sales();
-        let view = CachedView::build(&t, &dims(&["model", "year"]), &specs()).unwrap();
+        let t = Arc::new(sales());
+        let ctx = ExecContext::unlimited();
+        let d = dims(&["model", "year"]);
+        let view = CachedView::build_within(Arc::clone(&t), &d, &specs(), Algorithm::Auto, &ctx);
+        let view = view.unwrap();
         let sets = crate::lattice::cube_sets(2).unwrap();
         let got = view
             .answer(&full_request(&sets), &ExecContext::unlimited())
@@ -1810,9 +1811,9 @@ mod view_tests {
             .cube(&t)
             .unwrap();
         assert_eq!(got.rows(), expected.rows());
-        // A view is the core alone and keeps no copy of the base rows.
+        // A view is the core alone and shares its table, no copy.
         assert_eq!(view.node_sizes(), [(GroupingSet::full(2), 4)]);
-        assert!(view.base_rows().is_empty());
+        assert!(Arc::ptr_eq(&view.base(), &t));
         assert_eq!(view.base_row_count(), 5);
     }
 
@@ -1935,23 +1936,37 @@ mod view_tests {
         assert_eq!(total.unwrap().rows()[0][2], Value::Int(245));
     }
 
-    /// A view keeps no base rows, so a batch that needs them (it deletes)
-    /// is refused whole — its inserts included — and nothing moves.
-    #[test]
-    fn delete_on_a_base_less_store_is_unsupported_and_changes_nothing() {
-        let t = sales();
-        let view = CachedView::build(&t, &dims(&["model", "year"]), &specs()).unwrap();
-        let before = view.to_table().unwrap();
-        let mut batch = DeltaBatch::new();
-        batch.insert(row!["Dodge", 2001, 7]).unwrap();
-        batch.delete(row!["Ford", 1994, 60]);
-        let err = view.apply(&batch, &ExecContext::unlimited()).unwrap_err();
-        assert!(matches!(err, CubeError::Unsupported(_)), "got {err}");
-        assert_eq!(view.to_table().unwrap(), before);
-        assert_eq!((view.version(), view.base_row_count()), (0, 5));
+    /// `t` less one of each of `del`, plus `ins`: the table a batch
+    /// leaves.
+    fn after(t: &Table, ins: &[Row], del: &[Row]) -> Arc<Table> {
+        let mut rows = t.rows().to_vec();
+        for row in del {
+            rows.remove(rows.iter().position(|r| r == row).unwrap());
+        }
+        rows.extend(ins.iter().cloned());
+        Arc::new(Table::new(t.schema().clone(), rows).unwrap())
     }
 
-    /// A view folds a vouched delete batch cell by cell: the result equals
+    /// A view holds its base like every store, so `apply` resolves a
+    /// batch's deletes against it: the view then equals a build over the
+    /// table the batch leaves, and a delete of a row it no longer holds is
+    /// refused whole.
+    #[test]
+    fn a_view_applies_value_deletes_against_its_base() {
+        let (t, d) = (sales(), dims(&["model", "year"]));
+        let view = CachedView::build(&t, &d, &specs()).unwrap();
+        let (ins, del) = (vec![row!["Dodge", 2001, 7]], vec![row!["Ford", 1994, 60]]);
+        let batch = DeltaBatch::of(ins.clone(), del.clone());
+        view.apply(&batch, &ExecContext::unlimited()).unwrap();
+        let rebuilt = CachedView::build(&after(&t, &ins, &del), &d, &specs()).unwrap();
+        let before = view.to_table().unwrap();
+        assert_eq!(before, rebuilt.to_table().unwrap());
+        assert_eq!((view.version(), view.base_row_count()), (2, 5));
+        assert!(view.delete(&del[0]).is_err());
+        assert_eq!((view.to_table().unwrap(), view.version()), (before, 2));
+    }
+
+    /// A view folds a delete batch cell by cell: the result equals
     /// a build over the table the batch leaves, the cell whose last row
     /// leaves is dropped, and the view it was absorbed from is unchanged.
     #[test]
@@ -1959,19 +1974,14 @@ mod view_tests {
         let t = sales();
         let view = CachedView::build(&t, &dims(&["model", "year"]), &specs()).unwrap();
         let before = view.to_table().unwrap();
-        let batch = DeltaBatch::of(
+        let (ins, del) = (
             vec![row!["Dodge", 2001, 7]],
             vec![row!["Chevy", 1994, 50], row!["Ford", 1994, 60]],
         );
-        let absorbed = view.absorb_batch(&batch).unwrap();
-
-        let left = vec![
-            row!["Chevy", 1994, 40],
-            row!["Chevy", 1995, 85],
-            row!["Ford", Value::Null, 10],
-            row!["Dodge", 2001, 7],
-        ];
-        let left = Table::new(t.schema().clone(), left).unwrap();
+        let left = after(&t, &ins, &del);
+        let absorbed = view
+            .absorb_batch(&DeltaBatch::of(ins, del), Arc::clone(&left))
+            .unwrap();
         let rebuilt = CachedView::build(&left, &dims(&["model", "year"]), &specs()).unwrap();
         let sets = crate::lattice::cube_sets(2).unwrap();
         let ctx = ExecContext::unlimited();
@@ -1982,36 +1992,54 @@ mod view_tests {
         // (Ford, 1994) lost its only row; (Dodge, 2001) is new.
         assert_eq!((absorbed.cell_count(), view.cell_count()), (4, 4));
         assert_eq!((absorbed.base_row_count(), absorbed.version()), (4, 3));
+        assert!(Arc::ptr_eq(&absorbed.base(), &left));
         assert_eq!(view.to_table().unwrap(), before);
     }
 
-    /// A base-less store cannot recompute a MAX whose champion leaves: the
-    /// batch is refused whole, its SUM retraction and insert included,
-    /// and the store's cells, rows and version stay as they were. A delete
-    /// that leaves every champion in place folds.
+    /// §6's holistic DELETE on a view: a MAX whose champion leaves is
+    /// recomputed from the post-batch table the caller hands over, so the
+    /// absorbed view equals a build over that table — the SUM retraction
+    /// and the insert included — and the view it came from is unchanged.
     #[test]
-    fn a_base_less_champion_delete_is_unsupported_and_changes_nothing() {
-        let t = sales();
+    fn a_view_champion_delete_equals_a_build_over_the_post_batch_table() {
+        let (t, d) = (sales(), dims(&["model", "year"]));
         let specs = vec![
             AggSpec::new(builtin("SUM").unwrap(), "units").with_name("s"),
             AggSpec::new(builtin("MAX").unwrap(), "units").with_name("m"),
         ];
-        let view = CachedView::build(&t, &dims(&["model", "year"]), &specs).unwrap();
+        let view = CachedView::build(&t, &d, &specs).unwrap();
         let before = view.to_table().unwrap();
-        let champion = DeltaBatch::of(vec![row!["Dodge", 2001, 7]], vec![row!["Chevy", 1994, 50]]);
-        let err = view.absorb_batch(&champion).unwrap_err();
-        assert!(matches!(err, CubeError::Unsupported(_)), "got {err}");
+        let (ins, del) = (vec![row!["Dodge", 2001, 7]], vec![row!["Chevy", 1994, 50]]);
+        let post = after(&t, &ins, &del);
+        let absorbed = view.absorb_batch(&DeltaBatch::of(ins, del), Arc::clone(&post));
+        let absorbed = absorbed.unwrap();
+        let rebuilt = CachedView::build(&post, &d, &specs).unwrap();
+        let sets = crate::lattice::cube_sets(2).unwrap();
+        let ctx = ExecContext::unlimited();
+        assert_eq!(
+            absorbed.answer(&full_request(&sets), &ctx).unwrap(),
+            rebuilt.answer(&full_request(&sets), &ctx).unwrap()
+        );
+        // 50 was the champion of (Chevy, 1994), which keeps its 40.
+        assert_eq!(absorbed.stats().cells_recomputed, 1);
+        let cell = absorbed.cell(&[Value::str("Chevy"), Value::Int(1994)]);
+        assert_eq!(cell, Some(vec![Value::Int(40), Value::Int(40)]));
+        assert_eq!(view.to_table().unwrap(), before);
+    }
+
+    /// The post-batch table must be the base less the deletes plus the
+    /// inserts, by length at least: a wrong one is a typed error, and the
+    /// view does not move.
+    #[test]
+    fn absorb_batch_refuses_a_post_table_of_the_wrong_length() {
+        let t = sales();
+        let view = CachedView::build(&t, &dims(&["model", "year"]), &specs()).unwrap();
+        let before = view.to_table().unwrap();
+        let batch = DeltaBatch::of(Vec::new(), vec![row!["Ford", 1994, 60]]);
+        let err = view.absorb_batch(&batch, Arc::new(t.clone())).unwrap_err();
+        assert!(matches!(err, CubeError::BadSpec(_)), "got {err}");
         assert_eq!(view.to_table().unwrap(), before);
         assert_eq!((view.version(), view.base_row_count()), (0, 5));
-        assert_eq!((view.cell_count(), view.stats().cells_recomputed), (4, 0));
-
-        let loser = DeltaBatch::of(Vec::new(), vec![row!["Chevy", 1994, 40]]);
-        let absorbed = view.absorb_batch(&loser).unwrap();
-        let total = absorbed.answer_sets(&[GroupingSet::EMPTY]).unwrap();
-        assert_eq!(
-            total.rows()[0].values()[2..],
-            [Value::Int(205), Value::Int(85)]
-        );
     }
 
     #[test]

@@ -151,48 +151,58 @@ fn ask(conn: &mut TcpStream, sql: &str) -> Result<Response, String> {
 
 /// A cacheable CUBE over the wire: its miss and its hit must match row
 /// for row; after a DELETE of one model, the next read must be a hit (the
-/// view retracts the deleted rows) and match the `SET CUBE_CACHE OFF`
-/// reply row for row. Served unbudgeted, because the main smoke's budget
+/// view retracts the deleted rows) and match a `SET CUBE_CACHE OFF`
+/// connection's reply row for row. A MAX CUBE's view then loses its
+/// champion (115) to a DELETE: the next MAX read must be a hit as well
+/// (the view recomputes that cell from the published table) and match
+/// the cache-off reply. Served unbudgeted, because the main smoke's budget
 /// sheds every CUBE.
 fn cache_smoke() -> Result<(), String> {
     const CUBE: &str =
         "SELECT model, year, SUM(units) AS total FROM Sales GROUP BY CUBE model, year";
+    const MAX: &str = "SELECT model, year, MAX(units) AS top FROM Sales GROUP BY CUBE model, year";
     let engine = demo_engine(ServiceConfig::default())?;
     let handle =
         serve(&engine, "127.0.0.1:0", ServerConfig::default()).map_err(|e| format!("bind: {e}"))?;
-    let mut conn = TcpStream::connect(handle.local_addr()).map_err(|e| format!("connect: {e}"))?;
+    let connect = || TcpStream::connect(handle.local_addr()).map_err(|e| format!("connect: {e}"));
+    let (mut conn, mut off) = (connect()?, connect()?);
+    expect_table(&ask(&mut off, "SET CUBE_CACHE OFF")?, "set cube_cache off")?;
     let miss = ask(&mut conn, CUBE)?;
     let hit = ask(&mut conn, CUBE)?;
-    let deleted = ask(&mut conn, "DELETE FROM Sales WHERE model = 'Ford'")?;
-    expect_table(&deleted, "delete one model")?;
+    expect_table(
+        &ask(&mut conn, "DELETE FROM Sales WHERE model = 'Ford'")?,
+        "delete one model",
+    )?;
     let retracted = ask(&mut conn, CUBE)?;
-    expect_table(&ask(&mut conn, "SET CUBE_CACHE OFF")?, "set cube_cache off")?;
-    let off = ask(&mut conn, CUBE)?;
-    drop(conn);
+    let retracted_off = ask(&mut off, CUBE)?;
+    expect_table(&ask(&mut conn, MAX)?, "max cube miss")?;
+    expect_table(
+        &ask(&mut conn, "DELETE FROM Sales WHERE units = 115")?,
+        "delete the champion",
+    )?;
+    let recomputed = ask(&mut conn, MAX)?;
+    let recomputed_off = ask(&mut off, MAX)?;
+    drop((conn, off));
     handle.shutdown();
     let c = engine.cube_cache().counters();
-    if (c.misses, c.hits) != (1, 2) {
+    if (c.misses, c.hits) != (2, 3) {
         return Err(format!(
-            "cube cache: expected one miss then two hits (the second after the DELETE), \
-             got {c:?}"
+            "cube cache: expected a SUM and a MAX miss, then three hits (SUM, SUM after \
+             the DELETE, MAX after its champion's DELETE), got {c:?}"
         ));
     }
-    let rows = table_rows(&miss, "cube miss")?;
-    if rows.len() != 9 {
-        return Err(format!("cube miss: expected 9 rows, got {}", rows.len()));
-    }
-    if table_rows(&hit, "cube hit")? != rows {
-        return Err("cube hit: rows differ from the miss's".into());
-    }
-    let rows = table_rows(&retracted, "cube hit after the delete")?;
-    if rows.len() != 6 {
-        return Err(format!(
-            "cube hit after the delete: expected 6 rows, got {}",
-            rows.len()
-        ));
-    }
-    if table_rows(&off, "cube with the cache off")? != rows {
-        return Err("cube hit after the delete: rows differ from the cache-off reply".into());
+    for (got, want, n, what) in [
+        (&hit, &miss, 9, "cube hit, against the miss"),
+        (&retracted, &retracted_off, 6, "cube hit after the delete"),
+        (&recomputed, &recomputed_off, 6, "max hit after the delete"),
+    ] {
+        let rows = table_rows(got, what)?;
+        if rows.len() != n {
+            return Err(format!("{what}: expected {n} rows, got {}", rows.len()));
+        }
+        if table_rows(want, what)? != rows {
+            return Err(format!("{what}: rows differ"));
+        }
     }
     Ok(())
 }
@@ -252,7 +262,7 @@ fn smoke() -> Result<(), String> {
 
     // 5. A cacheable CUBE answers alike from its miss and its hit, and
     //    after a DELETE alike from its retracted view and with the cache
-    //    off.
+    //    off; so does a MAX CUBE whose view recomputes a deleted champion.
     cache_smoke()?;
 
     // 6. The write path works over the wire: INSERT a batch, read the
@@ -301,7 +311,7 @@ fn smoke() -> Result<(), String> {
     handle.shutdown();
     eprintln!(
         "dc_serve --smoke: OK (cheap lane served, cube shed typed, errors survived, \
-         cache miss, hit, post-delete hit and off agreed, insert/delete round-tripped, \
+         cache miss, hit, post-delete hits and off agreed, insert/delete round-tripped, \
          {STALL_PROBE_STATEMENTS} statements in {took:?})"
     );
     Ok(())

@@ -30,6 +30,7 @@
 
 use crate::admission::{failpoint, AdmissionController, Counter};
 use datacube::{CachedView, CubeResult, DeltaBatch, GroupingSet};
+use dc_relation::Table;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -175,22 +176,23 @@ impl CubeCache {
     /// Fold one statement's batch — inserted rows, deleted rows, or both
     /// for an UPDATE — into every retained view of `table` instead of
     /// invalidating them: §6's maintenance applied to the cache.
-    /// `new_version` is the catalog version the statement published;
-    /// entries at `new_version - 1` reflect exactly the rows the statement
-    /// saw, so its deletes are among theirs. They absorb the batch (inserts
-    /// merged by Iter_super, deletes retracted cell by cell) and are
-    /// re-keyed to `new_version`, so the very next read hits warm; a view
-    /// that shrinks returns the cells it no longer pins. Anything else is
+    /// `version` is the catalog version the statement published and `post`
+    /// its table. Entries at `version - 1` reflect exactly the rows the
+    /// statement saw, so `post` is their base less its deletes plus its
+    /// inserts. They absorb the batch (inserts merged by Iter_super,
+    /// deletes retracted cell by cell, a cell that lost its MIN/MAX
+    /// champion recomputed from `post`), take `post` as their base and are
+    /// re-keyed to `version`, so the very next read hits warm; a view that
+    /// shrinks returns the cells it no longer pins. Anything else is
     /// dropped and its reservation returned: an entry at another version,
-    /// or one that cannot absorb — a deleted MIN/MAX champion, an absorb
-    /// error (injected fault, panicking UDA), or a grown view the admission
-    /// pool cannot cover.
-    pub fn apply_delta(&self, table: &str, new_version: u64, delta: &DeltaBatch) {
+    /// or one whose absorb fails (injected fault, panicking UDA) or grows
+    /// past what the admission pool can cover.
+    pub fn apply_delta(&self, table: &str, version: u64, delta: &DeltaBatch, post: &Arc<Table>) {
         if !self.is_enabled() {
             return;
         }
         let key = table.to_uppercase();
-        let prior = new_version.saturating_sub(1);
+        let prior = version.saturating_sub(1);
         let mut entries = self.lock();
         let mut i = 0;
         while i < entries.len() {
@@ -207,8 +209,8 @@ impl CubeCache {
             // fault) in the merge degrades to invalidation of this entry,
             // never to failing the already-committed write.
             let view = &entries[i].view;
-            let absorbed =
-                datacube::exec::guard("cache::absorb", || view.absorb_batch(delta)).and_then(|r| r);
+            let absorb = || view.absorb_batch(delta, Arc::clone(post));
+            let absorbed = datacube::exec::guard("cache::absorb", absorb).and_then(|r| r);
             match absorbed {
                 Ok(absorbed) => {
                     let new_cells = absorbed.cell_count().max(1);
@@ -224,7 +226,7 @@ impl CubeCache {
                     }
                     let entry = &mut entries[i];
                     entry.view = Arc::new(absorbed);
-                    entry.version = new_version;
+                    entry.version = version;
                     entry.cells = new_cells;
                     i += 1;
                 }
@@ -395,7 +397,7 @@ mod tests {
     use crate::admission::ServiceConfig;
     use datacube::{AggSpec, Dimension};
     use dc_aggregate::builtin;
-    use dc_relation::{row, DataType, Schema, Table};
+    use dc_relation::{row, DataType, Row, Schema, Table};
 
     fn sales() -> Table {
         let schema = Schema::from_pairs(&[
@@ -419,6 +421,16 @@ mod tests {
         let d: Vec<Dimension> = dims.iter().map(Dimension::column).collect();
         let a = vec![AggSpec::new(builtin("SUM").unwrap(), "units")];
         Arc::new(CachedView::build(&t, &d, &a).unwrap())
+    }
+
+    /// A batch over `sales()` (its deletes distinct rows of it), and the
+    /// table it leaves: what a publish hands to `apply_delta`.
+    fn batch(ins: Vec<Row>, del: Vec<Row>) -> (DeltaBatch, Arc<Table>) {
+        let mut rows = sales().rows().to_vec();
+        rows.retain(|r| !del.contains(r));
+        rows.extend(ins.iter().cloned());
+        let post = Table::new(sales().schema().clone(), rows).unwrap();
+        (DeltaBatch::of(ins, del), Arc::new(post))
     }
 
     fn unlimited_cache() -> Arc<CubeCache> {
@@ -478,8 +490,8 @@ mod tests {
             .populate("t", 1, d.clone(), a.clone(), view_over(&["model"]))
             .unwrap();
         assert!(cache.lookup("t", 2, &d, &a).unwrap().is_none());
-        let delta = DeltaBatch::of(vec![], vec![row!["Ford", 1994, 60]]);
-        cache.apply_delta("t", 2, &delta);
+        let (delta, post) = batch(vec![], vec![row!["Ford", 1994, 60]]);
+        cache.apply_delta("t", 2, &delta, &post);
         let hit = cache.lookup("t", 2, &d, &a).unwrap().unwrap();
         assert_eq!(hit.view.base_row_count(), 2);
     }
@@ -498,8 +510,8 @@ mod tests {
             .populate("t", 1, d.clone(), a.clone(), view_over(&["model", "year"]))
             .unwrap();
         assert!(!ctrl.try_reserve_cache_cells(1), "the view pins the pool");
-        let delta = DeltaBatch::of(vec![], vec![row!["Ford", 1994, 60]]);
-        cache.apply_delta("t", 2, &delta);
+        let (delta, post) = batch(vec![], vec![row!["Ford", 1994, 60]]);
+        cache.apply_delta("t", 2, &delta, &post);
         let hit = cache.lookup("t", 2, &d, &a).unwrap().unwrap();
         assert_eq!((hit.view.cell_count(), hit.view.base_row_count()), (2, 2));
         assert_eq!(cache.counters().cells, 2);
@@ -573,11 +585,11 @@ mod tests {
         cache
             .populate("t", 1, d.clone(), a.clone(), view_over(&["model"]))
             .unwrap();
-        let delta = DeltaBatch::of(
+        let (delta, post) = batch(
             vec![row!["Dodge", 2000, 7], row!["Chevy", 1994, 15]],
             vec![],
         );
-        cache.apply_delta("t", 2, &delta);
+        cache.apply_delta("t", 2, &delta, &post);
         // The entry followed the version bump by absorbing the batch: a
         // new cell for Dodge, a merged cell for Chevy, no invalidation.
         let hit = cache.lookup("t", 2, &d, &a).unwrap().unwrap();
@@ -599,8 +611,8 @@ mod tests {
         cache
             .populate("t", 1, d.clone(), a.clone(), view_over(&["model"]))
             .unwrap();
-        let delta = DeltaBatch::of(vec![row!["Dodge", 2000, 7]], vec![]);
-        cache.apply_delta("t", 2, &delta);
+        let (delta, post) = batch(vec![row!["Dodge", 2000, 7]], vec![]);
+        cache.apply_delta("t", 2, &delta, &post);
         assert!(cache.lookup("t", 2, &d, &a).unwrap().is_none());
         // The reservation was returned with the entry.
         assert_eq!(cache.counters().cells, 0);

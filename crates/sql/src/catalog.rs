@@ -87,7 +87,7 @@ impl Catalog {
         &mut self,
         name: &str,
         expected: Option<u64>,
-        table: Table,
+        table: Arc<Table>,
     ) -> SqlResult<Option<u64>> {
         let key = name.to_uppercase();
         if !self.tables.contains_key(&key) {
@@ -99,7 +99,7 @@ impl Catalog {
         }
         *version += 1;
         let new_version = *version;
-        self.tables.insert(key, Arc::new(table));
+        self.tables.insert(key, table);
         Ok(Some(new_version))
     }
 }
@@ -186,11 +186,13 @@ impl SharedCatalog {
     /// The one way a table gets a new version: swap `image` in (only if
     /// the version is still `expected`, when given), then tell `cache`.
     /// A statement passes the rows it inserted and deleted as `delta`, and
-    /// the views retained for `expected` absorb them (§6): the catalog
-    /// vouches that the deleted rows were in that version. A whole-table
-    /// replace passes none and invalidates the table's views. The write
-    /// lock is held for the swap only, so the cache's lock is never taken
-    /// under it. `Ok(None)` is a lost race: nothing changed.
+    /// the views retained for `expected` absorb them (§6) and share the
+    /// `Arc` of `image` just installed as their base: the catalog vouches
+    /// that `image` is that version less the deleted rows plus the
+    /// inserted ones. A whole-table replace passes none and invalidates
+    /// the table's views. The write lock is held for the swap only, so the
+    /// cache's lock is never taken under it. `Ok(None)` is a lost race:
+    /// nothing changed.
     pub(crate) fn publish(
         &self,
         cache: &CubeCache,
@@ -199,10 +201,12 @@ impl SharedCatalog {
         image: Table,
         delta: Option<&DeltaBatch>,
     ) -> SqlResult<Option<u64>> {
-        let swapped = self.write().replace_if_version(table, expected, image)?;
+        let image = Arc::new(image);
+        let shared = Arc::clone(&image);
+        let swapped = self.write().replace_if_version(table, expected, shared)?;
         if let Some(version) = swapped {
             match delta {
-                Some(delta) => cache.apply_delta(table, version, delta),
+                Some(delta) => cache.apply_delta(table, version, delta, &image),
                 None => cache.invalidate_table(table),
             }
         }
@@ -264,17 +268,18 @@ mod tests {
     fn replace_if_version_detects_races() {
         let mut c = Catalog::new();
         c.register_table("t", small()).unwrap();
+        let fresh = || Arc::new(small());
         // Version 1 → CAS at 1 succeeds and returns 2.
-        let v = c.replace_if_version("t", Some(1), small()).unwrap();
+        let v = c.replace_if_version("t", Some(1), fresh()).unwrap();
         assert_eq!(v, Some(2));
         // A writer still holding the old version loses the race.
-        let stale = c.replace_if_version("T", Some(1), small()).unwrap();
+        let stale = c.replace_if_version("T", Some(1), fresh()).unwrap();
         assert_eq!(stale, None);
         assert_eq!(c.versions["T"], 2);
         // An unconditional republish always wins.
-        assert_eq!(c.replace_if_version("t", None, small()).unwrap(), Some(3));
+        assert_eq!(c.replace_if_version("t", None, fresh()).unwrap(), Some(3));
         // Unknown tables are a typed error, not a silent miss.
-        assert!(c.replace_if_version("nope", Some(1), small()).is_err());
+        assert!(c.replace_if_version("nope", Some(1), fresh()).is_err());
     }
 
     #[test]

@@ -362,7 +362,7 @@ impl QueryRuntime {
     ) -> SqlResult<(Table, Option<u32>)> {
         let working = self.widen(plan, input)?;
         let (mut cube, ancestor) = match self.cache_key(plan, sel) {
-            Some(key) => self.answer_from_view(plan, &key, &working)?,
+            Some(key) => self.answer_from_view(plan, &key, Arc::clone(&working))?,
             None => (self.cube(plan, &working)?, None),
         };
         // Global aggregate over an empty table: SQL returns one row of
@@ -437,13 +437,14 @@ impl QueryRuntime {
     /// A cacheable block's answer, always folded out of a materialized view
     /// by Iter_super: on a hit the smallest usable ancestor, which is
     /// reported; on a miss the block's own core, grouped from the base (the
-    /// statement's one scan) under its plan and limits, then offered to the
-    /// cache. The offer is best-effort: a declined view still answers.
+    /// statement's one scan) under its plan and limits — the view then
+    /// shares the snapshot's `Arc` of the table — and offered to the cache.
+    /// The offer is best-effort: a declined view still answers.
     fn answer_from_view(
         &self,
         plan: &AggregatePlan,
         key: &CacheKey,
-        base: &Table,
+        base: Arc<Table>,
     ) -> SqlResult<(Table, Option<u32>)> {
         let bpc = datacube::exec::estimate_bytes_per_cell(plan.dims.len(), plan.aggs.len());
         let ctx = || ExecContext::new(&self.limits(), bpc);
@@ -1065,11 +1066,11 @@ mod tests {
 
     /// A cached view stays warm through writes: an INSERT's rows merge
     /// into it and a DELETE's rows retract from it, so each next read is a
-    /// hit at the new version. A MAX view whose champion is deleted cannot
-    /// be retracted into; it alone is invalidated, and the SUM view beside
-    /// it stays warm.
+    /// hit at the new version. A MAX view whose champion is deleted
+    /// recomputes that cell from the table the DELETE published: it stays
+    /// warm beside the SUM view and answers as the direct cube does.
     #[test]
-    fn writes_fold_into_cached_views_and_a_max_champion_delete_invalidates() {
+    fn writes_fold_into_cached_views_and_a_max_champion_delete_recomputes() {
         let engine = Engine::with_service(crate::ServiceConfig::default());
         let schema = Schema::from_pairs(&[
             ("model", DataType::Str),
@@ -1119,8 +1120,8 @@ mod tests {
         assert!(after.rows().iter().all(|r| r[0] != Value::str("Chevy")));
 
         // Deleting Ford's 60 takes the champion of a cell that keeps a
-        // row: the MAX view is dropped and recomputed, while the SUM view
-        // retracts and stays warm.
+        // row: the MAX view recomputes it and stays warm, like the SUM
+        // view that retracts.
         session
             .execute("INSERT INTO sales VALUES ('Ford', 1994, 5)")
             .unwrap();
@@ -1128,13 +1129,45 @@ mod tests {
         session
             .execute("DELETE FROM sales WHERE units = 60")
             .unwrap();
-        assert_eq!(engine.cube_cache().counters().entries, warm.entries - 1);
+        assert_eq!(engine.cube_cache().counters().entries, warm.entries);
         let after = session.execute(max).unwrap();
-        assert!(!session.last_admission().answered_from_cache);
+        assert!(session.last_admission().answered_from_cache);
         assert_eq!(total(&after), Some(Value::Int(7)));
+        session.execute("SET CUBE_CACHE OFF").unwrap();
+        assert_eq!(session.execute(max).unwrap(), after);
+        session.execute("SET CUBE_CACHE ON").unwrap();
         let after = session.execute(q).unwrap();
         assert!(session.last_admission().answered_from_cache);
         assert_eq!(total(&after), Some(Value::Int(12)));
+    }
+
+    /// A view a SQL miss builds holds the catalog's own `Arc` of the table
+    /// version it reflects — no copy of the rows — and after a DELETE it
+    /// holds the `Arc` that DELETE published.
+    #[test]
+    fn a_sql_view_shares_the_catalogs_table_across_a_delete() {
+        let engine = Engine::with_service(crate::ServiceConfig::default());
+        let schema = Schema::from_pairs(&[("model", DataType::Str), ("units", DataType::Int)]);
+        let t = Table::new(schema, vec![row!["Chevy", 50], row!["Ford", 60]]).unwrap();
+        let catalog = engine.service_parts().0;
+        catalog.register_table("sales", t).unwrap();
+        let session = engine.session();
+        let q = "SELECT model, SUM(units) AS s FROM sales GROUP BY model";
+        let (dims, aggs) = (["model".to_string()], ["SUM(units)".to_string()]);
+        let shares = || {
+            let snap = catalog.snapshot();
+            let version = snap.table_version("sales");
+            let hit = engine.cube_cache().lookup("sales", version, &dims, &aggs);
+            let view = hit.unwrap().expect("a warm view").view;
+            Arc::ptr_eq(&view.base(), &snap.table("sales").unwrap())
+        };
+        session.execute(q).unwrap();
+        assert!(shares());
+        session
+            .execute("DELETE FROM sales WHERE model = 'Chevy'")
+            .unwrap();
+        assert!(shares());
+        assert_eq!(catalog.snapshot().table("sales").unwrap().len(), 1);
     }
 
     /// The per-statement costs of the write path are per statement, not

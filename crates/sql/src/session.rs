@@ -225,8 +225,8 @@ impl Session {
     ///
     /// On success [`SharedCatalog::publish`] has the retained cache views
     /// absorb the statement's delta: its inserts merge, its deletes
-    /// retract. Only a view that would have to recompute a cell (§6: "max
-    /// is ... holistic for DELETE") is invalidated instead.
+    /// retract, and a cell that cannot retract (§6: "max is ... holistic
+    /// for DELETE") is recomputed from the published table.
     fn exec_write_governed(
         &self,
         table: &str,

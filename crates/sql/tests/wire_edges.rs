@@ -208,3 +208,73 @@ fn a_client_dribbling_one_byte_per_20ms_is_served() {
     drop(conn);
     assert_slot_free(handle, &admission);
 }
+
+/// xorshift64: the hostile frame generator's fixed-seed stream, so a
+/// failing frame replays.
+struct XorShift(u64);
+
+impl XorShift {
+    fn below(&mut self, n: u64) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x % n
+    }
+}
+
+/// One hostile frame: a length prefix of 0, below, at or above
+/// `MAX_FRAME_LEN`; a printable or a random (mostly non-UTF-8) payload;
+/// one in three cut short anywhere, prefix included. Returns its bytes
+/// and whether it is whole, so the server can answer it with a typed
+/// error — a cut frame it can only close on.
+fn hostile_frame(rng: &mut XorShift) -> (Vec<u8>, bool) {
+    let max = u64::from(MAX_FRAME_LEN);
+    let len = match rng.below(4) {
+        0 => 0,
+        1 => 1 + rng.below(max - 1),
+        2 => max,
+        _ => max + 1 + rng.below(u64::from(u32::MAX) - max),
+    };
+    let mut frame = u32::try_from(len).unwrap().to_be_bytes().to_vec();
+    if len > max {
+        return (frame, true); // refused on its prefix alone
+    }
+    let printable = rng.below(2) == 0;
+    let byte = |rng: &mut XorShift| match printable {
+        true => b' ' + rng.below(95) as u8,
+        false => rng.below(256) as u8,
+    };
+    frame.extend((0..len).map(|_| byte(rng)));
+    if rng.below(3) > 0 {
+        return (frame, true);
+    }
+    frame.truncate(rng.below(frame.len() as u64) as usize);
+    (frame, false)
+}
+
+/// 64 seeded hostile frames, each on a server of its own: a whole frame is
+/// answered with a typed error, a cut one with a close, and afterwards the
+/// server's one slot and one permit serve a fresh client.
+#[test]
+fn seeded_hostile_frames_get_a_typed_error_or_a_close() {
+    let mut rng = XorShift(0xDA7A_C0BE_F00D_2024);
+    for i in 0..64 {
+        let (frame, whole) = hostile_frame(&mut rng);
+        let (handle, admission) = server();
+        let mut conn = connect(handle.local_addr());
+        conn.write_all(&frame).unwrap();
+        conn.shutdown(Shutdown::Write).unwrap();
+        match outcome(&mut conn) {
+            Some(Response::Error { code, .. }) => {
+                assert!(whole, "frame {i}: a cut frame was answered ERR {code}");
+                assert_ne!(code, "RESOURCE_EXHAUSTED", "frame {i}: shed, not answered");
+            }
+            None => assert!(!whole, "frame {i}: a whole frame was closed on"),
+            Some(other) => panic!("frame {i}: expected a typed error or a close, got {other:?}"),
+        }
+        drop(conn);
+        assert_slot_free(handle, &admission);
+    }
+}

@@ -6,7 +6,7 @@
 use datacube::maintain::MaterializedCube;
 use datacube::{AggSpec, Dimension};
 use dc_aggregate::{builtin, AggKind, Retract, UdaBuilder};
-use dc_relation::{row, DataType, Row, Schema, Table, Value};
+use dc_relation::{row, DataType, Schema, Table, Value};
 use dc_sql::{Engine, ServiceConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -135,8 +135,7 @@ fn avg_is_rederived_from_partial_state_not_averaged() {
 /// Rebuild the table a `MaterializedCube` maintains into a fresh
 /// relation, for republishing through `Engine::update_table`.
 fn republish(mat: &MaterializedCube, schema: &Schema) -> Table {
-    let rows: Vec<Row> = mat.base_rows();
-    Table::new(schema.clone(), rows).unwrap()
+    Table::new(schema.clone(), mat.base().rows().to_vec()).unwrap()
 }
 
 #[test]

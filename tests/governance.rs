@@ -1285,6 +1285,31 @@ mod faults_suite {
         assert_eq!(cube.version(), batch.len() as u64);
     }
 
+    /// An insert-only batch moves the cube's base rows into the table it
+    /// leaves; a fault in the fold, a panic included, hands them back: the
+    /// base, cells and version are as before, and the batch then applies.
+    #[test]
+    fn a_failed_insert_only_batch_gives_the_base_back() {
+        let t = grid(4, 3);
+        silent_panics(|| {
+            let _cleanup = Disarm;
+            for fault in [Fault::TripBudget, Fault::Panic("fold down".into())] {
+                let cube = MaterializedCube::cube(&t, xy_dims(), vec![sum_units()]).unwrap();
+                let before = cube.to_table().unwrap();
+                let mut batch = DeltaBatch::new();
+                let row = Row::new(vec![Value::Int(9), Value::Int(9), Value::Int(1)]);
+                batch.insert(row).unwrap();
+                arm("maintain::batch_fold", fault);
+                assert!(cube.apply(&batch, &ExecContext::unlimited()).is_err());
+                disarm_all();
+                assert_eq!(cube.base().rows(), t.rows());
+                assert_eq!((cube.to_table().unwrap(), cube.version()), (before, 0));
+                cube.apply(&batch, &ExecContext::unlimited()).unwrap();
+                assert_eq!(cube.base().len(), t.len() + 1);
+            }
+        });
+    }
+
     /// A fault inside cache delta-absorption never fails the committed
     /// write: the INSERT succeeds, the poisoned entry degrades to a cache
     /// miss, and the view re-warms on the next read.

@@ -574,14 +574,17 @@ fn sql_ingest_race_exposes_only_whole_batches() {
 }
 
 /// Four writer sessions each INSERT whole tagged batches and DELETE them
-/// again by tag two batches later, while eight readers read a SUM through
-/// the lattice cache, whose views retract the deletes. Every batch sums to
-/// exactly `BATCH_SUM`, so a read that observed a torn batch, or cached
-/// cells that retracted part of one, produces a total that is not
-/// `T0 + k * BATCH_SUM` for a whole k between none and every batch the
-/// writers can hold live. Quiesced, the total is exact; one more DELETE
-/// retracts into the warm view, and the next read is a hit that equals a
-/// cache-off read.
+/// again by tag two batches later, while eight readers read a SUM and a
+/// MAX through the lattice cache, whose views retract the deletes. Every
+/// batch sums to exactly `BATCH_SUM`, so a read that observed a torn
+/// batch, or cached cells that retracted part of one, produces a total
+/// that is not `T0 + k * BATCH_SUM` for a whole k between none and every
+/// batch the writers can hold live. Every batch also holds every model's
+/// champion (10, and 30 for model 6, over a base of 3s), so a DELETE of
+/// the last live batch makes the MAX view recompute each cell from the
+/// published table: a MAX read is all 3s or all champions, never a mix.
+/// Quiesced, the total is exact; one more DELETE retracts into the warm
+/// views, and the next reads are hits that equal cache-off reads.
 #[test]
 fn sql_delete_race_retracts_only_whole_batches() {
     use dc_sql::{Engine, ServiceConfig};
@@ -607,7 +610,22 @@ fn sql_delete_race_retracts_only_whole_batches() {
     engine.register_table("churn", t).unwrap();
     let engine = Arc::new(engine);
     let sql = "SELECT model, SUM(units) AS s FROM churn GROUP BY model";
+    let max_sql = "SELECT model, MAX(units) AS m FROM churn GROUP BY model";
     let total_of = |t: &Table| -> i64 { t.rows().iter().filter_map(|r| r[1].as_i64()).sum() };
+    // Whole batches only: no batch live (every model 3), or some (10, and
+    // 30 for model 6).
+    let whole_max = |t: &Table| {
+        let maxes: Vec<(i64, i64)> = (t.rows().iter())
+            .map(|r| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()))
+            .collect();
+        let champion = |model| if model == 6 { 30 } else { 10 };
+        let none = maxes.iter().all(|&(_, m)| m == 3);
+        let some = maxes.iter().all(|&(model, m)| m == champion(model));
+        assert!(
+            maxes.len() == MODELS as usize && (none || some),
+            "torn MAX read: {maxes:?}"
+        );
+    };
 
     // Seven rows of 10 plus one of 30 under one tag: BATCH_SUM.
     let insert_sql = |tag: i64| {
@@ -642,6 +660,7 @@ fn sql_delete_race_retracts_only_whole_batches() {
             std::thread::spawn(move || {
                 let session = engine.session();
                 for _ in 0..40 {
+                    whole_max(&session.execute(max_sql).unwrap());
                     let total = total_of(&session.execute(sql).unwrap());
                     let delta = total - t0;
                     assert!(
@@ -667,6 +686,7 @@ fn sql_delete_race_retracts_only_whole_batches() {
     let session = engine.session();
     let settled = t0 + WRITERS * LAG * BATCH_SUM;
     assert_eq!(total_of(&session.execute(sql).unwrap()), settled);
+    whole_max(&session.execute(max_sql).unwrap());
     session.execute(&delete_sql(tag(0, BATCHES - 1))).unwrap();
     let after = session.execute(sql).unwrap();
     assert!(
@@ -674,9 +694,16 @@ fn sql_delete_race_retracts_only_whole_batches() {
         "a DELETE should retract into the warm view, not cool it"
     );
     assert_eq!(total_of(&after), settled - BATCH_SUM);
+    let max_after = session.execute(max_sql).unwrap();
+    assert!(
+        session.last_admission().answered_from_cache,
+        "a DELETE of MAX champions should recompute in the warm view, not drop it"
+    );
+    whole_max(&max_after);
     let off = engine.session();
     off.execute("SET CUBE_CACHE OFF").unwrap();
     assert_eq!(off.execute(sql).unwrap().rows(), after.rows());
+    assert_eq!(off.execute(max_sql).unwrap().rows(), max_after.rows());
 }
 
 /// Loom-free lock torture: two writers submit delta batches whose rows
