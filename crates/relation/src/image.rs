@@ -135,6 +135,23 @@ impl CodeColumn {
             symbols: Arc::new(symbols),
         }
     }
+
+    /// Dictionary-encode column `idx` of `rows` if it has at most `limit`
+    /// distinct values: the encoding stops at the first value past them.
+    pub(crate) fn from_rows_at_most(rows: &[Row], idx: usize, limit: usize) -> Option<CodeColumn> {
+        let mut symbols = SymbolTable::new();
+        let mut codes = Codes::with_capacity(rows.len());
+        for row in rows {
+            codes.push(symbols.intern(&row[idx]));
+            if symbols.cardinality() > limit {
+                return None;
+            }
+        }
+        Some(CodeColumn {
+            codes,
+            symbols: Arc::new(symbols),
+        })
+    }
 }
 
 /// A column as primitives: `i64` when every row is `Int` or `NULL`,
@@ -306,6 +323,23 @@ impl Image {
             slot.codes
                 .get_or_init(|| Arc::new(CodeColumn::from_rows(rows, idx))),
         )
+    }
+
+    /// Column `idx`'s codes if it has at most `limit` distinct values,
+    /// encoded from `rows` if missing; an encoding that finds more stops
+    /// there and leaves the slot empty.
+    pub(crate) fn codes_at_most(
+        &self,
+        rows: &[Row],
+        idx: usize,
+        limit: usize,
+    ) -> Option<Arc<CodeColumn>> {
+        let slot = &self.slots[idx];
+        if let Some(built) = slot.codes.get() {
+            return (built.symbols.cardinality() <= limit).then(|| Arc::clone(built));
+        }
+        let column = CodeColumn::from_rows_at_most(rows, idx, limit)?;
+        Some(Arc::clone(slot.codes.get_or_init(|| Arc::new(column))))
     }
 
     /// Column `idx`'s typed form, extracted from `rows` if missing.
@@ -488,6 +522,26 @@ mod tests {
         assert_eq!((nulls.0.clone(), nulls.1.count_valid()), (vec![0; 3], 0));
         assert!(t.typed(0).is_none(), "Int and Float mixed");
         assert!(t.typed(1).is_none(), "strings");
+    }
+
+    #[test]
+    fn a_capped_encoding_keeps_nothing_past_its_limit() {
+        let rows: Vec<Row> = [1, 2, 1, 3, 2]
+            .map(|v| Row::new(vec![Value::Int(v)]))
+            .to_vec();
+        let t = Table::from_validated_rows(Schema::from_pairs(&[("v", DataType::Int)]), rows);
+        assert!(t.codes_at_most(0, 2).is_none(), "three values");
+        let fits = t.codes_at_most(0, 3).expect("three values fit three");
+        assert_eq!(fits.codes, Codes::U8(vec![0, 1, 0, 2, 1]));
+        assert!(Arc::ptr_eq(&fits, &t.codes(0)), "kept in the image");
+        assert!(
+            t.codes_at_most(0, 2).is_none(),
+            "a built column is judged too"
+        );
+        assert_eq!(
+            CodeColumn::from_rows_at_most(t.rows(), 0, 3).map(|c| c.codes),
+            Some(CodeColumn::from_rows(t.rows(), 0).codes)
+        );
     }
 
     #[test]

@@ -105,6 +105,15 @@ impl Table {
         self.image().codes(&self.rows, idx)
     }
 
+    /// Column `idx` dictionary-encoded, from the image, if it has at most
+    /// `limit` distinct values. A column not yet encoded is encoded now,
+    /// and an encoding that meets a value past the limit stops there and
+    /// keeps nothing, so a high-cardinality column costs about `limit`
+    /// interns, not a dictionary.
+    pub fn codes_at_most(&self, idx: usize, limit: usize) -> Option<Arc<CodeColumn>> {
+        self.image().codes_at_most(&self.rows, idx, limit)
+    }
+
     /// Column `idx` as `i64` or `f64` values with validity, from the image
     /// (extracted now if it is not there yet); `None` when the column
     /// holds anything but one numeric type and `NULL`.

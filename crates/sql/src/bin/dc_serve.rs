@@ -19,8 +19,9 @@
 //! GROUP BY succeeds while a 3-dimension CUBE is shed with a typed
 //! `RESOURCE_EXHAUSTED` frame and a retry hint, that a parse error
 //! leaves the connection usable, that a cacheable CUBE replies the same
-//! rows on its cache miss, its hit and with the cache off, that an
-//! INSERT and a DELETE round-trip, that 50 sequential statements on one
+//! rows on its cache miss, its hit and with the cache off, that a
+//! two-column UPDATE moves the grand total by its row count and back, that
+//! an INSERT and a DELETE round-trip, that 50 sequential statements on one
 //! default-options connection take under a second (no transport stall),
 //! then shut down cleanly. Exit code 0 on success.
 
@@ -207,6 +208,55 @@ fn cache_smoke() -> Result<(), String> {
     Ok(())
 }
 
+/// A multi-column UPDATE over the wire, on the demo rows eight times over
+/// (64 rows, so its `model`, `year` predicate is decided once per pair of
+/// values): the next grand total must move by exactly the acknowledged
+/// row count and equal a `SET CUBE_CACHE OFF` connection's; the inverse
+/// UPDATE must restore it.
+fn update_smoke() -> Result<(), String> {
+    const TOTAL: &str = "SELECT SUM(units) AS total FROM Sales";
+    const BUMP: &str = "UPDATE Sales SET units = units + 1 WHERE model = 'Chevy' AND year = 1994";
+    const UNDO: &str = "UPDATE Sales SET units = units - 1 WHERE model = 'Chevy' AND year = 1994";
+    let demo = demo_table()?;
+    let rows = demo.rows().iter().cycle().take(8 * demo.len()).cloned();
+    let sales = Table::new(demo.schema().clone(), rows.collect()).map_err(|e| e.to_string())?;
+    let mut engine = Engine::with_service(ServiceConfig::default());
+    engine
+        .register_table("Sales", sales)
+        .map_err(|e| format!("register: {e}"))?;
+    let handle =
+        serve(&engine, "127.0.0.1:0", ServerConfig::default()).map_err(|e| format!("bind: {e}"))?;
+    let connect = || TcpStream::connect(handle.local_addr()).map_err(|e| format!("connect: {e}"));
+    let (mut conn, mut off) = (connect()?, connect()?);
+    expect_table(&ask(&mut off, "SET CUBE_CACHE OFF")?, "set cube_cache off")?;
+    // The one cell of a one-row reply, as an integer.
+    let int = |resp: &Response, col: usize, what: &str| -> Result<i64, String> {
+        let cell = table_rows(resp, what)?.first().and_then(|r| r.get(col));
+        let cell = cell.ok_or_else(|| format!("{what}: empty reply"))?;
+        cell.parse().map_err(|e| format!("{what}: {cell:?}: {e}"))
+    };
+    let before = int(&ask(&mut conn, TOTAL)?, 0, "total before")?;
+    let bumped = int(&ask(&mut conn, BUMP)?, 1, "update")?;
+    let after = int(&ask(&mut conn, TOTAL)?, 0, "total after")?;
+    let after_off = int(&ask(&mut off, TOTAL)?, 0, "total after, cache off")?;
+    let undone = int(&ask(&mut conn, UNDO)?, 1, "inverse update")?;
+    let restored = int(&ask(&mut conn, TOTAL)?, 0, "total restored")?;
+    drop((conn, off));
+    handle.shutdown();
+    if (bumped, undone) != (16, 16) {
+        return Err(format!(
+            "update: expected 16 rows each way, got {bumped} and {undone}"
+        ));
+    }
+    if (after, after_off, restored) != (before + bumped, before + bumped, before) {
+        return Err(format!(
+            "update: total {before} went to {after} (cache off {after_off}) on {bumped} rows, \
+             then {restored}"
+        ));
+    }
+    Ok(())
+}
+
 /// The verify.sh self-test: overload behaviour end to end over TCP.
 fn smoke() -> Result<(), String> {
     // A budget sized so the cheap lane fits a plain GROUP BY (estimate:
@@ -264,6 +314,9 @@ fn smoke() -> Result<(), String> {
     //    after a DELETE alike from its retracted view and with the cache
     //    off; so does a MAX CUBE whose view recomputes a deleted champion.
     cache_smoke()?;
+    //    A multi-column UPDATE moves the total by its row count, alike
+    //    with the cache on and off, and its inverse restores it.
+    update_smoke()?;
 
     // 6. The write path works over the wire: INSERT a batch, read the
     //    new total back, DELETE it again.
@@ -311,7 +364,8 @@ fn smoke() -> Result<(), String> {
     handle.shutdown();
     eprintln!(
         "dc_serve --smoke: OK (cheap lane served, cube shed typed, errors survived, \
-         cache miss, hit, post-delete hits and off agreed, insert/delete round-tripped, \
+         cache miss, hit, post-delete hits and off agreed, update and insert/delete \
+         round-tripped, \
          {STALL_PROBE_STATEMENTS} statements in {took:?})"
     );
     Ok(())

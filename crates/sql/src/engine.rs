@@ -24,7 +24,7 @@ use crate::ast::*;
 use crate::cache::CubeCache;
 use crate::catalog::{CatalogSnapshot, SharedCatalog};
 use crate::error::{SqlError, SqlResult};
-use crate::eval::{eval, EvalContext};
+use crate::eval::{eval, EvalContext, Selection};
 use crate::plan::{self, branches, AggregatePlan, Bound, Output, Source};
 use crate::scalar::ScalarFn;
 use crate::session::Session;
@@ -614,16 +614,17 @@ impl QueryRuntime {
     }
 }
 
-/// The rows of `table` a predicate accepts. SQL semantics: a NULL (or
-/// ALL) verdict drops the row.
+/// The rows of `table` a predicate selects (a WHERE over the FROM
+/// relation, a HAVING over the cube relation).
 fn keep_rows(table: &Table, pred: &Expr, ctx: &EvalContext) -> SqlResult<Table> {
-    let mut kept = Table::empty(table.schema().clone());
-    for row in table.rows() {
-        if eval(pred, row, ctx)? == Value::Bool(true) {
-            kept.push_unchecked(row.clone());
+    let mut selection = Selection::new(table, Some(pred), ctx);
+    let mut kept = Vec::new();
+    for (i, row) in table.rows().iter().enumerate() {
+        if selection.contains(i)? {
+            kept.push(row.clone());
         }
     }
-    Ok(kept)
+    Ok(Table::from_validated_rows(table.schema().clone(), kept))
 }
 
 /// The one select-list projector, column-wise: every output's value per

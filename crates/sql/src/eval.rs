@@ -20,8 +20,9 @@
 use crate::ast::{BinOp, Expr};
 use crate::error::{SqlError, SqlResult};
 use crate::scalar::{ScalarFn, ScalarRegistry};
-use dc_relation::{DataType, Row, Schema, Value};
+use dc_relation::{CodeColumn, DataType, FxHashSet, Row, Schema, Table, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Everything needed to evaluate expressions against rows of one schema.
 pub struct EvalContext<'a> {
@@ -100,7 +101,7 @@ pub fn eval(expr: &Expr, row: &Row, ctx: &EvalContext) -> SqlResult<Value> {
             | Value::Date(_) => Value::Null,
         }),
         Expr::Neg(e) => Ok(match eval(e, row, ctx)? {
-            Value::Int(i) => Value::Int(-i),
+            Value::Int(i) => i.checked_neg().map_or(Value::Null, Value::Int),
             Value::Float(f) => Value::Float(-f),
             Value::Null | Value::All | Value::Bool(_) | Value::Str(_) | Value::Date(_) => {
                 Value::Null
@@ -175,14 +176,19 @@ fn eval_binary(op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> {
                 }),
             })
         }
+        // An integer result that overflows `i64` (`i64::MAX + 1`,
+        // `i64::MIN % -1`) is NULL, the evaluator's one rule for arithmetic
+        // without an answer: so is a modulo here, or a division below, by
+        // zero. `-i64::MIN` and `ABS(i64::MIN)` follow it too.
         Add | Sub | Mul | Mod => Ok(match (l, r) {
             (Value::Int(a), Value::Int(b)) => match op {
-                Add => Value::Int(a + b),
-                Sub => Value::Int(a - b),
-                Mul => Value::Int(a * b),
-                Mod if *b != 0 => Value::Int(a % b),
-                _ => Value::Null,
-            },
+                Add => a.checked_add(*b),
+                Sub => a.checked_sub(*b),
+                Mul => a.checked_mul(*b),
+                Mod => a.checked_rem(*b),
+                _ => None,
+            }
+            .map_or(Value::Null, Value::Int),
             // cube-lint: allow(wildcard, numeric coercion defers to as_f64, which is exhaustive)
             _ => match (l.as_f64(), r.as_f64()) {
                 (Some(a), Some(b)) => match op {
@@ -196,7 +202,8 @@ fn eval_binary(op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> {
             },
         }),
         // SQL engines disagree on integer division; we follow the paper's
-        // §4 usage (percent-of-total) and always divide as floats.
+        // §4 usage (percent-of-total) and always divide as floats. By zero,
+        // NULL.
         Div => Ok(match (l.as_f64(), r.as_f64()) {
             (Some(a), Some(b)) if b != 0.0 => Value::Float(a / b),
             _ => Value::Null,
@@ -218,6 +225,177 @@ fn kleene_or(l: &Value, r: &Value) -> Value {
         (Some(false), Some(false)) => Value::Bool(false),
         _ => Value::Null,
     }
+}
+
+/// Which rows of one table a predicate selects: the one row selection of
+/// DELETE, UPDATE, WHERE and HAVING. SQL semantics: only a `TRUE` verdict
+/// selects, so a NULL (or ALL) verdict leaves the row out; no predicate
+/// selects every row.
+///
+/// A verdict depends only on the values of the columns the predicate
+/// reads (scalar functions are pure), so where those columns have few
+/// distinct values §5's symbol tables ([`Table::codes`]) decide it once
+/// per distinct value: the verdict of a tuple of codes is [`eval`]'s on
+/// the first row that carries it, and every later row with the same tuple
+/// reuses it. Errors are therefore [`eval`]'s, raised by the same row, and
+/// a scalar function is called at most once per distinct tuple. The memo
+/// is kept only where it is sound and where it pays (see
+/// [`Selection::new`]); otherwise every row is evaluated.
+pub(crate) struct Selection<'a> {
+    rows: &'a [Row],
+    predicate: Option<&'a Expr>,
+    ctx: &'a EvalContext<'a>,
+    memo: Option<Memo>,
+}
+
+/// Verdicts by code tuple: a dense table indexed by the mixed-radix
+/// number the codes of one row's columns spell.
+struct Memo {
+    /// Each column the predicate reads: its codes, and its place value.
+    columns: Vec<(Arc<CodeColumn>, usize)>,
+    /// Per tuple, its verdict once a row carrying it was evaluated.
+    verdicts: Vec<Option<bool>>,
+}
+
+/// Rows [`may_fit`] samples.
+const SAMPLE_ROWS: usize = 4096;
+
+impl<'a> Selection<'a> {
+    /// The selection `predicate` makes over `table`, under `ctx` (whose
+    /// schema is the table's). The memo is built here when three things
+    /// hold, else every row is evaluated:
+    ///
+    /// * the predicate's verdict is a function of the columns it reads:
+    ///   it holds no scalar subquery, no `*` and no column `eval` cannot
+    ///   resolve (those rows fail, or read more than a column, per row);
+    /// * the tuples fit: the product of the columns' cardinalities is at
+    ///   most an eighth of the rows (at least 1), decided from the data.
+    ///   A prefix of the rows turns most misfits away ([`may_fit`]), and
+    ///   each dictionary is built under a cap ([`Table::codes_at_most`]),
+    ///   so a misfit costs at most about an eighth of a dictionary;
+    /// * each column's codes tell apart every two values `eval` can. A
+    ///   symbol table gives `Int(1)` and `Float(1.0)` one code, which
+    ///   `STR` renders as `'1'` and `'1.0'`. A Float column may hold Ints
+    ///   ([`DataType::accepts`]), so it is memoized only when its typed
+    ///   form shows one numeric type; a column of any other type holds
+    ///   values of that type and `NULL` only.
+    pub(crate) fn new(
+        table: &'a Table,
+        predicate: Option<&'a Expr>,
+        ctx: &'a EvalContext<'a>,
+    ) -> Self {
+        Selection {
+            rows: table.rows(),
+            predicate,
+            ctx,
+            memo: predicate.and_then(|p| Memo::over(table, p, ctx)),
+        }
+    }
+
+    /// Whether row `i` of the table is in the selection.
+    pub(crate) fn contains(&mut self, i: usize) -> SqlResult<bool> {
+        let Some(predicate) = self.predicate else {
+            return Ok(true);
+        };
+        let decide = || Ok(eval(predicate, &self.rows[i], self.ctx)? == Value::Bool(true));
+        let Some(memo) = &mut self.memo else {
+            return decide();
+        };
+        let tuple = memo.columns.iter();
+        let slot = tuple
+            .map(|(col, place)| col.codes.get(i) as usize * place)
+            .sum::<usize>();
+        match memo.verdicts[slot] {
+            Some(verdict) => Ok(verdict),
+            None => {
+                let verdict = decide()?;
+                memo.verdicts[slot] = Some(verdict);
+                Ok(verdict)
+            }
+        }
+    }
+}
+
+impl Memo {
+    /// The memo `predicate` over `table` gets, if any ([`Selection::new`]).
+    fn over(table: &Table, predicate: &Expr, ctx: &EvalContext) -> Option<Memo> {
+        let mut columns = Vec::new();
+        reads(predicate, ctx, &mut columns)?;
+        if !may_fit(table.rows(), &columns) {
+            return None;
+        }
+        let budget = (table.len() / 8).max(1);
+        let mut places = 1usize;
+        let mut coded = Vec::with_capacity(columns.len());
+        for c in columns {
+            // At most `budget / places` values keeps the product in budget.
+            let codes = table.codes_at_most(c, budget / places)?;
+            let place = places;
+            places *= codes.symbols.cardinality().max(1);
+            let exact = match table.schema().column_at(c).dtype {
+                DataType::Float => table.typed(c).is_some(),
+                DataType::Bool | DataType::Int | DataType::Str | DataType::Date => true,
+            };
+            if !exact {
+                return None;
+            }
+            coded.push((codes, place));
+        }
+        Some(Memo {
+            columns: coded,
+            verdicts: vec![None; places],
+        })
+    }
+}
+
+/// Collect into `out`, each once, the columns `expr` reads, resolved the
+/// way [`eval`] resolves them: substitution by canonical text first, then
+/// by name. `None` when the verdict may depend on more than those values:
+/// a scalar subquery, `*`, or a column `eval` cannot resolve.
+fn reads(expr: &Expr, ctx: &EvalContext, out: &mut Vec<usize>) -> Option<()> {
+    let substituted = match ctx.substitutions.is_empty() {
+        true => None,
+        false => ctx.substitutions.get(&expr.canonical()).copied(),
+    };
+    let column = match (substituted, expr) {
+        (Some(i), _) => i,
+        (None, Expr::Column { qualifier, name }) => {
+            ctx.resolve_column(qualifier.as_deref(), name)?
+        }
+        (None, Expr::Star | Expr::ScalarSubquery(_)) => return None,
+        (None, _) => {
+            return expr
+                .children()
+                .into_iter()
+                .try_for_each(|c| reads(c, ctx, out));
+        }
+    };
+    if !out.contains(&column) {
+        out.push(column);
+    }
+    Some(())
+}
+
+/// Whether `columns`' code tuples may fit an eighth of the rows, judged
+/// the way the engine's run-folding scan is, on a prefix of at most
+/// [`SAMPLE_ROWS`] rows: a prefix whose columns' distinct values multiply
+/// past an eighth of its own rows turns the memo away before any
+/// dictionary is built. (A whole table up to that size is judged exactly.)
+fn may_fit(rows: &[Row], columns: &[usize]) -> bool {
+    let prefix = &rows[..rows.len().min(SAMPLE_ROWS)];
+    let budget = (prefix.len() / 8).max(1);
+    let mut product = 1usize;
+    for &c in columns {
+        let mut seen = FxHashSet::default();
+        for row in prefix {
+            seen.insert(&row[c]);
+            if product.saturating_mul(seen.len()) > budget {
+                return false;
+            }
+        }
+        product = product.saturating_mul(seen.len().max(1));
+    }
+    true
 }
 
 /// Infer an expression's output type against a context — and, on the way,

@@ -117,7 +117,7 @@ pub fn builtins() -> ScalarRegistry {
             }
         }),
         ScalarFn::new("ABS", 1, DataType::Float, |args| match &args[0] {
-            Value::Int(i) => Value::Int(i.abs()),
+            Value::Int(i) => i.checked_abs().map_or(Value::Null, Value::Int),
             Value::Float(f) => Value::Float(f.abs()),
             Value::Null | Value::All | Value::Bool(_) | Value::Str(_) | Value::Date(_) => {
                 Value::Null

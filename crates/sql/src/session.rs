@@ -32,7 +32,7 @@ use crate::cache::CubeCache;
 use crate::catalog::{CatalogSnapshot, SharedCatalog};
 use crate::engine::QueryRuntime;
 use crate::error::{SqlError, SqlResult};
-use crate::eval::{eval, EvalContext};
+use crate::eval::{eval, EvalContext, Selection};
 use crate::parser::parse;
 use crate::plan::{branches, set_count};
 use datacube::{CancelToken, DeltaBatch, ExecContext, ExecLimits, ExecStats};
@@ -301,10 +301,11 @@ impl Session {
     fn exec_delete_governed(&self, table: &str, predicate: Option<&Expr>) -> SqlResult<Table> {
         self.exec_write_governed(table, "deleted", self.scan_rows(table), |old, snap, ctx| {
             let ectx = EvalContext::base(old.schema(), &snap.scalars);
+            let mut selection = Selection::new(old, predicate, &ectx);
             let (mut kept, mut removed) = (Vec::with_capacity(old.len()), Vec::new());
             for (i, row) in old.rows().iter().enumerate() {
                 ctx.tick(i).map_err(SqlError::Cube)?;
-                if selects(predicate, row, &ectx)? {
+                if selection.contains(i)? {
                     removed.push(row.clone());
                 } else {
                     kept.push(row.clone());
@@ -336,11 +337,12 @@ impl Session {
                 .map(|(col, expr)| Ok((old.schema().index_of(col)?, expr)))
                 .collect::<Result<Vec<_>, dc_relation::RelError>>()?;
             let ectx = EvalContext::base(old.schema(), &snap.scalars);
+            let mut selection = Selection::new(old, predicate, &ectx);
             let mut next = Vec::with_capacity(old.len());
             let (mut inserted, mut removed) = (Vec::new(), Vec::new());
             for (i, row) in old.rows().iter().enumerate() {
                 ctx.tick(i).map_err(SqlError::Cube)?;
-                if !selects(predicate, row, &ectx)? {
+                if !selection.contains(i)? {
                     next.push(row.clone());
                     continue;
                 }
@@ -453,15 +455,6 @@ struct Written {
     rows: Vec<Row>,
     count: i64,
     delta: DeltaBatch,
-}
-
-/// Whether a DELETE/UPDATE predicate selects `row`. SQL semantics: NULL
-/// (and ALL) predicates leave the row alone; no predicate selects all.
-fn selects(predicate: Option<&Expr>, row: &Row, ectx: &EvalContext<'_>) -> SqlResult<bool> {
-    match predicate {
-        None => Ok(true),
-        Some(p) => Ok(eval(p, row, ectx)? == Value::Bool(true)),
-    }
 }
 
 /// One-row DML confirmation relation: `(table, <verb>) = (name, count)`.

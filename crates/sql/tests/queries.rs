@@ -3,6 +3,8 @@
 use dc_relation::{row, DataType, Date, Row, Schema, Table, Value};
 use dc_sql::scalar::ScalarFn;
 use dc_sql::{Engine, SqlError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// The Table 4/5/6 sales data: Chevy & Ford × 1994/1995 × black/white.
 fn sales() -> Table {
@@ -1137,5 +1139,165 @@ fn admission_set_count_is_the_family_size() {
         let family = explained_sets(&plan)[0] as u64;
         session.execute(&sql).unwrap();
         assert_eq!(session.last_admission().granted_cells, family, "{sql}");
+    }
+}
+
+/// A 10 000-row table `t(batch, a, b, late, units)`: `batch` takes 8
+/// values, `a` and `b` are unique per row, `late` is 0 on the first 4 096
+/// rows and unique after them; with `PROBE(x)` (returns `x`) and
+/// `PAIR(x, y)` (returns `x + y`) registered, both counting their calls.
+fn probed_engine() -> (Engine, Arc<AtomicUsize>) {
+    let schema = Schema::from_pairs(&[
+        ("batch", DataType::Int),
+        ("a", DataType::Int),
+        ("b", DataType::Int),
+        ("late", DataType::Int),
+        ("units", DataType::Int),
+    ]);
+    let rows = (0..10_000i64)
+        .map(|i| {
+            row![
+                i % 8,
+                i,
+                (i * 7919) % 10_007,
+                i * i64::from(i >= 4096),
+                1i64
+            ]
+        })
+        .collect();
+    let mut e = Engine::new();
+    e.register_table("t", Table::new(schema, rows).unwrap())
+        .unwrap();
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&calls);
+    e.register_scalar(ScalarFn::new("PROBE", 1, DataType::Int, move |args| {
+        counter.fetch_add(1, Ordering::Relaxed);
+        args[0].clone()
+    }))
+    .unwrap();
+    let counter = Arc::clone(&calls);
+    e.register_scalar(ScalarFn::new("PAIR", 2, DataType::Int, move |args| {
+        counter.fetch_add(1, Ordering::Relaxed);
+        match (&args[0], &args[1]) {
+            (Value::Int(x), Value::Int(y)) => Value::Int(x + y),
+            _ => Value::Null,
+        }
+    }))
+    .unwrap();
+    (e, calls)
+}
+
+fn only_int(t: &Table) -> i64 {
+    assert_eq!(t.len(), 1, "{t:?}");
+    t.rows()[0].values().last().and_then(Value::as_i64).unwrap()
+}
+
+/// A predicate over a column of 8 distinct values is decided once per
+/// value, not once per row, by DELETE, UPDATE and WHERE alike; one over
+/// two unique columns is decided per row and answers the same.
+#[test]
+fn a_predicate_is_evaluated_once_per_distinct_value() {
+    let answer = |sql: &str| {
+        let (e, calls) = probed_engine();
+        let out = e.execute(sql).unwrap();
+        (e, out, calls.load(Ordering::Relaxed))
+    };
+    let run = |sql: &str| {
+        let (e, out, calls) = answer(sql);
+        (e, only_int(&out), calls)
+    };
+    let (e, deleted, calls) = run("DELETE FROM t WHERE PROBE(batch) = 3");
+    assert_eq!((deleted, calls <= 8), (1250, true), "{calls} calls");
+    let left = e.execute("SELECT COUNT(*) AS n FROM t").unwrap();
+    let gone = e
+        .execute("SELECT COUNT(*) AS n FROM t WHERE batch = 3")
+        .unwrap();
+    assert_eq!((only_int(&left), only_int(&gone)), (8750, 0));
+
+    let (e, updated, calls) = run("UPDATE t SET units = units + 1 WHERE PROBE(batch) = 3");
+    assert_eq!((updated, calls <= 8), (1250, true), "{calls} calls");
+    let sum = e
+        .execute("SELECT batch, SUM(units) AS s FROM t GROUP BY batch")
+        .unwrap();
+    for r in sum.rows() {
+        let want = if r[0] == Value::Int(3) { 2500 } else { 1250 };
+        assert_eq!(r[1], Value::Int(want), "{r:?}");
+    }
+
+    let (_, counted, calls) = run("SELECT COUNT(*) AS n FROM t WHERE PROBE(batch) = 3");
+    assert_eq!((counted, calls <= 8), (1250, true), "{calls} calls");
+
+    // HAVING over the cube relation: 10 000 groups, one COUNT value.
+    let (_, groups, calls) =
+        answer("SELECT a, COUNT(*) AS n FROM t GROUP BY a HAVING PROBE(COUNT(*)) = 1");
+    assert_eq!((groups.len(), calls), (10_000, 1));
+
+    // Two unique columns: 10 000 distinct tuples, so every row is evaluated.
+    let want = (0..10_000i64)
+        .filter(|i| (i + (i * 7919) % 10_007) % 3 == 0)
+        .count() as i64;
+    let (_, counted, calls) = run("SELECT COUNT(*) AS n FROM t WHERE PAIR(a, b) % 3 = 0");
+    assert_eq!((counted, calls), (want, 10_000));
+    let (e, deleted, calls) = run("DELETE FROM t WHERE PAIR(a, b) % 3 = 0");
+    assert_eq!((deleted, calls), (want, 10_000));
+    let left = e.execute("SELECT COUNT(*) AS n FROM t").unwrap();
+    assert_eq!(only_int(&left), 10_000 - want);
+
+    // `late` looks constant on its first rows: its dictionary is built
+    // under a cap, found too large, and every row is evaluated.
+    let late = |i: i64| i * i64::from(i >= 4096);
+    let want = (0..10_000i64)
+        .filter(|i| (i % 8 + late(*i)) % 3 == 0)
+        .count() as i64;
+    let (_, counted, calls) = run("SELECT COUNT(*) AS n FROM t WHERE PAIR(batch, late) % 3 = 0");
+    assert_eq!((counted, calls), (want, 10_000));
+    let (_, counted, calls) = run("SELECT COUNT(*) AS n FROM t WHERE PROBE(late) > 9000");
+    assert_eq!((counted, calls), (999, 10_000));
+}
+
+/// A symbol table gives `Int(1)` and `Float(1.0)` one code, but `STR`
+/// tells them apart: a Float column holding both is evaluated per row.
+#[test]
+fn int_and_float_of_one_value_are_told_apart() {
+    let engine = || {
+        let schema = Schema::from_pairs(&[("x", DataType::Float)]);
+        let mut rows = vec![Row::new(vec![Value::Int(1)]), row![1.0f64]];
+        rows.extend((0..30).map(|_| row![2.0f64]));
+        let mut e = Engine::new();
+        e.register_table("t", Table::new(schema, rows).unwrap())
+            .unwrap();
+        e
+    };
+    let e = engine();
+    let deleted = e.execute("DELETE FROM t WHERE STR(x) = '1.0'").unwrap();
+    assert_eq!(only_int(&deleted), 1);
+    let left = e.table("t").unwrap();
+    assert_eq!(left.rows()[0][0], Value::Int(1));
+    let n = engine()
+        .execute("SELECT COUNT(*) AS n FROM t WHERE STR(x) = '1'")
+        .unwrap();
+    assert_eq!(only_int(&n), 1);
+}
+
+/// Integer arithmetic that overflows is NULL, not a panic or a wrapped
+/// value: `+`, `-`, `*`, `%`, unary `-` and `ABS` at `i64::MIN` / `MAX`.
+#[test]
+fn integer_overflow_is_null() {
+    let schema = Schema::from_pairs(&[("k", DataType::Int)]);
+    let rows = vec![row![i64::MIN], row![i64::MAX]];
+    let mut e = Engine::new();
+    e.register_table("t", Table::new(schema, rows).unwrap())
+        .unwrap();
+    for (expr, want) in [
+        ("k % -1", [Value::Null, Value::Int(0)]),
+        ("k + 1", [Value::Int(i64::MIN + 1), Value::Null]),
+        ("k - 1", [Value::Null, Value::Int(i64::MAX - 1)]),
+        ("k * 2", [Value::Null, Value::Null]),
+        ("-k", [Value::Null, Value::Int(-i64::MAX)]),
+        ("ABS(k)", [Value::Null, Value::Int(i64::MAX)]),
+    ] {
+        let out = e.execute(&format!("SELECT {expr} AS m FROM t")).unwrap();
+        let got: Vec<Value> = out.rows().iter().map(|r| r[0].clone()).collect();
+        assert_eq!(got, want, "{expr}");
     }
 }
