@@ -22,16 +22,6 @@ pub enum AggKind {
 }
 
 impl AggKind {
-    /// Whether super-aggregates can be computed from sub-aggregate
-    /// scratchpads at all (the from-core cascade of §5 / Figure 8).
-    pub fn mergeable(self) -> bool {
-        // Holistic accumulators in this crate *do* implement `merge` (their
-        // state is the whole multiset), but the cascade gains nothing over
-        // re-scanning, which is the paper's point; algorithm selection treats
-        // them as non-cascadable for cost purposes.
-        true
-    }
-
     /// True when the function's scratchpad has a constant size bound — the
     /// paper's criterion separating algebraic from holistic.
     pub fn bounded_state(self) -> bool {

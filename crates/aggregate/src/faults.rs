@@ -52,7 +52,6 @@ pub const SITES: &[&str] = &[
     "unions::scan",
     "parallel::worker",
     "vectorized::morsel",
-    "vectorized::rle_run",
     "pipesort::pipeline",
     "service::admit",
     "service::queue_wait",

@@ -67,58 +67,6 @@ fn for_each_valid(words: &[u64], n: usize, mut f: impl FnMut(usize)) {
     }
 }
 
-/// Visit valid absolute row indices in `start..end` against a
-/// whole-column word array, masking the partial head and tail words.
-#[inline]
-fn for_each_valid_range(words: &[u64], start: usize, end: usize, mut f: impl FnMut(usize)) {
-    if start >= end {
-        return;
-    }
-    let (w0, w1) = (start / 64, (end - 1) / 64);
-    for (wi, &word) in words.iter().enumerate().take(w1 + 1).skip(w0) {
-        let mut w = word;
-        if wi == w0 {
-            w &= !0u64 << (start % 64);
-        }
-        if wi == w1 {
-            let top = end - wi * 64;
-            if top < 64 {
-                w &= (1u64 << top) - 1;
-            }
-        }
-        let base = wi * 64;
-        while w != 0 {
-            f(base + w.trailing_zeros() as usize);
-            w &= w - 1;
-        }
-    }
-}
-
-/// Popcount of the valid bits in `start..end` — word-at-a-time, so a
-/// COUNT over a run costs a handful of `popcnt`s instead of a row loop.
-#[inline]
-fn count_valid_range(words: &[u64], start: usize, end: usize) -> i64 {
-    if start >= end {
-        return 0;
-    }
-    let (w0, w1) = (start / 64, (end - 1) / 64);
-    let mut n = 0i64;
-    for (wi, &word) in words.iter().enumerate().take(w1 + 1).skip(w0) {
-        let mut w = word;
-        if wi == w0 {
-            w &= !0u64 << (start % 64);
-        }
-        if wi == w1 {
-            let top = end - wi * 64;
-            if top < 64 {
-                w &= (1u64 << top) - 1;
-            }
-        }
-        n += w.count_ones() as i64;
-    }
-    n
-}
-
 /// The vectorized kernels. Each corresponds to one built-in aggregate whose
 /// [`state`](Kernel::state) tuple matches that aggregate's row-path
 /// accumulator, so a store can `merge` a kernel cell into one exactly.
@@ -393,235 +341,6 @@ impl Kernel {
                     c.n += 1;
                 }),
             },
-        }
-    }
-
-    /// COUNT(*) over a whole run: `n` rows fold in one add.
-    #[inline]
-    pub fn fold_star(cell: &mut KernelCell, n: i64) {
-        cell.n += n;
-    }
-
-    /// Fold a fully-valid run of an `i64` column into one cell. The run's
-    /// rows all belong to one group, so SUM/AVG reduce into a register
-    /// before one cell write and extrema take the slice min/max — this is
-    /// the RLE fast path.
-    #[inline]
-    pub fn fold_i64(self, cell: &mut KernelCell, vals: &[i64]) {
-        let len = vals.len() as i64;
-        match self {
-            Kernel::Count | Kernel::CountStar => cell.n += len,
-            Kernel::Sum => {
-                let mut acc = 0i64;
-                for &v in vals {
-                    acc += v;
-                }
-                cell.acc_i += acc;
-                cell.n += len;
-            }
-            Kernel::Min => {
-                if let Some(&m) = vals.iter().min() {
-                    if cell.n == 0 || m < cell.acc_i {
-                        cell.acc_i = m;
-                    }
-                    cell.n += len;
-                }
-            }
-            Kernel::Max => {
-                if let Some(&m) = vals.iter().max() {
-                    if cell.n == 0 || m > cell.acc_i {
-                        cell.acc_i = m;
-                    }
-                    cell.n += len;
-                }
-            }
-            Kernel::Avg => {
-                for &v in vals {
-                    cell.acc_f += v as f64;
-                }
-                cell.n += len;
-            }
-        }
-    }
-
-    /// Fold a fully-valid run of an `f64` column. SUM/AVG accumulate in
-    /// row order (bit-identical to the per-row loop); extrema reduce via
-    /// `total_cmp`.
-    #[inline]
-    pub fn fold_f64(self, cell: &mut KernelCell, vals: &[f64]) {
-        use std::cmp::Ordering;
-        let len = vals.len() as i64;
-        match self {
-            Kernel::Count | Kernel::CountStar => cell.n += len,
-            Kernel::Sum | Kernel::Avg => {
-                for &v in vals {
-                    cell.acc_f += v;
-                }
-                cell.n += len;
-            }
-            Kernel::Min => {
-                if let Some(&first) = vals.first() {
-                    let m = vals[1..].iter().fold(first, |a, &b| {
-                        if b.total_cmp(&a) == Ordering::Less {
-                            b
-                        } else {
-                            a
-                        }
-                    });
-                    if cell.n == 0 || m.total_cmp(&cell.acc_f) == Ordering::Less {
-                        cell.acc_f = m;
-                    }
-                    cell.n += len;
-                }
-            }
-            Kernel::Max => {
-                if let Some(&first) = vals.first() {
-                    let m = vals[1..].iter().fold(first, |a, &b| {
-                        if b.total_cmp(&a) == Ordering::Greater {
-                            b
-                        } else {
-                            a
-                        }
-                    });
-                    if cell.n == 0 || m.total_cmp(&cell.acc_f) == Ordering::Greater {
-                        cell.acc_f = m;
-                    }
-                    cell.n += len;
-                }
-            }
-        }
-    }
-
-    /// Fold rows `start..end` of an `i64` column with nulls: validity is
-    /// probed word-at-a-time against the whole-column `words`. COUNT
-    /// reduces to a masked popcount.
-    #[inline]
-    pub fn fold_i64_masked(
-        self,
-        cell: &mut KernelCell,
-        vals: &[i64],
-        words: &[u64],
-        start: usize,
-        end: usize,
-    ) {
-        match self {
-            Kernel::CountStar => cell.n += (end - start) as i64,
-            Kernel::Count => cell.n += count_valid_range(words, start, end),
-            Kernel::Sum => {
-                let (mut acc, mut n) = (0i64, 0i64);
-                for_each_valid_range(words, start, end, |i| {
-                    acc += vals[i];
-                    n += 1;
-                });
-                cell.acc_i += acc;
-                cell.n += n;
-            }
-            Kernel::Min => for_each_valid_range(words, start, end, |i| {
-                if cell.n == 0 || vals[i] < cell.acc_i {
-                    cell.acc_i = vals[i];
-                }
-                cell.n += 1;
-            }),
-            Kernel::Max => for_each_valid_range(words, start, end, |i| {
-                if cell.n == 0 || vals[i] > cell.acc_i {
-                    cell.acc_i = vals[i];
-                }
-                cell.n += 1;
-            }),
-            Kernel::Avg => for_each_valid_range(words, start, end, |i| {
-                cell.acc_f += vals[i] as f64;
-                cell.n += 1;
-            }),
-        }
-    }
-
-    /// `f64` twin of [`Kernel::fold_i64_masked`].
-    #[inline]
-    pub fn fold_f64_masked(
-        self,
-        cell: &mut KernelCell,
-        vals: &[f64],
-        words: &[u64],
-        start: usize,
-        end: usize,
-    ) {
-        use std::cmp::Ordering;
-        match self {
-            Kernel::CountStar => cell.n += (end - start) as i64,
-            Kernel::Count => cell.n += count_valid_range(words, start, end),
-            Kernel::Sum | Kernel::Avg => for_each_valid_range(words, start, end, |i| {
-                cell.acc_f += vals[i];
-                cell.n += 1;
-            }),
-            Kernel::Min => for_each_valid_range(words, start, end, |i| {
-                if cell.n == 0 || vals[i].total_cmp(&cell.acc_f) == Ordering::Less {
-                    cell.acc_f = vals[i];
-                }
-                cell.n += 1;
-            }),
-            Kernel::Max => for_each_valid_range(words, start, end, |i| {
-                if cell.n == 0 || vals[i].total_cmp(&cell.acc_f) == Ordering::Greater {
-                    cell.acc_f = vals[i];
-                }
-                cell.n += 1;
-            }),
-        }
-    }
-
-    /// Fold `n` copies of one valid `i64` value — the `n × value`
-    /// shortcut for a constant run (§5 dense-array insight).
-    #[inline]
-    pub fn fold_repeat_i64(self, cell: &mut KernelCell, v: i64, n: i64) {
-        match self {
-            Kernel::Count | Kernel::CountStar => cell.n += n,
-            Kernel::Sum => {
-                cell.acc_i += v * n;
-                cell.n += n;
-            }
-            Kernel::Min => {
-                if cell.n == 0 || v < cell.acc_i {
-                    cell.acc_i = v;
-                }
-                cell.n += n;
-            }
-            Kernel::Max => {
-                if cell.n == 0 || v > cell.acc_i {
-                    cell.acc_i = v;
-                }
-                cell.n += n;
-            }
-            Kernel::Avg => {
-                cell.acc_f += v as f64 * n as f64;
-                cell.n += n;
-            }
-        }
-    }
-
-    /// Fold `n` copies of one valid `f64` value. The multiply replaces
-    /// `n` sequential adds; for the dyadic measure values the engine's
-    /// differential oracle generates this is exact, and the RLE path only
-    /// engages where the caller accepts reassociated float sums.
-    #[inline]
-    pub fn fold_repeat_f64(self, cell: &mut KernelCell, v: f64, n: i64) {
-        use std::cmp::Ordering;
-        match self {
-            Kernel::Count | Kernel::CountStar => cell.n += n,
-            Kernel::Sum | Kernel::Avg => {
-                cell.acc_f += v * n as f64;
-                cell.n += n;
-            }
-            Kernel::Min => {
-                if cell.n == 0 || v.total_cmp(&cell.acc_f) == Ordering::Less {
-                    cell.acc_f = v;
-                }
-                cell.n += n;
-            }
-            Kernel::Max => {
-                if cell.n == 0 || v.total_cmp(&cell.acc_f) == Ordering::Greater {
-                    cell.acc_f = v;
-                }
-                cell.n += n;
-            }
         }
     }
 
@@ -944,98 +663,6 @@ mod tests {
                 Validity::Words(all_set.words()),
             );
             assert_eq!(dense, masked, "{k:?} f64");
-        }
-    }
-
-    /// Whole-run folds equal the per-row update over the same rows.
-    #[test]
-    fn run_folds_match_per_row() {
-        let n = 130usize;
-        let vals_i: Vec<i64> = (0..n as i64).map(|i| (i * 31) % 17 - 8).collect();
-        let vals_f: Vec<f64> = vals_i.iter().map(|&i| i as f64 * 0.5).collect();
-        let slots = vec![0u32; n];
-        for k in ALL_KERNELS {
-            let mut want = vec![KernelCell::default()];
-            k.update_i64(&mut want, 1, 0, &slots, &vals_i, Validity::All);
-            let mut got = KernelCell::default();
-            if k == Kernel::CountStar {
-                Kernel::fold_star(&mut got, n as i64);
-            } else {
-                k.fold_i64(&mut got, &vals_i);
-            }
-            assert_eq!(got, want[0], "{k:?} i64 fold");
-
-            let mut want = vec![KernelCell::default()];
-            k.update_f64(&mut want, 1, 0, &slots, &vals_f, Validity::All);
-            let mut got = KernelCell::default();
-            if k == Kernel::CountStar {
-                Kernel::fold_star(&mut got, n as i64);
-            } else {
-                k.fold_f64(&mut got, &vals_f);
-            }
-            assert_eq!(got, want[0], "{k:?} f64 fold");
-        }
-    }
-
-    /// Masked folds over an arbitrary sub-range (unaligned start and end)
-    /// equal the per-row update restricted to that range.
-    #[test]
-    fn masked_folds_match_per_row_over_subranges() {
-        let n = 200usize;
-        let vals_i: Vec<i64> = (0..n as i64).map(|i| i % 11 - 5).collect();
-        let vals_f: Vec<f64> = vals_i.iter().map(|&i| i as f64 - 0.25).collect();
-        let valid: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
-        let b = bitmap(&valid);
-        for (start, end) in [(0usize, 64usize), (7, 70), (65, 66), (100, 200), (3, 197)] {
-            let rows = end - start;
-            let slots = vec![0u32; rows];
-            // Reference: per-row update over a morsel-relative remask.
-            let sub = bitmap(&valid[start..end]);
-            for k in ALL_KERNELS {
-                let mut want = vec![KernelCell::default()];
-                k.update_i64(
-                    &mut want,
-                    1,
-                    0,
-                    &slots,
-                    &vals_i[start..end],
-                    Validity::Words(sub.words()),
-                );
-                let mut got = KernelCell::default();
-                k.fold_i64_masked(&mut got, &vals_i, b.words(), start, end);
-                assert_eq!(got, want[0], "{k:?} i64 [{start}, {end})");
-
-                let mut want = vec![KernelCell::default()];
-                k.update_f64(
-                    &mut want,
-                    1,
-                    0,
-                    &slots,
-                    &vals_f[start..end],
-                    Validity::Words(sub.words()),
-                );
-                let mut got = KernelCell::default();
-                k.fold_f64_masked(&mut got, &vals_f, b.words(), start, end);
-                assert_eq!(got, want[0], "{k:?} f64 [{start}, {end})");
-            }
-        }
-    }
-
-    /// `n × value` constant folds equal folding the expanded run.
-    #[test]
-    fn repeat_folds_match_expanded_runs() {
-        for k in ALL_KERNELS {
-            let mut want = KernelCell::default();
-            k.fold_i64(&mut want, &[7i64; 33]);
-            let mut got = KernelCell::default();
-            k.fold_repeat_i64(&mut got, 7, 33);
-            assert_eq!(got, want, "{k:?} i64 repeat");
-
-            let mut want = KernelCell::default();
-            k.fold_f64(&mut want, &[2.25f64; 16]);
-            let mut got = KernelCell::default();
-            k.fold_repeat_f64(&mut got, 2.25, 16);
-            assert_eq!(got, want, "{k:?} f64 repeat");
         }
     }
 

@@ -46,7 +46,7 @@ use crate::lattice::{GroupingSet, Lattice};
 use crate::maintain::{Nodes, Store};
 use crate::spec::{BoundAgg, BoundDimension};
 use dc_aggregate::{Accumulator, FusedOp, Kernel, KernelCell, Retract, Validity};
-use dc_relation::{Bitmap, FxHashMap, RleIndex, Row, Schema, Table, TypedColumn, Value};
+use dc_relation::{Bitmap, FxHashMap, Row, Schema, Table, TypedColumn, Value};
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
@@ -61,10 +61,6 @@ pub(crate) const MORSEL_ROWS: usize = 2 * exec::CHECKPOINT_INTERVAL;
 /// 256 KiB `u32` table — safely cache-resident next to the cells it
 /// indexes, and far cheaper than a hash probe per row.
 const DENSE_SLOT_BITS: u32 = 16;
-
-/// The run-folding scan requires the sampled mean key-run length to reach
-/// this many rows — below it, per-run dispatch overhead eats the savings.
-const RLE_MIN_RUN: usize = 4;
 
 /// Below this many cells the cascade and the materializer run on one
 /// worker — thread spawn costs more than the work it would spread.
@@ -90,9 +86,6 @@ pub(crate) trait Lanes: Sync {
     /// Iter() over one morsel: row `base + j` folds into the cell at slot
     /// `slots[j]` of `cells`.
     fn fold_morsel(&self, cells: &mut [Self::Cell], slots: &[u32], base: usize) -> CubeResult<()>;
-
-    /// Iter() over rows `start..end`, all of which belong to `cell`.
-    fn fold_run(&self, cell: &mut [Self::Cell], start: usize, end: usize) -> CubeResult<()>;
 
     /// The paper's Iter_super(): fold cell `src` into cell `dst`.
     fn fold_super(&self, dst: &mut [Self::Cell], src: &[Self::Cell]) -> CubeResult<()>;
@@ -195,17 +188,6 @@ impl Lanes for BoxedLanes<'_> {
     }
 
     #[inline]
-    fn fold_run(&self, accs: &mut [Self::Cell], start: usize, end: usize) -> CubeResult<()> {
-        // cube-lint: allow(checkpoint, a run never crosses its morsel; the scan checkpoints per morsel)
-        for row in &self.rows[start..end] {
-            for (acc, agg) in accs.iter_mut().zip(self.aggs) {
-                exec::guard(agg.func.name(), || acc.iter(agg.input_value(row)))?;
-            }
-        }
-        Ok(())
-    }
-
-    #[inline]
     fn fold_super(&self, dst: &mut [Self::Cell], src: &[Self::Cell]) -> CubeResult<()> {
         for ((acc, pacc), agg) in dst.iter_mut().zip(src).zip(self.aggs) {
             exec::guard(agg.func.name(), || acc.merge(&pacc.state()))?;
@@ -259,10 +241,6 @@ struct Lane {
     /// time so every morsel takes the branch-free [`Validity::All`] path
     /// instead of re-deriving it.
     all_valid: bool,
-    /// Run-length index over the measure column, attached only when the
-    /// run-folding scan engages and the column actually compresses.
-    /// Enables the `n × value` constant-run fold.
-    rle: Option<Arc<RleIndex>>,
 }
 
 /// A qualified fused row-major scan: every lane is fully valid and reads
@@ -317,12 +295,9 @@ impl KernelLanes {
     /// Try to compile every aggregate to a kernel lane over the measure
     /// columns `typed` gives. `None` — an aggregate without a kernel, or a
     /// measure column that is not purely `Int`/`NULL` or `Float`/`NULL` —
-    /// gives the whole query boxed lanes. `rle` says the run-folding scan
-    /// will run, so compressible measure columns get their run indexes
-    /// built here, once.
+    /// gives the whole query boxed lanes.
     pub(crate) fn plan(
         aggs: &[BoundAgg],
-        rle: bool,
         typed: impl Fn(usize) -> Option<TypedColumn>,
     ) -> Option<KernelLanes> {
         // One extraction per distinct measure column, shared across lanes.
@@ -346,44 +321,12 @@ impl KernelLanes {
                 float: matches!(input, LaneInput::Floats(_)),
                 input,
                 all_valid,
-                rle: None,
             });
         }
-        let mut plan = KernelLanes {
+        Some(KernelLanes {
             fused: fused_ints(&lanes),
             lanes,
-        };
-        if rle {
-            plan.attach_rle();
-        }
-        Some(plan)
-    }
-
-    /// Build per-measure [`RleIndex`]es, deduplicated across lanes sharing
-    /// one extracted column and kept only where the column compresses.
-    fn attach_rle(&mut self) {
-        let mut cache: Vec<(usize, Option<Arc<RleIndex>>)> = Vec::new();
-        for lane in &mut self.lanes {
-            let (ptr, built) = match &lane.input {
-                LaneInput::Star => continue,
-                LaneInput::Ints(col) => (
-                    Arc::as_ptr(col) as usize,
-                    RleIndex::from_i64(&col.0, &col.1),
-                ),
-                LaneInput::Floats(col) => (
-                    Arc::as_ptr(col) as usize,
-                    RleIndex::from_f64(&col.0, &col.1),
-                ),
-            };
-            lane.rle = match cache.iter().find(|(p, _)| *p == ptr) {
-                Some((_, idx)) => idx.clone(),
-                None => {
-                    let idx = built.is_beneficial().then(|| Arc::new(built));
-                    cache.push((ptr, idx.clone()));
-                    idx
-                }
-            };
-        }
+        })
     }
 
     /// These lanes with a store's value flags, so their cells merge into
@@ -413,7 +356,7 @@ impl Stored for KernelCell {
 
     fn lanes(spec: &Vec<bool>, aggs: &[BoundAgg], rows: &[Row]) -> Option<KernelLanes> {
         let typed = |idx| TypedColumn::from_rows(rows, idx);
-        KernelLanes::plan(aggs, false, typed)?.conform(spec)
+        KernelLanes::plan(aggs, typed)?.conform(spec)
     }
 
     /// A POD copy.
@@ -528,38 +471,6 @@ impl Lanes for KernelLanes {
                     &col.0[base..base + n],
                     morsel_validity(&col.1, lane.all_valid, base, n),
                 ),
-            }
-        }
-        Ok(())
-    }
-
-    /// One kernel call per lane: `n × value` when the measure is constant
-    /// over the run, a register-reduction fold when it is merely fully
-    /// valid, a masked fold otherwise. Row order within the run matches
-    /// the per-row scan.
-    #[inline]
-    fn fold_run(&self, pods: &mut [KernelCell], s: usize, e: usize) -> CubeResult<()> {
-        let len = (e - s) as i64;
-        for (lane, pod) in self.lanes.iter().zip(pods) {
-            let constant = || lane.rle.as_ref().is_some_and(|r| r.constant_over(s, e));
-            match &lane.input {
-                LaneInput::Star => Kernel::fold_star(pod, len),
-                LaneInput::Ints(col) if !lane.all_valid => {
-                    lane.kernel
-                        .fold_i64_masked(pod, &col.0, col.1.words(), s, e)
-                }
-                LaneInput::Ints(col) if constant() => {
-                    lane.kernel.fold_repeat_i64(pod, col.0[s], len)
-                }
-                LaneInput::Ints(col) => lane.kernel.fold_i64(pod, &col.0[s..e]),
-                LaneInput::Floats(col) if !lane.all_valid => {
-                    lane.kernel
-                        .fold_f64_masked(pod, &col.0, col.1.words(), s, e)
-                }
-                LaneInput::Floats(col) if constant() => {
-                    lane.kernel.fold_repeat_f64(pod, col.0[s], len)
-                }
-                LaneInput::Floats(col) => lane.kernel.fold_f64(pod, &col.0[s..e]),
             }
         }
         Ok(())
@@ -812,26 +723,13 @@ impl<K: PackedKey, C> Arena<K, C> {
 /// One arena per grouping set, in lattice order.
 type SetArenas<K, C> = Vec<(GroupingSet, Arena<K, C>)>;
 
-/// Should the run-folding scan run? Decided from the data alone: the
-/// leading keys must sample to runs of at least [`RLE_MIN_RUN`] rows
-/// (sorted or low-cardinality key streams).
-fn rle_engages<K: PackedKey>(keys: &[K]) -> bool {
-    let sample = &keys[..keys.len().min(4096)];
-    if sample.is_empty() {
-        return false;
-    }
-    let runs = 1 + sample.windows(2).filter(|w| w[0] != w[1]).count();
-    sample.len() / runs >= RLE_MIN_RUN
-}
-
 /// What every stage of one query shares: the key encoder and the packed
 /// keys of the rows being scanned (none for a store's answer), the lane
-/// store, whether the run-folding scan engaged, and the governance context.
+/// store, and the governance context.
 pub(crate) struct Pipeline<'a, K: PackedKey, L: Lanes> {
     pub(crate) encoder: &'a KeyEncoder<K>,
     pub(crate) keys: &'a [K],
     pub(crate) lanes: &'a L,
-    pub(crate) rle: bool,
     pub(crate) ctx: &'a ExecContext,
 }
 
@@ -867,43 +765,6 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
         Ok(())
     }
 
-    /// Scan morsel `[base, end)` run-at-a-time: detect maximal key runs
-    /// and fold each run's rows into its cell with one slot resolution
-    /// (and, for kernel lanes, one kernel call). Row order within and
-    /// across runs matches the plain scan.
-    fn scan_morsel_rle(
-        &self,
-        arenas: &mut [Arena<K, L::Cell>],
-        masks: &[K],
-        base: usize,
-        end: usize,
-        stats: &mut ExecStats,
-    ) -> CubeResult<()> {
-        exec::failpoint("vectorized::rle_run")?;
-        self.ctx.checkpoint()?;
-        let keys = &self.keys;
-        let w = self.lanes.width();
-        let mut s = base;
-        while s < end {
-            let key = keys[s];
-            let mut e = s + 1;
-            while e < end && keys[e] == key {
-                e += 1;
-            }
-            for (arena, &mask) in arenas.iter_mut().zip(masks) {
-                let slot = arena.slot(key.and(mask), self.lanes, self.ctx)? as usize;
-                self.lanes
-                    .fold_run(&mut arena.cells[slot * w..(slot + 1) * w], s, e)?;
-                stats.iter_calls += ((e - s) * w) as u64;
-            }
-            stats.rows_scanned += (e - s) as u64;
-            stats.rle_runs += 1;
-            s = e;
-        }
-        stats.morsels_processed += 1;
-        Ok(())
-    }
-
     /// One pass over the base rows: `workers` workers pull morsels from a
     /// shared cursor and fold every row into one arena per mask; the
     /// worker arenas then coalesce. Returns the arenas in mask order.
@@ -930,11 +791,7 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
                     break;
                 }
                 let end = (base + MORSEL_ROWS).min(n_rows);
-                if self.rle {
-                    self.scan_morsel_rle(&mut arenas, masks, base, end, local)?;
-                } else {
-                    self.scan_morsel(&mut arenas, masks, &mut slot_buf, base, end, local)?;
-                }
+                self.scan_morsel(&mut arenas, masks, &mut slot_buf, base, end, local)?;
             }
             Ok(arenas)
         })?;
@@ -1264,17 +1121,16 @@ fn group_keyed<K: PackedKey>(
     stats: &mut ExecStats,
     ctx: &ExecContext,
 ) -> CubeResult<Arc<dyn Store>> {
-    let rle = rle_engages(&enc.keys);
-    match KernelLanes::plan(aggs, rle, |idx| table.typed(idx)) {
+    match KernelLanes::plan(aggs, |idx| table.typed(idx)) {
         Some(lanes) => {
             // Recorded before the scan so partial stats on a budget trip
             // already say which lanes were running.
             stats.vectorized_kernels_used = stats.vectorized_kernels_used.max(lanes.width() as u64);
-            keep_arenas(enc, &lanes, rle, plan, stats, ctx)
+            keep_arenas(enc, &lanes, plan, stats, ctx)
         }
         None => {
             let rows = table.rows();
-            keep_arenas(enc, &BoxedLanes { rows, aggs }, rle, plan, stats, ctx)
+            keep_arenas(enc, &BoxedLanes { rows, aggs }, plan, stats, ctx)
         }
     }
 }
@@ -1282,7 +1138,6 @@ fn group_keyed<K: PackedKey>(
 fn keep_arenas<K: PackedKey, L: Lanes>(
     enc: EncodedInput<K>,
     lanes: &L,
-    rle: bool,
     (lattice, shape): (&Lattice, Shape),
     stats: &mut ExecStats,
     ctx: &ExecContext,
@@ -1292,7 +1147,6 @@ fn keep_arenas<K: PackedKey, L: Lanes>(
         encoder,
         keys,
         lanes,
-        rle,
         ctx,
     }
     .group(lattice, shape, stats)?;
@@ -1368,7 +1222,16 @@ mod tests {
     }
 
     fn bind(t: &Table, aggs: &[(&str, &str)]) -> (Vec<BoundDimension>, Vec<BoundAgg>, Schema) {
-        let dims: Vec<BoundDimension> = ["model", "year"]
+        bind_over(t, &["model", "year"], aggs)
+    }
+
+    /// [`bind`] with `dims` as the dimension columns.
+    fn bind_over(
+        t: &Table,
+        dims: &[&str],
+        aggs: &[(&str, &str)],
+    ) -> (Vec<BoundDimension>, Vec<BoundAgg>, Schema) {
+        let dims: Vec<BoundDimension> = dims
             .iter()
             .map(|d| Dimension::column(d).bind(t.schema()).unwrap())
             .collect();
@@ -1417,15 +1280,27 @@ mod tests {
         aggs: &[(&str, &str)],
         shape: Shape,
     ) -> (Table, ExecStats) {
-        let (dims, aggs, schema) = bind(t, aggs);
         let lattice = Lattice::cube(2).unwrap();
+        run_over::<K>(t, &["model", "year"], &lattice, aggs, shape)
+    }
+
+    /// [`run_keyed`] over the dimension columns `dims` and their `lattice`.
+    fn run_over<K: PackedKey>(
+        t: &Table,
+        dims: &[&str],
+        lattice: &Lattice,
+        aggs: &[(&str, &str)],
+        shape: Shape,
+    ) -> (Table, ExecStats) {
+        let (dims, aggs, schema) = bind_over(t, dims, aggs);
         let enc = encode_as::<K>(t, &dims);
         let mut stats = ExecStats::default();
         let ctx = ExecContext::unlimited();
-        let plan = (&lattice, shape);
+        let plan = (lattice, shape);
         let cells = group_keyed(enc, t, &aggs, plan, &mut stats, &ctx).unwrap();
         let picks: Vec<_> = (0..lattice.sets().len()).map(|i| (i, None)).collect();
-        let (dims, lanes) = ([0, 1], (0..aggs.len()).collect::<Vec<_>>());
+        let dims: Vec<usize> = (0..dims.len()).collect();
+        let lanes: Vec<usize> = (0..aggs.len()).collect();
         let out = cells.read_sets(&aggs, &picks, &dims, &lanes, schema, &mut stats, &ctx);
         (out.unwrap(), stats)
     }
@@ -1435,15 +1310,12 @@ mod tests {
         let t = sales();
         let (_, aggs, _) = bind(&t, &KERNEL_AGGS);
         let typed = |idx| t.typed(idx);
-        assert_eq!(KernelLanes::plan(&aggs, false, typed).unwrap().width(), 5);
+        assert_eq!(KernelLanes::plan(&aggs, typed).unwrap().width(), 5);
         // A holistic aggregate, an algebraic one without a kernel, or a
         // string measure anywhere gives the whole query boxed lanes.
         for reject in [("MEDIAN", "units"), ("VARIANCE", "price"), ("MIN", "model")] {
             let (_, aggs, _) = bind(&t, &[("SUM", "units"), reject]);
-            assert!(
-                KernelLanes::plan(&aggs, false, typed).is_none(),
-                "{reject:?}"
-            );
+            assert!(KernelLanes::plan(&aggs, typed).is_none(), "{reject:?}");
         }
     }
 
@@ -1543,48 +1415,71 @@ mod tests {
         }
     }
 
+    /// A table's cells with every float as its bit pattern, so a last-ulp
+    /// difference shows.
+    fn bits(t: &Table) -> Vec<Vec<Result<u64, Value>>> {
+        let cell = |v: &Value| match v {
+            Value::Float(f) => Ok(f.to_bits()),
+            v => Err(v.clone()),
+        };
+        t.rows()
+            .iter()
+            .map(|r| r.iter().map(cell).collect())
+            .collect()
+    }
+
+    /// §5: a cell is Init(), one Iter() per row of its group, Final(). So
+    /// its value is a function of the group's rows, not of the table's
+    /// layout: 8 groups × 10 rows of `x = 0.1`, stored sorted by `k` and
+    /// round-robin, give bit-identical GROUP BY and CUBE answers (ten
+    /// sequential adds of 0.1 are 0.9999999999999999, not 1.0) and the
+    /// same work counters, over both lane kinds, both key widths and
+    /// every shape.
     #[test]
-    fn key_runs_engage_the_run_folding_scan_for_both_lane_kinds() {
-        let schema = Schema::from_pairs(&[
-            ("model", DataType::Str),
-            ("year", DataType::Int),
-            ("units", DataType::Int),
-            ("price", DataType::Float),
-        ]);
-        let mut sorted = Table::empty(schema);
-        for (m, y) in [("Chevy", 1994), ("Chevy", 1995), ("Ford", 1994)] {
-            for i in 0..6 {
-                sorted.push(row![m, y, 10 + i, 0.5 * i as f64]).unwrap();
+    fn a_cell_does_not_depend_on_row_order() {
+        let schema = Schema::from_pairs(&[("k", DataType::Int), ("x", DataType::Float)]);
+        let layout = |k: fn(i64) -> i64| {
+            let rows = (0..80).map(|i| row![k(i), 0.1]).collect();
+            Table::new(schema.clone(), rows).unwrap()
+        };
+        let (sorted, interleaved) = (layout(|i| i / 10), layout(|i| i % 8));
+        let kernel = [("SUM", "x"), ("AVG", "x"), ("COUNT", "x"), ("MIN", "x")];
+        let boxed = [("SUM", "x"), ("AVG", "x"), ("VARIANCE", "x")];
+        let parallel = Shape::FromCore {
+            threads: Some(2),
+            choice: ParentChoice::SmallestCardinality,
+        };
+        let group_by = Lattice::new(1, vec![]).unwrap();
+        let cube = Lattice::cube(1).unwrap();
+        let counters = |s: &ExecStats| (s.rows_scanned, s.iter_calls, s.morsels_processed);
+        // Group 0's SUM, the first cell of every answer: row-order adds.
+        let ten_adds = (0..10).fold(0.0f64, |sum, _| sum + 0.1);
+        for (aggs, kernels) in [(&kernel[..], 4), (&boxed[..], 0)] {
+            for lattice in [&group_by, &cube] {
+                for shape in [FROM_CORE, Shape::EverySet, Shape::PerSet, parallel] {
+                    for run in [run_over::<u64>, run_over::<WideKey>] {
+                        let tag = format!("{shape:?}, {kernels} kernel lanes, {lattice:?}");
+                        let (a, sa) = run(&sorted, &["k"], lattice, aggs, shape);
+                        let (b, sb) = run(&interleaved, &["k"], lattice, aggs, shape);
+                        assert_eq!(sa.vectorized_kernels_used, kernels, "{tag}");
+                        assert_eq!(bits(&a), bits(&b), "{tag}");
+                        assert_eq!(counters(&sa), counters(&sb), "{tag}");
+                        assert_eq!(bits(&a)[0][1], Ok(ten_adds.to_bits()), "{tag}");
+                    }
+                }
             }
-        }
-        let mut interleaved = Table::empty(sorted.schema().clone());
-        for i in 0..6 {
-            for r in sorted.rows().iter().skip(i).step_by(6) {
-                interleaved.push_unchecked(r.clone());
-            }
-        }
-        for aggs in [&KERNEL_AGGS[..], &BOXED_AGGS[..]] {
-            let (folded, s) = run_engine(&sorted, aggs, FROM_CORE);
-            assert_eq!(s.rle_runs, 3, "three runs of six rows");
-            let (plain, p) = run_engine(&interleaved, aggs, FROM_CORE);
-            assert_eq!(p.rle_runs, 0, "run length 1 keeps the per-row scan");
-            assert_eq!(folded.rows(), plain.rows());
-            assert_eq!(
-                (s.rows_scanned, s.iter_calls),
-                (p.rows_scanned, p.iter_calls)
-            );
         }
     }
 
     /// One table that packs both ways, through both key instantiations ×
     /// both lane kinds × every shape: the key width changes neither a cell
-    /// nor a work counter. The sorted copy engages the run-folding scan.
+    /// nor a work counter, over scattered rows and over runs of equal keys.
     #[test]
     fn both_key_widths_give_identical_tables_and_counters() {
         let plain = sales();
         let mut sorted = Table::empty(plain.schema().clone());
         for r in plain.rows() {
-            for _ in 0..RLE_MIN_RUN {
+            for _ in 0..4 {
                 sorted.push_unchecked(r.clone());
             }
         }
@@ -1592,13 +1487,12 @@ mod tests {
             threads: Some(3),
             choice: ParentChoice::SmallestCardinality,
         };
-        // Six rows, two of them adjacent on (Ford, 1995): five key runs.
-        for (t, runs) in [(&plain, 0), (&sorted, 5)] {
+        for t in [&plain, &sorted] {
             for (aggs, kernels) in [(&KERNEL_AGGS[..], 5), (&BOXED_AGGS[..], 0)] {
                 for shape in [FROM_CORE, Shape::EverySet, Shape::PerSet, parallel] {
                     let (narrow, n) = run_keyed::<u64>(t, aggs, shape);
                     let (wide, w) = run_keyed::<WideKey>(t, aggs, shape);
-                    let tag = format!("{shape:?}, {kernels} kernel lanes, {runs} runs");
+                    let tag = format!("{shape:?}, {kernels} kernel lanes, {} rows", t.len());
                     assert_eq!(narrow.rows(), wide.rows(), "{tag}");
                     let counters = |s: &ExecStats| {
                         (
@@ -1607,16 +1501,12 @@ mod tests {
                             s.merge_calls,
                             s.final_calls,
                             s.morsels_processed,
-                            s.rle_runs,
                         )
                     };
                     assert_eq!(counters(&n), counters(&w), "{tag}");
                     assert_eq!(n.vectorized_kernels_used, kernels, "{tag}");
                     assert_eq!(w.vectorized_kernels_used, kernels, "{tag}");
                     assert!(n.morsels_processed > 0, "{tag}");
-                    if matches!(shape, Shape::FromCore { .. }) {
-                        assert_eq!(n.rle_runs, runs, "{tag}");
-                    }
                 }
             }
         }
@@ -1624,8 +1514,8 @@ mod tests {
 
     /// Rows over `sales()`'s schema: a `Str` model, a year that mixes
     /// `Int(5)` with `Float(5.0)` (one symbol) and `i64::MAX`, NULLs in
-    /// every column. Each row repeats 1–5 times, so some tables engage
-    /// the run-folding scan.
+    /// every column. Each row repeats 1–5 times, so some tables hold runs
+    /// of equal keys.
     fn arb_sales() -> impl Strategy<Value = Table> {
         let row = (0usize..4, 0usize..5, 0i64..30, 0usize..5);
         (proptest::collection::vec(row, 0..80), 1usize..6).prop_map(|(raw, repeat)| {

@@ -64,9 +64,6 @@ pub struct ExecStats {
     /// Fixed-size row-range morsels pulled by the engine's scan workers
     /// (0 under `repro`, whose algorithms do not scan by morsel).
     pub morsels_processed: u64,
-    /// Key runs folded by the run-length scan (0 when the per-row morsel
-    /// scan ran instead).
-    pub rle_runs: u64,
     /// Milliseconds the query spent waiting in the admission queue before
     /// execution (0 when admitted immediately or ungoverned). Queue time
     /// counts against the query's own deadline.
@@ -102,7 +99,6 @@ impl ExecStats {
             .vectorized_kernels_used
             .max(other.vectorized_kernels_used);
         self.morsels_processed += other.morsels_processed;
-        self.rle_runs += other.rle_runs;
         self.queue_wait_ms += other.queue_wait_ms;
         self.granted_cells = self.granted_cells.max(other.granted_cells);
         self.retry_after_ms = self.retry_after_ms.max(other.retry_after_ms);

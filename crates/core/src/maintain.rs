@@ -58,7 +58,7 @@
 //! and rollup family contains the empty grouping set, so every non-empty
 //! batch rewrites the `(ALL, …, ALL)` cell and any two writers meet there.
 
-use crate::algorithm::engine::{self, Arena, Lanes, Pipeline, Stored};
+use crate::algorithm::engine::{self, Arena, Lanes, Pipeline, Stored, MORSEL_ROWS};
 use crate::algorithm::{check_applies, resolve, Algorithm, ParentChoice, Shape};
 use crate::encode::{Encoded, KeyEncoder, PackedKey};
 use crate::error::{CubeError, CubeResult};
@@ -388,7 +388,6 @@ impl<K: PackedKey, C: Stored> Nodes<K, C> {
             encoder: &self.encoder,
             keys: &ins_keys,
             lanes: &ins,
-            rle: false,
             ctx,
         };
         let parts = scan.group(&cube.lattice, cube.shape, &mut ExecStats::default())?;
@@ -435,32 +434,34 @@ impl<K: PackedKey, C: Stored> Nodes<K, C> {
         }
 
         // The delete-holistic path: each cell rebuilt once, from the rows
-        // of the post-batch table under its key.
+        // of the post-batch table under its key, by the scan's own fold:
+        // lanes over the cell's rows, every row in slot 0, one morsel at a
+        // time.
         if !rebuild.is_empty() {
             exec::failpoint("maintain::recompute")?;
             let post = b.post.rows();
             let post_keys = self.encoder.keys(post, dims).ok_or_else(unkeyed)?;
-            let (mut rows, mut ends) = (Vec::new(), Vec::with_capacity(rebuild.len()));
+            let zeros = vec![0u32; MORSEL_ROWS.min(post.len())];
+            let (mut rows, mut fresh) = (Vec::new(), Vec::with_capacity(w));
             for &(si, slot) in &rebuild {
                 let (key, mask) = (self.arenas[si].keys[slot], self.encoder.set_mask(sets[si]));
+                rows.clear();
                 for (i, (k, row)) in post_keys.iter().zip(post).enumerate() {
                     ctx.tick(i)?;
                     if k.and(mask) == key {
                         rows.push(row.clone());
                     }
                 }
-                ends.push(rows.len());
                 stats.rows_rescanned += (post.len() - b.ins.len()) as u64;
-            }
-            let rebuilt = C::lanes(spec, aggs, &rows).ok_or_else(unlaned)?;
-            let (mut start, mut fresh) = (0, Vec::with_capacity(w));
-            for (&(si, slot), &end) in rebuild.iter().zip(&ends) {
+                let rebuilt = C::lanes(spec, aggs, &rows).ok_or_else(unlaned)?;
                 rebuilt.open(&mut fresh)?;
-                rebuilt.fold_run(&mut fresh, start, end)?;
+                for (c, chunk) in rows.chunks(MORSEL_ROWS).enumerate() {
+                    ctx.checkpoint()?;
+                    rebuilt.fold_morsel(&mut fresh, &zeros[..chunk.len()], c * MORSEL_ROWS)?;
+                }
                 self.arenas[si]
                     .cells
                     .splice(slot * w..(slot + 1) * w, fresh.drain(..));
-                start = end;
             }
             stats.cells_recomputed += rebuild.len() as u64;
         }
@@ -507,7 +508,6 @@ impl<K: PackedKey, C: Stored> Store for Nodes<K, C> {
             encoder: &self.encoder,
             keys: &[],
             lanes: &stored,
-            rle: false,
             ctx,
         };
         let merge = |&(node, onto): &(usize, Option<GroupingSet>)| {

@@ -419,9 +419,10 @@ pub fn gen_case(seed: u64) -> Case {
         _ => rng.gen_range(61usize..=200),
     };
 
-    // RLE-facing shapes: sorting the rows gives the key stream long runs
-    // (the sorted-input case the RLE scan optimizes), and a tiny measure
-    // domain creates constant measure runs for the `n × value` fold.
+    // Layout-facing shapes: sorting the rows gives the key stream long
+    // runs of equal keys, and a tiny measure domain gives runs of equal
+    // measures. A cell must not depend on either: the engine folds every
+    // row in order whatever the layout.
     let sort_rows = rng.gen_bool(0.3);
     let tiny_measures = rng.gen_bool(0.2);
 

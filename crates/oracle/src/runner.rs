@@ -1,10 +1,10 @@
 //! The equivalence runner: every applicable engine path for a case.
 //!
 //! Hash-based algorithms (Auto, 2^N, union-of-GROUP-BYs, from-core,
-//! parallel at 1/4/16 threads) run on the arena engine; key width, lane
-//! kind and the run-folding scan are the engine's own decisions, taken
-//! from the case's dimension cardinalities, select list and key stream, so
-//! the generator's flavours — not a switch — are what reach each of them.
+//! parallel at 1/4/16 threads) run on the arena engine; key width and lane
+//! kind are the engine's own decisions, taken from the case's dimension
+//! cardinalities and select list, so the generator's flavours — not a
+//! switch — are what reach each of them.
 //! The reproduction algorithms (`datacube::algorithm::repro`) run once
 //! each, gated on the lattice shapes they support — Sort on ROLLUP
 //! lattices, Array and PipeSort on full cubes.

@@ -230,20 +230,6 @@ impl Column {
         self.validity.words()
     }
 
-    /// Build a run-length index over this column, or `None` when the
-    /// column does not compress (see [`RleIndex::is_beneficial`]).
-    /// Sorted and low-cardinality columns are where runs actually form;
-    /// random high-cardinality data degenerates to one run per row and
-    /// is rejected.
-    pub fn rle_index(&self) -> Option<RleIndex> {
-        let idx = match &self.data {
-            ColumnData::Int(v) => RleIndex::from_i64(v, &self.validity),
-            ColumnData::Float(v) => RleIndex::from_f64(v, &self.validity),
-            ColumnData::Dict { codes, .. } => RleIndex::from_codes(codes, &self.validity),
-        };
-        idx.is_beneficial().then_some(idx)
-    }
-
     /// Rehydrate row `i` back into a [`Value`] (tests and fallbacks only —
     /// hot paths read the typed vectors directly).
     pub fn value(&self, i: usize) -> Value {
@@ -259,105 +245,6 @@ impl Column {
                 .expect("dictionary code out of range")
                 .clone(),
         }
-    }
-}
-
-/// A run-length index over a column: `run_ends[i]` is the exclusive end
-/// row of run `i`, so run `i` covers rows `run_ends[i-1] .. run_ends[i]`
-/// (run 0 starts at row 0). Within one run every row has the same
-/// validity bit and — when valid — the same value, which is what lets
-/// kernels aggregate a whole run as `n × value` instead of row by row
-/// (the §5 dense-array insight applied to storage).
-///
-/// Row offsets are `u32`: columnar batches are capped well below
-/// `u32::MAX` rows by the builders, which assert it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RleIndex {
-    run_ends: Vec<u32>,
-    len: usize,
-}
-
-impl RleIndex {
-    fn from_eq(len: usize, validity: &Bitmap, same: impl Fn(usize, usize) -> bool) -> RleIndex {
-        assert!(len < u32::MAX as usize, "RLE index caps rows at u32");
-        assert_eq!(validity.len(), len);
-        let mut run_ends = Vec::new();
-        if validity.all_valid() {
-            // No NULLs: a run breaks only on value change, so skip the two
-            // per-row validity probes — they dominate the build otherwise.
-            for i in 1..len {
-                if !same(i - 1, i) {
-                    run_ends.push(i as u32);
-                }
-            }
-        } else {
-            for i in 1..len {
-                let (va, vb) = (validity.get(i - 1), validity.get(i));
-                let boundary = va != vb || (va && !same(i - 1, i));
-                if boundary {
-                    run_ends.push(i as u32);
-                }
-            }
-        }
-        if len > 0 {
-            run_ends.push(len as u32);
-        }
-        RleIndex { run_ends, len }
-    }
-
-    pub fn from_i64(vals: &[i64], validity: &Bitmap) -> RleIndex {
-        RleIndex::from_eq(vals.len(), validity, |a, b| vals[a] == vals[b])
-    }
-
-    /// Floats compare by bit pattern: NaN extends a NaN run (any payload
-    /// difference breaks it), and `-0.0` / `0.0` conservatively split.
-    pub fn from_f64(vals: &[f64], validity: &Bitmap) -> RleIndex {
-        RleIndex::from_eq(vals.len(), validity, |a, b| {
-            vals[a].to_bits() == vals[b].to_bits()
-        })
-    }
-
-    pub fn from_codes(codes: &[u32], validity: &Bitmap) -> RleIndex {
-        RleIndex::from_eq(codes.len(), validity, |a, b| codes[a] == codes[b])
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    pub fn n_runs(&self) -> usize {
-        self.run_ends.len()
-    }
-
-    /// Mean rows per run — the compression ratio kernels care about.
-    pub fn avg_run_len(&self) -> f64 {
-        if self.run_ends.is_empty() {
-            return 0.0;
-        }
-        self.len as f64 / self.run_ends.len() as f64
-    }
-
-    /// True when rows `start..end` (half-open, non-empty) all fall inside
-    /// one run — i.e. one validity bit and one value cover the range.
-    pub fn constant_over(&self, start: usize, end: usize) -> bool {
-        debug_assert!(start < end && end <= self.len);
-        let run = self.run_ends.partition_point(|&e| e as usize <= start);
-        self.run_ends[run] as usize >= end
-    }
-
-    /// Exclusive end rows of the runs, strictly increasing, last == len.
-    pub fn run_ends(&self) -> &[u32] {
-        &self.run_ends
-    }
-
-    /// Worth keeping: enough rows to matter and an average run long
-    /// enough (≥ 4 rows) that per-run dispatch beats the per-row loop.
-    pub fn is_beneficial(&self) -> bool {
-        self.len >= 64 && self.avg_run_len() >= 4.0
     }
 }
 
@@ -477,72 +364,6 @@ mod tests {
         let b = b.finish();
         let again = Bitmap::from_words(b.words().to_vec(), b.len());
         assert_eq!(again, b);
-    }
-
-    #[test]
-    fn rle_index_finds_runs_and_boundaries() {
-        let vals: Vec<i64> = [5i64; 40]
-            .into_iter()
-            .chain([7i64; 24])
-            .chain([7i64; 10])
-            .collect();
-        let mut validity = BitmapBuilder::with_capacity(vals.len());
-        for i in 0..vals.len() {
-            validity.append(i < 64); // the last 10 rows are NULL
-        }
-        let idx = RleIndex::from_i64(&vals, &validity.finish());
-        // runs: 40×5 valid, 24×7 valid, 10×NULL
-        assert_eq!(idx.n_runs(), 3);
-        assert_eq!(idx.run_ends(), &[40, 64, 74]);
-        assert!(idx.constant_over(0, 40));
-        assert!(idx.constant_over(10, 39));
-        assert!(!idx.constant_over(39, 41));
-        assert!(idx.constant_over(64, 74));
-        assert!((idx.avg_run_len() - 74.0 / 3.0).abs() < 1e-9);
-        assert!(idx.is_beneficial());
-    }
-
-    #[test]
-    fn rle_rejects_incompressible_and_tiny_columns() {
-        let vals: Vec<i64> = (0..128).collect();
-        let mut validity = BitmapBuilder::with_capacity(vals.len());
-        (0..vals.len()).for_each(|_| validity.append(true));
-        let idx = RleIndex::from_i64(&vals, &validity.finish());
-        assert_eq!(idx.n_runs(), 128);
-        assert!(!idx.is_beneficial(), "one run per row never pays off");
-
-        let short = vec![1i64; 10];
-        let mut validity = BitmapBuilder::with_capacity(10);
-        (0..10).for_each(|_| validity.append(true));
-        assert!(!RleIndex::from_i64(&short, &validity.finish()).is_beneficial());
-    }
-
-    #[test]
-    fn rle_float_runs_compare_by_bits() {
-        let vals = [f64::NAN, f64::NAN, 0.0, -0.0, 1.5, 1.5];
-        let mut validity = BitmapBuilder::with_capacity(vals.len());
-        (0..vals.len()).for_each(|_| validity.append(true));
-        let idx = RleIndex::from_f64(&vals, &validity.finish());
-        assert_eq!(idx.run_ends(), &[2, 3, 4, 6], "NaN runs; ±0.0 split");
-    }
-
-    #[test]
-    fn column_rle_index_gated_by_benefit() {
-        let schema = Schema::from_pairs(&[("x", DataType::Int)]);
-        let sorted: Vec<Row> = (0..256)
-            .map(|i| Row::new(vec![Value::Int(i / 64)]))
-            .collect();
-        let t = Table::new(schema.clone(), sorted).unwrap();
-        let col = Column::from_rows(t.rows(), 0, DataType::Int);
-        let idx = col.rle_index().expect("sorted column should compress");
-        assert_eq!(idx.n_runs(), 4);
-
-        let random: Vec<Row> = (0..256)
-            .map(|i| Row::new(vec![Value::Int(i * 37 % 251)]))
-            .collect();
-        let t = Table::new(schema, random).unwrap();
-        let col = Column::from_rows(t.rows(), 0, DataType::Int);
-        assert!(col.rle_index().is_none(), "shuffled column must not");
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use columnar::{Bitmap, BitmapBuilder, Column, ColumnData, RleIndex};
+pub use columnar::{Bitmap, BitmapBuilder, Column, ColumnData};
 pub use date::Date;
 pub use dictionary::SymbolTable;
 pub use error::{RelError, RelResult};

@@ -377,10 +377,10 @@ fn reads(expr: &Expr, ctx: &EvalContext, out: &mut Vec<usize>) -> Option<()> {
 }
 
 /// Whether `columns`' code tuples may fit an eighth of the rows, judged
-/// the way the engine's run-folding scan is, on a prefix of at most
-/// [`SAMPLE_ROWS`] rows: a prefix whose columns' distinct values multiply
-/// past an eighth of its own rows turns the memo away before any
-/// dictionary is built. (A whole table up to that size is judged exactly.)
+/// on a prefix of at most [`SAMPLE_ROWS`] rows: a prefix whose columns'
+/// distinct values multiply past an eighth of its own rows turns the memo
+/// away before any dictionary is built. (A whole table up to that size is
+/// judged exactly.)
 fn may_fit(rows: &[Row], columns: &[usize]) -> bool {
     let prefix = &rows[..rows.len().min(SAMPLE_ROWS)];
     let budget = (prefix.len() / 8).max(1);

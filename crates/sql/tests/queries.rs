@@ -1279,6 +1279,44 @@ fn int_and_float_of_one_value_are_told_apart() {
     assert_eq!(only_int(&n), 1);
 }
 
+/// A cell is a function of its group's rows, not of the table's layout:
+/// 8 groups × 10 rows of `x = 0.1`, stored sorted by `k` and round-robin,
+/// give bit-identical replies (floats compared by `to_bits`) with the cube
+/// cache on and off. Ten sequential adds of 0.1 are 0.9999999999999999.
+#[test]
+fn a_reply_does_not_depend_on_row_order() {
+    let schema = Schema::from_pairs(&[("k", DataType::Int), ("x", DataType::Float)]);
+    let layout = |k: fn(i64) -> i64| {
+        let rows = (0..80).map(|i| row![k(i), 0.1]).collect();
+        Table::new(schema.clone(), rows).unwrap()
+    };
+    let bits = |t: &Table| -> Vec<Vec<Result<u64, Value>>> {
+        let cell = |v: &Value| match v {
+            Value::Float(f) => Ok(f.to_bits()),
+            v => Err(v.clone()),
+        };
+        t.rows()
+            .iter()
+            .map(|r| r.iter().map(cell).collect())
+            .collect()
+    };
+    let ten_adds = (0..10).fold(0.0f64, |sum, _| sum + 0.1);
+    for cache in [1, 0] {
+        let reply = |t: Table| {
+            let mut e = Engine::new();
+            e.register_table("t", t).unwrap();
+            e.set_option("CUBE_CACHE", cache).unwrap();
+            bits(
+                &e.execute("SELECT k, SUM(x), AVG(x) FROM t GROUP BY k")
+                    .unwrap(),
+            )
+        };
+        let sorted = reply(layout(|i| i / 10));
+        assert_eq!(sorted, reply(layout(|i| i % 8)), "CUBE_CACHE {cache}");
+        assert_eq!(sorted[0][1], Ok(ten_adds.to_bits()), "CUBE_CACHE {cache}");
+    }
+}
+
 /// Integer arithmetic that overflows is NULL, not a panic or a wrapped
 /// value: `+`, `-`, `*`, `%`, unary `-` and `ABS` at `i64::MIN` / `MAX`.
 #[test]

@@ -54,19 +54,6 @@ fn diagonal(n: i64) -> Table {
     t
 }
 
-/// `grid(nx, ny)` with every (x, y) pair repeated `len` times in a row —
-/// key runs long enough that the run-folding scan engages by sample.
-fn runs(nx: i64, ny: i64, len: usize) -> Table {
-    let g = grid(nx, ny);
-    let mut t = Table::empty(g.schema().clone());
-    for row in g.rows() {
-        for _ in 0..len {
-            t.push_unchecked(row.clone());
-        }
-    }
-    t
-}
-
 /// 11 dimensions `d0..d10` of 40 values each — 6 bits apiece, 66 in all,
 /// so the coordinate packs into the engine's wide key, not a `u64` — over
 /// `n` rows with 1600 distinct coordinates (fewer when `n` is).
@@ -540,27 +527,6 @@ fn cancellation_is_observed_between_morsels() {
     }
 }
 
-#[test]
-fn cancellation_is_observed_inside_the_rle_scan() {
-    // Runs of 8 equal keys: the scan samples them and folds run-at-a-time.
-    let t = runs(32, 16, 8);
-    let token = CancelToken::new();
-    token.cancel();
-    let err = CubeQuery::new()
-        .dimensions(xy_dims())
-        .aggregate(sum_units())
-        .limits(ExecLimits::none().cancel_token(token))
-        .cube_with_stats(&t)
-        .unwrap_err();
-    match err {
-        CubeError::Cancelled { stats } => {
-            assert_eq!(stats.vectorized_kernels_used, 1);
-            assert_eq!(stats.rle_runs, 0, "cancelled before the first run");
-        }
-        other => panic!("expected Cancelled, got {other:?}"),
-    }
-}
-
 /// A cacheable miss answers from the view it builds, so that build is the
 /// statement's scan and runs under its deadline: a build that outlives
 /// `TIMEOUT_MS` fails the statement typed and installs nothing. Without
@@ -617,7 +583,7 @@ mod faults_suite {
     /// Every named failpoint site across the engine, including the
     /// service layer's (`service::*`, exercised separately below — they
     /// sit on the SQL session/server path, not the core cube path).
-    const SITES: [&str; 25] = [
+    const SITES: [&str; 24] = [
         "uda::init",
         "uda::iter",
         "uda::merge",
@@ -631,7 +597,6 @@ mod faults_suite {
         "pipesort::pipeline",
         "array::sweep",
         "vectorized::morsel",
-        "vectorized::rle_run",
         "materialize",
         "service::admit",
         "service::queue_wait",
@@ -894,63 +859,6 @@ mod faults_suite {
                 match result {
                     Err(CubeError::AggPanicked { message, .. }) => {
                         assert!(message.contains("morsel down"), "{alg:?}: {message}");
-                    }
-                    other => panic!("{alg:?} Panic: {other:?}"),
-                }
-            }
-        });
-    }
-
-    /// The run-folding scan sits on its own failpoint, for both lane
-    /// kinds. It engages by sample: `runs` repeats every grid key 8 times
-    /// in a row. Both fault flavors unwind with typed errors.
-    #[test]
-    fn rle_run_site_fires_when_key_runs_engage_it() {
-        let t = runs(16, 8, 8);
-        let run = |alg: Algorithm| {
-            CubeQuery::new()
-                .dimensions(xy_dims())
-                .aggregate(sum_units())
-                .algorithm(alg)
-                .cube_with_stats(&t)
-        };
-        silent_panics(|| {
-            let _cleanup = Disarm;
-            for alg in [Algorithm::FromCore, Algorithm::Parallel { threads: 4 }] {
-                let (table, stats) = run(alg).unwrap();
-                let query = CubeQuery::new()
-                    .dimensions(xy_dims())
-                    .aggregate(sum_units())
-                    .algorithm(alg);
-                let want = run_repro(Repro::Reference, &query, &t).unwrap();
-                assert_eq!(table.rows(), want.rows(), "{alg:?}: rle changed cells");
-                assert_eq!(stats.rle_runs, 16 * 8, "{alg:?}: {stats:?}");
-
-                // Boxed lanes fold the same runs.
-                arm("vectorized::rle_run", Fault::TripBudget);
-                let boxed = cube_under_fault(&t, alg);
-                disarm_all();
-                assert!(
-                    matches!(boxed, Err(CubeError::ResourceExhausted { .. })),
-                    "{alg:?} boxed lanes: {boxed:?}"
-                );
-
-                arm("vectorized::rle_run", Fault::TripBudget);
-                let result = run(alg);
-                disarm_all();
-                match result {
-                    Err(CubeError::ResourceExhausted { stats, .. }) => {
-                        assert_eq!(stats.vectorized_kernels_used, 1, "{alg:?}");
-                    }
-                    other => panic!("{alg:?} TripBudget: {other:?}"),
-                }
-
-                arm("vectorized::rle_run", Fault::Panic("run down".into()));
-                let result = run(alg);
-                disarm_all();
-                match result {
-                    Err(CubeError::AggPanicked { message, .. }) => {
-                        assert!(message.contains("run down"), "{alg:?}: {message}");
                     }
                     other => panic!("{alg:?} Panic: {other:?}"),
                 }
