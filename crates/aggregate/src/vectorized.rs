@@ -13,10 +13,10 @@
 //! stores one flat `Vec<KernelCell>` per grouping set (stride = number of
 //! kernel lanes). A cell finalizes directly ([`Kernel::final_value`]) to
 //! byte-for-byte what the aggregate's ordinary accumulator would return,
-//! retracts a deleted input the way that accumulator would
-//! ([`Kernel::retract_i64`]), and renders as its state tuple
-//! ([`Kernel::state`]) when a materialized store widens to boxed
-//! accumulators — the kernels are an execution detail, not a semantic fork.
+//! and retracts a deleted input the way that accumulator would
+//! ([`Kernel::retract_i64`]) — the kernels are an execution detail, not a
+//! semantic fork. Cells never turn into accumulators: a materialized store
+//! whose batch does not compile to its kernels re-groups its table.
 //!
 //! An aggregate opts in by returning `Some(Kernel)` from
 //! [`AggregateFunction::kernel`](crate::AggregateFunction::kernel); holistic
@@ -67,9 +67,9 @@ fn for_each_valid(words: &[u64], n: usize, mut f: impl FnMut(usize)) {
     }
 }
 
-/// The vectorized kernels. Each corresponds to one built-in aggregate whose
-/// [`state`](Kernel::state) tuple matches that aggregate's row-path
-/// accumulator, so a store can `merge` a kernel cell into one exactly.
+/// The vectorized kernels. Each corresponds to one built-in aggregate, and
+/// a cell's [`final_value`](Kernel::final_value) is what that aggregate's
+/// row-path accumulator returns after the same inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// COUNT(x): rows with a present value.
@@ -422,30 +422,6 @@ impl Kernel {
         true
     }
 
-    /// Render a cell as the state tuple of the corresponding row-path
-    /// accumulator: `init(); acc.merge(&state)` reproduces it exactly.
-    pub fn state(self, cell: &KernelCell, float_input: bool) -> Vec<Value> {
-        match self {
-            Kernel::Count | Kernel::CountStar => vec![Value::Int(cell.n)],
-            Kernel::Sum => vec![
-                Value::Int(if float_input { 0 } else { cell.acc_i }),
-                Value::Float(if float_input { cell.acc_f } else { 0.0 }),
-                Value::Bool(float_input && cell.n > 0),
-                Value::Int(cell.n),
-            ],
-            Kernel::Min | Kernel::Max => {
-                if cell.n == 0 {
-                    vec![Value::Null]
-                } else if float_input {
-                    vec![Value::Float(cell.acc_f)]
-                } else {
-                    vec![Value::Int(cell.acc_i)]
-                }
-            }
-            Kernel::Avg => vec![Value::Float(cell.acc_f), Value::Int(cell.n)],
-        }
-    }
-
     /// Final() straight from the cell — byte-for-byte what the row-path
     /// accumulator's `final_value` would return after the same inputs, so
     /// materialization never builds one. (SUM over a pure
@@ -500,13 +476,6 @@ mod tests {
         for (v, ok) in vals.iter().zip(valid) {
             want.iter(&if *ok { Value::Int(*v) } else { Value::Null });
         }
-        let mut got = f.init();
-        got.merge(&kernel.state(&cells[0], false));
-        assert_eq!(
-            got.final_value(),
-            want.final_value(),
-            "{name} state over {vals:?}"
-        );
         assert_eq!(
             kernel.final_value(&cells[0], false),
             want.final_value(),
@@ -570,10 +539,15 @@ mod tests {
     fn count_star_counts_nulls_too() {
         let mut cells = vec![KernelCell::default()];
         Kernel::update_star(&mut cells, 1, 0, &[0, 0, 0]);
+        let mut want = builtin("COUNT(*)").unwrap().init();
+        for _ in 0..3 {
+            want.iter(&Value::Null);
+        }
         assert_eq!(
-            Kernel::CountStar.state(&cells[0], false),
-            vec![Value::Int(3)]
+            Kernel::CountStar.final_value(&cells[0], false),
+            want.final_value()
         );
+        assert_eq!(want.final_value(), Value::Int(3));
     }
 
     #[test]
@@ -664,16 +638,5 @@ mod tests {
             );
             assert_eq!(dense, masked, "{k:?} f64");
         }
-    }
-
-    #[test]
-    fn sum_state_rehydrates_float_path() {
-        let mut cells = vec![KernelCell::default()];
-        let vals = [1.25, 2.5];
-        Kernel::Sum.update_f64(&mut cells, 1, 0, &[0, 0], &vals, Validity::All);
-        let f = builtin("SUM").unwrap();
-        let mut got = f.init();
-        got.merge(&Kernel::Sum.state(&cells[0], true));
-        assert_eq!(got.final_value(), Value::Float(3.75));
     }
 }

@@ -39,7 +39,7 @@
 
 use super::{ParentChoice, Shape};
 use crate::encode::{encode, Encoded, EncodedInput, KeyEncoder, PackedKey};
-use crate::error::{CubeError, CubeResult};
+use crate::error::CubeResult;
 use crate::exec::{self, ExecContext};
 use crate::groupby::ExecStats;
 use crate::lattice::{GroupingSet, Lattice};
@@ -128,18 +128,6 @@ pub(crate) trait Stored: Sized + Send + Sync + 'static {
             lanes.fold_super(&mut out[at..], cell)?;
         }
         Ok(out)
-    }
-
-    /// A copy of `cells` as boxed accumulators, for a store whose lanes
-    /// widen. Only kernel cells do: [`Stored::lanes`] never refuses rows
-    /// for boxed ones.
-    fn boxed(
-        _: &Self::Lanes<'_>,
-        _: &[BoundAgg],
-        _: &[Self],
-        _: &ExecContext,
-    ) -> CubeResult<Vec<Box<dyn Accumulator>>> {
-        Err(CubeError::Unsupported("boxed lanes do not widen".into()))
     }
 }
 
@@ -363,26 +351,6 @@ impl Stored for KernelCell {
     fn copy(_: &KernelLanes, cells: &[Self], _: &ExecContext) -> CubeResult<Vec<Self>> {
         Ok(cells.to_vec())
     }
-
-    /// Each lane through its accumulator's state tuple.
-    fn boxed(
-        lanes: &KernelLanes,
-        aggs: &[BoundAgg],
-        cells: &[Self],
-        ctx: &ExecContext,
-    ) -> CubeResult<Vec<Box<dyn Accumulator>>> {
-        let mut out = Vec::with_capacity(cells.len());
-        for (i, pods) in cells.chunks(lanes.width()).enumerate() {
-            ctx.tick(i)?;
-            for ((pod, lane), agg) in pods.iter().zip(&lanes.lanes).zip(aggs) {
-                let mut acc = exec::guard(agg.func.name(), || agg.func.init())?;
-                let state = lane.kernel.state(pod, lane.float);
-                exec::guard(agg.func.name(), || acc.merge(&state))?;
-                out.push(acc);
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// The fused scan for these lanes, if they qualify (see [`FusedScan`]).
@@ -581,8 +549,9 @@ impl<K: PackedKey, C> Arena<K, C> {
         }
     }
 
-    /// These keys and slots over other cells (`cells` in slot order).
-    pub(crate) fn with_cells<D>(&self, cells: Vec<D>) -> Arena<K, D> {
+    /// These keys and slots over a copy of the cells (`cells`, in slot
+    /// order).
+    pub(crate) fn with_cells(&self, cells: Vec<C>) -> Self {
         Arena {
             index: self.index.clone(),
             keys: self.keys.clone(),
@@ -591,20 +560,15 @@ impl<K: PackedKey, C> Arena<K, C> {
         }
     }
 
-    /// The cells `keep` accepts, under `rekey`ed keys (`rekey` injective).
-    pub(crate) fn rebuilt<J: PackedKey>(
-        self,
-        dense_bits: Option<u32>,
-        rekey: impl Fn(K) -> J,
-        keep: impl Fn(usize) -> bool,
-    ) -> Arena<J, C> {
+    /// The cells `keep` accepts, under the same keys.
+    pub(crate) fn rebuilt(self, dense_bits: Option<u32>, keep: impl Fn(usize) -> bool) -> Self {
         let (n, w) = (self.n_cells(), self.width);
         let mut out = Arena::new(w, dense_bits, n, n);
         let mut cells = self.cells.into_iter();
         for (slot, &key) in self.keys.iter().enumerate() {
             let lanes = cells.by_ref().take(w);
             if keep(slot) {
-                out.probe(rekey(key));
+                out.probe(key);
                 out.cells.extend(lanes);
             } else {
                 lanes.for_each(drop);

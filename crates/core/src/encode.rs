@@ -30,9 +30,10 @@
 //! one or the other, and the engine is generic over which.
 //!
 //! A materialized store keeps its encoder across batches:
-//! [`KeyEncoder::grow`] interns a batch's unseen values, and a `u64` field
-//! that outgrows its width re-lays the key — past 64 bits, as a
-//! [`WideKey`].
+//! [`KeyEncoder::grow`] interns a batch's unseen values in place while
+//! every field keeps its width. A `u64` field that outgrows its width
+//! would move every key, so the store re-groups instead, and [`encode`]
+//! lays the key out anew — past 64 bits, as a [`WideKey`].
 //!
 //! [`Lattice`]: crate::lattice::Lattice
 
@@ -191,17 +192,6 @@ pub(crate) enum Encoded {
     Wide(EncodedInput<WideKey>),
 }
 
-/// `columns` (one code per row each) over `symbols` packed at the width
-/// the fields need: one `u64` key when they sum to at most 64 bits, a
-/// [`WideKey`] otherwise.
-fn at_width(symbols: Vec<Arc<SymbolTable>>, columns: &[&Codes], n_rows: usize) -> Encoded {
-    if layout(&symbols).iter().map(|f| f.width).sum::<u32>() <= u64::BITS {
-        Encoded::Narrow(KeyEncoder::new(symbols).pack(columns, n_rows))
-    } else {
-        Encoded::Wide(KeyEncoder::new(symbols).pack(columns, n_rows))
-    }
-}
-
 /// Every dimension's codes over `table`'s rows: a plain column's are the
 /// table image's (shared, built at most once per table); a computed
 /// dimension's are interned here, row by row.
@@ -271,11 +261,16 @@ fn ranks(symbols: &[Arc<SymbolTable>]) -> Vec<Vec<u32>> {
 }
 
 /// Pack every row's cube coordinate from the dimensions' codes, at the
-/// width the fields need.
+/// width the fields need: one `u64` key when they sum to at most 64 bits,
+/// a [`WideKey`] otherwise.
 pub(crate) fn encode(table: &Table, dims: &[BoundDimension]) -> Encoded {
     let columns = dim_codes(table, dims);
     let (symbols, codes) = split(&columns);
-    at_width(symbols, &codes, table.len())
+    if layout(&symbols).iter().map(|f| f.width).sum::<u32>() <= u64::BITS {
+        Encoded::Narrow(KeyEncoder::new(symbols).pack(&codes, table.len()))
+    } else {
+        Encoded::Wide(KeyEncoder::new(symbols).pack(&codes, table.len()))
+    }
 }
 
 /// Pack at a caller-chosen width regardless of the field widths, so a test
@@ -318,12 +313,10 @@ impl<K: PackedKey> KeyEncoder<K> {
 
     /// Intern `rows`' coordinates, growing the dictionary and its ranks.
     /// A symbol table shared with a table image is copied on its first
-    /// unseen value. Keys packed before stay valid unless a `u64` field
-    /// outgrew its width — a `u64` key is its fields' bit ranges — and
-    /// then the encoder the grown dictionary needs comes back (with no
-    /// keys), at the width its fields take now, for the caller to re-key
-    /// to ([`Self::repack`]).
-    pub fn grow(&mut self, rows: &[Row], dims: &[BoundDimension]) -> Option<Encoded> {
+    /// unseen value. Whether the keys still fit: keys packed before stay
+    /// valid unless a `u64` field outgrew its width — a `u64` key is its
+    /// fields' bit ranges — and then this encoder is not to be used.
+    pub fn grow(&mut self, rows: &[Row], dims: &[BoundDimension]) -> bool {
         let before: usize = self.cardinalities().iter().sum();
         let intern = |symbols: &mut Arc<SymbolTable>, v: &Value| {
             if symbols.code_of(v).is_none() {
@@ -341,20 +334,15 @@ impl<K: PackedKey> KeyEncoder<K> {
             }
         }
         if self.cardinalities().iter().sum::<usize>() == before {
-            return None;
+            return true;
         }
         let fields = layout(&self.symbols);
         if K::DENSE && fields.iter().map(|f| f.width).sum::<u32>() > self.total_bits() {
-            return Some(at_width(self.symbols.clone(), &[], 0));
+            return false;
         }
         self.fields = fields;
         self.ranks = ranks(&self.symbols);
-        None
-    }
-
-    /// `key`, packed by `from`, in this encoder's layout (same dictionary).
-    pub fn repack<J: PackedKey>(&self, key: J, from: &KeyEncoder<J>) -> K {
-        K::pack(&self.fields, |d| key.field(d, from.fields[d]))
+        true
     }
 
     /// The keys of rows whose values are all interned.

@@ -230,12 +230,6 @@ impl ExecContext {
         Ok(())
     }
 
-    /// Cells charged so far (for degradation heuristics and tests).
-    pub fn cells_charged(&self) -> u64 {
-        // cube-lint: allow(atomic, diagnostic read of a monotone counter)
-        self.cells.load(Ordering::Relaxed)
-    }
-
     /// Poll the cancel token and the deadline. Cheap enough to call per
     /// batch; row loops use [`ExecContext::tick`] instead.
     #[inline]

@@ -17,11 +17,12 @@
 //! **Cells** are the engine's own: one arena per materialized set under
 //! the store's key encoder — its dictionary and field layout — each cell
 //! the select list's lanes plus a COUNT(*) lane for its support. A build
-//! keeps the arenas the engine's scan and cascade made. The format only
-//! widens, and the data decides it: a `u64` key re-lays (past 64 bits as a
-//! `WideKey`) when unseen values outgrow a field, and POD kernel lanes
-//! become boxed accumulators when a batch's measures do not compile to
-//! the store's kernels.
+//! keeps the arenas the engine's scan and cascade made, in the format the
+//! engine picked from the data: key width and lane kind are decided there
+//! and nowhere else. A batch folds into the cells only in that format; one
+//! that does not fit — measures that do not compile to the store's
+//! kernels, unseen values that outgrow a `u64` key field — re-groups the
+//! post-batch table, and the engine picks the format anew.
 //!
 //! **Reading.** A requested set is answered from the smallest materialized
 //! node that is *usable* for it (`usable`, the one ancestor test): its own
@@ -42,10 +43,12 @@
 //! asymmetry — "max is a distributive \[function\] for SELECT and INSERT,
 //! but it is holistic for DELETE" — is handled by *coalescing*: a cell
 //! that cannot take a retraction is recomputed at most once per batch,
-//! from the post-batch table. Without Iter_super (a UDA built without
-//! `state()`/`merge()`) no cell can be folded into, and a batch re-groups
-//! the post-batch table. [`MaterializedCube::apply`] resolves deletes by
-//! value against the base and builds the post-batch table itself;
+//! from the post-batch table, all of them from one pass over it. Without
+//! Iter_super (a UDA built without `state()`/`merge()`) no cell can be
+//! folded into, and a batch re-groups the post-batch table, as does a
+//! batch that does not fit the cells' format.
+//! [`MaterializedCube::apply`] resolves deletes by value against the base
+//! and builds the post-batch table itself;
 //! [`MaterializedCube::absorb_batch`] is handed it by a caller that
 //! already has it, the SQL catalog's just-published version.
 //!
@@ -60,7 +63,7 @@
 
 use crate::algorithm::engine::{self, Arena, Lanes, Pipeline, Stored, MORSEL_ROWS};
 use crate::algorithm::{check_applies, resolve, Algorithm, ParentChoice, Shape};
-use crate::encode::{Encoded, KeyEncoder, PackedKey};
+use crate::encode::{KeyEncoder, PackedKey};
 use crate::error::{CubeError, CubeResult};
 use crate::exec::{self, ExecContext};
 use crate::groupby::ExecStats;
@@ -248,8 +251,8 @@ fn arity(expected: usize, row: &Row) -> CubeResult<()> {
     }))
 }
 
-/// A store's cells at whatever key width and lane kind the data has taken
-/// them to: what the store asks of them, width-blind.
+/// A store's cells at whatever key width and lane kind the engine picked
+/// for its data: what the store asks of them, width-blind.
 pub(crate) trait Store: Send + Sync {
     /// Cells per materialized set.
     fn sizes(&self) -> Vec<u64>;
@@ -273,14 +276,17 @@ pub(crate) trait Store: Send + Sync {
         ctx: &ExecContext,
     ) -> CubeResult<Table>;
 
-    /// New cells: these with `batch` folded in. These stay as they are.
+    /// New cells: these with `batch` folded in, in their format. `None`
+    /// when the batch does not fit it: its measures do not compile to
+    /// these lanes, or its unseen values outgrow a `u64` key field. These
+    /// stay as they are.
     fn fold_batch(
         &self,
         cube: &MaterializedCube,
         batch: &Batch,
         ctx: &ExecContext,
         stats: &mut MaintainStats,
-    ) -> CubeResult<Arc<dyn Store>>;
+    ) -> CubeResult<Option<Arc<dyn Store>>>;
 }
 
 /// The cells in the engine's format: one arena per materialized set,
@@ -311,59 +317,10 @@ fn support<L: Lanes>(lanes: &L, cell: &[L::Cell]) -> CubeResult<u64> {
 }
 
 impl<K: PackedKey, C: Stored> Nodes<K, C> {
-    /// The same keys over cells `cells` makes of each arena's.
-    fn converted<D: Stored>(
-        &self,
-        spec: D::Spec,
-        cells: impl Fn(&[C]) -> CubeResult<Vec<D>>,
-    ) -> CubeResult<Nodes<K, D>> {
-        let arenas = self
-            .arenas
-            .iter()
-            .map(|a| Ok(a.with_cells(cells(&a.cells)?)));
-        Ok(Nodes {
-            spec,
-            encoder: self.encoder.clone(),
-            arenas: arenas.collect::<CubeResult<_>>()?,
-        })
-    }
-
-    /// Grow the dictionary by the batch's inserts — re-keyed when a `u64`
-    /// field outgrew its width — then fold the batch in.
-    fn grown(
-        mut self,
-        cube: &MaterializedCube,
-        b: &Batch,
-        ctx: &ExecContext,
-        stats: &mut MaintainStats,
-    ) -> CubeResult<Arc<dyn Store>> {
-        match self.encoder.grow(&b.ins, &cube.dims) {
-            None => self.folded(cube, b, ctx, stats),
-            Some(Encoded::Narrow(e)) => self.rekeyed(e.encoder).folded(cube, b, ctx, stats),
-            Some(Encoded::Wide(e)) => self.rekeyed(e.encoder).folded(cube, b, ctx, stats),
-        }
-    }
-
-    fn rekeyed<J: PackedKey>(self, encoder: KeyEncoder<J>) -> Nodes<J, C> {
-        let Nodes {
-            spec,
-            encoder: old,
-            arenas,
-        } = self;
-        let dense = encoder.dense_bits();
-        let arenas = arenas
-            .into_iter()
-            .map(|a| a.rebuilt(dense, |k| encoder.repack(k, &old), |_| true));
-        Nodes {
-            spec,
-            arenas: arenas.collect(),
-            encoder,
-        }
-    }
-
-    /// Fold the batch into these (fresh) cells: inserts merged, deletes
-    /// retracted, cells that cannot take a retraction rebuilt from the
-    /// post-batch table, emptied cells dropped.
+    /// Fold the batch into these (fresh) cells, whose encoder has grown
+    /// by its inserts: inserts merged, deletes retracted, cells that
+    /// cannot take a retraction rebuilt from the post-batch table, emptied
+    /// cells dropped.
     fn folded(
         mut self,
         cube: &MaterializedCube,
@@ -433,27 +390,37 @@ impl<K: PackedKey, C: Stored> Nodes<K, C> {
             }
         }
 
-        // The delete-holistic path: each cell rebuilt once, from the rows
-        // of the post-batch table under its key, by the scan's own fold:
-        // lanes over the cell's rows, every row in slot 0, one morsel at a
-        // time.
+        // The delete-holistic path: one pass over the post-batch table
+        // gathers every rebuilt cell's rows, probing each rebuilt set with
+        // the row's key under that set's mask. Each cell is then rebuilt
+        // once by the scan's own fold: lanes over the cell's rows, every
+        // row in slot 0, one morsel at a time.
         if !rebuild.is_empty() {
             exec::failpoint("maintain::recompute")?;
             let post = b.post.rows();
             let post_keys = self.encoder.keys(post, dims).ok_or_else(unkeyed)?;
-            let zeros = vec![0u32; MORSEL_ROWS.min(post.len())];
-            let (mut rows, mut fresh) = (Vec::new(), Vec::with_capacity(w));
-            for &(si, slot) in &rebuild {
-                let (key, mask) = (self.arenas[si].keys[slot], self.encoder.set_mask(sets[si]));
-                rows.clear();
-                for (i, (k, row)) in post_keys.iter().zip(post).enumerate() {
-                    ctx.tick(i)?;
-                    if k.and(mask) == key {
-                        rows.push(row.clone());
+            let cell_of: FxHashMap<(usize, K), usize> = (rebuild.iter().enumerate())
+                .map(|(c, &(si, slot))| ((si, self.arenas[si].keys[slot]), c))
+                .collect();
+            // `rebuild` runs set by set: one mask per rebuilt set.
+            let mut masks: Vec<(usize, K)> = (rebuild.iter())
+                .map(|&(si, _)| (si, self.encoder.set_mask(sets[si])))
+                .collect();
+            masks.dedup_by_key(|&mut (si, _)| si);
+            let mut cell_rows = vec![Vec::new(); rebuild.len()];
+            for (i, (k, row)) in post_keys.iter().zip(post).enumerate() {
+                ctx.tick(i)?;
+                for &(si, mask) in &masks {
+                    if let Some(&c) = cell_of.get(&(si, k.and(mask))) {
+                        cell_rows[c].push(row.clone());
                     }
                 }
-                stats.rows_rescanned += (post.len() - b.ins.len()) as u64;
-                let rebuilt = C::lanes(spec, aggs, &rows).ok_or_else(unlaned)?;
+            }
+            stats.rows_rescanned += post.len() as u64;
+            let zeros = vec![0u32; MORSEL_ROWS.min(post.len())];
+            let mut fresh = Vec::with_capacity(w);
+            for (&(si, slot), rows) in rebuild.iter().zip(&cell_rows) {
+                let rebuilt = C::lanes(spec, aggs, rows).ok_or_else(unlaned)?;
                 rebuilt.open(&mut fresh)?;
                 for (c, chunk) in rows.chunks(MORSEL_ROWS).enumerate() {
                     ctx.checkpoint()?;
@@ -470,11 +437,7 @@ impl<K: PackedKey, C: Stored> Nodes<K, C> {
             let dense = self.encoder.dense_bits();
             let arenas = self.arenas.into_iter().enumerate();
             let kept = |(si, a): (usize, Arena<K, C>)| {
-                a.rebuilt(
-                    dense,
-                    |k| k,
-                    |slot| emptied.binary_search(&(si, slot)).is_err(),
-                )
+                a.rebuilt(dense, |slot| emptied.binary_search(&(si, slot)).is_err())
             };
             self.arenas = arenas.map(kept).collect();
         }
@@ -531,16 +494,22 @@ impl<K: PackedKey, C: Stored> Store for Nodes<K, C> {
         b: &Batch,
         ctx: &ExecContext,
         stats: &mut MaintainStats,
-    ) -> CubeResult<Arc<dyn Store>> {
+    ) -> CubeResult<Option<Arc<dyn Store>>> {
         let lanes = C::lanes(&self.spec, &cube.aggs, &[]).ok_or_else(|| corrupt("lanes"))?;
-        if C::lanes(&self.spec, &cube.aggs, &b.ins).is_some() {
-            let copy = self.converted(self.spec.clone(), |cells| C::copy(&lanes, cells, ctx))?;
-            return copy.grown(cube, b, ctx, stats);
+        // The batch fits when its measures compile to these lanes and its
+        // unseen values fit every key field.
+        let fits = C::lanes(&self.spec, &cube.aggs, &b.ins).is_some();
+        let mut encoder = self.encoder.clone();
+        if !fits || !encoder.grow(&b.ins, &cube.dims) {
+            return Ok(None);
         }
-        // The inserts' measures do not compile to the store's kernels: the
-        // lanes widen to boxed accumulators.
-        let boxed = self.converted((), |cells| C::boxed(&lanes, &cube.aggs, cells, ctx))?;
-        boxed.grown(cube, b, ctx, stats)
+        let copy = |a: &Arena<K, C>| Ok(a.with_cells(C::copy(&lanes, &a.cells, ctx)?));
+        let copy = Nodes {
+            spec: self.spec.clone(),
+            encoder,
+            arenas: self.arenas.iter().map(copy).collect::<CubeResult<_>>()?,
+        };
+        copy.folded(cube, b, ctx, stats).map(Some)
     }
 }
 
@@ -572,8 +541,9 @@ pub struct MaterializedCube {
     /// How the engine groups rows into the family: the 2^N scan for a
     /// holistic aggregate or one without Iter_super, the cascade otherwise.
     shape: Shape,
-    /// Every aggregate supports Iter_super, so a batch folds into the
-    /// cells. When false, a batch re-groups the post-batch table.
+    /// Every aggregate supports Iter_super, so a batch that fits the
+    /// cells' format folds into them. When false, every batch re-groups
+    /// the post-batch table.
     all_mergeable: bool,
     /// The one lock: written from delete resolution through install, read
     /// by every reader.
@@ -1007,23 +977,28 @@ impl MaterializedCube {
             batches: 1,
             ..MaintainStats::default()
         };
-        let cells = if self.all_mergeable {
-            // UDA callbacks run under the write lock by design: the batch
-            // must fold against the pre-install cells. Every callback is
-            // individually catch_unwind-guarded, so a panic surfaces as
-            // AggPanicked without poisoning the guard.
-            state.cells.fold_batch(self, b, ctx, &mut stats)?
-        } else {
-            // No Iter_super to fold a touched cell with: re-group the
-            // post-batch table.
-            stats.rows_rescanned += b.post.len() as u64;
-            let (plan, mut exec_stats) = ((&self.lattice, self.shape), ExecStats::default());
-            // UDA callbacks run under the write lock by design: the
-            // re-grouped cells must replace the old ones under it. Every
-            // callback is individually catch_unwind-guarded.
-            let cells = engine::group(&b.post, &self.dims, &self.aggs, plan, &mut exec_stats, ctx)?;
-            stats.cells_recomputed += cells.sizes().iter().sum::<u64>();
-            cells
+        // UDA callbacks run under the write lock by design: the batch
+        // must fold against the pre-install cells, and re-grouped cells
+        // must replace the old ones under it. Every callback is
+        // individually catch_unwind-guarded, so a panic surfaces as
+        // AggPanicked without poisoning the guard.
+        let folded = match self.all_mergeable {
+            true => state.cells.fold_batch(self, b, ctx, &mut stats)?,
+            false => None,
+        };
+        let cells = match folded {
+            Some(cells) => cells,
+            // No Iter_super to fold a touched cell with, or a batch that
+            // does not fit the cells' format: re-group the post-batch
+            // table, which picks the format anew.
+            None => {
+                stats.rows_rescanned += b.post.len() as u64;
+                let (plan, mut exec_stats) = ((&self.lattice, self.shape), ExecStats::default());
+                let cells =
+                    engine::group(&b.post, &self.dims, &self.aggs, plan, &mut exec_stats, ctx)?;
+                stats.cells_recomputed += cells.sizes().iter().sum::<u64>();
+                cells
+            }
         };
 
         // --- Install: infallible.
@@ -1531,7 +1506,7 @@ mod tests {
         assert_eq!(mat.base().len(), 3 + 4 * 8 * 16);
     }
 
-    // ----------------------------------------------------- widening --
+    // ------------------------------------------------- format growth --
 
     /// The key and cell types the store has reached, and its dictionary's
     /// cardinalities.
@@ -1554,8 +1529,9 @@ mod tests {
     }
 
     /// A store over one row has one-bit fields. Unseen values first
-    /// outgrow one field, which re-lays the `u64` key, then push the
-    /// fields past 64 bits, which moves the store to the wide key.
+    /// outgrow one field, which re-groups the table at a wider `u64` key,
+    /// then push the fields past 64 bits, which re-groups it at the wide
+    /// key. Unseen values that fit the fields fold in place.
     #[test]
     fn unseen_values_widen_a_field_then_the_key() {
         let names: Vec<String> = (0..6).map(|d| format!("d{d}")).collect();
@@ -1586,6 +1562,12 @@ mod tests {
         assert!(key.starts_with("u64 "), "{key}");
         assert_eq!(cards, [4, 1, 1, 1, 1, 1]);
         assert_maintained(&mat, &dims, &aggs);
+        // Three more fill d0's three bits: no re-group, no rescan.
+        let rescanned = mat.stats().rows_rescanned;
+        apply((4..7).map(unseen_d0).collect(), vec![]);
+        assert_eq!(format(&mat).1, [7, 1, 1, 1, 1, 1]);
+        assert_eq!(mat.stats().rows_rescanned, rescanned);
+        assert_maintained(&mat, &dims, &aggs);
 
         // 1 100 unseen values in every dimension: 6 × 11 bits pass 64.
         apply((10..1110).map(|v| row(v, v % 7)).collect(), vec![]);
@@ -1598,8 +1580,9 @@ mod tests {
     }
 
     /// `DataType::accepts` lets an `Int` into a `Float` column; the batch's
-    /// measures then compile to no kernel, so the store's kernel lanes
-    /// widen to boxed accumulators.
+    /// measures then compile to no kernel, so it re-groups the table, whose
+    /// column now compiles to none either: the store's lanes are boxed
+    /// accumulators from then on.
     #[test]
     fn an_int_in_a_float_column_widens_kernel_lanes_to_boxes() {
         let schema = Schema::from_pairs(&[("k", DataType::Str), ("price", DataType::Float)]);
@@ -2000,6 +1983,8 @@ mod view_tests {
     /// recomputed from the post-batch table the caller hands over, so the
     /// absorbed view equals a build over that table — the SUM retraction
     /// and the insert included — and the view it came from is unchanged.
+    /// A batch whose unseen values outgrow a key field re-groups that
+    /// table instead: every cell is rebuilt.
     #[test]
     fn a_view_champion_delete_equals_a_build_over_the_post_batch_table() {
         let (t, d) = (sales(), dims(&["model", "year"]));
@@ -2009,19 +1994,31 @@ mod view_tests {
         ];
         let view = CachedView::build(&t, &d, &specs).unwrap();
         let before = view.to_table().unwrap();
-        let (ins, del) = (vec![row!["Dodge", 2001, 7]], vec![row!["Chevy", 1994, 50]]);
-        let post = after(&t, &ins, &del);
-        let absorbed = view.absorb_batch(&DeltaBatch::of(ins, del), Arc::clone(&post));
-        let absorbed = absorbed.unwrap();
-        let rebuilt = CachedView::build(&post, &d, &specs).unwrap();
         let sets = crate::lattice::cube_sets(2).unwrap();
         let ctx = ExecContext::unlimited();
-        assert_eq!(
-            absorbed.answer(&full_request(&sets), &ctx).unwrap(),
-            rebuilt.answer(&full_request(&sets), &ctx).unwrap()
-        );
-        // 50 was the champion of (Chevy, 1994), which keeps its 40.
+        let absorb = |ins: Vec<Row>, del: Vec<Row>| {
+            let post = after(&t, &ins, &del);
+            let absorbed = view.absorb_batch(&DeltaBatch::of(ins, del), Arc::clone(&post));
+            let absorbed = absorbed.unwrap();
+            let rebuilt = CachedView::build(&post, &d, &specs).unwrap();
+            assert_eq!(
+                absorbed.answer(&full_request(&sets), &ctx).unwrap(),
+                rebuilt.answer(&full_request(&sets), &ctx).unwrap()
+            );
+            assert_eq!(absorbed.stats().rows_rescanned, post.len() as u64);
+            (absorbed, rebuilt.cell_count())
+        };
+        // Seen values: 50 was the champion of (Chevy, 1994), which keeps
+        // its 40 — the one cell recomputed.
+        let champion = vec![row!["Chevy", 1994, 50]];
+        let (absorbed, _) = absorb(vec![row!["Ford", 1995, 7]], champion.clone());
         assert_eq!(absorbed.stats().cells_recomputed, 1);
+        let cell = absorbed.cell(&[Value::str("Chevy"), Value::Int(1994)]);
+        assert_eq!(cell, Some(vec![Value::Int(40), Value::Int(40)]));
+        // 2001 is a fourth `year` value (1994, 1995 and NULL fill its two
+        // bits): the batch re-groups, so every post-batch cell is rebuilt.
+        let (absorbed, cells) = absorb(vec![row!["Dodge", 2001, 7]], champion);
+        assert_eq!(absorbed.stats().cells_recomputed, cells);
         let cell = absorbed.cell(&[Value::str("Chevy"), Value::Int(1994)]);
         assert_eq!(cell, Some(vec![Value::Int(40), Value::Int(40)]));
         assert_eq!(view.to_table().unwrap(), before);

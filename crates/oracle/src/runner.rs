@@ -16,7 +16,7 @@
 //! budget — is a divergence.
 
 use crate::diff::diff_tables;
-use crate::gen::{Case, Gov, QueryKind, WIDE_EVERY};
+use crate::gen::{AggDesc, Case, Gov, QueryKind, WIDE_EVERY};
 use crate::model::model_result;
 use datacube::algorithm::repro::{self, Repro};
 use datacube::{
@@ -112,7 +112,41 @@ pub fn check_case(case: &Case) -> Result<(), String> {
     }
     check_cache_path(case, &names, &expected)?;
     check_maintenance(case)?;
+    check_layout(case)?;
     Ok(())
+}
+
+/// A case's dimension columns, by position: generated cases have at most
+/// ten.
+const DIM_NAMES: [&str; 10] = ["d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8", "d9"];
+
+/// Identity maps and names for a store request over every dimension and
+/// aggregate of a case, each under its own name.
+struct Whole<'a> {
+    dim_map: Vec<usize>,
+    agg_names: Vec<&'a str>,
+    agg_map: Vec<usize>,
+}
+
+impl<'a> Whole<'a> {
+    fn new(n_dims: usize, specs: &'a [AggSpec]) -> Self {
+        Whole {
+            dim_map: (0..n_dims).collect(),
+            agg_names: specs.iter().map(|s| &*s.output).collect(),
+            agg_map: (0..specs.len()).collect(),
+        }
+    }
+
+    /// The request for `sets`.
+    fn request<'s>(&'s self, sets: &'s [GroupingSet]) -> AncestorRequest<'s> {
+        AncestorRequest {
+            dim_map: &self.dim_map,
+            dim_names: &DIM_NAMES[..self.dim_map.len()],
+            agg_map: &self.agg_map,
+            agg_names: &self.agg_names,
+            sets,
+        }
+    }
 }
 
 fn case_dims(case: &Case) -> Vec<Dimension> {
@@ -160,18 +194,8 @@ fn check_cache_path(case: &Case, names: &[String], expected: &[Row]) -> Result<(
     let axis = |e: CubeError| format!("cache axis: {e}");
     let (dims, specs) = (case_dims(case), case_specs(case));
     let sets = family(case, &dims).map_err(axis)?;
-    let dim_map: Vec<usize> = (0..case.n_dims).collect();
-    let dim_names: Vec<String> = (0..case.n_dims).map(|d| format!("d{d}")).collect();
-    let dim_name_refs: Vec<&str> = dim_names.iter().map(String::as_str).collect();
-    let agg_map: Vec<usize> = (0..specs.len()).collect();
-    let agg_names: Vec<&str> = specs.iter().map(|s| &*s.output).collect();
-    let request = AncestorRequest {
-        dim_map: &dim_map,
-        dim_names: &dim_name_refs,
-        agg_map: &agg_map,
-        agg_names: &agg_names,
-        sets: &sets,
-    };
+    let whole = Whole::new(case.n_dims, &specs);
+    let request = whole.request(&sets);
     let matches_model = |table: &Table| {
         diff_tables(names, expected, table, case.n_dims).map_err(|m| format!("cache axis: {m}"))
     };
@@ -211,6 +235,103 @@ fn check_cache_path(case: &Case, names: &[String], expected: &[Row]) -> Result<(
         Err(CubeError::Unsupported(_)) if !answerable => Ok(()),
         Err(e) => Err(format!("cache axis: selection {selection:?}: {e}")),
     }
+}
+
+/// The layout axis: a cell must not depend on how the table's rows are
+/// laid out. A case that aggregates a `Float` measure is grouped by all
+/// of its dimensions twice — over its rows as generated, and over a
+/// stable sort of them by the dimension columns — with every such
+/// measure's values replaced by seeded tenths (1.1, 2.2, 3.3 or 4.4: few
+/// values, so equal ones often meet). The generator's floats are dyadic,
+/// so their sums are exact in any order and the model's 1e-9 band hides
+/// the rest; tenths round, so a fold whose order follows the layout (runs
+/// of equal values folded as `v × n`, say) answers differently. A
+/// stable sort keeps each cell's rows in their order, so the two replies
+/// must be equal with floats compared bit for bit: through `FromCore`,
+/// `TwoToTheN`, `Parallel { threads: 1 }` and, when every aggregate is
+/// rewritable, a `CachedView` build and answer. Ungoverned whatever the
+/// case's governance. `Ok(false)` when the case has no `Float` measure to
+/// replace.
+fn check_layout(case: &Case) -> Result<bool, String> {
+    let schema = case.table.schema();
+    let mut measures: Vec<usize> = (case.aggs.iter().filter_map(AggDesc::input))
+        .filter_map(|name| schema.index_of(name).ok())
+        .filter(|&c| c >= case.n_dims && schema.column_at(c).dtype == DataType::Float)
+        .collect();
+    measures.sort_unstable();
+    measures.dedup();
+    if measures.is_empty() {
+        return Ok(false);
+    }
+    let mut rng = StdRng::seed_from_u64(case.seed ^ 0x4C41_594F_5554);
+    let mut rows = case.table.rows().to_vec();
+    for row in &mut rows {
+        for &c in &measures {
+            if !row[c].is_null() {
+                row[c] = Value::Float((rng.gen_range(1i64..=4) * 11) as f64 / 10.0);
+            }
+        }
+    }
+    let as_table = |rows: Vec<Row>| {
+        Table::new(schema.clone(), rows).map_err(|e| format!("layout axis: table: {e}"))
+    };
+    let generated = as_table(rows.clone())?;
+    rows.sort_by(|a, b| a.values()[..case.n_dims].cmp(&b.values()[..case.n_dims]));
+    let sorted = as_table(rows)?;
+
+    let (dims, specs) = (case_dims(case), case_specs(case));
+    let same = |path: String, a: CubeResult<Table>, b: CubeResult<Table>| {
+        let failed = |e: CubeError| format!("layout axis: {path}: {e}");
+        let (a, b) = (a.map_err(failed)?, b.map_err(failed)?);
+        if same_bits(&a, &b) {
+            return Ok(());
+        }
+        Err(format!(
+            "layout axis: {path}: a stable sort by the dimensions changed the reply\n\
+             generated: {:?}\nsorted: {:?}",
+            a.rows(),
+            b.rows()
+        ))
+    };
+    let query = CubeQuery::new().dimensions(dims.clone());
+    let query = specs.iter().fold(query, |q, s| q.aggregate(s.clone()));
+    for algorithm in [
+        Algorithm::FromCore,
+        Algorithm::TwoToTheN,
+        Algorithm::Parallel { threads: 1 },
+    ] {
+        let q = query.clone().algorithm(algorithm);
+        same(
+            format!("{algorithm:?}"),
+            q.group_by(&generated),
+            q.group_by(&sorted),
+        )?;
+    }
+    if specs.iter().all(|s| rewritable(&s.func)) {
+        let (whole, core) = (
+            Whole::new(case.n_dims, &specs),
+            [GroupingSet::full(case.n_dims)],
+        );
+        let request = whole.request(&core);
+        let answer = |t: &Table| {
+            let view = CachedView::build(t, &dims, &specs)?;
+            view.answer(&request, &ExecContext::unlimited())
+        };
+        same("CachedView".into(), answer(&generated), answer(&sorted))?;
+    }
+    Ok(true)
+}
+
+/// `a` and `b` row for row, floats compared by their bits.
+fn same_bits(a: &Table, b: &Table) -> bool {
+    let value = |(x, y): (&Value, &Value)| match (x, y) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        (Value::Float(_), _) | (_, Value::Float(_)) => false,
+        _ => x == y,
+    };
+    let row =
+        |(r, s): (&Row, &Row)| r.len() == s.len() && r.values().iter().zip(s.values()).all(value);
+    a.len() == b.len() && a.rows().iter().zip(b.rows()).all(row)
 }
 
 /// A schema-conformant random value for maintenance deltas. Ranges mirror
@@ -419,18 +540,8 @@ fn check_view_maintenance(case: &Case, replay: &Replay) -> Result<(usize, usize)
     }
     let axis = |e: CubeError| format!("view maintenance axis: {e}");
     let sets = family(case, &dims).map_err(axis)?;
-    let dim_map: Vec<usize> = (0..case.n_dims).collect();
-    let dim_names: Vec<String> = (0..case.n_dims).map(|d| format!("d{d}")).collect();
-    let dim_name_refs: Vec<&str> = dim_names.iter().map(String::as_str).collect();
-    let agg_map: Vec<usize> = (0..specs.len()).collect();
-    let agg_names: Vec<&str> = specs.iter().map(|s| &*s.output).collect();
-    let request = AncestorRequest {
-        dim_map: &dim_map,
-        dim_names: &dim_name_refs,
-        agg_map: &agg_map,
-        agg_names: &agg_names,
-        sets: &sets,
-    };
+    let whole = Whole::new(case.n_dims, &specs);
+    let request = whole.request(&sets);
     let ctx = ExecContext::unlimited();
     let table = |rows: &[Row]| {
         let table = Table::new(case.table.schema().clone(), rows.to_vec());
@@ -528,6 +639,15 @@ mod tests {
         }
         assert!(retracted >= 100, "{retracted} delete batches absorbed");
         assert!(recomputed >= 20, "{recomputed} batches recomputed a cell");
+    }
+
+    /// How many of the 200 smoke seeds aggregate a `Float` measure and so
+    /// reach the layout axis, where every one of them must pass.
+    #[test]
+    fn the_smoke_reaches_the_layout_axis() {
+        let smoke = (0..200u64).map(|i| crate::gen_case(0xDA7A_C0BE + i));
+        let reached = smoke.map(|c| check_layout(&c).unwrap()).filter(|&r| r);
+        assert_eq!(reached.count(), 78);
     }
 
     /// Field widths as `datacube`'s encoder lays them out: bits for the

@@ -1090,11 +1090,13 @@ mod faults_suite {
         AggSpec::new(builtin("MAX").unwrap(), "units").with_name("hi")
     }
 
-    /// An insert plus a delete of `grid(4, 3)`'s unique MAX champion
-    /// (3, 2, units = 5): the insert drives the fold path, the delete
-    /// forces the deferred-recompute path on every super-aggregate cell
-    /// that contained the champion.
-    fn champion_batch(t: &Table) -> DeltaBatch {
+    /// `grid(4, 3)`'s unique MAX champion (3, 2, units = 5) deleted beside
+    /// one insert: the delete forces the deferred-recompute path on every
+    /// super-aggregate cell that contained the champion. An insert of
+    /// seen values folds into the cells; (9, 9, 5) makes `y` (three values
+    /// in a two-bit field) outgrow its field, so the batch re-groups the
+    /// post-batch table instead.
+    fn champion_batch(t: &Table, insert: [i64; 3]) -> DeltaBatch {
         let champion = t
             .rows()
             .iter()
@@ -1103,32 +1105,37 @@ mod faults_suite {
             .unwrap();
         let mut batch = DeltaBatch::new();
         batch
-            .insert(Row::new(vec![Value::Int(9), Value::Int(9), Value::Int(5)]))
+            .insert(Row::new(insert.map(Value::Int).to_vec()))
             .unwrap();
         batch.delete(champion);
         batch
     }
 
-    /// Every maintenance failpoint — batch fold, the lock, deferred
-    /// recompute — unwinds as a typed error for both fault flavours, the
-    /// cube is bit-identical to its pre-batch state (version included),
-    /// and the same batch applies cleanly once the fault is disarmed.
+    /// Every maintenance failpoint — batch fold, the lock, the re-group's
+    /// scan, deferred recompute — unwinds as a typed error for both fault
+    /// flavours, the cube is bit-identical to its pre-batch state (version
+    /// included), and the same batch applies cleanly once the fault is
+    /// disarmed. The outgrowing batch drives the re-group; one of seen
+    /// values — not the champion's own row, which would annihilate with
+    /// its delete — drives the recompute.
     #[test]
     fn maintain_batch_faults_yield_typed_errors_and_pristine_cube() {
         let t = grid(4, 3);
+        let (outgrowing, seen) = ([9, 9, 5], [3, 2, 4]);
         silent_panics(|| {
             let _cleanup = Disarm;
-            for site in [
-                "maintain::batch_fold",
-                "maintain::lock",
-                "maintain::recompute",
+            for (site, insert) in [
+                ("maintain::batch_fold", outgrowing),
+                ("maintain::lock", outgrowing),
+                ("core::scan", outgrowing),
+                ("maintain::recompute", seen),
             ] {
                 for fault in [Fault::TripBudget, Fault::Panic(format!("{site} down"))] {
                     let cube =
                         MaterializedCube::cube(&t, xy_dims(), vec![sum_units(), max_units()])
                             .unwrap();
                     let before = cube.to_table().unwrap();
-                    let batch = champion_batch(&t);
+                    let batch = champion_batch(&t, insert);
                     arm(site, fault.clone());
                     let err = cube.apply(&batch, &ExecContext::unlimited()).unwrap_err();
                     disarm_all();
