@@ -935,7 +935,7 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
                     None => 1,
                     Some(t) => {
                         let t = t.clamp(1, self.keys.len().max(1));
-                        stats.threads_used = stats.threads_used.max(t as u32);
+                        stats.threads_used = stats.threads_used.max(t as u64);
                         t
                     }
                 };
@@ -1370,7 +1370,7 @@ mod tests {
                 };
                 let (par, s) = run_engine(&t, aggs, shape);
                 assert_eq!(par.rows(), want.rows(), "{threads} threads");
-                assert_eq!(s.threads_used, threads as u32);
+                assert_eq!(s.threads_used, threads as u64);
                 // Six rows are one morsel: one worker scans it and the
                 // coalesce adopts every cell — no merges beyond the
                 // cascade's own.

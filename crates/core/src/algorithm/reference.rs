@@ -209,7 +209,7 @@ fn parallel(
     ctx: &ExecContext,
 ) -> CubeResult<SetMaps> {
     let threads = threads.max(1).min(rows.len().max(1));
-    stats.threads_used = stats.threads_used.max(threads as u32);
+    stats.threads_used = stats.threads_used.max(threads as u64);
     let chunk = rows.len().div_ceil(threads);
 
     // Aggregate each partition's core in parallel. Every handle is joined

@@ -51,8 +51,10 @@ pub fn decorate(
 
 /// Check a functional dependency `determinants → dependent` over a base
 /// table: every distinct determinant tuple maps to at most one dependent
-/// value. §3.5's rule requires this before a decoration is legal; the SQL
-/// layer uses it to validate decorated SELECT lists.
+/// value. §3.5's rule requires this before a decoration is legal. The
+/// warehouse generators' tests check their hierarchies with it; the SQL
+/// layer checks decorated SELECT lists with its own pass over the
+/// evaluated dimension values (`check_decoration` in `dc-sql`).
 pub fn functionally_determines(
     table: &Table,
     determinants: &[&str],

@@ -5,20 +5,24 @@ use dc_aggregate::AggError;
 use dc_relation::RelError;
 use std::fmt;
 
-/// Which execution budget a [`CubeError::ResourceExhausted`] trips.
+/// Which budget a [`CubeError::ResourceExhausted`] trips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Resource {
-    /// The materialized-cell budget (`ExecLimits::max_cells`).
+    /// The materialized-cell budget (`ExecLimits::max_cells`, or the
+    /// global cell budget a service admits queries against).
     Cells,
     /// The estimated-memory budget (`ExecLimits::max_memory_bytes`).
     MemoryBytes,
     /// The wall-clock deadline (`ExecLimits::timeout`), in milliseconds.
     TimeMs,
-    /// The bounded admission queue of the concurrent cube service: the
-    /// query was load-shed because the queue was full (or a failpoint
-    /// tripped the admission path). `ExecStats::retry_after_ms` on the
-    /// carried stats holds the controller's backoff hint.
-    AdmissionQueue,
+    /// The bounded admission queue of a service in front of the engine:
+    /// the query was load-shed because the queue (or the connection cap)
+    /// was full, or a failpoint tripped the admission path. The engine
+    /// itself never raises it.
+    AdmissionQueue {
+        /// The shedder's backoff hint, in milliseconds (0 = none).
+        retry_hint_ms: u32,
+    },
 }
 
 impl fmt::Display for Resource {
@@ -27,7 +31,7 @@ impl fmt::Display for Resource {
             Resource::Cells => write!(f, "cells"),
             Resource::MemoryBytes => write!(f, "memory bytes"),
             Resource::TimeMs => write!(f, "milliseconds"),
-            Resource::AdmissionQueue => write!(f, "admission queue slots"),
+            Resource::AdmissionQueue { .. } => write!(f, "admission queue slots"),
         }
     }
 }
@@ -45,9 +49,11 @@ pub enum CubeError {
     /// The requested algorithm cannot run this query (e.g. sort-based
     /// execution was asked for a non-rollup lattice).
     Unsupported(String),
-    /// An execution budget from `ExecLimits` was exceeded. `stats` carries
-    /// the work counters accumulated up to the trip point, so callers can
-    /// observe how far the query got.
+    /// A budget was exceeded: one of `ExecLimits` during execution, or an
+    /// admission budget of a service in front of the engine, which sheds
+    /// before anything runs. `stats` carries the work counters
+    /// accumulated up to the trip point (all zero for a shed), so callers
+    /// can observe how far the query got.
     ResourceExhausted {
         /// The budget that tripped.
         resource: Resource,

@@ -14,25 +14,6 @@ use crate::spec::{BoundAgg, BoundDimension};
 use dc_aggregate::Accumulator;
 use dc_relation::{ColumnDef, FxHashMap, Row, Schema, Table, Value};
 
-/// How the admission controller (the concurrent-service layer in
-/// `dc-sql`) disposed of the query before execution started. Library
-/// callers that run `CubeQuery` directly are `Ungoverned`; the service
-/// records its verdict here so clients can observe queueing and shedding
-/// in the same stats channel as the §5 work counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum AdmissionVerdict {
-    /// No admission controller in the path (direct library execution).
-    #[default]
-    Ungoverned,
-    /// Admitted immediately: a slot and a budget share were free.
-    Admitted,
-    /// Admitted after waiting in the bounded admission queue.
-    Queued,
-    /// Rejected by load shedding; `ExecStats::retry_after_ms` carries the
-    /// controller's backoff hint.
-    Shed,
-}
-
 /// Work counters for one cube execution; the currency of the paper's cost
 /// analysis ("the 2^N-algorithm invokes the Iter() function T × 2^N
 /// times").
@@ -47,13 +28,11 @@ pub struct ExecStats {
     /// Final() calls — one per output cell per aggregate.
     pub final_calls: u64,
     /// Sort passes performed — 0 on the engine, which hashes; counted by
-    /// `repro`'s Sort and PipeSort (`u32`: at most one per grouping set,
-    /// and with the rest of the narrowed fields it keeps `ExecStats` — and
-    /// so `CubeError` — within clippy's 128-byte `Result` threshold).
-    pub sorts: u32,
+    /// `repro`'s Sort and PipeSort.
+    pub sorts: u64,
     /// Worker threads the parallel paths actually used after clamping to
     /// the partition count (0 for serial algorithms).
-    pub threads_used: u32,
+    pub threads_used: u64,
     /// The cascade's projected lattice size exceeded the cell budget and
     /// the query fell back to per-grouping-set streaming scans.
     pub degraded_to_streaming: bool,
@@ -64,26 +43,6 @@ pub struct ExecStats {
     /// Fixed-size row-range morsels pulled by the engine's scan workers
     /// (0 under `repro`, whose algorithms do not scan by morsel).
     pub morsels_processed: u64,
-    /// Milliseconds the query spent waiting in the admission queue before
-    /// execution (0 when admitted immediately or ungoverned). Queue time
-    /// counts against the query's own deadline.
-    pub queue_wait_ms: u32,
-    /// Cell budget granted by the admission controller out of the global
-    /// budget (0 = unlimited / ungoverned).
-    pub granted_cells: u64,
-    /// Backoff hint attached to a load-shedding rejection, in
-    /// milliseconds (0 = no hint; on a shed whose cost can never fit the
-    /// global budget, retrying is pointless and the hint stays 0).
-    pub retry_after_ms: u32,
-    /// The admission controller's disposition of this query.
-    pub admission: AdmissionVerdict,
-    /// Whether a lattice cache answered this query by re-aggregating a
-    /// materialized ancestor instead of scanning base rows (the §5
-    /// smallest-parent rewrite applied across queries, not within one).
-    pub answered_from_cache: bool,
-    /// Bitmask of the materialized ancestor grouping set that served the
-    /// cache hit (0 when `answered_from_cache` is false).
-    pub cache_ancestor_bits: u32,
 }
 
 impl ExecStats {
@@ -99,21 +58,6 @@ impl ExecStats {
             .vectorized_kernels_used
             .max(other.vectorized_kernels_used);
         self.morsels_processed += other.morsels_processed;
-        self.queue_wait_ms += other.queue_wait_ms;
-        self.granted_cells = self.granted_cells.max(other.granted_cells);
-        self.retry_after_ms = self.retry_after_ms.max(other.retry_after_ms);
-        self.answered_from_cache |= other.answered_from_cache;
-        self.cache_ancestor_bits = self.cache_ancestor_bits.max(other.cache_ancestor_bits);
-        // The most severe verdict wins when folding partial stats.
-        let rank = |v: AdmissionVerdict| match v {
-            AdmissionVerdict::Ungoverned => 0,
-            AdmissionVerdict::Admitted => 1,
-            AdmissionVerdict::Queued => 2,
-            AdmissionVerdict::Shed => 3,
-        };
-        if rank(other.admission) > rank(self.admission) {
-            self.admission = other.admission;
-        }
     }
 }
 

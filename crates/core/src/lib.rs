@@ -62,7 +62,7 @@ pub mod subcube;
 pub use algorithm::{Algorithm, ParentChoice};
 pub use error::{CubeError, CubeResult, Resource};
 pub use exec::{CancelToken, ExecContext, ExecLimits};
-pub use groupby::{AdmissionVerdict, ExecStats};
+pub use groupby::ExecStats;
 pub use lattice::{cube_sets, rollup_sets, GroupingSet, Lattice};
 pub use maintain::{
     rewritable, AncestorRequest, CachedView, DeltaBatch, MaintainStats, MaterializedCube,

@@ -320,11 +320,12 @@ impl<K: PackedKey, C: Stored> Nodes<K, C> {
     /// Fold the batch into these (fresh) cells, whose encoder has grown
     /// by its inserts: inserts merged, deletes retracted, cells that
     /// cannot take a retraction rebuilt from the post-batch table, emptied
-    /// cells dropped.
+    /// cells dropped. `lanes` are the store's own, `ins` the inserts'.
     fn folded(
         mut self,
         cube: &MaterializedCube,
         b: &Batch,
+        (lanes, ins): (&C::Lanes<'_>, &C::Lanes<'_>),
         ctx: &ExecContext,
         stats: &mut MaintainStats,
     ) -> CubeResult<Arc<dyn Store>> {
@@ -334,23 +335,21 @@ impl<K: PackedKey, C: Stored> Nodes<K, C> {
             || corrupt("rows the lanes reject"),
             || corrupt("unseen values"),
         );
-        let lanes = C::lanes(spec, aggs, &[]).ok_or_else(unlaned)?;
         let w = lanes.width();
 
         // Inserts: the engine's scan folds them into one arena per set,
         // and each merges by the coalesce's adopt-or-Iter_super.
-        let ins = C::lanes(spec, aggs, &b.ins).ok_or_else(unlaned)?;
         let ins_keys = self.encoder.keys(&b.ins, dims).ok_or_else(unkeyed)?;
         let scan = Pipeline {
             encoder: &self.encoder,
             keys: &ins_keys,
-            lanes: &ins,
+            lanes: ins,
             ctx,
         };
         let parts = scan.group(&cube.lattice, cube.shape, &mut ExecStats::default())?;
         for (arena, (_, part)) in self.arenas.iter_mut().zip(parts) {
             stats.cells_updated += part.n_cells() as u64;
-            arena.coalesce(part, &lanes, ctx)?;
+            arena.coalesce(part, lanes, ctx)?;
         }
 
         // Deletes: a cell's retract together; the last of its support
@@ -372,7 +371,7 @@ impl<K: PackedKey, C: Stored> Nodes<K, C> {
                 ctx.checkpoint()?;
                 let slot = group[0].0;
                 let cell = &mut arena.cells[slot * w..(slot + 1) * w];
-                let left = support(&lanes, cell)?.checked_sub(group.len() as u64);
+                let left = support(lanes, cell)?.checked_sub(group.len() as u64);
                 let mut kept = left.ok_or_else(|| corrupt("cell support underflow"))? > 0;
                 if !kept {
                     emptied.push((si, slot));
@@ -498,9 +497,11 @@ impl<K: PackedKey, C: Stored> Store for Nodes<K, C> {
         let lanes = C::lanes(&self.spec, &cube.aggs, &[]).ok_or_else(|| corrupt("lanes"))?;
         // The batch fits when its measures compile to these lanes and its
         // unseen values fit every key field.
-        let fits = C::lanes(&self.spec, &cube.aggs, &b.ins).is_some();
+        let Some(ins) = C::lanes(&self.spec, &cube.aggs, &b.ins) else {
+            return Ok(None);
+        };
         let mut encoder = self.encoder.clone();
-        if !fits || !encoder.grow(&b.ins, &cube.dims) {
+        if !encoder.grow(&b.ins, &cube.dims) {
             return Ok(None);
         }
         let copy = |a: &Arena<K, C>| Ok(a.with_cells(C::copy(&lanes, &a.cells, ctx)?));
@@ -509,7 +510,7 @@ impl<K: PackedKey, C: Stored> Store for Nodes<K, C> {
             encoder,
             arenas: self.arenas.iter().map(copy).collect::<CubeResult<_>>()?,
         };
-        copy.folded(cube, b, ctx, stats).map(Some)
+        copy.folded(cube, b, (&lanes, &ins), ctx, stats).map(Some)
     }
 }
 
@@ -521,9 +522,7 @@ struct State {
     /// The rows the cells summarize.
     base: Arc<Table>,
     stats: MaintainStats,
-    /// Monotone maintenance version: bumped per maintained row, so derived
-    /// structures (the SQL layer's lattice cache keys results by table
-    /// version) can detect staleness without diffing.
+    /// Monotone maintenance version: bumped per maintained row.
     version: u64,
 }
 
@@ -1060,9 +1059,9 @@ impl MaterializedCube {
     }
 
     /// Maintenance version: 0 at construction, +1 per maintained row (an
-    /// update counts twice; a batch of k rows counts k). Republishing a
-    /// maintained cube under a new version invalidates any cached ancestor
-    /// views keyed to the old one.
+    /// update counts twice; a batch of k rows counts k). A count for the
+    /// store's own callers: the SQL layer's cache keys its views by the
+    /// catalog's table version and never reads this one.
     pub fn version(&self) -> u64 {
         self.store.read().version
     }

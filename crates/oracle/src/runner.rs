@@ -641,6 +641,59 @@ mod tests {
         assert!(recomputed >= 20, "{recomputed} batches recomputed a cell");
     }
 
+    /// The layout axis's own case, beside the seeds': 300 rows over three
+    /// dimensions of four values each (64 cells of about five rows), SUM
+    /// and AVG over one `Float` measure, whose values `check_layout`
+    /// replaces with tenths. All valid, the kernels fold the measure on
+    /// their all-valid path; with `nulls`, every fifth value is NULL and
+    /// they fold it on the validity path.
+    fn layout_case(nulls: bool) -> Case {
+        let seed = 0x1A70_u64;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let schema = Schema::from_pairs(&[
+            ("d0", DataType::Int),
+            ("d1", DataType::Int),
+            ("d2", DataType::Int),
+            ("m_float", DataType::Float),
+        ]);
+        let rows = (0..300)
+            .map(|i| {
+                let mut values: Vec<Value> =
+                    (0..3).map(|_| Value::Int(rng.gen_range(0..4))).collect();
+                values.push(if nulls && i % 5 == 0 {
+                    Value::Null
+                } else {
+                    Value::Float(1.0)
+                });
+                Row::new(values)
+            })
+            .collect();
+        let over = |name: &str| AggDesc::Builtin {
+            name: name.into(),
+            input: Some("m_float".into()),
+        };
+        Case {
+            seed,
+            table: Table::new(schema, rows).unwrap(),
+            n_dims: 3,
+            query: QueryKind::Cube,
+            aggs: vec![over("SUM"), over("AVG")],
+            gov: Gov::None,
+        }
+    }
+
+    /// The fixed case passes the layout axis all valid and with NULLs.
+    #[test]
+    fn the_layout_axis_holds_on_its_fixed_case() {
+        for nulls in [false, true] {
+            assert_eq!(
+                check_layout(&layout_case(nulls)),
+                Ok(true),
+                "nulls: {nulls}"
+            );
+        }
+    }
+
     /// How many of the 200 smoke seeds aggregate a `Float` measure and so
     /// reach the layout axis, where every one of them must pass.
     #[test]

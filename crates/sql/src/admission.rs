@@ -35,7 +35,7 @@
 //! the encoding symbol tables is the one cardinality model of ROADMAP
 //! item 12.
 
-use datacube::{AdmissionVerdict, CancelToken, CubeError, CubeResult, ExecStats, Resource};
+use datacube::{CancelToken, CubeError, CubeResult, ExecStats, Resource};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -47,16 +47,11 @@ use std::time::{Duration, Instant};
 #[cfg(feature = "faults")]
 pub(crate) fn failpoint(site: &str) -> CubeResult<()> {
     if dc_aggregate::faults::hit(site) {
-        let stats = ExecStats {
-            admission: AdmissionVerdict::Shed,
-            retry_after_ms: 1,
-            ..Default::default()
-        };
         return Err(CubeError::ResourceExhausted {
-            resource: Resource::AdmissionQueue,
+            resource: Resource::AdmissionQueue { retry_hint_ms: 1 },
             limit: 0,
             observed: 0,
-            stats,
+            stats: ExecStats::default(),
         });
     }
     Ok(())
@@ -179,12 +174,10 @@ pub struct AdmissionCounters {
 /// it releases both and wakes the queue.
 pub struct Permit {
     ctrl: Arc<AdmissionController>,
+    /// False for the unlimited fast path's permit, which reserved nothing.
+    governed: bool,
     heavy: bool,
     granted_cells: u64,
-    /// Time spent waiting in the admission queue.
-    pub queue_wait: Duration,
-    /// Verdict to record into the query's `ExecStats`.
-    pub verdict: AdmissionVerdict,
 }
 
 impl Permit {
@@ -199,15 +192,13 @@ impl std::fmt::Debug for Permit {
         f.debug_struct("Permit")
             .field("heavy", &self.heavy)
             .field("granted_cells", &self.granted_cells)
-            .field("queue_wait", &self.queue_wait)
-            .field("verdict", &self.verdict)
             .finish()
     }
 }
 
 impl Drop for Permit {
     fn drop(&mut self) {
-        if self.verdict == AdmissionVerdict::Ungoverned {
+        if !self.governed {
             return; // fast-path permit: nothing was reserved
         }
         let mut st = self.ctrl.lock();
@@ -349,19 +340,15 @@ impl AdmissionController {
         25u32.saturating_mul(ahead as u32 + 1)
     }
 
-    fn shed_error(&self, st: &AdmState, waited: Duration, retry_after_ms: u32) -> CubeError {
+    fn shed_error(&self, st: &AdmState) -> CubeError {
         self.shed.incr();
-        let stats = ExecStats {
-            admission: AdmissionVerdict::Shed,
-            retry_after_ms,
-            queue_wait_ms: waited.as_millis() as u32,
-            ..Default::default()
-        };
         CubeError::ResourceExhausted {
-            resource: Resource::AdmissionQueue,
+            resource: Resource::AdmissionQueue {
+                retry_hint_ms: self.retry_hint_ms(st),
+            },
             limit: self.cfg.queue_depth as u64,
             observed: (st.cheap_queued + st.heavy_queued) as u64,
-            stats,
+            stats: ExecStats::default(),
         }
     }
 
@@ -417,10 +404,9 @@ impl AdmissionController {
             self.admitted.incr();
             return Ok(Permit {
                 ctrl: Arc::clone(self),
+                governed: false,
                 heavy: false,
                 granted_cells: 0,
-                queue_wait: Duration::ZERO,
-                verdict: AdmissionVerdict::Ungoverned,
             });
         }
         let heavy = self.is_heavy(cost);
@@ -436,10 +422,7 @@ impl AdmissionController {
                 resource: Resource::Cells,
                 limit: self.cfg.global_cells,
                 observed: need,
-                stats: ExecStats {
-                    admission: AdmissionVerdict::Shed,
-                    ..Default::default()
-                },
+                stats: ExecStats::default(),
             });
         }
 
@@ -458,19 +441,14 @@ impl AdmissionController {
                 }
                 st.cells_out = st.cells_out.saturating_add(need);
                 self.admitted.incr();
-                let waited = started.elapsed();
-                let verdict = if queued_guard.is_none() {
-                    AdmissionVerdict::Admitted
-                } else {
+                if queued_guard.is_some() {
                     self.queued.incr();
-                    AdmissionVerdict::Queued
-                };
+                }
                 return Ok(Permit {
                     ctrl: Arc::clone(self),
+                    governed: true,
                     heavy,
                     granted_cells: need,
-                    queue_wait: waited,
-                    verdict,
                 });
             }
             if queued_guard.is_none() {
@@ -480,8 +458,7 @@ impl AdmissionController {
                     st.cheap_queued
                 };
                 if depth >= self.cfg.queue_depth {
-                    let hint = self.retry_hint_ms(&st);
-                    return Err(self.shed_error(&st, started.elapsed(), hint));
+                    return Err(self.shed_error(&st));
                 }
                 if heavy {
                     st.heavy_queued += 1;
@@ -501,11 +478,9 @@ impl AdmissionController {
                     if let Some(g) = queued_guard.as_mut() {
                         g.release(&mut st);
                     }
-                    let stats = ExecStats {
-                        queue_wait_ms: started.elapsed().as_millis() as u32,
-                        ..Default::default()
-                    };
-                    return Err(CubeError::Cancelled { stats });
+                    return Err(CubeError::Cancelled {
+                        stats: ExecStats::default(),
+                    });
                 }
             }
             if let Some(d) = deadline {
@@ -513,17 +488,11 @@ impl AdmissionController {
                     if let Some(g) = queued_guard.as_mut() {
                         g.release(&mut st);
                     }
-                    let waited = started.elapsed();
-                    let stats = ExecStats {
-                        queue_wait_ms: waited.as_millis() as u32,
-                        admission: AdmissionVerdict::Shed,
-                        ..Default::default()
-                    };
                     return Err(CubeError::ResourceExhausted {
                         resource: Resource::TimeMs,
                         limit: 0,
-                        observed: waited.as_millis() as u64,
-                        stats,
+                        observed: started.elapsed().as_millis() as u64,
+                        stats: ExecStats::default(),
                     });
                 }
             }
@@ -594,13 +563,10 @@ mod tests {
         let err = ctrl
             .admit(&QueryCost::new(1_000_000, 1), None, None)
             .unwrap_err();
+        // A `Cells` shed carries no hint: retrying cannot help.
         match err {
-            CubeError::ResourceExhausted {
-                resource, stats, ..
-            } => {
+            CubeError::ResourceExhausted { resource, .. } => {
                 assert_eq!(resource, Resource::Cells);
-                assert_eq!(stats.admission, AdmissionVerdict::Shed);
-                assert_eq!(stats.retry_after_ms, 0);
             }
             other => panic!("wrong error: {other:?}"),
         }
@@ -619,12 +585,10 @@ mod tests {
         let err = ctrl.admit(&cheap, None, None).unwrap_err();
         match err {
             CubeError::ResourceExhausted {
-                resource: Resource::AdmissionQueue,
-                stats,
+                resource: Resource::AdmissionQueue { retry_hint_ms },
                 ..
             } => {
-                assert_eq!(stats.admission, AdmissionVerdict::Shed);
-                assert!(stats.retry_after_ms > 0, "shed must carry a retry hint");
+                assert!(retry_hint_ms > 0, "shed must carry a retry hint");
             }
             other => panic!("wrong error: {other:?}"),
         }
@@ -678,12 +642,13 @@ mod tests {
         let waiter = std::thread::spawn(move || {
             ctrl2
                 .admit(&QueryCost::new(10, 2), None, None)
-                .map(|p| p.verdict)
+                .map(|p| p.granted_cells())
         });
         std::thread::sleep(Duration::from_millis(30));
         drop(held);
-        let verdict = waiter.join().unwrap().unwrap();
-        assert_eq!(verdict, AdmissionVerdict::Queued);
+        // The grant is the estimate, 2 × (10 + 1) cells.
+        assert_eq!(waiter.join().unwrap().unwrap(), 22);
+        // Admitted after waiting: counted as queued.
         assert_eq!(ctrl.counters().queued, 1);
     }
 }

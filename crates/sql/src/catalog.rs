@@ -47,14 +47,16 @@ use std::sync::{Arc, RwLock, RwLockWriteGuard};
 /// c.update_table("t", t);
 /// ```
 pub struct Catalog {
-    tables: HashMap<String, Arc<Table>>,
-    /// Per-table version, bumped by every publish. Cached subcube views
-    /// are keyed by `(name, version)`, so republishing a table under the
-    /// same name makes every stale view unreachable.
-    versions: HashMap<String, u64>,
+    tables: Tables,
     aggs: Registry,
     scalars: ScalarRegistry,
 }
+
+/// Every registered table by upper-cased name, with its version: 1 at
+/// registration, bumped by every publish. Cached subcube views are keyed
+/// by `(name, version)`, so republishing a table under the same name
+/// makes every stale view unreachable.
+type Tables = HashMap<String, (Arc<Table>, u64)>;
 
 impl Catalog {
     /// A catalog preloaded with the built-in aggregate and scalar
@@ -62,7 +64,6 @@ impl Catalog {
     pub fn new() -> Self {
         Catalog {
             tables: HashMap::new(),
-            versions: HashMap::new(),
             aggs: dc_aggregate::builtins(),
             scalars: scalar::builtins(),
         }
@@ -73,8 +74,7 @@ impl Catalog {
         if self.tables.contains_key(&key) {
             return Err(SqlError::Plan(format!("table already registered: {key}")));
         }
-        self.versions.insert(key.clone(), 1);
-        self.tables.insert(key, Arc::new(table));
+        self.tables.insert(key, (Arc::new(table), 1));
         Ok(())
     }
 
@@ -90,17 +90,15 @@ impl Catalog {
         table: Arc<Table>,
     ) -> SqlResult<Option<u64>> {
         let key = name.to_uppercase();
-        if !self.tables.contains_key(&key) {
+        let Some((current, version)) = self.tables.get_mut(&key) else {
             return Err(SqlError::Plan(format!("unknown table: {key}")));
-        }
-        let version = self.versions.entry(key.clone()).or_insert(0);
+        };
         if expected.is_some_and(|v| v != *version) {
             return Ok(None);
         }
+        *current = table;
         *version += 1;
-        let new_version = *version;
-        self.tables.insert(key, table);
-        Ok(Some(new_version))
+        Ok(Some(*version))
     }
 }
 
@@ -118,8 +116,7 @@ impl Default for Catalog {
 /// in-flight plan.
 #[derive(Clone)]
 pub struct CatalogSnapshot {
-    pub(crate) tables: HashMap<String, Arc<Table>>,
-    pub(crate) versions: HashMap<String, u64>,
+    tables: Tables,
     pub(crate) aggs: Registry,
     pub(crate) scalars: ScalarRegistry,
 }
@@ -129,16 +126,15 @@ impl CatalogSnapshot {
     pub fn table(&self, name: &str) -> SqlResult<Arc<Table>> {
         self.tables
             .get(&name.to_uppercase())
-            .cloned()
+            .map(|(table, _)| Arc::clone(table))
             .ok_or_else(|| SqlError::Plan(format!("unknown table: {name}")))
     }
 
     /// The table's version at snapshot time (0 if the name is unknown).
     pub fn table_version(&self, name: &str) -> u64 {
-        self.versions
+        self.tables
             .get(&name.to_uppercase())
-            .copied()
-            .unwrap_or(0)
+            .map_or(0, |&(_, version)| version)
     }
 }
 
@@ -214,12 +210,12 @@ impl SharedCatalog {
     }
 
     /// Snapshot the catalog for one statement's execution. The read lock
-    /// is held only for the duration of the map clones.
+    /// is held only for the duration of the three map clones (tables and
+    /// the two function registries).
     pub fn snapshot(&self) -> CatalogSnapshot {
         let guard = self.0.read().unwrap_or_else(|p| p.into_inner());
         CatalogSnapshot {
             tables: guard.tables.clone(),
-            versions: guard.versions.clone(),
             aggs: guard.aggs.clone(),
             scalars: guard.scalars.clone(),
         }
@@ -254,6 +250,7 @@ mod tests {
         assert!(snap.table("b").is_err());
         assert!(shared.snapshot().table("b").is_ok());
         assert_eq!(snap.table("a").unwrap().len(), 2);
+        assert_eq!((snap.table_version("A"), snap.table_version("b")), (1, 0));
     }
 
     #[test]
@@ -275,11 +272,14 @@ mod tests {
         // A writer still holding the old version loses the race.
         let stale = c.replace_if_version("T", Some(1), fresh()).unwrap();
         assert_eq!(stale, None);
-        assert_eq!(c.versions["T"], 2);
+        assert_eq!(c.tables["T"].1, 2);
         // An unconditional republish always wins.
         assert_eq!(c.replace_if_version("t", None, fresh()).unwrap(), Some(3));
-        // Unknown tables are a typed error, not a silent miss.
+        // Unknown tables are a typed error, not a silent miss, and leave
+        // no version behind.
         assert!(c.replace_if_version("nope", Some(1), fresh()).is_err());
+        assert!(c.replace_if_version("nope", None, fresh()).is_err());
+        assert!(!c.tables.contains_key("NOPE"));
     }
 
     #[test]

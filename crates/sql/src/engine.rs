@@ -1090,7 +1090,7 @@ mod tests {
         let max = "SELECT model, year, MAX(units) AS m FROM sales GROUP BY CUBE model, year";
         session.execute(q).unwrap(); // miss + populate
         session.execute(q).unwrap();
-        assert!(session.last_admission().answered_from_cache);
+        assert!(session.last_statement().cache_ancestor.is_some());
         let total = |t: &Table| {
             let apex = t.rows().iter().find(|r| r[0].is_all() && r[1].is_all());
             apex.map(|r| r[2].clone())
@@ -1104,7 +1104,7 @@ mod tests {
             .unwrap();
         let after = session.execute(q).unwrap();
         assert!(
-            session.last_admission().answered_from_cache,
+            session.last_statement().cache_ancestor.is_some(),
             "cache should absorb an insert-only delta, not invalidate"
         );
         assert_eq!(total(&after), Some(Value::Int(117)));
@@ -1116,7 +1116,7 @@ mod tests {
             .execute("DELETE FROM sales WHERE model = 'Chevy'")
             .unwrap();
         let after = session.execute(q).unwrap();
-        assert!(session.last_admission().answered_from_cache);
+        assert!(session.last_statement().cache_ancestor.is_some());
         assert_eq!(total(&after), Some(Value::Int(67)));
         assert!(after.rows().iter().all(|r| r[0] != Value::str("Chevy")));
 
@@ -1132,13 +1132,13 @@ mod tests {
             .unwrap();
         assert_eq!(engine.cube_cache().counters().entries, warm.entries);
         let after = session.execute(max).unwrap();
-        assert!(session.last_admission().answered_from_cache);
+        assert!(session.last_statement().cache_ancestor.is_some());
         assert_eq!(total(&after), Some(Value::Int(7)));
         session.execute("SET CUBE_CACHE OFF").unwrap();
         assert_eq!(session.execute(max).unwrap(), after);
         session.execute("SET CUBE_CACHE ON").unwrap();
         let after = session.execute(q).unwrap();
-        assert!(session.last_admission().answered_from_cache);
+        assert!(session.last_statement().cache_ancestor.is_some());
         assert_eq!(total(&after), Some(Value::Int(12)));
     }
 
@@ -1212,7 +1212,7 @@ mod tests {
 
         for q in views {
             let out = session.execute(q).unwrap();
-            assert!(session.last_admission().answered_from_cache, "{q}");
+            assert!(session.last_statement().cache_ancestor.is_some(), "{q}");
             let total = out.rows().iter().find(|r| r[0].is_all()).unwrap();
             let want = if q.contains("SUM") { 1 + 256 + 256 } else { 1 };
             assert_eq!(total[1], Value::Int(want), "{q}");

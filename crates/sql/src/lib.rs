@@ -59,5 +59,5 @@ pub use engine::Engine;
 pub use error::{SqlError, SqlResult};
 pub use scalar::ScalarRegistry;
 pub use server::{serve, ServerConfig, ServerHandle};
-pub use session::Session;
+pub use session::{LastStatement, Session};
 pub use wire::{read_frame, write_frame, Response};

@@ -159,19 +159,18 @@ fn accept_loop(
 
 /// Answer an over-cap connection with one typed error frame and close.
 fn reject_connection(mut stream: TcpStream, cap: usize) {
-    let stats = datacube::ExecStats {
-        admission: datacube::AdmissionVerdict::Shed,
-        retry_after_ms: 50,
-        ..Default::default()
-    };
-    let err = SqlError::Cube(datacube::CubeError::ResourceExhausted {
-        resource: datacube::Resource::AdmissionQueue,
+    let _ = wire::write_frame(&mut stream, &wire::encode_error(&connection_cap_error(cap)));
+    let _ = stream.flush();
+}
+
+/// The shed an over-cap connection is answered with: retry in 50 ms.
+pub(crate) fn connection_cap_error(cap: usize) -> SqlError {
+    SqlError::Cube(datacube::CubeError::ResourceExhausted {
+        resource: datacube::Resource::AdmissionQueue { retry_hint_ms: 50 },
         limit: cap as u64,
         observed: cap as u64 + 1,
-        stats,
-    });
-    let _ = wire::write_frame(&mut stream, &wire::encode_error(&err));
-    let _ = stream.flush();
+        stats: datacube::ExecStats::default(),
+    })
 }
 
 /// Serve one connection: read request frames, answer each with exactly

@@ -2,12 +2,12 @@
 //!
 //! One [`crate::Engine`] is shared by N sessions; everything that used to
 //! be engine-global but is really *per caller* lives here: the `SET ...`
-//! execution options, the cancellation token, and the admission verdict
-//! of the last statement. Two sessions on one engine can therefore run
-//! with different budgets and cancel independently — the latent
-//! cross-session race of the single-owner engine (where one session's
-//! `SET TIMEOUT_MS` or cancel token clobbered another's) is gone by
-//! construction.
+//! execution options, the cancellation token, and the [`LastStatement`]
+//! record of the last statement's grant and cache answer. Two sessions
+//! on one engine can therefore run with different budgets and cancel
+//! independently — the latent cross-session race of the single-owner
+//! engine (where one session's `SET TIMEOUT_MS` or cancel token
+//! clobbered another's) is gone by construction.
 //!
 //! A statement's lifecycle:
 //!
@@ -19,7 +19,8 @@
 //!    a slot counts against the statement's own `TIMEOUT_MS`;
 //! 4. execute against the snapshot with the granted cell reservation
 //!    folded into the statement's `ExecLimits`;
-//! 5. release the permit (RAII) and record the admission stats.
+//! 5. release the permit (RAII); the grant and the answering cache view
+//!    are recorded in the session's [`LastStatement`].
 //!
 //! The whole lifecycle runs inside [`datacube::exec::guard`], so a panic
 //! anywhere — a UDA, a poisoned lock, an injected fault — unwinds into
@@ -35,7 +36,7 @@ use crate::error::{SqlError, SqlResult};
 use crate::eval::{eval, EvalContext, Selection};
 use crate::parser::parse;
 use crate::plan::{branches, set_count};
-use datacube::{CancelToken, DeltaBatch, ExecContext, ExecLimits, ExecStats};
+use datacube::{CancelToken, DeltaBatch, ExecContext, ExecLimits};
 use dc_relation::{ColumnDef, DataType, Row, Schema, Table, Value};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -92,6 +93,19 @@ impl SessionOptions {
     }
 }
 
+/// What a session's most recent SELECT, INSERT, DELETE or UPDATE (the
+/// statements admission prices) was granted, and where its answer came
+/// from.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LastStatement {
+    /// The cell reservation admission granted (0 = unlimited, or the
+    /// statement was not admitted).
+    pub granted_cells: u64,
+    /// The grouping-set bitmask of the cached ancestor view that answered
+    /// the statement (`None` when it was not answered from the cache).
+    pub cache_ancestor: Option<u32>,
+}
+
 /// One caller's handle onto a shared engine: private options and cancel
 /// token, shared catalog and admission controller. Cheap to create (two
 /// `Arc` clones), `Send + Sync`, and safe to use from its own thread.
@@ -100,9 +114,7 @@ pub struct Session {
     admission: Arc<AdmissionController>,
     cache: Arc<CubeCache>,
     opts: Mutex<SessionOptions>,
-    /// Admission stats of the most recent statement (queue wait, grant,
-    /// verdict) — observability for callers and the stress suites.
-    last: Mutex<ExecStats>,
+    last: Mutex<LastStatement>,
 }
 
 impl Session {
@@ -116,7 +128,7 @@ impl Session {
             admission,
             cache,
             opts: Mutex::new(SessionOptions::default()),
-            last: Mutex::new(ExecStats::default()),
+            last: Mutex::new(LastStatement::default()),
         }
     }
 
@@ -173,15 +185,12 @@ impl Session {
     ) -> SqlResult<(Option<Instant>, Permit)> {
         let deadline =
             (opts.timeout_ms > 0).then(|| Instant::now() + Duration::from_millis(opts.timeout_ms));
-        let permit = self
-            .admission
-            .admit(cost, deadline, opts.cancel.as_ref())
-            .map_err(|e| {
-                self.record_admission(&admission_stats_of(&e));
-                SqlError::Cube(e)
-            })?;
-        self.record_permit(&permit);
-        Ok((deadline, permit))
+        let permit = self.admission.admit(cost, deadline, opts.cancel.as_ref());
+        *self.last() = LastStatement {
+            granted_cells: permit.as_ref().map_or(0, Permit::granted_cells),
+            cache_ancestor: None,
+        };
+        Ok((deadline, permit.map_err(SqlError::Cube)?))
     }
 
     /// The governed SELECT path: estimate → admit → execute → release.
@@ -199,11 +208,7 @@ impl Session {
         // `permit` is still alive here: the reservation covers the whole
         // execution and is released when it drops at scope end.
         let (result, ancestor) = runtime.exec_select(stmt)?;
-        if let Some(bits) = ancestor {
-            let mut last = self.last.lock().unwrap_or_else(|p| p.into_inner());
-            last.answered_from_cache = true;
-            last.cache_ancestor_bits = bits;
-        }
+        self.last().cache_ancestor = ancestor;
         Ok(result)
     }
 
@@ -371,24 +376,14 @@ impl Session {
         self.opts.lock().unwrap_or_else(|p| p.into_inner()).clone()
     }
 
-    fn record_permit(&self, permit: &Permit) {
-        let stats = ExecStats {
-            admission: permit.verdict,
-            queue_wait_ms: permit.queue_wait.as_millis() as u32,
-            granted_cells: permit.granted_cells(),
-            ..Default::default()
-        };
-        self.record_admission(&stats);
+    fn last(&self) -> std::sync::MutexGuard<'_, LastStatement> {
+        self.last.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn record_admission(&self, stats: &ExecStats) {
-        *self.last.lock().unwrap_or_else(|p| p.into_inner()) = *stats;
-    }
-
-    /// Admission outcome of this session's most recent statement:
-    /// verdict, queue wait, and granted cell reservation.
-    pub fn last_admission(&self) -> ExecStats {
-        *self.last.lock().unwrap_or_else(|p| p.into_inner())
+    /// The grant and the answering cache view of this session's most
+    /// recent admission-priced statement.
+    pub fn last_statement(&self) -> LastStatement {
+        *self.last()
     }
 
     /// Set one session execution option. Recognized names
@@ -469,16 +464,6 @@ fn dml_result(table: &str, verb: &str, count: i64) -> SqlResult<Table> {
         Value::Int(count),
     ]));
     Ok(out)
-}
-
-/// Extract the admission-relevant stats carried by an admission error so
-/// the session can record them (shed verdict, queue wait, retry hint).
-fn admission_stats_of(e: &datacube::CubeError) -> ExecStats {
-    match e {
-        datacube::CubeError::ResourceExhausted { stats, .. }
-        | datacube::CubeError::Cancelled { stats } => *stats,
-        _ => ExecStats::default(),
-    }
 }
 
 /// Upper-bound cost estimate for one statement against a snapshot:

@@ -197,9 +197,11 @@ pub fn encode_table(t: &Table) -> Vec<u8> {
 /// The wire error code for a [`SqlError`] plus its retry-after hint.
 pub fn error_code(e: &SqlError) -> (&'static str, u64) {
     match e {
-        SqlError::Cube(datacube::CubeError::ResourceExhausted { stats, .. }) => {
-            ("RESOURCE_EXHAUSTED", u64::from(stats.retry_after_ms))
-        }
+        SqlError::Cube(datacube::CubeError::ResourceExhausted {
+            resource: datacube::Resource::AdmissionQueue { retry_hint_ms },
+            ..
+        }) => ("RESOURCE_EXHAUSTED", u64::from(*retry_hint_ms)),
+        SqlError::Cube(datacube::CubeError::ResourceExhausted { .. }) => ("RESOURCE_EXHAUSTED", 0),
         SqlError::Cube(datacube::CubeError::Cancelled { .. }) => ("CANCELLED", 0),
         SqlError::Cube(datacube::CubeError::AggPanicked { .. }) => ("AGG_PANICKED", 0),
         SqlError::Cube(_) => ("CUBE", 0),
@@ -470,15 +472,11 @@ mod tests {
 
     #[test]
     fn errors_carry_code_and_retry_hint() {
-        let stats = datacube::ExecStats {
-            retry_after_ms: 75,
-            ..Default::default()
-        };
         let e = SqlError::Cube(datacube::CubeError::ResourceExhausted {
-            resource: datacube::Resource::AdmissionQueue,
+            resource: datacube::Resource::AdmissionQueue { retry_hint_ms: 75 },
             limit: 4,
             observed: 5,
-            stats,
+            stats: datacube::ExecStats::default(),
         });
         let decoded = decode_response(&encode_error(&e)).unwrap();
         match decoded {
@@ -495,5 +493,39 @@ mod tests {
 
         let parse = SqlError::Plan("nope".into());
         assert_eq!(error_code(&parse), ("PLAN", 0));
+    }
+
+    /// Each shedder's hint reaches the wire: a full admission queue sizes
+    /// it to the work ahead, the connection cap says 50 ms, and a query
+    /// over the whole cell budget gets 0 (retrying cannot help).
+    #[test]
+    fn every_shed_carries_its_own_retry_hint() {
+        use crate::admission::{AdmissionController, QueryCost, ServiceConfig};
+        let ctrl = AdmissionController::new(ServiceConfig {
+            max_concurrent: 1,
+            global_cells: 1_000,
+            ..Default::default()
+        });
+        let cost = QueryCost::new(10, 1);
+        let _held = ctrl.admit(&cost, None, None).unwrap();
+        let shed = |cost| SqlError::Cube(ctrl.admit(&cost, None, None).unwrap_err());
+
+        let (code, queue_hint) = error_code(&shed(cost));
+        assert_eq!(code, "RESOURCE_EXHAUSTED");
+        assert!(queue_hint > 0, "a queue shed carries a hint");
+        let cap = crate::server::connection_cap_error(4);
+        assert_eq!(error_code(&cap), ("RESOURCE_EXHAUSTED", 50));
+        let over = shed(QueryCost::new(1_000_000, 1));
+        assert!(
+            matches!(
+                over,
+                SqlError::Cube(datacube::CubeError::ResourceExhausted {
+                    resource: datacube::Resource::Cells,
+                    ..
+                })
+            ),
+            "{over:?}"
+        );
+        assert_eq!(error_code(&over), ("RESOURCE_EXHAUSTED", 0));
     }
 }

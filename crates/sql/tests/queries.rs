@@ -1138,7 +1138,7 @@ fn admission_set_count_is_the_family_size() {
         let plan = session.execute(&format!("EXPLAIN {sql}")).unwrap();
         let family = explained_sets(&plan)[0] as u64;
         session.execute(&sql).unwrap();
-        assert_eq!(session.last_admission().granted_cells, family, "{sql}");
+        assert_eq!(session.last_statement().granted_cells, family, "{sql}");
     }
 }
 

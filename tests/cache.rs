@@ -43,7 +43,7 @@ fn repeated_cube_is_served_from_cache_with_identical_rows() {
     let engine = engine_with_sales();
     let sql = "SELECT model, year, SUM(units) AS s FROM sales GROUP BY CUBE model, year";
     let first = engine.execute(sql).unwrap();
-    assert!(!engine.session().last_admission().answered_from_cache);
+    assert!(engine.session().last_statement().cache_ancestor.is_none());
     let second = engine.execute(sql).unwrap();
     assert_eq!(first.rows(), second.rows(), "cache hit changed the answer");
     let counters = engine.cube_cache().counters();
@@ -57,14 +57,10 @@ fn exec_stats_report_the_serving_ancestor() {
     let session = engine.session();
     let sql = "SELECT model, year, SUM(units) AS s FROM sales GROUP BY CUBE model, year";
     session.execute(sql).unwrap();
-    let stats = session.last_admission();
-    assert!(!stats.answered_from_cache);
-    assert_eq!(stats.cache_ancestor_bits, 0);
+    assert_eq!(session.last_statement().cache_ancestor, None);
     session.execute(sql).unwrap();
-    let stats = session.last_admission();
-    assert!(stats.answered_from_cache);
     // The serving ancestor is the 2-dimension core cuboid: bits 0b11.
-    assert_eq!(stats.cache_ancestor_bits, 0b11);
+    assert_eq!(session.last_statement().cache_ancestor, Some(0b11));
 }
 
 /// A coarser query (GROUP BY model) must be answered from the finer
@@ -79,12 +75,12 @@ fn subset_query_is_answered_from_the_finer_ancestor() {
     let coarse = "SELECT model, SUM(units) AS s FROM sales GROUP BY model";
     let session = engine.session();
     let cached = session.execute(coarse).unwrap();
-    assert!(session.last_admission().answered_from_cache);
+    assert!(session.last_statement().cache_ancestor.is_some());
 
     let reference = engine.session();
     reference.execute("SET CUBE_CACHE OFF").unwrap();
     let scanned = reference.execute(coarse).unwrap();
-    assert!(!reference.last_admission().answered_from_cache);
+    assert!(reference.last_statement().cache_ancestor.is_none());
     assert_eq!(cached.rows(), scanned.rows());
 }
 
@@ -99,7 +95,7 @@ fn avg_is_rederived_from_partial_state_not_averaged() {
     let table = session
         .execute("SELECT model, AVG(units) AS a FROM sales GROUP BY model")
         .unwrap();
-    assert!(session.last_admission().answered_from_cache);
+    assert!(session.last_statement().cache_ancestor.is_some());
     // Chevy: (50+40+115+85)/4 = 72.5 — the average of the two per-year
     // averages would be (45 + 100)/2 = 72.5 here, so also pin Ford:
     // (50+10+85+75)/4 = 55, vs averaged-averages (30 + 80)/2 = 55.
@@ -121,7 +117,7 @@ fn avg_is_rederived_from_partial_state_not_averaged() {
     let table = session
         .execute("SELECT model, AVG(units) AS a FROM sales GROUP BY model")
         .unwrap();
-    assert!(session.last_admission().answered_from_cache);
+    assert!(session.last_statement().cache_ancestor.is_some());
     let ford = table
         .rows()
         .iter()
@@ -162,7 +158,7 @@ fn insert_through_materialized_cube_never_serves_stale_cells() {
     let before = session.execute(sql).unwrap();
     assert_eq!(total(&before), 510);
     let hit = session.execute(sql).unwrap();
-    assert!(session.last_admission().answered_from_cache);
+    assert!(session.last_statement().cache_ancestor.is_some());
     assert_eq!(total(&hit), 510);
 
     // Maintenance: insert through the materialized cube, republish.
@@ -173,11 +169,11 @@ fn insert_through_materialized_cube_never_serves_stale_cells() {
 
     // The next read must see the new row — never the cached 510.
     let after = session.execute(sql).unwrap();
-    assert!(!session.last_admission().answered_from_cache);
+    assert!(session.last_statement().cache_ancestor.is_none());
     assert_eq!(total(&after), 600);
     // And the repopulated view serves the *new* version.
     let again = session.execute(sql).unwrap();
-    assert!(session.last_admission().answered_from_cache);
+    assert!(session.last_statement().cache_ancestor.is_some());
     assert_eq!(total(&again), 600);
 }
 
@@ -208,7 +204,7 @@ fn delete_through_materialized_cube_never_serves_stale_cells() {
 
     session.execute(sql).unwrap();
     let hit = session.execute(sql).unwrap();
-    assert!(session.last_admission().answered_from_cache);
+    assert!(session.last_statement().cache_ancestor.is_some());
     assert_eq!(chevy_total(&hit), 290);
 
     mat.delete(&row!["Chevy", 1994, "black", 50]).unwrap();
@@ -217,13 +213,13 @@ fn delete_through_materialized_cube_never_serves_stale_cells() {
         .unwrap();
 
     let after = session.execute(sql).unwrap();
-    assert!(!session.last_admission().answered_from_cache);
+    assert!(session.last_statement().cache_ancestor.is_none());
     assert_eq!(chevy_total(&after), 240);
 
     // Old-version entries are collected, not resurrected: the cache holds
     // only current-version views after the republished table is queried.
     session.execute(sql).unwrap();
-    assert!(session.last_admission().answered_from_cache);
+    assert!(session.last_statement().cache_ancestor.is_some());
     assert_eq!(chevy_total(&session.execute(sql).unwrap()), 240);
 }
 
@@ -237,7 +233,7 @@ fn holistic_aggregates_fall_through_to_base_scan() {
     let sql = "SELECT model, COUNT(DISTINCT color) AS c FROM sales GROUP BY model";
     let first = session.execute(sql).unwrap();
     let second = session.execute(sql).unwrap();
-    assert!(!session.last_admission().answered_from_cache);
+    assert!(session.last_statement().cache_ancestor.is_none());
     assert_eq!(first.rows(), second.rows());
     let counters = engine.cube_cache().counters();
     assert_eq!(counters.entries, 0, "{counters:?}");
@@ -255,18 +251,18 @@ fn set_cube_cache_off_is_per_session() {
     // The opted-out session never populates or hits.
     off.execute(sql).unwrap();
     off.execute(sql).unwrap();
-    assert!(!off.last_admission().answered_from_cache);
+    assert!(off.last_statement().cache_ancestor.is_none());
     assert_eq!(engine.cube_cache().counters().entries, 0);
 
     // The default session still benefits.
     on.execute(sql).unwrap();
     on.execute(sql).unwrap();
-    assert!(on.last_admission().answered_from_cache);
+    assert!(on.last_statement().cache_ancestor.is_some());
 
     // Opting back in reuses the shared view.
     off.execute("SET CUBE_CACHE ON").unwrap();
     off.execute(sql).unwrap();
-    assert!(off.last_admission().answered_from_cache);
+    assert!(off.last_statement().cache_ancestor.is_some());
 }
 
 /// An engine over `sales` with `CSUM`, a rewritable SUM that counts its
@@ -304,13 +300,13 @@ fn cache_hit_scans_no_base_rows() {
     let session = engine.session();
     let sql = "SELECT model, year, CSUM(units) AS s FROM sales GROUP BY CUBE model, year";
     let first = session.execute(sql).unwrap();
-    assert!(!session.last_admission().answered_from_cache);
+    assert!(session.last_statement().cache_ancestor.is_none());
     let scanned = iter_calls.load(Ordering::SeqCst);
     assert_eq!(scanned, sales().len(), "the miss scans the base table once");
     for _ in 0..3 {
         let again = session.execute(sql).unwrap();
         assert_eq!(again.rows(), first.rows());
-        assert!(session.last_admission().answered_from_cache);
+        assert!(session.last_statement().cache_ancestor.is_some());
     }
     assert_eq!(
         iter_calls.load(Ordering::SeqCst),
@@ -338,7 +334,7 @@ fn a_delete_retracts_into_the_warm_view_and_scans_nothing() {
     assert_eq!(ack.unwrap().rows()[0][1], Value::Int(2));
     let scanned = iter_calls.load(Ordering::SeqCst);
     let after = session.execute(sql).unwrap();
-    assert!(session.last_admission().answered_from_cache);
+    assert!(session.last_statement().cache_ancestor.is_some());
     assert_eq!(
         iter_calls.load(Ordering::SeqCst),
         scanned,
@@ -381,7 +377,7 @@ fn disabled_cache_neither_builds_nor_counts() {
     let sql = "SELECT model, year, CSUM(units) AS s FROM sales GROUP BY CUBE model, year";
     for _ in 0..2 {
         engine.execute(sql).unwrap();
-        assert!(!engine.session().last_admission().answered_from_cache);
+        assert!(engine.session().last_statement().cache_ancestor.is_none());
     }
     assert_eq!(
         iter_calls.load(Ordering::SeqCst),
@@ -408,7 +404,7 @@ fn filtered_queries_bypass_the_cache() {
 
     let filtered = "SELECT model, SUM(units) AS s FROM sales WHERE year = 1994 GROUP BY model";
     let t = session.execute(filtered).unwrap();
-    assert!(!session.last_admission().answered_from_cache);
+    assert!(session.last_statement().cache_ancestor.is_none());
     let chevy = t
         .rows()
         .iter()
@@ -445,14 +441,14 @@ fn parameterized_aggregates_are_keyed_by_their_parameter() {
             session.execute(&statement(f, first)).unwrap();
             let cached = session.execute(&statement(f, second)).unwrap();
             assert!(
-                !session.last_admission().answered_from_cache,
+                session.last_statement().cache_ancestor.is_none(),
                 "{f}(v, {second}) was answered from the {f}(v, {first}) view"
             );
             let scanned = reference.execute(&statement(f, second)).unwrap();
             assert_eq!(cached.rows(), scanned.rows(), "{f}: {first} then {second}");
             // The same call does hit its own view.
             session.execute(&statement(f, second)).unwrap();
-            assert!(session.last_admission().answered_from_cache);
+            assert!(session.last_statement().cache_ancestor.is_some());
         }
     }
 }

@@ -900,7 +900,7 @@ mod faults_suite {
                 matches!(
                     err,
                     dc_sql::SqlError::Cube(CubeError::ResourceExhausted {
-                        resource: Resource::AdmissionQueue,
+                        resource: Resource::AdmissionQueue { .. },
                         ..
                     })
                 ),
@@ -1241,7 +1241,7 @@ mod faults_suite {
                 // Warm the x-view and prove it answers from cache.
                 session.execute(sql).unwrap();
                 session.execute(sql).unwrap();
-                assert!(session.last_admission().answered_from_cache);
+                assert!(session.last_statement().cache_ancestor.is_some());
 
                 arm("cache::absorb", fault);
                 let ack = session.execute("INSERT INTO g VALUES (9, 9, 1)");
@@ -1253,12 +1253,12 @@ mod faults_suite {
                 // The entry was invalidated, not left stale: the next read
                 // misses, yet sees the post-insert data...
                 let table = session.execute(sql).unwrap();
-                assert!(!session.last_admission().answered_from_cache);
+                assert!(session.last_statement().cache_ancestor.is_none());
                 let total: i64 = table.rows().iter().filter_map(|r| r[1].as_i64()).sum();
                 assert_eq!(total, expected_total);
                 // ...and that miss re-warmed the view.
                 session.execute(sql).unwrap();
-                assert!(session.last_admission().answered_from_cache);
+                assert!(session.last_statement().cache_ancestor.is_some());
             }
         });
     }

@@ -452,7 +452,7 @@ fn cached_reads_race_republishes_without_staleness() {
         assert_eq!(total_of(&t), N * VERSIONS, "stale cell after maintenance");
     }
     assert!(
-        session.last_admission().answered_from_cache,
+        session.last_statement().cache_ancestor.is_some(),
         "repeat read of the settled table should be a cache hit"
     );
 }
@@ -544,7 +544,7 @@ fn sql_ingest_race_exposes_only_whole_batches() {
     );
     let _ = session.execute(sql).unwrap();
     assert!(
-        session.last_admission().answered_from_cache,
+        session.last_statement().cache_ancestor.is_some(),
         "settled table should be served from the cache"
     );
 
@@ -568,7 +568,7 @@ fn sql_ingest_race_exposes_only_whole_batches() {
         "cancelled batch must leave the pre-batch table"
     );
     assert!(
-        session.last_admission().answered_from_cache,
+        session.last_statement().cache_ancestor.is_some(),
         "cancelled batch must not bump the version or cool the cache"
     );
 }
@@ -690,13 +690,13 @@ fn sql_delete_race_retracts_only_whole_batches() {
     session.execute(&delete_sql(tag(0, BATCHES - 1))).unwrap();
     let after = session.execute(sql).unwrap();
     assert!(
-        session.last_admission().answered_from_cache,
+        session.last_statement().cache_ancestor.is_some(),
         "a DELETE should retract into the warm view, not cool it"
     );
     assert_eq!(total_of(&after), settled - BATCH_SUM);
     let max_after = session.execute(max_sql).unwrap();
     assert!(
-        session.last_admission().answered_from_cache,
+        session.last_statement().cache_ancestor.is_some(),
         "a DELETE of MAX champions should recompute in the warm view, not drop it"
     );
     whole_max(&max_after);

@@ -5,6 +5,11 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# Scratch files (the lint report, the paper-tables output) live in a
+# private directory, so two checkouts verifying at once never share one.
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
@@ -26,7 +31,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # checkpoint/guard scope every file of crates/core/src/algorithm/, so the
 # algorithms behind repro stay governed like the engine they are diffed against.
 echo "== cube_lint (workspace invariants: checkpoint, guard, faults, panic, wildcard, atomic; unused allows; algorithm/* incl. repro) =="
-cargo run -q --release -p cube-lint --bin cube_lint -- --root . --json /tmp/lint.json
+cargo run -q --release -p cube-lint --bin cube_lint -- --root . --json "$scratch/lint.json"
 
 # ROADMAP item 9 wants fewer than 60 reasoned suppressions in the linted
 # code; the count may only fall. When it does, lower the number here.
@@ -62,8 +67,8 @@ echo "== dc-serve smoke (TCP round trip, admission shed, malformed query surviva
 cargo run -q --release -p dc-sql --bin dc_serve -- --smoke
 
 echo "== paper_tables vs golden =="
-cargo run -q --release -p dc-bench --bin paper_tables > /tmp/paper_tables_actual.txt
-if diff -u paper_tables_output.txt /tmp/paper_tables_actual.txt; then
+cargo run -q --release -p dc-bench --bin paper_tables > "$scratch/paper_tables_actual.txt"
+if diff -u paper_tables_output.txt "$scratch/paper_tables_actual.txt"; then
     echo "paper_tables output matches the checked-in golden."
 else
     echo "paper_tables output DIVERGES from paper_tables_output.txt" >&2
