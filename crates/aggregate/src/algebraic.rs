@@ -57,11 +57,11 @@ impl Accumulator for AvgAcc {
     }
 
     fn retract(&mut self, v: &Value) -> Retract {
+        // As for SUM: a Float participant cannot be subtracted back out.
+        if matches!(v, Value::Float(_)) {
+            return Retract::Recompute;
+        }
         if let Some(x) = numeric(v) {
-            // NaN/±Inf contributions don't subtract back out.
-            if !x.is_finite() || !self.sum.is_finite() {
-                return Retract::Recompute;
-            }
             self.sum -= x;
             self.n -= 1;
         }
@@ -146,6 +146,10 @@ impl Accumulator for VarianceAcc {
     }
 
     fn retract(&mut self, v: &Value) -> Retract {
+        // As for SUM: a Float participant cannot be subtracted back out.
+        if matches!(v, Value::Float(_)) {
+            return Retract::Recompute;
+        }
         if let Some(x) = numeric(v) {
             // `x * x` overflows to Inf before x does; either way the
             // subtraction can't undo a non-finite contribution.
@@ -321,7 +325,7 @@ impl TopNAcc {
         TopNAcc {
             is_max,
             n,
-            best: Vec::with_capacity(n + 1),
+            best: Vec::new(),
         }
     }
 

@@ -193,15 +193,13 @@ impl Accumulator for SumAcc {
     }
 
     fn retract(&mut self, v: &Value) -> Retract {
+        // Floating-point subtraction is no inverse of addition (1e20 + 1.0
+        // - 1e20 is 0.0, and NaN - NaN is NaN): a Float participant makes
+        // SUM delete-holistic, like MAX, and its cell is recomputed.
+        if matches!(v, Value::Float(_)) {
+            return Retract::Recompute;
+        }
         if participates(v) {
-            if let Value::Float(f) = v {
-                // A non-finite contribution cannot be undone by
-                // subtraction (NaN - NaN is NaN), and a saturated sum
-                // cannot be walked back either: recompute from the base.
-                if !f.is_finite() || !self.float_sum.is_finite() {
-                    return Retract::Recompute;
-                }
-            }
             self.add(v, -1);
         }
         Retract::Applied

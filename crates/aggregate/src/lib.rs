@@ -27,12 +27,20 @@
 //! Red Brick's ordered aggregates (§1.2: RANK, N_TILE, RATIO_TO_TOTAL,
 //! CUMULATIVE, RUNNING_SUM, RUNNING_AVERAGE) in [`ordered`].
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod accumulator;
 pub mod algebraic;
 pub mod compare;
 pub mod distributive;
 pub mod error;
-#[cfg(feature = "faults")]
 pub mod faults;
 pub mod holistic;
 pub mod ordered;

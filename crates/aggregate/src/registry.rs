@@ -89,7 +89,10 @@ pub fn builtins() -> Registry {
         Arc::new(GeoMean),
     ];
     for f in fns {
-        // cube-lint: allow(panic, static list of distinct built-in names; covered by registry tests)
+        #[expect(
+            clippy::expect_used,
+            reason = "static list of distinct built-in names; covered by registry tests"
+        )]
         r.register(f).expect("built-in names are unique");
     }
     r

@@ -10,6 +10,7 @@
 
 use crate::accumulator::{Accumulator, AggKind, AggregateFunction, Retract};
 use crate::error::{AggError, AggResult};
+use crate::faults::Site;
 use crate::AggRef;
 use dc_relation::Value;
 use std::sync::Arc;
@@ -184,8 +185,7 @@ struct UdaAcc<S> {
 
 impl<S: Send + Sync + 'static> Accumulator for UdaAcc<S> {
     fn iter(&mut self, v: &Value) {
-        #[cfg(feature = "faults")]
-        crate::faults::hit("uda::iter");
+        crate::faults::hit(Site::UdaIter);
         (self.iter)(&mut self.handle, v);
     }
 
@@ -197,16 +197,14 @@ impl<S: Send + Sync + 'static> Accumulator for UdaAcc<S> {
     }
 
     fn merge(&mut self, state: &[Value]) {
-        #[cfg(feature = "faults")]
-        crate::faults::hit("uda::merge");
+        crate::faults::hit(Site::UdaMerge);
         if let Some(f) = &self.merge {
             f(&mut self.handle, state);
         }
     }
 
     fn final_value(&self) -> Value {
-        #[cfg(feature = "faults")]
-        crate::faults::hit("uda::final");
+        crate::faults::hit(Site::UdaFinal);
         (self.final_)(&self.handle)
     }
 
@@ -228,8 +226,7 @@ impl<S: Send + Sync + 'static> AggregateFunction for Uda<S> {
     }
 
     fn init(&self) -> Box<dyn Accumulator> {
-        #[cfg(feature = "faults")]
-        crate::faults::hit("uda::init");
+        crate::faults::hit(Site::UdaInit);
         Box::new(UdaAcc {
             handle: (self.init)(),
             iter: Arc::clone(&self.iter),

@@ -406,16 +406,16 @@ impl Kernel {
         true
     }
 
-    /// The `f64` twin of [`Kernel::retract_i64`]; subtraction cannot walk
-    /// back a non-finite value or sum either.
+    /// The `f64` twin of [`Kernel::retract_i64`]. A float SUM or AVG is
+    /// delete-holistic: floating-point subtraction is no inverse of
+    /// addition (`1e20 + 1.0 - 1e20` is `0.0`), so the cell is recomputed.
     pub fn retract_f64(self, cell: &mut KernelCell, v: f64) -> bool {
         use std::cmp::Ordering::{Greater, Less};
         match self {
+            Kernel::Sum | Kernel::Avg => return false,
             Kernel::Min | Kernel::Max if cell.n == 0 => return false,
             Kernel::Min if v.total_cmp(&cell.acc_f) != Greater => return false,
             Kernel::Max if v.total_cmp(&cell.acc_f) != Less => return false,
-            Kernel::Sum | Kernel::Avg if !v.is_finite() || !cell.acc_f.is_finite() => return false,
-            Kernel::Sum | Kernel::Avg => cell.acc_f -= v,
             Kernel::Count | Kernel::CountStar | Kernel::Min | Kernel::Max => {}
         }
         cell.n -= 1;

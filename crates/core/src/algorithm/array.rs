@@ -18,6 +18,7 @@ use crate::exec::{self, ExecContext};
 use crate::groupby::{ExecStats, GroupMap, SetMaps};
 use crate::lattice::{GroupingSet, Lattice};
 use crate::spec::{BoundAgg, BoundDimension};
+use dc_aggregate::faults::Site;
 use dc_aggregate::Accumulator;
 use dc_relation::{Row, SymbolTable, Value};
 
@@ -92,7 +93,10 @@ pub(crate) fn run(
         if array[idx].is_none() {
             array[idx] = Some(exec::guarded_init(aggs)?);
         }
-        // cube-lint: allow(panic, slot was filled by guarded_init on the line above)
+        #[expect(
+            clippy::expect_used,
+            reason = "slot was filled by guarded_init on the line above"
+        )]
         let accs = array[idx].as_mut().expect("cell just initialized");
         for (acc, agg) in accs.iter_mut().zip(aggs.iter()) {
             exec::guard(agg.func.name(), || acc.iter(agg.input_value(row)))?;
@@ -104,7 +108,7 @@ pub(crate) fn run(
     // every cell with digit d = ALL holds the aggregate over that
     // dimension; sweeping dimensions in sequence populates all 2^N
     // combinations.
-    exec::failpoint("array::sweep")?;
+    exec::failpoint(Site::ArraySweep)?;
     for d in 0..n {
         let all_digit = sizes[d] - 1;
         for idx in 0..cells {
@@ -116,14 +120,20 @@ pub(crate) fn run(
             let target = idx + (all_digit - digit) * strides[d];
             // Take the source states first to satisfy the borrow checker.
             let mut states: Vec<Vec<Value>> = Vec::with_capacity(aggs.len());
-            // cube-lint: allow(panic, outer loop only visits occupied source cells)
+            #[expect(
+                clippy::unwrap_used,
+                reason = "outer loop only visits occupied source cells"
+            )]
             for (a, agg) in array[idx].as_ref().unwrap().iter().zip(aggs.iter()) {
                 states.push(exec::guard(agg.func.name(), || a.state())?);
             }
             if array[target].is_none() {
                 array[target] = Some(exec::guarded_init(aggs)?);
             }
-            // cube-lint: allow(panic, slot was filled by guarded_init on the line above)
+            #[expect(
+                clippy::expect_used,
+                reason = "slot was filled by guarded_init on the line above"
+            )]
             let taccs = array[target].as_mut().expect("slab just initialized");
             for ((t, s), agg) in taccs.iter_mut().zip(states.iter()).zip(aggs.iter()) {
                 exec::guard(agg.func.name(), || t.merge(s))?;
@@ -147,20 +157,26 @@ pub(crate) fn run(
             if digit == sizes[d] - 1 {
                 key_vals.push(Value::All);
             } else {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "digits below all_digit came from this symbol table"
+                )]
                 key_vals.push(
                     symbols[d]
                         .decode(digit as u32)
-                        // cube-lint: allow(panic, digits below all_digit came from this symbol table)
                         .expect("digit interned")
                         .clone(),
                 );
                 mask = mask.with(d);
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "maps was built with one entry per cube mask"
+        )]
         let (_, map) = maps
             .iter_mut()
             .find(|(s, _)| *s == mask)
-            // cube-lint: allow(panic, maps was built with one entry per cube mask)
             .expect("full cube contains every mask");
         map.insert(Row::new(key_vals), accs);
     }

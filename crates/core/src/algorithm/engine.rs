@@ -45,6 +45,7 @@ use crate::groupby::ExecStats;
 use crate::lattice::{GroupingSet, Lattice};
 use crate::maintain::{Nodes, Store};
 use crate::spec::{BoundAgg, BoundDimension};
+use dc_aggregate::faults::Site;
 use dc_aggregate::{Accumulator, FusedOp, Kernel, KernelCell, Retract, Validity};
 use dc_relation::{Bitmap, FxHashMap, Row, Schema, Table, TypedColumn, Value};
 use std::sync::atomic::AtomicUsize;
@@ -709,7 +710,7 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
         end: usize,
         stats: &mut ExecStats,
     ) -> CubeResult<()> {
-        exec::failpoint("vectorized::morsel")?;
+        exec::failpoint(Site::VectorizedMorsel)?;
         self.ctx.checkpoint()?;
         let keys = &self.keys[base..end];
         for (arena, &mask) in arenas.iter_mut().zip(masks) {
@@ -743,7 +744,7 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
         let width = self.lanes.width();
         let cursor = AtomicUsize::new(0);
         let mut parts = exec::run_workers(workers, "parallel::worker", stats, |local| {
-            exec::failpoint("parallel::worker")?;
+            exec::failpoint(Site::ParallelWorker)?;
             let mut arenas: Vec<Arena<K, L::Cell>> = masks
                 .iter()
                 .map(|_| Arena::new(width, dense_bits, n_rows.div_ceil(workers), 0))
@@ -776,6 +777,10 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
     }
 
     /// [`Self::scan`] into a single mask's arena.
+    #[expect(
+        clippy::expect_used,
+        reason = "scan returns one arena per mask and one mask was passed"
+    )]
     fn scan_one(
         &self,
         mask: K,
@@ -783,7 +788,6 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
         stats: &mut ExecStats,
     ) -> CubeResult<Arena<K, L::Cell>> {
         let mut arenas = self.scan(&[mask], workers, stats)?;
-        // cube-lint: allow(panic, scan returns one arena per mask and one mask was passed)
         Ok(arenas.pop().expect("one arena per mask"))
     }
 
@@ -862,7 +866,7 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
             let cursor = AtomicUsize::new(0);
             let built =
                 exec::run_workers(workers.min(tasks.len()), "cascade::level", stats, |local| {
-                    exec::failpoint("cascade::level")?;
+                    exec::failpoint(Site::CascadeLevel)?;
                     let mut built = Vec::new();
                     while let Some(&(set, parent)) = tasks.get(exec::claim(&cursor, 1)) {
                         self.ctx.checkpoint()?;
@@ -878,12 +882,16 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
             }
         }
 
-        Ok(lattice
+        #[expect(
+            clippy::expect_used,
+            reason = "the cascade above materializes each lattice set exactly once"
+        )]
+        let sets = lattice
             .sets()
             .iter()
-            // cube-lint: allow(panic, the cascade above materializes each lattice set exactly once)
             .map(|s| (*s, done.remove(s).expect("every set materialized")))
-            .collect())
+            .collect();
+        Ok(sets)
     }
 
     /// Run the plan shape: which masks each pass over the base rows folds
@@ -912,7 +920,7 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
         }
         match shape {
             Shape::EverySet => {
-                exec::failpoint("naive::scan")?;
+                exec::failpoint(Site::NaiveScan)?;
                 let masks: Vec<K> = lattice
                     .sets()
                     .iter()
@@ -922,7 +930,7 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
                 Ok(lattice.sets().iter().copied().zip(arenas).collect())
             }
             Shape::PerSet => {
-                exec::failpoint("unions::scan")?;
+                exec::failpoint(Site::UnionsScan)?;
                 lattice
                     .sets()
                     .iter()
@@ -930,7 +938,7 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
                     .collect()
             }
             Shape::FromCore { threads, choice } => {
-                exec::failpoint("core::scan")?;
+                exec::failpoint(Site::CoreScan)?;
                 let workers = match threads {
                     None => 1,
                     Some(t) => {
@@ -957,7 +965,7 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
         schema: Schema,
         stats: &mut ExecStats,
     ) -> CubeResult<Table> {
-        exec::failpoint("materialize")?;
+        exec::failpoint(Site::Materialize)?;
         let encoder = &self.encoder;
         let width = dims.len() + lanes.len();
         // Sort each set by collation-remapped keys — a plain integer sort in

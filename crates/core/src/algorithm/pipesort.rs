@@ -20,6 +20,7 @@ use crate::exec::{self, ExecContext};
 use crate::groupby::{full_key, ExecStats, GroupMap, SetMaps};
 use crate::lattice::{GroupingSet, Lattice};
 use crate::spec::{BoundAgg, BoundDimension};
+use dc_aggregate::faults::Site;
 use dc_aggregate::Accumulator;
 use dc_relation::{Row, Value};
 use std::cmp::Ordering;
@@ -102,7 +103,7 @@ pub(crate) fn run(
         .collect();
 
     for chain in symmetric_chains(n) {
-        exec::failpoint("pipesort::pipeline")?;
+        exec::failpoint(Site::PipesortPipeline)?;
         ctx.checkpoint()?;
         let order = chain_order(&chain, n);
         pipeline(&keyed, aggs, n, &order, &chain, &mut maps, stats, ctx)?;
@@ -155,10 +156,13 @@ fn pipeline(
                 for (pos, &d) in order.iter().enumerate().take(level) {
                     key_vals[d] = prefix[pos].clone();
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "pipelines are built from this lattice's own chains"
+                )]
                 let (_, map) = maps
                     .iter_mut()
                     .find(|(s, _)| s == set)
-                    // cube-lint: allow(panic, pipelines are built from this lattice's own chains)
                     .expect("chain set is in the lattice");
                 map.insert(Row::new(key_vals), accs);
             }
@@ -176,7 +180,10 @@ fn pipeline(
                     let parent_prefix = prefix[..level - 1].to_vec();
                     frames[level - 1] = Some((parent_prefix, exec::guarded_init(aggs)?));
                 }
-                // cube-lint: allow(panic, opened by the is_none branch just above)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "opened by the is_none branch just above"
+                )]
                 let (_, paccs) = frames[level - 1].as_mut().expect("parent frame open");
                 for ((p, c), agg) in paccs.iter_mut().zip(accs.iter()).zip(aggs.iter()) {
                     exec::guard(agg.func.name(), || p.merge(&c.state()))?;
@@ -218,7 +225,10 @@ fn pipeline(
             ctx.charge_cells(1)?;
             frames[0] = Some((Vec::new(), exec::guarded_init(aggs)?));
         }
-        // cube-lint: allow(panic, the open loop above re-opens every closed frame)
+        #[expect(
+            clippy::expect_used,
+            reason = "the open loop above re-opens every closed frame"
+        )]
         let (_, accs) = frames[max_level].as_mut().expect("deepest frame open");
         for (acc, agg) in accs.iter_mut().zip(aggs.iter()) {
             exec::guard(agg.func.name(), || acc.iter(agg.input_value(row)))?;

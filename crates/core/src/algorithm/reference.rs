@@ -19,6 +19,7 @@ use crate::groupby::{
 };
 use crate::lattice::{GroupingSet, Lattice};
 use crate::spec::{BoundAgg, BoundDimension};
+use dc_aggregate::faults::Site;
 use dc_relation::Row;
 use std::collections::HashMap;
 
@@ -67,7 +68,7 @@ fn two_to_the_n(
     stats: &mut ExecStats,
     ctx: &ExecContext,
 ) -> CubeResult<SetMaps> {
-    exec::failpoint("naive::scan")?;
+    exec::failpoint(Site::NaiveScan)?;
     let mut maps: SetMaps = lattice
         .sets()
         .iter()
@@ -100,7 +101,7 @@ fn union_group_bys(
     stats: &mut ExecStats,
     ctx: &ExecContext,
 ) -> CubeResult<SetMaps> {
-    exec::failpoint("unions::scan")?;
+    exec::failpoint(Site::UnionsScan)?;
     let mut maps = SetMaps::with_capacity(lattice.sets().len());
     for &set in lattice.sets() {
         // One full scan per grouping set — the cost §2 complains about.
@@ -139,7 +140,7 @@ fn cascade(
     stats: &mut ExecStats,
     ctx: &ExecContext,
 ) -> CubeResult<SetMaps> {
-    exec::failpoint("cascade::level")?;
+    exec::failpoint(Site::CascadeLevel)?;
     let core_set = lattice.core();
     let cardinalities = core_cardinalities(&core, lattice.n_dims());
 
@@ -178,12 +179,16 @@ fn cascade(
     }
 
     // Emit in lattice order.
-    Ok(lattice
+    #[expect(
+        clippy::expect_used,
+        reason = "the cascade above materializes each lattice set exactly once"
+    )]
+    let sets = lattice
         .sets()
         .iter()
-        // cube-lint: allow(panic, the cascade above materializes each lattice set exactly once)
         .map(|s| (*s, done.remove(s).expect("every set materialized")))
-        .collect())
+        .collect();
+    Ok(sets)
 }
 
 /// Partition-parallel aggregation (§5).
@@ -220,7 +225,7 @@ fn parallel(
             .chunks(chunk.max(1))
             .map(|part| {
                 scope.spawn(move |_| -> CubeResult<(GroupMap, ExecStats)> {
-                    exec::failpoint("parallel::worker")?;
+                    exec::failpoint(Site::ParallelWorker)?;
                     let mut local = ExecStats::default();
                     let core = compute_core(part, dims, aggs, &mut local, ctx)?;
                     Ok((core, local))

@@ -16,6 +16,7 @@ use crate::exec::{self, ExecContext};
 use crate::groupby::{full_key, ExecStats, GroupMap, SetMaps};
 use crate::lattice::{rollup_sets, GroupingSet, Lattice};
 use crate::spec::{BoundAgg, BoundDimension};
+use dc_aggregate::faults::Site;
 use dc_aggregate::Accumulator;
 use dc_relation::{Row, Value};
 
@@ -30,7 +31,7 @@ pub(crate) fn run(
     stats: &mut ExecStats,
     ctx: &ExecContext,
 ) -> CubeResult<SetMaps> {
-    exec::failpoint("sort::scan")?;
+    exec::failpoint(Site::SortScan)?;
     let n = lattice.n_dims();
     if lattice.sets() != rollup_sets(n)?.as_slice() {
         return Err(CubeError::Unsupported(
@@ -66,7 +67,10 @@ pub(crate) fn run(
                     let parent_prefix = Row::new(prefix.values()[..level - 1].to_vec());
                     frames[level - 1] = Some((parent_prefix, exec::guarded_init(aggs)?));
                 }
-                // cube-lint: allow(panic, opened by the is_none branch just above)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "opened by the is_none branch just above"
+                )]
                 let (_, parent_accs) = frames[level - 1].as_mut().expect("parent frame open");
                 for ((p, c), agg) in parent_accs.iter_mut().zip(accs.iter()).zip(aggs.iter()) {
                     exec::guard(agg.func.name(), || p.merge(&c.state()))?;
@@ -118,7 +122,10 @@ pub(crate) fn run(
             frames[0] = Some((Row::new(Vec::new()), exec::guarded_init(aggs)?));
         }
         // Feed only the core frame; parents are fed by merges at close.
-        // cube-lint: allow(panic, the open loop above re-opens every closed frame)
+        #[expect(
+            clippy::expect_used,
+            reason = "the open loop above re-opens every closed frame"
+        )]
         let (_, accs) = frames[n].as_mut().expect("core frame open");
         for (acc, agg) in accs.iter_mut().zip(aggs.iter()) {
             exec::guard(agg.func.name(), || acc.iter(agg.input_value(row)))?;

@@ -389,9 +389,12 @@ impl<K: PackedKey> KeyEncoder<K> {
         for &d in dims {
             out.push(match key.field(d, self.fields[d]) {
                 0 => Value::All,
+                #[expect(
+                    clippy::expect_used,
+                    reason = "keys were packed from this very symbol table"
+                )]
                 c => self.symbols[d]
                     .decode(c - 1)
-                    // cube-lint: allow(panic, keys were packed from this very symbol table)
                     .expect("packed field within interned range")
                     .clone(),
             });

@@ -31,6 +31,7 @@
 use crate::error::{CubeError, CubeResult, Resource};
 use crate::groupby::ExecStats;
 use crate::spec::BoundAgg;
+use dc_aggregate::faults::Site;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -390,7 +391,7 @@ pub(crate) fn run_workers<T: Send>(
 /// `site` panics or stalls in place, and a budget-trip fault returns a
 /// `ResourceExhausted` error for the engine to unwind with.
 #[cfg(feature = "faults")]
-pub(crate) fn failpoint(site: &str) -> CubeResult<()> {
+pub(crate) fn failpoint(site: Site) -> CubeResult<()> {
     if dc_aggregate::faults::hit(site) {
         return Err(CubeError::ResourceExhausted {
             resource: Resource::Cells,
@@ -405,7 +406,7 @@ pub(crate) fn failpoint(site: &str) -> CubeResult<()> {
 /// No-op without the `faults` feature.
 #[cfg(not(feature = "faults"))]
 #[inline(always)]
-pub(crate) fn failpoint(_site: &str) -> CubeResult<()> {
+pub(crate) fn failpoint(_site: Site) -> CubeResult<()> {
     Ok(())
 }
 

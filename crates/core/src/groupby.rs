@@ -11,6 +11,7 @@ use crate::error::CubeResult;
 use crate::exec::{self, ExecContext};
 use crate::lattice::GroupingSet;
 use crate::spec::{BoundAgg, BoundDimension};
+use dc_aggregate::faults::Site;
 use dc_aggregate::Accumulator;
 use dc_relation::{ColumnDef, FxHashMap, Row, Schema, Table, Value};
 
@@ -130,7 +131,7 @@ pub(crate) fn compute_core(
     stats: &mut ExecStats,
     ctx: &ExecContext,
 ) -> CubeResult<GroupMap> {
-    exec::failpoint("core::scan")?;
+    exec::failpoint(Site::CoreScan)?;
     let mut map = GroupMap::default();
     for (i, row) in rows.iter().enumerate() {
         ctx.tick(i)?;
@@ -185,7 +186,7 @@ pub(crate) fn materialize(
     stats: &mut ExecStats,
     ctx: &ExecContext,
 ) -> CubeResult<Table> {
-    exec::failpoint("materialize")?;
+    exec::failpoint(Site::Materialize)?;
     let mut out = Table::empty(schema);
     for (_set, map) in set_maps {
         ctx.checkpoint()?;

@@ -44,6 +44,15 @@
 //! See DESIGN.md in the repository root for the paper-to-module map and
 //! EXPERIMENTS.md for the regenerated tables and figures.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod addressing;
 pub mod algorithm;
 pub mod decoration;

@@ -69,6 +69,7 @@ use crate::exec::{self, ExecContext};
 use crate::groupby::ExecStats;
 use crate::lattice::{GroupingSet, Lattice};
 use crate::spec::{AggSpec, BoundAgg, BoundDimension, Dimension};
+use dc_aggregate::faults::Site;
 use dc_aggregate::{distributive::CountStar, AggRef};
 use dc_relation::{ColumnDef, DataType, FxHashMap, RelError, Row, Schema, Table, Value};
 use parking_lot::RwLock;
@@ -395,7 +396,7 @@ impl<K: PackedKey, C: Stored> Nodes<K, C> {
         // once by the scan's own fold: lanes over the cell's rows, every
         // row in slot 0, one morsel at a time.
         if !rebuild.is_empty() {
-            exec::failpoint("maintain::recompute")?;
+            exec::failpoint(Site::MaintainRecompute)?;
             let post = b.post.rows();
             let post_keys = self.encoder.keys(post, dims).ok_or_else(unkeyed)?;
             let cell_of: FxHashMap<(usize, K), usize> = (rebuild.iter().enumerate())
@@ -719,7 +720,7 @@ impl MaterializedCube {
     /// the *query's* context, so a governed session cannot exceed its
     /// grant just because the answer came from the store.
     pub fn answer(&self, req: &AncestorRequest<'_>, ctx: &ExecContext) -> CubeResult<Table> {
-        exec::failpoint("cache::rewrite")?;
+        exec::failpoint(Site::CacheRewrite)?;
         let paired =
             req.dim_names.len() == req.dim_map.len() && req.agg_names.len() == req.agg_map.len();
         let within = |s: &GroupingSet| s.subset_of(GroupingSet::full(req.dim_map.len()));
@@ -826,7 +827,7 @@ impl MaterializedCube {
     /// the inserts less the deletes, is [`CubeError::BadSpec`]. This store
     /// is unchanged either way.
     pub fn absorb_batch(&self, batch: &DeltaBatch, post: Arc<Table>) -> CubeResult<Self> {
-        exec::failpoint("cache::absorb")?;
+        exec::failpoint(Site::CacheAbsorb)?;
         let state = self.store.read();
         let copy = MaterializedCube {
             base_schema: self.base_schema.clone(),
@@ -907,7 +908,7 @@ impl MaterializedCube {
         batch.validate(&self.base_schema)?;
         // Annihilate insert/delete pairs: the batch is a multiset delta.
         let (ins, del) = batch.annihilate();
-        exec::failpoint("maintain::lock")?;
+        exec::failpoint(Site::MaintainLock)?;
         let mut state = self.store.write();
 
         // Resolve deletes against the base multiset before touching
@@ -969,7 +970,7 @@ impl MaterializedCube {
         b: &Batch,
         ctx: &ExecContext,
     ) -> CubeResult<()> {
-        exec::failpoint("maintain::batch_fold")?;
+        exec::failpoint(Site::MaintainBatchFold)?;
         let mut stats = MaintainStats {
             inserts: batch.insert_count() as u64,
             deletes: batch.delete_count() as u64,

@@ -34,7 +34,7 @@ pub enum TokKind {
 pub struct Tok {
     pub kind: TokKind,
     /// Token text. For `Str` this is the *contents* without quotes or the
-    /// raw-string hashes, so R3 can compare fault-site names directly.
+    /// raw-string hashes.
     pub text: String,
     pub line: u32,
 }

@@ -19,15 +19,16 @@
 //! * **R2 `guard`** — accumulator/UDF trait calls (`init`, `iter`,
 //!   `iter_super`, `final_value`, `merge`) outside `crates/aggregate` must
 //!   sit inside `exec::guard`/`guarded_init`/`catch_unwind`.
-//! * **R3 `faults`** — the site names declared in
-//!   `crates/aggregate/src/faults.rs` (`SITES`) must exactly equal the set
-//!   referenced at `failpoint("…")`/`faults::hit("…")` injection points.
-//! * **R4 `panic`** — no `unwrap()`/`expect()`/`panic!`/`unreachable!`/
-//!   `todo!`/`unimplemented!` in non-test library code.
 //! * **R5 `wildcard`** — no `_` match arms in matches whose patterns
 //!   destructure `Value`, so adding a `Value` variant fails loudly.
 //! * **R8 `atomic`** — every `Ordering::Relaxed` needs a stronger
 //!   ordering or a reasoned suppression.
+//!
+//! The rules keep only what neither a type nor a stock lint can say.
+//! Panic freedom is clippy's (`unwrap_used`, `expect_used`, `panic`,
+//! `unreachable`, `todo`, `unimplemented`, denied at each engine crate's
+//! root), and fault sites are the `dc_aggregate::faults::Site` enum, so a
+//! misspelt one does not compile.
 //!
 //! Lock discipline is not a rule: each engine lock is a private field of
 //! one type, and which lock can be taken under which follows from field
@@ -37,10 +38,10 @@
 //! line or the line above:
 //!
 //! ```text
-//! // cube-lint: allow(panic, len checked above)
+//! // cube-lint: allow(atomic, a monotone counter publishes nothing)
 //! ```
 //!
-//! The annotation *requires* a reason — `allow(panic)` alone does not
+//! The annotation *requires* a reason — `allow(atomic)` alone does not
 //! parse and the finding stands. An annotation that suppresses nothing
 //! (its rule does not apply to the file, or the code it excused is gone)
 //! is itself a finding under the rule it names.
@@ -49,40 +50,33 @@ pub mod lexer;
 mod rules;
 
 use lexer::{tokenize, Tok};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Which rule produced a finding. The `code()` string is what `allow(…)`
-/// annotations name.
+/// annotations name; [`Rule::Allow`] marks an annotation that does not
+/// parse, and no annotation can name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     Checkpoint,
     Guard,
-    Faults,
-    Panic,
     Wildcard,
     Atomic,
+    Allow,
 }
 
 impl Rule {
-    const ALL: [Rule; 6] = [
-        Rule::Checkpoint,
-        Rule::Guard,
-        Rule::Faults,
-        Rule::Panic,
-        Rule::Wildcard,
-        Rule::Atomic,
-    ];
+    /// The rules an annotation can name.
+    const ALL: [Rule; 4] = [Rule::Checkpoint, Rule::Guard, Rule::Wildcard, Rule::Atomic];
 
     pub fn code(self) -> &'static str {
         match self {
             Rule::Checkpoint => "checkpoint",
             Rule::Guard => "guard",
-            Rule::Faults => "faults",
-            Rule::Panic => "panic",
             Rule::Wildcard => "wildcard",
             Rule::Atomic => "atomic",
+            Rule::Allow => "allow",
         }
     }
 }
@@ -109,44 +103,6 @@ impl fmt::Display for Finding {
     }
 }
 
-impl Finding {
-    /// Render as a JSON object (hand-rolled; no serde in the toolchain).
-    pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"file":{},"line":{},"rule":{},"message":{}}}"#,
-            json_str(&self.file.display().to_string()),
-            self.line,
-            json_str(self.rule.code()),
-            json_str(&self.message)
-        )
-    }
-}
-
-/// Minimal JSON string escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Render a full findings list as a JSON array.
-pub fn render_json(findings: &[Finding]) -> String {
-    let items: Vec<String> = findings.iter().map(Finding::to_json).collect();
-    format!("[{}]", items.join(","))
-}
-
 /// How a file participates in the rule set, derived from its path (and
 /// overridable for fixture tests).
 #[derive(Debug, Clone, Copy, Default)]
@@ -157,9 +113,6 @@ pub struct FileClass {
     /// R2 is *skipped*: inside `crates/aggregate`, the trait's home crate,
     /// where raw calls are the implementation itself.
     pub aggregate_crate: bool,
-    /// This is the fault-site registry (`crates/aggregate/src/faults.rs`):
-    /// R3 reads `SITES` from it and ignores its internal `hit` machinery.
-    pub faults_registry: bool,
 }
 
 impl FileClass {
@@ -170,7 +123,6 @@ impl FileClass {
             algorithm: p.contains("crates/core/src/algorithm/")
                 || p.ends_with("crates/core/src/groupby.rs"),
             aggregate_crate: p.contains("crates/aggregate/"),
-            faults_registry: p.ends_with("crates/aggregate/src/faults.rs"),
         }
     }
 }
@@ -254,22 +206,8 @@ impl Allows {
     }
 }
 
-/// Everything one file contributes: its findings plus the cross-file
-/// fault-site facts R3 aggregates at workspace level.
-#[derive(Debug, Default)]
-pub struct FileReport {
-    pub findings: Vec<Finding>,
-    /// Site names declared in the `SITES` const (registry file only),
-    /// with the line of each declaration.
-    pub declared_sites: Vec<(String, u32)>,
-    /// Line of the `SITES` declaration itself, for orphan diagnostics.
-    pub sites_decl_line: Option<u32>,
-    /// Site names referenced at injection points in this file.
-    pub referenced_sites: Vec<(String, u32)>,
-}
-
 /// Lint one file's source. `path` is used only for diagnostics.
-pub fn lint_source(path: &Path, src: &str, class: FileClass) -> FileReport {
+pub fn lint_source(path: &Path, src: &str, class: FileClass) -> Vec<Finding> {
     let toks = tokenize(src);
     let mut allows = Allows::parse(src);
     let test_mask = rules::test_region_mask(&toks);
@@ -278,7 +216,7 @@ pub fn lint_source(path: &Path, src: &str, class: FileClass) -> FileReport {
         test_mask: &test_mask,
     };
 
-    let mut report = FileReport::default();
+    let mut findings = Vec::new();
     let finding = |rule: Rule, line: u32, message: String| Finding {
         file: path.to_path_buf(),
         line,
@@ -287,7 +225,7 @@ pub fn lint_source(path: &Path, src: &str, class: FileClass) -> FileReport {
     };
     let mut push = |rule: Rule, line: u32, message: String| {
         if !allows.allowed(rule, line) {
-            report.findings.push(finding(rule, line, message));
+            findings.push(finding(rule, line, message));
         }
     };
 
@@ -297,22 +235,19 @@ pub fn lint_source(path: &Path, src: &str, class: FileClass) -> FileReport {
     if !class.aggregate_crate {
         rules::r2_guard(&ctx, &mut push);
     }
-    rules::r4_panic(&ctx, &mut push);
     rules::r5_wildcard(&ctx, &mut push);
     rules::r8_atomic(&ctx, &mut push);
 
     // A malformed annotation is itself a finding: silent typos must not
     // silently re-enable what the author meant to suppress.
     for (line, msg) in &allows.malformed {
-        report
-            .findings
-            .push(finding(Rule::Panic, *line, msg.clone()));
+        findings.push(finding(Rule::Allow, *line, msg.clone()));
     }
     // So is one that suppresses nothing: it would excuse whatever code
     // later moves under it, unreviewed.
     for (line, rule) in allows.unused() {
         let code = rule.code();
-        report.findings.push(finding(
+        findings.push(finding(
             rule,
             line,
             format!(
@@ -320,74 +255,6 @@ pub fn lint_source(path: &Path, src: &str, class: FileClass) -> FileReport {
                  or the next — delete it"
             ),
         ));
-    }
-
-    if class.faults_registry {
-        let (declared, decl_line) = rules::r3_declared_sites(&ctx);
-        report.declared_sites = declared;
-        report.sites_decl_line = decl_line;
-    } else {
-        report.referenced_sites = rules::r3_referenced_sites(&ctx);
-    }
-    report
-}
-
-/// Cross-file R3 check: declared set == referenced set, no duplicates.
-pub fn check_fault_sites(
-    registry_path: &Path,
-    declared: &[(String, u32)],
-    sites_decl_line: Option<u32>,
-    referenced: &[(PathBuf, String, u32)],
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let mut seen: BTreeMap<&str, u32> = BTreeMap::new();
-    for (name, line) in declared {
-        if seen.insert(name.as_str(), *line).is_some() {
-            findings.push(Finding {
-                file: registry_path.to_path_buf(),
-                line: *line,
-                rule: Rule::Faults,
-                message: format!("fault site \"{name}\" declared more than once in SITES"),
-            });
-        }
-    }
-    if sites_decl_line.is_none() {
-        findings.push(Finding {
-            file: registry_path.to_path_buf(),
-            line: 1,
-            rule: Rule::Faults,
-            message: "faults registry has no `SITES` declaration for cube_lint to check".into(),
-        });
-        return findings;
-    }
-    let declared_set: BTreeSet<&str> = declared.iter().map(|(n, _)| n.as_str()).collect();
-    let mut referenced_set: BTreeSet<&str> = BTreeSet::new();
-    for (file, name, line) in referenced {
-        referenced_set.insert(name.as_str());
-        if !declared_set.contains(name.as_str()) {
-            findings.push(Finding {
-                file: file.clone(),
-                line: *line,
-                rule: Rule::Faults,
-                message: format!(
-                    "fault site \"{name}\" is injected here but not declared in \
-                     faults::SITES — register it so tests can enumerate every site"
-                ),
-            });
-        }
-    }
-    for (name, line) in declared {
-        if !referenced_set.contains(name.as_str()) {
-            findings.push(Finding {
-                file: registry_path.to_path_buf(),
-                line: *line,
-                rule: Rule::Faults,
-                message: format!(
-                    "fault site \"{name}\" is declared in SITES but no failpoint \
-                     references it — remove it or wire up the injection point"
-                ),
-            });
-        }
     }
     findings
 }
@@ -408,33 +275,12 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     files.sort();
 
     let mut findings = Vec::new();
-    let mut declared: Vec<(String, u32)> = Vec::new();
-    let mut sites_decl_line = None;
-    let mut registry_path = root.join("crates/aggregate/src/faults.rs");
-    let mut referenced: Vec<(PathBuf, String, u32)> = Vec::new();
-
     for file in &files {
         let src = std::fs::read_to_string(file)
             .map_err(|e| format!("reading {}: {e}", file.display()))?;
         let rel = file.strip_prefix(root).unwrap_or(file).to_path_buf();
-        let class = FileClass::from_path(&rel);
-        let mut report = lint_source(&rel, &src, class);
-        findings.append(&mut report.findings);
-        if class.faults_registry {
-            declared = report.declared_sites.clone();
-            sites_decl_line = report.sites_decl_line;
-            registry_path = rel.clone();
-        }
-        for (name, line) in &report.referenced_sites {
-            referenced.push((rel.clone(), name.clone(), *line));
-        }
+        findings.extend(lint_source(&rel, &src, FileClass::from_path(&rel)));
     }
-    findings.extend(check_fault_sites(
-        &registry_path,
-        &declared,
-        sites_decl_line,
-        &referenced,
-    ));
     findings.sort();
     Ok(findings)
 }

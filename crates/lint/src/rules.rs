@@ -1,4 +1,4 @@
-//! The six rule passes. Each is a token-stream walk; see the crate docs
+//! The four rule passes. Each is a token-stream walk; see the crate docs
 //! for what the rules mean and `DESIGN.md` ("Enforced invariants") for why
 //! they exist.
 
@@ -220,101 +220,6 @@ pub(crate) fn r2_guard(ctx: &RuleCtx, push: &mut dyn FnMut(Rule, u32, String)) {
                 m.text
             ),
         );
-    }
-}
-
-/// R3 (registry side): the site names declared in `SITES`, plus the line
-/// of the declaration.
-pub(crate) fn r3_declared_sites(ctx: &RuleCtx) -> (Vec<(String, u32)>, Option<u32>) {
-    let toks = ctx.toks;
-    for i in 0..toks.len() {
-        if !toks[i].is_ident("SITES") {
-            continue;
-        }
-        let mut sites = Vec::new();
-        for t in &toks[i + 1..] {
-            if t.is_punct(';') {
-                break;
-            }
-            if t.kind == TokKind::Str {
-                sites.push((t.text.clone(), t.line));
-            }
-        }
-        return (sites, Some(toks[i].line));
-    }
-    (Vec::new(), None)
-}
-
-/// R3 (injection side): string-literal site names passed to `failpoint(…)`
-/// or `faults::hit(…)` in non-test code.
-pub(crate) fn r3_referenced_sites(ctx: &RuleCtx) -> Vec<(String, u32)> {
-    let toks = ctx.toks;
-    let mut out = Vec::new();
-    for i in 0..toks.len().saturating_sub(2) {
-        if ctx.test_mask[i] {
-            continue;
-        }
-        let name = &toks[i];
-        if name.kind != TokKind::Ident || !toks[i + 1].is_punct('(') {
-            continue;
-        }
-        let is_failpoint = name.text == "failpoint";
-        let is_faults_hit = name.text == "hit"
-            && i >= 3
-            && toks[i - 1].is_punct(':')
-            && toks[i - 2].is_punct(':')
-            && toks[i - 3].is_ident("faults");
-        if !is_failpoint && !is_faults_hit {
-            continue;
-        }
-        if let Some(arg) = toks.get(i + 2) {
-            if arg.kind == TokKind::Str {
-                out.push((arg.text.clone(), arg.line));
-            }
-        }
-    }
-    out
-}
-
-/// Macro names R4 bans in library code.
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-
-/// R4: no `.unwrap()` / `.expect(…)` / panicking macros outside tests.
-pub(crate) fn r4_panic(ctx: &RuleCtx, push: &mut dyn FnMut(Rule, u32, String)) {
-    let toks = ctx.toks;
-    for i in 0..toks.len() {
-        if ctx.test_mask[i] {
-            continue;
-        }
-        let t = &toks[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let next_is = |c: char| toks.get(i + 1).is_some_and(|n| n.is_punct(c));
-        let prev_is_dot = i > 0 && toks[i - 1].is_punct('.');
-        if (t.text == "unwrap" || t.text == "expect") && prev_is_dot && next_is('(') {
-            push(
-                Rule::Panic,
-                t.line,
-                format!(
-                    "`.{}(…)` in library code can panic the engine — return a typed \
-                     CubeError instead, or annotate \
-                     `cube-lint: allow(panic, why this cannot fail)`",
-                    t.text
-                ),
-            );
-        } else if PANIC_MACROS.contains(&t.text.as_str()) && next_is('!') {
-            push(
-                Rule::Panic,
-                t.line,
-                format!(
-                    "`{}!` in library code tears down the caller — return a typed \
-                     CubeError instead, or annotate \
-                     `cube-lint: allow(panic, why this is unreachable)`",
-                    t.text
-                ),
-            );
-        }
     }
 }
 

@@ -1,10 +1,11 @@
-// Mini-workspace fixture: references the one legitimate fault site and
-// carries exactly one R4 finding (the unwrap).
+// Mini-workspace fixture: exactly one R5 finding, the `_` arm in a match
+// over Value.
 
 pub mod algorithm;
 
-pub fn scan_chunk(rows: &[u64], limit: Option<usize>) -> u64 {
-    failpoint("core::scan");
-    let n = limit.unwrap();
-    rows.iter().take(n).sum()
+pub fn is_total(v: &Value) -> bool {
+    match v {
+        Value::All => true,
+        _ => false,
+    }
 }

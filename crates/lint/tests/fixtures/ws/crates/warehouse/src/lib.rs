@@ -1,6 +1,6 @@
-// Mini-workspace fixture: injects a site the registry never declared.
-// Exactly one R3 finding, at the failpoint line.
+// Mini-workspace fixture: a relaxed store that publishes a flag. Exactly
+// one R8 finding, at the store.
 
-pub fn load() {
-    failpoint("rogue::site");
+pub fn stop(flag: &AtomicBool) {
+    flag.store(true, Ordering::Relaxed);
 }

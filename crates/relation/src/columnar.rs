@@ -239,9 +239,12 @@ impl Column {
         match &self.data {
             ColumnData::Int(v) => Value::Int(v[i]),
             ColumnData::Float(v) => Value::Float(v[i]),
+            #[expect(
+                clippy::expect_used,
+                reason = "codes were interned by this column's own dictionary"
+            )]
             ColumnData::Dict { codes, dict } => dict
                 .decode(codes[i])
-                // cube-lint: allow(panic, codes were interned by this column's own dictionary)
                 .expect("dictionary code out of range")
                 .clone(),
         }

@@ -66,8 +66,11 @@ impl Date {
     ///
     /// Intended for literals in tests and examples where the date is known
     /// valid at the call site.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking constructor for known-valid literals"
+    )]
     pub fn ymd(year: i32, month: u8, day: u8) -> Self {
-        // cube-lint: allow(panic, documented panicking constructor for known-valid literals)
         Self::new(year, month, day).unwrap_or_else(|| panic!("invalid date {year}-{month}-{day}"))
     }
 

@@ -66,8 +66,11 @@ impl SymbolTable {
                 if *entry != 0 {
                     return *entry - 1;
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "documented capacity limit of 2^32 distinct dimension values"
+                )]
                 let c =
-                    // cube-lint: allow(panic, documented capacity limit of 2^32 distinct dimension values)
                     u32::try_from(self.values.len()).expect("dimension cardinality exceeds u32");
                 *entry = c + 1;
                 self.values.push(v.clone());
@@ -77,7 +80,10 @@ impl SymbolTable {
         if let Some(&c) = self.codes.get(v) {
             return c;
         }
-        // cube-lint: allow(panic, documented capacity limit of 2^32 distinct dimension values)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented capacity limit of 2^32 distinct dimension values"
+        )]
         let c = u32::try_from(self.values.len()).expect("dimension cardinality exceeds u32");
         self.codes.insert(v.clone(), c);
         self.values.push(v.clone());

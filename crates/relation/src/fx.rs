@@ -38,7 +38,10 @@ impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for chunk in &mut chunks {
-            // cube-lint: allow(panic, chunks_exact(8) yields exactly 8-byte slices)
+            #[expect(
+                clippy::unwrap_used,
+                reason = "chunks_exact(8) yields exactly 8-byte slices"
+            )]
             self.add_to_hash(u64::from_le_bytes(chunk.try_into().unwrap()));
         }
         let rest = chunks.remainder();

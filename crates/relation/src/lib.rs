@@ -27,6 +27,15 @@
 //! [Gray et al. 1996 data cube paper]:
 //!     https://doi.org/10.1109/ICDE.1996.492099
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod columnar;
 pub mod csv;
 pub mod date;

@@ -83,7 +83,10 @@ impl ColumnDef {
                 self.name
             ))),
             other => {
-                // cube-lint: allow(panic, Null and All were consumed by the arms above)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "Null and All were consumed by the arms above"
+                )]
                 let got = other.dtype().expect("non-token value has a type");
                 if self.dtype.accepts(got) {
                     Ok(())
@@ -116,9 +119,12 @@ impl Schema {
     }
 
     /// Convenience constructor from `(name, type)` pairs.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract for inline schema literals"
+    )]
     pub fn from_pairs(pairs: &[(&str, DataType)]) -> Self {
         Schema::new(pairs.iter().map(|(n, t)| ColumnDef::new(n, *t)).collect())
-            // cube-lint: allow(panic, documented contract for inline schema literals)
             .expect("schema literals must not repeat column names")
     }
 

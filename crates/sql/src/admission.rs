@@ -36,6 +36,7 @@
 //! item 12.
 
 use datacube::{CancelToken, CubeError, CubeResult, ExecStats, Resource};
+use dc_aggregate::faults::Site;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -45,7 +46,7 @@ use std::time::{Duration, Instant};
 /// off this compiles to `Ok(())`; a tripped budget fault surfaces as the
 /// same typed shed error a full queue produces.
 #[cfg(feature = "faults")]
-pub(crate) fn failpoint(site: &str) -> CubeResult<()> {
+pub(crate) fn failpoint(site: Site) -> CubeResult<()> {
     if dc_aggregate::faults::hit(site) {
         return Err(CubeError::ResourceExhausted {
             resource: Resource::AdmissionQueue { retry_hint_ms: 1 },
@@ -60,7 +61,7 @@ pub(crate) fn failpoint(site: &str) -> CubeResult<()> {
 /// No-op without the `faults` feature.
 #[cfg(not(feature = "faults"))]
 #[inline(always)]
-pub(crate) fn failpoint(_site: &str) -> CubeResult<()> {
+pub(crate) fn failpoint(_site: Site) -> CubeResult<()> {
     Ok(())
 }
 
@@ -397,7 +398,7 @@ impl AdmissionController {
         deadline: Option<Instant>,
         cancel: Option<&CancelToken>,
     ) -> CubeResult<Permit> {
-        failpoint("service::admit")?;
+        failpoint(Site::ServiceAdmit)?;
         if self.cfg.is_unlimited() {
             // No admission governance: hand out a free permit without
             // touching the lock at all.
@@ -496,7 +497,7 @@ impl AdmissionController {
                     });
                 }
             }
-            failpoint("service::queue_wait")?;
+            failpoint(Site::ServiceQueueWait)?;
             let (guard, _timeout) = self
                 .cv
                 .wait_timeout(st, QUEUE_POLL)

@@ -25,6 +25,15 @@
 //! default-options connection take under a second (no transport stall),
 //! then shut down cleanly. Exit code 0 on success.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use dc_relation::{row, DataType, Schema, Table};
 use dc_sql::wire::{self, Response};
 use dc_sql::{serve, Engine, ServerConfig, ServiceConfig};

@@ -30,6 +30,7 @@
 
 use crate::admission::{failpoint, AdmissionController, Counter};
 use datacube::{CachedView, CubeResult, DeltaBatch, GroupingSet};
+use dc_aggregate::faults::Site;
 use dc_relation::Table;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -253,7 +254,7 @@ impl CubeCache {
         dims: &[String],
         aggs: &[String],
     ) -> CubeResult<Option<CacheHit>> {
-        failpoint("cache::lookup")?;
+        failpoint(Site::CacheLookup)?;
         if !self.is_enabled() {
             return Ok(None);
         }
@@ -360,14 +361,17 @@ impl CubeCache {
         if total <= budget {
             return Ok(());
         }
-        failpoint("cache::evict")?;
+        failpoint(Site::CacheEvict)?;
         while total > budget && !entries.is_empty() {
+            #[expect(
+                clippy::expect_used,
+                reason = "the loop condition guarantees entries is non-empty"
+            )]
             let victim = entries
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.benefit())
                 .map(|(i, _)| i)
-                // cube-lint: allow(panic, the loop condition guarantees entries is non-empty)
                 .expect("non-empty");
             let evicted = entries.swap_remove(victim);
             self.admission.release_cache_cells(evicted.cells);

@@ -171,7 +171,10 @@ fn eval_binary(op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> {
                     Lte => o != std::cmp::Ordering::Greater,
                     Gt => o == std::cmp::Ordering::Greater,
                     Gte => o != std::cmp::Ordering::Less,
-                    // cube-lint: allow(panic, the outer arm admits only the six comparison ops)
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "the outer arm admits only the six comparison ops"
+                    )]
                     _ => unreachable!(),
                 }),
             })

@@ -37,6 +37,15 @@
 //! [`server::serve`] exposes it all over a length-prefixed TCP protocol
 //! (see the `dc_serve` binary and DESIGN.md "Concurrent serving").
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod admission;
 pub mod ast;
 pub mod cache;

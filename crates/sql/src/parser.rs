@@ -18,10 +18,23 @@ use crate::error::{SqlError, SqlResult};
 use crate::token::{tokenize, Keyword, Symbol, Token};
 use dc_relation::Value;
 
+/// How deep a statement may nest. Each enclosing parenthesis, call,
+/// `GROUPING(…)`, subquery, unary `-` and `NOT` is one level, and so is
+/// each link of a chain the parser builds in a loop (`+ - * / %`, `AND`,
+/// `OR`, `UNION`). Past it the statement is a [`SqlError::Parse`]. So no
+/// tree is taller than twice this, and every walker over it (bind, eval,
+/// drop) is bounded too. Sized for a connection thread's default 2 MiB
+/// stack in a debug build, where the parser spends ~15 KiB per level.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse one statement.
 pub fn parse(sql: &str) -> SqlResult<Statement> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let stmt = p.parse_statement()?;
     p.eat_symbol(Symbol::Semicolon);
     if !p.at_end() {
@@ -33,6 +46,8 @@ pub fn parse(sql: &str) -> SqlResult<Statement> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels entered so far; see [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
@@ -65,6 +80,18 @@ impl Parser {
             near,
             message: message.into(),
         }
+    }
+
+    /// Enter one more level, or fail past [`MAX_DEPTH`]. A caller
+    /// restores `depth` once its level is built; a failure ends the parse.
+    fn descend(&mut self) -> SqlResult<()> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.error(&format!(
+                "statement nests deeper than the limit of {MAX_DEPTH} levels"
+            )));
+        }
+        Ok(())
     }
 
     fn eat_keyword(&mut self, k: Keyword) -> bool {
@@ -195,18 +222,24 @@ impl Parser {
         let explain = self.eat_keyword(Keyword::Explain);
         let mut stmt = self.parse_select_core()?;
         // UNION chain, left-to-right.
+        let depth = self.depth;
         while self.peek() == Some(&Token::Keyword(Keyword::Union)) {
+            self.descend()?;
             self.pos += 1;
             let all = self.eat_keyword(Keyword::All);
             let rhs = self.parse_select_core()?;
             // Append at the end of the chain.
             let mut cursor = &mut stmt;
+            #[expect(
+                clippy::unwrap_used,
+                reason = "is_some checked by the loop condition; NLL cannot see it"
+            )]
             while cursor.union.is_some() {
-                // cube-lint: allow(panic, is_some checked by the loop condition; NLL cannot see it)
                 cursor = &mut cursor.union.as_mut().unwrap().1;
             }
             cursor.union = Some((all, Box::new(rhs)));
         }
+        self.depth = depth;
         // ORDER BY / LIMIT bind to the whole union result.
         if self.eat_keyword(Keyword::Order) {
             self.expect_keyword(Keyword::By)?;
@@ -381,12 +414,17 @@ impl Parser {
     // ------------------------------------------------------ expressions --
 
     fn parse_expr(&mut self) -> SqlResult<Expr> {
-        self.parse_or()
+        self.descend()?;
+        let expr = self.parse_or()?;
+        self.depth -= 1;
+        Ok(expr)
     }
 
     fn parse_or(&mut self) -> SqlResult<Expr> {
+        let depth = self.depth;
         let mut lhs = self.parse_and()?;
         while self.eat_keyword(Keyword::Or) {
+            self.descend()?;
             let rhs = self.parse_and()?;
             lhs = Expr::Binary {
                 op: BinOp::Or,
@@ -394,12 +432,15 @@ impl Parser {
                 rhs: Box::new(rhs),
             };
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn parse_and(&mut self) -> SqlResult<Expr> {
+        let depth = self.depth;
         let mut lhs = self.parse_not()?;
         while self.eat_keyword(Keyword::And) {
+            self.descend()?;
             let rhs = self.parse_not()?;
             lhs = Expr::Binary {
                 op: BinOp::And,
@@ -407,12 +448,16 @@ impl Parser {
                 rhs: Box::new(rhs),
             };
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn parse_not(&mut self) -> SqlResult<Expr> {
         if self.eat_keyword(Keyword::Not) {
-            Ok(Expr::Not(Box::new(self.parse_not()?)))
+            self.descend()?;
+            let inner = self.parse_not()?;
+            self.depth -= 1;
+            Ok(Expr::Not(Box::new(inner)))
         } else {
             self.parse_predicate()
         }
@@ -420,6 +465,13 @@ impl Parser {
 
     fn parse_predicate(&mut self) -> SqlResult<Expr> {
         let lhs = self.parse_addsub()?;
+        self.parse_predicate_tail(lhs)
+    }
+
+    /// What may follow a predicate's left operand. Apart from
+    /// `parse_predicate` so the frame that recursion passes through stays
+    /// small.
+    fn parse_predicate_tail(&mut self, lhs: Expr) -> SqlResult<Expr> {
         // IS [NOT] NULL
         if self.eat_keyword(Keyword::Is) {
             let negated = self.eat_keyword(Keyword::Not);
@@ -490,6 +542,7 @@ impl Parser {
     }
 
     fn parse_addsub(&mut self) -> SqlResult<Expr> {
+        let depth = self.depth;
         let mut lhs = self.parse_muldiv()?;
         loop {
             let op = match self.peek() {
@@ -498,6 +551,7 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.descend()?;
             let rhs = self.parse_muldiv()?;
             lhs = Expr::Binary {
                 op,
@@ -505,10 +559,12 @@ impl Parser {
                 rhs: Box::new(rhs),
             };
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn parse_muldiv(&mut self) -> SqlResult<Expr> {
+        let depth = self.depth;
         let mut lhs = self.parse_unary()?;
         loop {
             let op = match self.peek() {
@@ -518,6 +574,7 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.descend()?;
             let rhs = self.parse_unary()?;
             lhs = Expr::Binary {
                 op,
@@ -525,100 +582,102 @@ impl Parser {
                 rhs: Box::new(rhs),
             };
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> SqlResult<Expr> {
         if self.eat_symbol(Symbol::Minus) {
-            return Ok(Expr::Neg(Box::new(self.parse_unary()?)));
+            self.descend()?;
+            let inner = self.parse_unary()?;
+            self.depth -= 1;
+            return Ok(Expr::Neg(Box::new(inner)));
         }
         self.parse_primary()
     }
 
+    /// One operand. Each recursive form (parentheses, subquery,
+    /// `GROUPING(…)`, a call) has a function of its own, so the frames
+    /// that nesting stacks up stay small.
     fn parse_primary(&mut self) -> SqlResult<Expr> {
-        match self.peek().cloned() {
-            Some(Token::Int(i)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Value::Int(i)))
-            }
-            Some(Token::Float(x)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Value::Float(x)))
-            }
-            Some(Token::Str(s)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Value::str(s)))
-            }
-            Some(Token::Keyword(Keyword::Null)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Value::Null))
-            }
-            Some(Token::Keyword(Keyword::True)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Value::Bool(true)))
-            }
-            Some(Token::Keyword(Keyword::False)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Value::Bool(false)))
-            }
-            Some(Token::Keyword(Keyword::Grouping)) => {
-                self.pos += 1;
-                self.expect_symbol(Symbol::LParen)?;
-                let inner = self.parse_expr()?;
-                self.expect_symbol(Symbol::RParen)?;
-                Ok(Expr::Grouping(Box::new(inner)))
-            }
-            Some(Token::Symbol(Symbol::LParen)) => {
-                self.pos += 1;
-                if self.peek() == Some(&Token::Keyword(Keyword::Select)) {
-                    let sub = self.parse_select_core()?;
-                    self.expect_symbol(Symbol::RParen)?;
-                    return Ok(Expr::ScalarSubquery(Box::new(sub)));
-                }
-                let inner = self.parse_expr()?;
-                self.expect_symbol(Symbol::RParen)?;
-                Ok(inner)
-            }
-            Some(Token::Ident(name)) => {
-                self.pos += 1;
-                // Function call?
-                if self.peek() == Some(&Token::Symbol(Symbol::LParen)) {
-                    self.pos += 1;
-                    let distinct = self.eat_keyword(Keyword::Distinct);
-                    let mut args = Vec::new();
-                    if self.peek() == Some(&Token::Symbol(Symbol::Star)) {
-                        self.pos += 1;
-                        args.push(Expr::Star);
-                    } else if self.peek() != Some(&Token::Symbol(Symbol::RParen)) {
-                        loop {
-                            args.push(self.parse_expr()?);
-                            if !self.eat_symbol(Symbol::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect_symbol(Symbol::RParen)?;
-                    return Ok(Expr::Func {
-                        name,
-                        distinct,
-                        args,
-                    });
-                }
-                // Qualified column?
-                if self.eat_symbol(Symbol::Dot) {
-                    let col = self.expect_ident()?;
-                    return Ok(Expr::Column {
-                        qualifier: Some(name),
-                        name: col,
-                    });
-                }
-                Ok(Expr::Column {
-                    qualifier: None,
-                    name,
-                })
-            }
-            _ => Err(self.error("expected an expression")),
+        match self.peek() {
+            Some(Token::Symbol(Symbol::LParen)) => self.parse_parenthesized(),
+            Some(Token::Keyword(Keyword::Grouping)) => self.parse_grouping(),
+            Some(Token::Ident(_)) => self.parse_name(),
+            _ => self.parse_literal(),
         }
+    }
+
+    fn parse_literal(&mut self) -> SqlResult<Expr> {
+        let value = match self.peek() {
+            Some(Token::Int(i)) => Value::Int(*i),
+            Some(Token::Float(x)) => Value::Float(*x),
+            Some(Token::Str(s)) => Value::str(s.clone()),
+            Some(Token::Keyword(Keyword::Null)) => Value::Null,
+            Some(Token::Keyword(Keyword::True)) => Value::Bool(true),
+            Some(Token::Keyword(Keyword::False)) => Value::Bool(false),
+            _ => return Err(self.error("expected an expression")),
+        };
+        self.pos += 1;
+        Ok(Expr::Literal(value))
+    }
+
+    fn parse_grouping(&mut self) -> SqlResult<Expr> {
+        self.pos += 1;
+        self.expect_symbol(Symbol::LParen)?;
+        let inner = self.parse_expr()?;
+        self.expect_symbol(Symbol::RParen)?;
+        Ok(Expr::Grouping(Box::new(inner)))
+    }
+
+    fn parse_parenthesized(&mut self) -> SqlResult<Expr> {
+        self.pos += 1;
+        if self.peek() == Some(&Token::Keyword(Keyword::Select)) {
+            let sub = self.parse_select_core()?;
+            self.expect_symbol(Symbol::RParen)?;
+            return Ok(Expr::ScalarSubquery(Box::new(sub)));
+        }
+        let inner = self.parse_expr()?;
+        self.expect_symbol(Symbol::RParen)?;
+        Ok(inner)
+    }
+
+    /// A column, qualified column, or function call.
+    fn parse_name(&mut self) -> SqlResult<Expr> {
+        let name = self.expect_ident()?;
+        // Function call?
+        if self.eat_symbol(Symbol::LParen) {
+            let distinct = self.eat_keyword(Keyword::Distinct);
+            let mut args = Vec::new();
+            if self.eat_symbol(Symbol::Star) {
+                args.push(Expr::Star);
+            } else if self.peek() != Some(&Token::Symbol(Symbol::RParen)) {
+                loop {
+                    args.push(self.parse_expr()?);
+                    if !self.eat_symbol(Symbol::Comma) {
+                        break;
+                    }
+                }
+            }
+            self.expect_symbol(Symbol::RParen)?;
+            return Ok(Expr::Func {
+                name,
+                distinct,
+                args,
+            });
+        }
+        // Qualified column?
+        if self.eat_symbol(Symbol::Dot) {
+            let col = self.expect_ident()?;
+            return Ok(Expr::Column {
+                qualifier: Some(name),
+                name: col,
+            });
+        }
+        Ok(Expr::Column {
+            qualifier: None,
+            name,
+        })
     }
 }
 

@@ -146,7 +146,10 @@ pub fn builtins() -> ScalarRegistry {
         }),
     ];
     for f in date_fns {
-        // cube-lint: allow(panic, static list of distinct built-in names; covered by tests)
+        #[expect(
+            clippy::expect_used,
+            reason = "static list of distinct built-in names; covered by tests"
+        )]
         r.register(f).expect("built-in scalar names are unique");
     }
     r

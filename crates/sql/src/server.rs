@@ -17,6 +17,7 @@ use crate::engine::Engine;
 use crate::error::SqlError;
 use crate::session::Session;
 use crate::wire;
+use dc_aggregate::faults::Site;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -217,7 +218,7 @@ fn respond(session: &Session, frame: &[u8]) -> Vec<u8> {
         Err(e) => return wire::encode_error(&SqlError::Plan(format!("request is not UTF-8: {e}"))),
     };
     let guarded = datacube::exec::guard("service::respond", || {
-        failpoint("service::respond").map_err(SqlError::Cube)?;
+        failpoint(Site::ServiceRespond).map_err(SqlError::Cube)?;
         session.execute(sql)
     });
     match guarded {

@@ -161,6 +161,18 @@ fn malformed_parameterized_aggregates_error_cleanly() {
     }
 }
 
+/// The `n` of `MAXN(x, n)` comes from the statement, so no allocation is
+/// sized by it: a billion-wide list per cell answers like a short one.
+#[test]
+fn maxn_with_a_huge_n_answers() {
+    let e = engine();
+    let t = e
+        .execute("SELECT Model, MAXN(Sales, 1000000000) AS m, MINN(Sales, 1000000000) AS n FROM Sales GROUP BY CUBE Model")
+        .unwrap();
+    assert_eq!(t.len(), 3);
+    assert!(t.rows().iter().all(|r| r[1].is_null() && r[2].is_null()));
+}
+
 /// GROUPING SETS over unknown names is a plan error, not a panic.
 #[test]
 fn grouping_sets_with_unknown_column_errors() {

@@ -278,3 +278,131 @@ fn seeded_hostile_frames_get_a_typed_error_or_a_close() {
         assert_slot_free(handle, &admission);
     }
 }
+
+/// Statements that nest one production `depth` deep, each as a complete
+/// query over `Sales`: parentheses, unary `-`, `NOT`, the loop-built
+/// `+`, `*`, `AND`, `OR` and `UNION` chains, calls, `GROUPING(…)`,
+/// scalar subqueries, and parentheses inside `GROUPING SETS`.
+fn nested_statements(depth: usize) -> Vec<(&'static str, String)> {
+    let wrap = |open: &str, inner: &str, close: &str| {
+        format!("{}{inner}{}", open.repeat(depth), close.repeat(depth))
+    };
+    vec![
+        (
+            "parens",
+            format!("SELECT {} FROM Sales", wrap("(", "1", ")")),
+        ),
+        ("neg", format!("SELECT {}1 FROM Sales", "- ".repeat(depth))),
+        (
+            "not",
+            format!("SELECT model FROM Sales WHERE {}TRUE", "NOT ".repeat(depth)),
+        ),
+        (
+            "add",
+            format!("SELECT 1{} FROM Sales", " + 1".repeat(depth)),
+        ),
+        (
+            "mul",
+            format!("SELECT 1{} FROM Sales", " * 1".repeat(depth)),
+        ),
+        (
+            "and",
+            format!(
+                "SELECT model FROM Sales WHERE TRUE{}",
+                " AND TRUE".repeat(depth)
+            ),
+        ),
+        (
+            "or",
+            format!(
+                "SELECT model FROM Sales WHERE FALSE{}",
+                " OR TRUE".repeat(depth)
+            ),
+        ),
+        (
+            "union",
+            format!(
+                "SELECT 1 FROM Sales{}",
+                " UNION SELECT 1 FROM Sales".repeat(depth)
+            ),
+        ),
+        (
+            "call",
+            format!("SELECT {} FROM Sales", wrap("ABS(", "1", ")")),
+        ),
+        (
+            "grouping",
+            format!(
+                "SELECT {} FROM Sales GROUP BY CUBE model",
+                wrap("GROUPING(", "model", ")")
+            ),
+        ),
+        (
+            "subquery",
+            format!(
+                "SELECT {} FROM Sales",
+                wrap("(SELECT ", "1", " FROM Sales)")
+            ),
+        ),
+        (
+            "grouping_sets",
+            format!(
+                "SELECT COUNT(*) AS n FROM Sales GROUP BY GROUPING SETS (({}))",
+                wrap("(", "model", ")")
+            ),
+        ),
+    ]
+}
+
+/// No statement can overflow a connection thread's stack: on a default
+/// server, each production nested 10^5 deep is answered with a typed
+/// PARSE error naming the limit, and a fresh client is then served. Just
+/// inside the limit, where the tree is tallest (a deep operand at the
+/// head of a long chain), every statement gets a typed answer.
+#[test]
+fn statements_nested_past_the_limit_get_a_typed_error() {
+    let mut engine = Engine::new();
+    let schema = Schema::from_pairs(&[("model", DataType::Str), ("units", DataType::Int)]);
+    let t = Table::new(schema, vec![row!["Chevy", 50], row!["Ford", 60]]).unwrap();
+    engine.register_table("Sales", t).unwrap();
+    let handle = serve(&engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let limit = dc_sql::parser::MAX_DEPTH;
+
+    for (name, sql) in nested_statements(100_000) {
+        let mut conn = connect(handle.local_addr());
+        match wire::request(&mut conn, &sql) {
+            Ok(Response::Error { code, message, .. }) => {
+                assert_eq!(code, "PARSE", "{name}: {message}");
+                assert!(message.contains(&limit.to_string()), "{name}: {message}");
+            }
+            other => panic!("{name}: expected ERR PARSE, got {other:?}"),
+        }
+    }
+
+    let tallest = format!(
+        "SELECT {}1{} AS x FROM Sales",
+        "- ".repeat(limit - 1),
+        " + 1".repeat(limit - 1)
+    );
+    let inside = nested_statements(limit - 10).into_iter();
+    for (name, sql) in inside.chain([("tallest", tallest)]) {
+        let mut conn = connect(handle.local_addr());
+        match wire::request(&mut conn, &sql) {
+            Ok(Response::Table { .. }) => {}
+            Ok(Response::Error { code, message, .. }) => {
+                assert!(
+                    !message.contains("nests deeper"),
+                    "{name}: {code} {message}"
+                );
+            }
+            Err(e) => panic!("{name}: the server closed on a statement inside the limit: {e}"),
+        }
+    }
+
+    let mut conn = connect(handle.local_addr());
+    match wire::request(&mut conn, QUERY) {
+        Ok(Response::Table { rows, .. }) => assert_eq!(rows.len(), 2),
+        other => panic!("fresh client got {other:?}"),
+    }
+    handle.shutdown();
+}

@@ -18,6 +18,15 @@
 //! Generators are deterministic given a seed, so benchmarks and
 //! experiments are reproducible run to run.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod retail;
 pub mod sales;
 pub mod weather;

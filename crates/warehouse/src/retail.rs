@@ -90,9 +90,12 @@ impl RetailWarehouse {
             ("geography", DataType::Str),
         ]));
         for (i, (o, d, r, g)) in OFFICES.iter().enumerate() {
+            #[expect(
+                clippy::expect_used,
+                reason = "static literal rows match the schema written above"
+            )]
             office
                 .push(row![i as i64, *o, *d, *r, *g])
-                // cube-lint: allow(panic, static literal rows match the schema written above)
                 .expect("literal rows");
         }
 
@@ -103,9 +106,12 @@ impl RetailWarehouse {
             ("manufacturer", DataType::Str),
         ]));
         for (i, (name, cat, man)) in PRODUCTS.iter().enumerate() {
+            #[expect(
+                clippy::expect_used,
+                reason = "static literal rows match the schema written above"
+            )]
             product
                 .push(row![i as i64, *name, *cat, *man])
-                // cube-lint: allow(panic, static literal rows match the schema written above)
                 .expect("literal rows");
         }
 
@@ -115,13 +121,16 @@ impl RetailWarehouse {
             ("segment", DataType::Str),
         ]));
         for i in 0..p.customers.max(1) {
+            #[expect(
+                clippy::expect_used,
+                reason = "generator emits schema-shaped rows by construction"
+            )]
             customer
                 .push(row![
                     i as i64,
                     format!("customer-{i:04}"),
                     SEGMENTS[i % SEGMENTS.len()]
                 ])
-                // cube-lint: allow(panic, generator emits schema-shaped rows by construction)
                 .expect("generated rows");
         }
 
@@ -176,11 +185,20 @@ impl RetailWarehouse {
         ]);
         let mut out = Table::empty(schema);
         for f in self.fact.rows() {
-            // cube-lint: allow(panic, fact foreign keys index the generated dimension tables)
+            #[expect(
+                clippy::expect_used,
+                reason = "fact foreign keys index the generated dimension tables"
+            )]
             let o = &self.office.rows()[f[1].as_i64().expect("office fk") as usize];
-            // cube-lint: allow(panic, fact foreign keys index the generated dimension tables)
+            #[expect(
+                clippy::expect_used,
+                reason = "fact foreign keys index the generated dimension tables"
+            )]
             let p = &self.product.rows()[f[2].as_i64().expect("product fk") as usize];
-            // cube-lint: allow(panic, fact foreign keys index the generated dimension tables)
+            #[expect(
+                clippy::expect_used,
+                reason = "fact foreign keys index the generated dimension tables"
+            )]
             let c = &self.customer.rows()[f[3].as_i64().expect("customer fk") as usize];
             out.push_unchecked(Row::new(vec![
                 o[1].clone(),

@@ -25,8 +25,11 @@ pub fn figure4_sales() -> Table {
     for model in ["Chevy", "Ford"] {
         for year in [1990i64, 1991, 1992] {
             for color in ["red", "white", "blue"] {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "static literal rows match the schema written above"
+                )]
                 t.push(row![model, year, color, unit])
-                    // cube-lint: allow(panic, static literal rows match the schema written above)
                     .expect("literal rows are valid");
                 unit += 1;
             }
@@ -50,7 +53,10 @@ pub fn table4_sales() -> Table {
         ("Ford", 1995, "black", 85),
         ("Ford", 1995, "white", 75),
     ] {
-        // cube-lint: allow(panic, static literal rows match the schema written above)
+        #[expect(
+            clippy::expect_used,
+            reason = "static literal rows match the schema written above"
+        )]
         t.push(row![m, y, c, u]).expect("literal rows are valid");
     }
     t
@@ -90,8 +96,11 @@ pub fn synthetic_sales(p: SalesParams) -> Table {
         let year = 1990 + rng.gen_range(0..p.years.max(1)) as i64;
         let color = format!("color-{:03}", rng.gen_range(0..p.colors.max(1)));
         let units = rng.gen_range(1..=100i64);
+        #[expect(
+            clippy::expect_used,
+            reason = "generator emits schema-shaped rows by construction"
+        )]
         t.push(row![model, year, color, units])
-            // cube-lint: allow(panic, generator emits schema-shaped rows by construction)
             .expect("generated rows are valid");
     }
     t
@@ -121,8 +130,11 @@ pub fn skewed_sales(p: SalesParams) -> Table {
         let year = 1990 + zipf(&mut rng, p.years.max(1)) as i64;
         let color = format!("color-{:03}", zipf(&mut rng, p.colors.max(1)));
         let units = rng.gen_range(1..=100i64);
+        #[expect(
+            clippy::expect_used,
+            reason = "generator emits schema-shaped rows by construction"
+        )]
         t.push(row![model, year, color, units])
-            // cube-lint: allow(panic, generator emits schema-shaped rows by construction)
             .expect("generated rows are valid");
     }
     t

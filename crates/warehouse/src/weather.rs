@@ -147,6 +147,10 @@ pub fn weather_table(p: WeatherParams) -> Table {
         let s = &STATIONS[rng.gen_range(0..STATIONS.len())];
         let day_offset = rng.gen_range(0..p.days.max(1)) as i64;
         let date = p.start.plus_days(day_offset);
+        #[expect(
+            clippy::expect_used,
+            reason = "generator ranges stay within calendar bounds"
+        )]
         let time = Date::new_at(
             date.year(),
             date.month(),
@@ -154,7 +158,6 @@ pub fn weather_table(p: WeatherParams) -> Table {
             rng.gen_range(0..24),
             [0u8, 15, 30, 45][rng.gen_range(0..4)],
         )
-        // cube-lint: allow(panic, generator ranges stay within calendar bounds)
         .expect("generated timestamp is valid");
         // Northern-hemisphere season: peak near day ~200.
         let doy = f64::from(u32::from(date.month()) * 30 + u32::from(date.day()));

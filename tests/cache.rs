@@ -41,10 +41,12 @@ fn engine_with_sales() -> Engine {
 #[test]
 fn repeated_cube_is_served_from_cache_with_identical_rows() {
     let engine = engine_with_sales();
+    let session = engine.session();
     let sql = "SELECT model, year, SUM(units) AS s FROM sales GROUP BY CUBE model, year";
-    let first = engine.execute(sql).unwrap();
-    assert!(engine.session().last_statement().cache_ancestor.is_none());
-    let second = engine.execute(sql).unwrap();
+    let first = session.execute(sql).unwrap();
+    assert!(session.last_statement().cache_ancestor.is_none());
+    let second = session.execute(sql).unwrap();
+    assert!(session.last_statement().cache_ancestor.is_some());
     assert_eq!(first.rows(), second.rows(), "cache hit changed the answer");
     let counters = engine.cube_cache().counters();
     assert_eq!(counters.hits, 1, "{counters:?}");
@@ -347,6 +349,43 @@ fn a_delete_retracts_into_the_warm_view_and_scans_nothing() {
     assert_eq!((counters.misses, counters.hits), (1, 1), "{counters:?}");
 }
 
+/// Floating-point subtraction is no inverse: retracting `1e20` from
+/// `1e20 + 1.0` leaves `0.0`. So a DELETE of a Float row recomputes the
+/// warm view's touched cells, and the view answers what a cold scan does.
+#[test]
+fn a_float_delete_recomputes_instead_of_subtracting() {
+    let mut engine = Engine::with_service(ServiceConfig::default());
+    let schema = Schema::from_pairs(&[("k", DataType::Int), ("x", DataType::Float)]);
+    let t = Table::new(schema, vec![row![1, 1e20], row![1, 1.0], row![2, 5.0]]).unwrap();
+    engine.register_table("t", t).unwrap();
+    let session = engine.session();
+    for sql in [
+        "SELECT k, SUM(x) AS s FROM t GROUP BY CUBE k",
+        "SELECT k, AVG(x) AS a FROM t GROUP BY CUBE k",
+    ] {
+        session.execute(sql).unwrap();
+    }
+    session.execute("DELETE FROM t WHERE x > 1000.0").unwrap();
+    let cold = engine.session();
+    cold.execute("SET CUBE_CACHE OFF").unwrap();
+    for (sql, want) in [
+        (
+            "SELECT k, SUM(x) AS s FROM t GROUP BY CUBE k",
+            [1.0, 5.0, 6.0],
+        ),
+        (
+            "SELECT k, AVG(x) AS a FROM t GROUP BY CUBE k",
+            [1.0, 5.0, 3.0],
+        ),
+    ] {
+        let warm = session.execute(sql).unwrap();
+        assert!(session.last_statement().cache_ancestor.is_some(), "{sql}");
+        let got: Vec<Value> = warm.rows().iter().map(|r| r[1].clone()).collect();
+        assert_eq!(got, want.map(Value::Float), "{sql}");
+        assert_eq!(warm.rows(), cold.execute(sql).unwrap().rows(), "{sql}");
+    }
+}
+
 /// A cacheable miss builds its view and answers from it, each under its
 /// own cell count, so it fits exactly the `MAX_CELLS` the direct cube
 /// fits: the cube's cell count admits both, one cell less refuses both.
@@ -375,9 +414,10 @@ fn disabled_cache_neither_builds_nor_counts() {
     let before = engine.cube_cache().counters();
 
     let sql = "SELECT model, year, CSUM(units) AS s FROM sales GROUP BY CUBE model, year";
+    let session = engine.session();
     for _ in 0..2 {
-        engine.execute(sql).unwrap();
-        assert!(engine.session().last_statement().cache_ancestor.is_none());
+        session.execute(sql).unwrap();
+        assert!(session.last_statement().cache_ancestor.is_none());
     }
     assert_eq!(
         iter_calls.load(Ordering::SeqCst),

@@ -578,37 +578,7 @@ fn cacheable_miss_past_the_statement_deadline_fails_typed() {
 #[cfg(feature = "faults")]
 mod faults_suite {
     use super::*;
-    use dc_aggregate::faults::{arm, disarm_all, Fault};
-
-    /// Every named failpoint site across the engine, including the
-    /// service layer's (`service::*`, exercised separately below — they
-    /// sit on the SQL session/server path, not the core cube path).
-    const SITES: [&str; 24] = [
-        "uda::init",
-        "uda::iter",
-        "uda::merge",
-        "uda::final",
-        "core::scan",
-        "naive::scan",
-        "unions::scan",
-        "cascade::level",
-        "parallel::worker",
-        "sort::scan",
-        "pipesort::pipeline",
-        "array::sweep",
-        "vectorized::morsel",
-        "materialize",
-        "service::admit",
-        "service::queue_wait",
-        "service::respond",
-        "cache::lookup",
-        "cache::rewrite",
-        "cache::evict",
-        "cache::absorb",
-        "maintain::batch_fold",
-        "maintain::lock",
-        "maintain::recompute",
-    ];
+    use dc_aggregate::faults::{arm, disarm_all, hits, Fault, Site};
 
     /// Disarms all faults when dropped, so a failing assertion cannot
     /// leak an armed fault into the next combination.
@@ -676,7 +646,7 @@ mod faults_suite {
             let _cleanup = Disarm;
             disarm_all();
             let reference = cube_under_fault(&t, Algorithm::TwoToTheN).unwrap();
-            for site in SITES {
+            for &site in Site::ALL {
                 for fault in [
                     Fault::Panic(format!("injected at {site}")),
                     Fault::TripBudget,
@@ -725,12 +695,100 @@ mod faults_suite {
         assert!(failures.is_empty(), "{}", failures.join("\n"));
     }
 
+    /// Run the path that reaches `site`, ignoring what it answers. The
+    /// match has no `_` arm, so a new site cannot be declared without
+    /// saying how a statement reaches it.
+    fn drive(site: Site) {
+        let t = grid(6, 5);
+        let sql = "SELECT x, SUM(units) AS s FROM g GROUP BY x";
+        let engine = || service_engine(dc_sql::ServiceConfig::default());
+        let apply = |insert| {
+            let cube =
+                MaterializedCube::cube(&t, xy_dims(), vec![sum_units(), max_units()]).unwrap();
+            let _ = cube.apply(&champion_batch(&t, insert), &ExecContext::unlimited());
+        };
+        match site {
+            Site::UdaInit | Site::UdaIter | Site::UdaFinal | Site::NaiveScan => {
+                let _ = cube_under_fault(&t, Algorithm::TwoToTheN);
+            }
+            Site::UdaMerge | Site::ParallelWorker => {
+                let _ = cube_under_fault(&t, Algorithm::Parallel { threads: 2 });
+            }
+            Site::CoreScan | Site::Materialize | Site::CascadeLevel | Site::VectorizedMorsel => {
+                let _ = cube_under_fault(&t, Algorithm::FromCore);
+            }
+            Site::UnionsScan => {
+                let _ = cube_under_fault(&t, Algorithm::UnionGroupBys);
+            }
+            Site::ArraySweep => {
+                let _ = under_fault(&t, Path::Repro(Repro::Array));
+            }
+            Site::SortScan => {
+                let _ = under_fault(&t, Path::Repro(Repro::Sort));
+            }
+            Site::PipesortPipeline => {
+                let _ = under_fault(&t, Path::Repro(Repro::PipeSort));
+            }
+            Site::ServiceAdmit | Site::CacheLookup | Site::CacheRewrite => {
+                let _ = engine().execute(sql);
+            }
+            Site::ServiceQueueWait => {
+                let engine = service_engine(dc_sql::ServiceConfig {
+                    max_concurrent: 1,
+                    queue_depth: 4,
+                    ..Default::default()
+                });
+                let cost = dc_sql::QueryCost::new(100, 2);
+                let _permit = engine.admission().admit(&cost, None, None).unwrap();
+                let _ = engine.execute(sql);
+            }
+            Site::ServiceRespond => {
+                let engine = engine();
+                let handle =
+                    dc_sql::serve(&engine, "127.0.0.1:0", dc_sql::ServerConfig::default()).unwrap();
+                let mut conn = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+                let _ = dc_sql::wire::request(&mut conn, sql);
+                handle.shutdown();
+            }
+            Site::CacheEvict => {
+                let engine = engine();
+                engine.cube_cache().set_budget_cells(8);
+                let _ = engine.execute(sql);
+                let _ = engine.execute("SELECT y, SUM(units) AS s FROM g GROUP BY y");
+            }
+            Site::CacheAbsorb => {
+                let engine = engine();
+                let _ = engine.execute(sql);
+                let _ = engine.execute("INSERT INTO g VALUES (9, 9, 1)");
+            }
+            Site::MaintainBatchFold | Site::MaintainLock => apply([9, 9, 5]),
+            Site::MaintainRecompute => apply([3, 2, 4]),
+        }
+    }
+
+    /// Every declared site is injected on some path: armed with a budget
+    /// trip, each is reached by the path `drive` runs for it.
+    #[test]
+    fn every_site_fires_on_its_path() {
+        let _cleanup = Disarm;
+        let mut silent = Vec::new();
+        for &site in Site::ALL {
+            arm(site, Fault::TripBudget);
+            drive(site);
+            if hits(site) == 0 {
+                silent.push(site);
+            }
+            disarm_all();
+        }
+        assert!(silent.is_empty(), "declared but never reached: {silent:?}");
+    }
+
     /// Slow workers delay but do not wedge: the scope joins every handle.
     #[test]
     fn slow_workers_complete() {
         let t = grid(8, 8);
         let _cleanup = Disarm;
-        for site in ["parallel::worker", "cascade::level"] {
+        for site in [Site::ParallelWorker, Site::CascadeLevel] {
             arm(site, Fault::SleepMs(2));
             let got = cube_under_fault(&t, Algorithm::Parallel { threads: 4 }).unwrap();
             disarm_all();
@@ -747,7 +805,7 @@ mod faults_suite {
         silent_panics(|| {
             let _cleanup = Disarm;
             for threads in [1, 4, 16] {
-                arm("parallel::worker", Fault::Panic("worker down".into()));
+                arm(Site::ParallelWorker, Fault::Panic("worker down".into()));
                 let err = cube_under_fault(&t, Algorithm::Parallel { threads }).unwrap_err();
                 disarm_all();
                 match err {
@@ -768,15 +826,15 @@ mod faults_suite {
         let t = grid(6, 5);
         let _cleanup = Disarm;
         for (site, alg) in [
-            ("core::scan", Algorithm::FromCore),
-            ("naive::scan", Algorithm::TwoToTheN),
-            ("unions::scan", Algorithm::UnionGroupBys),
-            ("materialize", Algorithm::FromCore),
+            (Site::CoreScan, Algorithm::FromCore),
+            (Site::NaiveScan, Algorithm::TwoToTheN),
+            (Site::UnionsScan, Algorithm::UnionGroupBys),
+            (Site::Materialize, Algorithm::FromCore),
             // The UDA gives these plans boxed lanes: the morsel, worker
             // and cascade sites sit on the one scan both lane kinds share.
-            ("vectorized::morsel", Algorithm::FromCore),
-            ("parallel::worker", Algorithm::Parallel { threads: 2 }),
-            ("cascade::level", Algorithm::FromCore),
+            (Site::VectorizedMorsel, Algorithm::FromCore),
+            (Site::ParallelWorker, Algorithm::Parallel { threads: 2 }),
+            (Site::CascadeLevel, Algorithm::FromCore),
         ] {
             arm(site, Fault::TripBudget);
             let result = cube_under_fault(&t, alg);
@@ -796,7 +854,11 @@ mod faults_suite {
         let (t, dims) = wide(400);
         silent_panics(|| {
             let _cleanup = Disarm;
-            for site in ["vectorized::morsel", "cascade::level", "materialize"] {
+            for site in [
+                Site::VectorizedMorsel,
+                Site::CascadeLevel,
+                Site::Materialize,
+            ] {
                 for agg in [sum_units(), uda_sum()] {
                     let query = CubeQuery::new().dimensions(dims.clone()).aggregate(agg);
                     arm(site, Fault::TripBudget);
@@ -840,7 +902,7 @@ mod faults_suite {
         silent_panics(|| {
             let _cleanup = Disarm;
             for alg in [Algorithm::FromCore, Algorithm::Parallel { threads: 4 }] {
-                arm("vectorized::morsel", Fault::TripBudget);
+                arm(Site::VectorizedMorsel, Fault::TripBudget);
                 let result = run(alg);
                 disarm_all();
                 match result {
@@ -853,7 +915,7 @@ mod faults_suite {
                     other => panic!("{alg:?} TripBudget: {other:?}"),
                 }
 
-                arm("vectorized::morsel", Fault::Panic("morsel down".into()));
+                arm(Site::VectorizedMorsel, Fault::Panic("morsel down".into()));
                 let result = run(alg);
                 disarm_all();
                 match result {
@@ -867,17 +929,6 @@ mod faults_suite {
     }
 
     // --------------------------------------------- service-layer sites --
-
-    /// The local site list can never drift from the registry cube-lint
-    /// enforces.
-    #[test]
-    fn local_site_list_matches_registry() {
-        let mut local: Vec<&str> = SITES.to_vec();
-        let mut registry: Vec<&str> = dc_aggregate::faults::SITES.to_vec();
-        local.sort_unstable();
-        registry.sort_unstable();
-        assert_eq!(local, registry);
-    }
 
     fn service_engine(cfg: dc_sql::ServiceConfig) -> dc_sql::Engine {
         let mut engine = dc_sql::Engine::with_service(cfg);
@@ -893,7 +944,7 @@ mod faults_suite {
         let sql = "SELECT x, y, SUM(units) AS s FROM g GROUP BY CUBE x, y";
         silent_panics(|| {
             let _cleanup = Disarm;
-            arm("service::admit", Fault::TripBudget);
+            arm(Site::ServiceAdmit, Fault::TripBudget);
             let err = engine.execute(sql).unwrap_err();
             disarm_all();
             assert!(
@@ -907,7 +958,7 @@ mod faults_suite {
                 "{err:?}"
             );
 
-            arm("service::admit", Fault::Panic("admission down".into()));
+            arm(Site::ServiceAdmit, Fault::Panic("admission down".into()));
             let err = engine.execute(sql).unwrap_err();
             disarm_all();
             assert!(
@@ -940,7 +991,7 @@ mod faults_suite {
                     .admission()
                     .admit(&dc_sql::QueryCost::new(100, 2), None, None)
                     .unwrap();
-                arm("service::queue_wait", fault);
+                arm(Site::ServiceQueueWait, fault);
                 let err = engine.execute(sql).unwrap_err();
                 disarm_all();
                 drop(permit);
@@ -970,7 +1021,7 @@ mod faults_suite {
         let sql = "SELECT x, SUM(units) AS s FROM g GROUP BY x";
         silent_panics(|| {
             let _cleanup = Disarm;
-            arm("service::respond", Fault::TripBudget);
+            arm(Site::ServiceRespond, Fault::TripBudget);
             let resp = wire::request(&mut conn, sql).unwrap();
             disarm_all();
             assert!(
@@ -978,7 +1029,7 @@ mod faults_suite {
                 "{resp:?}"
             );
 
-            arm("service::respond", Fault::Panic("respond down".into()));
+            arm(Site::ServiceRespond, Fault::Panic("respond down".into()));
             let resp = wire::request(&mut conn, sql).unwrap();
             disarm_all();
             assert!(
@@ -1005,7 +1056,7 @@ mod faults_suite {
         silent_panics(|| {
             let _cleanup = Disarm;
             for fault in [Fault::TripBudget, Fault::Panic("lookup down".into())] {
-                arm("cache::lookup", fault);
+                arm(Site::CacheLookup, fault);
                 let err = engine.execute(sql).unwrap_err();
                 disarm_all();
                 assert!(
@@ -1034,7 +1085,7 @@ mod faults_suite {
             // Miss + populate, so the next run takes the rewrite path.
             assert!(engine.execute(sql).is_ok());
             for fault in [Fault::TripBudget, Fault::Panic("rewrite down".into())] {
-                arm("cache::rewrite", fault);
+                arm(Site::CacheRewrite, fault);
                 let err = engine.execute(sql).unwrap_err();
                 disarm_all();
                 assert!(
@@ -1064,11 +1115,11 @@ mod faults_suite {
         silent_panics(|| {
             let _cleanup = Disarm;
             assert!(engine.execute(sql).is_ok()); // populate the x-view
-            arm("cache::evict", Fault::TripBudget);
+            arm(Site::CacheEvict, Fault::TripBudget);
             let r = engine.execute("SELECT y, SUM(units) AS s FROM g GROUP BY y");
             disarm_all();
             assert!(r.is_ok(), "{r:?}"); // population error swallowed
-            arm("cache::evict", Fault::Panic("evict down".into()));
+            arm(Site::CacheEvict, Fault::Panic("evict down".into()));
             let r = engine.execute("SELECT y, COUNT(units) AS c FROM g GROUP BY y");
             disarm_all();
             assert!(
@@ -1125,10 +1176,10 @@ mod faults_suite {
         silent_panics(|| {
             let _cleanup = Disarm;
             for (site, insert) in [
-                ("maintain::batch_fold", outgrowing),
-                ("maintain::lock", outgrowing),
-                ("core::scan", outgrowing),
-                ("maintain::recompute", seen),
+                (Site::MaintainBatchFold, outgrowing),
+                (Site::MaintainLock, outgrowing),
+                (Site::CoreScan, outgrowing),
+                (Site::MaintainRecompute, seen),
             ] {
                 for fault in [Fault::TripBudget, Fault::Panic(format!("{site} down"))] {
                     let cube =
@@ -1173,7 +1224,7 @@ mod faults_suite {
         let t = grid(4, 3);
         let cube = MaterializedCube::cube(&t, xy_dims(), vec![sum_units()]).unwrap();
         let _cleanup = Disarm;
-        arm("maintain::batch_fold", Fault::SleepMs(30));
+        arm(Site::MaintainBatchFold, Fault::SleepMs(30));
         let limits = ExecLimits::none().timeout(Duration::from_millis(5));
         let ctx = ExecContext::new(&limits, 1);
         let mut batch = DeltaBatch::new();
@@ -1214,7 +1265,7 @@ mod faults_suite {
                 let mut batch = DeltaBatch::new();
                 let row = Row::new(vec![Value::Int(9), Value::Int(9), Value::Int(1)]);
                 batch.insert(row).unwrap();
-                arm("maintain::batch_fold", fault);
+                arm(Site::MaintainBatchFold, fault);
                 assert!(cube.apply(&batch, &ExecContext::unlimited()).is_err());
                 disarm_all();
                 assert_eq!(cube.base().rows(), t.rows());
@@ -1243,7 +1294,7 @@ mod faults_suite {
                 session.execute(sql).unwrap();
                 assert!(session.last_statement().cache_ancestor.is_some());
 
-                arm("cache::absorb", fault);
+                arm(Site::CacheAbsorb, fault);
                 let ack = session.execute("INSERT INTO g VALUES (9, 9, 1)");
                 disarm_all();
                 let ack = ack.unwrap(); // the write itself must commit
