@@ -1146,12 +1146,12 @@ pub(crate) fn execute(
     ctx: &ExecContext,
 ) -> CubeResult<Table> {
     let cells = group(table, dims, aggs, (lattice, shape), stats, ctx)?;
-    let kept = lattice.sets().iter().enumerate();
-    let kept = kept.filter(|(_, s)| keep.is_none_or(|keep| keep.contains(s)));
-    let picks: Vec<(usize, Option<GroupingSet>)> = kept.map(|(i, _)| (i, None)).collect();
+    let kept: Vec<GroupingSet> = (lattice.sets().iter().copied())
+        .filter(|s| keep.is_none_or(|keep| keep.contains(s)))
+        .collect();
     let (dims, lanes): (Vec<usize>, Vec<usize>) =
         ((0..dims.len()).collect(), (0..aggs.len()).collect());
-    cells.read_sets(aggs, &picks, &dims, &lanes, schema, stats, ctx)
+    cells.read_sets(aggs, lattice, &kept, &dims, &lanes, schema, stats, ctx)
 }
 
 #[cfg(test)]
@@ -1270,10 +1270,12 @@ mod tests {
         let ctx = ExecContext::unlimited();
         let plan = (lattice, shape);
         let cells = group_keyed(enc, t, &aggs, plan, &mut stats, &ctx).unwrap();
-        let picks: Vec<_> = (0..lattice.sets().len()).map(|i| (i, None)).collect();
         let dims: Vec<usize> = (0..dims.len()).collect();
         let lanes: Vec<usize> = (0..aggs.len()).collect();
-        let out = cells.read_sets(&aggs, &picks, &dims, &lanes, schema, &mut stats, &ctx);
+        let sets = lattice.sets();
+        let out = cells.read_sets(
+            &aggs, lattice, sets, &dims, &lanes, schema, &mut stats, &ctx,
+        );
         (out.unwrap(), stats)
     }
 

@@ -37,9 +37,10 @@
 //! * the materialized store ([`maintain`]): grouping-set cells kept
 //!   between statements — updated by insert/delete/update with §6's
 //!   taxonomy (SUM is algebraic for DELETE; MAX is delete-holistic and
-//!   triggers recomputation), and answering any grouping set from the
-//!   smallest usable materialized node (a full cube, an HRU selection and
-//!   a lattice-cache view are the same structure).
+//!   triggers recomputation), and answering any grouping set a
+//!   materialized node is usable for, deriving it by the cascade's parent
+//!   rule (a full cube, an HRU selection and a lattice-cache view are the
+//!   same structure).
 //!
 //! See DESIGN.md in the repository root for the paper-to-module map and
 //! EXPERIMENTS.md for the regenerated tables and figures.

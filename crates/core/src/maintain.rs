@@ -24,11 +24,15 @@
 //! kernels, unseen values that outgrow a `u64` key field — re-groups the
 //! post-batch table, and the engine picks the format anew.
 //!
-//! **Reading.** A requested set is answered from the smallest materialized
-//! node that is *usable* for it (`usable`, the one ancestor test): its own
-//! node directly, a finer one through the engine's `merged_child`
-//! (mask-AND plus Iter_super); the engine's collation-rank materializer
-//! emits the request's dimensions and aggregates in its order.
+//! **Reading.** A request may ask only for sets some materialized node is
+//! *usable* for (`usable`, the one ancestor test). A materialized set is
+//! read as it is. The others are derived the way the cascade derives a
+//! cube, arity descending: each is folded through the engine's
+//! `merged_child` (mask-AND plus Iter_super) from the parent
+//! [`Lattice::choose_parent`] names among the materialized sets and the
+//! sets this request has derived so far. The engine's collation-rank
+//! materializer emits the request's dimensions and aggregates in its
+//! order.
 //!
 //! **Writing.** Every store holds its base: the `Arc<Table>` of the rows
 //! its cells summarize, shared with whoever else holds that version (a
@@ -94,7 +98,7 @@ pub fn rewritable(func: &AggRef) -> bool {
 /// and the measures can be re-aggregated): the node groups by a superset
 /// of the query's dimensions, and by exactly those dimensions unless every
 /// requested aggregate is [`rewritable`]. The one ancestor test — the
-/// store's node choice and the SQL cache's lookup both go through it.
+/// store's answer and the SQL cache's lookup both go through it.
 fn usable(query: GroupingSet, node: GroupingSet, rewritable: bool) -> bool {
     query == node || (rewritable && query.subset_of(node))
 }
@@ -262,14 +266,19 @@ pub(crate) trait Store: Send + Sync {
     #[cfg(test)]
     fn format(&self) -> (String, Vec<usize>);
 
-    /// Each `(node, onto)` of `picks` — set `node`'s cells, merged onto
-    /// set `onto` when there is one — as rows of dimensions `dims` and
-    /// lanes `lanes`, sorted by the dimensions in that order.
+    /// Each of `sets` — arity descending, every one a subset of some set
+    /// of `lattice`, whose sets these cells materialize — as rows of
+    /// dimensions `dims` and lanes `lanes`, sorted by the dimensions in
+    /// that order. A set of `lattice` is read as it is; any other is
+    /// folded from the parent [`Lattice::choose_parent`] names among
+    /// `lattice`'s sets and the sets derived before it, one `merge_calls`
+    /// per (parent cell, lane).
     #[allow(clippy::too_many_arguments)]
     fn read_sets(
         &self,
         aggs: &[BoundAgg],
-        picks: &[(usize, Option<GroupingSet>)],
+        lattice: &Lattice,
+        sets: &[GroupingSet],
         dims: &[usize],
         lanes: &[usize],
         schema: Schema,
@@ -308,6 +317,19 @@ pub(crate) struct Batch {
 
 fn corrupt(what: &str) -> CubeError {
     CubeError::BadSpec(format!("corrupt cube: {what}"))
+}
+
+/// The cells of `set` among the `ready` sets, whose cells are `stored`'s
+/// and then `derived`'s, in that order.
+fn cells_of<'a, K, C>(
+    set: GroupingSet,
+    ready: &[GroupingSet],
+    stored: &'a [Arena<K, C>],
+    derived: &'a [Arena<K, C>],
+) -> CubeResult<&'a Arena<K, C>> {
+    let at = ready.iter().position(|&s| s == set);
+    at.and_then(|p| stored.iter().chain(derived).nth(p))
+        .ok_or_else(|| corrupt("set"))
 }
 
 /// The base rows behind a cell: its support lane's count.
@@ -459,7 +481,8 @@ impl<K: PackedKey, C: Stored> Store for Nodes<K, C> {
     fn read_sets(
         &self,
         aggs: &[BoundAgg],
-        picks: &[(usize, Option<GroupingSet>)],
+        lattice: &Lattice,
+        sets: &[GroupingSet],
         dims: &[usize],
         lanes: &[usize],
         schema: Schema,
@@ -473,18 +496,24 @@ impl<K: PackedKey, C: Stored> Store for Nodes<K, C> {
             lanes: &stored,
             ctx,
         };
-        let merge = |&(node, onto): &(usize, Option<GroupingSet>)| {
+        // The sets a later one may fold from: the materialized ones, then
+        // each derived one, their cells `self.arenas` and then `derived`.
+        let mut ready: Vec<GroupingSet> = lattice.sets().to_vec();
+        let mut derived: Vec<Arena<K, C>> = Vec::new();
+        let cardinalities = self.encoder.cardinalities();
+        for &set in sets {
+            if ready.contains(&set) {
+                continue;
+            }
             ctx.checkpoint()?;
-            let onto = onto.map(|set| self.encoder.set_mask(set));
-            let parent = &self.arenas[node];
-            onto.map(|mask| pipeline.merged_child(parent, mask))
-                .transpose()
-        };
-        let merged = picks.iter().map(merge).collect::<CubeResult<Vec<_>>>()?;
-        let read = picks.iter().zip(&merged);
-        let arenas: Vec<&Arena<K, C>> = read
-            .map(|(&(node, _), child)| child.as_ref().unwrap_or(&self.arenas[node]))
-            .collect();
+            let parent = lattice.choose_parent(set, &cardinalities, &ready);
+            let parent = cells_of(parent, &ready, &self.arenas, &derived)?;
+            stats.merge_calls += (parent.n_cells() * stored.width()) as u64;
+            derived.push(pipeline.merged_child(parent, self.encoder.set_mask(set))?);
+            ready.push(set);
+        }
+        let arena = |&set: &GroupingSet| cells_of(set, &ready, &self.arenas, &derived);
+        let arenas = sets.iter().map(arena).collect::<CubeResult<Vec<_>>>()?;
         pipeline.materialize(&arenas, dims, lanes, schema, stats)
     }
 
@@ -528,7 +557,7 @@ struct State {
 }
 
 /// Grouping-set cells kept current under INSERT / DELETE / UPDATE and
-/// answering grouping-set families from their smallest usable node.
+/// answering grouping-set families by the cascade's parent rule.
 pub struct MaterializedCube {
     base_schema: Schema,
     dims: Vec<BoundDimension>,
@@ -706,13 +735,19 @@ impl MaterializedCube {
         agg_map.iter().all(|&a| rewritable(&self.aggs[a].func))
     }
 
-    /// Answer a grouping-set family by Iter_super (Figure 8): each
-    /// requested set is read from the minimum-cell materialized node that
-    /// is `usable` for it — directly when that node is the set itself,
-    /// otherwise by projecting the node's cells onto the set and merging
-    /// scratchpads per projected key — and finalized. A set no node is
-    /// usable for is [`CubeError::Unsupported`]; a set naming a dimension
-    /// the request does not map is [`CubeError::BadSpec`].
+    /// Answer a grouping-set family by Iter_super (Figure 8), the way the
+    /// cascade computes a cube: a materialized set is read as it is, and
+    /// every other one, arity descending, is derived by projecting its
+    /// parent's cells onto it and merging scratchpads per projected key.
+    /// The parent is the one [`Lattice::choose_parent`] names among the
+    /// materialized sets and the sets this answer has already derived —
+    /// the cold cascade's own rule — so a view over the query's own
+    /// dimensions folds every set from the same parent as a cold
+    /// `FromCore` cube, and a float SUM gets the same bits warm and cold.
+    /// Derived cells live for this call only, and the derivation is
+    /// serial. A set no node is `usable` for is
+    /// [`CubeError::Unsupported`]; a set naming a dimension the request
+    /// does not map is [`CubeError::BadSpec`].
     ///
     /// Output is bit-identical to the operator's: sets ordered from the
     /// core down (length descending, then bitmask ascending, deduplicated)
@@ -720,6 +755,16 @@ impl MaterializedCube {
     /// the *query's* context, so a governed session cannot exceed its
     /// grant just because the answer came from the store.
     pub fn answer(&self, req: &AncestorRequest<'_>, ctx: &ExecContext) -> CubeResult<Table> {
+        self.answer_counted(req, ctx, &mut ExecStats::default())
+    }
+
+    /// [`MaterializedCube::answer`], adding its work to `stats`.
+    fn answer_counted(
+        &self,
+        req: &AncestorRequest<'_>,
+        ctx: &ExecContext,
+        stats: &mut ExecStats,
+    ) -> CubeResult<Table> {
         exec::failpoint(Site::CacheRewrite)?;
         let paired =
             req.dim_names.len() == req.dim_map.len() && req.agg_names.len() == req.agg_map.len();
@@ -748,34 +793,33 @@ impl MaterializedCube {
 
         let state = self.store.read();
         let (sizes, nodes) = (state.cells.sizes(), self.lattice.sets());
+        // A requested set over the store's dimensions, once some node is
+        // `usable` for it.
         let pick = |set: &GroupingSet| {
             let members = (0..req.dim_map.len()).filter(|&q| set.contains(q));
             let query =
                 GroupingSet::from_dims(&members.map(|q| req.dim_map[q]).collect::<Vec<_>>())?;
-            let node = (0..nodes.len())
-                .filter(|&si| usable(query, nodes[si], mergeable))
-                .min_by_key(|&si| (sizes[si], nodes[si] != query))
-                .ok_or_else(|| {
-                    CubeError::Unsupported(format!(
+            match nodes.iter().position(|&node| node == query) {
+                // The node's own cells are read as they are, and charged here.
+                Some(node) => ctx.charge_cells(sizes[node])?,
+                None if nodes.iter().any(|&node| usable(query, node, mergeable)) => {}
+                None => {
+                    return Err(CubeError::Unsupported(format!(
                         "no materialized grouping set can answer {query}: it is not \
                          materialized itself, and a coarser answer needs a materialized \
                          superset and distributive or algebraic, mergeable aggregates"
-                    ))
-                })?;
-            // The node's own cells are read as they are, and charged here.
-            if nodes[node] == query {
-                ctx.charge_cells(sizes[node])?;
+                    )))
+                }
             }
-            Ok((node, (nodes[node] != query).then_some(query)))
+            Ok(query)
         };
-        let picks = sets.iter().map(pick).collect::<CubeResult<Vec<_>>>()?;
+        let sets = sets.iter().map(pick).collect::<CubeResult<Vec<_>>>()?;
         let (cells, aggs, dims, lanes) = (&state.cells, &self.aggs, req.dim_map, req.agg_map);
-        let mut stats = ExecStats::default();
         // UDA callbacks run under the store's read lock by design:
         // Iter_super and Final() must read the cells while the snapshot
         // pins them. Every callback is individually catch_unwind-guarded,
         // and a read guard cannot be poisoned.
-        cells.read_sets(aggs, &picks, dims, lanes, schema, &mut stats, ctx)
+        cells.read_sets(aggs, &self.lattice, &sets, dims, lanes, schema, stats, ctx)
     }
 
     /// Snapshot the store as a relation (same canonical order as
@@ -1046,7 +1090,7 @@ impl MaterializedCube {
     }
 
     /// Cells per materialized grouping set, in cascade order (core first)
-    /// — the measured node sizes HRU selection and node choice rank by.
+    /// — the measured node sizes HRU selection ranks by.
     pub fn node_sizes(&self) -> Vec<(GroupingSet, u64)> {
         let sizes = self.store.read().cells.sizes();
         self.lattice.sets().iter().copied().zip(sizes).collect()
@@ -2037,6 +2081,60 @@ mod view_tests {
         assert!(matches!(err, CubeError::BadSpec(_)), "got {err}");
         assert_eq!(view.to_table().unwrap(), before);
         assert_eq!((view.version(), view.base_row_count()), (0, 5));
+    }
+
+    /// `CUBE d0, d1` from a core-only view over four dimensions derives
+    /// the way the cascade does: (d0, d1) from the core, (d0) and (d1)
+    /// from (d0, d1), and the grand total from (d1), the parent that drops
+    /// the smaller dimension. Folding each set from the core instead costs
+    /// four passes over it.
+    #[test]
+    fn an_answer_folds_each_set_from_its_smallest_ready_parent() {
+        let schema = Schema::from_pairs(&[
+            ("d0", DataType::Int),
+            ("d1", DataType::Int),
+            ("d2", DataType::Int),
+            ("d3", DataType::Int),
+            ("x", DataType::Int),
+        ]);
+        let rows = (0..200i64)
+            .map(|i| row![i % 6, (i / 7) % 3, (i / 3) % 4, (i * 7) % 5, i])
+            .collect();
+        let t = Table::new(schema, rows).unwrap();
+        let sum = AggSpec::new(builtin("SUM").unwrap(), "x").with_name("s");
+        let d = dims(&["d0", "d1", "d2", "d3"]);
+        let view = CachedView::build(&t, &d, std::slice::from_ref(&sum)).unwrap();
+        let sets = crate::lattice::cube_sets(2).unwrap();
+        let req = AncestorRequest {
+            dim_map: &[0, 1],
+            dim_names: &["d0", "d1"],
+            agg_map: &[0],
+            agg_names: &["s"],
+            sets: &sets,
+        };
+        let mut stats = ExecStats::default();
+        let got = view.answer_counted(&req, &ExecContext::unlimited(), &mut stats);
+        let want = CubeQuery::new()
+            .dimensions(dims(&["d0", "d1"]))
+            .aggregate(sum)
+            .cube(&t)
+            .unwrap();
+        assert_eq!(got.unwrap().rows(), want.rows());
+
+        let distinct = |cols: &[usize]| {
+            let keys = t
+                .rows()
+                .iter()
+                .map(|r| cols.iter().map(|&c| r[c].clone()).collect());
+            keys.collect::<std::collections::HashSet<Vec<Value>>>()
+                .len() as u64
+        };
+        let (core, d0d1, d1) = (distinct(&[0, 1, 2, 3]), distinct(&[0, 1]), distinct(&[1]));
+        assert_eq!(view.cell_count(), core);
+        // SUM and the support lane.
+        let width = 2;
+        assert_eq!(stats.merge_calls, (core + 2 * d0d1 + d1) * width);
+        assert!(stats.merge_calls < 4 * core * width);
     }
 
     #[test]

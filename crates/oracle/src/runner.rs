@@ -63,27 +63,33 @@ pub fn run_engine(case: &Case, combo: Combo) -> CubeResult<Table> {
     for (i, desc) in case.aggs.iter().enumerate() {
         q = q.aggregate(desc.spec(i));
     }
-    let dims = case_dims(case);
     let q = match combo {
         Combo::Engine(algorithm) => q.algorithm(algorithm),
         Combo::Repro(which) => {
+            let dims = case_dims(case);
             let sets = family(case, &dims)?;
             let lattice = Lattice::new(case.n_dims, sets.clone())?;
             let q = q.dimensions(dims);
             return Ok(repro::run(which, &q, &case.table, &lattice, Some(&sets))?.0);
         }
     };
+    run_query(case, q, &case.table)
+}
+
+/// The case's query under `q`'s aggregates and options, over `table`.
+fn run_query(case: &Case, q: CubeQuery, table: &Table) -> CubeResult<Table> {
+    let dims = case_dims(case);
     match &case.query {
-        QueryKind::GroupBy => q.dimensions(dims).group_by(&case.table),
-        QueryKind::Rollup => q.dimensions(dims).rollup(&case.table),
-        QueryKind::Cube => q.dimensions(dims).cube(&case.table),
-        QueryKind::GroupingSets(sets) => q.dimensions(dims).grouping_sets(&case.table, sets),
+        QueryKind::GroupBy => q.dimensions(dims).group_by(table),
+        QueryKind::Rollup => q.dimensions(dims).rollup(table),
+        QueryKind::Cube => q.dimensions(dims).cube(table),
+        QueryKind::GroupingSets(sets) => q.dimensions(dims).grouping_sets(table, sets),
         QueryKind::Compound { g, r } => {
             let spec = CompoundSpec::new()
                 .group_by(dims[..*g].to_vec())
                 .rollup(dims[*g..g + r].to_vec())
                 .cube(dims[g + r..].to_vec());
-            q.compound(&case.table, &spec)
+            q.compound(table, &spec)
         }
     }
 }
@@ -249,9 +255,13 @@ fn check_cache_path(case: &Case, names: &[String], expected: &[Row]) -> Result<(
 /// stable sort keeps each cell's rows in their order, so the two replies
 /// must be equal with floats compared bit for bit: through `FromCore`,
 /// `TwoToTheN`, `Parallel { threads: 1 }` and, when every aggregate is
-/// rewritable, a `CachedView` build and answer. Ungoverned whatever the
-/// case's governance. `Ok(false)` when the case has no `Float` measure to
-/// replace.
+/// rewritable, a `CachedView` build and answer. A view over the case's
+/// dimensions derives each set of the case's family from the parent the
+/// `FromCore` cascade derives it from, so for a rewritable case the
+/// view's answer of the whole family must also equal the family through
+/// `FromCore`, bit for bit, over the generated rows. Ungoverned whatever
+/// the case's governance. `Ok(false)` when the case has no `Float`
+/// measure to replace.
 fn check_layout(case: &Case) -> Result<bool, String> {
     let schema = case.table.schema();
     let mut measures: Vec<usize> = (case.aggs.iter().filter_map(AggDesc::input))
@@ -308,16 +318,30 @@ fn check_layout(case: &Case) -> Result<bool, String> {
         )?;
     }
     if specs.iter().all(|s| rewritable(&s.func)) {
-        let (whole, core) = (
-            Whole::new(case.n_dims, &specs),
-            [GroupingSet::full(case.n_dims)],
-        );
-        let request = whole.request(&core);
-        let answer = |t: &Table| {
+        let whole = Whole::new(case.n_dims, &specs);
+        let answer = |t: &Table, sets: &[GroupingSet]| {
             let view = CachedView::build(t, &dims, &specs)?;
-            view.answer(&request, &ExecContext::unlimited())
+            view.answer(&whole.request(sets), &ExecContext::unlimited())
         };
-        same("CachedView".into(), answer(&generated), answer(&sorted))?;
+        let core = [GroupingSet::full(case.n_dims)];
+        same(
+            "CachedView".into(),
+            answer(&generated, &core),
+            answer(&sorted, &core),
+        )?;
+        let sets = family(case, &dims).map_err(|e| format!("layout axis: family: {e}"))?;
+        let cold = run_query(case, query.algorithm(Algorithm::FromCore), &generated)
+            .map_err(|e| format!("layout axis: FromCore: {e}"))?;
+        let warm = answer(&generated, &sets)
+            .map_err(|e| format!("layout axis: CachedView family: {e}"))?;
+        if !same_bits(&cold, &warm) {
+            return Err(format!(
+                "layout axis: the view's answer of the family differs from FromCore's\n\
+                 FromCore: {:?}\nCachedView: {:?}",
+                cold.rows(),
+                warm.rows()
+            ));
+        }
     }
     Ok(true)
 }

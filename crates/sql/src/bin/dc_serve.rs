@@ -160,16 +160,23 @@ fn ask(conn: &mut TcpStream, sql: &str) -> Result<Response, String> {
 }
 
 /// A cacheable CUBE over the wire: its miss and its hit must match row
-/// for row; after a DELETE of one model, the next read must be a hit (the
-/// view retracts the deleted rows) and match a `SET CUBE_CACHE OFF`
-/// connection's reply row for row. A MAX CUBE's view then loses its
-/// champion (115) to a DELETE: the next MAX read must be a hit as well
-/// (the view recomputes that cell from the published table) and match
-/// the cache-off reply. Served unbudgeted, because the main smoke's budget
-/// sheds every CUBE.
+/// for row. A ROLLUP of two dimensions, after a CUBE of three with its
+/// aggregates, must be a hit on that wider view — each of its sets
+/// derived from the one before, the first from the view's core — and
+/// match a `SET CUBE_CACHE OFF` connection's reply row for row. After a
+/// DELETE of one model, the next CUBE read must be a hit (the view
+/// retracts the deleted rows) and match the cache-off reply. A MAX CUBE's
+/// view then loses its champion (115) to a DELETE: the next MAX read must
+/// be a hit as well (the view recomputes that cell from the published
+/// table) and match the cache-off reply. Served unbudgeted, because the
+/// main smoke's budget sheds every CUBE.
 fn cache_smoke() -> Result<(), String> {
     const CUBE: &str =
         "SELECT model, year, SUM(units) AS total FROM Sales GROUP BY CUBE model, year";
+    const WIDE: &str = "SELECT model, year, color, SUM(units) AS total, MIN(units) AS low \
+                        FROM Sales GROUP BY CUBE model, year, color";
+    const ROLLUP: &str = "SELECT model, year, SUM(units) AS total, MIN(units) AS low \
+                          FROM Sales GROUP BY ROLLUP model, year";
     const MAX: &str = "SELECT model, year, MAX(units) AS top FROM Sales GROUP BY CUBE model, year";
     let engine = demo_engine(ServiceConfig::default())?;
     let handle =
@@ -179,6 +186,9 @@ fn cache_smoke() -> Result<(), String> {
     expect_table(&ask(&mut off, "SET CUBE_CACHE OFF")?, "set cube_cache off")?;
     let miss = ask(&mut conn, CUBE)?;
     let hit = ask(&mut conn, CUBE)?;
+    expect_table(&ask(&mut conn, WIDE)?, "wide cube miss")?;
+    let derived = ask(&mut conn, ROLLUP)?;
+    let derived_off = ask(&mut off, ROLLUP)?;
     expect_table(
         &ask(&mut conn, "DELETE FROM Sales WHERE model = 'Ford'")?,
         "delete one model",
@@ -195,14 +205,16 @@ fn cache_smoke() -> Result<(), String> {
     drop((conn, off));
     handle.shutdown();
     let c = engine.cube_cache().counters();
-    if (c.misses, c.hits) != (2, 3) {
+    if (c.misses, c.hits) != (3, 4) {
         return Err(format!(
-            "cube cache: expected a SUM and a MAX miss, then three hits (SUM, SUM after \
-             the DELETE, MAX after its champion's DELETE), got {c:?}"
+            "cube cache: expected a SUM, a wide and a MAX miss, then four hits (SUM, the \
+             ROLLUP from the wide view, SUM after the DELETE, MAX after its champion's \
+             DELETE), got {c:?}"
         ));
     }
     for (got, want, n, what) in [
         (&hit, &miss, 9, "cube hit, against the miss"),
+        (&derived, &derived_off, 7, "rollup hit on the wider view"),
         (&retracted, &retracted_off, 6, "cube hit after the delete"),
         (&recomputed, &recomputed_off, 6, "max hit after the delete"),
     ] {
@@ -321,7 +333,8 @@ fn smoke() -> Result<(), String> {
 
     // 5. A cacheable CUBE answers alike from its miss and its hit, and
     //    after a DELETE alike from its retracted view and with the cache
-    //    off; so does a MAX CUBE whose view recomputes a deleted champion.
+    //    off; so do a ROLLUP answered from a wider view and a MAX CUBE
+    //    whose view recomputes a deleted champion.
     cache_smoke()?;
     //    A multi-column UPDATE moves the total by its row count, alike
     //    with the cache on and off, and its inverse restores it.

@@ -142,6 +142,10 @@ fn escape_cell_into(out: &mut Vec<u8>, s: &str) {
 }
 
 fn unescape_cell(s: &str) -> String {
+    // Most cells hold no escape: one copy, not a push per char.
+    if !s.contains('\\') {
+        return s.to_owned();
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {

@@ -386,6 +386,73 @@ fn a_float_delete_recomputes_instead_of_subtracting() {
     }
 }
 
+/// 20 000 rows of `k` < 50, `j` < 70 and a non-dyadic float `x`
+/// (`n / 7 · 10^e`, `e` in −4..=2), from a fixed-seed xorshift: a sum of
+/// them depends on the order its terms are added in.
+fn non_dyadic_floats() -> Table {
+    let schema = Schema::from_pairs(&[
+        ("k", DataType::Int),
+        ("j", DataType::Int),
+        ("x", DataType::Float),
+    ]);
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move |below: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % below) as i64
+    };
+    let rows = (0..20_000)
+        .map(|_| {
+            let (k, j, n, e) = (next(50), next(70), next(1000) + 1, next(7) - 4);
+            row![k, j, n as f64 / 7.0 * 10f64.powi(e as i32)]
+        })
+        .collect();
+    Table::new(schema, rows).unwrap()
+}
+
+/// Rows equal with every float compared by its bits.
+fn assert_same_bits(got: &Table, want: &Table, what: &str) {
+    let bits = |t: &Table| -> Vec<Vec<Result<u64, Value>>> {
+        let value = |v: &Value| match v {
+            Value::Float(f) => Ok(f.to_bits()),
+            other => Err(other.clone()),
+        };
+        t.rows()
+            .iter()
+            .map(|r| r.iter().map(value).collect())
+            .collect()
+    };
+    let (got, want) = (bits(got), bits(want));
+    assert_eq!(got.len(), want.len(), "{what}: row counts");
+    let differ = got.iter().zip(&want).filter(|(g, w)| g != w).count();
+    assert_eq!(differ, 0, "{what}: {differ} of {} rows differ", want.len());
+}
+
+/// A warm answer from a view over the query's own dimensions derives
+/// every set from the parent a cold `FromCore` cube derives it from — the
+/// cascade's smallest-cardinality rule — so even a float SUM, whose bits
+/// follow the order of its additions, answers with the same bits warm and
+/// cold, the ALL rows included.
+#[test]
+fn a_warm_float_cube_has_the_cold_cubes_bits() {
+    let mut engine = Engine::with_service(ServiceConfig::default());
+    engine.register_table("t", non_dyadic_floats()).unwrap();
+    let (warm, cold) = (engine.session(), engine.session());
+    cold.execute("SET CUBE_CACHE OFF").unwrap();
+    for family in ["CUBE", "ROLLUP"] {
+        let sql = format!("SELECT k, j, SUM(x) AS s, AVG(x) AS a FROM t GROUP BY {family} k, j");
+        let want = cold.execute(&sql).unwrap();
+        for _ in 0..2 {
+            let got = warm.execute(&sql).unwrap();
+            assert_same_bits(&got, &want, &sql);
+        }
+        assert!(warm.last_statement().cache_ancestor.is_some(), "{sql}");
+    }
+    let counters = engine.cube_cache().counters();
+    assert_eq!((counters.misses, counters.hits), (1, 3), "{counters:?}");
+}
+
 /// A cacheable miss builds its view and answers from it, each under its
 /// own cell count, so it fits exactly the `MAX_CELLS` the direct cube
 /// fits: the cube's cell count admits both, one cell less refuses both.
