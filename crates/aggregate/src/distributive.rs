@@ -132,12 +132,15 @@ impl AggregateFunction for CountStar {
 // ------------------------------------------------------------------ SUM --
 
 /// `SUM(column)`: exact over integers, IEEE over floats; an all-integer
-/// column sums to an `Int`, anything else to a `Float`.
+/// column sums to an `Int`, anything else to a `Float`. The integer sum is
+/// an `i128`, so it cannot wrap and a retraction is its exact inverse; an
+/// all-integer total outside `i64` is NULL, the evaluator's rule for
+/// arithmetic without an answer.
 pub struct Sum;
 
 #[derive(Default)]
 pub struct SumAcc {
-    int_sum: i64,
+    int_sum: i128,
     float_sum: f64,
     saw_float: bool,
     n: i64,
@@ -146,7 +149,7 @@ pub struct SumAcc {
 impl SumAcc {
     fn add(&mut self, v: &Value, sign: i64) {
         match v {
-            Value::Int(i) => self.int_sum += sign * i,
+            Value::Int(i) => self.int_sum += sign as i128 * *i as i128,
             Value::Float(f) => {
                 self.saw_float = true;
                 self.float_sum += (sign as f64) * f;
@@ -166,9 +169,11 @@ impl Accumulator for SumAcc {
         }
     }
 
+    /// The integer sum travels as its high and low 64-bit halves.
     fn state(&self) -> Vec<Value> {
         vec![
-            Value::Int(self.int_sum),
+            Value::Int((self.int_sum >> 64) as i64),
+            Value::Int(self.int_sum as i64),
             Value::Float(self.float_sum),
             Value::Bool(self.saw_float),
             Value::Int(self.n),
@@ -176,10 +181,11 @@ impl Accumulator for SumAcc {
     }
 
     fn merge(&mut self, state: &[Value]) {
-        self.int_sum += state[0].as_i64().unwrap_or(0);
-        self.float_sum += state[1].as_f64().unwrap_or(0.0);
-        self.saw_float |= state[2].as_bool().unwrap_or(false);
-        self.n += state[3].as_i64().unwrap_or(0);
+        let half = |i: usize| state[i].as_i64().unwrap_or(0);
+        self.int_sum += ((half(0) as i128) << 64) | (half(1) as u64 as i128);
+        self.float_sum += state[2].as_f64().unwrap_or(0.0);
+        self.saw_float |= state[3].as_bool().unwrap_or(false);
+        self.n += state[4].as_i64().unwrap_or(0);
     }
 
     fn final_value(&self) -> Value {
@@ -188,7 +194,7 @@ impl Accumulator for SumAcc {
         } else if self.saw_float {
             Value::Float(self.int_sum as f64 + self.float_sum)
         } else {
-            Value::Int(self.int_sum)
+            i64::try_from(self.int_sum).map_or(Value::Null, Value::Int)
         }
     }
 
@@ -550,6 +556,39 @@ mod tests {
         );
         assert_eq!(run(&Sum, &[Value::Null]), Value::Null);
         assert_eq!(run(&Sum, &[]), Value::Null);
+    }
+
+    /// Past `i64` an integer SUM is NULL, never a wrapped value, and back
+    /// inside it is exact in any order, merged or retracted.
+    #[test]
+    fn an_integer_sum_never_wraps() {
+        let (max, one, minus) = (Value::Int(i64::MAX), Value::Int(1), Value::Int(-1));
+        assert_eq!(run(&Sum, &[max.clone(), one.clone()]), Value::Null);
+        assert_eq!(
+            run(&Sum, &[Value::Int(i64::MIN), minus.clone()]),
+            Value::Null
+        );
+        for order in [
+            [max.clone(), one.clone(), minus.clone()],
+            [one.clone(), max.clone(), minus.clone()],
+            [minus.clone(), one.clone(), max.clone()],
+        ] {
+            assert_eq!(run(&Sum, &order), max, "{order:?}");
+        }
+        let (mut a, mut b) = (Sum.init(), Sum.init());
+        for v in [&max, &max] {
+            a.iter(v);
+        }
+        for v in [&minus, &max, &Value::Int(i64::MIN)] {
+            b.iter(v);
+        }
+        a.merge(&b.state());
+        assert_eq!(a.final_value(), Value::Null);
+        assert_eq!(a.retract(&max), Retract::Applied);
+        assert_eq!(a.retract(&max), Retract::Applied);
+        assert_eq!(a.final_value(), Value::Int(-2));
+        assert_eq!(a.retract(&Value::Int(i64::MIN)), Retract::Applied);
+        assert_eq!(a.final_value(), Value::Int(i64::MAX - 1));
     }
 
     #[test]

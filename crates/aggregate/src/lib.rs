@@ -52,7 +52,7 @@ pub use accumulator::{Accumulator, AggKind, AggregateFunction, Retract};
 pub use error::{AggError, AggResult};
 pub use registry::{builtin, builtins, Registry};
 pub use udf::UdaBuilder;
-pub use vectorized::{update_i64_fused, FusedOp, Kernel, KernelCell, Validity};
+pub use vectorized::{Kernel, KernelCell, Parts, Validity};
 
 use std::sync::Arc;
 

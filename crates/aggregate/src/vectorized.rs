@@ -6,17 +6,25 @@
 //! real cube workloads — COUNT, SUM, MIN, MAX, AVG — are all distributive
 //! or algebraic with tiny POD state, so they can instead run as
 //! *monomorphized kernels* over primitive column slices — a table's
-//! [`dc_relation::TypedColumn`]s: one tight loop per (kernel, column-type)
-//! pair, null-aware via the validity [`dc_relation::Bitmap`].
+//! [`dc_relation::TypedColumn`]s: one tight loop per (measure column,
+//! column type), null-aware via the validity [`dc_relation::Bitmap`].
 //!
-//! A kernel's accumulator is a fixed 24-byte [`KernelCell`]; the engine
-//! stores one flat `Vec<KernelCell>` per grouping set (stride = number of
-//! kernel lanes). A cell finalizes directly ([`Kernel::final_value`]) to
-//! byte-for-byte what the aggregate's ordinary accumulator would return,
-//! and retracts a deleted input the way that accumulator would
-//! ([`Kernel::retract_i64`]) — the kernels are an execution detail, not a
-//! semantic fork. Cells never turn into accumulators: a materialized store
-//! whose batch does not compile to its kernels re-groups its table.
+//! §2 calls AVG algebraic because its scratchpad is the (sum, count) pair
+//! that SUM and COUNT already are, and MIN and MAX add one field each. So
+//! the scratchpad is per *measure column*, not per aggregate: one 48-byte
+//! [`KernelCell`] holds a counter, an exact `i128` integer sum, an `f64`
+//! sum and both extrema, and the column's aggregates all read it. A
+//! select list's [`Parts`] say which fields a column's fold keeps, and a
+//! row updates all of them in one visit. The engine stores one flat
+//! `Vec<KernelCell>` per grouping set, one cell per measure column per
+//! group (plus one counting rows when no column counts every row).
+//!
+//! A cell finalizes directly ([`Kernel::final_value`]) to byte-for-byte
+//! what the aggregate's ordinary accumulator would return, and retracts a
+//! deleted input the way those accumulators would
+//! ([`KernelCell::retract_int`]) — the kernels are an execution detail,
+//! not a semantic fork. Cells never turn into accumulators: a materialized
+//! store whose batch does not compile to its cells re-groups its table.
 //!
 //! An aggregate opts in by returning `Some(Kernel)` from
 //! [`AggregateFunction::kernel`](crate::AggregateFunction::kernel); holistic
@@ -68,8 +76,8 @@ fn for_each_valid(words: &[u64], n: usize, mut f: impl FnMut(usize)) {
 }
 
 /// The vectorized kernels. Each corresponds to one built-in aggregate, and
-/// a cell's [`final_value`](Kernel::final_value) is what that aggregate's
-/// row-path accumulator returns after the same inputs.
+/// its [`final_value`](Kernel::final_value) over a cell is what that
+/// aggregate's row-path accumulator returns after the same inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// COUNT(x): rows with a present value.
@@ -86,366 +94,261 @@ pub enum Kernel {
     Avg,
 }
 
-/// POD accumulator cell shared by all kernels: an integer lane, a float
-/// lane, and a count. Which lanes are meaningful depends on the kernel and
-/// the input column type.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct KernelCell {
-    /// Integer accumulator (SUM/MIN/MAX over `i64`).
-    pub acc_i: i64,
-    /// Float accumulator (SUM/MIN/MAX over `f64`, AVG always).
-    pub acc_f: f64,
-    /// Rows folded in (COUNT result; presence marker for MIN/MAX).
-    pub n: i64,
+/// Which fields of a column's [`KernelCell`] its fold keeps: the union of
+/// what the select list's aggregates over that column read. The counter
+/// is always kept.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Parts {
+    /// The exact integer sum: SUM over `i64`.
+    pub int_sum: bool,
+    /// The `f64` sum in fold order: SUM over `f64`, AVG over either.
+    pub float_sum: bool,
+    pub min: bool,
+    pub max: bool,
 }
 
-/// One lane's operation in the fused row-major morsel update
-/// ([`update_i64_fused`]). Fusion applies
-/// when every lane of a plan reads the same fully-valid `i64` column (the
-/// counting lanes read nothing): one pass over the morsel updates all of a
-/// row's adjacent lane cells while their cache lines are hot, instead of
-/// re-touching them once per lane-major kernel pass. `COUNT(x)` over an
-/// all-valid column degenerates to [`FusedOp::Star`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FusedOp {
-    /// `n += 1` — COUNT(*) and all-valid COUNT(x).
-    Star,
-    /// SUM over `i64`: `acc_i += v`.
-    Sum,
-    /// MIN over `i64`, strict, first-seen wins ties.
-    Min,
-    /// MAX over `i64`, strict, first-seen wins ties.
-    Max,
-    /// AVG over `i64`: `acc_f += v as f64`.
-    Avg,
-}
+impl Parts {
+    /// What `kernel` reads of a cell over an `f64` (`float`) or `i64`
+    /// column.
+    pub fn of(kernel: Kernel, float: bool) -> Parts {
+        let none = Parts::default();
+        match kernel {
+            Kernel::Count | Kernel::CountStar => none,
+            Kernel::Sum => Parts {
+                int_sum: !float,
+                float_sum: float,
+                ..none
+            },
+            Kernel::Avg => Parts {
+                float_sum: true,
+                ..none
+            },
+            Kernel::Min => Parts { min: true, ..none },
+            Kernel::Max => Parts { max: true, ..none },
+        }
+    }
 
-#[inline(always)]
-fn apply_fused(c: &mut KernelCell, op: FusedOp, v: i64) {
-    match op {
-        FusedOp::Star => c.n += 1,
-        FusedOp::Sum => {
-            c.acc_i += v;
-            c.n += 1;
-        }
-        FusedOp::Min => {
-            if c.n == 0 || v < c.acc_i {
-                c.acc_i = v;
-            }
-            c.n += 1;
-        }
-        FusedOp::Max => {
-            if c.n == 0 || v > c.acc_i {
-                c.acc_i = v;
-            }
-            c.n += 1;
-        }
-        FusedOp::Avg => {
-            c.acc_f += v as f64;
-            c.n += 1;
+    /// The fields either reads.
+    pub fn with(self, other: Parts) -> Parts {
+        Parts {
+            int_sum: self.int_sum || other.int_sum,
+            float_sum: self.float_sum || other.float_sum,
+            min: self.min || other.min,
+            max: self.max || other.max,
         }
     }
 }
 
-/// Row-major fused update of one morsel: row `j` folds `vals[j]` into all
-/// `ops.len()` lanes of cell `slots[j]` before moving on. Per (row, lane)
-/// the arithmetic and ordering are identical to the lane-major all-valid
-/// [`Kernel::update_i64`] arms, so results — floats included — are
-/// bit-identical.
-pub fn update_i64_fused(cells: &mut [KernelCell], ops: &[FusedOp], slots: &[u32], vals: &[i64]) {
-    let stride = ops.len();
-    for (&s, &v) in slots.iter().zip(vals) {
-        let base = s as usize * stride;
-        for (c, op) in cells[base..base + stride].iter_mut().zip(ops) {
-            apply_fused(c, *op, v);
+/// `f64`'s total order (`f64::total_cmp`, which is `Value`'s) as an `i64`
+/// order: the transform `total_cmp` applies to both operands. It is its
+/// own inverse.
+#[inline(always)]
+fn total_key(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// One group's scratchpad for one measure column: every SUM, COUNT, AVG,
+/// MIN and MAX of that column reads its fields, so a row folds into one
+/// cell however many of them the select list names. Extrema over an `f64`
+/// column are held as their total-order key, so one `i64` comparison
+/// serves both column types.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct KernelCell {
+    /// Values folded in: the column's present values, or every row for a
+    /// cell that counts rows (a column without NULLs counts both).
+    pub n: i64,
+    /// Exact sum of an `i64` column: it cannot wrap, and a retraction is
+    /// its exact inverse.
+    pub sum: i128,
+    /// Sum in fold order of an `f64` column, or of an `i64` column's values
+    /// as `f64` for AVG.
+    pub fsum: f64,
+    /// Smallest value so far; meaningful while `n > 0`.
+    pub min: i64,
+    /// Largest value so far; meaningful while `n > 0`.
+    pub max: i64,
+}
+
+// A group keeps one cell per measure column, and every SUM, COUNT, AVG,
+// MIN and MAX of the column reads it: its size is the scratchpad's.
+const _: () = assert!(std::mem::size_of::<KernelCell>() <= 48);
+
+impl KernelCell {
+    /// Fold one value into the extrema `parts` keeps: strict comparison,
+    /// first-seen wins ties.
+    #[inline(always)]
+    fn fold_key(&mut self, key: i64, parts: Parts) {
+        if parts.min && (self.n == 0 || key < self.min) {
+            self.min = key;
         }
+        if parts.max && (self.n == 0 || key > self.max) {
+            self.max = key;
+        }
+    }
+
+    #[inline(always)]
+    fn fold_int(&mut self, v: i64, parts: Parts) {
+        if parts.int_sum {
+            self.sum += v as i128;
+        }
+        if parts.float_sum {
+            self.fsum += v as f64;
+        }
+        self.fold_key(v, parts);
+        self.n += 1;
+    }
+
+    #[inline(always)]
+    fn fold_float(&mut self, v: f64, parts: Parts) {
+        if parts.float_sum {
+            self.fsum += v;
+        }
+        self.fold_key(total_key(v.to_bits() as i64), parts);
+        self.n += 1;
+    }
+
+    /// Count one morsel's rows: no column, every row counts. `slots[j]` is
+    /// the group slot of morsel row `j`; a group's cells live at
+    /// `cells[slot * stride..]`, this one at offset `at`.
+    #[inline]
+    pub fn fold_rows(cells: &mut [KernelCell], stride: usize, at: usize, slots: &[u32]) {
+        for &s in slots {
+            cells[s as usize * stride + at].n += 1;
+        }
+    }
+
+    /// Fold one morsel of an `i64` column into the cell at offset `at` of
+    /// each row's group, keeping `parts`. `vals` is the morsel slab;
+    /// `validity` selects rows (see [`Validity`]). The all-valid arm is a
+    /// fixed-trip loop; the masked arm walks validity words and touches
+    /// only set bits. `parts` is the same for every row, so its branches
+    /// predict perfectly.
+    #[inline]
+    pub fn fold_ints(
+        cells: &mut [KernelCell],
+        stride: usize,
+        at: usize,
+        slots: &[u32],
+        vals: &[i64],
+        validity: Validity<'_>,
+        parts: Parts,
+    ) {
+        match validity {
+            Validity::All => {
+                for (&s, &v) in slots.iter().zip(vals) {
+                    cells[s as usize * stride + at].fold_int(v, parts);
+                }
+            }
+            Validity::Words(words) => for_each_valid(words, slots.len(), |j| {
+                cells[slots[j] as usize * stride + at].fold_int(vals[j], parts);
+            }),
+        }
+    }
+
+    /// The `f64` twin of [`KernelCell::fold_ints`]; extrema follow
+    /// `total_cmp` to match the row path's `Value` ordering exactly.
+    #[inline]
+    pub fn fold_floats(
+        cells: &mut [KernelCell],
+        stride: usize,
+        at: usize,
+        slots: &[u32],
+        vals: &[f64],
+        validity: Validity<'_>,
+        parts: Parts,
+    ) {
+        match validity {
+            Validity::All => {
+                for (&s, &v) in slots.iter().zip(vals) {
+                    cells[s as usize * stride + at].fold_float(v, parts);
+                }
+            }
+            Validity::Words(words) => for_each_valid(words, slots.len(), |j| {
+                cells[slots[j] as usize * stride + at].fold_float(vals[j], parts);
+            }),
+        }
+    }
+
+    /// The paper's Iter_super: fold `src` into this cell. Sums add even
+    /// from an empty `src`, as the row path's accumulators' `merge` does;
+    /// an extremum moves only to a strictly better one.
+    #[inline]
+    pub fn merge(&mut self, src: &KernelCell) {
+        if src.n > 0 {
+            if self.n == 0 || src.min < self.min {
+                self.min = src.min;
+            }
+            if self.n == 0 || src.max > self.max {
+                self.max = src.max;
+            }
+        }
+        self.n += src.n;
+        self.sum += src.sum;
+        self.fsum += src.fsum;
+    }
+
+    /// Whether deleting a value of extremum key `key` leaves the extrema
+    /// `parts` keeps standing. A value at an extremum is its champion, or
+    /// ties with it: §6's "max is ... holistic for DELETE".
+    fn keeps_extrema(&self, key: i64, parts: Parts) -> bool {
+        let min = !parts.min || key > self.min;
+        let max = !parts.max || key < self.max;
+        self.n > 0 && min && max
+    }
+
+    /// §6 DELETE of one present `i64` value: the inverse of folding it in.
+    /// `false` when the cell cannot answer without its base rows — the
+    /// value is a kept extremum, or the cell is empty.
+    pub fn retract_int(&mut self, v: i64, parts: Parts) -> bool {
+        if (parts.min || parts.max) && !self.keeps_extrema(v, parts) {
+            return false;
+        }
+        if parts.int_sum {
+            self.sum -= v as i128;
+        }
+        if parts.float_sum {
+            self.fsum -= v as f64;
+        }
+        self.n -= 1;
+        true
+    }
+
+    /// The `f64` twin of [`KernelCell::retract_int`]. A float sum is
+    /// delete-holistic: floating-point subtraction is no inverse of
+    /// addition (`1e20 + 1.0 - 1e20` is `0.0`), so the cell is recomputed.
+    pub fn retract_float(&mut self, v: f64, parts: Parts) -> bool {
+        let key = total_key(v.to_bits() as i64);
+        if parts.float_sum || ((parts.min || parts.max) && !self.keeps_extrema(key, parts)) {
+            return false;
+        }
+        self.n -= 1;
+        true
     }
 }
 
 impl Kernel {
-    /// COUNT(*) update: no input column, every row counts. `slots[j]` is the
-    /// group slot of morsel row `j`; a cell's lanes live at
-    /// `cells[slot * stride + lane]`.
-    #[inline]
-    pub fn update_star(cells: &mut [KernelCell], stride: usize, lane: usize, slots: &[u32]) {
-        for &s in slots {
-            cells[s as usize * stride + lane].n += 1;
+    /// Final() straight from the column's cell — byte-for-byte what the
+    /// row-path accumulator's `final_value` would return after the same
+    /// inputs, so materialization never builds one. `float` is the
+    /// column's type. (SUM over a pure `Float` column matches `SumAcc`:
+    /// its integer sum stays 0, so the float total alone is the answer.)
+    /// An integer SUM outside `i64` is NULL, the evaluator's rule for
+    /// arithmetic without an answer.
+    pub fn final_value(self, cell: &KernelCell, float: bool) -> Value {
+        if cell.n == 0 && !matches!(self, Kernel::Count | Kernel::CountStar) {
+            return Value::Null; // SQL: the empty set folds to NULL
         }
-    }
-
-    /// Fold one morsel of an `i64` column. `vals` is the morsel slab;
-    /// `validity` selects rows (see [`Validity`]). The all-valid arms are
-    /// branch-free fixed-trip loops; the masked arms walk validity words
-    /// and touch only set bits.
-    #[inline]
-    pub fn update_i64(
-        self,
-        cells: &mut [KernelCell],
-        stride: usize,
-        lane: usize,
-        slots: &[u32],
-        vals: &[i64],
-        validity: Validity<'_>,
-    ) {
-        match self {
-            Kernel::Count => match validity {
-                Validity::All => {
-                    for &s in slots {
-                        cells[s as usize * stride + lane].n += 1;
-                    }
-                }
-                Validity::Words(words) => for_each_valid(words, slots.len(), |j| {
-                    cells[slots[j] as usize * stride + lane].n += 1;
-                }),
-            },
-            Kernel::CountStar => Kernel::update_star(cells, stride, lane, slots),
-            Kernel::Sum => match validity {
-                Validity::All => {
-                    for (&s, &v) in slots.iter().zip(vals) {
-                        let c = &mut cells[s as usize * stride + lane];
-                        c.acc_i += v;
-                        c.n += 1;
-                    }
-                }
-                Validity::Words(words) => for_each_valid(words, slots.len(), |j| {
-                    let c = &mut cells[slots[j] as usize * stride + lane];
-                    c.acc_i += vals[j];
-                    c.n += 1;
-                }),
-            },
-            Kernel::Min => match validity {
-                Validity::All => {
-                    for (&s, &v) in slots.iter().zip(vals) {
-                        let c = &mut cells[s as usize * stride + lane];
-                        if c.n == 0 || v < c.acc_i {
-                            c.acc_i = v;
-                        }
-                        c.n += 1;
-                    }
-                }
-                Validity::Words(words) => for_each_valid(words, slots.len(), |j| {
-                    let c = &mut cells[slots[j] as usize * stride + lane];
-                    if c.n == 0 || vals[j] < c.acc_i {
-                        c.acc_i = vals[j];
-                    }
-                    c.n += 1;
-                }),
-            },
-            Kernel::Max => match validity {
-                Validity::All => {
-                    for (&s, &v) in slots.iter().zip(vals) {
-                        let c = &mut cells[s as usize * stride + lane];
-                        if c.n == 0 || v > c.acc_i {
-                            c.acc_i = v;
-                        }
-                        c.n += 1;
-                    }
-                }
-                Validity::Words(words) => for_each_valid(words, slots.len(), |j| {
-                    let c = &mut cells[slots[j] as usize * stride + lane];
-                    if c.n == 0 || vals[j] > c.acc_i {
-                        c.acc_i = vals[j];
-                    }
-                    c.n += 1;
-                }),
-            },
-            Kernel::Avg => match validity {
-                Validity::All => {
-                    for (&s, &v) in slots.iter().zip(vals) {
-                        let c = &mut cells[s as usize * stride + lane];
-                        c.acc_f += v as f64;
-                        c.n += 1;
-                    }
-                }
-                Validity::Words(words) => for_each_valid(words, slots.len(), |j| {
-                    let c = &mut cells[slots[j] as usize * stride + lane];
-                    c.acc_f += vals[j] as f64;
-                    c.n += 1;
-                }),
-            },
-        }
-    }
-
-    /// Fold one morsel of an `f64` column; extrema use `total_cmp` to match
-    /// the row path's `Value` ordering exactly.
-    #[inline]
-    pub fn update_f64(
-        self,
-        cells: &mut [KernelCell],
-        stride: usize,
-        lane: usize,
-        slots: &[u32],
-        vals: &[f64],
-        validity: Validity<'_>,
-    ) {
-        use std::cmp::Ordering;
-        match self {
-            Kernel::Count => match validity {
-                Validity::All => {
-                    for &s in slots {
-                        cells[s as usize * stride + lane].n += 1;
-                    }
-                }
-                Validity::Words(words) => for_each_valid(words, slots.len(), |j| {
-                    cells[slots[j] as usize * stride + lane].n += 1;
-                }),
-            },
-            Kernel::CountStar => Kernel::update_star(cells, stride, lane, slots),
-            Kernel::Sum | Kernel::Avg => match validity {
-                Validity::All => {
-                    for (&s, &v) in slots.iter().zip(vals) {
-                        let c = &mut cells[s as usize * stride + lane];
-                        c.acc_f += v;
-                        c.n += 1;
-                    }
-                }
-                Validity::Words(words) => for_each_valid(words, slots.len(), |j| {
-                    let c = &mut cells[slots[j] as usize * stride + lane];
-                    c.acc_f += vals[j];
-                    c.n += 1;
-                }),
-            },
-            Kernel::Min => match validity {
-                Validity::All => {
-                    for (&s, &v) in slots.iter().zip(vals) {
-                        let c = &mut cells[s as usize * stride + lane];
-                        if c.n == 0 || v.total_cmp(&c.acc_f) == Ordering::Less {
-                            c.acc_f = v;
-                        }
-                        c.n += 1;
-                    }
-                }
-                Validity::Words(words) => for_each_valid(words, slots.len(), |j| {
-                    let c = &mut cells[slots[j] as usize * stride + lane];
-                    if c.n == 0 || vals[j].total_cmp(&c.acc_f) == Ordering::Less {
-                        c.acc_f = vals[j];
-                    }
-                    c.n += 1;
-                }),
-            },
-            Kernel::Max => match validity {
-                Validity::All => {
-                    for (&s, &v) in slots.iter().zip(vals) {
-                        let c = &mut cells[s as usize * stride + lane];
-                        if c.n == 0 || v.total_cmp(&c.acc_f) == Ordering::Greater {
-                            c.acc_f = v;
-                        }
-                        c.n += 1;
-                    }
-                }
-                Validity::Words(words) => for_each_valid(words, slots.len(), |j| {
-                    let c = &mut cells[slots[j] as usize * stride + lane];
-                    if c.n == 0 || vals[j].total_cmp(&c.acc_f) == Ordering::Greater {
-                        c.acc_f = vals[j];
-                    }
-                    c.n += 1;
-                }),
-            },
-        }
-    }
-
-    /// The paper's Iter_super: fold `src` into `dst`. `float_input` says
-    /// which accumulator lane the extremum kernels live in.
-    #[inline]
-    pub fn merge(self, dst: &mut KernelCell, src: &KernelCell, float_input: bool) {
-        use std::cmp::Ordering;
-        match self {
-            Kernel::Count | Kernel::CountStar => dst.n += src.n,
-            Kernel::Sum => {
-                dst.acc_i += src.acc_i;
-                dst.acc_f += src.acc_f;
-                dst.n += src.n;
-            }
-            Kernel::Avg => {
-                dst.acc_f += src.acc_f;
-                dst.n += src.n;
-            }
-            Kernel::Min | Kernel::Max => {
-                if src.n == 0 {
-                    return;
-                }
-                if dst.n == 0 {
-                    *dst = *src;
-                    return;
-                }
-                let want = if self == Kernel::Min {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                };
-                let replace = if float_input {
-                    src.acc_f.total_cmp(&dst.acc_f) == want
-                } else {
-                    src.acc_i.cmp(&dst.acc_i) == want
-                };
-                if replace {
-                    let n = dst.n + src.n;
-                    *dst = *src;
-                    dst.n = n;
-                } else {
-                    dst.n += src.n;
-                }
-            }
-        }
-    }
-
-    /// §6 DELETE of one valid `i64` input (any value for the counting
-    /// kernels): the inverse of folding it in. `false` when the cell
-    /// cannot answer without its base rows — the value is the extremum
-    /// itself ("max is ... holistic for DELETE"), or the cell is empty.
-    pub fn retract_i64(self, cell: &mut KernelCell, v: i64) -> bool {
-        match self {
-            Kernel::Min | Kernel::Max if cell.n == 0 => return false,
-            Kernel::Min if v <= cell.acc_i => return false,
-            Kernel::Max if v >= cell.acc_i => return false,
-            Kernel::Sum => cell.acc_i -= v,
-            Kernel::Avg => cell.acc_f -= v as f64,
-            Kernel::Count | Kernel::CountStar | Kernel::Min | Kernel::Max => {}
-        }
-        cell.n -= 1;
-        true
-    }
-
-    /// The `f64` twin of [`Kernel::retract_i64`]. A float SUM or AVG is
-    /// delete-holistic: floating-point subtraction is no inverse of
-    /// addition (`1e20 + 1.0 - 1e20` is `0.0`), so the cell is recomputed.
-    pub fn retract_f64(self, cell: &mut KernelCell, v: f64) -> bool {
-        use std::cmp::Ordering::{Greater, Less};
-        match self {
-            Kernel::Sum | Kernel::Avg => return false,
-            Kernel::Min | Kernel::Max if cell.n == 0 => return false,
-            Kernel::Min if v.total_cmp(&cell.acc_f) != Greater => return false,
-            Kernel::Max if v.total_cmp(&cell.acc_f) != Less => return false,
-            Kernel::Count | Kernel::CountStar | Kernel::Min | Kernel::Max => {}
-        }
-        cell.n -= 1;
-        true
-    }
-
-    /// Final() straight from the cell — byte-for-byte what the row-path
-    /// accumulator's `final_value` would return after the same inputs, so
-    /// materialization never builds one. (SUM over a pure
-    /// `Float` column matches `SumAcc`: its `int_sum` stays 0, so the
-    /// float total alone is the answer.)
-    pub fn final_value(self, cell: &KernelCell, float_input: bool) -> Value {
+        let extremum = |key: i64| match float {
+            true => Value::Float(f64::from_bits(total_key(key) as u64)),
+            false => Value::Int(key),
+        };
         match self {
             Kernel::Count | Kernel::CountStar => Value::Int(cell.n),
-            Kernel::Sum | Kernel::Min | Kernel::Max => {
-                if cell.n == 0 {
-                    Value::Null // SQL: the empty set folds to NULL
-                } else if float_input {
-                    Value::Float(cell.acc_f)
-                } else {
-                    Value::Int(cell.acc_i)
-                }
-            }
-            Kernel::Avg => {
-                if cell.n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(cell.acc_f / cell.n as f64)
-                }
-            }
+            Kernel::Sum if float => Value::Float(cell.fsum),
+            Kernel::Sum => i64::try_from(cell.sum).map_or(Value::Null, Value::Int),
+            Kernel::Min => extremum(cell.min),
+            Kernel::Max => extremum(cell.max),
+            Kernel::Avg => Value::Float(cell.fsum / cell.n as f64),
         }
     }
 }
@@ -464,81 +367,112 @@ mod tests {
         b
     }
 
-    /// Drive a kernel over one group and compare Final() against the row
-    /// path fed the same values.
-    fn check_i64(name: &str, kernel: Kernel, vals: &[i64], valid: &[bool]) {
-        let mut cells = vec![KernelCell::default()];
-        let slots = vec![0u32; vals.len()];
-        let b = bitmap(valid);
-        kernel.update_i64(&mut cells, 1, 0, &slots, vals, Validity::Words(b.words()));
-        let f = builtin(name).unwrap();
-        let mut want = f.init();
-        for (v, ok) in vals.iter().zip(valid) {
-            want.iter(&if *ok { Value::Int(*v) } else { Value::Null });
-        }
-        assert_eq!(
-            kernel.final_value(&cells[0], false),
-            want.final_value(),
-            "{name} direct final over {vals:?}"
-        );
+    const ALL_KERNELS: [Kernel; 6] = [
+        Kernel::Count,
+        Kernel::CountStar,
+        Kernel::Sum,
+        Kernel::Min,
+        Kernel::Max,
+        Kernel::Avg,
+    ];
+
+    /// Every part a select list can ask of one column.
+    fn every_part(float: bool) -> Parts {
+        ALL_KERNELS
+            .iter()
+            .fold(Parts::default(), |p, &k| p.with(Parts::of(k, float)))
     }
 
-    /// Same, over an `f64` column.
-    fn check_f64(name: &str, kernel: Kernel, vals: &[f64], valid: &[bool]) {
-        let mut cells = vec![KernelCell::default()];
+    /// One group's cell over an `i64` column, every row valid.
+    fn ints(vals: &[i64], parts: Parts) -> KernelCell {
+        let mut cell = [KernelCell::default()];
         let slots = vec![0u32; vals.len()];
-        let b = bitmap(valid);
-        kernel.update_f64(&mut cells, 1, 0, &slots, vals, Validity::Words(b.words()));
-        let f = builtin(name).unwrap();
-        let mut want = f.init();
-        for (v, ok) in vals.iter().zip(valid) {
-            want.iter(&if *ok { Value::Float(*v) } else { Value::Null });
+        KernelCell::fold_ints(&mut cell, 1, 0, &slots, vals, Validity::All, parts);
+        cell[0]
+    }
+
+    /// One group's cell over an `f64` column, every row valid.
+    fn floats(vals: &[f64], parts: Parts) -> KernelCell {
+        let mut cell = [KernelCell::default()];
+        let slots = vec![0u32; vals.len()];
+        KernelCell::fold_floats(&mut cell, 1, 0, &slots, vals, Validity::All, parts);
+        cell[0]
+    }
+
+    /// Every kernel's Final() over one group's cell against the row path
+    /// fed the same values.
+    fn check(cell: &KernelCell, vals: &[Value], float: bool) {
+        for (name, k) in [
+            ("COUNT", Kernel::Count),
+            ("SUM", Kernel::Sum),
+            ("MIN", Kernel::Min),
+            ("MAX", Kernel::Max),
+            ("AVG", Kernel::Avg),
+        ] {
+            let mut want = builtin(name).unwrap().init();
+            for v in vals {
+                want.iter(v);
+            }
+            let got = k.final_value(cell, float);
+            assert_eq!(got, want.final_value(), "{name} over {vals:?}");
         }
-        assert_eq!(
-            kernel.final_value(&cells[0], true),
-            want.final_value(),
-            "{name} direct final over {vals:?}"
-        );
+    }
+
+    fn check_i64(vals: &[i64], valid: &[bool]) {
+        let mut cell = [KernelCell::default()];
+        let (slots, b) = (vec![0u32; vals.len()], bitmap(valid));
+        let words = Validity::Words(b.words());
+        KernelCell::fold_ints(&mut cell, 1, 0, &slots, vals, words, every_part(false));
+        let value = |(&v, &ok): (&i64, &bool)| if ok { Value::Int(v) } else { Value::Null };
+        let values: Vec<Value> = vals.iter().zip(valid).map(value).collect();
+        check(&cell[0], &values, false);
+    }
+
+    fn check_f64(vals: &[f64], valid: &[bool]) {
+        let mut cell = [KernelCell::default()];
+        let (slots, b) = (vec![0u32; vals.len()], bitmap(valid));
+        let words = Validity::Words(b.words());
+        KernelCell::fold_floats(&mut cell, 1, 0, &slots, vals, words, every_part(true));
+        let value = |(&v, &ok): (&f64, &bool)| if ok { Value::Float(v) } else { Value::Null };
+        let values: Vec<Value> = vals.iter().zip(valid).map(value).collect();
+        check(&cell[0], &values, true);
     }
 
     #[test]
     fn kernels_match_row_accumulators_over_f64() {
-        let vals = [1.25, -3.5, 100.0, 0.75, -3.5];
         let valid = [true, false, true, true, true];
-        for (name, k) in [
-            ("COUNT", Kernel::Count),
-            ("SUM", Kernel::Sum),
-            ("MIN", Kernel::Min),
-            ("MAX", Kernel::Max),
-            ("AVG", Kernel::Avg),
-        ] {
-            check_f64(name, k, &vals, &valid);
-            check_f64(name, k, &[], &[]);
-            check_f64(name, k, &[0.0, 0.0], &[false, false]);
-        }
+        check_f64(&[1.25, -3.5, 100.0, 0.75, -3.5], &valid);
+        check_f64(&[], &[]);
+        check_f64(&[0.0, 0.0], &[false, false]);
     }
 
     #[test]
     fn kernels_match_row_accumulators_over_i64() {
-        let vals = [5, -3, 12, 7, -3];
-        let valid = [true, true, false, true, true];
-        for (name, k) in [
-            ("COUNT", Kernel::Count),
-            ("SUM", Kernel::Sum),
-            ("MIN", Kernel::Min),
-            ("MAX", Kernel::Max),
-            ("AVG", Kernel::Avg),
-        ] {
-            check_i64(name, k, &vals, &valid);
-            check_i64(name, k, &[], &[]);
-            check_i64(name, k, &[0, 0], &[false, false]);
+        check_i64(&[5, -3, 12, 7, -3], &[true, true, false, true, true]);
+        check_i64(&[], &[]);
+        check_i64(&[0, 0], &[false, false]);
+    }
+
+    /// The sum is exact: past `i64` it is NULL, and back inside it is the
+    /// true value, whatever the order of the adds or a retraction.
+    #[test]
+    fn an_integer_sum_never_wraps() {
+        let parts = Parts::of(Kernel::Sum, false);
+        let sum = |vals: &[i64]| Kernel::Sum.final_value(&ints(vals, parts), false);
+        assert_eq!(sum(&[i64::MAX, 1]), Value::Null);
+        assert_eq!(sum(&[i64::MIN, -1]), Value::Null);
+        for order in [[i64::MAX, 1, -1], [1, i64::MAX, -1], [-1, 1, i64::MAX]] {
+            assert_eq!(sum(&order), Value::Int(i64::MAX), "{order:?}");
         }
+        let mut cell = ints(&[i64::MAX, 1], parts);
+        assert!(cell.retract_int(1, parts));
+        assert_eq!(Kernel::Sum.final_value(&cell, false), Value::Int(i64::MAX));
     }
 
     #[test]
     fn count_star_counts_nulls_too() {
         let mut cells = vec![KernelCell::default()];
-        Kernel::update_star(&mut cells, 1, 0, &[0, 0, 0]);
+        KernelCell::fold_rows(&mut cells, 1, 0, &[0, 0, 0]);
         let mut want = builtin("COUNT(*)").unwrap().init();
         for _ in 0..3 {
             want.iter(&Value::Null);
@@ -550,56 +484,52 @@ mod tests {
         assert_eq!(want.final_value(), Value::Int(3));
     }
 
+    /// `total_cmp` puts -Inf below -0.0 below 0.0 below NaN, matching
+    /// `Value`'s ordering.
     #[test]
     fn float_extrema_use_total_cmp() {
-        let mut cells = vec![KernelCell::default()];
-        let vals = [0.0, -0.0];
-        let slots = [0u32, 0];
-        Kernel::Min.update_f64(&mut cells, 1, 0, &slots, &vals, Validity::All);
-        // total_cmp puts -0.0 below 0.0, matching Value's ordering.
-        assert_eq!(cells[0].acc_f.to_bits(), (-0.0f64).to_bits());
+        let parts = Parts::of(Kernel::Min, true).with(Parts::of(Kernel::Max, true));
+        let bits =
+            |cell: &KernelCell, k: Kernel| k.final_value(cell, true).as_f64().map(f64::to_bits);
+        let cell = floats(&[0.0, -0.0, f64::NAN, -f64::INFINITY], parts);
+        assert_eq!(bits(&cell, Kernel::Min), Some((-f64::INFINITY).to_bits()));
+        assert_eq!(bits(&cell, Kernel::Max), Some(f64::NAN.to_bits()));
+        let zeros = floats(&[0.0, -0.0], parts);
+        assert_eq!(bits(&zeros, Kernel::Min), Some((-0.0f64).to_bits()));
+        assert_eq!(bits(&zeros, Kernel::Max), Some(0.0f64.to_bits()));
     }
 
     #[test]
     fn merge_is_iter_super() {
-        let mut a = KernelCell {
-            acc_i: 10,
-            acc_f: 0.0,
-            n: 2,
-        };
-        let b = KernelCell {
-            acc_i: 4,
-            acc_f: 0.0,
-            n: 1,
-        };
-        Kernel::Sum.merge(&mut a, &b, false);
-        assert_eq!((a.acc_i, a.n), (14, 3));
-
-        let mut lo = KernelCell {
-            acc_i: 3,
-            acc_f: 0.0,
-            n: 1,
-        };
-        let hi = KernelCell {
-            acc_i: 9,
-            acc_f: 0.0,
-            n: 1,
-        };
-        Kernel::Min.merge(&mut lo, &hi, false);
-        assert_eq!(lo.acc_i, 3);
-        let empty = KernelCell::default();
-        Kernel::Min.merge(&mut lo, &empty, false);
-        assert_eq!((lo.acc_i, lo.n), (3, 2));
+        let parts = every_part(false);
+        let mut a = ints(&[10, 3], parts);
+        a.merge(&ints(&[4, 9], parts));
+        assert_eq!(a, ints(&[10, 3, 4, 9], parts));
+        let before = a;
+        a.merge(&KernelCell::default());
+        assert_eq!(a, before);
+        let mut empty = KernelCell::default();
+        empty.merge(&before);
+        assert_eq!(empty, before);
     }
 
-    const ALL_KERNELS: [Kernel; 6] = [
-        Kernel::Count,
-        Kernel::CountStar,
-        Kernel::Sum,
-        Kernel::Min,
-        Kernel::Max,
-        Kernel::Avg,
-    ];
+    /// A retraction that would dethrone a kept extremum, or tie it, asks
+    /// for a recompute; a float sum always does.
+    #[test]
+    fn retraction_follows_section_6() {
+        let (sum, max) = (Parts::of(Kernel::Sum, false), Parts::of(Kernel::Max, false));
+        let parts = sum.with(max);
+        let mut cell = ints(&[5, 9, 9], parts);
+        assert!(!cell.retract_int(9, parts));
+        assert!(cell.retract_int(5, parts));
+        assert_eq!((cell.n, cell.sum), (2, 18));
+        // Without MAX kept, the champion retracts like any value.
+        assert!(cell.retract_int(9, sum));
+        let float_sum = Parts::of(Kernel::Sum, true);
+        let mut cell = floats(&[1.0, 2.0], float_sum);
+        assert!(!cell.retract_float(1.0, float_sum));
+        assert!(cell.retract_float(1.0, Parts::of(Kernel::Count, true)));
+    }
 
     /// `Validity::All` and an all-set word mask produce identical cells,
     /// across a word boundary (so both the dense-block and set-bit arms
@@ -612,31 +542,23 @@ mod tests {
         let slots: Vec<u32> = (0..n as u32).map(|i| i % 5).collect();
         let all_set = bitmap(&vec![true; n]);
         for k in ALL_KERNELS {
-            let mut dense = vec![KernelCell::default(); 5];
-            let mut masked = vec![KernelCell::default(); 5];
-            k.update_i64(&mut dense, 1, 0, &slots, &vals_i, Validity::All);
-            k.update_i64(
-                &mut masked,
-                1,
-                0,
-                &slots,
-                &vals_i,
-                Validity::Words(all_set.words()),
-            );
-            assert_eq!(dense, masked, "{k:?} i64");
-
-            let mut dense = vec![KernelCell::default(); 5];
-            let mut masked = vec![KernelCell::default(); 5];
-            k.update_f64(&mut dense, 1, 0, &slots, &vals_f, Validity::All);
-            k.update_f64(
-                &mut masked,
-                1,
-                0,
-                &slots,
-                &vals_f,
-                Validity::Words(all_set.words()),
-            );
-            assert_eq!(dense, masked, "{k:?} f64");
+            for float in [false, true] {
+                let parts = Parts::of(k, float);
+                let fold = |validity| {
+                    let mut cells = vec![KernelCell::default(); 5];
+                    match float {
+                        true => KernelCell::fold_floats(
+                            &mut cells, 1, 0, &slots, &vals_f, validity, parts,
+                        ),
+                        false => KernelCell::fold_ints(
+                            &mut cells, 1, 0, &slots, &vals_i, validity, parts,
+                        ),
+                    }
+                    cells
+                };
+                let words = Validity::Words(all_set.words());
+                assert_eq!(fold(Validity::All), fold(words), "{k:?}, float {float}");
+            }
         }
     }
 }

@@ -28,8 +28,9 @@
 //! by a caller: the key width ([`PackedKey`]: one `u64` when the
 //! coordinate's fields fit 64 bits, a [`crate::encode::WideKey`]
 //! otherwise) and the accumulator kind ([`Lanes`]): POD kernel cells when
-//! every aggregate kernelizes ([`KernelLanes`]), boxed [`Accumulator`]s
-//! under [`exec::guard`] otherwise ([`BoxedLanes`]).
+//! every aggregate kernelizes ([`KernelLanes`]: one cell per measure column,
+//! which every aggregate of that column reads), boxed [`Accumulator`]s
+//! under [`exec::guard`] otherwise ([`BoxedLanes`]: one per aggregate).
 //!
 //! [`ExecStats`] accounting matches the `Row`-keyed [`super::reference`]
 //! algorithms exactly:
@@ -46,8 +47,9 @@ use crate::lattice::{GroupingSet, Lattice};
 use crate::maintain::{Nodes, Store};
 use crate::spec::{BoundAgg, BoundDimension};
 use dc_aggregate::faults::Site;
-use dc_aggregate::{Accumulator, FusedOp, Kernel, KernelCell, Retract, Validity};
+use dc_aggregate::{Accumulator, Kernel, KernelCell, Parts, Retract, Validity};
 use dc_relation::{Bitmap, FxHashMap, Row, Schema, Table, TypedColumn, Value};
+use std::borrow::Cow;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
@@ -72,32 +74,37 @@ const PARALLEL_MIN_CELLS: usize = 1 << 10;
 /// skewed set still spread across workers.
 const EMIT_CHUNK_CELLS: usize = 4096;
 
-/// The accumulator kind of one query: how a cell's aggregate lanes are
-/// initialized, folded, merged and finalized. A cell is `width()` adjacent
-/// `Cell`s of an [`Arena`], one per aggregate in select-list order.
+/// The accumulator kind of one query: how a group's cells are
+/// initialized, folded, merged and finalized. A group is `stride()`
+/// adjacent `Cell`s of an [`Arena`], which its `width()` aggregates read.
+/// Work is counted per aggregate, whatever the layout.
 pub(crate) trait Lanes: Sync {
     type Cell: Stored;
 
-    /// Aggregates per cell.
+    /// Aggregates per group: the unit [`ExecStats`] counts in.
     fn width(&self) -> usize;
+
+    /// Cells per group: the arena's layout.
+    fn stride(&self) -> usize;
 
     /// The paper's Init(): append one fresh cell to `cells`.
     fn open(&self, cells: &mut Vec<Self::Cell>) -> CubeResult<()>;
 
-    /// Iter() over one morsel: row `base + j` folds into the cell at slot
+    /// Iter() over one morsel: row `base + j` folds into the group at slot
     /// `slots[j]` of `cells`.
     fn fold_morsel(&self, cells: &mut [Self::Cell], slots: &[u32], base: usize) -> CubeResult<()>;
 
-    /// The paper's Iter_super(): fold cell `src` into cell `dst`.
+    /// The paper's Iter_super(): fold group `src` into group `dst`.
     fn fold_super(&self, dst: &mut [Self::Cell], src: &[Self::Cell]) -> CubeResult<()>;
 
-    /// Final(): append the values of the cell's `lanes`, in that order, to
-    /// `out`.
-    fn finals(&self, cell: &[Self::Cell], lanes: &[usize], out: &mut Vec<Value>) -> CubeResult<()>;
+    /// Final(): append the values of the group's aggregates `lanes`, in
+    /// that order, to `out`.
+    fn finals(&self, group: &[Self::Cell], lanes: &[usize], out: &mut Vec<Value>)
+        -> CubeResult<()>;
 
-    /// §6 DELETE: take input row `row` back out of `cell`. `false` when
-    /// some lane cannot without the cell's base rows.
-    fn retract(&self, cell: &mut [Self::Cell], row: usize) -> CubeResult<bool>;
+    /// §6 DELETE: take input row `row` back out of `group`. `false` when
+    /// some aggregate cannot without the group's base rows.
+    fn retract(&self, group: &mut [Self::Cell], row: usize) -> CubeResult<bool>;
 
     /// What a store keeps of these lanes to get lanes over other rows
     /// that make cells of the same kind.
@@ -119,14 +126,14 @@ pub(crate) trait Stored: Sized + Send + Sync + 'static {
         rows: &'a [Row],
     ) -> Option<Self::Lanes<'a>>;
 
-    /// A copy of `cells`: Init() and Iter_super per cell.
+    /// A copy of `cells`: Init() and Iter_super per group.
     fn copy(lanes: &Self::Lanes<'_>, cells: &[Self], ctx: &ExecContext) -> CubeResult<Vec<Self>> {
         let mut out = Vec::with_capacity(cells.len());
-        for (i, cell) in cells.chunks(lanes.width()).enumerate() {
+        for (i, group) in cells.chunks(lanes.stride()).enumerate() {
             ctx.tick(i)?;
             lanes.open(&mut out)?;
-            let at = out.len() - cell.len();
-            lanes.fold_super(&mut out[at..], cell)?;
+            let at = out.len() - group.len();
+            lanes.fold_super(&mut out[at..], group)?;
         }
         Ok(out)
     }
@@ -152,6 +159,10 @@ impl Lanes for BoxedLanes<'_> {
     type Cell = Box<dyn Accumulator>;
 
     fn width(&self) -> usize {
+        self.aggs.len()
+    }
+
+    fn stride(&self) -> usize {
         self.aggs.len()
     }
 
@@ -205,49 +216,15 @@ impl Lanes for BoxedLanes<'_> {
     fn spec(&self) {}
 }
 
-/// One aggregate's typed input. Lanes over the same measure column share
-/// one extracted vector (`SUM(units)` and `AVG(units)` in one select list
-/// extract `units` once, not twice).
+/// A kernel cell's input.
 #[derive(Clone)]
 enum LaneInput {
-    /// No column to read — COUNT(*) and COUNT over the unit input count
-    /// rows, not values.
+    /// No column to read: the cell counts rows.
     Star,
     /// An `i64` measure column with its validity bitmap.
     Ints(Arc<(Vec<i64>, Bitmap)>),
     /// An `f64` measure column with its validity bitmap.
     Floats(Arc<(Vec<f64>, Bitmap)>),
-}
-
-/// One aggregate compiled to a kernel over a typed column.
-struct Lane {
-    kernel: Kernel,
-    input: LaneInput,
-    /// Which accumulator of the cell holds the value ([`Kernel::merge`]):
-    /// the input's type, or a store's where the two cannot differ.
-    float: bool,
-    /// Whether the measure column has no NULLs — computed once at plan
-    /// time so every morsel takes the branch-free [`Validity::All`] path
-    /// instead of re-deriving it.
-    all_valid: bool,
-}
-
-/// A qualified fused row-major scan: every lane is fully valid and reads
-/// either nothing (counting lanes) or one shared `i64` column, so one
-/// pass per morsel updates all of a row's adjacent lane cells while their
-/// cache lines are hot instead of re-touching them per lane-major pass.
-struct FusedScan {
-    col: Arc<(Vec<i64>, Bitmap)>,
-    ops: Vec<FusedOp>,
-}
-
-/// The kernel lane store: every aggregate is one of the built-in
-/// distributive/algebraic kernels over a primitive column, its state a
-/// 24-byte POD [`KernelCell`]. The kernels are engine-owned and run no
-/// user code, so nothing here needs the panic guard.
-pub(crate) struct KernelLanes {
-    lanes: Vec<Lane>,
-    fused: Option<FusedScan>,
 }
 
 impl From<TypedColumn> for LaneInput {
@@ -257,6 +234,54 @@ impl From<TypedColumn> for LaneInput {
             TypedColumn::Floats(c) => LaneInput::Floats(c),
         }
     }
+}
+
+impl LaneInput {
+    /// Present values, and rows.
+    fn counts(&self) -> (usize, usize) {
+        match self {
+            LaneInput::Star => (0, 0),
+            LaneInput::Ints(c) => (c.1.count_valid(), c.0.len()),
+            LaneInput::Floats(c) => (c.1.count_valid(), c.0.len()),
+        }
+    }
+}
+
+/// One cell of a kernel group: the scratchpad of one measure column, or a
+/// count of rows.
+#[derive(Clone)]
+struct CellSpec {
+    /// The measure column it folds; `None` counts rows.
+    column: Option<usize>,
+    /// The column holds `f64`s.
+    float: bool,
+    /// The column has no NULLs, so the cell's counter counts rows and
+    /// COUNT(*) reads it. Fixed at plan time, so every morsel takes the
+    /// branch-free [`Validity::All`] path instead of re-deriving it.
+    all_valid: bool,
+    /// The fields the select list reads.
+    parts: Parts,
+}
+
+/// A kernel group's layout: its cells, and the cell and kernel of each
+/// aggregate. What a store keeps of its lanes.
+#[derive(Clone)]
+pub(crate) struct Layout {
+    /// Per cell of a group, in order.
+    specs: Vec<CellSpec>,
+    /// Per aggregate, in select-list order: its cell and kernel.
+    aggs: Vec<(usize, Kernel)>,
+}
+
+/// The kernel lane store: every aggregate is one of the built-in
+/// distributive/algebraic kernels over a primitive column, and the
+/// aggregates of one column share one 48-byte POD [`KernelCell`] per
+/// group, which a row updates once. The kernels are engine-owned and run
+/// no user code, so nothing here needs the panic guard.
+pub(crate) struct KernelLanes<'a> {
+    layout: Cow<'a, Layout>,
+    /// Per cell of the layout, the column it reads.
+    inputs: Vec<LaneInput>,
 }
 
 /// Each aggregate's kernel and the measure column it reads (`None`: it
@@ -280,112 +305,108 @@ fn kernel_inputs(aggs: &[BoundAgg]) -> Option<Vec<(Kernel, Option<usize>)>> {
     aggs.iter().map(input).collect()
 }
 
-impl KernelLanes {
-    /// Try to compile every aggregate to a kernel lane over the measure
-    /// columns `typed` gives. `None` — an aggregate without a kernel, or a
-    /// measure column that is not purely `Int`/`NULL` or `Float`/`NULL` —
-    /// gives the whole query boxed lanes.
+impl KernelLanes<'static> {
+    /// Try to compile every aggregate to a kernel over the measure columns
+    /// `typed` gives: one cell per distinct column, in first-use order,
+    /// keeping the parts its aggregates read. Aggregates that count rows
+    /// read the first column without NULLs, or else a cell of their own,
+    /// last. `None` — an aggregate without a kernel, or a measure column
+    /// that is not purely `Int`/`NULL` or `Float`/`NULL` — gives the whole
+    /// query boxed lanes.
     pub(crate) fn plan(
         aggs: &[BoundAgg],
         typed: impl Fn(usize) -> Option<TypedColumn>,
-    ) -> Option<KernelLanes> {
-        // One extraction per distinct measure column, shared across lanes.
-        let mut columns: FxHashMap<usize, Option<LaneInput>> = FxHashMap::default();
-        let mut lanes = Vec::with_capacity(aggs.len());
-        for (kernel, input) in kernel_inputs(aggs)? {
-            let input = match input {
-                None => LaneInput::Star,
-                Some(idx) => columns
-                    .entry(idx)
-                    .or_insert_with(|| typed(idx).map(LaneInput::from))
-                    .clone()?,
+    ) -> Option<KernelLanes<'static>> {
+        let kernels = kernel_inputs(aggs)?;
+        let (mut specs, mut inputs) = (Vec::<CellSpec>::new(), Vec::new());
+        let mut at: Vec<Option<usize>> = Vec::with_capacity(kernels.len());
+        for &(kernel, column) in &kernels {
+            let Some(idx) = column else {
+                at.push(None);
+                continue;
             };
-            let all_valid = match &input {
-                LaneInput::Star => true,
-                LaneInput::Ints(c) => c.1.all_valid(),
-                LaneInput::Floats(c) => c.1.all_valid(),
+            let c = match specs.iter().position(|c| c.column == column) {
+                Some(c) => c,
+                None => {
+                    let input = LaneInput::from(typed(idx)?);
+                    let (valid, rows) = input.counts();
+                    specs.push(CellSpec {
+                        column,
+                        float: matches!(input, LaneInput::Floats(_)),
+                        all_valid: valid == rows,
+                        parts: Parts::default(),
+                    });
+                    inputs.push(input);
+                    specs.len() - 1
+                }
             };
-            lanes.push(Lane {
-                kernel,
-                float: matches!(input, LaneInput::Floats(_)),
-                input,
-                all_valid,
-            });
+            specs[c].parts = specs[c].parts.with(Parts::of(kernel, specs[c].float));
+            at.push(Some(c));
         }
+        let rows = specs
+            .iter()
+            .position(|c| c.all_valid)
+            .unwrap_or(specs.len());
+        if rows == specs.len() && at.contains(&None) {
+            specs.push(CellSpec {
+                column: None,
+                float: false,
+                all_valid: true,
+                parts: Parts::default(),
+            });
+            inputs.push(LaneInput::Star);
+        }
+        let aggs = (kernels.iter().zip(at))
+            .map(|(&(kernel, _), c)| (c.unwrap_or(rows), kernel))
+            .collect();
         Some(KernelLanes {
-            fused: fused_ints(&lanes),
-            lanes,
+            layout: Cow::Owned(Layout { specs, aggs }),
+            inputs,
         })
     }
+}
 
-    /// These lanes with a store's value flags, so their cells merge into
-    /// its cells — `None` where the two differ over an input that has a
-    /// value to fold. (So a store's rows hold one value type per measure,
-    /// and lanes over any of them conform.)
-    fn conform(mut self, floats: &[bool]) -> Option<KernelLanes> {
-        for (lane, &float) in self.lanes.iter_mut().zip(floats) {
-            let moot = match &lane.input {
-                LaneInput::Star => true,
-                LaneInput::Ints(c) => c.1.count_valid() == 0,
-                LaneInput::Floats(c) => c.1.count_valid() == 0,
-            };
-            if lane.float != float && !moot {
-                return None;
-            }
-            lane.float = float;
-        }
-        Some(self)
+impl KernelLanes<'_> {
+    fn cell(&self, c: usize) -> &CellSpec {
+        &self.layout.specs[c]
     }
 }
 
 impl Stored for KernelCell {
-    /// Each lane's value flag: a store pins no column of its input.
-    type Spec = Vec<bool>;
-    type Lanes<'a> = KernelLanes;
+    /// The group layout: a store pins no column of its input.
+    type Spec = Layout;
+    type Lanes<'a> = KernelLanes<'a>;
 
-    fn lanes(spec: &Vec<bool>, aggs: &[BoundAgg], rows: &[Row]) -> Option<KernelLanes> {
-        let typed = |idx| TypedColumn::from_rows(rows, idx);
-        KernelLanes::plan(aggs, typed)?.conform(spec)
+    /// The store's layout over `rows`' columns — `None` where a column
+    /// does not fit its cell: another value type where it has a value to
+    /// fold, or a NULL in a column whose cell counts rows. (So a store's
+    /// rows hold one value type per measure, and lanes over any of them
+    /// conform.)
+    fn lanes<'a>(
+        layout: &'a Layout,
+        _: &'a [BoundAgg],
+        rows: &'a [Row],
+    ) -> Option<KernelLanes<'a>> {
+        let input = |spec: &CellSpec| {
+            let Some(idx) = spec.column else {
+                return Some(LaneInput::Star);
+            };
+            let input = LaneInput::from(TypedColumn::from_rows(rows, idx)?);
+            let (valid, rows) = input.counts();
+            let float = matches!(input, LaneInput::Floats(_));
+            let fits = (valid == 0 || float == spec.float) && (valid == rows || !spec.all_valid);
+            fits.then_some(input)
+        };
+        Some(KernelLanes {
+            inputs: layout.specs.iter().map(input).collect::<Option<_>>()?,
+            layout: Cow::Borrowed(layout),
+        })
     }
 
     /// A POD copy.
-    fn copy(_: &KernelLanes, cells: &[Self], _: &ExecContext) -> CubeResult<Vec<Self>> {
+    fn copy(_: &KernelLanes<'_>, cells: &[Self], _: &ExecContext) -> CubeResult<Vec<Self>> {
         Ok(cells.to_vec())
     }
-}
-
-/// The fused scan for these lanes, if they qualify (see [`FusedScan`]).
-fn fused_ints(lanes: &[Lane]) -> Option<FusedScan> {
-    let mut col: Option<&Arc<(Vec<i64>, Bitmap)>> = None;
-    let mut ops = Vec::with_capacity(lanes.len());
-    for lane in lanes {
-        if !lane.all_valid {
-            return None;
-        }
-        match &lane.input {
-            LaneInput::Star => ops.push(FusedOp::Star),
-            LaneInput::Ints(c) => {
-                match col {
-                    None => col = Some(c),
-                    Some(prev) if Arc::ptr_eq(prev, c) => {}
-                    Some(_) => return None,
-                }
-                ops.push(match lane.kernel {
-                    // All-valid COUNT(x) counts every row, same as *.
-                    Kernel::Count | Kernel::CountStar => FusedOp::Star,
-                    Kernel::Sum => FusedOp::Sum,
-                    Kernel::Min => FusedOp::Min,
-                    Kernel::Max => FusedOp::Max,
-                    Kernel::Avg => FusedOp::Avg,
-                });
-            }
-            LaneInput::Floats(_) => return None,
-        }
-    }
-    Some(FusedScan {
-        col: Arc::clone(col?),
-        ops,
-    })
 }
 
 /// The validity words for morsel rows `[base, base + n)`: morsels start
@@ -399,46 +420,50 @@ fn morsel_validity(bitmap: &Bitmap, all_valid: bool, base: usize, n: usize) -> V
     }
 }
 
-impl Lanes for KernelLanes {
+impl Lanes for KernelLanes<'_> {
     type Cell = KernelCell;
 
     fn width(&self) -> usize {
-        self.lanes.len()
+        self.layout.aggs.len()
+    }
+
+    fn stride(&self) -> usize {
+        self.layout.specs.len()
     }
 
     #[inline]
     fn open(&self, cells: &mut Vec<KernelCell>) -> CubeResult<()> {
-        cells.resize(cells.len() + self.lanes.len(), KernelCell::default());
+        cells.resize(cells.len() + self.stride(), KernelCell::default());
         Ok(())
     }
 
+    /// One pass per measure column: each row updates its group's cell for
+    /// that column once, whatever the select list asks of it.
     #[inline]
     fn fold_morsel(&self, cells: &mut [KernelCell], slots: &[u32], base: usize) -> CubeResult<()> {
         debug_assert_eq!(base % 64, 0);
-        let n = slots.len();
-        let stride = self.lanes.len();
-        if let Some(f) = &self.fused {
-            dc_aggregate::update_i64_fused(cells, &f.ops, slots, &f.col.0[base..base + n]);
-            return Ok(());
-        }
-        for (l, lane) in self.lanes.iter().enumerate() {
-            match &lane.input {
-                LaneInput::Star => Kernel::update_star(cells, stride, l, slots),
-                LaneInput::Ints(col) => lane.kernel.update_i64(
+        let (n, stride) = (slots.len(), self.stride());
+        for (c, (spec, input)) in self.layout.specs.iter().zip(&self.inputs).enumerate() {
+            let validity = |bitmap| morsel_validity(bitmap, spec.all_valid, base, n);
+            match input {
+                LaneInput::Star => KernelCell::fold_rows(cells, stride, c, slots),
+                LaneInput::Ints(col) => KernelCell::fold_ints(
                     cells,
                     stride,
-                    l,
+                    c,
                     slots,
                     &col.0[base..base + n],
-                    morsel_validity(&col.1, lane.all_valid, base, n),
+                    validity(&col.1),
+                    spec.parts,
                 ),
-                LaneInput::Floats(col) => lane.kernel.update_f64(
+                LaneInput::Floats(col) => KernelCell::fold_floats(
                     cells,
                     stride,
-                    l,
+                    c,
                     slots,
                     &col.0[base..base + n],
-                    morsel_validity(&col.1, lane.all_valid, base, n),
+                    validity(&col.1),
+                    spec.parts,
                 ),
             }
         }
@@ -447,29 +472,38 @@ impl Lanes for KernelLanes {
 
     #[inline]
     fn fold_super(&self, dst: &mut [KernelCell], src: &[KernelCell]) -> CubeResult<()> {
-        for ((lane, dst), src) in self.lanes.iter().zip(dst).zip(src) {
+        for (dst, src) in dst.iter_mut().zip(src) {
             // cube-lint: allow(guard, engine-owned POD kernel, runs no user code)
-            lane.kernel.merge(dst, src, lane.float);
+            dst.merge(src);
         }
         Ok(())
     }
 
     #[inline]
-    fn finals(&self, pods: &[KernelCell], lanes: &[usize], out: &mut Vec<Value>) -> CubeResult<()> {
+    fn finals(
+        &self,
+        group: &[KernelCell],
+        lanes: &[usize],
+        out: &mut Vec<Value>,
+    ) -> CubeResult<()> {
         for &l in lanes {
-            let lane = &self.lanes[l];
+            let (c, kernel) = self.layout.aggs[l];
             // cube-lint: allow(guard, engine-owned POD kernel, runs no user code)
-            out.push(lane.kernel.final_value(&pods[l], lane.float));
+            out.push(kernel.final_value(&group[c], self.cell(c).float));
         }
         Ok(())
     }
 
-    fn retract(&self, pods: &mut [KernelCell], row: usize) -> CubeResult<bool> {
-        for (lane, pod) in self.lanes.iter().zip(pods) {
-            let kept = match &lane.input {
-                LaneInput::Star => lane.kernel.retract_i64(pod, 0),
-                LaneInput::Ints(c) if c.1.get(row) => lane.kernel.retract_i64(pod, c.0[row]),
-                LaneInput::Floats(c) if c.1.get(row) => lane.kernel.retract_f64(pod, c.0[row]),
+    fn retract(&self, group: &mut [KernelCell], row: usize) -> CubeResult<bool> {
+        for (c, (input, pod)) in self.inputs.iter().zip(group).enumerate() {
+            let parts = self.cell(c).parts;
+            let kept = match input {
+                LaneInput::Star => {
+                    pod.n -= 1;
+                    true
+                }
+                LaneInput::Ints(col) if col.1.get(row) => pod.retract_int(col.0[row], parts),
+                LaneInput::Floats(col) if col.1.get(row) => pod.retract_float(col.0[row], parts),
                 // A NULL input folded nothing in.
                 LaneInput::Ints(_) | LaneInput::Floats(_) => true,
             };
@@ -480,8 +514,8 @@ impl Lanes for KernelLanes {
         Ok(true)
     }
 
-    fn spec(&self) -> Vec<bool> {
-        self.lanes.iter().map(|l| l.float).collect()
+    fn spec(&self) -> Layout {
+        self.layout.clone().into_owned()
     }
 }
 
@@ -491,21 +525,21 @@ enum SlotIndex<K> {
     /// General case: one Fx hash map over full keys.
     Map(FxHashMap<K, u32>),
     /// Small integer key spaces: `table[key]` holds `slot + 1` (0 = empty)
-    /// over all `2^key_bits` possible keys — the §5 dense-array idea
+    /// over every key up to the set's mask — the §5 dense-array idea
     /// applied to slot resolution.
     Dense(Vec<u32>),
 }
 
 /// Flat cell storage for one grouping set: the index resolves a packed
-/// key to a cell slot, `keys[slot]` remembers the key for decoding, and
-/// cell `i`'s lanes occupy `cells[i*width..(i+1)*width]` — no per-cell
+/// key to a group slot, `keys[slot]` remembers the key for decoding, and
+/// group `i`'s cells occupy `cells[i*stride..(i+1)*stride]` — no per-group
 /// allocation, sequential merges in the cascade. Slots are assigned in
 /// first-touch order, so iteration over `keys` is deterministic.
 pub(crate) struct Arena<K, C> {
     index: SlotIndex<K>,
     pub(crate) keys: Vec<K>,
     pub(crate) cells: Vec<C>,
-    width: usize,
+    stride: usize,
 }
 
 impl<K: PackedKey, C> Arena<K, C> {
@@ -514,12 +548,15 @@ impl<K: PackedKey, C> Arena<K, C> {
     /// key space at most [`DENSE_SLOT_BITS`] wide *and* small relative to
     /// the expected input (`hint` rows/cells) — a giant mostly-empty table
     /// loses to the hash map on allocation and cache footprint alone.
-    /// Otherwise a hash map pre-sized for `capacity` cells (0: grow on
-    /// demand — a scan cannot know its cell count).
-    fn new(width: usize, dense_bits: Option<u32>, hint: usize, capacity: usize) -> Self {
+    /// Every key is projected through the set's `mask` first, so none is
+    /// above it and the table ends there: a set of low fields gets a small
+    /// table whatever the key space. Otherwise a hash map pre-sized for
+    /// `capacity` cells (0: grow on demand — a scan cannot know its cell
+    /// count).
+    fn new(stride: usize, dense_bits: Option<u32>, mask: K, hint: usize, capacity: usize) -> Self {
         let index = match dense_bits {
             Some(bits) if bits <= DENSE_SLOT_BITS && (1usize << bits) <= (64 * hint).max(1024) => {
-                SlotIndex::Dense(vec![0u32; 1usize << bits])
+                SlotIndex::Dense(vec![0u32; mask.dense_index() + 1])
             }
             _ => SlotIndex::Map(FxHashMap::with_capacity_and_hasher(
                 capacity,
@@ -529,8 +566,8 @@ impl<K: PackedKey, C> Arena<K, C> {
         Arena {
             index,
             keys: Vec::with_capacity(capacity),
-            cells: Vec::with_capacity(capacity * width),
-            width,
+            cells: Vec::with_capacity(capacity * stride),
+            stride,
         }
     }
 
@@ -539,7 +576,7 @@ impl<K: PackedKey, C> Arena<K, C> {
     }
 
     pub(crate) fn cell_at(&self, slot: usize) -> &[C] {
-        &self.cells[slot * self.width..(slot + 1) * self.width]
+        &self.cells[slot * self.stride..(slot + 1) * self.stride]
     }
 
     /// The slot of `key`'s cell, if it has one.
@@ -557,14 +594,20 @@ impl<K: PackedKey, C> Arena<K, C> {
             index: self.index.clone(),
             keys: self.keys.clone(),
             cells,
-            width: self.width,
+            stride: self.stride,
         }
     }
 
-    /// The cells `keep` accepts, under the same keys.
-    pub(crate) fn rebuilt(self, dense_bits: Option<u32>, keep: impl Fn(usize) -> bool) -> Self {
-        let (n, w) = (self.n_cells(), self.width);
-        let mut out = Arena::new(w, dense_bits, n, n);
+    /// The groups `keep` accepts, under the same keys (projected through
+    /// `mask`).
+    pub(crate) fn rebuilt(
+        self,
+        dense_bits: Option<u32>,
+        mask: K,
+        keep: impl Fn(usize) -> bool,
+    ) -> Self {
+        let (n, w) = (self.n_cells(), self.stride);
+        let mut out = Arena::new(w, dense_bits, mask, n, n);
         let mut cells = self.cells.into_iter();
         for (slot, &key) in self.keys.iter().enumerate() {
             let lanes = cells.by_ref().take(w);
@@ -588,7 +631,7 @@ impl<K: PackedKey, C> Arena<K, C> {
         lanes: &L,
         ctx: &ExecContext,
     ) -> CubeResult<u64> {
-        let w = self.width;
+        let w = self.stride;
         let mut merged = 0;
         let mut lanes_buf: Vec<C> = Vec::with_capacity(w);
         let mut cells = part.cells.into_iter();
@@ -741,13 +784,13 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
     ) -> CubeResult<Vec<Arena<K, L::Cell>>> {
         let n_rows = self.keys.len();
         let dense_bits = self.encoder.dense_bits();
-        let width = self.lanes.width();
+        let (width, stride) = (self.lanes.width(), self.lanes.stride());
         let cursor = AtomicUsize::new(0);
         let mut parts = exec::run_workers(workers, "parallel::worker", stats, |local| {
             exec::failpoint(Site::ParallelWorker)?;
             let mut arenas: Vec<Arena<K, L::Cell>> = masks
                 .iter()
-                .map(|_| Arena::new(width, dense_bits, n_rows.div_ceil(workers), 0))
+                .map(|&mask| Arena::new(stride, dense_bits, mask, n_rows.div_ceil(workers), 0))
                 .collect();
             let mut slot_buf = Vec::with_capacity(MORSEL_ROWS.min(n_rows));
             loop {
@@ -766,7 +809,7 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
         // Coalesce: the worker arenas fold into one per mask.
         let mut merged: Vec<Arena<K, L::Cell>> = masks
             .iter()
-            .map(|_| Arena::new(width, dense_bits, n_rows, 0))
+            .map(|&mask| Arena::new(stride, dense_bits, mask, n_rows, 0))
             .collect();
         for part in parts {
             for (core, arena) in merged.iter_mut().zip(part) {
@@ -794,15 +837,15 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
     /// Build one child set by folding a parent arena through the set's
     /// mask — one `Iter_super` per (parent cell, aggregate). Children
     /// shrink, but rarely below half the parent, so a map-indexed child is
-    /// pre-sized to that.
+    /// pre-sized to that; a dense one spans only the set's fields.
     pub(crate) fn merged_child(
         &self,
         parent: &Arena<K, L::Cell>,
         mask: K,
     ) -> CubeResult<Arena<K, L::Cell>> {
-        let w = self.lanes.width();
+        let w = self.lanes.stride();
         let hint = parent.n_cells() / 2 + 1;
-        let mut child = Arena::new(w, self.encoder.dense_bits(), hint, hint);
+        let mut child = Arena::new(w, self.encoder.dense_bits(), mask, hint, hint);
         for (pslot, &pkey) in parent.keys.iter().enumerate() {
             self.ctx.tick(pslot)?;
             let cslot = child.slot(pkey.and(mask), self.lanes, self.ctx)? as usize;
@@ -1293,12 +1336,56 @@ mod tests {
         }
     }
 
+    /// `sales()` with the float edge cases in `price` — `-0.0` (alone in
+    /// one group), NaN, ±Inf — and more NULL `units`.
+    fn specials() -> Table {
+        let mut t = sales();
+        for (m, y, u, p) in [
+            ("Chevy", 1994, Value::Null, -0.0),
+            ("Chevy", 1995, Value::Int(-7), f64::NAN),
+            ("Ford", 1994, Value::Int(3), f64::INFINITY),
+            ("Dodge", 1995, Value::Null, f64::NEG_INFINITY),
+            ("Dodge", 1995, Value::Int(2), -0.0),
+            ("Dodge", 1994, Value::Int(1), -0.0),
+        ] {
+            let row = vec![Value::str(m), Value::Int(y), u, Value::Float(p)];
+            t.push(Row::new(row)).unwrap();
+        }
+        t
+    }
+
+    /// Every aggregate of one column, which share its cell.
+    fn one_column(col: &str) -> [(&str, &str); 6] {
+        ["SUM", "AVG", "MIN", "MAX", "COUNT", "COUNT(*)"].map(|f| (f, col))
+    }
+
+    /// Each select list against the `Row`-keyed reference: cells by their
+    /// bits, and the four work counters. Some share one column's cell —
+    /// a nullable `Int`, a `Float` with `-0.0`, NaN and ±Inf, two columns
+    /// mixed — and some run boxed.
     #[test]
     fn both_lane_kinds_match_the_row_path_cells_and_counters() {
-        let t = sales();
+        let t = specials();
         let lattice = Lattice::cube(2).unwrap();
         let ctx = ExecContext::unlimited();
-        for (aggs, kernels) in [(&KERNEL_AGGS[..], 5), (&BOXED_AGGS[..], 0)] {
+        let (ints, floats) = (one_column("units"), one_column("price"));
+        let mixed = [
+            ("SUM", "units"),
+            ("MIN", "price"),
+            ("AVG", "units"),
+            ("MAX", "price"),
+            ("COUNT", "price"),
+            ("COUNT(*)", "units"),
+            ("SUM", "price"),
+            ("MAX", "units"),
+        ];
+        for (aggs, kernels) in [
+            (&KERNEL_AGGS[..], 5),
+            (&BOXED_AGGS[..], 0),
+            (&ints[..], 6),
+            (&floats[..], 6),
+            (&mixed[..], 8),
+        ] {
             let (got, stats) = run_engine(&t, aggs, FROM_CORE);
             assert_eq!(stats.vectorized_kernels_used, kernels);
             assert_eq!(stats.morsels_processed, 1);
@@ -1317,7 +1404,7 @@ mod tests {
             )
             .unwrap();
             let want = materialize(schema, maps, &bound, &mut want_stats, &ctx).unwrap();
-            assert_eq!(got.rows(), want.rows(), "{kernels} kernel lanes");
+            assert_eq!(bits(&got), bits(&want), "{aggs:?}");
             assert_eq!(
                 (
                     stats.rows_scanned,
@@ -1331,8 +1418,84 @@ mod tests {
                     want_stats.merge_calls,
                     want_stats.final_calls
                 ),
-                "{kernels} kernel lanes"
+                "{aggs:?}"
             );
+        }
+    }
+
+    /// The layout guard: SUM, COUNT(*), AVG, MIN and MAX over one column
+    /// without NULLs keep one cell per group in every arena, not one per
+    /// aggregate. Over a nullable column COUNT(*) adds a cell counting
+    /// rows.
+    #[test]
+    fn the_aggregates_of_one_column_share_one_cell_per_group() {
+        let t = sales();
+        let lattice = Lattice::cube(1).unwrap();
+        let ctx = ExecContext::unlimited();
+        for (col, stride) in [("year", 1), ("units", 2)] {
+            let aggs = ["SUM", "COUNT(*)", "AVG", "MIN", "MAX"].map(|f| (f, col));
+            let (dims, aggs, _) = bind_over(&t, &["model"], &aggs);
+            let lanes = KernelLanes::plan(&aggs, |idx| t.typed(idx)).unwrap();
+            assert_eq!((lanes.width(), lanes.stride()), (5, stride), "{col}");
+            let enc = encode_as::<u64>(&t, &dims);
+            let pipeline = Pipeline {
+                encoder: &enc.encoder,
+                keys: &enc.keys,
+                lanes: &lanes,
+                ctx: &ctx,
+            };
+            let sets = pipeline
+                .group(&lattice, FROM_CORE, &mut ExecStats::default())
+                .unwrap();
+            for (set, arena) in &sets {
+                assert!(arena.n_cells() > 0, "{set:?}");
+                assert_eq!(arena.cells.len(), stride * arena.n_cells(), "{col} {set:?}");
+            }
+        }
+    }
+
+    /// A child's dense slot table ends at its mask: `(d0, d1)` folded from
+    /// a 14-bit core has at most 2^8 slots, not 2^14.
+    #[test]
+    fn a_dense_child_table_spans_only_its_fields() {
+        let schema = Schema::from_pairs(&[
+            ("d0", DataType::Int),
+            ("d1", DataType::Int),
+            ("d2", DataType::Int),
+            ("d3", DataType::Int),
+            ("x", DataType::Int),
+        ]);
+        // 12 × 8 × 4 × 6 values: fields of 4 + 4 + 3 + 3 bits.
+        let rows = (0..2304i64)
+            .map(|i| row![i % 12, (i / 12) % 8, (i / 96) % 4, (i / 384) % 6, i])
+            .collect();
+        let t = Table::new(schema, rows).unwrap();
+        let (dims, aggs, _) = bind_over(&t, &["d0", "d1", "d2", "d3"], &[("SUM", "x")]);
+        let enc = encode_as::<u64>(&t, &dims);
+        assert_eq!(enc.encoder.dense_bits(), Some(14));
+        let (lanes, ctx) = (
+            KernelLanes::plan(&aggs, |idx| t.typed(idx)).unwrap(),
+            ExecContext::unlimited(),
+        );
+        let pipeline = Pipeline {
+            encoder: &enc.encoder,
+            keys: &enc.keys,
+            lanes: &lanes,
+            ctx: &ctx,
+        };
+        let full = enc.encoder.set_mask(GroupingSet::full(4));
+        let core = pipeline
+            .scan_one(full, 1, &mut ExecStats::default())
+            .unwrap();
+        assert_eq!(core.n_cells(), 2304);
+        let d0d1 = enc
+            .encoder
+            .set_mask(GroupingSet::from_dims(&[0, 1]).unwrap());
+        let child = pipeline.merged_child(&core, d0d1).unwrap();
+        assert_eq!(child.n_cells(), 96);
+        match &child.index {
+            SlotIndex::Dense(table) => assert!(table.len() <= 1 << 8, "{}", table.len()),
+            SlotIndex::Map(_) => panic!("the gate keeps a dense index"),
         }
     }
 
@@ -1566,17 +1729,15 @@ mod tests {
         let ctx = ExecContext::unlimited();
         // 8 key bits with a 1024-row hint fits the dense table; a 40-bit
         // key space never does.
-        let mut dense = Arena::new(0, Some(8), 1024, 0);
-        let mut map = Arena::new(0, Some(40), 1024, 0);
+        let mask = 0xFFu64;
+        let mut dense = Arena::new(0, Some(8), mask, 1024, 0);
+        let mut map = Arena::new(0, Some(40), mask, 1024, 0);
         assert!(matches!(dense.index, SlotIndex::Dense(_)));
         assert!(matches!(map.index, SlotIndex::Map(_)));
         let keys = [7u64, 3, 7, 200, 3, 0];
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        dense
-            .slots_for(&keys, u64::MAX, &mut a, &lanes, &ctx)
-            .unwrap();
-        map.slots_for(&keys, u64::MAX, &mut b, &lanes, &ctx)
-            .unwrap();
+        dense.slots_for(&keys, mask, &mut a, &lanes, &ctx).unwrap();
+        map.slots_for(&keys, mask, &mut b, &lanes, &ctx).unwrap();
         assert_eq!(a, [0, 1, 0, 2, 1, 3]);
         assert_eq!(a, b);
         assert_eq!(dense.keys, map.keys);

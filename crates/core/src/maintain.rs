@@ -15,14 +15,18 @@
 //! long form of what follows.
 //!
 //! **Cells** are the engine's own: one arena per materialized set under
-//! the store's key encoder — its dictionary and field layout — each cell
-//! the select list's lanes plus a COUNT(*) lane for its support. A build
+//! the store's key encoder — its dictionary and field layout — each group
+//! the select list's aggregates plus a COUNT(*) for its support: over
+//! kernel lanes one cell per measure column, the support the row counter
+//! of a column without NULLs (or of a cell of its own); over boxed lanes
+//! one accumulator per aggregate. A build
 //! keeps the arenas the engine's scan and cascade made, in the format the
 //! engine picked from the data: key width and lane kind are decided there
 //! and nowhere else. A batch folds into the cells only in that format; one
 //! that does not fit — measures that do not compile to the store's
-//! kernels, unseen values that outgrow a `u64` key field — re-groups the
-//! post-batch table, and the engine picks the format anew.
+//! kernels, a first NULL in a column whose cell counts rows, unseen
+//! values that outgrow a `u64` key field — re-groups the post-batch
+//! table, and the engine picks the format anew.
 //!
 //! **Reading.** A request may ask only for sets some materialized node is
 //! *usable* for (`usable`, the one ancestor test). A materialized set is
@@ -43,7 +47,7 @@
 //! callback, fault injection — leaves the store exactly at its pre-batch
 //! state and version. Inserts are encoded with the store's dictionary,
 //! folded by the engine's scan and merged by its coalesce (adopt a new
-//! cell, Iter_super into an old one); deletes retract per lane. §6's
+//! cell, Iter_super into an old one); deletes retract per cell. §6's
 //! asymmetry — "max is a distributive \[function\] for SELECT and INSERT,
 //! but it is holistic for DELETE" — is handled by *coalescing*: a cell
 //! that cannot take a retraction is recomputed at most once per batch,
@@ -268,11 +272,11 @@ pub(crate) trait Store: Send + Sync {
 
     /// Each of `sets` — arity descending, every one a subset of some set
     /// of `lattice`, whose sets these cells materialize — as rows of
-    /// dimensions `dims` and lanes `lanes`, sorted by the dimensions in
-    /// that order. A set of `lattice` is read as it is; any other is
+    /// dimensions `dims` and aggregates `lanes`, sorted by the dimensions
+    /// in that order. A set of `lattice` is read as it is; any other is
     /// folded from the parent [`Lattice::choose_parent`] names among
     /// `lattice`'s sets and the sets derived before it, one `merge_calls`
-    /// per (parent cell, lane).
+    /// per (parent group, aggregate).
     #[allow(clippy::too_many_arguments)]
     fn read_sets(
         &self,
@@ -332,10 +336,11 @@ fn cells_of<'a, K, C>(
         .ok_or_else(|| corrupt("set"))
 }
 
-/// The base rows behind a cell: its support lane's count.
-fn support<L: Lanes>(lanes: &L, cell: &[L::Cell]) -> CubeResult<u64> {
+/// The base rows behind a group: its support, the last aggregate's count
+/// (over kernel lanes, a row counter).
+fn support<L: Lanes>(lanes: &L, group: &[L::Cell]) -> CubeResult<u64> {
     let mut count = Vec::with_capacity(1);
-    lanes.finals(cell, &[lanes.width() - 1], &mut count)?;
+    lanes.finals(group, &[lanes.width() - 1], &mut count)?;
     Ok(count.first().and_then(Value::as_i64).unwrap_or(0) as u64)
 }
 
@@ -358,7 +363,7 @@ impl<K: PackedKey, C: Stored> Nodes<K, C> {
             || corrupt("rows the lanes reject"),
             || corrupt("unseen values"),
         );
-        let w = lanes.width();
+        let w = lanes.stride();
 
         // Inserts: the engine's scan folds them into one arena per set,
         // and each merges by the coalesce's adopt-or-Iter_super.
@@ -375,7 +380,7 @@ impl<K: PackedKey, C: Stored> Nodes<K, C> {
             arena.coalesce(part, lanes, ctx)?;
         }
 
-        // Deletes: a cell's retract together; the last of its support
+        // Deletes: a group's retract together; the last of its support
         // empties it.
         let del = C::lanes(spec, aggs, &b.del).ok_or_else(unlaned)?;
         let del_keys = self.encoder.keys(&b.del, dims).ok_or_else(unkeyed)?;
@@ -456,10 +461,13 @@ impl<K: PackedKey, C: Stored> Nodes<K, C> {
         }
         if !emptied.is_empty() {
             emptied.sort_unstable();
-            let dense = self.encoder.dense_bits();
+            let (dense, encoder) = (self.encoder.dense_bits(), &self.encoder);
             let arenas = self.arenas.into_iter().enumerate();
             let kept = |(si, a): (usize, Arena<K, C>)| {
-                a.rebuilt(dense, |slot| emptied.binary_search(&(si, slot)).is_err())
+                let mask = encoder.set_mask(sets[si]);
+                a.rebuilt(dense, mask, |slot| {
+                    emptied.binary_search(&(si, slot)).is_err()
+                })
             };
             self.arenas = arenas.map(kept).collect();
         }
@@ -561,7 +569,7 @@ struct State {
 pub struct MaterializedCube {
     base_schema: Schema,
     dims: Vec<BoundDimension>,
-    /// The select list's aggregates, then the COUNT(*) support lane.
+    /// The select list's aggregates, then the COUNT(*) support.
     aggs: Vec<BoundAgg>,
     /// The select list's output types.
     agg_types: Vec<DataType>,
@@ -2066,6 +2074,51 @@ mod view_tests {
         let cell = absorbed.cell(&[Value::str("Chevy"), Value::Int(1994)]);
         assert_eq!(cell, Some(vec![Value::Int(40), Value::Int(40)]));
         assert_eq!(view.to_table().unwrap(), before);
+    }
+
+    /// A view over a column without NULLs counts its rows in that
+    /// column's cell. A batch that brings the column's first NULL does not
+    /// fit that cell, so it re-groups the post-batch table, and the view
+    /// equals a cold build: COUNT(units) and the support now differ. Later
+    /// batches fold in place again, a delete of the NULL row included.
+    #[test]
+    fn a_first_null_in_a_counted_column_regroups_and_equals_a_cold_build() {
+        let (t, d) = (sales(), dims(&["model", "year"]));
+        let specs: Vec<AggSpec> = [("SUM", "s"), ("COUNT", "c"), ("MIN", "m")]
+            .iter()
+            .map(|&(f, name)| AggSpec::new(builtin(f).unwrap(), "units").with_name(name))
+            .collect();
+        let sets = crate::lattice::cube_sets(2).unwrap();
+        let req = AncestorRequest {
+            dim_map: &[0, 1],
+            dim_names: &["model", "year"],
+            agg_map: &[0, 1, 2],
+            agg_names: &["s", "c", "m"],
+            sets: &sets,
+        };
+        let ctx = ExecContext::unlimited();
+        let absorb = |view: &CachedView, base: &Table, ins: Vec<Row>, del: Vec<Row>| {
+            let post = after(base, &ins, &del);
+            let batch = DeltaBatch::of(ins, del);
+            let absorbed = view.absorb_batch(&batch, Arc::clone(&post)).unwrap();
+            let cold = CachedView::build(&post, &d, &specs).unwrap();
+            let answer = |v: &CachedView| v.answer(&req, &ctx).unwrap();
+            assert_eq!(answer(&absorbed), answer(&cold));
+            assert_eq!(absorbed.cell_count(), cold.cell_count());
+            (absorbed, post)
+        };
+        let view = CachedView::build(&t, &d, &specs).unwrap();
+        let null = Row::new(vec![Value::str("Ford"), Value::Int(1995), Value::Null]);
+        let (view, base) = absorb(&view, &t, vec![null.clone()], vec![]);
+        assert_eq!(view.stats().rows_rescanned, base.len() as u64);
+        assert_eq!(view.stats().cells_recomputed, view.cell_count());
+        let cell = view.cell(&[Value::str("Ford"), Value::Int(1995)]);
+        assert_eq!(cell, Some(vec![Value::Null, Value::Int(0), Value::Null]));
+        let stats = view.stats();
+        let (view, base) = absorb(&view, &base, vec![row!["Chevy", 1995, 5]], vec![]);
+        let (view, _) = absorb(&view, &base, vec![], vec![null]);
+        assert_eq!(view.stats().rows_rescanned, stats.rows_rescanned);
+        assert_eq!(view.cell(&[Value::str("Ford"), Value::Int(1995)]), None);
     }
 
     /// The post-batch table must be the base less the deletes plus the

@@ -386,6 +386,78 @@ fn a_float_delete_recomputes_instead_of_subtracting() {
     }
 }
 
+/// An integer SUM is exact. Over `i64::MAX` and `1` it is NULL — the
+/// evaluator's rule for an integer result outside `i64` — never a wrapped
+/// value, and over `i64::MAX`, `1` and `-1` it is `i64::MAX` in every row
+/// order. That holds over kernel lanes and boxed ones (VARIANCE and MEDIAN
+/// have no kernel), on one thread and on four with each value in a morsel
+/// of its own, from a cold scan and from a warm view, and after the view
+/// absorbs an INSERT and a DELETE. Group `k = 2` holds `-5` and filler
+/// zeros, so the ALL row is back inside `i64`.
+#[test]
+fn an_integer_sum_is_null_past_i64_and_exact_within_it() {
+    const MAX: i64 = i64::MAX;
+    // Rows of filler after each value: more than one 2 048-row morsel.
+    const GAP: usize = 2100;
+    let table = |values: &[i64]| {
+        let schema = Schema::from_pairs(&[("k", DataType::Int), ("x", DataType::Int)]);
+        let mut rows = vec![row![2, -5]];
+        for &v in values {
+            rows.push(row![1, v]);
+            rows.extend((0..GAP).map(|_| row![2, 0]));
+        }
+        Table::new(schema, rows).unwrap()
+    };
+    let sums = |t: &Table| -> Vec<Value> { t.rows().iter().map(|r| r[1].clone()).collect() };
+    let past = vec![Value::Null, Value::Int(-5), Value::Int(MAX - 4)];
+    let within = vec![Value::Int(MAX), Value::Int(-5), Value::Int(MAX - 5)];
+    let mut cases = vec![(vec![MAX, 1], past.clone()), (vec![1, MAX], past.clone())];
+    for order in [
+        [MAX, 1, -1],
+        [MAX, -1, 1],
+        [1, MAX, -1],
+        [1, -1, MAX],
+        [-1, MAX, 1],
+        [-1, 1, MAX],
+    ] {
+        cases.push((order.to_vec(), within.clone()));
+    }
+    let cached = [
+        "SELECT k, SUM(x) AS s FROM t GROUP BY CUBE k",
+        "SELECT k, SUM(x) AS s, VARIANCE(x) AS v FROM t GROUP BY CUBE k",
+    ];
+    let boxed_uncached = "SELECT k, SUM(x) AS s, MEDIAN(x) AS m FROM t GROUP BY CUBE k";
+    for (values, want) in cases {
+        let mut engine = Engine::with_service(ServiceConfig::default());
+        engine.register_table("t", table(&values)).unwrap();
+        let warm = engine.session();
+        let check = |want: &[Value]| {
+            for sql in cached.iter().chain([&boxed_uncached]) {
+                for threads in [1, 4] {
+                    let cold = engine.session();
+                    cold.execute("SET CUBE_CACHE OFF").unwrap();
+                    cold.execute(&format!("SET THREADS {threads}")).unwrap();
+                    let got = sums(&cold.execute(sql).unwrap());
+                    assert_eq!(got, want, "{sql}, {threads} threads, {values:?}");
+                }
+            }
+            for sql in cached {
+                for _ in 0..2 {
+                    assert_eq!(sums(&warm.execute(sql).unwrap()), want, "{sql}, {values:?}");
+                }
+                assert!(warm.last_statement().cache_ancestor.is_some(), "{sql}");
+            }
+        };
+        check(&want);
+        if want == past {
+            warm.execute("INSERT INTO t VALUES (1, -1)").unwrap();
+            check(&within);
+            warm.execute("DELETE FROM t WHERE x = -1").unwrap();
+            check(&past);
+        }
+    }
+}
+
 /// 20 000 rows of `k` < 50, `j` < 70 and a non-dyadic float `x`
 /// (`n / 7 · 10^e`, `e` in −4..=2), from a fixed-seed xorshift: a sum of
 /// them depends on the order its terms are added in.
