@@ -22,38 +22,64 @@ fn numeric(v: &Value) -> Option<f64> {
 // ------------------------------------------------------------------ AVG --
 
 /// `AVG(column)`: scratchpad is the paper's canonical `(sum, count)` pair.
+/// As in `SUM`, integer participants sum exactly in an `i128` beside the
+/// `f64` sum of float ones, so an integer mean rounds once, at Final,
+/// whatever the order of its adds and retractions.
 pub struct Avg;
 
 #[derive(Default)]
 pub struct AvgAcc {
-    sum: f64,
+    int_sum: i128,
+    float_sum: f64,
     n: i64,
+}
+
+impl AvgAcc {
+    fn add(&mut self, v: &Value, sign: i64) {
+        match v {
+            Value::Int(i) => self.int_sum += sign as i128 * *i as i128,
+            Value::Bool(b) => self.int_sum += sign as i128 * i128::from(*b),
+            Value::Float(f) => self.float_sum += (sign as f64) * f,
+            Value::Null | Value::All | Value::Str(_) | Value::Date(_) => return,
+        }
+        self.n += sign;
+    }
 }
 
 impl Accumulator for AvgAcc {
     fn iter(&mut self, v: &Value) {
-        if let Some(x) = numeric(v) {
-            self.sum += x;
-            self.n += 1;
-        }
+        self.add(v, 1);
     }
 
+    /// The integer sum travels as its high and low 64-bit halves.
     fn state(&self) -> Vec<Value> {
-        vec![Value::Float(self.sum), Value::Int(self.n)]
+        vec![
+            Value::Int((self.int_sum >> 64) as i64),
+            Value::Int(self.int_sum as i64),
+            Value::Float(self.float_sum),
+            Value::Int(self.n),
+        ]
     }
 
     fn merge(&mut self, state: &[Value]) {
         // H(): add components, divide at Final.
-        self.sum += state[0].as_f64().unwrap_or(0.0);
-        self.n += state[1].as_i64().unwrap_or(0);
+        let half = |i: usize| state[i].as_i64().unwrap_or(0);
+        self.int_sum += ((half(0) as i128) << 64) | (half(1) as u64 as i128);
+        self.float_sum += state[2].as_f64().unwrap_or(0.0);
+        self.n += state[3].as_i64().unwrap_or(0);
     }
 
     fn final_value(&self) -> Value {
         if self.n == 0 {
-            Value::Null
-        } else {
-            Value::Float(self.sum / self.n as f64)
+            return Value::Null;
         }
+        // No integer participant leaves the float sum's bits alone (its
+        // sign included: `0.0 + -0.0` is `0.0`).
+        let sum = match self.int_sum {
+            0 => self.float_sum,
+            i => i as f64 + self.float_sum,
+        };
+        Value::Float(sum / self.n as f64)
     }
 
     fn retract(&mut self, v: &Value) -> Retract {
@@ -61,10 +87,7 @@ impl Accumulator for AvgAcc {
         if matches!(v, Value::Float(_)) {
             return Retract::Recompute;
         }
-        if let Some(x) = numeric(v) {
-            self.sum -= x;
-            self.n -= 1;
-        }
+        self.add(v, -1);
         Retract::Applied
     }
 }

@@ -90,7 +90,7 @@ pub enum Kernel {
     Min,
     /// MAX(x), strict comparison, first-seen wins ties.
     Max,
-    /// AVG(x): running `f64` sum plus count.
+    /// AVG(x): the column's sum, divided by the count once at Final.
     Avg,
 }
 
@@ -99,9 +99,9 @@ pub enum Kernel {
 /// is always kept.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Parts {
-    /// The exact integer sum: SUM over `i64`.
+    /// The exact integer sum: SUM and AVG over `i64`.
     pub int_sum: bool,
-    /// The `f64` sum in fold order: SUM over `f64`, AVG over either.
+    /// The `f64` sum in fold order: SUM and AVG over `f64`.
     pub float_sum: bool,
     pub min: bool,
     pub max: bool,
@@ -114,13 +114,9 @@ impl Parts {
         let none = Parts::default();
         match kernel {
             Kernel::Count | Kernel::CountStar => none,
-            Kernel::Sum => Parts {
+            Kernel::Sum | Kernel::Avg => Parts {
                 int_sum: !float,
                 float_sum: float,
-                ..none
-            },
-            Kernel::Avg => Parts {
-                float_sum: true,
                 ..none
             },
             Kernel::Min => Parts { min: true, ..none },
@@ -160,8 +156,7 @@ pub struct KernelCell {
     /// Exact sum of an `i64` column: it cannot wrap, and a retraction is
     /// its exact inverse.
     pub sum: i128,
-    /// Sum in fold order of an `f64` column, or of an `i64` column's values
-    /// as `f64` for AVG.
+    /// Sum in fold order of an `f64` column.
     pub fsum: f64,
     /// Smallest value so far; meaningful while `n > 0`.
     pub min: i64,
@@ -190,9 +185,6 @@ impl KernelCell {
     fn fold_int(&mut self, v: i64, parts: Parts) {
         if parts.int_sum {
             self.sum += v as i128;
-        }
-        if parts.float_sum {
-            self.fsum += v as f64;
         }
         self.fold_key(v, parts);
         self.n += 1;
@@ -306,9 +298,6 @@ impl KernelCell {
         if parts.int_sum {
             self.sum -= v as i128;
         }
-        if parts.float_sum {
-            self.fsum -= v as f64;
-        }
         self.n -= 1;
         true
     }
@@ -348,7 +337,10 @@ impl Kernel {
             Kernel::Sum => i64::try_from(cell.sum).map_or(Value::Null, Value::Int),
             Kernel::Min => extremum(cell.min),
             Kernel::Max => extremum(cell.max),
-            Kernel::Avg => Value::Float(cell.fsum / cell.n as f64),
+            Kernel::Avg if float => Value::Float(cell.fsum / cell.n as f64),
+            // The exact sum rounds once, so the mean does not depend on
+            // the order rows were folded or retracted in.
+            Kernel::Avg => Value::Float(cell.sum as f64 / cell.n as f64),
         }
     }
 }
@@ -467,6 +459,28 @@ mod tests {
         let mut cell = ints(&[i64::MAX, 1], parts);
         assert!(cell.retract_int(1, parts));
         assert_eq!(Kernel::Sum.final_value(&cell, false), Value::Int(i64::MAX));
+    }
+
+    /// An integer mean divides the exact sum once: past 2^53 neither the
+    /// fold order nor a retraction moves it, and the boxed `AvgAcc` agrees.
+    #[test]
+    fn an_integer_mean_is_exact() {
+        const BIG: i64 = 1 << 53;
+        let parts = Parts::of(Kernel::Avg, false);
+        let mut cell = ints(&[BIG, 1, 1], parts);
+        assert!(cell.retract_int(1, parts) && cell.retract_int(1, parts));
+        assert_eq!(
+            Kernel::Avg.final_value(&cell, false),
+            Value::Float(BIG as f64)
+        );
+        let mut acc = builtin("AVG").unwrap().init();
+        for v in [BIG, 1, 1] {
+            acc.iter(&Value::Int(v));
+        }
+        for _ in 0..2 {
+            acc.retract(&Value::Int(1));
+        }
+        assert_eq!(acc.final_value(), Value::Float(BIG as f64));
     }
 
     #[test]

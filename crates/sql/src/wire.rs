@@ -22,9 +22,14 @@
 //! or the error is not load-related).
 //!
 //! Framing is a big-endian `u32` byte length followed by that many bytes.
-//! Cell text is escaped so tabs/newlines in string values cannot corrupt
-//! the tabular body: `\t` → `\\t`, `\n` → `\\n`, `\r` → `\\r`,
-//! `\\` → `\\\\`.
+//! A cell's text is its value's `Display` bytes (`ALL`, `NULL`, `TRUE`,
+//! `5`, `5.0`, `2.5`), escaped so tabs/newlines in string values cannot
+//! corrupt the tabular body: `\t` → `\\t`, `\n` → `\\n`, `\r` → `\\r`,
+//! `\\` → `\\\\`. [`encode_table`] prints integers and integral floats'
+//! digits itself and goes through a formatter only for other floats and
+//! dates. [`decode_response`] reads a body in one pass: a `\t` or `\n`
+//! ends a cell, and a cell is one copy of its text unless the pass saw a
+//! `\\` in it.
 //!
 //! A frame leaves in one `write_all` of one buffer, prefix and payload
 //! together. Two writes would put the payload behind Nagle's algorithm:
@@ -32,7 +37,7 @@
 //! the second until the peer's delayed ACK fires, ~40 ms later.
 
 use crate::error::SqlError;
-use dc_relation::Table;
+use dc_relation::{Table, Value};
 use std::io::{self, Read, Write};
 
 /// Hard ceiling on accepted frame length (16 MiB) — a corrupt or
@@ -141,11 +146,8 @@ fn escape_cell_into(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(rest.as_bytes());
 }
 
+/// The text of a cell the decoder saw a `\` in, escapes undone.
 fn unescape_cell(s: &str) -> String {
-    // Most cells hold no escape: one copy, not a push per char.
-    if !s.contains('\\') {
-        return s.to_owned();
-    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -168,9 +170,58 @@ fn unescape_cell(s: &str) -> String {
     out
 }
 
+/// Append the decimal digits of `n`, after a `-` if `negative`.
+fn write_digits(out: &mut Vec<u8>, negative: bool, mut n: u64) {
+    let mut buf = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if negative {
+        out.push(b'-');
+    }
+    out.extend_from_slice(&buf[at..]);
+}
+
+/// Append `v`'s `Display` text, escaped, without going through a
+/// formatter for the common cases.
+fn write_cell(out: &mut Vec<u8>, v: &Value) {
+    match v {
+        Value::Null => out.extend_from_slice(b"NULL"),
+        Value::All => out.extend_from_slice(b"ALL"),
+        Value::Bool(true) => out.extend_from_slice(b"TRUE"),
+        Value::Bool(false) => out.extend_from_slice(b"FALSE"),
+        Value::Int(i) => write_digits(out, *i < 0, i.unsigned_abs()),
+        // `Display` prints such a float as `{x:.1}`: its sign (`-0.0`
+        // included), its integer's digits and `.0`. Below 1e15 the cast
+        // is exact.
+        Value::Float(x) if x.fract() == 0.0 && x.abs() < 1e15 => {
+            write_digits(out, x.is_sign_negative(), x.abs() as u64);
+            out.extend_from_slice(b".0");
+        }
+        // Writes into a `Vec` cannot fail.
+        Value::Float(x) => {
+            let _ = write!(out, "{x}");
+        }
+        // Only strings can hold a tab, newline, CR or backslash.
+        Value::Str(s) => escape_cell_into(out, s),
+        Value::Date(d) => {
+            let _ = write!(out, "{d}");
+        }
+    }
+}
+
+/// Rows encoded before the payload's size is extrapolated from them.
+const SAMPLE_ROWS: usize = 64;
+
 /// Encode a successful result table as a response payload.
 pub fn encode_table(t: &Table) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(1024);
     // Writes into a `Vec` cannot fail.
     let _ = writeln!(out, "OK {} {}", t.len(), t.schema().len());
     for (i, col) in t.schema().columns().iter().enumerate() {
@@ -180,18 +231,23 @@ pub fn encode_table(t: &Table) -> Vec<u8> {
         escape_cell_into(&mut out, &col.name);
     }
     out.push(b'\n');
-    for row in t.rows() {
+    let body = out.len();
+    let mut headroom = 0;
+    for (r, row) in t.rows().iter().enumerate() {
+        // Past the sample, the buffer is sized for the rows left at the
+        // mean row so far, plus an eighth, and re-sized only if they run
+        // longer: a doubling would leave up to half of it unused.
+        if r == SAMPLE_ROWS || (r > SAMPLE_ROWS && out.capacity() - out.len() < headroom) {
+            let mean = (out.len() - body) / r + 1;
+            let rest = (t.len() - r) * mean;
+            out.reserve_exact(rest + rest / 8);
+            headroom = 2 * mean;
+        }
         for (i, v) in row.iter().enumerate() {
             if i > 0 {
                 out.push(b'\t');
             }
-            // Only strings can hold a tab, newline, CR or backslash.
-            match v.as_str() {
-                Some(s) => escape_cell_into(&mut out, s),
-                None => {
-                    let _ = write!(out, "{v}");
-                }
-            }
+            write_cell(&mut out, v);
         }
         out.push(b'\n');
     }
@@ -257,36 +313,7 @@ pub fn decode_response(payload: &[u8]) -> io::Result<Response> {
                 n.ok_or_else(|| bad(&format!("missing or malformed {what} count")))
             };
             let (rows, cols) = (count("row")?, count("column")?);
-            // Every line holds `cols` tab-separated cells (a zero-column
-            // line is empty); a line that does not is its cell count.
-            let cells = |line: &str| {
-                let mut cells = Vec::with_capacity(cols);
-                if cols > 0 || !line.is_empty() {
-                    cells.extend(line.split('\t').map(unescape_cell));
-                }
-                if cells.len() == cols {
-                    Ok(cells)
-                } else {
-                    Err(cells.len())
-                }
-            };
-            let ragged = |what: &str, got| bad(&format!("{what} has {got} cells, not {cols}"));
-            // Rows end in `\n` alone: `str::lines` would also strip a
-            // `\r` before it, which is cell text, not line structure.
-            let mut lines = body.strip_suffix('\n').unwrap_or(body).split('\n');
-            let header = lines.next().ok_or_else(|| bad("missing header"))?;
-            let columns = cells(header).map_err(|got| ragged("the header", got))?;
-            let mut out_rows = Vec::with_capacity(rows);
-            for (i, line) in lines.enumerate() {
-                out_rows.push(cells(line).map_err(|got| ragged(&format!("row {i}"), got))?);
-            }
-            if out_rows.len() != rows {
-                return Err(bad("row count mismatch"));
-            }
-            Ok(Response::Table {
-                columns,
-                rows: out_rows,
-            })
+            decode_table(body, rows, cols)
         }
         Some("ERR") => {
             let code = parts.next().ok_or_else(|| bad("missing error code"))?;
@@ -298,6 +325,79 @@ pub fn decode_response(payload: &[u8]) -> io::Result<Response> {
             })
         }
         _ => Err(bad("unknown status word")),
+    }
+}
+
+/// The body of an `OK` frame, in one pass over its bytes. Every line
+/// holds `cols` cells (a zero-column line is empty); one that does not is
+/// an error naming its cell count.
+fn decode_table(body: &str, rows: usize, cols: usize) -> io::Result<Response> {
+    let ragged = |what: &str, got: usize| {
+        let why = format!("bad response: {what} has {got} cells, not {cols}");
+        io::Error::new(io::ErrorKind::InvalidData, why)
+    };
+    // Rows end in `\n` alone: a `\r` before one is cell text, not line
+    // structure.
+    let body = body.strip_suffix('\n').unwrap_or(body);
+    // A line holds at most one cell per byte, plus one: the counts in the
+    // head cannot size an allocation past what the body can fill.
+    let width = cols.min(body.len() + 1);
+    let mut at = 0;
+    let (columns, mut last) = decode_line(body, &mut at, cols, width);
+    if columns.len() != cols {
+        return Err(ragged("the header", columns.len()));
+    }
+    let mut out_rows = Vec::with_capacity(rows.min(body.len() + 1));
+    while !last {
+        let (cells, end) = decode_line(body, &mut at, cols, width);
+        if cells.len() != cols {
+            return Err(ragged(&format!("row {}", out_rows.len()), cells.len()));
+        }
+        out_rows.push(cells);
+        last = end;
+    }
+    if out_rows.len() != rows {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "bad response: row count mismatch",
+        ));
+    }
+    Ok(Response::Table {
+        columns,
+        rows: out_rows,
+    })
+}
+
+/// The cells of the line starting at `*at`, which moves past it, and
+/// whether it is the body's last line. A `\t` or a `\n` ends a cell, and
+/// a cell is one copy of its text unless the walk saw a `\` in it.
+fn decode_line(body: &str, at: &mut usize, cols: usize, width: usize) -> (Vec<String>, bool) {
+    let bytes = body.as_bytes();
+    let line = *at;
+    let mut cells = Vec::with_capacity(width);
+    let (mut cell, mut escaped) = (line, false);
+    loop {
+        let pos = *at;
+        let b = bytes.get(pos).copied();
+        *at += 1;
+        match b {
+            Some(b'\\') => escaped = true,
+            Some(b'\t' | b'\n') | None => {
+                // An empty line of a zero-column table holds no cell.
+                if cols > 0 || pos > line || b == Some(b'\t') {
+                    let text = &body[cell..pos];
+                    cells.push(match escaped {
+                        true => unescape_cell(text),
+                        false => text.to_owned(),
+                    });
+                }
+                if b != Some(b'\t') {
+                    return (cells, b.is_none());
+                }
+                (cell, escaped) = (*at, false);
+            }
+            Some(_) => {}
+        }
     }
 }
 
@@ -435,6 +535,21 @@ mod tests {
                 "{head}"
             );
         }
+    }
+
+    /// A row or column count in the head is the peer's claim: it bounds
+    /// no allocation past what the body can fill, so an absurd one is an
+    /// error, not a capacity overflow.
+    #[test]
+    fn absurd_counts_in_the_head_are_invalid_data() {
+        assert_eq!(
+            bad_response(format!("OK {} 1\na\n1\n", usize::MAX).as_bytes()),
+            "bad response: row count mismatch"
+        );
+        assert_eq!(
+            bad_response(format!("OK 1 {}\na\n1\n", usize::MAX).as_bytes()),
+            format!("bad response: the header has 1 cells, not {}", usize::MAX)
+        );
     }
 
     #[test]

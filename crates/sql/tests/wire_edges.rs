@@ -20,6 +20,11 @@ const QUERY: &str = "SELECT model, SUM(units) AS total FROM Sales GROUP BY model
 /// A served engine and its admission controller, whose one permit a
 /// leaking case would keep.
 fn server() -> (ServerHandle, Arc<AdmissionController>) {
+    server_framing(MAX_FRAME_LEN)
+}
+
+/// [`server`], refusing frames longer than `max_frame_len`.
+fn server_framing(max_frame_len: u32) -> (ServerHandle, Arc<AdmissionController>) {
     let mut engine = Engine::with_service(ServiceConfig {
         max_concurrent: 1,
         queue_depth: 0,
@@ -34,7 +39,7 @@ fn server() -> (ServerHandle, Arc<AdmissionController>) {
     engine.register_table("Sales", t).unwrap();
     let cfg = ServerConfig {
         max_connections: 1,
-        max_frame_len: MAX_FRAME_LEN,
+        max_frame_len,
     };
     let admission = Arc::clone(engine.admission());
     (serve(&engine, "127.0.0.1:0", cfg).unwrap(), admission)
@@ -224,22 +229,44 @@ impl XorShift {
     }
 }
 
+/// What the server owes a hostile frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Owed {
+    /// A cut frame: the server can only close on it.
+    Close,
+    /// A whole frame: a typed error.
+    Error,
+    /// A whole statement nested past the parser's limit: `ERR PARSE`,
+    /// whatever the production.
+    Parse,
+}
+
 /// One hostile frame: a length prefix of 0, below, at or above
-/// `MAX_FRAME_LEN`; a printable or a random (mostly non-UTF-8) payload;
-/// one in three cut short anywhere, prefix included. Returns its bytes
-/// and whether it is whole, so the server can answer it with a typed
-/// error — a cut frame it can only close on.
-fn hostile_frame(rng: &mut XorShift) -> (Vec<u8>, bool) {
+/// `MAX_FRAME_LEN`, with a printable or a random (mostly non-UTF-8)
+/// payload, one in three cut short anywhere, prefix included; or a whole
+/// statement, one of [`nested_statements`]' productions at a depth in
+/// 65..=100 000. Returns its bytes and what the server owes it.
+fn hostile_frame(rng: &mut XorShift) -> (Vec<u8>, Owed) {
     let max = u64::from(MAX_FRAME_LEN);
-    let len = match rng.below(4) {
+    let len = match rng.below(5) {
         0 => 0,
         1 => 1 + rng.below(max - 1),
         2 => max,
-        _ => max + 1 + rng.below(u64::from(u32::MAX) - max),
+        3 => max + 1 + rng.below(u64::from(u32::MAX) - max),
+        _ => {
+            let limit = dc_sql::parser::MAX_DEPTH as u64;
+            let depth = limit + 1 + rng.below(100_000 - limit);
+            let mut statements = nested_statements(depth as usize);
+            let pick = rng.below(statements.len() as u64) as usize;
+            let (_, sql) = statements.swap_remove(pick);
+            let mut frame = Vec::new();
+            wire::write_frame(&mut frame, sql.as_bytes()).unwrap();
+            return (frame, Owed::Parse);
+        }
     };
     let mut frame = u32::try_from(len).unwrap().to_be_bytes().to_vec();
     if len > max {
-        return (frame, true); // refused on its prefix alone
+        return (frame, Owed::Error); // refused on its prefix alone
     }
     let printable = rng.below(2) == 0;
     let byte = |rng: &mut XorShift| match printable {
@@ -248,30 +275,42 @@ fn hostile_frame(rng: &mut XorShift) -> (Vec<u8>, bool) {
     };
     frame.extend((0..len).map(|_| byte(rng)));
     if rng.below(3) > 0 {
-        return (frame, true);
+        return (frame, Owed::Error);
     }
     frame.truncate(rng.below(frame.len() as u64) as usize);
-    (frame, false)
+    (frame, Owed::Close)
 }
 
 /// 64 seeded hostile frames, each on a server of its own: a whole frame is
-/// answered with a typed error, a cut one with a close, and afterwards the
-/// server's one slot and one permit serve a fresh client.
+/// answered with a typed error (a deep statement with `ERR PARSE`), a cut
+/// one with a close, and afterwards the server's one slot and one permit
+/// serve a fresh client. A deep statement's server takes frames of the
+/// wire's full length, so its text reaches the parser.
 #[test]
 fn seeded_hostile_frames_get_a_typed_error_or_a_close() {
     let mut rng = XorShift(0xDA7A_C0BE_F00D_2024);
     for i in 0..64 {
-        let (frame, whole) = hostile_frame(&mut rng);
-        let (handle, admission) = server();
+        let (frame, owed) = hostile_frame(&mut rng);
+        let (handle, admission) = match owed {
+            Owed::Parse => server_framing(wire::MAX_FRAME_LEN),
+            Owed::Close | Owed::Error => server(),
+        };
         let mut conn = connect(handle.local_addr());
         conn.write_all(&frame).unwrap();
         conn.shutdown(Shutdown::Write).unwrap();
         match outcome(&mut conn) {
             Some(Response::Error { code, .. }) => {
-                assert!(whole, "frame {i}: a cut frame was answered ERR {code}");
+                assert_ne!(
+                    owed,
+                    Owed::Close,
+                    "frame {i}: a cut frame was answered ERR {code}"
+                );
                 assert_ne!(code, "RESOURCE_EXHAUSTED", "frame {i}: shed, not answered");
+                if owed == Owed::Parse {
+                    assert_eq!(code, "PARSE", "frame {i}");
+                }
             }
-            None => assert!(!whole, "frame {i}: a whole frame was closed on"),
+            None => assert_eq!(owed, Owed::Close, "frame {i}: a whole frame was closed on"),
             Some(other) => panic!("frame {i}: expected a typed error or a close, got {other:?}"),
         }
         drop(conn);

@@ -458,6 +458,44 @@ fn an_integer_sum_is_null_past_i64_and_exact_within_it() {
     }
 }
 
+/// An integer mean retracts exactly. Past 2^53 an `f64` running sum
+/// rounds: `2^53 + 1 + 1` folds to `2^53`, and taking the two `1`s back
+/// out leaves `2^53 - 2`. The exact sum divides once, so after the DELETE
+/// a warm view answers what a cold scan does, over kernel lanes (`AVG`
+/// alone) and boxed ones (beside `VARIANCE` warm, `MEDIAN` cold).
+#[test]
+fn an_integer_avg_retracts_exactly_past_2_pow_53() {
+    const BIG: i64 = 1 << 53;
+    let mut engine = Engine::with_service(ServiceConfig::default());
+    let schema = Schema::from_pairs(&[("k", DataType::Int), ("x", DataType::Int)]);
+    let rows = vec![row![1, BIG], row![1, 1], row![1, 1], row![2, 3]];
+    engine
+        .register_table("t", Table::new(schema, rows).unwrap())
+        .unwrap();
+    let cached = [
+        "SELECT k, AVG(x) AS a FROM t GROUP BY CUBE k",
+        "SELECT k, AVG(x) AS a, VARIANCE(x) AS v FROM t GROUP BY CUBE k",
+    ];
+    let boxed_uncached = "SELECT k, AVG(x) AS a, MEDIAN(x) AS m FROM t GROUP BY CUBE k";
+    let means = |t: &Table| -> Vec<Value> { t.rows().iter().map(|r| r[1].clone()).collect() };
+    let warm = engine.session();
+    for sql in cached {
+        warm.execute(sql).unwrap();
+    }
+    warm.execute("DELETE FROM t WHERE x = 1").unwrap();
+    // `2^53 + 3` rounds to `2^53 + 4` once, then halves exactly.
+    let want = [BIG as f64, 3.0, (BIG / 2 + 2) as f64].map(Value::Float);
+    let cold = engine.session();
+    cold.execute("SET CUBE_CACHE OFF").unwrap();
+    for sql in cached.iter().chain([&boxed_uncached]) {
+        assert_eq!(means(&cold.execute(sql).unwrap()), want, "cold: {sql}");
+    }
+    for sql in cached {
+        assert_eq!(means(&warm.execute(sql).unwrap()), want, "warm: {sql}");
+        assert!(warm.last_statement().cache_ancestor.is_some(), "{sql}");
+    }
+}
+
 /// 20 000 rows of `k` < 50, `j` < 70 and a non-dyadic float `x`
 /// (`n / 7 · 10^e`, `e` in −4..=2), from a fixed-seed xorshift: a sum of
 /// them depends on the order its terms are added in.
