@@ -13,10 +13,15 @@
 //! 2. **Coalesce.** Worker arenas merge by *adopting* a first-seen cell's
 //!    lanes outright and folding collisions with `Iter_super`.
 //! 3. **Cascade.** Each remaining grouping set is folded from a parent
-//!    set's arena, one lattice level at a time; sets of one level never
-//!    depend on each other, so a level's sets are farmed across workers.
-//! 4. **Materialize.** Cells are ranked by collation-remapped keys (a plain
-//!    integer sort in decoded-`Row` order), decoded once, and finalized.
+//!    set's arena, in lattice order (core first, arity descending), on the
+//!    calling thread: a parent is a strict superset, so it is always built
+//!    first.
+//! 4. **Materialize.** Each set's cells are sorted by collation-remapped
+//!    keys (a plain integer sort in decoded-`Row` order), then decoded,
+//!    finalized and pushed in that order: one `Row` per cell, built once.
+//!
+//! Only step 1 spreads over workers (`SET THREADS`, §5's partition-parallel
+//! plan); from the coalesce on, a statement stays on its own thread.
 //!
 //! A materialized store ([`crate::maintain`]) keeps steps 1–3's arenas as
 //! its cells ([`Stored`]), answers through `merged_child` and step 4, and
@@ -64,15 +69,6 @@ pub(crate) const MORSEL_ROWS: usize = 2 * exec::CHECKPOINT_INTERVAL;
 /// 256 KiB `u32` table — safely cache-resident next to the cells it
 /// indexes, and far cheaper than a hash probe per row.
 const DENSE_SLOT_BITS: u32 = 16;
-
-/// Below this many cells the cascade and the materializer run on one
-/// worker — thread spawn costs more than the work it would spread.
-const PARALLEL_MIN_CELLS: usize = 1 << 10;
-
-/// Cells per materialize task: big enough that a chunk's decode work
-/// dwarfs the cursor fetch, small enough that the final chunks of a
-/// skewed set still spread across workers.
-const EMIT_CHUNK_CELLS: usize = 4096;
 
 /// The accumulator kind of one query: how a group's cells are
 /// initialized, folded, merged and finalized. A group is `stride()`
@@ -857,19 +853,12 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
         Ok(child)
     }
 
-    /// The cascade over arenas, parallel by lattice level.
-    ///
-    /// Correctness of the parallel schedule: a set's cascade parent is
-    /// always a strict superset, hence of strictly greater arity, hence
-    /// materialized in an *earlier* level — so all sets of one level only
-    /// read arenas from previous levels and can run concurrently. Parent
-    /// *selection* is also unchanged from the serial `Row`-keyed cascade:
-    /// that one consults the materialized-so-far list, but same-level
-    /// entries can never qualify (a strict superset of equal arity cannot
-    /// exist), so selecting per level sees the same candidates. Within a
-    /// level, workers pull `(set, parent)` tasks from a shared cursor — a
-    /// set with a huge parent arena occupies one worker while the rest
-    /// drain the level.
+    /// The cascade over arenas, on the calling thread: each set of the
+    /// lattice, in its order (core first, arity descending), folds from
+    /// the parent `choice` picks among the sets before it. A parent is a
+    /// strict superset, hence of greater arity, hence always built
+    /// earlier; the same-arity sets before a set never qualify, so the
+    /// order within one arity does not change a pick.
     fn cascade(
         &self,
         core: Arena<K, L::Cell>,
@@ -877,64 +866,24 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
         choice: ParentChoice,
         stats: &mut ExecStats,
     ) -> CubeResult<SetArenas<K, L::Cell>> {
-        let encoder = &self.encoder;
-        let core_set = lattice.core();
+        let sets = lattice.sets();
         // The C_i come straight off the symbol tables — no per-key scan
         // over the core.
-        let cardinalities = encoder.cardinalities();
-        let workers = if core.n_cells() >= PARALLEL_MIN_CELLS {
-            exec::worker_count()
-        } else {
-            1
-        };
-
-        let mut done: FxHashMap<GroupingSet, Arena<K, L::Cell>> = FxHashMap::default();
-        let mut order: Vec<GroupingSet> = Vec::with_capacity(lattice.sets().len());
-        done.insert(core_set, core);
-        order.push(core_set);
-
-        // Walk the lattice in runs of equal arity (it is ordered
-        // core-first, decreasing arity).
-        let sets: Vec<GroupingSet> = lattice
-            .sets()
-            .iter()
-            .copied()
-            .filter(|&s| s != core_set)
-            .collect();
-        for level in sets.chunk_by(|a, b| a.len() == b.len()) {
-            let tasks: Vec<(GroupingSet, GroupingSet)> = level
-                .iter()
-                .map(|&set| (set, choice.parent(lattice, set, &cardinalities, &order)))
-                .collect();
-            let cursor = AtomicUsize::new(0);
-            let built =
-                exec::run_workers(workers.min(tasks.len()), "cascade::level", stats, |local| {
-                    exec::failpoint(Site::CascadeLevel)?;
-                    let mut built = Vec::new();
-                    while let Some(&(set, parent)) = tasks.get(exec::claim(&cursor, 1)) {
-                        self.ctx.checkpoint()?;
-                        let parent = &done[&parent];
-                        built.push((set, self.merged_child(parent, encoder.set_mask(set))?));
-                        local.merge_calls += (parent.n_cells() * self.lanes.width()) as u64;
-                    }
-                    Ok(built)
-                })?;
-            for (set, arena) in built.into_iter().flatten() {
-                done.insert(set, arena);
-                order.push(set);
-            }
+        let cardinalities = self.encoder.cardinalities();
+        let mut arenas: Vec<Arena<K, L::Cell>> = Vec::with_capacity(sets.len());
+        arenas.push(core);
+        for (i, &set) in sets.iter().enumerate().skip(1) {
+            exec::failpoint(Site::CascadeLevel)?;
+            self.ctx.checkpoint()?;
+            let done = &sets[..i];
+            let parent = choice.parent(lattice, set, &cardinalities, done);
+            // Every pick is among `done`; the core, at 0, is its fallback.
+            let parent = &arenas[done.iter().position(|&s| s == parent).unwrap_or(0)];
+            let child = self.merged_child(parent, self.encoder.set_mask(set))?;
+            stats.merge_calls += (parent.n_cells() * self.lanes.width()) as u64;
+            arenas.push(child);
         }
-
-        #[expect(
-            clippy::expect_used,
-            reason = "the cascade above materializes each lattice set exactly once"
-        )]
-        let sets = lattice
-            .sets()
-            .iter()
-            .map(|s| (*s, done.remove(s).expect("every set materialized")))
-            .collect();
-        Ok(sets)
+        Ok(sets.iter().copied().zip(arenas).collect())
     }
 
     /// Run the plan shape: which masks each pass over the base rows folds
@@ -1010,20 +959,18 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
     ) -> CubeResult<Table> {
         exec::failpoint(Site::Materialize)?;
         let encoder = &self.encoder;
-        let width = dims.len() + lanes.len();
         // Sort each set by collation-remapped keys — a plain integer sort in
-        // decoded-`Row` order — and invert to a slot -> output-rank map.
-        // Rows are then *emitted in slot order* — keys and cells stream
-        // sequentially instead of one gather cache miss per cell — and
-        // each decoded row scatters to its ranked position.
+        // decoded-`Row` order — then decode and finalize its cells in that
+        // order, each row built once, straight into its place.
         // Decode-then-compare-`Row`s costs ~10× more on large results.
         let collator = encoder.collator(dims);
-        let mut ranks: Vec<Vec<u32>> = Vec::with_capacity(arenas.len());
-        let mut bases: Vec<usize> = Vec::with_capacity(arenas.len());
-        let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
-        let mut total = 0usize;
+        let total = arenas.iter().map(|a| a.n_cells()).sum();
+        let mut rows: Vec<Row> = Vec::with_capacity(total);
         let mut order: Vec<(K, u32)> = Vec::new();
-        for (si, arena) in arenas.iter().enumerate() {
+        // One scratch row; each output row is one allocation, copied out
+        // of it.
+        let mut vals = Vec::with_capacity(dims.len() + lanes.len());
+        for arena in arenas {
             self.ctx.checkpoint()?;
             order.clear();
             order.extend(
@@ -1034,53 +981,15 @@ impl<K: PackedKey, L: Lanes> Pipeline<'_, K, L> {
                     .map(|(slot, &key)| (collator.sort_key(key), slot as u32)),
             );
             order.sort_unstable_by_key(|c| c.0);
-            let mut rank: Vec<u32> = vec![0; order.len()];
             for (i, &(_, slot)) in order.iter().enumerate() {
-                rank[slot as usize] = i as u32;
+                self.ctx.tick(i)?;
+                let slot = slot as usize;
+                vals.clear();
+                encoder.append_key(arena.keys[slot], dims, &mut vals);
+                self.lanes.finals(arena.cell_at(slot), lanes, &mut vals)?;
+                rows.push(Row::from(&vals[..]));
             }
-            ranks.push(rank);
-            bases.push(total);
-            total += arena.n_cells();
-            tasks.extend(
-                (0..arena.n_cells())
-                    .step_by(EMIT_CHUNK_CELLS)
-                    .map(|lo| (si, lo, (lo + EMIT_CHUNK_CELLS).min(arena.n_cells()))),
-            );
-        }
-
-        // Workers pull fixed slot chunks from a cursor (decode cost is
-        // uniform per cell, and chunks keep the sequential-read layout),
-        // then one pass scatters the built rows — cheap `Row` moves — into
-        // final positions.
-        let workers = if total >= PARALLEL_MIN_CELLS {
-            exec::worker_count().min(tasks.len())
-        } else {
-            1
-        };
-        let cursor = AtomicUsize::new(0);
-        let emitted = exec::run_workers(workers, "materialize", stats, |local| {
-            let mut out: Vec<(usize, Row)> = Vec::new();
-            // One scratch row per worker; each output row is one
-            // allocation, copied out of it.
-            let mut vals = Vec::with_capacity(width);
-            while let Some(&(si, lo, hi)) = tasks.get(exec::claim(&cursor, 1)) {
-                let arena = arenas[si];
-                let cells = arena.keys[lo..hi].iter().zip(&ranks[si][lo..hi]);
-                for (slot, (&key, &rank)) in (lo..hi).zip(cells) {
-                    self.ctx.tick(slot)?;
-                    vals.clear();
-                    encoder.append_key(key, dims, &mut vals);
-                    self.lanes.finals(arena.cell_at(slot), lanes, &mut vals)?;
-                    out.push((bases[si] + rank as usize, Row::from(&vals[..])));
-                }
-                local.final_calls += ((hi - lo) * lanes.len()) as u64;
-            }
-            Ok(out)
-        })?;
-        let mut rows: Vec<Row> = vec![Row::new(Vec::new()); total];
-        // cube-lint: allow(checkpoint, plain Row moves; the workers polled per cell while decoding)
-        for (idx, row) in emitted.into_iter().flatten() {
-            rows[idx] = row;
+            stats.final_calls += (arena.n_cells() * lanes.len()) as u64;
         }
         Ok(Table::from_validated_rows(schema, rows))
     }
@@ -1715,6 +1624,93 @@ mod tests {
                         let cold = run(&fresh(), aggs, shape);
                         proptest::prop_assert_eq!(&warm, &cold, "{:?}", shape);
                     }
+                }
+            }
+        }
+    }
+
+    /// 5 120 core cells over `(a, b, c)` of cardinality 16, 20 and 16,
+    /// each on two adjacent rows, the cells in scrambled first-touch order:
+    /// the core spans more than one 4 096-cell stretch. No
+    /// cell's rows straddle a morsel or a four-way partition, so a
+    /// parallel scan's coalesce merges nothing on either side.
+    fn large_cube() -> Table {
+        let schema = Schema::from_pairs(&[
+            ("a", DataType::Int),
+            ("b", DataType::Int),
+            ("c", DataType::Int),
+            ("units", DataType::Int),
+            ("price", DataType::Float),
+        ]);
+        let rows = (0..10_240i64)
+            .map(|i| {
+                let p = (i / 2 * 7919) % 5120;
+                let units = if i % 13 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 97 - 40)
+                };
+                let price = Value::Float((i % 37) as f64 * 0.25);
+                let key = [p % 16, p / 16 % 20, p / 320].map(Value::Int);
+                Row::new(key.into_iter().chain([units, price]).collect())
+            })
+            .collect();
+        Table::new(schema, rows).unwrap()
+    }
+
+    /// A large cube against the `Row`-keyed reference: row for row in
+    /// order, bit for bit, and equal work counters, serial and over four
+    /// scan workers, both key widths, both lane kinds (MEDIAN has no
+    /// kernel).
+    #[test]
+    fn a_large_cube_matches_the_reference_row_for_row_with_equal_stats() {
+        let t = large_cube();
+        let lattice = Lattice::cube(3).unwrap();
+        let ctx = ExecContext::unlimited();
+        let abc = ["a", "b", "c"];
+        let parallel = Shape::FromCore {
+            threads: Some(4),
+            choice: ParentChoice::SmallestCardinality,
+        };
+        let kernel = [
+            ("SUM", "units"),
+            ("AVG", "price"),
+            ("MIN", "price"),
+            ("COUNT", "units"),
+        ];
+        let boxed = [("SUM", "units"), ("MEDIAN", "units"), ("MAX", "price")];
+        for (aggs, kernels) in [(&kernel[..], 4), (&boxed[..], 0)] {
+            let (dims, bound, schema) = bind_over(&t, &abc, aggs);
+            for shape in [FROM_CORE, parallel] {
+                let mut want_stats = ExecStats::default();
+                let rows = t.rows();
+                let maps = reference::set_maps(
+                    shape,
+                    rows,
+                    &dims,
+                    &bound,
+                    &lattice,
+                    &mut want_stats,
+                    &ctx,
+                )
+                .unwrap();
+                let want =
+                    materialize(schema.clone(), maps, &bound, &mut want_stats, &ctx).unwrap();
+                // 16·20·16 + 16·20 + 16·16 + 20·16 + 16 + 20 + 16 + 1.
+                assert_eq!(want.len(), 6069);
+                for run in [run_over::<u64>, run_over::<WideKey>] {
+                    let tag = format!("{shape:?}, {kernels} kernel lanes");
+                    let (got, stats) = run(&t, &abc, &lattice, aggs, shape);
+                    assert_eq!(bits(&got), bits(&want), "{tag}");
+                    assert_eq!(stats.vectorized_kernels_used, kernels, "{tag}");
+                    assert_eq!(stats.morsels_processed, 5, "{tag}");
+                    // The reference neither runs kernels nor counts morsels.
+                    let engine_only = ExecStats {
+                        vectorized_kernels_used: 0,
+                        morsels_processed: 0,
+                        ..stats
+                    };
+                    assert_eq!(engine_only, want_stats, "{tag}");
                 }
             }
         }

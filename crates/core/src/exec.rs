@@ -34,7 +34,7 @@ use crate::spec::BoundAgg;
 use dc_aggregate::faults::Site;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Rows/cells between cooperative checkpoints ([`ExecContext::tick`]).
@@ -315,21 +315,8 @@ pub(crate) fn guarded_init(
         .collect()
 }
 
-/// Hardware threads available to the cascade and the materializer. Read
-/// once per process: on Linux `available_parallelism` re-reads the cgroup
-/// files on every call.
-pub(crate) fn worker_count() -> usize {
-    static COUNT: OnceLock<usize> = OnceLock::new();
-    *COUNT.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
-/// Claim the next `stride` indices of a shared work cursor (row morsels,
-/// cascade tasks, emit chunks); the caller stops once the claim passes the
-/// end of its work list.
+/// Claim the next `stride` indices of a shared work cursor (the scan's row
+/// morsels); the caller stops once the claim passes the end of its work.
 #[inline]
 pub(crate) fn claim(cursor: &AtomicUsize, stride: usize) -> usize {
     // cube-lint: allow(atomic, work-claim counter: each claimed range is consumed only by the claiming thread, over data made visible by the scoped spawn)

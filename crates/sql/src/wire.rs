@@ -44,6 +44,9 @@ use std::io::{self, Read, Write};
 /// malicious length prefix must not trigger a giant allocation.
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
+/// The most a frame's buffer holds before its first bytes arrive.
+const FIRST_READ: usize = 64 * 1024;
+
 /// Write one length-prefixed frame, as one write.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
@@ -57,6 +60,9 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 
 /// Read one length-prefixed frame. Returns `Ok(None)` on clean EOF at a
 /// frame boundary (the peer closed the connection between requests).
+/// The payload buffer starts at 64 KiB (or the frame length, if less) and
+/// doubles as it fills: a 0.3 MB reply costs three reallocations, and a
+/// prefix followed by nothing costs no more than 64 KiB.
 ///
 /// `keep_waiting` is consulted on read timeouts (`WouldBlock` /
 /// `TimedOut`): returning `true` retries the read, `false` aborts with
@@ -78,9 +84,15 @@ pub fn read_frame(
             format!("frame length {len} exceeds limit {max_len}"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
+    // The buffer grows as bytes arrive, so a prefix alone cannot make the
+    // server hold `len` bytes for a payload that never comes.
+    let len = len as usize;
+    let mut payload = vec![0u8; len.min(FIRST_READ)];
     let mut filled = 0usize;
-    while filled < payload.len() {
+    while filled < len {
+        if filled == payload.len() {
+            payload.resize((2 * filled).min(len), 0);
+        }
         match r.read(&mut payload[filled..]) {
             Ok(0) => {
                 return Err(io::Error::new(

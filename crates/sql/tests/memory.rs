@@ -96,3 +96,29 @@ fn decode_response_allocates_once_per_cell_and_once_per_row() {
         assert_eq!(counts.allocs, lines * cols + lines + 1, "{rows} rows");
     }
 }
+
+/// A frame's buffer grows as its bytes arrive: a prefix declaring the
+/// 16 MiB limit, then EOF, asks for the 64 KiB first read and the error's
+/// few bytes, not 16 MiB.
+#[test]
+fn a_prefix_alone_does_not_allocate_its_declared_length() {
+    let prefix = wire::MAX_FRAME_LEN.to_be_bytes();
+    let (read, counts) =
+        measure(|| wire::read_frame(&mut &prefix[..], wire::MAX_FRAME_LEN, &mut || true));
+    assert_eq!(read.unwrap_err().kind(), std::io::ErrorKind::UnexpectedEof);
+    assert!(counts.bytes < 65 * 1024, "{counts:?}");
+}
+
+/// A 0.3 MB reply, `wide_result`'s size, read through `read_frame`: one
+/// allocation and at most three reallocations (64, 128, 256 KiB, then
+/// the length).
+#[test]
+fn a_0_3_mb_frame_reads_in_at_most_three_reallocations() {
+    let payload: Vec<u8> = (0..300_000u32).map(|i| (i % 251) as u8).collect();
+    let mut frame = Vec::new();
+    wire::write_frame(&mut frame, &payload).unwrap();
+    let (read, counts) =
+        measure(|| wire::read_frame(&mut &frame[..], wire::MAX_FRAME_LEN, &mut || true));
+    assert_eq!(read.unwrap().unwrap(), payload);
+    assert!(counts.allocs <= 4, "{counts:?}");
+}
