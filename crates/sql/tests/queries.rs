@@ -1339,3 +1339,47 @@ fn integer_overflow_is_null() {
         assert_eq!(got, want, "{expr}");
     }
 }
+
+/// A grouping expression that is the head of a longer operator run is
+/// read from the cube relation, not recomputed: `a + b + 1` under
+/// `GROUP BY a + b` is `(a + b) + 1` with `(a + b)` a dimension. Every row
+/// has `a + b = 3`, `a > 0 AND b > 1` and `c > 3`.
+#[test]
+fn a_grouping_expression_heading_a_chain_is_substituted() {
+    let schema = Schema::from_pairs(&[
+        ("a", DataType::Int),
+        ("b", DataType::Int),
+        ("c", DataType::Int),
+    ]);
+    let rows = vec![row![1, 2, 4], row![1, 2, 4], row![1, 2, 5], row![1, 2, 6]];
+    let mut e = Engine::new();
+    e.register_table("t", Table::new(schema, rows).unwrap())
+        .unwrap();
+    for (sql, name, value) in [
+        (
+            "SELECT a + b + 1, COUNT(*) FROM t GROUP BY a + b",
+            "((a + b) + 1)",
+            Value::Int(4),
+        ),
+        (
+            "SELECT a > 0 AND b > 1 AND c > 3, COUNT(*) FROM t GROUP BY a > 0 AND b > 1, c > 3",
+            "(((a > 0) AND (b > 1)) AND (c > 3))",
+            Value::Bool(true),
+        ),
+        (
+            "SELECT a + b * 2 + 1, COUNT(*) FROM t GROUP BY a + b * 2",
+            "((a + (b * 2)) + 1)",
+            Value::Int(6),
+        ),
+        (
+            "SELECT a + b, COUNT(*) FROM t GROUP BY CUBE a + b HAVING a + b + 0 > 2",
+            "(a + b)",
+            Value::Int(3),
+        ),
+    ] {
+        let out = e.execute(sql).unwrap();
+        assert_eq!(out.schema().column_at(0).name.as_ref(), name, "{sql}");
+        let got: Vec<Vec<Value>> = out.rows().iter().map(|r| r.values().to_vec()).collect();
+        assert_eq!(got, vec![vec![value, Value::Int(4)]], "{sql}");
+    }
+}
