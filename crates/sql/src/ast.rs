@@ -1,7 +1,7 @@
 //! The abstract syntax tree.
 
 use dc_relation::Value;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed statement: queries, session options, and the DML write path
 /// (`INSERT INTO` / `DELETE FROM`) that feeds batched cube maintenance.
@@ -198,10 +198,13 @@ pub enum Expr {
     },
     /// The §3.4 `GROUPING(column)` discriminator.
     Grouping(Box<Expr>),
-    Binary {
-        op: BinOp,
-        lhs: Box<Expr>,
-        rhs: Box<Expr>,
+    /// A run of one precedence tier's operators, applied left to right:
+    /// `first op₁ e₁ op₂ e₂ …` (`a + b - c`, `p AND q AND r`). A comparison
+    /// is a chain of one link. However long, a run is one node, so it adds
+    /// nothing to the tree's height.
+    Chain {
+        first: Box<Expr>,
+        rest: Vec<(BinOp, Expr)>,
     },
     Not(Box<Expr>),
     Neg(Box<Expr>),
@@ -236,72 +239,95 @@ impl Expr {
     /// Canonical text used for output naming and matching select items to
     /// grouping expressions.
     pub fn canonical(&self) -> String {
+        let mut text = String::new();
+        self.write_canonical(&mut text);
+        text
+    }
+
+    /// [`Self::canonical`] into one buffer for the whole tree: linear in a
+    /// chain's length, and a small debug frame per level of nesting.
+    fn write_canonical(&self, out: &mut String) {
+        let not = |negated: &bool| if *negated { " NOT" } else { "" };
         match self {
             Expr::Column {
                 qualifier: Some(q),
                 name,
-            } => format!("{q}.{name}"),
+            } => {
+                let _ = write!(out, "{q}.{name}");
+            }
             Expr::Column {
                 qualifier: None,
                 name,
-            } => name.clone(),
-            Expr::Literal(v) => match v {
-                Value::Str(s) => format!("'{s}'"),
-                other => other.to_string(),
-            },
-            Expr::Star => "*".into(),
+            } => out.push_str(name),
+            Expr::Literal(Value::Str(s)) => {
+                let _ = write!(out, "'{s}'");
+            }
+            Expr::Literal(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Expr::Star => out.push('*'),
             Expr::Func {
                 name,
                 distinct,
                 args,
             } => {
-                let args: Vec<String> = args.iter().map(Expr::canonical).collect();
-                if *distinct {
-                    format!("{}(DISTINCT {})", name.to_uppercase(), args.join(", "))
-                } else {
-                    format!("{}({})", name.to_uppercase(), args.join(", "))
+                let distinct = if *distinct { "DISTINCT " } else { "" };
+                let _ = write!(out, "{}({distinct}", name.to_uppercase());
+                write_list(out, args, ")");
+            }
+            Expr::Grouping(e) => e.enclosed(out, "GROUPING(", ")"),
+            // Nested to the left, as if each link were a node of its own:
+            // `a + b - c` is `((a + b) - c)`.
+            Expr::Chain { first, rest } => {
+                out.extend(std::iter::repeat_n('(', rest.len()));
+                first.write_canonical(out);
+                for (op, e) in rest {
+                    let _ = write!(out, " {} ", op.symbol());
+                    e.enclosed(out, "", ")");
                 }
             }
-            Expr::Grouping(e) => format!("GROUPING({})", e.canonical()),
-            Expr::Binary { op, lhs, rhs } => {
-                format!("({} {} {})", lhs.canonical(), op.symbol(), rhs.canonical())
-            }
-            Expr::Not(e) => format!("(NOT {})", e.canonical()),
-            Expr::Neg(e) => format!("(-{})", e.canonical()),
+            Expr::Not(e) => e.enclosed(out, "(NOT ", ")"),
+            Expr::Neg(e) => e.enclosed(out, "(-", ")"),
             Expr::IsNull { expr, negated } => {
-                format!(
-                    "({} IS {}NULL)",
-                    expr.canonical(),
-                    if *negated { "NOT " } else { "" }
-                )
+                expr.enclosed(
+                    out,
+                    "(",
+                    if *negated {
+                        " IS NOT NULL)"
+                    } else {
+                        " IS NULL)"
+                    },
+                );
             }
             Expr::Between {
                 expr,
                 low,
                 high,
                 negated,
-            } => format!(
-                "({} {}BETWEEN {} AND {})",
-                expr.canonical(),
-                if *negated { "NOT " } else { "" },
-                low.canonical(),
-                high.canonical()
-            ),
+            } => {
+                expr.enclosed(out, "(", not(negated));
+                out.push_str(" BETWEEN ");
+                low.enclosed(out, "", " AND ");
+                high.enclosed(out, "", ")");
+            }
             Expr::InList {
                 expr,
                 list,
                 negated,
             } => {
-                let items: Vec<String> = list.iter().map(Expr::canonical).collect();
-                format!(
-                    "({} {}IN ({}))",
-                    expr.canonical(),
-                    if *negated { "NOT " } else { "" },
-                    items.join(", ")
-                )
+                expr.enclosed(out, "(", not(negated));
+                out.push_str(" IN (");
+                write_list(out, list, "))");
             }
-            Expr::ScalarSubquery(_) => "(SELECT ...)".into(),
+            Expr::ScalarSubquery(_) => out.push_str("(SELECT ...)"),
         }
+    }
+
+    /// `open`, this expression's canonical text, `close`.
+    fn enclosed(&self, out: &mut String, open: &str, close: &str) {
+        out.push_str(open);
+        self.write_canonical(out);
+        out.push_str(close);
     }
 
     /// The direct sub-expressions, in source order. A scalar subquery is
@@ -313,7 +339,9 @@ impl Expr {
             Expr::Grouping(e) | Expr::Not(e) | Expr::Neg(e) | Expr::IsNull { expr: e, .. } => {
                 vec![e]
             }
-            Expr::Binary { lhs, rhs, .. } => vec![lhs, rhs],
+            Expr::Chain { first, rest } => std::iter::once(&**first)
+                .chain(rest.iter().map(|(_, e)| e))
+                .collect(),
             Expr::Between {
                 expr, low, high, ..
             } => vec![expr, low, high],
@@ -329,7 +357,9 @@ impl Expr {
             Expr::Grouping(e) | Expr::Not(e) | Expr::Neg(e) | Expr::IsNull { expr: e, .. } => {
                 vec![e]
             }
-            Expr::Binary { lhs, rhs, .. } => vec![lhs, rhs],
+            Expr::Chain { first, rest } => std::iter::once(&mut **first)
+                .chain(rest.iter_mut().map(|(_, e)| e))
+                .collect(),
             Expr::Between {
                 expr, low, high, ..
             } => vec![expr, low, high],
@@ -349,6 +379,14 @@ impl Expr {
                 .any(|c| c.contains_aggregate(is_aggregate)),
         }
     }
+}
+
+/// `exprs`' canonical texts, comma-separated, then `close`.
+fn write_list(out: &mut String, exprs: &[Expr], close: &str) {
+    for (i, e) in exprs.iter().enumerate() {
+        e.enclosed(out, if i > 0 { ", " } else { "" }, "");
+    }
+    out.push_str(close);
 }
 
 impl fmt::Display for Expr {
@@ -371,12 +409,16 @@ mod tests {
         assert_eq!(e.canonical(), "SUM(units)");
         let g = Expr::Grouping(Box::new(Expr::col("model")));
         assert_eq!(g.canonical(), "GROUPING(model)");
-        let b = Expr::Binary {
-            op: BinOp::Div,
-            lhs: Box::new(e),
-            rhs: Box::new(Expr::Literal(Value::Int(2))),
+        let b = Expr::Chain {
+            first: Box::new(e),
+            rest: vec![(BinOp::Div, Expr::Literal(Value::Int(2)))],
         };
         assert_eq!(b.canonical(), "(SUM(units) / 2)");
+        let run = Expr::Chain {
+            first: Box::new(Expr::col("a")),
+            rest: vec![(BinOp::Add, Expr::col("b")), (BinOp::Sub, Expr::col("c"))],
+        };
+        assert_eq!(run.canonical(), "((a + b) - c)");
     }
 
     #[test]
@@ -384,14 +426,16 @@ mod tests {
         let is_agg = |n: &str| n.eq_ignore_ascii_case("sum");
         let plain = Expr::col("x");
         assert!(!plain.contains_aggregate(&is_agg));
-        let nested = Expr::Binary {
-            op: BinOp::Add,
-            lhs: Box::new(Expr::col("x")),
-            rhs: Box::new(Expr::Func {
-                name: "SUM".into(),
-                distinct: false,
-                args: vec![Expr::col("y")],
-            }),
+        let nested = Expr::Chain {
+            first: Box::new(Expr::col("x")),
+            rest: vec![(
+                BinOp::Add,
+                Expr::Func {
+                    name: "SUM".into(),
+                    distinct: false,
+                    args: vec![Expr::col("y")],
+                },
+            )],
         };
         assert!(nested.contains_aggregate(&is_agg));
         let grouping = Expr::Grouping(Box::new(Expr::col("x")));

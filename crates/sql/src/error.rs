@@ -60,3 +60,8 @@ impl From<AggError> for SqlError {
 
 /// Convenience alias.
 pub type SqlResult<T> = Result<T, SqlError>;
+
+/// What a recursive walk over a statement (parse, eval, type inference)
+/// returns: the error boxed, so a result is the size of its value and so
+/// are a debug build's frame slots ([`MAX_DEPTH`](crate::parser::MAX_DEPTH)).
+pub(crate) type Boxed<T> = Result<T, Box<SqlError>>;

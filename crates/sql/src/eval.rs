@@ -18,9 +18,10 @@
 //! `WHERE` keeps only rows that evaluate to `TRUE`.
 
 use crate::ast::{BinOp, Expr};
-use crate::error::{SqlError, SqlResult};
+use crate::error::{Boxed, SqlError, SqlResult};
 use crate::scalar::{ScalarFn, ScalarRegistry};
 use dc_relation::{CodeColumn, DataType, FxHashSet, Row, Schema, Table, Value};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -58,6 +59,11 @@ impl<'a> EvalContext<'a> {
 
 /// Evaluate `expr` against one row.
 pub fn eval(expr: &Expr, row: &Row, ctx: &EvalContext) -> SqlResult<Value> {
+    value_of(expr, row, ctx).map_err(|e| *e)
+}
+
+/// [`eval`], one node.
+fn value_of(expr: &Expr, row: &Row, ctx: &EvalContext) -> Boxed<Value> {
     // Substitution by canonical text first: in the result context this is
     // how `SUM(units)` becomes a column read.
     if !ctx.substitutions.is_empty() {
@@ -66,32 +72,34 @@ pub fn eval(expr: &Expr, row: &Row, ctx: &EvalContext) -> SqlResult<Value> {
         }
     }
     match expr {
-        Expr::Column { qualifier, name } => ctx
-            .resolve_column(qualifier.as_deref(), name)
-            .map(|i| row[i].clone())
-            .ok_or_else(|| SqlError::Plan(format!("unknown column: {}", expr.canonical()))),
+        Expr::Column { qualifier, name } => match ctx.resolve_column(qualifier.as_deref(), name) {
+            Some(i) => Ok(row[i].clone()),
+            None => Err(unresolved(expr)),
+        },
         Expr::Literal(v) => Ok(v.clone()),
-        Expr::Star => Err(SqlError::Plan("'*' is only valid in COUNT(*)".into())),
+        Expr::Star | Expr::ScalarSubquery(_) => Err(unresolved(expr)),
         Expr::Func { name, args, .. } => {
             let f = scalar(ctx.scalars, name, args.len())?;
-            let vals: Vec<Value> = args
-                .iter()
-                .map(|a| eval(a, row, ctx))
-                .collect::<SqlResult<_>>()?;
+            let mut vals = Vec::with_capacity(args.len());
+            for a in args {
+                vals.push(value_of(a, row, ctx)?);
+            }
             Ok(f.call(&vals))
         }
         Expr::Grouping(inner) => {
             // §3.4: TRUE iff the element is an ALL value. Base rows are
             // never ALL, so GROUPING() is FALSE there — consistent.
-            let v = eval(inner, row, ctx)?;
-            Ok(Value::Bool(v.is_all()))
+            Ok(Value::Bool(value_of(inner, row, ctx)?.is_all()))
         }
-        Expr::Binary { op, lhs, rhs } => {
-            let l = eval(lhs, row, ctx)?;
-            let r = eval(rhs, row, ctx)?;
-            eval_binary(*op, &l, &r)
+        // Every operand is evaluated, in source order: no short circuit.
+        Expr::Chain { first, rest } => {
+            let mut acc = value_of(first, row, ctx)?;
+            for (op, e) in rest {
+                acc = eval_binary(*op, &acc, &value_of(e, row, ctx)?);
+            }
+            Ok(acc)
         }
-        Expr::Not(e) => Ok(match eval(e, row, ctx)? {
+        Expr::Not(e) => Ok(match value_of(e, row, ctx)? {
             Value::Bool(b) => Value::Bool(!b),
             Value::Null
             | Value::All
@@ -100,7 +108,7 @@ pub fn eval(expr: &Expr, row: &Row, ctx: &EvalContext) -> SqlResult<Value> {
             | Value::Str(_)
             | Value::Date(_) => Value::Null,
         }),
-        Expr::Neg(e) => Ok(match eval(e, row, ctx)? {
+        Expr::Neg(e) => Ok(match value_of(e, row, ctx)? {
             Value::Int(i) => i.checked_neg().map_or(Value::Null, Value::Int),
             Value::Float(f) => Value::Float(-f),
             Value::Null | Value::All | Value::Bool(_) | Value::Str(_) | Value::Date(_) => {
@@ -108,9 +116,7 @@ pub fn eval(expr: &Expr, row: &Row, ctx: &EvalContext) -> SqlResult<Value> {
             }
         }),
         Expr::IsNull { expr, negated } => {
-            let v = eval(expr, row, ctx)?;
-            let is_null = v.is_null();
-            Ok(Value::Bool(is_null != *negated))
+            Ok(Value::Bool(value_of(expr, row, ctx)?.is_null() != *negated))
         }
         Expr::Between {
             expr,
@@ -118,11 +124,9 @@ pub fn eval(expr: &Expr, row: &Row, ctx: &EvalContext) -> SqlResult<Value> {
             high,
             negated,
         } => {
-            let v = eval(expr, row, ctx)?;
-            let lo = eval(low, row, ctx)?;
-            let hi = eval(high, row, ctx)?;
-            let ge = v.sql_cmp(&lo).map(|o| o != std::cmp::Ordering::Less);
-            let le = v.sql_cmp(&hi).map(|o| o != std::cmp::Ordering::Greater);
+            let v = value_of(expr, row, ctx)?;
+            let ge = v.sql_cmp(&value_of(low, row, ctx)?).map(Ordering::is_ge);
+            let le = v.sql_cmp(&value_of(high, row, ctx)?).map(Ordering::is_le);
             Ok(match (ge, le) {
                 (Some(a), Some(b)) => Value::Bool((a && b) != *negated),
                 _ => Value::Null,
@@ -132,58 +136,58 @@ pub fn eval(expr: &Expr, row: &Row, ctx: &EvalContext) -> SqlResult<Value> {
             expr,
             list,
             negated,
-        } => {
-            let v = eval(expr, row, ctx)?;
-            let mut saw_unknown = false;
-            for item in list {
-                let w = eval(item, row, ctx)?;
-                match v.sql_eq(&w) {
-                    Some(true) => return Ok(Value::Bool(!*negated)),
-                    Some(false) => {}
-                    None => saw_unknown = true,
-                }
-            }
-            Ok(if saw_unknown {
-                Value::Null
-            } else {
-                Value::Bool(*negated)
-            })
-        }
-        Expr::ScalarSubquery(_) => Err(SqlError::Plan(
-            "internal: scalar subquery not resolved before evaluation".into(),
-        )),
+        } => in_list(value_of(expr, row, ctx)?, list, *negated, row, ctx),
     }
 }
 
-fn eval_binary(op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> {
-    use BinOp::*;
-    match op {
-        And => Ok(kleene_and(l, r)),
-        Or => Ok(kleene_or(l, r)),
-        Eq | Neq | Lt | Lte | Gt | Gte => {
-            let cmp = l.sql_cmp(r);
-            Ok(match cmp {
-                None => Value::Null,
-                Some(o) => Value::Bool(match op {
-                    Eq => o == std::cmp::Ordering::Equal,
-                    Neq => o != std::cmp::Ordering::Equal,
-                    Lt => o == std::cmp::Ordering::Less,
-                    Lte => o != std::cmp::Ordering::Greater,
-                    Gt => o == std::cmp::Ordering::Greater,
-                    Gte => o != std::cmp::Ordering::Less,
-                    #[expect(
-                        clippy::unreachable,
-                        reason = "the outer arm admits only the six comparison ops"
-                    )]
-                    _ => unreachable!(),
-                }),
-            })
+/// `v [NOT] IN (list)`: TRUE at the first item equal to `v`, else NULL if
+/// an item compared unknown, else FALSE (negated, the other way round).
+fn in_list(v: Value, list: &[Expr], negated: bool, row: &Row, ctx: &EvalContext) -> Boxed<Value> {
+    let mut saw_unknown = false;
+    for item in list {
+        match v.sql_eq(&value_of(item, row, ctx)?) {
+            Some(true) => return Ok(Value::Bool(!negated)),
+            Some(false) => {}
+            None => saw_unknown = true,
         }
+    }
+    Ok(match saw_unknown {
+        true => Value::Null,
+        false => Value::Bool(negated),
+    })
+}
+
+/// The error for a node no row can evaluate: an unknown column, a `*`
+/// outside COUNT, or a subquery left unresolved.
+#[cold]
+fn unresolved(expr: &Expr) -> Box<SqlError> {
+    Box::new(SqlError::Plan(match expr {
+        Expr::Star => "'*' is only valid in COUNT(*)".into(),
+        Expr::ScalarSubquery(_) => {
+            "internal: scalar subquery not resolved before evaluation".into()
+        }
+        other => format!("unknown column: {}", other.canonical()),
+    }))
+}
+
+fn eval_binary(op: BinOp, l: &Value, r: &Value) -> Value {
+    use BinOp::*;
+    let holds =
+        |test: fn(Ordering) -> bool| l.sql_cmp(r).map_or(Value::Null, |o| Value::Bool(test(o)));
+    match op {
+        And => kleene_and(l, r),
+        Or => kleene_or(l, r),
+        Eq => holds(Ordering::is_eq),
+        Neq => holds(Ordering::is_ne),
+        Lt => holds(Ordering::is_lt),
+        Lte => holds(Ordering::is_le),
+        Gt => holds(Ordering::is_gt),
+        Gte => holds(Ordering::is_ge),
         // An integer result that overflows `i64` (`i64::MAX + 1`,
         // `i64::MIN % -1`) is NULL, the evaluator's one rule for arithmetic
         // without an answer: so is a modulo here, or a division below, by
         // zero. `-i64::MIN` and `ABS(i64::MIN)` follow it too.
-        Add | Sub | Mul | Mod => Ok(match (l, r) {
+        Add | Sub | Mul | Mod => match (l, r) {
             (Value::Int(a), Value::Int(b)) => match op {
                 Add => a.checked_add(*b),
                 Sub => a.checked_sub(*b),
@@ -203,14 +207,14 @@ fn eval_binary(op: BinOp, l: &Value, r: &Value) -> SqlResult<Value> {
                 },
                 _ => Value::Null,
             },
-        }),
+        },
         // SQL engines disagree on integer division; we follow the paper's
         // §4 usage (percent-of-total) and always divide as floats. By zero,
         // NULL.
-        Div => Ok(match (l.as_f64(), r.as_f64()) {
+        Div => match (l.as_f64(), r.as_f64()) {
             (Some(a), Some(b)) if b != 0.0 => Value::Float(a / b),
             _ => Value::Null,
-        }),
+        },
     }
 }
 
@@ -407,6 +411,11 @@ fn may_fit(rows: &[Row], columns: &[usize]) -> bool {
 /// lets a statement be rejected when it is bound rather than at its first
 /// row.
 pub fn infer_type(expr: &Expr, ctx: &EvalContext) -> SqlResult<DataType> {
+    type_of(expr, ctx).map_err(|e| *e)
+}
+
+/// [`infer_type`], one node.
+fn type_of(expr: &Expr, ctx: &EvalContext) -> Boxed<DataType> {
     let column_type = |i: usize| ctx.schema.column_at(i).dtype;
     if let Some(&i) = ctx.substitutions.get(&expr.canonical()) {
         return Ok(column_type(i));
@@ -415,13 +424,13 @@ pub fn infer_type(expr: &Expr, ctx: &EvalContext) -> SqlResult<DataType> {
         Expr::Column { qualifier, name } => ctx
             .resolve_column(qualifier.as_deref(), name)
             .map(column_type)
-            .ok_or_else(|| SqlError::Plan(format!("unknown column: {}", expr.canonical()))),
+            .ok_or_else(|| unresolved(expr)),
         Expr::Literal(v) => Ok(v.dtype().unwrap_or(DataType::Str)),
-        Expr::Star => Err(SqlError::Plan("'*' is only valid in COUNT(*)".into())),
+        Expr::Star => Err(unresolved(expr)),
         Expr::Func { name, args, .. } => {
             let f = scalar(ctx.scalars, name, args.len())?;
             for a in args {
-                infer_type(a, ctx)?;
+                type_of(a, ctx)?;
             }
             Ok(f.ret)
         }
@@ -431,26 +440,23 @@ pub fn infer_type(expr: &Expr, ctx: &EvalContext) -> SqlResult<DataType> {
         | Expr::Between { .. }
         | Expr::InList { .. } => {
             for child in expr.children() {
-                infer_type(child, ctx)?;
+                type_of(child, ctx)?;
             }
             Ok(DataType::Bool)
         }
-        Expr::Neg(e) => infer_type(e, ctx),
-        Expr::Binary { op, lhs, rhs } => {
-            let (l, r) = (infer_type(lhs, ctx)?, infer_type(rhs, ctx)?);
-            Ok(match op {
-                BinOp::And
-                | BinOp::Or
-                | BinOp::Eq
-                | BinOp::Neq
-                | BinOp::Lt
-                | BinOp::Lte
-                | BinOp::Gt
-                | BinOp::Gte => DataType::Bool,
-                BinOp::Div => DataType::Float,
-                _ if l == DataType::Int && r == DataType::Int => DataType::Int,
-                _ => DataType::Float,
-            })
+        Expr::Neg(e) => type_of(e, ctx),
+        Expr::Chain { first, rest } => {
+            use BinOp::*;
+            let mut acc = type_of(first, ctx)?;
+            for (op, e) in rest {
+                let r = type_of(e, ctx)?;
+                acc = match op {
+                    Add | Sub | Mul | Mod if (acc, r) == (DataType::Int, DataType::Int) => acc,
+                    Add | Sub | Mul | Mod | Div => DataType::Float,
+                    And | Or | Eq | Neq | Lt | Lte | Gt | Gte => DataType::Bool,
+                };
+            }
+            Ok(acc)
         }
         Expr::ScalarSubquery(_) => Ok(DataType::Float),
     }
@@ -494,16 +500,14 @@ mod tests {
     #[test]
     fn arithmetic_and_comparison() {
         let r = row!["Chevy", 1994, 50];
-        let e = Expr::Binary {
-            op: BinOp::Mul,
-            lhs: Box::new(Expr::col("units")),
-            rhs: Box::new(Expr::Literal(Value::Int(2))),
+        let e = Expr::Chain {
+            first: Box::new(Expr::col("units")),
+            rest: vec![(BinOp::Mul, Expr::Literal(Value::Int(2)))],
         };
         assert_eq!(eval_str(&e, &r), Value::Int(100));
-        let c = Expr::Binary {
-            op: BinOp::Gte,
-            lhs: Box::new(Expr::col("year")),
-            rhs: Box::new(Expr::Literal(Value::Int(1994))),
+        let c = Expr::Chain {
+            first: Box::new(Expr::col("year")),
+            rest: vec![(BinOp::Gte, Expr::Literal(Value::Int(1994)))],
         };
         assert_eq!(eval_str(&c, &r), Value::Bool(true));
     }
@@ -511,17 +515,15 @@ mod tests {
     #[test]
     fn division_is_float() {
         let r = row!["Chevy", 1994, 50];
-        let e = Expr::Binary {
-            op: BinOp::Div,
-            lhs: Box::new(Expr::col("units")),
-            rhs: Box::new(Expr::Literal(Value::Int(4))),
+        let e = Expr::Chain {
+            first: Box::new(Expr::col("units")),
+            rest: vec![(BinOp::Div, Expr::Literal(Value::Int(4)))],
         };
         assert_eq!(eval_str(&e, &r), Value::Float(12.5));
         // Division by zero → NULL, not a panic.
-        let z = Expr::Binary {
-            op: BinOp::Div,
-            lhs: Box::new(Expr::col("units")),
-            rhs: Box::new(Expr::Literal(Value::Int(0))),
+        let z = Expr::Chain {
+            first: Box::new(Expr::col("units")),
+            rest: vec![(BinOp::Div, Expr::Literal(Value::Int(0)))],
         };
         assert_eq!(eval_str(&z, &r), Value::Null);
     }
@@ -529,26 +531,53 @@ mod tests {
     #[test]
     fn three_valued_logic() {
         let r = Row::new(vec![Value::Null, Value::Int(1994), Value::Int(50)]);
-        let null_eq = Expr::Binary {
-            op: BinOp::Eq,
-            lhs: Box::new(Expr::col("model")),
-            rhs: Box::new(Expr::Literal(Value::str("Chevy"))),
+        let null_eq = Expr::Chain {
+            first: Box::new(Expr::col("model")),
+            rest: vec![(BinOp::Eq, Expr::Literal(Value::str("Chevy")))],
         };
         assert_eq!(eval_str(&null_eq, &r), Value::Null);
         // NULL AND FALSE = FALSE (Kleene).
-        let and = Expr::Binary {
-            op: BinOp::And,
-            lhs: Box::new(null_eq.clone()),
-            rhs: Box::new(Expr::Literal(Value::Bool(false))),
+        let and = Expr::Chain {
+            first: Box::new(null_eq.clone()),
+            rest: vec![(BinOp::And, Expr::Literal(Value::Bool(false)))],
         };
         assert_eq!(eval_str(&and, &r), Value::Bool(false));
         // NULL OR TRUE = TRUE.
-        let or = Expr::Binary {
-            op: BinOp::Or,
-            lhs: Box::new(null_eq),
-            rhs: Box::new(Expr::Literal(Value::Bool(true))),
+        let or = Expr::Chain {
+            first: Box::new(null_eq),
+            rest: vec![(BinOp::Or, Expr::Literal(Value::Bool(true)))],
         };
         assert_eq!(eval_str(&or, &r), Value::Bool(true));
+    }
+
+    /// A run folds left over every operand in source order, with no short
+    /// circuit: `FALSE AND x` still reads `x`, and the first operand that
+    /// fails is the one the error names.
+    #[test]
+    fn a_chain_evaluates_every_operand_in_order() {
+        let (schema, scalars) = ctx_fixture();
+        let ctx = EvalContext::base(&schema, &scalars);
+        let r = row!["Chevy", 1994, 50];
+        let chain = |first: Expr, rest: Vec<(BinOp, Expr)>| Expr::Chain {
+            first: Box::new(first),
+            rest,
+        };
+        let sum = chain(
+            Expr::col("units"),
+            vec![
+                (BinOp::Sub, Expr::Literal(Value::Int(8))),
+                (BinOp::Mul, Expr::Literal(Value::Int(2))),
+            ],
+        );
+        assert_eq!(eval(&sum, &r, &ctx).unwrap(), Value::Int(84));
+        let and = chain(
+            Expr::Literal(Value::Bool(false)),
+            vec![(BinOp::And, Expr::col("x")), (BinOp::And, Expr::col("y"))],
+        );
+        match eval(&and, &r, &ctx) {
+            Err(SqlError::Plan(m)) => assert_eq!(m, "unknown column: x"),
+            other => panic!("expected the unknown column x, got {other:?}"),
+        }
     }
 
     #[test]
@@ -605,16 +634,14 @@ mod tests {
         let t = |e: &Expr| infer_type(e, &ctx).unwrap();
         assert_eq!(t(&Expr::col("model")), DataType::Str);
         assert_eq!(t(&Expr::col("units")), DataType::Int);
-        let div = Expr::Binary {
-            op: BinOp::Div,
-            lhs: Box::new(Expr::col("units")),
-            rhs: Box::new(Expr::Literal(Value::Int(2))),
+        let div = Expr::Chain {
+            first: Box::new(Expr::col("units")),
+            rest: vec![(BinOp::Div, Expr::Literal(Value::Int(2)))],
         };
         assert_eq!(t(&div), DataType::Float);
-        let add = Expr::Binary {
-            op: BinOp::Add,
-            lhs: Box::new(Expr::col("units")),
-            rhs: Box::new(Expr::Literal(Value::Int(2))),
+        let add = Expr::Chain {
+            first: Box::new(Expr::col("units")),
+            rest: vec![(BinOp::Add, Expr::Literal(Value::Int(2)))],
         };
         assert_eq!(t(&add), DataType::Int);
     }

@@ -1,4 +1,5 @@
-//! Recursive-descent parser for the SQL subset.
+//! Parser for the SQL subset: recursive descent for statements and
+//! clauses, precedence climbing for expressions.
 //!
 //! The grammar for aggregation follows the paper's §3.2 proposal verbatim:
 //!
@@ -12,20 +13,62 @@
 //! `AS` alias — allowing §2's computed categories (`Day(Time) AS day`).
 //! `GROUP BY GROUPING SETS ((...), ...)` is also accepted, since the
 //! minimalist design of §3.4 was standardized that way.
+//!
+//! Expressions are one loop, `Parser::parse_expr_bp`, over these tiers,
+//! loosest first: `OR`; `AND`; prefix `NOT`; the predicates (`=`, `<>`,
+//! `<`, `<=`, `>`, `>=`, `IS [NOT] NULL`, `[NOT] BETWEEN`, `[NOT] IN`),
+//! which do not associate; `+ -`; `* / %`; prefix `-`. A run of one tier's
+//! operators is one [`Expr::Chain`] node, so `a OR b OR …` is as tall as
+//! `a OR b`.
 
 use crate::ast::*;
-use crate::error::{SqlError, SqlResult};
+use crate::error::{Boxed, SqlError, SqlResult};
 use crate::token::{tokenize, Keyword, Symbol, Token};
 use dc_relation::Value;
 
 /// How deep a statement may nest. Each enclosing parenthesis, call,
-/// `GROUPING(…)`, subquery, unary `-` and `NOT` is one level, and so is
-/// each link of a chain the parser builds in a loop (`+ - * / %`, `AND`,
-/// `OR`, `UNION`). Past it the statement is a [`SqlError::Parse`]. So no
-/// tree is taller than twice this, and every walker over it (bind, eval,
-/// drop) is bounded too. Sized for a connection thread's default 2 MiB
-/// stack in a debug build, where the parser spends ~15 KiB per level.
+/// `GROUPING(…)`, subquery, unary `-`, `NOT` and `UNION` link is one
+/// level; an operator run is not (it is one [`Expr::Chain`], however
+/// long). Past it the statement is a [`SqlError::Parse`]. Within one level
+/// a tree holds at most one chain per tier, so its height, and the stack
+/// of every walker over it (parse, bind, eval, drop), is bounded too.
+/// Sized for a connection thread's default 2 MiB stack in a debug build,
+/// with half of it to spare: the tallest tree a level allows (every tier
+/// inside each parenthesis, call or subquery) costs up to ~13 KiB per level
+/// there.
 pub const MAX_DEPTH: usize = 64;
+
+// Expression tiers, loosest first: an infix operator's tier is the
+// `min_bp` its right operand is parsed at, less one.
+const OR: u8 = 1;
+const AND: u8 = 2;
+const NOT: u8 = 3;
+/// Comparisons, `IS`, `IN` and `BETWEEN`.
+const PREDICATE: u8 = 4;
+const SUM: u8 = 5;
+const PRODUCT: u8 = 6;
+/// The operand of a prefix `-`: no infix operator binds that tight.
+const PREFIX: u8 = 7;
+
+/// The operator `token` denotes between two operands, and its tier.
+fn binary_op(token: Option<&Token>) -> Option<(BinOp, u8)> {
+    Some(match token? {
+        Token::Keyword(Keyword::Or) => (BinOp::Or, OR),
+        Token::Keyword(Keyword::And) => (BinOp::And, AND),
+        Token::Symbol(Symbol::Eq) => (BinOp::Eq, PREDICATE),
+        Token::Symbol(Symbol::Neq) => (BinOp::Neq, PREDICATE),
+        Token::Symbol(Symbol::Lt) => (BinOp::Lt, PREDICATE),
+        Token::Symbol(Symbol::Lte) => (BinOp::Lte, PREDICATE),
+        Token::Symbol(Symbol::Gt) => (BinOp::Gt, PREDICATE),
+        Token::Symbol(Symbol::Gte) => (BinOp::Gte, PREDICATE),
+        Token::Symbol(Symbol::Plus) => (BinOp::Add, SUM),
+        Token::Symbol(Symbol::Minus) => (BinOp::Sub, SUM),
+        Token::Symbol(Symbol::Star) => (BinOp::Mul, PRODUCT),
+        Token::Symbol(Symbol::Slash) => (BinOp::Div, PRODUCT),
+        Token::Symbol(Symbol::Percent) => (BinOp::Mod, PRODUCT),
+        _ => return None,
+    })
+}
 
 /// Parse one statement.
 pub fn parse(sql: &str) -> SqlResult<Statement> {
@@ -35,10 +78,10 @@ pub fn parse(sql: &str) -> SqlResult<Statement> {
         pos: 0,
         depth: 0,
     };
-    let stmt = p.parse_statement()?;
+    let stmt = p.parse_statement().map_err(|e| *e)?;
     p.eat_symbol(Symbol::Semicolon);
     if !p.at_end() {
-        return Err(p.error("trailing input after statement"));
+        return Err(*p.error("trailing input after statement"));
     }
     Ok(stmt)
 }
@@ -63,28 +106,28 @@ impl Parser {
         self.tokens.get(self.pos + 1)
     }
 
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+    /// Consume the next token if `read` takes it; otherwise leave it in
+    /// place, so an error names it.
+    fn take<T>(&mut self, read: impl FnOnce(&Token) -> Option<T>) -> Option<T> {
+        let value = read(self.peek()?)?;
+        self.pos += 1;
+        Some(value)
     }
 
-    fn error(&self, message: &str) -> SqlError {
+    fn error(&self, message: &str) -> Box<SqlError> {
         let near = self
             .peek()
             .map(ToString::to_string)
             .unwrap_or_else(|| "<end of input>".into());
-        SqlError::Parse {
+        Box::new(SqlError::Parse {
             near,
             message: message.into(),
-        }
+        })
     }
 
     /// Enter one more level, or fail past [`MAX_DEPTH`]. A caller
     /// restores `depth` once its level is built; a failure ends the parse.
-    fn descend(&mut self) -> SqlResult<()> {
+    fn descend(&mut self) -> Boxed<()> {
         self.depth += 1;
         if self.depth > MAX_DEPTH {
             return Err(self.error(&format!(
@@ -103,11 +146,11 @@ impl Parser {
         }
     }
 
-    fn expect_keyword(&mut self, k: Keyword) -> SqlResult<()> {
+    fn expect_keyword(&mut self, k: Keyword) -> Boxed<()> {
         if self.eat_keyword(k) {
             Ok(())
         } else {
-            Err(self.error(&format!("expected {k:?}")))
+            Err(self.error(&format!("expected {k}")))
         }
     }
 
@@ -120,7 +163,7 @@ impl Parser {
         }
     }
 
-    fn expect_symbol(&mut self, s: Symbol) -> SqlResult<()> {
+    fn expect_symbol(&mut self, s: Symbol) -> Boxed<()> {
         if self.eat_symbol(s) {
             Ok(())
         } else {
@@ -128,69 +171,45 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> SqlResult<String> {
-        match self.next() {
-            Some(Token::Ident(s)) => Ok(s),
-            _ => {
-                self.pos = self.pos.saturating_sub(1);
-                Err(self.error("expected identifier"))
-            }
-        }
+    fn expect_ident(&mut self) -> Boxed<String> {
+        let ident = self.take(|t| match t {
+            Token::Ident(s) => Some(s.clone()),
+            _ => None,
+        });
+        ident.ok_or_else(|| self.error("expected identifier"))
     }
 
     // ------------------------------------------------------- statements --
 
-    fn parse_statement(&mut self) -> SqlResult<Statement> {
+    fn parse_statement(&mut self) -> Boxed<Statement> {
         if self.eat_keyword(Keyword::Set) {
             let name = self.expect_ident()?;
             // `SET CUBE_CACHE ON` reads better than `= 1`, so the `=` is
             // optional and ON/OFF are accepted alongside integers.
             self.eat_symbol(Symbol::Eq);
             let negative = self.eat_symbol(Symbol::Minus);
-            let value = match self.next() {
-                Some(Token::Int(n)) => {
-                    if negative {
-                        -n
-                    } else {
-                        n
-                    }
-                }
-                Some(Token::Keyword(Keyword::On)) if !negative => 1,
-                Some(Token::Ident(word)) if !negative && word.eq_ignore_ascii_case("OFF") => 0,
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return Err(self.error("expected an integer option value (or ON/OFF)"));
-                }
-            };
+            let value = self.take(|t| match t {
+                Token::Int(n) if negative => Some(-n),
+                Token::Int(n) => Some(*n),
+                Token::Keyword(Keyword::On) if !negative => Some(1),
+                Token::Ident(word) if !negative && word.eq_ignore_ascii_case("OFF") => Some(0),
+                _ => None,
+            });
+            let value =
+                value.ok_or_else(|| self.error("expected an integer option value (or ON/OFF)"))?;
             return Ok(Statement::Set { name, value });
         }
         if self.eat_keyword(Keyword::Insert) {
             self.expect_keyword(Keyword::Into)?;
             let table = self.expect_ident()?;
             self.expect_keyword(Keyword::Values)?;
-            let mut rows = Vec::new();
-            loop {
-                self.expect_symbol(Symbol::LParen)?;
-                let mut vals = vec![self.parse_expr()?];
-                while self.eat_symbol(Symbol::Comma) {
-                    vals.push(self.parse_expr()?);
-                }
-                self.expect_symbol(Symbol::RParen)?;
-                rows.push(vals);
-                if !self.eat_symbol(Symbol::Comma) {
-                    break;
-                }
-            }
+            let rows = self.comma_list(|p| p.parenthesized_list(|p| p.parse_expr_bp(0)))?;
             return Ok(Statement::Insert { table, rows });
         }
         if self.eat_keyword(Keyword::Delete) {
             self.expect_keyword(Keyword::From)?;
             let table = self.expect_ident()?;
-            let where_clause = if self.eat_keyword(Keyword::Where) {
-                Some(self.parse_expr()?)
-            } else {
-                None
-            };
+            let where_clause = self.parse_clause(Keyword::Where)?;
             return Ok(Statement::Delete {
                 table,
                 where_clause,
@@ -199,20 +218,12 @@ impl Parser {
         if self.eat_keyword(Keyword::Update) {
             let table = self.expect_ident()?;
             self.expect_keyword(Keyword::Set)?;
-            let mut sets = Vec::new();
-            loop {
-                let column = self.expect_ident()?;
-                self.expect_symbol(Symbol::Eq)?;
-                sets.push((column, self.parse_expr()?));
-                if !self.eat_symbol(Symbol::Comma) {
-                    break;
-                }
-            }
-            let where_clause = if self.eat_keyword(Keyword::Where) {
-                Some(self.parse_expr()?)
-            } else {
-                None
-            };
+            let sets = self.comma_list(|p| {
+                let column = p.expect_ident()?;
+                p.expect_symbol(Symbol::Eq)?;
+                Ok((column, p.parse_expr_bp(0)?))
+            })?;
+            let where_clause = self.parse_clause(Keyword::Where)?;
             return Ok(Statement::Update {
                 table,
                 sets,
@@ -221,95 +232,69 @@ impl Parser {
         }
         let explain = self.eat_keyword(Keyword::Explain);
         let mut stmt = self.parse_select_core()?;
-        // UNION chain, left-to-right.
+        // UNION chain, left-to-right: each block holds the rest of it.
         let depth = self.depth;
+        let mut links = Vec::new();
         while self.peek() == Some(&Token::Keyword(Keyword::Union)) {
             self.descend()?;
             self.pos += 1;
             let all = self.eat_keyword(Keyword::All);
-            let rhs = self.parse_select_core()?;
-            // Append at the end of the chain.
-            let mut cursor = &mut stmt;
-            #[expect(
-                clippy::unwrap_used,
-                reason = "is_some checked by the loop condition; NLL cannot see it"
-            )]
-            while cursor.union.is_some() {
-                cursor = &mut cursor.union.as_mut().unwrap().1;
-            }
-            cursor.union = Some((all, Box::new(rhs)));
+            links.push((all, self.parse_select_core()?));
         }
         self.depth = depth;
+        for (all, mut block) in links.into_iter().rev() {
+            block.union = stmt.union.take();
+            stmt.union = Some((all, block));
+        }
         // ORDER BY / LIMIT bind to the whole union result.
         if self.eat_keyword(Keyword::Order) {
             self.expect_keyword(Keyword::By)?;
-            loop {
-                let expr = self.parse_expr()?;
-                let descending = if self.eat_keyword(Keyword::Desc) {
-                    true
-                } else {
-                    self.eat_keyword(Keyword::Asc);
-                    false
-                };
-                stmt.order_by.push(OrderKey { expr, descending });
-                if !self.eat_symbol(Symbol::Comma) {
-                    break;
+            stmt.order_by = self.comma_list(|p| {
+                let expr = p.parse_expr_bp(0)?;
+                let descending = p.eat_keyword(Keyword::Desc);
+                if !descending {
+                    p.eat_keyword(Keyword::Asc);
                 }
-            }
+                Ok(OrderKey { expr, descending })
+            })?;
         }
         if self.eat_keyword(Keyword::Limit) {
-            match self.next() {
-                Some(Token::Int(n)) if n >= 0 => stmt.limit = Some(n as usize),
-                _ => return Err(self.error("expected a non-negative LIMIT count")),
-            }
+            let count = self.take(|t| match t {
+                Token::Int(n) => usize::try_from(*n).ok(),
+                _ => None,
+            });
+            stmt.limit =
+                Some(count.ok_or_else(|| self.error("expected a non-negative LIMIT count"))?);
         }
-        Ok(if explain {
-            Statement::Explain(stmt)
-        } else {
-            Statement::Select(stmt)
+        Ok(match explain {
+            true => Statement::Explain(*stmt),
+            false => Statement::Select(*stmt),
         })
     }
 
-    fn parse_select_core(&mut self) -> SqlResult<SelectStmt> {
+    /// One SELECT block.
+    fn parse_select_core(&mut self) -> Boxed<Box<SelectStmt>> {
         self.expect_keyword(Keyword::Select)?;
-        let mut items = Vec::new();
-        loop {
+        let items = self.comma_list(|p| {
             // Bare `*` select item (not COUNT's).
-            let expr = if self.peek() == Some(&Token::Symbol(Symbol::Star)) {
-                self.pos += 1;
-                Expr::Star
-            } else {
-                self.parse_expr()?
+            let expr = match p.eat_symbol(Symbol::Star) {
+                true => Expr::Star,
+                false => p.parse_expr_bp(0)?,
             };
-            let alias = if self.eat_keyword(Keyword::As) {
-                Some(self.expect_ident()?)
-            } else {
-                None
-            };
-            items.push(SelectItem { expr, alias });
-            if !self.eat_symbol(Symbol::Comma) {
-                break;
-            }
-        }
+            Ok(SelectItem {
+                expr,
+                alias: p.parse_alias()?,
+            })
+        })?;
         self.expect_keyword(Keyword::From)?;
         let from = self.parse_table_ref()?;
-        let where_clause = if self.eat_keyword(Keyword::Where) {
-            Some(self.parse_expr()?)
-        } else {
-            None
+        let where_clause = self.parse_clause(Keyword::Where)?;
+        let group_by = match self.eat_keyword(Keyword::Group) {
+            true => Some(self.parse_group_by()?),
+            false => None,
         };
-        let group_by = if self.eat_keyword(Keyword::Group) {
-            self.expect_keyword(Keyword::By)?;
-            Some(self.parse_group_by()?)
-        } else {
-            None
-        };
-        let having = if self.eat_keyword(Keyword::Having) {
-            Some(self.parse_expr()?)
-        } else {
-            None
-        };
-        Ok(SelectStmt {
+        let having = self.parse_clause(Keyword::Having)?;
+        Ok(Box::new(SelectStmt {
             items,
             from,
             where_clause,
@@ -318,55 +303,75 @@ impl Parser {
             order_by: Vec::new(),
             limit: None,
             union: None,
-        })
+        }))
     }
 
-    fn parse_table_ref(&mut self) -> SqlResult<TableRef> {
+    /// One or more `item`s, comma-separated.
+    fn comma_list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Boxed<T>) -> Boxed<Vec<T>> {
+        let mut list = vec![item(self)?];
+        while self.eat_symbol(Symbol::Comma) {
+            list.push(item(self)?);
+        }
+        Ok(list)
+    }
+
+    /// `(item, …)`.
+    fn parenthesized_list<T>(&mut self, item: impl FnMut(&mut Self) -> Boxed<T>) -> Boxed<Vec<T>> {
+        self.expect_symbol(Symbol::LParen)?;
+        let list = self.comma_list(item)?;
+        self.expect_symbol(Symbol::RParen)?;
+        Ok(list)
+    }
+
+    /// An optional `AS alias`.
+    fn parse_alias(&mut self) -> Boxed<Option<String>> {
+        match self.eat_keyword(Keyword::As) {
+            true => Ok(Some(self.expect_ident()?)),
+            false => Ok(None),
+        }
+    }
+
+    /// `<keyword> <expression>`, if `keyword` is next: a WHERE or HAVING.
+    fn parse_clause(&mut self, keyword: Keyword) -> Boxed<Option<Expr>> {
+        match self.eat_keyword(keyword) {
+            true => Ok(Some(self.parse_expr_bp(0)?)),
+            false => Ok(None),
+        }
+    }
+
+    fn parse_table_ref(&mut self) -> Boxed<TableRef> {
         let mut left = TableRef::Named(self.expect_ident()?);
         while self.eat_keyword(Keyword::Join) {
             let right = TableRef::Named(self.expect_ident()?);
             self.expect_keyword(Keyword::Using)?;
-            self.expect_symbol(Symbol::LParen)?;
-            let mut using = vec![self.expect_ident()?];
-            while self.eat_symbol(Symbol::Comma) {
-                using.push(self.expect_ident()?);
-            }
-            self.expect_symbol(Symbol::RParen)?;
             left = TableRef::JoinUsing {
                 left: Box::new(left),
                 right: Box::new(right),
-                using,
+                using: self.parenthesized_list(Self::expect_ident)?,
             };
         }
         Ok(left)
     }
 
-    fn parse_group_by(&mut self) -> SqlResult<GroupByClause> {
+    fn parse_group_by(&mut self) -> Boxed<GroupByClause> {
+        self.expect_keyword(Keyword::By)?;
         // GROUPING SETS ((a, b), (a), ()).
         if self.peek() == Some(&Token::Keyword(Keyword::Grouping))
             && self.peek2() == Some(&Token::Keyword(Keyword::Sets))
         {
             self.pos += 2;
-            self.expect_symbol(Symbol::LParen)?;
-            let mut sets = Vec::new();
-            loop {
-                self.expect_symbol(Symbol::LParen)?;
-                let mut set = Vec::new();
-                if self.peek() != Some(&Token::Symbol(Symbol::RParen)) {
-                    loop {
-                        set.push(self.parse_group_expr()?);
-                        if !self.eat_symbol(Symbol::Comma) {
-                            break;
-                        }
-                    }
+            let sets = self.parenthesized_list(|p| {
+                let empty = [p.peek(), p.peek2()]
+                    == [
+                        Some(&Token::Symbol(Symbol::LParen)),
+                        Some(&Token::Symbol(Symbol::RParen)),
+                    ];
+                if empty {
+                    p.pos += 2;
+                    return Ok(Vec::new());
                 }
-                self.expect_symbol(Symbol::RParen)?;
-                sets.push(set);
-                if !self.eat_symbol(Symbol::Comma) {
-                    break;
-                }
-            }
-            self.expect_symbol(Symbol::RParen)?;
+                p.parenthesized_list(Self::parse_group_expr)
+            })?;
             return Ok(GroupByClause {
                 grouping_sets: Some(sets),
                 ..Default::default()
@@ -379,13 +384,13 @@ impl Parser {
             self.peek(),
             Some(Token::Keyword(Keyword::Rollup)) | Some(Token::Keyword(Keyword::Cube))
         ) {
-            clause.plain = self.parse_group_list()?;
+            clause.plain = self.comma_list(Self::parse_group_expr)?;
         }
         if self.eat_keyword(Keyword::Rollup) {
-            clause.rollup = self.parse_group_list()?;
+            clause.rollup = self.comma_list(Self::parse_group_expr)?;
         }
         if self.eat_keyword(Keyword::Cube) {
-            clause.cube = self.parse_group_list()?;
+            clause.cube = self.comma_list(Self::parse_group_expr)?;
         }
         if clause.plain.is_empty() && clause.rollup.is_empty() && clause.cube.is_empty() {
             return Err(self.error("empty GROUP BY clause"));
@@ -393,222 +398,143 @@ impl Parser {
         Ok(clause)
     }
 
-    fn parse_group_list(&mut self) -> SqlResult<Vec<GroupExpr>> {
-        let mut list = vec![self.parse_group_expr()?];
-        while self.eat_symbol(Symbol::Comma) {
-            list.push(self.parse_group_expr()?);
-        }
-        Ok(list)
-    }
-
-    fn parse_group_expr(&mut self) -> SqlResult<GroupExpr> {
-        let expr = self.parse_expr()?;
-        let alias = if self.eat_keyword(Keyword::As) {
-            Some(self.expect_ident()?)
-        } else {
-            None
-        };
-        Ok(GroupExpr { expr, alias })
+    fn parse_group_expr(&mut self) -> Boxed<GroupExpr> {
+        let expr = self.parse_expr_bp(0)?;
+        Ok(GroupExpr {
+            expr,
+            alias: self.parse_alias()?,
+        })
     }
 
     // ------------------------------------------------------ expressions --
 
-    fn parse_expr(&mut self) -> SqlResult<Expr> {
-        self.descend()?;
-        let expr = self.parse_or()?;
-        self.depth -= 1;
-        Ok(expr)
-    }
-
-    fn parse_or(&mut self) -> SqlResult<Expr> {
-        let depth = self.depth;
-        let mut lhs = self.parse_and()?;
-        while self.eat_keyword(Keyword::Or) {
-            self.descend()?;
-            let rhs = self.parse_and()?;
-            lhs = Expr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
+    /// One expression whose infix operators all sit at tier `min_bp` or
+    /// above (precedence climbing; 0 takes every tier). A prefix or operand
+    /// comes first, then a loop over the infix operators that follow: a run
+    /// of one tier's operators becomes one [`Expr::Chain`], each operand
+    /// parsed one tier up, so `+` and `-` share a chain whose operands are
+    /// `*` chains. A predicate (`=`, `IS`, `IN`, `BETWEEN`, …) takes one
+    /// link and only `AND` or `OR` may follow it, so `a = b = c` is an
+    /// error; `NOT` binds looser than a predicate and tighter than `AND`,
+    /// and `-` tighter than everything.
+    fn parse_expr_bp(&mut self, min_bp: u8) -> Boxed<Expr> {
+        let (mut lhs, mut ceiling) = self.parse_prefix(min_bp)?;
+        while let Some(tier) = self.infix_tier().filter(|t| (min_bp..=ceiling).contains(t)) {
+            let infix = match binary_op(self.peek()) {
+                Some(_) => self.parse_chain(lhs, tier),
+                None => self.parse_predicate_keyword(lhs),
             };
+            lhs = infix?;
+            ceiling = tier - 1;
         }
-        self.depth = depth;
         Ok(lhs)
     }
 
-    fn parse_and(&mut self) -> SqlResult<Expr> {
-        let depth = self.depth;
-        let mut lhs = self.parse_not()?;
-        while self.eat_keyword(Keyword::And) {
-            self.descend()?;
-            let rhs = self.parse_not()?;
-            lhs = Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        self.depth = depth;
-        Ok(lhs)
-    }
-
-    fn parse_not(&mut self) -> SqlResult<Expr> {
-        if self.eat_keyword(Keyword::Not) {
-            self.descend()?;
-            let inner = self.parse_not()?;
-            self.depth -= 1;
-            Ok(Expr::Not(Box::new(inner)))
-        } else {
-            self.parse_predicate()
-        }
-    }
-
-    fn parse_predicate(&mut self) -> SqlResult<Expr> {
-        let lhs = self.parse_addsub()?;
-        self.parse_predicate_tail(lhs)
-    }
-
-    /// What may follow a predicate's left operand. Apart from
-    /// `parse_predicate` so the frame that recursion passes through stays
-    /// small.
-    fn parse_predicate_tail(&mut self, lhs: Expr) -> SqlResult<Expr> {
-        // IS [NOT] NULL
-        if self.eat_keyword(Keyword::Is) {
-            let negated = self.eat_keyword(Keyword::Not);
-            self.expect_keyword(Keyword::Null)?;
-            return Ok(Expr::IsNull {
-                expr: Box::new(lhs),
-                negated,
-            });
-        }
-        // [NOT] BETWEEN / IN
-        let negated = if self.peek() == Some(&Token::Keyword(Keyword::Not))
-            && matches!(
-                self.peek2(),
-                Some(Token::Keyword(Keyword::Between)) | Some(Token::Keyword(Keyword::In))
-            ) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        };
-        if self.eat_keyword(Keyword::Between) {
-            let low = self.parse_addsub()?;
-            self.expect_keyword(Keyword::And)?;
-            let high = self.parse_addsub()?;
-            return Ok(Expr::Between {
-                expr: Box::new(lhs),
-                low: Box::new(low),
-                high: Box::new(high),
-                negated,
-            });
-        }
-        if self.eat_keyword(Keyword::In) {
-            self.expect_symbol(Symbol::LParen)?;
-            let mut list = vec![self.parse_addsub()?];
-            while self.eat_symbol(Symbol::Comma) {
-                list.push(self.parse_addsub()?);
+    /// What an expression starts with: a prefix `NOT` (where `min_bp`
+    /// admits it) or `-` and its operand, or a primary. Also returns the
+    /// tightest tier that may follow: after `NOT`, only `AND` and `OR`.
+    /// Each arm is a function of its own, so the frames that nesting
+    /// stacks up stay small.
+    fn parse_prefix(&mut self, min_bp: u8) -> Boxed<(Expr, u8)> {
+        let expr = match self.peek() {
+            Some(Token::Keyword(Keyword::Not)) if min_bp <= NOT => {
+                return Ok((self.parse_prefixed(NOT, Expr::Not)?, NOT - 1));
             }
-            self.expect_symbol(Symbol::RParen)?;
-            return Ok(Expr::InList {
-                expr: Box::new(lhs),
-                list,
-                negated,
-            });
-        }
-        if negated {
-            return Err(self.error("expected BETWEEN or IN after NOT"));
-        }
-        // Comparison.
-        let op = match self.peek() {
-            Some(Token::Symbol(Symbol::Eq)) => Some(BinOp::Eq),
-            Some(Token::Symbol(Symbol::Neq)) => Some(BinOp::Neq),
-            Some(Token::Symbol(Symbol::Lt)) => Some(BinOp::Lt),
-            Some(Token::Symbol(Symbol::Lte)) => Some(BinOp::Lte),
-            Some(Token::Symbol(Symbol::Gt)) => Some(BinOp::Gt),
-            Some(Token::Symbol(Symbol::Gte)) => Some(BinOp::Gte),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.pos += 1;
-            let rhs = self.parse_addsub()?;
-            return Ok(Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            });
-        }
-        Ok(lhs)
-    }
-
-    fn parse_addsub(&mut self) -> SqlResult<Expr> {
-        let depth = self.depth;
-        let mut lhs = self.parse_muldiv()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Symbol(Symbol::Plus)) => BinOp::Add,
-                Some(Token::Symbol(Symbol::Minus)) => BinOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            self.descend()?;
-            let rhs = self.parse_muldiv()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        self.depth = depth;
-        Ok(lhs)
-    }
-
-    fn parse_muldiv(&mut self) -> SqlResult<Expr> {
-        let depth = self.depth;
-        let mut lhs = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Symbol(Symbol::Star)) => BinOp::Mul,
-                Some(Token::Symbol(Symbol::Slash)) => BinOp::Div,
-                Some(Token::Symbol(Symbol::Percent)) => BinOp::Mod,
-                _ => break,
-            };
-            self.pos += 1;
-            self.descend()?;
-            let rhs = self.parse_unary()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        self.depth = depth;
-        Ok(lhs)
-    }
-
-    fn parse_unary(&mut self) -> SqlResult<Expr> {
-        if self.eat_symbol(Symbol::Minus) {
-            self.descend()?;
-            let inner = self.parse_unary()?;
-            self.depth -= 1;
-            return Ok(Expr::Neg(Box::new(inner)));
-        }
-        self.parse_primary()
-    }
-
-    /// One operand. Each recursive form (parentheses, subquery,
-    /// `GROUPING(…)`, a call) has a function of its own, so the frames
-    /// that nesting stacks up stay small.
-    fn parse_primary(&mut self) -> SqlResult<Expr> {
-        match self.peek() {
+            Some(Token::Symbol(Symbol::Minus)) => self.parse_prefixed(PREFIX, Expr::Neg),
             Some(Token::Symbol(Symbol::LParen)) => self.parse_parenthesized(),
             Some(Token::Keyword(Keyword::Grouping)) => self.parse_grouping(),
             Some(Token::Ident(_)) => self.parse_name(),
             _ => self.parse_literal(),
+        };
+        Ok((expr?, PRODUCT))
+    }
+
+    /// A prefix `NOT` or `-` and its operand, parsed at `tier`; `node`
+    /// builds the one from the other.
+    fn parse_prefixed(&mut self, tier: u8, node: fn(Box<Expr>) -> Expr) -> Boxed<Expr> {
+        self.pos += 1;
+        self.descend()?;
+        let operand = Box::new(self.parse_expr_bp(tier)?);
+        self.depth -= 1;
+        Ok(node(operand))
+    }
+
+    /// The tier of the infix operator or keyword predicate next, if any.
+    fn infix_tier(&self) -> Option<u8> {
+        match binary_op(self.peek()) {
+            Some((_, tier)) => Some(tier),
+            None => self.at_predicate_keyword().then_some(PREDICATE),
         }
     }
 
-    fn parse_literal(&mut self) -> SqlResult<Expr> {
+    /// The links of the `tier` run that `first` heads; a comparison takes
+    /// one.
+    fn parse_chain(&mut self, first: Expr, tier: u8) -> Boxed<Expr> {
+        let mut rest = Vec::new();
+        while let Some((op, _)) = binary_op(self.peek()).filter(|&(_, t)| t == tier) {
+            self.pos += 1;
+            let operand = self.parse_expr_bp(tier + 1)?;
+            rest.push((op, operand));
+            if tier == PREDICATE {
+                break;
+            }
+        }
+        Ok(Expr::Chain {
+            first: Box::new(first),
+            rest,
+        })
+    }
+
+    /// Whether a keyword predicate follows: `IS`, `[NOT] BETWEEN`, `[NOT] IN`.
+    fn at_predicate_keyword(&self) -> bool {
+        let next = match self.peek() {
+            Some(Token::Keyword(Keyword::Is)) => return true,
+            Some(Token::Keyword(Keyword::Not)) => self.peek2(),
+            t => t,
+        };
+        matches!(next, Some(Token::Keyword(Keyword::Between | Keyword::In)))
+    }
+
+    /// The keyword predicate [`Self::at_predicate_keyword`] saw, after its
+    /// left operand.
+    fn parse_predicate_keyword(&mut self, lhs: Expr) -> Boxed<Expr> {
+        let expr = Box::new(lhs);
+        if self.eat_keyword(Keyword::Is) {
+            let negated = self.eat_keyword(Keyword::Not);
+            self.expect_keyword(Keyword::Null)?;
+            return Ok(Expr::IsNull { expr, negated });
+        }
+        let negated = self.eat_keyword(Keyword::Not);
+        match self.eat_keyword(Keyword::Between) {
+            true => self.parse_between(expr, negated),
+            false => self.parse_in_list(expr, negated),
+        }
+    }
+
+    fn parse_between(&mut self, expr: Box<Expr>, negated: bool) -> Boxed<Expr> {
+        let low = Box::new(self.parse_expr_bp(SUM)?);
+        self.expect_keyword(Keyword::And)?;
+        let high = Box::new(self.parse_expr_bp(SUM)?);
+        Ok(Expr::Between {
+            expr,
+            low,
+            high,
+            negated,
+        })
+    }
+
+    /// `IN (…)`, the list parsed at [`SUM`].
+    fn parse_in_list(&mut self, expr: Box<Expr>, negated: bool) -> Boxed<Expr> {
+        self.expect_keyword(Keyword::In)?;
+        let list = self.parenthesized_list(|p| p.parse_expr_bp(SUM))?;
+        Ok(Expr::InList {
+            expr,
+            list,
+            negated,
+        })
+    }
+
+    fn parse_literal(&mut self) -> Boxed<Expr> {
         let value = match self.peek() {
             Some(Token::Int(i)) => Value::Int(*i),
             Some(Token::Float(x)) => Value::Float(*x),
@@ -622,49 +548,57 @@ impl Parser {
         Ok(Expr::Literal(value))
     }
 
-    fn parse_grouping(&mut self) -> SqlResult<Expr> {
+    fn parse_grouping(&mut self) -> Boxed<Expr> {
         self.pos += 1;
         self.expect_symbol(Symbol::LParen)?;
-        let inner = self.parse_expr()?;
+        self.descend()?;
+        let inner = self.parse_expr_bp(0)?;
+        self.depth -= 1;
         self.expect_symbol(Symbol::RParen)?;
         Ok(Expr::Grouping(Box::new(inner)))
     }
 
-    fn parse_parenthesized(&mut self) -> SqlResult<Expr> {
+    /// A parenthesized expression or a scalar subquery.
+    fn parse_parenthesized(&mut self) -> Boxed<Expr> {
         self.pos += 1;
-        if self.peek() == Some(&Token::Keyword(Keyword::Select)) {
-            let sub = self.parse_select_core()?;
-            self.expect_symbol(Symbol::RParen)?;
-            return Ok(Expr::ScalarSubquery(Box::new(sub)));
-        }
-        let inner = self.parse_expr()?;
+        self.descend()?;
+        let inner = match self.peek() {
+            Some(Token::Keyword(Keyword::Select)) => {
+                self.parse_select_core().map(Expr::ScalarSubquery)
+            }
+            _ => self.parse_expr_bp(0),
+        };
+        let inner = inner?;
+        self.depth -= 1;
         self.expect_symbol(Symbol::RParen)?;
         Ok(inner)
     }
 
+    /// A call's arguments, after `name(`.
+    fn parse_call(&mut self, name: String) -> Boxed<Expr> {
+        self.descend()?;
+        let distinct = self.eat_keyword(Keyword::Distinct);
+        let args = if self.eat_symbol(Symbol::Star) {
+            vec![Expr::Star]
+        } else if self.peek() == Some(&Token::Symbol(Symbol::RParen)) {
+            Vec::new()
+        } else {
+            self.comma_list(|p| p.parse_expr_bp(0))?
+        };
+        self.depth -= 1;
+        self.expect_symbol(Symbol::RParen)?;
+        Ok(Expr::Func {
+            name,
+            distinct,
+            args,
+        })
+    }
+
     /// A column, qualified column, or function call.
-    fn parse_name(&mut self) -> SqlResult<Expr> {
+    fn parse_name(&mut self) -> Boxed<Expr> {
         let name = self.expect_ident()?;
-        // Function call?
         if self.eat_symbol(Symbol::LParen) {
-            let distinct = self.eat_keyword(Keyword::Distinct);
-            let mut args = Vec::new();
-            if self.eat_symbol(Symbol::Star) {
-                args.push(Expr::Star);
-            } else if self.peek() != Some(&Token::Symbol(Symbol::RParen)) {
-                loop {
-                    args.push(self.parse_expr()?);
-                    if !self.eat_symbol(Symbol::Comma) {
-                        break;
-                    }
-                }
-            }
-            self.expect_symbol(Symbol::RParen)?;
-            return Ok(Expr::Func {
-                name,
-                distinct,
-                args,
-            });
+            return self.parse_call(name);
         }
         // Qualified column?
         if self.eat_symbol(Symbol::Dot) {
@@ -774,12 +708,8 @@ mod tests {
             "SELECT Model, SUM(Sales) / (SELECT SUM(Sales) FROM Sales) FROM Sales GROUP BY Model",
         );
         match &s.items[1].expr {
-            Expr::Binary {
-                op: BinOp::Div,
-                rhs,
-                ..
-            } => {
-                assert!(matches!(**rhs, Expr::ScalarSubquery(_)));
+            Expr::Chain { rest, .. } => {
+                assert!(matches!(rest[..], [(BinOp::Div, Expr::ScalarSubquery(_))]));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -821,7 +751,7 @@ mod tests {
     #[test]
     fn parse_errors_name_the_offender() {
         match parse("SELECT FROM t") {
-            Err(SqlError::Parse { near, .. }) => assert_eq!(near, "From"),
+            Err(SqlError::Parse { near, .. }) => assert_eq!(near, "FROM"),
             other => panic!("expected parse error, got {other:?}"),
         }
         assert!(parse("SELECT a FROM t GROUP BY").is_err());
@@ -855,10 +785,7 @@ mod tests {
             panic!("expected DELETE, got {stmt:?}");
         };
         assert_eq!(table, "sales");
-        assert!(matches!(
-            where_clause,
-            Some(Expr::Binary { op: BinOp::Eq, .. })
-        ));
+        assert_eq!(ops(&where_clause.unwrap()), [BinOp::Eq]);
         assert!(matches!(
             parse("DELETE FROM sales").unwrap(),
             Statement::Delete {
@@ -883,13 +810,10 @@ mod tests {
         assert_eq!(table, "sales");
         assert_eq!(sets.len(), 2);
         assert_eq!(sets[0].0, "units");
-        assert!(matches!(sets[0].1, Expr::Binary { op: BinOp::Add, .. }));
+        assert_eq!(ops(&sets[0].1), [BinOp::Add]);
         assert_eq!(sets[1].0, "year");
         assert_eq!(sets[1].1, Expr::Literal(Value::Int(1996)));
-        assert!(matches!(
-            where_clause,
-            Some(Expr::Binary { op: BinOp::Eq, .. })
-        ));
+        assert_eq!(ops(&where_clause.unwrap()), [BinOp::Eq]);
         assert!(matches!(
             parse("UPDATE sales SET units = 0").unwrap(),
             Statement::Update {
@@ -913,28 +837,93 @@ mod tests {
         assert!(parse("UPDATE sales SET units = 1 WHERE").is_err()); // dangling WHERE
     }
 
+    /// The operators of a chain's links, in order.
+    fn ops(e: &Expr) -> Vec<BinOp> {
+        match e {
+            Expr::Chain { rest, .. } => rest.iter().map(|(op, _)| *op).collect(),
+            other => panic!("not a chain: {other:?}"),
+        }
+    }
+
     #[test]
     fn operator_precedence() {
-        let s = select("SELECT a + b * c FROM t");
         // a + (b * c)
-        match &s.items[0].expr {
-            Expr::Binary {
-                op: BinOp::Add,
-                rhs,
-                ..
-            } => {
-                assert!(matches!(**rhs, Expr::Binary { op: BinOp::Mul, .. }));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let s = select("SELECT a + b * c FROM t");
+        let Expr::Chain { rest, .. } = &s.items[0].expr else {
+            panic!("unexpected {:?}", s.items[0].expr);
+        };
+        assert_eq!(rest[0].0, BinOp::Add);
+        assert_eq!(ops(&rest[0].1), [BinOp::Mul]);
+        // a OR (b AND c)
         let s = select("SELECT a OR b AND c FROM t");
-        match &s.items[0].expr {
-            Expr::Binary {
-                op: BinOp::Or, rhs, ..
-            } => {
-                assert!(matches!(**rhs, Expr::Binary { op: BinOp::And, .. }));
+        let Expr::Chain { rest, .. } = &s.items[0].expr else {
+            panic!("unexpected {:?}", s.items[0].expr);
+        };
+        assert_eq!(rest[0].0, BinOp::Or);
+        assert_eq!(ops(&rest[0].1), [BinOp::And]);
+    }
+
+    /// A run of one tier's operators is one node, however long; the
+    /// predicates do not associate.
+    #[test]
+    fn a_run_of_one_tier_is_one_chain() {
+        let s = select("SELECT a - b + c - d FROM t");
+        assert_eq!(ops(&s.items[0].expr), [BinOp::Sub, BinOp::Add, BinOp::Sub]);
+        let terms = vec!["x = 1"; MAX_DEPTH * 10].join(" OR ");
+        let s = select(&format!("SELECT a FROM t WHERE {terms}"));
+        assert_eq!(ops(&s.where_clause.unwrap()).len(), MAX_DEPTH * 10 - 1);
+        for sql in [
+            "SELECT a = b = c FROM t",
+            "SELECT a IS NULL = TRUE FROM t",
+            "SELECT a IN (1) IS NULL FROM t",
+            "SELECT a BETWEEN 1 AND 2 < 3 FROM t",
+            "SELECT NOT a = 1 = 2 FROM t",
+            "SELECT a IS NULL + 1 FROM t",
+        ] {
+            assert!(parse(sql).is_err(), "{sql}");
+        }
+    }
+
+    /// An error names the token the parser stopped at, as written.
+    #[test]
+    fn parse_errors_name_the_token_they_stop_at() {
+        for (sql, near, message) in [
+            ("SELECT a FROM", "<end of input>", "expected identifier"),
+            ("UPDATE t SET", "<end of input>", "expected identifier"),
+            (
+                "SELECT a FROM t JOIN",
+                "<end of input>",
+                "expected identifier",
+            ),
+            ("SET", "<end of input>", "expected identifier"),
+            (
+                "SET threads = x",
+                "x",
+                "expected an integer option value (or ON/OFF)",
+            ),
+            (
+                "SELECT a FROM t LIMIT -1",
+                "-",
+                "expected a non-negative LIMIT count",
+            ),
+            (
+                "SELECT a FROM t LIMIT x",
+                "x",
+                "expected a non-negative LIMIT count",
+            ),
+            ("SELECT a = b = c FROM t", "=", "expected FROM"),
+            ("SELECT a FROM t GROUP a", "a", "expected BY"),
+            ("SELECT a + NOT b FROM t", "NOT", "expected an expression"),
+        ] {
+            match parse(sql) {
+                Err(SqlError::Parse {
+                    near: n,
+                    message: m,
+                }) => {
+                    assert_eq!((n.as_str(), m.as_str()), (near, message), "{sql}");
+                }
+                other => panic!("{sql}: expected a parse error, got {other:?}"),
             }
-            other => panic!("unexpected {other:?}"),
         }
     }
 }

@@ -162,6 +162,11 @@ pub(crate) fn bind(sel: &SelectStmt, input: &Schema, snap: &CatalogSnapshot) -> 
         ));
     }
     let cube_schema = Schema::new(cube_cols)?;
+    let (mut items, mut having) = (sel.items.clone(), sel.having.clone());
+    let longest = substitutions.keys().map(String::len).max().unwrap_or(0);
+    for e in items.iter_mut().map(|it| &mut it.expr).chain(&mut having) {
+        nest_prefixes(e, &substitutions, longest);
+    }
     let scope = Scope {
         ctx: EvalContext {
             schema: &cube_schema,
@@ -170,19 +175,46 @@ pub(crate) fn bind(sel: &SelectStmt, input: &Schema, snap: &CatalogSnapshot) -> 
         },
         base: Some(&widened),
     };
-    if let Some(h) = &sel.having {
+    if let Some(h) = &having {
         infer_type(h, &scope.ctx)?;
     }
-    let outputs = scope.bind_outputs(&sel.items)?;
+    let outputs = scope.bind_outputs(&items)?;
     Ok(Bound::Aggregate(AggregatePlan {
         dims,
         aggs,
         computed,
         sets,
-        having: sel.having.clone(),
+        having,
         outputs,
         substitutions: scope.ctx.substitutions,
     }))
+}
+
+/// Re-nest each operator run in `expr` at its longest head whose text is a
+/// substitution key (`a + b + 1` under `GROUP BY a + b`), so [`eval`] reads
+/// that head from the cube relation; the canonical text is unchanged. A
+/// head's text grows a link at a time, up to `longest`, the longest key.
+fn nest_prefixes(expr: &mut Expr, keys: &HashMap<String, usize>, longest: usize) {
+    if let Expr::Chain { first, rest } = expr {
+        let (mut head, mut at) = (first.canonical(), 0);
+        for (k, (op, e)) in rest.iter().enumerate() {
+            if head.len() >= longest {
+                break;
+            }
+            head = format!("({head} {} {})", op.symbol(), e.canonical());
+            at = if keys.contains_key(&head) { k + 1 } else { at };
+        }
+        if (1..rest.len()).contains(&at) {
+            let head = std::mem::replace(&mut **first, Expr::Star);
+            **first = Expr::Chain {
+                first: Box::new(head),
+                rest: rest.drain(..at).collect(),
+            };
+        }
+    }
+    for child in expr.children_mut() {
+        nest_prefixes(child, keys, longest);
+    }
 }
 
 /// The select list of a plain block. A lone `*` is every input column.

@@ -3,91 +3,73 @@
 use crate::error::{SqlError, SqlResult};
 use std::fmt;
 
-/// Reserved words. Everything else alphabetic is an [`Token::Ident`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Keyword {
-    Select,
-    From,
-    Where,
-    Group,
-    By,
-    Rollup,
-    Cube,
-    Grouping,
-    Sets,
-    Having,
-    Order,
-    Asc,
-    Desc,
-    Union,
-    All,
-    Distinct,
-    As,
-    And,
-    Or,
-    Not,
-    In,
-    Between,
-    Is,
-    Null,
-    True,
-    False,
-    Join,
-    Using,
-    On,
-    Limit,
-    Explain,
-    Set,
-    Insert,
-    Into,
-    Values,
-    Delete,
-    Update,
+macro_rules! keywords {
+    ($($variant:ident => $text:literal,)*) => {
+        /// Reserved words. Everything else alphabetic is an
+        /// [`Token::Ident`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Keyword {
+            $($variant,)*
+        }
+
+        /// Each keyword's SQL text, in declaration order: what the lexer
+        /// matches a word against and what an error message prints.
+        const KEYWORDS: &[(&str, Keyword)] = &[$(($text, Keyword::$variant),)*];
+    };
+}
+
+keywords! {
+    Select => "SELECT",
+    From => "FROM",
+    Where => "WHERE",
+    Group => "GROUP",
+    By => "BY",
+    Rollup => "ROLLUP",
+    Cube => "CUBE",
+    Grouping => "GROUPING",
+    Sets => "SETS",
+    Having => "HAVING",
+    Order => "ORDER",
+    Asc => "ASC",
+    Desc => "DESC",
+    Union => "UNION",
+    All => "ALL",
+    Distinct => "DISTINCT",
+    As => "AS",
+    And => "AND",
+    Or => "OR",
+    Not => "NOT",
+    In => "IN",
+    Between => "BETWEEN",
+    Is => "IS",
+    Null => "NULL",
+    True => "TRUE",
+    False => "FALSE",
+    Join => "JOIN",
+    Using => "USING",
+    On => "ON",
+    Limit => "LIMIT",
+    Explain => "EXPLAIN",
+    Set => "SET",
+    Insert => "INSERT",
+    Into => "INTO",
+    Values => "VALUES",
+    Delete => "DELETE",
+    Update => "UPDATE",
 }
 
 impl Keyword {
     fn from_word(w: &str) -> Option<Keyword> {
-        use Keyword::*;
-        Some(match w.to_ascii_uppercase().as_str() {
-            "SELECT" => Select,
-            "FROM" => From,
-            "WHERE" => Where,
-            "GROUP" => Group,
-            "BY" => By,
-            "ROLLUP" => Rollup,
-            "CUBE" => Cube,
-            "GROUPING" => Grouping,
-            "SETS" => Sets,
-            "HAVING" => Having,
-            "ORDER" => Order,
-            "ASC" => Asc,
-            "DESC" => Desc,
-            "UNION" => Union,
-            "ALL" => All,
-            "DISTINCT" => Distinct,
-            "AS" => As,
-            "AND" => And,
-            "OR" => Or,
-            "NOT" => Not,
-            "IN" => In,
-            "BETWEEN" => Between,
-            "IS" => Is,
-            "NULL" => Null,
-            "TRUE" => True,
-            "FALSE" => False,
-            "JOIN" => Join,
-            "USING" => Using,
-            "ON" => On,
-            "LIMIT" => Limit,
-            "EXPLAIN" => Explain,
-            "SET" => Set,
-            "INSERT" => Insert,
-            "INTO" => Into,
-            "VALUES" => Values,
-            "DELETE" => Delete,
-            "UPDATE" => Update,
-            _ => return None,
-        })
+        let found = KEYWORDS
+            .iter()
+            .find(|(text, _)| text.eq_ignore_ascii_case(w));
+        found.map(|&(_, k)| k)
+    }
+}
+
+impl fmt::Display for Keyword {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(KEYWORDS[*self as usize].0)
     }
 }
 
@@ -129,7 +111,7 @@ pub enum Symbol {
 impl fmt::Display for Token {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Token::Keyword(k) => write!(f, "{k:?}"),
+            Token::Keyword(k) => write!(f, "{k}"),
             Token::Ident(s) => write!(f, "{s}"),
             Token::Int(i) => write!(f, "{i}"),
             Token::Float(x) => write!(f, "{x}"),
@@ -304,6 +286,18 @@ mod tests {
                 Token::Keyword(Keyword::Rollup),
             ]
         );
+    }
+
+    /// The keyword table is in declaration order, so a keyword prints as
+    /// the word that lexes to it.
+    #[test]
+    fn keywords_print_as_sql() {
+        for (i, &(text, k)) in KEYWORDS.iter().enumerate() {
+            assert_eq!(k as usize, i, "{text}");
+            assert_eq!(k.to_string(), text);
+            assert_eq!(Keyword::from_word(&text.to_lowercase()), Some(k));
+        }
+        assert_eq!(Token::Keyword(Keyword::From).to_string(), "FROM");
     }
 
     #[test]

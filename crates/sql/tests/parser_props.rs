@@ -7,7 +7,8 @@ use dc_sql::ast::{BinOp, Expr, Statement};
 use dc_sql::parser::parse;
 use proptest::prelude::*;
 
-/// Random well-formed expressions over a small vocabulary.
+/// Random well-formed expressions over a small vocabulary. An operator
+/// run is a chain of 1–4 links of any operators, its operands chains too.
 fn arb_expr() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
         "[a-c]".prop_map(|s| Expr::Column {
@@ -22,13 +23,14 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
     ];
     leaf.prop_recursive(4, 32, 4, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone(), arb_binop()).prop_map(|(l, r, op)| {
-                Expr::Binary {
-                    op,
-                    lhs: Box::new(l),
-                    rhs: Box::new(r),
-                }
-            }),
+            (
+                inner.clone(),
+                proptest::collection::vec((arb_binop(), inner.clone()), 1..5)
+            )
+                .prop_map(|(first, rest)| Expr::Chain {
+                    first: Box::new(first),
+                    rest,
+                }),
             inner.clone().prop_map(|e| Expr::Not(Box::new(e))),
             inner.clone().prop_map(|e| Expr::Neg(Box::new(e))),
             (inner.clone(), any::<bool>()).prop_map(|(e, n)| Expr::IsNull {

@@ -54,7 +54,7 @@ const CORPUS: &[(&str, &str)] = &[
     ("SELECT (a) FROM t", "a"),
     ("SELECT a FROM t WHERE a = b = c", "Err: parse error near '=': trailing input after statement"),
     ("SELECT a FROM t WHERE a IS NULL = TRUE", "Err: parse error near '=': trailing input after statement"),
-    ("SELECT a FROM t WHERE a IN (1) IS NULL", "Err: parse error near 'Is': trailing input after statement"),
+    ("SELECT a FROM t WHERE a IN (1) IS NULL", "Err: parse error near 'IS': trailing input after statement"),
     ("SELECT a + b - c FROM t", "((a + b) - c)"),
     ("SELECT a * b / c % d FROM t", "(((a * b) / c) % d)"),
     ("SELECT a + b * c - d FROM t", "((a + (b * c)) - d)"),
@@ -87,12 +87,12 @@ const CORPUS: &[(&str, &str)] = &[
     ("SELECT f(a + 1, -b) * 2 FROM t", "(F((a + 1), (-b)) * 2)"),
     ("SELECT a FROM t ORDER BY a + b DESC", "a | ORDER BY (a + b)"),
     ("SELECT a FROM t WHERE a < b < c", "Err: parse error near '<': trailing input after statement"),
-    ("SELECT a FROM t WHERE a IS NOT NULL IS NULL", "Err: parse error near 'Is': trailing input after statement"),
+    ("SELECT a FROM t WHERE a IS NOT NULL IS NULL", "Err: parse error near 'IS': trailing input after statement"),
     ("SELECT a * -b - c FROM t", "((a * (-b)) - c)"),
     ("SELECT (a + b) + c FROM t", "((a + b) + c)"),
     ("SELECT a + (b + c) FROM t", "(a + (b + c))"),
     ("SELECT a FROM t WHERE a IN (1, 2) = TRUE", "Err: parse error near '=': trailing input after statement"),
-    ("SELECT a FROM t WHERE a = 1 IS NULL", "Err: parse error near 'Is': trailing input after statement"),
+    ("SELECT a FROM t WHERE a = 1 IS NULL", "Err: parse error near 'IS': trailing input after statement"),
     ("SELECT 1 + 2 * 3 FROM t GROUP BY CUBE a + b, c * d", "(1 + (2 * 3)) | GROUP BY (a + b), (c * d)"),
     ("SELECT a FROM t WHERE a BETWEEN 1 AND 2 OR a NOT BETWEEN 3 AND 4 AND b", "a | WHERE ((a BETWEEN 1 AND 2) OR ((a NOT BETWEEN 3 AND 4) AND b))"),
     ("SELECT a FROM t WHERE NOT (a = 1 OR b = 2)", "a | WHERE (NOT ((a = 1) OR (b = 2)))"),
@@ -104,7 +104,7 @@ const CORPUS: &[(&str, &str)] = &[
     ("SELECT a FROM t WHERE (a", "Err: parse error near '<end of input>': expected ')'"),
     ("SELECT a FROM t WHERE a NOT IN (1, 2) AND b IN (3) OR c", "a | WHERE (((a NOT IN (1, 2)) AND (b IN (3))) OR c)"),
     ("SELECT a FROM t WHERE a IN ()", "Err: parse error near ')': expected an expression"),
-    ("SELECT a FROM t WHERE - NOT a", "Err: parse error near 'Not': expected an expression"),
+    ("SELECT a FROM t WHERE - NOT a", "Err: parse error near 'NOT': expected an expression"),
     ("SELECT a FROM t WHERE a * = 1", "Err: parse error near '=': expected an expression"),
     ("SELECT a + b AS s, c * d FROM t WHERE a > 0 AND b > 1 AND c > 3 GROUP BY a + b, c HAVING COUNT(*) > 1 + 1", "(a + b), (c * d) | WHERE (((a > 0) AND (b > 1)) AND (c > 3)) | GROUP BY (a + b), c | HAVING (COUNT(*) > (1 + 1))"),
 ];

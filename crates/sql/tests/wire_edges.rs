@@ -244,8 +244,9 @@ enum Owed {
 /// One hostile frame: a length prefix of 0, below, at or above
 /// `MAX_FRAME_LEN`, with a printable or a random (mostly non-UTF-8)
 /// payload, one in three cut short anywhere, prefix included; or a whole
-/// statement, one of [`nested_statements`]' productions at a depth in
-/// 65..=100 000. Returns its bytes and what the server owes it.
+/// statement, one of [`nested_statements`]' nesting productions at a depth
+/// past the limit, up to 100 000. Returns its bytes and what the server
+/// owes it.
 fn hostile_frame(rng: &mut XorShift) -> (Vec<u8>, Owed) {
     let max = u64::from(MAX_FRAME_LEN);
     let len = match rng.below(5) {
@@ -319,9 +320,10 @@ fn seeded_hostile_frames_get_a_typed_error_or_a_close() {
 }
 
 /// Statements that nest one production `depth` deep, each as a complete
-/// query over `Sales`: parentheses, unary `-`, `NOT`, the loop-built
-/// `+`, `*`, `AND`, `OR` and `UNION` chains, calls, `GROUPING(…)`,
-/// scalar subqueries, and parentheses inside `GROUPING SETS`.
+/// query over `Sales`: parentheses, unary `-`, `NOT`, `UNION` links,
+/// calls, `GROUPING(…)`, scalar subqueries, and parentheses inside
+/// `GROUPING SETS`. Operator runs are not here: a run is one node however
+/// long ([`operator_runs_of_10_000_terms_are_served`]).
 fn nested_statements(depth: usize) -> Vec<(&'static str, String)> {
     let wrap = |open: &str, inner: &str, close: &str| {
         format!("{}{inner}{}", open.repeat(depth), close.repeat(depth))
@@ -335,28 +337,6 @@ fn nested_statements(depth: usize) -> Vec<(&'static str, String)> {
         (
             "not",
             format!("SELECT model FROM Sales WHERE {}TRUE", "NOT ".repeat(depth)),
-        ),
-        (
-            "add",
-            format!("SELECT 1{} FROM Sales", " + 1".repeat(depth)),
-        ),
-        (
-            "mul",
-            format!("SELECT 1{} FROM Sales", " * 1".repeat(depth)),
-        ),
-        (
-            "and",
-            format!(
-                "SELECT model FROM Sales WHERE TRUE{}",
-                " AND TRUE".repeat(depth)
-            ),
-        ),
-        (
-            "or",
-            format!(
-                "SELECT model FROM Sales WHERE FALSE{}",
-                " OR TRUE".repeat(depth)
-            ),
         ),
         (
             "union",
@@ -394,10 +374,11 @@ fn nested_statements(depth: usize) -> Vec<(&'static str, String)> {
 }
 
 /// No statement can overflow a connection thread's stack: on a default
-/// server, each production nested 10^5 deep is answered with a typed
+/// server, each nesting production 10^5 deep is answered with a typed
 /// PARSE error naming the limit, and a fresh client is then served. Just
-/// inside the limit, where the tree is tallest (a deep operand at the
-/// head of a long chain), every statement gets a typed answer.
+/// inside the limit every statement gets a typed answer, and so does the
+/// tallest tree a level allows: every tier, inside each parenthesis, call
+/// and subquery.
 #[test]
 fn statements_nested_past_the_limit_get_a_typed_error() {
     let mut engine = Engine::new();
@@ -418,13 +399,18 @@ fn statements_nested_past_the_limit_get_a_typed_error() {
         }
     }
 
-    let tallest = format!(
-        "SELECT {}1{} AS x FROM Sales",
-        "- ".repeat(limit - 1),
-        " + 1".repeat(limit - 1)
-    );
+    let every_tier = |open: &str, close: &str| {
+        let open = format!("{open}FALSE OR TRUE AND 1 BETWEEN 0 AND 2 + 3 * ");
+        format!("{}units{}", open.repeat(limit), close.repeat(limit))
+    };
+    let tallest = [
+        ("tallest parens", every_tier("(", ")")),
+        ("tallest calls", every_tier("ABS(", ")")),
+        ("tallest subqueries", every_tier("(SELECT ", " FROM Sales)")),
+    ]
+    .map(|(name, expr)| (name, format!("SELECT {expr} AS x FROM Sales")));
     let inside = nested_statements(limit - 10).into_iter();
-    for (name, sql) in inside.chain([("tallest", tallest)]) {
+    for (name, sql) in inside.chain(tallest) {
         let mut conn = connect(handle.local_addr());
         match wire::request(&mut conn, &sql) {
             Ok(Response::Table { .. }) => {}
@@ -442,6 +428,88 @@ fn statements_nested_past_the_limit_get_a_typed_error() {
     match wire::request(&mut conn, QUERY) {
         Ok(Response::Table { rows, .. }) => assert_eq!(rows.len(), 2),
         other => panic!("fresh client got {other:?}"),
+    }
+    handle.shutdown();
+}
+
+/// An operator run is one node however long, so it costs no depth: on a
+/// default server, 10 000-term `OR`, `AND` and `+` runs, a 1 000-term sum
+/// of aggregate calls and a 10 000-term `OR` in HAVING are served, equal
+/// to the in-process answer and to the value worked out by hand.
+#[test]
+fn operator_runs_of_10_000_terms_are_served() {
+    let mut engine = Engine::new();
+    let schema = Schema::from_pairs(&[("model", DataType::Str), ("units", DataType::Int)]);
+    let t = Table::new(schema, vec![row!["Chevy", 50], row!["Ford", 60]]).unwrap();
+    engine.register_table("Sales", t).unwrap();
+    let handle = serve(&engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let run = |n: usize, term: &dyn Fn(usize) -> String, op: &str| {
+        let terms: Vec<String> = (0..n).map(term).collect();
+        terms.join(op)
+    };
+    let aggs = ["SUM(units)", "COUNT(*)", "MIN(units)", "MAX(units)"];
+    let cases = [
+        (
+            // units is 50 or 60: both are among 1..=10 000.
+            format!(
+                "SELECT model FROM Sales WHERE {}",
+                run(10_000, &|k| format!("units = {}", k + 1), " OR ")
+            ),
+            vec![vec!["Chevy"], vec!["Ford"]],
+        ),
+        (
+            // Only 50 is none of 51..=10 050.
+            format!(
+                "SELECT model FROM Sales WHERE {}",
+                run(10_000, &|k| format!("units <> {}", k + 51), " AND ")
+            ),
+            vec![vec!["Chevy"]],
+        ),
+        (
+            format!(
+                "SELECT model, {} AS s FROM Sales",
+                run(10_000, &|_| "units".into(), " + ")
+            ),
+            vec![vec!["Chevy", "500000"], vec!["Ford", "600000"]],
+        ),
+        (
+            // 250 each of SUM, COUNT, MIN and MAX: 250 * (50 + 1 + 50 + 50)
+            // for Chevy, 250 * (60 + 1 + 60 + 60) for Ford.
+            format!(
+                "SELECT model, {} AS s FROM Sales GROUP BY model",
+                run(1_000, &|k| aggs[k % 4].into(), " + ")
+            ),
+            vec![vec!["Chevy", "37750"], vec!["Ford", "45250"]],
+        ),
+        (
+            // Sums 50, 60 and 110 (ALL) are all among 1..=10 000.
+            format!(
+                "SELECT model, SUM(units) AS s FROM Sales GROUP BY CUBE model HAVING {}",
+                run(10_000, &|k| format!("SUM(units) = {}", k + 1), " OR ")
+            ),
+            vec![vec!["Chevy", "50"], vec!["Ford", "60"], vec!["ALL", "110"]],
+        ),
+    ];
+    for (sql, want) in cases {
+        let head = &sql[..60];
+        let in_process = engine.session().execute(&sql).unwrap();
+        let in_process: Vec<Vec<String>> = in_process
+            .rows()
+            .iter()
+            .map(|r| r.iter().map(ToString::to_string).collect())
+            .collect();
+        let mut conn = connect(handle.local_addr());
+        let Ok(Response::Table { mut rows, .. }) = wire::request(&mut conn, &sql) else {
+            panic!("{head}…: not served");
+        };
+        assert_eq!(rows, in_process, "{head}…");
+        rows.sort();
+        let mut want: Vec<Vec<String>> = want
+            .into_iter()
+            .map(|r| r.into_iter().map(String::from).collect())
+            .collect();
+        want.sort();
+        assert_eq!(rows, want, "{head}…");
     }
     handle.shutdown();
 }

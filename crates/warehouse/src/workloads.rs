@@ -38,7 +38,9 @@ fn count_aggs_expr(e: &Expr) -> usize {
             own + args.iter().map(count_aggs_expr).sum::<usize>()
         }
         Expr::Grouping(inner) => count_aggs_expr(inner),
-        Expr::Binary { lhs, rhs, .. } => count_aggs_expr(lhs) + count_aggs_expr(rhs),
+        Expr::Chain { first, rest } => {
+            count_aggs_expr(first) + rest.iter().map(|(_, e)| count_aggs_expr(e)).sum::<usize>()
+        }
         Expr::Not(e) | Expr::Neg(e) => count_aggs_expr(e),
         Expr::IsNull { expr, .. } => count_aggs_expr(expr),
         Expr::Between {
